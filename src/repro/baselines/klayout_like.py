@@ -171,11 +171,11 @@ class KLayoutLikeChecker:
         self.last_stats[f"regions[L{layer}]"] = regions
 
     def _deep_intra(self, rule: Rule, tree: HierarchyTree) -> List[Violation]:
-        from ..core.sequential import SequentialChecker
+        from ..core.sequential import SequentialBackend
 
         # Deep mode's hierarchical intra checking is the same memoisation
         # OpenDRC uses — this is why KLayout-deep is fast in Table I.
-        return SequentialChecker(self.layout, tree=tree, use_rows=False).run(rule)
+        return SequentialBackend(self.layout, tree=tree, use_rows=False).run(rule)
 
     def _deep_spacing(self, layer: int, value: int, tree: HierarchyTree) -> List[Violation]:
         subtree = SubtreeWindow(tree)

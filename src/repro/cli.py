@@ -6,8 +6,8 @@ Commands
     Run a rule deck on a GDSII file and print the report (optionally CSV
     markers). The default deck is the ASAP7-like benchmark deck; a custom
     deck is any Python file defining ``RULES = [...]`` with DSL rules.
-    ``--fuse-rows/--no-fuse-rows``, ``--num-streams``, and
-    ``--brute-force-threshold`` expose the parallel backend's knobs.
+    ``--num-streams`` and ``--brute-force-threshold`` expose the parallel
+    backend's knobs.
 ``check-window <file.gds> <x1> <y1> <x2> <y2>``
     Incremental check: run the deck only on the given window (dbu
     coordinates) through the windowed backend. Repeatable
@@ -83,6 +83,13 @@ def _read(path: str, top: Optional[str]):
     layout = read_layout(path)
     if top:
         layout.set_top(top)
+    else:
+        roots = sorted(cell.name for cell in layout.root_cells())
+        if len(roots) > 1:
+            raise SystemExit(
+                f"{path} has {len(roots)} root cells ({', '.join(roots)}); "
+                "pick the one to check with --top"
+            )
     return layout
 
 
@@ -108,17 +115,25 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
 
 
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
+    """The options every engine-running subcommand builds from its flags.
+
+    ``--mode`` and the parallel backend's knobs exist on some subcommands
+    only; where a flag is absent the ``EngineOptions`` default applies.
+    """
     jobs = _resolve_jobs(args)
     # No explicit --mode: multiple jobs select the multiprocess backend.
-    mode = args.mode or ("multiproc" if jobs > 1 else "sequential")
+    mode = getattr(args, "mode", None) or ("multiproc" if jobs > 1 else "sequential")
+    knobs = {
+        name: getattr(args, name)
+        for name in ("num_streams", "brute_force_threshold")
+        if hasattr(args, name)
+    }
     try:
         return EngineOptions(
             mode=mode,
-            use_rows=not args.no_rows,
-            num_streams=args.num_streams,
-            brute_force_threshold=args.brute_force_threshold,
-            fuse_rows=args.fuse_rows,
+            use_rows=not getattr(args, "no_rows", False),
             jobs=jobs,
+            **knobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             task_timeout=args.task_timeout,
@@ -304,21 +319,8 @@ def cmd_check_window(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"window {window} must be non-empty (x1 <= x2 and y1 <= y2)"
             )
-    jobs = _resolve_jobs(args)
-    try:
-        options = EngineOptions(
-            jobs=jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            warm_pool=args.warm_pool,
-            cost_model=args.cost_model,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     report = check_window(
-        layout, windows, rules=_load_deck(args.deck), options=options
+        layout, windows, rules=_load_deck(args.deck), options=_engine_options(args)
     )
     if args.waivers:
         report = _apply_waiver_file(report, args.waivers)
@@ -331,23 +333,9 @@ def cmd_recheck(args: argparse.Namespace) -> int:
 
     old = _read(args.old, args.top)
     new = _read(args.new, args.top)
-    jobs = _resolve_jobs(args)
-    try:
-        options = EngineOptions(
-            mode="multiproc" if jobs > 1 else "sequential",
-            jobs=jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            warm_pool=args.warm_pool,
-            cost_model=args.cost_model,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
     try:
         outcome = recheck(
-            old, new, rules=_load_deck(args.deck), options=options,
+            old, new, rules=_load_deck(args.deck), options=_engine_options(args),
             verify=args.verify,
         )
     except AssertionError as error:
@@ -709,20 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--no-rows", action="store_true", help="disable the adaptive row partition"
     )
-    fuse = check.add_mutually_exclusive_group()
-    fuse.add_argument(
-        "--fuse-rows",
-        dest="fuse_rows",
-        action="store_true",
-        help="fuse row kernels into segmented launches (default)",
-    )
-    fuse.add_argument(
-        "--no-fuse-rows",
-        dest="fuse_rows",
-        action="store_false",
-        help="launch each row separately (the per-row ablation)",
-    )
-    check.set_defaults(fuse_rows=True)
     check.add_argument(
         "--num-streams",
         type=int,
@@ -932,13 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(serve)
     _add_pool_args(serve)
     _add_cache_args(serve)
-    serve.set_defaults(
-        func=cmd_serve,
-        no_rows=False,
-        num_streams=2,
-        brute_force_threshold=DEFAULT_BRUTE_FORCE_THRESHOLD,
-        fuse_rows=True,
-    )
+    serve.set_defaults(func=cmd_serve)
 
     stats = sub.add_parser("stats", help="print layout statistics")
     stats.add_argument("file")

@@ -39,8 +39,12 @@ get their shard count sized to amortize per-task dispatch. An uncalibrated
 model routes nothing — first occurrences always take the status-quo path
 and thereby produce the observations that calibrate it.
 
-Packed edge / corner / rect buffers travel through
-``multiprocessing.shared_memory`` views (:mod:`repro.gpu.shmem`) rather
+A row shard is a :class:`_RowShardTask`: the rule plus a subset of its
+fused segmented rows, checked by the same
+:func:`~repro.core.parallel.run_row_task` the in-process backend runs on
+all rows. The packed edge / corner / rect buffers travel through
+``multiprocessing.shared_memory`` views (:mod:`repro.gpu.shmem`) — or, when
+the pack store served them, as descriptors of its memmap pages — rather
 than pickled polygon objects. Each
 task returns its violation list plus stats-counter deltas and a
 :class:`~repro.util.profile.PhaseProfile` dict; the parent merges them in
@@ -78,33 +82,21 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..checks.base import Violation, ViolationKind
+from ..checks.base import Violation
 from ..gpu.device import Device
-from ..gpu.kernels import (
-    CornerBuffer,
-    EdgeBuffer,
-    PairHits,
-    kernel_corner_pairs_segmented,
-    kernel_enclosure_margins,
-    kernel_pairs_bruteforce_segmented,
-    kernel_pairs_sweep_segmented,
-    reduce_enclosure_best,
-)
 from ..gpu.shmem import ArrayRef, ShmArena, file_backed_ref
 from ..util import faults
 from ..util.logging import get_logger
-from ..util.profile import PHASE_EDGE_CHECKS, PHASE_OTHER, PHASE_SWEEPLINE, PhaseProfile
+from ..util.profile import PhaseProfile
 from . import costmodel, workerpool
 from .packstore import store_key
+from .parallel import ROW_KINDS, ParallelBackend, RowWork, run_row_task, select_rows
 from .plan import MODE_PARALLEL, CheckPlan
-from .rules import Rule, RuleKind
+from .rules import Rule
 from .scheduler import greedy_balanced_shards, shard_count
 from .workerpool import PlanRef
 
-__all__ = ["MultiprocessBackend", "ROW_SHARDED_KINDS"]
-
-#: Rule kinds sharded at row granularity; everything else fans out per rule.
-ROW_SHARDED_KINDS = (RuleKind.SPACING, RuleKind.CORNER_SPACING, RuleKind.ENCLOSURE)
+__all__ = ["MultiprocessBackend"]
 
 #: Pool teardown-and-rebuild attempts before the backend degrades for good.
 MAX_POOL_RESTARTS = 2
@@ -112,8 +104,6 @@ MAX_POOL_RESTARTS = 2
 #: First retry backoff (seconds); doubles per attempt, capped below.
 RETRY_BACKOFF = 0.05
 RETRY_BACKOFF_CAP = 1.0
-
-_INT = np.int64
 
 _logger = get_logger("multiproc")
 
@@ -195,98 +185,42 @@ _PROBE_CACHE: Dict[Tuple[Any, ...], bool] = {}
 # ---------------------------------------------------------------------------
 
 
-def _share_edges(arena: ShmArena, buf: EdgeBuffer) -> Dict[str, Any]:
-    return {
-        "vertical": buf.vertical,
-        "fixed": arena.stage(buf.fixed),
-        "lo": arena.stage(buf.lo),
-        "hi": arena.stage(buf.hi),
-        "interior": arena.stage(buf.interior),
-        "poly": arena.stage(buf.poly),
-        "segment": None if buf.segment is None else arena.stage(buf.segment),
-    }
+def _map_arrays(buffers, fn):
+    """A copy of a (nested) buffer dataclass with ``fn`` applied to every
+    array field — arrays out to :class:`ArrayRef` descriptors in the parent,
+    descriptors back to arrays in the worker."""
+    changes = {}
+    for field in dataclasses.fields(buffers):
+        value = getattr(buffers, field.name)
+        if isinstance(value, (np.ndarray, ArrayRef)):
+            changes[field.name] = fn(value)
+        elif dataclasses.is_dataclass(value):
+            changes[field.name] = _map_arrays(value, fn)
+    return dataclasses.replace(buffers, **changes)
 
 
-def _edges_file_refs(buf: EdgeBuffer) -> Optional[Dict[str, Any]]:
-    """Memmap descriptors for a pack-store-backed fused buffer, or ``None``.
+def _file_refs(buffers) -> Optional[Tuple[Any, int]]:
+    """Memmap descriptors (and the bytes they cover) for pack-store-backed
+    fused buffers, or ``None``.
 
-    When the fused buffer was served from the persistent pack store, every
+    When the fused buffers were served from the persistent pack store, every
     component array is a window of the store's memmap — the shard payload
     can then carry (path, offset) descriptors plus the shard's row ids, and
     each worker maps the same pages instead of copying bytes through shared
     memory. Any non-file-backed component (cold run, `--no-cache`) vetoes
     the whole payload so the ShmArena transport takes over.
     """
-    if buf.segment is None:
-        return None
-    refs: Dict[str, Any] = {"vertical": buf.vertical}
-    for name in ("fixed", "lo", "hi", "interior", "poly", "segment"):
-        ref = file_backed_ref(getattr(buf, name))
-        if ref is None:
-            return None
-        refs[name] = ref
-    return refs
+    refs: List[Optional[ArrayRef]] = []
+    nbytes = 0
 
+    def ref(array: np.ndarray) -> Optional[ArrayRef]:
+        nonlocal nbytes
+        nbytes += array.nbytes
+        refs.append(file_backed_ref(array))
+        return refs[-1]
 
-def _resolve_edges(payload: Dict[str, Any]) -> EdgeBuffer:
-    segment = payload["segment"]
-    buf = EdgeBuffer(
-        payload["vertical"],
-        payload["fixed"].resolve(),
-        payload["lo"].resolve(),
-        payload["hi"].resolve(),
-        payload["interior"].resolve(),
-        payload["poly"].resolve(),
-        None if segment is None else segment.resolve(),
-    )
-    rows = payload.get("rows")
-    if rows is not None:
-        # Memmap payloads carry the whole fused buffer; cut this shard's
-        # rows here (same np.isin select the parent-side arena path does).
-        index = np.flatnonzero(np.isin(buf.segment, np.asarray(rows, dtype=_INT)))
-        buf = buf.take(index)
-    return buf
-
-
-def _share_corners(arena: ShmArena, buf: CornerBuffer) -> Dict[str, Any]:
-    return {
-        "x": arena.stage(buf.x),
-        "y": arena.stage(buf.y),
-        "qx": arena.stage(buf.qx),
-        "qy": arena.stage(buf.qy),
-        "poly": arena.stage(buf.poly),
-        "segment": None if buf.segment is None else arena.stage(buf.segment),
-    }
-
-
-def _corners_file_refs(buf: CornerBuffer) -> Optional[Dict[str, Any]]:
-    """Memmap descriptors for a store-backed corner buffer (see edges)."""
-    if buf.segment is None:
-        return None
-    refs: Dict[str, Any] = {}
-    for name in ("x", "y", "qx", "qy", "poly", "segment"):
-        ref = file_backed_ref(getattr(buf, name))
-        if ref is None:
-            return None
-        refs[name] = ref
-    return refs
-
-
-def _resolve_corners(payload: Dict[str, Any]) -> CornerBuffer:
-    segment = payload["segment"]
-    buf = CornerBuffer(
-        payload["x"].resolve(),
-        payload["y"].resolve(),
-        payload["qx"].resolve(),
-        payload["qy"].resolve(),
-        payload["poly"].resolve(),
-        None if segment is None else segment.resolve(),
-    )
-    rows = payload.get("rows")
-    if rows is not None:
-        index = np.flatnonzero(np.isin(buf.segment, np.asarray(rows, dtype=_INT)))
-        buf = buf.take(index)
-    return buf
+    payload = _map_arrays(buffers, ref)
+    return None if any(r is None for r in refs) else (payload, nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,193 +252,30 @@ class _RuleTask:
 
 
 @dataclasses.dataclass
-class _PairShardTask:
-    """A shard of fused segmented rows for a pair rule (spacing)."""
+class _RowShardTask:
+    """A subset of one rule's fused rows: the same row task the in-process
+    backend runs, on fewer rows.
 
-    layer: int
-    value: int
+    ``buffers`` are the rule's fused buffers with :class:`ArrayRef`
+    descriptors in place of arrays — already cut down to this shard's rows,
+    unless ``rows`` is set: then they describe the whole (memmap-backed)
+    buffers and the worker cuts its rows after mapping them.
+    """
+
+    rule: Rule
     threshold: int
-    vertical: Optional[Dict[str, Any]]
-    horizontal: Optional[Dict[str, Any]]
+    buffers: Any
+    rows: Optional[List[int]] = None
 
     def execute(self):
-        from .parallel import pair_hits_to_violations
-
         device, executors = workerpool.worker_device()
         before = device.counters()
-        stats = {
-            "kernels_bruteforce": 0, "kernels_sweepline": 0,
-            "fused_launches": 0, "fused_segments": 0,
-        }
         profile = PhaseProfile()
-        hits: List[PairHits] = []
-        # Same mixed lane policy as ParallelBackend._launch_fused_kernels:
-        # segments at or below the threshold ride the batched brute-force
-        # lane, larger ones the segmented sweepline lane. Segment sizes are
-        # whole rows, so lane choice matches the unsharded launch exactly.
-        for payload, stream in ((self.vertical, executors[0]), (self.horizontal, executors[1])):
-            if payload is None:
-                continue
-            buf = _resolve_edges(payload)
-            if len(buf) < 2:
-                continue
-            with profile.phase(PHASE_OTHER):
-                device_buf = EdgeBuffer(
-                    buf.vertical,
-                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
-                    stream.memcpy_h2d(buf.segment, name="edges.segment")
-                    if buf.segment is not None
-                    else None,
-                )
-            seg = (
-                buf.segment
-                if buf.segment is not None
-                else np.zeros(len(buf), dtype=_INT)
-            )
-            small = np.bincount(seg)[seg] <= self.threshold
-            lanes = (
-                ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
-                 "kernels_bruteforce", small),
-                ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
-                 "kernels_sweepline", ~small),
-            )
-            for name, kernel, counter, mask in lanes:
-                count = int(mask.sum())
-                if count < 2:
-                    continue
-                lane_buf = device_buf.take(np.flatnonzero(mask))
-                with profile.phase(PHASE_EDGE_CHECKS):
-                    stats[counter] += 1
-                    stats["fused_launches"] += 1
-                    stats["fused_segments"] += int(np.unique(seg[mask]).size)
-                    hits.append(
-                        stream.launch(
-                            name, kernel, lane_buf, self.value,
-                            want_width=False, items=count,
-                        )
-                    )
-        violations = pair_hits_to_violations(
-            hits, ViolationKind.SPACING, self.layer, self.value
-        )
-        stats.update(_counter_delta(before, device.counters()))
-        return violations, stats, profile.to_dict()
-
-
-@dataclasses.dataclass
-class _CornerShardTask:
-    """A shard of fused segmented rows for a corner-spacing rule."""
-
-    layer: int
-    value: int
-    corners: Dict[str, Any]
-
-    def execute(self):
-        from .parallel import corner_hits_to_violations
-
-        device, executors = workerpool.worker_device()
-        before = device.counters()
-        stats = {"fused_launches": 0, "fused_segments": 0}
-        profile = PhaseProfile()
-        buf = _resolve_corners(self.corners)
-        if len(buf) < 2:
-            return [], stats, profile.to_dict()
-        stream = executors[0]
-        with profile.phase(PHASE_OTHER):
-            device_buf = CornerBuffer(
-                stream.memcpy_h2d(buf.x, name="corners.x"),
-                stream.memcpy_h2d(buf.y, name="corners.y"),
-                buf.qx,
-                buf.qy,
-                buf.poly,
-                stream.memcpy_h2d(buf.segment, name="corners.segment")
-                if buf.segment is not None
-                else None,
-            )
-        with profile.phase(PHASE_EDGE_CHECKS):
-            stats["fused_launches"] += 1
-            if buf.segment is not None:
-                stats["fused_segments"] += int(np.unique(buf.segment).size)
-            hits = stream.launch(
-                "corner-pairs-fused",
-                kernel_corner_pairs_segmented,
-                device_buf,
-                self.value,
-                items=len(buf),
-            )
-        violations = corner_hits_to_violations(hits, self.layer, self.value)
-        stats.update(_counter_delta(before, device.counters()))
-        return violations, stats, profile.to_dict()
-
-
-@dataclasses.dataclass
-class _EnclosureShardTask:
-    """A shard of all-rectangle rows for an enclosure rule."""
-
-    via_layer: int
-    metal_layer: int
-    value: int
-    via_rects: ArrayRef
-    via_segment: ArrayRef
-    metal_rects: ArrayRef
-    metal_segment: ArrayRef
-
-    def execute(self):
-        from .parallel import _candidate_pairs_kernel, enclosure_margins_to_violations
-
-        device, executors = workerpool.worker_device()
-        before = device.counters()
-        stats = {"fused_launches": 0, "fused_segments": 0}
-        profile = PhaseProfile()
-        via_rects = self.via_rects.resolve()
-        via_seg = self.via_segment.resolve()
-        metal_rects = self.metal_rects.resolve()
-        metal_seg = self.metal_segment.resolve()
-        stream = executors[0]
-        with profile.phase(PHASE_OTHER):
-            via_dev = stream.memcpy_h2d(via_rects, name="via.rects")
-            metal_dev = (
-                stream.memcpy_h2d(metal_rects, name="metal.rects")
-                if len(metal_rects)
-                else metal_rects
-            )
-            via_seg_dev = stream.memcpy_h2d(via_seg, name="via.segment")
-            metal_seg_dev = (
-                stream.memcpy_h2d(metal_seg, name="metal.segment")
-                if len(metal_seg)
-                else metal_seg
-            )
-        stats["fused_launches"] += 1
-        stats["fused_segments"] += int(np.unique(via_seg).size)
-        with profile.phase(PHASE_SWEEPLINE):
-            pair_via, pair_metal = stream.launch(
-                "enclosure-candidates",
-                _candidate_pairs_kernel,
-                via_dev,
-                metal_dev,
-                self.value,
-                via_segment=via_seg_dev,
-                metal_segment=metal_seg_dev,
-                items=len(via_rects),
-            )
-        with profile.phase(PHASE_EDGE_CHECKS):
-            margins = stream.launch(
-                "enclosure-margins",
-                kernel_enclosure_margins,
-                via_dev, metal_dev, pair_via, pair_metal,
-                items=len(pair_via),
-            )
-            best = stream.launch(
-                "enclosure-reduce",
-                reduce_enclosure_best,
-                len(via_rects), pair_via, margins,
-                items=len(via_rects),
-            )
-        violations = enclosure_margins_to_violations(
-            via_rects, best, self.via_layer, self.metal_layer, self.value
+        buffers = _map_arrays(self.buffers, ArrayRef.resolve)
+        if self.rows is not None:
+            buffers = select_rows(buffers, self.rows)
+        violations, stats = run_row_task(
+            self.rule, buffers, self.threshold, executors, profile
         )
         stats.update(_counter_delta(before, device.counters()))
         return violations, stats, profile.to_dict()
@@ -636,7 +407,7 @@ class MultiprocessBackend:
             return self._local_backend().run(rule, profile)
         if rule.name in self._cost_inline:
             return self._timed_local_run(rule, profile)
-        if self.window is None and rule.kind in ROW_SHARDED_KINDS:
+        if self.window is None and rule.kind in ROW_KINDS:
             return self._run_sharded(rule, profile)
         if not self._probe(rule):
             self._inline_rules.add(rule.name)
@@ -678,7 +449,7 @@ class MultiprocessBackend:
         self._closed = False
         for compiled in self.plan.compiled:
             rule = compiled.rule
-            if self.window is None and rule.kind in ROW_SHARDED_KINDS:
+            if self.window is None and rule.kind in ROW_KINDS:
                 continue
             if rule.name in self._inline_rules or rule.name in self._cost_inline:
                 continue
@@ -949,12 +720,13 @@ class MultiprocessBackend:
         return self._model.plan_shards(estimate, num_items, self.jobs)
 
     def _timed_sharded_inline(
-        self, rule: Rule, weight: float, profile: PhaseProfile
+        self, rule: Rule, work: RowWork, profile: PhaseProfile
     ) -> List[Violation]:
         """Run a routed-inline sharded rule locally, feeding the rate EWMA."""
         self._mp_counters["mp_cost_routed_inline"] += 1
+        weight = float(work.weights.sum())
         start = time.perf_counter()
-        violations = self._local_backend().run(rule, profile)
+        violations = self._local_backend().finish_rows(rule, work, profile)
         if self._model is not None and weight > 0:
             self._model.observe_kind(
                 rule.kind.value, weight, time.perf_counter() - start
@@ -969,8 +741,6 @@ class MultiprocessBackend:
 
                 self._local = WindowedBackend(self.plan, self.window)
             else:
-                from .parallel import ParallelBackend
-
                 self._local = ParallelBackend(self.plan, device=self.device)
         return self._local
 
@@ -1188,220 +958,53 @@ class MultiprocessBackend:
     # -- row sharding -------------------------------------------------------
 
     def _run_sharded(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        if rule.kind is RuleKind.SPACING:
-            return self._shard_spacing(rule, profile)
-        if rule.kind is RuleKind.CORNER_SPACING:
-            return self._shard_corners(rule, profile)
-        return self._shard_enclosure(rule, profile)
+        """Cut one row-kind rule's fused rows across the pool.
 
-    def _shard_spacing(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
+        The local backend partitions and packs; rows with device work are
+        balanced into shards by weight. Anything not worth a fan-out — fewer
+        than two such rows, a cost-model inline verdict, a single-shard
+        plan — finishes in the parent on the work already prepared.
+        """
         local = self._local_backend()
-        items = local._cached_items(rule.layer, profile)
-        member_rows, sig = local._cached_partition(
-            rule.layer, [it.mbr for it in items], rule.value, profile
-        )
-        if len(member_rows) < 2:
-            return local.run(rule, profile)
-        host_start = time.perf_counter()
-        fused = local._cached_fused_pair(
-            rule.layer, sig, member_rows, items, rule.value
-        )
-        self.device.record_host("pack-fused", time.perf_counter() - host_start)
-        if fused.num_edges < 2:
-            return []
-        num_rows = len(member_rows)
-        weight = float(fused.num_edges)
+        work = local.row_work(rule, profile)
+        num_rows = int(np.count_nonzero(work.weights))
+        if num_rows < 2:
+            return local.finish_rows(rule, work, profile)
+        weight = float(work.weights.sum())
+        # Route before anything executes: an inline decision must cover the
+        # whole rule (host rows included) in one local run.
         num_shards = self._shard_plan(rule, weight, num_rows)
         if num_shards is None:
-            return self._timed_sharded_inline(rule, weight, profile)
-        weights = np.zeros(num_rows, dtype=_INT)
-        for buf in (fused.vertical, fused.horizontal):
-            if len(buf):
-                seg = self._segments(buf)
-                weights += np.bincount(seg, minlength=num_rows)
-        shards = greedy_balanced_shards(weights.tolist(), num_shards)
+            return self._timed_sharded_inline(rule, work, profile)
+        shards = greedy_balanced_shards(work.weights.tolist(), num_shards)
         if len(shards) < 2:
-            return local.run(rule, profile)
+            return local.finish_rows(rule, work, profile)
+        # Host rows stay in the parent — identical to the in-process path.
+        violations = local.run_host_rows(rule, work, profile)
         arena = self._new_arena()
-        tasks: List[_PairShardTask] = []
-        for rows in shards:
-            rowset = np.asarray(rows, dtype=_INT)
-            payloads = []
-            for buf in (fused.vertical, fused.horizontal):
-                sub = None
-                if len(buf):
-                    index = np.flatnonzero(np.isin(self._segments(buf), rowset))
-                    if len(index) >= 2:
-                        refs = _edges_file_refs(buf)
-                        if refs is not None:
-                            # Store-served buffer: ship memmap descriptors
-                            # plus this shard's row ids — workers map the
-                            # same pack-store pages, zero bytes copied.
-                            refs["rows"] = rowset.tolist()
-                            sub = refs
-                            self._mp_counters["mp_mmap_bytes"] += buf.nbytes
-                        else:
-                            sub = _share_edges(arena, buf.take(index))
-                payloads.append(sub)
-            if payloads[0] is None and payloads[1] is None:
-                continue
-            tasks.append(
-                _PairShardTask(
-                    layer=rule.layer,
-                    value=rule.value,
-                    threshold=self.options.brute_force_threshold,
-                    vertical=payloads[0],
-                    horizontal=payloads[1],
-                )
-            )
-        violations = self._gather_shards(rule, arena, tasks, profile)
-        self._observe_shard_cost(rule, weight)
-        return violations
-
-    def _shard_corners(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        local = self._local_backend()
-        items = local._cached_items(rule.layer, profile)
-        member_rows, sig = local._cached_partition(
-            rule.layer, [it.mbr for it in items], rule.value, profile
-        )
-        if len(member_rows) < 2:
-            return local.run(rule, profile)
-        host_start = time.perf_counter()
-        fused = local._cached_fused_corners(
-            rule.layer, sig, member_rows, items, rule.value
-        )
-        self.device.record_host("pack-corners-fused", time.perf_counter() - host_start)
-        if len(fused) < 2:
-            return []
-        weight = float(len(fused))
-        num_shards = self._shard_plan(rule, weight, len(member_rows))
-        if num_shards is None:
-            return self._timed_sharded_inline(rule, weight, profile)
-        seg = self._segments(fused)
-        weights = np.bincount(seg, minlength=len(member_rows))
-        shards = greedy_balanced_shards(weights.tolist(), num_shards)
-        if len(shards) < 2:
-            return local.run(rule, profile)
-        arena = self._new_arena()
-        tasks: List[_CornerShardTask] = []
-        for rows in shards:
-            rowset = np.asarray(rows, dtype=_INT)
-            index = np.flatnonzero(np.isin(seg, rowset))
-            if len(index) < 2:
-                continue
-            refs = _corners_file_refs(fused)
-            if refs is not None:
-                refs["rows"] = rowset.tolist()
-                payload = refs
-                self._mp_counters["mp_mmap_bytes"] += sum(
-                    getattr(fused, name).nbytes
-                    for name in ("x", "y", "qx", "qy", "poly", "segment")
-                )
-            else:
-                payload = _share_corners(arena, fused.take(index))
-            tasks.append(
-                _CornerShardTask(
-                    layer=rule.layer,
-                    value=rule.value,
-                    corners=payload,
-                )
-            )
-        violations = self._gather_shards(rule, arena, tasks, profile)
-        self._observe_shard_cost(rule, weight)
-        return violations
-
-    def _shard_enclosure(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        local = self._local_backend()
-        via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
-        via_items = local._cached_items(via_layer, profile)
-        metal_items = local._cached_items(metal_layer, profile)
-        if not via_items:
-            return []
-        combined = via_items + metal_items
-        member_rows, sig = local._cached_partition(
-            (via_layer, metal_layer), [it.mbr for it in combined], value, profile
-        )
-        num_vias = len(via_items)
-        host_start = time.perf_counter()
-        rect_rows = local._cached_rect_rows(
-            via_layer, metal_layer, sig, member_rows, combined, num_vias, value
-        )
-        self.device.record_host("pack-rects-fused", time.perf_counter() - host_start)
-        rect_ids = [
-            index
-            for index, (via_buf, metal_buf) in enumerate(rect_rows)
-            if len(via_buf) and via_buf.all_rect and metal_buf.all_rect
-        ]
-        if len(rect_ids) < 2:
-            return local.run(rule, profile)
-        weights = [
-            len(rect_rows[i][0]) + len(rect_rows[i][1]) for i in rect_ids
-        ]
-        weight = float(sum(weights))
-        # Route before anything executes: an inline decision must cover the
-        # whole rule (non-rectangle rows included) in one local run.
-        num_shards = self._shard_plan(rule, weight, len(rect_ids))
-        if num_shards is None:
-            return self._timed_sharded_inline(rule, weight, profile)
-        # Rectilinear (non-rectangle) rows keep the exact host fallback, in
-        # the parent — identical to the fused in-process path.
-        violations: List[Violation] = []
-        for index, (via_buf, metal_buf) in enumerate(rect_rows):
-            if len(via_buf) == 0 or index in rect_ids:
-                continue
-            members = member_rows[index]
-            vias = local._flatten_items(
-                [combined[m] for m in members if m < num_vias], via_layer
-            )
-            metals = local._flatten_items(
-                [combined[m] for m in members if m >= num_vias], metal_layer
-            )
-            violations.extend(
-                local._enclosure_row(
-                    vias, metals, via_layer, metal_layer, value,
-                    local._stream(index), profile,
-                )
-            )
-        shards = greedy_balanced_shards(weights, num_shards)
-        arena = self._new_arena()
-        tasks: List[_EnclosureShardTask] = []
-        for shard in shards:
-            via_parts, via_segs, metal_parts, metal_segs = [], [], [], []
-            for position in shard:
-                row_id = rect_ids[position]
-                via_buf, metal_buf = rect_rows[row_id]
-                via_parts.append(via_buf.rects)
-                via_segs.append(np.full(len(via_buf), row_id, dtype=_INT))
-                if len(metal_buf):
-                    metal_parts.append(metal_buf.rects)
-                    metal_segs.append(np.full(len(metal_buf), row_id, dtype=_INT))
-            tasks.append(
-                _EnclosureShardTask(
-                    via_layer=via_layer,
-                    metal_layer=metal_layer,
-                    value=value,
-                    via_rects=arena.stage(np.concatenate(via_parts, axis=0)),
-                    via_segment=arena.stage(np.concatenate(via_segs)),
-                    metal_rects=arena.stage(
-                        np.concatenate(metal_parts, axis=0)
-                        if metal_parts
-                        else np.zeros((0, 4), dtype=_INT)
-                    ),
-                    metal_segment=arena.stage(
-                        np.concatenate(metal_segs)
-                        if metal_segs
-                        else np.zeros(0, dtype=_INT)
-                    ),
-                )
-            )
+        tasks = self._shard_tasks(rule, work.buffers, shards, arena)
         violations.extend(self._gather_shards(rule, arena, tasks, profile))
         self._observe_shard_cost(rule, weight)
         return violations
 
-    @staticmethod
-    def _segments(buf) -> np.ndarray:
-        return (
-            buf.segment
-            if buf.segment is not None
-            else np.zeros(len(buf), dtype=_INT)
-        )
+    def _shard_tasks(
+        self, rule: Rule, buffers: Any, shards: List[List[int]], arena: ShmArena
+    ) -> List[_RowShardTask]:
+        """One task per shard (a list of row ids) of a rule's fused buffers."""
+        # Only the numbers ship; a stray unpicklable predicate must not.
+        rule = dataclasses.replace(rule, predicate=None)
+        threshold = self.options.brute_force_threshold
+        mapped = _file_refs(buffers)
+        tasks: List[_RowShardTask] = []
+        for rows in shards:
+            if mapped is not None:
+                # Store-served buffers: ship memmap descriptors plus this
+                # shard's row ids — workers map the same pack-store pages,
+                # zero bytes copied.
+                refs, nbytes = mapped
+                self._mp_counters["mp_mmap_bytes"] += nbytes
+                tasks.append(_RowShardTask(rule, threshold, refs, list(rows)))
+            else:
+                staged = _map_arrays(select_rows(buffers, rows), arena.stage)
+                tasks.append(_RowShardTask(rule, threshold, staged))
+        return tasks

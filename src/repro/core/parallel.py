@@ -1,21 +1,20 @@
 """The parallel backend (paper §IV-E): row-by-row checks on the simulated GPU.
 
 After the adaptive row partition, cells in different rows cannot produce
-violations together, so rows become independent GPU tasks. Two dispatch
-strategies execute them:
+violations together, so rows are independent GPU tasks. All rows' items are
+concatenated into one segmented buffer (a ``segment`` array carries the row
+id) and a *single* launch per orientation per lane evaluates every row at
+once, with cross-segment pairs masked inside the kernel — R rows cost one
+copy set and one or two launches instead of R of each. The §IV-E executor
+choice survives fusion as a *mixed lane policy*: segments at or below the
+brute-force threshold ride the batched brute-force lane, larger ones the
+segmented sweepline lane.
 
-* **Fused (default, ``fuse_rows=True``)**: all rows' edges are concatenated
-  into one segmented buffer (a ``segment`` array carries the row id) and a
-  *single* launch per orientation per lane evaluates every row at once,
-  with cross-segment pairs masked inside the kernel — R rows cost one copy
-  set and one or two launches instead of R of each. The §IV-E executor
-  choice survives fusion as a *mixed lane policy*: segments at or below the
-  brute-force threshold ride the batched brute-force lane, larger ones the
-  segmented sweepline lane.
-* **Per-row (``fuse_rows=False``, the ablation baseline)**: each row packs,
-  copies, and launches separately on alternating streams; host
-  preprocessing of the next row is recorded against the device timeline,
-  reproducing the §V-C overlap analysis.
+That launch has one definition per rule kind (:func:`launch_pair_rows`,
+:func:`launch_corner_rows`, :func:`launch_enclosure_rows`), reached through
+:func:`run_row_task`: a pure function of the segmented buffers, so the
+in-process backend calls it on all rows and the multiprocess backend's
+workers call it on a subset of rows (:func:`select_rows`).
 
 Device work is issued through :class:`~repro.gpu.executor.StreamExecutor`
 policies (Listing 2's stream executor): one executor wraps each stream, and
@@ -39,6 +38,7 @@ a sequential backend sharing this plan's caches.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +51,7 @@ from ..hierarchy.edgepack import (
     EdgeBufferPair,
     HierarchicalEdgePacker,
     HierarchicalRectPacker,
+    RectBuffer,
     concat_buffers as concat_edge_buffers,
     concat_segmented,
     corners_from_arrays,
@@ -61,8 +62,6 @@ from ..hierarchy.edgepack import (
     rect_rows_to_arrays,
 )
 from ..hierarchy.pruning import LevelItem
-from ..hierarchy.tree import HierarchyTree
-from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
 from ..spatial.sweepline import iter_bipartite_overlaps
 from ..gpu.device import Device
@@ -84,7 +83,6 @@ from ..gpu.kernels import (
     pack_vertices,
     reduce_enclosure_best,
 )
-from ..gpu.memory import StreamOrderedAllocator
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
@@ -93,43 +91,42 @@ from ..util.profile import (
     PhaseProfile,
 )
 from .packstore import store_key
-from .plan import (
-    DEFAULT_BRUTE_FORCE_THRESHOLD,
-    CheckPlan,
-    PackCache,
-    PlanCaches,
-    kind_spec,
-)
-from .rules import Rule
+from .plan import DEFAULT_BRUTE_FORCE_THRESHOLD, CheckPlan, PackCache, kind_spec
+from .rules import Rule, RuleKind
 
 __all__ = [
     "DEFAULT_BRUTE_FORCE_THRESHOLD",
+    "EnclosureBuffer",
     "PackCache",
     "ParallelBackend",
-    "ParallelChecker",
+    "ROW_KINDS",
+    "RowWork",
     "corner_hits_to_violations",
     "enclosure_margins_to_violations",
     "pair_hits_to_violations",
+    "run_row_task",
+    "select_rows",
 ]
+
+_INT = np.int64
 
 
 def _candidate_pairs_kernel(
     via_rects: np.ndarray,
     metal_rects: np.ndarray,
     value: int,
+    via_segment: np.ndarray,
+    metal_segment: np.ndarray,
     chunk: int = 256,
-    via_segment: Optional[np.ndarray] = None,
-    metal_segment: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Candidate (via, metal) pairs: metal MBR overlapping the inflated via.
 
     All-pairs with chunking over vias — the data-parallel analog of the
-    bipartite sweep the sequential mode uses. When segment (row-id) arrays
-    are given, cross-segment pairs are masked so one fused launch evaluates
-    every row at once.
+    bipartite sweep the sequential mode uses. Cross-segment (cross-row)
+    pairs are masked, so one fused launch evaluates every row at once.
     """
     if len(via_rects) == 0 or len(metal_rects) == 0:
-        z = np.zeros(0, dtype=np.int64)
+        z = np.zeros(0, dtype=_INT)
         return z, z
     out_v: List[np.ndarray] = []
     out_m: List[np.ndarray] = []
@@ -143,14 +140,13 @@ def _candidate_pairs_kernel(
         hit = (vx1 <= mx2[None, :]) & (mx1[None, :] <= vx2) & (
             (vy1 <= my2[None, :]) & (my1[None, :] <= vy2)
         )
-        if via_segment is not None and metal_segment is not None:
-            hit &= via_segment[start : start + chunk, None] == metal_segment[None, :]
+        hit &= via_segment[start : start + chunk, None] == metal_segment[None, :]
         vi, mi = np.nonzero(hit)
         out_v.append(vi + start)
         out_m.append(mi)
     return (
-        np.concatenate(out_v).astype(np.int64),
-        np.concatenate(out_m).astype(np.int64),
+        np.concatenate(out_v).astype(_INT),
+        np.concatenate(out_m).astype(_INT),
     )
 
 
@@ -162,11 +158,7 @@ def pair_hits_to_violations(
     *,
     other_layer: Optional[int] = None,
 ) -> List[Violation]:
-    """Host-side conversion of pair-kernel hits to violation markers.
-
-    Module-level (not a backend method) so worker processes convert shard
-    hits with the exact same code the in-process backend uses.
-    """
+    """Host-side conversion of pair-kernel hits to violation markers."""
     batch = PairHits.concatenate(list(hits))
     if len(batch) == 0:
         return []
@@ -187,7 +179,7 @@ def pair_hits_to_violations(
 def corner_hits_to_violations(
     hits: CornerHits, layer: int, value: int
 ) -> List[Violation]:
-    """Corner-kernel hits to violation markers (shared with shard workers)."""
+    """Corner-kernel hits to violation markers."""
     if len(hits) == 0:
         return []
     regions = np.stack(
@@ -237,49 +229,298 @@ def enclosure_margins_to_violations(
     return out
 
 
+# ---------------------------------------------------------------------------
+# The fused row launch: one definition per rule kind
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class EnclosureBuffer:
+    """The all-rectangle rows of an enclosure rule, fused.
+
+    Via and metal MBRs as ``(n, 4)`` arrays, each with the row id of every
+    rect (the same role ``segment`` plays on edge and corner buffers).
+    """
+
+    via_rects: np.ndarray
+    via_segment: np.ndarray
+    metal_rects: np.ndarray
+    metal_segment: np.ndarray
+
+
+@dataclasses.dataclass
+class RowWork:
+    """What the row partition leaves to execute for one rule.
+
+    ``buffers`` are the fused segmented buffers of every row with device
+    work (``None`` when there is none); ``weights[row]`` counts that row's
+    items in them, so a zero marks a row the buffers do not hold.
+    ``host_rows`` are the leftovers: ``(via items, metal items)`` of each
+    enclosure row with rectilinear (non-rectangle) geometry, which keeps
+    the exact host fallback.
+    """
+
+    buffers: Any = None
+    weights: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.zeros(0, dtype=_INT)
+    )
+    host_rows: List[Tuple[List[LevelItem], List[LevelItem]]] = dataclasses.field(
+        default_factory=list
+    )
+
+
+def _row_weights(num_rows: int, *segments: Optional[np.ndarray]) -> np.ndarray:
+    weights = np.zeros(num_rows, dtype=_INT)
+    for segment in segments:
+        if segment is not None and len(segment):
+            weights += np.bincount(segment, minlength=num_rows)
+    return weights
+
+
+def select_rows(buffers: Any, rows: Sequence[int]) -> Any:
+    """The part of a rule's fused buffers that holds only the given rows.
+
+    Rows are whole segments, so a launch over the selection makes the same
+    per-row lane choice, and finds the same hits in those rows, as the
+    launch over everything.
+    """
+    rowset = np.asarray(rows, dtype=_INT)
+
+    def cut(buf):
+        if buf.segment is None:  # empty: nothing was ever segmented
+            return buf
+        return buf.take(np.flatnonzero(np.isin(buf.segment, rowset)))
+
+    if isinstance(buffers, EdgeBufferPair):
+        return EdgeBufferPair(
+            cut(buffers.vertical), cut(buffers.horizontal), buffers.num_polygons
+        )
+    if isinstance(buffers, EnclosureBuffer):
+        via = np.isin(buffers.via_segment, rowset)
+        metal = np.isin(buffers.metal_segment, rowset)
+        return EnclosureBuffer(
+            buffers.via_rects[via], buffers.via_segment[via],
+            buffers.metal_rects[metal], buffers.metal_segment[metal],
+        )
+    return cut(buffers)
+
+
+#: Counter deltas every row launch reports. ``kernels_*`` count the row
+#: segments handed to each §IV-E executor and ``fused_segments`` the row
+#: segments launched at all, so all three sum to the same totals however
+#: the rows are split across launches; ``fused_launches`` counts launches.
+ROW_COUNTERS = (
+    "kernels_bruteforce", "kernels_sweepline", "fused_launches", "fused_segments"
+)
+
+
+def launch_pair_rows(
+    pair: EdgeBufferPair,
+    value: int,
+    threshold: int,
+    executors: Sequence[StreamExecutor],
+    profile: PhaseProfile,
+) -> Tuple[List[PairHits], Dict[str, int]]:
+    """One segmented launch per orientation per lane over fused edge rows.
+
+    Vertical edges ride stream 0 and horizontal edges stream 1, keeping
+    both streams busy within the single fused round. The §IV-E executor
+    choice is a per-segment policy: segments at or below the brute-force
+    threshold take the batched brute-force lane, larger ones the segmented
+    sweepline lane.
+    """
+    counters = dict.fromkeys(ROW_COUNTERS, 0)
+    hits: List[PairHits] = []
+    for buf, stream in (
+        (pair.vertical, executors[0]),
+        (pair.horizontal, executors[1 % len(executors)]),
+    ):
+        if len(buf) < 2:
+            continue
+        seg = buf.segment
+        with profile.phase(PHASE_OTHER):
+            device_buf = EdgeBuffer(
+                buf.vertical,
+                stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
+                stream.memcpy_h2d(buf.lo, name="edges.lo"),
+                stream.memcpy_h2d(buf.hi, name="edges.hi"),
+                stream.memcpy_h2d(buf.interior, name="edges.interior"),
+                stream.memcpy_h2d(buf.poly, name="edges.poly"),
+                stream.memcpy_h2d(seg, name="edges.segment"),
+            )
+        small = np.bincount(seg)[seg] <= threshold
+        lanes = (
+            ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
+             "kernels_bruteforce", small),
+            ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
+             "kernels_sweepline", ~small),
+        )
+        for name, kernel, counter, mask in lanes:
+            count = int(mask.sum())
+            if count < 2:
+                continue
+            lane_buf = device_buf.take(np.flatnonzero(mask))
+            segments = int(np.unique(seg[mask]).size)
+            with profile.phase(PHASE_EDGE_CHECKS):
+                counters[counter] += segments
+                counters["fused_launches"] += 1
+                counters["fused_segments"] += segments
+                hits.append(
+                    stream.launch(
+                        name, kernel, lane_buf, value,
+                        want_width=False, items=count,
+                    )
+                )
+    return hits, counters
+
+
+def launch_corner_rows(
+    buf: CornerBuffer,
+    value: int,
+    threshold: int,
+    executors: Sequence[StreamExecutor],
+    profile: PhaseProfile,
+) -> Tuple[CornerHits, Dict[str, int]]:
+    """One segmented corner-pair launch over fused corner rows."""
+    counters = dict.fromkeys(ROW_COUNTERS, 0)
+    if len(buf) < 2:
+        return CornerHits.empty(), counters
+    stream = executors[0]
+    with profile.phase(PHASE_OTHER):
+        device_buf = CornerBuffer(
+            stream.memcpy_h2d(buf.x, name="corners.x"),
+            stream.memcpy_h2d(buf.y, name="corners.y"),
+            buf.qx,
+            buf.qy,
+            buf.poly,
+            stream.memcpy_h2d(buf.segment, name="corners.segment"),
+        )
+    with profile.phase(PHASE_EDGE_CHECKS):
+        counters["fused_launches"] += 1
+        counters["fused_segments"] += int(np.unique(buf.segment).size)
+        hits = stream.launch(
+            "corner-pairs-fused",
+            kernel_corner_pairs_segmented,
+            device_buf,
+            value,
+            items=len(buf),
+        )
+    return hits, counters
+
+
+def launch_enclosure_rows(
+    buf: EnclosureBuffer,
+    value: int,
+    threshold: int,
+    executors: Sequence[StreamExecutor],
+    profile: PhaseProfile,
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """All-rectangle enclosure rows on the device: pair, measure, reduce.
+
+    Returns the best (largest) enclosure margin found for each via.
+    """
+    counters = dict.fromkeys(ROW_COUNTERS, 0)
+    stream = executors[0]
+    with profile.phase(PHASE_OTHER):
+        via_dev = stream.memcpy_h2d(buf.via_rects, name="via.rects")
+        via_seg = stream.memcpy_h2d(buf.via_segment, name="via.segment")
+        metal_dev, metal_seg = buf.metal_rects, buf.metal_segment
+        if len(metal_dev):
+            metal_dev = stream.memcpy_h2d(metal_dev, name="metal.rects")
+            metal_seg = stream.memcpy_h2d(metal_seg, name="metal.segment")
+    counters["fused_launches"] += 1
+    counters["fused_segments"] += int(np.unique(buf.via_segment).size)
+    with profile.phase(PHASE_SWEEPLINE):
+        pair_via, pair_metal = stream.launch(
+            "enclosure-candidates",
+            _candidate_pairs_kernel,
+            via_dev, metal_dev, value, via_seg, metal_seg,
+            items=len(via_dev),
+        )
+    with profile.phase(PHASE_EDGE_CHECKS):
+        margins = stream.launch(
+            "enclosure-margins",
+            kernel_enclosure_margins,
+            via_dev, metal_dev, pair_via, pair_metal,
+            items=len(pair_via),
+        )
+        best = stream.launch(
+            "enclosure-reduce",
+            reduce_enclosure_best,
+            len(via_dev), pair_via, margins,
+            items=len(via_dev),
+        )
+    return best, counters
+
+
+#: Rule kind -> (launch, hits -> violations). The launches share one
+#: signature — ``(buffers, rule value, brute-force threshold, stream
+#: executors, profile) -> (hits, ROW_COUNTERS deltas)`` — and touch no
+#: backend state, so parent and workers cannot disagree on what a row
+#: task does.
+_ROW_LAUNCHES: Dict[RuleKind, Tuple[Callable, Callable]] = {
+    RuleKind.SPACING: (
+        launch_pair_rows,
+        lambda hits, pair, rule: pair_hits_to_violations(
+            hits, ViolationKind.SPACING, rule.layer, rule.value
+        ),
+    ),
+    RuleKind.CORNER_SPACING: (
+        launch_corner_rows,
+        lambda hits, buf, rule: corner_hits_to_violations(
+            hits, rule.layer, rule.value
+        ),
+    ),
+    RuleKind.ENCLOSURE: (
+        launch_enclosure_rows,
+        lambda best, buf, rule: enclosure_margins_to_violations(
+            buf.via_rects, best, rule.layer, rule.other_layer, rule.value
+        ),
+    ),
+}
+
+#: Rule kinds executed as row tasks (and sharded by row across processes).
+ROW_KINDS = tuple(_ROW_LAUNCHES)
+
+
+def run_row_task(
+    rule: Rule,
+    buffers: Any,
+    threshold: int,
+    executors: Sequence[StreamExecutor],
+    profile: PhaseProfile,
+) -> Tuple[List[Violation], Dict[str, int]]:
+    """Check the rows held by ``buffers`` against one rule.
+
+    The whole definition of a row task: :class:`ParallelBackend` calls it
+    with every row of the rule, a multiprocess shard with the rows
+    :func:`select_rows` cut for it. Returns the violations plus the
+    :data:`ROW_COUNTERS` deltas.
+    """
+    launch, to_violations = _ROW_LAUNCHES[rule.kind]
+    hits, counters = launch(buffers, rule.value, threshold, executors, profile)
+    return to_violations(hits, buffers, rule), counters
+
+
 class ParallelBackend:
     """Executes a plan's rules with the row-based GPU algorithms."""
 
-    def __init__(
-        self,
-        plan_or_layout,
-        *,
-        tree: Optional[HierarchyTree] = None,
-        device: Optional[Device] = None,
-        num_streams: int = 2,
-        brute_force_threshold: int = DEFAULT_BRUTE_FORCE_THRESHOLD,
-        use_rows: bool = True,
-        fuse_rows: bool = True,
-    ) -> None:
-        if isinstance(plan_or_layout, CheckPlan):
-            self.plan: Optional[CheckPlan] = plan_or_layout
-            self.layout: Layout = self.plan.layout
-            self.tree = self.plan.tree
-            self.caches = self.plan.caches
-            options = self.plan.options
-            num_streams = options.num_streams
-            brute_force_threshold = options.brute_force_threshold
-            use_rows = options.use_rows
-            fuse_rows = options.fuse_rows
-        else:
-            self.plan = None
-            self.layout = plan_or_layout
-            self.tree = tree if tree is not None else HierarchyTree(plan_or_layout)
-            self.caches = PlanCaches(self.tree)
+    def __init__(self, plan: CheckPlan, *, device: Optional[Device] = None) -> None:
+        self.plan = plan
+        self.layout = plan.layout
+        self.tree = plan.tree
+        self.caches = plan.caches
+        options = plan.options
         self.subtree = self.caches.subtree
         self.device = device if device is not None else Device()
-        self.allocator = StreamOrderedAllocator()
         self.executors = [
             StreamExecutor(self.device.create_stream())
-            for _ in range(max(1, num_streams))
+            for _ in range(options.num_streams)
         ]
-        self.streams = [ex.stream for ex in self.executors]
-        self.brute_force_threshold = brute_force_threshold
-        self.use_rows = use_rows
-        self.fuse_rows = fuse_rows
+        self.brute_force_threshold = options.brute_force_threshold
+        self.use_rows = options.use_rows
         self.pack_cache = self.caches.pack
-        self.executor_counts = {"bruteforce": 0, "sweepline": 0}
-        self.fusion_stats = {"fused_launches": 0, "fused_segments": 0}
+        self.counters = dict.fromkeys(ROW_COUNTERS, 0)
         self.phase_seconds = {"pack_seconds": 0.0, "kernel_seconds": 0.0}
         self._pack_depth = 0
         self._sequential = None
@@ -295,8 +536,32 @@ class ParallelBackend:
             # worth vectorising; reuse the sequential strategies over the
             # same plan caches.
             return self._fallback().run(rule, profile)
+        if rule.kind in ROW_KINDS:
+            return self.finish_rows(rule, self.row_work(rule, profile), profile)
         strategy = getattr(self, f"_run_{spec.parallel}")
         return strategy(rule, profile)
+
+    def row_work(self, rule: Rule, profile: PhaseProfile) -> RowWork:
+        """Partition and pack (through the caches) one row-kind rule."""
+        return getattr(self, f"_{kind_spec(rule.kind).parallel}_rows")(rule, profile)
+
+    def finish_rows(
+        self, rule: Rule, work: RowWork, profile: PhaseProfile
+    ) -> List[Violation]:
+        """Execute prepared row work in this process: host rows, then the launch."""
+        violations = self.run_host_rows(rule, work, profile)
+        if work.buffers is not None:
+            before = profile.seconds(PHASE_EDGE_CHECKS)
+            found, counters = run_row_task(
+                rule, work.buffers, self.brute_force_threshold, self.executors, profile
+            )
+            self.phase_seconds["kernel_seconds"] += (
+                profile.seconds(PHASE_EDGE_CHECKS) - before
+            )
+            for key, value in counters.items():
+                self.counters[key] += value
+            violations.extend(found)
+        return violations
 
     def stats(self) -> Dict[str, float]:
         """Executor-choice, device-traffic, fusion, and cache counters."""
@@ -304,14 +569,11 @@ class ParallelBackend:
         store = self.caches.store
         cache = store.counters() if store is not None else {}
         return dict(
-            kernels_bruteforce=self.executor_counts["bruteforce"],
-            kernels_sweepline=self.executor_counts["sweepline"],
+            self.counters,
             kernel_launches=counters["kernel_launches"],
             h2d_copies=counters["h2d_copies"],
             h2d_bytes=counters["h2d_bytes"],
             d2h_copies=counters["d2h_copies"],
-            fused_launches=self.fusion_stats["fused_launches"],
-            fused_segments=self.fusion_stats["fused_segments"],
             pack_cache_hits=self.pack_cache.hits,
             pack_cache_misses=self.pack_cache.misses,
             cache_hits=cache.get("hits", 0),
@@ -331,20 +593,11 @@ class ParallelBackend:
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
-    def _run_spacing(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        return self._spacing(rule.layer, rule.value, profile)
-
     def _run_width(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
         return self._width(rule.layer, rule.value, profile)
 
     def _run_area(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
         return self._area(rule.layer, rule.value, profile)
-
-    def _run_corner(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        return self._corner(rule.layer, rule.value, profile)
-
-    def _run_enclosure(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        return self._enclosure(rule.layer, rule.other_layer, rule.value, profile)
 
     # -- helpers --------------------------------------------------------------
 
@@ -525,7 +778,7 @@ class ParallelBackend:
                 )
             with self._kernel_phase(profile):
                 if len(buf) <= self.brute_force_threshold:
-                    self.executor_counts["bruteforce"] += 1
+                    self.counters["kernels_bruteforce"] += 1
                     hits.append(
                         stream.launch(
                             "pairs-bruteforce",
@@ -537,7 +790,7 @@ class ParallelBackend:
                         )
                     )
                 else:
-                    self.executor_counts["sweepline"] += 1
+                    self.counters["kernels_sweepline"] += 1
                     hits.append(
                         stream.launch(
                             "pairs-sweepline",
@@ -550,117 +803,23 @@ class ParallelBackend:
                     )
         return hits
 
-    def _hits_to_violations(
-        self,
-        hits: Sequence[PairHits],
-        kind: ViolationKind,
-        layer: int,
-        required: int,
-        *,
-        other_layer: Optional[int] = None,
-    ) -> List[Violation]:
-        return pair_hits_to_violations(
-            hits, kind, layer, required, other_layer=other_layer
-        )
-
     # -- spacing ---------------------------------------------------------------
 
-    def _spacing(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
+    def _spacing_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
+        layer, value = rule.layer, rule.value
         items = self._cached_items(layer, profile)
         member_rows, sig = self._cached_partition(
             layer, [it.mbr for it in items], value, profile
         )
-        if self.fuse_rows:
-            host_start = time.perf_counter()
-            fused = self._cached_fused_pair(layer, sig, member_rows, items, value)
-            self.device.record_host("pack-fused", time.perf_counter() - host_start)
-            if fused.num_edges < 2:
-                return []
-            hits = self._launch_fused_kernels(
-                fused, value, want_width=False, profile=profile
-            )
-            return self._hits_to_violations(hits, ViolationKind.SPACING, layer, value)
-        violations: List[Violation] = []
-        for index, members in enumerate(member_rows):
-            stream = self._stream(index)
-            host_start = time.perf_counter()
-            pair = self._cached_row_pair(layer, sig, index, [items[m] for m in members])
-            stream.record_host(
-                f"pack-row-{index}", time.perf_counter() - host_start
-            )
-            if pair.num_edges < 2:
-                continue
-            hits = self._launch_buffer_kernels(
-                pair, value, want_width=False, stream=stream, profile=profile
-            )
-            violations.extend(
-                self._hits_to_violations(hits, ViolationKind.SPACING, layer, value)
-            )
-        return violations
-
-    def _launch_fused_kernels(
-        self,
-        pair: EdgeBufferPair,
-        threshold: int,
-        *,
-        want_width: bool,
-        profile: PhaseProfile,
-    ) -> List[PairHits]:
-        """One segmented launch per orientation per lane (fused dispatch).
-
-        Vertical edges ride stream 0 and horizontal edges stream 1, keeping
-        both streams busy within the single fused round. The §IV-E executor
-        choice survives as a per-segment policy: segments at or below the
-        brute-force threshold take the batched brute-force lane, larger
-        ones the segmented sweepline lane.
-        """
-        hits: List[PairHits] = []
-        for buf, stream in (
-            (pair.vertical, self._stream(0)),
-            (pair.horizontal, self._stream(1)),
-        ):
-            if len(buf) < 2:
-                continue
-            with profile.phase(PHASE_OTHER):
-                device_buf = EdgeBuffer(
-                    buf.vertical,
-                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
-                    stream.memcpy_h2d(buf.segment, name="edges.segment")
-                    if buf.segment is not None
-                    else None,
-                )
-            seg = (
-                buf.segment
-                if buf.segment is not None
-                else np.zeros(len(buf), dtype=np.int64)
-            )
-            small = np.bincount(seg)[seg] <= self.brute_force_threshold
-            lanes = (
-                ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
-                 "bruteforce", small),
-                ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
-                 "sweepline", ~small),
-            )
-            for name, kernel, counter, mask in lanes:
-                count = int(mask.sum())
-                if count < 2:
-                    continue
-                lane_buf = device_buf.take(np.flatnonzero(mask))
-                with self._kernel_phase(profile):
-                    self.executor_counts[counter] += 1
-                    self.fusion_stats["fused_launches"] += 1
-                    self.fusion_stats["fused_segments"] += int(np.unique(seg[mask]).size)
-                    hits.append(
-                        stream.launch(
-                            name, kernel, lane_buf, threshold,
-                            want_width=want_width, items=count,
-                        )
-                    )
-        return hits
+        host_start = time.perf_counter()
+        fused = self._cached_fused_pair(layer, sig, member_rows, items, value)
+        self.device.record_host("pack-fused", time.perf_counter() - host_start)
+        return RowWork(
+            fused,
+            _row_weights(
+                len(member_rows), fused.vertical.segment, fused.horizontal.segment
+            ),
+        )
 
     def _row_edge_buffers(
         self, row_items: Sequence[LevelItem], packer: HierarchicalEdgePacker
@@ -699,43 +858,6 @@ class ParallelBackend:
             concat_edge_buffers(parts_h, vertical=False),
             offset,
         )
-
-    def _launch_buffer_kernels(
-        self,
-        pair: EdgeBufferPair,
-        threshold: int,
-        *,
-        want_width: bool,
-        stream: StreamExecutor,
-        profile: PhaseProfile,
-    ) -> List[PairHits]:
-        hits: List[PairHits] = []
-        for buf in (pair.vertical, pair.horizontal):
-            if len(buf) < 2:
-                continue
-            with profile.phase(PHASE_OTHER):
-                device_buf = EdgeBuffer(
-                    buf.vertical,
-                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
-                )
-            with self._kernel_phase(profile):
-                if len(buf) <= self.brute_force_threshold:
-                    self.executor_counts["bruteforce"] += 1
-                    kernel, name = kernel_pairs_bruteforce, "pairs-bruteforce"
-                else:
-                    self.executor_counts["sweepline"] += 1
-                    kernel, name = kernel_pairs_sweep, "pairs-sweepline"
-                hits.append(
-                    stream.launch(
-                        name, kernel, device_buf, threshold,
-                        want_width=want_width, items=len(buf),
-                    )
-                )
-        return hits
 
     # -- width -------------------------------------------------------------------
 
@@ -835,80 +957,28 @@ class ParallelBackend:
 
         return self.pack_cache.get("fused-corners", (layer, sig), build)
 
-    def _corner_hits_to_violations(
-        self, hits: CornerHits, layer: int, value: int
-    ) -> List[Violation]:
-        return corner_hits_to_violations(hits, layer, value)
-
-    def _corner(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
-        """Diagonal corner checks: one fused launch, or row-by-row (ablation)."""
-        from ..gpu.kernels import kernel_corner_pairs
-
+    def _corner_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
+        """Diagonal corner checks: every row's convex corners, fused."""
+        layer, value = rule.layer, rule.value
         items = self._cached_items(layer, profile)
         member_rows, sig = self._cached_partition(
             layer, [it.mbr for it in items], value, profile
         )
-        if self.fuse_rows:
-            host_start = time.perf_counter()
-            buf = self._cached_fused_corners(layer, sig, member_rows, items, value)
-            self.device.record_host(
-                "pack-corners-fused", time.perf_counter() - host_start
-            )
-            if len(buf) < 2:
-                return []
-            stream = self._stream(0)
-            with profile.phase(PHASE_OTHER):
-                device_buf = CornerBuffer(
-                    stream.memcpy_h2d(buf.x, name="corners.x"),
-                    stream.memcpy_h2d(buf.y, name="corners.y"),
-                    buf.qx,
-                    buf.qy,
-                    buf.poly,
-                    stream.memcpy_h2d(buf.segment, name="corners.segment"),
-                )
-            with self._kernel_phase(profile):
-                self.fusion_stats["fused_launches"] += 1
-                self.fusion_stats["fused_segments"] += len(member_rows)
-                hits = stream.launch(
-                    "corner-pairs-fused",
-                    kernel_corner_pairs_segmented,
-                    device_buf,
-                    value,
-                    items=len(buf),
-                )
-            return self._corner_hits_to_violations(hits, layer, value)
-        violations: List[Violation] = []
-        for index, members in enumerate(member_rows):
-            stream = self._stream(index)
-            host_start = time.perf_counter()
-            with self._pack_timer():
-                polygons = self._flatten_items([items[m] for m in members], layer)
-                buf = pack_corners(polygons)
-            stream.record_host(
-                f"pack-corners-{index}", time.perf_counter() - host_start
-            )
-            if len(buf) < 2:
-                continue
-            with profile.phase(PHASE_OTHER):
-                device_x = stream.memcpy_h2d(buf.x, name="corners.x")
-                device_y = stream.memcpy_h2d(buf.y, name="corners.y")
-                buf.x, buf.y = device_x, device_y
-            with self._kernel_phase(profile):
-                hits = stream.launch(
-                    "corner-pairs", kernel_corner_pairs, buf, value, items=len(buf)
-                )
-            violations.extend(self._corner_hits_to_violations(hits, layer, value))
-        return violations
+        host_start = time.perf_counter()
+        buf = self._cached_fused_corners(layer, sig, member_rows, items, value)
+        self.device.record_host("pack-corners-fused", time.perf_counter() - host_start)
+        return RowWork(buf, _row_weights(len(member_rows), buf.segment))
 
     # -- enclosure -----------------------------------------------------------------
 
-    def _enclosure(
-        self, via_layer: int, metal_layer: int, value: int, profile: PhaseProfile
-    ) -> List[Violation]:
+    def _enclosure_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
+        """All-rectangle rows fuse into one segmented candidate/measure/reduce
+        round; rectilinear rows are left for the exact host path."""
+        via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
         via_items = self._cached_items(via_layer, profile)
         metal_items = self._cached_items(metal_layer, profile)
         if not via_items:
-            return []
+            return RowWork()
         # Partition rows over both populations together: an instance may
         # appear twice (one MBR per layer), but an enclosing metal always
         # overlaps its via, so overlapping items land in the same row.
@@ -917,124 +987,64 @@ class ParallelBackend:
             (via_layer, metal_layer), [it.mbr for it in combined], value, profile
         )
         num_vias = len(via_items)
-        if self.fuse_rows:
-            return self._enclosure_fused(
-                via_layer, metal_layer, value, profile,
-                combined, member_rows, sig, num_vias,
-            )
-        violations: List[Violation] = []
-        via_packer = self._rect_packer(via_layer)
-        metal_packer = self._rect_packer(metal_layer)
-        for index, members in enumerate(member_rows):
-            row_vias = [combined[m] for m in members if m < num_vias]
-            row_metals = [combined[m] for m in members if m >= num_vias]
-            if not row_vias:
-                continue
-            stream = self._stream(index)
-            host_start = time.perf_counter()
-            via_buf, metal_buf = self.pack_cache.get(
-                "rect-row",
-                (via_layer, metal_layer, sig, index),
-                lambda rv=row_vias, rm=row_metals: (
-                    self._row_rect_buffer(rv, via_packer),
-                    self._row_rect_buffer(rm, metal_packer),
-                ),
-            )
-            stream.record_host(
-                f"pack-row-{index}", time.perf_counter() - host_start
-            )
-            if len(via_buf) == 0:
-                continue
-            if via_buf.all_rect and metal_buf.all_rect:
-                violations.extend(
-                    self._enclosure_rects(
-                        via_buf.rects, metal_buf.rects,
-                        via_layer, metal_layer, value, stream, profile,
-                    )
-                )
-            else:
-                # Rectilinear (non-rectangle) geometry: exact host fallback.
-                vias = self._flatten_items(row_vias, via_layer)
-                metals = self._flatten_items(row_metals, metal_layer)
-                violations.extend(
-                    self._enclosure_row(
-                        vias, metals, via_layer, metal_layer, value, stream, profile
-                    )
-                )
-        return violations
-
-    def _enclosure_fused(
-        self,
-        via_layer: int,
-        metal_layer: int,
-        value: int,
-        profile: PhaseProfile,
-        combined: List[LevelItem],
-        member_rows: List[List[int]],
-        sig: Any,
-        num_vias: int,
-    ) -> List[Violation]:
-        """All-rectangle rows fused into one segmented candidate/measure/reduce
-        round; rectilinear rows fall back to the exact per-row host path."""
-
         host_start = time.perf_counter()
         rect_rows = self._cached_rect_rows(
             via_layer, metal_layer, sig, member_rows, combined, num_vias, value
         )
         self.device.record_host("pack-rects-fused", time.perf_counter() - host_start)
 
-        violations: List[Violation] = []
-        fused_vias: List[np.ndarray] = []
-        fused_via_seg: List[np.ndarray] = []
-        fused_metals: List[np.ndarray] = []
-        fused_metal_seg: List[np.ndarray] = []
+        work = RowWork()
+        fused: List[int] = []  # ids of the all-rectangle rows
         for index, (via_buf, metal_buf) in enumerate(rect_rows):
             if len(via_buf) == 0:
                 continue
             if via_buf.all_rect and metal_buf.all_rect:
-                fused_vias.append(via_buf.rects)
-                fused_via_seg.append(np.full(len(via_buf), index, dtype=np.int64))
-                if len(metal_buf):
-                    fused_metals.append(metal_buf.rects)
-                    fused_metal_seg.append(
-                        np.full(len(metal_buf), index, dtype=np.int64)
-                    )
+                fused.append(index)
             else:
                 members = member_rows[index]
-                vias = self._flatten_items(
-                    [combined[m] for m in members if m < num_vias], via_layer
-                )
-                metals = self._flatten_items(
-                    [combined[m] for m in members if m >= num_vias], metal_layer
-                )
-                violations.extend(
-                    self._enclosure_row(
-                        vias, metals, via_layer, metal_layer, value,
-                        self._stream(index), profile,
+                work.host_rows.append(
+                    (
+                        [combined[m] for m in members if m < num_vias],
+                        [combined[m] for m in members if m >= num_vias],
                     )
                 )
-        if fused_vias:
-            metal_rects = (
-                np.concatenate(fused_metals, axis=0)
-                if fused_metals
-                else np.zeros((0, 4), dtype=np.int64)
+        if fused:
+            row_ids = np.asarray(fused, dtype=_INT)
+            via_bufs = [rect_rows[index][0] for index in fused]
+            metal_bufs = [rect_rows[index][1] for index in fused]
+            work.buffers = EnclosureBuffer(
+                np.concatenate([buf.rects for buf in via_bufs], axis=0),
+                np.repeat(row_ids, [len(buf) for buf in via_bufs]),
+                np.concatenate([buf.rects for buf in metal_bufs], axis=0),
+                np.repeat(row_ids, [len(buf) for buf in metal_bufs]),
             )
-            metal_seg = (
-                np.concatenate(fused_metal_seg)
-                if fused_metal_seg
-                else np.zeros(0, dtype=np.int64)
+            work.weights = _row_weights(
+                len(member_rows), work.buffers.via_segment, work.buffers.metal_segment
             )
-            self.fusion_stats["fused_launches"] += 1
-            self.fusion_stats["fused_segments"] += len(fused_vias)
-            violations.extend(
-                self._enclosure_rects(
-                    np.concatenate(fused_vias, axis=0), metal_rects,
-                    via_layer, metal_layer, value, self._stream(0), profile,
-                    via_segment=np.concatenate(fused_via_seg),
-                    metal_segment=metal_seg,
-                )
-            )
-        return violations
+        return work
+
+    def run_host_rows(
+        self, rule: Rule, work: RowWork, profile: PhaseProfile
+    ) -> List[Violation]:
+        """The rows fused launches cannot take: exact edge-based enclosure
+        margins for rectilinear shapes, computed on the host."""
+        out: List[Violation] = []
+        for via_items, metal_items in work.host_rows:
+            vias = self._flatten_items(via_items, rule.layer)
+            metals = self._flatten_items(metal_items, rule.other_layer)
+            with profile.phase(PHASE_SWEEPLINE):
+                windows = [v.mbr.inflated(rule.value) for v in vias]
+                candidates: List[List[Polygon]] = [[] for _ in vias]
+                for i, j in iter_bipartite_overlaps(windows, [m.mbr for m in metals]):
+                    candidates[i].append(metals[j])
+            with self._kernel_phase(profile):
+                for via, cands in zip(vias, candidates):
+                    out.extend(
+                        enclosure_pair_violations(
+                            via, cands, rule.layer, rule.other_layer, rule.value
+                        )
+                    )
+        return out
 
     def _cached_rect_rows(
         self,
@@ -1083,9 +1093,7 @@ class ParallelBackend:
 
     def _row_rect_buffer(
         self, row_items: Sequence[LevelItem], packer: HierarchicalRectPacker
-    ):
-        from ..hierarchy.edgepack import RectBuffer
-
+    ) -> RectBuffer:
         parts = []
         all_rect = True
         local: List[Polygon] = []
@@ -1104,144 +1112,6 @@ class ParallelBackend:
         if parts:
             return RectBuffer(np.concatenate(parts, axis=0), all_rect)
         return RectBuffer.empty()
-
-    def _enclosure_rects(
-        self,
-        via_rects: np.ndarray,
-        metal_rects: np.ndarray,
-        via_layer: int,
-        metal_layer: int,
-        value: int,
-        stream: StreamExecutor,
-        profile: PhaseProfile,
-        *,
-        via_segment: Optional[np.ndarray] = None,
-        metal_segment: Optional[np.ndarray] = None,
-    ) -> List[Violation]:
-        """All-rectangle enclosure on the device: pair, measure, reduce.
-
-        With segment arrays, one fused round evaluates every row at once
-        (cross-segment candidates are masked in the candidate kernel)."""
-        with profile.phase(PHASE_OTHER):
-            via_dev = stream.memcpy_h2d(via_rects, name="via.rects")
-            metal_dev = (
-                stream.memcpy_h2d(metal_rects, name="metal.rects")
-                if len(metal_rects)
-                else metal_rects
-            )
-            if via_segment is not None:
-                via_segment = stream.memcpy_h2d(via_segment, name="via.segment")
-            if metal_segment is not None and len(metal_segment):
-                metal_segment = stream.memcpy_h2d(metal_segment, name="metal.segment")
-        with profile.phase(PHASE_SWEEPLINE):
-            pair_via, pair_metal = stream.launch(
-                "enclosure-candidates",
-                _candidate_pairs_kernel,
-                via_dev,
-                metal_dev,
-                value,
-                via_segment=via_segment,
-                metal_segment=metal_segment,
-                items=len(via_rects),
-            )
-        with self._kernel_phase(profile):
-            margins = stream.launch(
-                "enclosure-margins",
-                kernel_enclosure_margins,
-                via_dev, metal_dev, pair_via, pair_metal,
-                items=len(pair_via),
-            )
-            best = stream.launch(
-                "enclosure-reduce",
-                reduce_enclosure_best,
-                len(via_rects), pair_via, margins,
-                items=len(via_rects),
-            )
-        return enclosure_margins_to_violations(
-            via_rects, best, via_layer, metal_layer, value
-        )
-
-    def _enclosure_row(
-        self,
-        vias: List[Polygon],
-        metals: List[Polygon],
-        via_layer: int,
-        metal_layer: int,
-        value: int,
-        stream: StreamExecutor,
-        profile: PhaseProfile,
-    ) -> List[Violation]:
-        all_rect = all(p.is_rectangle for p in vias) and all(
-            p.is_rectangle for p in metals
-        )
-        with profile.phase(PHASE_SWEEPLINE):
-            via_windows = [v.mbr.inflated(value) for v in vias]
-            metal_rects = [m.mbr for m in metals]
-            pairs = list(iter_bipartite_overlaps(via_windows, metal_rects))
-        if not all_rect:
-            # Host fallback: exact edge-based margins for rectilinear shapes.
-            candidates: List[List[Polygon]] = [[] for _ in vias]
-            for i, j in pairs:
-                candidates[i].append(metals[j])
-            out: List[Violation] = []
-            with self._kernel_phase(profile):
-                for via, cands in zip(vias, candidates):
-                    out.extend(
-                        enclosure_pair_violations(
-                            via, cands, via_layer, metal_layer, value
-                        )
-                    )
-            return out
-
-        host_start = time.perf_counter()
-        via_arr = np.asarray([tuple(v.mbr) for v in vias], dtype=np.int64)
-        if metal_rects:
-            metal_arr = np.asarray([tuple(m) for m in metal_rects], dtype=np.int64)
-        else:
-            metal_arr = np.zeros((0, 4), dtype=np.int64)
-        pair_via = np.asarray([i for i, _ in pairs], dtype=np.int64)
-        pair_metal = np.asarray([j for _, j in pairs], dtype=np.int64)
-        stream.record_host("pack-enclosure", time.perf_counter() - host_start)
-        with profile.phase(PHASE_OTHER):
-            via_dev = stream.memcpy_h2d(via_arr, name="via.rects")
-            metal_dev = (
-                stream.memcpy_h2d(metal_arr, name="metal.rects")
-                if len(metal_arr)
-                else metal_arr
-            )
-        with self._kernel_phase(profile):
-            margins = stream.launch(
-                "enclosure-margins",
-                kernel_enclosure_margins,
-                via_dev,
-                metal_dev,
-                pair_via,
-                pair_metal,
-                items=len(pair_via),
-            )
-            best = stream.launch(
-                "enclosure-reduce",
-                reduce_enclosure_best,
-                len(vias),
-                pair_via,
-                margins,
-                items=len(vias),
-            )
-        out = []
-        for via_index, margin in enumerate(best):
-            if int(margin) >= value:
-                continue
-            out.append(
-                Violation(
-                    kind=ViolationKind.ENCLOSURE,
-                    layer=via_layer,
-                    other_layer=metal_layer,
-                    region=vias[via_index].mbr.inflated(value),
-                    measured=max(int(margin), 0),
-                    required=value,
-                )
-            )
-        return out
 
     # -- definition/instance machinery for intra rules ------------------------------
 
@@ -1332,7 +1202,3 @@ class ParallelBackend:
                             )
                         )
         return out
-
-
-#: Backwards-compatible name from before the Backend protocol existed.
-ParallelChecker = ParallelBackend

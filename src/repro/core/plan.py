@@ -108,7 +108,6 @@ class EngineOptions:
     use_rows: bool = True  # adaptive row partition (paper §IV-B)
     num_streams: int = 2  # CUDA streams for async overlap (paper §V-C)
     brute_force_threshold: int = DEFAULT_BRUTE_FORCE_THRESHOLD  # executor choice (§IV-E)
-    fuse_rows: bool = True  # fused segmented-row launches; False = per-row ablation
     jobs: int = 1  # worker processes for the multiprocess backend
     mp_start_method: Optional[str] = None  # None = platform default
     cache_dir: Optional[str] = None  # persistent pack store root (or $REPRO_CACHE_DIR)
@@ -557,7 +556,7 @@ def compile_plan(
     # because recovery is byte-transparent.
     fault_injection.install(fault_injection.resolve_spec(options))
     resolved_mode = mode if mode is not None else options.mode
-    if resolved_mode not in ALL_MODES and resolved_mode not in BACKEND_FACTORIES:
+    if resolved_mode not in ALL_MODES:
         raise ValueError(f"unknown mode {resolved_mode!r}")
     if tree is None:
         tree = HierarchyTree(layout)
@@ -632,21 +631,13 @@ def _multiproc_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend
 
 
 #: Mode -> backend factory. Factories take ``(plan, *, device, window)`` and
-#: return a :class:`Backend`; :func:`register_backend` lets extensions (or
-#: tests) plug in additional execution modes without touching the engine.
+#: return a :class:`Backend`.
 BACKEND_FACTORIES: Dict[str, Callable[..., "Backend"]] = {
     MODE_SEQUENTIAL: _sequential_backend,
     MODE_PARALLEL: _parallel_backend,
     MODE_WINDOWED: _windowed_backend,
     MODE_MULTIPROC: _multiproc_backend,
 }
-
-
-def register_backend(mode: str, factory: Callable[..., "Backend"]) -> None:
-    """Register (or replace) the backend factory executing ``mode`` plans."""
-    if not mode:
-        raise ValueError("backend mode must be a non-empty string")
-    BACKEND_FACTORIES[mode] = factory
 
 
 def make_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":

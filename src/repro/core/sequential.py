@@ -76,17 +76,6 @@ class SequentialBackend:
         self.pruning = PruningStats()
         self._pair_memo: Dict[tuple, List[Violation]] = {}
 
-    @classmethod
-    def for_layout(
-        cls,
-        layout: Layout,
-        *,
-        tree: Optional[HierarchyTree] = None,
-        use_rows: bool = True,
-    ) -> "SequentialBackend":
-        """A standalone backend over a bare layout (no pre-compiled plan)."""
-        return cls(layout, tree=tree, use_rows=use_rows)
-
     def _level_items(self, cell: Cell, layer: int) -> List[LevelItem]:
         return self.caches.level_items(cell, layer)
 
@@ -535,7 +524,3 @@ class SequentialBackend:
         self.pruning.checks_refreshed += stats.checks_refreshed
         self.pruning.pairs_considered += stats.pairs_considered
         self.pruning.pairs_pruned_mbr += stats.pairs_pruned_mbr
-
-
-#: Backwards-compatible name from before the Backend protocol existed.
-SequentialChecker = SequentialBackend

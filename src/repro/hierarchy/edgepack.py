@@ -18,6 +18,7 @@ pairs, notches) survives the flattening.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -31,15 +32,13 @@ from .tree import HierarchyTree
 _INT = np.int64
 
 
+@dataclasses.dataclass
 class EdgeBufferPair:
     """Vertical + horizontal edge buffers plus the flat polygon count."""
 
-    __slots__ = ("vertical", "horizontal", "num_polygons")
-
-    def __init__(self, vertical: EdgeBuffer, horizontal: EdgeBuffer, num_polygons: int):
-        self.vertical = vertical
-        self.horizontal = horizontal
-        self.num_polygons = num_polygons
+    vertical: EdgeBuffer
+    horizontal: EdgeBuffer
+    num_polygons: int
 
     @classmethod
     def empty(cls) -> "EdgeBufferPair":

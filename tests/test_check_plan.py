@@ -226,7 +226,7 @@ class TestWindowedEquivalenceAllKinds:
 
 
 class TestBackendEquivalence:
-    """sequential == parallel(fused) == parallel(per-row) == windowed."""
+    """sequential == parallel (fused rows) == windowed."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_all_backends_same_canonical_lists(self, seed):
@@ -235,12 +235,7 @@ class TestBackendEquivalence:
         window = Rect(-10_000, -10_000, 50_000, 50_000)
         reports = {
             "sequential": Engine(mode="sequential").check(layout, rules=rules),
-            "fused": Engine(
-                options=EngineOptions(mode="parallel", fuse_rows=True)
-            ).check(layout, rules=rules),
-            "per-row": Engine(
-                options=EngineOptions(mode="parallel", fuse_rows=False)
-            ).check(layout, rules=rules),
+            "fused": Engine(mode="parallel").check(layout, rules=rules),
             "windowed": check_window(layout, window, rules=rules),
         }
         reference = reports["sequential"]

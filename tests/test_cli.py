@@ -37,6 +37,15 @@ class TestCheckCommand:
     def test_parallel_mode(self, uart_gds):
         assert main(["check", uart_gds, "--top", "top", "--mode", "parallel"]) == 0
 
+    @pytest.mark.parametrize("command", ["check", "stats"])
+    def test_several_roots_without_top_names_the_flag(self, uart_gds, command):
+        """Synthesized streams hold a leaf macro beside ``top``: no traceback,
+        an exit that says which flag to pass and which cells qualify."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, uart_gds])
+        message = str(exit_info.value)
+        assert "--top" in message and "top" in message.split("(")[1]
+
     def test_csv_output(self, dirty_gds, capsys):
         main(["check", dirty_gds, "--top", "top", "--csv"])
         out = capsys.readouterr().out
@@ -73,16 +82,13 @@ class TestBackendFlags:
         ])
         assert code == 0
 
-    def test_no_fuse_rows_ablation(self, uart_gds):
-        code = main([
-            "check", uart_gds, "--top", "top", "--mode", "parallel",
-            "--no-fuse-rows",
-        ])
-        assert code == 0
-
-    def test_fuse_rows_flags_conflict(self, uart_gds, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", uart_gds, "--fuse-rows", "--no-fuse-rows"])
+    @pytest.mark.parametrize("flag", ["--fuse-rows", "--no-fuse-rows"])
+    def test_fuse_rows_flags_rejected(self, uart_gds, capsys, flag):
+        """The per-row path and its knob are gone: argparse refuses both."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", uart_gds, "--top", "top", "--mode", "parallel", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_num_streams_rejected(self, uart_gds, capsys):
         with pytest.raises(SystemExit, match="num_streams"):

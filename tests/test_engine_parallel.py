@@ -68,14 +68,14 @@ class TestExecutorSelection:
             options=EngineOptions(mode="parallel", brute_force_threshold=10 ** 9)
         )
         par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        stats = par.last_checker.executor_counts
-        assert stats["bruteforce"] > 0 and stats["sweepline"] == 0
+        stats = par.last_checker.stats()
+        assert stats["kernels_bruteforce"] > 0 and stats["kernels_sweepline"] == 0
 
     def test_large_tasks_use_sweepline(self, uart_layout):
         par = Engine(options=EngineOptions(mode="parallel", brute_force_threshold=0))
         par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        stats = par.last_checker.executor_counts
-        assert stats["sweepline"] > 0 and stats["bruteforce"] == 0
+        stats = par.last_checker.stats()
+        assert stats["kernels_sweepline"] > 0 and stats["kernels_bruteforce"] == 0
 
     def test_both_executors_same_violations(self, ibex_layout):
         rule = asap7.spacing_rule(asap7.M2)

@@ -55,13 +55,13 @@ class TestPolygonNameThroughTransform:
 
 class TestEngineErrors:
     def test_unsupported_rule_kind_message(self):
-        from repro.core.sequential import SequentialChecker
+        from repro.core.sequential import SequentialBackend
         from repro.layout import Layout
 
         layout = Layout("x")
         layout.new_cell("top")
         layout.set_top("top")
-        checker = SequentialChecker(layout)
+        checker = SequentialBackend(layout)
 
         class FakeRule:
             kind = "bogus"

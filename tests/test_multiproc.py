@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DEFAULT_BRUTE_FORCE_THRESHOLD,
     Engine,
     EngineOptions,
     MultiprocessBackend,
+    ParallelBackend,
     check_window,
     compile_plan,
     make_backend,
@@ -25,6 +27,7 @@ from repro.core.rules import layer, polygons
 from repro.geometry import Polygon, Rect, Transform
 from repro.gpu.shmem import INLINE_THRESHOLD, ShmArena
 from repro.layout import CellReference, Layout
+from repro.util.profile import PhaseProfile
 from repro.workloads import asap7, random_hierarchical_layout
 
 
@@ -216,6 +219,118 @@ class TestWorkerLifecycle:
         reference = Engine(mode="sequential").check(layout, rules=deck)
         spawned = run(layout, deck, jobs=2, mp_start_method="spawn")
         assert spawned.results[0].violations == reference.results[0].violations
+
+
+def _rectilinear_via_layout(seed: int) -> Layout:
+    """The metal+via layout plus a few L-shaped metals: those rows take the
+    exact host path instead of the fused rectangle launch."""
+    layout = random_via_layout(seed)
+    bent = layout.new_cell("bent")
+    bent.add_polygon(
+        1, Polygon([(0, 0), (60, 0), (60, 20), (20, 20), (20, 60), (0, 60)])
+    )
+    bent.add_polygon(2, Polygon.from_rect_coords(2, 2, 6, 6))
+    for k in range(3):
+        layout.cell("top").add_reference(
+            CellReference("bent", Transform(dx=900 * k, dy=5000 + 700 * k))
+        )
+    return layout
+
+
+ROW_TASK_CASES = {
+    "spacing": (
+        lambda: random_hierarchical_layout(instances=40, seed=0),
+        layer(1).spacing().greater_than(7),
+    ),
+    "corner": (
+        lambda: random_hierarchical_layout(instances=40, seed=65),
+        layer(1).corner_spacing().greater_than(6),
+    ),
+    "enclosure": (
+        lambda: _rectilinear_via_layout(5),
+        layer(2).enclosure(layer(1)).greater_than(3),
+    ),
+}
+
+
+class TestRowShardTask:
+    """Parent and workers run one row task: splitting the rows across shard
+    tasks changes neither the violations nor which executor each row took."""
+
+    # 24 sits between the row sizes of the spacing layout: both lanes launch.
+    @pytest.mark.parametrize(
+        "threshold", [0, 24, DEFAULT_BRUTE_FORCE_THRESHOLD, 10 ** 9]
+    )
+    @pytest.mark.parametrize("kind", sorted(ROW_TASK_CASES))
+    def test_two_way_row_splits_match_the_unsplit_run(self, kind, threshold):
+        build, rule = ROW_TASK_CASES[kind]
+        layout = build()
+        options = EngineOptions(
+            mode="parallel", brute_force_threshold=threshold, use_cache=False
+        )
+        whole = ParallelBackend(compile_plan(layout, [rule], options))
+        expected = Counter(whole.run(rule))
+        expected_stats = whole.stats()
+        assert expected and expected_stats["fused_segments"] >= 2
+        if kind == "spacing" and threshold == 24:
+            assert expected_stats["kernels_bruteforce"] > 0
+            assert expected_stats["kernels_sweepline"] > 0
+
+        backend = MultiprocessBackend(
+            compile_plan(layout, [rule], EngineOptions(
+                mode="multiproc", jobs=2, brute_force_threshold=threshold,
+                use_cache=False,
+            ))
+        )
+        local = backend._local_backend()
+        profile = PhaseProfile()
+        work = local.row_work(rule, profile)
+        host = Counter(local.run_host_rows(rule, work, profile))
+        assert bool(host) == (kind == "enclosure")
+        rows = np.flatnonzero(work.weights).tolist()
+        rng = random.Random(threshold)
+        for _ in range(4):
+            rng.shuffle(rows)
+            cut = rng.randint(1, len(rows) - 1)
+            arena = ShmArena()
+            tasks = backend._shard_tasks(
+                rule, work.buffers, [sorted(rows[:cut]), sorted(rows[cut:])], arena
+            )
+            arena.seal()
+            try:
+                results = [task.execute() for task in tasks]
+            finally:
+                arena.dispose()
+            found = Counter(v for violations, _, _ in results for v in violations)
+            assert found + host == expected
+            for key in ("kernels_bruteforce", "kernels_sweepline", "fused_segments"):
+                assert sum(stats[key] for _, stats, _ in results) == expected_stats[key], key
+        backend.close()
+
+    def test_shard_task_pickles_without_the_predicate(self):
+        """Only numbers ship: a stray lambda on a row-kind rule stays home."""
+        import pickle
+
+        from repro.core.rules import Rule, RuleKind
+
+        layout = random_hierarchical_layout(instances=20, seed=6)
+        rule = Rule(RuleKind.SPACING, 1, 7, predicate=lambda polygon: True)
+        backend = MultiprocessBackend(
+            compile_plan(layout, [rule], EngineOptions(mode="multiproc", jobs=2))
+        )
+        work = backend._local_backend().row_work(rule, PhaseProfile())
+        rows = np.flatnonzero(work.weights).tolist()
+        arena = ShmArena()
+        (task,) = backend._shard_tasks(rule, work.buffers, [rows], arena)
+        arena.seal()
+        try:
+            clone = pickle.loads(pickle.dumps(task))
+            assert Counter(clone.execute()[0]) == Counter(
+                Engine(mode="sequential").check(layout, rules=[rule]).results[0].violations
+            )
+        finally:
+            arena.dispose()
+            backend.close()
 
 
 class TestStats:

@@ -34,10 +34,11 @@ def dirty_layout():
     return layout
 
 
-def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1):
+def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1, cost_model=True):
     engine = Engine(
         options=EngineOptions(
-            mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs
+            mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs,
+            cost_model=cost_model,
         )
     )
     return engine.check(layout, rules=deck())
@@ -79,9 +80,13 @@ class TestWarmEqualsCold:
             assert warm.to_csv() == baseline, mode
 
     def test_multiproc_warm_ships_memmap_payloads(self, dirty_layout, tmp_path):
+        # This is about transport, so the cost model stays out of it: the
+        # cold run would calibrate it in the same cache dir, and on a busy
+        # host the warm run is then routed inline and ships nothing.
         cache = str(tmp_path)
-        cold = run(dirty_layout, mode="multiproc", cache_dir=cache, jobs=2)
-        warm = run(dirty_layout, mode="multiproc", cache_dir=cache, jobs=2)
+        options = dict(mode="multiproc", cache_dir=cache, jobs=2, cost_model=False)
+        cold = run(dirty_layout, **options)
+        warm = run(dirty_layout, **options)
         assert warm.to_csv() == cold.to_csv()
         warm_stats = warm.results[-1].stats
         assert warm_stats["mp_mmap_bytes"] > 0
