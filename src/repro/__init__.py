@@ -22,18 +22,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from . import checks, gdsii, geometry, gpu, hierarchy, layout, partition, spatial, util
-from .core import (
-    CheckReport,
-    CheckResult,
-    Engine,
-    EngineOptions,
-    MODE_PARALLEL,
-    MODE_SEQUENTIAL,
-    Rule,
-    RuleKind,
-)
-from .core import rules
+from ._lazy import lazy_exports
 from .errors import (
     DeviceError,
     GdsiiError,
@@ -71,3 +60,31 @@ __all__ = [
     "spatial",
     "util",
 ]
+
+# Subpackages and the engine's names resolve on first use (PEP 562), so that
+# ``python -m repro <subcommand>`` imports only what the subcommand needs.
+_FROM_CORE = (
+    "CheckReport",
+    "CheckResult",
+    "Engine",
+    "EngineOptions",
+    "MODE_PARALLEL",
+    "MODE_SEQUENTIAL",
+    "Rule",
+    "RuleKind",
+    "rules",
+)
+_SUBPACKAGES = (
+    "checks",
+    "gdsii",
+    "geometry",
+    "gpu",
+    "hierarchy",
+    "layout",
+    "partition",
+    "spatial",
+    "util",
+)
+__getattr__, __dir__ = lazy_exports(
+    __name__, {**dict.fromkeys(_FROM_CORE, ".core"), **dict.fromkeys(_SUBPACKAGES, "")}
+)

@@ -61,16 +61,23 @@ import sys
 import threading
 from typing import List, Optional
 
-from .core import DEFAULT_BRUTE_FORCE_THRESHOLD, Engine, EngineOptions
-from .core.plan import DEFAULT_MAX_RETRIES, DEFAULT_TASK_TIMEOUT
+# Only what building the parser needs is imported here; every subcommand
+# imports its own machinery (the engine, the default deck, the design
+# generators, the daemon) when it runs, and the engine loads a backend's
+# modules only for the mode chosen.
+from .core.plan import (
+    DEFAULT_BRUTE_FORCE_THRESHOLD,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_TASK_TIMEOUT,
+    EngineOptions,
+)
 from .core.rules import Rule
-from .gdsii import read_layout, write
-from .layout import compute_stats, gdsii_from_layout
-from .workloads import DESIGN_NAMES, asap7, build_design
 
 
 def _load_deck(path: Optional[str]) -> List[Rule]:
     if path is None:
+        from .workloads import asap7
+
         return asap7.full_deck()
     namespace = runpy.run_path(path)
     rules = namespace.get("RULES")
@@ -80,6 +87,8 @@ def _load_deck(path: Optional[str]) -> List[Rule]:
 
 
 def _read(path: str, top: Optional[str]):
+    from .gdsii import read_layout
+
     layout = read_layout(path)
     if top:
         layout.set_top(top)
@@ -288,6 +297,8 @@ def _served_check(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.server:
         return _served_check(args)
+    from .core.engine import Engine
+
     layout = _read(args.file, args.top)
     with _graceful_sigterm(), Engine(options=_engine_options(args)) as engine:
         report = engine.check(layout, rules=_load_deck(args.deck))
@@ -307,7 +318,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_check_window(args: argparse.Namespace) -> int:
-    from .core import check_window
+    from .core.incremental import check_window
     from .geometry import Rect
 
     layout = _read(args.file, args.top)
@@ -329,7 +340,7 @@ def cmd_check_window(args: argparse.Namespace) -> int:
 
 
 def cmd_recheck(args: argparse.Namespace) -> int:
-    from .core import recheck
+    from .core.incremental import recheck
 
     old = _read(args.old, args.top)
     new = _read(args.new, args.top)
@@ -556,13 +567,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .layout import compute_stats
+
     layout = _read(args.file, args.top)
     stats = compute_stats(layout)
     print(stats.summary())
     return 0
 
 
+def _design_name(value: str) -> str:
+    """argparse ``type`` for a design name: the choices load when one is parsed."""
+    from .workloads.designs import DESIGN_NAMES
+
+    if value not in DESIGN_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(sorted(DESIGN_NAMES))})"
+        )
+    return value
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .gdsii import write
+    from .layout import compute_stats, gdsii_from_layout
+    from .workloads.designs import build_design
+
     layout = build_design(args.design, args.scale)
     write(gdsii_from_layout(layout), args.out)
     print(f"wrote {args.out}: {compute_stats(layout).summary()}")
@@ -914,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=cmd_stats)
 
     synth = sub.add_parser("synth", help="synthesize a benchmark design")
-    synth.add_argument("design", choices=sorted(DESIGN_NAMES))
+    synth.add_argument("design", type=_design_name)
     synth.add_argument("out")
     synth.add_argument("--scale", choices=["ci", "paper"], default="ci")
     synth.set_defaults(func=cmd_synth)

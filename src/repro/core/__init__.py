@@ -1,131 +1,50 @@
-"""OpenDRC's core: rule DSL, CheckPlan IR, engine, backends, results."""
+"""OpenDRC's core: rule DSL, CheckPlan IR, engine, backends, results.
 
-from .costmodel import CostModel, model_for
-from .diff import FULL_RECHECK, LayoutDiff, diff_layouts
-from .engine import MODE_PARALLEL, MODE_SEQUENTIAL, Engine, EngineOptions
-from .incremental import (
-    MODE_RECHECK,
-    RecheckOutcome,
-    WindowedBackend,
-    check_window,
-    recheck,
-)
-from .multiproc import MultiprocessBackend
-from .packstore import PackStore, resolve_store
-from .reportcache import ReportCache, deck_digest, report_key
-from .workerpool import WARM_POOL_ENV, WorkerPool, warm_pool_enabled
-from .parallel import DEFAULT_BRUTE_FORCE_THRESHOLD, ParallelBackend
-from .plan import (
-    ALL_MODES,
-    ENGINE_MODES,
-    MODE_MULTIPROC,
-    MODE_WINDOWED,
-    Backend,
-    CheckPlan,
-    CompiledRule,
-    KindSpec,
-    PackCache,
-    PlanCaches,
-    compile_plan,
-    interaction_distance,
-    kind_spec,
-    make_backend,
-)
-from .scheduler import (
-    ScheduleAnalysis,
-    Task,
-    TaskGraph,
-    build_plan_graph,
-    build_rule_graph,
-    greedy_balanced_shards,
-    infer_rule_dependencies,
-    shard_count,
-)
-from .results import (
-    CheckReport,
-    CheckResult,
-    combine_results,
-    merge_reports,
-    merge_stats,
-    splice_violations,
-    violation_from_json,
-    violation_to_json,
-)
-from .rules import (
-    LayerSelector,
-    MeasureSelector,
-    PolygonSelector,
-    Rule,
-    RuleKind,
-    layer,
-    polygons,
-    validate_rules,
-)
-from .sequential import SequentialBackend
+Public names resolve on first use (PEP 562): importing ``repro.core`` or one
+of its modules does not import the simulated device, the worker pool or
+NumPy until a name that needs them is asked for.
+"""
 
-__all__ = [
-    "ALL_MODES",
-    "Backend",
-    "CheckPlan",
-    "CheckReport",
-    "CheckResult",
-    "CompiledRule",
-    "CostModel",
-    "DEFAULT_BRUTE_FORCE_THRESHOLD",
-    "ENGINE_MODES",
-    "Engine",
-    "EngineOptions",
-    "FULL_RECHECK",
-    "KindSpec",
-    "LayerSelector",
-    "LayoutDiff",
-    "MODE_MULTIPROC",
-    "MODE_PARALLEL",
-    "MODE_RECHECK",
-    "MODE_SEQUENTIAL",
-    "MODE_WINDOWED",
-    "MeasureSelector",
-    "MultiprocessBackend",
-    "PackCache",
-    "PackStore",
-    "ParallelBackend",
-    "PlanCaches",
-    "PolygonSelector",
-    "RecheckOutcome",
-    "ReportCache",
-    "Rule",
-    "RuleKind",
-    "ScheduleAnalysis",
-    "SequentialBackend",
-    "Task",
-    "TaskGraph",
-    "WARM_POOL_ENV",
-    "WindowedBackend",
-    "WorkerPool",
-    "build_plan_graph",
-    "build_rule_graph",
-    "check_window",
-    "combine_results",
-    "compile_plan",
-    "deck_digest",
-    "diff_layouts",
-    "greedy_balanced_shards",
-    "infer_rule_dependencies",
-    "interaction_distance",
-    "kind_spec",
-    "layer",
-    "make_backend",
-    "merge_reports",
-    "merge_stats",
-    "model_for",
-    "polygons",
-    "recheck",
-    "report_key",
-    "resolve_store",
-    "shard_count",
-    "splice_violations",
-    "validate_rules",
-    "violation_from_json",
-    "violation_to_json",
-    "warm_pool_enabled",
-]
+from .._lazy import lazy_exports
+
+#: Defining module -> the public names it contributes.
+_EXPORTS = {
+    ".costmodel": "CostModel model_for",
+    ".diff": "FULL_RECHECK LayoutDiff diff_layouts",
+    ".engine": "Engine",
+    ".incremental": "MODE_RECHECK RecheckOutcome WindowedBackend check_window recheck",
+    ".multiproc": "MultiprocessBackend",
+    ".packstore": "PackStore resolve_store",
+    ".parallel": "ParallelBackend",
+    ".plan": (
+        "ALL_MODES Backend CheckPlan CompiledRule "
+        "DEFAULT_BRUTE_FORCE_THRESHOLD ENGINE_MODES EngineOptions KindSpec "
+        "MODE_MULTIPROC MODE_PARALLEL MODE_SEQUENTIAL MODE_WINDOWED PackCache "
+        "PlanCaches compile_plan interaction_distance kind_spec make_backend"
+    ),
+    ".reportcache": "ReportCache deck_digest report_key",
+    ".results": (
+        "CheckReport CheckResult combine_results merge_reports merge_stats "
+        "splice_violations violation_from_json violation_to_json"
+    ),
+    ".rules": (
+        "LayerSelector MeasureSelector PolygonSelector Rule RuleKind layer "
+        "polygons validate_rules"
+    ),
+    ".scheduler": (
+        "ScheduleAnalysis Task TaskGraph build_plan_graph build_rule_graph "
+        "greedy_balanced_shards infer_rule_dependencies shard_count"
+    ),
+    ".sequential": "SequentialBackend",
+    ".workerpool": "WARM_POOL_ENV WorkerPool warm_pool_enabled",
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        **{name: module for module, names in _EXPORTS.items() for name in names.split()},
+        "rules": "",  # ``repro.rules`` is this submodule
+    },
+)

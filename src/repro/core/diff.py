@@ -69,6 +69,10 @@ class LayoutDiff:
     #: True when the versions cannot be aligned (different top cells):
     #: everything is considered dirty and every rule re-runs fully.
     full: bool = False
+    #: The hierarchy trees the diff was computed on (given or built), so
+    #: what runs next on either version need not build another.
+    old_tree: Optional[HierarchyTree] = None
+    new_tree: Optional[HierarchyTree] = None
 
     @property
     def is_clean(self) -> bool:
@@ -226,6 +230,8 @@ def diff_layouts(
     *,
     old_tree: Optional[HierarchyTree] = None,
     new_tree: Optional[HierarchyTree] = None,
+    old_digests: Optional[Dict[int, str]] = None,
+    new_digests: Optional[Dict[int, str]] = None,
     layers: Optional[Sequence[int]] = None,
 ) -> LayoutDiff:
     """Diff two layout versions into per-layer dirty region sets.
@@ -233,31 +239,46 @@ def diff_layouts(
     ``layers`` restricts the comparison (e.g. to the layers a rule deck
     touches); by default every layer present in either version is diffed.
     Digest comparison is hierarchical — a clean layer costs one definition
-    walk, never a flatten.
+    walk, never a flatten. A caller that already holds a version's tree or
+    some of its per-layer digests passes them in; only what is missing is
+    computed.
     """
     old_tree = old_tree if old_tree is not None else HierarchyTree(old)
     new_tree = new_tree if new_tree is not None else HierarchyTree(new)
 
     if layers is None:
         layers = sorted(set(old.layers()) | set(new.layers()))
-    old_digests = {L: layer_geometry_digest(old_tree, L) for L in layers}
-    new_digests = {L: layer_geometry_digest(new_tree, L) for L in layers}
 
+    def digests(tree: HierarchyTree, known: Optional[Dict[int, str]]) -> Dict[int, str]:
+        known = known or {}
+        return {
+            L: known[L] if L in known else layer_geometry_digest(tree, L) for L in layers
+        }
+
+    diff = LayoutDiff(
+        digests(old_tree, old_digests),
+        digests(new_tree, new_digests),
+        dirty={},
+        old_tree=old_tree,
+        new_tree=new_tree,
+    )
     if old_tree.top.name != new_tree.top.name:
-        return LayoutDiff(old_digests, new_digests, dirty={}, full=True)
+        diff.full = True
+        return diff
 
-    dirty: Dict[int, RegionSet] = {}
     for layer in layers:
-        if old_digests[layer] == new_digests[layer]:
+        if diff.old_digests[layer] == diff.new_digests[layer]:
             continue
         rects = _layer_dirty_rects(old, new, layer, old_tree, new_tree)
         regions = RegionSet.of(rects)
         if regions.is_empty:
             # Digests differ but no rect was localised (should not happen;
             # degrade honestly rather than splice unsoundly).
-            return LayoutDiff(old_digests, new_digests, dirty={}, full=True)
-        dirty[layer] = regions
-    return LayoutDiff(old_digests, new_digests, dirty=dirty)
+            diff.dirty = {}
+            diff.full = True
+            return diff
+        diff.dirty[layer] = regions
+    return diff
 
 
 def rule_regions(

@@ -25,12 +25,10 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..gpu.device import Device
 from ..layout.library import Layout
 from ..util.profile import PhaseProfile
-from . import workerpool
 from .plan import (
     MODE_MULTIPROC,
     MODE_PARALLEL,
@@ -43,6 +41,9 @@ from .plan import (
 from .results import CheckReport, CheckResult
 from .rules import Rule, validate_rules
 from .scheduler import build_plan_graph
+
+if TYPE_CHECKING:
+    from ..gpu.device import Device
 
 __all__ = [
     "CheckContext",
@@ -149,12 +150,16 @@ class Engine:
                     close()
                 except Exception:  # pragma: no cover - teardown best-effort
                     pass
-        if self.options.mode == MODE_MULTIPROC and workerpool.warm_pool_enabled(
-            self.options
-        ):
-            keys.add((self.options.jobs, self.options.mp_start_method))
-        for jobs, start_method in keys:
-            workerpool.release_pool(jobs, start_method)
+        multiproc = self.options.mode == MODE_MULTIPROC
+        if multiproc or keys:
+            # Only multiprocess checks park warm pools; no other engine
+            # needs the pool module at all.
+            from . import workerpool
+
+            if multiproc and workerpool.warm_pool_enabled(self.options):
+                keys.add((self.options.jobs, self.options.mp_start_method))
+            for jobs, start_method in keys:
+                workerpool.release_pool(jobs, start_method)
 
     def __enter__(self) -> "Engine":
         return self

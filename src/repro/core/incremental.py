@@ -214,6 +214,10 @@ def recheck(
     options: Optional[EngineOptions] = None,
     cached: Optional[CheckReport] = None,
     verify: bool = False,
+    old_tree=None,
+    new_tree=None,
+    old_digests: Optional[Dict[int, str]] = None,
+    new_digests: Optional[Dict[int, str]] = None,
 ) -> RecheckOutcome:
     """Re-check ``new`` given a previous report of ``old``, splicing results.
 
@@ -229,13 +233,24 @@ def recheck(
     inflated by the rule's interaction distance and splice; globally
     coupled rules re-run fully. ``verify=True`` additionally runs the cold
     full check and asserts the spliced violations match it byte-for-byte.
+
+    Each version's hierarchy tree and layer digests are built once here and
+    shared by the diff, the cache keys and the plan; a caller that already
+    holds some of them (the daemon keeps a session's) passes them in.
     """
     deck = list(rules)
     if not deck:
         raise ValueError("no rules to recheck")
     opts = options if options is not None else EngineOptions()
 
-    diff = diff_layouts(old, new)
+    diff = diff_layouts(
+        old,
+        new,
+        old_tree=old_tree,
+        new_tree=new_tree,
+        old_digests=old_digests,
+        new_digests=new_digests,
+    )
     store = resolve_store(opts)
     cache = ReportCache(store) if store is not None else None
     deck_dig = deck_digest(deck)
@@ -260,14 +275,14 @@ def recheck(
 
     if baseline is None:
         # Cold start: full check of the new version, stored for next time.
-        report = _full_check(new, deck, opts, cache, deck_dig, new_key_digests)
+        report = _full_check(diff.new_tree, deck, opts, cache, deck_dig, new_key_digests)
         disposition = {rule.name: "cold" for rule in deck}
         outcome = RecheckOutcome(report, diff, disposition, cache_hit=False)
         if verify:
             outcome.reference = report
         return outcome
 
-    plan = compile_plan(new, deck, opts, mode=MODE_WINDOWED)
+    plan = compile_plan(new, deck, opts, mode=MODE_WINDOWED, tree=diff.new_tree)
     results: List[CheckResult] = []
     disposition: Dict[str, str] = {}
     full_backend = None
@@ -333,7 +348,7 @@ def recheck(
 
     outcome = RecheckOutcome(report, diff, disposition, cache_hit=cache_hit)
     if verify:
-        reference = _full_check(new, deck, opts, None, None, None)
+        reference = _full_check(diff.new_tree, deck, opts, None, None, None)
         outcome.reference = reference
         if report.to_csv() != reference.to_csv():
             raise AssertionError(
@@ -343,18 +358,19 @@ def recheck(
 
 
 def _full_check(
-    layout: Layout,
+    tree,
     deck: List[Rule],
     opts: EngineOptions,
     cache: Optional[ReportCache],
     deck_dig: Optional[str],
     digests: Optional[Dict[int, str]],
 ) -> CheckReport:
-    """Cold full check through the regular engine path (mode respected)."""
+    """Cold full check of ``tree``'s layout through the regular engine path
+    (mode respected)."""
     from .engine import Engine
 
     with Engine(options=opts) as engine:
-        report = engine.check(layout, rules=deck)
+        report = engine.check(tree.layout, rules=deck, tree=tree)
     if cache is not None and deck_dig is not None and digests is not None:
         cache.save(report_key(deck_dig, digests), report)
     return report

@@ -47,11 +47,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # NumPy loads with the first array codec call, not with the module
+    import numpy as np
 
 from ..util import faults
 from ..util.logging import get_logger
@@ -136,11 +138,10 @@ def layer_geometry_digest(tree, layer: int) -> str:
         cell = layout.cell(name)
         hasher.update(f"cell:{name};".encode("utf-8"))
         for polygon in cell.polygons(layer):
-            coords = np.asarray(
-                [(p.x, p.y) for p in polygon.vertices], dtype=np.int64
-            )
+            coords = [c for vertex in polygon.vertices for c in vertex]
             hasher.update(b"poly:")
-            hasher.update(coords.tobytes())
+            # Native-order int64, the bytes of the (n, 2) array hashed before.
+            hasher.update(struct.pack("=%dq" % len(coords), *coords))
         for ref in cell.references:
             if tree.has_layer(ref.cell_name, layer):
                 hasher.update(b"ref:")
@@ -174,6 +175,8 @@ def member_rows_to_arrays(
     rows: Sequence[Sequence[int]],
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     """Flatten a partition's member rows into (members, offsets) arrays."""
+    import numpy as np
+
     members = np.asarray(
         [m for row in rows for m in row] or [], dtype=np.int64
     )
@@ -277,6 +280,8 @@ class PackStore:
             faults.PACKSTORE_CORRUPT, key
         ):
             _corrupt_entry(path)
+        import numpy as np
+
         try:
             raw = np.memmap(path, dtype=np.uint8, mode="r")
         except (OSError, ValueError):
@@ -322,6 +327,8 @@ class PackStore:
     def save(self, key: str, arrays: Dict[str, np.ndarray], meta: Optional[Dict[str, Any]] = None) -> None:
         """Write an entry atomically; I/O failures are swallowed (the store
         is an accelerator, never a correctness dependency)."""
+        import numpy as np
+
         specs = []
         cursor = 0
         ordered: List[Tuple[np.ndarray, int]] = []

@@ -7,7 +7,9 @@ recursive-descent reader / writer pair (:mod:`.reader`, :mod:`.writer`).
 
 The convenience :func:`read_layout` goes straight from a stream file to the
 hierarchical layout database, matching the paper's Listing 1 usage
-(``odrc::gdsii::read("path-to-gdsii")``).
+(``odrc::gdsii::read("path-to-gdsii")``); :func:`read_layout_bytes` does the
+same for bytes already in memory. Both scan the stream once, without building
+the raw object model in between.
 """
 
 from .model import (
@@ -20,7 +22,7 @@ from .model import (
     GdsStructure,
     aref_origins,
 )
-from .reader import read, read_bytes
+from .reader import read, read_bytes, walk_stream
 from .records import DataType, Record, RecordType, pack_record, unpack_records
 from .writer import write, write_bytes
 
@@ -40,6 +42,7 @@ __all__ = [
     "read",
     "read_bytes",
     "read_layout",
+    "read_layout_bytes",
     "unpack_records",
     "write",
     "write_bytes",
@@ -48,6 +51,12 @@ __all__ = [
 
 def read_layout(path):
     """Read a GDSII file directly into a :class:`repro.layout.Layout`."""
-    from ..layout.builder import layout_from_gdsii
+    with open(path, "rb") as f:
+        return read_layout_bytes(f.read())
 
-    return layout_from_gdsii(read(path))
+
+def read_layout_bytes(data: bytes):
+    """Parse in-memory GDSII stream bytes directly into a layout database."""
+    from ..layout.builder import LayoutSink
+
+    return walk_stream(data, LayoutSink())

@@ -11,6 +11,7 @@ layout database (:mod:`repro.layout`) is built from it by
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from ..errors import GdsiiError
@@ -99,9 +100,6 @@ class GdsAref:
         return ((rx - ox) // self.rows, (ry - oy) // self.rows)
 
 
-GdsElement = (GdsBoundary, GdsPath, GdsSref, GdsAref)
-
-
 @dataclasses.dataclass
 class GdsStructure:
     """BGNSTR..ENDSTR block: a named list of elements."""
@@ -173,8 +171,6 @@ def strans_angle_to_rotation(angle: float) -> int:
 
 def magnification_scalar(mag: float):
     """Convert a REAL8 MAG to an exact int/Fraction for the engine."""
-    from fractions import Fraction
-
     if mag <= 0:
         raise GdsiiError(f"non-positive magnification {mag}")
     frac = Fraction(mag).limit_denominator(1 << 20)

@@ -1,16 +1,21 @@
-"""GDSII stream reader.
+"""GDSII stream reader: one scan of the buffer, one grammar, any sink.
 
-Parses the flat record stream into the raw object model of
-:mod:`repro.gdsii.model`, enforcing the recursive grammar of the paper's
-Fig. 2 (library -> structure* -> element*). The reader is strict: malformed
-nesting, missing mandatory records, or unknown record types raise
-:class:`~repro.errors.GdsiiError` with the offending context.
+:func:`walk_stream` moves a :class:`~repro.gdsii.records.RecordCursor` over
+the stream bytes once, enforcing the recursive grammar of the paper's Fig. 2
+(library -> structure* -> element*), and hands every structure and element
+to a *sink* as it is recognised. :func:`read_bytes` plugs in the sink that
+keeps the raw object model of :mod:`repro.gdsii.model`;
+:func:`repro.gdsii.read_layout_bytes` plugs in
+:class:`repro.layout.builder.LayoutSink`, which fills the layout database
+directly. The reader is strict: malformed nesting, missing mandatory
+records, or unknown record types raise :class:`~repro.errors.GdsiiError`
+with the offending context.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Union
+from typing import Dict, List, Tuple, Union
 
 from ..errors import GdsiiError
 from .model import (
@@ -22,7 +27,22 @@ from .model import (
     GdsStrans,
     GdsStructure,
 )
-from .records import Record, RecordType, unpack_records
+from .records import END_OF_STREAM, RecordCursor, RecordType
+
+(
+    _HEADER, _BGNLIB, _LIBNAME, _UNITS, _ENDLIB, _BGNSTR, _STRNAME, _ENDSTR,
+    _BOUNDARY, _PATH, _SREF, _AREF, _TEXT, _LAYER, _DATATYPE, _WIDTH, _XY,
+    _ENDEL, _SNAME, _COLROW, _STRING, _STRANS, _MAG, _ANGLE, _PATHTYPE,
+    _PROPATTR, _PROPVALUE,
+) = (
+    int(RecordType[name])
+    for name in (
+        "HEADER", "BGNLIB", "LIBNAME", "UNITS", "ENDLIB", "BGNSTR", "STRNAME",
+        "ENDSTR", "BOUNDARY", "PATH", "SREF", "AREF", "TEXT", "LAYER",
+        "DATATYPE", "WIDTH", "XY", "ENDEL", "SNAME", "COLROW", "STRING",
+        "STRANS", "MAG", "ANGLE", "PATHTYPE", "PROPATTR", "PROPVALUE",
+    )
+)  # fmt: skip
 
 
 def read(path: Union[str, "os.PathLike"]) -> GdsLibrary:
@@ -32,195 +52,212 @@ def read(path: Union[str, "os.PathLike"]) -> GdsLibrary:
 
 
 def read_bytes(data: bytes) -> GdsLibrary:
-    """Parse in-memory GDSII stream bytes."""
-    records = unpack_records(data)
-    if not records:
-        raise GdsiiError("empty GDSII stream")
-    return _Parser(records).parse_library()
+    """Parse in-memory GDSII stream bytes into the raw object model."""
+    return walk_stream(data, _ModelSink())
 
 
-class _Parser:
-    """Recursive-descent parser over the decoded record list."""
+class _ModelSink:
+    """Keeps what the walk emits as a :class:`GdsLibrary`."""
 
-    def __init__(self, records: List[Record]) -> None:
-        self._records = records
-        self._pos = 0
-
-    # -- token helpers ------------------------------------------------------
-
-    def _peek(self) -> Record:
-        if self._pos >= len(self._records):
-            raise GdsiiError("unexpected end of GDSII stream")
-        return self._records[self._pos]
-
-    def _next(self) -> Record:
-        record = self._peek()
-        self._pos += 1
-        return record
-
-    def _expect(self, rtype: RecordType) -> Record:
-        record = self._next()
-        if record.record_type is not rtype:
-            raise GdsiiError(
-                f"expected {rtype.name} record, found {record.record_type.name} "
-                f"(record #{self._pos - 1})"
-            )
-        return record
-
-    def _accept(self, rtype: RecordType):
-        if self._pos < len(self._records) and self._peek().record_type is rtype:
-            return self._next()
-        return None
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse_library(self) -> GdsLibrary:
-        self._expect(RecordType.HEADER)
-        bgnlib = self._expect(RecordType.BGNLIB)
-        name = self._expect(RecordType.LIBNAME).text
-        units = self._expect(RecordType.UNITS).reals
-        if len(units) != 2:
-            raise GdsiiError(f"UNITS record must hold 2 reals, got {len(units)}")
-        library = GdsLibrary(
+    def begin_library(self, name, user_unit, meters_per_unit, timestamp) -> None:
+        self.library = GdsLibrary(
             name=name,
-            user_unit=units[0],
-            meters_per_unit=units[1],
-            timestamp=tuple(bgnlib.ints[:6]),
-        )
-        while True:
-            record = self._next()
-            if record.record_type is RecordType.ENDLIB:
-                break
-            if record.record_type is not RecordType.BGNSTR:
-                raise GdsiiError(
-                    f"expected BGNSTR or ENDLIB at library level, found "
-                    f"{record.record_type.name}"
-                )
-            library.structures.append(self._parse_structure(record))
-        library.validate_references()
-        return library
-
-    def _parse_structure(self, bgnstr: Record) -> GdsStructure:
-        name = self._expect(RecordType.STRNAME).text
-        structure = GdsStructure(name=name, timestamp=tuple(bgnstr.ints[:6]))
-        while True:
-            record = self._next()
-            rtype = record.record_type
-            if rtype is RecordType.ENDSTR:
-                break
-            if rtype is RecordType.BOUNDARY:
-                structure.elements.append(self._parse_boundary())
-            elif rtype is RecordType.PATH:
-                structure.elements.append(self._parse_path())
-            elif rtype is RecordType.SREF:
-                structure.elements.append(self._parse_sref())
-            elif rtype is RecordType.AREF:
-                structure.elements.append(self._parse_aref())
-            elif rtype is RecordType.TEXT:
-                self._skip_element()  # texts carry no DRC geometry
-            else:
-                raise GdsiiError(
-                    f"unexpected {rtype.name} record inside structure {name!r}"
-                )
-        return structure
-
-    # -- elements -----------------------------------------------------------
-
-    def _parse_boundary(self) -> GdsBoundary:
-        layer = self._expect(RecordType.LAYER).ints[0]
-        datatype = self._expect(RecordType.DATATYPE).ints[0]
-        xy = self._parse_xy()
-        if len(xy) < 4:
-            raise GdsiiError("BOUNDARY with fewer than 4 points")
-        if xy[0] != xy[-1]:
-            raise GdsiiError("BOUNDARY XY list must repeat the first point")
-        properties = self._parse_properties()
-        self._expect(RecordType.ENDEL)
-        return GdsBoundary(layer=layer, datatype=datatype, xy=xy[:-1], properties=properties)
-
-    def _parse_path(self) -> GdsPath:
-        layer = self._expect(RecordType.LAYER).ints[0]
-        datatype = self._expect(RecordType.DATATYPE).ints[0]
-        pathtype_rec = self._accept(RecordType.PATHTYPE)
-        pathtype = pathtype_rec.ints[0] if pathtype_rec else 0
-        width_rec = self._accept(RecordType.WIDTH)
-        width = width_rec.ints[0] if width_rec else 0
-        xy = self._parse_xy()
-        if len(xy) < 2:
-            raise GdsiiError("PATH with fewer than 2 points")
-        properties = self._parse_properties()
-        self._expect(RecordType.ENDEL)
-        return GdsPath(
-            layer=layer,
-            datatype=datatype,
-            width=width,
-            xy=xy,
-            pathtype=pathtype,
-            properties=properties,
+            user_unit=user_unit,
+            meters_per_unit=meters_per_unit,
+            timestamp=timestamp,
         )
 
-    def _parse_sref(self) -> GdsSref:
-        sname = self._expect(RecordType.SNAME).text
-        strans = self._parse_strans()
-        xy = self._parse_xy()
-        if len(xy) != 1:
-            raise GdsiiError(f"SREF XY must hold exactly 1 point, got {len(xy)}")
-        properties = self._parse_properties()
-        self._expect(RecordType.ENDEL)
-        return GdsSref(sname=sname, origin=xy[0], strans=strans, properties=properties)
+    def begin_structure(self, name: str, timestamp: Tuple[int, ...]) -> None:
+        structure = GdsStructure(name=name, timestamp=timestamp)
+        self.library.structures.append(structure)
+        self.element = structure.elements.append
 
-    def _parse_aref(self) -> GdsAref:
-        sname = self._expect(RecordType.SNAME).text
-        strans = self._parse_strans()
-        colrow = self._expect(RecordType.COLROW).ints
-        if len(colrow) != 2:
-            raise GdsiiError("COLROW must hold exactly 2 int16 values")
-        xy = self._parse_xy()
-        if len(xy) != 3:
-            raise GdsiiError(f"AREF XY must hold exactly 3 points, got {len(xy)}")
-        properties = self._parse_properties()
-        self._expect(RecordType.ENDEL)
-        return GdsAref(
-            sname=sname,
-            columns=colrow[0],
-            rows=colrow[1],
-            xy=xy,
-            strans=strans,
-            properties=properties,
-        )
+    def finish(self) -> GdsLibrary:
+        self.library.validate_references()
+        return self.library
 
-    # -- shared pieces --------------------------------------------------------
 
-    def _parse_strans(self) -> GdsStrans:
-        strans = GdsStrans()
-        record = self._accept(RecordType.STRANS)
-        if record is None:
-            return strans
-        assert isinstance(record.payload, bytes)
-        strans.mirror_x = bool(record.payload[0] & 0x80)
-        mag = self._accept(RecordType.MAG)
-        if mag is not None:
-            strans.magnification = mag.reals[0]
-        angle = self._accept(RecordType.ANGLE)
-        if angle is not None:
-            strans.angle = angle.reals[0]
-        return strans
+def walk_stream(data: bytes, sink):
+    """Scan ``data`` once and feed ``sink``; returns ``sink.finish()``.
 
-    def _parse_xy(self):
-        flat = self._expect(RecordType.XY).ints
-        if len(flat) % 2:
-            raise GdsiiError("XY record with an odd coordinate count")
-        return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+    A sink has ``begin_library(name, user_unit, meters_per_unit, timestamp)``,
+    ``begin_structure(name, timestamp)``, ``element(gds_element)`` (called
+    with a :mod:`~repro.gdsii.model` element of the structure begun last)
+    and ``finish()``. TEXT elements carry no DRC geometry and are skipped.
+    """
+    cur = RecordCursor(data)
+    _read(cur, _HEADER)
+    timestamp = tuple(_read(cur, _BGNLIB)[:6])
+    name = _read(cur, _LIBNAME)
+    units = _read(cur, _UNITS)
+    if len(units) != 2:
+        raise GdsiiError(f"UNITS record must hold 2 reals, got {len(units)}")
+    sink.begin_library(name, units[0], units[1], timestamp)
+    while True:
+        rtype = cur.advance()
+        if rtype == _ENDLIB:
+            return sink.finish()
+        if rtype != _BGNSTR:
+            raise _unexpected(cur, rtype, "BGNSTR or ENDLIB at library level")
+        timestamp = tuple(cur.payload()[:6])
+        name = _read(cur, _STRNAME)
+        sink.begin_structure(name, timestamp)
+        _walk_structure(cur, name, sink.element)
 
-    def _parse_properties(self):
-        properties = {}
-        while True:
-            attr = self._accept(RecordType.PROPATTR)
-            if attr is None:
-                return properties
-            value = self._expect(RecordType.PROPVALUE)
-            properties[attr.ints[0]] = value.text
 
-    def _skip_element(self) -> None:
-        while self._next().record_type is not RecordType.ENDEL:
-            pass
+def _walk_structure(cur: RecordCursor, name: str, emit) -> None:
+    while True:
+        rtype = cur.advance()
+        if rtype == _BOUNDARY:
+            emit(_boundary(cur))
+        elif rtype == _SREF:
+            emit(_sref(cur))
+        elif rtype == _ENDSTR:
+            return
+        elif rtype == _PATH:
+            emit(_path(cur))
+        elif rtype == _AREF:
+            emit(_aref(cur))
+        elif rtype == _TEXT:
+            _skip_element(cur)
+        else:
+            raise _unexpected(cur, rtype, f"an element or ENDSTR inside structure {name!r}")
+
+
+# -- elements ---------------------------------------------------------------
+
+
+def _boundary(cur: RecordCursor) -> GdsBoundary:
+    layer = _scalar(cur, _LAYER)
+    datatype = _scalar(cur, _DATATYPE)
+    xy = _points(_read(cur, _XY))
+    if len(xy) < 4:
+        raise GdsiiError("BOUNDARY with fewer than 4 points")
+    if xy[0] != xy[-1]:
+        raise GdsiiError("BOUNDARY XY list must repeat the first point")
+    del xy[-1]
+    return GdsBoundary(layer, datatype, xy, _properties(cur))
+
+
+def _path(cur: RecordCursor) -> GdsPath:
+    layer = _scalar(cur, _LAYER)
+    datatype = _scalar(cur, _DATATYPE)
+    pathtype = width = 0
+    rtype = cur.advance()
+    if rtype == _PATHTYPE:
+        pathtype = _first(cur)
+        rtype = cur.advance()
+    if rtype == _WIDTH:
+        width = _first(cur)
+        rtype = cur.advance()
+    _require(cur, rtype, _XY)
+    xy = _points(cur.payload())
+    if len(xy) < 2:
+        raise GdsiiError("PATH with fewer than 2 points")
+    return GdsPath(layer, datatype, width, xy, pathtype, _properties(cur))
+
+
+def _sref(cur: RecordCursor) -> GdsSref:
+    sname = _read(cur, _SNAME)
+    strans, rtype = _strans(cur)
+    _require(cur, rtype, _XY)
+    xy = _points(cur.payload())
+    if len(xy) != 1:
+        raise GdsiiError(f"SREF XY must hold exactly 1 point, got {len(xy)}")
+    return GdsSref(sname, xy[0], strans, _properties(cur))
+
+
+def _aref(cur: RecordCursor) -> GdsAref:
+    sname = _read(cur, _SNAME)
+    strans, rtype = _strans(cur)
+    _require(cur, rtype, _COLROW)
+    colrow = cur.payload()
+    if len(colrow) != 2:
+        raise GdsiiError("COLROW must hold exactly 2 int16 values")
+    xy = _points(_read(cur, _XY))
+    if len(xy) != 3:
+        raise GdsiiError(f"AREF XY must hold exactly 3 points, got {len(xy)}")
+    return GdsAref(sname, colrow[0], colrow[1], xy, strans, _properties(cur))
+
+
+# -- shared pieces ------------------------------------------------------------
+
+
+def _strans(cur: RecordCursor) -> Tuple[GdsStrans, int]:
+    """The optional STRANS [MAG] [ANGLE] group, and the record type after it."""
+    strans = GdsStrans()
+    rtype = cur.advance()
+    if rtype != _STRANS:
+        return strans, rtype
+    strans.mirror_x = bool(cur.payload()[0] & 0x80)
+    rtype = cur.advance()
+    if rtype == _MAG:
+        strans.magnification = _first(cur)
+        rtype = cur.advance()
+    if rtype == _ANGLE:
+        strans.angle = _first(cur)
+        rtype = cur.advance()
+    return strans, rtype
+
+
+def _first(cur: RecordCursor):
+    """The value of the current, single-valued record (WIDTH, MAG...)."""
+    values = cur.payload()
+    if not values:
+        raise GdsiiError(f"record at offset {cur.start - 4} has an empty payload")
+    return values[0]
+
+
+def _points(flat: List[int]) -> List[Tuple[int, int]]:
+    if len(flat) % 2:
+        raise GdsiiError("XY record with an odd coordinate count")
+    return list(zip(flat[0::2], flat[1::2]))
+
+
+def _properties(cur: RecordCursor) -> Dict[int, str]:
+    """The PROPATTR/PROPVALUE pairs that end an element, through its ENDEL."""
+    properties: Dict[int, str] = {}
+    rtype = cur.advance()
+    while rtype == _PROPATTR:
+        attr = _first(cur)
+        properties[attr] = _read(cur, _PROPVALUE)
+        rtype = cur.advance()
+    _require(cur, rtype, _ENDEL)
+    return properties
+
+
+def _skip_element(cur: RecordCursor) -> None:
+    """Pass over a TEXT element; its strings must still be ASCII."""
+    while True:
+        rtype = cur.advance()
+        if rtype == _ENDEL:
+            return
+        if rtype == END_OF_STREAM:
+            raise _unexpected(cur, rtype, "ENDEL")
+        if rtype == _STRING or rtype == _PROPVALUE:
+            cur.payload()
+
+
+def _read(cur: RecordCursor, wanted: int):
+    """Step to the next record, which must be of type ``wanted``; its payload."""
+    _require(cur, cur.advance(), wanted)
+    return cur.payload()
+
+
+def _scalar(cur: RecordCursor, wanted: int):
+    """:func:`_read` for a single-valued record (LAYER, DATATYPE...)."""
+    _require(cur, cur.advance(), wanted)
+    return _first(cur)
+
+
+def _require(cur: RecordCursor, rtype: int, wanted: int) -> None:
+    if rtype != wanted:
+        raise _unexpected(cur, rtype, RecordType(wanted).name)
+
+
+def _unexpected(cur: RecordCursor, rtype: int, wanted: str) -> GdsiiError:
+    if rtype == END_OF_STREAM:
+        return GdsiiError(f"unexpected end of GDSII stream (expected {wanted})")
+    return GdsiiError(
+        f"expected {wanted}, found {RecordType(rtype).name} (record at offset {cur.start - 4})"
+    )

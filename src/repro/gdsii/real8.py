@@ -20,7 +20,11 @@ def decode_real8(data: bytes) -> float:
     """Decode 8 bytes of excess-64 real data to a Python float."""
     if len(data) != 8:
         raise ValueError(f"REAL8 needs exactly 8 bytes, got {len(data)}")
-    word = int.from_bytes(data, "big")
+    return real8_from_word(int.from_bytes(data, "big"))
+
+
+def real8_from_word(word: int) -> float:
+    """Decode a REAL8 already read as one big-endian 64-bit word."""
     sign = -1.0 if word >> 63 else 1.0
     exponent = ((word >> _MANTISSA_BITS) & 0x7F) - _EXPONENT_EXCESS
     mantissa = word & (_MANTISSA_SCALE - 1)

@@ -5,7 +5,9 @@ big-endian length (including the 4-byte header), a 1-byte record type, and a
 1-byte data type, followed by payload. The recursive structure of Fig. 2 in
 the paper (library -> structures -> elements -> structure references) is a
 grammar *over* this flat record stream; :mod:`repro.gdsii.reader` implements
-that grammar.
+that grammar on top of :class:`RecordCursor`, which walks the records of a
+``bytes`` buffer in place. :class:`Record` and :func:`unpack_records` are the
+materialised view of the same walk, for the writer, the tests and tools.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import struct
 from typing import List, NamedTuple, Sequence, Union
 
 from ..errors import GdsiiError
-from .real8 import decode_real8, encode_real8
+from .real8 import encode_real8, real8_from_word
 
 
 class RecordType(enum.IntEnum):
@@ -107,50 +109,41 @@ class Record(NamedTuple):
     data_type: DataType
     payload: Payload
 
-    @property
-    def ints(self) -> List[int]:
-        if not isinstance(self.payload, list):
-            raise GdsiiError(f"{self.record_type.name} carries no integer payload")
-        return self.payload  # type: ignore[return-value]
 
-    @property
-    def reals(self) -> List[float]:
-        if self.data_type is not DataType.REAL8 or not isinstance(self.payload, list):
-            raise GdsiiError(f"{self.record_type.name} carries no REAL8 payload")
-        return self.payload  # type: ignore[return-value]
+#: Data type byte -> (base, step): a legal payload of that type is
+#: ``base + k * step`` bytes long. A step longer than any record fixes the
+#: size at ``base`` (NO_DATA: nothing, BIT_ARRAY: one 16-bit word).
+_PAYLOAD_SIZE = ((0, 1 << 16), (2, 1 << 16), (0, 2), (0, 4), (0, 4), (0, 8), (0, 1))
+_NO_DATA, _BIT_ARRAY, _INT16, _INT32, _REAL4, _REAL8, _ASCII = range(7)
 
-    @property
-    def text(self) -> str:
-        if not isinstance(self.payload, str):
-            raise GdsiiError(f"{self.record_type.name} carries no ASCII payload")
-        return self.payload
+
+def _decode(dtype: int, data: bytes, start: int, end: int) -> Payload:
+    """Decode ``data[start:end]``, a payload of a legal size for ``dtype``."""
+    if dtype == _INT16:
+        return list(struct.unpack_from(">%dh" % ((end - start) >> 1), data, start))
+    if dtype == _INT32:
+        return list(struct.unpack_from(">%di" % ((end - start) >> 2), data, start))
+    if dtype == _ASCII:
+        try:
+            return data[start:end].rstrip(b"\x00").decode("ascii")
+        except UnicodeDecodeError:
+            raise GdsiiError(f"non-ASCII bytes in {data[start:end]!r}") from None
+    if dtype == _REAL8:
+        words = struct.unpack_from(">%dQ" % ((end - start) >> 3), data, start)
+        return [real8_from_word(word) for word in words]
+    if dtype == _BIT_ARRAY:
+        return data[start:end]
+    if dtype == _NO_DATA:
+        return None
+    raise GdsiiError(f"unsupported data type {dtype!r}")
 
 
 def decode_payload(data_type: DataType, raw: bytes) -> Payload:
     """Decode a record payload according to its data type."""
-    if data_type is DataType.NO_DATA:
-        if raw:
-            raise GdsiiError("NO_DATA record with a non-empty payload")
-        return None
-    if data_type is DataType.BIT_ARRAY:
-        if len(raw) != 2:
-            raise GdsiiError(f"BIT_ARRAY payload must be 2 bytes, got {len(raw)}")
-        return raw
-    if data_type is DataType.INT16:
-        if len(raw) % 2:
-            raise GdsiiError("INT16 payload length is odd")
-        return list(struct.unpack(f">{len(raw) // 2}h", raw))
-    if data_type is DataType.INT32:
-        if len(raw) % 4:
-            raise GdsiiError("INT32 payload length is not a multiple of 4")
-        return list(struct.unpack(f">{len(raw) // 4}i", raw))
-    if data_type is DataType.REAL8:
-        if len(raw) % 8:
-            raise GdsiiError("REAL8 payload length is not a multiple of 8")
-        return [decode_real8(raw[i : i + 8]) for i in range(0, len(raw), 8)]
-    if data_type is DataType.ASCII:
-        return raw.rstrip(b"\x00").decode("ascii")
-    raise GdsiiError(f"unsupported data type {data_type!r}")
+    base, step = _PAYLOAD_SIZE[data_type]
+    if (len(raw) - base) % step:
+        raise GdsiiError(f"{len(raw)} bytes is not a legal {data_type.name} payload size")
+    return _decode(data_type, raw, 0, len(raw))
 
 
 def encode_payload(data_type: DataType, payload: Payload) -> bytes:
@@ -187,36 +180,86 @@ def pack_record(record: Record) -> bytes:
     return struct.pack(">HBB", length, record.record_type, record.data_type) + body
 
 
+#: :meth:`RecordCursor.advance` past the last record.
+END_OF_STREAM = -1
+
+_HEADER = struct.Struct(">HBB")
+#: Record type byte -> the data type byte it must carry (-1: unknown type).
+_EXPECTED = [-1] * 256
+for _rtype, _dtype in EXPECTED_DATA_TYPE.items():
+    _EXPECTED[_rtype] = int(_dtype)
+
+
+class RecordCursor:
+    """Walks the records of a stream buffer in place, one header at a time.
+
+    :meth:`advance` validates every record it steps onto (length inside the
+    buffer, known record type, the data type that record type must carry, a
+    payload size legal for that data type) and leaves the payload at
+    ``data[start:end]``; :meth:`payload` decodes it straight from the
+    buffer, so no per-record object is built.
+    """
+
+    __slots__ = ("data", "size", "offset", "dtype", "start", "end")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.size = len(data)
+        self.offset = 0  # of the record after the current one
+        self.dtype = self.start = self.end = 0
+
+    def advance(self) -> int:
+        """Step to the next record and return its type byte.
+
+        Returns :data:`END_OF_STREAM` when fewer than four bytes remain or
+        at a zero length (null padding after ENDLIB).
+        """
+        offset = self.offset
+        if offset + 4 > self.size:
+            return END_OF_STREAM
+        length, rtype, dtype = _HEADER.unpack_from(self.data, offset)
+        if length == 0:
+            return END_OF_STREAM
+        end = offset + length
+        if length < 4 or end > self.size:
+            raise GdsiiError(f"record at offset {offset} has bad length {length}")
+        expected = _EXPECTED[rtype]
+        if expected < 0:
+            raise GdsiiError(f"unknown record type 0x{rtype:02X} at offset {offset}")
+        if dtype != expected:
+            raise GdsiiError(
+                f"{RecordType(rtype).name} record at offset {offset} carries data "
+                f"type 0x{dtype:02X}, expected {DataType(expected).name}"
+            )
+        base, step = _PAYLOAD_SIZE[dtype]
+        if (length - 4 - base) % step:
+            raise GdsiiError(
+                f"{RecordType(rtype).name} record at offset {offset}: {length - 4} "
+                f"bytes is not a legal {DataType(dtype).name} payload size"
+            )
+        self.dtype = dtype
+        self.start = offset + 4
+        self.end = self.offset = end
+        return rtype
+
+    def payload(self) -> Payload:
+        """The current record's payload, decoded for its data type."""
+        return _decode(self.dtype, self.data, self.start, self.end)
+
+
 def unpack_records(data: bytes) -> List[Record]:
     """Split stream bytes into decoded records; stops at ENDLIB or end of data."""
     records: List[Record] = []
-    offset = 0
-    size = len(data)
-    while offset + 4 <= size:
-        length, rtype_raw, dtype_raw = struct.unpack_from(">HBB", data, offset)
-        if length == 0:
-            break  # trailing null padding after ENDLIB
-        if length < 4 or offset + length > size:
-            raise GdsiiError(f"record at offset {offset} has bad length {length}")
-        try:
-            rtype = RecordType(rtype_raw)
-        except ValueError:
-            raise GdsiiError(f"unknown record type 0x{rtype_raw:02X} at offset {offset}") from None
-        try:
-            dtype = DataType(dtype_raw)
-        except ValueError:
-            raise GdsiiError(f"unknown data type 0x{dtype_raw:02X} at offset {offset}") from None
-        expected = EXPECTED_DATA_TYPE[rtype]
-        if dtype is not expected:
-            raise GdsiiError(
-                f"{rtype.name} record carries {dtype.name} payload, expected {expected.name}"
-            )
-        payload = decode_payload(dtype, data[offset + 4 : offset + length])
-        records.append(Record(rtype, dtype, payload))
-        offset += length
+    cursor = RecordCursor(data)
+    while True:
+        rtype_raw = cursor.advance()
+        if rtype_raw == END_OF_STREAM:
+            return records
+        rtype = RecordType(rtype_raw)
+        dtype = EXPECTED_DATA_TYPE[rtype]
+        records.append(Record(rtype, dtype, decode_payload(dtype, data[cursor.start : cursor.end])))
         if rtype is RecordType.ENDLIB:
-            break
-    return records
+            return records
 
 
 def make_record(rtype: RecordType, payload: Payload = None) -> Record:

@@ -70,6 +70,19 @@ class Polygon:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _normalised(cls, vertices: Tuple[Point, ...], name: str = "") -> "Polygon":
+        """Wrap ``vertices`` exactly as given: no merge, validation or reorder.
+
+        Only for callers that have established the constructor would store
+        this very tuple (open ring, maximal edges, valid, clockwise).
+        """
+        polygon = cls.__new__(cls)
+        polygon.vertices = vertices
+        polygon.name = name
+        polygon._mbr = None
+        return polygon
+
+    @classmethod
     def from_rect(cls, rect: Rect, *, name: str = "") -> "Polygon":
         """Rectangle polygon covering ``rect`` (which must be non-degenerate)."""
         if rect.is_empty or rect.width == 0 or rect.height == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..geometry import EMPTY_RECT, Rect, Transform, union_all
+from ..geometry import EMPTY_RECT, Rect, Transform
 from ..layout.cell import Cell, CellReference
 from ..layout.library import Layout
 
@@ -39,7 +39,13 @@ class HierarchyTree:
         for cell in self.layout.topological_order():
             mbrs: Dict[int, Rect] = {}
             for layer in cell.local_layers():
-                mbrs[layer] = union_all(p.mbr for p in cell.polygons(layer))
+                xs: List[int] = []
+                ys: List[int] = []
+                for polygon in cell.polygons(layer):
+                    for x, y in polygon.vertices:
+                        xs.append(x)
+                        ys.append(y)
+                mbrs[layer] = Rect(min(xs), min(ys), max(xs), max(ys)) if xs else EMPTY_RECT
             for ref in cell.references:
                 child_mbrs = self._layer_mbrs[ref.cell_name]
                 for layer, child_rect in child_mbrs.items():

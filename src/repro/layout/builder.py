@@ -1,9 +1,10 @@
 """Conversions between the GDSII stream model and the layout database.
 
-``layout_from_gdsii`` turns raw stream structures into cells (converting
+:class:`LayoutSink` turns GDSII structures and elements into cells (converting
 PATH elements to their outline polygons, since DRC operates on filled
-geometry), and ``gdsii_from_layout`` serializes a layout back, so that
-workload layouts can be persisted as genuine GDSII files and re-read.
+geometry) — fed by the stream reader directly, or by ``layout_from_gdsii``
+from a parsed library — and ``gdsii_from_layout`` serializes a layout back,
+so that workload layouts can be persisted as genuine GDSII files and re-read.
 """
 
 from __future__ import annotations
@@ -29,35 +30,85 @@ from .library import Layout
 
 def layout_from_gdsii(library: GdsLibrary) -> Layout:
     """Build a hierarchical layout database from a parsed GDSII library."""
-    library.validate_references()
-    layout = Layout(
-        library.name,
-        meters_per_unit=library.meters_per_unit,
-        user_unit=library.user_unit,
+    sink = LayoutSink()
+    sink.begin_library(
+        library.name, library.user_unit, library.meters_per_unit, library.timestamp
     )
     for structure in library.structures:
-        cell = layout.new_cell(structure.name)
+        sink.begin_structure(structure.name, structure.timestamp)
         for element in structure.elements:
-            if isinstance(element, GdsBoundary):
-                polygon = Polygon(
-                    [Point(x, y) for x, y in element.xy],
-                    name=element.properties.get(1, ""),
+            sink.element(element)
+    return sink.finish()
+
+
+class LayoutSink:
+    """Turns GDSII structures and elements into cells, as they arrive.
+
+    The one element -> cell conversion: :func:`repro.gdsii.reader.walk_stream`
+    feeds it straight from the stream bytes, :func:`layout_from_gdsii` from a
+    :class:`GdsLibrary`. PATH elements become their outline polygons, since
+    DRC operates on filled geometry.
+    """
+
+    def begin_library(self, name, user_unit, meters_per_unit, timestamp) -> None:
+        self.layout = Layout(name, meters_per_unit=meters_per_unit, user_unit=user_unit)
+
+    def begin_structure(self, name: str, timestamp) -> None:
+        self._cell = self.layout.new_cell(name)
+
+    def element(self, element) -> None:
+        cell = self._cell
+        if isinstance(element, GdsBoundary):
+            polygon = _boundary_polygon(element.xy, element.properties.get(1, ""))
+            cell.add_polygon(element.layer, polygon)
+        elif isinstance(element, GdsPath):
+            polygon = path_outline(element.xy, element.width)
+            polygon.name = element.properties.get(1, "")
+            cell.add_polygon(element.layer, polygon)
+        elif isinstance(element, GdsSref):
+            cell.add_reference(
+                CellReference(element.sname, _transform_from_strans(element))
+            )
+        elif isinstance(element, GdsAref):
+            cell.add_reference(_reference_from_aref(element))
+        else:
+            raise GdsiiError(f"unsupported element {type(element).__name__}")
+
+    def finish(self) -> Layout:
+        cells = self.layout.cells
+        for cell, ref in self.layout.iter_references():
+            if ref.cell_name not in cells:
+                raise GdsiiError(
+                    f"structure {cell.name!r} references undefined structure "
+                    f"{ref.cell_name!r}"
                 )
-                cell.add_polygon(element.layer, polygon)
-            elif isinstance(element, GdsPath):
-                polygon = path_outline(element.xy, element.width)
-                polygon.name = element.properties.get(1, "")
-                cell.add_polygon(element.layer, polygon)
-            elif isinstance(element, GdsSref):
-                cell.add_reference(
-                    CellReference(element.sname, _transform_from_strans(element))
-                )
-            elif isinstance(element, GdsAref):
-                cell.add_reference(_reference_from_aref(element))
-            else:  # pragma: no cover - the reader only emits the above
-                raise GdsiiError(f"unsupported element {type(element).__name__}")
-    layout.validate()
-    return layout
+        self.layout.validate()
+        return self.layout
+
+
+def _boundary_polygon(xy, name: str) -> Polygon:
+    """``Polygon(xy, name=name)``, with a shortcut for plain rectangles.
+
+    A 4-point open ring whose edges alternate between the axes, with two
+    distinct x and two distinct y values, is exactly a ring the validating
+    constructor stores unchanged but for orientation: nothing to merge
+    (every corner turns), four distinct vertices, no zero-length or
+    diagonal edge, non-zero area. Those skip the general validator; every
+    other ring goes through it, so it accepts and rejects what it always did.
+    """
+    if len(xy) == 4:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = xy
+        if (
+            (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0)
+            or (y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0)
+        ) and x0 != x2 and y0 != y2:
+            # Twice the signed Shoelace area; positive is counter-clockwise.
+            if (x0 - x2) * (y1 - y3) - (x1 - x3) * (y0 - y2) > 0:
+                ring = (Point(x3, y3), Point(x2, y2), Point(x1, y1), Point(x0, y0))
+            else:
+                ring = (Point(x0, y0), Point(x1, y1), Point(x2, y2), Point(x3, y3))
+            return Polygon._normalised(ring, name)
+    return Polygon([Point(x, y) for x, y in xy], name=name)
 
 
 def gdsii_from_layout(layout: Layout) -> GdsLibrary:
@@ -185,20 +236,13 @@ def _transform_from_strans(element) -> Transform:
 
 
 def _reference_from_aref(element: GdsAref) -> CellReference:
-    transform = Transform(
-        dx=element.origin[0],
-        dy=element.origin[1],
-        rotation=strans_angle_to_rotation(element.strans.angle),
-        mirror_x=element.strans.mirror_x,
-        magnification=magnification_scalar(element.strans.magnification),
-    )
     repetition = Repetition(
         columns=element.columns,
         rows=element.rows,
         column_step=element.column_step,
         row_step=element.row_step,
     )
-    return CellReference(element.sname, transform, repetition)
+    return CellReference(element.sname, _transform_from_strans(element), repetition)
 
 
 def _element_from_reference(ref: CellReference):

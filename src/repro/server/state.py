@@ -63,11 +63,9 @@ from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..gdsii import read_layout
-from ..gdsii.reader import read_bytes
+from ..gdsii import read_layout, read_layout_bytes
 from ..geometry import Rect
 from ..hierarchy.tree import HierarchyTree
-from ..layout.builder import layout_from_gdsii
 from ..layout.library import Layout
 from ..core import costmodel
 from ..core.engine import Engine, EngineOptions
@@ -476,9 +474,7 @@ class ServerState:
         if (path is None) == (data is None):
             raise BadRequestError("provide exactly one of a GDS path or GDS bytes")
         try:
-            layout = (
-                read_layout(path) if path is not None else layout_from_gdsii(read_bytes(data))
-            )
+            layout = read_layout(path) if path is not None else read_layout_bytes(data)
             if top:
                 layout.set_top(top)
         except ReproError as error:
@@ -842,6 +838,10 @@ class ServerState:
                 options=self.engine.options,
                 cached=session.last_report,
                 verify=verify,
+                old_tree=session.tree,
+                new_tree=new_tree,
+                old_digests=session.digests,
+                new_digests=new_digests,
             )
             with self._lock:
                 session.layout = new_layout

@@ -360,6 +360,18 @@ class TestRecheckCommand:
         assert "windowed" in out
         assert "verify: spliced report matches the cold full check" in out
 
+    def test_recheck_builds_each_versions_tree_once(
+        self, edited_gds_pair, tmp_path, capsys, built_trees
+    ):
+        old, new = edited_gds_pair
+        cache = str(tmp_path / "cache")
+        main(["check", old, "--top", "top", "--cache-dir", cache])
+        built_trees.clear()
+        main(["recheck", old, new, "--top", "top", "--cache-dir", cache])
+        assert "baseline: report cache" in capsys.readouterr().out
+        # One tree per version, shared by the diff, the digests and the plan.
+        assert len(built_trees) == 2 and built_trees[0] is not built_trees[1]
+
     def test_recheck_cold_without_cache(self, edited_gds_pair, capsys):
         old, new = edited_gds_pair
         code = main(["recheck", old, new, "--top", "top"])

@@ -48,6 +48,27 @@ class TestDiffLayouts:
         assert diff.dirty_layers() == [2]
         assert diff.dirty[2].overlaps(removed.mbr)
 
+    def test_given_trees_and_digests_are_used_and_carried(self):
+        from repro.core.packstore import layer_geometry_digest
+        from repro.hierarchy.tree import HierarchyTree
+
+        old, new = small_layout(), small_layout()
+        new.top_cell().add_polygon(3, Polygon.from_rect_coords(10, 100, 30, 120))
+        old_tree, new_tree = HierarchyTree(old), HierarchyTree(new)
+        # Each side hands over digests of its own layers only; layer 3 of
+        # the old version is filled in by the diff.
+        old_digests = {L: layer_geometry_digest(old_tree, L) for L in old.layers()}
+        new_digests = {L: layer_geometry_digest(new_tree, L) for L in new.layers()}
+        diff = diff_layouts(
+            old, new, old_tree=old_tree, new_tree=new_tree,
+            old_digests=old_digests, new_digests=new_digests,
+        )
+        assert diff.old_tree is old_tree and diff.new_tree is new_tree
+        plain = diff_layouts(old, new)
+        assert (diff.old_digests, diff.new_digests) == (plain.old_digests, plain.new_digests)
+        assert diff.dirty_layers() == plain.dirty_layers() == [3]
+        assert plain.new_tree.layout is new
+
     def test_child_edit_dirties_every_instance(self):
         old, new = small_layout(), small_layout()
         new.cells["child"].add_polygon(1, Polygon.from_rect_coords(0, 20, 10, 30))

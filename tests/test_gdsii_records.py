@@ -64,8 +64,8 @@ class TestRecordStream:
             RecordType.XY,
             RecordType.ENDLIB,
         ]
-        assert unpacked[1].text == "TESTLIB"
-        assert unpacked[2].ints == [0, 0, 10, 20]
+        assert unpacked[1].payload == "TESTLIB"
+        assert unpacked[2].payload == [0, 0, 10, 20]
 
     def test_stops_at_endlib(self):
         data = pack_record(make_record(RecordType.ENDLIB)) + b"\x00" * 10
@@ -96,10 +96,3 @@ class TestRecordStream:
         data = struct.pack(">HBB", 100, RecordType.HEADER, DataType.INT16)
         with pytest.raises(GdsiiError):
             unpack_records(data)
-
-    def test_record_accessors_type_errors(self):
-        record = make_record(RecordType.LIBNAME, "X")
-        with pytest.raises(GdsiiError):
-            record.ints
-        with pytest.raises(GdsiiError):
-            record.reals

@@ -289,6 +289,19 @@ class TestServedChecks:
         local = _local_report(str(new_path))
         assert report.to_csv() == local.to_csv()
 
+    def test_recheck_builds_only_the_new_versions_tree(
+        self, state, edited_gds_pair, built_trees
+    ):
+        old_path, new_path = edited_gds_pair
+        session, _ = state.create_session(path=old_path, top="top")
+        state.check(session.sid)
+        built_trees.clear()
+        report, meta = state.recheck(session.sid, path=new_path)
+        # The session already holds the old version's tree and digests.
+        assert built_trees == [session.layout]
+        assert "windowed" in meta["recheck"]["disposition"].values()
+        assert report.to_csv() == _local_report(new_path).to_csv()
+
     def test_recheck_advances_session_version(self, state, edited_gds_pair):
         old_path, new_path = edited_gds_pair
         session, _ = state.create_session(path=old_path, top="top")
