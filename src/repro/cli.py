@@ -38,13 +38,15 @@ Commands
     Synthesize one of the six benchmark designs to a GDSII file.
 ``cache stats|clear``
     Inspect or empty the persistent caches (``--cache-dir`` or
-    ``$REPRO_CACHE_DIR``): the pack store plus the report cache under its
-    ``reports/`` directory. ``check``/``check-window`` warm-start from the
-    same store via ``--cache-dir`` / ``REPRO_CACHE_DIR``; ``--no-cache``
-    disables it.
+    ``$REPRO_CACHE_DIR``): the pack store plus the report store's disk
+    back under its ``reports/`` directory. With a cache directory,
+    ``check``/``check-window``/``recheck`` ask the report store first (a
+    second ``check`` of unchanged bytes is a digest and a load, and says
+    ``source: report-cache``) and warm-start from the pack store when they
+    do compute; ``--no-cache`` disables both.
 ``serve``
     Run the resident DRC daemon: one warm engine (pack store, worker
-    pools, cost model, report cache all stay hot) serving JSON over HTTP.
+    pools, cost model, report store all stay hot) serving JSON over HTTP.
     ``check <file.gds> --server URL`` routes a check through a running
     daemon instead of paying a cold start.
 """
@@ -310,10 +312,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         save_markers(report, args.output)
         print(f"wrote marker database: {args.output}")
     _print_report(report, args)
-    if _report_format(args) == "summary" and args.breakdown:
-        for name, profile in engine.last_profiles.items():
-            print(f"\n[{name}]")
-            print(profile.breakdown_table())
+    if _report_format(args) == "summary":
+        # This engine's store was asked once, by the check above.
+        if engine.reports is not None and engine.reports.hits:
+            print("source: report-cache")
+        elif args.breakdown:
+            for name, profile in engine.last_profiles.items():
+                print(f"\n[{name}]")
+                print(profile.breakdown_table())
     return 0 if report.ok else 1
 
 
@@ -674,13 +680,14 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="warm-start pack store directory (default: $REPRO_CACHE_DIR; "
-        "packing artifacts are reused across runs when set)",
+        help="cache directory (default: $REPRO_CACHE_DIR; finished reports "
+        "and packing artifacts are reused across runs when set)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore any configured pack store (pure cold path)",
+        help="ignore any configured cache directory: no report store, no "
+        "pack store (pure cold path)",
     )
 
 
@@ -921,7 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="recent reports kept in memory for instant repeats (default 64)",
+        help="reports the report store keeps in memory (default 64; 0 keeps "
+        "none, so every request computes or reads the cache directory)",
     )
     serve.add_argument(
         "--max-concurrent",

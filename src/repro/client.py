@@ -106,14 +106,16 @@ class ServeClient:
         timeout: float = 30.0,
         *,
         interval: float = 0.05,
-        max_interval: float = 1.0,
+        max_interval: float = 0.05,
     ) -> Dict[str, Any]:
         """Poll ``/health`` until the daemon answers; returns its payload.
 
         The canonical "daemon just forked, is it up yet?" helper — the CI
         smoke jobs and the serve benchmarks all start a daemon and need to
-        block until the socket accepts. Polls with exponential backoff
-        (``interval`` doubling up to ``max_interval``) and raises
+        block until the socket accepts. Polls every ``interval`` seconds,
+        doubling up to ``max_interval`` (by default no back-off: a daemon
+        comes up within a second, and a doubled wait was up to 0.8 s of
+        start-up jitter for every caller) and raises
         :class:`ClientError` if the daemon is still unreachable after
         ``timeout`` seconds. Only connection failures are retried; an HTTP
         error (the daemon is up but unhappy) propagates immediately.

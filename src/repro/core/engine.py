@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..layout.library import Layout
 from ..util.profile import PhaseProfile
+from .packstore import resolve_store
 from .plan import (
     MODE_MULTIPROC,
     MODE_PARALLEL,
@@ -44,6 +45,7 @@ from .scheduler import build_plan_graph
 
 if TYPE_CHECKING:
     from ..gpu.device import Device
+    from .reportcache import ReportCache
 
 __all__ = [
     "CheckContext",
@@ -92,6 +94,7 @@ class Engine:
         *,
         options: Optional[EngineOptions] = None,
         device: Optional[Device] = None,
+        reports: Optional[ReportCache] = None,
     ) -> None:
         if options is not None:
             if mode is not None and mode != options.mode:
@@ -104,6 +107,15 @@ class Engine:
             # EngineOptions validates the mode (and the other knobs) once.
             self.options = EngineOptions(mode=mode if mode is not None else MODE_SEQUENTIAL)
         self.device = device
+        #: The report store check() asks before computing and saves into:
+        #: the injected one, else one over the configured cache directory.
+        #: None (no directory, or use_cache off): every check computes.
+        self.reports = reports
+        store = resolve_store(self.options) if reports is None else None
+        if store is not None:
+            from .reportcache import ReportCache
+
+            self.reports = ReportCache(store)
         self.rules: List[Rule] = []
         #: Guards the last_* snapshots, the live-backend set, and the
         #: warm-pool key set against concurrent check() callers.
@@ -212,13 +224,39 @@ class Engine:
         rules: Optional[Sequence[Rule]] = None,
         tree=None,
         options: Optional[EngineOptions] = None,
+        deck_key: Optional[str] = None,
     ) -> CheckReport:
         """Run the deck (or an explicit rule list) on ``layout``.
+
+        A report store (:attr:`reports`) is asked first, by the deck's
+        digest (``deck_key`` if the caller holds it, or a private token;
+        else computed) and the plan's layer digests: a hit is returned
+        relabelled with this layout's name and nothing executes
+        (``last_profiles`` is empty); a miss is computed and saved. The plan
+        is compiled either way, so deck validation and ``last_plan`` do not
+        depend on the store. A deck with no digest is always computed.
 
         Re-entrant: concurrent callers each execute in a private
         :class:`CheckContext`; see its docstring for the sharing contract.
         """
-        report, _ = self._execute(layout, rules=rules, tree=tree, options=options)
+        plan = self.compile(layout, rules=rules, tree=tree, options=options)
+        key = None
+        if self.reports is not None:
+            from .reportcache import deck_digest, report_key
+
+            key = report_key(
+                deck_key or deck_digest(plan.rules), plan.caches.layer_digests()
+            )
+        if key is not None:
+            report = self.reports.load(key, plan.rules, layout_name=layout.name)
+            if report is not None:
+                with self._lock:
+                    self.last_plan = plan
+                    self.last_profiles = {}
+                return report
+        report, _ = self._run(plan)
+        if key is not None:
+            self.reports.save(key, report)
         return report
 
     def recheck(
@@ -230,26 +268,21 @@ class Engine:
         cached: Optional[CheckReport] = None,
         verify: bool = False,
     ) -> CheckReport:
-        """Incrementally re-check ``new`` given a previous check of ``old``.
-
-        Diffs the two versions by per-layer geometry digests, re-checks each
-        rule only inside its dirty regions (inflated by the rule's
-        interaction distance), and splices the fresh violations into the
-        baseline report — which comes from ``cached`` or from the persistent
-        report cache (``options.cache_dir`` / ``REPRO_CACHE_DIR``; a prior
-        :meth:`check` with the cache configured populates it). Without a
-        baseline, ``new`` is checked cold and stored for next time.
+        """Incrementally re-check ``new`` given a previous check of ``old``:
+        :func:`repro.core.incremental.recheck` with this engine's deck,
+        options and report store — the baseline is ``cached``, else the
+        store's report of ``old`` (a prior :meth:`check` put it there).
 
         The spliced violations are byte-identical to a cold full check of
-        ``new`` (``verify=True`` asserts it). Details of the last recheck
-        (diff, per-rule disposition, cache hit) are kept on
-        :attr:`last_recheck`.
+        ``new`` (``verify=True`` asserts it). The outcome (diff, per-rule
+        disposition, cache hit) is kept on :attr:`last_recheck`.
         """
         from .incremental import recheck as run_recheck
 
         deck = list(rules) if rules is not None else self.rules
         outcome = run_recheck(
-            old, new, rules=deck, options=self.options, cached=cached, verify=verify
+            old, new, rules=deck, options=self.options, cached=cached,
+            verify=verify, reports=self.reports,
         )
         self.last_recheck = outcome
         return outcome.report
@@ -267,26 +300,19 @@ class Engine:
         rules gate the geometric rules of their layer); the returned
         :class:`~repro.core.scheduler.ScheduleAnalysis` replays the measured
         durations over ``workers`` to quantify rule-level task parallelism
-        (paper §I). Returns ``(report, analysis)``.
+        (paper §I). Returns ``(report, analysis)``. Always executes (the
+        schedule is what is wanted): the report store is not asked.
         """
-        return self._execute(layout, rules=rules)
+        return self._run(self.compile(layout, rules=rules))
 
-    def _execute(
-        self,
-        layout: Layout,
-        *,
-        rules: Optional[Sequence[Rule]] = None,
-        tree=None,
-        options: Optional[EngineOptions] = None,
-    ):
-        """Compile the deck, then drive the backend through the scheduler.
+    def _run(self, plan: CheckPlan):
+        """Drive the plan's backend through the scheduler.
 
         All per-check mutable state lives in a :class:`CheckContext` local
         to this call; the engine only records the backend in its live set
         (so ``close()`` can reach a hung check) and publishes the last_*
         snapshots once the check completes.
         """
-        plan = self.compile(layout, rules=rules, tree=tree, options=options)
         context = CheckContext(
             plan=plan, backend=make_backend(plan, device=self.device)
         )
@@ -329,7 +355,7 @@ class Engine:
                 if key is not None:
                     self._warm_pool_keys.add(key)
         context.report = CheckReport(
-            layout.name,
+            plan.layout.name,
             plan.mode,
             [context.results_by_name[compiled.name] for compiled in plan.compiled],
         )
@@ -339,30 +365,4 @@ class Engine:
             self.last_plan = plan
             self.last_checker = backend
             self.last_profiles = context.profiles
-        self._save_report(plan, context.report)
         return context.report, context.analysis
-
-    def _save_report(self, plan: CheckPlan, report: CheckReport) -> None:
-        """Persist the report beside the pack store so ``recheck`` can splice.
-
-        Engages only with a cache directory configured (like the pack store)
-        and a fingerprintable deck; keyed by deck digest + the layout's
-        per-layer geometry digests. Best-effort — a failed save never fails
-        the check.
-        """
-        store = plan.caches.store
-        if store is None:
-            return
-        from .reportcache import ReportCache, deck_digest, report_key
-
-        deck = deck_digest(plan.rules)
-        if deck is None:
-            return
-        try:
-            digests = {
-                layer: plan.caches.layer_digest(layer)
-                for layer in plan.layout.layers()
-            }
-            ReportCache(store).save(report_key(deck, digests), report)
-        except Exception:  # pragma: no cover - persistence best-effort
-            pass

@@ -128,6 +128,30 @@ class WindowedBackend:
             store.persist_counters()
 
 
+def filter_to_regions(full: CheckReport, window: WindowsLike) -> CheckReport:
+    """A full-extent report clipped to a region set: what the windowed
+    backend computes for the same deck and layout, by its own contract."""
+    regions = RegionSet.of(window)
+    results = [
+        CheckResult(
+            rule=result.rule,
+            violations=[v for v in result.violations if regions.overlaps(v.region)],
+            seconds=0.0,
+            stats={"window_filtered": 1},
+        )
+        for result in full.results
+    ]
+    return CheckReport(full.layout_name, MODE_WINDOWED, results)
+
+
+def _store(reports: Optional[ReportCache], options) -> Optional[ReportCache]:
+    """The report store to ask: the injected one, else the configured one."""
+    if reports is not None:
+        return reports
+    store = resolve_store(options)
+    return None if store is None else ReportCache(store)
+
+
 def check_window(
     layout: Layout,
     window: WindowsLike,
@@ -135,12 +159,19 @@ def check_window(
     rules: Sequence[Rule],
     options: Optional[EngineOptions] = None,
     tree=None,
+    reports: Optional[ReportCache] = None,
 ) -> CheckReport:
     """Check only the given window(s) of ``layout``; violations clip to them.
 
     ``window`` is one rect, a sequence of rects (overlapping windows are
     coalesced; each violation reports once however many windows it
     straddles), or a prebuilt :class:`~repro.spatial.regions.RegionSet`.
+
+    If the report store (``reports``, else the one ``options`` configure)
+    holds this deck and layout's full-extent report, the answer is
+    :func:`filter_to_regions` of it. Otherwise the windowed backend runs;
+    its clipped report is never stored, so every entry of the store is
+    full-extent and a valid splice baseline.
 
     With ``options.jobs > 1`` the rules fan out across a worker-process
     pool (rule-level tasks; windowed gathering has no row partition), each
@@ -152,6 +183,14 @@ def check_window(
     jobs = options.jobs if options is not None else 1
     mode = MODE_MULTIPROC if jobs > 1 else MODE_WINDOWED
     plan = compile_plan(layout, rules, options, mode=mode, tree=tree)
+    reports = _store(reports, options)
+    key = None
+    if reports is not None:
+        key = report_key(deck_digest(plan.rules), plan.caches.layer_digests())
+    if key is not None:
+        full = reports.load(key, plan.rules, layout_name=layout.name)
+        if full is not None:
+            return filter_to_regions(full, regions)
     backend = make_backend(plan, window=regions)
 
     results: List[CheckResult] = []
@@ -201,10 +240,6 @@ class RecheckOutcome:
     #: Set when ``verify=True``: the cold reference report.
     reference: Optional[CheckReport] = None
 
-    @property
-    def rules_recheck(self) -> List[str]:
-        return [n for n, d in self.disposition.items() if d != "cached"]
-
 
 def recheck(
     old: Layout,
@@ -218,21 +253,26 @@ def recheck(
     new_tree=None,
     old_digests: Optional[Dict[int, str]] = None,
     new_digests: Optional[Dict[int, str]] = None,
+    reports: Optional[ReportCache] = None,
+    deck_key: Optional[str] = None,
 ) -> RecheckOutcome:
     """Re-check ``new`` given a previous report of ``old``, splicing results.
 
     The baseline report comes from ``cached`` (an in-memory report of the
-    *old* version) or from the persistent report cache beside the pack
-    store (``options.cache_dir`` / ``REPRO_CACHE_DIR``), keyed by the rule
-    deck digest and the old version's per-layer geometry digests. Without a
-    baseline the new version is checked cold — and the result stored, so
-    the *next* edit rechecks incrementally.
+    *old* version) or from the report store — ``reports``, else the one
+    ``options.cache_dir`` / ``REPRO_CACHE_DIR`` configure — keyed by the
+    rule deck digest (``deck_key`` if the caller holds it, or its private
+    token) and the old version's per-layer geometry digests. Without a
+    baseline the new version is checked cold. Either way its report is
+    stored, so the *next* edit rechecks incrementally.
 
     Each rule is dispatched on its diff: untouched layers reuse the cached
     result verbatim; localisable edits re-check only the dirty rects
     inflated by the rule's interaction distance and splice; globally
     coupled rules re-run fully. ``verify=True`` additionally runs the cold
-    full check and asserts the spliced violations match it byte-for-byte.
+    full check — on an engine with no store, so nothing stored can answer
+    for it — asserts the spliced violations match it byte-for-byte, and
+    stores the report only after that.
 
     Each version's hierarchy tree and layer digests are built once here and
     shared by the diff, the cache keys and the plan; a caller that already
@@ -251,19 +291,22 @@ def recheck(
         old_digests=old_digests,
         new_digests=new_digests,
     )
-    store = resolve_store(opts)
-    cache = ReportCache(store) if store is not None else None
-    deck_dig = deck_digest(deck)
+    reports = _store(reports, opts)
+    if reports is None:
+        deck_key = None
+    elif deck_key is None:
+        deck_key = deck_digest(deck)
 
-    # Cache keys use each version's own layer list, matching what a plain
-    # Engine.check of that version stores (diff digests span the union).
-    old_key_digests = {L: diff.old_digests[L] for L in old.layers()}
-    new_key_digests = {L: diff.new_digests[L] for L in new.layers()}
+    # Keys use each version's own layer list, matching what a plain
+    # Engine.check of that version stores (diff digests span the union);
+    # both are None without a store or a deck digest.
+    old_key = report_key(deck_key, {L: diff.old_digests[L] for L in old.layers()})
+    new_key = report_key(deck_key, {L: diff.new_digests[L] for L in new.layers()})
 
     baseline = cached
     cache_hit = False
-    if baseline is None and cache is not None and deck_dig is not None:
-        baseline = cache.load(report_key(deck_dig, old_key_digests), deck)
+    if baseline is None and old_key is not None:
+        baseline = reports.load(old_key, deck)
         cache_hit = baseline is not None
     if baseline is not None:
         try:
@@ -274,13 +317,17 @@ def recheck(
             baseline = None
 
     if baseline is None:
-        # Cold start: full check of the new version, stored for next time.
-        report = _full_check(diff.new_tree, deck, opts, cache, deck_dig, new_key_digests)
+        # Cold start: the engine asks the store for the new version and
+        # saves what it computes — except under verify, where the report is
+        # its own reference and so must really be computed.
+        report = _full_check(
+            diff.new_tree, deck, opts, None if verify else reports, deck_key
+        )
+        if verify and new_key is not None:
+            reports.save(new_key, report)
         disposition = {rule.name: "cold" for rule in deck}
-        outcome = RecheckOutcome(report, diff, disposition, cache_hit=False)
-        if verify:
-            outcome.reference = report
-        return outcome
+        reference = report if verify else None
+        return RecheckOutcome(report, diff, disposition, False, reference)
 
     plan = compile_plan(new, deck, opts, mode=MODE_WINDOWED, tree=diff.new_tree)
     results: List[CheckResult] = []
@@ -338,22 +385,20 @@ def recheck(
                     )
                 )
     finally:
-        store2 = plan.caches.store
-        if store2 is not None:
-            store2.persist_counters()
+        store = plan.caches.store
+        if store is not None:
+            store.persist_counters()
 
     report = CheckReport(new.name, MODE_RECHECK, results)
-    if cache is not None and deck_dig is not None:
-        cache.save(report_key(deck_dig, new_key_digests), report)
-
     outcome = RecheckOutcome(report, diff, disposition, cache_hit=cache_hit)
     if verify:
-        reference = _full_check(diff.new_tree, deck, opts, None, None, None)
-        outcome.reference = reference
-        if report.to_csv() != reference.to_csv():
+        outcome.reference = _full_check(diff.new_tree, deck, opts, None, None)
+        if report.to_csv() != outcome.reference.to_csv():
             raise AssertionError(
                 "spliced recheck report diverges from the cold full check"
             )
+    if new_key is not None:
+        reports.save(new_key, report)
     return outcome
 
 
@@ -361,16 +406,15 @@ def _full_check(
     tree,
     deck: List[Rule],
     opts: EngineOptions,
-    cache: Optional[ReportCache],
-    deck_dig: Optional[str],
-    digests: Optional[Dict[int, str]],
+    reports: Optional[ReportCache],
+    deck_key: Optional[str],
 ) -> CheckReport:
-    """Cold full check of ``tree``'s layout through the regular engine path
-    (mode respected)."""
+    """Full check of ``tree``'s layout through the regular engine path (mode
+    respected), which asks ``reports`` first (under ``deck_key``) and saves into
+    it; with None the engine gets no store at all, not even a configured one."""
     from .engine import Engine
 
-    with Engine(options=opts) as engine:
-        report = engine.check(tree.layout, rules=deck, tree=tree)
-    if cache is not None and deck_dig is not None and digests is not None:
-        cache.save(report_key(deck_dig, digests), report)
-    return report
+    if reports is None:
+        opts = dataclasses.replace(opts, use_cache=False)
+    with Engine(options=opts, reports=reports) as engine:
+        return engine.check(tree.layout, rules=deck, tree=tree, deck_key=deck_key)

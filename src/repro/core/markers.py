@@ -31,7 +31,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..checks.base import Violation, ViolationKind
+from ..checks.base import Violation
 from ..errors import ReproError
 from ..geometry import Rect
 from ..reporting import apply_waivers_payload, marker_digest
@@ -55,25 +55,14 @@ class MarkerError(ReproError):
 
 
 def report_to_dict(report: CheckReport) -> Dict:
-    """JSON-ready representation of a report."""
+    """JSON-ready representation of a report: its payload's per-rule entries
+    under the marker format version."""
+    payload = report.payload()
     return {
         "format": FORMAT_VERSION,
-        "layout": report.layout_name,
-        "mode": report.mode,
-        "results": [
-            {
-                "rule": result.rule.name,
-                "kind": result.rule.kind.value,
-                "layer": result.rule.layer,
-                "other_layer": result.rule.other_layer,
-                "value": result.rule.value,
-                "severity": result.rule.severity,
-                "seconds": result.seconds,
-                "stats": {k: result.stats[k] for k in sorted(result.stats)},
-                "violations": [violation_to_json(v) for v in result.violations],
-            }
-            for result in report.results
-        ],
+        "layout": payload["layout"],
+        "mode": payload["mode"],
+        "results": payload["results"],
     }
 
 
@@ -90,32 +79,46 @@ def load_markers(path: Union[str, "os.PathLike"]) -> CheckReport:
     return report_from_dict(data)
 
 
-def report_from_dict(data: Dict) -> CheckReport:
-    if data.get("format") not in SUPPORTED_FORMATS:
-        raise MarkerError(f"unsupported marker format {data.get('format')!r}")
-    results: List[CheckResult] = []
-    for entry in data["results"]:
-        try:
-            kind = RuleKind(entry["kind"])
-        except ValueError:
-            raise MarkerError(f"unknown rule kind {entry['kind']!r}") from None
-        rule = _rebuild_rule(kind, entry)
-        try:
-            violations = [_rebuild_violation(v) for v in entry["violations"]]
-        except (KeyError, TypeError) as error:
-            raise MarkerError(f"malformed violation entry: {error}") from None
-        results.append(
+def report_from_dict(
+    data: Dict, rules: Optional[Sequence[Rule]] = None
+) -> CheckReport:
+    """Rebuild a report from its JSON form; :class:`MarkerError` if malformed.
+
+    Deserialises both stored forms of the per-rule entries: a marker
+    database (rules are rebuilt from their stored structure) and, with
+    ``rules``, a report-cache entry — a bare ``to_json`` payload, to which
+    the live deck's :class:`Rule` objects are attached by name, in deck
+    order; rule names that are not exactly the deck's are refused.
+    """
+    try:
+        entries = list(data["results"])
+        if rules is None:
+            # Cache entries carry no format: their key's salt versions them.
+            if data.get("format") not in SUPPORTED_FORMATS:
+                raise MarkerError(f"unsupported marker format {data.get('format')!r}")
+            deck = [_rebuild_rule(entry) for entry in entries]
+        else:
+            deck = list(rules)
+            stored = {entry["rule"]: entry for entry in entries}
+            if set(stored) != {rule.name for rule in deck}:
+                raise MarkerError("stored rule names are not the deck's")
+            entries = [stored[rule.name] for rule in deck]
+        results = [
             CheckResult(
                 rule=rule,
-                violations=violations,
+                violations=[violation_from_json(v) for v in entry["violations"]],
                 seconds=entry["seconds"],
                 stats=dict(entry.get("stats") or {}),
             )
-        )
-    return CheckReport(data["layout"], data["mode"], results)
+            for rule, entry in zip(deck, entries)
+        ]
+        return CheckReport(data["layout"], data["mode"], results)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise MarkerError(f"malformed report: {error!r}") from None
 
 
-def _rebuild_rule(kind: RuleKind, entry: Dict) -> Rule:
+def _rebuild_rule(entry: Dict) -> Rule:
+    kind = RuleKind(entry["kind"])
     severity = entry.get("severity", "error")
     if kind is RuleKind.ENSURES:
         # Callables cannot round-trip; stand in with an always-true predicate
@@ -131,22 +134,6 @@ def _rebuild_rule(kind: RuleKind, entry: Dict) -> Rule:
         other_layer=entry["other_layer"],
         severity=severity,
     ).named(entry["rule"])
-
-
-def _rebuild_violation(v: Dict) -> Violation:
-    try:
-        kind = ViolationKind(v["kind"])
-    except ValueError:
-        raise MarkerError(f"unknown violation kind {v['kind']!r}") from None
-    return Violation(
-        kind=kind,
-        layer=v["layer"],
-        other_layer=v["other_layer"],
-        region=Rect(*v["region"]),
-        measured=v["measured"],
-        required=v["required"],
-        waived=bool(v.get("waived", False)),
-    )
 
 
 def diff_markers(
@@ -210,20 +197,7 @@ def apply_waivers(report: CheckReport, waivers: List[Dict]) -> CheckReport:
     from ..reporting import WaiverFormatError
 
     try:
-        marked = apply_waivers_payload(
-            {
-                "results": [
-                    {
-                        "rule": result.rule.name,
-                        "violations": [
-                            violation_to_json(v) for v in result.violations
-                        ],
-                    }
-                    for result in report.results
-                ]
-            },
-            waivers,
-        )
+        marked = apply_waivers_payload(report.payload(), waivers)
     except WaiverFormatError as error:
         raise MarkerError(str(error)) from None
     results = []

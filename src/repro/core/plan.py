@@ -422,6 +422,10 @@ class PlanCaches:
             self._layer_digests[layer] = digest
         return digest
 
+    def layer_digests(self) -> Dict[int, str]:
+        """Every layer's digest: the layout-version half of a report key."""
+        return {L: self.layer_digest(L) for L in self.tree.layout.layers()}
+
     def digest_of(self, key: Any) -> Any:
         """Digest(s) for a partition key: one layer or a tuple of layers."""
         if isinstance(key, tuple):

@@ -1,12 +1,10 @@
 """DRC-as-a-service: the HTTP-free service core.
 
-PRs 4-7 made the engine expensive to warm and cheap to reuse — the
-content-addressed pack store, persistent warm worker pools, the calibrated
-cost model, and the report cache all pay off only on the *second* check of
-a process. A one-shot ``repro check`` throws that state away every time.
-:class:`ServerState` is the resident counterpart: one warm
-:class:`~repro.core.engine.Engine` serving many requests, so every piece of
-warm state survives for the life of the daemon.
+The engine is expensive to warm and cheap to reuse: the pack store, warm
+worker pools, the calibrated cost model and the report store all pay off
+only on the *second* check of a process, and a one-shot ``repro check``
+throws them away. :class:`ServerState` is the resident counterpart: one
+warm :class:`~repro.core.engine.Engine` serving many requests.
 
 Three mechanisms turn the warm engine into served throughput:
 
@@ -17,15 +15,16 @@ Three mechanisms turn the warm engine into served throughput:
   content-addressed by the deck digest plus the layer digests — loading the
   same layout twice (from any client) lands on the same session.
 
-* **Single-flight coalescing** — concurrent identical requests (same deck
-  digest, layer digests, engine options, and window set) collapse into one
-  engine run whose report fans out to every waiter
-  (:class:`SingleFlight`); an LRU of recent reports answers repeats without
-  touching the engine at all.
+* **One report store, single-flight coalescing** — every request first
+  asks the :class:`~repro.core.reportcache.ReportCache` the daemon shares
+  with its engine for the session's (deck digest, layer digests) key, so
+  repeats, a ``check`` after a ``recheck`` and a second session reaching
+  the same content are memory hits; concurrent identical requests it
+  cannot answer collapse into one engine run (:class:`SingleFlight`).
 
 * **Three-tier admission** — engine runs pass through an
   :class:`AdmissionScheduler` instead of a global engine lock. Tier 1:
-  pure cache paths (report-LRU hits, coalesced followers, and splice-only
+  pure cache paths (report-store hits, coalesced followers, and splice-only
   rechecks whose new content is digest-identical to the session's current
   version) execute immediately and never enter the queue. Tier 2:
   compute-bound requests from *different* sessions run concurrently up to
@@ -59,7 +58,7 @@ import statistics
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
@@ -70,7 +69,13 @@ from ..layout.library import Layout
 from ..core import costmodel
 from ..core.engine import Engine, EngineOptions
 from ..core.packstore import layer_geometry_digest, resolve_store, store_key
-from ..core.reportcache import deck_digest
+from ..core.reportcache import (
+    DEFAULT_CAPACITY,
+    ReportCache,
+    deck_digest,
+    private_deck,
+    report_key,
+)
 from ..core.results import CheckReport, merge_stats
 from ..core.rules import SEVERITIES, Rule
 from ..reporting import filter_violations_payload
@@ -85,9 +90,6 @@ __all__ = [
     "UnknownSessionError",
     "load_deck_file",
 ]
-
-#: Reports the server remembers for instant repeats (per-state default).
-DEFAULT_REPORT_LRU = 64
 
 #: Request latencies kept per endpoint for the /stats percentiles.
 _LATENCY_WINDOW = 512
@@ -228,22 +230,22 @@ class SingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# Admission scheduling (the engine-lock replacement)
+# Admission scheduling
 # ---------------------------------------------------------------------------
 
 
 class AdmissionScheduler:
     """Bounded concurrent admission of engine runs, one run per session.
 
-    The PR 8 daemon serialized every engine run behind one lock; this
-    scheduler is its replacement. ``admit(sid)`` blocks until both hold:
+    ``admit(sid)`` blocks until both hold:
 
     * fewer than ``max_concurrent`` runs are active (the warm pool, pack
       store, and cost model are shared — bounding concurrency bounds their
       contention and the parent-side memory footprint), and
     * no other run for the *same* session is active — same-session requests
-      mutate one baseline (``last_report``, recheck version advances), so
-      they serialize; cross-session requests are independent and overlap.
+      advance one version (a recheck swaps the session's layout and
+      digests), so they serialize; cross-session requests are independent
+      and overlap.
 
     Waiters are counted (``waiting`` is the ``queue_depth`` gauge, honest
     even when a wait is interrupted) and the ``max_active_seen`` high-water
@@ -312,6 +314,7 @@ class Session:
         rules: List[Rule],
         digests: Dict[int, str],
         deck_dig: Optional[str],
+        reports: ReportCache,
         *,
         top: Optional[str] = None,
         deck_path: Optional[str] = None,
@@ -325,18 +328,31 @@ class Session:
         self.rules = rules
         self.digests = digests
         self.deck_dig = deck_dig
+        #: The deck's part of the session's report keys. A deck with no
+        #: digest gets a token private to the session: it finds its own
+        #: reports in the store's memory front and nothing reaches disk.
+        self.deck_key = deck_dig or private_deck()
+        self._reports = reports
         self.top = top
         self.deck_path = deck_path
         self.version = 1
         self.checks = 0
         self.created = time.time()
-        self.last_report: Optional[CheckReport] = None
         self.last_recheck: Optional[Dict[str, Any]] = None
         #: Wall seconds of this session's previous admitted engine run;
         #: the inline-routing tier prices the next one against it.
         self.last_engine_seconds: Optional[float] = None
 
+    def report(self, digests: Optional[Dict[int, str]] = None) -> Optional[CheckReport]:
+        """The full-extent report of the current version (or of the one with
+        ``digests``), if the store has it."""
+        key = report_key(self.deck_key, digests or self.digests)
+        return self._reports.load(key, self.rules, layout_name=self.layout.name)
+
     def info(self) -> Dict[str, Any]:
+        # A status page is not a request: peek, so polling neither counts
+        # as a hit nor reorders the memory front.
+        report = self._reports.peek(report_key(self.deck_key, self.digests))
         return {
             "session": self.sid,
             "layout": self.layout.name,
@@ -348,9 +364,7 @@ class Session:
             "version": self.version,
             "checks": self.checks,
             "last_total_violations": (
-                None
-                if self.last_report is None
-                else self.last_report.total_violations
+                None if report is None else report.total_violations
             ),
         }
 
@@ -364,12 +378,14 @@ class ServerState:
     """A resident engine plus sessions, coalescing, and counters.
 
     Thread-safe: HTTP handler threads (or test threads) call the public
-    methods concurrently. ``_lock`` guards the bookkeeping (sessions, LRU,
+    methods concurrently. ``_lock`` guards the bookkeeping (sessions,
     counters — every counter update happens under it, so concurrent
     handlers never lose an increment); the :class:`AdmissionScheduler`
     bounds how many engine runs execute at once and keeps same-session
     runs serial. ``max_concurrent=None`` defaults to ``min(jobs, 2)`` —
     past that the shared pool is the bottleneck, not admission.
+    ``report_lru`` bounds the report store's memory front (0: every
+    request computes, or reads the disk back).
     """
 
     def __init__(
@@ -377,10 +393,11 @@ class ServerState:
         options: Optional[EngineOptions] = None,
         *,
         deck_path: Optional[str] = None,
-        report_lru: int = DEFAULT_REPORT_LRU,
+        report_lru: int = DEFAULT_CAPACITY,
         max_concurrent: Optional[int] = None,
     ) -> None:
-        self.engine = Engine(options=options)
+        self.reports = ReportCache(resolve_store(options), capacity=report_lru)
+        self.engine = Engine(options=options, reports=self.reports)
         if max_concurrent is None:
             max_concurrent = min(max(1, self.engine.options.jobs), 2)
         self.scheduler = AdmissionScheduler(max_concurrent)
@@ -390,8 +407,6 @@ class ServerState:
         self._flight = SingleFlight()
         self._sessions: Dict[str, Session] = {}
         self._by_bytes: Dict[Tuple, str] = {}
-        self._lru: "OrderedDict[str, CheckReport]" = OrderedDict()
-        self._lru_cap = max(0, report_lru)
         self._latencies: Dict[str, deque] = {}
         self._endpoint_requests: Dict[str, int] = {}
         self.engine_stats: Dict[str, float] = {}
@@ -468,9 +483,10 @@ class ServerState:
     # -- sessions ------------------------------------------------------------
 
     @staticmethod
-    def _parse_layout(
+    def _load_version(
         path: Optional[str], data: Optional[bytes], top: Optional[str]
-    ) -> Layout:
+    ) -> Tuple[Layout, HierarchyTree, Dict[int, str]]:
+        """One layout version: parsed, with its tree and per-layer digests."""
         if (path is None) == (data is None):
             raise BadRequestError("provide exactly one of a GDS path or GDS bytes")
         try:
@@ -481,7 +497,10 @@ class ServerState:
             raise BadRequestError(f"cannot load layout: {error}") from error
         except OSError as error:
             raise BadRequestError(f"cannot read layout file: {error}") from error
-        return layout
+        tree = HierarchyTree(layout)
+        return layout, tree, {
+            layer: layer_geometry_digest(tree, layer) for layer in layout.layers()
+        }
 
     def create_session(
         self,
@@ -541,11 +560,7 @@ class ServerState:
         rules = self._apply_severities(
             self._resolve_deck(deck), severities, default_severity
         )
-        layout = self._parse_layout(path, data, top)
-        tree = HierarchyTree(layout)
-        digests = {
-            layer: layer_geometry_digest(tree, layer) for layer in layout.layers()
-        }
+        layout, tree, digests = self._load_version(path, data, top)
         deck_dig = deck_digest(rules)
         if deck_dig is None:
             sid = uuid.uuid4().hex[:16]
@@ -564,6 +579,7 @@ class ServerState:
                     rules,
                     digests,
                     deck_dig,
+                    self.reports,
                     top=top,
                     deck_path=deck or self.deck_path,
                 )
@@ -601,21 +617,6 @@ class ServerState:
             self._by_bytes = {k: v for k, v in self._by_bytes.items() if v != sid}
 
     # -- the request pipeline ------------------------------------------------
-
-    def _request_key(
-        self, session: Session, endpoint: str, extra: Tuple = ()
-    ) -> Optional[str]:
-        """Coalescing identity of one request; None disables coalescing."""
-        if session.deck_dig is None:
-            return None
-        return store_key(
-            "serve",
-            endpoint,
-            session.deck_dig,
-            tuple(sorted(session.digests.items())),
-            repr(self.engine.options),
-            extra,
-        )
 
     def _run(
         self,
@@ -658,58 +659,44 @@ class ServerState:
         key_extra: Tuple,
         runner: Callable[[], CheckReport],
         *,
-        use_lru: bool = True,
-        record_report: bool = True,
+        stored: Optional[Callable[[], Optional[CheckReport]]] = None,
         bypass: bool = False,
     ) -> Tuple[CheckReport, Dict[str, Any]]:
+        """Answer one request: from the store (``stored``, None for a request
+        that must always run), a concurrent twin, or ``runner``. A deck
+        with no digest never coalesces."""
         start = time.perf_counter()
         with self._lock:
             self.counters["requests"] += 1
             self._endpoint_requests[endpoint] = (
                 self._endpoint_requests.get(endpoint, 0) + 1
             )
-        key = self._request_key(session, endpoint, key_extra)
         meta: Dict[str, Any] = {
             "endpoint": endpoint,
             "session": session.sid,
             "source": "engine",
         }
-        report: Optional[CheckReport] = None
-        if key is not None and use_lru and self._lru_cap:
+        report = stored() if stored is not None else None
+        if report is not None:
             with self._lock:
-                report = self._lru.get(key)
-                if report is not None:
-                    self._lru.move_to_end(key)
-                    self.counters["report_lru_hits"] += 1
-                    meta["source"] = "report-lru"
-        if report is None:
-            if key is None:
-                report = self._run(runner, session, bypass=bypass)
-            else:
-                report, leader = self._flight.do(
-                    key, lambda: self._run(runner, session, bypass=bypass)
-                )
-                if leader:
-                    if use_lru and self._lru_cap:
-                        with self._lock:
-                            self._lru[key] = report
-                            self._lru.move_to_end(key)
-                            while len(self._lru) > self._lru_cap:
-                                self._lru.popitem(last=False)
-                else:
-                    with self._lock:
-                        self.counters["coalesced"] += 1
-                    meta["source"] = "coalesced"
+                self.counters["report_lru_hits"] += 1
+            meta["source"] = "report-lru"
+        elif session.deck_dig is None:
+            report = self._run(runner, session, bypass=bypass)
+        else:
+            digests = tuple(sorted(session.digests.items()))
+            key = store_key("serve", endpoint, session.deck_dig, digests, key_extra)
+            report, leader = self._flight.do(
+                key, lambda: self._run(runner, session, bypass=bypass)
+            )
+            if not leader:
+                with self._lock:
+                    self.counters["coalesced"] += 1
+                meta["source"] = "coalesced"
         seconds = time.perf_counter() - start
         meta["seconds"] = seconds
         with self._lock:
             session.checks += 1
-            if record_report:
-                # Only full-extent, full-deck reports may become the session
-                # baseline: recheck() splices against last_report and
-                # /violations serves it verbatim, so a report clipped to
-                # windows would silently drop everything outside them.
-                session.last_report = report
             self._latencies.setdefault(endpoint, deque(maxlen=_LATENCY_WINDOW)).append(
                 seconds
             )
@@ -740,7 +727,7 @@ class ServerState:
     # -- endpoints -----------------------------------------------------------
 
     def check(self, sid: str) -> Tuple[CheckReport, Dict[str, Any]]:
-        """Run the session's full deck (coalesced, LRU-answered)."""
+        """Run the session's full deck (store-answered, coalesced)."""
         session = self.session(sid)
         routing: Dict[str, Any] = {}
 
@@ -750,17 +737,15 @@ class ServerState:
                 with self._lock:
                     self.counters["inline_routed"] += 1
                 routing["routing"] = "inline"
-                return self.engine.check(
-                    session.layout,
-                    rules=session.rules,
-                    tree=session.tree,
-                    options=options,
-                )
             return self.engine.check(
-                session.layout, rules=session.rules, tree=session.tree
+                session.layout,
+                rules=session.rules,
+                tree=session.tree,
+                options=options,
+                deck_key=session.deck_key,
             )
 
-        report, meta = self._serve("check", session, (), runner)
+        report, meta = self._serve("check", session, (), runner, stored=session.report)
         meta.update(routing)
         return report, meta
 
@@ -769,11 +754,12 @@ class ServerState:
     ) -> Tuple[CheckReport, Dict[str, Any]]:
         """Run the deck on one or more windows of the session's layout.
 
-        The resulting report is clipped to the windows, so it is *not*
-        recorded as the session's ``last_report`` — the recheck splice
-        baseline and ``/violations`` only ever see full-extent reports.
+        A stored full-extent report of the current version is filtered to
+        the windows; otherwise the windowed backend runs. A clipped report
+        is never stored, so the recheck splice baseline and ``/violations``
+        only ever see full-extent reports.
         """
-        from ..core.incremental import check_window as run_window
+        from ..core.incremental import check_window as run_window, filter_to_regions
 
         session = self.session(sid)
         rects = []
@@ -789,6 +775,10 @@ class ServerState:
         if not rects:
             raise BadRequestError("check-window needs at least one window")
 
+        def stored() -> Optional[CheckReport]:
+            full = session.report()
+            return None if full is None else filter_to_regions(full, rects)
+
         def runner() -> CheckReport:
             return run_window(
                 session.layout,
@@ -796,12 +786,11 @@ class ServerState:
                 rules=session.rules,
                 options=self.engine.options,
                 tree=session.tree,
+                reports=self.reports,
             )
 
         key_extra = tuple((r.xlo, r.ylo, r.xhi, r.yhi) for r in rects)
-        return self._serve(
-            "check-window", session, key_extra, runner, record_report=False
-        )
+        return self._serve("check-window", session, key_extra, runner, stored=stored)
 
     def recheck(
         self,
@@ -814,34 +803,40 @@ class ServerState:
     ) -> Tuple[CheckReport, Dict[str, Any]]:
         """Diff a new layout version against the session's current one.
 
-        The session's last report is the splice baseline (falling back to
-        the persistent report cache, then to a cold check); on success the
-        session advances to the new version, so chained edits keep
-        rechecking incrementally. Concurrent identical rechecks (same new
-        content) coalesce into one diff+splice.
+        The stored report of the session's current version is the splice
+        baseline (without one the new version is checked cold); the new
+        report is stored under the new version's key and the session
+        advances to it, so chained edits keep rechecking incrementally.
+        Concurrent identical rechecks coalesce into one diff+splice.
         """
         from ..core.incremental import recheck as run_recheck
 
         session = self.session(sid)
-        new_layout = self._parse_layout(path, data, top or session.top)
-        new_tree = HierarchyTree(new_layout)
-        new_digests = {
-            layer: layer_geometry_digest(new_tree, layer)
-            for layer in new_layout.layers()
-        }
+        new_layout, new_tree, new_digests = self._load_version(
+            path, data, top or session.top
+        )
 
         def runner() -> CheckReport:
+            # Read the session's version and its report here, not before
+            # admission: a queued recheck must diff against, and splice
+            # onto the report of, the version the one ahead of it left.
+            with self._lock:
+                old, old_tree, old_digests = (
+                    session.layout, session.tree, session.digests
+                )
             outcome = run_recheck(
-                session.layout,
+                old,
                 new_layout,
                 rules=session.rules,
                 options=self.engine.options,
-                cached=session.last_report,
+                cached=session.report(old_digests),
                 verify=verify,
-                old_tree=session.tree,
+                old_tree=old_tree,
                 new_tree=new_tree,
-                old_digests=session.digests,
+                old_digests=old_digests,
                 new_digests=new_digests,
+                reports=self.reports,
+                deck_key=session.deck_key,
             )
             with self._lock:
                 session.layout = new_layout
@@ -863,13 +858,11 @@ class ServerState:
         # bypass because verification *is* a full cold check.
         bypass = (
             not verify
-            and session.last_report is not None
             and new_digests == session.digests
+            and session.report() is not None
         )
-        key_extra = ("recheck", tuple(sorted(new_digests.items())), bool(verify))
-        report, meta = self._serve(
-            "recheck", session, key_extra, runner, use_lru=False, bypass=bypass
-        )
+        key_extra = (tuple(sorted(new_digests.items())), bool(verify))
+        report, meta = self._serve("recheck", session, key_extra, runner, bypass=bypass)
         if session.last_recheck is not None:
             meta["recheck"] = dict(session.last_recheck)
         return report, meta
@@ -884,8 +877,8 @@ class ServerState:
     ) -> Dict[str, Any]:
         """The session's violations, filtered by severity/rule/bbox.
 
-        Serves from the session's last report; a session that has never
-        been checked is checked first (which itself coalesces/LRU-hits).
+        Serves the stored report of the session's current version; when the
+        store has none the session is checked first (which itself coalesces).
         Filtering delegates to
         :func:`repro.reporting.filter_violations_payload` — the same code
         path the local ``repro violations`` command runs on a marker
@@ -905,7 +898,7 @@ class ServerState:
         wanted = set(rules) if rules else None
 
         session = self.session(sid)
-        report = session.last_report
+        report = session.report()
         if report is None:
             report, _ = self.check(sid)
         known = {result.rule.name for result in report.results}
@@ -963,8 +956,10 @@ class ServerState:
                 "active_requests": active,
                 "max_concurrent": self.scheduler.max_concurrent,
                 "max_active_seen": self.scheduler.max_active_seen,
-                "report_lru_size": len(self._lru),
-                "report_lru_capacity": self._lru_cap,
+                "report_lru_size": self.reports.memory_entries(),
+                "report_lru_capacity": self.reports.capacity,
+                "report_hits": self.reports.hits,
+                "report_misses": self.reports.misses,
                 "counters": dict(self.counters),
                 "engine": {k: self.engine_stats[k] for k in sorted(self.engine_stats)},
                 "options": {

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -342,6 +344,79 @@ class TestMultiWindowCli:
                 "--window", "100", "100", "50", "900",
                 "--top", "top",
             ])
+
+
+class TestReportStore:
+    """``repro check`` asks the report store of its cache directory first."""
+
+    def test_second_check_is_answered_by_the_store(
+        self, dirty_gds, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["check", dirty_gds, "--top", "top", "--cache-dir", str(tmp_path / "D")]
+        assert main(argv + ["--breakdown"]) == 1
+        out = capsys.readouterr().out
+        assert "source:" not in out and "edge-checks" in out
+        # From here on loading the backend fails: a hit must not need it.
+        monkeypatch.setitem(sys.modules, "repro.core.sequential", None)
+        assert main(argv + ["--breakdown"]) == 1
+        hit = capsys.readouterr().out
+        summary, source = hit[: -len("source: report-cache\n")], hit.splitlines()[-1]
+        assert source == "source: report-cache" and "edge-checks" not in hit
+        assert out.startswith(summary)  # the stored report, seconds and all
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel", "multiproc"])
+    def test_hit_is_byte_identical_whoever_produced_the_report(
+        self, dirty_gds, tmp_path, capsys, mode
+    ):
+        main(["check", dirty_gds, "--top", "top", "--no-cache", "--csv"])
+        oracle = capsys.readouterr().out
+        argv = [
+            "check", dirty_gds, "--top", "top", "--cache-dir", str(tmp_path / "D"),
+            "--mode", mode, "--jobs", "2" if mode == "multiproc" else "1",
+        ]
+        for fmt in (["--csv"], ["--csv"], ["--format", "csv", "--expand-instances"]):
+            assert main(argv + fmt) == 1
+        miss, hit, expanded = capsys.readouterr().out.split("rule,kind")[1:]
+        assert "rule,kind" + miss == "rule,kind" + hit == oracle
+        main(["check", dirty_gds, "--top", "top", "--no-cache", "--format", "csv",
+              "--expand-instances"])
+        assert "rule,kind" + expanded == capsys.readouterr().out
+
+    @pytest.mark.parametrize("no_cache", [False, True])
+    def test_without_a_store_nothing_is_kept(
+        self, dirty_gds, tmp_path, capsys, monkeypatch, no_cache
+    ):
+        if no_cache:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "D"))
+        else:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", dirty_gds, "--top", "top"] + (["--no-cache"] if no_cache else [])
+        for _ in range(2):
+            assert main(argv) == 1
+            assert "source:" not in capsys.readouterr().out
+        assert list(tmp_path.rglob("reports")) == []
+        assert not (tmp_path / "D").exists()
+
+    def test_check_window_filters_a_stored_full_report(
+        self, dirty_gds, tmp_path, capsys, monkeypatch
+    ):
+        cache = str(tmp_path / "D")
+        window = ["check-window", dirty_gds, "0", "0", "100000", "100000",
+                  "--top", "top", "--csv"]
+        assert main(window + ["--no-cache"]) == 1
+        computed = capsys.readouterr().out
+        main(["check", dirty_gds, "--top", "top", "--cache-dir", cache])
+        capsys.readouterr()
+        monkeypatch.setattr(
+            "repro.core.incremental.make_backend",
+            lambda *args, **kwargs: pytest.fail("the windowed backend ran"),
+        )
+        assert main(window + ["--cache-dir", cache]) == 1
+        assert capsys.readouterr().out == computed
+        # A clipped report is never stored: still one entry, the full one.
+        main(["cache", "stats", "--cache-dir", cache])
+        assert "report entries: 1" in capsys.readouterr().out
 
 
 class TestRecheckCommand:

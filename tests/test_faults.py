@@ -13,7 +13,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import Engine, EngineOptions, compile_plan, make_backend
+from repro.core import (
+    Engine,
+    EngineOptions,
+    PackStore,
+    ReportCache,
+    compile_plan,
+    make_backend,
+)
 from repro.core.results import CheckResult
 from repro.core.rules import layer
 from repro.util import faults
@@ -335,10 +342,15 @@ class TestPackStoreCorruption:
             cache_dir=str(tmp_path),
             faults="packstore_corrupt:times=1",
         )
+        # The stored report would answer a repeat before the pack store —
+        # where the fault fires — is read, so it is dropped between runs.
+        reports = ReportCache(PackStore(str(tmp_path)))
         cold = Engine(options=options()).check(layout, rules=deck)
+        reports.clear()
         # The cold run sees no existing entries, so the fault budget is
         # still live; the warm run's first store read hits it.
         warm = Engine(options=options()).check(layout, rules=deck)
+        reports.clear()
         assert warm.to_csv() == cold.to_csv()
         assert warm.results[-1].stats["cache_corrupt"] >= 1
         # The corrupted entry was dropped and rewritten: a third run (no
@@ -358,6 +370,7 @@ class TestPackStoreCorruption:
         cold = run(layout, deck, jobs=jobs, cache_dir=str(tmp_path))
         assert cold.to_csv() == baseline.to_csv()
         faults.clear()
+        ReportCache(PackStore(str(tmp_path))).clear()
         warm = run(
             layout, deck, jobs=jobs,
             cache_dir=str(tmp_path), faults="packstore_corrupt:times=1",

@@ -7,9 +7,10 @@ import pytest
 from repro.core import Engine, EngineOptions
 from repro.core.incremental import MODE_RECHECK, recheck
 from repro.core.reportcache import ReportCache, deck_digest, report_key
-from repro.core.packstore import PackStore
+from repro.core.packstore import PackStore, layer_geometry_digest
 from repro.core.rules import layer, polygons
 from repro.geometry import Polygon, Rect, Transform
+from repro.hierarchy.tree import HierarchyTree
 from repro.layout.cell import CellReference
 from repro.workloads import asap7, build_design
 
@@ -232,6 +233,71 @@ class TestReportCacheRoundTrip:
         loaded = ReportCache(PackStore(str(tmp_path))).load(key, DECK)
         assert loaded is not None
         assert loaded.to_csv() == report.to_csv()
+
+
+def cold_report(layout, deck=DECK):
+    """The oracle: computed by an engine that has no store to be answered by."""
+    with Engine(options=EngineOptions(use_cache=False)) as engine:
+        return engine.check(layout, rules=deck)
+
+
+def version_key(layout, deck=DECK):
+    tree = HierarchyTree(layout)
+    digests = {L: layer_geometry_digest(tree, L) for L in layout.layers()}
+    return report_key(deck_digest(deck), digests)
+
+
+class TestVerifyComputesItsReference:
+    """``verify`` must never be answered by the store it verifies."""
+
+    def test_planted_entry_cannot_stand_in_for_the_reference(self, tmp_path):
+        options = EngineOptions(cache_dir=str(tmp_path))
+        old, new = versions(edit_add_top_polygon)
+        wrong = Engine(options=options).check(old, rules=DECK)
+        cold = cold_report(new)
+        assert wrong.to_csv() != cold.to_csv()
+        store = ReportCache(PackStore(str(tmp_path)))
+        store.save(version_key(new), wrong)
+        # The plant works: a plain check of the new version is poisoned.
+        poisoned = Engine(options=options).check(new, rules=DECK)
+        assert poisoned.to_csv() == wrong.to_csv()
+
+        outcome = recheck(old, new, rules=DECK, options=options, verify=True)
+        assert outcome.cache_hit and "windowed" in outcome.disposition.values()
+        assert outcome.reference.to_csv() == cold.to_csv()
+        assert outcome.report.to_csv() == cold.to_csv()
+        # The verified splice replaced the planted entry.
+        fresh = ReportCache(PackStore(str(tmp_path)))
+        assert fresh.load(version_key(new), DECK).to_csv() == cold.to_csv()
+
+    def test_cold_verify_ignores_a_planted_entry_too(self, tmp_path):
+        options = EngineOptions(cache_dir=str(tmp_path))
+        old, new = versions(edit_add_top_polygon)
+        store = ReportCache(PackStore(str(tmp_path)))
+        store.save(version_key(new), cold_report(old))  # no baseline for old
+        cold = cold_report(new)
+        outcome = recheck(old, new, rules=DECK, options=options, verify=True)
+        assert set(outcome.disposition.values()) == {"cold"}
+        assert outcome.report.to_csv() == cold.to_csv()
+        assert outcome.reference is outcome.report
+        fresh = ReportCache(PackStore(str(tmp_path)))
+        assert fresh.load(version_key(new), DECK).to_csv() == cold.to_csv()
+
+    def test_failed_verification_stores_nothing(self, tmp_path, monkeypatch):
+        from repro.core import incremental
+
+        options = EngineOptions(cache_dir=str(tmp_path))
+        old, new = versions(edit_add_top_polygon)
+        Engine(options=options).check(old, rules=DECK)
+        # A splice that forgets the fresh violations: the bug verify exists for.
+        monkeypatch.setattr(
+            incremental, "splice_violations", lambda cached, fresh, regions: cached
+        )
+        with pytest.raises(AssertionError, match="diverges"):
+            recheck(old, new, rules=DECK, options=options, verify=True)
+        store = ReportCache(PackStore(str(tmp_path)))
+        assert store.load(version_key(new), DECK) is None
+        assert len(store.entries()) == 1  # only the old version's report
 
 
 class TestReportJson:

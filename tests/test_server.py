@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import os
+import random
 import threading
 import time
 
@@ -14,8 +16,10 @@ from repro.client import (
     report_json_summary,
     report_json_to_csv,
 )
-from repro.core.engine import Engine
-from repro.gdsii import read_layout, write
+from repro.core.engine import EngineOptions
+from repro.core.incremental import check_window
+from repro.gdsii import read_layout, read_layout_bytes, write, write_bytes
+from repro.geometry import Rect
 from repro.layout import gdsii_from_layout
 from repro.server import (
     AdmissionScheduler,
@@ -26,6 +30,14 @@ from repro.server import (
     start_server,
 )
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
+
+from .test_recheck import (
+    cold_report,
+    edit_add_instance,
+    edit_add_top_polygon,
+    edit_remove_top_polygon,
+    edit_stdcell_definition,
+)
 
 
 @pytest.fixture()
@@ -55,12 +67,15 @@ def state():
         yield st
 
 
+def _cold_report(layout):
+    """The oracle: a sequential engine with no store to be answered by."""
+    return cold_report(layout, asap7.full_deck())
+
+
 def _local_report(path, top="top"):
     layout = read_layout(path)
     layout.set_top(top)
-    with Engine() as engine:
-        engine.add_rules(asap7.full_deck())
-        return engine.check(layout)
+    return _cold_report(layout)
 
 
 class TestSingleFlight:
@@ -256,11 +271,13 @@ class TestServedChecks:
         session, _ = state.create_session(path=dirty_gds, top="top")
         # A windowed check on a never-checked session leaves no baseline...
         state.check_window(session.sid, [[0, 0, 10, 10]])
-        assert session.last_report is None
+        assert session.report() is None
+        assert state.reports.memory_entries() == 0
         # ...and never replaces an existing full-extent baseline.
         full, _ = state.check(session.sid)
-        state.check_window(session.sid, [[0, 0, 10, 10]])
-        assert session.last_report is full
+        _, meta = state.check_window(session.sid, [[0, 0, 10, 10]])
+        assert meta["source"] == "report-lru"  # a filter of the full report
+        assert session.report() is full
         payload = state.violations(session.sid)
         assert payload["total"] == full.total_violations
 
@@ -269,7 +286,7 @@ class TestServedChecks:
     ):
         # Both versions carry the same M2 violations; the edit only touches
         # M1, so the recheck reuses the cached M2 results verbatim. A
-        # windowed report leaking into last_report would silently drop
+        # windowed report leaking into the store would silently drop
         # every M2 violation outside the window.
         old = build_design("uart")
         inject_violations(old, InjectionPlan(spacing=2), layer=asap7.M2, seed=1)
@@ -315,6 +332,250 @@ class TestServedChecks:
         # The session now serves the new version's violations.
         payload = state.violations(session.sid)
         assert payload["total"] == report.total_violations
+
+
+#: Edits that take uart's base to each version the state machine visits.
+VERSION_EDITS = [
+    (),
+    (edit_add_top_polygon,),
+    (edit_add_top_polygon, edit_stdcell_definition),
+    (edit_remove_top_polygon,),
+    (edit_add_instance,),
+]
+WINDOWS = [
+    [[0, 0, 600, 600]],
+    [[-100, -100, 2000, 900], [1500, 300, 4000, 2500]],
+    [[-100000, -100000, 100000, 100000]],
+]
+
+
+@pytest.fixture(scope="module")
+def versions():
+    """Per version: the GDS bytes, the cold oracle report, its layout."""
+    out = []
+    for edits in VERSION_EDITS:
+        layout = build_design("uart")
+        for edit in edits:
+            edit(layout)
+        data = write_bytes(gdsii_from_layout(layout))
+        parsed = read_layout_bytes(data)
+        parsed.set_top("top")
+        out.append((data, _cold_report(parsed), parsed))
+    assert len({report.to_csv() for _, report, _ in out}) > 2  # versions differ
+    return out
+
+
+class TestOneAnswerTier:
+    """Random request sequences against a model of the one report store.
+
+    The model knows which versions the store has a full-extent report of;
+    from that alone it predicts, for every request, who answers
+    (``report-lru`` or the engine) and whether ``engine_runs`` grows: only
+    on a full check or a window check of a version the store has not seen,
+    and on a recheck to non-identical content (or without a baseline).
+    Every served CSV must equal the cold oracle of the version it is for.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_session_state_machine(self, versions, seed):
+        rng = random.Random(seed)
+        with ServerState() as state:
+            first, _ = state.create_session(data=versions[0][0], top="top")
+            current = {first.sid: 0}  # session -> version it is at
+            created_from = {0}  # a session id is the content it was created from
+            seen = set()  # versions the store holds a full report of
+            runs = bypassed = 0
+
+            def full(sid):
+                nonlocal runs
+                version = current[sid]
+                if version not in seen:
+                    runs += 1
+                    seen.add(version)
+                    return "engine"
+                return "report-lru"
+
+            for step in range(30):
+                sid = rng.choice(sorted(current))
+                data, oracle, layout = versions[current[sid]]
+                action = rng.choice(
+                    ["check", "window", "recheck", "revert", "violations", "session"]
+                )
+                where = f"seed {seed} step {step}: {action} at v{current[sid]}"
+                if action == "check":
+                    expected = full(sid)
+                    report, meta = state.check(sid)
+                    assert meta["source"] == expected, where
+                    assert report.to_csv() == oracle.to_csv(), where
+                elif action == "window":
+                    rects = [Rect(*w) for w in rng.choice(WINDOWS)]
+                    expected = "report-lru"
+                    if current[sid] not in seen:  # computed, and not stored
+                        runs += 1
+                        expected = "engine"
+                    report, meta = state.check_window(
+                        sid, [[r.xlo, r.ylo, r.xhi, r.yhi] for r in rects]
+                    )
+                    assert meta["source"] == expected, where
+                    cold = check_window(
+                        layout, rects, rules=asap7.full_deck(),
+                        options=EngineOptions(use_cache=False),
+                    )
+                    assert report.to_csv() == cold.to_csv(), where
+                elif action in ("recheck", "revert"):
+                    # "revert" goes back to a version some step already
+                    # reached; either may also re-upload the current one.
+                    pool = sorted(seen) if action == "revert" and seen else range(len(versions))
+                    target = rng.choice(list(pool))
+                    if target == current[sid] and target in seen:
+                        bypassed += 1
+                    else:
+                        runs += 1
+                    report, meta = state.recheck(sid, data=versions[target][0])
+                    current[sid] = target
+                    seen.add(target)
+                    assert meta["source"] == "engine", where
+                    assert report.to_csv() == versions[target][1].to_csv(), where
+                elif action == "violations":
+                    full(sid)
+                    listing = state.violations(sid)
+                    assert listing["total"] == oracle.total_violations, where
+                    assert state.session(sid).info()["last_total_violations"] == (
+                        oracle.total_violations
+                    ), where
+                elif current[sid] not in created_from:
+                    # A second session, from the bytes this one has reached.
+                    other, created = state.create_session(data=data, top="top")
+                    assert created and other.sid not in current, where
+                    created_from.add(current[sid])
+                    current[other.sid] = current[sid]
+                assert state.counters["engine_runs"] == runs, where
+                assert state.counters["admission_bypassed"] == bypassed, where
+            assert state.reports.memory_entries() == len(seen)
+
+    def test_check_after_recheck_and_second_session_are_store_hits(self, versions):
+        with ServerState() as state:
+            session, _ = state.create_session(data=versions[0][0], top="top")
+            state.check(session.sid)
+            state.recheck(session.sid, data=versions[1][0])
+            runs = state.counters["engine_runs"]
+            report, meta = state.check(session.sid)
+            assert meta["source"] == "report-lru"
+            assert report.to_csv() == versions[1][1].to_csv()
+            other, created = state.create_session(data=versions[1][0], top="top")
+            assert created and other.sid != session.sid
+            report, meta = state.check(other.sid)
+            assert meta["source"] == "report-lru"
+            assert report.to_csv() == versions[1][1].to_csv()
+            assert state.counters["engine_runs"] == runs
+            stats = state.stats()
+            assert stats["report_lru_size"] == 2 and stats["report_lru_capacity"] == 64
+            assert stats["report_hits"] >= 3 and stats["report_misses"] >= 1
+
+    def test_queued_rechecks_splice_onto_the_version_they_find(self, versions):
+        # Two rechecks of one session, to v1 and to v2 (= v1 + one more
+        # edit), both parked behind the session's admission slot. Whichever
+        # runs second diffs against the version the first left behind, so it
+        # must splice onto that version's report — not the one of v0, which
+        # was current when both requests arrived.
+        with ServerState() as state:
+            session, _ = state.create_session(data=versions[0][0], top="top")
+            state.check(session.sid)
+            served = {}
+
+            def recheck(target):
+                report, _ = state.recheck(session.sid, data=versions[target][0])
+                served[target] = report.to_csv()
+
+            threads = [threading.Thread(target=recheck, args=(t,)) for t in (1, 2)]
+            with state.scheduler.admit(session.sid):
+                for thread in threads:
+                    thread.start()
+                for _ in range(2000):
+                    if state.scheduler.waiting == 2:
+                        break
+                    time.sleep(0.005)
+                assert state.scheduler.waiting == 2
+            for thread in threads:
+                thread.join(60)
+            assert served == {t: versions[t][1].to_csv() for t in (1, 2)}
+            # What they stored is what every later request is answered with.
+            for target in (1, 2):
+                other, _ = state.create_session(data=versions[target][0], top="top")
+                report, meta = state.check(other.sid)
+                assert meta["source"] == "report-lru"
+                assert report.to_csv() == versions[target][1].to_csv()
+
+    def test_status_pages_do_not_count_as_requests(self, versions):
+        with ServerState(report_lru=1) as state:
+            first, _ = state.create_session(data=versions[0][0], top="top")
+            second, _ = state.create_session(data=versions[1][0], top="top")
+            state.check(first.sid)
+            state.check(second.sid)  # evicts first's report from the front
+            before = (state.reports.hits, state.reports.misses)
+            assert first.info()["last_total_violations"] is None
+            assert second.info()["last_total_violations"] == (
+                versions[1][1].total_violations
+            )
+            state.sessions()
+            assert (state.reports.hits, state.reports.misses) == before
+            _, meta = state.check(second.sid)  # still the front's one entry
+            assert meta["source"] == "report-lru"
+
+    def test_report_lru_zero_keeps_nothing(self, versions):
+        with ServerState(report_lru=0) as state:
+            session, _ = state.create_session(data=versions[0][0], top="top")
+            for _ in range(2):
+                report, meta = state.check(session.sid)
+                assert meta["source"] == "engine"
+                assert report.to_csv() == versions[0][1].to_csv()
+            assert state.counters["engine_runs"] == 2
+            assert state.stats()["report_lru_size"] == 0
+
+    def test_disk_back_answers_a_restarted_daemon(self, versions, tmp_path):
+        options = EngineOptions(cache_dir=str(tmp_path))
+        with ServerState(options=options) as state:
+            session, _ = state.create_session(data=versions[1][0], top="top")
+            _, meta = state.check(session.sid)
+            assert meta["source"] == "engine"
+        with ServerState(options=options) as state:
+            session, _ = state.create_session(data=versions[1][0], top="top")
+            report, meta = state.check(session.sid)
+            assert meta["source"] == "report-lru"
+            assert state.counters["engine_runs"] == 0
+            assert report.to_csv() == versions[1][1].to_csv()
+
+    def test_undigestable_deck_rechecks_incrementally_and_writes_no_report(
+        self, versions, tmp_path
+    ):
+        deck = tmp_path / "deck.py"
+        deck.write_text(
+            "from repro.core.rules import polygons\n"
+            "from repro.workloads import asap7\n"
+            "RULES = asap7.full_deck() + [polygons().ensures(lambda p: True)]\n"
+        )
+        cache = tmp_path / "cache"
+        options = EngineOptions(cache_dir=str(cache))
+        with ServerState(options=options, deck_path=str(deck)) as state:
+            session, _ = state.create_session(data=versions[0][0], top="top")
+            assert session.info()["coalescable"] is False
+            _, meta = state.check(session.sid)
+            assert meta["source"] == "engine"
+            _, meta = state.check(session.sid)
+            assert meta["source"] == "report-lru"
+            report, meta = state.recheck(session.sid, data=versions[1][0])
+            assert "cold" not in meta["recheck"]["disposition"].values()
+            assert "windowed" in meta["recheck"]["disposition"].values()
+            oracle = versions[1][1]
+            assert report.total_violations == oracle.total_violations
+            assert state.violations(session.sid)["total"] == oracle.total_violations
+            assert state.counters["engine_runs"] == 2
+            # Never coalesces, never shares: a twin session computes for itself.
+            twin, created = state.create_session(data=versions[1][0], top="top")
+            assert created and twin.sid != session.sid
+            _, meta = state.check(twin.sid)
+            assert meta["source"] == "engine"
+        assert not os.path.exists(cache / "reports")
 
 
 class TestViolationsFiltering:

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.core import Engine, EngineOptions, PackStore, check_window
+from repro.core import Engine, EngineOptions, PackStore, ReportCache, check_window
 from repro.core.rules import layer
 from repro.geometry import Rect
 from repro.workloads import (
@@ -44,6 +44,12 @@ def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1, cost_model=True
     return engine.check(layout, rules=deck())
 
 
+def forget_reports(cache_dir):
+    """Make the next check of ``cache_dir`` compute again: the report store
+    would answer it before the pack store — the subject here — is touched."""
+    ReportCache(PackStore(cache_dir)).clear()
+
+
 class TestWarmEqualsCold:
     def test_parallel_warm_equals_cold_with_hit_stats(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
@@ -53,6 +59,7 @@ class TestWarmEqualsCold:
         assert cold_stats["cache_hits"] == 0
         assert cold_stats["cache_bytes_written"] > 0
 
+        forget_reports(cache)
         warm = run(dirty_layout, mode="parallel", cache_dir=cache)
         warm_stats = warm.results[-1].stats
         assert warm.to_csv() == cold.to_csv()
@@ -74,10 +81,14 @@ class TestWarmEqualsCold:
         cache = str(tmp_path)
         baseline = run(dirty_layout, mode="sequential").to_csv()
         for mode in ("sequential", "parallel", "multiproc"):
+            forget_reports(cache)
             cold = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
+            forget_reports(cache)
             warm = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
+            stored = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
             assert cold.to_csv() == baseline, mode
             assert warm.to_csv() == baseline, mode
+            assert stored.to_csv() == baseline, mode  # answered by the report store
 
     def test_multiproc_warm_ships_memmap_payloads(self, dirty_layout, tmp_path):
         # This is about transport, so the cost model stays out of it: the
@@ -86,6 +97,7 @@ class TestWarmEqualsCold:
         cache = str(tmp_path)
         options = dict(mode="multiproc", cache_dir=cache, jobs=2, cost_model=False)
         cold = run(dirty_layout, **options)
+        forget_reports(cache)
         warm = run(dirty_layout, **options)
         assert warm.to_csv() == cold.to_csv()
         warm_stats = warm.results[-1].stats
@@ -95,6 +107,7 @@ class TestWarmEqualsCold:
     def test_sequential_reuses_the_partition(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
         run(dirty_layout, mode="sequential", cache_dir=cache)
+        forget_reports(cache)
         warm = run(dirty_layout, mode="sequential", cache_dir=cache)
         stats = warm.results[-1].stats
         assert stats["cache_hits"] > 0 and stats["cache_misses"] == 0
@@ -129,6 +142,7 @@ class TestPersistedCounters:
     def test_counters_accumulate_across_engine_runs(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
         run(dirty_layout, mode="parallel", cache_dir=cache)
+        forget_reports(cache)
         run(dirty_layout, mode="parallel", cache_dir=cache)
         totals = PackStore(cache).persisted_counters()
         assert totals.get("misses", 0) > 0  # cold run
