@@ -17,7 +17,6 @@ from .edges import (
     is_width_pair,
     polygon_notch_violations,
     polygon_spacing_violations,
-    spacing_violation_regions,
     width_violation_regions,
 )
 from .enclosure import check_enclosure, enclosure_margin, enclosure_pair_violations
@@ -56,7 +55,6 @@ __all__ = [
     "sort_violations",
     "spacing_notch_violations",
     "spacing_pair_violations",
-    "spacing_violation_regions",
     "violation_set",
     "width_violation_regions",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator, List, Sequence, Tuple
 
 from ..geometry import Edge, Polygon, Rect
+from ..geometry.polygon import EdgeRows
 
 
 def is_width_pair(e1: Edge, e2: Edge) -> bool:
@@ -47,90 +48,62 @@ def width_violation_regions(polygon: Polygon, min_width: int) -> List[Tuple[Rect
 
     Returns ``(region, measured_distance)`` per violating edge pair.
     """
-    return _facing_pairs(polygon.edges(), polygon.edges(), min_width, want_width=True, skip=True)
-
-
-def spacing_violation_regions(
-    edges_a: Sequence[Edge],
-    edges_b: Sequence[Edge],
-    min_space: int,
-    *,
-    same_object: bool = False,
-) -> List[Tuple[Rect, int]]:
-    """Exterior strips between two edge sets narrower than ``min_space``.
-
-    With ``same_object=True`` both sequences are the same polygon's edges and
-    only unordered pairs are inspected (notch detection).
-    """
-    return _facing_pairs(edges_a, edges_b, min_space, want_width=False, skip=same_object)
-
-
-def _edge_row(edge: Edge) -> Tuple[bool, int, int, int, int]:
-    """(is_horizontal, fixed, lo, hi, interior-sign) of one edge.
-
-    The interior sign is the +/-1 component of the interior normal along
-    the perpendicular axis — the only classification input the pair loops
-    need. Precomputing it sidesteps per-pair property calls.
-    """
-    x1, y1 = edge.start
-    x2, y2 = edge.end
-    if y1 == y2:  # horizontal; EAST travel has interior south (-1)
-        sign = -1 if x2 > x1 else 1
-        return (True, y1, min(x1, x2), max(x1, x2), sign)
-    sign = 1 if y2 > y1 else -1  # vertical; NORTH travel has interior east
-    return (False, x1, min(y1, y2), max(y1, y2), sign)
+    rows = polygon.edge_rows()
+    return _facing_pairs(rows, rows, min_width, want_width=True, skip=True)
 
 
 def _facing_pairs(
-    edges_a: Sequence[Edge],
-    edges_b: Sequence[Edge],
+    rows_a: EdgeRows,
+    rows_b: EdgeRows,
     threshold: int,
     *,
     want_width: bool,
     skip: bool,
 ) -> List[Tuple[Rect, int]]:
-    rows_a = [_edge_row(e) for e in edges_a]
-    rows_b = rows_a if skip else [_edge_row(e) for e in edges_b]
+    """Parallel row pairs of two ``Polygon.edge_rows`` tables closer than ``threshold``.
+
+    With ``skip`` both tables are the same polygon's and only unordered
+    pairs are inspected.
+    """
     # Width pairs need the near edge's interior normal pointing at the far
     # edge (sign +1 toward greater coordinates); spacing pairs the opposite.
     near_sign = 1 if want_width else -1
     results: List[Tuple[Rect, int]] = []
-    for i, (h1, f1, lo1, hi1, s1) in enumerate(rows_a):
-        start = i + 1 if skip else 0
-        for h2, f2, lo2, hi2, s2 in rows_b[start:]:
-            if h1 != h2:
-                continue
-            delta = f2 - f1
-            if delta >= 0:
-                distance = delta
-                sign_near, sign_far = s1, s2
-            else:
-                distance = -delta
-                sign_near, sign_far = s2, s1
-            if distance == 0 or distance >= threshold:
-                continue
-            if sign_near != near_sign or sign_far != -near_sign:
-                continue
-            lo = lo1 if lo1 > lo2 else lo2
-            hi = hi1 if hi1 < hi2 else hi2
-            if hi <= lo:
-                continue
-            c1, c2 = (f1, f2) if f1 < f2 else (f2, f1)
-            region = Rect(lo, c1, hi, c2) if h1 else Rect(c1, lo, c2, hi)
-            results.append((region, distance))
+    for horizontal, axis_a, axis_b in ((True, rows_a[0], rows_b[0]), (False, rows_a[1], rows_b[1])):
+        for i, (f1, lo1, hi1, s1) in enumerate(axis_a):
+            for f2, lo2, hi2, s2 in axis_b[i + 1 :] if skip else axis_b:
+                delta = f2 - f1
+                if delta >= 0:
+                    distance = delta
+                    sign_near, sign_far = s1, s2
+                else:
+                    distance = -delta
+                    sign_near, sign_far = s2, s1
+                if distance == 0 or distance >= threshold:
+                    continue
+                if sign_near != near_sign or sign_far != -near_sign:
+                    continue
+                lo = lo1 if lo1 > lo2 else lo2
+                hi = hi1 if hi1 < hi2 else hi2
+                if hi <= lo:
+                    continue
+                c1, c2 = (f1, f2) if f1 < f2 else (f2, f1)
+                region = Rect(lo, c1, hi, c2) if horizontal else Rect(c1, lo, c2, hi)
+                results.append((region, distance))
     return results
 
 
 def polygon_spacing_violations(
     p: Polygon, q: Polygon, min_space: int
 ) -> List[Tuple[Rect, int]]:
-    """Spacing violations between two distinct polygons."""
-    return spacing_violation_regions(p.edges(), q.edges(), min_space)
+    """Exterior strips between two distinct polygons narrower than ``min_space``."""
+    return _facing_pairs(p.edge_rows(), q.edge_rows(), min_space, want_width=False, skip=False)
 
 
 def polygon_notch_violations(p: Polygon, min_space: int) -> List[Tuple[Rect, int]]:
     """Spacing violations of a polygon against itself (notches)."""
-    return spacing_violation_regions(p.edges(), p.edges(), min_space, same_object=True)
+    rows = p.edge_rows()
+    return _facing_pairs(rows, rows, min_space, want_width=False, skip=True)
 
 
 def iter_parallel_pairs(

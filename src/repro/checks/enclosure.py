@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..geometry import Polygon
-from ..spatial.sweepline import iter_bipartite_overlaps
+from ..spatial.sweepline import near_pairs
 from .base import Violation, ViolationKind
 
 
@@ -28,30 +28,33 @@ def enclosure_margin(via: Polygon, metal: Polygon) -> Optional[int]:
     Returns ``None`` when ``metal`` does not enclose ``via`` at all (some
     via edge finds no outward metal boundary, or the via pokes out).
     """
-    if not metal.mbr.contains_rect(via.mbr):
+    inner, outer = via.mbr, metal.mbr
+    if not outer.contains_rect(inner):
         return None
-    metal_edges = metal.edges()
+    if via.is_rectangle and metal.is_rectangle:
+        # Two boxes, one inside the other: each via side faces exactly the
+        # metal side of the same name.
+        return min(
+            inner.xlo - outer.xlo, inner.ylo - outer.ylo,
+            outer.xhi - inner.xhi, outer.yhi - inner.yhi,
+        )
     worst: Optional[int] = None
-    for via_edge in via.edges():
-        # Outward direction of a via edge = its exterior normal.
-        nx, ny = via_edge.interior_side
-        out_x, out_y = -nx, -ny
-        best: Optional[int] = None
-        for metal_edge in metal_edges:
-            if metal_edge.orientation is not via_edge.orientation:
-                continue
-            if via_edge.projection_overlap(metal_edge) <= 0:
-                continue
-            delta = metal_edge.fixed_coordinate - via_edge.fixed_coordinate
-            signed = delta * (out_x + out_y)
-            if signed < 0:
-                continue  # metal edge on the inward side
-            if best is None or signed < best:
-                best = signed
-        if best is None:
-            return None  # no metal boundary outward of this via edge
-        if worst is None or best < worst:
-            worst = best
+    for via_rows, metal_rows in zip(via.edge_rows(), metal.edge_rows()):
+        for fixed, lo, hi, sign in via_rows:
+            best: Optional[int] = None
+            for metal_fixed, metal_lo, metal_hi, _ in metal_rows:
+                if min(hi, metal_hi) <= max(lo, metal_lo):
+                    continue
+                # Outward of a via edge is against its interior sign.
+                signed = (fixed - metal_fixed) * sign
+                if signed < 0:
+                    continue  # metal edge on the inward side
+                if best is None or signed < best:
+                    best = signed
+            if best is None:
+                return None  # no metal boundary outward of this via edge
+            if worst is None or best < worst:
+                worst = best
     # Sanity: all via corners must actually be inside the metal polygon —
     # edge margins alone cannot see a notch carved between two metal edges.
     for vertex in via.vertices:
@@ -109,7 +112,7 @@ def check_enclosure(
     candidates: List[List[Polygon]] = [[] for _ in vias]
     via_rects = [v.mbr.inflated(min_enclosure) for v in vias]
     metal_rects = [m.mbr for m in metals]
-    for i, j in iter_bipartite_overlaps(via_rects, metal_rects):
+    for i, j in near_pairs(via_rects, metal_rects):
         candidates[i].append(metals[j])
 
     violations: List[Violation] = []

@@ -320,6 +320,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             for name, profile in engine.last_profiles.items():
                 print(f"\n[{name}]")
                 print(profile.breakdown_table())
+            # Sequential stats accumulate down the deck: the last rule's are
+            # the run's totals (which pairs were swept, pruned, memoised).
+            stats = report.results[-1].stats if report.results else {}
+            names = ("checks_run", "checks_reused", "pairs_considered", "pairs_pruned_mbr")
+            if all(name in stats for name in names):
+                values = " / ".join(str(stats[name]) for name in names)
+                print(f"\n{' / '.join(names)}: {values}")
     return 0 if report.ok else 1
 
 

@@ -37,7 +37,7 @@ from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
-from ..spatial.sweepline import iter_bipartite_overlaps, report_overlapping_pairs
+from ..spatial.sweepline import near_pairs, report_overlapping_pairs
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
@@ -327,26 +327,11 @@ class SequentialBackend:
         value: int,
         procedures,
     ) -> List[Violation]:
-        """Edge checks between two polygon sets, MBR-pruned per pair.
-
-        For large sides a bipartite sweep finds the near pairs in
-        O((m+n) log(m+n) + k); for small sides a direct loop with the same
-        rule-inflated MBR test is cheaper.
-        """
+        """Edge checks between two polygon sets, MBR-pruned per pair."""
         vios: List[Violation] = []
-        if len(side_a) * len(side_b) > 1024:
-            inflated_a = [p.mbr.inflated(value) for p in side_a]
-            rects_b = [p.mbr for p in side_b]
-            for i, j in iter_bipartite_overlaps(inflated_a, rects_b):
-                vios.extend(
-                    procedures.cross_violations(side_a[i], side_b[j], layer, value)
-                )
-            return vios
-        for pa in side_a:
-            window = pa.mbr.inflated(value)
-            for pb in side_b:
-                if window.overlaps(pb.mbr):
-                    vios.extend(procedures.cross_violations(pa, pb, layer, value))
+        inflated_a = [p.mbr.inflated(value) for p in side_a]
+        for i, j in near_pairs(inflated_a, [p.mbr for p in side_b]):
+            vios.extend(procedures.cross_violations(side_a[i], side_b[j], layer, value))
         return vios
 
     def _flat_subtree_pairs(
@@ -450,7 +435,7 @@ class SequentialBackend:
             items = self._level_items(cell, metal_layer)
             windows = [via.mbr.inflated(value) for via in vias]
             vias_of_item: Dict[int, List[int]] = {}
-            for i, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
+            for i, j in near_pairs(windows, [it.mbr for it in items]):
                 vias_of_item.setdefault(j, []).append(i)
 
         satisfied = [False] * len(vias)
@@ -461,7 +446,7 @@ class SequentialBackend:
             else:
                 # One descent for all vias paired with this item: gather the
                 # metal overlapping the union of their windows, then assign
-                # candidates per via with a bipartite sweep.
+                # candidates per via.
                 with profile.phase(PHASE_SWEEPLINE):
                     union_window = windows[via_indices[0]]
                     for i in via_indices[1:]:
@@ -474,17 +459,9 @@ class SequentialBackend:
                     )
             with profile.phase(PHASE_SWEEPLINE):
                 candidates: Dict[int, List[Polygon]] = {}
-                if len(via_indices) * len(metals) <= 64:
-                    for i in via_indices:
-                        window = windows[i]
-                        for metal in metals:
-                            if window.overlaps(metal.mbr):
-                                candidates.setdefault(i, []).append(metal)
-                else:
-                    pending_windows = [windows[i] for i in via_indices]
-                    metal_rects = [m.mbr for m in metals]
-                    for vi, mi in iter_bipartite_overlaps(pending_windows, metal_rects):
-                        candidates.setdefault(via_indices[vi], []).append(metals[mi])
+                pending_windows = [windows[i] for i in via_indices]
+                for vi, mi in near_pairs(pending_windows, [m.mbr for m in metals]):
+                    candidates.setdefault(via_indices[vi], []).append(metals[mi])
             with profile.phase(PHASE_EDGE_CHECKS):
                 for via_index, cands in candidates.items():
                     if satisfied[via_index]:

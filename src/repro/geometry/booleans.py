@@ -34,15 +34,13 @@ def decompose_rectilinear(polygon: Polygon) -> List[Rect]:
     """
     ys = sorted({p.y for p in polygon.vertices})
     rects: List[Rect] = []
-    verticals = [e for e in polygon.edges() if e.is_vertical]
+    _, verticals = polygon.edge_rows()
     for ylo, yhi in zip(ys, ys[1:]):
         xs: List[Tuple[int, int]] = []  # (x, +1 left boundary / -1 right)
-        for edge in verticals:
-            elo, ehi = edge.span
+        for x, elo, ehi, sign in verticals:
             if elo <= ylo and yhi <= ehi:
                 # Interior east (+1) means the region lies right of the edge.
-                sign = edge.interior_side[0]
-                xs.append((edge.fixed_coordinate, sign))
+                xs.append((x, sign))
         xs.sort()
         depth = 0
         start = 0

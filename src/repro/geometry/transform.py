@@ -72,7 +72,11 @@ class Transform(NamedTuple):
         return Point(int(x), int(y))
 
     def apply_many(self, points: Iterable[Point]) -> List[Point]:
-        return [self.apply(p) for p in points]
+        if self.magnification != 1:
+            return [self.apply(p) for p in points]
+        a, b, c, d = self._matrix  # integers: grid points stay on the grid
+        dx, dy = self.dx, self.dy
+        return [Point(a * x + b * y + dx, c * x + d * y + dy) for x, y in points]
 
     def apply_rect(self, r: Rect) -> Rect:
         """Transform a rect; the result is the MBR of the transformed corners."""

@@ -55,8 +55,8 @@ def distance_invariant(transform: Transform) -> bool:
 
 
 def area_invariant(transform: Transform) -> bool:
-    """Area results survive transforms that do not scale area."""
-    return transform.area_scale == 1
+    """Area results survive transforms that do not scale area (``m**2 == 1``)."""
+    return transform.magnification == 1
 
 
 def always_invariant(transform: Transform) -> bool:
@@ -178,8 +178,11 @@ class SubtreeWindow:
         cell = self.tree.layout.cell(cell_name)
         local_windows = [pull_back_window(placement, w) for w in windows]
         for polygon in cell.polygons(layer):
-            if any(polygon.mbr.overlaps(w) for w in local_windows):
-                out.append(polygon.transformed(placement))
+            xlo, ylo, xhi, yhi = polygon.mbr
+            for wxlo, wylo, wxhi, wyhi in local_windows:  # none empty: closed overlap
+                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                    out.append(polygon.transformed(placement))
+                    break
         for ref in cell.references:
             child_mbr = self.tree.layer_mbr(ref.cell_name, layer)
             if child_mbr.is_empty:

@@ -10,6 +10,8 @@ visit counts the complexity tests assert on.
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..geometry import Polygon, Rect, Transform
@@ -79,7 +81,7 @@ def iter_layer_range(
                 if not placed_mbr.overlaps(local_window):
                     stats.cells_pruned += 1
                     continue
-                child_window = _pull_back(placement, local_window)
+                child_window = pull_back_window(placement, local_window)
                 yield from visit(child, transform.compose(placement), child_window)
 
     top_mbr = tree.layer_mbr(tree.top.name, layer)
@@ -98,60 +100,48 @@ def count_layer_range(
     return count, stats
 
 
-def _pull_back(placement: Transform, window: Rect) -> Rect:
-    """Map a parent-coordinate window into the child's local coordinates."""
-    return pull_back_window(placement, window)
-
-
 def pull_back_window(placement: Transform, window: Rect) -> Rect:
-    """Inverse-map a window, rounding outward onto the integer grid.
+    """Inverse-map a window into the child's local coordinates.
 
-    For magnified placements the exact inverse image may have fractional
-    corners; rounding outward only enlarges the window, which is always safe
-    for MBR-gathering (a superset of candidates, never a miss).
+    A placement's matrix is ``m R`` with ``R`` an integer rotation/mirror, so
+    its inverse is the transpose over ``m**2``: exact integers for a rigid
+    placement. For magnified placements the exact inverse image may have
+    fractional corners; rounding outward only enlarges the window, which is
+    always safe for MBR-gathering (a superset of candidates, never a miss).
     """
-    import math
-    from fractions import Fraction
-
     if window.is_empty:
         return window
     a, b, c, d = placement._matrix
-    det = Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)
-    inv = (
-        Fraction(d) / det,
-        Fraction(-b) / det,
-        Fraction(-c) / det,
-        Fraction(a) / det,
-    )
-    xs = []
-    ys = []
-    for x, y in (
-        (window.xlo, window.ylo),
-        (window.xhi, window.yhi),
-        (window.xlo, window.yhi),
-        (window.xhi, window.ylo),
-    ):
-        px = Fraction(x - placement.dx)
-        py = Fraction(y - placement.dy)
-        xs.append(inv[0] * px + inv[1] * py)
-        ys.append(inv[2] * px + inv[3] * py)
+    xlo, ylo = window.xlo - placement.dx, window.ylo - placement.dy
+    xhi, yhi = window.xhi - placement.dx, window.yhi - placement.dy
+    x1, y1 = a * xlo + c * ylo, b * xlo + d * ylo
+    x2, y2 = a * xhi + c * yhi, b * xhi + d * yhi
+    if placement.magnification == 1:
+        return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+    scale = Fraction(placement.magnification) ** 2
     return Rect(
-        math.floor(min(xs)), math.floor(min(ys)),
-        math.ceil(max(xs)), math.ceil(max(ys)),
+        math.floor(min(x1, x2) / scale), math.floor(min(y1, y2) / scale),
+        math.ceil(max(x1, x2) / scale), math.ceil(max(y1, y2) / scale),
     )
 
 
 def invert(transform: Transform) -> Transform:
     """Inverse of a placement transform (magnification must be invertible)."""
-    from fractions import Fraction
-
-    mag = Fraction(transform.magnification)
-    inv_mag = 1 / mag
     # Inverse linear part: undo rotation then mirror; composed directly.
     if transform.mirror_x:
         rotation = transform.rotation % 360
     else:
         rotation = (-transform.rotation) % 360
+    if transform.magnification == 1:
+        a, b, c, d = transform._matrix  # orthogonal: the inverse is the transpose
+        return Transform(
+            -(a * transform.dx + c * transform.dy),
+            -(b * transform.dx + d * transform.dy),
+            rotation,
+            transform.mirror_x,
+            1,
+        )
+    inv_mag = 1 / Fraction(transform.magnification)
     linear_inverse = Transform(
         0, 0, rotation, transform.mirror_x, inv_mag if inv_mag.denominator != 1 else int(inv_mag)
     )

@@ -75,6 +75,27 @@ def iter_bipartite_overlaps(
             tree.remove(rect.xlo, rect.xhi, (side, index))
 
 
+#: Rect pairs up to which the direct double loop beats building sweep events
+#: and an interval tree.
+_BRUTE_PAIRS = 256
+
+
+def near_pairs(left: Sequence[Rect], right: Sequence[Rect]) -> Iterator[Tuple[int, int]]:
+    """The pairs of :func:`iter_bipartite_overlaps`, in no particular order.
+
+    The per-candidate callers (a via against one cell's metal, two gathered
+    polygon sets) mostly pass a handful of rects, for which the direct loop
+    wins; a level with thousands of items gets the sweep.
+    """
+    if len(left) * len(right) > _BRUTE_PAIRS:
+        yield from iter_bipartite_overlaps(left, right)
+        return
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            if a.overlaps(b):
+                yield (i, j)
+
+
 def brute_force_pairs(rects: Sequence[Rect]) -> List[Tuple[int, int]]:
     """Quadratic reference implementation used to validate the sweepline."""
     out: List[Tuple[int, int]] = []

@@ -77,3 +77,23 @@ class TestRangeQuery:
         found = layer_range_query(tree, 1, Rect(90, 100, 100, 120))
         assert len(found) == 1
         assert found[0].mbr == Rect(96, 100, 100, 120)
+
+
+class TestInvert:
+    def test_rigid_inverse_composes_to_identity(self):
+        import random
+
+        from repro.geometry import IDENTITY
+        from repro.hierarchy import invert
+
+        rng = random.Random("invert")
+        for rotation in (0, 90, 180, 270):
+            for mirror in (False, True):
+                for _ in range(50):
+                    t = Transform(
+                        rng.randint(-9000, 9000), rng.randint(-9000, 9000), rotation, mirror
+                    )
+                    inverse = invert(t)
+                    assert all(type(v) is int for v in (inverse.dx, inverse.dy))
+                    assert inverse.compose(t) == IDENTITY
+                    assert t.compose(inverse) == IDENTITY
