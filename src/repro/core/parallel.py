@@ -4,7 +4,7 @@ After the adaptive row partition, cells in different rows cannot produce
 violations together, so rows are independent GPU tasks. All rows' items are
 concatenated into one segmented buffer (a ``segment`` array carries the row
 id) and a *single* launch per orientation per lane evaluates every row at
-once, with cross-segment pairs masked inside the kernel — R rows cost one
+once, the kernels enumerating in-segment pairs only — R rows cost one
 copy set and one or two launches instead of R of each. The §IV-E executor
 choice survives fusion as a *mixed lane policy*: segments at or below the
 brute-force threshold ride the batched brute-force lane, larger ones the
@@ -73,6 +73,7 @@ from ..gpu.kernels import (
     PairHits,
     kernel_area,
     kernel_corner_pairs_segmented,
+    kernel_enclosure_candidates,
     kernel_enclosure_margins,
     kernel_pairs_bruteforce,
     kernel_pairs_bruteforce_segmented,
@@ -109,45 +110,6 @@ __all__ = [
 ]
 
 _INT = np.int64
-
-
-def _candidate_pairs_kernel(
-    via_rects: np.ndarray,
-    metal_rects: np.ndarray,
-    value: int,
-    via_segment: np.ndarray,
-    metal_segment: np.ndarray,
-    chunk: int = 256,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate (via, metal) pairs: metal MBR overlapping the inflated via.
-
-    All-pairs with chunking over vias — the data-parallel analog of the
-    bipartite sweep the sequential mode uses. Cross-segment (cross-row)
-    pairs are masked, so one fused launch evaluates every row at once.
-    """
-    if len(via_rects) == 0 or len(metal_rects) == 0:
-        z = np.zeros(0, dtype=_INT)
-        return z, z
-    out_v: List[np.ndarray] = []
-    out_m: List[np.ndarray] = []
-    mx1, my1, mx2, my2 = (metal_rects[:, k] for k in range(4))
-    for start in range(0, len(via_rects), chunk):
-        block = via_rects[start : start + chunk]
-        vx1 = block[:, 0, None] - value
-        vy1 = block[:, 1, None] - value
-        vx2 = block[:, 2, None] + value
-        vy2 = block[:, 3, None] + value
-        hit = (vx1 <= mx2[None, :]) & (mx1[None, :] <= vx2) & (
-            (vy1 <= my2[None, :]) & (my1[None, :] <= vy2)
-        )
-        hit &= via_segment[start : start + chunk, None] == metal_segment[None, :]
-        vi, mi = np.nonzero(hit)
-        out_v.append(vi + start)
-        out_m.append(mi)
-    return (
-        np.concatenate(out_v).astype(_INT),
-        np.concatenate(out_m).astype(_INT),
-    )
 
 
 def pair_hits_to_violations(
@@ -211,22 +173,20 @@ def enclosure_margins_to_violations(
     value: int,
 ) -> List[Violation]:
     """Reduced per-via enclosure margins to violation markers."""
-    out: List[Violation] = []
-    for index, margin in enumerate(best):
-        if int(margin) >= value:
-            continue
-        r = via_rects[index]
-        out.append(
-            Violation(
-                kind=ViolationKind.ENCLOSURE,
-                layer=via_layer,
-                other_layer=metal_layer,
-                region=Rect(int(r[0]), int(r[1]), int(r[2]), int(r[3])).inflated(value),
-                measured=max(int(margin), 0),
-                required=value,
-            )
+    failing = np.flatnonzero(best < value)
+    return [
+        Violation(
+            kind=ViolationKind.ENCLOSURE,
+            layer=via_layer,
+            other_layer=metal_layer,
+            region=Rect(*coords).inflated(value),
+            measured=max(margin, 0),
+            required=value,
         )
-    return out
+        for coords, margin in zip(
+            via_rects[failing].tolist(), best[failing].tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +341,8 @@ def launch_corner_rows(
     executors: Sequence[StreamExecutor],
     profile: PhaseProfile,
 ) -> Tuple[CornerHits, Dict[str, int]]:
-    """One segmented corner-pair launch over fused corner rows."""
+    """One segmented corner-pair launch over fused corner rows (one range-scan
+    lane: ``threshold`` is taken for the shared launch signature only)."""
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     if len(buf) < 2:
         return CornerHits.empty(), counters
@@ -417,7 +378,8 @@ def launch_enclosure_rows(
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """All-rectangle enclosure rows on the device: pair, measure, reduce.
 
-    Returns the best (largest) enclosure margin found for each via.
+    Returns the best (largest) enclosure margin found for each via. One
+    banded-scan lane: ``threshold`` is for the shared launch signature only.
     """
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     stream = executors[0]
@@ -433,7 +395,7 @@ def launch_enclosure_rows(
     with profile.phase(PHASE_SWEEPLINE):
         pair_via, pair_metal = stream.launch(
             "enclosure-candidates",
-            _candidate_pairs_kernel,
+            kernel_enclosure_candidates,
             via_dev, metal_dev, value, via_seg, metal_seg,
             items=len(via_dev),
         )
@@ -862,7 +824,7 @@ class ParallelBackend:
     # -- width -------------------------------------------------------------------
 
     def _width(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
-        definitions, instances = self._definition_instances(layer, distance_rule=True)
+        definitions, instances = self._definition_instances(layer)
         if not definitions:
             return []
         with profile.phase(PHASE_OTHER):
@@ -883,7 +845,7 @@ class ParallelBackend:
     # -- area ---------------------------------------------------------------------
 
     def _area(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
-        definitions, instances = self._definition_instances(layer, distance_rule=False)
+        definitions, instances = self._definition_instances(layer)
         if not definitions:
             return []
         polygons: List[Polygon] = []
@@ -1116,23 +1078,21 @@ class ParallelBackend:
     # -- definition/instance machinery for intra rules ------------------------------
 
     def _definition_instances(
-        self, layer: int, *, distance_rule: bool
+        self, layer: int
     ) -> Tuple[List[Tuple[str, List[Polygon]]], Dict[int, List[Transform]]]:
         """Unique checked definitions plus the transforms instantiating each.
 
-        Placements that break the rule's invariance (magnification) get a
-        dedicated definition with pre-transformed polygons and an identity
-        instance, so the kernels still see every instance exactly once.
-        Cached per (layer, invariance class) across the deck's rules.
+        Magnified placements keep neither distances nor areas, so each gets
+        a dedicated definition with pre-transformed polygons and an identity
+        instance, and the kernels still see every instance exactly once.
+        Cached per layer across the deck's rules.
         """
         return self.pack_cache.get(
-            "definitions",
-            (layer, distance_rule),
-            lambda: self._build_definition_instances(layer, distance_rule=distance_rule),
+            "definitions", layer, lambda: self._build_definition_instances(layer)
         )
 
     def _build_definition_instances(
-        self, layer: int, *, distance_rule: bool
+        self, layer: int
     ) -> Tuple[List[Tuple[str, List[Polygon]]], Dict[int, List[Transform]]]:
         definitions: List[Tuple[str, List[Polygon]]] = []
         def_index_of: Dict[str, int] = {}
@@ -1141,10 +1101,7 @@ class ParallelBackend:
             polys = cell.polygons(layer)
             if not polys:
                 continue
-            invariant = transform.preserves_distances if distance_rule else (
-                transform.area_scale == 1
-            )
-            if invariant:
+            if transform.magnification == 1:
                 index = def_index_of.get(cell.name)
                 if index is None:
                     index = len(definitions)

@@ -154,8 +154,7 @@ class Polygon:
     @property
     def mbr(self) -> Rect:
         if self._mbr is None:
-            xs = [p.x for p in self.vertices]
-            ys = [p.y for p in self.vertices]
+            xs, ys = zip(*self.vertices)
             self._mbr = Rect(min(xs), min(ys), max(xs), max(ys))
         return self._mbr
 

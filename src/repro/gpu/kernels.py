@@ -17,9 +17,11 @@ an independent task, but launching one kernel per row wastes the device on
 launch latency and tiny grids. The segmented kernel variants
 (:func:`kernel_pairs_bruteforce_segmented`, :func:`kernel_pairs_sweep_segmented`,
 :func:`kernel_corner_pairs_segmented`) take buffers carrying a ``segment``
-(row-id) array and evaluate *all* rows in a single launch, masking
-cross-segment pairs, so R rows cost one kernel and one copy set instead of
-R of each.
+(row-id) array and evaluate *all* rows in a single launch, so R rows cost
+one kernel and one copy set instead of R of each. They enumerate in-segment
+candidates only: brute force walks each segment's own pairs, and the range
+scans (edges, corners, the banded :func:`kernel_enclosure_candidates`) sort
+on a composite key led by the segment, so no range crosses a row.
 
 Edge classification matches :mod:`repro.checks.edges` bit for bit: an edge
 carries the sign of its interior normal along the perpendicular axis, and
@@ -231,6 +233,31 @@ def _evaluate_pairs(
     return PairHits(lo, fa, hi, fb, gap, pa, pb)
 
 
+def _range_blocks(counts: np.ndarray, chunk: int):
+    """Yield ``(rows, offsets)`` blocks that unroll per-row check ranges.
+
+    Row ``i`` appears ``counts[i]`` times with offsets ``0 .. counts[i]-1``,
+    so ``begin[rows] + offsets`` walks its range. Blocks bound the
+    materialized pair count by roughly ``chunk`` — the thread-block tiling
+    of the fused grid.
+    """
+    n = len(counts)
+    cum = np.cumsum(counts)
+    row0 = 0
+    base = 0
+    while row0 < n:
+        row1 = int(np.searchsorted(cum, base + chunk, side="left")) + 1
+        row1 = max(row1, row0 + 1)
+        rows = np.arange(row0, min(row1, n), dtype=_INT)
+        c = counts[rows]
+        total = int(c.sum())
+        if total:
+            cc = np.cumsum(c)
+            yield np.repeat(rows, c), np.arange(total, dtype=_INT) - np.repeat(cc - c, c)
+        base += total
+        row0 = min(row1, n)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force executor (smaller tasks)
 # ---------------------------------------------------------------------------
@@ -302,16 +329,14 @@ def kernel_sweep_check(
     want_width: bool,
 ) -> PairHits:
     """Kernel 2: one simulated thread per edge checks its whole range."""
-    counts = (end - begin).clip(min=0)
-    total = int(counts.sum())
-    if total == 0:
-        return PairHits.empty()
-    idx_a = np.repeat(np.arange(len(sorted_buf), dtype=_INT), counts)
-    # offsets within each range: arange concatenation without a Python loop
-    cum = np.cumsum(counts)
-    offsets = np.arange(total, dtype=_INT) - np.repeat(cum - counts, counts)
-    idx_b = np.repeat(begin, counts) + offsets
-    return _evaluate_pairs(sorted_buf, idx_a, idx_b, threshold, want_width=want_width)
+    return PairHits.concatenate(
+        [
+            _evaluate_pairs(
+                sorted_buf, idx_a, begin[idx_a] + offsets, threshold, want_width=want_width
+            )
+            for idx_a, offsets in _range_blocks((end - begin).clip(min=0), 1 << 20)
+        ]
+    )
 
 
 def kernel_pairs_sweep(buf: EdgeBuffer, threshold: int, *, want_width: bool) -> PairHits:
@@ -326,31 +351,24 @@ def kernel_pairs_sweep(buf: EdgeBuffer, threshold: int, *, want_width: bool) -> 
 # ---------------------------------------------------------------------------
 
 
-def _segment_pair_blocks(counts: np.ndarray, chunk: int):
-    """Yield ``(idx_a, idx_b)`` blocks enumerating in-segment unordered pairs.
+def _segmented_ranges(
+    coord: np.ndarray, segment: np.ndarray, threshold: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort order and per-item check ranges over ``(segment, coord)``.
 
-    ``counts[i]`` is the number of in-segment successors of sorted edge
-    ``i`` (edges ``i+1 .. i+counts[i]`` share its segment). Blocks bound the
-    materialized pair count by roughly ``chunk`` — the thread-block tiling
-    of the fused grid.
+    The composite key keeps segments contiguous and at least
+    ``threshold + 1`` apart, so the range scan of :func:`kernel_sweep_ranges`
+    — items within ``threshold - 1`` beyond each item — can never produce a
+    cross-segment range.
     """
-    n = len(counts)
-    cum = np.cumsum(counts)
-    row0 = 0
-    base = 0
-    while row0 < n:
-        row1 = int(np.searchsorted(cum, base + chunk, side="left")) + 1
-        row1 = max(row1, row0 + 1)
-        rows = np.arange(row0, min(row1, n), dtype=_INT)
-        c = counts[rows]
-        total = int(c.sum())
-        if total:
-            idx_a = np.repeat(rows, c)
-            cc = np.cumsum(c)
-            offsets = np.arange(total, dtype=_INT) - np.repeat(cc - c, c)
-            yield idx_a, idx_a + 1 + offsets
-        base += total
-        row0 = min(row1, n)
+    cmin = int(coord.min())
+    span = int(coord.max()) - cmin + max(int(threshold), 0) + 1
+    key = (coord - cmin) + segment * span
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    begin = np.searchsorted(skey, skey, side="right").astype(_INT)
+    end = np.searchsorted(skey, skey + (threshold - 1), side="right").astype(_INT)
+    return order, begin, end
 
 
 def kernel_pairs_bruteforce_segmented(
@@ -371,7 +389,8 @@ def kernel_pairs_bruteforce_segmented(
     seg_end = np.searchsorted(s.segment, s.segment, side="right")
     counts = (seg_end - np.arange(n, dtype=_INT) - 1).clip(min=0)
     batches: List[PairHits] = []
-    for idx_a, idx_b in _segment_pair_blocks(counts, chunk):
+    for idx_a, offsets in _range_blocks(counts, chunk):
+        idx_b = idx_a + 1 + offsets
         swap = s.fixed[idx_a] > s.fixed[idx_b]
         a = np.where(swap, idx_b, idx_a)
         b = np.where(swap, idx_a, idx_b)
@@ -384,25 +403,17 @@ def kernel_pairs_sweep_segmented(
 ) -> PairHits:
     """Segmented two-kernel sweep: all segments sorted and scanned at once.
 
-    Edges sort on a composite key that keeps segments contiguous and at
-    least ``threshold + 1`` apart, so the vectorised range scan of
-    :func:`kernel_sweep_ranges` can never produce a cross-segment check
-    range; the check kernel is then identical to the per-task sweep.
+    Edges sort on the composite key of :func:`_segmented_ranges`; the check
+    kernel is then identical to the per-task sweep.
     """
     if len(buf) < 2:
         return PairHits.empty()
     if buf.segment is None:
         return kernel_pairs_sweep(buf, threshold, want_width=want_width)
-    fixed = buf.fixed
-    fmin = int(fixed.min())
-    span = int(fixed.max()) - fmin + max(int(threshold), 0) + 1
-    key = (fixed - fmin) + buf.segment * span
-    order = np.argsort(key, kind="stable")
-    s = buf.take(order)
-    skey = key[order]
-    begin = np.searchsorted(skey, skey, side="right").astype(_INT)
-    end = np.searchsorted(skey, skey + (threshold - 1), side="right").astype(_INT)
-    return kernel_sweep_check(s, begin, end, threshold, want_width=want_width)
+    order, begin, end = _segmented_ranges(buf.fixed, buf.segment, threshold)
+    return kernel_sweep_check(
+        buf.take(order), begin, end, threshold, want_width=want_width
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +474,95 @@ def kernel_area(buf: VertexBuffer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Enclosure kernel (rectangle fast path)
+# Enclosure kernels (rectangle fast path)
 # ---------------------------------------------------------------------------
+
+
+def enclosure_candidate_blocks(
+    windows: np.ndarray,
+    metal_rects: np.ndarray,
+    window_segment: np.ndarray,
+    metal_segment: np.ndarray,
+    chunk: int = 1 << 20,
+):
+    """Enumerate step of :func:`kernel_enclosure_candidates`.
+
+    Yields ``(window, metal, first)`` index blocks holding every pair the
+    banded range scan visits, before the exact test. Y-bands are as high as
+    the tallest rect, so a rect touches at most two, and every rect is
+    entered once per band it touches. Metal entries sort on the key
+    ``(segment, band, xlo)``; a window entry scans, in its own segment and
+    band, the ``xlo`` range ``[window xlo - widest metal, window xhi]``,
+    which holds every metal overlapping it in x. A pair overlapping in y
+    meets in every band the overlap touches; ``first`` marks the occurrence
+    to keep — the band holding the overlap's low corner, which is the first
+    band of one of the two rects.
+    """
+    both = np.concatenate([windows, metal_rects])
+    y0 = int(both[:, 1].min())
+    height = max(int((both[:, 3] - both[:, 1]).max()), 1)
+    bands = (int(both[:, 3].max()) - y0) // height + 1
+
+    def entries(rects, segment):
+        lo = (rects[:, 1] - y0) // height
+        touched = (rects[:, 3] - y0) // height - lo + 1
+        owner = np.repeat(np.arange(len(rects), dtype=_INT), touched)
+        step = np.arange(len(owner), dtype=_INT) - np.repeat(
+            np.cumsum(touched) - touched, touched
+        )
+        return owner, step == 0, segment[owner] * bands + lo[owner] + step
+
+    metal, metal_first, metal_group = entries(metal_rects, metal_segment)
+    window, window_first, window_group = entries(windows, window_segment)
+    # Dense group ranks keep the composite key inside int64 whatever the
+    # extent; a window entry whose (segment, band) holds no metal drops out.
+    groups, rank = np.unique(metal_group, return_inverse=True)
+    at = np.searchsorted(groups, window_group).clip(max=len(groups) - 1)
+    met = np.flatnonzero(groups[at] == window_group)
+    window, window_first, at = window[met], window_first[met], at[met]
+
+    x0 = int(metal_rects[:, 0].min())
+    span = int(metal_rects[:, 0].max()) - x0 + 1
+    widest = int((metal_rects[:, 2] - metal_rects[:, 0]).max())
+    key = rank * span + (metal_rects[metal, 0] - x0)
+    order = np.argsort(key, kind="stable")
+    key, metal, metal_first = key[order], metal[order], metal_first[order]
+    lo = (windows[window, 0] - widest - x0).clip(0, span)
+    hi = (windows[window, 2] - x0).clip(-1, span - 1)
+    begin = np.searchsorted(key, at * span + lo, side="left")
+    end = np.searchsorted(key, at * span + hi, side="right")
+    for rows, offsets in _range_blocks((end - begin).clip(min=0), chunk):
+        scanned = begin[rows] + offsets
+        yield window[rows], metal[scanned], window_first[rows] | metal_first[scanned]
+
+
+def kernel_enclosure_candidates(
+    via_rects: np.ndarray,
+    metal_rects: np.ndarray,
+    value: int,
+    via_segment: np.ndarray,
+    metal_segment: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate (via, metal) pairs: metal MBR overlapping the inflated via.
+
+    The data-parallel form of the bipartite sweep the sequential mode uses:
+    :func:`enclosure_candidate_blocks` enumerates near pairs of one segment,
+    the exact closed MBR test filters them, and each overlapping pair comes
+    out once. A layer holding both very tall and very wide metals degrades
+    toward all in-segment pairs (one band, a scan as wide as the widest
+    metal) but stays exact.
+    """
+    pairs = [np.zeros((2, 0), dtype=_INT)]
+    if len(via_rects) and len(metal_rects):
+        windows = via_rects + np.asarray([-value, -value, value, value], dtype=_INT)
+        for vi, mi, first in enclosure_candidate_blocks(
+            windows, metal_rects, via_segment, metal_segment
+        ):
+            w, m = windows[vi], metal_rects[mi]
+            keep = first & (w[:, 0] <= m[:, 2]) & (m[:, 0] <= w[:, 2])
+            keep &= (w[:, 1] <= m[:, 3]) & (m[:, 1] <= w[:, 3])
+            pairs.append(np.stack([vi[keep], mi[keep]]))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 def kernel_enclosure_margins(
@@ -652,22 +750,23 @@ def kernel_corner_pairs_segmented(
 ) -> CornerHits:
     """All segments' corner pairs in one launch (fused-row execution).
 
-    Corners are grouped by segment; each unordered in-segment pair is
-    enumerated once and oriented by ``x``, matching the per-task kernel.
+    Corners sort on ``(segment, x)`` and each scans the corners up to
+    ``threshold - 1`` to its right in its own segment — a pair further
+    apart in ``x`` alone cannot be closer than ``threshold`` — so the work
+    follows the rule distance, not the segment size. Hits equal
+    :func:`kernel_corner_pairs` run per segment.
     """
     n = len(buf)
     if n < 2:
         return CornerHits.empty()
     if buf.segment is None:
         return kernel_corner_pairs(buf, threshold)
+    order, begin, end = _segmented_ranges(buf.x, buf.segment, threshold)
+    s = buf.take(order)
     limit = threshold * threshold
-    s = buf.take(np.argsort(buf.segment, kind="stable"))
-    seg_end = np.searchsorted(s.segment, s.segment, side="right")
-    counts = (seg_end - np.arange(n, dtype=_INT) - 1).clip(min=0)
-    out = []
-    for idx_a, idx_b in _segment_pair_blocks(counts, chunk):
-        swap = s.x[idx_a] > s.x[idx_b]
-        a = np.where(swap, idx_b, idx_a)
-        b = np.where(swap, idx_a, idx_b)
-        out.append(_evaluate_corner_pairs(s, a, b, limit))
-    return CornerHits.concatenate(out)
+    return CornerHits.concatenate(
+        [
+            _evaluate_corner_pairs(s, a, begin[a] + offsets, limit)
+            for a, offsets in _range_blocks((end - begin).clip(min=0), chunk)
+        ]
+    )

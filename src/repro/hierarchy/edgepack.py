@@ -111,8 +111,8 @@ def _map_edges(
 
 
 def _int_matrix(transform: Transform) -> Tuple[int, int, int, int]:
-    mag = Fraction(transform.magnification)
-    if mag.denominator != 1:
+    mag = transform.magnification
+    if mag != 1 and Fraction(mag).denominator != 1:
         raise GeometryError(
             "hierarchical edge packing requires integral magnification; "
             f"got {transform.magnification}"

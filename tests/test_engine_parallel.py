@@ -122,3 +122,62 @@ class TestRowsOff:
             uart_layout, rules=[rule]
         )
         assert on.results[0].violation_set() == off.results[0].violation_set()
+
+
+def ledger_dirty_jpeg(seed: int = 7, scale: int = 1):
+    """The perf ledger's seeded dirty design, at jpeg@1.
+
+    The recipe of ``benchmarks/ledger/inputs.py::synthesize`` (design, 40
+    planted violations per kind, a sub-minimum-width M1 sliver in five cell
+    definitions) copied, not imported: the ledger is not on the test path.
+    """
+    from repro.workloads import LIBRARY, InjectionPlan, build_design, inject_violations
+
+    layout = build_design("jpeg", scale)
+    inject_violations(
+        layout, InjectionPlan(spacing=40, width=40, area=40, enclosure=40), seed=seed
+    )
+    for index, name in enumerate(("NAND2x1", "NOR2x1", "AND2x2", "AOI21x1", "MUX2x1")):
+        right = LIBRARY[name].width - 32
+        layout.cell(name).add_polygon(
+            asap7.M1, Polygon.from_rect_coords(right - 8 - index, 60, right, 190)
+        )
+    return layout
+
+
+class TestLedgerDesign:
+    def test_parallel_report_is_the_sequential_report_byte_for_byte(self):
+        layout = ledger_dirty_jpeg()
+        deck = asap7.full_deck()
+        reports = {}
+        for mode in ("sequential", "parallel"):
+            with Engine(options=EngineOptions(mode=mode, use_cache=False)) as engine:
+                reports[mode] = engine.check(layout, rules=deck)
+        assert reports["sequential"].total_violations > 400
+        counts = {r.rule.name: r.num_violations for r in reports["parallel"].results}
+        assert counts[asap7.rule_name("EN", asap7.V2, asap7.M2)] == 40  # the planted ones
+        assert reports["parallel"].to_csv(expand_instances=True) == reports[
+            "sequential"
+        ].to_csv(expand_instances=True)
+
+
+def test_parallel_check_of_a_rigid_layout_builds_no_fractions(monkeypatch):
+    import fractions
+
+    from repro.workloads import build_design
+
+    layout = build_design("jpeg", 1)
+    built = []
+    real_new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    with Engine(options=EngineOptions(mode="parallel", use_cache=False)) as engine:
+        report = engine.check(layout, rules=asap7.full_deck())
+    monkeypatch.undo()
+
+    assert built == []
+    assert len(report.results) == len(asap7.full_deck())

@@ -10,12 +10,16 @@ layouts and on the workload designs.
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core import Engine, EngineOptions, check_window
+from repro.core.parallel import ROW_COUNTERS, ParallelBackend, run_row_task, select_rows
+from repro.core.plan import compile_plan
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect
 from repro.layout import Layout
+from repro.util.profile import PhaseProfile
 from repro.workloads import asap7, random_hierarchical_layout
 
 
@@ -120,6 +124,45 @@ class TestFusedEquivalence:
         ).check(uart_layout, rules=[rule])
         seq = Engine(mode="sequential").check(uart_layout, rules=[rule])
         assert off.results[0].violation_set() == seq.results[0].violation_set()
+
+
+class TestRowSelection:
+    """Rows are whole segments, so a launch over any selection of rows finds
+    what the launch over everything finds in those rows."""
+
+    @pytest.mark.parametrize("shard_rows", [1, 2, None], ids=["1", "2", "all"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_enclosure_sharded_by_row_matches_the_unsharded_launch(self, seed, shard_rows):
+        layout = random_via_layout(40 + seed, instances=40)
+        rule = layer(2).enclosure(layer(1)).greater_than(3)
+        options = EngineOptions(mode="parallel", use_cache=False)
+        backend = ParallelBackend(compile_plan(layout, [rule], options))
+        work = backend.row_work(rule, PhaseProfile())
+
+        def launch(buffers):
+            return run_row_task(
+                rule, buffers, backend.brute_force_threshold,
+                backend.executors, PhaseProfile(),
+            )
+
+        expected, expected_counters = launch(work.buffers)
+        rows = np.flatnonzero(work.weights).tolist()
+        assert expected and len(rows) > 4
+
+        step = shard_rows or len(rows)
+        shards = [rows[i : i + step] for i in range(0, len(rows), step)]
+        found = Counter()
+        summed = Counter()
+        for shard in shards:
+            violations, counters = launch(select_rows(work.buffers, shard))
+            found.update(violations)
+            summed.update(counters)
+        assert found == Counter(expected)
+        assert summed["fused_launches"] == len(shards)
+        for key in ROW_COUNTERS:
+            if key != "fused_launches":
+                assert summed[key] == expected_counters[key], key
+        assert summed["fused_segments"] == len(rows)
 
 
 class TestLaunchReduction:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.checks import check_spacing, check_width
 from repro.geometry import Polygon, Rect
+from repro.gpu import kernels as K
 from repro.gpu import (
     kernel_area,
     kernel_enclosure_margins,
@@ -250,8 +251,6 @@ class TestTriangularEnumeration:
         buf = pack_edges(random_rects(12, n=10))["v"]
         n = len(buf)
         calls = []
-        from repro.gpu import kernels as K
-
         original = K._evaluate_pairs
 
         def spy(buf_, idx_a, idx_b, threshold, *, want_width):
@@ -264,3 +263,238 @@ class TestTriangularEnumeration:
         finally:
             K._evaluate_pairs = original
         assert sum(calls) == n * (n - 1) // 2
+
+
+def all_pairs_candidates(via_rects, metal_rects, value, via_segment, metal_segment):
+    """Reference: every via against every metal, closed MBR test, same segment."""
+    pairs = []
+    for i, (vx1, vy1, vx2, vy2) in enumerate(via_rects.tolist()):
+        for j, (mx1, my1, mx2, my2) in enumerate(metal_rects.tolist()):
+            if via_segment[i] != metal_segment[j]:
+                continue
+            if (
+                vx1 - value <= mx2 and mx1 <= vx2 + value
+                and vy1 - value <= my2 and my1 <= vy2 + value
+            ):
+                pairs.append((i, j))
+    return pairs
+
+
+def random_rect_array(rng, n, *, origin, extent, sizes):
+    """``(n, 4)`` rects with the low corner in the extent and a (w, h) drawn
+    from ``sizes`` — a list of ``(max width, max height)`` shapes; zero
+    widths and heights (degenerate rects) are drawn too."""
+    out = np.zeros((n, 4), dtype=np.int64)
+    for k in range(n):
+        wmax, hmax = rng.choice(sizes)
+        x = origin + rng.randint(0, extent)
+        y = origin + rng.randint(0, extent)
+        out[k] = (x, y, x + rng.randint(0, wmax), y + rng.randint(0, hmax))
+    return out
+
+
+#: name -> (vias, metals, segments, via-only segment ids, metal-only ids,
+#: metal (max width, max height) shapes)
+CANDIDATE_SHAPES = {
+    "one-segment": (40, 60, 1, (), (), [(30, 30)]),
+    "many-segments": (60, 80, 7, (), (), [(30, 30)]),
+    "one-sided-segments": (50, 50, 5, (5, 6), (7,), [(30, 30)]),
+    # Several inflated-via heights tall, and wider than the whole via spread.
+    "tall-and-wide-metals": (40, 40, 2, (), (), [(12, 12), (6, 900), (900, 6)]),
+    "single-rects": (1, 1, 1, (), (), [(30, 30)]),
+}
+
+
+class TestEnclosureCandidates:
+    """The banded range scan finds the all-pairs reference's pair set."""
+
+    @staticmethod
+    def case(name, seed, origin):
+        vias, metals, segments, via_only, metal_only, shapes = CANDIDATE_SHAPES[name]
+        rng = random.Random(f"{name}-{seed}")
+        via_rects = random_rect_array(
+            rng, vias, origin=origin, extent=120, sizes=[(6, 6)]
+        )
+        metal_rects = random_rect_array(
+            rng, metals, origin=origin, extent=120, sizes=shapes
+        )
+        via_ids = list(range(segments)) + list(via_only)
+        metal_ids = list(range(segments)) + list(metal_only)
+        via_segment = np.asarray([rng.choice(via_ids) for _ in range(vias)], dtype=np.int64)
+        metal_segment = np.asarray(
+            [rng.choice(metal_ids) for _ in range(metals)], dtype=np.int64
+        )
+        return via_rects, metal_rects, via_segment, metal_segment
+
+    @pytest.mark.parametrize("origin", [0, -1000])
+    @pytest.mark.parametrize("value", [0, 3, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(CANDIDATE_SHAPES))
+    def test_equals_all_pairs(self, name, seed, value, origin):
+        via_rects, metal_rects, via_segment, metal_segment = self.case(name, seed, origin)
+        want = all_pairs_candidates(
+            via_rects, metal_rects, value, via_segment, metal_segment
+        )
+        pair_via, pair_metal = K.kernel_enclosure_candidates(
+            via_rects, metal_rects, value, via_segment, metal_segment
+        )
+        assert pair_via.dtype == pair_metal.dtype == np.int64
+        got = list(zip(pair_via.tolist(), pair_metal.tolist()))
+        assert len(got) == len(set(got))  # a pair seen in two bands comes out once
+        assert set(got) == set(want)
+        if name != "single-rects" and value:
+            assert want
+
+    def test_touching_and_corner_touching_count(self):
+        via = np.asarray([[10, 10, 14, 14]], dtype=np.int64)
+        metals = np.asarray(
+            [
+                [14, 10, 20, 14],  # shares the right edge
+                [14, 14, 20, 20],  # shares one corner
+                [0, 15, 30, 40],   # one unit above: apart
+                [10, 0, 14, 10],   # shares the bottom edge
+                [15, 15, 20, 20],  # one unit off the corner: apart
+            ],
+            dtype=np.int64,
+        )
+        zeros = np.zeros(5, dtype=np.int64)
+        _, pair_metal = K.kernel_enclosure_candidates(via, metals, 0, zeros[:1], zeros)
+        assert sorted(pair_metal.tolist()) == [0, 1, 3]
+        # Inflating the via by one reaches the two that were one unit apart.
+        _, pair_metal = K.kernel_enclosure_candidates(via, metals, 1, zeros[:1], zeros)
+        assert sorted(pair_metal.tolist()) == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("vias,metals", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_side(self, vias, metals):
+        rng = random.Random(0)
+        pair_via, pair_metal = K.kernel_enclosure_candidates(
+            random_rect_array(rng, vias, origin=0, extent=50, sizes=[(6, 6)]),
+            random_rect_array(rng, metals, origin=0, extent=50, sizes=[(30, 30)]),
+            2,
+            np.zeros(vias, dtype=np.int64),
+            np.zeros(metals, dtype=np.int64),
+        )
+        assert len(pair_via) == len(pair_metal) == 0
+        assert pair_via.dtype == np.int64
+
+    def test_small_blocks_identical(self):
+        via_rects, metal_rects, via_segment, metal_segment = self.case(
+            "many-segments", 1, 0
+        )
+        windows = via_rects + np.asarray([-3, -3, 3, 3])
+
+        def enumerated(chunk):
+            blocks = list(
+                K.enclosure_candidate_blocks(
+                    windows, metal_rects, via_segment, metal_segment, chunk
+                )
+            )
+            return [np.concatenate(column).tolist() for column in zip(*blocks)]
+
+        whole = enumerated(1 << 20)
+        assert len(whole[0]) > 7
+        for chunk in (1, 7, 64):
+            assert enumerated(chunk) == whole
+
+    def test_enumerated_candidates_follow_the_design_size(self):
+        """Work bound: from jpeg@1 to jpeg@2 the scan visits candidates in
+        proportion to the rects it is given — not to their product, which is
+        what every-via-against-every-metal costs and which grows ~16x here."""
+        from repro.core.parallel import ParallelBackend
+        from repro.core.plan import compile_plan
+        from repro.core.engine import EngineOptions
+        from repro.util.profile import PhaseProfile
+        from repro.workloads import asap7, build_design
+
+        rules = [rule for rule in asap7.full_deck() if rule.kind.name == "ENCLOSURE"]
+        assert rules
+
+        def measure(scale):
+            layout = build_design("jpeg", scale)
+            options = EngineOptions(mode="parallel", use_cache=False)
+            backend = ParallelBackend(compile_plan(layout, rules, options))
+            rects = candidates = 0
+            for rule in rules:
+                buf = backend.row_work(rule, PhaseProfile()).buffers
+                windows = buf.via_rects + np.asarray(
+                    [-rule.value, -rule.value, rule.value, rule.value]
+                )
+                rects += len(buf.via_rects) + len(buf.metal_rects)
+                candidates += sum(
+                    len(via)
+                    for via, _, _ in K.enclosure_candidate_blocks(
+                        windows, buf.metal_rects, buf.via_segment, buf.metal_segment
+                    )
+                )
+            return rects, candidates
+
+        rects_1, candidates_1 = measure(1)
+        rects_2, candidates_2 = measure(2)
+        assert rects_2 > 3 * rects_1
+        assert candidates_2 / candidates_1 <= 1.5 * (rects_2 / rects_1)
+        # And in absolute terms: a handful of candidates per rect.
+        assert candidates_2 <= 8 * rects_2
+
+
+class TestSegmentedCornerKernel:
+    """The x-sorted range scan finds what the all-pairs kernel finds per segment."""
+
+    @staticmethod
+    def canonical(hits):
+        return sorted(
+            zip(
+                hits.ax.tolist(), hits.ay.tolist(), hits.bx.tolist(),
+                hits.by.tolist(), hits.measured.tolist(),
+            )
+        )
+
+    @pytest.mark.parametrize("threshold", [1, 6, 15, 400])
+    @pytest.mark.parametrize("segments", [1, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_all_pairs_per_segment(self, seed, segments, threshold):
+        rng = random.Random(f"corners-{seed}-{segments}")
+        polys = random_rects(seed + 20, n=50, extent=200)
+        buf = K.pack_corners(polys)
+        # A polygon's corners share its segment, as rows hold whole polygons.
+        poly_segment = np.asarray(
+            [rng.randrange(segments) for _ in polys], dtype=np.int64
+        )
+        buf.segment = poly_segment[buf.poly]
+        want = K.CornerHits.concatenate(
+            [
+                K.kernel_corner_pairs(
+                    buf.take(np.flatnonzero(buf.segment == segment)), threshold
+                )
+                for segment in range(segments)
+            ]
+        )
+        for chunk in (5, 1 << 20):
+            got = K.kernel_corner_pairs_segmented(buf, threshold, chunk)
+            assert self.canonical(got) == self.canonical(want)
+        if threshold >= 15:
+            assert len(want)
+
+    def test_enumerated_pairs_follow_the_threshold(self):
+        """One segment, corners spread wide in x: the scan visits the pairs
+        within the rule distance in x, not all n(n-1)/2 of them."""
+        polys = [
+            Polygon.from_rect_coords(40 * k, 7 * (k % 5), 40 * k + 20, 7 * (k % 5) + 20)
+            for k in range(200)
+        ]
+        buf = K.pack_corners(polys)
+        buf.segment = np.zeros(len(buf), dtype=np.int64)
+        seen = []
+        original = K._evaluate_corner_pairs
+
+        def spy(buf_, a, b, limit):
+            seen.append(len(a))
+            return original(buf_, a, b, limit)
+
+        K._evaluate_corner_pairs = spy
+        try:
+            hits = K.kernel_corner_pairs_segmented(buf, 25)
+        finally:
+            K._evaluate_corner_pairs = original
+        assert len(hits)
+        n = len(buf)
+        assert 0 < sum(seen) <= 4 * n < n * (n - 1) // 2
