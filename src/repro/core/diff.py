@@ -127,9 +127,24 @@ def _ref_key(ref) -> Tuple:
 
 
 def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
-    """MBRs of the symmetric difference of two cells' local polygons."""
-    old_polys = Counter(old_cell.polygons(layer) if old_cell else ())
-    new_polys = Counter(new_cell.polygons(layer) if new_cell else ())
+    """MBRs of the symmetric difference of two cells' local polygons.
+
+    Ring buffers that hold the same coordinates cut the same way are the
+    same polygons in the same order, so nothing is built for them. Where
+    they differ, rings with equal bytes are equal polygons and cancel one
+    for one (which leaves every polygon's count difference as it was); the
+    polygon multisets are formed of what is left.
+    """
+    old_rings = old_cell.rings(layer) if old_cell else None
+    new_rings = new_cell.rings(layer) if new_cell else None
+    if old_rings is None and new_rings is None:
+        return []
+    if old_rings is not None and new_rings is not None and old_rings.same_rings(new_rings):
+        return []
+    old_keys = old_rings.ring_bytes() if old_rings else []
+    new_keys = new_rings.ring_bytes() if new_rings else []
+    old_polys = Counter(_unmatched(old_rings, old_keys, Counter(new_keys)))
+    new_polys = Counter(_unmatched(new_rings, new_keys, Counter(old_keys)))
     rects: List[Rect] = []
     for polygon, count in old_polys.items():
         if new_polys.get(polygon, 0) != count:
@@ -138,6 +153,18 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
         if old_polys.get(polygon, 0) != count:
             rects.append(polygon.mbr)
     return rects
+
+
+def _unmatched(rings, keys: List[bytes], available: Counter) -> List:
+    """The polygons of ``rings`` left after each takes one equal-bytes ring
+    out of ``available`` (the other side's ring bytes, with counts)."""
+    left = []
+    for index, key in enumerate(keys):
+        if available[key] > 0:
+            available[key] -= 1
+        else:
+            left.append(rings.polygon(index))
+    return left
 
 
 def _cell_ref_dirty(

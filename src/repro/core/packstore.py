@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import tempfile
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -137,11 +136,11 @@ def layer_geometry_digest(tree, layer: int) -> str:
     for name in reachable:
         cell = layout.cell(name)
         hasher.update(f"cell:{name};".encode("utf-8"))
-        for polygon in cell.polygons(layer):
-            coords = [c for vertex in polygon.vertices for c in vertex]
-            hasher.update(b"poly:")
-            # Native-order int64, the bytes of the (n, 2) array hashed before.
-            hasher.update(struct.pack("=%dq" % len(coords), *coords))
+        rings = cell.rings(layer)
+        if rings:
+            # Per ring ``poly:`` + its native-order int64 coordinates: the
+            # bytes hashed since the first format, read from the ring buffer.
+            hasher.update(b"poly:" + b"poly:".join(rings.ring_bytes()))
         for ref in cell.references:
             if tree.has_layer(ref.cell_name, layer):
                 hasher.update(b"ref:")

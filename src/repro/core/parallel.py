@@ -274,6 +274,15 @@ ROW_COUNTERS = (
 )
 
 
+def _distinct_segments(segment: np.ndarray) -> int:
+    """How many different row-segment ids (non-negative ints) ``segment`` holds.
+
+    Not ``np.unique(segment).size``: a plain ``np.unique`` imports
+    ``numpy.ma`` on first use, 15-25 ms of a cold process for one integer.
+    """
+    return int(np.count_nonzero(np.bincount(segment)))
+
+
 def launch_pair_rows(
     pair: EdgeBufferPair,
     value: int,
@@ -320,7 +329,7 @@ def launch_pair_rows(
             if count < 2:
                 continue
             lane_buf = device_buf.take(np.flatnonzero(mask))
-            segments = int(np.unique(seg[mask]).size)
+            segments = _distinct_segments(seg[mask])
             with profile.phase(PHASE_EDGE_CHECKS):
                 counters[counter] += segments
                 counters["fused_launches"] += 1
@@ -358,7 +367,7 @@ def launch_corner_rows(
         )
     with profile.phase(PHASE_EDGE_CHECKS):
         counters["fused_launches"] += 1
-        counters["fused_segments"] += int(np.unique(buf.segment).size)
+        counters["fused_segments"] += _distinct_segments(buf.segment)
         hits = stream.launch(
             "corner-pairs-fused",
             kernel_corner_pairs_segmented,
@@ -391,7 +400,7 @@ def launch_enclosure_rows(
             metal_dev = stream.memcpy_h2d(metal_dev, name="metal.rects")
             metal_seg = stream.memcpy_h2d(metal_seg, name="metal.segment")
     counters["fused_launches"] += 1
-    counters["fused_segments"] += int(np.unique(buf.via_segment).size)
+    counters["fused_segments"] += _distinct_segments(buf.via_segment)
     with profile.phase(PHASE_SWEEPLINE):
         pair_via, pair_metal = stream.launch(
             "enclosure-candidates",

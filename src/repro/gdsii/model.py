@@ -171,6 +171,8 @@ def strans_angle_to_rotation(angle: float) -> int:
 
 def magnification_scalar(mag: float):
     """Convert a REAL8 MAG to an exact int/Fraction for the engine."""
+    if mag == 1:  # no MAG record, or a unit one: the common case builds nothing
+        return 1
     if mag <= 0:
         raise GdsiiError(f"non-positive magnification {mag}")
     frac = Fraction(mag).limit_denominator(1 << 20)

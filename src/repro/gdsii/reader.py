@@ -10,12 +10,20 @@ keeps the raw object model of :mod:`repro.gdsii.model`;
 directly. The reader is strict: malformed nesting, missing mandatory
 records, or unknown record types raise :class:`~repro.errors.GdsiiError`
 with the offending context.
+
+Inside that one grammar the canonical BOUNDARY element (BOUNDARY, LAYER,
+DATATYPE, one XY of a closed ring, ENDEL, nothing else) is decoded *fused*:
+one unpack of its fixed header bytes, one of its coordinates, one compare of
+its ENDEL. The fused decode only ever **accepts** — anything it does not
+recognise is left untouched for the record-by-record walk, which alone
+decides what is an error and how it reads.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Tuple, Union
+import struct
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import GdsiiError
 from .model import (
@@ -72,6 +80,9 @@ class _ModelSink:
         self.library.structures.append(structure)
         self.element = structure.elements.append
 
+    def boundary(self, layer: int, datatype: int, flat: Sequence[int], properties) -> None:
+        self.element(GdsBoundary(layer, datatype, list(zip(flat[0::2], flat[1::2])), properties))
+
     def finish(self) -> GdsLibrary:
         self.library.validate_references()
         return self.library
@@ -81,9 +92,13 @@ def walk_stream(data: bytes, sink):
     """Scan ``data`` once and feed ``sink``; returns ``sink.finish()``.
 
     A sink has ``begin_library(name, user_unit, meters_per_unit, timestamp)``,
-    ``begin_structure(name, timestamp)``, ``element(gds_element)`` (called
-    with a :mod:`~repro.gdsii.model` element of the structure begun last)
-    and ``finish()``. TEXT elements carry no DRC geometry and are skipped.
+    ``begin_structure(name, timestamp)``, ``boundary(layer, datatype, flat,
+    properties)`` (a BOUNDARY of the structure begun last: ``flat`` is
+    ``x0, y0, x1, y1, ...`` of its ring, at least three points, the closing
+    repeat of the first dropped), ``element(gds_element)`` (a PATH, SREF or
+    AREF as a :mod:`~repro.gdsii.model` element) and ``finish()``. Both are
+    looked up after each ``begin_structure``. TEXT elements carry no DRC
+    geometry and are skipped.
     """
     cur = RecordCursor(data)
     _read(cur, _HEADER)
@@ -102,14 +117,52 @@ def walk_stream(data: bytes, sink):
         timestamp = tuple(cur.payload()[:6])
         name = _read(cur, _STRNAME)
         sink.begin_structure(name, timestamp)
-        _walk_structure(cur, name, sink.element)
+        _walk_structure(cur, name, sink.boundary, sink.element)
 
 
-def _walk_structure(cur: RecordCursor, name: str, emit) -> None:
+#: The fixed bytes that open a canonical BOUNDARY, as one unpack: BOUNDARY
+#: header + LAYER header (one word), layer, DATATYPE header, datatype, XY
+#: length, XY type bytes.
+_FUSED_HEAD = struct.Struct(">QhIhHH")
+_BOUNDARY_LAYER_WORD = 0x0004_0800_0006_0D02
+_DATATYPE_WORD = 0x0006_0E02
+_XY_INT32 = 0x1003
+_ENDEL_BYTES = b"\x00\x04\x11\x00"
+#: The XY payload of a rectangle: five points, the first repeated.
+_RECTANGLE_XY = struct.Struct(">10i")
+
+
+def _walk_structure(cur: RecordCursor, name: str, emit_boundary, emit) -> None:
+    data = cur.data
+    last_head = cur.size - _FUSED_HEAD.size
+    unpack_head = _FUSED_HEAD.unpack_from
     while True:
+        offset = cur.offset
+        if offset <= last_head:
+            word, layer, datatype_word, datatype, xy_length, xy_type = unpack_head(data, offset)
+            if (
+                word == _BOUNDARY_LAYER_WORD
+                and datatype_word == _DATATYPE_WORD
+                and xy_type == _XY_INT32
+                # a closed ring of >= 3 points: an even count of >= 8 int32
+                and xy_length >= 36
+                and xy_length & 7 == 4
+            ):
+                endel = offset + 16 + xy_length
+                if data[endel : endel + 4] == _ENDEL_BYTES:
+                    if xy_length == 44:
+                        flat = _RECTANGLE_XY.unpack_from(data, offset + 20)
+                    else:
+                        flat = struct.unpack_from(
+                            ">%di" % ((xy_length - 4) >> 2), data, offset + 20
+                        )
+                    if flat[0] == flat[-2] and flat[1] == flat[-1]:
+                        cur.offset = endel + 4
+                        emit_boundary(layer, datatype, flat[:-2], {})
+                        continue
         rtype = cur.advance()
         if rtype == _BOUNDARY:
-            emit(_boundary(cur))
+            _boundary(cur, emit_boundary)
         elif rtype == _SREF:
             emit(_sref(cur))
         elif rtype == _ENDSTR:
@@ -127,16 +180,18 @@ def _walk_structure(cur: RecordCursor, name: str, emit) -> None:
 # -- elements ---------------------------------------------------------------
 
 
-def _boundary(cur: RecordCursor) -> GdsBoundary:
+def _boundary(cur: RecordCursor, emit_boundary) -> None:
     layer = _scalar(cur, _LAYER)
     datatype = _scalar(cur, _DATATYPE)
-    xy = _points(_read(cur, _XY))
-    if len(xy) < 4:
+    flat = _read(cur, _XY)
+    if len(flat) % 2:
+        raise GdsiiError("XY record with an odd coordinate count")
+    if len(flat) < 8:
         raise GdsiiError("BOUNDARY with fewer than 4 points")
-    if xy[0] != xy[-1]:
+    if flat[:2] != flat[-2:]:
         raise GdsiiError("BOUNDARY XY list must repeat the first point")
-    del xy[-1]
-    return GdsBoundary(layer, datatype, xy, _properties(cur))
+    del flat[-2:]
+    emit_boundary(layer, datatype, flat, _properties(cur))
 
 
 def _path(cur: RecordCursor) -> GdsPath:

@@ -75,16 +75,19 @@ class Polygon:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _normalised(cls, vertices: Tuple[Point, ...], name: str = "") -> "Polygon":
+    def _normalised(
+        cls, vertices: Tuple[Point, ...], name: str = "", mbr: Optional[Rect] = None
+    ) -> "Polygon":
         """Wrap ``vertices`` exactly as given: no merge, validation or reorder.
 
         Only for callers that have established the constructor would store
-        this very tuple (open ring, maximal edges, valid, clockwise).
+        this very tuple (open ring, maximal edges, valid, clockwise) and
+        that ``mbr``, when given, is the ring's bounding rectangle.
         """
         polygon = cls.__new__(cls)
         polygon.vertices = vertices
         polygon.name = name
-        polygon._mbr = None
+        polygon._mbr = mbr
         return polygon
 
     @classmethod

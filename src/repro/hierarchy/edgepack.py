@@ -271,6 +271,16 @@ def transform_rects(rects: np.ndarray, transform: Transform) -> np.ndarray:
     )
 
 
+def _all_rectangles(rings) -> bool:
+    """``all(p.is_rectangle for p in rings.polygons())``, read off the buffer."""
+    if np.any(np.diff(np.frombuffer(rings.offsets, dtype=_INT)) != 8):
+        return False
+    x0, y0, x1, y1, x2, y2, x3, y3 = np.frombuffer(rings.coords, dtype=_INT).reshape(-1, 8).T
+    first_vertical = (x0 == x1) & (y1 == y2) & (x2 == x3) & (y3 == y0)
+    first_horizontal = (y0 == y1) & (x1 == x2) & (y2 == y3) & (x3 == x0)
+    return bool(np.all((first_vertical | first_horizontal) & (x0 != x2) & (y0 != y2)))
+
+
 class HierarchicalRectPacker:
     """Per-definition MBR buffers, built bottom-up like the edge packer."""
 
@@ -286,10 +296,11 @@ class HierarchicalRectPacker:
         cell = self.tree.layout.cell(cell_name)
         parts: List[np.ndarray] = []
         all_rect = True
-        local = cell.polygons(self.layer)
-        if local:
-            parts.append(np.asarray([tuple(p.mbr) for p in local], dtype=_INT))
-            all_rect = all(p.is_rectangle for p in local)
+        rings = cell.rings(self.layer)
+        if rings:
+            # The cell's own MBR table, in place; np.concatenate below copies.
+            parts.append(np.frombuffer(rings.mbrs, dtype=_INT).reshape(-1, 4))
+            all_rect = _all_rectangles(rings)
         for ref in cell.references:
             if not self.tree.has_layer(ref.cell_name, self.layer):
                 continue

@@ -10,7 +10,7 @@ inverted index listing every leaf (cell, polygon) pair of the layer so that
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Polygon
 from ..layout.cell import CellReference
@@ -23,7 +23,7 @@ class LayerTreeNode:
     """One cell of a single-layer hierarchy tree."""
 
     cell_name: str
-    local_polygons: List[Polygon]
+    local_polygons: Sequence[Polygon]
     children: List[Tuple[CellReference, "str"]]  # (reference, child cell name)
 
 

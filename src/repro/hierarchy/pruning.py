@@ -100,7 +100,7 @@ class IntraCheckScheduler:
             return cached
 
         for cell, transform in self.tree.iter_instances(layer=layer):
-            if not cell.polygons(layer):
+            if not cell.rings(layer):
                 continue
             if invariance(transform):
                 for violation in definition_result(cell):
@@ -177,12 +177,15 @@ class SubtreeWindow:
             return
         cell = self.tree.layout.cell(cell_name)
         local_windows = [pull_back_window(placement, w) for w in windows]
-        for polygon in cell.polygons(layer):
-            xlo, ylo, xhi, yhi = polygon.mbr
-            for wxlo, wylo, wxhi, wyhi in local_windows:  # none empty: closed overlap
-                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
-                    out.append(polygon.transformed(placement))
-                    break
+        rings = cell.rings(layer)
+        if rings:
+            # Filter on the MBR table; only the rings that pass become objects.
+            table = iter(rings.mbrs)
+            for index, (xlo, ylo, xhi, yhi) in enumerate(zip(table, table, table, table)):
+                for wxlo, wylo, wxhi, wyhi in local_windows:  # none empty: closed overlap
+                    if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                        out.append(rings.polygon(index).transformed(placement))
+                        break
         for ref in cell.references:
             child_mbr = self.tree.layer_mbr(ref.cell_name, layer)
             if child_mbr.is_empty:

@@ -39,13 +39,12 @@ class HierarchyTree:
         for cell in self.layout.topological_order():
             mbrs: Dict[int, Rect] = {}
             for layer in cell.local_layers():
-                xs: List[int] = []
-                ys: List[int] = []
-                for polygon in cell.polygons(layer):
-                    for x, y in polygon.vertices:
-                        xs.append(x)
-                        ys.append(y)
-                mbrs[layer] = Rect(min(xs), min(ys), max(xs), max(ys)) if xs else EMPTY_RECT
+                table = cell.rings(layer).mbrs  # xlo, ylo, xhi, yhi per ring
+                mbrs[layer] = (
+                    Rect(min(table[0::4]), min(table[1::4]), max(table[2::4]), max(table[3::4]))
+                    if table
+                    else EMPTY_RECT
+                )
             for ref in cell.references:
                 child_mbrs = self._layer_mbrs[ref.cell_name]
                 for layer, child_rect in child_mbrs.items():

@@ -37,7 +37,11 @@ def layout_from_gdsii(library: GdsLibrary) -> Layout:
     for structure in library.structures:
         sink.begin_structure(structure.name, structure.timestamp)
         for element in structure.elements:
-            sink.element(element)
+            if isinstance(element, GdsBoundary):
+                flat = [c for point in element.xy for c in point]
+                sink.boundary(element.layer, element.datatype, flat, element.properties)
+            else:
+                sink.element(element)
     return sink.finish()
 
 
@@ -46,8 +50,9 @@ class LayoutSink:
 
     The one element -> cell conversion: :func:`repro.gdsii.reader.walk_stream`
     feeds it straight from the stream bytes, :func:`layout_from_gdsii` from a
-    :class:`GdsLibrary`. PATH elements become their outline polygons, since
-    DRC operates on filled geometry.
+    :class:`GdsLibrary`. Boundaries go into the cell's packed ring buffers
+    as coordinates; PATH elements become their outline polygons, since DRC
+    operates on filled geometry.
     """
 
     def begin_library(self, name, user_unit, meters_per_unit, timestamp) -> None:
@@ -56,19 +61,44 @@ class LayoutSink:
     def begin_structure(self, name: str, timestamp) -> None:
         self._cell = self.layout.new_cell(name)
 
+    def boundary(self, layer: int, datatype: int, flat, properties) -> None:
+        """Normalise one ring and append it to the (cell, layer) buffer.
+
+        A 4-point ring whose edges alternate between the axes, with two
+        distinct x and two distinct y values, is exactly a ring the
+        validating constructor stores unchanged but for orientation: nothing
+        to merge (every corner turns), four distinct vertices, no zero-length
+        or diagonal edge, non-zero area. Those are written as coordinates,
+        no object built; every other ring goes through the constructor, so
+        it accepts and rejects what it always did.
+        """
+        name = properties.get(1, "") if properties else ""
+        if len(flat) == 8:
+            x0, y0, x1, y1, x2, y2, x3, y3 = flat
+            if (
+                (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0)
+                or (y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0)
+            ) and x0 != x2 and y0 != y2:
+                # Twice the signed Shoelace area; positive is counter-clockwise.
+                if (x0 - x2) * (y1 - y3) - (x1 - x3) * (y0 - y2) > 0:
+                    flat = (x3, y3, x2, y2, x1, y1, x0, y0)
+                xlo, xhi = (x0, x2) if x0 < x2 else (x2, x0)
+                ylo, yhi = (y0, y2) if y0 < y2 else (y2, y0)
+                self._cell.ring_buffer(layer).append_ring(flat, (xlo, ylo, xhi, yhi), name)
+                return
+        points = [Point(x, y) for x, y in zip(flat[0::2], flat[1::2])]
+        self._cell.add_polygon(layer, Polygon(points, name=name))
+
     def element(self, element) -> None:
         cell = self._cell
-        if isinstance(element, GdsBoundary):
-            polygon = _boundary_polygon(element.xy, element.properties.get(1, ""))
-            cell.add_polygon(element.layer, polygon)
+        if isinstance(element, GdsSref):
+            cell.add_reference(
+                CellReference(element.sname, _transform_from_strans(element))
+            )
         elif isinstance(element, GdsPath):
             polygon = path_outline(element.xy, element.width)
             polygon.name = element.properties.get(1, "")
             cell.add_polygon(element.layer, polygon)
-        elif isinstance(element, GdsSref):
-            cell.add_reference(
-                CellReference(element.sname, _transform_from_strans(element))
-            )
         elif isinstance(element, GdsAref):
             cell.add_reference(_reference_from_aref(element))
         else:
@@ -86,31 +116,6 @@ class LayoutSink:
         return self.layout
 
 
-def _boundary_polygon(xy, name: str) -> Polygon:
-    """``Polygon(xy, name=name)``, with a shortcut for plain rectangles.
-
-    A 4-point open ring whose edges alternate between the axes, with two
-    distinct x and two distinct y values, is exactly a ring the validating
-    constructor stores unchanged but for orientation: nothing to merge
-    (every corner turns), four distinct vertices, no zero-length or
-    diagonal edge, non-zero area. Those skip the general validator; every
-    other ring goes through it, so it accepts and rejects what it always did.
-    """
-    if len(xy) == 4:
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = xy
-        if (
-            (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0)
-            or (y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0)
-        ) and x0 != x2 and y0 != y2:
-            # Twice the signed Shoelace area; positive is counter-clockwise.
-            if (x0 - x2) * (y1 - y3) - (x1 - x3) * (y0 - y2) > 0:
-                ring = (Point(x3, y3), Point(x2, y2), Point(x1, y1), Point(x0, y0))
-            else:
-                ring = (Point(x0, y0), Point(x1, y1), Point(x2, y2), Point(x3, y3))
-            return Polygon._normalised(ring, name)
-    return Polygon([Point(x, y) for x, y in xy], name=name)
-
-
 def gdsii_from_layout(layout: Layout) -> GdsLibrary:
     """Serialize a layout database back to the raw GDSII model."""
     layout.validate()
@@ -122,16 +127,19 @@ def gdsii_from_layout(layout: Layout) -> GdsLibrary:
     # Children-first ordering keeps references resolvable by simple readers.
     for cell in layout.topological_order():
         structure = GdsStructure(name=cell.name)
-        for layer, polygon in cell.all_polygons():
-            properties = {1: polygon.name} if polygon.name else {}
-            structure.elements.append(
-                GdsBoundary(
-                    layer=layer,
-                    datatype=0,
-                    xy=[(p.x, p.y) for p in polygon.vertices],
-                    properties=properties,
+        for layer in cell.local_layers():
+            rings = cell.rings(layer)
+            coords, offsets = rings.coords, rings.offsets
+            for index, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+                name = rings.names.get(index)
+                structure.elements.append(
+                    GdsBoundary(
+                        layer=layer,
+                        datatype=0,
+                        xy=list(zip(coords[start:stop:2], coords[start + 1 : stop : 2])),
+                        properties={1: name} if name else {},
+                    )
                 )
-            )
         for ref in cell.references:
             structure.elements.append(_element_from_reference(ref))
         library.structures.append(structure)

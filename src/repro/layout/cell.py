@@ -7,14 +7,21 @@ the paper's "a structure reference effectively stores a pointer to the
 structure definition to reduce memory consumption" (§IV-A): geometry is never
 copied per instance. Array references (AREF) keep their compact
 ``columns x rows`` form and expand on demand.
+
+Local geometry is stored packed, one :class:`RingBuffer` per (cell, layer):
+the coordinates of every ring back to back, where each ring starts, and one
+MBR per ring (paper §IV-E hands the device "flattened edge buffers"; here
+they are the storage format, filled by the GDSII reader). ``Polygon``
+objects are a view built on demand by :meth:`Cell.polygons`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..geometry import Polygon, Transform
+from ..geometry import Point, Polygon, Rect, Transform
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,45 +71,195 @@ class CellReference:
             yield Transform(t.dx + dx, t.dy + dy, t.rotation, t.mirror_x, t.magnification)
 
 
-class Cell:
-    """A named structure: per-layer polygons plus child references."""
+class RingBuffer:
+    """The rings of one (cell, layer), packed.
 
-    __slots__ = ("name", "_polygons", "references")
+    ``coords``
+        ``x0, y0, x1, y1, ...`` of every ring back to back, each ring as the
+        :class:`~repro.geometry.Polygon` constructor normalises it: open,
+        clockwise, collinear runs merged.
+    ``offsets``
+        Ring ``i`` is ``coords[offsets[i]:offsets[i + 1]]``.
+    ``mbrs``
+        ``xlo, ylo, xhi, yhi`` of ring ``i`` at ``mbrs[4 * i:4 * i + 4]``.
+    ``names``
+        Ring index -> object name, for the rings that carry one.
+
+    The three arrays are stdlib ``array('q')`` (native int64), so consumers
+    read them through ``memoryview`` / ``np.frombuffer`` without a copy.
+    :meth:`polygons` is a cached *view*; every mutation drops it, and it is
+    neither compared nor pickled.
+    """
+
+    __slots__ = ("coords", "offsets", "mbrs", "names", "_view")
+
+    def __init__(self) -> None:
+        self.coords = array("q")
+        self.offsets = array("q", (0,))
+        self.mbrs = array("q")
+        self.names: Dict[int, str] = {}
+        self._view: Optional[Tuple[Polygon, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getstate__(self):
+        return self.coords, self.offsets, self.mbrs, self.names
+
+    def __setstate__(self, state) -> None:
+        self.coords, self.offsets, self.mbrs, self.names = state
+        self._view = None
+
+    def same_rings(self, other: "RingBuffer") -> bool:
+        """True if both hold the same rings in the same order (names aside)."""
+        return self.coords == other.coords and self.offsets == other.offsets
+
+    def ring_bytes(self) -> List[bytes]:
+        """The coordinate bytes of each ring (native int64), in storage order."""
+        raw = self.coords.tobytes()
+        offsets = self.offsets
+        return [raw[8 * a : 8 * b] for a, b in zip(offsets, offsets[1:])]
+
+    # -- mutation ----------------------------------------------------------
+
+    def append_ring(self, flat: Sequence[int], mbr: Sequence[int], name: str = "") -> None:
+        """Append a ring that is already normalised, with its MBR.
+
+        The caller vouches that every value fits the arrays (an int64).
+        """
+        if name:
+            self.names[len(self)] = name
+        self.coords.extend(flat)
+        self.mbrs.extend(mbr)
+        self.offsets.append(len(self.coords))
+        self._view = None
+
+    def append(self, polygon: Polygon) -> None:
+        """Append ``polygon``'s ring (a ``Polygon`` is normalised by construction)."""
+        # Converted first: a coordinate the arrays cannot hold raises here,
+        # before anything is written.
+        flat = array("q", [c for vertex in polygon.vertices for c in vertex])
+        self.append_ring(flat, array("q", polygon.mbr), polygon.name)
+
+    def remove(self, index: int) -> Polygon:
+        """Remove ring ``index`` (negative counts from the end) and return it."""
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError(f"ring index {index} out of range for {count} rings")
+        removed = self.polygon(index)
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        del self.coords[start:stop]
+        del self.mbrs[4 * index : 4 * index + 4]
+        tail = [offset - (stop - start) for offset in self.offsets[index + 2 :]]
+        del self.offsets[index + 1 :]
+        self.offsets.extend(tail)
+        self.names = {
+            (i if i < index else i - 1): name
+            for i, name in self.names.items()
+            if i != index
+        }
+        self._view = None
+        return removed
+
+    # -- the object view -----------------------------------------------------
+
+    def polygon(self, index: int) -> Polygon:
+        """Ring ``index`` as a ``Polygon``; built on the spot unless the view exists."""
+        if self._view is not None:
+            return self._view[index]
+        coords = self.coords
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        ring = tuple(map(Point._make, zip(coords[start:stop:2], coords[start + 1 : stop : 2])))
+        mbr = Rect._make(self.mbrs[4 * index : 4 * index + 4])
+        return Polygon._normalised(ring, self.names.get(index, ""), mbr)
+
+    def polygons(self) -> Tuple[Polygon, ...]:
+        """Every ring as a ``Polygon``, in storage order.
+
+        ``Polygon.mbr`` stays lazy here: computed from the vertices it shares
+        their integers, where a rect read off the table would hold four more
+        per polygon (+2 % peak RSS on a cold check, which views every ring).
+        """
+        view = self._view
+        if view is None:
+            coords, offsets = self.coords, self.offsets
+            points = list(map(Point._make, zip(coords[0::2], coords[1::2])))
+            name_of = self.names.get
+            wrap = Polygon._normalised
+            view = self._view = tuple(
+                wrap(tuple(points[a >> 1 : b >> 1]), name_of(i, ""))
+                for i, (a, b) in enumerate(zip(offsets, offsets[1:]))
+            )
+        return view
+
+
+class Cell:
+    """A named structure: per-layer packed rings plus child references."""
+
+    __slots__ = ("name", "_rings", "references")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._polygons: Dict[int, List[Polygon]] = {}
+        self._rings: Dict[int, RingBuffer] = {}
         self.references: List[CellReference] = []
 
     # -- construction ------------------------------------------------------
 
     def add_polygon(self, layer: int, polygon: Polygon) -> None:
         """Attach a polygon to ``layer`` of this cell (local coordinates)."""
-        self._polygons.setdefault(layer, []).append(polygon)
+        self.ring_buffer(layer).append(polygon)
+
+    def remove_polygon(self, layer: int, index: int) -> Polygon:
+        """Detach polygon ``index`` of ``layer`` (as :meth:`polygons` numbers
+        them; negative counts from the end) and return it."""
+        rings = self._rings.get(layer)
+        if rings is None:
+            raise IndexError(f"cell {self.name!r} has no polygons on layer {layer}")
+        removed = rings.remove(index)
+        if not len(rings):
+            del self._rings[layer]
+        return removed
 
     def add_reference(self, reference: CellReference) -> None:
         """Attach a child reference."""
         self.references.append(reference)
 
+    def ring_buffer(self, layer: int) -> RingBuffer:
+        """The buffer of ``layer``, created empty if the cell has none yet."""
+        rings = self._rings.get(layer)
+        if rings is None:
+            rings = self._rings[layer] = RingBuffer()
+        return rings
+
     # -- queries ------------------------------------------------------------
 
     def local_layers(self) -> List[int]:
         """Layers with geometry defined directly in this cell (sorted)."""
-        return sorted(self._polygons)
+        return sorted(self._rings)
 
-    def polygons(self, layer: int) -> List[Polygon]:
-        """Local polygons on ``layer`` (empty list if none)."""
-        return self._polygons.get(layer, [])
+    def rings(self, layer: int) -> Optional[RingBuffer]:
+        """The packed local rings of ``layer`` (``None`` if the cell has none)."""
+        return self._rings.get(layer)
+
+    def polygons(self, layer: int) -> Tuple[Polygon, ...]:
+        """Local polygons on ``layer``: an immutable view of the packed rings.
+
+        Edit through :meth:`add_polygon` / :meth:`remove_polygon` and ask again.
+        """
+        rings = self._rings.get(layer)
+        return rings.polygons() if rings is not None else ()
 
     def all_polygons(self) -> Iterator[Tuple[int, Polygon]]:
         """All local ``(layer, polygon)`` pairs."""
-        for layer in sorted(self._polygons):
-            for polygon in self._polygons[layer]:
+        for layer in sorted(self._rings):
+            for polygon in self._rings[layer].polygons():
                 yield layer, polygon
 
     @property
     def num_local_polygons(self) -> int:
-        return sum(len(polys) for polys in self._polygons.values())
+        return sum(len(rings) for rings in self._rings.values())
 
     @property
     def is_leaf(self) -> bool:

@@ -77,7 +77,7 @@ def count_flat_polygons(layout: Layout, *, top: Optional[str] = None) -> Dict[in
         if multiplier == 0:
             continue
         for layer in cell.local_layers():
-            result[layer] = result.get(layer, 0) + multiplier * len(cell.polygons(layer))
+            result[layer] = result.get(layer, 0) + multiplier * len(cell.rings(layer))
     return result
 
 

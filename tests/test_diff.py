@@ -43,7 +43,7 @@ class TestDiffLayouts:
 
     def test_removed_top_polygon(self):
         old, new = small_layout(), small_layout()
-        removed = new.top_cell().polygons(2).pop()
+        removed = new.top_cell().remove_polygon(2, -1)
         diff = diff_layouts(old, new)
         assert diff.dirty_layers() == [2]
         assert diff.dirty[2].overlaps(removed.mbr)

@@ -181,3 +181,33 @@ def test_parallel_check_of_a_rigid_layout_builds_no_fractions(monkeypatch):
 
     assert built == []
     assert len(report.results) == len(asap7.full_deck())
+
+
+def test_reading_a_rigid_layout_builds_no_fractions(monkeypatch):
+    """A reference without a MAG record costs no ``Fraction``: the ledger
+    stream's 664 references built ~2 k of them per parse."""
+    import fractions
+
+    from repro.gdsii import read_bytes, read_layout_bytes, write_bytes
+    from repro.gdsii.model import magnification_scalar
+    from repro.layout import gdsii_from_layout, layout_from_gdsii
+    from repro.workloads import build_design
+
+    data = write_bytes(gdsii_from_layout(build_design("jpeg", 1)))
+    built = []
+    real_new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    layout = read_layout_bytes(data)
+    layout_from_gdsii(read_bytes(data))
+    assert magnification_scalar(1.0) == 1 and isinstance(magnification_scalar(1.0), int)
+    monkeypatch.undo()
+
+    assert built == []
+    assert sum(len(cell.references) for cell in layout.cells.values()) > 100
+    # Real magnifications still convert exactly.
+    assert magnification_scalar(2.0) == 2 and magnification_scalar(0.5) == fractions.Fraction(1, 2)

@@ -1,7 +1,9 @@
 """Malformed-stream corpus: the reader must fail loudly, never mis-parse.
 
 Every case goes through both entry points of the one grammar walk: the model
-sink (``read_bytes``) and the layout sink (``read_layout_bytes``).
+sink (``read_bytes``) and the layout sink (``read_layout_bytes``) — and every
+``read_layout_bytes`` of this file is also held to the record-by-record walk
+of ``tests/reference_reader.py``: the same layout, or the same error message.
 """
 
 import random
@@ -15,13 +17,14 @@ from repro.gdsii import (
     GdsLibrary,
     GdsStructure,
     read_bytes,
-    read_layout_bytes,
     write_bytes,
 )
 from repro.gdsii.records import DataType, RecordType, make_record, pack_record
 from repro.geometry import Point, Polygon
 from repro.layout import Layout, gdsii_from_layout, layout_from_gdsii
 from repro.workloads import build_design
+
+from .reference_reader import checked_read_layout as read_layout_bytes
 
 READERS = (read_bytes, read_layout_bytes)
 

@@ -30,7 +30,7 @@ class TestCell:
         assert cell.local_layers() == [1, 5]
 
     def test_polygons_missing_layer_empty(self):
-        assert Cell("c").polygons(9) == []
+        assert Cell("c").polygons(9) == ()
 
     def test_is_leaf(self):
         cell = Cell("c")

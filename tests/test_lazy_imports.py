@@ -103,6 +103,18 @@ def test_lifecycle_commands_never_import_numpy(workdir, argv):
     run_cli(argv, absent=["numpy"], cwd=workdir)
 
 
+def test_a_parallel_check_never_imports_numpy_ma(workdir):
+    """``np.unique`` loads ``numpy.ma`` on first use (15-25 ms of a cold
+    process); the parallel mode counts its row segments without it."""
+    out = run_cli(
+        ["check", "new.gds", "--top", "top", "--mode", "parallel", "--no-cache"],
+        absent=["numpy.ma"],
+        cwd=workdir,
+        exit_code=1,
+    )
+    assert "violation" in out
+
+
 def test_sequential_recheck_skips_the_device_and_the_generators(workdir):
     out = run_cli(
         ["recheck", "old.gds", "new.gds", "--top", "top", "--cache-dir", "cache"],

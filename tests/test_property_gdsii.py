@@ -17,15 +17,17 @@ from repro.gdsii import (
     GdsStrans,
     GdsStructure,
     read_bytes,
-    read_layout_bytes,
     write_bytes,
 )
 from repro.gdsii.model import magnification_scalar, strans_angle_to_rotation
 from repro.gdsii.records import RecordType, make_record, pack_record
 from repro.geometry import Point, Polygon, Transform
 from repro.layout import Layout, layout_from_gdsii, path_outline
-from repro.layout.builder import _boundary_polygon
+from repro.layout.builder import LayoutSink
 from repro.layout.cell import CellReference, Repetition
+
+# The fused reader, held on every call to the record-by-record reference walk.
+from .reference_reader import checked_read_layout as read_layout_bytes
 
 coords = st.integers(min_value=-100_000, max_value=100_000)
 layer_numbers = st.integers(min_value=0, max_value=255)
@@ -278,8 +280,11 @@ def snapshot(layout):
             (
                 name,
                 [
-                    (layer, [(polygon.vertices, polygon.name) for polygon in polygons])
-                    for layer, polygons in cell._polygons.items()
+                    (
+                        layer,
+                        [(polygon.vertices, polygon.name) for polygon in cell.polygons(layer)],
+                    )
+                    for layer in cell.local_layers()
                 ],
                 list(cell.references),
             )
@@ -323,16 +328,26 @@ def test_one_pass_reader_builds_the_reference_layout(library):
 def test_rectangle_shortcut_agrees_with_the_validator_on_every_small_ring():
     """All 6 561 four-point rings on a 3 x 3 grid: same vertices or same error."""
     grid = [(x, y) for x in range(3) for y in range(3)]
+
+    def boundary_polygon(xy, name):
+        """What the sink stores for one BOUNDARY ring, read back."""
+        sink = LayoutSink()
+        sink.begin_library("LIB", 1e-3, 1e-9, ())
+        sink.begin_structure("C", ())
+        sink.boundary(1, 0, [c for point in xy for c in point], {1: name})
+        (polygon,) = sink.layout.cell("C").polygons(1)
+        return polygon
+
     accepted = 0
     for xy in itertools.product(grid, repeat=4):
         try:
             expected = Polygon([Point(x, y) for x, y in xy], name="n")
         except GeometryError as error:
             with pytest.raises(GeometryError) as raised:
-                _boundary_polygon(list(xy), "n")
+                boundary_polygon(xy, "n")
             assert str(raised.value) == str(error)
         else:
-            polygon = _boundary_polygon(list(xy), "n")
+            polygon = boundary_polygon(xy, "n")
             assert polygon.vertices == expected.vertices
             assert (polygon.name, polygon.mbr, polygon.area) == ("n", expected.mbr, expected.area)
             accepted += 1

@@ -50,7 +50,7 @@ def edit_stdcell_definition(layout):
 
 def edit_remove_top_polygon(layout):
     # uart's top cell routes M2 locally (M1 lives inside the stdcells).
-    layout.top_cell().polygons(asap7.M2).pop()
+    layout.top_cell().remove_polygon(asap7.M2, -1)
 
 
 def edit_add_instance(layout):
