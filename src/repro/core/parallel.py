@@ -21,8 +21,11 @@ policies (Listing 2's stream executor): one executor wraps each stream, and
 every copy/launch in this module goes through it, so swapping the executor
 swaps where the work lands.
 
-Host-side packing artifacts — level items, row partitions, per-definition
-packers, packed per-row and fused buffers — live in the plan's
+Every device buffer is expanded from the plan's one
+:class:`~repro.hierarchy.edgepack.InstanceTable` — a definition's ring
+buffers mapped through all of its placements in one array operation, no
+``Polygon`` in between. What was built — item MBRs, row partitions, fused
+buffers, definition buffers — lives in the plan's
 :class:`~repro.core.plan.PackCache`, keyed by layer and the stable partition
 signature, so the second rule touching a layer pays zero host packing.
 
@@ -46,18 +49,17 @@ import numpy as np
 
 from ..checks.base import Violation, ViolationKind
 from ..checks.enclosure import enclosure_pair_violations
-from ..geometry import IDENTITY, Polygon, Rect, Transform
+from ..geometry import Polygon, Rect
 from ..hierarchy.edgepack import (
+    DefinitionBuffers,
     EdgeBufferPair,
-    HierarchicalEdgePacker,
-    HierarchicalRectPacker,
+    InstanceTable,
     RectBuffer,
-    concat_buffers as concat_edge_buffers,
-    concat_segmented,
     corners_from_arrays,
     corners_to_arrays,
     edge_pair_from_arrays,
     edge_pair_to_arrays,
+    place_rects,
     rect_rows_from_arrays,
     rect_rows_to_arrays,
 )
@@ -71,6 +73,8 @@ from ..gpu.kernels import (
     CornerHits,
     EdgeBuffer,
     PairHits,
+    VertexBuffer,
+    edges_from_vertices,
     kernel_area,
     kernel_corner_pairs_segmented,
     kernel_enclosure_candidates,
@@ -79,9 +83,6 @@ from ..gpu.kernels import (
     kernel_pairs_bruteforce_segmented,
     kernel_pairs_sweep,
     kernel_pairs_sweep_segmented,
-    pack_corners,
-    pack_edges,
-    pack_vertices,
     reduce_enclosure_best,
 )
 from ..util.profile import (
@@ -112,6 +113,29 @@ __all__ = [
 _INT = np.int64
 
 
+def _violations(
+    kind: ViolationKind,
+    layer: int,
+    regions: np.ndarray,
+    measured: np.ndarray,
+    required: int,
+    *,
+    other_layer: Optional[int] = None,
+) -> List[Violation]:
+    """Markers from an ``(n, 4)`` region array and its measurements."""
+    return [
+        Violation(
+            kind=kind,
+            layer=layer,
+            other_layer=other_layer,
+            region=Rect(*coords),
+            measured=value,
+            required=required,
+        )
+        for coords, value in zip(regions.tolist(), measured.tolist())
+    ]
+
+
 def pair_hits_to_violations(
     hits: Sequence[PairHits],
     kind: ViolationKind,
@@ -122,28 +146,16 @@ def pair_hits_to_violations(
 ) -> List[Violation]:
     """Host-side conversion of pair-kernel hits to violation markers."""
     batch = PairHits.concatenate(list(hits))
-    if len(batch) == 0:
-        return []
     regions = np.stack([batch.xlo, batch.ylo, batch.xhi, batch.yhi], axis=1)
-    return [
-        Violation(
-            kind=kind,
-            layer=layer,
-            other_layer=other_layer,
-            region=Rect(*coords),
-            measured=measured,
-            required=required,
-        )
-        for coords, measured in zip(regions.tolist(), batch.measured.tolist())
-    ]
+    return _violations(
+        kind, layer, regions, batch.measured, required, other_layer=other_layer
+    )
 
 
 def corner_hits_to_violations(
     hits: CornerHits, layer: int, value: int
 ) -> List[Violation]:
     """Corner-kernel hits to violation markers."""
-    if len(hits) == 0:
-        return []
     regions = np.stack(
         [
             np.minimum(hits.ax, hits.bx),
@@ -153,16 +165,7 @@ def corner_hits_to_violations(
         ],
         axis=1,
     )
-    return [
-        Violation(
-            kind=ViolationKind.CORNER,
-            layer=layer,
-            region=Rect(*coords),
-            measured=measured,
-            required=value,
-        )
-        for coords, measured in zip(regions.tolist(), hits.measured.tolist())
-    ]
+    return _violations(ViolationKind.CORNER, layer, regions, hits.measured, value)
 
 
 def enclosure_margins_to_violations(
@@ -235,6 +238,14 @@ def _row_weights(num_rows: int, *segments: Optional[np.ndarray]) -> np.ndarray:
         if segment is not None and len(segment):
             weights += np.bincount(segment, minlength=num_rows)
     return weights
+
+
+def _item_rows(member_rows: Sequence[Sequence[int]], num_items: int) -> np.ndarray:
+    """Row id per item, from the partition's member lists."""
+    rows = np.zeros(num_items, dtype=_INT)
+    for index, members in enumerate(member_rows):
+        rows[members] = index
+    return rows
 
 
 def select_rows(buffers: Any, rows: Sequence[int]) -> Any:
@@ -491,6 +502,7 @@ class ParallelBackend:
         self.brute_force_threshold = options.brute_force_threshold
         self.use_rows = options.use_rows
         self.pack_cache = self.caches.pack
+        self.table: InstanceTable = self.caches.instance_table()
         self.counters = dict.fromkeys(ROW_COUNTERS, 0)
         self.phase_seconds = {"pack_seconds": 0.0, "kernel_seconds": 0.0}
         self._pack_depth = 0
@@ -564,12 +576,6 @@ class ParallelBackend:
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
-    def _run_width(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        return self._width(rule.layer, rule.value, profile)
-
-    def _run_area(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
-        return self._area(rule.layer, rule.value, profile)
-
     # -- helpers --------------------------------------------------------------
 
     def _fallback(self):
@@ -593,8 +599,7 @@ class ParallelBackend:
         Entered strictly inside *cold* build bodies — never around cache
         lookups — so a warm-start run (every artifact served from the memo
         or the pack store) reports exactly zero pack seconds. The depth
-        guard keeps nested builds (fused pair -> per-row pairs) from double
-        counting.
+        guard keeps nested builds from double counting.
         """
         self._pack_depth += 1
         start = time.perf_counter()
@@ -618,6 +623,16 @@ class ParallelBackend:
     def _cached_items(self, layer: int, profile: PhaseProfile) -> List[LevelItem]:
         with profile.phase(PHASE_OTHER):
             return self.caches.level_items(self.tree.top, layer)
+
+    def _item_rects(self, layer: int, profile: PhaseProfile) -> List[Rect]:
+        """MBRs of the top level's items on ``layer``, numbered as
+        :meth:`_cached_items` lists them: what the row partition is over."""
+        with profile.phase(PHASE_OTHER):
+            return self.pack_cache.get(
+                "item-mbrs",
+                layer,
+                lambda: list(map(Rect._make, self.table.item_mbrs(layer).tolist())),
+            )
 
     def _cached_partition(
         self, key: Any, mbrs: List[Rect], value: int, profile: PhaseProfile
@@ -647,62 +662,29 @@ class ParallelBackend:
             kind, self.caches.digest_of(layers), self.use_rows, margin_for_rule(value)
         )
 
-    def _store_load(self, kind: str, layers: Any, value: int, decode: Callable) -> Any:
+    def _cached_buffers(
+        self, kind: str, layers: Any, sig: Any, value: int, codec: Tuple, build: Callable
+    ) -> Any:
+        """One rule's row buffers: the plan memo, then the pack store, then
+        ``build()`` under the pack timer (and saved). ``codec`` is the
+        buffer type's ``(to_arrays, from_arrays)`` pair."""
+        to_arrays, from_arrays = codec
         store = self.caches.store
-        if store is None:
-            return None
-        return store.load(
-            self._store_key(kind, layers, value), lambda a, m: decode(a, m)
-        )
 
-    def _store_save(self, kind: str, layers: Any, value: int, arrays, meta) -> None:
-        store = self.caches.store
-        if store is not None:
-            store.save(self._store_key(kind, layers, value), arrays, meta)
-
-    def _edge_packer(self, layer: int) -> HierarchicalEdgePacker:
-        return self.pack_cache.get(
-            "edge-packer", layer, lambda: HierarchicalEdgePacker(self.tree, layer)
-        )
-
-    def _rect_packer(self, layer: int) -> HierarchicalRectPacker:
-        return self.pack_cache.get(
-            "rect-packer", layer, lambda: HierarchicalRectPacker(self.tree, layer)
-        )
-
-    def _cached_row_pair(
-        self, layer: int, sig: Any, index: int, row_items: List[LevelItem]
-    ) -> EdgeBufferPair:
-        def build() -> EdgeBufferPair:
+        def cold() -> Any:
+            skey = None
+            if store is not None:
+                skey = self._store_key(kind, layers, value)
+                loaded = store.load(skey, from_arrays)
+                if loaded is not None:
+                    return loaded
             with self._pack_timer():
-                return self._row_edge_buffers(row_items, self._edge_packer(layer))
+                buffers = build()
+            if skey is not None:
+                store.save(skey, *to_arrays(buffers))
+            return buffers
 
-        return self.pack_cache.get("edge-rows", (layer, sig, index), build)
-
-    def _cached_fused_pair(
-        self,
-        layer: int,
-        sig: Any,
-        member_rows: List[List[int]],
-        items: List[LevelItem],
-        value: int,
-    ) -> EdgeBufferPair:
-        def build() -> EdgeBufferPair:
-            loaded = self._store_load("fused-edges", layer, value, edge_pair_from_arrays)
-            if loaded is not None:
-                return loaded
-            with self._pack_timer():
-                pair = concat_segmented(
-                    [
-                        self._cached_row_pair(layer, sig, i, [items[m] for m in row])
-                        for i, row in enumerate(member_rows)
-                    ]
-                )
-            arrays, meta = edge_pair_to_arrays(pair)
-            self._store_save("fused-edges", layer, value, arrays, meta)
-            return pair
-
-        return self.pack_cache.get("fused-edges", (layer, sig), build)
+        return self.pack_cache.get(kind, (layers, sig), cold)
 
     def _flatten_items(self, items: Sequence[LevelItem], layer: int) -> List[Polygon]:
         """Materialize all polygons of the given level items (top coords)."""
@@ -719,226 +701,40 @@ class ParallelBackend:
                 )
         return polygons
 
-    def _launch_pair_kernels(
-        self,
-        polygons: Sequence[Polygon],
-        threshold: int,
-        *,
-        want_width: bool,
-        stream: StreamExecutor,
-        profile: PhaseProfile,
-    ) -> List[PairHits]:
-        """Pack, copy, and check one task's edges on the device."""
+    # -- spacing and corner spacing: one layer's rows, fused ------------------------
+
+    def _fused_layer(
+        self, kind: str, rule: Rule, codec: Tuple, expand: Callable, profile: PhaseProfile
+    ) -> Tuple[Any, int]:
+        """``expand(layer, row id per item)`` of the rule's layer through the
+        caches, and how many rows the layer was cut into."""
+        layer, value = rule.layer, rule.value
+        mbrs = self._item_rects(layer, profile)
+        member_rows, sig = self._cached_partition(layer, mbrs, value, profile)
         host_start = time.perf_counter()
-        with self._pack_timer():
-            buffers = pack_edges(polygons)
-        stream.record_host("pack-edges", time.perf_counter() - host_start)
-
-        hits: List[PairHits] = []
-        for buf in (buffers["v"], buffers["h"]):
-            if len(buf) < 2:
-                continue
-            with profile.phase(PHASE_OTHER):
-                device_buf = EdgeBuffer(
-                    buf.vertical,
-                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
-                )
-            with self._kernel_phase(profile):
-                if len(buf) <= self.brute_force_threshold:
-                    self.counters["kernels_bruteforce"] += 1
-                    hits.append(
-                        stream.launch(
-                            "pairs-bruteforce",
-                            kernel_pairs_bruteforce,
-                            device_buf,
-                            threshold,
-                            want_width=want_width,
-                            items=len(buf),
-                        )
-                    )
-                else:
-                    self.counters["kernels_sweepline"] += 1
-                    hits.append(
-                        stream.launch(
-                            "pairs-sweepline",
-                            kernel_pairs_sweep,
-                            device_buf,
-                            threshold,
-                            want_width=want_width,
-                            items=len(buf),
-                        )
-                    )
-        return hits
-
-    # -- spacing ---------------------------------------------------------------
+        buffers = self._cached_buffers(
+            kind, layer, sig, value, codec,
+            lambda: expand(layer, _item_rows(member_rows, len(mbrs))),
+        )
+        self.device.record_host(f"pack-{kind}", time.perf_counter() - host_start)
+        return buffers, len(member_rows)
 
     def _spacing_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        layer, value = rule.layer, rule.value
-        items = self._cached_items(layer, profile)
-        member_rows, sig = self._cached_partition(
-            layer, [it.mbr for it in items], value, profile
+        fused, num_rows = self._fused_layer(
+            "fused-edges", rule, (edge_pair_to_arrays, edge_pair_from_arrays),
+            self.table.edges, profile,
         )
-        host_start = time.perf_counter()
-        fused = self._cached_fused_pair(layer, sig, member_rows, items, value)
-        self.device.record_host("pack-fused", time.perf_counter() - host_start)
         return RowWork(
-            fused,
-            _row_weights(
-                len(member_rows), fused.vertical.segment, fused.horizontal.segment
-            ),
+            fused, _row_weights(num_rows, fused.vertical.segment, fused.horizontal.segment)
         )
-
-    def _row_edge_buffers(
-        self, row_items: Sequence[LevelItem], packer: HierarchicalEdgePacker
-    ) -> EdgeBufferPair:
-        """One row's flat edge buffers, built hierarchically.
-
-        Local polygons of the top cell are packed directly; child instances
-        reuse the per-definition buffers via vectorised transforms — host
-        preparation scales with definitions, not flat polygon count.
-        """
-        parts_v = []
-        parts_h = []
-        local_polys: List[Polygon] = []
-        offset = 0
-        instances: List[Tuple[str, Transform]] = []
-        for item in row_items:
-            if item.polygon is not None:
-                local_polys.append(item.polygon)
-            else:
-                assert item.cell_name is not None and item.placement is not None
-                instances.append((item.cell_name, item.placement))
-        if local_polys:
-            packed = pack_edges(local_polys)
-            parts_v.append(packed["v"])
-            parts_h.append(packed["h"])
-            offset = len(local_polys)
-        for cell_name, placement in instances:
-            pair = packer.instance_buffer(cell_name, placement, offset)
-            offset += pair.num_polygons
-            if len(pair.vertical):
-                parts_v.append(pair.vertical)
-            if len(pair.horizontal):
-                parts_h.append(pair.horizontal)
-        return EdgeBufferPair(
-            concat_edge_buffers(parts_v, vertical=True),
-            concat_edge_buffers(parts_h, vertical=False),
-            offset,
-        )
-
-    # -- width -------------------------------------------------------------------
-
-    def _width(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
-        definitions, instances = self._definition_instances(layer)
-        if not definitions:
-            return []
-        with profile.phase(PHASE_OTHER):
-            polygons: List[Polygon] = []
-            owner: List[int] = []  # definition index per polygon
-            for def_index, (cell_name, polys) in enumerate(definitions):
-                for polygon in polys:
-                    polygons.append(polygon)
-                    owner.append(def_index)
-        stream = self._stream(0)
-        # Polygon ids must be unique per polygon so width stays intra-polygon.
-        hits = self._launch_pair_kernels(
-            polygons, value, want_width=True, stream=stream, profile=profile
-        )
-        per_def = self._group_hits_by_definition(hits, owner)
-        return self._instantiate(per_def, instances, ViolationKind.WIDTH, layer, value)
-
-    # -- area ---------------------------------------------------------------------
-
-    def _area(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
-        definitions, instances = self._definition_instances(layer)
-        if not definitions:
-            return []
-        polygons: List[Polygon] = []
-        owner: List[int] = []
-        for def_index, (cell_name, polys) in enumerate(definitions):
-            for polygon in polys:
-                polygons.append(polygon)
-                owner.append(def_index)
-        stream = self._stream(0)
-        host_start = time.perf_counter()
-        with self._pack_timer():
-            buf = pack_vertices(polygons)
-        stream.record_host("pack-vertices", time.perf_counter() - host_start)
-        with profile.phase(PHASE_OTHER):
-            xs = stream.memcpy_h2d(buf.xs, name="verts.x")
-            ys = stream.memcpy_h2d(buf.ys, name="verts.y")
-            buf.xs, buf.ys = xs, ys
-        with self._kernel_phase(profile):
-            areas = stream.launch("area", kernel_area, buf, items=len(buf))
-        per_def: Dict[int, List[Violation]] = {}
-        for poly_index, area in enumerate(areas):
-            if int(area) < value:
-                polygon = polygons[poly_index]
-                per_def.setdefault(owner[poly_index], []).append(
-                    Violation(
-                        kind=ViolationKind.AREA,
-                        layer=layer,
-                        region=polygon.mbr,
-                        measured=int(area),
-                        required=value,
-                    )
-                )
-        return self._instantiate(per_def, instances, ViolationKind.AREA, layer, value)
-
-    # -- corner spacing (roadmap extension) --------------------------------------
-
-    def _cached_fused_corners(
-        self,
-        layer: int,
-        sig: Any,
-        member_rows: List[List[int]],
-        items: List[LevelItem],
-        value: int,
-    ) -> CornerBuffer:
-        def build() -> CornerBuffer:
-            loaded = self._store_load("fused-corners", layer, value, corners_from_arrays)
-            if loaded is not None:
-                return loaded
-            with self._pack_timer():
-                parts: List[CornerBuffer] = []
-                for index, members in enumerate(member_rows):
-                    polygons = self._flatten_items([items[m] for m in members], layer)
-                    row_buf = pack_corners(polygons)
-                    if len(row_buf):
-                        row_buf.segment = np.full(len(row_buf), index, dtype=np.int64)
-                        parts.append(row_buf)
-                if not parts:
-                    buf = pack_corners([])
-                else:
-                    buf = CornerBuffer(
-                        np.concatenate([p.x for p in parts]),
-                        np.concatenate([p.y for p in parts]),
-                        np.concatenate([p.qx for p in parts]),
-                        np.concatenate([p.qy for p in parts]),
-                        np.concatenate([p.poly for p in parts]),
-                        np.concatenate([p.segment for p in parts]),
-                    )
-            arrays, meta = corners_to_arrays(buf)
-            self._store_save("fused-corners", layer, value, arrays, meta)
-            return buf
-
-        return self.pack_cache.get("fused-corners", (layer, sig), build)
 
     def _corner_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        """Diagonal corner checks: every row's convex corners, fused."""
-        layer, value = rule.layer, rule.value
-        items = self._cached_items(layer, profile)
-        member_rows, sig = self._cached_partition(
-            layer, [it.mbr for it in items], value, profile
+        """Diagonal corner checks (roadmap extension): every row's convex corners."""
+        buf, num_rows = self._fused_layer(
+            "fused-corners", rule, (corners_to_arrays, corners_from_arrays),
+            self.table.corners, profile,
         )
-        host_start = time.perf_counter()
-        buf = self._cached_fused_corners(layer, sig, member_rows, items, value)
-        self.device.record_host("pack-corners-fused", time.perf_counter() - host_start)
-        return RowWork(buf, _row_weights(len(member_rows), buf.segment))
+        return RowWork(buf, _row_weights(num_rows, buf.segment))
 
     # -- enclosure -----------------------------------------------------------------
 
@@ -946,43 +742,54 @@ class ParallelBackend:
         """All-rectangle rows fuse into one segmented candidate/measure/reduce
         round; rectilinear rows are left for the exact host path."""
         via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
-        via_items = self._cached_items(via_layer, profile)
-        metal_items = self._cached_items(metal_layer, profile)
-        if not via_items:
+        via_mbrs = self._item_rects(via_layer, profile)
+        if not via_mbrs:
             return RowWork()
         # Partition rows over both populations together: an instance may
         # appear twice (one MBR per layer), but an enclosing metal always
         # overlaps its via, so overlapping items land in the same row.
-        combined = via_items + metal_items
+        combined = via_mbrs + self._item_rects(metal_layer, profile)
+        num_vias = len(via_mbrs)
         member_rows, sig = self._cached_partition(
-            (via_layer, metal_layer), [it.mbr for it in combined], value, profile
+            (via_layer, metal_layer), combined, value, profile
         )
-        num_vias = len(via_items)
+
+        def build() -> List[RectBuffer]:
+            rows = _item_rows(member_rows, len(combined))
+            via = self.table.rect_rows(via_layer, rows[:num_vias], len(member_rows))
+            metal = self.table.rect_rows(metal_layer, rows[num_vias:], len(member_rows))
+            return [buf for pair in zip(via, metal) for buf in pair]
+
         host_start = time.perf_counter()
-        rect_rows = self._cached_rect_rows(
-            via_layer, metal_layer, sig, member_rows, combined, num_vias, value
+        # Per row: the via RectBuffer, then the metal one.
+        rect_rows = self._cached_buffers(
+            "rect-rows", (via_layer, metal_layer), sig, value,
+            (rect_rows_to_arrays, rect_rows_from_arrays), build,
         )
-        self.device.record_host("pack-rects-fused", time.perf_counter() - host_start)
+        self.device.record_host("pack-rect-rows", time.perf_counter() - host_start)
 
         work = RowWork()
         fused: List[int] = []  # ids of the all-rectangle rows
-        for index, (via_buf, metal_buf) in enumerate(rect_rows):
-            if len(via_buf) == 0:
-                continue
-            if via_buf.all_rect and metal_buf.all_rect:
-                fused.append(index)
-            else:
-                members = member_rows[index]
-                work.host_rows.append(
-                    (
-                        [combined[m] for m in members if m < num_vias],
-                        [combined[m] for m in members if m >= num_vias],
-                    )
+        host: List[int] = []  # ids of the rows with rectilinear geometry
+        for index in range(len(member_rows)):
+            via_buf, metal_buf = rect_rows[2 * index], rect_rows[2 * index + 1]
+            if len(via_buf):
+                (fused if via_buf.all_rect and metal_buf.all_rect else host).append(index)
+        if host:
+            items = self._cached_items(via_layer, profile) + self._cached_items(
+                metal_layer, profile
+            )
+            work.host_rows = [
+                (
+                    [items[m] for m in member_rows[index] if m < num_vias],
+                    [items[m] for m in member_rows[index] if m >= num_vias],
                 )
+                for index in host
+            ]
         if fused:
             row_ids = np.asarray(fused, dtype=_INT)
-            via_bufs = [rect_rows[index][0] for index in fused]
-            metal_bufs = [rect_rows[index][1] for index in fused]
+            via_bufs = [rect_rows[2 * index] for index in fused]
+            metal_bufs = [rect_rows[2 * index + 1] for index in fused]
             work.buffers = EnclosureBuffer(
                 np.concatenate([buf.rects for buf in via_bufs], axis=0),
                 np.repeat(row_ids, [len(buf) for buf in via_bufs]),
@@ -1017,154 +824,109 @@ class ParallelBackend:
                     )
         return out
 
-    def _cached_rect_rows(
-        self,
-        via_layer: int,
-        metal_layer: int,
-        sig: Any,
-        member_rows: List[List[int]],
-        combined: List[LevelItem],
-        num_vias: int,
-        value: int,
-    ) -> List[tuple]:
-        """Per-row ``(via RectBuffer, metal RectBuffer)`` pairs, cached.
+    # -- width and area: once per definition, instantiated per placement -----------
 
-        Shared by the fused enclosure path and the multiprocess shard
-        builder, which cuts these rows across worker processes.
-        """
+    def _definitions(self, layer: int) -> DefinitionBuffers:
+        """The layer's checked definitions, shared by its width and area rules."""
 
-        def build() -> List[tuple]:
-            loaded = self._store_load(
-                "rect-rows", (via_layer, metal_layer), value, rect_rows_from_arrays
-            )
-            if loaded is not None:
-                return [
-                    (loaded[i], loaded[i + 1]) for i in range(0, len(loaded), 2)
-                ]
+        def build() -> DefinitionBuffers:
             with self._pack_timer():
-                via_packer = self._rect_packer(via_layer)
-                metal_packer = self._rect_packer(metal_layer)
-                rows = [
-                    (
-                        self._row_rect_buffer(
-                            [combined[m] for m in members if m < num_vias], via_packer
-                        ),
-                        self._row_rect_buffer(
-                            [combined[m] for m in members if m >= num_vias],
-                            metal_packer,
-                        ),
-                    )
-                    for members in member_rows
-                ]
-            arrays, meta = rect_rows_to_arrays([buf for pair in rows for buf in pair])
-            self._store_save("rect-rows", (via_layer, metal_layer), value, arrays, meta)
-            return rows
+                return self.table.definitions(layer)
 
-        return self.pack_cache.get("rect-rows", (via_layer, metal_layer, sig), build)
+        return self.pack_cache.get("definitions", layer, build)
 
-    def _row_rect_buffer(
-        self, row_items: Sequence[LevelItem], packer: HierarchicalRectPacker
-    ) -> RectBuffer:
-        parts = []
-        all_rect = True
-        local: List[Polygon] = []
-        for item in row_items:
-            if item.polygon is not None:
-                local.append(item.polygon)
+    def _run_width(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
+        layer, value = rule.layer, rule.value
+        stream = self._stream(0)
+        host_start = time.perf_counter()
+        defs = self._definitions(layer)
+        with self._pack_timer():
+            # Ring ids are unique per ring, so width stays intra-polygon.
+            buffers = edges_from_vertices(defs.xs, defs.ys, defs.counts)
+        stream.record_host("pack-edges", time.perf_counter() - host_start)
+
+        hits: List[PairHits] = []
+        for buf in (buffers["v"], buffers["h"]):
+            if len(buf) < 2:
+                continue
+            with profile.phase(PHASE_OTHER):
+                device_buf = EdgeBuffer(
+                    buf.vertical,
+                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
+                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
+                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
+                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
+                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
+                )
+            if len(buf) <= self.brute_force_threshold:
+                name, kernel, counter = (
+                    "pairs-bruteforce", kernel_pairs_bruteforce, "kernels_bruteforce"
+                )
             else:
-                assert item.cell_name is not None and item.placement is not None
-                buf = packer.instance_rects(item.cell_name, item.placement)
-                all_rect = all_rect and buf.all_rect
-                if len(buf):
-                    parts.append(buf.rects)
-        if local:
-            parts.insert(0, np.asarray([tuple(p.mbr) for p in local], dtype=np.int64))
-            all_rect = all_rect and all(p.is_rectangle for p in local)
-        if parts:
-            return RectBuffer(np.concatenate(parts, axis=0), all_rect)
-        return RectBuffer.empty()
-
-    # -- definition/instance machinery for intra rules ------------------------------
-
-    def _definition_instances(
-        self, layer: int
-    ) -> Tuple[List[Tuple[str, List[Polygon]]], Dict[int, List[Transform]]]:
-        """Unique checked definitions plus the transforms instantiating each.
-
-        Magnified placements keep neither distances nor areas, so each gets
-        a dedicated definition with pre-transformed polygons and an identity
-        instance, and the kernels still see every instance exactly once.
-        Cached per layer across the deck's rules.
-        """
-        return self.pack_cache.get(
-            "definitions", layer, lambda: self._build_definition_instances(layer)
+                name, kernel, counter = (
+                    "pairs-sweepline", kernel_pairs_sweep, "kernels_sweepline"
+                )
+            with self._kernel_phase(profile):
+                self.counters[counter] += 1
+                hits.append(
+                    stream.launch(
+                        name, kernel, device_buf, value, want_width=True, items=len(buf)
+                    )
+                )
+        batch = PairHits.concatenate(hits)
+        regions = np.stack([batch.xlo, batch.ylo, batch.xhi, batch.yhi], axis=1)
+        return self._instantiate(
+            defs, batch.poly_a, regions, batch.measured, ViolationKind.WIDTH, layer, value
         )
 
-    def _build_definition_instances(
-        self, layer: int
-    ) -> Tuple[List[Tuple[str, List[Polygon]]], Dict[int, List[Transform]]]:
-        definitions: List[Tuple[str, List[Polygon]]] = []
-        def_index_of: Dict[str, int] = {}
-        instances: Dict[int, List[Transform]] = {}
-        for cell, transform in self.tree.iter_instances(layer=layer):
-            polys = cell.polygons(layer)
-            if not polys:
-                continue
-            if transform.magnification == 1:
-                index = def_index_of.get(cell.name)
-                if index is None:
-                    index = len(definitions)
-                    def_index_of[cell.name] = index
-                    definitions.append((cell.name, polys))
-                    instances[index] = []
-                instances[index].append(transform)
-            else:
-                index = len(definitions)
-                definitions.append(
-                    (f"{cell.name}@{transform}", [p.transformed(transform) for p in polys])
-                )
-                instances[index] = [IDENTITY]
-        return definitions, instances
-
-    def _group_hits_by_definition(
-        self, hits: Sequence[PairHits], owner: List[int]
-    ) -> Dict[int, List[Tuple[Rect, int]]]:
-        # Width hits carry poly ids == global polygon indices; map to owners.
-        grouped: Dict[int, List[Tuple[Rect, int]]] = {}
-        batch = PairHits.concatenate(list(hits))
-        if len(batch) == 0:
-            return grouped
-        owners = np.asarray(owner, dtype=np.int64)[batch.poly_a]
-        regions = np.stack([batch.xlo, batch.ylo, batch.xhi, batch.yhi], axis=1)
-        for own, coords, measured in zip(
-            owners.tolist(), regions.tolist(), batch.measured.tolist()
-        ):
-            grouped.setdefault(own, []).append((Rect(*coords), measured))
-        return grouped
+    def _run_area(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
+        layer, value = rule.layer, rule.value
+        stream = self._stream(0)
+        host_start = time.perf_counter()
+        defs = self._definitions(layer)
+        stream.record_host("pack-vertices", time.perf_counter() - host_start)
+        if not len(defs.counts):
+            return []
+        with profile.phase(PHASE_OTHER):
+            buf = VertexBuffer(
+                stream.memcpy_h2d(defs.xs, name="verts.x"),
+                stream.memcpy_h2d(defs.ys, name="verts.y"),
+                np.cumsum(defs.counts) - defs.counts,
+                defs.counts,
+                np.arange(len(defs.counts), dtype=_INT),
+            )
+        with self._kernel_phase(profile):
+            areas = stream.launch("area", kernel_area, buf, items=len(buf))
+        failing = np.flatnonzero(areas < value)
+        return self._instantiate(
+            defs, failing, defs.mbrs[failing], areas[failing],
+            ViolationKind.AREA, layer, value,
+        )
 
     def _instantiate(
         self,
-        per_def,
-        instances: Dict[int, List[Transform]],
+        defs: DefinitionBuffers,
+        rings: np.ndarray,
+        regions: np.ndarray,
+        measured: np.ndarray,
         kind: ViolationKind,
         layer: int,
         required: int,
     ) -> List[Violation]:
+        """Hits found on definition rings (``regions[i]``/``measured[i]`` on
+        ring ``rings[i]``) as violations under every placement of their
+        definition: all of a definition's hits through all of its
+        placements in one array operation."""
         out: List[Violation] = []
-        for def_index, found in per_def.items():
-            for transform in instances.get(def_index, []):
-                for item in found:
-                    if isinstance(item, Violation):
-                        out.append(item.transformed(transform))
-                    else:
-                        region, measured = item
-                        out.append(
-                            Violation(
-                                kind=kind,
-                                layer=layer,
-                                region=transform.apply_rect(region),
-                                measured=measured,
-                                required=required,
-                            )
-                        )
+        owner = defs.owner[rings]
+        for unit in np.flatnonzero(np.bincount(owner)).tolist():
+            mine = owner == unit
+            placements = defs.placements[unit]
+            out += _violations(
+                kind,
+                layer,
+                place_rects(regions[mine], placements),
+                np.tile(measured[mine], len(placements)),
+                required,
+            )
         return out

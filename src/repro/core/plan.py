@@ -342,8 +342,8 @@ class PackCache:
 
     Every rule on a layer re-walks the same hierarchy level and re-packs
     identical device buffers. This cache memoises the host-side artifacts —
-    level items, row partitions, per-definition packers, and packed per-row
-    / fused buffers — keyed by layer plus the stable partition signature
+    level items, item MBRs, row partitions, fused row buffers and definition
+    buffers — keyed by layer plus the stable partition signature
     (:meth:`repro.partition.rows.RowPartition.signature`), so the second
     rule touching a layer pays zero host packing. A rule whose distance
     changes the partition margin, or a backend with rows disabled, produces
@@ -383,9 +383,10 @@ class PackCache:
 class PlanCaches:
     """Shared state every backend executing one plan reads through.
 
-    Owns the subtree range-query window and the :class:`PackCache`; the
-    level items of a (cell, layer) are identical for every rule in the
-    deck, so they live here rather than in any one backend.
+    Owns the subtree range-query window, the :class:`PackCache` and the
+    parallel mode's instance table; the level items of a (cell, layer) are
+    identical for every rule in the deck, so they live here rather than in
+    any one backend.
 
     When a persistent :class:`~repro.core.packstore.PackStore` is attached
     (``store``), cross-*process* artifacts — the adaptive row partition here,
@@ -401,6 +402,19 @@ class PlanCaches:
         self.pack = PackCache()
         self.store = store
         self._layer_digests: Dict[int, str] = {}
+        self._instances = None
+
+    def instance_table(self):
+        """The plan's one :class:`~repro.hierarchy.edgepack.InstanceTable`:
+        where every definition sits under the top, which every device buffer
+        of the parallel mode is expanded from. Built on first use (imported
+        here because the sequential mode never loads NumPy); two threads
+        racing the first use build equal tables and one wins."""
+        if self._instances is None:
+            from ..hierarchy.edgepack import InstanceTable
+
+            self._instances = InstanceTable(self.tree)
+        return self._instances
 
     def level_items(self, cell: Cell, layer: int) -> List[LevelItem]:
         return self.pack.get(

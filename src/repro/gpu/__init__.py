@@ -4,7 +4,10 @@ Device/stream/timeline model (:mod:`.device`), stream-ordered memory
 allocator (:mod:`.memory`), execution policies standing in for the paper's
 type-trait dispatch (:mod:`.executor`), and the NumPy SPMD check kernels
 (:mod:`.kernels`). See DESIGN.md §1 for why NumPy vectorisation preserves
-the paper's GPU-vs-CPU behavioural shape.
+the paper's GPU-vs-CPU behavioural shape. The shared-memory arena
+(:mod:`.shmem`) and buffer compression (:mod:`.compression`) are imported by
+their users only: ``multiprocessing.shared_memory`` alone is a third of
+what importing the parallel mode costs.
 """
 
 from .device import AsyncTimeline, Device, OpKind, OpRecord, Stream, TimelineSummary
@@ -33,11 +36,9 @@ from .kernels import (
     reduce_enclosure_best,
 )
 from .memory import AllocatorStats, DeviceBuffer, StreamOrderedAllocator
-from .shmem import ArrayRef, ShmArena, shm_enabled
 
 __all__ = [
     "AllocatorStats",
-    "ArrayRef",
     "AsyncTimeline",
     "Device",
     "DeviceBuffer",
@@ -47,7 +48,6 @@ __all__ = [
     "OpRecord",
     "PairHits",
     "SequencedPolicy",
-    "ShmArena",
     "Stream",
     "StreamExecutor",
     "StreamOrderedAllocator",
@@ -67,5 +67,4 @@ __all__ = [
     "pack_vertices",
     "reduce_enclosure_best",
     "seq",
-    "shm_enabled",
 ]

@@ -133,35 +133,47 @@ def pack_edges(
 
     Returns ``{"v": vertical_buffer, "h": horizontal_buffer}``. ``poly_ids``
     defaults to the polygon's index in the sequence.
-
-    Fully vectorised: vertices are flattened once, successors computed with
-    a wrap-around index array (as in :func:`kernel_area`), and the two
-    orientations split with boolean masks — no per-edge Python tuples.
     """
     counts = np.fromiter(
         (len(p.vertices) for p in polygons), dtype=_INT, count=len(polygons)
     )
     total = int(counts.sum())
-    if total == 0:
-        z = np.zeros(0, dtype=_INT)
-        return {
-            "v": EdgeBuffer(True, z, z, z, z, z),
-            "h": EdgeBuffer(False, z, z, z, z, z),
-        }
     xs = np.fromiter(
         (v.x for p in polygons for v in p.vertices), dtype=_INT, count=total
     )
     ys = np.fromiter(
         (v.y for p in polygons for v in p.vertices), dtype=_INT, count=total
     )
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(_INT)
+    return edges_from_vertices(xs, ys, counts, poly_ids)
+
+
+def edges_from_vertices(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    counts: np.ndarray,
+    poly_ids: Optional[Sequence[int]] = None,
+) -> Dict[str, EdgeBuffer]:
+    """The edges of clockwise rings stored back to back, ``counts[i]``
+    vertices each, as ``{"v": vertical_buffer, "h": horizontal_buffer}``.
+
+    Fully vectorised: successors come from a wrap-around index array (as in
+    :func:`kernel_area`), and the two orientations split with boolean masks
+    — no per-edge Python tuples. ``poly_ids`` defaults to the ring's index.
+    """
+    total = len(xs)
+    if total == 0:
+        z = np.zeros(0, dtype=_INT)
+        return {
+            "v": EdgeBuffer(True, z, z, z, z, z),
+            "h": EdgeBuffer(False, z, z, z, z, z),
+        }
+    offsets = np.cumsum(counts) - counts
     nxt = np.arange(total, dtype=_INT) + 1
-    nxt[offsets + counts - 1] = offsets  # each polygon's last edge wraps
+    nxt[offsets + counts - 1] = offsets  # each ring's last edge wraps
     x2, y2 = xs[nxt], ys[nxt]
-    if poly_ids is not None:
-        pid = np.repeat(np.asarray(poly_ids, dtype=_INT), counts)
-    else:
-        pid = np.repeat(np.arange(len(polygons), dtype=_INT), counts)
+    if poly_ids is None:
+        poly_ids = np.arange(len(counts), dtype=_INT)
+    pid = np.repeat(np.asarray(poly_ids, dtype=_INT), counts)
 
     vmask = xs == x2  # vertical; NORTH (+y travel) has interior east (+1)
     v = EdgeBuffer(
@@ -201,8 +213,8 @@ def _evaluate_pairs(
 
     Width pairs require ``interior[a] == +1`` and ``interior[b] == -1`` and
     the same polygon; spacing pairs the opposite signs, a strictly positive
-    gap, and any polygons. Buffers carrying a ``segment`` array additionally
-    reject cross-segment pairs (rows are independent tasks).
+    gap, and any polygons. The segmented callers enumerate in-segment
+    pairs only, so ``segment`` is not looked at here.
     """
     if len(idx_a) == 0:
         return PairHits.empty()
@@ -219,8 +231,6 @@ def _evaluate_pairs(
         & (buf.interior[idx_a] == sign_a)
         & (buf.interior[idx_b] == -sign_a)
     )
-    if buf.segment is not None:
-        mask &= buf.segment[idx_a] == buf.segment[idx_b]
     if want_width:
         mask &= buf.poly[idx_a] == buf.poly[idx_b]
     if not mask.any():
@@ -695,14 +705,12 @@ def _evaluate_corner_pairs(
     """Classify candidate corner pairs oriented so ``x[b] >= x[a]``.
 
     Keeps strictly diagonal (dx > 0, dy != 0), mutually-facing pairs closer
-    than ``sqrt(limit)``; buffers carrying ``segment`` additionally reject
-    cross-segment pairs.
+    than ``sqrt(limit)``. The segmented caller enumerates in-segment pairs
+    only, so ``segment`` is not looked at here.
     """
     dx = buf.x[b] - buf.x[a]
     dy = buf.y[b] - buf.y[a]
     keep = (dx > 0) & (dy != 0)
-    if buf.segment is not None:
-        keep &= buf.segment[a] == buf.segment[b]
     a, b, dx, dy = a[keep], b[keep], dx[keep], dy[keep]
     d2 = dx * dx + dy * dy
     sy = np.sign(dy)

@@ -1,6 +1,8 @@
-"""Hierarchy tree, layer views, range queries, and task pruning (paper §IV-A/§IV-C)."""
+"""Hierarchy tree, range queries, and task pruning (paper §IV-A/§IV-C).
 
-from .layerview import LayerView
+:class:`~repro.hierarchy.layerview.LayerView` is imported from its module.
+"""
+
 from .pruning import (
     IntraCheckScheduler,
     LevelItem,
@@ -18,7 +20,6 @@ from .tree import HierarchyTree, reference_mbr
 __all__ = [
     "HierarchyTree",
     "IntraCheckScheduler",
-    "LayerView",
     "LevelItem",
     "PruningStats",
     "QueryStats",

@@ -2,7 +2,8 @@
 
 The interval tree and sweepline implement the paper's sequential candidate
 search (§IV-D, Fig. 3); interval merging implements Algorithm 1 behind the
-adaptive row partition (§IV-B).
+adaptive row partition (§IV-B). :class:`~repro.spatial.rtree.RTree` is
+imported from its module.
 """
 
 from .interval_merge import (
@@ -12,7 +13,6 @@ from .interval_merge import (
 )
 from .interval_tree import IntervalTree
 from .regions import RegionSet
-from .rtree import RTree
 from .sweepline import (
     brute_force_pairs,
     iter_bipartite_overlaps,
@@ -23,7 +23,6 @@ from .sweepline import (
 
 __all__ = [
     "IntervalTree",
-    "RTree",
     "RegionSet",
     "brute_force_pairs",
     "coalesce_rects",

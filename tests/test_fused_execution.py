@@ -200,14 +200,24 @@ class TestPackCache:
 
     def test_distance_change_reuses_level_items_only(self):
         # Two spacing rules whose margins differ partition the layer
-        # differently; cached row buffers must not leak between them.
+        # differently: the second reuses the top level's item MBRs (and the
+        # plan's one instance table) and nothing else — row buffers must
+        # not leak between them.
         layout = random_hierarchical_layout(instances=40, seed=7)
         near = layer(1).spacing().greater_than(5)
         far = layer(1).spacing().greater_than(600)
-        par = Engine(mode="parallel").check(layout, rules=[near, far])
+        engine = Engine(mode="parallel")
+        par = engine.check(layout, rules=[near, far])
         seq = Engine(mode="sequential").check(layout, rules=[near, far])
         for a, b in zip(par.results, seq.results):
             assert Counter(a.violations) == Counter(b.violations), a.rule.name
+        cache = engine.last_checker.pack_cache
+        assert {name: len(bucket) for name, bucket in cache._stores.items()} == {
+            "item-mbrs": 1, "partition": 2, "fused-edges": 2,
+        }
+        assert (cache.hits, cache.misses) == (1, 5)
+        near_rows, far_rows = (key[1] for key in cache._stores["fused-edges"])
+        assert len(near_rows) > len(far_rows)
 
     def test_stats_expose_cache_and_device_counters(self, uart_layout):
         engine = Engine(mode="parallel")

@@ -1,7 +1,9 @@
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.checks import check_spacing, check_width
 from repro.geometry import Polygon, Rect
@@ -498,3 +500,113 @@ class TestSegmentedCornerKernel:
         assert len(hits)
         n = len(buf)
         assert 0 < sum(seen) <= 4 * n < n * (n - 1) // 2
+
+
+class TestEnumeratorsStayInSegment:
+    """The pair evaluators no longer mask cross-segment pairs, because no
+    enumerator hands them one: over random segmented buffers, every pair
+    that reaches an evaluator — and every candidate block of the enclosure
+    scan — lies in one segment."""
+
+    CASES = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    #: seed, items, segment ids to draw from (sparse ids included), rule
+    #: distance, block size
+    SHAPES = (
+        st.integers(0, 10 ** 6),
+        st.integers(2, 120),
+        st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True),
+        st.integers(1, 300),
+        st.sampled_from([1, 5, 64, 1 << 20]),
+    )
+
+    @staticmethod
+    def spied(patch, name):
+        """Replace evaluator ``name`` by one that records the pairs it gets."""
+        seen = []
+        original = getattr(K, name)
+
+        def spy(buf, a, b, *args, **kwargs):
+            seen.append((buf.segment[a], buf.segment[b]))
+            return original(buf, a, b, *args, **kwargs)
+
+        patch.setattr(K, name, spy)
+        return seen
+
+    @staticmethod
+    def assert_in_segment(seen):
+        assert seen
+        for left, right in seen:
+            assert np.array_equal(left, right)
+
+    @CASES
+    @given(*SHAPES)
+    def test_edge_pair_kernels(self, seed, n, ids, threshold, chunk):
+        rng = np.random.default_rng(seed)
+        buf = K.EdgeBuffer(
+            True,
+            rng.integers(-200, 200, n),
+            rng.integers(-200, 0, n),
+            rng.integers(1, 200, n),
+            rng.choice([-1, 1], n),
+            np.arange(n),
+            rng.choice(ids, n),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            seen = self.spied(patch, "_evaluate_pairs")
+            K.kernel_pairs_bruteforce_segmented(buf, threshold, want_width=False, chunk=chunk)
+            if len(ids) < n:  # some segment holds a pair
+                self.assert_in_segment(seen)
+            seen.clear()
+            K.kernel_pairs_sweep_segmented(buf, threshold, want_width=False)
+            for left, right in seen:
+                assert np.array_equal(left, right)
+
+    @CASES
+    @given(*SHAPES)
+    def test_segmented_ranges_and_range_blocks(self, seed, n, ids, threshold, chunk):
+        rng = np.random.default_rng(seed)
+        coord, segment = rng.integers(-500, 500, n), rng.choice(ids, n)
+        order, begin, end = K._segmented_ranges(coord, segment, threshold)
+        sorted_segment, sorted_coord = segment[order], coord[order]
+        pairs = 0
+        for rows, offsets in K._range_blocks((end - begin).clip(min=0), chunk):
+            partner = begin[rows] + offsets
+            assert np.array_equal(sorted_segment[rows], sorted_segment[partner])
+            assert np.all(sorted_coord[partner] - sorted_coord[rows] < threshold)
+            pairs += len(rows)
+        assert pairs == int((end - begin).clip(min=0).sum())
+
+    @CASES
+    @given(*SHAPES)
+    def test_corner_kernel(self, seed, n, ids, threshold, chunk):
+        rng = np.random.default_rng(seed)
+        buf = K.CornerBuffer(
+            rng.integers(-200, 200, n),
+            rng.integers(-200, 200, n),
+            rng.choice([-1, 1], n),
+            rng.choice([-1, 1], n),
+            np.arange(n),
+            rng.choice(ids, n),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            seen = self.spied(patch, "_evaluate_corner_pairs")
+            K.kernel_corner_pairs_segmented(buf, threshold, chunk)
+            for left, right in seen:
+                assert np.array_equal(left, right)
+
+    @CASES
+    @given(*SHAPES)
+    def test_enclosure_candidate_blocks(self, seed, n, ids, threshold, chunk):
+        rng = np.random.default_rng(seed)
+        metals = n // 2 + 1
+
+        def rects(count, size):
+            low = rng.integers(-300, 300, (count, 2))
+            return np.concatenate([low, low + rng.integers(1, size, (count, 2))], axis=1)
+
+        windows, metal_rects = rects(n, 40), rects(metals, 200)
+        window_segment, metal_segment = rng.choice(ids, n), rng.choice(ids, metals)
+        for window, metal, _ in K.enclosure_candidate_blocks(
+            windows, metal_rects, window_segment, metal_segment, chunk
+        ):
+            assert np.array_equal(window_segment[window], metal_segment[metal])

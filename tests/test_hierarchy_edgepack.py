@@ -10,8 +10,8 @@ from repro.hierarchy import HierarchyTree
 from repro.hierarchy.edgepack import (
     HierarchicalEdgePacker,
     HierarchicalRectPacker,
-    transform_pair,
-    transform_rects,
+    InstanceTable,
+    place_rects,
 )
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
@@ -106,11 +106,23 @@ class TestEdgePackerParity:
     def test_fractional_magnification_rejected(self):
         from fractions import Fraction
 
-        pair = HierarchicalEdgePacker(
-            HierarchyTree(random_layout(0)), 1
-        ).buffer_of("leaf")
-        with pytest.raises(GeometryError):
-            transform_pair(pair, Transform(magnification=Fraction(1, 2)), 0)
+        layout = random_layout(0)
+        layout.cell("top").add_reference(
+            CellReference("leaf", Transform(dx=9000, magnification=Fraction(1, 2)))
+        )
+        table = InstanceTable(HierarchyTree(layout))
+        with pytest.raises(GeometryError, match="integral magnification"):
+            table.edges(1)
+        with pytest.raises(GeometryError, match="integral magnification"):
+            table.item_mbrs(1)
+
+
+def placed_once(poly: Polygon, t: Transform) -> HierarchyTree:
+    layout = Layout("one")
+    layout.new_cell("leaf").add_polygon(1, poly)
+    layout.new_cell("top").add_reference(CellReference("leaf", t))
+    layout.set_top("top")
+    return HierarchyTree(layout)
 
 
 class TestTransformPair:
@@ -119,11 +131,7 @@ class TestTransformPair:
     def test_single_polygon_all_transforms(self, rotation, mirror):
         poly = Polygon([(0, 0), (0, 30), (10, 30), (10, 10), (25, 10), (25, 0)])
         t = Transform(dx=13, dy=-7, rotation=rotation, mirror_x=mirror)
-        packed = pack_edges([poly])
-        from repro.hierarchy.edgepack import EdgeBufferPair
-
-        pair = EdgeBufferPair(packed["v"], packed["h"], 1)
-        moved = transform_pair(pair, t, 0)
+        moved = InstanceTable(placed_once(poly, t)).edges(1)
         expected = pack_edges([poly.transformed(t)])
         assert edge_set(moved.vertical) == edge_set(expected["v"])
         assert edge_set(moved.horizontal) == edge_set(expected["h"])
@@ -154,7 +162,8 @@ class TestRectPacker:
     def test_transform_rects(self, rotation):
         t = Transform(dx=5, dy=9, rotation=rotation, mirror_x=True)
         rects = np.asarray([[0, 0, 10, 4], [20, 30, 22, 50]], dtype=np.int64)
-        moved = transform_rects(rects, t)
+        placement = np.asarray([t._matrix + (t.dx, t.dy)], dtype=np.int64)
+        moved = place_rects(rects, placement)
         for row_in, row_out in zip(rects, moved):
             expected = t.apply_rect(Rect(*map(int, row_in)))
             assert tuple(map(int, row_out)) == tuple(expected)

@@ -1,5 +1,5 @@
 from repro.geometry import Polygon, Transform
-from repro.hierarchy import LayerView
+from repro.hierarchy.layerview import LayerView
 from repro.layout import CellReference, Layout
 
 

@@ -1,7 +1,8 @@
 """Additional coverage: statistics, flatten generators, and layer views on
 the synthesized benchmark designs (integration-grade invariants)."""
 
-from repro.hierarchy import HierarchyTree, LayerView
+from repro.hierarchy import HierarchyTree
+from repro.hierarchy.layerview import LayerView
 from repro.layout import compute_stats, count_flat_polygons, flatten, iter_flat_polygons
 from repro.workloads import asap7, build_design
 

@@ -60,7 +60,8 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
     out = run_python(
         "import sys, repro.cli\n"
         "print([m for m in ('numpy', 'repro.core.multiproc', 'repro.core.workerpool',"
-        " 'repro.core.parallel', 'repro.gpu', 'repro.workloads.designs') if m in sys.modules])",
+        " 'repro.core.parallel', 'repro.gpu', 'repro.workloads.designs',"
+        " 'repro.hierarchy.layerview', 'repro.spatial.rtree') if m in sys.modules])",
         cwd=None,
     )
     assert out.strip() == "[]"
@@ -105,10 +106,18 @@ def test_lifecycle_commands_never_import_numpy(workdir, argv):
 
 def test_a_parallel_check_never_imports_numpy_ma(workdir):
     """``np.unique`` loads ``numpy.ma`` on first use (15-25 ms of a cold
-    process); the parallel mode counts its row segments without it."""
+    process); the parallel mode counts its row segments without it. Nor
+    does one process need what only the multiprocess backend uses: the
+    shared-memory arena (``multiprocessing.shared_memory`` pulls in
+    ``socket`` and ``subprocess``) and buffer compression."""
     out = run_cli(
         ["check", "new.gds", "--top", "top", "--mode", "parallel", "--no-cache"],
-        absent=["numpy.ma"],
+        absent=[
+            "numpy.ma",
+            "multiprocessing.shared_memory",
+            "repro.gpu.shmem",
+            "repro.gpu.compression",
+        ],
         cwd=workdir,
         exit_code=1,
     )
