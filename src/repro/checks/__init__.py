@@ -13,8 +13,6 @@ from .corner import (
     corner_pair_violations,
 )
 from .edges import (
-    is_spacing_pair,
-    is_width_pair,
     polygon_notch_violations,
     polygon_spacing_violations,
     width_violation_regions,
@@ -48,8 +46,6 @@ __all__ = [
     "check_width",
     "enclosure_margin",
     "enclosure_pair_violations",
-    "is_spacing_pair",
-    "is_width_pair",
     "polygon_notch_violations",
     "polygon_spacing_violations",
     "sort_violations",

@@ -17,30 +17,10 @@ paper's roadmap defers "general geometric shapes").
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..geometry import Edge, Polygon, Rect
+from ..geometry import Polygon, Rect
 from ..geometry.polygon import EdgeRows
-
-
-def is_width_pair(e1: Edge, e2: Edge) -> bool:
-    """True if the strip between two parallel edges is polygon interior."""
-    if e1.orientation is not e2.orientation:
-        return False
-    if e1.projection_overlap(e2) <= 0:
-        return False
-    return e1.faces(e2) and e2.faces(e1)
-
-
-def is_spacing_pair(e1: Edge, e2: Edge) -> bool:
-    """True if the strip between two parallel edges is exterior to both."""
-    if e1.orientation is not e2.orientation:
-        return False
-    if e1.projection_overlap(e2) <= 0:
-        return False
-    if e1.separation(e2) == 0:
-        return False  # collinear edges: abutting shapes, treated as connected
-    return not e1.faces(e2) and not e2.faces(e1)
 
 
 def width_violation_regions(polygon: Polygon, min_width: int) -> List[Tuple[Rect, int]]:
@@ -104,13 +84,3 @@ def polygon_notch_violations(p: Polygon, min_space: int) -> List[Tuple[Rect, int
     """Spacing violations of a polygon against itself (notches)."""
     rows = p.edge_rows()
     return _facing_pairs(rows, rows, min_space, want_width=False, skip=True)
-
-
-def iter_parallel_pairs(
-    edges_a: Sequence[Edge], edges_b: Sequence[Edge]
-) -> Iterator[Tuple[Edge, Edge]]:
-    """All parallel edge pairs with a positive common projection."""
-    for e1 in edges_a:
-        for e2 in edges_b:
-            if e1.orientation is e2.orientation and e1.projection_overlap(e2) > 0:
-                yield e1, e2

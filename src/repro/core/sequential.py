@@ -22,10 +22,10 @@ and carries no kind table of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..checks.base import Violation
-from ..geometry import IDENTITY, Polygon, Transform
+from ..geometry import IDENTITY, Polygon, Transform, union_all
 from ..hierarchy.pruning import (
     IntraCheckScheduler,
     LevelItem,
@@ -381,20 +381,20 @@ class SequentialBackend:
             for ref in cell.references:
                 if not self.tree.has_layer(ref.cell_name, via_layer):
                     continue
-                if all(p.preserves_distances for p in ref.placements()):
+                placements = list(ref.placements())
+                if all(p.preserves_distances for p in placements):
                     child_pending = pending(ref.cell_name)
                 else:
                     # Margins scale under magnification: re-resolve the whole
                     # subtree's vias at this level instead of reusing.
                     self.pruning.checks_refreshed += 1
                     child_pending = self._all_subtree_vias(ref.cell_name, via_layer)
-                for placement in ref.placements():
+                for placement in placements:
                     candidates_pending.extend(
                         p.transformed(placement) for p in child_pending
                     )
             unresolved = self._resolve_vias(
-                cell_name, IDENTITY, candidates_pending, metal_layer, value,
-                procedures, profile,
+                cell_name, candidates_pending, metal_layer, value, procedures, profile
             )
             memo[cell_name] = unresolved
             return unresolved
@@ -415,60 +415,82 @@ class SequentialBackend:
     def _resolve_vias(
         self,
         cell_name: str,
-        placement: Transform,
         vias: List[Polygon],
         metal_layer: int,
         value: int,
         procedures,
         profile: PhaseProfile,
     ) -> List[Polygon]:
-        """Drop every via satisfied by metal in this cell's subtree.
-
-        One bipartite MBR sweep pairs via windows with this level's metal
-        items (local polygons and child-subtree MBRs); only paired child
-        subtrees are descended, with the via's window.
-        """
-        if not vias:
-            return []
-        cell = self.layout.cell(cell_name)
-        with profile.phase(PHASE_SWEEPLINE):
-            items = self._level_items(cell, metal_layer)
-            windows = [via.mbr.inflated(value) for via in vias]
-            vias_of_item: Dict[int, List[int]] = {}
-            for i, j in near_pairs(windows, [it.mbr for it in items]):
-                vias_of_item.setdefault(j, []).append(i)
-
+        """Drop every via (in ``cell_name``'s frame) its subtree's metal satisfies."""
         satisfied = [False] * len(vias)
-        for j, via_indices in vias_of_item.items():
-            item = items[j]
-            if item.polygon is not None:
-                metals = [item.polygon]
-            else:
-                # One descent for all vias paired with this item: gather the
-                # metal overlapping the union of their windows, then assign
-                # candidates per via.
-                with profile.phase(PHASE_SWEEPLINE):
-                    union_window = windows[via_indices[0]]
-                    for i in via_indices[1:]:
-                        union_window = union_window.union(windows[i])
-                    metals = self.subtree.polygons_in_window(
-                        item.cell_name,
-                        placement.compose(item.placement),
-                        metal_layer,
-                        union_window,
-                    )
-            with profile.phase(PHASE_SWEEPLINE):
-                candidates: Dict[int, List[Polygon]] = {}
-                pending_windows = [windows[i] for i in via_indices]
-                for vi, mi in near_pairs(pending_windows, [m.mbr for m in metals]):
-                    candidates.setdefault(via_indices[vi], []).append(metals[mi])
-            with profile.phase(PHASE_EDGE_CHECKS):
-                for via_index, cands in candidates.items():
-                    if satisfied[via_index]:
-                        continue
-                    if procedures.satisfied(vias[via_index], cands, value):
-                        satisfied[via_index] = True
+        self._descend(
+            cell_name, list(enumerate(vias)), satisfied, metal_layer, value, procedures, profile
+        )
         return [via for via, ok in zip(vias, satisfied) if not ok]
+
+    def _descend(
+        self,
+        cell_name: str,
+        entries: List[Tuple[int, Polygon]],
+        satisfied: List[bool],
+        metal_layer: int,
+        value: int,
+        procedures,
+        profile: PhaseProfile,
+    ) -> None:
+        """Push vias down instead of pulling metal up (paper §IV-C reuse).
+
+        ``entries`` are ``(index into satisfied, via in this cell's frame)``.
+        One bipartite MBR sweep pairs via windows with this level's metal
+        items; a via is judged once against all of its local candidates, and
+        the vias paired with rigid child instances are mapped into the
+        child's frame and batched per *definition*, so a definition placed k
+        times is swept once and no metal is transformed. Sound because
+        satisfaction is monotone in the candidate set and invariant under
+        rigid maps, and every survivor is re-judged at the top against all
+        metal in its window (docs/algorithms.md §5).
+        """
+        entries = [entry for entry in entries if not satisfied[entry[0]]]
+        if not entries:
+            return
+        with profile.phase(PHASE_SWEEPLINE):
+            items = self._level_items(self.layout.cell(cell_name), metal_layer)
+            windows = [via.mbr.inflated(value) for _, via in entries]
+            candidates: Dict[int, List[Polygon]] = {}
+            of_child: Dict[int, List[int]] = {}
+            for e, j in near_pairs(windows, [it.mbr for it in items]):
+                if items[j].polygon is not None:
+                    candidates.setdefault(e, []).append(items[j].polygon)
+                else:
+                    of_child.setdefault(j, []).append(e)
+            # Margins scale under magnification: pull such a subtree's metal
+            # up over the union of its vias' windows, as candidates here.
+            for j, paired in of_child.items():
+                if items[j].placement.preserves_distances:
+                    continue
+                near = [windows[e] for e in paired]
+                metals = self.subtree.polygons_in_window(
+                    items[j].cell_name, items[j].placement, metal_layer, union_all(near)
+                )
+                for k, m in near_pairs(near, [metal.mbr for metal in metals]):
+                    candidates.setdefault(paired[k], []).append(metals[m])
+        with profile.phase(PHASE_EDGE_CHECKS):
+            for e, metals in candidates.items():
+                index, via = entries[e]
+                if not satisfied[index] and procedures.satisfied(via, metals, value):
+                    satisfied[index] = True
+        batches: Dict[str, List[Tuple[int, Polygon]]] = {}
+        for j, paired in of_child.items():
+            if items[j].placement.preserves_distances:
+                inverse = invert(items[j].placement)
+                batch = batches.setdefault(items[j].cell_name, [])
+                for index, via in (entries[e] for e in paired):
+                    if not satisfied[index]:
+                        batch.append((index, via.transformed(inverse)))
+        for child_name, batch in batches.items():
+            self._descend(
+                child_name, batch, satisfied, metal_layer, value, procedures, profile
+            )
 
     def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Polygon]:
         window = self.tree.layer_mbr(cell_name, via_layer)

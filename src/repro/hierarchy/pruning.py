@@ -186,13 +186,18 @@ class SubtreeWindow:
                     if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
                         out.append(rings.polygon(index).transformed(placement))
                         break
-        for ref in cell.references:
-            child_mbr = self.tree.layer_mbr(ref.cell_name, layer)
-            if child_mbr.is_empty:
-                continue
-            for child_placement in ref.placements():
-                composed = placement.compose(child_placement)
-                self._visit(ref.cell_name, composed, layer, windows, out)
+        # Prune on the placed-children table, in this cell's frame, *before*
+        # composing: the pulled-back windows are supersets of the exact
+        # pre-images, so no child the entry test above would keep is dropped.
+        for child_name, child_placement, (xlo, ylo, xhi, yhi) in self.tree.placed_children(
+            cell_name, layer
+        ):
+            for wxlo, wylo, wxhi, wyhi in local_windows:
+                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                    self._visit(
+                        child_name, placement.compose(child_placement), layer, windows, out
+                    )
+                    break
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,18 +219,8 @@ def level_items(tree: HierarchyTree, cell: Cell, layer: int) -> List[LevelItem]:
     items: List[LevelItem] = []
     for polygon in cell.polygons(layer):
         items.append(LevelItem(mbr=polygon.mbr, polygon=polygon))
-    for ref in cell.references:
-        child_mbr = tree.layer_mbr(ref.cell_name, layer)
-        if child_mbr.is_empty:
-            continue
-        for placement in ref.placements():
-            items.append(
-                LevelItem(
-                    mbr=placement.apply_rect(child_mbr),
-                    cell_name=ref.cell_name,
-                    placement=placement,
-                )
-            )
+    for child_name, placement, placed_mbr in tree.placed_children(cell.name, layer):
+        items.append(LevelItem(mbr=placed_mbr, cell_name=child_name, placement=placement))
     return items
 
 

@@ -70,19 +70,17 @@ def iter_layer_range(
             if polygon.mbr.overlaps(local_window):
                 stats.polygons_reported += 1
                 yield polygon, transform
-        for ref in cell.references:
-            child_mbr = tree.layer_mbr(ref.cell_name, layer)
-            if child_mbr.is_empty:
+        stats.cells_pruned += sum(
+            not tree.has_layer(ref.cell_name, layer) for ref in cell.references
+        )
+        for child_name, placement, placed_mbr in tree.placed_children(cell.name, layer):
+            if not placed_mbr.overlaps(local_window):
                 stats.cells_pruned += 1
                 continue
-            child = tree.layout.cell(ref.cell_name)
-            for placement in ref.placements():
-                placed_mbr = placement.apply_rect(child_mbr)
-                if not placed_mbr.overlaps(local_window):
-                    stats.cells_pruned += 1
-                    continue
-                child_window = pull_back_window(placement, local_window)
-                yield from visit(child, transform.compose(placement), child_window)
+            child_window = pull_back_window(placement, local_window)
+            yield from visit(
+                tree.layout.cell(child_name), transform.compose(placement), child_window
+            )
 
     top_mbr = tree.layer_mbr(tree.top.name, layer)
     if top_mbr.is_empty or not top_mbr.overlaps(window):

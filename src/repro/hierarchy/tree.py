@@ -22,6 +22,10 @@ from ..layout.cell import Cell, CellReference
 from ..layout.library import Layout
 
 
+#: One placement of a direct child: (cell name, placement, placed layer MBR).
+PlacedChild = Tuple[str, Transform, Rect]
+
+
 class HierarchyTree:
     """The layout's reference DAG augmented with per-layer subtree MBRs."""
 
@@ -31,6 +35,7 @@ class HierarchyTree:
         self.top = layout.cell(top) if top else layout.top_cell()
         #: cell name -> layer -> subtree MBR in that cell's local coordinates
         self._layer_mbrs: Dict[str, Dict[int, Rect]] = {}
+        self._placed_children: Dict[Tuple[str, int], List[PlacedChild]] = {}
         self._compute_mbrs()
 
     # -- construction -------------------------------------------------------
@@ -94,19 +99,31 @@ class HierarchyTree:
             return iter(())
         return visit(self.top, Transform())
 
-    def top_level_items(self, layer: int) -> List[Tuple[str, Transform, Rect]]:
-        """Direct children of the top holding ``layer``: (cell, placement, placed MBR).
+    def placed_children(self, cell_name: str, layer: int) -> List[PlacedChild]:
+        """Every placement of a direct child holding ``layer``: (cell,
+        placement, placed MBR in ``cell_name``'s frame), in reference order.
 
-        This is the population the adaptive row partition operates on.
+        Built once per (cell, layer); level items, the windowed gather and
+        the range query all prune on this table. Lock-free like the digest
+        memo: racing first uses build equal lists and one assignment wins.
         """
-        items: List[Tuple[str, Transform, Rect]] = []
-        for ref in self.top.references:
-            child_mbr = self.layer_mbr(ref.cell_name, layer)
-            if child_mbr.is_empty:
-                continue
-            for placement in ref.placements():
-                items.append((ref.cell_name, placement, placement.apply_rect(child_mbr)))
-        return items
+        key = (cell_name, layer)
+        table = self._placed_children.get(key)
+        if table is None:
+            table = []
+            for ref in self.layout.cell(cell_name).references:
+                child_mbr = self.layer_mbr(ref.cell_name, layer)
+                if child_mbr.is_empty:
+                    continue
+                for placement in ref.placements():
+                    table.append((ref.cell_name, placement, placement.apply_rect(child_mbr)))
+            self._placed_children[key] = table
+        return table
+
+    def top_level_items(self, layer: int) -> List[PlacedChild]:
+        """Direct children of the top holding ``layer`` — the population the
+        adaptive row partition operates on."""
+        return self.placed_children(self.top.name, layer)
 
 
 def reference_mbr(ref: CellReference, child_rect: Rect) -> Rect:

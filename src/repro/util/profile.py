@@ -8,9 +8,8 @@ the percentage breakdown and an ASCII bar chart like the paper's figure.
 
 from __future__ import annotations
 
-import contextlib
 import time
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 PHASE_PARTITION = "partition"
 PHASE_SWEEPLINE = "sweepline"
@@ -21,19 +20,30 @@ PHASE_OTHER = "other"
 PHASE_ORDER = (PHASE_PARTITION, PHASE_SWEEPLINE, PHASE_EDGE_CHECKS, PHASE_OTHER)
 
 
+class _Phase:
+    """One timed entry of a phase: ``with profile.phase(name): ...``."""
+
+    __slots__ = ("_profile", "_name", "_start")
+
+    def __init__(self, profile: "PhaseProfile", name: str) -> None:
+        self._profile = profile
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self._profile.add(self._name, time.perf_counter() - self._start)
+
+
 class PhaseProfile:
     """Accumulates wall time per named phase."""
 
     def __init__(self) -> None:
         self._seconds: Dict[str, float] = {}
 
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
+    def phase(self, name: str) -> _Phase:
+        return _Phase(self, name)
 
     def add(self, name: str, seconds: float) -> None:
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds

@@ -1,5 +1,9 @@
+import random
+
+import pytest
+
 from repro.checks import check_polygon_width
-from repro.geometry import Polygon, Rect, Transform
+from repro.geometry import IDENTITY, Polygon, Rect, Transform
 from repro.hierarchy import (
     HierarchyTree,
     IntraCheckScheduler,
@@ -9,6 +13,8 @@ from repro.hierarchy import (
     level_items,
 )
 from repro.layout import CellReference, Layout, Repetition
+
+from .reference_resolution import METAL, ORIENTATIONS, ReferenceSubtreeWindow, random_hierarchy
 
 
 def many_instances_layout(n=20) -> Layout:
@@ -131,3 +137,87 @@ class TestSubtreeWindow:
         tree = HierarchyTree(many_instances_layout(3))
         subtree = SubtreeWindow(tree)
         assert subtree.polygons_in_window("top", Transform(), 1, Rect(-999, -999, -900, -900)) == []
+
+
+def random_window(rng, extent):
+    x, y = rng.randint(extent.xlo, extent.xhi), rng.randint(extent.ylo, extent.yhi)
+    return Rect(x, y, x + rng.choice([0, 15, 120, 900]), y + rng.choice([0, 15, 120, 900]))
+
+
+def random_queries(rng, tree, count):
+    """(cell, placement into the query frame, windows in that frame): the
+    top as placed, and mids under every orientation, some magnified."""
+    for _ in range(count):
+        cell_name = rng.choice(["top", "top", "mid0", "mid1"])
+        placement = IDENTITY
+        if cell_name != "top":
+            rotation, mirror = rng.choice(ORIENTATIONS)
+            placement = Transform(
+                rng.randint(-500, 500), rng.randint(-500, 500), rotation, mirror, rng.choice([1, 1, 2])
+            )
+        extent = placement.apply_rect(tree.layer_mbr(cell_name, METAL))
+        windows = [random_window(rng, extent) for _ in range(rng.randint(1, 4))]
+        yield cell_name, placement, windows
+
+
+class TestGatherMatchesReference:
+    """The pre-compose prune returns the list the compose-then-test gather did."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_polygons_in_the_same_order(self, seed):
+        tree = HierarchyTree(random_hierarchy(seed))
+        pruned, reference = SubtreeWindow(tree), ReferenceSubtreeWindow(tree)
+        rng = random.Random(f"gather-{seed}")
+        found = 0
+        for cell_name, placement, windows in random_queries(rng, tree, 120):
+            got = pruned.polygons_in_regions(cell_name, placement, METAL, windows)
+            assert got == reference.polygons_in_regions(cell_name, placement, METAL, windows)
+            found += len(got)
+            # One window asked three times over is one window: a polygon
+            # straddling several windows is still reported once.
+            assert pruned.polygons_in_regions(
+                cell_name, placement, METAL, [windows[0]] * 3
+            ) == pruned.polygons_in_window(cell_name, placement, METAL, windows[0])
+        assert found > 100
+
+    def test_polygon_straddling_two_windows_reported_once(self):
+        tree = HierarchyTree(random_hierarchy(0))
+        subtree = SubtreeWindow(tree)
+        plate = tree.top.polygons(METAL)[0].mbr  # a 400 x 300 top-level plate
+        halves = [
+            Rect(plate.xlo, plate.ylo, plate.xlo + 10, plate.yhi),
+            Rect(plate.xhi - 10, plate.ylo, plate.xhi, plate.yhi),
+        ]
+        found = subtree.polygons_in_regions("top", IDENTITY, METAL, halves)
+        assert [p.mbr for p in found].count(plate) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_composes_only_children_that_meet_a_window(self, seed, monkeypatch):
+        tree = HierarchyTree(random_hierarchy(seed, magnified=False))
+        subtree = SubtreeWindow(tree)
+        rng = random.Random(f"compose-{seed}")
+        compose = Transform.compose
+        for cell_name, placement, windows in random_queries(rng, tree, 40):
+            if not placement.preserves_distances:
+                continue  # outward-rounded pull-backs may admit a neighbour more
+
+            def meeting(name, into_frame):
+                """Child subtrees, at any depth, whose placed MBR meets a window."""
+                total = 0
+                for child, child_placement, _ in tree.placed_children(name, METAL):
+                    composed = compose(into_frame, child_placement)
+                    placed = composed.apply_rect(tree.layer_mbr(child, METAL))
+                    if any(placed.overlaps(w) for w in windows):
+                        total += 1 + meeting(child, composed)
+                return total
+
+            bound = meeting(cell_name, placement)
+            calls = []
+            monkeypatch.setattr(
+                Transform, "compose", lambda self, inner: (calls.append(1), compose(self, inner))[1]
+            )
+            subtree.polygons_in_regions(cell_name, placement, METAL, windows)
+            monkeypatch.setattr(Transform, "compose", compose)
+            assert len(calls) <= bound
+            whole = sum(1 for _ in tree.iter_instances(layer=METAL)) - 1
+            assert bound < whole  # the windows are small: most subtrees stay uncomposed

@@ -2,22 +2,8 @@
 
 import pytest
 
-from repro.checks.edges import iter_parallel_pairs
-from repro.geometry import Edge, Point, Polygon
+from repro.geometry import Polygon
 from repro.workloads import asap7
-
-
-class TestIterParallelPairs:
-    def test_yields_only_overlapping_parallel(self):
-        a = [Edge(Point(0, 0), Point(0, 10))]
-        b = [
-            Edge(Point(5, 5), Point(5, 20)),   # parallel, overlapping
-            Edge(Point(5, 50), Point(5, 60)),  # parallel, disjoint
-            Edge(Point(0, 0), Point(10, 0)),   # perpendicular
-        ]
-        pairs = list(iter_parallel_pairs(a, b))
-        assert len(pairs) == 1
-        assert pairs[0][1].fixed_coordinate == 5
 
 
 class TestAsap7Helpers:
