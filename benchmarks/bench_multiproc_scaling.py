@@ -12,9 +12,10 @@ measurements are recorded:
   largest generator workload. Process parallelism cannot beat the core
   count, so this is asserted only on hosts with ≥ 4 CPUs; the JSON records
   ``cpu_count`` so a reader can judge the curve honestly.
-* **Warm-pool and routing rows**: for each design, the cold-first vs.
-  warm-second check with a persistent pool (the fix-loop regime), and the
-  cost-model-routed vs. everything-through-the-pool wall clocks.
+* **Warm and routing rows**: for each design, the first (cold) vs. the
+  second (warm) check on one ``Engine``, whose pool stays alive between
+  them (the fix-loop regime), and the cost-model-routed vs.
+  everything-through-the-pool wall clocks.
 
 Run directly (``python -m benchmarks.bench_multiproc_scaling``) or through
 pytest.
@@ -47,11 +48,10 @@ WARM_FLOOR_TOLERANCE = 1.10
 
 
 def _run(layout, deck, jobs: int):
-    engine = Engine(
-        options=EngineOptions(mode="multiproc", jobs=jobs)
-    )
+    """One check on a fresh engine (its pool spawn included)."""
     start = time.perf_counter()
-    report = engine.check(layout, rules=deck)
+    with Engine(options=EngineOptions(mode="multiproc", jobs=jobs)) as engine:
+        report = engine.check(layout, rules=deck)
     return report, time.perf_counter() - start
 
 
@@ -83,11 +83,13 @@ def run_curve(design_name: str) -> dict:
 
 
 def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
-    """(cold_seconds, warm_seconds, warm_report) for two consecutive checks.
+    """(cold_seconds, warm_seconds, warm_report): the first and the second
+    check on one engine, which holds its worker pool between them.
 
     Each pair runs against a fresh cache directory and pool registry so the
     cold number really is cold and calibration (the cost model persists in
-    the cache) only helps the warm check.
+    the cache) only helps the warm check. The report store is emptied
+    between the two, or it would answer the second check without running it.
     """
     workerpool.shutdown_pools()
     costmodel.reset_models()
@@ -96,7 +98,6 @@ def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
             options=EngineOptions(
                 mode="multiproc",
                 jobs=jobs,
-                warm_pool=True,
                 cost_model=cost_model,
                 cache_dir=cache,
             )
@@ -105,6 +106,7 @@ def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
             start = time.perf_counter()
             first = engine.check(layout, rules=deck)
             cold = time.perf_counter() - start
+            engine.reports.clear()
             start = time.perf_counter()
             second = engine.check(layout, rules=deck)
             warm = time.perf_counter() - start
@@ -176,7 +178,7 @@ def run_benchmark() -> dict:
         "cpu_count": cpu_count,
         "deck": "asap7_full",
         "curves": curves,
-        "warm_pool": warm,
+        "warm_rows": warm,
         "speedup_target": SPEEDUP_TARGET,
         "speedup_at_jobs": SPEEDUP_AT_JOBS,
         "speedup_measured": at_target["speedup"] if at_target else None,
@@ -240,8 +242,8 @@ def main() -> None:
                 f"speedup {point['speedup']:.2f}x  "
                 f"({point['violations']} violations)"
             )
-    for rows in payload["warm_pool"]:
-        print(f"  [{rows['design']} warm pool]")
+    for rows in payload["warm_rows"]:
+        print(f"  [{rows['design']} first vs second check on one engine]")
         for point in rows["warm_points"]:
             print(
                 f"    jobs={point['jobs']}: cold {point['cold_seconds'] * 1e3:8.1f} ms  "

@@ -57,7 +57,7 @@ _payload = None
 
 
 def _engine_options() -> EngineOptions:
-    return EngineOptions(mode="multiproc", jobs=2, warm_pool=True)
+    return EngineOptions(mode="multiproc", jobs=2)
 
 
 def _synth(tmpdir: str) -> dict:
@@ -160,7 +160,7 @@ def run_benchmark() -> dict:
         "scale": SCALE,
         "cpu_count": cpu_count,
         "checks_per_client": CHECKS_PER_CLIENT,
-        "engine_options": {"mode": "multiproc", "jobs": 2, "warm_pool": True},
+        "engine_options": {"mode": "multiproc", "jobs": 2},
         "levels": levels,
         "speedup_target": SPEEDUP_TARGET,
         "speedup_measured": speedup,

@@ -53,13 +53,12 @@ def store_backed_deck():
 
 def _run(layout, deck, *, cache_dir=None, use_cache=True, jobs=1):
     mode = "multiproc" if jobs > 1 else "parallel"
-    engine = Engine(
-        options=EngineOptions(
-            mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs
-        )
+    options = EngineOptions(
+        mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs
     )
     start = time.perf_counter()
-    report = engine.check(layout, rules=deck)
+    with Engine(options=options) as engine:
+        report = engine.check(layout, rules=deck)
     return report, time.perf_counter() - start
 
 

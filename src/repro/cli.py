@@ -149,7 +149,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
             use_cache=not args.no_cache,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
-            warm_pool=args.warm_pool,
             cost_model=args.cost_model,
         )
     except ValueError as error:
@@ -201,7 +200,7 @@ def _apply_waiver_file(report, path: str):
 def _graceful_sigterm():
     """Turn SIGTERM into a normal stack unwind for the scope's duration.
 
-    Long CLI runs (and the serve daemon) own warm worker pools and a cost
+    Long CLI runs (and the serve daemon) hold worker pools and a cost
     model that persists on ``Engine.close()``; the default SIGTERM action
     would kill the process before any ``with Engine(...)`` block releases
     them. Only effective on the main thread (signal API restriction).
@@ -630,21 +629,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pool_args(parser: argparse.ArgumentParser) -> None:
-    warm = parser.add_mutually_exclusive_group()
-    warm.add_argument(
-        "--warm-pool",
-        dest="warm_pool",
-        action="store_true",
-        default=None,
-        help="keep the multiprocess worker pool warm across checks in this "
-        "process (default: $REPRO_WARM_POOL, else off)",
-    )
-    warm.add_argument(
-        "--no-warm-pool",
-        dest="warm_pool",
-        action="store_false",
-        help="always spawn and tear down a private pool per check",
-    )
     cost = parser.add_mutually_exclusive_group()
     cost.add_argument(
         "--cost-model",

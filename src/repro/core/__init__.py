@@ -36,7 +36,7 @@ _EXPORTS = {
         "greedy_balanced_shards infer_rule_dependencies shard_count"
     ),
     ".sequential": "SequentialBackend",
-    ".workerpool": "WARM_POOL_ENV WorkerPool warm_pool_enabled",
+    ".workerpool": "WorkerPool",
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names.split())

@@ -67,7 +67,7 @@ class CheckContext:
     maps. Factoring it into a per-request context makes ``check()``
     re-entrant: every concurrent request gets its own plan, backend,
     profiles, and result map, while the engine's heavyweight shared state
-    (warm worker pool, pack store, cost model) is shared deliberately and
+    (held worker pool, pack store, cost model) is shared deliberately and
     guarded at its own mutation points. The engine's ``last_*`` attributes
     survive as end-of-check snapshots (last writer wins) for the CLI and
     tests that introspect a serial engine.
@@ -118,7 +118,7 @@ class Engine:
             self.reports = ReportCache(store)
         self.rules: List[Rule] = []
         #: Guards the last_* snapshots, the live-backend set, and the
-        #: warm-pool key set against concurrent check() callers.
+        #: pool holds against concurrent check() callers.
         self._lock = threading.Lock()
         #: Profiles of the last check() call, keyed by rule name (Fig. 4 data).
         self.last_profiles: Dict[str, PhaseProfile] = {}
@@ -130,22 +130,19 @@ class Engine:
         #: Backends currently executing a check (close() must reach every
         #: one of them, not just the most recent caller's).
         self._live_backends: set = set()
-        #: Shared warm-pool registry keys this engine's checks actually
-        #: used; close() must release all of them, not just the key the
-        #: current options select (options may change between checks).
-        self._warm_pool_keys: set = set()
+        #: (jobs, start method) -> the shared worker pool this engine holds
+        #: one hold on, taken at its first multiprocess check with those
+        #: options, so the workers stay warm between checks.
+        self._pools: Dict[tuple, object] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Release resources held beyond individual checks (idempotent).
 
-        With the warm pool enabled, multiprocess checks park their worker
-        processes in the process-wide registry so the next check reuses
-        them; ``close()`` is the explicit end of that service lifetime —
-        it shuts the shared pool down (cold backends own and close their
-        private pools inside ``check()`` already, so there is nothing to
-        do for them). Also closes the last backend if it is still open.
+        Closes any backend still open, then drops this engine's hold on
+        every worker pool its checks used; a pool closes once its last
+        holder lets go, so other engines sharing it keep their workers.
         """
         with self._lock:
             checker, self.last_checker = self.last_checker, None
@@ -153,8 +150,8 @@ class Engine:
             self._live_backends.clear()
             if checker is not None:
                 checkers.add(checker)
-            keys = set(self._warm_pool_keys)
-            self._warm_pool_keys.clear()
+            pools = list(self._pools.values())
+            self._pools.clear()
         for open_checker in checkers:
             close = getattr(open_checker, "close", None)
             if close is not None:
@@ -162,16 +159,24 @@ class Engine:
                     close()
                 except Exception:  # pragma: no cover - teardown best-effort
                     pass
-        multiproc = self.options.mode == MODE_MULTIPROC
-        if multiproc or keys:
-            # Only multiprocess checks park warm pools; no other engine
-            # needs the pool module at all.
-            from . import workerpool
+        for pool in pools:
+            pool.release()
 
-            if multiproc and workerpool.warm_pool_enabled(self.options):
-                keys.add((self.options.jobs, self.options.mp_start_method))
-            for jobs, start_method in keys:
-                workerpool.release_pool(jobs, start_method)
+    def hold_pool(self, options: Optional[EngineOptions] = None) -> None:
+        """Hold the worker pool that checks with ``options`` (default: the
+        engine's) use until :meth:`close`; a no-op unless they are
+        multiprocess checks with ``jobs > 1``. Every such check calls it."""
+        options = options or self.options
+        if options.mode != MODE_MULTIPROC or options.jobs < 2:
+            return
+        # Only multiprocess checks touch the pool module at all.
+        from . import workerpool
+
+        key = (options.jobs, options.mp_start_method)
+        with self._lock:
+            pool = self._pools.get(key)
+            if pool is None or pool.closed:
+                self._pools[key] = workerpool.acquire(*key)
 
     def __enter__(self) -> "Engine":
         return self
@@ -313,6 +318,7 @@ class Engine:
         (so ``close()`` can reach a hung check) and publishes the last_*
         snapshots once the check completes.
         """
+        self.hold_pool(plan.options)
         context = CheckContext(
             plan=plan, backend=make_backend(plan, device=self.device)
         )
@@ -349,11 +355,8 @@ class Engine:
             close = getattr(backend, "close", None)
             if close is not None:
                 close()
-            key = getattr(backend, "warm_pool_key", None)
             with self._lock:
                 self._live_backends.discard(backend)
-                if key is not None:
-                    self._warm_pool_keys.add(key)
         context.report = CheckReport(
             plan.layout.name,
             plan.mode,

@@ -23,13 +23,14 @@ deck is spooled to disk once per content digest
 (:meth:`~repro.core.workerpool.WorkerPool.ensure_plan`); tasks carry a tiny
 :class:`~repro.core.workerpool.PlanRef` and each worker compiles + caches
 the plan on first touch, staying warm across rules, checks, and pool
-rebuilds. With ``warm_pool`` enabled the pool itself outlives the check
-(process-wide registry), so a repeat check of the same deck spawns zero
-processes and ships only shard descriptors (``mp_plan_compiles == 0``).
-When several backends share one warm pool (concurrent serving), each
+rebuilds. The backend holds the process-wide pool for its (jobs, start
+method) from first use to ``close()``; an :class:`~repro.core.engine.Engine`
+holds it from its first multiprocess check to its own ``close()``, so a
+repeat check of the same deck on one engine spawns zero processes and
+ships only shard descriptors (``mp_plan_compiles == 0``). Every backend
 submits under its own requester token and the pool's fair dispatcher
-interleaves their tasks round-robin, so no request's shard batch starves
-another's.
+interleaves concurrent backends' tasks round-robin, so no request's shard
+batch starves another's.
 
 A calibrated :class:`~repro.core.costmodel.CostModel` (enabled by
 ``EngineOptions.cost_model``) prices every fan-out against the measured
@@ -42,10 +43,9 @@ and thereby produce the observations that calibrate it.
 A row shard is a :class:`_RowShardTask`: the rule plus a subset of its
 fused segmented rows, checked by the same
 :func:`~repro.core.parallel.run_row_task` the in-process backend runs on
-all rows. The packed edge / corner / rect buffers travel through
-``multiprocessing.shared_memory`` views (:mod:`repro.gpu.shmem`) — or, when
-the pack store served them, as descriptors of its memmap pages — rather
-than pickled polygon objects. Each
+all rows. The packed edge / corner / rect buffers of the shard's rows
+travel through ``multiprocessing.shared_memory`` views
+(:mod:`repro.gpu.shmem`) rather than pickled polygon objects. Each
 task returns its violation list plus stats-counter deltas and a
 :class:`~repro.util.profile.PhaseProfile` dict; the parent merges them in
 submission order, and the canonical violation sort in
@@ -84,7 +84,7 @@ import numpy as np
 
 from ..checks.base import Violation
 from ..gpu.device import Device
-from ..gpu.shmem import ArrayRef, ShmArena, file_backed_ref
+from ..gpu.shmem import ArrayRef, ShmArena
 from ..util import faults
 from ..util.logging import get_logger
 from ..util.profile import PhaseProfile
@@ -199,37 +199,13 @@ def _map_arrays(buffers, fn):
     return dataclasses.replace(buffers, **changes)
 
 
-def _file_refs(buffers) -> Optional[Tuple[Any, int]]:
-    """Memmap descriptors (and the bytes they cover) for pack-store-backed
-    fused buffers, or ``None``.
-
-    When the fused buffers were served from the persistent pack store, every
-    component array is a window of the store's memmap — the shard payload
-    can then carry (path, offset) descriptors plus the shard's row ids, and
-    each worker maps the same pages instead of copying bytes through shared
-    memory. Any non-file-backed component (cold run, `--no-cache`) vetoes
-    the whole payload so the ShmArena transport takes over.
-    """
-    refs: List[Optional[ArrayRef]] = []
-    nbytes = 0
-
-    def ref(array: np.ndarray) -> Optional[ArrayRef]:
-        nonlocal nbytes
-        nbytes += array.nbytes
-        refs.append(file_backed_ref(array))
-        return refs[-1]
-
-    payload = _map_arrays(buffers, ref)
-    return None if any(r is None for r in refs) else (payload, nbytes)
-
-
 # ---------------------------------------------------------------------------
 # Worker-side tasks
 # ---------------------------------------------------------------------------
 #
 # Worker-process state (compiled plan cache, shard device) lives in
 # :mod:`repro.core.workerpool` so it survives across checks and is shared
-# by every deck a warm pool serves.
+# by every deck a pool serves.
 
 
 def _counter_delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]:
@@ -256,24 +232,19 @@ class _RowShardTask:
     """A subset of one rule's fused rows: the same row task the in-process
     backend runs, on fewer rows.
 
-    ``buffers`` are the rule's fused buffers with :class:`ArrayRef`
-    descriptors in place of arrays — already cut down to this shard's rows,
-    unless ``rows`` is set: then they describe the whole (memmap-backed)
-    buffers and the worker cuts its rows after mapping them.
+    ``buffers`` are the rule's fused buffers cut down to this shard's rows,
+    with :class:`ArrayRef` descriptors in place of arrays.
     """
 
     rule: Rule
     threshold: int
     buffers: Any
-    rows: Optional[List[int]] = None
 
     def execute(self):
         device, executors = workerpool.worker_device()
         before = device.counters()
         profile = PhaseProfile()
         buffers = _map_arrays(self.buffers, ArrayRef.resolve)
-        if self.rows is not None:
-            buffers = select_rows(buffers, self.rows)
         violations, stats = run_row_task(
             self.rule, buffers, self.threshold, executors, profile
         )
@@ -281,11 +252,11 @@ class _RowShardTask:
         return violations, stats, profile.to_dict()
 
 
-#: Per-backend fault-injection epochs: a warm pool's workers outlive the
-#: check, so installing by spec alone would carry budgets a previous check
-#: consumed into the next one — unlike the cold path, whose fresh workers
-#: re-arm every check. Salting the install with the backend's epoch makes
-#: each check re-arm exactly once per worker, cold or warm.
+#: Per-backend fault-injection epochs: a pool's workers outlive the check,
+#: so installing by spec alone would carry budgets a previous check
+#: consumed into the next one. Salting the install with the backend's epoch
+#: makes each check re-arm exactly once per worker, fresh or reused. The
+#: epoch is also the backend's requester token in the fair dispatcher.
 _FAULT_EPOCH = itertools.count(1)
 
 
@@ -348,7 +319,6 @@ class MultiprocessBackend:
         self.max_retries = self.options.max_retries
         self.device = device if device is not None else Device()
         self._pool: Optional[workerpool.WorkerPool] = None
-        self._owns_pool = not workerpool.warm_pool_enabled(self.options)
         self._pool_restarts = 0
         self._closed = False
         self._prefetched: Dict[str, _Pending] = {}
@@ -359,7 +329,6 @@ class MultiprocessBackend:
             "mp_rule_tasks": 0,
             "mp_shard_tasks": 0,
             "mp_shm_bytes": 0,
-            "mp_mmap_bytes": 0,
             "mp_retries": 0,
             "mp_timeouts": 0,
             "mp_inline_fallbacks": 0,
@@ -383,12 +352,8 @@ class MultiprocessBackend:
         self._cost_keys: Dict[str, str] = {}
         self._plan_payload_ref: Optional[PlanRef] = None
         #: Distinguishes this check's fault-injection installs from those of
-        #: earlier checks served by the same warm workers (see _FAULT_EPOCH).
+        #: earlier checks served by the same workers (see _FAULT_EPOCH).
         self._fault_epoch = next(_FAULT_EPOCH)
-        #: The (jobs, start_method) registry key of the shared warm pool this
-        #: backend actually used, or None; Engine.close() releases every key
-        #: its checks touched, not just the one its current options select.
-        self.warm_pool_key: Optional[Tuple[int, Optional[str]]] = None
 
     # -- backend protocol ---------------------------------------------------
 
@@ -533,28 +498,18 @@ class MultiprocessBackend:
             pool.rebuild()
             return
         self._pool = None
-        if self._owns_pool:
-            pool.close()
-        elif self._mp_counters["mp_timeouts"]:
+        if self._mp_counters["mp_timeouts"]:
             # A check that saw timeouts may be leaving wedged workers behind
-            # — a private pool terminates them in close(), but a shared pool
-            # outlives this backend, so recycle its workers now. The spool
+            # for the pool's other holders: recycle them now. The spool
             # survives, so the next check still ships nothing.
             pool.rebuild()
-        # A shared warm pool just loses this backend's reference and stays
-        # alive for the next check; Engine.close() / atexit reclaims it.
+        pool.release()
 
     def _ensure_pool(self) -> workerpool.WorkerPool:
         if self._pool is None:
-            if self._owns_pool:
-                self._pool = workerpool.WorkerPool(
-                    self.jobs, start_method=self.options.mp_start_method
-                )
-            else:
-                self._pool = workerpool.get_pool(
-                    self.jobs, self.options.mp_start_method
-                )
-                self.warm_pool_key = (self.jobs, self.options.mp_start_method)
+            self._pool = workerpool.acquire(
+                self.jobs, self.options.mp_start_method
+            )
         self._pool.ensure()
         return self._pool
 
@@ -799,19 +754,18 @@ class MultiprocessBackend:
                     plan = faults.active()
                     if plan is not None:
                         fault = plan.worker_fault(rule.name)
-                # A shared warm pool may be multiplexed across concurrent
-                # backends: submissions carry this backend's requester token
-                # so the pool's fair dispatcher interleaves round-robin
-                # across requests instead of letting a big shard batch
-                # starve a small concurrent check. A private pool has one
-                # requester by construction — direct submission.
+                # The pool may be multiplexed across concurrent backends:
+                # submissions carry this backend's requester token so the
+                # pool's fair dispatcher interleaves round-robin across
+                # requests instead of letting a big shard batch starve a
+                # small concurrent check.
                 return _Pending(
                     task=task,
                     rule=rule,
                     result=pool.apply_async(
                         _run_task,
                         (task, fault, spec, self._fault_epoch),
-                        requester=None if self._owns_pool else self._fault_epoch,
+                        requester=self._fault_epoch,
                     ),
                 )
             except Exception:
@@ -994,17 +948,9 @@ class MultiprocessBackend:
         # Only the numbers ship; a stray unpicklable predicate must not.
         rule = dataclasses.replace(rule, predicate=None)
         threshold = self.options.brute_force_threshold
-        mapped = _file_refs(buffers)
-        tasks: List[_RowShardTask] = []
-        for rows in shards:
-            if mapped is not None:
-                # Store-served buffers: ship memmap descriptors plus this
-                # shard's row ids — workers map the same pack-store pages,
-                # zero bytes copied.
-                refs, nbytes = mapped
-                self._mp_counters["mp_mmap_bytes"] += nbytes
-                tasks.append(_RowShardTask(rule, threshold, refs, list(rows)))
-            else:
-                staged = _map_arrays(select_rows(buffers, rows), arena.stage)
-                tasks.append(_RowShardTask(rule, threshold, staged))
-        return tasks
+        return [
+            _RowShardTask(
+                rule, threshold, _map_arrays(select_rows(buffers, rows), arena.stage)
+            )
+            for rows in shards
+        ]

@@ -28,9 +28,7 @@ The JSON header records a ``meta`` dict and, per array, name/dtype/shape
 and a byte offset **relative to the payload start** (so the header's own
 length never feeds back into the offsets). Reads go through one
 ``np.memmap`` of the whole file; decoded arrays are read-only zero-copy
-views into the mapping, which is what lets the multiprocess backend ship
-plain ``(path, offset, shape)`` descriptors instead of copying bytes
-through shared memory.
+views into the mapping.
 
 Robustness:
 

@@ -115,11 +115,6 @@ class EngineOptions:
     task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT  # None = wait forever
     max_retries: int = DEFAULT_MAX_RETRIES  # per-task resubmissions
     faults: Optional[str] = None  # fault-injection spec (or $REPRO_FAULTS)
-    #: None = follow $REPRO_WARM_POOL (default off). True keeps worker pools
-    #: alive across checks (process-wide, per jobs/start-method); the second
-    #: check of a deck then ships only shard descriptors. With False (or
-    #: unset) each backend owns and closes a private pool per check.
-    warm_pool: Optional[bool] = None
     #: Consult the calibrated cost model when routing multiprocess work
     #: (False = status quo: everything shardable goes to the pool).
     cost_model: bool = True
@@ -154,11 +149,6 @@ class EngineOptions:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.warm_pool not in (None, True, False):
-            raise ValueError(
-                f"warm_pool must be True, False, or None (follow "
-                f"$REPRO_WARM_POOL), got {self.warm_pool!r}"
             )
         # Parse now so a malformed spec fails loudly at options creation,
         # not deep inside a worker process.

@@ -1,12 +1,7 @@
-"""Persistent warm worker pools for the multiprocess backend.
+"""Shared, holder-counted worker pools for the multiprocess backend.
 
-PR 3's backend built a fresh ``multiprocessing.Pool`` inside every
-``Engine.check()`` and shipped the pickled (layout, rules, options) payload
-through every worker's initializer. For the fix-loop regime the roadmap
-targets — many small re-checks of the same deck — that meant paying pool
-spawn, interpreter boot (under ``spawn``), module imports, payload pickling
-and plan recompilation on *every* check. This module hoists all of that
-out of the check:
+Pool spawn, interpreter boot (under ``spawn``), module imports, payload
+pickling and plan compilation are paid once per pool, not once per check:
 
 * :class:`WorkerPool` owns a pool of generic workers that pre-import the
   heavy modules (:func:`_pool_warmup`) and carry **no** deck state in
@@ -16,10 +11,14 @@ out of the check:
   first touch, then keeps it cached (:data:`_PLAN_STATES`) across tasks,
   checks, and even pool rebuilds — a respawned worker re-reads the spool
   file instead of needing a reship.
-* :func:`get_pool` is the process-wide registry keyed by (jobs, start
-  method): every check with ``warm_pool`` enabled reuses the same live
-  workers, so the second check of a deck ships only shard descriptors.
-  :func:`shutdown_pools` runs at interpreter exit.
+* :func:`acquire` is the process-wide registry keyed by (jobs, start
+  method): it creates or reuses the pool and adds a holder, and
+  :meth:`WorkerPool.release` drops one — the last release closes the
+  pool. A pool therefore lives exactly as long as its longest holder (an
+  ``Engine`` until ``close()``, a backend for one check), so the second
+  check of a deck on one engine ships only shard descriptors, and no
+  holder can close a pool under another. :func:`shutdown_pools` runs at
+  interpreter exit.
 * :meth:`WorkerPool.dispatch_seconds` measures the real no-op round-trip
   cost of this pool — the constant the
   :class:`~repro.core.costmodel.CostModel` prices every routing decision
@@ -39,32 +38,22 @@ import dataclasses
 import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..util.logging import get_logger
-
 __all__ = [
     "PLAN_CACHE_SIZE",
     "PlanRef",
-    "WARM_POOL_ENV",
     "WorkerPool",
-    "get_pool",
+    "acquire",
     "plan_backend",
-    "release_pool",
     "shutdown_pools",
-    "warm_pool_enabled",
     "worker_device",
 ]
-
-_logger = get_logger("workerpool")
-
-#: Environment variable enabling warm pools when ``EngineOptions.warm_pool``
-#: is left unset (``1``/``true``/``on`` enable).
-WARM_POOL_ENV = "REPRO_WARM_POOL"
 
 #: Compiled plans each worker process keeps warm (LRU by digest).
 PLAN_CACHE_SIZE = 4
@@ -78,23 +67,6 @@ _DISPATCH_SAMPLES = 3
 _DISPATCH_TIMEOUT = 5.0
 
 
-def warm_pool_enabled(options) -> bool:
-    """Whether ``options`` selects the shared warm pool.
-
-    ``EngineOptions.warm_pool`` wins when set; otherwise the
-    :data:`WARM_POOL_ENV` environment variable decides; otherwise warm
-    pools are off and each backend owns (and closes) a private pool — the
-    historical lifecycle.
-    """
-    flag = getattr(options, "warm_pool", None)
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(WARM_POOL_ENV)
-    if raw is None:
-        return False
-    return raw.strip().lower() not in ("", "0", "false", "no", "off")
-
-
 def _resolve_start_method(start_method: Optional[str]) -> Optional[str]:
     return start_method or os.environ.get("REPRO_MP_START") or None
 
@@ -106,6 +78,12 @@ def _resolve_start_method(start_method: Optional[str]) -> Optional[str]:
 
 def _pool_warmup() -> None:
     """Pool initializer: pay the import bill at spawn, not on task one."""
+    # A forked worker inherits the parent's Python SIGTERM handler (the CLI
+    # turns SIGTERM into SystemExit). ``Pool.terminate()`` stops workers
+    # with SIGTERM while holding their task-queue lock; a handler that only
+    # flags the signal can land just before the worker blocks on that lock,
+    # and the parent's join then waits forever. Workers must die outright.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     import numpy  # noqa: F401
 
     from ..gpu import kernels  # noqa: F401
@@ -203,9 +181,8 @@ class _FairResult:
 
     ``get`` blocks until the underlying pool task resolves; a timeout
     raises :class:`multiprocessing.TimeoutError` (so the multiprocess
-    backend's retry ladder distinguishes hangs from worker exceptions
-    exactly as it does for direct submissions), and a worker exception is
-    re-raised as-is.
+    backend's retry ladder distinguishes hangs from worker exceptions), and
+    a worker exception is re-raised as-is.
 
     The timeout meters the *dispatched* round trip only: time the task
     spends queued behind other requesters' turns does not count, because
@@ -253,9 +230,9 @@ class _FairResult:
 class _FairDispatcher:
     """Round-robin fair-share front of one pool's shared task queue.
 
-    Direct ``apply_async`` pushes tasks into multiprocessing's single FIFO,
-    so a large check that submits a 32-shard batch ahead of a small
-    concurrent request starves it by the whole batch. The dispatcher keeps
+    ``multiprocessing.Pool.apply_async`` pushes tasks into one FIFO, so a
+    large check that submits a 32-shard batch ahead of a small concurrent
+    request would starve it by the whole batch. The dispatcher keeps
     a FIFO *per requester* and feeds the real pool by rotating across the
     active requesters (the merge order of
     :func:`repro.core.scheduler.round_robin_interleave`), keeping at most
@@ -366,7 +343,7 @@ class _FairDispatcher:
 class WorkerPool:
     """A rebuildable process pool plus its spooled deck payloads.
 
-    Thread-safety: one warm pool is shared by every concurrent request of a
+    Thread-safety: one pool is shared by every concurrent request of a
     serve daemon, so the lifecycle (:meth:`ensure`/:meth:`rebuild`/
     :meth:`close`), the spool index, and the calibration cache are guarded
     by an instance lock. The lock is never held across a fork or a worker
@@ -385,6 +362,8 @@ class WorkerPool:
         self._spooled: Dict[str, str] = {}
         self._dispatch_seconds: Optional[float] = None
         self._closed = False
+        #: Registry holders (see :func:`acquire`); guarded by _POOLS_LOCK.
+        self._holders = 0
         #: Times the workers were (re)spawned — observable by tests.
         self.generation = 0
         self._dispatcher = _FairDispatcher(self)
@@ -410,19 +389,13 @@ class WorkerPool:
                 self.generation += 1
             return self._pool
 
-    def apply_async(
-        self, func, args: Tuple[Any, ...] = (), requester: Any = None
-    ):
-        """Submit one task; ``requester`` opts into fair-share dispatch.
+    def apply_async(self, func, args: Tuple[Any, ...] = (), *, requester: Any):
+        """Submit one task in ``requester``'s lane.
 
-        Without a requester token the task goes straight to the pool's own
-        FIFO (the single-request fast path). With one, it queues in that
-        requester's lane and reaches the pool in round-robin merge order
-        across all active requesters, so concurrent checks share the
-        workers fairly instead of first-submitter-takes-all.
+        It reaches the pool in round-robin merge order across all active
+        requesters, so concurrent checks share the workers fairly instead
+        of first-submitter-takes-all.
         """
-        if requester is None:
-            return self.ensure().apply_async(func, args)
         return self._dispatcher.submit(requester, func, args)
 
     def worker_pids(self) -> List[int]:
@@ -530,21 +503,33 @@ class WorkerPool:
         if spool_dir is not None:
             shutil.rmtree(spool_dir, ignore_errors=True)
 
+    def release(self) -> None:
+        """Drop one :func:`acquire` hold; the last one closes the pool."""
+        with _POOLS_LOCK:
+            self._holders -= 1
+            if self._holders > 0:
+                return
+            key = (self.jobs, self.start_method)
+            if _POOLS.get(key) is self:
+                del _POOLS[key]
+        self.close()
+
 
 # ---------------------------------------------------------------------------
-# Process-wide registry (the warm path)
+# Process-wide registry
 # ---------------------------------------------------------------------------
 
 _POOLS: Dict[Tuple[int, Optional[str]], WorkerPool] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def get_pool(jobs: int, start_method: Optional[str] = None) -> WorkerPool:
-    """The shared warm pool for (jobs, start method), created on first use.
+def acquire(jobs: int, start_method: Optional[str] = None) -> WorkerPool:
+    """The shared pool for (jobs, start method), with one more holder.
 
-    Registry lookups are locked: two concurrent requests racing here must
-    land on the *same* WorkerPool, or the whole warm-state amortization
-    story falls apart (each would spawn and then leak a pool).
+    Created on first use (workers spawn on the first task). Every call is
+    balanced by one :meth:`WorkerPool.release`. Registry lookups are
+    locked: two concurrent requests racing here must land on the *same*
+    pool, or each would spawn its own workers.
     """
     key = (jobs, _resolve_start_method(start_method))
     with _POOLS_LOCK:
@@ -552,20 +537,13 @@ def get_pool(jobs: int, start_method: Optional[str] = None) -> WorkerPool:
         if pool is None or pool.closed:
             pool = WorkerPool(jobs, start_method=key[1])
             _POOLS[key] = pool
+        pool._holders += 1
         return pool
 
 
-def release_pool(jobs: int, start_method: Optional[str] = None) -> None:
-    """Close and forget one shared pool (``Engine.close`` calls this)."""
-    key = (jobs, _resolve_start_method(start_method))
-    with _POOLS_LOCK:
-        pool = _POOLS.pop(key, None)
-    if pool is not None:
-        pool.close()
-
-
 def shutdown_pools() -> None:
-    """Close every shared pool (atexit hook; tests call it for isolation)."""
+    """Close every shared pool, held or not (atexit hook; tests call it
+    for isolation)."""
     with _POOLS_LOCK:
         pools = [_POOLS.pop(key) for key in list(_POOLS)]
     for pool in pools:

@@ -15,8 +15,8 @@ to carrying the raw bytes inside the descriptor — same API, just pickled.
 Lifecycle: the parent ``seal()``s an arena before submitting tasks that
 reference it and ``dispose()``s it once every task's result has been
 collected (POSIX keeps the mapping alive for already-attached workers even
-after the unlink). Workers keep a small LRU of attached blocks so the warm
-pool re-serves a rule's shards without re-mapping.
+after the unlink). Workers keep a small LRU of attached blocks so a pool
+re-serves a rule's shards without re-mapping.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "ArrayRef",
     "ShmArena",
     "attached_block_count",
-    "file_backed_ref",
     "release_attachments",
     "shm_enabled",
 ]
@@ -49,13 +48,6 @@ INLINE_THRESHOLD = 512
 
 #: Workers keep at most this many blocks mapped (LRU) between tasks.
 ATTACH_CACHE_SIZE = 8
-
-#: Whole pack-store files kept mapped (LRU) for path-backed refs. Every
-#: shard of a rule references windows of the same file; re-``mmap``-ing it
-#: per resolve() made the warm pool pay a syscall + page-table churn per
-#: task. Entries are immutable (content-addressed store), so staleness is
-#: impossible and the cache never needs invalidation.
-MMAP_CACHE_SIZE = 8
 
 _ALIGN = 64
 
@@ -71,9 +63,7 @@ def shm_enabled() -> bool:
 class ArrayRef:
     """A picklable reference to one ndarray.
 
-    A view into a shared block (``block``/``offset`` set), a window of an
-    on-disk pack-store entry (``path``/``offset`` set — workers ``mmap`` the
-    same pages the parent reads, copying nothing), or the raw bytes
+    A view into a shared block (``block``/``offset`` set) or the raw bytes
     themselves (``data`` set, the inline fallback).
     """
 
@@ -82,25 +72,14 @@ class ArrayRef:
     block: Optional[str] = None
     offset: int = 0
     data: Optional[bytes] = None
-    path: Optional[str] = None
 
     def resolve(self) -> np.ndarray:
         """Materialise the array in this process (read-only view or copy)."""
-        count = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-        if self.path is not None:
-            if count == 0:
-                array = np.zeros(self.shape, dtype=np.dtype(self.dtype))
-                array.flags.writeable = False
-                return array
-            dtype = np.dtype(self.dtype)
-            mapped = _mapped_file(self.path, self.offset + count * dtype.itemsize)
-            array = np.frombuffer(
-                mapped, dtype=dtype, count=count, offset=self.offset
-            )
-        elif self.block is None:
+        if self.block is None:
             assert self.data is not None
             array = np.frombuffer(self.data, dtype=np.dtype(self.dtype))
         else:
+            count = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
             shm = _attach(self.block)
             array = np.frombuffer(
                 shm.buf, dtype=np.dtype(self.dtype), count=count, offset=self.offset
@@ -108,67 +87,6 @@ class ArrayRef:
         array = array.reshape(self.shape)
         array.flags.writeable = False
         return array
-
-
-#: path -> (whole-file read-only uint8 map, (st_ino, st_mtime_ns, st_size)
-#: stat signature at map time); insertion order = LRU order.
-_mapped: Dict[str, Tuple[np.memmap, Tuple[int, int, int]]] = {}
-
-
-def _mapped_file(path: str, min_bytes: int) -> np.memmap:
-    """The whole-file read-only map for ``path``, LRU-cached per process.
-
-    Pack-store entries are immutable, but any memmap-backed array can land
-    here via :func:`file_backed_ref`, so a cached map is revalidated
-    against the file's current stat signature — a file rewritten in place
-    (even at equal or smaller size) or replaced gets remapped instead of
-    serving stale cached pages.
-    """
-    stat = os.stat(path)
-    signature = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
-    entry = _mapped.pop(path, None)
-    if entry is not None and entry[1] == signature and entry[0].size >= min_bytes:
-        mapped = entry[0]
-    else:
-        mapped = np.memmap(path, dtype=np.uint8, mode="r")
-    _mapped[path] = (mapped, signature)  # re-insert: most recently used
-    while len(_mapped) > MMAP_CACHE_SIZE:
-        _mapped.pop(next(iter(_mapped)))
-    return mapped
-
-
-def file_backed_ref(array: np.ndarray) -> Optional[ArrayRef]:
-    """An :class:`ArrayRef` into the memmap file backing ``array``, if any.
-
-    Walks the view's base chain to an ``np.memmap``; returns ``None`` when
-    the array is not a contiguous window of a mapped file (workers then fall
-    back to the :class:`ShmArena` transport). The descriptor carries only
-    (path, dtype, shape, byte offset) — the worker maps the same pack-store
-    pages the parent reads, so shipping a buffer costs zero copies.
-    """
-    if not isinstance(array, np.ndarray) or not array.flags.c_contiguous:
-        return None
-    # Walk to the *root* of the view chain: slices/views of a memmap are
-    # np.memmap instances too, but inherit the parent's ``offset`` attribute
-    # unadjusted — only the directly-constructed root's offset is truthful,
-    # so the file position must come from pointer arithmetic against it.
-    base = array
-    while isinstance(getattr(base, "base", None), np.ndarray):
-        base = base.base
-    if not isinstance(base, np.memmap) or getattr(base, "filename", None) is None:
-        return None
-    delta = (
-        array.__array_interface__["data"][0]
-        - base.__array_interface__["data"][0]
-    )
-    if delta < 0 or delta + array.nbytes > base.nbytes:
-        return None
-    return ArrayRef(
-        str(array.dtype),
-        array.shape,
-        offset=int(base.offset) + int(delta),
-        path=str(base.filename),
-    )
 
 
 class ShmArena:
@@ -296,11 +214,10 @@ def attached_block_count() -> int:
 
 
 def release_attachments() -> None:
-    """Unmap every cached block and file (worker shutdown hook)."""
+    """Unmap every cached block (worker shutdown hook)."""
     for shm in _attached.values():
         try:
             shm.close()
         except Exception:  # pragma: no cover
             pass
     _attached.clear()
-    _mapped.clear()

@@ -398,6 +398,9 @@ class ServerState:
     ) -> None:
         self.reports = ReportCache(resolve_store(options), capacity=report_lru)
         self.engine = Engine(options=options, reports=self.reports)
+        # Windowed and recheck runs bypass Engine.check; the engine's hold
+        # keeps the workers they share alive until close().
+        self.engine.hold_pool()
         if max_concurrent is None:
             max_concurrent = min(max(1, self.engine.options.jobs), 2)
         self.scheduler = AdmissionScheduler(max_concurrent)
@@ -571,6 +574,11 @@ class ServerState:
 
         with self._lock:
             existing = self._sessions.get(sid)
+            while existing is not None and existing.digests != digests:
+                # A recheck moved that session to other content: this
+                # content's session lives at the next id of the chain.
+                sid = store_key("session", sid)[:16]
+                existing = self._sessions.get(sid)
             if existing is None:
                 session = Session(
                     sid,
@@ -843,6 +851,10 @@ class ServerState:
                 session.tree = new_tree
                 session.digests = new_digests
                 session.version += 1
+                # The bytes the session was created from no longer name it.
+                self._by_bytes = {
+                    k: v for k, v in self._by_bytes.items() if v != session.sid
+                }
                 session.last_recheck = {
                     "disposition": dict(outcome.disposition),
                     "cache_hit": outcome.cache_hit,
@@ -965,7 +977,6 @@ class ServerState:
                 "options": {
                     "mode": options.mode,
                     "jobs": options.jobs,
-                    "warm_pool": options.warm_pool,
                     "cost_model": options.cost_model,
                     "cache_dir": options.cache_dir,
                 },

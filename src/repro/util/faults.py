@@ -43,9 +43,9 @@ Parameters
 Installation is idempotent by spec: installing the same string keeps the
 live plan (and its consumed budgets), so a worker re-resolving its options
 does not re-arm faults it already fired. An optional install *token*
-bounds that idempotence to one check — warm-pool workers outlive checks,
-and salting their installs with a per-check epoch re-arms budgets between
-checks just like the cold path's fresh worker processes. Recovery code
+bounds that idempotence to one check — pool workers outlive checks, and
+salting their installs with a per-check epoch re-arms budgets between
+checks just like fresh worker processes would. Recovery code
 runs under :func:`suppressed` so a fallback can never be re-faulted into
 failing.
 """
@@ -265,10 +265,10 @@ def install(
 
     ``token`` scopes that idempotence: passing a token different from the
     one the live plan was installed with re-parses the spec with fresh
-    budgets even when the spec string is unchanged. Warm-pool workers
-    outlive checks, so the multiprocess backend salts worker installs with
-    a per-check epoch — each check re-arms once per worker, exactly like
-    the cold path's fresh processes. ``token=None`` means "don't care"
+    budgets even when the spec string is unchanged. Pool workers outlive
+    checks, so the multiprocess backend salts worker installs with a
+    per-check epoch — each check re-arms once per worker, exactly like
+    fresh processes would. ``token=None`` means "don't care"
     and never invalidates a live plan.
 
     The swap is locked: two concurrent plan compilations racing here must

@@ -1,8 +1,21 @@
 """Shared fixtures: small designs are expensive enough to cache per session."""
 
+import sys
+
 import pytest
 
 from repro.workloads import build_design
+
+
+@pytest.fixture(autouse=True)
+def _no_pool_outlives_its_test():
+    """Close the shared worker pools a test's engines still hold, so no
+    worker process outlives the test. Tests that never ran a multiprocess
+    check never imported the pool module, and this does not import it."""
+    yield
+    workerpool = sys.modules.get("repro.core.workerpool")
+    if workerpool is not None:
+        workerpool.shutdown_pools()
 
 
 @pytest.fixture(scope="session")

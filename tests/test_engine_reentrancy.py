@@ -19,6 +19,7 @@ from repro.core.rules import layer
 from repro.util import faults
 
 from .test_multiproc import random_via_layout
+from .test_workerpool import registered
 
 
 @pytest.fixture(autouse=True)
@@ -103,10 +104,9 @@ def _concurrent_checks(engine, workloads, timeout=180):
     return reports
 
 
-def warm_options(**kw):
+def mp_options(**kw):
     kw.setdefault("mode", "multiproc")
     kw.setdefault("jobs", 2)
-    kw.setdefault("warm_pool", True)
     return EngineOptions(**kw)
 
 
@@ -142,19 +142,18 @@ class TestSequentialReentrancy:
 
 
 class TestMultiprocReentrancy:
-    def test_shared_warm_pool_byte_identical_to_solo(
+    def test_shared_pool_byte_identical_to_solo(
         self, tmp_path, metal_layout, via_layout, metal_ref, via_ref
     ):
         # One engine, one warm pool, one pack store, one cost model — two
         # threads checking different layouts/decks concurrently must match
         # their solo sequential references byte for byte.
-        options = warm_options(cache_dir=str(tmp_path))
+        options = mp_options(cache_dir=str(tmp_path))
         with Engine(options=options) as engine:
             got_metal, got_via = _concurrent_checks(
                 engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
             )
-            pool = workerpool.get_pool(2)
-            assert pool.worker_pids(), "both checks must share the warm pool"
+            assert registered(2).worker_pids(), "both checks share the pool"
         assert got_metal.to_csv() == metal_ref.to_csv()
         assert got_via.to_csv() == via_ref.to_csv()
 
@@ -163,7 +162,7 @@ class TestMultiprocReentrancy:
         # routing), so each report's mp stats describe exactly its own
         # check: plan compiles count each deck once, and nothing from the
         # other check's shards leaks in.
-        options = warm_options(cost_model=False)
+        options = mp_options(cost_model=False)
         with Engine(options=options) as engine:
             got_metal, got_via = _concurrent_checks(
                 engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
@@ -183,7 +182,7 @@ class TestMultiprocReentrancy:
         # a retry on the shared pool, and BOTH checks must still match
         # their references with no in-process degradation.
         monkeypatch.setenv(faults.FAULTS_ENV, "worker_raise:times=1")
-        with Engine(options=warm_options()) as engine:
+        with Engine(options=mp_options()) as engine:
             got_metal, got_via = _concurrent_checks(
                 engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
             )

@@ -151,6 +151,26 @@ class TestSessions:
         again, created = state.create_session(data=data, top="top")
         assert not created and again.sid == by_path.sid
 
+    def test_recheck_moves_a_session_off_its_creation_content(
+        self, state, edited_gds_pair
+    ):
+        # A recheck moves the session to new content; loading the content
+        # it was created from again — by bytes or by path — must land on a
+        # session at that content, not on the moved one.
+        old_path, new_path = edited_gds_pair
+        with open(old_path, "rb") as fh:
+            old_bytes = fh.read()
+        moved, _ = state.create_session(data=old_bytes, top="top")
+        state.recheck(moved.sid, path=new_path)
+        local = _local_report(old_path).to_csv()
+        assert local != _local_report(new_path).to_csv()
+        by_bytes, created = state.create_session(data=old_bytes, top="top")
+        assert created and by_bytes.sid != moved.sid
+        by_path, created = state.create_session(path=old_path, top="top")
+        assert not created and by_path.sid == by_bytes.sid
+        report, _ = state.check(by_path.sid)
+        assert report.to_csv() == local
+
     def test_unknown_session_raises_404_error(self, state):
         with pytest.raises(UnknownSessionError):
             state.check("deadbeef")

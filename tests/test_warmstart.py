@@ -35,13 +35,12 @@ def dirty_layout():
 
 
 def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1, cost_model=True):
-    engine = Engine(
-        options=EngineOptions(
-            mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs,
-            cost_model=cost_model,
-        )
+    options = EngineOptions(
+        mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs,
+        cost_model=cost_model,
     )
-    return engine.check(layout, rules=deck())
+    with Engine(options=options) as engine:
+        return engine.check(layout, rules=deck())
 
 
 def forget_reports(cache_dir):
@@ -90,7 +89,7 @@ class TestWarmEqualsCold:
             assert warm.to_csv() == baseline, mode
             assert stored.to_csv() == baseline, mode  # answered by the report store
 
-    def test_multiproc_warm_ships_memmap_payloads(self, dirty_layout, tmp_path):
+    def test_multiproc_warm_ships_store_served_shards(self, dirty_layout, tmp_path):
         # This is about transport, so the cost model stays out of it: the
         # cold run would calibrate it in the same cache dir, and on a busy
         # host the warm run is then routed inline and ships nothing.
@@ -101,7 +100,7 @@ class TestWarmEqualsCold:
         warm = run(dirty_layout, **options)
         assert warm.to_csv() == cold.to_csv()
         warm_stats = warm.results[-1].stats
-        assert warm_stats["mp_mmap_bytes"] > 0
+        assert warm_stats["mp_shard_tasks"] > 0
         assert warm_stats["pack_seconds"] == 0.0
 
     def test_sequential_reuses_the_partition(self, dirty_layout, tmp_path):

@@ -1,10 +1,12 @@
-"""Warm worker pools: reuse across checks, plan spooling, fault recycling.
+"""Shared worker pools: holder counting, reuse across checks, plan spooling,
+fault recycling.
 
-The tentpole property: with ``warm_pool`` enabled, the second
-``Engine.check()`` of the same deck must reuse the live worker processes
-(zero new PIDs), ship no plan payload (``mp_plan_compiles == 0``), skip the
-pickle probes (``mp_pickle_probes == 0``), and still produce a byte-identical
-report — and the PR 5 recovery ladder must keep working on a recycled pool.
+The tentpole property: the second ``Engine.check()`` of the same deck on
+one engine must reuse the live worker processes (zero new PIDs), ship no
+plan payload (``mp_plan_compiles == 0``), skip the pickle probes
+(``mp_pickle_probes == 0``), and still produce a byte-identical report; a
+pool lives until its last holder lets go, so no engine closes the workers
+of another; and the recovery ladder must keep working on a recycled pool.
 """
 
 import multiprocessing
@@ -12,11 +14,11 @@ import random
 
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, EngineOptions, check_window
 from repro.core import costmodel, multiproc, workerpool
 from repro.core.rules import layer
 from repro.core.workerpool import WorkerPool
-from repro.geometry import Polygon, Transform
+from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 from repro.util import faults
 
@@ -86,9 +88,8 @@ def deck():
 
 
 @pytest.fixture(autouse=True)
-def _isolate(monkeypatch):
+def _isolate():
     """Fresh pool registry, probe cache, and cost models around every test."""
-    monkeypatch.delenv(workerpool.WARM_POOL_ENV, raising=False)
     workerpool.shutdown_pools()
     costmodel.reset_models()
     multiproc._PROBE_CACHE.clear()
@@ -100,29 +101,41 @@ def _isolate(monkeypatch):
     faults.clear()
 
 
-def warm_options(**kw):
+def mp_options(**kw):
     kw.setdefault("mode", "multiproc")
     kw.setdefault("jobs", 2)
-    kw.setdefault("warm_pool", True)
     return EngineOptions(**kw)
+
+
+def registered(jobs):
+    """The registry's pool for ``jobs`` (None once its last holder let go),
+    looked up without taking a hold."""
+    return workerpool._POOLS.get((jobs, workerpool._resolve_start_method(None)))
+
+
+def assert_no_children():
+    for child in multiprocessing.active_children():
+        child.join(timeout=10)
+    assert multiprocessing.active_children() == []
 
 
 class TestWarmReuse:
     def test_second_check_reuses_workers_and_ships_nothing(self):
         layout = via_layout(501)
         rules = deck()
-        engine = Engine(options=warm_options())
+        engine = Engine(options=mp_options())
         try:
             first = engine.check(layout, rules=rules)
-            pool = workerpool.get_pool(2)
+            pool = registered(2)
             pids = pool.worker_pids()
             generation = pool.generation
-            assert pids, "warm check must leave live workers behind"
+            assert pids, "the engine's hold must keep live workers"
             assert first.results[-1].stats["mp_plan_compiles"] == 1
             assert first.results[-1].stats["mp_pickle_probes"] >= 1
 
             second = engine.check(layout, rules=rules)
             assert second.to_csv() == first.to_csv()
+            assert registered(2) is pool
             assert pool.worker_pids() == pids, "no new worker processes"
             assert pool.generation == generation
             stats = second.results[-1].stats
@@ -130,18 +143,19 @@ class TestWarmReuse:
             assert stats["mp_pickle_probes"] == 0, "probe results memoized"
         finally:
             engine.close()
-        assert workerpool.get_pool(2).worker_pids() == []
+        assert registered(2) is None
+        assert pool.closed and pool.worker_pids() == []
 
     def test_matches_sequential_reference(self):
         layout = via_layout(502)
         rules = deck()
         reference = Engine(mode="sequential").check(layout, rules=rules)
-        with Engine(options=warm_options()) as engine:
+        with Engine(options=mp_options()) as engine:
             warm = engine.check(layout, rules=rules)
         for ref, got in zip(reference.results, warm.results):
             assert got.violations == ref.violations, ref.rule.name
 
-    def test_stateful_predicates_do_not_collide_on_a_warm_pool(self):
+    def test_stateful_predicates_do_not_collide_on_a_reused_pool(self):
         # Two consecutive checks whose decks differ only in a callable
         # instance's *state* must not share a plan digest — a collision
         # makes the warm pool silently run the previous check's pickled
@@ -154,81 +168,117 @@ class TestWarmReuse:
         ref_loose = Engine(mode="sequential").check(layout, rules=loose)
         ref_strict = Engine(mode="sequential").check(layout, rules=strict)
         assert ref_loose.to_csv() != ref_strict.to_csv()
-        with Engine(options=warm_options(cost_model=False)) as engine:
+        with Engine(options=mp_options(cost_model=False)) as engine:
             first = engine.check(layout, rules=loose)
             second = engine.check(layout, rules=strict)
         assert first.to_csv() == ref_loose.to_csv()
         assert second.to_csv() == ref_strict.to_csv()
 
     def test_close_releases_every_pool_the_engine_used(self):
-        # Checks under different option sets park workers under different
-        # registry keys; close() must release all of them, not just the
-        # key the engine's current options select.
+        # Checks under different option sets hold different registry
+        # pools; close() must release all of them, not just the one the
+        # engine's current options select.
         layout = via_layout(508, instances=10)
         rules = [layer(1).spacing().greater_than(7)]
-        engine = Engine(options=warm_options(jobs=2))
+        engine = Engine(options=mp_options(jobs=2))
         engine.check(layout, rules=rules)
-        engine.options = warm_options(jobs=3)
+        engine.options = mp_options(jobs=3)
         engine.check(layout, rules=rules)
-        assert workerpool.get_pool(2).worker_pids()
-        assert workerpool.get_pool(3).worker_pids()
+        assert registered(2).worker_pids()
+        assert registered(3).worker_pids()
         engine.close()
-        for child in multiprocessing.active_children():
-            child.join(timeout=10)
-        assert multiprocessing.active_children() == []
+        assert registered(2) is None and registered(3) is None
+        assert_no_children()
 
     def test_close_releases_the_shared_pool(self):
         layout = via_layout(503, instances=10)
-        engine = Engine(options=warm_options())
+        engine = Engine(options=mp_options())
         engine.check(layout, rules=[layer(1).spacing().greater_than(7)])
-        assert workerpool.get_pool(2).worker_pids()
+        assert registered(2).worker_pids()
         engine.close()
-        for child in multiprocessing.active_children():
-            child.join(timeout=10)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
-    def test_env_var_enables_warm_pool(self, monkeypatch):
-        monkeypatch.setenv(workerpool.WARM_POOL_ENV, "1")
-        assert workerpool.warm_pool_enabled(EngineOptions(jobs=2))
-        # An explicit option beats the environment, both ways.
-        assert not workerpool.warm_pool_enabled(
-            EngineOptions(jobs=2, warm_pool=False)
-        )
-        monkeypatch.setenv(workerpool.WARM_POOL_ENV, "0")
-        assert workerpool.warm_pool_enabled(
-            EngineOptions(jobs=2, warm_pool=True)
-        )
-        assert not workerpool.warm_pool_enabled(EngineOptions(jobs=2))
-
-    def test_cold_default_leaves_no_children(self):
+    def test_closed_engine_leaves_no_children(self):
         layout = via_layout(504, instances=10)
-        engine = Engine(options=EngineOptions(mode="multiproc", jobs=2))
-        engine.check(layout, rules=[layer(1).spacing().greater_than(7)])
-        for child in multiprocessing.active_children():
-            child.join(timeout=10)
-        assert multiprocessing.active_children() == []
+        with Engine(options=mp_options()) as engine:
+            engine.check(layout, rules=[layer(1).spacing().greater_than(7)])
+            assert multiprocessing.active_children(), "held between checks"
+        assert_no_children()
+
+    def test_check_window_with_jobs_leaves_no_children(self, monkeypatch):
+        # No engine holds the pool: the backend's own hold is the last,
+        # so check_window frees the workers before it returns.
+        acquired = []
+        acquire = workerpool.acquire
+        monkeypatch.setattr(
+            workerpool, "acquire",
+            lambda *key: acquired.append(acquire(*key)) or acquired[-1],
+        )
+        layout = via_layout(510, instances=10)
+        window = Rect(0, 0, 2500, 2500)
+        reference = check_window(layout, window, rules=deck())
+        report = check_window(
+            layout, window, rules=deck(), options=mp_options(cost_model=False)
+        )
+        assert report.to_csv() == reference.to_csv()
+        assert acquired, "the windowed rules must have used the pool"
+        assert all(pool.generation and pool.closed for pool in acquired)
+        assert registered(2) is None
+        assert_no_children()
+
+
+class TestSharedPoolHazard:
+    def test_other_engines_and_rechecks_leave_a_held_pool_alone(self):
+        # Engine A holds the pool between checks. Engine B (same options,
+        # so the same pool) checks and closes, and a verified recheck runs
+        # its throwaway cold-check engine: neither may close A's workers.
+        # A's next check must land on the same processes, undegraded.
+        layout = via_layout(511)
+        rules = deck()
+        options = mp_options(cost_model=False)
+        with Engine(options=options) as a:
+            first = a.check(layout, rules=rules)
+            pool = registered(2)
+            pids = pool.worker_pids()
+            assert pids
+            with Engine(options=options) as b:
+                assert b.check(layout, rules=rules).to_csv() == first.to_csv()
+            edited = via_layout(511)
+            edited.cell("top").add_polygon(
+                1, Polygon.from_rect_coords(5000, 5000, 5030, 5030)
+            )
+            a.recheck(layout, edited, rules=rules, cached=first, verify=True)
+            again = a.check(layout, rules=rules)
+            assert registered(2) is pool
+            assert pool.worker_pids() == pids
+            stats = again.results[-1].stats
+            assert stats["mp_degraded"] == 0
+            assert stats["mp_rule_tasks"] + stats["mp_shard_tasks"] > 0
+            assert again.to_csv() == first.to_csv()
+        assert registered(2) is None
 
 
 class TestRecycledPoolFaults:
-    def test_recovery_ladder_on_a_warm_pool(self):
+    def test_recovery_ladder_on_a_reused_pool(self):
         # Check 1 warms the pool; check 2 injects hangs into the recycled
         # workers and must still climb the full PR 5 ladder: timeout →
         # retry → inline fallback, with a byte-identical report.
         layout = via_layout(505)
         rules = [layer(1).width().greater_than(8).named("W")]
         baseline = Engine(mode="sequential").check(layout, rules=rules)
-        warm_engine = Engine(options=warm_options())
+        warm_engine = Engine(options=mp_options())
         faulted = Engine(
-            options=warm_options(
+            options=mp_options(
                 faults="worker_hang:times=10",
                 task_timeout=0.4,
                 max_retries=1,
             )
         )
+        clean = Engine(options=mp_options())
         try:
             first = warm_engine.check(layout, rules=rules)
             assert first.to_csv() == baseline.to_csv()
-            pool = workerpool.get_pool(2)
+            pool = registered(2)
             assert pool.worker_pids(), "check 1 must leave the pool warm"
             report = faulted.check(layout, rules=rules)
             assert report.to_csv() == baseline.to_csv()
@@ -238,16 +288,16 @@ class TestRecycledPoolFaults:
             assert stats["mp_inline_fallbacks"] == 1
             # The timed-out check recycled the shared pool's (wedged)
             # workers instead of handing them to the next check...
-            assert workerpool.get_pool(2) is pool
+            assert registered(2) is pool
             assert pool.worker_pids() == []
 
             faults.clear()
-            clean = Engine(options=warm_options())
             again = clean.check(layout, rules=rules)
             assert again.to_csv() == baseline.to_csv()
             # ...and the respawned generation re-warmed from the spool.
             assert again.results[-1].stats["mp_plan_compiles"] == 0
         finally:
+            clean.close()
             faulted.close()
             warm_engine.close()
 
@@ -262,7 +312,7 @@ class TestRecycledPoolFaults:
         layout = random_via_layout(509, instances=60)
         rules = [layer(1).spacing().greater_than(7).named("S")]
         baseline = Engine(mode="sequential").check(layout, rules=rules)
-        options = warm_options(
+        options = mp_options(
             cost_model=False, faults="shm_attach_fail:times=1"
         )
         with Engine(options=options) as engine:
@@ -279,11 +329,11 @@ class TestRecycledPoolFaults:
         layout = via_layout(506)
         rules = [layer(1).spacing().greater_than(7).named("S")]
         baseline = Engine(mode="sequential").check(layout, rules=rules)
-        with Engine(options=warm_options(cost_model=False)) as warm_engine:
+        with Engine(options=mp_options(cost_model=False)) as warm_engine:
             warm_engine.check(layout, rules=rules)
             faults.clear()
             faulted = Engine(
-                options=warm_options(
+                options=mp_options(
                     cost_model=False, faults="worker_raise:times=1"
                 )
             )
@@ -339,14 +389,24 @@ class TestWorkerPoolUnit:
             pool.ensure()
         pool.close()  # idempotent
 
+    def test_holders_share_one_pool_until_the_last_release(self):
+        first = workerpool.acquire(1)
+        assert workerpool.acquire(1) is first
+        first.release()
+        assert not first.closed and registered(1) is first
+        first.release()
+        assert first.closed and registered(1) is None
+        replacement = workerpool.acquire(1)
+        assert replacement is not first
+        replacement.release()
+
     def test_registry_replaces_closed_pools(self):
-        first = workerpool.get_pool(1)
-        assert workerpool.get_pool(1) is first
+        first = workerpool.acquire(1)
         first.close()
-        replacement = workerpool.get_pool(1)
+        replacement = workerpool.acquire(1)
         assert replacement is not first and not replacement.closed
-        workerpool.release_pool(1)
-        assert workerpool.get_pool(1) is not replacement
+        replacement.release()
+        assert replacement.closed
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -362,6 +422,28 @@ class TestWorkerPoolUnit:
             assert pool.dispatch_seconds() == measured  # cached
         finally:
             pool.close()
+
+
+def _sigterm_is_default():
+    import signal
+
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+class TestTerminate:
+    def test_workers_keep_default_sigterm_under_the_cli_handler(self):
+        # Pool.terminate() stops workers with SIGTERM while holding their
+        # task-queue lock. A forked worker that inherited the CLI's
+        # SIGTERM-to-SystemExit handler could block on that lock instead of
+        # dying, and the parent's join would wait forever.
+        from repro.cli import _graceful_sigterm
+
+        with _graceful_sigterm():
+            pool = WorkerPool(1)
+            try:
+                assert pool.apply_async(_sigterm_is_default, requester="t").get(60)
+            finally:
+                pool.close()
 
 
 def _nap(seconds):
@@ -450,14 +532,5 @@ class TestFairDispatch:
             pool.rebuild()
             with pytest.raises(RuntimeError, match="rebuilt"):
                 proxy.get(5)
-        finally:
-            pool.close()
-
-    def test_direct_submission_bypasses_fair_queue(self):
-        pool = WorkerPool(1)
-        try:
-            result = pool.apply_async(_nap, (0.0,))
-            assert result.get(30) == 0.0
-            assert list(pool.dispatch_log) == []
         finally:
             pool.close()
