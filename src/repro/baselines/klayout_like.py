@@ -197,7 +197,7 @@ class KLayoutLikeChecker:
                 for j in range(i + 1, len(items)):
                     if not mbr_i.overlaps(items[j].mbr.inflated(margin)):
                         continue
-                    side_a, side_b = _gather(items[i], items[j], subtree, layer, value)
+                    side_a, side_b = _gather(cell, items[i], items[j], subtree, layer, value)
                     for pa in side_a:
                         window = pa.mbr.inflated(value)
                         for pb in side_b:
@@ -330,10 +330,19 @@ def _intra_flat(rule: Rule, polygons: Sequence[Polygon], layer: int) -> List[Vio
     raise NotImplementedError(rule.kind)
 
 
-def _gather(item_a: LevelItem, item_b: LevelItem, subtree, layer: int, value: int):
-    from ..hierarchy.pruning import gather_pair_polygons
+def _gather(cell, item_a: LevelItem, item_b: LevelItem, subtree, layer: int, value: int):
+    """Both items' polygons in the overlap of their ``value``-inflated MBRs
+    (a complete capture region for every pair closer than ``value``)."""
+    window = item_a.mbr.inflated(value).intersection(item_b.mbr.inflated(value))
+    if window.is_empty:
+        return [], []
 
-    return gather_pair_polygons(item_a, item_b, subtree, layer, value)
+    def polygons_of(item: LevelItem) -> List[Polygon]:
+        if item.index is not None:
+            return [cell.rings(layer).polygon(item.index)] if item.mbr.overlaps(window) else []
+        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
+
+    return polygons_of(item_a), polygons_of(item_b)
 
 
 def _critical_path(tile_times: List[float], workers: int) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..geometry import Polygon
+from ..geometry import Polygon, signed_area2
 from .base import Violation, ViolationKind
 
 
@@ -17,15 +17,28 @@ def check_polygon_area(polygon: Polygon, layer: int, min_area: int) -> List[Viol
     area = polygon.area
     if area >= min_area:
         return []
-    return [
-        Violation(
-            kind=ViolationKind.AREA,
-            layer=layer,
-            region=polygon.mbr,
-            measured=area,
-            required=min_area,
-        )
-    ]
+    return [_violation(polygon.mbr, area, layer, min_area)]
+
+
+def check_ring_area(rings, layer: int, min_area: int) -> List[Violation]:
+    """Area violations of every ring of one :class:`~repro.layout.cell.RingBuffer`,
+    in its frame, read off the coordinates (no ``Polygon`` built)."""
+    violations: List[Violation] = []
+    for index in range(len(rings)):
+        area = abs(signed_area2(rings.points(index))) // 2
+        if area < min_area:
+            violations.append(_violation(rings.mbr(index), area, layer, min_area))
+    return violations
+
+
+def _violation(region, area: int, layer: int, min_area: int) -> Violation:
+    return Violation(
+        kind=ViolationKind.AREA,
+        layer=layer,
+        region=region,
+        measured=area,
+        required=min_area,
+    )
 
 
 def check_area(polygons, layer: int, min_area: int) -> List[Violation]:

@@ -10,9 +10,31 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..geometry import Rect
+from ..geometry import Point, Polygon, Rect
+from ..geometry.polygon import is_rectangle_ring
+
+#: What the cross-layer procedures judge: a ``Polygon``, or a ``Rect`` standing
+#: for the rectangle polygon it bounds (the sequential engine reads
+#: rectangles off the ring tables and builds no polygon for them).
+Shape = Union[Polygon, Rect]
+
+
+def shape_mbr(shape: Shape) -> Rect:
+    return shape if isinstance(shape, Rect) else shape.mbr
+
+
+def as_polygon(shape: Shape) -> Polygon:
+    return Polygon.from_rect(shape) if isinstance(shape, Rect) else shape
+
+
+def ring_shape(ring: Sequence[Tuple[int, int]], mbr: Rect) -> Shape:
+    """A clockwise ring with its MBR as a shape: the MBR when it is a
+    rectangle, a polygon otherwise."""
+    if is_rectangle_ring(ring):
+        return mbr
+    return Polygon._normalised(tuple(map(Point._make, ring)), "", mbr)
 
 
 class ViolationKind(enum.Enum):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..geometry import Polygon, Rect
 from ..spatial.sweepline import iter_overlapping_pairs
@@ -40,15 +40,19 @@ class Corner:
 
 def convex_corners(polygon: Polygon) -> List[Corner]:
     """All convex corners of a rectilinear polygon with their quadrants."""
+    return ring_corners(polygon.vertices)
+
+
+def ring_corners(vertices: Sequence[Tuple[int, int]]) -> List[Corner]:
+    """:func:`convex_corners` of a clockwise ring given as ``(x, y)`` pairs."""
     corners: List[Corner] = []
-    vertices = polygon.vertices
     n = len(vertices)
     for i in range(n):
-        prev = vertices[(i - 1) % n]
-        cur = vertices[i]
-        nxt = vertices[(i + 1) % n]
-        d1 = (cur.x - prev.x, cur.y - prev.y)
-        d2 = (nxt.x - cur.x, nxt.y - cur.y)
+        px, py = vertices[(i - 1) % n]
+        cx, cy = vertices[i]
+        nx, ny = vertices[(i + 1) % n]
+        d1 = (cx - px, cy - py)
+        d2 = (nx - cx, ny - cy)
         cross = d1[0] * d2[1] - d1[1] * d2[0]
         # Clockwise orientation: a right turn (convex corner) has cross < 0.
         if cross >= 0:
@@ -59,7 +63,7 @@ def convex_corners(polygon: Polygon) -> List[Corner]:
         n2 = (d2[1], -d2[0])
         ex = -_sign(n1[0] + n2[0])
         ey = -_sign(n1[1] + n2[1])
-        corners.append(Corner(cur.x, cur.y, ex, ey))
+        corners.append(Corner(cx, cy, ex, ey))
     return corners
 
 
@@ -135,17 +139,19 @@ class CornerProcedures:
     """Diagonal corner-to-corner spacing (roadmap extension).
 
     The pairwise-procedure object the hierarchical sweeps call; registered
-    per rule kind in :mod:`repro.core.plan`.
+    per rule kind in :mod:`repro.core.plan`. ``prepare`` turns a clockwise
+    ring of ``(x, y)`` pairs into its convex corners, which the other two take.
     """
 
-    def self_violations(self, polygon: Polygon, layer: int, value: int):
-        corners = convex_corners(polygon)
+    prepare = staticmethod(ring_corners)
+
+    def self_violations(self, corners: Sequence[Corner], layer: int, value: int):
         return corner_pair_violations(corners, corners, layer, value)
 
-    def cross_violations(self, pa: Polygon, pb: Polygon, layer: int, value: int):
-        return corner_pair_violations(
-            convex_corners(pa), convex_corners(pb), layer, value
-        )
+    def cross_violations(
+        self, corners_a: Sequence[Corner], corners_b: Sequence[Corner], layer: int, value: int
+    ):
+        return corner_pair_violations(corners_a, corners_b, layer, value)
 
     def flat_check(self, polygons, layer: int, value: int):
         return check_corner_spacing(polygons, layer, value)

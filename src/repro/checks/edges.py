@@ -28,7 +28,11 @@ def width_violation_regions(polygon: Polygon, min_width: int) -> List[Tuple[Rect
 
     Returns ``(region, measured_distance)`` per violating edge pair.
     """
-    rows = polygon.edge_rows()
+    return width_regions(polygon.edge_rows(), min_width)
+
+
+def width_regions(rows: EdgeRows, min_width: int) -> List[Tuple[Rect, int]]:
+    """:func:`width_violation_regions` of one ring's edge-row table."""
     return _facing_pairs(rows, rows, min_width, want_width=True, skip=True)
 
 
@@ -77,10 +81,19 @@ def polygon_spacing_violations(
     p: Polygon, q: Polygon, min_space: int
 ) -> List[Tuple[Rect, int]]:
     """Exterior strips between two distinct polygons narrower than ``min_space``."""
-    return _facing_pairs(p.edge_rows(), q.edge_rows(), min_space, want_width=False, skip=False)
+    return spacing_regions(p.edge_rows(), q.edge_rows(), min_space)
 
 
 def polygon_notch_violations(p: Polygon, min_space: int) -> List[Tuple[Rect, int]]:
     """Spacing violations of a polygon against itself (notches)."""
-    rows = p.edge_rows()
+    return notch_regions(p.edge_rows(), min_space)
+
+
+def spacing_regions(rows_a: EdgeRows, rows_b: EdgeRows, min_space: int) -> List[Tuple[Rect, int]]:
+    """:func:`polygon_spacing_violations` of two rings' edge-row tables."""
+    return _facing_pairs(rows_a, rows_b, min_space, want_width=False, skip=False)
+
+
+def notch_regions(rows: EdgeRows, min_space: int) -> List[Tuple[Rect, int]]:
+    """:func:`polygon_notch_violations` of one ring's edge-row table."""
     return _facing_pairs(rows, rows, min_space, want_width=False, skip=True)

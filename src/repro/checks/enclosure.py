@@ -17,27 +17,29 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..geometry import Polygon
+from ..geometry import Polygon, Rect
 from ..spatial.sweepline import near_pairs
-from .base import Violation, ViolationKind
+from .base import Shape, Violation, ViolationKind, as_polygon, shape_mbr
 
 
-def enclosure_margin(via: Polygon, metal: Polygon) -> Optional[int]:
+def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
     """Smallest per-side margin of ``via`` inside ``metal``.
 
     Returns ``None`` when ``metal`` does not enclose ``via`` at all (some
-    via edge finds no outward metal boundary, or the via pokes out).
+    via edge finds no outward metal boundary, or the via pokes out). Either
+    side may be a ``Rect`` standing for a rectangle (see :data:`Shape`).
     """
-    inner, outer = via.mbr, metal.mbr
+    inner, outer = shape_mbr(via), shape_mbr(metal)
     if not outer.contains_rect(inner):
         return None
-    if via.is_rectangle and metal.is_rectangle:
+    if _is_box(via) and _is_box(metal):
         # Two boxes, one inside the other: each via side faces exactly the
         # metal side of the same name.
         return min(
             inner.xlo - outer.xlo, inner.ylo - outer.ylo,
             outer.xhi - inner.xhi, outer.yhi - inner.yhi,
         )
+    via, metal = as_polygon(via), as_polygon(metal)
     worst: Optional[int] = None
     for via_rows, metal_rows in zip(via.edge_rows(), metal.edge_rows()):
         for fixed, lo, hi, sign in via_rows:
@@ -63,9 +65,13 @@ def enclosure_margin(via: Polygon, metal: Polygon) -> Optional[int]:
     return worst
 
 
+def _is_box(shape: Shape) -> bool:
+    return isinstance(shape, Rect) or shape.is_rectangle
+
+
 def enclosure_pair_violations(
-    via: Polygon,
-    metals: Sequence[Polygon],
+    via: Shape,
+    metals: Sequence[Shape],
     via_layer: int,
     metal_layer: int,
     min_enclosure: int,
@@ -88,7 +94,7 @@ def enclosure_pair_violations(
             kind=ViolationKind.ENCLOSURE,
             layer=via_layer,
             other_layer=metal_layer,
-            region=via.mbr.inflated(min_enclosure),
+            region=shape_mbr(via).inflated(min_enclosure),
             measured=max(best, 0),
             required=min_enclosure,
         )
@@ -130,7 +136,7 @@ class EnclosureProcedures:
     resolution calls; registered per rule kind in :mod:`repro.core.plan`.
     """
 
-    def satisfied(self, via: Polygon, metals, value: int) -> bool:
+    def satisfied(self, via: Shape, metals: Sequence[Shape], value: int) -> bool:
         for metal in metals:
             margin = enclosure_margin(via, metal)
             if margin is not None and margin >= value:

@@ -19,15 +19,16 @@ from typing import List, Sequence
 from ..geometry import Polygon
 from ..geometry.booleans import intersect_regions, union_polygons
 from ..spatial.sweepline import iter_bipartite_overlaps
-from .base import Violation, ViolationKind
+from .base import Shape, Violation, ViolationKind, as_polygon, shape_mbr
 
 
-def overlap_area(polygon: Polygon, others: Sequence[Polygon]) -> int:
-    """Exact area of ``polygon`` AND the union of ``others``."""
+def overlap_area(polygon: Shape, others: Sequence[Shape]) -> int:
+    """Exact area of ``polygon`` AND the union of ``others`` (any of them may
+    be a ``Rect`` standing for a rectangle, see :data:`Shape`)."""
     if not others:
         return 0
     return intersect_regions(
-        union_polygons([polygon]), union_polygons(others)
+        union_polygons([as_polygon(polygon)]), union_polygons(list(map(as_polygon, others)))
     ).area
 
 
@@ -38,7 +39,7 @@ class OverlapProcedures:
     resolution calls; registered per rule kind in :mod:`repro.core.plan`.
     """
 
-    def satisfied(self, polygon: Polygon, bases, value: int) -> bool:
+    def satisfied(self, polygon: Shape, bases: Sequence[Shape], value: int) -> bool:
         return overlap_area(polygon, bases) >= value
 
     def violations(self, polygon, bases, top_layer, base_layer, value):
@@ -50,7 +51,7 @@ class OverlapProcedures:
                 kind=ViolationKind.OVERLAP,
                 layer=top_layer,
                 other_layer=base_layer,
-                region=polygon.mbr,
+                region=shape_mbr(polygon),
                 measured=area,
                 required=value,
             )

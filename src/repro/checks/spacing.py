@@ -12,9 +12,15 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from ..geometry import Polygon
+from ..geometry.polygon import EdgeRows, edge_rows_of
 from ..spatial.sweepline import iter_overlapping_pairs
 from .base import Violation, ViolationKind
-from .edges import polygon_notch_violations, polygon_spacing_violations
+from .edges import (
+    notch_regions,
+    polygon_notch_violations,
+    polygon_spacing_violations,
+    spacing_regions,
+)
 
 
 def spacing_pair_violations(
@@ -82,14 +88,21 @@ class SpacingProcedures:
     """Edge-based exterior spacing (paper §IV-D check procedures).
 
     The pairwise-procedure objects the hierarchical sweeps call; registered
-    per rule kind in :mod:`repro.core.plan`.
+    per rule kind in :mod:`repro.core.plan`. ``prepare`` turns a clockwise
+    ring of ``(x, y)`` pairs into what the other two take: here its edge-row
+    table.
     """
 
-    def self_violations(self, polygon: Polygon, layer: int, value: int):
-        return spacing_notch_violations(polygon, layer, value)
+    prepare = staticmethod(edge_rows_of)
 
-    def cross_violations(self, pa: Polygon, pb: Polygon, layer: int, value: int):
-        return spacing_pair_violations(pa, pb, layer, value)
+    def self_violations(self, rows: EdgeRows, layer: int, value: int):
+        return [_make(layer, region, d, value) for region, d in notch_regions(rows, value)]
+
+    def cross_violations(self, rows_a: EdgeRows, rows_b: EdgeRows, layer: int, value: int):
+        return [
+            _make(layer, region, d, value)
+            for region, d in spacing_regions(rows_a, rows_b, value)
+        ]
 
     def flat_check(self, polygons, layer: int, value: int):
         return check_spacing(polygons, layer, value)

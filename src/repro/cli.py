@@ -322,7 +322,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             # Sequential stats accumulate down the deck: the last rule's are
             # the run's totals (which pairs were swept, pruned, memoised).
             stats = report.results[-1].stats if report.results else {}
-            names = ("checks_run", "checks_reused", "pairs_considered", "pairs_pruned_mbr")
+            names = (
+                "checks_run",
+                "checks_reused",
+                "checks_refreshed",
+                "pairs_considered",
+                "pairs_pruned_mbr",
+            )
             if all(name in stats for name in names):
                 values = " / ".join(str(stats[name]) for name in names)
                 print(f"\n{' / '.join(names)}: {values}")

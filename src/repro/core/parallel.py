@@ -689,9 +689,10 @@ class ParallelBackend:
     def _flatten_items(self, items: Sequence[LevelItem], layer: int) -> List[Polygon]:
         """Materialize all polygons of the given level items (top coords)."""
         polygons: List[Polygon] = []
+        rings = self.tree.top.rings(layer)
         for item in items:
-            if item.polygon is not None:
-                polygons.append(item.polygon)
+            if item.index is not None:
+                polygons.append(rings.polygon(item.index))
             else:
                 assert item.cell_name is not None and item.placement is not None
                 polygons.extend(

@@ -178,9 +178,10 @@ class KindSpec:
     * ``parallel`` — the data-parallel strategy name the GPU backend binds
       (``None`` means the kind has no arithmetic worth vectorising and the
       parallel backend delegates to the sequential strategy);
-    * ``intra`` — for intra-polygon kinds, ``rule -> (check(cell, layer),
-      invariance)``: the per-definition check plus the transform invariance
-      class that makes its results reusable across instances (§IV-C);
+    * ``intra`` — for intra-polygon kinds, ``rule -> (check(rings, layer,
+      placement), invariance)``: the per-definition check (see
+      :func:`_intra_check`) plus the transform invariance class that makes
+      its results reusable across instances (§IV-C);
     * ``procedures`` — for pairwise/cross-layer kinds, the factory of the
       edge-level procedure object.
     """
@@ -194,49 +195,55 @@ class KindSpec:
     procedures: Optional[Callable] = None
 
 
+def _intra_check(flat: Callable, local: Optional[Callable] = None) -> Callable:
+    """One definition's intra check, ``(rings, layer, placement)``.
+
+    In the definition's own frame (``placement=None``) ``local`` reads the
+    ring buffer; a kind without one runs ``flat`` over the buffer's polygon
+    view. A placement that breaks the kind's invariance (a magnification)
+    gets ``flat`` over the placed polygons.
+    """
+
+    def check(rings, layer: int, placement) -> List[Violation]:
+        if placement is not None:
+            return flat([p.transformed(placement) for p in rings.polygons()], layer)
+        if local is not None:
+            return local(rings, layer)
+        return flat(rings.polygons(), layer)
+
+    return check
+
+
 def _width_intra(rule: Rule):
-    from ..checks.width import check_polygon_width
+    from ..checks.width import check_ring_width, check_width
 
-    def check(cell: Cell, layer: int) -> List[Violation]:
-        vios: List[Violation] = []
-        for polygon in cell.polygons(layer):
-            vios.extend(check_polygon_width(polygon, layer, rule.value))
-        return vios
-
-    return check, distance_invariant
+    return _intra_check(
+        lambda polygons, layer: check_width(polygons, layer, rule.value),
+        lambda rings, layer: check_ring_width(rings, layer, rule.value),
+    ), distance_invariant
 
 
 def _area_intra(rule: Rule):
-    from ..checks.area import check_polygon_area
+    from ..checks.area import check_area, check_ring_area
 
-    def check(cell: Cell, layer: int) -> List[Violation]:
-        vios: List[Violation] = []
-        for polygon in cell.polygons(layer):
-            vios.extend(check_polygon_area(polygon, layer, rule.value))
-        return vios
-
-    return check, area_invariant
+    return _intra_check(
+        lambda polygons, layer: check_area(polygons, layer, rule.value),
+        lambda rings, layer: check_ring_area(rings, layer, rule.value),
+    ), area_invariant
 
 
 def _rectilinear_intra(rule: Rule):
-    from ..checks.rectilinear import check_polygon_rectilinear
+    from ..checks.rectilinear import check_rectilinear
 
-    def check(cell: Cell, layer: int) -> List[Violation]:
-        vios: List[Violation] = []
-        for polygon in cell.polygons(layer):
-            vios.extend(check_polygon_rectilinear(polygon, layer))
-        return vios
-
-    return check, always_invariant
+    return _intra_check(check_rectilinear), always_invariant
 
 
 def _ensures_intra(rule: Rule):
     from ..checks.ensure import check_ensures
 
-    def check(cell: Cell, layer: int) -> List[Violation]:
-        return check_ensures(cell.polygons(layer), layer, rule.predicate)
-
-    return check, always_invariant
+    return _intra_check(
+        lambda polygons, layer: check_ensures(polygons, layer, rule.predicate)
+    ), always_invariant
 
 
 def _spec(kind: RuleKind, sequential: str, *, interaction, **kwargs: Any) -> KindSpec:

@@ -24,17 +24,27 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checks.base import Violation
-from ..geometry import IDENTITY, Polygon, Transform, union_all
+from ..checks.base import Shape, Violation, ring_shape, shape_mbr
+from ..geometry import IDENTITY, Rect, Transform, union_all
+from ..geometry.polygon import is_rectangle_ring
+from ..geometry.transform import (
+    Row,
+    compose_rows,
+    invert_row,
+    rigid_row,
+    row_rect,
+    row_transform,
+)
 from ..hierarchy.pruning import (
     IntraCheckScheduler,
     LevelItem,
+    PlacedRing,
     PruningStats,
-    gather_pair_polygons,
+    gather_pair_rings,
+    place_violations,
 )
-from ..hierarchy.query import invert
 from ..hierarchy.tree import HierarchyTree
-from ..layout.cell import Cell
+from ..layout.cell import Cell, RingBuffer
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
 from ..spatial.sweepline import near_pairs, report_overlapping_pairs
@@ -96,6 +106,7 @@ class SequentialBackend:
         return dict(
             checks_run=self.pruning.checks_run,
             checks_reused=self.pruning.checks_reused,
+            checks_refreshed=self.pruning.checks_refreshed,
             pairs_considered=self.pruning.pairs_considered,
             pairs_pruned_mbr=self.pruning.pairs_pruned_mbr,
             pack_cache_hits=self.caches.pack.hits,
@@ -143,7 +154,7 @@ class SequentialBackend:
                 out.extend(
                     scheduler.run(
                         layer,
-                        lambda cell, _layer=layer: check(cell, _layer),
+                        lambda rings, placement, _layer=layer: check(rings, _layer, placement),
                         invariance=invariance,
                     )
                 )
@@ -177,13 +188,20 @@ class SequentialBackend:
             self.pruning.checks_run += 1
             cell = self.layout.cell(cell_name)
             vios = self._level_pairs(cell, layer, value, procedures, profile)
+            vios.extend(children(cell))
+            memo[cell_name] = vios
+            return vios
+
+        def children(cell: Cell) -> List[Violation]:
+            """Every child's internal violations, placed."""
+            vios: List[Violation] = []
             for ref in cell.references:
                 if not self.tree.has_layer(ref.cell_name, layer):
                     continue
                 child_vios = internal(ref.cell_name)
                 for placement in ref.placements():
                     if placement.preserves_distances:
-                        vios.extend(v.transformed(placement) for v in child_vios)
+                        vios.extend(place_violations(child_vios, rigid_row(placement)))
                     else:
                         self.pruning.checks_refreshed += 1
                         vios.extend(
@@ -191,27 +209,13 @@ class SequentialBackend:
                                 ref.cell_name, placement, layer, value, procedures, profile
                             )
                         )
-            memo[cell_name] = vios
             return vios
 
         top = self.tree.top
         with profile.phase(PHASE_OTHER):
             items = self._level_items(top, layer)
         vios = self._top_level_pairs(top, items, layer, value, procedures, profile)
-        for ref in top.references:
-            if not self.tree.has_layer(ref.cell_name, layer):
-                continue
-            child_vios = internal(ref.cell_name)
-            for placement in ref.placements():
-                if placement.preserves_distances:
-                    vios.extend(v.transformed(placement) for v in child_vios)
-                else:
-                    self.pruning.checks_refreshed += 1
-                    vios.extend(
-                        self._flat_subtree_pairs(
-                            ref.cell_name, placement, layer, value, procedures, profile
-                        )
-                    )
+        vios.extend(children(top))
         return vios
 
     def _top_level_pairs(
@@ -224,11 +228,8 @@ class SequentialBackend:
         profile: PhaseProfile,
     ) -> List[Violation]:
         """Level pairs of the top cell, row-partitioned when enabled."""
-        vios: List[Violation] = []
-        with profile.phase(PHASE_EDGE_CHECKS):
-            for polygon in top.polygons(layer):
-                vios.extend(procedures.self_violations(polygon, layer, value))
-
+        rings = top.rings(layer)
+        vios = self._self_pairs(rings, layer, value, procedures, profile)
         member_rows, _sig = self.caches.partition_rows(
             layer,
             [it.mbr for it in items],
@@ -236,12 +237,9 @@ class SequentialBackend:
             use_rows=self.use_rows,
             cold_timer=lambda: profile.phase(PHASE_PARTITION),
         )
-        groups: List[List[LevelItem]] = [
-            [items[m] for m in row] for row in member_rows
-        ]
-
-        for group in groups:
-            vios.extend(self._group_pairs(group, layer, value, procedures, profile))
+        for row in member_rows:
+            group = [items[m] for m in row]
+            vios.extend(self._group_pairs(rings, group, layer, value, procedures, profile))
         return vios
 
     def _level_pairs(
@@ -253,17 +251,31 @@ class SequentialBackend:
         profile: PhaseProfile,
     ) -> List[Violation]:
         """Self checks plus this level's cross-item pairs (no recursion)."""
-        vios: List[Violation] = []
-        with profile.phase(PHASE_EDGE_CHECKS):
-            for polygon in cell.polygons(layer):
-                vios.extend(procedures.self_violations(polygon, layer, value))
+        rings = cell.rings(layer)
+        vios = self._self_pairs(rings, layer, value, procedures, profile)
         with profile.phase(PHASE_OTHER):
             items = self._level_items(cell, layer)
-        vios.extend(self._group_pairs(items, layer, value, procedures, profile))
+        vios.extend(self._group_pairs(rings, items, layer, value, procedures, profile))
+        return vios
+
+    def _self_pairs(
+        self, rings: Optional[RingBuffer], layer: int, value: int, procedures, profile
+    ) -> List[Violation]:
+        """Each local ring against itself. A rectangle is skipped: it has no
+        notch, and its convex corners all open away from each other."""
+        vios: List[Violation] = []
+        if rings:
+            with profile.phase(PHASE_EDGE_CHECKS):
+                for index in range(len(rings)):
+                    ring = rings.points(index)
+                    if not is_rectangle_ring(ring):
+                        prepared = procedures.prepare(ring)
+                        vios.extend(procedures.self_violations(prepared, layer, value))
         return vios
 
     def _group_pairs(
         self,
+        rings: Optional[RingBuffer],
         items: Sequence[LevelItem],
         layer: int,
         value: int,
@@ -281,12 +293,13 @@ class SequentialBackend:
         vios: List[Violation] = []
         for i, j in pairs:
             vios.extend(
-                self._pair_check(items[i], items[j], layer, value, procedures, profile)
+                self._pair_check(rings, items[i], items[j], layer, value, procedures, profile)
             )
         return vios
 
     def _pair_check(
         self,
+        rings: Optional[RingBuffer],
         item_a: LevelItem,
         item_b: LevelItem,
         layer: int,
@@ -302,36 +315,47 @@ class SequentialBackend:
             and item_a.placement.preserves_distances
             and item_b.placement.preserves_distances
         ):
-            inverse_a = invert(item_a.placement)
-            relative = inverse_a.compose(item_b.placement)
+            row_a = rigid_row(item_a.placement)
+            inverse_a = invert_row(row_a)
+            relative = compose_rows(inverse_a, rigid_row(item_b.placement))
             key = (item_a.cell_name, item_b.cell_name, relative)
             cached = self._pair_memo.get(key)
             if cached is not None:
                 self.pruning.checks_reused += 1
-                return [v.transformed(item_a.placement) for v in cached]
+                return place_violations(cached, row_a)
         with profile.phase(PHASE_SWEEPLINE):
-            side_a, side_b = gather_pair_polygons(
-                item_a, item_b, self.subtree, layer, value
+            side_a, side_b = gather_pair_rings(
+                rings, item_a, item_b, self.subtree, layer, value
             )
         with profile.phase(PHASE_EDGE_CHECKS):
             found = self._cross_pairs(side_a, side_b, layer, value, procedures)
         if key is not None:
-            self._pair_memo[key] = [v.transformed(inverse_a) for v in found]
+            self._pair_memo[key] = place_violations(found, inverse_a)
         return found
 
     def _cross_pairs(
         self,
-        side_a: Sequence[Polygon],
-        side_b: Sequence[Polygon],
+        side_a: Sequence[PlacedRing],
+        side_b: Sequence[PlacedRing],
         layer: int,
         value: int,
         procedures,
     ) -> List[Violation]:
-        """Edge checks between two polygon sets, MBR-pruned per pair."""
+        """Edge checks between two placed-ring sets, MBR-pruned per pair;
+        each ring is prepared once, and only if some pair needs it."""
         vios: List[Violation] = []
-        inflated_a = [p.mbr.inflated(value) for p in side_a]
-        for i, j in near_pairs(inflated_a, [p.mbr for p in side_b]):
-            vios.extend(procedures.cross_violations(side_a[i], side_b[j], layer, value))
+        prepare = procedures.prepare
+        ready_a: Dict[int, object] = {}
+        ready_b: Dict[int, object] = {}
+        inflated_a = [mbr.inflated(value) for _, mbr in side_a]
+        for i, j in near_pairs(inflated_a, [mbr for _, mbr in side_b]):
+            a = ready_a.get(i)
+            if a is None:
+                a = ready_a[i] = prepare(side_a[i][0])
+            b = ready_b.get(j)
+            if b is None:
+                b = ready_b[j] = prepare(side_b[j][0])
+            vios.extend(procedures.cross_violations(a, b, layer, value))
         return vios
 
     def _flat_subtree_pairs(
@@ -366,18 +390,19 @@ class SequentialBackend:
         propagate upward (more partner geometry may appear in an ancestor or
         a sibling — both enclosure and overlap satisfaction are monotone in
         the candidate set, which is what makes this sound). Survivors at the
-        top are violations.
+        top are violations. A via travels as a :data:`~repro.checks.base.Shape`:
+        its MBR when it is a rectangle.
         """
-        memo: Dict[str, List[Polygon]] = {}
+        memo: Dict[str, List[Shape]] = {}
 
-        def pending(cell_name: str) -> List[Polygon]:
+        def pending(cell_name: str) -> List[Shape]:
             cached = memo.get(cell_name)
             if cached is not None:
                 self.pruning.checks_reused += 1
                 return cached
             self.pruning.checks_run += 1
             cell = self.layout.cell(cell_name)
-            candidates_pending: List[Polygon] = list(cell.polygons(via_layer))
+            candidates_pending = _ring_shapes(cell.rings(via_layer))
             for ref in cell.references:
                 if not self.tree.has_layer(ref.cell_name, via_layer):
                     continue
@@ -390,77 +415,109 @@ class SequentialBackend:
                     self.pruning.checks_refreshed += 1
                     child_pending = self._all_subtree_vias(ref.cell_name, via_layer)
                 for placement in placements:
-                    candidates_pending.extend(
-                        p.transformed(placement) for p in child_pending
-                    )
+                    candidates_pending.extend(_placed_shapes(child_pending, placement))
             unresolved = self._resolve_vias(
                 cell_name, candidates_pending, metal_layer, value, procedures, profile
             )
             memo[cell_name] = unresolved
             return unresolved
 
-        survivors = pending(self.tree.top.name)
+        top = self.tree.top
+        survivors = pending(top.name)
         vios: List[Violation] = []
         with profile.phase(PHASE_EDGE_CHECKS):
-            for via in survivors:
-                window = via.mbr.inflated(value)
-                metals = self.subtree.polygons_in_window(
-                    self.tree.top.name, IDENTITY, metal_layer, window
-                )
-                vios.extend(
-                    procedures.violations(via, metals, via_layer, metal_layer, value)
-                )
+            # Every survivor against all metal in its window: one sweep over
+            # the top level's items, then a gather per child item hit.
+            rings = top.rings(metal_layer)
+            items = self._level_items(top, metal_layer)
+            windows = [shape_mbr(via).inflated(value) for via in survivors]
+            metals: List[List[Shape]] = [[] for _ in survivors]
+            for e, j in near_pairs(windows, [it.mbr for it in items]):
+                item = items[j]
+                if item.index is not None:
+                    metals[e].append(ring_shape(rings.points(item.index), item.mbr))
+                else:
+                    metals[e].extend(
+                        ring_shape(ring, mbr)
+                        for ring, mbr in self.subtree.rings_in_window(
+                            item.cell_name, item.placement, metal_layer, windows[e]
+                        )
+                    )
+            for via, found in zip(survivors, metals):
+                vios.extend(procedures.violations(via, found, via_layer, metal_layer, value))
         return vios
 
     def _resolve_vias(
         self,
         cell_name: str,
-        vias: List[Polygon],
+        vias: List[Shape],
         metal_layer: int,
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Polygon]:
-        """Drop every via (in ``cell_name``'s frame) its subtree's metal satisfies."""
+    ) -> List[Shape]:
+        """Drop every via (in ``cell_name``'s frame) its subtree's metal satisfies.
+
+        Vias are pushed down instead of metal pulled up (paper §IV-C reuse),
+        over one parents-first pass of the subtree's definitions: each
+        definition gathers the pending ``(index, via in its frame)`` entries
+        of *all* of its parents before it sweeps, so however many parents
+        place it, it is entered once (:meth:`_descend`).
+        """
         satisfied = [False] * len(vias)
-        self._descend(
-            cell_name, list(enumerate(vias)), satisfied, metal_layer, value, procedures, profile
-        )
+        frontier: Dict[str, List[Tuple[int, Shape]]] = {cell_name: list(enumerate(vias))}
+        order = self.tree.order
+        for name in reversed(order[: order.index(cell_name) + 1]):
+            entries = frontier.pop(name, None)
+            if entries is not None:
+                self._descend(
+                    name, entries, satisfied, frontier, metal_layer, value, procedures, profile
+                )
+            if not frontier:
+                break
         return [via for via, ok in zip(vias, satisfied) if not ok]
 
     def _descend(
         self,
         cell_name: str,
-        entries: List[Tuple[int, Polygon]],
+        entries: List[Tuple[int, Shape]],
         satisfied: List[bool],
+        frontier: Dict[str, List[Tuple[int, Shape]]],
         metal_layer: int,
         value: int,
         procedures,
         profile: PhaseProfile,
     ) -> None:
-        """Push vias down instead of pulling metal up (paper §IV-C reuse).
+        """One definition's step of the via descent.
 
         ``entries`` are ``(index into satisfied, via in this cell's frame)``.
         One bipartite MBR sweep pairs via windows with this level's metal
         items; a via is judged once against all of its local candidates, and
         the vias paired with rigid child instances are mapped into the
-        child's frame and batched per *definition*, so a definition placed k
-        times is swept once and no metal is transformed. Sound because
-        satisfaction is monotone in the candidate set and invariant under
-        rigid maps, and every survivor is re-judged at the top against all
-        metal in its window (docs/algorithms.md §5).
+        child's frame and queued on the child's ``frontier`` entry, so a
+        definition placed k times is swept once and no metal is transformed.
+        Sound because satisfaction is monotone in the candidate set and
+        invariant under rigid maps, and every survivor is re-judged at the
+        top against all metal in its window (docs/algorithms.md §5).
         """
         entries = [entry for entry in entries if not satisfied[entry[0]]]
         if not entries:
             return
         with profile.phase(PHASE_SWEEPLINE):
-            items = self._level_items(self.layout.cell(cell_name), metal_layer)
-            windows = [via.mbr.inflated(value) for _, via in entries]
-            candidates: Dict[int, List[Polygon]] = {}
+            cell = self.layout.cell(cell_name)
+            rings = cell.rings(metal_layer)
+            items = self._level_items(cell, metal_layer)
+            windows = [shape_mbr(via).inflated(value) for _, via in entries]
+            candidates: Dict[int, List[Shape]] = {}
             of_child: Dict[int, List[int]] = {}
+            local: Dict[int, Shape] = {}
             for e, j in near_pairs(windows, [it.mbr for it in items]):
-                if items[j].polygon is not None:
-                    candidates.setdefault(e, []).append(items[j].polygon)
+                index = items[j].index
+                if index is not None:
+                    metal = local.get(j)
+                    if metal is None:
+                        metal = local[j] = ring_shape(rings.points(index), items[j].mbr)
+                    candidates.setdefault(e, []).append(metal)
                 else:
                     of_child.setdefault(j, []).append(e)
             # Margins scale under magnification: pull such a subtree's metal
@@ -479,22 +536,19 @@ class SequentialBackend:
                 index, via = entries[e]
                 if not satisfied[index] and procedures.satisfied(via, metals, value):
                     satisfied[index] = True
-        batches: Dict[str, List[Tuple[int, Polygon]]] = {}
         for j, paired in of_child.items():
-            if items[j].placement.preserves_distances:
-                inverse = invert(items[j].placement)
-                batch = batches.setdefault(items[j].cell_name, [])
+            item = items[j]
+            if item.placement.preserves_distances:
+                inverse = invert_row(rigid_row(item.placement))
+                batch = frontier.setdefault(item.cell_name, [])
                 for index, via in (entries[e] for e in paired):
                     if not satisfied[index]:
-                        batch.append((index, via.transformed(inverse)))
-        for child_name, batch in batches.items():
-            self._descend(
-                child_name, batch, satisfied, metal_layer, value, procedures, profile
-            )
+                        batch.append((index, _row_shape(via, inverse)))
 
-    def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Polygon]:
+    def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Shape]:
         window = self.tree.layer_mbr(cell_name, via_layer)
-        return self.subtree.polygons_in_window(cell_name, IDENTITY, via_layer, window)
+        polygons = self.subtree.polygons_in_window(cell_name, IDENTITY, via_layer, window)
+        return [p.mbr if p.is_rectangle else p for p in polygons]
 
     def _coloring(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
         """Double-patterning decomposition check (paper §II).
@@ -523,3 +577,26 @@ class SequentialBackend:
         self.pruning.checks_refreshed += stats.checks_refreshed
         self.pruning.pairs_considered += stats.pairs_considered
         self.pruning.pairs_pruned_mbr += stats.pairs_pruned_mbr
+
+
+def _ring_shapes(rings: Optional[RingBuffer]) -> List[Shape]:
+    """Every ring of a buffer as a shape, in its frame."""
+    if not rings:
+        return []
+    return [ring_shape(rings.points(index), rings.mbr(index)) for index in range(len(rings))]
+
+
+def _row_shape(shape: Shape, row: Row) -> Shape:
+    if isinstance(shape, Rect):
+        return row_rect(row, shape)
+    return shape.transformed(row_transform(row))
+
+
+def _placed_shapes(shapes: Sequence[Shape], placement: Transform) -> List[Shape]:
+    if placement.preserves_distances:
+        row = rigid_row(placement)
+        return [_row_shape(shape, row) for shape in shapes]
+    return [
+        placement.apply_rect(shape) if isinstance(shape, Rect) else shape.transformed(placement)
+        for shape in shapes
+    ]

@@ -25,15 +25,38 @@ EdgeRow = Tuple[int, int, int, int]
 EdgeRows = Tuple[List[EdgeRow], List[EdgeRow]]
 
 
-def signed_area2(vertices: Sequence[Point]) -> int:
+def signed_area2(vertices: Sequence[Tuple[int, int]]) -> int:
     """Twice the signed Shoelace area (positive for counter-clockwise)."""
     total = 0
-    n = len(vertices)
-    for i in range(n):
-        p = vertices[i]
-        q = vertices[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
+    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1]):
+        total += x1 * y2 - x2 * y1
     return total
+
+
+def edge_rows_of(ring: Sequence[Tuple[int, int]]) -> EdgeRows:
+    """:meth:`Polygon.edge_rows` of a clockwise ring given as ``(x, y)`` pairs
+    — a polygon's vertices, or a packed ring read off its buffer."""
+    horizontal: List[EdgeRow] = []
+    vertical: List[EdgeRow] = []
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
+        if y1 == y2 and x1 != x2:  # EAST travel has interior south (-1)
+            horizontal.append((y1, x1, x2, -1) if x1 < x2 else (y1, x2, x1, 1))
+        elif x1 == x2 and y1 != y2:  # NORTH travel has interior east (+1)
+            vertical.append((x1, y1, y2, 1) if y1 < y2 else (x1, y2, y1, -1))
+        else:
+            bad = Edge(Point(x1, y1), Point(x2, y2))
+            raise GeometryError(f"degenerate or non-rectilinear edge: {bad!r}")
+    return horizontal, vertical
+
+
+def is_rectangle_ring(ring: Sequence[Tuple[int, int]]) -> bool:
+    """:attr:`Polygon.is_rectangle` of a ring given as ``(x, y)`` pairs."""
+    if len(ring) != 4:
+        return False
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = ring
+    if x0 == x1:
+        return y1 == y2 and x2 == x3 and y3 == y0 and x0 != x2 and y0 != y2
+    return y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and x0 != x2 and y0 != y2
 
 
 class Polygon:
@@ -132,18 +155,7 @@ class Polygon:
         checks read of an edge (paper §IV-D). Built per call, never stored:
         a table pinned on every polygon a check touches raised peak RSS 4-6 %.
         """
-        horizontal: List[EdgeRow] = []
-        vertical: List[EdgeRow] = []
-        ring = self.vertices
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
-            if y1 == y2 and x1 != x2:  # EAST travel has interior south (-1)
-                horizontal.append((y1, x1, x2, -1) if x1 < x2 else (y1, x2, x1, 1))
-            elif x1 == x2 and y1 != y2:  # NORTH travel has interior east (+1)
-                vertical.append((x1, y1, y2, 1) if y1 < y2 else (x1, y2, y1, -1))
-            else:
-                bad = Edge(Point(x1, y1), Point(x2, y2))
-                raise GeometryError(f"degenerate or non-rectilinear edge: {bad!r}")
-        return horizontal, vertical
+        return edge_rows_of(self.vertices)
 
     @property
     def area(self) -> int:
@@ -175,12 +187,7 @@ class Polygon:
     @property
     def is_rectangle(self) -> bool:
         """True for a 4-ring of alternating axis-parallel, non-degenerate edges."""
-        if len(self.vertices) != 4:
-            return False
-        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.vertices
-        if x0 == x1:
-            return y1 == y2 and x2 == x3 and y3 == y0 and x0 != x2 and y0 != y2
-        return y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0 and x0 != x2 and y0 != y2
+        return is_rectangle_ring(self.vertices)
 
     # -- point location ------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from ..errors import GeometryError
 from .point import Point
@@ -168,3 +168,61 @@ def _matrix_of(rotation: int, mirror_x: bool, magnification: Scalar) -> tuple:
 
 
 IDENTITY = Transform()
+
+
+# ---------------------------------------------------------------------------
+# Rigid placements as integer rows ``(a, b, c, d, dx, dy)``: x' = a x + b y +
+# dx, y' = c x + d y + dy (the row layout of :mod:`repro.hierarchy.edgepack`).
+# Axis-aligned, so either b == c == 0 or a == d == 0; the determinant is -1
+# exactly for a mirroring placement.
+# ---------------------------------------------------------------------------
+
+Row = Tuple[int, int, int, int, int, int]
+
+IDENTITY_ROW: Row = (1, 0, 0, 1, 0, 0)
+
+_ORIENTATION_OF: Dict[tuple, Tuple[int, bool]] = {
+    _matrix_of(rotation, mirror, 1): (rotation, mirror)
+    for rotation in (0, 90, 180, 270)
+    for mirror in (False, True)
+}
+
+
+def rigid_row(transform: Transform) -> Row:
+    """The row of a placement with ``preserves_distances``."""
+    return transform._matrix + (transform.dx, transform.dy)
+
+
+def row_transform(row: Row) -> Transform:
+    """The placement a row stands for."""
+    rotation, mirror = _ORIENTATION_OF[row[:4]]
+    return Transform(row[4], row[5], rotation, mirror)
+
+
+def compose_rows(outer: Row, inner: Row) -> Row:
+    """``inner`` first, then ``outer`` (as :meth:`Transform.compose`)."""
+    a, b, c, d, dx, dy = outer
+    p, q, r, s, ex, ey = inner
+    return (
+        a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+        a * ex + b * ey + dx, c * ex + d * ey + dy,
+    )
+
+
+def invert_row(row: Row) -> Row:
+    """The inverse placement: the linear part is orthogonal, so its transpose."""
+    a, b, c, d, dx, dy = row
+    return (a, c, b, d, -(a * dx + c * dy), -(b * dx + d * dy))
+
+
+def row_rect(row: Row, rect: Rect) -> Rect:
+    """A non-empty rect under a row (as :meth:`Transform.apply_rect`)."""
+    a, b, c, d, dx, dy = row
+    xlo, ylo, xhi, yhi = rect
+    x1, x2 = a * xlo + b * ylo, a * xhi + b * yhi
+    y1, y2 = c * xlo + d * ylo, c * xhi + d * yhi
+    if x1 > x2:
+        x1, x2 = x2, x1
+    if y1 > y2:
+        y1, y2 = y2, y1
+    return Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy)

@@ -11,7 +11,7 @@ from .pruning import (
     always_invariant,
     area_invariant,
     distance_invariant,
-    gather_pair_polygons,
+    gather_pair_rings,
     level_items,
 )
 from .query import QueryStats, count_layer_range, invert, iter_layer_range, layer_range_query
@@ -28,7 +28,7 @@ __all__ = [
     "area_invariant",
     "count_layer_range",
     "distance_invariant",
-    "gather_pair_polygons",
+    "gather_pair_rings",
     "invert",
     "iter_layer_range",
     "layer_range_query",

@@ -20,13 +20,25 @@ numbers behind the paper's 37.6x sequential speedup over flat checking.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..checks.base import Violation
 from ..geometry import Polygon, Rect, Transform
-from ..layout.cell import Cell
+from ..geometry.transform import (
+    Row,
+    compose_rows,
+    invert_row,
+    rigid_row,
+    row_rect,
+    row_transform,
+)
+from ..layout.cell import Cell, RingBuffer
 from .query import pull_back_window
 from .tree import HierarchyTree
+
+#: A ring placed in some frame: its vertices as ``(x, y)`` pairs, clockwise,
+#: and its MBR there.
+PlacedRing = Tuple[Sequence[Tuple[int, int]], Rect]
 
 
 @dataclasses.dataclass
@@ -64,14 +76,20 @@ def always_invariant(transform: Transform) -> bool:
     return True
 
 
+#: A per-definition intra check: ``(rings, placement)`` -> the violations of
+#: the buffer's rings in its own frame (``placement=None``), or placed by a
+#: placement that breaks the rule's invariance.
+IntraCheck = Callable[[RingBuffer, Optional[Transform]], List[Violation]]
+
+
 class IntraCheckScheduler:
     """Runs an intra-polygon check once per cell definition, reusing per instance.
 
-    The check callable receives a cell and must return that cell's *local*
-    violations (from its own polygons only — child cells are handled by
-    their own definitions). The scheduler DFSes the hierarchy, tags each
-    definition on first encounter (scheduling exactly one real check), and
-    instantiates the memoised result through every placement transform.
+    The check reads one definition's local rings (child cells are handled by
+    their own definitions). Every definition holding the layer is checked
+    once, and only a definition with violations is walked per instance: its
+    markers are mapped through all of its top-frame placements
+    (:meth:`HierarchyTree.placements`) in one loop.
     """
 
     def __init__(self, tree: HierarchyTree) -> None:
@@ -81,39 +99,47 @@ class IntraCheckScheduler:
     def run(
         self,
         layer: int,
-        check: Callable[[Cell], List[Violation]],
+        check: IntraCheck,
         *,
         invariance: TransformInvariance = distance_invariant,
     ) -> List[Violation]:
         """All violations under the top cell, in top-cell coordinates."""
-        memo: Dict[str, List[Violation]] = {}
         out: List[Violation] = []
-
-        def definition_result(cell: Cell) -> List[Violation]:
-            cached = memo.get(cell.name)
-            if cached is None:
-                self.stats.checks_run += 1
-                cached = check(cell)
-                memo[cell.name] = cached
-            else:
-                self.stats.checks_reused += 1
-            return cached
-
-        for cell, transform in self.tree.iter_instances(layer=layer):
-            if not cell.rings(layer):
+        for name, (rows, magnified) in self.tree.placements(layer).items():
+            rings = self.tree.layout.cell(name).rings(layer)
+            if not rings:
                 continue
-            if invariance(transform):
-                for violation in definition_result(cell):
-                    out.append(violation.transformed(transform))
-            else:
-                # The placement breaks the invariant (e.g. magnification for
-                # a distance rule): re-run on the transformed geometry.
-                self.stats.checks_refreshed += 1
-                placed = Cell(cell.name)
-                for polygon in cell.polygons(layer):
-                    placed.add_polygon(layer, polygon.transformed(transform))
-                out.extend(check(placed))
+            # Rows are rigid, so every invariance keeps them.
+            kept = [t for t in magnified if invariance(t)]
+            count = len(rows) // 6 + len(kept)
+            if count:
+                self.stats.checks_run += 1
+                self.stats.checks_reused += count - 1
+                found = check(rings, None)
+                if found:
+                    out.extend(place_violations(found, rows))
+                    out.extend(v.transformed(t) for t in kept for v in found)
+            for t in magnified:
+                if not invariance(t):
+                    # e.g. a magnification under a distance rule: re-run on
+                    # the placed geometry.
+                    self.stats.checks_refreshed += 1
+                    out.extend(check(rings, t))
         return out
+
+
+def place_violations(violations: Sequence[Violation], rows: Sequence[int]) -> List[Violation]:
+    """``violations`` under each rigid placement of ``rows`` (six integers per
+    placement), placement-major: the pure-Python twin of
+    :func:`repro.hierarchy.edgepack.place_rects`."""
+    out: List[Violation] = []
+    for k in range(0, len(rows), 6):
+        row = rows[k : k + 6]
+        for v in violations:
+            out.append(
+                Violation(v.kind, v.layer, row_rect(row, v.region), v.measured, v.required, v.other_layer)
+            )
+    return out
 
 
 class SubtreeWindow:
@@ -121,8 +147,10 @@ class SubtreeWindow:
 
     At every hierarchy level, cross-boundary candidate pairs only need the
     geometry near the MBR overlap window; this helper descends one cell's
-    subtree, MBR-pruning against the window, and returns polygons in the
-    *parent* frame of the given placement.
+    subtree, MBR-pruning against the window, and returns the geometry in the
+    *parent* frame of the given placement: as polygons
+    (:meth:`polygons_in_regions`, for flat checks), or as placed rings read
+    straight off the ring buffers (:meth:`rings_in_window`).
     """
 
     def __init__(self, tree: HierarchyTree) -> None:
@@ -162,6 +190,54 @@ class SubtreeWindow:
             self._visit(cell_name, placement, layer, live, out)
         return out
 
+    def rings_in_window(
+        self,
+        cell_name: str,
+        placement: Transform,
+        layer: int,
+        window: Rect,
+    ) -> List[PlacedRing]:
+        """What :meth:`polygons_in_window` finds, as placed rings.
+
+        Under a rigid placement the subtree is walked in integer rows and
+        every ring is read off its buffer: no ``Polygon`` is built. A
+        magnification anywhere on the way falls back to the polygon gather
+        below it.
+        """
+        out: List[PlacedRing] = []
+        if window.is_empty:
+            return out
+        if placement.preserves_distances:
+            self._visit_rings(cell_name, rigid_row(placement), layer, window, out)
+        else:
+            polygons = self.polygons_in_window(cell_name, placement, layer, window)
+            out.extend((polygon.vertices, polygon.mbr) for polygon in polygons)
+        return out
+
+    def _visit_rings(
+        self, cell_name: str, row: Row, layer: int, window: Rect, out: List[PlacedRing]
+    ) -> None:
+        # The exact pre-image of the window: the row is orthogonal.
+        wxlo, wylo, wxhi, wyhi = row_rect(invert_row(row), window)
+        rings = self.tree.layout.cell(cell_name).rings(layer)
+        if rings:
+            table = iter(rings.mbrs)
+            for index, mbr in enumerate(zip(table, table, table, table)):
+                xlo, ylo, xhi, yhi = mbr
+                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                    out.append((rings.points(index, row), row_rect(row, mbr)))
+        for child_name, child_placement, (xlo, ylo, xhi, yhi) in self.tree.placed_children(
+            cell_name, layer
+        ):
+            if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                if child_placement.preserves_distances:
+                    inner = compose_rows(row, rigid_row(child_placement))
+                    self._visit_rings(child_name, inner, layer, window, out)
+                else:
+                    placement = row_transform(row).compose(child_placement)
+                    polygons = self.polygons_in_window(child_name, placement, layer, window)
+                    out.extend((polygon.vertices, polygon.mbr) for polygon in polygons)
+
     def _visit(
         self,
         cell_name: str,
@@ -200,43 +276,48 @@ class SubtreeWindow:
                     break
 
 
-@dataclasses.dataclass(frozen=True)
-class LevelItem:
-    """One sweep participant at a hierarchy level: a polygon or a child instance."""
+class LevelItem(NamedTuple):
+    """One sweep participant at a hierarchy level: a local ring or a child instance."""
 
     mbr: Rect  # *raw* MBR in the level's local frame (inflate at the use site)
-    polygon: Optional[Polygon] = None  # set for local polygons
+    index: Optional[int] = None  # local rings: the index in the level's buffer
     cell_name: Optional[str] = None  # set for child instances
     placement: Optional[Transform] = None
 
     @property
     def is_polygon(self) -> bool:
-        return self.polygon is not None
+        return self.index is not None
 
 
 def level_items(tree: HierarchyTree, cell: Cell, layer: int) -> List[LevelItem]:
-    """Sweep participants of one cell level for an intra-layer pair check."""
+    """Sweep participants of one cell level for an intra-layer pair check:
+    the local rings, off the MBR table, then every placed child."""
     items: List[LevelItem] = []
-    for polygon in cell.polygons(layer):
-        items.append(LevelItem(mbr=polygon.mbr, polygon=polygon))
+    rings = cell.rings(layer)
+    if rings:
+        table = iter(rings.mbrs)
+        for index, mbr in enumerate(zip(table, table, table, table)):
+            items.append(LevelItem(Rect._make(mbr), index))
     for child_name, placement, placed_mbr in tree.placed_children(cell.name, layer):
-        items.append(LevelItem(mbr=placed_mbr, cell_name=child_name, placement=placement))
+        items.append(LevelItem(placed_mbr, None, child_name, placement))
     return items
 
 
-def gather_pair_polygons(
+def gather_pair_rings(
+    rings: Optional[RingBuffer],
     item_a: LevelItem,
     item_b: LevelItem,
     subtree: SubtreeWindow,
     layer: int,
     rule_distance: int,
-) -> Tuple[List[Polygon], List[Polygon]]:
-    """Materialize the polygons of two level items near their interface.
+) -> Tuple[List[PlacedRing], List[PlacedRing]]:
+    """The rings of two level items near their interface, in the level's frame.
 
-    Any polygon of item A within ``rule_distance`` of a polygon of item B
-    lies inside ``inflate(mbr_B, rule_distance)`` and (being part of A)
-    inside ``inflate(mbr_A, rule_distance)``, so the intersection window of
-    the two rule-distance inflations is a complete capture region for both
+    ``rings`` is the level cell's buffer (the one local items index). Any
+    polygon of item A within ``rule_distance`` of a polygon of item B lies
+    inside ``inflate(mbr_B, rule_distance)`` and (being part of A) inside
+    ``inflate(mbr_A, rule_distance)``, so the intersection window of the
+    two rule-distance inflations is a complete capture region for both
     sides.
     """
     window = item_a.mbr.inflated(rule_distance).intersection(
@@ -245,10 +326,9 @@ def gather_pair_polygons(
     if window.is_empty:
         return [], []
 
-    def polygons_of(item: LevelItem) -> List[Polygon]:
-        if item.polygon is not None:
-            return [item.polygon] if item.polygon.mbr.overlaps(window) else []
-        assert item.cell_name is not None and item.placement is not None
-        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
+    def rings_of(item: LevelItem) -> List[PlacedRing]:
+        if item.index is not None:
+            return [(rings.points(item.index), item.mbr)] if item.mbr.overlaps(window) else []
+        return subtree.rings_in_window(item.cell_name, item.placement, layer, window)
 
-    return polygons_of(item_a), polygons_of(item_b)
+    return rings_of(item_a), rings_of(item_b)

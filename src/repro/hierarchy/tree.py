@@ -15,15 +15,22 @@ over a regular grid is the rect stretched across the grid's offset extent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from ..geometry import EMPTY_RECT, Rect, Transform
-from ..layout.cell import Cell, CellReference
+from ..geometry.transform import IDENTITY_ROW, compose_rows, rigid_row, row_transform
+from ..layout.cell import CellReference
 from ..layout.library import Layout
 
 
 #: One placement of a direct child: (cell name, placement, placed layer MBR).
 PlacedChild = Tuple[str, Transform, Rect]
+
+#: Where one definition sits under the top: its rigid placements as integer
+#: rows ``(a, b, c, d, dx, dy)`` six to a placement (see
+#: :data:`repro.geometry.transform.Row`), and the magnified ones as transforms.
+Placements = Tuple[array, List[Transform]]
 
 
 class HierarchyTree:
@@ -36,12 +43,15 @@ class HierarchyTree:
         #: cell name -> layer -> subtree MBR in that cell's local coordinates
         self._layer_mbrs: Dict[str, Dict[int, Rect]] = {}
         self._placed_children: Dict[Tuple[str, int], List[PlacedChild]] = {}
+        self._placements: Dict[int, Dict[str, Placements]] = {}
+        #: Every cell's name, children before parents.
+        self.order: List[str] = [cell.name for cell in layout.topological_order()]
         self._compute_mbrs()
 
     # -- construction -------------------------------------------------------
 
     def _compute_mbrs(self) -> None:
-        for cell in self.layout.topological_order():
+        for cell in map(self.layout.cell, self.order):
             mbrs: Dict[int, Rect] = {}
             for layer in cell.local_layers():
                 table = cell.rings(layer).mbrs  # xlo, ylo, xhi, yhi per ring
@@ -77,28 +87,6 @@ class HierarchyTree:
 
     # -- traversal -----------------------------------------------------------
 
-    def iter_instances(
-        self, *, layer: Optional[int] = None
-    ) -> Iterator[Tuple[Cell, Transform]]:
-        """All cell instances under the top, with accumulated transforms.
-
-        With ``layer`` given, subtrees without that layer are pruned — the
-        hierarchy descent of paper §IV-A.
-        """
-
-        def visit(cell: Cell, transform: Transform) -> Iterator[Tuple[Cell, Transform]]:
-            yield cell, transform
-            for ref in cell.references:
-                if layer is not None and not self.has_layer(ref.cell_name, layer):
-                    continue
-                child = self.layout.cell(ref.cell_name)
-                for placement in ref.placements():
-                    yield from visit(child, transform.compose(placement))
-
-        if layer is not None and not self.has_layer(self.top.name, layer):
-            return iter(())
-        return visit(self.top, Transform())
-
     def placed_children(self, cell_name: str, layer: int) -> List[PlacedChild]:
         """Every placement of a direct child holding ``layer``: (cell,
         placement, placed MBR in ``cell_name``'s frame), in reference order.
@@ -118,6 +106,52 @@ class HierarchyTree:
                 for placement in ref.placements():
                     table.append((ref.cell_name, placement, placement.apply_rect(child_mbr)))
             self._placed_children[key] = table
+        return table
+
+    def placements(self, layer: int) -> Dict[str, Placements]:
+        """Where every definition holding ``layer`` sits under the top, with
+        subtrees without the layer pruned (paper §IV-A): the top itself is
+        the identity row, and a child's placements are its parents' composed
+        with each of its references.
+
+        Built once per layer in one parents-first pass over :attr:`order`, in
+        integers; a placement under a magnification stays a ``Transform``
+        (one that composes back to magnification 1 becomes a row again).
+        Lock-free like :meth:`placed_children`.
+        """
+        table = self._placements.get(layer)
+        if table is None:
+            table = {}
+            if self.has_layer(self.top.name, layer):
+                table[self.top.name] = (array("q", IDENTITY_ROW), [])
+            for name in reversed(self.order):
+                placed = table.get(name)
+                if placed is None:
+                    continue
+                rows, magnified = placed
+                parents = [tuple(rows[k : k + 6]) for k in range(0, len(rows), 6)]
+                for ref in self.layout.cell(name).references:
+                    if not self.has_layer(ref.cell_name, layer):
+                        continue
+                    child_rows, child_magnified = table.setdefault(
+                        ref.cell_name, (array("q"), [])
+                    )
+                    for placement in ref.placements():
+                        if placement.preserves_distances:
+                            inner = rigid_row(placement)
+                            for outer in parents:
+                                child_rows.extend(compose_rows(outer, inner))
+                        else:
+                            child_magnified.extend(
+                                row_transform(outer).compose(placement) for outer in parents
+                            )
+                        for outer in magnified:
+                            composed = outer.compose(placement)
+                            if composed.preserves_distances:
+                                child_rows.extend(rigid_row(composed))
+                            else:
+                                child_magnified.append(composed)
+            self._placements[layer] = table
         return table
 
     def top_level_items(self, layer: int) -> List[PlacedChild]:

@@ -22,6 +22,7 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry import Point, Polygon, Rect, Transform
+from ..geometry.transform import Row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,6 +120,27 @@ class RingBuffer:
         raw = self.coords.tobytes()
         offsets = self.offsets
         return [raw[8 * a : 8 * b] for a, b in zip(offsets, offsets[1:])]
+
+    # -- one ring, read off the arrays ----------------------------------------
+
+    def mbr(self, index: int) -> Rect:
+        """Ring ``index``'s MBR, from the table."""
+        return Rect._make(self.mbrs[4 * index : 4 * index + 4])
+
+    def points(self, index: int, row: Optional[Row] = None) -> List[Tuple[int, int]]:
+        """Ring ``index``'s vertices as ``(x, y)`` pairs, clockwise, optionally
+        under a rigid placement row (a mirror's reversal undone, as
+        :meth:`Polygon.transformed` does)."""
+        coords = self.coords
+        start, stop = self.offsets[index], self.offsets[index + 1]
+        pairs = zip(coords[start:stop:2], coords[start + 1 : stop : 2])
+        if row is None:
+            return list(pairs)
+        a, b, c, d, dx, dy = row
+        ring = [(a * x + b * y + dx, c * x + d * y + dy) for x, y in pairs]
+        if a * d - b * c < 0:
+            ring.reverse()
+        return ring
 
     # -- mutation ----------------------------------------------------------
 

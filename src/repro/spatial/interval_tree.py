@@ -81,34 +81,53 @@ class IntervalTree(Generic[T]):
         node = self._root
         while node is not None:
             node.size += 1
-            if hi < node.key:
+            key = node.key
+            if hi < key:
                 node = node.left
-            elif lo > node.key:
+            elif lo > key:
                 node = node.right
             else:
                 bisect.insort(node.by_lo, (lo, hi, item))
                 bisect.insort(node.by_hi, (-hi, lo, item))
                 self._count += 1
                 return
+        self._resize(lo, hi, -1)
         raise ValueError(f"interval [{lo}, {hi}] contains no key of this tree's skeleton")
 
     def remove(self, lo: int, hi: int, item: T) -> None:
         """Remove a previously inserted interval; raises KeyError if absent."""
         node = self._root
-        path: List[_Node[T]] = []
         while node is not None:
-            path.append(node)
-            if hi < node.key:
+            node.size -= 1
+            key = node.key
+            if hi < key:
                 node = node.left
-            elif lo > node.key:
+            elif lo > key:
                 node = node.right
             else:
-                self._remove_from_node(node, lo, hi, item)
-                for visited in path:
-                    visited.size -= 1
+                try:
+                    self._remove_from_node(node, lo, hi, item)
+                except KeyError:
+                    self._resize(lo, hi, 1)
+                    raise
                 self._count -= 1
                 return
+        self._resize(lo, hi, 1)
         raise KeyError(f"interval [{lo}, {hi}] ({item!r}) not in tree")
+
+    def _resize(self, lo: int, hi: int, delta: int) -> None:
+        """Undo a failed update: add ``delta`` to the subtree sizes on the
+        search path of ``[lo, hi]``."""
+        node = self._root
+        while node is not None:
+            node.size += delta
+            key = node.key
+            if hi < key:
+                node = node.left
+            elif lo > key:
+                node = node.right
+            else:
+                return
 
     @staticmethod
     def _remove_from_node(node: _Node[T], lo: int, hi: int, item: T) -> None:

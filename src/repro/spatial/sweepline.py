@@ -10,6 +10,7 @@ first, so boundary contact must be reported.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry import Rect
@@ -25,16 +26,16 @@ def iter_overlapping_pairs(rects: Sequence[Rect]) -> Iterator[Tuple[int, int]]:
     Empty rects never participate. Each pair is reported exactly once.
     """
     events = _build_events(rects)
-    keys = [r.xlo for r in rects if not r.is_empty]
-    tree: IntervalTree[int] = IntervalTree(keys or [0])
+    tree: IntervalTree[int] = IntervalTree([rects[index][0] for _, _, index in events] or [0])
+    query, insert, remove = tree.query, tree.insert, tree.remove
     for _, kind, index in events:
-        rect = rects[index]
+        xlo, _, xhi, _ = rects[index]
         if kind == _ENTER:
-            for other in tree.query(rect.xlo, rect.xhi):
+            for other in query(xlo, xhi):
                 yield (other, index) if other < index else (index, other)
-            tree.insert(rect.xlo, rect.xhi, index)
+            insert(xlo, xhi, index)
         else:
-            tree.remove(rect.xlo, rect.xhi, index)
+            remove(xlo, xhi, index)
 
 
 def report_overlapping_pairs(rects: Sequence[Rect]) -> List[Tuple[int, int]]:
@@ -48,31 +49,39 @@ def iter_bipartite_overlaps(
     """Yield ``(i, j)`` with ``left[i]`` overlapping ``right[j]`` (closed).
 
     One sweep over both populations; used for inter-layer checks (e.g. via
-    enclosure candidates) where only cross pairs matter.
+    enclosure candidates) where only cross pairs matter. Each side keeps its
+    own status tree, so an entering rect queries only the other side's, and
+    only the rects whose y-span meets the other side's ever enter one.
     """
-    sides = [left, right]
+    live = (_in_band(left, right), _in_band(right, left))
     events: List[Tuple[int, int, int, int]] = []  # (-y, kind, side, index)
-    for side, rects in enumerate(sides):
-        for index, rect in enumerate(rects):
-            if rect.is_empty:
-                continue
-            events.append((-rect.yhi, _ENTER, side, index))
-            events.append((-rect.ylo, _EXIT, side, index))
+    for side, rects in enumerate((left, right)):
+        for index in live[side]:
+            _, ylo, _, yhi = rects[index]
+            events.append((-yhi, _ENTER, side, index))
+            events.append((-ylo, _EXIT, side, index))
     events.sort()
-    keys = [r.xlo for rects in sides for r in rects if not r.is_empty]
-    tree: IntervalTree[Tuple[int, int]] = IntervalTree(keys or [0])
+    trees = (
+        IntervalTree([left[index][0] for index in live[0]] or [0]),
+        IntervalTree([right[index][0] for index in live[1]] or [0]),
+    )
     for _, kind, side, index in events:
-        rect = sides[side][index]
-        if kind == _ENTER:
-            for other_side, other_index in tree.query(rect.xlo, rect.xhi):
-                if other_side != side:
-                    if side == 0:
-                        yield (index, other_index)
-                    else:
-                        yield (other_index, index)
-            tree.insert(rect.xlo, rect.xhi, (side, index))
+        if side == 0:
+            xlo, _, xhi, _ = left[index]
+            if kind == _ENTER:
+                for other in trees[1].query(xlo, xhi):
+                    yield index, other
+                trees[0].insert(xlo, xhi, index)
+            else:
+                trees[0].remove(xlo, xhi, index)
         else:
-            tree.remove(rect.xlo, rect.xhi, (side, index))
+            xlo, _, xhi, _ = right[index]
+            if kind == _ENTER:
+                for other in trees[0].query(xlo, xhi):
+                    yield other, index
+                trees[1].insert(xlo, xhi, index)
+            else:
+                trees[1].remove(xlo, xhi, index)
 
 
 #: Rect pairs up to which the direct double loop beats building sweep events
@@ -90,10 +99,12 @@ def near_pairs(left: Sequence[Rect], right: Sequence[Rect]) -> Iterator[Tuple[in
     if len(left) * len(right) > _BRUTE_PAIRS:
         yield from iter_bipartite_overlaps(left, right)
         return
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            if a.overlaps(b):
-                yield (i, j)
+    boxes = [(j, box) for j, box in enumerate(right) if box[0] <= box[2] and box[1] <= box[3]]
+    for i, (xlo, ylo, xhi, yhi) in enumerate(left):
+        if xlo <= xhi and ylo <= yhi:
+            for j, (bxlo, bylo, bxhi, byhi) in boxes:
+                if bxlo <= xhi and xlo <= bxhi and bylo <= yhi and ylo <= byhi:
+                    yield (i, j)
 
 
 def brute_force_pairs(rects: Sequence[Rect]) -> List[Tuple[int, int]]:
@@ -126,14 +137,35 @@ def sweep(
     return pairs
 
 
+def _in_band(rects: Sequence[Rect], others: Sequence[Rect]) -> List[int]:
+    """Indices of the non-empty ``rects`` whose y-span meets a non-empty one
+    of ``others``: against the merged union of their y-spans, bisected."""
+    band_lo: List[int] = []
+    band_hi: List[int] = []
+    for lo, hi in sorted((ylo, yhi) for xlo, ylo, xhi, yhi in others if xlo <= xhi and ylo <= yhi):
+        if band_hi and lo <= band_hi[-1]:
+            if hi > band_hi[-1]:
+                band_hi[-1] = hi
+        else:
+            band_lo.append(lo)
+            band_hi.append(hi)
+    keep: List[int] = []
+    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
+        if xlo <= xhi and ylo <= yhi:
+            # The last band starting at or below yhi reaches highest of those.
+            k = bisect_right(band_lo, yhi) - 1
+            if k >= 0 and band_hi[k] >= ylo:
+                keep.append(index)
+    return keep
+
+
 def _build_events(rects: Sequence[Rect]) -> List[Tuple[int, int, int]]:
     events: List[Tuple[int, int, int]] = []
-    for index, rect in enumerate(rects):
-        if rect.is_empty:
-            continue
-        # Sort key -y gives descending y; ENTER(0) < EXIT(1) keeps touching
-        # rects (one's bottom at another's top) paired.
-        events.append((-rect.yhi, _ENTER, index))
-        events.append((-rect.ylo, _EXIT, index))
+    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
+        if xlo <= xhi and ylo <= yhi:
+            # Sort key -y gives descending y; ENTER(0) < EXIT(1) keeps touching
+            # rects (one's bottom at another's top) paired.
+            events.append((-yhi, _ENTER, index))
+            events.append((-ylo, _EXIT, index))
     events.sort()
     return events

@@ -19,6 +19,8 @@ from repro.hierarchy.edgepack import EdgeBufferPair, RectBuffer, _int_matrix
 from repro.hierarchy.pruning import LevelItem
 from repro.hierarchy.tree import HierarchyTree
 
+from .reference_sequential import iter_instances
+
 _INT = np.int64
 
 
@@ -240,6 +242,11 @@ class RecursiveRectPacker:
         return RectBuffer(transform_rects(child.rects, placement), child.all_rect)
 
 
+def _local_polygon(packer, item: LevelItem) -> Polygon:
+    """The top-cell polygon a top-level item indexes."""
+    return packer.tree.top.rings(packer.layer).polygon(item.index)
+
+
 def row_edge_buffers(
     row_items: Sequence[LevelItem], packer: RecursiveEdgePacker
 ) -> EdgeBufferPair:
@@ -247,7 +254,7 @@ def row_edge_buffers(
     directly, child instances through the per-definition buffers."""
     parts_v = []
     parts_h = []
-    local_polys = [item.polygon for item in row_items if item.polygon is not None]
+    local_polys = [_local_polygon(packer, item) for item in row_items if item.index is not None]
     offset = 0
     if local_polys:
         packed = pack_edges(local_polys)
@@ -255,7 +262,7 @@ def row_edge_buffers(
         parts_h.append(packed["h"])
         offset = len(local_polys)
     for item in row_items:
-        if item.polygon is not None:
+        if item.index is not None:
             continue
         pair = packer.instance_buffer(item.cell_name, item.placement, offset)
         offset += pair.num_polygons
@@ -275,8 +282,8 @@ def row_rect_buffer(row_items: Sequence[LevelItem], packer: RecursiveRectPacker)
     all_rect = True
     local: List[Polygon] = []
     for item in row_items:
-        if item.polygon is not None:
-            local.append(item.polygon)
+        if item.index is not None:
+            local.append(_local_polygon(packer, item))
         else:
             buf = packer.instance_rects(item.cell_name, item.placement)
             all_rect = all_rect and buf.all_rect
@@ -298,7 +305,7 @@ def definition_instances(
     definitions: List[Tuple[str, Sequence[Polygon]]] = []
     def_index_of: Dict[str, int] = {}
     instances: Dict[int, List[Transform]] = {}
-    for cell, transform in tree.iter_instances(layer=layer):
+    for cell, transform in iter_instances(tree, layer=layer):
         polys = cell.polygons(layer)
         if not polys:
             continue

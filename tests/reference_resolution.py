@@ -16,13 +16,14 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.core.sequential import SequentialBackend
 from repro.geometry import Polygon, Rect, Transform
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.query import pull_back_window
 from repro.layout import CellReference, Layout, Repetition
 from repro.spatial.sweepline import near_pairs
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
+
+from .reference_sequential import ReferenceSequentialBackend
 
 
 class ReferenceSubtreeWindow(SubtreeWindow):
@@ -52,8 +53,9 @@ class ReferenceSubtreeWindow(SubtreeWindow):
                 self._visit(ref.cell_name, composed, layer, windows, out)
 
 
-class ReferenceBackend(SequentialBackend):
-    """The sequential backend with the union-window resolution and gather."""
+class ReferenceBackend(ReferenceSequentialBackend):
+    """The ``Polygon``-based sequential backend with the union-window
+    resolution and gather."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -71,6 +73,7 @@ class ReferenceBackend(SequentialBackend):
         if not vias:
             return []
         cell = self.layout.cell(cell_name)
+        rings = cell.rings(metal_layer)
         with profile.phase(PHASE_SWEEPLINE):
             items = self.caches.level_items(cell, metal_layer)
             windows = [via.mbr.inflated(value) for via in vias]
@@ -81,8 +84,8 @@ class ReferenceBackend(SequentialBackend):
         satisfied = [False] * len(vias)
         for j, via_indices in vias_of_item.items():
             item = items[j]
-            if item.polygon is not None:
-                metals = [item.polygon]
+            if item.index is not None:
+                metals = [rings.polygon(item.index)]
             else:
                 # One descent for all vias paired with this item: gather the
                 # metal overlapping the union of their windows, then assign

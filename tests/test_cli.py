@@ -59,8 +59,10 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "edge-checks" in out
         names, values = out.splitlines()[-1].split(": ")
-        assert names == "checks_run / checks_reused / pairs_considered / pairs_pruned_mbr"
-        assert all(v.isdigit() for v in values.split(" / ")) and values.count("/") == 3
+        assert names == (
+            "checks_run / checks_reused / checks_refreshed / pairs_considered / pairs_pruned_mbr"
+        )
+        assert all(v.isdigit() for v in values.split(" / ")) and values.count("/") == 4
 
     def test_custom_deck(self, uart_gds, tmp_path, capsys):
         deck = tmp_path / "deck.py"

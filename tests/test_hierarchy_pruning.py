@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repro.checks import check_polygon_width
+from repro.checks.width import check_ring_width, check_width
 from repro.geometry import IDENTITY, Polygon, Rect, Transform
 from repro.hierarchy import (
     HierarchyTree,
@@ -15,6 +15,7 @@ from repro.hierarchy import (
 from repro.layout import CellReference, Layout, Repetition
 
 from .reference_resolution import METAL, ORIENTATIONS, ReferenceSubtreeWindow, random_hierarchy
+from .reference_sequential import iter_instances
 
 
 def many_instances_layout(n=20) -> Layout:
@@ -34,12 +35,12 @@ class TestIntraScheduler:
         scheduler = IntraCheckScheduler(tree)
         calls = []
 
-        def check(cell):
-            calls.append(cell.name)
-            return check_polygon_width(cell.polygons(1)[0], 1, 10)
+        def check(rings, placement):
+            calls.append((rings, placement))
+            return check_ring_width(rings, 1, 10)
 
         violations = scheduler.run(1, check)
-        assert calls == ["leaf"]
+        assert calls == [(tree.layout.cell("leaf").rings(1), None)]
         assert len(violations) == 20  # one per instance
         assert scheduler.stats.checks_run == 1
         assert scheduler.stats.checks_reused == 19
@@ -47,9 +48,7 @@ class TestIntraScheduler:
     def test_violations_transformed_per_instance(self):
         tree = HierarchyTree(many_instances_layout(3))
         scheduler = IntraCheckScheduler(tree)
-        violations = scheduler.run(
-            1, lambda cell: check_polygon_width(cell.polygons(1)[0], 1, 10)
-        )
+        violations = scheduler.run(1, lambda rings, placement: check_ring_width(rings, 1, 10))
         regions = sorted(v.region for v in violations)
         assert regions[0] == Rect(0, 0, 5, 100)
         assert regions[1] == Rect(500, 0, 505, 100)
@@ -65,7 +64,9 @@ class TestIntraScheduler:
         scheduler = IntraCheckScheduler(HierarchyTree(layout))
         violations = scheduler.run(
             1,
-            lambda cell: check_polygon_width(cell.polygons(1)[0], 1, 10),
+            lambda rings, placement: check_width(
+                [p.transformed(placement) if placement else p for p in rings.polygons()], 1, 10
+            ),
             invariance=distance_invariant,
         )
         # magnified copy is 15 wide: passes; only the unit instance violates
@@ -219,5 +220,5 @@ class TestGatherMatchesReference:
             subtree.polygons_in_regions(cell_name, placement, METAL, windows)
             monkeypatch.setattr(Transform, "compose", compose)
             assert len(calls) <= bound
-            whole = sum(1 for _ in tree.iter_instances(layer=METAL)) - 1
+            whole = sum(1 for _ in iter_instances(tree, layer=METAL)) - 1
             assert bound < whole  # the windows are small: most subtrees stay uncomposed

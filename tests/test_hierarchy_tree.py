@@ -1,6 +1,14 @@
+from collections import Counter
+
+import pytest
+
 from repro.geometry import EMPTY_RECT, Polygon, Rect, Transform
+from repro.geometry.transform import row_transform
 from repro.hierarchy import HierarchyTree, reference_mbr
 from repro.layout import CellReference, Layout, Repetition
+
+from .reference_resolution import METAL, VIA, random_hierarchy
+from .reference_sequential import iter_instances
 
 
 def build_layout() -> Layout:
@@ -77,24 +85,47 @@ class TestReferenceMbr:
 
 
 class TestInstances:
-    def test_iter_instances_counts(self):
+    def test_placement_counts(self):
         tree = HierarchyTree(build_layout())
-        instances = list(tree.iter_instances())
-        names = [cell.name for cell, _ in instances]
-        assert names.count("leaf") == 1
-        assert names.count("top") == 1
+        table = tree.placements(1)
+        assert len(table["leaf"][0]) == 6 and table["leaf"][1] == []
+        assert len(table["top"][0]) == 6
 
-    def test_iter_instances_layer_pruning(self):
+    def test_placements_layer_pruning(self):
         tree = HierarchyTree(build_layout())
-        names = [cell.name for cell, _ in tree.iter_instances(layer=1)]
-        assert "metal_only" not in names
-        assert "leaf" in names
+        assert "metal_only" not in tree.placements(1)
+        assert "leaf" in tree.placements(1)
+        assert "metal_only" in tree.placements(2)
 
     def test_accumulated_transform(self):
         tree = HierarchyTree(build_layout())
-        for cell, transform in tree.iter_instances():
-            if cell.name == "leaf":
-                assert (transform.dx, transform.dy) == (100, 50)
+        rows, _ = tree.placements(1)["leaf"]
+        assert tuple(rows) == (1, 0, 0, 1, 100, 50)
+
+    def test_magnified_placements_stay_transforms(self):
+        layout = build_layout()
+        layout.cell("top").add_reference(CellReference("mid", Transform(dx=7, magnification=2)))
+        tree = HierarchyTree(layout)
+        rows, magnified = tree.placements(1)["leaf"]
+        assert len(rows) == 6
+        assert magnified == [Transform(dx=7, magnification=2).compose(Transform(dx=100))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_placements_equal_the_instance_walk(self, seed):
+        """Rows and magnified transforms cover every instance the reference
+        walk visits, all 8 orientations and AREFs included."""
+        tree = HierarchyTree(random_hierarchy(seed))
+        for layer in (VIA, METAL):
+            want = Counter(
+                (cell.name, transform)
+                for cell, transform in iter_instances(tree, layer=layer)
+            )
+            got = Counter()
+            for name, (rows, magnified) in tree.placements(layer).items():
+                for k in range(0, len(rows), 6):
+                    got[name, row_transform(tuple(rows[k : k + 6]))] += 1
+                got.update((name, transform) for transform in magnified)
+            assert got == want
 
     def test_top_level_items(self):
         tree = HierarchyTree(build_layout())

@@ -174,8 +174,8 @@ class TestBuffersEqualTheReferencePackers:
         for index, row in enumerate(member_rows):
             polygons = []
             for item in (items[m] for m in row):
-                if item.polygon is not None:
-                    polygons.append(item.polygon)
+                if item.index is not None:
+                    polygons.append(tree.top.rings(METAL).polygon(item.index))
                 else:
                     polygons.extend(
                         p.transformed(item.placement)

@@ -77,3 +77,15 @@ class TestMagnifiedEngine:
         regions = {v.region for v in report.results[0].violations}
         assert Rect(36, 0, 46, 300) in regions  # the plain top wire
         assert len(regions) == 1  # magnified instance passes
+
+    def test_refreshed_check_is_counted(self):
+        """A magnified placement re-runs a distance rule on the placed
+        geometry; the run's stats say so, and the reuse ratio follows."""
+        layout = build()
+        layout.cell("top").add_reference(CellReference("leaf", Transform(dx=500)))
+        rule = layer(1).width().greater_than(20)
+        stats = Engine(mode="sequential").check(layout, rules=[rule]).results[0].stats
+        assert stats["checks_refreshed"] >= 1
+        assert (stats["checks_run"], stats["checks_reused"]) == (2, 0)
+        total = stats["checks_run"] + stats["checks_reused"] + stats["checks_refreshed"]
+        assert stats["checks_reused"] / total == 0.0

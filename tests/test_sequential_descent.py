@@ -4,12 +4,14 @@ The engine's definition-frame descent is held, marker for marker, to the
 union-window resolution it replaced (``tests/reference_resolution.py``) and
 to the flat checks on flattened layers, on generated 3-level hierarchies;
 the counting tests pin what the descent must not do: gather for a via it
-resolves, transform metal, or enter a definition once per placement.
+resolves, transform metal, or enter a definition more than once per
+resolution, however many parents place it.
 """
 
 import pytest
 
 from repro.checks import check_enclosure, sort_violations
+from repro.checks.base import as_polygon
 from repro.checks.overlap import check_min_overlap
 from repro.core.plan import kind_spec
 from repro.core.rules import RuleKind, layer
@@ -17,6 +19,7 @@ from repro.core.sequential import SequentialBackend
 from repro.geometry import Polygon, Transform
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.layout import CellReference, Layout
+from repro.layout.cell import RingBuffer
 from repro.layout.flatten import flatten_layer
 from repro.util.profile import PhaseProfile
 
@@ -26,7 +29,6 @@ from .reference_resolution import (
     MIN_OVERLAP,
     PLANTED,
     VIA,
-    VIA_SIDE,
     ReferenceBackend,
     random_hierarchy,
 )
@@ -40,7 +42,8 @@ SEEDS = range(8)
 
 
 class Recording:
-    """Cross-layer procedures that note each survivor and what the final check said."""
+    """Cross-layer procedures that note each survivor and what the final check
+    said; a via read off the ring tables as its MBR is noted as its polygon."""
 
     def __init__(self, kind):
         self._inner = kind_spec(kind).procedures()
@@ -51,9 +54,9 @@ class Recording:
 
     def violations(self, via, metals, via_layer, metal_layer, value):
         found = self._inner.violations(via, metals, via_layer, metal_layer, value)
-        self.survivors.append(via)
+        self.survivors.append(as_polygon(via))
         if not found:
-            self.cleared.append(via)
+            self.cleared.append(as_polygon(via))
         return found
 
 
@@ -120,17 +123,12 @@ def test_straddle_overlap_needs_both_cells_and_survives_to_the_top():
     assert all(via.mbr != PLANTED["straddle"] for via in old.survivors)
 
 
-def is_metal(polygon: Polygon) -> bool:
-    return min(polygon.mbr.width, polygon.mbr.height) > VIA_SIDE
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rigid_layout_gathers_for_survivors_only_and_moves_no_metal(seed, monkeypatch):
     layout = random_hierarchy(seed, magnified=False)
-    gathers, gathering, moved_metal, entered = [], [], [], []
-    gather, transformed, descend = (
-        SubtreeWindow.polygons_in_window, Polygon.transformed, SequentialBackend._descend
-    )
+    gathers, gathering, moved_metal, views, entered = [], [], [], [], []
+    gather, points, polygon = SubtreeWindow.rings_in_window, RingBuffer.points, RingBuffer.polygon
+    resolve_vias, descend = SequentialBackend._resolve_vias, SequentialBackend._descend
 
     def counting_gather(self, *args):
         gathers.append(args)
@@ -140,30 +138,38 @@ def test_rigid_layout_gathers_for_survivors_only_and_moves_no_metal(seed, monkey
         finally:
             gathering.pop()
 
-    def counting_transformed(self, transform):
-        if is_metal(self) and not gathering:
-            moved_metal.append(self)
-        return transformed(self, transform)
+    def counting_points(self, index, row=None):
+        if row is not None and not gathering:
+            moved_metal.append((self, index))
+        return points(self, index, row)
 
-    depth = []
+    def counting_polygon(self, index):
+        views.append(index)
+        return polygon(self, index)
+
+    def counting_resolve(self, *args):
+        entered.append([])
+        return resolve_vias(self, *args)
 
     def counting_descend(self, cell_name, *args):
-        entered.append((tuple(depth), cell_name))
-        depth.append(len(entered))
-        try:
-            return descend(self, cell_name, *args)
-        finally:
-            depth.pop()
+        entered[-1].append(cell_name)
+        return descend(self, cell_name, *args)
 
-    monkeypatch.setattr(SubtreeWindow, "polygons_in_window", counting_gather)
-    monkeypatch.setattr(Polygon, "transformed", counting_transformed)
+    monkeypatch.setattr(SubtreeWindow, "rings_in_window", counting_gather)
+    monkeypatch.setattr(RingBuffer, "points", counting_points)
+    monkeypatch.setattr(RingBuffer, "polygon", counting_polygon)
+    monkeypatch.setattr(SequentialBackend, "_resolve_vias", counting_resolve)
     monkeypatch.setattr(SequentialBackend, "_descend", counting_descend)
     _, procedures = resolve(SequentialBackend, layout, RULES[0])
-    assert procedures.survivors
-    assert len(gathers) == len(procedures.survivors)
-    assert moved_metal == []
-    # Under one parent step every definition is entered at most once.
-    assert len(entered) == len(set(entered))
+    assert procedures.survivors and gathers
+    # Only the final check gathers, and only around a survivor.
+    windows = {via.mbr.inflated(ENCLOSURE) for via in procedures.survivors}
+    assert {window for _, _, _, window in gathers} <= windows
+    assert moved_metal == [] and views == []
+    # One resolution enters every definition at most once, whatever the
+    # number of its parents and placements.
+    for names in entered:
+        assert len(names) == len(set(names))
 
 
 def test_definition_placed_k_times_is_entered_once():
