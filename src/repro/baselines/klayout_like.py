@@ -40,7 +40,7 @@ from ..core.results import CheckReport, CheckResult
 from ..core.rules import Rule, RuleKind
 from ..geometry import Polygon
 from ..geometry.booleans import union_polygons
-from ..hierarchy.pruning import LevelItem, SubtreeWindow, level_items
+from ..hierarchy.pruning import SubtreeWindow, gather_pair_polygons, level_items
 from ..hierarchy.tree import HierarchyTree
 from ..layout.flatten import flatten_layer
 from ..layout.library import Layout
@@ -189,6 +189,7 @@ class KLayoutLikeChecker:
             for polygon in cell.polygons(layer):
                 vios.extend(spacing_notch_violations(polygon, layer, value))
             items = level_items(tree, cell, layer)
+            rings = cell.rings(layer)
             margin = margin_for_rule(value)
             # Quadratic candidate loop — deep mode's hierarchical analysis
             # cost, with per-pair full-window flattening.
@@ -197,7 +198,9 @@ class KLayoutLikeChecker:
                 for j in range(i + 1, len(items)):
                     if not mbr_i.overlaps(items[j].mbr.inflated(margin)):
                         continue
-                    side_a, side_b = _gather(cell, items[i], items[j], subtree, layer, value)
+                    side_a, side_b = gather_pair_polygons(
+                        rings, items[i], items[j], subtree, layer, value
+                    )
                     for pa in side_a:
                         window = pa.mbr.inflated(value)
                         for pb in side_b:
@@ -328,21 +331,6 @@ def _intra_flat(rule: Rule, polygons: Sequence[Polygon], layer: int) -> List[Vio
     if rule.kind is RuleKind.ENSURES:
         return check_ensures(polygons, layer, rule.predicate)
     raise NotImplementedError(rule.kind)
-
-
-def _gather(cell, item_a: LevelItem, item_b: LevelItem, subtree, layer: int, value: int):
-    """Both items' polygons in the overlap of their ``value``-inflated MBRs
-    (a complete capture region for every pair closer than ``value``)."""
-    window = item_a.mbr.inflated(value).intersection(item_b.mbr.inflated(value))
-    if window.is_empty:
-        return [], []
-
-    def polygons_of(item: LevelItem) -> List[Polygon]:
-        if item.index is not None:
-            return [cell.rings(layer).polygon(item.index)] if item.mbr.overlaps(window) else []
-        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
-
-    return polygons_of(item_a), polygons_of(item_b)
 
 
 def _critical_path(tile_times: List[float], workers: int) -> float:

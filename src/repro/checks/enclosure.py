@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..geometry import Polygon, Rect
+from ..geometry import Polygon
 from ..spatial.sweepline import near_pairs
-from .base import Shape, Violation, ViolationKind, as_polygon, shape_mbr
+from .base import Shape, Violation, ViolationKind, as_polygon, is_box, shape_mbr
 
 
 def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
@@ -32,7 +32,7 @@ def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
     inner, outer = shape_mbr(via), shape_mbr(metal)
     if not outer.contains_rect(inner):
         return None
-    if _is_box(via) and _is_box(metal):
+    if is_box(via) and is_box(metal):
         # Two boxes, one inside the other: each via side faces exactly the
         # metal side of the same name.
         return min(
@@ -63,10 +63,6 @@ def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
         if not metal.contains_point(vertex):
             return None
     return worst
-
-
-def _is_box(shape: Shape) -> bool:
-    return isinstance(shape, Rect) or shape.is_rectangle
 
 
 def enclosure_pair_violations(

@@ -22,19 +22,21 @@ and carries no kind table of its own.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checks.base import Shape, Violation, ring_shape, shape_mbr
-from ..geometry import IDENTITY, Rect, Transform, union_all
-from ..geometry.polygon import is_rectangle_ring
-from ..geometry.transform import (
-    Row,
-    compose_rows,
-    invert_row,
-    rigid_row,
-    row_rect,
-    row_transform,
+from ..checks.base import (
+    Shape,
+    Violation,
+    placed_shapes,
+    polygon_shape,
+    ring_shape,
+    row_shape,
+    shape_mbr,
 )
+from ..geometry import IDENTITY, Transform, union_all
+from ..geometry.polygon import is_rectangle_ring
+from ..geometry.transform import compose_rows, invert_row, rigid_row
 from ..hierarchy.pruning import (
     IntraCheckScheduler,
     LevelItem,
@@ -415,7 +417,7 @@ class SequentialBackend:
                     self.pruning.checks_refreshed += 1
                     child_pending = self._all_subtree_vias(ref.cell_name, via_layer)
                 for placement in placements:
-                    candidates_pending.extend(_placed_shapes(child_pending, placement))
+                    candidates_pending.extend(placed_shapes(child_pending, placement))
             unresolved = self._resolve_vias(
                 cell_name, candidates_pending, metal_layer, value, procedures, profile
             )
@@ -459,22 +461,27 @@ class SequentialBackend:
         """Drop every via (in ``cell_name``'s frame) its subtree's metal satisfies.
 
         Vias are pushed down instead of metal pulled up (paper §IV-C reuse),
-        over one parents-first pass of the subtree's definitions: each
-        definition gathers the pending ``(index, via in its frame)`` entries
-        of *all* of its parents before it sweeps, so however many parents
-        place it, it is entered once (:meth:`_descend`).
+        parents first: each definition gathers the pending ``(index, via in
+        its frame)`` entries of *all* of its parents before it sweeps, so
+        however many parents place it, it is entered once (:meth:`_descend`).
+        The queued definitions sit in a max-heap on their topological
+        position, so a resolution touches only the definitions it enters.
         """
         satisfied = [False] * len(vias)
         frontier: Dict[str, List[Tuple[int, Shape]]] = {cell_name: list(enumerate(vias))}
-        order = self.tree.order
-        for name in reversed(order[: order.index(cell_name) + 1]):
-            entries = frontier.pop(name, None)
-            if entries is not None:
-                self._descend(
-                    name, entries, satisfied, frontier, metal_layer, value, procedures, profile
-                )
-            if not frontier:
-                break
+        queue = [-self.tree.position[cell_name]]
+        while queue:
+            name = self.tree.order[-heapq.heappop(queue)]
+            self._descend(
+                name,
+                frontier.pop(name),
+                satisfied,
+                (frontier, queue),
+                metal_layer,
+                value,
+                procedures,
+                profile,
+            )
         return [via for via, ok in zip(vias, satisfied) if not ok]
 
     def _descend(
@@ -482,7 +489,7 @@ class SequentialBackend:
         cell_name: str,
         entries: List[Tuple[int, Shape]],
         satisfied: List[bool],
-        frontier: Dict[str, List[Tuple[int, Shape]]],
+        frontier: Tuple[Dict[str, List[Tuple[int, Shape]]], List[int]],
         metal_layer: int,
         value: int,
         procedures,
@@ -490,7 +497,9 @@ class SequentialBackend:
     ) -> None:
         """One definition's step of the via descent.
 
-        ``entries`` are ``(index into satisfied, via in this cell's frame)``.
+        ``entries`` are ``(index into satisfied, via in this cell's frame)``;
+        ``frontier`` is the resolution's pending entries per definition and
+        its heap of their negated topological positions.
         One bipartite MBR sweep pairs via windows with this level's metal
         items; a via is judged once against all of its local candidates, and
         the vias paired with rigid child instances are mapped into the
@@ -536,19 +545,23 @@ class SequentialBackend:
                 index, via = entries[e]
                 if not satisfied[index] and procedures.satisfied(via, metals, value):
                     satisfied[index] = True
+        pending, queue = frontier
         for j, paired in of_child.items():
             item = items[j]
             if item.placement.preserves_distances:
                 inverse = invert_row(rigid_row(item.placement))
-                batch = frontier.setdefault(item.cell_name, [])
+                batch = pending.get(item.cell_name)
+                if batch is None:
+                    batch = pending[item.cell_name] = []
+                    heapq.heappush(queue, -self.tree.position[item.cell_name])
                 for index, via in (entries[e] for e in paired):
                     if not satisfied[index]:
-                        batch.append((index, _row_shape(via, inverse)))
+                        batch.append((index, row_shape(via, inverse)))
 
     def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Shape]:
         window = self.tree.layer_mbr(cell_name, via_layer)
         polygons = self.subtree.polygons_in_window(cell_name, IDENTITY, via_layer, window)
-        return [p.mbr if p.is_rectangle else p for p in polygons]
+        return list(map(polygon_shape, polygons))
 
     def _coloring(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
         """Double-patterning decomposition check (paper §II).
@@ -585,18 +598,3 @@ def _ring_shapes(rings: Optional[RingBuffer]) -> List[Shape]:
         return []
     return [ring_shape(rings.points(index), rings.mbr(index)) for index in range(len(rings))]
 
-
-def _row_shape(shape: Shape, row: Row) -> Shape:
-    if isinstance(shape, Rect):
-        return row_rect(row, shape)
-    return shape.transformed(row_transform(row))
-
-
-def _placed_shapes(shapes: Sequence[Shape], placement: Transform) -> List[Shape]:
-    if placement.preserves_distances:
-        row = rigid_row(placement)
-        return [_row_shape(shape, row) for shape in shapes]
-    return [
-        placement.apply_rect(shape) if isinstance(shape, Rect) else shape.transformed(placement)
-        for shape in shapes
-    ]

@@ -11,6 +11,7 @@ from .pruning import (
     always_invariant,
     area_invariant,
     distance_invariant,
+    gather_pair_polygons,
     gather_pair_rings,
     level_items,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "area_invariant",
     "count_layer_range",
     "distance_invariant",
+    "gather_pair_polygons",
     "gather_pair_rings",
     "invert",
     "iter_layer_range",

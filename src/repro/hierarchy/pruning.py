@@ -320,9 +320,7 @@ def gather_pair_rings(
     two rule-distance inflations is a complete capture region for both
     sides.
     """
-    window = item_a.mbr.inflated(rule_distance).intersection(
-        item_b.mbr.inflated(rule_distance)
-    )
+    window = _pair_window(item_a, item_b, rule_distance)
     if window.is_empty:
         return [], []
 
@@ -332,3 +330,29 @@ def gather_pair_rings(
         return subtree.rings_in_window(item.cell_name, item.placement, layer, window)
 
     return rings_of(item_a), rings_of(item_b)
+
+
+def gather_pair_polygons(
+    rings: Optional[RingBuffer],
+    item_a: LevelItem,
+    item_b: LevelItem,
+    subtree: SubtreeWindow,
+    layer: int,
+    rule_distance: int,
+) -> Tuple[List[Polygon], List[Polygon]]:
+    """:func:`gather_pair_rings` as ``Polygon`` objects in the level's frame,
+    for consumers that check flat polygons."""
+    window = _pair_window(item_a, item_b, rule_distance)
+    if window.is_empty:
+        return [], []
+
+    def polygons_of(item: LevelItem) -> List[Polygon]:
+        if item.index is not None:
+            return [rings.polygon(item.index)] if item.mbr.overlaps(window) else []
+        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
+
+    return polygons_of(item_a), polygons_of(item_b)
+
+
+def _pair_window(item_a: LevelItem, item_b: LevelItem, rule_distance: int) -> Rect:
+    return item_a.mbr.inflated(rule_distance).intersection(item_b.mbr.inflated(rule_distance))

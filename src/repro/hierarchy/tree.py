@@ -46,6 +46,8 @@ class HierarchyTree:
         self._placements: Dict[int, Dict[str, Placements]] = {}
         #: Every cell's name, children before parents.
         self.order: List[str] = [cell.name for cell in layout.topological_order()]
+        #: Each cell's index in :attr:`order`.
+        self.position: Dict[str, int] = {name: i for i, name in enumerate(self.order)}
         self._compute_mbrs()
 
     # -- construction -------------------------------------------------------

@@ -8,7 +8,8 @@ holds the engine to, marker for marker.
   definition, every marker transformed per instance, and a ``Cell`` rebuilt
   from placed polygons for a placement that breaks the rule's invariance;
 * :class:`ReferenceSequentialBackend` — the sequential backend with that
-  walk, the ``Polygon``-based pair gather, and pending ``Polygon`` vias
+  walk, the ``Polygon``-based pair gather
+  (:func:`~repro.hierarchy.pruning.gather_pair_polygons`), and pending ``Polygon`` vias
   resolved by a per-parent recursive descent.
 """
 
@@ -20,10 +21,10 @@ from repro.baselines.klayout_like import _intra_flat
 from repro.checks.base import Violation
 from repro.core.sequential import SequentialBackend
 from repro.geometry import IDENTITY, Polygon, Transform, union_all
-from repro.hierarchy.pruning import LevelItem, PruningStats, SubtreeWindow, distance_invariant
+from repro.hierarchy.pruning import PruningStats, distance_invariant, gather_pair_polygons
 from repro.hierarchy.query import invert
 from repro.hierarchy.tree import HierarchyTree
-from repro.layout.cell import Cell, RingBuffer
+from repro.layout.cell import Cell
 from repro.spatial.sweepline import near_pairs
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
 
@@ -83,29 +84,6 @@ class ReferenceIntraScheduler:
                     placed.add_polygon(layer, polygon.transformed(transform))
                 out.extend(check(placed))
         return out
-
-
-def gather_pair_polygons(
-    rings: Optional[RingBuffer],
-    item_a: LevelItem,
-    item_b: LevelItem,
-    subtree: SubtreeWindow,
-    layer: int,
-    rule_distance: int,
-) -> Tuple[List[Polygon], List[Polygon]]:
-    """Both items' polygons in the overlap of their rule-distance inflations,
-    materialised and transformed into the level's frame."""
-    window = item_a.mbr.inflated(rule_distance).intersection(item_b.mbr.inflated(rule_distance))
-    if window.is_empty:
-        return [], []
-
-    def polygons_of(item: LevelItem) -> List[Polygon]:
-        if item.index is not None:
-            polygon = rings.polygon(item.index)
-            return [polygon] if polygon.mbr.overlaps(window) else []
-        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
-
-    return polygons_of(item_a), polygons_of(item_b)
 
 
 class ReferenceSequentialBackend(SequentialBackend):

@@ -8,6 +8,8 @@ resolves, transform metal, or enter a definition more than once per
 resolution, however many parents place it.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.checks import check_enclosure, sort_violations
@@ -17,10 +19,12 @@ from repro.core.plan import kind_spec
 from repro.core.rules import RuleKind, layer
 from repro.core.sequential import SequentialBackend
 from repro.geometry import Polygon, Transform
-from repro.hierarchy.pruning import SubtreeWindow
+from repro.hierarchy.pruning import SubtreeWindow, level_items
+from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout
 from repro.layout.cell import RingBuffer
 from repro.layout.flatten import flatten_layer
+from repro.spatial.sweepline import near_pairs
 from repro.util.profile import PhaseProfile
 
 from .reference_resolution import (
@@ -162,9 +166,17 @@ def test_rigid_layout_gathers_for_survivors_only_and_moves_no_metal(seed, monkey
     monkeypatch.setattr(SequentialBackend, "_descend", counting_descend)
     _, procedures = resolve(SequentialBackend, layout, RULES[0])
     assert procedures.survivors and gathers
-    # Only the final check gathers, and only around a survivor.
-    windows = {via.mbr.inflated(ENCLOSURE) for via in procedures.survivors}
-    assert {window for _, _, _, window in gathers} <= windows
+    # Only the final check gathers: once per (survivor, child item near it)
+    # pair of its sweep over the top's level items, and nowhere else.
+    tree = HierarchyTree(layout)
+    items = level_items(tree, tree.top, METAL)
+    windows = [via.mbr.inflated(ENCLOSURE) for via in procedures.survivors]
+    expected = Counter(
+        (items[j].cell_name, items[j].placement, METAL, windows[e])
+        for e, j in near_pairs(windows, [item.mbr for item in items])
+        if items[j].index is None
+    )
+    assert Counter(gathers) == expected
     assert moved_metal == [] and views == []
     # One resolution enters every definition at most once, whatever the
     # number of its parents and placements.
