@@ -497,29 +497,27 @@ def cmd_waive(args: argparse.Namespace) -> int:
 def cmd_violations(args: argparse.Namespace) -> int:
     """Filter a marker database like ``GET /sessions/<id>/violations``.
 
-    Runs :func:`repro.reporting.filter_violations_payload` — the exact
-    function the serve daemon's ``/violations`` endpoint calls — on a local
-    marker database, so local and served filtered listings are
-    byte-identical (modulo the served session envelope).
+    Runs :func:`repro.reporting.filter_violations` — the exact function the
+    serve daemon's ``/violations`` endpoint calls — on a local marker
+    database, so local and served filtered listings are byte-identical
+    (modulo the served session envelope).
     """
-    from .core.markers import report_to_dict
-    from .reporting import SEVERITIES, filter_violations_payload
+    from .reporting import SEVERITIES, filter_violations
 
     if args.severity and args.severity not in SEVERITIES:
         raise SystemExit(
             f"--severity must be one of {SEVERITIES}, got {args.severity!r}"
         )
     report = _load_marker_db(args.markers)
-    payload = report_to_dict(report)
-    known = {entry["rule"] for entry in payload["results"]}
+    known = {result.rule.name for result in report.results}
     wanted = set(args.rule or [])
     if wanted and not wanted <= known:
         raise SystemExit(
             f"unknown rule(s): {sorted(wanted - known)}; database rules: "
             f"{sorted(known)}"
         )
-    filtered = filter_violations_payload(
-        payload,
+    filtered = filter_violations(
+        report.entries(),
         severity=args.severity,
         rules=args.rule or None,
         bbox=args.bbox,

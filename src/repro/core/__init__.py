@@ -25,7 +25,7 @@ _EXPORTS = {
     ".reportcache": "ReportCache deck_digest report_key",
     ".results": (
         "CheckReport CheckResult combine_results merge_reports merge_stats "
-        "splice_violations violation_from_json violation_to_json"
+        "splice_violations"
     ),
     ".rules": (
         "LayerSelector MeasureSelector PolygonSelector Rule RuleKind layer "

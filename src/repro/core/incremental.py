@@ -130,12 +130,13 @@ class WindowedBackend:
 
 def filter_to_regions(full: CheckReport, window: WindowsLike) -> CheckReport:
     """A full-extent report clipped to a region set: what the windowed
-    backend computes for the same deck and layout, by its own contract."""
+    backend computes for the same deck and layout, by its own contract. One
+    keep-mask per table, over the same :class:`RegionSet` predicate."""
     regions = RegionSet.of(window)
     results = [
         CheckResult(
             rule=result.rule,
-            violations=[v for v in result.violations if regions.overlaps(v.region)],
+            violations=result.table.select(result.table.overlapping(regions.rects)),
             seconds=0.0,
             stats={"window_filtered": 1},
         )
@@ -338,12 +339,13 @@ def recheck(
             regions = diff.regions_for(rule)
             old_result = baseline_results[rule.name]
             if regions is None:
-                # No involved layer changed: the cached result is exact.
+                # No involved layer changed: the cached result is exact,
+                # and its immutable table is shared, not copied.
                 disposition[rule.name] = "cached"
                 results.append(
                     CheckResult(
                         rule=rule,
-                        violations=list(old_result.violations),
+                        violations=old_result.table,
                         seconds=0.0,
                         stats={"recheck_cached": 1},
                     )
@@ -369,9 +371,7 @@ def recheck(
                 start = time.perf_counter()
                 backend = WindowedBackend(plan, regions)
                 fresh = backend.run(rule)
-                violations = splice_violations(
-                    old_result.violations, fresh, regions
-                )
+                violations = splice_violations(old_result.table, fresh, regions)
                 results.append(
                     CheckResult(
                         rule=rule,

@@ -29,18 +29,15 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..checks.base import Violation
 from ..errors import ReproError
 from ..geometry import Rect
-from ..reporting import apply_waivers_payload, marker_digest
-from .results import (
-    CheckReport,
-    CheckResult,
-    violation_from_json,
-    violation_to_json,
-)
+from ..reporting import WaiverFormatError, compile_waivers, row_digest, table_digests, waiver_mask
+from ..violation_table import ViolationTable
+from .results import CheckReport, CheckResult
 from .rules import Rule, RuleKind
 
 #: Version written by :func:`save_markers` (and for waiver files).
@@ -106,7 +103,7 @@ def report_from_dict(
         results = [
             CheckResult(
                 rule=rule,
-                violations=[violation_from_json(v) for v in entry["violations"]],
+                violations=ViolationTable.from_payload(entry["violations"]),
                 seconds=entry["seconds"],
                 stats=dict(entry.get("stats") or {}),
             )
@@ -175,11 +172,14 @@ def diff_markers(
 def violation_digest(violation: Violation) -> str:
     """Content digest of one violation (the geometry anchor of a waiver).
 
-    Delegates to :func:`repro.reporting.marker_digest` over the violation's
-    JSON form, so a digest computed here matches one computed client-side
-    from a served report payload.
+    Delegates to :func:`repro.reporting.row_digest`, as the client-side
+    :func:`~repro.reporting.marker_digest` of a served payload does, so the
+    two digests match.
     """
-    return marker_digest(violation_to_json(violation))
+    return row_digest(
+        violation.kind.value, violation.layer, violation.other_layer,
+        violation.region, violation.measured, violation.required,
+    )
 
 
 def apply_waivers(report: CheckReport, waivers: List[Dict]) -> CheckReport:
@@ -194,26 +194,22 @@ def apply_waivers(report: CheckReport, waivers: List[Dict]) -> CheckReport:
     visible in every output format. Returns a new report; the input is
     untouched.
     """
-    from ..reporting import WaiverFormatError
-
     try:
-        marked = apply_waivers_payload(report.payload(), waivers)
+        compiled = compile_waivers(waivers)
     except WaiverFormatError as error:
         raise MarkerError(str(error)) from None
-    results = []
-    for result, entry in zip(report.results, marked["results"]):
-        results.append(
-            CheckResult(
-                rule=result.rule,
-                violations=[
-                    v.waive() if flags["waived"] and not v.waived else v
-                    for v, flags in zip(result.violations, entry["violations"])
-                ],
-                seconds=result.seconds,
-                profile=result.profile,
-                stats=dict(result.stats),
-            )
+    results = [
+        CheckResult(
+            rule=result.rule,
+            violations=result.table.waive(
+                waiver_mask(result.rule.name, result.table, compiled)
+            ),
+            seconds=result.seconds,
+            profile=result.profile,
+            stats=dict(result.stats),
         )
+        for result in report.results
+    ]
     return CheckReport(report.layout_name, report.mode, results)
 
 
@@ -239,12 +235,11 @@ def waivers_for(
     for result in report.results:
         if wanted is not None and result.rule.name not in wanted:
             continue
-        for violation in result.violations:
-            if violation.waived:
+        table = result.table
+        near = table.overlapping([region]) if region is not None else repeat(True)
+        for digest, flag, hit in zip(table_digests(table), table.waived, near):
+            if flag or not hit:
                 continue
-            if region is not None and not region.overlaps(violation.region):
-                continue
-            digest = violation_digest(violation)
             key = (result.rule.name, digest)
             if key in seen:
                 continue

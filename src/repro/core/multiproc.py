@@ -46,12 +46,12 @@ fused segmented rows, checked by the same
 all rows. The packed edge / corner / rect buffers of the shard's rows
 travel through ``multiprocessing.shared_memory`` views
 (:mod:`repro.gpu.shmem`) rather than pickled polygon objects. Each
-task returns its violation list plus stats-counter deltas and a
-:class:`~repro.util.profile.PhaseProfile` dict; the parent merges them in
-submission order, and the canonical violation sort in
-:class:`~repro.core.results.CheckResult` makes the merged report *equal as
-a plain list* to the sequential one, regardless of worker count or
-scheduling order.
+task returns its :class:`~repro.violation_table.ViolationTable` (pickled
+as its arrays) plus stats-counter deltas and a
+:class:`~repro.util.profile.PhaseProfile` dict; the parent concatenates
+the tables in submission order, and their canonical form (dedup + one
+sort) makes the merged report *equal as a plain list* to the sequential
+one, regardless of worker count or scheduling order.
 
 Rules that cannot cross a process boundary (e.g. ``ensures`` rules with
 lambda predicates) are detected by a pickle probe and run inline in the
@@ -88,10 +88,12 @@ from ..gpu.shmem import ArrayRef, ShmArena
 from ..util import faults
 from ..util.logging import get_logger
 from ..util.profile import PhaseProfile
+from ..violation_table import ViolationTable
 from . import costmodel, workerpool
 from .packstore import store_key
 from .parallel import ROW_KINDS, ParallelBackend, RowWork, run_row_task, select_rows
 from .plan import MODE_PARALLEL, CheckPlan
+from .results import Violations
 from .rules import Rule
 from .scheduler import greedy_balanced_shards, shard_count
 from .workerpool import PlanRef
@@ -873,7 +875,7 @@ class MultiprocessBackend:
 
     def _gather_shards(
         self, rule: Rule, arena: ShmArena, tasks: List[Any], profile: PhaseProfile
-    ) -> List[Violation]:
+    ) -> Violations:
         """Seal, fan out, and merge one rule's shard tasks (in order)."""
         if not tasks:
             self._release_arena(arena)
@@ -890,7 +892,7 @@ class MultiprocessBackend:
                 self._release_arena(arena)
         self._mp_counters["mp_shard_tasks"] += len(tasks)
         self._mp_counters["mp_shm_bytes"] += arena.nbytes
-        violations: List[Violation] = []
+        parts: List[Violations] = []
         try:
             pending: List[_Pending] = []
             for task in tasks:
@@ -898,16 +900,16 @@ class MultiprocessBackend:
                     pending.append(self._submit(task, rule))
                 except Exception as error:
                     self._degrade(f"cannot submit shard: {error!r}")
-                    violations.extend(
+                    parts.append(
                         self._run_inline(
                             _Pending(task=task, rule=rule, result=None), profile
                         )
                     )
             for item in pending:
-                violations.extend(self._collect(item, profile))
+                parts.append(self._collect(item, profile))
         finally:
             self._release_arena(arena)
-        return violations
+        return ViolationTable.concat(parts)
 
     # -- row sharding -------------------------------------------------------
 
@@ -934,10 +936,12 @@ class MultiprocessBackend:
         if len(shards) < 2:
             return local.finish_rows(rule, work, profile)
         # Host rows stay in the parent — identical to the in-process path.
-        violations = local.run_host_rows(rule, work, profile)
+        host = local.run_host_rows(rule, work, profile)
         arena = self._new_arena()
         tasks = self._shard_tasks(rule, work.buffers, shards, arena)
-        violations.extend(self._gather_shards(rule, arena, tasks, profile))
+        violations = ViolationTable.concat(
+            [host, self._gather_shards(rule, arena, tasks, profile)]
+        )
         self._observe_shard_cost(rule, weight)
         return violations
 

@@ -83,6 +83,24 @@ def _align(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
 
+def remove_orphans(directory: Optional[str]) -> int:
+    """Remove the ``*.tmp`` files that writers killed between ``mkstemp``
+    and ``os.replace`` left in ``directory``; returns how many went."""
+    try:
+        names = os.listdir(directory) if directory else []
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        if name.endswith(".tmp"):
+            try:
+                os.remove(os.path.join(directory, name))
+                removed += 1
+            except OSError:
+                pass
+    return removed
+
+
 def _corrupt_entry(path: str) -> None:
     """Deterministically clobber an entry's header (fault injection only).
 
@@ -395,7 +413,11 @@ class PackStore:
         return sum(nbytes for _, nbytes in self.entries())
 
     def clear(self) -> int:
-        """Remove every entry (and the counter sidecar); returns count removed."""
+        """Remove every entry (and the counter sidecar); returns count removed.
+
+        Orphaned ``*.tmp`` files in the shard directories go too, uncounted
+        (see :func:`remove_orphans`).
+        """
         removed = 0
         for path in list(self._entry_paths()):
             try:
@@ -403,6 +425,9 @@ class PackStore:
                 removed += 1
             except OSError:  # pragma: no cover
                 pass
+        if os.path.isdir(self.root):
+            for shard in os.listdir(self.root):
+                remove_orphans(os.path.join(self.root, shard))
         try:
             os.remove(os.path.join(self.root, "counters.json"))
         except OSError:

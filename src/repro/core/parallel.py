@@ -49,7 +49,7 @@ import numpy as np
 
 from ..checks.base import Violation, ViolationKind
 from ..checks.enclosure import enclosure_pair_violations
-from ..geometry import Polygon, Rect
+from ..geometry import Polygon
 from ..hierarchy.edgepack import (
     DefinitionBuffers,
     EdgeBufferPair,
@@ -92,8 +92,10 @@ from ..util.profile import (
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
+from ..violation_table import ViolationTable
 from .packstore import store_key
 from .plan import DEFAULT_BRUTE_FORCE_THRESHOLD, CheckPlan, PackCache, kind_spec
+from .results import Violations
 from .rules import Rule, RuleKind
 
 __all__ = [
@@ -121,19 +123,13 @@ def _violations(
     required: int,
     *,
     other_layer: Optional[int] = None,
-) -> List[Violation]:
-    """Markers from an ``(n, 4)`` region array and its measurements."""
-    return [
-        Violation(
-            kind=kind,
-            layer=layer,
-            other_layer=other_layer,
-            region=Rect(*coords),
-            measured=value,
-            required=required,
-        )
-        for coords, value in zip(regions.tolist(), measured.tolist())
-    ]
+) -> ViolationTable:
+    """The table of an ``(n, 4)`` region array and its measurements: the
+    columns go in as they are, no ``Rect`` or ``Violation`` per hit."""
+    return ViolationTable.from_columns(
+        layer, kind.value, regions[:, 0], regions[:, 1], regions[:, 2], regions[:, 3],
+        measured, required, other_layer,
+    )
 
 
 def pair_hits_to_violations(
@@ -143,29 +139,25 @@ def pair_hits_to_violations(
     required: int,
     *,
     other_layer: Optional[int] = None,
-) -> List[Violation]:
-    """Host-side conversion of pair-kernel hits to violation markers."""
+) -> ViolationTable:
+    """Host-side conversion of pair-kernel hits to violation rows."""
     batch = PairHits.concatenate(list(hits))
-    regions = np.stack([batch.xlo, batch.ylo, batch.xhi, batch.yhi], axis=1)
-    return _violations(
-        kind, layer, regions, batch.measured, required, other_layer=other_layer
+    return ViolationTable.from_columns(
+        layer, kind.value, batch.xlo, batch.ylo, batch.xhi, batch.yhi,
+        batch.measured, required, other_layer,
     )
 
 
 def corner_hits_to_violations(
     hits: CornerHits, layer: int, value: int
-) -> List[Violation]:
-    """Corner-kernel hits to violation markers."""
-    regions = np.stack(
-        [
-            np.minimum(hits.ax, hits.bx),
-            np.minimum(hits.ay, hits.by),
-            np.maximum(hits.ax, hits.bx),
-            np.maximum(hits.ay, hits.by),
-        ],
-        axis=1,
+) -> ViolationTable:
+    """Corner-kernel hits to violation rows."""
+    return ViolationTable.from_columns(
+        layer, ViolationKind.CORNER.value,
+        np.minimum(hits.ax, hits.bx), np.minimum(hits.ay, hits.by),
+        np.maximum(hits.ax, hits.bx), np.maximum(hits.ay, hits.by),
+        hits.measured, value,
     )
-    return _violations(ViolationKind.CORNER, layer, regions, hits.measured, value)
 
 
 def enclosure_margins_to_violations(
@@ -174,22 +166,16 @@ def enclosure_margins_to_violations(
     via_layer: int,
     metal_layer: int,
     value: int,
-) -> List[Violation]:
-    """Reduced per-via enclosure margins to violation markers."""
+) -> ViolationTable:
+    """Reduced per-via enclosure margins to violation rows: the failing
+    vias' MBRs inflated by the rule value, the margin clamped at zero."""
     failing = np.flatnonzero(best < value)
-    return [
-        Violation(
-            kind=ViolationKind.ENCLOSURE,
-            layer=via_layer,
-            other_layer=metal_layer,
-            region=Rect(*coords).inflated(value),
-            measured=max(margin, 0),
-            required=value,
-        )
-        for coords, margin in zip(
-            via_rects[failing].tolist(), best[failing].tolist()
-        )
-    ]
+    rects = via_rects[failing]
+    return ViolationTable.from_columns(
+        via_layer, ViolationKind.ENCLOSURE.value,
+        rects[:, 0] - value, rects[:, 1] - value, rects[:, 2] + value, rects[:, 3] + value,
+        np.maximum(best[failing], 0), value, metal_layer,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +457,12 @@ def run_row_task(
     threshold: int,
     executors: Sequence[StreamExecutor],
     profile: PhaseProfile,
-) -> Tuple[List[Violation], Dict[str, int]]:
+) -> Tuple[ViolationTable, Dict[str, int]]:
     """Check the rows held by ``buffers`` against one rule.
 
     The whole definition of a row task: :class:`ParallelBackend` calls it
     with every row of the rule, a multiprocess shard with the rows
-    :func:`select_rows` cut for it. Returns the violations plus the
+    :func:`select_rows` cut for it. Returns the violation table plus the
     :data:`ROW_COUNTERS` deltas.
     """
     launch, to_violations = _ROW_LAUNCHES[rule.kind]
@@ -510,7 +496,7 @@ class ParallelBackend:
 
     # -- rule dispatch ------------------------------------------------------
 
-    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> List[Violation]:
+    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> Violations:
         if profile is None:
             profile = PhaseProfile()
         spec = kind_spec(rule.kind)
@@ -530,21 +516,21 @@ class ParallelBackend:
 
     def finish_rows(
         self, rule: Rule, work: RowWork, profile: PhaseProfile
-    ) -> List[Violation]:
+    ) -> Violations:
         """Execute prepared row work in this process: host rows, then the launch."""
         violations = self.run_host_rows(rule, work, profile)
-        if work.buffers is not None:
-            before = profile.seconds(PHASE_EDGE_CHECKS)
-            found, counters = run_row_task(
-                rule, work.buffers, self.brute_force_threshold, self.executors, profile
-            )
-            self.phase_seconds["kernel_seconds"] += (
-                profile.seconds(PHASE_EDGE_CHECKS) - before
-            )
-            for key, value in counters.items():
-                self.counters[key] += value
-            violations.extend(found)
-        return violations
+        if work.buffers is None:
+            return violations
+        before = profile.seconds(PHASE_EDGE_CHECKS)
+        found, counters = run_row_task(
+            rule, work.buffers, self.brute_force_threshold, self.executors, profile
+        )
+        self.phase_seconds["kernel_seconds"] += (
+            profile.seconds(PHASE_EDGE_CHECKS) - before
+        )
+        for key, value in counters.items():
+            self.counters[key] += value
+        return ViolationTable.concat([violations, found]) if violations else found
 
     def stats(self) -> Dict[str, float]:
         """Executor-choice, device-traffic, fusion, and cache counters."""
@@ -624,18 +610,17 @@ class ParallelBackend:
         with profile.phase(PHASE_OTHER):
             return self.caches.level_items(self.tree.top, layer)
 
-    def _item_rects(self, layer: int, profile: PhaseProfile) -> List[Rect]:
-        """MBRs of the top level's items on ``layer``, numbered as
-        :meth:`_cached_items` lists them: what the row partition is over."""
+    def _item_rects(self, layer: int, profile: PhaseProfile) -> List[List[int]]:
+        """MBRs of the top level's items on ``layer`` as ``[xlo, ylo, xhi,
+        yhi]`` rows of the MBR table, numbered as :meth:`_cached_items` lists
+        them: what the row partition is over."""
         with profile.phase(PHASE_OTHER):
             return self.pack_cache.get(
-                "item-mbrs",
-                layer,
-                lambda: list(map(Rect._make, self.table.item_mbrs(layer).tolist())),
+                "item-mbrs", layer, lambda: self.table.item_mbrs(layer).tolist()
             )
 
     def _cached_partition(
-        self, key: Any, mbrs: List[Rect], value: int, profile: PhaseProfile
+        self, key: Any, mbrs: List[List[int]], value: int, profile: PhaseProfile
     ) -> Tuple[List[List[int]], Any]:
         """The plan-level shared partition seam (memo + pack store)."""
 
@@ -836,7 +821,7 @@ class ParallelBackend:
 
         return self.pack_cache.get("definitions", layer, build)
 
-    def _run_width(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
+    def _run_width(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
         stream = self._stream(0)
         host_start = time.perf_counter()
@@ -880,7 +865,7 @@ class ParallelBackend:
             defs, batch.poly_a, regions, batch.measured, ViolationKind.WIDTH, layer, value
         )
 
-    def _run_area(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
+    def _run_area(self, rule: Rule, profile: PhaseProfile) -> Violations:
         layer, value = rule.layer, rule.value
         stream = self._stream(0)
         host_start = time.perf_counter()
@@ -913,21 +898,19 @@ class ParallelBackend:
         kind: ViolationKind,
         layer: int,
         required: int,
-    ) -> List[Violation]:
+    ) -> ViolationTable:
         """Hits found on definition rings (``regions[i]``/``measured[i]`` on
-        ring ``rings[i]``) as violations under every placement of their
+        ring ``rings[i]``) as rows under every placement of their
         definition: all of a definition's hits through all of its
-        placements in one array operation."""
-        out: List[Violation] = []
+        placements in one array operation, then one table."""
+        placed = [np.zeros((0, 4), dtype=_INT)]
+        values = [np.zeros(0, dtype=_INT)]
         owner = defs.owner[rings]
         for unit in np.flatnonzero(np.bincount(owner)).tolist():
             mine = owner == unit
             placements = defs.placements[unit]
-            out += _violations(
-                kind,
-                layer,
-                place_rects(regions[mine], placements),
-                np.tile(measured[mine], len(placements)),
-                required,
-            )
-        return out
+            placed.append(place_rects(regions[mine], placements))
+            values.append(np.tile(measured[mine], len(placements)))
+        return _violations(
+            kind, layer, np.concatenate(placed), np.concatenate(values), required
+        )

@@ -480,10 +480,10 @@ class PlanCaches:
                     return rows, tuple(tuple(row) for row in rows)
             if cold_timer is not None:
                 with cold_timer():
-                    partition = partition_rects(list(mbrs), value)
+                    partition = partition_rects(mbrs, value)
             else:
-                partition = partition_rects(list(mbrs), value)
-            rows = [row.members for row in partition.rows]
+                partition = partition_rects(mbrs, value)
+            rows = partition.members
             if skey is not None:
                 arrays, meta = member_rows_to_arrays(rows)
                 self.store.save(skey, arrays, meta)

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from .markers import MarkerError, report_from_dict
-from .packstore import PackStore, store_key
+from .packstore import PackStore, remove_orphans, store_key
 from .results import CheckReport
 from .rules import Rule
 
@@ -199,7 +199,13 @@ class ReportCache:
         return sum(nbytes for _, nbytes in self.entries())
 
     def clear(self) -> int:
-        """Forget every report; returns how many disk entries were removed."""
+        """Forget every report; returns how many disk entries were removed.
+
+        Also removes the ``*.tmp`` files of writers killed between
+        ``mkstemp`` and ``os.replace`` (not entries, so not counted). A
+        live writer whose temp file vanishes fails its ``os.replace`` and
+        swallows the ``OSError`` like any failed write.
+        """
         with self._lock:
             self._front.clear()
         removed = 0
@@ -209,4 +215,5 @@ class ReportCache:
                 removed += 1
             except OSError:
                 continue
+        remove_orphans(self.root)
         return removed

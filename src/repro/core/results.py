@@ -4,51 +4,74 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..checks.base import Violation, ViolationKind, sort_violations
-from ..geometry import Rect
-from ..reporting import csv_from_payload, summary_from_payload
+from ..checks.base import Violation
+from ..reporting import RuleRows, csv_from_entries, summary_from_entries, totals
 from ..util.profile import PhaseProfile
+from ..violation_table import ViolationTable
 from .rules import Rule
 
+#: What a backend returns for one rule: a table, or violations to tabulate.
+Violations = Union[ViolationTable, Sequence[Violation]]
 
-@dataclasses.dataclass
+
 class CheckResult:
-    """Outcome of one rule on one layout."""
+    """Outcome of one rule on one layout.
 
-    rule: Rule
-    violations: List[Violation]
-    seconds: float
-    profile: Optional[PhaseProfile] = None
-    stats: Dict[str, float] = dataclasses.field(default_factory=dict)
+    The violations live in :attr:`table`, a :class:`ViolationTable` in
+    canonical form — deduplicated and deterministically ordered, so results
+    from different execution modes compare equal. A table passes through
+    as is; a violation sequence is tabulated once. :attr:`violations` is the
+    table's lazy list of ``Violation`` objects, built on first read.
+    """
 
-    def __post_init__(self) -> None:
-        # Canonical form: deduplicated and deterministically ordered, so
-        # results from different execution modes compare equal.
-        self.violations = sort_violations(set(self.violations))
+    def __init__(
+        self,
+        rule: Rule,
+        violations: Violations,
+        seconds: float,
+        profile: Optional[PhaseProfile] = None,
+        stats: Optional[Dict[str, float]] = None,
+    ) -> None:
+        self.rule = rule
+        self.table = ViolationTable.of(violations)
+        self.seconds = seconds
+        self.profile = profile
+        self.stats: Dict[str, float] = {} if stats is None else stats
+
+    def __repr__(self) -> str:
+        return f"CheckResult({self.rule.name!r}, {self.table!r}, seconds={self.seconds!r})"
+
+    @property
+    def violations(self) -> List[Violation]:
+        return self.table.violations()
 
     @property
     def num_violations(self) -> int:
-        return len(self.violations)
+        return len(self.table)
 
     @property
     def num_waived(self) -> int:
-        return sum(1 for v in self.violations if v.waived)
+        return self.table.num_waived
 
     @property
     def num_blocking(self) -> int:
         """Unwaived violations of an error-severity rule (what fails a check)."""
         if self.rule.severity != "error":
             return 0
-        return sum(1 for v in self.violations if not v.waived)
+        return len(self.table) - self.table.num_waived
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not len(self.table)
 
     def violation_set(self):
         return frozenset(self.violations)
+
+    def entry(self) -> RuleRows:
+        """This result as the renderers of :mod:`repro.reporting` read it."""
+        return RuleRows(self.rule.name, self.rule.severity, self.seconds, self.table)
 
     def __str__(self) -> str:
         if self.passed:
@@ -100,21 +123,24 @@ class CheckReport:
                 return result
         raise KeyError(f"no result for rule {rule_name!r}")
 
+    def entries(self) -> List[RuleRows]:
+        """Per-rule entries, deck order: what every renderer reads."""
+        return [result.entry() for result in self.results]
+
     def payload(self) -> Dict[str, Any]:
         """The plain-dict report (what :meth:`to_json` serialises).
 
-        The single source every output format renders from — the serve
-        daemon ships it verbatim and the client re-renders CSV/summaries
-        from it through the same :mod:`repro.reporting` functions, so
-        served output is byte-identical to local output by construction.
+        Built from the tables, one dict per violation and nothing more. The
+        serve daemon ships it as the ``report`` member of its reply; the
+        client loads it back into tables and renders CSV/summaries through
+        the same :mod:`repro.reporting` functions, so served output is
+        byte-identical to local output by construction.
         """
+        entries = self.entries()
         return {
             "layout": self.layout_name,
             "mode": self.mode,
-            "total_violations": self.total_violations,
-            "total_waived": self.total_waived,
-            "blocking_violations": self.blocking_violations,
-            "passed": self.passed,
+            **totals(entries),
             "results": [
                 {
                     "rule": result.rule.name,
@@ -125,14 +151,14 @@ class CheckReport:
                     "severity": result.rule.severity,
                     "seconds": result.seconds,
                     "stats": {k: result.stats[k] for k in sorted(result.stats)},
-                    "violations": [violation_to_json(v) for v in result.violations],
+                    "violations": result.table.dicts(),
                 }
                 for result in self.results
             ],
         }
 
     def summary(self) -> str:
-        return summary_from_payload(self.payload())
+        return summary_from_entries(self.layout_name, self.mode, self.entries())
 
     def to_csv(self, *, expand_instances: bool = False) -> str:
         """Machine-readable per-violation dump (RFC 4180 quoting).
@@ -143,7 +169,7 @@ class CheckReport:
         column carries the count. ``expand_instances=True`` emits every
         marker as its own row.
         """
-        return csv_from_payload(self.payload(), expand_instances=expand_instances)
+        return csv_from_entries(self.entries(), expand_instances=expand_instances)
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """Machine-readable report with a stable schema and key order.
@@ -154,40 +180,12 @@ class CheckReport:
         return json.dumps(self.payload(), indent=indent, sort_keys=True)
 
 
-def violation_to_json(violation: Violation) -> Dict[str, Any]:
-    """One violation as a plain-JSON dict (see :func:`violation_from_json`)."""
-    r = violation.region
-    return {
-        "kind": violation.kind.value,
-        "layer": violation.layer,
-        "other_layer": violation.other_layer,
-        "region": [r.xlo, r.ylo, r.xhi, r.yhi],
-        "measured": violation.measured,
-        "required": violation.required,
-        "waived": violation.waived,
-    }
+def splice_violations(cached: Violations, fresh: Violations, regions) -> ViolationTable:
+    """Splice a windowed re-check into a cached violation table.
 
-
-def violation_from_json(data: Dict[str, Any]) -> Violation:
-    """Inverse of :func:`violation_to_json` (report cache deserialisation)."""
-    return Violation(
-        kind=ViolationKind(data["kind"]),
-        layer=data["layer"],
-        region=Rect(*data["region"]),
-        measured=data["measured"],
-        required=data["required"],
-        other_layer=data.get("other_layer"),
-        waived=bool(data.get("waived", False)),
-    )
-
-
-def splice_violations(
-    cached: Sequence[Violation], fresh: Sequence[Violation], regions
-) -> List[Violation]:
-    """Splice a windowed re-check into a cached violation list.
-
-    Keeps every cached violation whose marker does *not* overlap the dirty
-    region set, adds every fresh (windowed) violation, and re-canonicalises.
+    Keeps every cached row whose marker does *not* overlap the dirty
+    :class:`~repro.spatial.regions.RegionSet` (one keep-mask over the
+    table), adds every fresh (windowed) violation, and re-canonicalises.
     Exactness depends on two invariants the engine maintains:
 
     - the windowed check equals the full check filtered to "marker overlaps
@@ -196,11 +194,12 @@ def splice_violations(
       the rule's interaction distance, so any violation whose marker misses
       it is byte-identical between the two layout versions.
 
-    The drop filter and the windowed keep filter use the *same* region set,
+    The drop mask and the windowed keep filter use the *same* region set,
     so the two slices partition the new layout's violations exactly.
     """
-    kept = [v for v in cached if not regions.overlaps(v.region)]
-    return sort_violations(set(kept) | set(fresh))
+    cached = ViolationTable.of(cached)
+    kept = cached.select(not hit for hit in cached.overlapping(regions.rects))
+    return ViolationTable.concat([kept, fresh])
 
 
 def merge_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
@@ -219,8 +218,8 @@ def merge_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
 def combine_results(parts: Sequence[CheckResult]) -> CheckResult:
     """Merge per-shard results of the *same* rule into one result.
 
-    Violations concatenate and re-canonicalise (dedup + total order, so the
-    merged list is identical however the shards were cut); seconds, phase
+    Tables concatenate and re-canonicalise (dedup + total order, so the
+    merged table is identical however the shards were cut); seconds, phase
     profiles, and stats counters sum.
     """
     if not parts:
@@ -231,15 +230,13 @@ def combine_results(parts: Sequence[CheckResult]) -> CheckResult:
     if any(p.rule.name != first.rule.name for p in parts):
         names = sorted({p.rule.name for p in parts})
         raise ValueError(f"cannot combine results of different rules: {names}")
-    violations: List[Violation] = []
     profile = PhaseProfile()
     for part in parts:
-        violations.extend(part.violations)
         if part.profile is not None:
             profile.merge(part.profile)
     return CheckResult(
         rule=first.rule,
-        violations=violations,
+        violations=ViolationTable.concat(p.table for p in parts),
         seconds=sum(p.seconds for p in parts),
         profile=profile,
         stats=merge_stats([p.stats for p in parts]),

@@ -43,7 +43,7 @@ from ..hierarchy.pruning import (
     PlacedRing,
     PruningStats,
     gather_pair_rings,
-    place_violations,
+    place_rows,
 )
 from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell, RingBuffer
@@ -57,6 +57,8 @@ from ..util.profile import (
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
+from ..violation_table import Row as VRow
+from ..violation_table import ViolationTable, violation_row
 from .plan import CheckPlan, PlanCaches, kind_spec
 from .rules import Rule
 
@@ -86,15 +88,21 @@ class SequentialBackend:
             self.use_rows = use_rows
         self.subtree = self.caches.subtree
         self.pruning = PruningStats()
-        self._pair_memo: Dict[tuple, List[Violation]] = {}
+        self._pair_memo: Dict[tuple, List[VRow]] = {}
 
     def _level_items(self, cell: Cell, layer: int) -> List[LevelItem]:
         return self.caches.level_items(cell, layer)
 
     # -- rule dispatch ------------------------------------------------------
 
-    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> List[Violation]:
-        """Execute one rule; violations are in top-cell coordinates."""
+    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> ViolationTable:
+        """Execute one rule; violations are in top-cell coordinates.
+
+        Intra and pairwise rules pass violation rows
+        (:mod:`repro.violation_table`) up the hierarchy, so a marker placed
+        under k instances is k rows, not k ``Violation`` objects; each
+        strategy entry point returns its table, built once.
+        """
         if profile is None:
             profile = PhaseProfile()
         spec = kind_spec(rule.kind)
@@ -128,40 +136,43 @@ class SequentialBackend:
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
-    def _run_intra(self, rule: Rule, spec, profile: PhaseProfile) -> List[Violation]:
-        return self._intra(rule, spec, profile)
+    def _run_intra(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
+        return ViolationTable.of(self._intra(rule, spec, profile))
 
-    def _run_pairwise(self, rule: Rule, spec, profile: PhaseProfile) -> List[Violation]:
-        return self._pairwise(rule.layer, rule.value, spec.procedures(), profile)
+    def _run_pairwise(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
+        return ViolationTable.from_rows(
+            self._pairwise(rule.layer, rule.value, spec.procedures(), profile)
+        )
 
     def _run_cross_layer(
         self, rule: Rule, spec, profile: PhaseProfile
-    ) -> List[Violation]:
-        return self._cross_layer(
-            rule.layer, rule.other_layer, rule.value, spec.procedures(), profile
+    ) -> ViolationTable:
+        return ViolationTable.from_violations(
+            self._cross_layer(
+                rule.layer, rule.other_layer, rule.value, spec.procedures(), profile
+            )
         )
 
-    def _run_coloring(self, rule: Rule, spec, profile: PhaseProfile) -> List[Violation]:
-        return self._coloring(rule.layer, rule.value, profile)
+    def _run_coloring(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
+        return ViolationTable.from_violations(self._coloring(rule.layer, rule.value, profile))
 
     # -- intra-polygon rules (paper §IV-C intra checks) ------------------------
 
-    def _intra(self, rule: Rule, spec, profile: PhaseProfile) -> List[Violation]:
+    def _intra(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
         scheduler = IntraCheckScheduler(self.tree)
         check, invariance = spec.intra(rule)
-        out: List[Violation] = []
         with profile.phase(PHASE_EDGE_CHECKS):
-            for layer in layers:
-                out.extend(
-                    scheduler.run(
-                        layer,
-                        lambda rings, placement, _layer=layer: check(rings, _layer, placement),
-                        invariance=invariance,
-                    )
+            tables = [
+                scheduler.run(
+                    layer,
+                    lambda rings, placement, _layer=layer: check(rings, _layer, placement),
+                    invariance=invariance,
                 )
+                for layer in layers
+            ]
         self._merge_stats(scheduler.stats)
-        return out
+        return tables[0] if len(tables) == 1 else ViolationTable.concat(tables)
 
     # -- spacing (intra-layer inter-polygon) --------------------------------------
 
@@ -171,17 +182,17 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Generic intra-layer pairwise rule (spacing, corner spacing)."""
-        memo: Dict[str, List[Violation]] = {}
+        memo: Dict[str, List[VRow]] = {}
         # Pair memo (paper §IV-C): a cross-instance check depends only on the
         # two definitions and their *relative position* ("another
         # instantiation of them may not be of the same relative position" is
         # the paper's reuse condition; we key on it directly), so repeated
         # abutments — ubiquitous in row-based layouts — are checked once.
-        self._pair_memo: Dict[tuple, List[Violation]] = {}
+        self._pair_memo: Dict[tuple, List[VRow]] = {}
 
-        def internal(cell_name: str) -> List[Violation]:
+        def internal(cell_name: str) -> List[VRow]:
             """Complete pairwise violations of one cell's subtree (local coords)."""
             cached = memo.get(cell_name)
             if cached is not None:
@@ -194,16 +205,16 @@ class SequentialBackend:
             memo[cell_name] = vios
             return vios
 
-        def children(cell: Cell) -> List[Violation]:
+        def children(cell: Cell) -> List[VRow]:
             """Every child's internal violations, placed."""
-            vios: List[Violation] = []
+            vios: List[VRow] = []
             for ref in cell.references:
                 if not self.tree.has_layer(ref.cell_name, layer):
                     continue
                 child_vios = internal(ref.cell_name)
                 for placement in ref.placements():
                     if placement.preserves_distances:
-                        vios.extend(place_violations(child_vios, rigid_row(placement)))
+                        vios.extend(place_rows(child_vios, rigid_row(placement)))
                     else:
                         self.pruning.checks_refreshed += 1
                         vios.extend(
@@ -228,7 +239,7 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Level pairs of the top cell, row-partitioned when enabled."""
         rings = top.rings(layer)
         vios = self._self_pairs(rings, layer, value, procedures, profile)
@@ -251,7 +262,7 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Self checks plus this level's cross-item pairs (no recursion)."""
         rings = cell.rings(layer)
         vios = self._self_pairs(rings, layer, value, procedures, profile)
@@ -262,17 +273,19 @@ class SequentialBackend:
 
     def _self_pairs(
         self, rings: Optional[RingBuffer], layer: int, value: int, procedures, profile
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Each local ring against itself. A rectangle is skipped: it has no
         notch, and its convex corners all open away from each other."""
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         if rings:
             with profile.phase(PHASE_EDGE_CHECKS):
                 for index in range(len(rings)):
                     ring = rings.points(index)
                     if not is_rectangle_ring(ring):
                         prepared = procedures.prepare(ring)
-                        vios.extend(procedures.self_violations(prepared, layer, value))
+                        vios.extend(
+                            map(violation_row, procedures.self_violations(prepared, layer, value))
+                        )
         return vios
 
     def _group_pairs(
@@ -283,7 +296,7 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         margin = margin_for_rule(value)
         with profile.phase(PHASE_SWEEPLINE):
             inflated = [it.mbr.inflated(margin) for it in items]
@@ -292,7 +305,7 @@ class SequentialBackend:
             self.pruning.pairs_pruned_mbr += (
                 len(items) * (len(items) - 1) // 2 - len(pairs)
             )
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         for i, j in pairs:
             vios.extend(
                 self._pair_check(rings, items[i], items[j], layer, value, procedures, profile)
@@ -308,7 +321,7 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """One candidate pair, with relative-position memoisation."""
         key = None
         if (
@@ -324,7 +337,7 @@ class SequentialBackend:
             cached = self._pair_memo.get(key)
             if cached is not None:
                 self.pruning.checks_reused += 1
-                return place_violations(cached, row_a)
+                return place_rows(cached, row_a)
         with profile.phase(PHASE_SWEEPLINE):
             side_a, side_b = gather_pair_rings(
                 rings, item_a, item_b, self.subtree, layer, value
@@ -332,7 +345,7 @@ class SequentialBackend:
         with profile.phase(PHASE_EDGE_CHECKS):
             found = self._cross_pairs(side_a, side_b, layer, value, procedures)
         if key is not None:
-            self._pair_memo[key] = place_violations(found, inverse_a)
+            self._pair_memo[key] = place_rows(found, inverse_a)
         return found
 
     def _cross_pairs(
@@ -342,10 +355,10 @@ class SequentialBackend:
         layer: int,
         value: int,
         procedures,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Edge checks between two placed-ring sets, MBR-pruned per pair;
         each ring is prepared once, and only if some pair needs it."""
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         prepare = procedures.prepare
         ready_a: Dict[int, object] = {}
         ready_b: Dict[int, object] = {}
@@ -357,7 +370,7 @@ class SequentialBackend:
             b = ready_b.get(j)
             if b is None:
                 b = ready_b[j] = prepare(side_b[j][0])
-            vios.extend(procedures.cross_violations(a, b, layer, value))
+            vios.extend(map(violation_row, procedures.cross_violations(a, b, layer, value)))
         return vios
 
     def _flat_subtree_pairs(
@@ -368,12 +381,12 @@ class SequentialBackend:
         value: int,
         procedures,
         profile: PhaseProfile,
-    ) -> List[Violation]:
+    ) -> List[VRow]:
         """Fallback for non-distance-preserving placements: flatten and check."""
         window = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
         polygons = self.subtree.polygons_in_window(cell_name, placement, layer, window)
         with profile.phase(PHASE_EDGE_CHECKS):
-            return procedures.flat_check(polygons, layer, value)
+            return list(map(violation_row, procedures.flat_check(polygons, layer, value)))
 
     # -- enclosure (inter-layer) -----------------------------------------------
 

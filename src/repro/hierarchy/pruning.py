@@ -33,6 +33,8 @@ from ..geometry.transform import (
     row_transform,
 )
 from ..layout.cell import Cell, RingBuffer
+from ..violation_table import Row as VRow
+from ..violation_table import ViolationTable, violation_row
 from .query import pull_back_window
 from .tree import HierarchyTree
 
@@ -102,9 +104,10 @@ class IntraCheckScheduler:
         check: IntraCheck,
         *,
         invariance: TransformInvariance = distance_invariant,
-    ) -> List[Violation]:
-        """All violations under the top cell, in top-cell coordinates."""
-        out: List[Violation] = []
+    ) -> ViolationTable:
+        """All violations under the top cell, in top-cell coordinates: one
+        table row per marker per placement, no ``Violation`` per instance."""
+        out: List[VRow] = []
         for name, (rows, magnified) in self.tree.placements(layer).items():
             rings = self.tree.layout.cell(name).rings(layer)
             if not rings:
@@ -117,28 +120,33 @@ class IntraCheckScheduler:
                 self.stats.checks_reused += count - 1
                 found = check(rings, None)
                 if found:
-                    out.extend(place_violations(found, rows))
-                    out.extend(v.transformed(t) for t in kept for v in found)
+                    out += place_rows(list(map(violation_row, found)), rows)
+                    out += (violation_row(v.transformed(t)) for t in kept for v in found)
             for t in magnified:
                 if not invariance(t):
                     # e.g. a magnification under a distance rule: re-run on
                     # the placed geometry.
                     self.stats.checks_refreshed += 1
-                    out.extend(check(rings, t))
-        return out
+                    out += map(violation_row, check(rings, t))
+        return ViolationTable.from_rows(out)
 
 
-def place_violations(violations: Sequence[Violation], rows: Sequence[int]) -> List[Violation]:
-    """``violations`` under each rigid placement of ``rows`` (six integers per
-    placement), placement-major: the pure-Python twin of
-    :func:`repro.hierarchy.edgepack.place_rects`."""
-    out: List[Violation] = []
+def place_rows(found: Sequence[VRow], rows: Sequence[int]) -> List[VRow]:
+    """Violation rows under each rigid placement of ``rows`` (six integers
+    per placement), placement-major: the pure-Python twin of
+    :func:`repro.hierarchy.edgepack.place_rects`, marker by marker as
+    :func:`~repro.geometry.transform.row_rect` maps a rect."""
+    out: List[VRow] = []
     for k in range(0, len(rows), 6):
-        row = rows[k : k + 6]
-        for v in violations:
-            out.append(
-                Violation(v.kind, v.layer, row_rect(row, v.region), v.measured, v.required, v.other_layer)
-            )
+        a, b, c, d, dx, dy = rows[k : k + 6]
+        for layer, kind, xlo, ylo, xhi, yhi, other, measured, required in found:
+            x1, x2 = a * xlo + b * ylo, a * xhi + b * yhi
+            y1, y2 = c * xlo + d * ylo, c * xhi + d * yhi
+            if x1 > x2:
+                x1, x2 = x2, x1
+            if y1 > y2:
+                y1, y2 = y2, y1
+            out.append((layer, kind, x1 + dx, y1 + dy, x2 + dx, y2 + dy, other, measured, required))
     return out
 
 

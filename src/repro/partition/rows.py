@@ -6,18 +6,21 @@ safety margin derived from the rule distance) into disjoint intervals, and
 each resulting *row* can be checked independently — objects in different
 rows are provably farther apart than the rule distance, so cross-row checks
 are pruned entirely and rows can be processed in parallel.
+
+The partition runs on the MBR table as ``(lo, hi)`` int pairs: no object
+per item, and per band only its span and member list.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Callable, Dict, List, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..geometry import Interval, Rect
-from ..spatial.interval_merge import merge_intervals_pigeonhole, merge_intervals_sorted
+from ..geometry import Interval
+from ..spatial.interval_merge import merge_spans_pigeonhole, merge_intervals_sorted
 
-T = TypeVar("T")
+Span = Tuple[int, int]
 
 
 @dataclasses.dataclass
@@ -34,22 +37,32 @@ class Row:
 
 @dataclasses.dataclass
 class RowPartition:
-    """Result of partitioning: rows plus the margin they were built with."""
+    """Result of partitioning: each row's span and members, plus the margin
+    they were built with."""
 
-    rows: List[Row]
+    spans: List[Span]
+    members: List[List[int]]
     margin: int
 
     @property
+    def rows(self) -> List[Row]:
+        """The bands as :class:`Row` objects (built on each read)."""
+        return [
+            Row(index=i, span=Interval(*span), members=members)
+            for i, (span, members) in enumerate(zip(self.spans, self.members))
+        ]
+
+    @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.spans)
 
     @property
     def largest_row(self) -> int:
-        return max((len(r) for r in self.rows), default=0)
+        return max(map(len, self.members), default=0)
 
     def row_of(self) -> Dict[int, int]:
         """Map item index -> row index."""
-        return {m: row.index for row in self.rows for m in row.members}
+        return {m: index for index, members in enumerate(self.members) for m in members}
 
     def signature(self) -> tuple:
         """Stable, hashable identity of this partition.
@@ -60,7 +73,7 @@ class RowPartition:
         deck-scoped pack cache keys on this). The margin is included so
         partitions from different rule distances never collide.
         """
-        return (self.margin, tuple(tuple(row.members) for row in self.rows))
+        return (self.margin, tuple(map(tuple, self.members)))
 
 
 def margin_for_rule(rule_distance: int) -> int:
@@ -77,39 +90,39 @@ def margin_for_rule(rule_distance: int) -> int:
 
 
 def partition_rects(
-    rects: Sequence[Rect],
+    rects: Sequence[Sequence[int]],
     rule_distance: int,
     *,
-    merger: Callable[[Sequence[Interval]], List[Interval]] = merge_intervals_pigeonhole,
+    merger: Callable[[Sequence[Span]], List[Span]] = merge_spans_pigeonhole,
 ) -> RowPartition:
-    """Partition items (given by their MBRs) into independent rows.
+    """Partition items (given by their MBRs, ``(xlo, ylo, xhi, yhi)``) into
+    independent rows.
 
     Empty rects are assigned to no row (they have no geometry to check).
-    ``merger`` selects the interval-merging backend — the pigeonhole array of
+    ``merger`` selects the span-merging backend — the pigeonhole array of
     Algorithm 1 by default, the sort-based baseline for the ablation.
     """
     margin = margin_for_rule(rule_distance)
-    spans: List[Interval] = []
+    spans: List[Span] = []
     owners: List[int] = []
-    for index, rect in enumerate(rects):
-        if rect.is_empty:
+    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
+        if xlo > xhi or ylo > yhi:
             continue
-        spans.append(Interval(rect.ylo - margin, rect.yhi + margin))
+        spans.append((ylo - margin, yhi + margin))
         owners.append(index)
 
-    merged = merger(spans)
-    rows = [Row(index=i, span=span, members=[]) for i, span in enumerate(merged)]
+    merged = [tuple(span) for span in merger(spans)]
+    members: List[List[int]] = [[] for _ in merged]
 
-    # Each item lands in exactly one merged interval (its inflated span is a
+    # Each item lands in exactly one merged span (its inflated span is a
     # subset of one row by construction); binary-search the row starts.
-    starts = [row.span.lo for row in rows]
-    for span, owner in zip(spans, owners):
-        row_index = bisect.bisect_right(starts, span.lo) - 1
-        rows[row_index].members.append(owner)
+    starts = [lo for lo, _ in merged]
+    for (lo, _), owner in zip(spans, owners):
+        members[bisect.bisect_right(starts, lo) - 1].append(owner)
 
-    return RowPartition(rows=rows, margin=margin)
+    return RowPartition(spans=merged, members=members, margin=margin)
 
 
-def partition_sorted_baseline(rects: Sequence[Rect], rule_distance: int) -> RowPartition:
+def partition_sorted_baseline(rects: Sequence[Sequence[int]], rule_distance: int) -> RowPartition:
     """Row partition using the sort-based merger (ablation baseline)."""
     return partition_rects(rects, rule_distance, merger=merge_intervals_sorted)

@@ -1,13 +1,16 @@
 """Violation-lifecycle report logic shared by the core and the HTTP client.
 
-Everything here operates on the *plain-dict* report payload that
-:meth:`~repro.core.results.CheckReport.to_json` emits (and that a ``repro
-serve`` daemon returns verbatim): CSV rendering, human summaries, severity
-filtering, waiver application, and hierarchical instance dedup. The core's
-:class:`~repro.core.results.CheckReport` methods and the client's
-``report_json_*`` helpers both delegate to these functions, so a client
-post-processing a served payload reproduces the local CLI's bytes by
-construction — there is exactly one implementation of every output format.
+Every output format renders here from one shape: a report's per-rule
+entries, each a :class:`RuleRows` — the rule's name, severity, seconds and
+its :class:`~repro.violation_table.ViolationTable`. A local
+:class:`~repro.core.results.CheckReport` hands its entries over as they are
+(:meth:`~repro.core.results.CheckReport.entries`); a *plain-dict* report
+payload (what :meth:`~repro.core.results.CheckReport.to_json` emits and a
+``repro serve`` daemon returns verbatim) is loaded into the same entries
+first (:func:`payload_entries`). CSV rendering, human summaries, severity
+filtering, waiver application and hierarchical instance dedup therefore
+have exactly one implementation each, and a client post-processing a served
+payload reproduces the local CLI's bytes by construction.
 
 Stdlib-only on purpose: :mod:`repro.client` imports this module without
 pulling numpy or the geometry stack.
@@ -42,18 +45,31 @@ An optional ``"reason"`` field is carried through untouched.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+from .violation_table import KINDS, ViolationTable
 
 __all__ = [
     "SEVERITIES",
+    "RuleRows",
     "apply_waivers_payload",
+    "compile_waivers",
+    "csv_from_entries",
     "csv_from_payload",
     "csv_quote",
     "dedup_instances",
+    "filter_violations",
     "filter_violations_payload",
     "marker_digest",
+    "payload_entries",
     "payload_totals",
+    "row_digest",
+    "summary_from_entries",
     "summary_from_payload",
+    "table_digests",
+    "totals",
+    "waiver_mask",
 ]
 
 #: Severity labels a rule may carry (KiCad-MCP's DRC vocabulary).
@@ -63,6 +79,28 @@ CSV_HEADER = (
     "rule,kind,layer,other_layer,xlo,ylo,xhi,yhi,measured,required,"
     "severity,waived,instances"
 )
+
+
+class RuleRows(NamedTuple):
+    """One rule's entry of a report, as every renderer reads it."""
+
+    rule: str
+    severity: str
+    seconds: float
+    table: ViolationTable
+
+
+def payload_entries(payload: Dict[str, Any]) -> List[RuleRows]:
+    """A report payload's per-rule entries, violations in payload order."""
+    return [
+        RuleRows(
+            result["rule"],
+            result.get("severity", "error"),
+            result.get("seconds", 0.0),
+            ViolationTable.from_payload(result["violations"], canonical=False),
+        )
+        for result in payload["results"]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +120,6 @@ def csv_quote(field: str) -> str:
     return field
 
 
-def _instance_key(violation: Dict[str, Any]) -> Tuple:
-    """Translation-invariant signature of one violation.
-
-    Hierarchical repeats — the same cell-level violation stamped out by
-    thousands of placements — are identical up to translation: same kind,
-    layers, marker extent, and measurements. Grouping by this key collapses
-    them to one exemplar with an instance count.
-    """
-    xlo, ylo, xhi, yhi = violation["region"]
-    other = violation.get("other_layer")
-    return (
-        violation["kind"],
-        violation["layer"],
-        -1 if other is None else other,
-        xhi - xlo,
-        yhi - ylo,
-        violation["measured"],
-        violation["required"],
-        bool(violation.get("waived", False)),
-    )
-
-
 def dedup_instances(
     violations: Sequence[Dict[str, Any]],
 ) -> List[Tuple[Dict[str, Any], int]]:
@@ -112,24 +128,14 @@ def dedup_instances(
     The input must be in canonical violation order (reports always are);
     the exemplar of each group is its first — lowest-sorting — member, so
     the collapsed rows are deterministic across backends and sessions.
+    Grouping is :meth:`ViolationTable.instance_groups`.
     """
-    groups: "Dict[Tuple, List]" = {}
-    order: List[Tuple] = []
-    for violation in violations:
-        key = _instance_key(violation)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [violation, 1]
-            order.append(key)
-        else:
-            entry[1] += 1
-    return [(groups[key][0], groups[key][1]) for key in order]
+    table = ViolationTable.from_payload(violations, canonical=False)
+    return [(violations[index], count) for index, count in table.instance_groups()]
 
 
-def csv_from_payload(
-    payload: Dict[str, Any], *, expand_instances: bool = False
-) -> str:
-    """The CSV marker dump of a report payload.
+def csv_from_entries(entries: Iterable[RuleRows], *, expand_instances: bool = False) -> str:
+    """The CSV marker dump of a report's entries.
 
     By default hierarchical repeats collapse to one exemplar row whose
     ``instances`` column carries the repeat count; ``expand_instances=True``
@@ -137,25 +143,30 @@ def csv_from_payload(
     deterministic, so equal reports produce equal CSV bytes either way.
     """
     lines = [CSV_HEADER]
-    for result in payload["results"]:
-        rule = csv_quote(result["rule"])
-        severity = result.get("severity", "error")
+    for entry in entries:
+        prefix = csv_quote(entry.rule) + ","
+        suffix = f",{entry.severity},"
+        columns = (*entry.table.columns, entry.table.waived)
         if expand_instances:
-            rows: Iterable[Tuple[Dict[str, Any], int]] = (
-                (v, 1) for v in result["violations"]
-            )
+            picks: Iterable[Tuple[Sequence[int], int]] = zip(zip(*columns), repeat(1))
         else:
-            rows = dedup_instances(result["violations"])
-        for v, count in rows:
-            other = v.get("other_layer")
-            xlo, ylo, xhi, yhi = v["region"]
+            picks = (
+                ([column[index] for column in columns], count)
+                for index, count in entry.table.instance_groups()
+            )
+        for (layer, kind, xlo, ylo, xhi, yhi, other, measured, required, flag), count in picks:
             lines.append(
-                f"{rule},{v['kind']},{v['layer']},"
-                f"{'' if other is None else other},"
-                f"{xlo},{ylo},{xhi},{yhi},{v['measured']},{v['required']},"
-                f"{severity},{1 if v.get('waived') else 0},{count}"
+                f"{prefix}{KINDS[kind]},{layer},{'' if other < 0 else other},"
+                f"{xlo},{ylo},{xhi},{yhi},{measured},{required}{suffix}{flag},{count}"
             )
     return "\n".join(lines)
+
+
+def csv_from_payload(
+    payload: Dict[str, Any], *, expand_instances: bool = False
+) -> str:
+    """The CSV marker dump of a report payload (:func:`csv_from_entries`)."""
+    return csv_from_entries(payload_entries(payload), expand_instances=expand_instances)
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +174,15 @@ def csv_from_payload(
 # ---------------------------------------------------------------------------
 
 
-def payload_totals(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Recompute the summary counters of a payload from its violations.
-
-    Used after client-side waiver application so the re-dumped JSON matches
-    a locally waived report byte for byte.
-    """
+def totals(entries: Iterable[RuleRows]) -> Dict[str, Any]:
+    """The summary counters of a report's entries."""
     total = waived = blocking = 0
-    for result in payload["results"]:
-        severity = result.get("severity", "error")
-        for v in result["violations"]:
-            total += 1
-            if v.get("waived"):
-                waived += 1
-            elif severity == "error":
-                blocking += 1
+    for entry in entries:
+        count, held = len(entry.table), entry.table.num_waived
+        total += count
+        waived += held
+        if entry.severity == "error":
+            blocking += count - held
     return {
         "total_violations": total,
         "total_waived": waived,
@@ -186,27 +191,36 @@ def payload_totals(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def summary_from_payload(payload: Dict[str, Any]) -> str:
-    """Human summary of a report payload (the CLI's default format)."""
-    totals = payload_totals(payload)
-    total_seconds = sum(result["seconds"] for result in payload["results"])
+def payload_totals(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Recompute the summary counters of a payload from its violations.
+
+    Used after client-side waiver application so the re-dumped JSON matches
+    a locally waived report byte for byte.
+    """
+    return totals(payload_entries(payload))
+
+
+def summary_from_entries(layout: str, mode: str, entries: Sequence[RuleRows]) -> str:
+    """Human summary of a report (the CLI's default format)."""
+    counts = totals(entries)
+    total_seconds = sum(entry.seconds for entry in entries)
     headline = (
-        f"DRC report for {payload['layout']!r} ({payload['mode']} mode): "
-        f"{totals['total_violations']} violations"
+        f"DRC report for {layout!r} ({mode} mode): "
+        f"{counts['total_violations']} violations"
     )
-    if totals["total_waived"] or totals["blocking_violations"] != totals[
+    if counts["total_waived"] or counts["blocking_violations"] != counts[
         "total_violations"
     ]:
         headline += (
-            f" ({totals['blocking_violations']} blocking, "
-            f"{totals['total_waived']} waived)"
+            f" ({counts['blocking_violations']} blocking, "
+            f"{counts['total_waived']} waived)"
         )
     headline += f", {total_seconds * 1e3:.2f} ms"
     lines = [headline]
-    for result in payload["results"]:
-        count = len(result["violations"])
-        waived = sum(1 for v in result["violations"] if v.get("waived"))
-        distinct = len(dedup_instances(result["violations"]))
+    for entry in entries:
+        count = len(entry.table)
+        waived = entry.table.num_waived
+        distinct = len(entry.table.instance_groups())
         if count == 0:
             status = "PASS"
         else:
@@ -215,12 +229,16 @@ def summary_from_payload(payload: Dict[str, Any]) -> str:
                 status += f", {distinct} distinct"
             if waived:
                 status += f", {waived} waived"
-        tag = " [warning]" if result.get("severity", "error") == "warning" else ""
+        tag = " [warning]" if entry.severity == "warning" else ""
         lines.append(
-            f"  {result['rule']}{tag}: {status} "
-            f"({result['seconds'] * 1e3:.2f} ms)"
+            f"  {entry.rule}{tag}: {status} ({entry.seconds * 1e3:.2f} ms)"
         )
     return "\n".join(lines)
+
+
+def summary_from_payload(payload: Dict[str, Any]) -> str:
+    """Human summary of a report payload (:func:`summary_from_entries`)."""
+    return summary_from_entries(payload["layout"], payload["mode"], payload_entries(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,8 @@ def summary_from_payload(payload: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def marker_digest(violation: Dict[str, Any]) -> str:
+def row_digest(kind: str, layer: int, other: Optional[int], region: Sequence[int],
+               measured: int, required: int) -> str:
     """Content digest of one violation marker (the waiver anchor).
 
     Hashes the fields that define the violation — kind, layers, marker
@@ -237,23 +256,40 @@ def marker_digest(violation: Dict[str, Any]) -> str:
     severity, or the waived flag. Two runs that produce the same violation
     produce the same digest, however much unrelated geometry changed.
     """
-    other = violation.get("other_layer")
-    xlo, ylo, xhi, yhi = violation["region"]
+    xlo, ylo, xhi, yhi = region
     text = (
-        f"marker:v1;kind={violation['kind']};layer={violation['layer']};"
+        f"marker:v1;kind={kind};layer={layer};"
         f"other={'' if other is None else other};"
         f"region={xlo},{ylo},{xhi},{yhi};"
-        f"measured={violation['measured']};required={violation['required']}"
+        f"measured={measured};required={required}"
     )
     return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def marker_digest(violation: Dict[str, Any]) -> str:
+    """:func:`row_digest` of one payload violation dict."""
+    return row_digest(
+        violation["kind"], violation["layer"], violation.get("other_layer"),
+        violation["region"], violation["measured"], violation["required"],
+    )
+
+
+def table_digests(table: ViolationTable) -> List[str]:
+    """:func:`row_digest` of every row of a table."""
+    return [
+        row_digest(KINDS[kind], layer, None if other < 0 else other,
+                   (xlo, ylo, xhi, yhi), measured, required)
+        for layer, kind, xlo, ylo, xhi, yhi, other, measured, required in table.rows()
+    ]
 
 
 class WaiverFormatError(ValueError):
     """A waiver record that is neither marker- nor region-anchored."""
 
 
-def _waiver_predicates(waivers: Sequence[Dict[str, Any]]):
-    """Compile waiver records into ``(rule_target, match(vdict))`` pairs."""
+def compile_waivers(waivers: Sequence[Dict[str, Any]]) -> List[Tuple[str, Optional[str], Optional[tuple]]]:
+    """Waiver records as ``(rule_target, digest, box)`` triples (one of
+    digest and box is None); :class:`WaiverFormatError` on a malformed one."""
     compiled = []
     for waiver in waivers:
         target = waiver.get("rule", "*")
@@ -264,13 +300,13 @@ def _waiver_predicates(waivers: Sequence[Dict[str, Any]]):
                 raise WaiverFormatError(
                     f"waiver marker must be a digest string: {waiver}"
                 )
-            compiled.append((target, _marker_match(marker)))
+            compiled.append((target, marker, None))
         elif region is not None:
             if not isinstance(region, (list, tuple)) or len(region) != 4:
                 raise WaiverFormatError(
                     f"waiver region must be [xlo, ylo, xhi, yhi]: {waiver}"
                 )
-            compiled.append((target, _region_match(tuple(region))))
+            compiled.append((target, None, tuple(region)))
         else:
             raise WaiverFormatError(
                 f"waiver needs a 'marker' digest or a 'region' box: {waiver}"
@@ -278,22 +314,27 @@ def _waiver_predicates(waivers: Sequence[Dict[str, Any]]):
     return compiled
 
 
-def _marker_match(digest: str):
-    def match(violation: Dict[str, Any]) -> bool:
-        return marker_digest(violation) == digest
+def waiver_mask(rule: str, table: ViolationTable, compiled) -> List[bool]:
+    """Per row of one rule's table: does a compiled waiver match it?
 
-    return match
-
-
-def _region_match(box: Tuple[int, int, int, int]):
-    wxlo, wylo, wxhi, wyhi = box
-
-    def match(violation: Dict[str, Any]) -> bool:
-        # Full containment, boundary allowed — Rect.contains_rect semantics.
-        xlo, ylo, xhi, yhi = violation["region"]
-        return wxlo <= xlo and wylo <= ylo and xhi <= wxhi and yhi <= wyhi
-
-    return match
+    A marker waiver matches on :func:`row_digest`; a region waiver when the
+    marker lies fully inside the box (boundary allowed —
+    ``Rect.contains_rect``).
+    """
+    mine = [(digest, box) for target, digest, box in compiled if target in ("*", rule)]
+    mask = [False] * len(table)
+    digests = {digest for digest, _ in mine if digest is not None}
+    boxes = [box for digest, box in mine if digest is None]
+    if digests:
+        mask = [digest in digests for digest in table_digests(table)]
+    if boxes:
+        _, _, xlos, ylos, xhis, yhis = table.columns[:6]
+        for index, (xlo, ylo, xhi, yhi) in enumerate(zip(xlos, ylos, xhis, yhis)):
+            mask[index] = mask[index] or any(
+                wxlo <= xlo and wylo <= ylo and xhi <= wxhi and yhi <= wyhi
+                for wxlo, wylo, wxhi, wyhi in boxes
+            )
+    return mask
 
 
 def apply_waivers_payload(
@@ -306,22 +347,14 @@ def apply_waivers_payload(
     the unwaived one) — only the ``waived`` flags and the summary totals
     change. The input payload is untouched.
     """
-    compiled = _waiver_predicates(waivers)
-
+    compiled = compile_waivers(waivers)
     out = dict(payload)
     out["results"] = []
-    for result in payload["results"]:
-        entry = dict(result)
-        entry["violations"] = []
-        for violation in result["violations"]:
-            v = dict(violation)
-            if not v.get("waived") and any(
-                target in ("*", result["rule"]) and match(v)
-                for target, match in compiled
-            ):
-                v["waived"] = True
-            entry["violations"].append(v)
-        out["results"].append(entry)
+    for result, entry in zip(payload["results"], payload_entries(payload)):
+        marked = dict(result)
+        table = entry.table.waive(waiver_mask(entry.rule, entry.table, compiled))
+        marked["violations"] = table.dicts()
+        out["results"].append(marked)
     out.update(payload_totals(out))
     return out
 
@@ -329,6 +362,41 @@ def apply_waivers_payload(
 # ---------------------------------------------------------------------------
 # Violation filtering (the /violations payload, locally reproducible)
 # ---------------------------------------------------------------------------
+
+
+def filter_violations(
+    entries: Iterable[RuleRows],
+    *,
+    severity: Optional[str] = None,
+    rules: Optional[Sequence[str]] = None,
+    bbox: Optional[Sequence[int]] = None,
+    include_waived: bool = True,
+) -> Dict[str, Any]:
+    """Flat violation listing filtered by severity / rule / bbox.
+
+    The exact shape ``GET /sessions/<id>/violations`` serves (minus the
+    session envelope). Rules and severities drop whole entries; ``bbox``
+    (markers that *overlap* the box, touching counts — ``Rect.overlaps``)
+    and ``include_waived`` are masks over each table, and dicts are built
+    only for the rows kept.
+    """
+    wanted = set(rules) if rules else None
+    items: List[Dict[str, Any]] = []
+    for entry in entries:
+        if severity is not None and entry.severity != severity:
+            continue
+        if wanted is not None and entry.rule not in wanted:
+            continue
+        table = entry.table
+        if bbox is not None:
+            table = table.select(table.overlapping([bbox]))
+        if not include_waived:
+            table = table.select(flag == 0 for flag in table.waived)
+        for item in table.dicts():
+            item["rule"] = entry.rule
+            item["severity"] = entry.severity
+            items.append(item)
+    return {"total": len(items), "violations": items}
 
 
 def filter_violations_payload(
@@ -339,40 +407,8 @@ def filter_violations_payload(
     bbox: Optional[Sequence[int]] = None,
     include_waived: bool = True,
 ) -> Dict[str, Any]:
-    """Flat violation listing filtered by severity / rule / bbox.
-
-    The exact shape ``GET /sessions/<id>/violations`` serves (minus the
-    session envelope), computable from any report payload or marker
-    database — so served filtering and local CLI filtering are the same
-    code path. ``bbox`` keeps violations whose marker *overlaps* the box
-    (closed-region semantics, touching counts — ``Rect.overlaps``).
-    """
-    wanted = set(rules) if rules else None
-    items: List[Dict[str, Any]] = []
-    for result in payload["results"]:
-        sev = result.get("severity", "error")
-        if severity is not None and sev != severity:
-            continue
-        if wanted is not None and result["rule"] not in wanted:
-            continue
-        for violation in result["violations"]:
-            if not include_waived and violation.get("waived"):
-                continue
-            if bbox is not None and not _boxes_overlap(
-                bbox, violation["region"]
-            ):
-                continue
-            entry = dict(violation)
-            entry.setdefault("waived", False)
-            entry["rule"] = result["rule"]
-            entry["severity"] = sev
-            items.append(entry)
-    return {"total": len(items), "violations": items}
-
-
-def _boxes_overlap(a: Sequence[int], b: Sequence[int]) -> bool:
-    axlo, aylo, axhi, ayhi = a
-    bxlo, bylo, bxhi, byhi = b
-    if axlo > axhi or aylo > ayhi or bxlo > bxhi or bylo > byhi:
-        return False
-    return axlo <= bxhi and bxlo <= axhi and aylo <= byhi and bylo <= ayhi
+    """:func:`filter_violations` of a report payload or marker database."""
+    return filter_violations(
+        payload_entries(payload), severity=severity, rules=rules, bbox=bbox,
+        include_waived=include_waived,
+    )

@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import json
 import runpy
 import statistics
 import threading
@@ -78,7 +77,7 @@ from ..core.reportcache import (
 )
 from ..core.results import CheckReport, merge_stats
 from ..core.rules import SEVERITIES, Rule
-from ..reporting import filter_violations_payload
+from ..reporting import filter_violations
 
 __all__ = [
     "AdmissionScheduler",
@@ -891,10 +890,10 @@ class ServerState:
 
         Serves the stored report of the session's current version; when the
         store has none the session is checked first (which itself coalesces).
-        Filtering delegates to
-        :func:`repro.reporting.filter_violations_payload` — the same code
-        path the local ``repro violations`` command runs on a marker
-        database, so served and local listings are byte-identical.
+        Filtering is :func:`repro.reporting.filter_violations` over the
+        report's tables (masks, then dicts for the kept rows only) — the
+        same code path the local ``repro violations`` command runs on a
+        marker database, so served and local listings are byte-identical.
         """
         if severity is not None and severity not in SEVERITIES:
             raise BadRequestError(
@@ -919,8 +918,8 @@ class ServerState:
                 f"unknown rule(s): {sorted(wanted - known)}; session rules: "
                 f"{sorted(known)}"
             )
-        filtered = filter_violations_payload(
-            report.payload(),
+        filtered = filter_violations(
+            report.entries(),
             severity=severity,
             rules=rules,
             bbox=None if box is None else [box.xlo, box.ylo, box.xhi, box.yhi],
@@ -987,10 +986,10 @@ class ServerState:
 def report_payload(report: CheckReport, meta: Dict[str, Any]) -> Dict[str, Any]:
     """The JSON body of a served check: the canonical report + request meta.
 
-    The ``report`` member round-trips through
-    :meth:`~repro.core.results.CheckReport.to_json`, so a client re-dumping
-    it with ``json.dumps(obj, indent=2, sort_keys=True)`` reproduces the
-    local CLI's ``--format json`` output byte for byte (modulo the measured
-    seconds, which are honest wall times of whichever side ran the check).
+    The ``report`` member is :meth:`~repro.core.results.CheckReport.payload`,
+    encoded once, by the HTTP shell; a client re-dumping it with
+    ``json.dumps(obj, indent=2, sort_keys=True)`` reproduces the local CLI's
+    ``--format json`` output byte for byte (modulo the measured seconds,
+    which are honest wall times of whichever side ran the check).
     """
-    return {"report": json.loads(report.to_json(indent=None)), "meta": meta}
+    return {"report": report.payload(), "meta": meta}

@@ -22,56 +22,54 @@ from typing import Dict, List, Sequence, Tuple
 from ..geometry import Interval, Rect, coalesce
 
 
-def merge_intervals_pigeonhole(intervals: Sequence[Interval]) -> List[Interval]:
-    """Algorithm 1: pigeonhole-array interval merging.
+def merge_spans_pigeonhole(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Algorithm 1: pigeonhole-array merging of ``(lo, hi)`` int pairs.
 
-    Returns the disjoint, sorted cover of the input intervals. Touching
-    closed intervals (``[0, 5]`` and ``[5, 9]``) merge; integer-adjacent
-    ones (``[0, 5]`` and ``[6, 9]``) do not.
+    Returns the disjoint, sorted cover of the input spans as pairs. Touching
+    closed spans (``(0, 5)`` and ``(5, 9)``) merge; integer-adjacent ones
+    (``(0, 5)`` and ``(6, 9)``) do not. Builds no object per span.
     """
-    if not intervals:
+    if not spans:
         return []
 
     # Discretize: the pigeonhole array is indexed by compressed endpoints.
-    domain = _compress_endpoints(intervals)
-    values, index_of = domain
+    values = sorted({v for span in spans for v in span})
+    index_of = {v: i for i, v in enumerate(values)}
     array = list(range(len(values)))  # step 1: A[i] = i
 
     # Step 2: one O(1) update per merge — A[l] <- max(A[l], r).
-    for interval in intervals:
-        lo_idx = index_of[interval.lo]
-        hi_idx = index_of[interval.hi]
+    for lo, hi in spans:
+        lo_idx = index_of[lo]
+        hi_idx = index_of[hi]
         if array[lo_idx] < hi_idx:
             array[lo_idx] = hi_idx
 
-    # Step 3: scan A once, emitting a new interval whenever the running end
-    # is exceeded by the scan position.
-    result: List[Interval] = []
+    # Step 3: scan A once, emitting a new span whenever the running end is
+    # exceeded by the scan position.
+    result: List[Tuple[int, int]] = []
     end = -1
     start = -1
     for i, reach in enumerate(array):
         if i > end:
             if end >= 0:
-                result.append(Interval(values[start], values[end]))
+                result.append((values[start], values[end]))
             start = i
             end = i
         if reach > end:
             end = reach
     if end >= 0:
-        result.append(Interval(values[start], values[end]))
+        result.append((values[start], values[end]))
     return result
+
+
+def merge_intervals_pigeonhole(intervals: Sequence[Interval]) -> List[Interval]:
+    """:func:`merge_spans_pigeonhole` over (and returning) :class:`Interval`\\ s."""
+    return list(map(Interval._make, merge_spans_pigeonhole(intervals)))
 
 
 def merge_intervals_sorted(intervals: Sequence[Interval]) -> List[Interval]:
     """Sort-based Ω(k log k) merging — the baseline the paper compares against."""
-    return coalesce(intervals)
-
-
-def _compress_endpoints(
-    intervals: Sequence[Interval],
-) -> Tuple[List[int], Dict[int, int]]:
-    values = sorted({v for iv in intervals for v in (iv.lo, iv.hi)})
-    return values, {v: i for i, v in enumerate(values)}
+    return coalesce(map(Interval._make, intervals))
 
 
 def coalesce_rects(rects: Sequence[Rect]) -> List[Rect]:

@@ -27,6 +27,7 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.layout.cell import Cell
 from repro.spatial.sweepline import near_pairs
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
+from repro.violation_table import violation_row
 
 
 def iter_instances(
@@ -118,7 +119,7 @@ class ReferenceSequentialBackend(SequentialBackend):
             cached = self._pair_memo.get(key)
             if cached is not None:
                 self.pruning.checks_reused += 1
-                return [v.transformed(item_a.placement) for v in cached]
+                return [violation_row(v.transformed(item_a.placement)) for v in cached]
         side_a, side_b = gather_pair_polygons(rings, item_a, item_b, self.subtree, layer, value)
         found: List[Violation] = []
         inflated_a = [p.mbr.inflated(value) for p in side_a]
@@ -133,7 +134,8 @@ class ReferenceSequentialBackend(SequentialBackend):
             )
         if key is not None:
             self._pair_memo[key] = [v.transformed(inverse_a) for v in found]
-        return found
+        # The backend it plugs into passes violation rows up the hierarchy.
+        return list(map(violation_row, found))
 
     def _cross_layer(self, via_layer, metal_layer, value, procedures, profile):
         memo: Dict[str, List[Polygon]] = {}

@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.geometry import EMPTY_RECT, Rect
 from repro.partition import (
@@ -8,6 +10,8 @@ from repro.partition import (
     partition_rects,
     partition_sorted_baseline,
 )
+
+from . import reference_partition
 
 
 class TestMargin:
@@ -91,6 +95,30 @@ class TestPartition:
         b = partition_sorted_baseline(rects, 7)
         assert [r.members for r in a.rows] == [r.members for r in b.rows]
         assert [r.span for r in a.rows] == [r.span for r in b.rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-60, 60), st.integers(-60, 60), st.integers(-5, 40), st.integers(-5, 40)
+            ).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3])),
+            max_size=40,
+        ),
+        st.sampled_from([0, 1, 2, 7, 10_000]),
+    )
+    def test_pairs_match_the_object_procedure(self, rects, rule):
+        """Empty (negative-extent) and degenerate (zero-extent) rects
+        included; margins 0, 1 and big."""
+        margin, rows = reference_partition.partition_rects(rects, rule)
+        part = partition_rects(rects, rule)
+        assert part.margin == margin
+        assert part.members == [members for _, members in rows]
+        assert [row.span for row in part.rows] == [span for span, _ in rows]
+        assert part.signature() == (margin, tuple(tuple(m) for _, m in rows))
+        as_lists = partition_rects([list(r) for r in rects], rule)
+        assert as_lists.signature() == part.signature()
+        baseline = partition_sorted_baseline(rects, rule)
+        assert baseline.signature() == part.signature()
 
     def test_members_partition_everything(self):
         rng = random.Random(9)

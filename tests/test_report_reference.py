@@ -1,0 +1,161 @@
+"""The columnar report path against the dict-walking one it replaced.
+
+Random reports — duplicates with differing waived flags, waived rows,
+``other_layer=None``, rule names with commas, quotes and non-ASCII
+characters, empty results and zero-violation reports — must render the same
+bytes through the :class:`~repro.violation_table.ViolationTable` renderers
+as through ``tests/reference_report.py``: JSON, served body, CSV in both
+forms, summary, dedup and filtered listings; and splice and region filter
+must keep the same violations.
+"""
+
+import json
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from repro.checks.base import Violation, ViolationKind
+from repro.core.incremental import filter_to_regions
+from repro.core.results import CheckReport, CheckResult, splice_violations
+from repro.core.rules import Rule, RuleKind
+from repro.geometry import Rect
+from repro.reporting import (
+    csv_from_payload,
+    dedup_instances,
+    filter_violations,
+    filter_violations_payload,
+    summary_from_payload,
+)
+from repro.server.state import report_payload
+from repro.spatial.regions import RegionSet
+
+from . import reference_report as ref
+
+COORD = st.integers(-50, 50)
+
+
+@st.composite
+def regions(draw):
+    xlo, ylo = draw(COORD), draw(COORD)
+    return Rect(xlo, ylo, xlo + draw(st.integers(0, 30)), ylo + draw(st.integers(0, 30)))
+
+
+@st.composite
+def violations(draw):
+    return Violation(
+        kind=draw(st.sampled_from(list(ViolationKind))),
+        layer=draw(st.integers(0, 3)),
+        region=draw(regions()),
+        measured=draw(st.integers(-5, 40)),
+        required=draw(st.integers(0, 40)),
+        other_layer=draw(st.none() | st.integers(0, 3)),
+        waived=draw(st.booleans()),
+    )
+
+
+NAMES = st.text(
+    alphabet=st.sampled_from(list('ab,"\'x é漢 \n')), min_size=1, max_size=6
+)
+
+
+@st.composite
+def reports(draw):
+    names = draw(st.lists(NAMES, max_size=4, unique=True))
+    results = []
+    for name in names:
+        pool = draw(st.lists(violations(), max_size=6))
+        # Repeats of the pool, some with the other waived flag: duplicates.
+        picks = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+        found = [v.waive() if draw(st.booleans()) else v for v in picks] + pool
+        rule = Rule(kind=RuleKind.SPACING, layer=1, value=draw(st.integers(1, 9)))
+        rule = rule.named(name).with_severity(draw(st.sampled_from(["error", "warning"])))
+        stats = draw(st.dictionaries(st.sampled_from(["a", "b_s", "c"]), st.integers(0, 9) | st.floats(0, 1)))
+        results.append(CheckResult(rule, found, draw(st.floats(0, 1)), stats=stats))
+    return CheckReport(draw(NAMES), draw(st.sampled_from(["sequential", "parallel"])), results)
+
+
+def flagged(violations):
+    return [(v, v.waived) for v in violations]
+
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(st.lists(violations(), max_size=15))
+def test_canonical_form_matches_the_set_and_sort(found):
+    rule = Rule(kind=RuleKind.SPACING, layer=1, value=3)
+    assert flagged(CheckResult(rule, found, 0.0).violations) == flagged(ref.canonical(found))
+
+
+@SETTINGS
+@given(reports())
+def test_every_output_is_byte_identical(report):
+    old = ref.payload(report)
+    assert report.payload() == old
+    assert report.to_json() == ref.to_json(report)
+    assert report.to_json(indent=None) == ref.to_json(report, indent=None)
+    meta = {"endpoint": "check", "seconds": 0.25}
+    assert json.dumps(report_payload(report, meta), sort_keys=True) == json.dumps(
+        ref.report_payload(report, meta), sort_keys=True
+    )
+    for expand in (False, True):
+        text = ref.csv_from_payload(old, expand_instances=expand)
+        assert report.to_csv(expand_instances=expand) == text
+        assert csv_from_payload(old, expand_instances=expand) == text
+    assert report.summary() == ref.summary_from_payload(old)
+    assert summary_from_payload(old) == ref.summary_from_payload(old)
+    for result in old["results"]:
+        assert dedup_instances(result["violations"]) == ref.dedup_instances(result["violations"])
+
+
+@SETTINGS
+@given(
+    reports(),
+    st.none() | st.sampled_from(["error", "warning"]),
+    st.none() | st.lists(NAMES, max_size=2),
+    st.none() | regions().map(tuple) | st.tuples(COORD, COORD, COORD, COORD),
+    st.booleans(),
+)
+def test_filtered_listings_are_identical(report, severity, rules, bbox, include_waived):
+    old = ref.payload(report)
+    expected = json.dumps(
+        ref.filter_violations_payload(
+            old, severity=severity, rules=rules, bbox=bbox, include_waived=include_waived
+        ),
+        sort_keys=True,
+    )
+    kwargs = dict(severity=severity, rules=rules, bbox=bbox, include_waived=include_waived)
+    assert json.dumps(filter_violations(report.entries(), **kwargs), sort_keys=True) == expected
+    assert json.dumps(filter_violations_payload(old, **kwargs), sort_keys=True) == expected
+
+
+@SETTINGS
+@given(
+    st.lists(violations(), max_size=15),
+    st.lists(violations(), max_size=6),
+    st.lists(regions(), min_size=1, max_size=3),
+)
+def test_splice_and_region_filter_keep_the_same_violations(cached, fresh, windows):
+    region_set = RegionSet.of(windows)
+    rule = Rule(kind=RuleKind.SPACING, layer=1, value=3)
+    baseline = CheckResult(rule, cached, 0.0)
+    spliced = splice_violations(baseline.table, fresh, region_set)
+    expected = ref.splice_violations(baseline.violations, fresh, region_set)
+    assert flagged(spliced.violations()) == flagged(expected)
+    clipped = filter_to_regions(CheckReport("l", "sequential", [baseline]), region_set)
+    assert flagged(clipped.results[0].violations) == flagged(
+        ref.filter_to_regions(baseline.violations, region_set)
+    )
+
+
+def test_zero_violation_and_empty_reports():
+    rule = Rule(kind=RuleKind.WIDTH, layer=1, value=3).named("W,\"é")
+    for report in (
+        CheckReport("empty", "sequential", []),
+        CheckReport("clean", "parallel", [CheckResult(rule, [], 0.5)]),
+    ):
+        old = ref.payload(report)
+        assert report.to_json() == ref.to_json(report)
+        assert report.to_csv() == ref.csv_from_payload(old)
+        assert report.summary() == ref.summary_from_payload(old)

@@ -11,6 +11,8 @@ import os
 import sys
 import threading
 
+import numpy as np
+
 from repro.checks.base import Violation, ViolationKind
 from repro.core.packstore import PackStore
 from repro.core.reportcache import ReportCache, deck_digest, report_key
@@ -64,6 +66,38 @@ class TestReportCacheBasics:
         assert cache.entries() == []
         # clear() on an already-empty (or never-created) directory is a no-op
         assert cache.clear() == 0
+
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        """A writer killed between mkstemp and os.replace leaves a *.tmp
+        behind, in reports/ and in a pack-store shard; clear() removes both
+        without counting them as entries."""
+        store = PackStore(str(tmp_path))
+        cache = ReportCache(store)
+        cache.save(_key(0), _report(0))
+        store.save("ab" + "0" * 62, {"x": np.arange(3)})
+        shard = os.path.join(store.root, "ab")
+        orphans = [os.path.join(cache.root, "x1.tmp"), os.path.join(shard, ".ab.123.y.tmp")]
+        for path in orphans:
+            with open(path, "w") as fh:
+                fh.write("partial")
+        assert len(cache.entries()) == 1 and len(store.entries()) == 1
+        assert cache.clear() == 1 and store.clear() == 1
+        assert not any(os.path.exists(path) for path in orphans)
+        assert os.listdir(cache.root) == [] and os.listdir(shard) == []
+
+    def test_writer_whose_temp_file_vanishes_swallows_the_error(self, tmp_path, monkeypatch):
+        """clear() racing a live writer: its os.replace fails, save() does not."""
+        cache = ReportCache(PackStore(str(tmp_path)))
+        real_replace = os.replace
+
+        def clear_first(src, dst):
+            cache.clear()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", clear_first)
+        cache.save(_key(0), _report(0))  # no exception
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert cache.entries() == [] and os.listdir(cache.root) == []
 
     def test_half_written_entry_is_a_miss_not_a_crash(self, tmp_path):
         cache = ReportCache(PackStore(str(tmp_path)))
