@@ -88,16 +88,30 @@ def _load_deck(path: Optional[str]) -> List[Rule]:
     return rules
 
 
-def _read(path: str, top: Optional[str]):
+def _input_error(message: str) -> SystemExit:
+    """One stderr line and argparse's status for bad usage, 2: an input the
+    command cannot use is not a DRC result (1 means violations found)."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _read(path: str, top: Optional[str], previous=None):
+    """``path``'s layout with its top pinned; structures whose bytes
+    ``previous`` (the other version of a recheck) was read from are carried
+    over from it."""
+    from .errors import ReproError
     from .gdsii import read_layout
 
-    layout = read_layout(path)
-    if top:
-        layout.set_top(top)
-    else:
+    try:
+        layout = read_layout(path, previous=previous)
+        if top:
+            layout.set_top(top)
+    except (OSError, ReproError) as error:
+        raise _input_error(f"{path}: {error}") from None
+    if not top:
         roots = sorted(cell.name for cell in layout.root_cells())
         if len(roots) > 1:
-            raise SystemExit(
+            raise _input_error(
                 f"{path} has {len(roots)} root cells ({', '.join(roots)}); "
                 "pick the one to check with --top"
             )
@@ -361,7 +375,7 @@ def cmd_recheck(args: argparse.Namespace) -> int:
     from .core.incremental import recheck
 
     old = _read(args.old, args.top)
-    new = _read(args.new, args.top)
+    new = _read(args.new, args.top, previous=old)
     try:
         outcome = recheck(
             old, new, rules=_load_deck(args.deck), options=_engine_options(args),

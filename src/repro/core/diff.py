@@ -38,7 +38,7 @@ from ..geometry import EMPTY_RECT, Rect
 from ..hierarchy.tree import HierarchyTree, reference_mbr
 from ..layout.library import Layout
 from ..spatial.regions import RegionSet
-from .packstore import layer_geometry_digest
+from .packstore import layer_digests
 from .plan import interaction_distance
 from .rules import Rule
 
@@ -222,6 +222,12 @@ def _layer_dirty_rects(
     for name in names:
         old_cell = old.cells.get(name)
         new_cell = new.cells.get(name)
+        token = new_tree.tokens.get(name)
+        if token is not None and token == old_tree.tokens.get(name):
+            # The same bytes: no local dirt, and every reference is common
+            # (one that reaches no changed geometry contributes none).
+            common_refs[name] = new_cell.references
+            continue
         rects = _cell_local_dirty(old_cell, new_cell, layer)
         ref_rects, common = _cell_ref_dirty(
             old_cell, new_cell, layer, old_tree, new_tree
@@ -268,23 +274,24 @@ def diff_layouts(
     Digest comparison is hierarchical — a clean layer costs one definition
     walk, never a flatten. A caller that already holds a version's tree or
     some of its per-layer digests passes them in; only what is missing is
-    computed.
+    computed, the new version's against the old one's (structures read from
+    the same bytes share tree MBRs and, where provably equal, digests).
     """
     old_tree = old_tree if old_tree is not None else HierarchyTree(old)
-    new_tree = new_tree if new_tree is not None else HierarchyTree(new)
+    new_tree = new_tree if new_tree is not None else HierarchyTree(new, previous=old_tree)
 
     if layers is None:
         layers = sorted(set(old.layers()) | set(new.layers()))
 
-    def digests(tree: HierarchyTree, known: Optional[Dict[int, str]]) -> Dict[int, str]:
+    def digests(tree: HierarchyTree, known: Optional[Dict[int, str]], previous=None) -> Dict[int, str]:
         known = known or {}
-        return {
-            L: known[L] if L in known else layer_geometry_digest(tree, L) for L in layers
-        }
+        computed = layer_digests(tree, [L for L in layers if L not in known], previous)
+        return {L: known[L] if L in known else computed[L] for L in layers}
 
+    old_layer_digests = digests(old_tree, old_digests)
     diff = LayoutDiff(
-        digests(old_tree, old_digests),
-        digests(new_tree, new_digests),
+        old_layer_digests,
+        digests(new_tree, new_digests, (old_tree, old_layer_digests)),
         dirty={},
         old_tree=old_tree,
         new_tree=new_tree,

@@ -60,6 +60,7 @@ _logger = get_logger("packstore")
 __all__ = [
     "FORMAT_VERSION",
     "PackStore",
+    "layer_digests",
     "layer_geometry_digest",
     "member_rows_from_arrays",
     "member_rows_to_arrays",
@@ -164,6 +165,52 @@ def layer_geometry_digest(tree, layer: int) -> str:
                     repr((ref.cell_name, ref.transform, ref.repetition)).encode("utf-8")
                 )
     return hasher.hexdigest()
+
+
+def layer_digests(tree, layers: Sequence[int], previous=None) -> Dict[int, str]:
+    """:func:`layer_geometry_digest` of each of ``layers``.
+
+    ``previous`` is another version's ``(tree, digests)``. A layer's digest
+    is taken from it when it provably equals a fresh one: both versions have
+    the same cells and top, and every cell either has equal source tokens in
+    the two trees (the same bytes: the same rings on every layer and the
+    same references) or the same references and the same rings on that
+    layer. Then every subtree MBR of the layer, the reachable set and every
+    hashed byte are equal. Every other layer is computed.
+    """
+    edited = _edited_cells(tree, previous[0]) if previous is not None else None
+    known = previous[1] if previous is not None else {}
+    return {
+        layer: known[layer]
+        if edited is not None
+        and layer in known
+        and all(_same_rings(cell.rings(layer), old.rings(layer)) for cell, old in edited)
+        else layer_geometry_digest(tree, layer)
+        for layer in layers
+    }
+
+
+def _edited_cells(tree, old_tree) -> Optional[List[Tuple[Any, Any]]]:
+    """``(cell, old cell)`` for every cell whose tokens differ between the two
+    trees, or None where a digest could differ beyond those cells' rings
+    (another cell set or top, or changed references)."""
+    if tree.top.name != old_tree.top.name or tree.tokens.keys() != old_tree.tokens.keys():
+        return None
+    edited = []
+    for name, token in tree.tokens.items():
+        if token is None or token != old_tree.tokens[name]:
+            cell, old = tree.layout.cells[name], old_tree.layout.cells[name]
+            if cell.references != old.references:
+                return None
+            edited.append((cell, old))
+    return edited
+
+
+def _same_rings(rings, old_rings) -> bool:
+    """Whether two (cell, layer) buffers hash alike: both empty, or the same rings."""
+    if not rings or not old_rings:
+        return not rings and not old_rings
+    return rings.same_rings(old_rings)
 
 
 def _reachable_cells(tree, layer: int) -> Iterator[str]:

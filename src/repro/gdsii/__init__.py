@@ -49,14 +49,19 @@ __all__ = [
 ]
 
 
-def read_layout(path):
+def read_layout(path, previous=None):
     """Read a GDSII file directly into a :class:`repro.layout.Layout`."""
     with open(path, "rb") as f:
-        return read_layout_bytes(f.read())
+        return read_layout_bytes(f.read(), previous=previous)
 
 
-def read_layout_bytes(data: bytes):
-    """Parse in-memory GDSII stream bytes directly into a layout database."""
+def read_layout_bytes(data: bytes, previous=None):
+    """Parse in-memory GDSII stream bytes directly into a layout database.
+
+    With ``previous`` (another version's layout), every structure whose bytes
+    are those a cell of ``previous`` was read from is copied from that cell
+    instead of decoded; the result, and any error, is that of a fresh read.
+    """
     from ..layout.builder import LayoutSink
 
-    return walk_stream(data, LayoutSink())
+    return walk_stream(data, LayoutSink(previous))

@@ -17,10 +17,19 @@ one unpack of its fixed header bytes, one of its coordinates, one compare of
 its ENDEL. The fused decode only ever **accepts** — anything it does not
 recognise is left untouched for the record-by-record walk, which alone
 decides what is an error and how it reads.
+
+A sink may also take a structure whole instead of having it walked: right
+after STRNAME the walk asks it, and resumes past ENDSTR if it did.
+:class:`repro.layout.builder.LayoutSink` does so only for bytes that hash
+like those a cell of the previous version was read from (:func:`source_token`):
+bytes this walk already accepted from the same grammar state, so a stream
+reads to the same layout, or fails with the same error at the same place,
+either way.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from typing import Dict, List, Sequence, Tuple, Union
@@ -80,6 +89,12 @@ class _ModelSink:
         self.library.structures.append(structure)
         self.element = structure.elements.append
 
+    def carry_over(self, data: bytes, start: int) -> int:
+        return 0
+
+    def end_structure(self, data: bytes, start: int, stop: int) -> None:
+        pass
+
     def boundary(self, layer: int, datatype: int, flat: Sequence[int], properties) -> None:
         self.element(GdsBoundary(layer, datatype, list(zip(flat[0::2], flat[1::2])), properties))
 
@@ -92,13 +107,20 @@ def walk_stream(data: bytes, sink):
     """Scan ``data`` once and feed ``sink``; returns ``sink.finish()``.
 
     A sink has ``begin_library(name, user_unit, meters_per_unit, timestamp)``,
-    ``begin_structure(name, timestamp)``, ``boundary(layer, datatype, flat,
-    properties)`` (a BOUNDARY of the structure begun last: ``flat`` is
-    ``x0, y0, x1, y1, ...`` of its ring, at least three points, the closing
-    repeat of the first dropped), ``element(gds_element)`` (a PATH, SREF or
-    AREF as a :mod:`~repro.gdsii.model` element) and ``finish()``. Both are
-    looked up after each ``begin_structure``. TEXT elements carry no DRC
-    geometry and are skipped.
+    ``begin_structure(name, timestamp)``, ``carry_over(data, start)``,
+    ``boundary(layer, datatype, flat, properties)`` (a BOUNDARY of the
+    structure begun last: ``flat`` is ``x0, y0, x1, y1, ...`` of its ring,
+    at least three points, the closing repeat of the first dropped),
+    ``element(gds_element)`` (a PATH, SREF or AREF as a
+    :mod:`~repro.gdsii.model` element), ``end_structure(data, start, stop)``
+    and ``finish()``. ``boundary`` and ``element`` are looked up after each
+    ``begin_structure``. TEXT elements carry no DRC geometry and are skipped.
+
+    ``start`` is the offset of a structure's STRNAME record. After
+    ``begin_structure`` the walk asks ``carry_over`` whether the sink took
+    the structure whole: a non-zero answer is the offset just past its
+    ENDSTR, where the walk resumes. Otherwise the structure is walked and
+    ``end_structure`` gets its range, ``stop`` just past ENDSTR.
     """
     cur = RecordCursor(data)
     _read(cur, _HEADER)
@@ -115,9 +137,21 @@ def walk_stream(data: bytes, sink):
         if rtype != _BGNSTR:
             raise _unexpected(cur, rtype, "BGNSTR or ENDLIB at library level")
         timestamp = tuple(cur.payload()[:6])
+        start = cur.offset
         name = _read(cur, _STRNAME)
         sink.begin_structure(name, timestamp)
+        stop = sink.carry_over(data, start)
+        if stop:
+            cur.offset = stop
+            continue
         _walk_structure(cur, name, sink.boundary, sink.element)
+        sink.end_structure(data, start, cur.offset)
+
+
+def source_token(data: bytes, start: int, stop: int) -> Tuple[int, bytes]:
+    """``(length, sha256)`` of ``data[start:stop]``: a structure's bytes from
+    its STRNAME record through ENDSTR (BGNSTR's timestamps left out)."""
+    return stop - start, hashlib.sha256(memoryview(data)[start:stop]).digest()
 
 
 #: The fixed bytes that open a canonical BOUNDARY, as one unpack: BOUNDARY

@@ -16,11 +16,11 @@ over a regular grid is the rect stretched across the grid's offset extent.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..geometry import EMPTY_RECT, Rect, Transform
 from ..geometry.transform import IDENTITY_ROW, compose_rows, rigid_row, row_transform
-from ..layout.cell import CellReference
+from ..layout.cell import Cell, CellReference, SourceToken
 from ..layout.library import Layout
 
 
@@ -36,8 +36,14 @@ Placements = Tuple[array, List[Transform]]
 class HierarchyTree:
     """The layout's reference DAG augmented with per-layer subtree MBRs."""
 
-    def __init__(self, layout: Layout, *, top: Optional[str] = None) -> None:
-        layout.validate()
+    def __init__(
+        self,
+        layout: Layout,
+        *,
+        top: Optional[str] = None,
+        previous: Optional["HierarchyTree"] = None,
+    ) -> None:
+        cells = layout.validate()
         self.layout = layout
         self.top = layout.cell(top) if top else layout.top_cell()
         #: cell name -> layer -> subtree MBR in that cell's local coordinates
@@ -45,15 +51,34 @@ class HierarchyTree:
         self._placed_children: Dict[Tuple[str, int], List[PlacedChild]] = {}
         self._placements: Dict[int, Dict[str, Placements]] = {}
         #: Every cell's name, children before parents.
-        self.order: List[str] = [cell.name for cell in layout.topological_order()]
+        self.order: List[str] = [cell.name for cell in cells]
         #: Each cell's index in :attr:`order`.
         self.position: Dict[str, int] = {name: i for i, name in enumerate(self.order)}
-        self._compute_mbrs()
+        #: Each cell's source token as this tree found it (``None``: built in
+        #: memory or edited since read); what a next version's tree compares.
+        self.tokens: Dict[str, Optional[SourceToken]] = {
+            cell.name: cell.source_token for cell in cells
+        }
+        self._compute_mbrs(cells, previous)
 
     # -- construction -------------------------------------------------------
 
-    def _compute_mbrs(self) -> None:
-        for cell in map(self.layout.cell, self.order):
+    def _compute_mbrs(self, cells: List[Cell], previous: Optional["HierarchyTree"]) -> None:
+        """One pass, children first. A cell whose token is the one ``previous``
+        recorded, and whose children all took ``previous``'s MBRs, has the same
+        subtree: it takes them too, and only the rest is computed."""
+        shared: Set[str] = set()
+        for cell in cells:
+            token = self.tokens[cell.name]
+            if (
+                previous is not None
+                and token is not None
+                and previous.tokens.get(cell.name) == token
+                and all(ref.cell_name in shared for ref in cell.references)
+            ):
+                self._layer_mbrs[cell.name] = previous._layer_mbrs[cell.name]
+                shared.add(cell.name)
+                continue
             mbrs: Dict[int, Rect] = {}
             for layer in cell.local_layers():
                 table = cell.rings(layer).mbrs  # xlo, ylo, xhi, yhi per ring

@@ -9,7 +9,7 @@ so that workload layouts can be persisted as genuine GDSII files and re-read.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import GdsiiError
 from ..gdsii.model import (
@@ -23,8 +23,9 @@ from ..gdsii.model import (
     magnification_scalar,
     strans_angle_to_rotation,
 )
+from ..gdsii.reader import source_token
 from ..geometry import Point, Polygon, Transform
-from .cell import CellReference, Repetition
+from .cell import CellReference, Repetition, SourceToken
 from .library import Layout
 
 
@@ -53,13 +54,48 @@ class LayoutSink:
     :class:`GdsLibrary`. Boundaries go into the cell's packed ring buffers
     as coordinates; PATH elements become their outline polygons, since DRC
     operates on filled geometry.
+
+    Fed by the walk, every structure it decodes is stamped with its source
+    token; given the layout of a previous version, a structure whose bytes
+    a cell of that layout was read from is copied instead (:meth:`carry_over`).
     """
+
+    def __init__(self, previous: Optional[Layout] = None) -> None:
+        self._previous = previous.cells if previous is not None else {}
+        #: ``(start, token)`` of bytes a failed :meth:`carry_over` hashed.
+        self._tried: Optional[Tuple[int, SourceToken]] = None
 
     def begin_library(self, name, user_unit, meters_per_unit, timestamp) -> None:
         self.layout = Layout(name, meters_per_unit=meters_per_unit, user_unit=user_unit)
 
     def begin_structure(self, name: str, timestamp) -> None:
         self._cell = self.layout.new_cell(name)
+
+    def carry_over(self, data: bytes, start: int) -> int:
+        """Copy the structure whose STRNAME record starts at ``start`` from
+        the previous version's cell of that name, if that cell holds what
+        these very bytes decode to: their end offset, or 0 to decode them."""
+        self._tried = None
+        old = self._previous.get(self._cell.name)
+        token = old.source_token if old is not None else None
+        if token is None or start + token[0] > len(data):
+            return 0
+        found = source_token(data, start, start + token[0])
+        if found != token:
+            self._tried = start, found
+            return 0
+        self._cell.copy_content(old)
+        self._cell.stamp(token)
+        return start + token[0]
+
+    def end_structure(self, data: bytes, start: int, stop: int) -> None:
+        """Stamp the structure just decoded (an edit that kept the structure's
+        length was hashed by :meth:`carry_over` already)."""
+        tried = self._tried
+        if tried is not None and tried[0] == start and tried[1][0] == stop - start:
+            self._cell.stamp(tried[1])
+        else:
+            self._cell.stamp(source_token(data, start, stop))
 
     def boundary(self, layer: int, datatype: int, flat, properties) -> None:
         """Normalise one ring and append it to the (cell, layer) buffer.

@@ -89,10 +89,12 @@ class RingBuffer:
     The three arrays are stdlib ``array('q')`` (native int64), so consumers
     read them through ``memoryview`` / ``np.frombuffer`` without a copy.
     :meth:`polygons` is a cached *view*; every mutation drops it, and it is
-    neither compared nor pickled.
+    neither compared nor pickled. Every mutation also clears ``_stamped``,
+    which :meth:`Cell.stamp` sets: a cell's source token holds only while
+    each of its buffers is still stamped.
     """
 
-    __slots__ = ("coords", "offsets", "mbrs", "names", "_view")
+    __slots__ = ("coords", "offsets", "mbrs", "names", "_view", "_stamped")
 
     def __init__(self) -> None:
         self.coords = array("q")
@@ -100,6 +102,7 @@ class RingBuffer:
         self.mbrs = array("q")
         self.names: Dict[int, str] = {}
         self._view: Optional[Tuple[Polygon, ...]] = None
+        self._stamped = False
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -110,6 +113,16 @@ class RingBuffer:
     def __setstate__(self, state) -> None:
         self.coords, self.offsets, self.mbrs, self.names = state
         self._view = None
+        self._stamped = False
+
+    def copy(self) -> "RingBuffer":
+        """A buffer with copies of this one's arrays and names (no view)."""
+        twin = RingBuffer()
+        twin.coords = array("q", self.coords)
+        twin.offsets = array("q", self.offsets)
+        twin.mbrs = array("q", self.mbrs)
+        twin.names = dict(self.names)
+        return twin
 
     def same_rings(self, other: "RingBuffer") -> bool:
         """True if both hold the same rings in the same order (names aside)."""
@@ -155,6 +168,7 @@ class RingBuffer:
         self.mbrs.extend(mbr)
         self.offsets.append(len(self.coords))
         self._view = None
+        self._stamped = False
 
     def append(self, polygon: Polygon) -> None:
         """Append ``polygon``'s ring (a ``Polygon`` is normalised by construction)."""
@@ -183,6 +197,7 @@ class RingBuffer:
             if i != index
         }
         self._view = None
+        self._stamped = False
         return removed
 
     # -- the object view -----------------------------------------------------
@@ -217,15 +232,57 @@ class RingBuffer:
         return view
 
 
-class Cell:
-    """A named structure: per-layer packed rings plus child references."""
+#: Where a cell's content came from: the length and SHA-256 digest of the
+#: stream bytes of its structure, from its STRNAME record through ENDSTR.
+SourceToken = Tuple[int, bytes]
 
-    __slots__ = ("name", "_rings", "references")
+
+class Cell:
+    """A named structure: per-layer packed rings plus child references.
+
+    A cell read from a GDSII stream carries its :attr:`source_token`, so the
+    next version of the layout can tell from bytes alone that the structure
+    did not change. Every edit through the cell or through one of its
+    buffers' mutators drops the token, and so does any change to
+    :attr:`references` (compared against the list as it was stamped).
+    """
+
+    __slots__ = ("name", "_rings", "references", "_token", "_token_refs")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._rings: Dict[int, RingBuffer] = {}
         self.references: List[CellReference] = []
+        self._token: Optional[SourceToken] = None
+        self._token_refs: Optional[List[CellReference]] = None
+
+    # -- source token --------------------------------------------------------
+
+    @property
+    def source_token(self) -> Optional[SourceToken]:
+        """The bytes this cell holds exactly the decoding of, or ``None``
+        (built in memory, or edited since it was read)."""
+        token = self._token
+        if token is not None and (
+            self.references != self._token_refs
+            or not all(rings._stamped for rings in self._rings.values())
+        ):
+            token = self._token = self._token_refs = None
+        return token
+
+    def stamp(self, token: SourceToken) -> None:
+        """Record that the cell, as it is now, is what ``token``'s bytes decode to."""
+        self._token = token
+        self._token_refs = list(self.references)
+        for rings in self._rings.values():
+            rings._stamped = True
+
+    def copy_content(self, source: "Cell") -> None:
+        """Replace this cell's content with ``source``'s: copies of its ring
+        buffers and the same (frozen) references. The token is not copied."""
+        self._rings = {layer: rings.copy() for layer, rings in source._rings.items()}
+        self.references = list(source.references)
+        self._token = None
 
     # -- construction ------------------------------------------------------
 
@@ -239,6 +296,7 @@ class Cell:
         rings = self._rings.get(layer)
         if rings is None:
             raise IndexError(f"cell {self.name!r} has no polygons on layer {layer}")
+        self._token = None
         removed = rings.remove(index)
         if not len(rings):
             del self._rings[layer]
@@ -246,10 +304,15 @@ class Cell:
 
     def add_reference(self, reference: CellReference) -> None:
         """Attach a child reference."""
+        self._token = None
         self.references.append(reference)
 
     def ring_buffer(self, layer: int) -> RingBuffer:
-        """The buffer of ``layer``, created empty if the cell has none yet."""
+        """The buffer of ``layer``, created empty if the cell has none yet.
+
+        It is handed out to be written, so the cell's source token goes.
+        """
+        self._token = None
         rings = self._rings.get(layer)
         if rings is None:
             rings = self._rings[layer] = RingBuffer()

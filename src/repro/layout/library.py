@@ -87,37 +87,42 @@ class Layout:
 
     # -- hierarchy traversal -----------------------------------------------------
 
-    def validate(self) -> None:
-        """Check reference closure and acyclicity; raise LayoutError on failure."""
+    def validate(self) -> List[Cell]:
+        """Check reference closure and acyclicity; raise LayoutError on failure.
+
+        Returns :meth:`topological_order`, which the acyclicity check computes.
+        """
         for cell in self.cells.values():
             for ref in cell.references:
                 if ref.cell_name not in self.cells:
                     raise LayoutError(
                         f"cell {cell.name!r} references undefined cell {ref.cell_name!r}"
                     )
-        self.topological_order()  # raises on cycles
+        return self.topological_order()  # raises on cycles
 
     def topological_order(self) -> List[Cell]:
         """Cells ordered children-before-parents; raises on reference cycles."""
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
         order: List[Cell] = []
+        path: List[str] = []  # the cells being visited, outermost first
 
-        def visit(name: str, trail: List[str]) -> None:
-            mark = state.get(name)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = " -> ".join(trail + [name])
+        def visit(name: str) -> None:
+            if state.get(name) == 0:
+                cycle = " -> ".join(path + [name])
                 raise LayoutError(f"reference cycle in layout {self.name!r}: {cycle}")
             state[name] = 0
             cell = self.cell(name)
+            path.append(name)
             for ref in cell.references:
-                visit(ref.cell_name, trail + [name])
+                if state.get(ref.cell_name) != 1:
+                    visit(ref.cell_name)
+            path.pop()
             state[name] = 1
             order.append(cell)
 
         for name in sorted(self.cells):
-            visit(name, [])
+            if state.get(name) != 1:
+                visit(name)
         return order
 
     def instance_counts(self, top: Optional[str] = None) -> Dict[str, int]:

@@ -67,7 +67,7 @@ from ..hierarchy.tree import HierarchyTree
 from ..layout.library import Layout
 from ..core import costmodel
 from ..core.engine import Engine, EngineOptions
-from ..core.packstore import layer_geometry_digest, resolve_store, store_key
+from ..core.packstore import layer_digests, resolve_store, store_key
 from ..core.reportcache import (
     DEFAULT_CAPACITY,
     ReportCache,
@@ -486,23 +486,37 @@ class ServerState:
 
     @staticmethod
     def _load_version(
-        path: Optional[str], data: Optional[bytes], top: Optional[str]
+        path: Optional[str],
+        data: Optional[bytes],
+        top: Optional[str],
+        previous: Optional[Tuple[Layout, HierarchyTree, Dict[int, str]]] = None,
     ) -> Tuple[Layout, HierarchyTree, Dict[int, str]]:
-        """One layout version: parsed, with its tree and per-layer digests."""
+        """One layout version: parsed, with its tree and per-layer digests.
+
+        ``previous``, another version's ``(layout, tree, digests)``, is carried
+        over for every structure whose bytes it was read from; which version
+        it is does not matter for the result, only for how much is reused.
+        """
         if (path is None) == (data is None):
             raise BadRequestError("provide exactly one of a GDS path or GDS bytes")
+        old_layout, old_tree, old_digests = previous or (None, None, None)
         try:
-            layout = read_layout(path) if path is not None else read_layout_bytes(data)
+            layout = (
+                read_layout(path, previous=old_layout)
+                if path is not None
+                else read_layout_bytes(data, previous=old_layout)
+            )
             if top:
                 layout.set_top(top)
         except ReproError as error:
             raise BadRequestError(f"cannot load layout: {error}") from error
         except OSError as error:
             raise BadRequestError(f"cannot read layout file: {error}") from error
-        tree = HierarchyTree(layout)
-        return layout, tree, {
-            layer: layer_geometry_digest(tree, layer) for layer in layout.layers()
-        }
+        tree = HierarchyTree(layout, previous=old_tree)
+        digests = layer_digests(
+            tree, layout.layers(), None if previous is None else (old_tree, old_digests)
+        )
+        return layout, tree, digests
 
     def create_session(
         self,
@@ -819,8 +833,10 @@ class ServerState:
         from ..core.incremental import recheck as run_recheck
 
         session = self.session(sid)
+        with self._lock:
+            current = (session.layout, session.tree, session.digests)
         new_layout, new_tree, new_digests = self._load_version(
-            path, data, top or session.top
+            path, data, top or session.top, current
         )
 
         def runner() -> CheckReport:

@@ -40,12 +40,13 @@ class TestCheckCommand:
         assert main(["check", uart_gds, "--top", "top", "--mode", "parallel"]) == 0
 
     @pytest.mark.parametrize("command", ["check", "stats"])
-    def test_several_roots_without_top_names_the_flag(self, uart_gds, command):
+    def test_several_roots_without_top_names_the_flag(self, uart_gds, command, capsys):
         """Synthesized streams hold a leaf macro beside ``top``: no traceback,
         an exit that says which flag to pass and which cells qualify."""
         with pytest.raises(SystemExit) as exit_info:
             main([command, uart_gds])
-        message = str(exit_info.value)
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
         assert "--top" in message and "top" in message.split("(")[1]
 
     def test_csv_output(self, dirty_gds, capsys):
@@ -79,6 +80,61 @@ class TestCheckCommand:
         deck.write_text("RULES = 'not a list'\n")
         with pytest.raises(SystemExit):
             main(["check", uart_gds, "--deck", str(deck)])
+
+
+class TestInputErrors:
+    """An input a command cannot use is bad usage, not a DRC result: exit 2
+    (argparse's status), one stderr line naming the path, no traceback.
+    Exit 1 means violations, so a CI gate would read a typo as a failure."""
+
+    @staticmethod
+    def argv(command, path):
+        return {
+            "check": ["check", path],
+            "check-window": ["check-window", path, "0", "0", "10", "10"],
+            "recheck": ["recheck", path, path],
+            "stats": ["stats", path],
+        }[command]
+
+    @pytest.fixture()
+    def bad_inputs(self, tmp_path, uart_gds):
+        malformed = tmp_path / "malformed.gds"
+        with open(uart_gds, "rb") as handle:
+            malformed.write_bytes(handle.read()[:200])
+        return {
+            "missing": (str(tmp_path / "nosuch.gds"), []),
+            "malformed": (str(malformed), []),
+            "unknown top": (uart_gds, ["--top", "nosuch"]),
+        }
+
+    @pytest.mark.parametrize("error", ["missing", "malformed", "unknown top"])
+    @pytest.mark.parametrize("command", ["check", "check-window", "recheck", "stats"])
+    def test_exits_two_naming_the_path(self, command, error, bad_inputs, capsys):
+        path, extra = bad_inputs[error]
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.argv(command, path) + extra)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_the_process_exits_two(self, tmp_path):
+        import os
+        import subprocess
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        missing = str(tmp_path / "nosuch.gds")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check", missing],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert missing in done.stderr and "Traceback" not in done.stderr
 
 
 class TestBackendFlags:

@@ -108,6 +108,34 @@ class TestLayout:
         with pytest.raises(LayoutError):
             layout.validate()
 
+    def test_cycle_message_names_the_trail(self):
+        layout = Layout("L")
+        for name, child in (("a", "b"), ("b", "c"), ("c", "a")):
+            layout.new_cell(name).add_reference(CellReference(child))
+        with pytest.raises(LayoutError) as raised:
+            layout.validate()
+        assert str(raised.value) == "reference cycle in layout 'L': a -> b -> c -> a"
+
+    def test_undefined_reference_message(self):
+        layout = Layout("L")
+        layout.new_cell("top").add_reference(CellReference("ghost"))
+        with pytest.raises(LayoutError) as raised:
+            layout.validate()
+        assert str(raised.value) == "cell 'top' references undefined cell 'ghost'"
+
+    def test_a_tree_build_walks_the_references_once(self, monkeypatch):
+        from repro.hierarchy.tree import HierarchyTree
+
+        layout = two_level_layout()
+        walks = []
+        order = Layout.topological_order
+        monkeypatch.setattr(
+            Layout, "topological_order", lambda self: walks.append(1) or order(self)
+        )
+        tree = HierarchyTree(layout)
+        assert walks == [1]
+        assert tree.order == [cell.name for cell in order(layout)]
+
     def test_topological_order_children_first(self):
         order = [c.name for c in two_level_layout().topological_order()]
         assert order.index("leaf") < order.index("mid") < order.index("top")
