@@ -171,7 +171,7 @@ class FlatCheck:
     all-layer rules), and a *gather* callable with the signature
     ``gather(layer, margin) -> List[Polygon]`` plus ``gather.rect(layer,
     rect)`` and ``gather.window`` attributes, and returns the violations of
-    the gathered sub-population. This is the windowed backend's executable
+    the gathered sub-population. This is the windowed procedure's executable
     form of a rule kind; the hierarchical backends attach their own
     strategies to the same kind in :mod:`repro.core.plan`.
     """

@@ -10,9 +10,9 @@ Commands
     backend's knobs.
 ``check-window <file.gds> <x1> <y1> <x2> <y2>``
     Incremental check: run the deck only on the given window (dbu
-    coordinates) through the windowed backend. Repeatable
-    ``--window X1 Y1 X2 Y2`` options add further windows; overlapping
-    windows coalesce and each violation reports once.
+    coordinates), in-process. Repeatable ``--window X1 Y1 X2 Y2`` options
+    add further windows; overlapping windows coalesce and each violation
+    reports once.
 ``recheck <old.gds> <new.gds>``
     True incremental re-check: diff the two versions by per-layer
     geometry digests, re-check each rule only in its dirty regions, and
@@ -49,6 +49,10 @@ Commands
     pools, cost model, report store all stay hot) serving JSON over HTTP.
     ``check <file.gds> --server URL`` routes a check through a running
     daemon instead of paying a cold start.
+
+Exit status: 0 clean, 1 violations (or ``repro diff`` regressions), 2 an
+input or usage error (one ``repro: error:`` line on stderr), ``128 +
+signum`` when a signal stops the run.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def _load_deck(path: Optional[str]) -> List[Rule]:
     namespace = runpy.run_path(path)
     rules = namespace.get("RULES")
     if not isinstance(rules, list) or not all(isinstance(r, Rule) for r in rules):
-        raise SystemExit(f"{path} must define RULES = [<Rule>, ...]")
+        raise _input_error(f"{path} must define RULES = [<Rule>, ...]")
     return rules
 
 
@@ -129,10 +133,10 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise SystemExit(f"REPRO_JOBS must be an integer, got {env!r}") from None
+            raise _input_error(f"REPRO_JOBS must be an integer, got {env!r}") from None
         source = "REPRO_JOBS"
     if jobs < 1:
-        raise SystemExit(
+        raise _input_error(
             f"{source} must be a positive integer, got {jobs}; "
             "use 1 for in-process execution"
         )
@@ -166,7 +170,7 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
             cost_model=args.cost_model,
         )
     except ValueError as error:
-        raise SystemExit(str(error)) from None
+        raise _input_error(str(error)) from None
 
 
 def _report_format(args: argparse.Namespace) -> str:
@@ -205,9 +209,9 @@ def _apply_waiver_file(report, path: str):
     try:
         return apply_waivers(report, load_waivers(path))
     except OSError as error:
-        raise SystemExit(f"cannot read waiver file {path}: {error}") from None
+        raise _input_error(f"cannot read waiver file {path}: {error}") from None
     except (MarkerError, ValueError) as error:
-        raise SystemExit(f"bad waiver file {path}: {error}") from None
+        raise _input_error(f"bad waiver file {path}: {error}") from None
 
 
 @contextlib.contextmanager
@@ -251,7 +255,7 @@ def _served_check(args: argparse.Namespace) -> int:
     )
 
     if args.output:
-        raise SystemExit(
+        raise _input_error(
             "--output is not supported with --server; fetch the JSON report "
             "and post-process it locally"
         )
@@ -262,11 +266,11 @@ def _served_check(args: argparse.Namespace) -> int:
         try:
             waivers = load_waivers(args.waivers)
         except OSError as error:
-            raise SystemExit(
+            raise _input_error(
                 f"cannot read waiver file {args.waivers}: {error}"
             ) from None
         except (MarkerError, ValueError) as error:
-            raise SystemExit(
+            raise _input_error(
                 f"bad waiver file {args.waivers}: {error}"
             ) from None
     client = ServeClient(args.server)
@@ -274,12 +278,12 @@ def _served_check(args: argparse.Namespace) -> int:
         with open(args.file, "rb") as fh:
             data = fh.read()
     except OSError as error:
-        raise SystemExit(f"cannot read {args.file}: {error}") from None
+        raise _input_error(f"cannot read {args.file}: {error}") from None
     try:
         info = client.create_session(data=data, top=args.top, deck=args.deck)
         response = client.check(info["session"])
     except ClientError as error:
-        raise SystemExit(str(error)) from None
+        raise _input_error(str(error)) from None
     payload = response["report"]
     if waivers is not None:
         from .reporting import WaiverFormatError
@@ -287,7 +291,7 @@ def _served_check(args: argparse.Namespace) -> int:
         try:
             payload = apply_waivers_payload(payload, waivers)
         except WaiverFormatError as error:
-            raise SystemExit(
+            raise _input_error(
                 f"bad waiver file {args.waivers}: {error}"
             ) from None
     fmt = _report_format(args)
@@ -354,16 +358,18 @@ def cmd_check_window(args: argparse.Namespace) -> int:
     from .geometry import Rect
 
     layout = _read(args.file, args.top)
-    windows = [Rect(args.x1, args.y1, args.x2, args.y2)]
-    for coords in args.window or []:
-        windows.append(Rect(*coords))
-    for window in windows:
+    windows = []
+    for coords in [(args.x1, args.y1, args.x2, args.y2)] + (args.window or []):
+        window = Rect(*coords)
         if window.is_empty:
-            raise SystemExit(
-                f"window {window} must be non-empty (x1 <= x2 and y1 <= y2)"
+            typed = " ".join(str(c) for c in coords)
+            raise _input_error(
+                f"window {typed} must be non-empty (x1 <= x2 and y1 <= y2)"
             )
+        windows.append(window)
+    options = EngineOptions(cache_dir=args.cache_dir, use_cache=not args.no_cache)
     report = check_window(
-        layout, windows, rules=_load_deck(args.deck), options=_engine_options(args)
+        layout, windows, rules=_load_deck(args.deck), options=options
     )
     if args.waivers:
         report = _apply_waiver_file(report, args.waivers)
@@ -382,7 +388,7 @@ def cmd_recheck(args: argparse.Namespace) -> int:
             verify=args.verify,
         )
     except AssertionError as error:
-        raise SystemExit(f"recheck verification failed: {error}") from None
+        raise _input_error(f"recheck verification failed: {error}") from None
     report = outcome.report
     if args.waivers:
         # Applied *after* the splice: the spliced/cached baselines stay raw
@@ -421,15 +427,15 @@ def cmd_recheck(args: argparse.Namespace) -> int:
 
 
 def _load_marker_db(path: str):
-    """Load a marker database for the lifecycle commands (SystemExit on error)."""
+    """Load a marker database for the lifecycle commands (exit 2 on error)."""
     from .core.markers import MarkerError, load_markers
 
     try:
         return load_markers(path)
     except OSError as error:
-        raise SystemExit(f"cannot read marker database {path}: {error}") from None
+        raise _input_error(f"cannot read marker database {path}: {error}") from None
     except (MarkerError, ValueError) as error:
-        raise SystemExit(f"bad marker database {path}: {error}") from None
+        raise _input_error(f"bad marker database {path}: {error}") from None
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -496,7 +502,7 @@ def cmd_waive(args: argparse.Namespace) -> int:
     if args.region:
         region = Rect(*args.region)
         if region.is_empty:
-            raise SystemExit(f"--region {args.region} must be non-empty")
+            raise _input_error(f"--region {args.region} must be non-empty")
     records = waivers_for(
         report,
         rules=args.rule or None,
@@ -519,14 +525,14 @@ def cmd_violations(args: argparse.Namespace) -> int:
     from .reporting import SEVERITIES, filter_violations
 
     if args.severity and args.severity not in SEVERITIES:
-        raise SystemExit(
+        raise _input_error(
             f"--severity must be one of {SEVERITIES}, got {args.severity!r}"
         )
     report = _load_marker_db(args.markers)
     known = {result.rule.name for result in report.results}
     wanted = set(args.rule or [])
     if wanted and not wanted <= known:
-        raise SystemExit(
+        raise _input_error(
             f"unknown rule(s): {sorted(wanted - known)}; database rules: "
             f"{sorted(known)}"
         )
@@ -546,7 +552,7 @@ def _resolve_cache_root(args: argparse.Namespace) -> str:
 
     root = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     if not root:
-        raise SystemExit(
+        raise _input_error(
             "no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR"
         )
     return root
@@ -780,17 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--waivers", help="apply a JSON waiver file before reporting"
     )
     _add_format_args(window)
-    window.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the windowed check "
-        "(default: $REPRO_JOBS or 1)",
-    )
-    _add_fault_args(window)
-    _add_pool_args(window)
     _add_cache_args(window)
     window.set_defaults(func=cmd_check_window)
 

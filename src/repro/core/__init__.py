@@ -12,12 +12,12 @@ _EXPORTS = {
     ".costmodel": "CostModel model_for",
     ".diff": "FULL_RECHECK LayoutDiff diff_layouts",
     ".engine": "Engine",
-    ".incremental": "MODE_RECHECK RecheckOutcome WindowedBackend check_window recheck",
+    ".incremental": "MODE_RECHECK RecheckOutcome check_regions check_window recheck",
     ".multiproc": "MultiprocessBackend",
     ".packstore": "PackStore resolve_store",
     ".parallel": "ParallelBackend",
     ".plan": (
-        "ALL_MODES Backend CheckPlan CompiledRule "
+        "Backend CheckPlan CompiledRule "
         "DEFAULT_BRUTE_FORCE_THRESHOLD ENGINE_MODES EngineOptions KindSpec "
         "MODE_MULTIPROC MODE_PARALLEL MODE_SEQUENTIAL MODE_WINDOWED PackCache "
         "PlanCaches compile_plan interaction_distance kind_spec make_backend"

@@ -1,22 +1,23 @@
-"""Incremental checking: windowed backend, multi-window plans, and recheck.
+"""Incremental checking: the windowed procedure, multi-window plans, recheck.
 
 Production DRC flows re-check only the region an edit touched. The
 machinery here comes in three layers:
 
-* :class:`WindowedBackend` executes a plan against a *region set* — one or
-  many windows, coalesced into the exact disjoint cover of their union. It
-  gathers just the geometry that can participate in a violation whose
-  marker overlaps any window (polygons overlapping the windows inflated by
-  the rule distance, via the MBR-pruned subtree query, one traversal for
-  the whole set), checks that sub-population flat, and keeps violations
-  overlapping the set. The result equals the full check filtered to the
-  region set (asserted by the tests), at a cost proportional to the
-  windows' content rather than the chip's.
+* :func:`check_regions` checks one rule of a plan against a *region set* —
+  one or many windows, coalesced into the exact disjoint cover of their
+  union. It gathers just the geometry that can participate in a violation
+  whose marker overlaps any window (polygons overlapping the windows
+  inflated by the rule distance, via the MBR-pruned subtree query, one
+  traversal for the whole set), checks that sub-population flat, and keeps
+  violations overlapping the set. The result equals the full check
+  filtered to the region set (asserted by the tests), at a cost
+  proportional to the windows' content rather than the chip's. Windowing
+  is a region argument, not an execution mode: the procedure runs
+  in-process on any plan and never touches the worker pool.
 
-* :func:`check_window` runs a whole deck against a region set, through the
-  in-process windowed backend or the multiprocess pool (``options.jobs >
-  1``) — the region set rides inside the spooled plan payload, so workers
-  rebuild the identical windowed backend.
+* :func:`check_window` runs a whole deck against a region set: a stored
+  full-extent report filtered to the regions, else :func:`check_regions`
+  once per rule.
 
 * :func:`recheck` is the true incremental path: diff two layout versions
   (:mod:`~repro.core.diff`), re-check each rule only inside its dirty
@@ -27,7 +28,7 @@ machinery here comes in three layers:
   cold full check of the new version.
 
 The per-kind flat procedures come from the same
-:func:`~repro.core.plan.kind_spec` registry the other backends use
+:func:`~repro.core.plan.kind_spec` registry the backends use
 (``spec.flat``), so a rule kind added there is automatically windowable —
 provided it also declares its interaction distance.
 """
@@ -42,96 +43,58 @@ from ..checks.base import Violation
 from ..geometry import IDENTITY, Rect
 from ..layout.library import Layout
 from ..spatial.regions import RegionSet, WindowsLike
-from ..util.profile import PhaseProfile
 from .diff import FULL_RECHECK, LayoutDiff, diff_layouts
 from .plan import (
-    MODE_MULTIPROC,
+    MODE_SEQUENTIAL,
     MODE_WINDOWED,
     CheckPlan,
     EngineOptions,
     compile_plan,
     kind_spec,
-    make_backend,
 )
 from .packstore import resolve_store
 from .reportcache import ReportCache, deck_digest, report_key
 from .results import CheckReport, CheckResult, splice_violations
 from .rules import Rule
 
-#: Stats keys that report a configuration gauge, not an accumulating
-#: counter — per-rule deltas keep their absolute value.
-GAUGE_STATS = frozenset({"mp_jobs"})
 
+def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Violation]:
+    """One rule of ``plan`` on a region set; violations clip to the set.
 
-def stats_delta(
-    before: Dict[str, float], after: Dict[str, float]
-) -> Dict[str, float]:
-    """What one rule added to a backend's cumulative counters."""
-    delta: Dict[str, float] = {}
-    for key, value in after.items():
-        if key in GAUGE_STATS:
-            delta[key] = value
-        else:
-            delta[key] = value - before.get(key, 0)
-    return delta
+    The rule kind's ``flat`` procedure receives a gather over the regions
+    inflated by its margin; ``gather.rect`` and ``gather.window`` (the
+    set's MBR) anchor the kinds that need a single reach rect (coloring
+    closure, min-overlap base gathering).
+    """
+    regions = RegionSet.of(regions)
+    if regions.is_empty:
+        raise ValueError("window must be non-empty")
+    subtree = plan.caches.subtree
+    top = plan.tree.top.name
 
+    def gather(layer: int, margin: int):
+        windows = [r.inflated(margin) for r in regions.rects]
+        return subtree.polygons_in_regions(top, IDENTITY, layer, windows)
 
-class WindowedBackend:
-    """Executes a plan's rules against a region set (one or many windows)."""
+    def gather_rect(layer: int, rect: Rect):
+        return subtree.polygons_in_window(top, IDENTITY, layer, rect)
 
-    def __init__(self, plan: CheckPlan, window: WindowsLike) -> None:
-        regions = RegionSet.of(window)
-        if regions.is_empty:
-            raise ValueError("window must be non-empty")
-        self.plan = plan
-        self.regions = regions
-        #: MBR of the whole set — the anchor for checks that need a single
-        #: reach rect (coloring closure, min-overlap base gathering).
-        self.window = regions.bounds
-        self.layout = plan.layout
-        subtree = plan.caches.subtree
-        top = plan.tree.top.name
-
-        def gather(layer: int, margin: int):
-            windows = [r.inflated(margin) for r in regions.rects]
-            return subtree.polygons_in_regions(top, IDENTITY, layer, windows)
-
-        def gather_rect(layer: int, rect: Rect):
-            return subtree.polygons_in_window(top, IDENTITY, layer, rect)
-
-        gather.rect = gather_rect
-        gather.window = regions.bounds
-        self._gather = gather
-
-    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> List[Violation]:
-        """One rule on the region set; violations clip to the set."""
-        spec = kind_spec(rule.kind)
-        violations = spec.flat(rule, self.layout, self._gather)
-        return [v for v in violations if self.regions.overlaps(v.region)]
-
-    def stats(self) -> Dict[str, float]:
-        store = self.plan.caches.store
-        cache = store.counters() if store is not None else {}
-        return dict(
-            pack_cache_hits=self.plan.caches.pack.hits,
-            pack_cache_misses=self.plan.caches.pack.misses,
-            cache_hits=cache.get("hits", 0),
-            cache_misses=cache.get("misses", 0),
-            cache_corrupt=cache.get("corrupt", 0),
-            cache_bytes_read=cache.get("bytes_read", 0),
-            cache_bytes_written=cache.get("bytes_written", 0),
-        )
-
-    def close(self) -> None:
-        store = self.plan.caches.store
+    gather.rect = gather_rect
+    gather.window = regions.bounds
+    try:
+        violations = kind_spec(rule.kind).flat(rule, plan.layout, gather)
+    finally:
+        store = plan.caches.store
         if store is not None:
             store.persist_counters()
+    return [v for v in violations if regions.overlaps(v.region)]
 
 
 def filter_to_regions(full: CheckReport, window: WindowsLike) -> CheckReport:
-    """A full-extent report clipped to a region set: what the windowed
-    backend computes for the same deck and layout, by its own contract. One
-    keep-mask per table, over the same :class:`RegionSet` predicate."""
+    """A full-extent report clipped to a region set: what
+    :func:`check_regions` computes for the same deck and layout, by its own
+    contract. One keep-mask per table, over the same :class:`RegionSet`
+    predicate."""
     regions = RegionSet.of(window)
     results = [
         CheckResult(
@@ -170,20 +133,15 @@ def check_window(
 
     If the report store (``reports``, else the one ``options`` configure)
     holds this deck and layout's full-extent report, the answer is
-    :func:`filter_to_regions` of it. Otherwise the windowed backend runs;
-    its clipped report is never stored, so every entry of the store is
-    full-extent and a valid splice baseline.
-
-    With ``options.jobs > 1`` the rules fan out across a worker-process
-    pool (rule-level tasks; windowed gathering has no row partition), each
-    worker running the same windowed procedure — the report is identical.
+    :func:`filter_to_regions` of it. Otherwise :func:`check_regions` runs
+    each rule in-process, whatever ``options.mode`` and ``options.jobs``
+    say; its clipped report is never stored, so every entry of the store
+    is full-extent and a valid splice baseline.
     """
     regions = RegionSet.of(window)
     if regions.is_empty:
         raise ValueError("window must be non-empty")
-    jobs = options.jobs if options is not None else 1
-    mode = MODE_MULTIPROC if jobs > 1 else MODE_WINDOWED
-    plan = compile_plan(layout, rules, options, mode=mode, tree=tree)
+    plan = compile_plan(layout, rules, options, mode=MODE_SEQUENTIAL, tree=tree)
     reports = _store(reports, options)
     key = None
     if reports is not None:
@@ -192,31 +150,17 @@ def check_window(
         full = reports.load(key, plan.rules, layout_name=layout.name)
         if full is not None:
             return filter_to_regions(full, regions)
-    backend = make_backend(plan, window=regions)
-
     results: List[CheckResult] = []
-    try:
-        prefetch = getattr(backend, "prefetch", None)
-        if prefetch is not None:
-            prefetch()
-        before = backend.stats()
-        for rule in plan.rules:
-            start = time.perf_counter()
-            violations = backend.run(rule)
-            after = backend.stats()
-            results.append(
-                CheckResult(
-                    rule=rule,
-                    violations=violations,
-                    seconds=time.perf_counter() - start,
-                    stats=stats_delta(before, after),
-                )
+    for rule in plan.rules:
+        start = time.perf_counter()
+        violations = check_regions(plan, rule, regions)
+        results.append(
+            CheckResult(
+                rule=rule,
+                violations=violations,
+                seconds=time.perf_counter() - start,
             )
-            before = after
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+        )
     return CheckReport(layout.name, MODE_WINDOWED, results)
 
 
@@ -330,7 +274,7 @@ def recheck(
         reference = report if verify else None
         return RecheckOutcome(report, diff, disposition, False, reference)
 
-    plan = compile_plan(new, deck, opts, mode=MODE_WINDOWED, tree=diff.new_tree)
+    plan = compile_plan(new, deck, opts, mode=MODE_SEQUENTIAL, tree=diff.new_tree)
     results: List[CheckResult] = []
     disposition: Dict[str, str] = {}
     full_backend = None
@@ -369,8 +313,7 @@ def recheck(
             else:
                 disposition[rule.name] = "windowed"
                 start = time.perf_counter()
-                backend = WindowedBackend(plan, regions)
-                fresh = backend.run(rule)
+                fresh = check_regions(plan, rule, regions)
                 violations = splice_violations(old_result.table, fresh, regions)
                 results.append(
                     CheckResult(

@@ -302,8 +302,7 @@ class MultiprocessBackend:
     """Shards a compiled plan across a pool of worker processes.
 
     ``jobs == 1`` degrades to the in-process fused backend (exact parity —
-    the honest baseline for the scaling benchmark). With a window, rules fan
-    out at rule granularity only (windowed gathering has no row partition).
+    the honest baseline for the scaling benchmark).
     """
 
     def __init__(
@@ -311,10 +310,8 @@ class MultiprocessBackend:
         plan: CheckPlan,
         *,
         device: Optional[Device] = None,
-        window=None,
     ) -> None:
         self.plan = plan
-        self.window = window
         self.options = plan.options
         self.jobs = self.options.jobs
         self.task_timeout = self.options.task_timeout
@@ -374,7 +371,7 @@ class MultiprocessBackend:
             return self._local_backend().run(rule, profile)
         if rule.name in self._cost_inline:
             return self._timed_local_run(rule, profile)
-        if self.window is None and rule.kind in ROW_KINDS:
+        if rule.kind in ROW_KINDS:
             return self._run_sharded(rule, profile)
         if not self._probe(rule):
             self._inline_rules.add(rule.name)
@@ -416,7 +413,7 @@ class MultiprocessBackend:
         self._closed = False
         for compiled in self.plan.compiled:
             rule = compiled.rule
-            if self.window is None and rule.kind in ROW_KINDS:
+            if rule.kind in ROW_KINDS:
                 continue
             if rule.name in self._inline_rules or rule.name in self._cost_inline:
                 continue
@@ -532,7 +529,7 @@ class MultiprocessBackend:
 
             def make_payload() -> bytes:
                 return pickle.dumps(
-                    (self.plan.layout, shippable, worker_options, self.window),
+                    (self.plan.layout, shippable, worker_options),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
 
@@ -579,7 +576,6 @@ class MultiprocessBackend:
             ),
             tuple(rule.name for rule in shippable),
             repr(worker_options),
-            repr(self.window),
         )
 
     # -- helpers ------------------------------------------------------------
@@ -691,14 +687,9 @@ class MultiprocessBackend:
         return violations
 
     def _local_backend(self):
-        """In-process fallback/packer: fused GPU backend (or windowed)."""
+        """In-process fallback/packer: the fused GPU backend."""
         if self._local is None:
-            if self.window is not None:
-                from .incremental import WindowedBackend
-
-                self._local = WindowedBackend(self.plan, self.window)
-            else:
-                self._local = ParallelBackend(self.plan, device=self.device)
+            self._local = ParallelBackend(self.plan, device=self.device)
         return self._local
 
     def _merge_stats(self, delta: Dict[str, float]) -> None:
@@ -727,8 +718,6 @@ class MultiprocessBackend:
     def _degraded_run(self, rule: Rule, profile: PhaseProfile) -> List[Violation]:
         """Complete a rule without the pool (canonical report regardless)."""
         with faults.suppressed():
-            if self.window is not None:
-                return self._local_backend().run(rule, profile)
             return self._sequential_backend().run(rule, profile)
 
     def _sequential_backend(self):
@@ -788,7 +777,7 @@ class MultiprocessBackend:
                 # arrive — don't wait out a timeout for it.
                 return self._run_inline(pending, profile)
             try:
-                violations, stats_delta, profile_dict = pending.result.get(
+                violations, delta, profile_dict = pending.result.get(
                     self.task_timeout
                 )
             except multiprocessing.TimeoutError:
@@ -806,7 +795,7 @@ class MultiprocessBackend:
                     pending.rule.name, pending.attempts, error,
                 )
             else:
-                self._merge_stats(stats_delta)
+                self._merge_stats(delta)
                 profile.add_dict(profile_dict)
                 # Worker compute seconds feed the cost-model calibration.
                 self._compute_seconds[pending.rule.name] = self._compute_seconds.get(
@@ -838,8 +827,8 @@ class MultiprocessBackend:
         with faults.suppressed():
             if isinstance(pending.task, _RuleTask):
                 return self._local_backend().run(pending.rule, profile)
-            violations, stats_delta, profile_dict = pending.task.execute()
-        self._merge_stats(stats_delta)
+            violations, delta, profile_dict = pending.task.execute()
+        self._merge_stats(delta)
         profile.add_dict(profile_dict)
         return violations
 
@@ -851,11 +840,11 @@ class MultiprocessBackend:
         this process — can safely re-execute under suppression.
         """
         try:
-            violations, stats_delta, profile_dict = task.execute()
+            violations, delta, profile_dict = task.execute()
         except Exception:
             with faults.suppressed():
-                violations, stats_delta, profile_dict = task.execute()
-        self._merge_stats(stats_delta)
+                violations, delta, profile_dict = task.execute()
+        self._merge_stats(delta)
         profile.add_dict(profile_dict)
         return violations
 

@@ -12,8 +12,12 @@ them to algorithms" (§V-A). This module makes that a two-stage pipeline:
    :class:`PlanCaches` that own the hierarchy tree, row partitions, and
    packed device buffers for the whole deck.
 2. **Execute** — any :class:`Backend` (sequential CPU sweeps, fused
-   simulated-GPU kernels, or the windowed gatherer) consumes the same plan;
-   ``Engine.check`` drives the chosen backend through the task scheduler.
+   simulated-GPU kernels, or the multiprocess pool over them) consumes the
+   same plan; ``Engine.check`` drives the chosen backend through the task
+   scheduler. Windowing is not a backend: a windowed check hands a plan and
+   a region set to :func:`repro.core.incremental.check_regions`, which
+   gathers the regions' geometry and runs each kind's ``flat`` procedure
+   in-process.
 
 This is the load-bearing seam for multi-device sharding and rule-level
 task parallelism: a plan is a self-contained, executable artifact.
@@ -29,17 +33,11 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-only; keep runtime deps minimal on 3.9.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py<3.8 fallback, never hit
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 from ..checks.base import FLAT_CHECKS, Violation
 from ..checks.corner import CornerProcedures
@@ -73,15 +71,15 @@ from .scheduler import infer_rule_dependencies
 
 MODE_SEQUENTIAL = "sequential"
 MODE_PARALLEL = "parallel"
-MODE_WINDOWED = "windowed"
 MODE_MULTIPROC = "multiproc"
 
-#: Modes an :class:`EngineOptions` may select (windowed needs a window, so
-#: it is reachable through ``check_window``, not ``Engine.check``).
+#: The modes a plan can be compiled for and an :class:`EngineOptions` may
+#: select.
 ENGINE_MODES = (MODE_SEQUENTIAL, MODE_PARALLEL, MODE_MULTIPROC)
 
-#: Every mode a plan can be compiled for.
-ALL_MODES = (MODE_SEQUENTIAL, MODE_PARALLEL, MODE_WINDOWED, MODE_MULTIPROC)
+#: The mode label of a windowed check's report (not a mode: windowed checks
+#: run :func:`repro.core.incremental.check_regions` on any plan).
+MODE_WINDOWED = "windowed"
 
 #: Edge count at or below which the brute-force executor is selected (§IV-E).
 DEFAULT_BRUTE_FORCE_THRESHOLD = 256
@@ -164,7 +162,7 @@ class EngineOptions:
 class KindSpec:
     """Everything any backend needs to know about one rule kind.
 
-    * ``flat`` — the gather-and-check procedure (windowed backend and flat
+    * ``flat`` — the gather-and-check procedure (windowed checks and flat
       fallbacks), from :data:`repro.checks.base.FLAT_CHECKS`;
     * ``sequential`` — the hierarchical CPU strategy name the sequential
       backend binds (``intra`` / ``pairwise`` / ``cross_layer`` /
@@ -276,7 +274,8 @@ def _halo_global(rule: Rule) -> Optional[int]:
 
 
 #: The single registry of rule-kind execution strategies. Every backend —
-#: sequential, parallel, windowed — resolves its per-rule behaviour here.
+#: sequential, parallel — and the windowed procedure resolve their per-rule
+#: behaviour here.
 KIND_SPECS: Dict[RuleKind, KindSpec] = {
     RuleKind.WIDTH: _spec(
         RuleKind.WIDTH, "intra", interaction=_halo_zero,
@@ -349,8 +348,7 @@ class PackCache:
     Thread-safety: a plan — and therefore this cache — is owned by the one
     check that compiled it, but a multiprocess backend's shard paths may
     consult it from the handler thread while the engine's scheduler drive
-    touches it too, and the incremental engine shares one plan across its
-    window backends. ``get`` therefore locks its lookup-or-build. The lock
+    touches it too. ``get`` therefore locks its lookup-or-build. The lock
     is *not* held while ``build()`` runs (a build may pack large buffers);
     losing that race costs one redundant build, never a wrong value —
     builds are pure functions of the key.
@@ -526,17 +524,6 @@ class CheckPlan:
     def rules(self) -> List[Rule]:
         return [c.rule for c in self.compiled]
 
-    def layer_groups(self) -> Dict[Optional[int], List[CompiledRule]]:
-        """Compiled rules grouped by target layer (None = all layers).
-
-        The grouping future sharding work fans out on: rules of one layer
-        share the plan's level items, partitions, and packed buffers.
-        """
-        groups: Dict[Optional[int], List[CompiledRule]] = {}
-        for compiled in self.compiled:
-            groups.setdefault(compiled.rule.layer, []).append(compiled)
-        return groups
-
     def dependencies(self) -> Dict[str, Tuple[str, ...]]:
         """Rule name -> names it must run after (shape-sanity gating)."""
         return {c.name: c.depends_on for c in self.compiled}
@@ -571,7 +558,7 @@ def compile_plan(
     # because recovery is byte-transparent.
     fault_injection.install(fault_injection.resolve_spec(options))
     resolved_mode = mode if mode is not None else options.mode
-    if resolved_mode not in ALL_MODES:
+    if resolved_mode not in ENGINE_MODES:
         raise ValueError(f"unknown mode {resolved_mode!r}")
     if tree is None:
         tree = HierarchyTree(layout)
@@ -619,46 +606,16 @@ class Backend(Protocol):
     def stats(self) -> Dict[str, float]: ...
 
 
-def _sequential_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":
-    from .sequential import SequentialBackend
+def make_backend(plan: CheckPlan, *, device=None) -> Backend:
+    """Instantiate the backend the plan's mode selects."""
+    if plan.mode == MODE_SEQUENTIAL:
+        from .sequential import SequentialBackend
 
-    return SequentialBackend(plan)
+        return SequentialBackend(plan)
+    if plan.mode == MODE_PARALLEL:
+        from .parallel import ParallelBackend
 
-
-def _parallel_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":
-    from .parallel import ParallelBackend
-
-    return ParallelBackend(plan, device=device)
-
-
-def _windowed_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":
-    from .incremental import WindowedBackend
-
-    if window is None:
-        raise ValueError("windowed execution needs a window rect")
-    return WindowedBackend(plan, window)
-
-
-def _multiproc_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":
+        return ParallelBackend(plan, device=device)
     from .multiproc import MultiprocessBackend
 
-    return MultiprocessBackend(plan, device=device, window=window)
-
-
-#: Mode -> backend factory. Factories take ``(plan, *, device, window)`` and
-#: return a :class:`Backend`.
-BACKEND_FACTORIES: Dict[str, Callable[..., "Backend"]] = {
-    MODE_SEQUENTIAL: _sequential_backend,
-    MODE_PARALLEL: _parallel_backend,
-    MODE_WINDOWED: _windowed_backend,
-    MODE_MULTIPROC: _multiproc_backend,
-}
-
-
-def make_backend(plan: CheckPlan, *, device=None, window=None) -> "Backend":
-    """Instantiate the backend the plan's mode selects (via the registry)."""
-    try:
-        factory = BACKEND_FACTORIES[plan.mode]
-    except KeyError:
-        raise ValueError(f"no backend registered for mode {plan.mode!r}") from None
-    return factory(plan, device=device, window=window)
+    return MultiprocessBackend(plan, device=device)

@@ -99,7 +99,7 @@ class PlanRef:
     path: str
 
 
-#: digest -> {layout, rules, options, window, backend} in this worker.
+#: digest -> {layout, rules, options, backend} in this worker.
 _PLAN_STATES: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
 
@@ -109,12 +109,11 @@ def _plan_state(ref: PlanRef) -> Dict[str, Any]:
         import pickle
 
         with open(ref.path, "rb") as handle:
-            layout, rules, options, window = pickle.loads(handle.read())
+            layout, rules, options = pickle.loads(handle.read())
         state = {
             "layout": layout,
             "rules": rules,
             "options": options,
-            "window": window,
             "backend": None,
         }
         _PLAN_STATES[ref.digest] = state
@@ -128,24 +127,15 @@ def _plan_state(ref: PlanRef) -> Dict[str, Any]:
 
 def plan_backend(ref: PlanRef):
     """This worker's compiled backend for the referenced deck (warm)."""
-    from .plan import MODE_PARALLEL, MODE_WINDOWED, compile_plan, make_backend
+    from .plan import MODE_PARALLEL, compile_plan, make_backend
 
     state = _plan_state(ref)
     backend = state["backend"]
     if backend is None:
-        window = state["window"]
-        if window is not None:
-            plan = compile_plan(
-                state["layout"], state["rules"], state["options"],
-                mode=MODE_WINDOWED,
-            )
-            backend = make_backend(plan, window=window)
-        else:
-            plan = compile_plan(
-                state["layout"], state["rules"], state["options"],
-                mode=MODE_PARALLEL,
-            )
-            backend = make_backend(plan)
+        plan = compile_plan(
+            state["layout"], state["rules"], state["options"], mode=MODE_PARALLEL
+        )
+        backend = make_backend(plan)
         state["backend"] = backend
     return backend
 

@@ -397,8 +397,9 @@ class ServerState:
     ) -> None:
         self.reports = ReportCache(resolve_store(options), capacity=report_lru)
         self.engine = Engine(options=options, reports=self.reports)
-        # Windowed and recheck runs bypass Engine.check; the engine's hold
-        # keeps the workers they share alive until close().
+        # A recheck's cold full check runs on an engine of its own; this
+        # engine's hold keeps the workers it shares alive until close().
+        # Windowed checks run in-process and never touch the pool.
         self.engine.hold_pool()
         if max_concurrent is None:
             max_concurrent = min(max(1, self.engine.options.jobs), 2)
@@ -776,7 +777,8 @@ class ServerState:
         """Run the deck on one or more windows of the session's layout.
 
         A stored full-extent report of the current version is filtered to
-        the windows; otherwise the windowed backend runs. A clipped report
+        the windows; otherwise the windowed procedure runs in-process,
+        whatever the daemon's ``jobs``. A clipped report
         is never stored, so the recheck splice baseline and ``/violations``
         only ever see full-extent reports.
         """

@@ -7,9 +7,9 @@ tests against the set equal overlap tests against the union of the input
 windows, so a windowed check filtered by a region set is exactly the full
 check filtered to "overlaps any window".
 
-The type is immutable, hashable, picklable (it rides inside multiprocess
-task payloads), and has a deterministic ``repr`` (it is hashed into warm-
-pool plan digests).
+The type is immutable and hashable. It is the region argument of the
+in-process windowed procedure (:func:`repro.core.incremental.check_regions`)
+and never crosses a process boundary.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.core import (
     kind_spec,
     make_backend,
 )
-from repro.core.plan import ALL_MODES, KIND_SPECS, MODE_WINDOWED
+from repro.core.plan import ENGINE_MODES, KIND_SPECS
 from repro.core.rules import Rule, RuleKind, layer
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
@@ -121,12 +121,6 @@ class TestPlanCompilation:
         # Layer-2 rules have no layer-2 shape rule to wait for.
         assert deps["ENC"] == ()
 
-    def test_layer_groups(self):
-        plan = compile_plan(two_layer_layout(2), all_kind_rules())
-        groups = plan.layer_groups()
-        assert {c.name for c in groups[1]} >= {"SHAPE", "W", "S", "A"}
-        assert {c.name for c in groups[2]} == {"ENC", "OVL"}
-
     def test_empty_deck_rejected(self):
         with pytest.raises(ValueError, match="no rules"):
             compile_plan(two_layer_layout(3), [])
@@ -139,32 +133,28 @@ class TestPlanCompilation:
                 mode="quantum",
             )
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_all_modes_compile(self, mode):
         plan = compile_plan(
             two_layer_layout(4), [layer(1).width().greater_than(5)], mode=mode
         )
         assert plan.mode == mode
 
-    def test_backends_satisfy_protocol(self):
-        layout = two_layer_layout(5)
-        rules = [layer(1).spacing().greater_than(8)]
-        for mode in ALL_MODES:
-            plan = compile_plan(layout, rules, mode=mode)
-            backend = make_backend(
-                plan,
-                window=Rect(0, 0, 100, 100) if mode == MODE_WINDOWED else None,
-            )
-            assert isinstance(backend, Backend), mode
-
-    def test_windowed_backend_needs_window(self):
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_backends_satisfy_protocol(self, mode):
         plan = compile_plan(
-            two_layer_layout(5),
-            [layer(1).spacing().greater_than(8)],
-            mode=MODE_WINDOWED,
+            two_layer_layout(5), [layer(1).spacing().greater_than(8)], mode=mode
         )
-        with pytest.raises(ValueError, match="window"):
-            make_backend(plan)
+        assert isinstance(make_backend(plan), Backend)
+
+    def test_windowed_mode_is_unknown(self):
+        """Windowing is a region argument of check_window, not a mode."""
+        with pytest.raises(ValueError, match="unknown mode 'windowed'"):
+            compile_plan(
+                two_layer_layout(5),
+                [layer(1).spacing().greater_than(8)],
+                mode="windowed",
+            )
 
 
 class TestEngineOptionsValidation:

@@ -24,6 +24,16 @@ def dirty_gds(tmp_path):
     return str(path)
 
 
+def assert_input_error(argv, capsys, message):
+    """``main(argv)`` exits 2 with one stderr line containing ``message``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestCheckCommand:
     def test_clean_design_exit_zero(self, uart_gds, capsys):
         code = main(["check", uart_gds, "--top", "top"])
@@ -75,11 +85,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "ONLY" in out and "M1.S.1" not in out
 
-    def test_bad_deck_rejected(self, uart_gds, tmp_path):
+    def test_bad_deck_rejected(self, uart_gds, tmp_path, capsys):
         deck = tmp_path / "deck.py"
         deck.write_text("RULES = 'not a list'\n")
-        with pytest.raises(SystemExit):
-            main(["check", uart_gds, "--deck", str(deck)])
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--deck", str(deck)],
+            capsys,
+            "must define RULES",
+        )
 
 
 class TestInputErrors:
@@ -136,6 +149,76 @@ class TestInputErrors:
         assert done.returncode == 2
         assert missing in done.stderr and "Traceback" not in done.stderr
 
+    #: name -> (argv with {gds}/{tmp} placeholders, env, stderr fragment):
+    #: every input error other than an unusable GDS file.
+    USAGE_ERRORS = {
+        "empty window": (
+            ["check-window", "{gds}", "10", "10", "0", "0", "--top", "top"],
+            {},
+            "window 10 10 0 0 must be non-empty",
+        ),
+        "deck without RULES": (
+            ["check", "{gds}", "--top", "top", "--deck", "{tmp}/no_rules.py"],
+            {},
+            "must define RULES",
+        ),
+        "REPRO_JOBS=abc": (
+            ["check", "{gds}", "--top", "top"], {"REPRO_JOBS": "abc"}, "REPRO_JOBS"
+        ),
+        "missing waivers": (
+            ["check", "{gds}", "--top", "top", "--waivers", "{tmp}/nosuch.json"],
+            {},
+            "cannot read waiver file",
+        ),
+        "-j 0": (["check", "{gds}", "--top", "top", "-j", "0"], {}, "positive integer"),
+        "--num-streams 0": (
+            ["check", "{gds}", "--top", "top", "--num-streams", "0"], {}, "num_streams"
+        ),
+        "diff of a missing database": (
+            ["diff", "{tmp}/nosuch.json", "{tmp}/new.json"],
+            {},
+            "cannot read marker database",
+        ),
+        "waive a missing database": (
+            ["waive", "{tmp}/nosuch.json", "-o", "{tmp}/w.json"],
+            {},
+            "cannot read marker database",
+        ),
+        "cache stats without a directory": (
+            ["cache", "stats"], {"REPRO_CACHE_DIR": None}, "no cache directory"
+        ),
+        "unreachable server": (
+            ["check", "{gds}", "--top", "top", "--server", "http://127.0.0.1:1"],
+            {},
+            "cannot reach",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_errors_exit_two(self, case, tmp_path, uart_gds, capsys, monkeypatch):
+        """Exit 1 is reserved for violations and ``repro diff`` regressions:
+        a typo in a CI gate must not read as a DRC result."""
+        argv, env, message = self.USAGE_ERRORS[case]
+        (tmp_path / "no_rules.py").write_text("DECK = []\n")
+        for name, value in env.items():
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        argv = [arg.format(gds=uart_gds, tmp=tmp_path) for arg in argv]
+        assert_input_error(argv, capsys, message)
+
+    def test_failed_verification_exits_two(self, uart_gds, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise AssertionError("spliced recheck report diverges")
+
+        monkeypatch.setattr("repro.core.incremental.recheck", diverging)
+        assert_input_error(
+            ["recheck", uart_gds, uart_gds, "--top", "top", "--verify"],
+            capsys,
+            "recheck verification failed",
+        )
+
 
 class TestBackendFlags:
     def test_parallel_knobs_accepted(self, uart_gds):
@@ -154,15 +237,18 @@ class TestBackendFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_num_streams_rejected(self, uart_gds, capsys):
-        with pytest.raises(SystemExit, match="num_streams"):
-            main(["check", uart_gds, "--top", "top", "--num-streams", "0"])
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--num-streams", "0"],
+            capsys,
+            "num_streams",
+        )
 
-    def test_invalid_threshold_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="brute_force_threshold"):
-            main([
-                "check", uart_gds, "--top", "top",
-                "--brute-force-threshold", "-5",
-            ])
+    def test_invalid_threshold_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--brute-force-threshold", "-5"],
+            capsys,
+            "brute_force_threshold",
+        )
 
 
 class TestCheckWindowCommand:
@@ -186,9 +272,12 @@ class TestCheckWindowCommand:
             "check-window", dirty_gds, "0", "0", "400", "400", "--top", "top",
         ]) == 0
 
-    def test_empty_window_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="non-empty"):
-            main(["check-window", uart_gds, "100", "100", "50", "900", "--top", "top"])
+    def test_empty_window_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check-window", uart_gds, "100", "100", "50", "900", "--top", "top"],
+            capsys,
+            "window 100 100 50 900 must be non-empty",
+        )
 
     def test_csv_output(self, dirty_gds, capsys):
         main([
@@ -264,39 +353,27 @@ class TestJobsFlag:
         main(["check", uart_gds, "--top", "top", "--jobs", "1"])
         assert "sequential" in capsys.readouterr().out
 
-    def test_bad_env_rejected(self, uart_gds, monkeypatch):
+    def test_bad_env_rejected(self, uart_gds, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(SystemExit, match="REPRO_JOBS"):
-            main(["check", uart_gds, "--top", "top"])
+        assert_input_error(["check", uart_gds, "--top", "top"], capsys, "REPRO_JOBS")
 
-    def test_zero_jobs_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="positive integer"):
-            main(["check", uart_gds, "--top", "top", "--jobs", "0"])
+    def test_zero_jobs_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--jobs", "0"],
+            capsys,
+            "positive integer",
+        )
 
-    def test_negative_jobs_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="positive integer"):
-            main(["check", uart_gds, "--top", "top", "--jobs", "-3"])
+    def test_negative_jobs_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--jobs", "-3"],
+            capsys,
+            "positive integer",
+        )
 
-    def test_negative_env_jobs_rejected(self, uart_gds, monkeypatch):
+    def test_negative_env_jobs_rejected(self, uart_gds, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.raises(SystemExit, match="REPRO_JOBS"):
-            main(["check", uart_gds, "--top", "top"])
-
-    def test_check_window_jobs(self, dirty_gds, capsys):
-        code = main([
-            "check-window", dirty_gds,
-            "-100000", "-100000", "100000", "100000",
-            "--top", "top", "--jobs", "2",
-        ])
-        assert code == 1
-        assert "violations" in capsys.readouterr().out
-
-    def test_check_window_zero_jobs_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="positive integer"):
-            main([
-                "check-window", uart_gds, "0", "0", "100", "100",
-                "--top", "top", "--jobs", "0",
-            ])
+        assert_input_error(["check", uart_gds, "--top", "top"], capsys, "REPRO_JOBS")
 
 
 class TestFaultToleranceFlags:
@@ -307,20 +384,19 @@ class TestFaultToleranceFlags:
         ])
         assert code == 0
 
-    def test_zero_task_timeout_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="task_timeout"):
-            main(["check", uart_gds, "--top", "top", "--task-timeout", "0"])
+    def test_zero_task_timeout_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--task-timeout", "0"],
+            capsys,
+            "task_timeout",
+        )
 
-    def test_negative_max_retries_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="max_retries"):
-            main(["check", uart_gds, "--top", "top", "--max-retries", "-1"])
-
-    def test_check_window_rejects_bad_knobs(self, uart_gds):
-        with pytest.raises(SystemExit, match="task_timeout"):
-            main([
-                "check-window", uart_gds, "0", "0", "100", "100",
-                "--top", "top", "--task-timeout", "-5",
-            ])
+    def test_negative_max_retries_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--max-retries", "-1"],
+            capsys,
+            "max_retries",
+        )
 
     def test_env_faults_do_not_change_the_report(self, dirty_gds, capsys, monkeypatch):
         from repro.util import faults
@@ -398,13 +474,16 @@ class TestMultiWindowCli:
         ])
         assert code == 1
 
-    def test_empty_extra_window_rejected(self, uart_gds):
-        with pytest.raises(SystemExit, match="non-empty"):
-            main([
+    def test_empty_extra_window_rejected(self, uart_gds, capsys):
+        assert_input_error(
+            [
                 "check-window", uart_gds, "0", "0", "400", "400",
                 "--window", "100", "100", "50", "900",
                 "--top", "top",
-            ])
+            ],
+            capsys,
+            "window 100 100 50 900 must be non-empty",
+        )
 
 
 class TestReportStore:
@@ -470,8 +549,8 @@ class TestReportStore:
         main(["check", dirty_gds, "--top", "top", "--cache-dir", cache])
         capsys.readouterr()
         monkeypatch.setattr(
-            "repro.core.incremental.make_backend",
-            lambda *args, **kwargs: pytest.fail("the windowed backend ran"),
+            "repro.core.incremental.check_regions",
+            lambda *args, **kwargs: pytest.fail("the windowed procedure ran"),
         )
         assert main(window + ["--cache-dir", cache]) == 1
         assert capsys.readouterr().out == computed

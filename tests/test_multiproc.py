@@ -19,12 +19,11 @@ from repro.core import (
     EngineOptions,
     MultiprocessBackend,
     ParallelBackend,
-    check_window,
     compile_plan,
     make_backend,
 )
 from repro.core.rules import layer, polygons
-from repro.geometry import Polygon, Rect, Transform
+from repro.geometry import Polygon, Transform
 from repro.gpu.shmem import INLINE_THRESHOLD, ShmArena
 from repro.layout import CellReference, Layout
 from repro.util.profile import PhaseProfile
@@ -136,17 +135,6 @@ class TestEquivalence:
         multiproc = run(layout, deck, jobs=2)
         for ref, got in zip(reference.results, multiproc.results):
             assert Counter(got.violations) == Counter(ref.violations)
-
-    def test_windowed_jobs_match_plain_window(self, uart_layout):
-        deck = asap7.spacing_deck()
-        window = Rect(0, 0, 3000, 3000)
-        plain = check_window(uart_layout, window, rules=deck)
-        jobs2 = check_window(
-            uart_layout, window, rules=deck, options=EngineOptions(jobs=2)
-        )
-        assert jobs2.mode == "windowed"
-        for ref, got in zip(plain.results, jobs2.results):
-            assert got.violations == ref.violations, ref.rule.name
 
 
 class TestDeterminism:

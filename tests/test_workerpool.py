@@ -14,11 +14,11 @@ import random
 
 import pytest
 
-from repro.core import Engine, EngineOptions, check_window
+from repro.core import Engine, EngineOptions
 from repro.core import costmodel, multiproc, workerpool
 from repro.core.rules import layer
 from repro.core.workerpool import WorkerPool
-from repro.geometry import Polygon, Rect, Transform
+from repro.geometry import Polygon, Transform
 from repro.layout import CellReference, Layout
 from repro.util import faults
 
@@ -203,27 +203,6 @@ class TestWarmReuse:
         with Engine(options=mp_options()) as engine:
             engine.check(layout, rules=[layer(1).spacing().greater_than(7)])
             assert multiprocessing.active_children(), "held between checks"
-        assert_no_children()
-
-    def test_check_window_with_jobs_leaves_no_children(self, monkeypatch):
-        # No engine holds the pool: the backend's own hold is the last,
-        # so check_window frees the workers before it returns.
-        acquired = []
-        acquire = workerpool.acquire
-        monkeypatch.setattr(
-            workerpool, "acquire",
-            lambda *key: acquired.append(acquire(*key)) or acquired[-1],
-        )
-        layout = via_layout(510, instances=10)
-        window = Rect(0, 0, 2500, 2500)
-        reference = check_window(layout, window, rules=deck())
-        report = check_window(
-            layout, window, rules=deck(), options=mp_options(cost_model=False)
-        )
-        assert report.to_csv() == reference.to_csv()
-        assert acquired, "the windowed rules must have used the pool"
-        assert all(pool.generation and pool.closed for pool in acquired)
-        assert registered(2) is None
         assert_no_children()
 
 
