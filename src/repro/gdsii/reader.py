@@ -12,11 +12,14 @@ records, or unknown record types raise :class:`~repro.errors.GdsiiError`
 with the offending context.
 
 Inside that one grammar the canonical BOUNDARY element (BOUNDARY, LAYER,
-DATATYPE, one XY of a closed ring, ENDEL, nothing else) is decoded *fused*:
-one unpack of its fixed header bytes, one of its coordinates, one compare of
-its ENDEL. The fused decode only ever **accepts** — anything it does not
-recognise is left untouched for the record-by-record walk, which alone
-decides what is an error and how it reads.
+DATATYPE, one XY of a closed ring, ENDEL, nothing else) is decoded *fused*.
+Canonical rectangles (a five-point XY) are taken as *runs*: one match of
+:data:`_RECTANGLE_RUN` finds the longest stretch of them on one layer (up to
+512), and the sink gets the run's bytes as one array of words. Any other canonical
+ring is one unpack of its fixed header bytes, one of its coordinates, one
+compare of its ENDEL. The fused decode only ever **accepts** — anything it
+does not recognise is left untouched for the record-by-record walk, which
+alone decides what is an error and how it reads.
 
 A sink may also take a structure whole instead of having it walked: right
 after STRNAME the walk asks it, and resumes past ENDSTR if it did.
@@ -31,7 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import struct
+import sys
+from array import array
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..errors import GdsiiError
@@ -98,6 +104,11 @@ class _ModelSink:
     def boundary(self, layer: int, datatype: int, flat: Sequence[int], properties) -> None:
         self.element(GdsBoundary(layer, datatype, list(zip(flat[0::2], flat[1::2])), properties))
 
+    def rectangles(self, layer: int, words: array) -> None:
+        for at in range(0, len(words), 16):
+            datatype = ((words[at + 3] & 0xFFFF) ^ 0x8000) - 0x8000  # the low half, as int16
+            self.boundary(layer, datatype, words[at + 5 : at + 13], {})
+
     def finish(self) -> GdsLibrary:
         self.library.validate_references()
         return self.library
@@ -111,9 +122,13 @@ def walk_stream(data: bytes, sink):
     ``boundary(layer, datatype, flat, properties)`` (a BOUNDARY of the
     structure begun last: ``flat`` is ``x0, y0, x1, y1, ...`` of its ring,
     at least three points, the closing repeat of the first dropped),
-    ``element(gds_element)`` (a PATH, SREF or AREF as a
-    :mod:`~repro.gdsii.model` element), ``end_structure(data, start, stop)``
-    and ``finish()``. ``boundary`` and ``element`` are looked up after each
+    ``rectangles(layer, words)`` (a run of :data:`_RECTANGLE_RUN`: its bytes
+    as native int32, sixteen words per element, so element ``i``'s ring is
+    ``words[16 * i + 5 : 16 * i + 13]`` and the low half of
+    ``words[16 * i + 3]`` its datatype), ``element(gds_element)`` (a PATH,
+    SREF or AREF as a :mod:`~repro.gdsii.model` element),
+    ``end_structure(data, start, stop)`` and ``finish()``. ``boundary``,
+    ``rectangles`` and ``element`` are looked up after each
     ``begin_structure``. TEXT elements carry no DRC geometry and are skipped.
 
     ``start`` is the offset of a structure's STRNAME record. After
@@ -144,7 +159,7 @@ def walk_stream(data: bytes, sink):
         if stop:
             cur.offset = stop
             continue
-        _walk_structure(cur, name, sink.boundary, sink.element)
+        _walk_structure(cur, name, sink.boundary, sink.rectangles, sink.element)
         sink.end_structure(data, start, cur.offset)
 
 
@@ -162,16 +177,37 @@ _BOUNDARY_LAYER_WORD = 0x0004_0800_0006_0D02
 _DATATYPE_WORD = 0x0006_0E02
 _XY_INT32 = 0x1003
 _ENDEL_BYTES = b"\x00\x04\x11\x00"
-#: The XY payload of a rectangle: five points, the first repeated.
-_RECTANGLE_XY = struct.Struct(">10i")
+#: 1 to 512 canonical rectangles on one layer, back to back: BOUNDARY,
+#: LAYER (group 1, the same bytes in every element), DATATYPE, an XY of
+#: five int32 points whose last repeats its first, ENDEL. Each is 64 bytes.
+#: The matcher keeps a few hundred bytes of state per repeat, so the cap
+#: bounds what one match (and each array the sink builds from it) can take,
+#: whatever the stream holds; a longer stretch is read as several runs.
+_RECTANGLE_RUN = re.compile(
+    rb"\x00\x04\x08\x00\x00\x06\x0d\x02(..)\x00\x06\x0e\x02..\x00\x2c\x10\x03"
+    rb"(.{8}).{24}\2\x00\x04\x11\x00"
+    rb"(?:\x00\x04\x08\x00\x00\x06\x0d\x02\1\x00\x06\x0e\x02..\x00\x2c\x10\x03"
+    rb"(.{8}).{24}\3\x00\x04\x11\x00){0,511}",
+    re.DOTALL,
+)
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _walk_structure(cur: RecordCursor, name: str, emit_boundary, emit) -> None:
+def _walk_structure(cur: RecordCursor, name: str, emit_boundary, emit_rectangles, emit) -> None:
     data = cur.data
     last_head = cur.size - _FUSED_HEAD.size
     unpack_head = _FUSED_HEAD.unpack_from
+    match_run = _RECTANGLE_RUN.match
     while True:
         offset = cur.offset
+        run = match_run(data, offset)
+        if run is not None:
+            cur.offset = stop = run.end()
+            words = array("i", data[offset:stop])
+            if _LITTLE_ENDIAN:
+                words.byteswap()
+            emit_rectangles(words[2] >> 16, words)
+            continue
         if offset <= last_head:
             word, layer, datatype_word, datatype, xy_length, xy_type = unpack_head(data, offset)
             if (
@@ -184,12 +220,7 @@ def _walk_structure(cur: RecordCursor, name: str, emit_boundary, emit) -> None:
             ):
                 endel = offset + 16 + xy_length
                 if data[endel : endel + 4] == _ENDEL_BYTES:
-                    if xy_length == 44:
-                        flat = _RECTANGLE_XY.unpack_from(data, offset + 20)
-                    else:
-                        flat = struct.unpack_from(
-                            ">%di" % ((xy_length - 4) >> 2), data, offset + 20
-                        )
+                    flat = struct.unpack_from(">%di" % ((xy_length - 4) >> 2), data, offset + 20)
                     if flat[0] == flat[-2] and flat[1] == flat[-1]:
                         cur.offset = endel + 4
                         emit_boundary(layer, datatype, flat[:-2], {})

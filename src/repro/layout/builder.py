@@ -9,6 +9,10 @@ so that workload layouts can be persisted as genuine GDSII files and re-read.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import compress
+from operator import eq, gt, not_
 from typing import List, Optional, Tuple
 
 from ..errors import GdsiiError
@@ -125,6 +129,42 @@ class LayoutSink:
         points = [Point(x, y) for x, y in zip(flat[0::2], flat[1::2])]
         self._cell.add_polygon(layer, Polygon(points, name=name))
 
+    def rectangles(self, layer: int, words: array) -> None:
+        """Append a run of canonical rectangles, column by column.
+
+        Column ``k`` of the run is ``words[5 + k::16]``: ``x0`` of every
+        ring, then ``y0`` ... ``y3``. A ring with ``x1 == x0``, ``y2 == y1``,
+        ``x3 == x2``, ``y3 == y0``, ``x2 > x0`` and ``y1 > y0`` is drawn
+        clockwise from its lower-left corner, which :meth:`boundary` stores
+        unchanged: those go into the buffer in bulk, their MBR
+        ``(x0, y0, x2, y1)``. Any other ring goes through :meth:`boundary`
+        alone, in its place in the run.
+        """
+        x0, y0, x1, y1, x2, y2, x3, y3 = (words[k::16] for k in range(5, 13))
+        count = len(x0)
+        rejected: List[int] = []
+        if not (
+            x1 == x0 and y2 == y1 and x3 == x2 and y3 == y0
+            and all(map(gt, x2, x0)) and all(map(gt, y1, y0))
+        ):  # fmt: skip
+            fits = zip(
+                map(eq, x1, x0), map(eq, y2, y1), map(eq, x3, x2), map(eq, y3, y0),
+                map(gt, x2, x0), map(gt, y1, y0),
+            )  # fmt: skip
+            rejected = list(compress(range(count), map(not_, map(all, fits))))
+        box = array("i", bytes(16 * count))
+        box[0::4], box[1::4], box[2::4], box[3::4] = x0, y0, x2, y1
+        mbrs = _widened(box)
+        rings = self._cell.ring_buffer(layer)
+        start = 0
+        for index in rejected + [count]:
+            if start < index:
+                rings.append_rectangles(mbrs[4 * start : 4 * index])
+            if index < count:
+                # The layout keeps no datatype.
+                self.boundary(layer, 0, tuple(words[16 * index + 5 : 16 * index + 13]), {})
+            start = index + 1
+
     def element(self, element) -> None:
         cell = self._cell
         if isinstance(element, GdsSref):
@@ -150,6 +190,25 @@ class LayoutSink:
                 )
         self.layout.validate()
         return self.layout
+
+
+#: Byte -> the byte that extends its sign: 0x00 below 0x80, 0xFF from it on.
+_SIGN_FILL = bytes(0xFF if byte & 0x80 else 0 for byte in range(256))
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _widened(values: array) -> array:
+    """``array("q", values)`` for an ``array("i")``, with no Python int per
+    value: each int32's bytes become the low half of an int64, and its top
+    byte, translated through :data:`_SIGN_FILL`, every byte of the high half."""
+    narrow = values.tobytes()
+    wide = bytearray(2 * len(narrow))
+    low, top = (0, 3) if _LITTLE_ENDIAN else (4, 0)  # low half's offset, top byte
+    fill = narrow[top::4].translate(_SIGN_FILL)
+    for k in range(4):
+        wide[low + k :: 8] = narrow[k::4]
+        wide[4 - low + k :: 8] = fill
+    return array("q", wide)
 
 
 def gdsii_from_layout(layout: Layout) -> GdsLibrary:

@@ -170,6 +170,23 @@ class RingBuffer:
         self._view = None
         self._stamped = False
 
+    def append_rectangles(self, mbrs: array) -> None:
+        """Append one rectangle per MBR in ``mbrs`` (an ``array('q')`` laid out
+        as :attr:`mbrs` is), each as the ring ``(xlo, ylo), (xlo, yhi),
+        (xhi, yhi), (xhi, ylo)``: what the ``Polygon`` constructor stores for
+        that ring. The caller vouches that ``xlo < xhi`` and ``ylo < yhi``.
+        """
+        count = len(mbrs) >> 2
+        rings = array("q", bytes(64 * count))
+        for k, column in enumerate((0, 1, 0, 3, 2, 3, 2, 1)):
+            rings[k::8] = mbrs[column::4]
+        start = len(self.coords)
+        self.coords.extend(rings)
+        self.mbrs.extend(mbrs)
+        self.offsets.fromlist(list(range(start + 8, start + 8 * count + 1, 8)))
+        self._view = None
+        self._stamped = False
+
     def append(self, polygon: Polygon) -> None:
         """Append ``polygon``'s ring (a ``Polygon`` is normalised by construction)."""
         # Converted first: a coordinate the arrays cannot hold raises here,

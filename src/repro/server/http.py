@@ -113,9 +113,17 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            raise BadRequestError(f"request body of {length} bytes rejected")
+            # The body is left unread, so the connection cannot carry another request.
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length {declared!r} rejected (0 to {MAX_BODY_BYTES} bytes)"
+            )
         return self.rfile.read(length) if length else b""
 
     def _json_body(self) -> Dict[str, Any]:

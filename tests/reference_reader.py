@@ -1,18 +1,22 @@
 """The record-by-record GDSII read, kept as the reference for the fused one.
 
-``repro.gdsii.reader`` decodes a canonical BOUNDARY in three steps (header
-unpack, coordinate unpack, ENDEL compare) and writes rectangles straight into
-a cell's ring buffers. This module is the reader as it was before that: every
-record stepped onto with ``RecordCursor.advance``, every BOUNDARY ring through
-the validating ``Polygon`` constructor, the result kept as plain tuples and
-lists — nothing of ``RingBuffer`` on this side. PATH / SREF / AREF / TEXT
-records are read with the reader's own helpers, which the fused decode does
-not touch.
+``repro.gdsii.reader`` takes a run of canonical rectangles with one pattern
+match and hands it to the sink as one array, which writes the rectangles
+into a cell's ring buffers column by column; any other canonical BOUNDARY is
+one header unpack, one coordinate unpack and one ENDEL compare. This module
+is the reader as it was before either: every record stepped onto with
+``RecordCursor.advance``, every BOUNDARY ring through the validating
+``Polygon`` constructor, the result kept as plain tuples and lists — nothing
+of ``RingBuffer`` on this side. PATH / SREF / AREF / TEXT records are read
+with the reader's own helpers, which the fused decode does not touch.
 
 :func:`checked_read_layout` is ``read_layout_bytes`` held to it: the same
 layout (cell by cell: layers, ring vertices, names, references) or the same
-exception, message included.
+exception, message included, and ring buffers whose offsets and MBR table
+are the ones the reference rings imply.
 """
+
+from itertools import accumulate
 
 from repro.errors import GdsiiError, LayoutError, ReproError
 from repro.gdsii import GdsAref, GdsBoundary, GdsPath, read_layout_bytes
@@ -174,4 +178,23 @@ def checked_read_layout(data):
         assert (type(error).__name__, str(error)) == expected
         raise
     assert ("ok", snapshot(layout)) == expected
+    for (_, layers, _), cell in zip(expected[1][1], layout.cells.values()):
+        for layer, rings in layers:
+            assert buffer_tables(cell.rings(layer)) == reference_tables(rings)
     return layout
+
+
+def buffer_tables(buffer):
+    """A ring buffer's offsets and MBR table, as lists, and its coordinate count."""
+    assert (buffer.coords.typecode, buffer.offsets.typecode, buffer.mbrs.typecode) == ("q",) * 3
+    return list(buffer.offsets), list(buffer.mbrs), len(buffer.coords)
+
+
+def reference_tables(rings):
+    """What :func:`buffer_tables` must be for the reference's ``(vertices, name)`` rings."""
+    offsets = list(accumulate((2 * len(vertices) for vertices, _ in rings), initial=0))
+    mbrs = []
+    for vertices, _ in rings:
+        xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
+        mbrs += [min(xs), min(ys), max(xs), max(ys)]
+    return offsets, mbrs, offsets[-1]

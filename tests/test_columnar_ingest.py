@@ -1,5 +1,6 @@
-"""Columnar ingest: the fused BOUNDARY decode, the per-(cell, layer) ring
-buffers it fills, and the consumers that read them instead of ``Polygon``s.
+"""Columnar ingest: the fused BOUNDARY decode and its runs of rectangles, the
+per-(cell, layer) ring buffers they fill, and the consumers that read them
+instead of ``Polygon``s.
 
 References are kept in ``tests/``: the record-by-record reader
 (``reference_reader.py``, also wired under every ``read_layout_bytes`` of
@@ -8,27 +9,37 @@ References are kept in ``tests/``: the record-by-record reader
 """
 
 import pickle
+import re
+from array import array
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core import Engine, EngineOptions, recheck
 from repro.core.diff import _cell_local_dirty
 from repro.core.packstore import layer_geometry_digest
+from repro.errors import GdsiiError, ReproError
 from repro.gdsii import (
     GdsBoundary,
     GdsLibrary,
+    GdsPath,
     GdsSref,
     GdsStructure,
     read_bytes,
     read_layout_bytes,
     reader,
+    records,
     write_bytes,
 )
 from repro.gdsii.records import RecordType, make_record, pack_record, xy_record
+from repro.gdsii.writer import _element_records
 from repro.geometry import Point, Polygon, Rect
 from repro.hierarchy.tree import HierarchyTree
-from repro.layout import Cell, Layout, gdsii_from_layout, layout_from_gdsii
+from repro.layout import Cell, Layout, builder, gdsii_from_layout, layout_from_gdsii
+from repro.layout import cell as cell_module
+from repro.layout.builder import LayoutSink
 from repro.layout.cell import RingBuffer
 from repro.spatial.regions import RegionSet
 from repro.workloads import LIBRARY, InjectionPlan, asap7, build_design, inject_violations
@@ -61,16 +72,17 @@ def ledger_stream():
 
 def boundary_bytes(layer, points):
     """One canonical BOUNDARY element, as the ledger splices its edit wire in."""
-    return b"".join(
-        pack_record(record)
-        for record in (
-            make_record(RecordType.BOUNDARY),
-            make_record(RecordType.LAYER, [layer]),
-            make_record(RecordType.DATATYPE, [0]),
-            xy_record(list(points) + [points[0]]),
-            make_record(RecordType.ENDEL),
-        )
-    )
+    return element_bytes(GdsBoundary(layer, 0, list(points)))
+
+
+def element_bytes(element):
+    """``element`` as the writer encodes it."""
+    return b"".join(map(pack_record, _element_records(element)))
+
+
+def into_top(stream, *elements):
+    """``stream`` with ``elements`` (bytes) added to its last structure."""
+    return stream[:-8] + b"".join(elements) + stream[-8:]
 
 
 @pytest.fixture()
@@ -134,30 +146,40 @@ class TestFusedReader:
 
     def test_the_ledger_stream_and_its_spliced_edit(self, ledger_stream):
         wire = [(100, 90_000), (110, 90_000), (110, 90_400), (100, 90_400)]
-        endlib = len(ledger_stream) - 4
         # The top structure is written last: its ENDSTR sits right before ENDLIB.
-        edited = (
-            ledger_stream[: endlib - 4]
-            + boundary_bytes(asap7.M2, wire)
-            + ledger_stream[endlib - 4 :]
-        )
+        edited = into_top(ledger_stream, boundary_bytes(asap7.M2, wire))
         base, new = checked_read_layout(ledger_stream), checked_read_layout(edited)
         assert new.cell("top").polygons(asap7.M2)[-1] == Polygon([Point(*p) for p in wire])
         assert new.cell("top").num_local_polygons == base.cell("top").num_local_polygons + 1
 
     def test_the_fast_path_is_what_reads_the_ledger_stream(self, ledger_stream, monkeypatch):
-        slow = []
-        walked = reader._boundary
+        slow, one_by_one = [], []
+        walked, boundary = reader._boundary, LayoutSink.boundary
         monkeypatch.setattr(
             reader, "_boundary", lambda cur, emit: slow.append(cur.start) or walked(cur, emit)
         )
-        layout = read_layout_bytes(ledger_stream)
+        monkeypatch.setattr(
+            LayoutSink,
+            "boundary",
+            lambda self, layer, datatype, flat, properties: one_by_one.append(
+                (self._cell.name, layer, tuple(flat), bool(properties))
+            )
+            or boundary(self, layer, datatype, flat, properties),
+        )
+        # Counter-clockwise from its lower-left corner: the column tests reject it.
+        wire = [(100, 90_000), (110, 90_000), (110, 90_400), (100, 90_400)]
+        layout = read_layout_bytes(into_top(ledger_stream, boundary_bytes(asap7.M2, wire)))
         total = sum(cell.num_local_polygons for cell in layout.cells.values())
         named = sum(
             1 for cell in layout.cells.values() for _, p in cell.all_polygons() if p.name
         )
         assert total > 1000 and named > 0
         assert len(slow) == named  # only elements with properties took the walk
+        assert sum(1 for *_, named_ring in one_by_one if named_ring) == named
+        wire_ring = tuple(c for point in wire for c in point)
+        assert [call for call in one_by_one if not call[3]] == [
+            ("top", asap7.M2, wire_ring, False)
+        ]  # every other ring went into its buffer with its run
 
     @pytest.mark.parametrize(
         "tail",
@@ -181,6 +203,160 @@ class TestFusedReader:
         library = read_bytes(ledger_stream)
         assert write_bytes(library) == ledger_stream
         assert snapshot(layout_from_gdsii(library)) == reference_snapshot(ledger_stream)
+
+
+# ---------------------------------------------------------------------------
+# (a2) Runs of rectangles, generated
+
+INT32_EDGES = [-(2**31), -(2**31 - 1), 2**31 - 2, 2**31 - 1]
+run_coords = st.one_of(st.integers(-1000, 1000), st.sampled_from(INT32_EDGES))
+#: What :func:`run_elements` expects ``read_bytes`` to refuse the stream for.
+OPEN = "open"
+
+
+@st.composite
+def run_elements(draw):
+    """One element of a run: its bytes and the element ``read_bytes`` keeps
+    (``None`` for TEXT, :data:`OPEN` for a ring that does not close)."""
+    kind = draw(
+        st.sampled_from(
+            ["rect"] * 14 + ["degenerate", "open", "named", "hexagon", "path", "sref", "text"]
+        )
+    )
+    layer = draw(st.sampled_from([0, 1, 2, 300, -3]))
+    datatype = draw(st.sampled_from([0, 0, 0, 5, 300, -2]))
+    if kind in ("rect", "degenerate", "open", "named"):
+        xs = draw(st.lists(run_coords, min_size=2, max_size=2, unique=True))
+        ys = draw(st.lists(run_coords, min_size=2, max_size=2, unique=True))
+        if kind == "degenerate":
+            axis = xs if draw(st.booleans()) else ys
+            axis[1] = axis[0]
+        (xlo, xhi), (ylo, yhi) = sorted(xs), sorted(ys)
+        corners = [(xlo, ylo), (xlo, yhi), (xhi, yhi), (xhi, ylo)]
+        start = draw(st.integers(0, 3))
+        ring = corners[start:] + corners[:start]
+        if draw(st.booleans()):
+            ring.reverse()  # with the four start corners: all 8 vertex orders
+        if kind == "open":
+            raw = [
+                make_record(RecordType.BOUNDARY),
+                make_record(RecordType.LAYER, [layer]),
+                make_record(RecordType.DATATYPE, [datatype]),
+                xy_record(ring + [ring[1]]),
+                make_record(RecordType.ENDEL),
+            ]
+            return b"".join(map(pack_record, raw)), OPEN
+        properties = {1: "net", 7: "x"} if kind == "named" else {}
+        element = GdsBoundary(layer, datatype, ring, properties)
+    elif kind == "hexagon":
+        dx, dy = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+        element = GdsBoundary(layer, datatype, [(x + dx, y + dy) for x, y in L_SHAPE])
+    elif kind == "path":
+        x, y = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+        element = GdsPath(layer, datatype, 4, [(x, y), (x + 50, y)])
+    elif kind == "sref":
+        element = GdsSref("LEAF", (draw(st.integers(-1000, 1000)), 0))
+    else:
+        raw = [
+            make_record(RecordType.TEXT),
+            make_record(RecordType.LAYER, [layer]),
+            make_record(RecordType.TEXTTYPE, [0]),
+            make_record(RecordType.XY, [5, 5]),
+            make_record(RecordType.STRING, "label"),
+            make_record(RecordType.ENDEL),
+        ]
+        return b"".join(map(pack_record, raw)), None
+    return element_bytes(element), element
+
+
+def run_stream(elements):
+    """A library whose last structure holds ``elements``' bytes, and nothing else."""
+    leaf = GdsStructure("LEAF", [GdsBoundary(1, 0, [(0, 0), (0, 10), (10, 10), (10, 0)])])
+    frame = write_bytes(GdsLibrary(name="RUNS", structures=[leaf, GdsStructure("TOP")]))
+    return into_top(frame, *(data for data, _ in elements))
+
+
+def module_state_sizes():
+    """The size of every module-level table of the read path, and of ``re``'s cache."""
+    sizes = {"re._cache": len(getattr(re, "_cache", ()))}
+    for module in (reader, records, builder, cell_module):
+        for name, value in vars(module).items():
+            if isinstance(value, (dict, list, set, bytearray, array)):
+                sizes[module.__name__, name] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[module.__name__, name] = value.cache_info().currsize
+    return sizes
+
+
+class TestRunDecode:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(st.lists(run_elements(), max_size=300))
+    def test_a_generated_run_reads_as_the_reference_reads_it(self, elements):
+        data = run_stream(elements)
+        try:
+            checked_read_layout(data)  # the same layout, tables included, or the same error
+        except ReproError:
+            pass
+        expected = [element for _, element in elements if element is not None]
+        if OPEN in expected:
+            with pytest.raises(GdsiiError, match="must repeat the first point"):
+                read_bytes(data)
+        else:
+            assert read_bytes(data).structures[-1].elements == expected
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(run_elements(), min_size=1, max_size=4))
+    def test_every_truncation_of_a_short_run(self, elements):
+        data = run_stream(elements)
+        run_start = len(data) - 8 - sum(len(raw) for raw, _ in elements)
+        for cut in range(run_start, len(data)):
+            with pytest.raises(ReproError):
+                checked_read_layout(data[:cut])
+            with pytest.raises(GdsiiError):
+                read_bytes(data[:cut])
+
+    @pytest.mark.parametrize("damage", ["mbr", "coords"])
+    def test_the_reference_checks_the_mbr_table_and_offsets(self, damage, monkeypatch):
+        """A decode that wrote a wrong table fails :func:`checked_read_layout`,
+        though every polygon it views is right."""
+        append = RingBuffer.append_rectangles
+
+        def damaged(self, mbrs):
+            append(self, mbrs)
+            if damage == "mbr":
+                self.mbrs[-1] += 1
+            else:
+                self.coords.append(0)  # past the last offset: no ring shows it
+
+        squares = [[(x, 0), (x, 10), (x + 10, 10), (x + 10, 0)] for x in (0, 20)]
+        structure = GdsStructure("TOP", [GdsBoundary(1, 0, ring) for ring in squares])
+        data = write_bytes(GdsLibrary(name="RUN", structures=[structure]))
+        expected = snapshot(read_layout_bytes(data))
+        monkeypatch.setattr(RingBuffer, "append_rectangles", damaged)
+        assert snapshot(read_layout_bytes(data)) == expected
+        with pytest.raises(AssertionError):
+            checked_read_layout(data)
+
+    def test_reader_state_stays_a_fixed_size(self):
+        """5 000 boundaries, each on its own layer, grow no module-level table."""
+        square = [(0, 0), (0, 9), (9, 9), (9, 0)]
+        boundaries = [
+            GdsBoundary(layer, 0, L_SHAPE if layer % 7 == 0 else square) for layer in range(5000)
+        ]
+        data = write_bytes(GdsLibrary(name="LAYERS", structures=[GdsStructure("MANY", boundaries)]))
+        read_layout_bytes(small_stream())
+        before = module_state_sizes()
+        layout = read_layout_bytes(data)
+        assert len(layout.cell("MANY").local_layers()) == 5000
+        assert module_state_sizes() == before
+
+    def test_widening_keeps_every_int32(self):
+        values = [-(2**31), -(2**31 - 1), -65536, -256, -1, 0, 1, 255, 65535, 2**31 - 1]
+        assert builder._widened(array("i", values)) == array("q", values)
 
 
 # ---------------------------------------------------------------------------

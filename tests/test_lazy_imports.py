@@ -67,6 +67,24 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
     assert out.strip() == "[]"
 
 
+def test_reading_the_ledger_stream_never_imports_numpy(tmp_path):
+    """The run decode is stdlib only: arrays, one pattern, byte tables."""
+    from .test_columnar_ingest import ledger_dirty_jpeg
+
+    path = tmp_path / "ledger.gds"
+    write(gdsii_from_layout(ledger_dirty_jpeg()), path)
+    out = run_python(
+        "import sys\n"
+        "from repro.gdsii import read_layout_bytes\n"
+        f"layout = read_layout_bytes(open({str(path)!r}, 'rb').read())\n"
+        "print(sum(cell.num_local_polygons for cell in layout.cells.values()))\n"
+        "print('numpy' in sys.modules)\n",
+        cwd=None,
+    )
+    rings, numpy_loaded = out.split()
+    assert int(rings) > 1000 and numpy_loaded == "False"
+
+
 def test_public_names_still_resolve():
     run_python(
         "import repro as odrc\n"

@@ -2,8 +2,10 @@
 
 import http.client
 import json
+import logging
 import os
 import random
+import socket
 import threading
 import time
 
@@ -29,6 +31,7 @@ from repro.server import (
     UnknownSessionError,
     start_server,
 )
+from repro.server.http import MAX_BODY_BYTES
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
 from .test_recheck import (
@@ -710,6 +713,22 @@ class TestHTTP:
         with pytest.raises(ClientError) as excinfo:
             client.check_window(info["session"], [["abc", 0, 10, 10]])
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", str(10**12)])
+    def test_a_bad_content_length_is_a_typed_400(self, served, declared, caplog):
+        host, port = served.server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /sessions HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {declared}\r\n\r\n".encode("ascii")
+            )
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))  # the server closes
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {
+            "error": f"Content-Length {declared!r} rejected (0 to {MAX_BODY_BYTES} bytes)"
+        }
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
     def test_client_rejects_severities_with_raw_upload(self):
         client = ServeClient("http://127.0.0.1:1")  # never contacted
