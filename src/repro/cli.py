@@ -517,17 +517,23 @@ def cmd_waive(args: argparse.Namespace) -> int:
 def cmd_violations(args: argparse.Namespace) -> int:
     """Filter a marker database like ``GET /sessions/<id>/violations``.
 
-    Runs :func:`repro.reporting.filter_violations` — the exact function the
-    serve daemon's ``/violations`` endpoint calls — on a local marker
-    database, so local and served filtered listings are byte-identical
-    (modulo the served session envelope).
+    Runs :func:`repro.reporting.filter_entries` — the filter the serve
+    daemon's ``/violations`` endpoint runs, behind the same bbox check
+    (:func:`repro.reporting.check_bbox`) — on a local marker database, so
+    local and served filtered listings are byte-identical (modulo the
+    served session envelope) and reject the same boxes.
     """
-    from .reporting import SEVERITIES, filter_violations
+    from .reporting import SEVERITIES, FilterError, check_bbox, filter_violations
 
     if args.severity and args.severity not in SEVERITIES:
         raise _input_error(
             f"--severity must be one of {SEVERITIES}, got {args.severity!r}"
         )
+    if args.bbox is not None:
+        try:
+            check_bbox(args.bbox)
+        except FilterError as error:
+            raise _input_error(str(error)) from None
     report = _load_marker_db(args.markers)
     known = {result.rule.name for result in report.results}
     wanted = set(args.rule or [])

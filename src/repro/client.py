@@ -5,7 +5,12 @@ all talk to the daemon through :class:`ServeClient`. Responses are plain
 JSON dicts; the ``report`` member of a check response is the exact payload
 of :meth:`~repro.core.results.CheckReport.to_json`, so
 :func:`report_json_to_csv` / re-dumping with ``json.dumps(obj, indent=2,
-sort_keys=True)`` reproduce the local CLI's output byte for byte.
+sort_keys=True)`` reproduce the local CLI's output byte for byte. The
+daemon writes each body from its tables' memoised row text
+(:func:`repro.server.state.encode_reply`), byte-identical to dumping the
+dicts, so nothing here depends on how it was encoded. ``urllib`` closes
+the connection after every request; a client that keeps one alive gets
+each response in a single send (the daemon sets ``TCP_NODELAY``).
 """
 
 from __future__ import annotations

@@ -73,6 +73,19 @@ class CheckResult:
         """This result as the renderers of :mod:`repro.reporting` read it."""
         return RuleRows(self.rule.name, self.rule.severity, self.seconds, self.table)
 
+    def header(self) -> Dict[str, Any]:
+        """The payload entry of this result without its ``violations``."""
+        return {
+            "rule": self.rule.name,
+            "kind": self.rule.kind.value,
+            "layer": self.rule.layer,
+            "other_layer": self.rule.other_layer,
+            "value": self.rule.value,
+            "severity": self.rule.severity,
+            "seconds": self.seconds,
+            "stats": {k: self.stats[k] for k in sorted(self.stats)},
+        }
+
     def __str__(self) -> str:
         if self.passed:
             status = "PASS"
@@ -127,32 +140,25 @@ class CheckReport:
         """Per-rule entries, deck order: what every renderer reads."""
         return [result.entry() for result in self.results]
 
+    def header(self) -> Dict[str, Any]:
+        """The payload without its ``results``: layout, mode and totals."""
+        return {"layout": self.layout_name, "mode": self.mode, **totals(self.entries())}
+
     def payload(self) -> Dict[str, Any]:
         """The plain-dict report (what :meth:`to_json` serialises).
 
         Built from the tables, one dict per violation and nothing more. The
-        serve daemon ships it as the ``report`` member of its reply; the
-        client loads it back into tables and renders CSV/summaries through
-        the same :mod:`repro.reporting` functions, so served output is
-        byte-identical to local output by construction.
+        serve daemon writes the same JSON from :meth:`header`,
+        :meth:`CheckResult.header` and each table's memoised row text
+        (:func:`repro.server.state.encode_reply`); the client loads it back
+        into tables and renders CSV/summaries through the same
+        :mod:`repro.reporting` functions, so served output is byte-identical
+        to local output by construction.
         """
-        entries = self.entries()
         return {
-            "layout": self.layout_name,
-            "mode": self.mode,
-            **totals(entries),
+            **self.header(),
             "results": [
-                {
-                    "rule": result.rule.name,
-                    "kind": result.rule.kind.value,
-                    "layer": result.rule.layer,
-                    "other_layer": result.rule.other_layer,
-                    "value": result.rule.value,
-                    "severity": result.rule.severity,
-                    "seconds": result.seconds,
-                    "stats": {k: result.stats[k] for k in sorted(result.stats)},
-                    "violations": result.table.dicts(),
-                }
+                {**result.header(), "violations": result.table.dicts()}
                 for result in self.results
             ],
         }

@@ -46,21 +46,27 @@ from __future__ import annotations
 
 import hashlib
 from itertools import repeat
+from operator import and_
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import ReproError
 from .violation_table import KINDS, ViolationTable
 
 __all__ = [
     "SEVERITIES",
+    "FilterError",
     "RuleRows",
     "apply_waivers_payload",
+    "check_bbox",
     "compile_waivers",
     "csv_from_entries",
     "csv_from_payload",
     "csv_quote",
     "dedup_instances",
+    "filter_entries",
     "filter_violations",
     "filter_violations_payload",
+    "listing_dicts",
     "marker_digest",
     "payload_entries",
     "payload_totals",
@@ -364,6 +370,52 @@ def apply_waivers_payload(
 # ---------------------------------------------------------------------------
 
 
+class FilterError(ReproError, ValueError):
+    """A listing filter that cannot apply: a malformed or empty bbox."""
+
+
+def check_bbox(bbox: Sequence[int]) -> List[int]:
+    """A listing's integer bbox filter ``[x1, y1, x2, y2]``, checked once for
+    the daemon's ``/violations`` and the local ``repro violations``: four
+    values spanning a non-empty box (``x1 <= x2`` and ``y1 <= y2``)."""
+    if len(bbox) != 4:
+        raise FilterError("bbox must be x1,y1,x2,y2")
+    x1, y1, x2, y2 = bbox
+    if x1 > x2 or y1 > y2:
+        raise FilterError(f"bbox {list(bbox)} must be non-empty (x1 <= x2 and y1 <= y2)")
+    return [x1, y1, x2, y2]
+
+
+def filter_entries(
+    entries: Iterable[RuleRows],
+    *,
+    severity: Optional[str] = None,
+    rules: Optional[Sequence[str]] = None,
+    bbox: Optional[Sequence[int]] = None,
+    include_waived: bool = True,
+) -> List[Tuple[RuleRows, Optional[List[bool]]]]:
+    """The entries a filtered listing keeps, each with its keep-mask over
+    the table's rows (None: every row).
+
+    Rules and severities drop whole entries; ``bbox`` (markers that
+    *overlap* the box, touching counts — ``Rect.overlaps``) and
+    ``include_waived`` are masks over each table.
+    """
+    wanted = set(rules) if rules else None
+    kept: List[Tuple[RuleRows, Optional[List[bool]]]] = []
+    for entry in entries:
+        if severity is not None and entry.severity != severity:
+            continue
+        if wanted is not None and entry.rule not in wanted:
+            continue
+        mask = None if bbox is None else entry.table.overlapping([bbox])
+        if not include_waived:
+            unwaived = [flag == 0 for flag in entry.table.waived]
+            mask = unwaived if mask is None else list(map(and_, mask, unwaived))
+        kept.append((entry, mask))
+    return kept
+
+
 def filter_violations(
     entries: Iterable[RuleRows],
     *,
@@ -374,29 +426,30 @@ def filter_violations(
 ) -> Dict[str, Any]:
     """Flat violation listing filtered by severity / rule / bbox.
 
-    The exact shape ``GET /sessions/<id>/violations`` serves (minus the
-    session envelope). Rules and severities drop whole entries; ``bbox``
-    (markers that *overlap* the box, touching counts — ``Rect.overlaps``)
-    and ``include_waived`` are masks over each table, and dicts are built
-    only for the rows kept.
+    The shape ``GET /sessions/<id>/violations`` serves (minus the session
+    envelope), as dicts: the rows :func:`filter_entries` keeps, with dicts
+    built only for them. The daemon writes the same JSON from each table's
+    memoised row text instead (:meth:`repro.server.state.ServerState.violations_body`).
     """
-    wanted = set(rules) if rules else None
+    items = listing_dicts(
+        filter_entries(
+            entries, severity=severity, rules=rules, bbox=bbox, include_waived=include_waived
+        )
+    )
+    return {"total": len(items), "violations": items}
+
+
+def listing_dicts(kept: Iterable[Tuple[RuleRows, Optional[List[bool]]]]) -> List[Dict[str, Any]]:
+    """The rows :func:`filter_entries` kept as listing dicts (a row's
+    payload dict plus its rule and severity), built for those rows only."""
     items: List[Dict[str, Any]] = []
-    for entry in entries:
-        if severity is not None and entry.severity != severity:
-            continue
-        if wanted is not None and entry.rule not in wanted:
-            continue
-        table = entry.table
-        if bbox is not None:
-            table = table.select(table.overlapping([bbox]))
-        if not include_waived:
-            table = table.select(flag == 0 for flag in table.waived)
+    for entry, mask in kept:
+        table = entry.table if mask is None else entry.table.select(mask)
         for item in table.dicts():
             item["rule"] = entry.rule
             item["severity"] = entry.severity
             items.append(item)
-    return {"total": len(items), "violations": items}
+    return items
 
 
 def filter_violations_payload(

@@ -52,7 +52,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..util.logging import get_logger
-from .state import BadRequestError, ServeError, ServerState, report_payload
+from .state import BadRequestError, ServeError, ServerState, encode_reply
 
 __all__ = ["DrcHTTPServer", "ServeHandle", "serve", "start_server"]
 
@@ -86,6 +86,9 @@ class DrcHTTPServer(ThreadingHTTPServer):
 class DrcRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: with Nagle's algorithm a kept-alive client's next
+    #: request waits on the delayed ACK of the previous response.
+    disable_nagle_algorithm = True
     #: Socket timeout (seconds) for request reads. HTTP/1.1 keeps
     #: connections alive between requests; without a timeout an idle
     #: keep-alive client parks its handler thread forever and — with
@@ -105,12 +108,17 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
         _logger.debug("%s %s", self.address_string(), format % args)
 
     def _send_json(self, payload: Dict[str, Any], status: int = 200) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(json.dumps(payload, sort_keys=True).encode("utf-8"), status)
+
+    def _send(self, body: bytes, status: int = 200) -> None:
+        """One JSON response, status line to body in a single write:
+        ``end_headers()`` would send the buffered headers on their own."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + body if head else body)
 
     def _body(self) -> bytes:
         declared = self.headers.get("Content-Length") or "0"
@@ -188,7 +196,7 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
                 return True
             if method == "POST" and rest == ["check"]:
                 report, meta = state.check(sid)
-                self._send_json(report_payload(report, meta))
+                self._send(encode_reply(report, meta))
                 return True
             if method == "POST" and rest == ["check-window"]:
                 body = self._json_body()
@@ -198,7 +206,7 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
                         'check-window body must be {"windows": [[x1,y1,x2,y2], ...]}'
                     )
                 report, meta = state.check_window(sid, windows)
-                self._send_json(report_payload(report, meta))
+                self._send(encode_reply(report, meta))
                 return True
             if method == "POST" and rest == ["recheck"]:
                 self._recheck(sid, query)
@@ -276,7 +284,7 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
             top=source["top"],
             verify=verify,
         )
-        self._send_json(report_payload(report, meta))
+        self._send(encode_reply(report, meta))
 
     def _violations(self, sid: str, query) -> None:
         bbox = None
@@ -291,8 +299,8 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
         rules = None
         if "rule" in query:
             rules = [name for value in query["rule"] for name in value.split(",")]
-        self._send_json(
-            self.state.violations(
+        self._send(
+            self.state.violations_body(
                 sid,
                 severity=self._first(query, "severity"),
                 rules=rules,

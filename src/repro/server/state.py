@@ -39,9 +39,14 @@ Three mechanisms turn the warm engine into served throughput:
   admission is the ``queue_depth`` gauge; ``active_requests`` and the
   ``max_active_seen`` high-water mark sit next to it in :meth:`stats`.
 
-* **Structured responses** — reports serialize through the same
+* **Structured responses** — reports serialize to the same
   :meth:`~repro.core.results.CheckReport.to_json` schema the CLI prints,
   so served violation output is byte-identical to a local ``repro check``.
+  One encoder writes every reply body (:func:`encode_reply`,
+  :meth:`ServerState.violations_body`): it dumps the envelope and per-rule
+  headers and joins each table's memoised row text
+  (:meth:`~repro.violation_table.ViolationTable.json_rows`), so a turn
+  encodes only the rows of tables it has not served before.
 
 The HTTP layer (:mod:`repro.server.http`) is a thin shell over this class;
 tests drive :class:`ServerState` directly.
@@ -52,12 +57,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import json
 import runpy
 import statistics
 import threading
 import time
 import uuid
 from collections import deque
+from itertools import compress
+from operator import add
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
@@ -77,7 +85,7 @@ from ..core.reportcache import (
 )
 from ..core.results import CheckReport, merge_stats
 from ..core.rules import SEVERITIES, Rule
-from ..reporting import filter_violations
+from ..reporting import FilterError, RuleRows, check_bbox, filter_entries, listing_dicts
 
 __all__ = [
     "AdmissionScheduler",
@@ -87,7 +95,10 @@ __all__ = [
     "Session",
     "SingleFlight",
     "UnknownSessionError",
+    "encode_listing",
+    "encode_reply",
     "load_deck_file",
+    "report_payload",
 ]
 
 #: Request latencies kept per endpoint for the /stats percentiles.
@@ -849,12 +860,13 @@ class ServerState:
                 old, old_tree, old_digests = (
                     session.layout, session.tree, session.digests
                 )
+            baseline = session.report(old_digests)
             outcome = run_recheck(
                 old,
                 new_layout,
                 rules=session.rules,
                 options=self.engine.options,
-                cached=session.report(old_digests),
+                cached=baseline,
                 verify=verify,
                 old_tree=old_tree,
                 new_tree=new_tree,
@@ -878,6 +890,8 @@ class ServerState:
                     "clean": outcome.diff.is_clean,
                     "full": bool(outcome.diff.full),
                 }
+            if baseline is not None:
+                _forget_superseded(baseline, outcome.report)
             return outcome.report
 
         # Tier-1 bypass: the new content is digest-identical to the session's
@@ -896,22 +910,18 @@ class ServerState:
             meta["recheck"] = dict(session.last_recheck)
         return report, meta
 
-    def violations(
+    def _listing(
         self,
         sid: str,
-        *,
-        severity: Optional[str] = None,
-        rules: Optional[Sequence[str]] = None,
-        bbox: Optional[Sequence[int]] = None,
-    ) -> Dict[str, Any]:
-        """The session's violations, filtered by severity/rule/bbox.
+        severity: Optional[str],
+        rules: Optional[Sequence[str]],
+        bbox: Optional[Sequence[int]],
+    ) -> Tuple[Dict[str, Any], List[Tuple[RuleRows, Optional[List[bool]]]]]:
+        """A listing's session envelope and the report entries it keeps
+        (:func:`repro.reporting.filter_entries`, with its keep-masks).
 
         Serves the stored report of the session's current version; when the
         store has none the session is checked first (which itself coalesces).
-        Filtering is :func:`repro.reporting.filter_violations` over the
-        report's tables (masks, then dicts for the kept rows only) — the
-        same code path the local ``repro violations`` command runs on a
-        marker database, so served and local listings are byte-identical.
         """
         if severity is not None and severity not in SEVERITIES:
             raise BadRequestError(
@@ -919,11 +929,10 @@ class ServerState:
             )
         box = None
         if bbox is not None:
-            if len(bbox) != 4:
-                raise BadRequestError("bbox must be x1,y1,x2,y2")
-            box = Rect(*_int_coords(bbox, "bbox"))
-            if box.is_empty:
-                raise BadRequestError(f"bbox {box} must be non-empty")
+            try:
+                box = check_bbox(_int_coords(bbox, "bbox"))
+            except FilterError as error:
+                raise BadRequestError(str(error)) from None
         wanted = set(rules) if rules else None
 
         session = self.session(sid)
@@ -936,19 +945,45 @@ class ServerState:
                 f"unknown rule(s): {sorted(wanted - known)}; session rules: "
                 f"{sorted(known)}"
             )
-        filtered = filter_violations(
-            report.entries(),
-            severity=severity,
-            rules=rules,
-            bbox=None if box is None else [box.xlo, box.ylo, box.xhi, box.yhi],
-        )
-        return {
+        envelope = {
             "session": session.sid,
             "layout": report.layout_name,
             "version": session.version,
-            "total": filtered["total"],
-            "violations": filtered["violations"],
         }
+        return envelope, filter_entries(report.entries(), severity=severity, rules=rules, bbox=box)
+
+    def violations(
+        self,
+        sid: str,
+        *,
+        severity: Optional[str] = None,
+        rules: Optional[Sequence[str]] = None,
+        bbox: Optional[Sequence[int]] = None,
+    ) -> Dict[str, Any]:
+        """The session's violations, filtered by severity/rule/bbox, as the
+        dict the ``GET /sessions/<id>/violations`` body encodes.
+
+        Filtering is :func:`repro.reporting.filter_entries` over the
+        report's tables — the same code path the local ``repro violations``
+        command runs on a marker database, so served and local listings are
+        byte-identical. The daemon sends :meth:`violations_body`, which
+        writes these bytes without building the dicts.
+        """
+        envelope, kept = self._listing(sid, severity, rules, bbox)
+        items = listing_dicts(kept)
+        return {**envelope, "total": len(items), "violations": items}
+
+    def violations_body(
+        self,
+        sid: str,
+        *,
+        severity: Optional[str] = None,
+        rules: Optional[Sequence[str]] = None,
+        bbox: Optional[Sequence[int]] = None,
+    ) -> bytes:
+        """``json.dumps(self.violations(...), sort_keys=True)``, encoded,
+        from the tables' memoised row text (:func:`encode_listing`)."""
+        return encode_listing(*self._listing(sid, severity, rules, bbox))
 
     # -- introspection -------------------------------------------------------
 
@@ -1002,12 +1037,75 @@ class ServerState:
 
 
 def report_payload(report: CheckReport, meta: Dict[str, Any]) -> Dict[str, Any]:
-    """The JSON body of a served check: the canonical report + request meta.
-
-    The ``report`` member is :meth:`~repro.core.results.CheckReport.payload`,
-    encoded once, by the HTTP shell; a client re-dumping it with
-    ``json.dumps(obj, indent=2, sort_keys=True)`` reproduces the local CLI's
-    ``--format json`` output byte for byte (modulo the measured seconds,
-    which are honest wall times of whichever side ran the check).
+    """The served body of a check as a dict: the canonical report + request
+    meta. The daemon writes these bytes with :func:`encode_reply`; a client
+    re-dumping the ``report`` member with ``json.dumps(obj, indent=2,
+    sort_keys=True)`` reproduces the local CLI's ``--format json`` output
+    byte for byte (modulo the measured seconds, which are honest wall
+    times of whichever side ran the check).
     """
     return {"report": report.payload(), "meta": meta}
+
+
+def _forget_superseded(old: CheckReport, new: CheckReport) -> None:
+    """Drop the row JSON of ``old``'s tables that ``new`` does not carry.
+
+    The report store keeps ``old``, but a session serves its current
+    version; kept, the re-checked tables' text of every stored version
+    would add up (about 30 KB a version on the perf ledger's stream, and
+    the store keeps 64 by default). Serving ``old`` again re-encodes
+    those rows."""
+    carried = {id(result.table) for result in new.results}
+    for result in old.results:
+        if id(result.table) not in carried:
+            result.table.forget_json()
+
+
+def _around(fields: Dict[str, Any], key: str) -> Tuple[str, str]:
+    """The text of ``json.dumps({**fields, key: value}, sort_keys=True)``
+    before and after ``value``'s own JSON text."""
+    before = json.dumps({k: v for k, v in fields.items() if k < key}, sort_keys=True)[1:-1]
+    after = json.dumps({k: v for k, v in fields.items() if k > key}, sort_keys=True)[1:-1]
+    return (
+        "{" + (before + ", " if before else "") + json.dumps(key) + ": ",
+        (", " + after if after else "") + "}",
+    )
+
+
+def encode_reply(report: CheckReport, meta: Dict[str, Any]) -> bytes:
+    """The body of a check, check-window or recheck reply:
+    ``json.dumps(report_payload(report, meta), sort_keys=True)``, encoded.
+
+    The envelope and each rule's header go through ``json.dumps``; the
+    violations are each table's memoised row text, so a table the daemon
+    has served before costs a join, not an encode. The pieces are joined
+    once: a reply is ~180 KB, and every intermediate copy of it lands in
+    the handler thread's malloc arena and stays in the daemon's RSS.
+    """
+    reply_open, reply_close = _around({"meta": meta}, "report")
+    report_open, report_close = _around(report.header(), "results")
+    parts = [reply_open, report_open, "["]
+    for index, result in enumerate(report.results):
+        rule_open, rule_close = _around(result.header(), "violations")
+        rows = ", ".join(map(add, *result.table.json_rows()))
+        parts += [", " if index else "", rule_open, "[", rows, "]", rule_close]
+    parts += ["]", report_close, reply_close]
+    return "".join(parts).encode()
+
+
+def encode_listing(
+    envelope: Dict[str, Any], kept: Sequence[Tuple[RuleRows, Optional[List[bool]]]]
+) -> bytes:
+    """The body of a ``GET violations`` reply: the envelope plus ``total``
+    and the kept rows, each its table's memoised head, then ``rule`` and
+    ``severity``, then its tail — the bytes ``json.dumps`` writes for the
+    listing dict with sorted keys."""
+    rows: List[str] = []
+    for entry, mask in kept:
+        heads, tails = entry.table.json_rows()
+        if mask is not None:
+            heads, tails = compress(heads, mask), compress(tails, mask)
+        middle = f'"rule": {json.dumps(entry.rule)}, "severity": {json.dumps(entry.severity)}, '
+        rows += [head + middle + tail for head, tail in zip(heads, tails)]
+    listing_open, listing_close = _around({**envelope, "total": len(rows)}, "violations")
+    return "".join((listing_open, "[", ", ".join(rows), "]", listing_close)).encode()

@@ -25,11 +25,25 @@ order is name order and plain tuple order on rows is exactly
 A table is canonical when built — deduplicated (the first occurrence of a
 row keeps its waived flag, as ``set()`` over violations keeps the first)
 and sorted once — and immutable after that. It pickles as its arrays.
+
+Row JSON
+--------
+
+Because a table never changes, each row's served JSON text is built once,
+on first use, and kept beside the columns (:meth:`ViolationTable.json_rows`):
+the exact ``json.dumps(row_dict, sort_keys=True)`` of :meth:`~ViolationTable.dicts`,
+split after ``"required": N, `` so a listing can put ``rule`` and
+``severity`` between the halves. The memo lives and dies with its table: it
+is not pickled, not stored, and not carried by :meth:`~ViolationTable.select`
+or a splice, whose tables are new and encode their own rows when asked.
+Its holder may drop it (:meth:`~ViolationTable.forget_json`) when the table
+is unlikely to be served again.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from itertools import compress, repeat
 from operator import gt
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -76,7 +90,18 @@ def violation_row(violation) -> Row:
     )
 
 
-def _pack(columns: Sequence[Sequence[int]], waived: Optional[Iterable[int]]) -> "ViolationTable":
+#: A row's JSON text up to its ``waived`` member; keys in sorted order.
+_ROW_HEAD = (
+    '{"kind": "%s", "layer": %d, "measured": %d, "other_layer": %s, '
+    '"region": [%d, %d, %d, %d], "required": %d, '
+)
+#: A row's JSON text from its ``waived`` member on, by waived flag.
+_ROW_TAILS = ('"waived": false}', '"waived": true}')
+
+
+def _pack(
+    columns: Sequence[Sequence[int]], waived: Optional[Iterable[int]], ordered: bool = True
+) -> "ViolationTable":
     """Nine columns (rows already in their final order) into a table."""
     if any(map(gt, columns[2], columns[4])) or any(map(gt, columns[3], columns[5])):
         raise ViolationTableError("violation region must be non-empty")
@@ -85,7 +110,7 @@ def _pack(columns: Sequence[Sequence[int]], waived: Optional[Iterable[int]]) -> 
     except (OverflowError, TypeError) as error:
         raise ViolationTableError(f"violation value has no int64 column: {error}") from None
     flags = bytes(len(arrays[0])) if waived is None else bytes(waived)
-    return ViolationTable(arrays, flags)
+    return ViolationTable(arrays, flags, ordered)
 
 
 def _pack_rows(rows: Sequence[Row], waived: Optional[Iterable[int]]) -> "ViolationTable":
@@ -95,14 +120,18 @@ def _pack_rows(rows: Sequence[Row], waived: Optional[Iterable[int]]) -> "Violati
 class ViolationTable:
     """One rule's violations as columns (see the module docstring)."""
 
-    __slots__ = ("columns", "waived", "_view")
+    __slots__ = ("columns", "waived", "ordered", "_view", "_json")
 
-    def __init__(self, columns: Tuple[array, ...], waived: bytes) -> None:
+    def __init__(self, columns: Tuple[array, ...], waived: bytes, ordered: bool = True) -> None:
         #: The nine ``array('q')`` columns, named by :data:`COLUMNS`.
         self.columns = columns
         #: One byte per row: 1 where the violation is waived.
         self.waived = waived
+        #: Rows are in canonical order (False only for a payload loaded as
+        #: written, ``from_payload(canonical=False)``).
+        self.ordered = ordered
         self._view: Optional[list] = None
+        self._json: Optional[Tuple[List[str], List[str]]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -183,7 +212,7 @@ class ViolationTable:
         flags = [1 if entry.get("waived") else 0 for entry in entries]
         if canonical:
             return cls.from_rows(zip(*columns), flags)
-        return _pack(columns, flags)
+        return _pack(columns, flags, ordered=False)
 
     @classmethod
     def concat(cls, parts: Iterable) -> "ViolationTable":
@@ -248,7 +277,9 @@ class ViolationTable:
         return f"ViolationTable({len(self)} rows, {self.num_waived} waived)"
 
     def __reduce__(self):
-        return (ViolationTable, (self.columns, self.waived))
+        if self.ordered:
+            return (ViolationTable, (self.columns, self.waived))
+        return (ViolationTable, (self.columns, self.waived, False))
 
     def dicts(self) -> List[Dict[str, Any]]:
         """The payload form: one plain-JSON dict per row."""
@@ -266,6 +297,30 @@ class ViolationTable:
             in zip(self.rows(), self.waived)
         ]
 
+    def json_rows(self) -> Tuple[List[str], List[str]]:
+        """Each row's ``json.dumps(dict, sort_keys=True)`` text (the dict of
+        :meth:`dicts`) as two lists: the heads, up to and including
+        ``"required": N, ``, and the tails, ``"waived": …}``. Built on first
+        call and kept (see "Row JSON" in the module docstring)."""
+        memo = self._json  # read once: another thread may forget it meanwhile
+        if memo is None:
+            memo = self._json = self._encode()
+        return memo
+
+    def forget_json(self) -> None:
+        """Drop the row-JSON memo; the next :meth:`json_rows` rebuilds it."""
+        self._json = None
+
+    def _encode(self) -> Tuple[List[str], List[str]]:
+        heads = [
+            _ROW_HEAD % (
+                KINDS[kind], layer, measured, "null" if other < 0 else other,
+                xlo, ylo, xhi, yhi, required,
+            )
+            for layer, kind, xlo, ylo, xhi, yhi, other, measured, required in zip(*self.columns)
+        ]
+        return heads, [_ROW_TAILS[flag] for flag in self.waived]
+
     # -- masks -----------------------------------------------------------------
 
     def select(self, keep: Iterable[bool]) -> "ViolationTable":
@@ -274,28 +329,50 @@ class ViolationTable:
         return ViolationTable(
             tuple(array("q", compress(column, keep)) for column in self.columns),
             bytes(compress(self.waived, keep)),
+            self.ordered,
         )
+
+    def _spans_left_of(self, x: int) -> Iterable[Tuple[int, int]]:
+        """``(start, stop)`` row ranges covering every row with ``xlo <= x``.
+
+        Canonical rows sort by ``xlo`` within each (layer, kind) run, so each
+        run is cut by one bisect; rows as written are one whole span."""
+        n = len(self)
+        if not self.ordered:
+            yield 0, n
+            return
+        layers, kinds, xlos = self.columns[:3]
+        start = 0
+        while start < n:
+            layer_stop = bisect_right(layers, layers[start], start, n)
+            while start < layer_stop:
+                stop = bisect_right(kinds, kinds[start], start, layer_stop)
+                yield start, bisect_right(xlos, x, start, stop)
+                start = stop
 
     def overlapping(self, boxes: Sequence[Sequence[int]]) -> List[bool]:
         """Per row: does the marker share a point with any closed box
-        ``(xlo, ylo, xhi, yhi)``? (``Rect.overlaps`` against each box.)"""
+        ``(xlo, ylo, xhi, yhi)``? (``Rect.overlaps`` against each box.)
+        Rows to the right of every box are never visited."""
+        out = [False] * len(self)
         boxes = [tuple(box) for box in boxes if box[0] <= box[2] and box[1] <= box[3]]
         if not boxes:
-            return [False] * len(self)
+            return out
         bxlo = min(b[0] for b in boxes)
         bylo = min(b[1] for b in boxes)
         bxhi = max(b[2] for b in boxes)
         byhi = max(b[3] for b in boxes)
         _, _, xlos, ylos, xhis, yhis = self.columns[:6]
-        out = []
-        for xlo, ylo, xhi, yhi in zip(xlos, ylos, xhis, yhis):
-            out.append(
-                xlo <= bxhi and bxlo <= xhi and ylo <= byhi and bylo <= yhi
-                and any(
-                    xlo <= b[2] and b[0] <= xhi and ylo <= b[3] and b[1] <= yhi
-                    for b in boxes
+        for start, stop in self._spans_left_of(bxhi):
+            for i in range(start, stop):
+                xlo, ylo, xhi, yhi = xlos[i], ylos[i], xhis[i], yhis[i]
+                out[i] = (
+                    xlo <= bxhi and bxlo <= xhi and ylo <= byhi and bylo <= yhi
+                    and any(
+                        xlo <= b[2] and b[0] <= xhi and ylo <= b[3] and b[1] <= yhi
+                        for b in boxes
+                    )
                 )
-            )
         return out
 
     def waive(self, mask: Iterable[bool]) -> "ViolationTable":
@@ -303,6 +380,7 @@ class ViolationTable:
         return ViolationTable(
             self.columns,
             bytes(1 if (flag or hit) else 0 for flag, hit in zip(self.waived, mask)),
+            self.ordered,
         )
 
     def instance_groups(self) -> List[Tuple[int, int]]:

@@ -1,12 +1,14 @@
 """The columnar report path against the dict-walking one it replaced.
 
-Random reports — duplicates with differing waived flags, waived rows,
-``other_layer=None``, rule names with commas, quotes and non-ASCII
-characters, empty results and zero-violation reports — must render the same
-bytes through the :class:`~repro.violation_table.ViolationTable` renderers
-as through ``tests/reference_report.py``: JSON, served body, CSV in both
-forms, summary, dedup and filtered listings; and splice and region filter
-must keep the same violations.
+Random reports — duplicates with differing waived flags, waived rows and
+``waive()``d tables, ``other_layer=None``, coordinates and measurements out
+to the int64 extremes, rule names with commas, quotes, newlines and
+non-ASCII characters, empty results and zero-rule reports — must render the
+same bytes through the :class:`~repro.violation_table.ViolationTable`
+renderers as through ``tests/reference_report.py``: JSON, the daemon's
+encoded reply and listing bodies, CSV in both forms, summary, dedup and
+filtered listings; and splice and region filter must keep the same
+violations.
 """
 
 import json
@@ -26,18 +28,23 @@ from repro.reporting import (
     filter_violations_payload,
     summary_from_payload,
 )
-from repro.server.state import report_payload
+from repro.reporting import filter_entries
+from repro.server.state import encode_listing, encode_reply, report_payload
 from repro.spatial.regions import RegionSet
 
 from . import reference_report as ref
 
-COORD = st.integers(-50, 50)
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+#: Small values (so markers and boxes meet), and int64 values out to the extremes.
+COORD = st.integers(-50, 50) | st.sampled_from([INT64_MIN, INT64_MAX]) | st.integers(INT64_MIN, INT64_MAX)
+MEASURE = st.integers(-5, 40) | st.sampled_from([INT64_MIN, -1, INT64_MAX]) | st.integers(INT64_MIN, INT64_MAX)
 
 
 @st.composite
 def regions(draw):
     xlo, ylo = draw(COORD), draw(COORD)
-    return Rect(xlo, ylo, xlo + draw(st.integers(0, 30)), ylo + draw(st.integers(0, 30)))
+    width, height = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    return Rect(xlo, ylo, min(xlo + width, INT64_MAX), min(ylo + height, INT64_MAX))
 
 
 @st.composite
@@ -46,8 +53,8 @@ def violations(draw):
         kind=draw(st.sampled_from(list(ViolationKind))),
         layer=draw(st.integers(0, 3)),
         region=draw(regions()),
-        measured=draw(st.integers(-5, 40)),
-        required=draw(st.integers(0, 40)),
+        measured=draw(MEASURE),
+        required=draw(MEASURE),
         other_layer=draw(st.none() | st.integers(0, 3)),
         waived=draw(st.booleans()),
     )
@@ -70,8 +77,19 @@ def reports(draw):
         rule = Rule(kind=RuleKind.SPACING, layer=1, value=draw(st.integers(1, 9)))
         rule = rule.named(name).with_severity(draw(st.sampled_from(["error", "warning"])))
         stats = draw(st.dictionaries(st.sampled_from(["a", "b_s", "c"]), st.integers(0, 9) | st.floats(0, 1)))
-        results.append(CheckResult(rule, found, draw(st.floats(0, 1)), stats=stats))
+        result = CheckResult(rule, found, draw(st.floats(0, 1)), stats=stats)
+        if draw(st.booleans()):
+            # A waive()d table: same columns, new waived mask, no row memo.
+            mask = draw(st.lists(st.booleans(), min_size=len(result.table), max_size=len(result.table)))
+            result = CheckResult(rule, result.table.waive(mask), result.seconds, stats=stats)
+        results.append(result)
     return CheckReport(draw(NAMES), draw(st.sampled_from(["sequential", "parallel"])), results)
+
+
+META = st.fixed_dictionaries(
+    {"endpoint": st.sampled_from(["check", "recheck"]), "seconds": st.floats(0, 1), "session": NAMES},
+    optional={"recheck": st.fixed_dictionaries({"disposition": st.dictionaries(NAMES, NAMES, max_size=2)})},
+)
 
 
 def flagged(violations):
@@ -128,6 +146,11 @@ def test_filtered_listings_are_identical(report, severity, rules, bbox, include_
     kwargs = dict(severity=severity, rules=rules, bbox=bbox, include_waived=include_waived)
     assert json.dumps(filter_violations(report.entries(), **kwargs), sort_keys=True) == expected
     assert json.dumps(filter_violations_payload(old, **kwargs), sort_keys=True) == expected
+    # A payload out of canonical order filters as written (no xlo bisect).
+    backwards = {**old, "results": [{**r, "violations": r["violations"][::-1]} for r in old["results"]]}
+    assert json.dumps(filter_violations_payload(backwards, **kwargs), sort_keys=True) == json.dumps(
+        ref.filter_violations_payload(backwards, **kwargs), sort_keys=True
+    )
 
 
 @SETTINGS
@@ -159,3 +182,57 @@ def test_zero_violation_and_empty_reports():
         assert report.to_json() == ref.to_json(report)
         assert report.to_csv() == ref.csv_from_payload(old)
         assert report.summary() == ref.summary_from_payload(old)
+
+
+def _served_bytes(report, meta):
+    return json.dumps(ref.report_payload(report, meta), sort_keys=True).encode()
+
+
+@SETTINGS
+@given(reports(), META)
+def test_encoded_reply_is_the_reference_bytes(report, meta):
+    expected = _served_bytes(report, meta)
+    assert encode_reply(report, meta) == expected
+    # Again from the built row memos.
+    assert encode_reply(report, meta) == expected
+    # A waive()d copy of an encoded table encodes its own waived flags.
+    waived = CheckReport(
+        report.layout_name,
+        report.mode,
+        [CheckResult(r.rule, r.table.waive([True] * len(r.table)), r.seconds, stats=r.stats) for r in report.results],
+    )
+    assert encode_reply(waived, meta) == _served_bytes(waived, meta)
+
+
+@SETTINGS
+@given(
+    reports(),
+    st.none() | st.sampled_from(["error", "warning"]),
+    st.none() | st.lists(NAMES, max_size=2),
+    st.none() | regions().map(tuple) | st.tuples(COORD, COORD, COORD, COORD),
+    st.booleans(),
+    st.integers(0, 9),
+)
+def test_encoded_listing_is_the_reference_bytes(report, severity, rules, bbox, include_waived, version):
+    envelope = {"session": "s\u00e9\"1", "layout": report.layout_name, "version": version}
+    kwargs = dict(severity=severity, rules=rules, bbox=bbox, include_waived=include_waived)
+    expected = json.dumps(
+        {**envelope, **ref.filter_violations_payload(ref.payload(report), **kwargs)}, sort_keys=True
+    ).encode()
+    for _ in range(2):  # cold, then from the built row memos
+        assert encode_listing(envelope, filter_entries(report.entries(), **kwargs)) == expected
+
+
+def test_empty_and_zero_rule_reports_encode_as_the_reference():
+    rule = Rule(kind=RuleKind.WIDTH, layer=1, value=3).named("W,\"\né")
+    meta = {"endpoint": "check", "seconds": 0.5}
+    envelope = {"session": "s", "layout": "l", "version": 0}
+    for report in (
+        CheckReport("empty", "sequential", []),
+        CheckReport("clean", "parallel", [CheckResult(rule, [], 0.5)]),
+    ):
+        assert encode_reply(report, meta) == _served_bytes(report, meta)
+        expected = {**envelope, **ref.filter_violations_payload(ref.payload(report))}
+        assert encode_listing(envelope, filter_entries(report.entries())) == json.dumps(
+            expected, sort_keys=True
+        ).encode()

@@ -714,6 +714,38 @@ class TestHTTP:
             client.check_window(info["session"], [["abc", 0, 10, 10]])
         assert excinfo.value.status == 400
 
+    def test_kept_alive_requests_answer_without_delayed_ack_stalls(self, served, dirty_gds):
+        # Headers and body in one send, TCP_NODELAY on: with either missing,
+        # each response on a kept-alive connection waits ~40 ms on the
+        # client's delayed ACK.
+        client = ServeClient(served.url)
+        sid = client.create_session(path=dirty_gds, top="top")["session"]
+        client.check(sid)
+        listing = f"/sessions/{sid}/violations?severity=error"
+        expected = json.dumps(served.state.violations(sid, severity="error"), sort_keys=True)
+        host, port = served.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.monotonic()
+            for i in range(20):
+                conn.request("GET", listing if i % 2 else "/health")
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == 200
+                if i % 2:
+                    assert body == expected.encode()
+            assert time.monotonic() - start < 0.5
+        finally:
+            conn.close()
+
+    def test_an_inverted_bbox_is_a_400(self, served, dirty_gds):
+        client = ServeClient(served.url)
+        sid = client.create_session(path=dirty_gds, top="top")["session"]
+        with pytest.raises(ClientError) as excinfo:
+            client.violations(sid, bbox=[500, 500, 0, 0])
+        assert excinfo.value.status == 400
+        assert "bbox [500, 500, 0, 0] must be non-empty (x1 <= x2 and y1 <= y2)" in str(excinfo.value)
+
     @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", str(10**12)])
     def test_a_bad_content_length_is_a_typed_400(self, served, declared, caplog):
         host, port = served.server.server_address[:2]

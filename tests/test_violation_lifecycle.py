@@ -474,6 +474,22 @@ class TestViolationsCommand:
             sort_keys=True,
         )
 
+    def test_inverted_bbox_is_rejected_as_the_daemon_rejects_it(self, dirty_gds, tmp_path, capsys):
+        from repro.server import BadRequestError, ServerState
+
+        markers = tmp_path / "m.json"
+        save_markers(_single_rule_report([_mk_violation(0)]), markers)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["violations", str(markers), "--bbox", "500", "500", "0", "0"])
+        assert excinfo.value.code == 2
+        local = capsys.readouterr().err.strip()
+        with ServerState() as state:
+            session, _ = state.create_session(path=dirty_gds, top="top")
+            with pytest.raises(BadRequestError) as served:
+                state.violations(session.sid, bbox=[500, 500, 0, 0])
+        assert local == f"repro: error: {served.value}"
+        assert "must be non-empty" in local
+
     def test_unknown_rule_rejected(self, tmp_path):
         markers = tmp_path / "m.json"
         save_markers(_single_rule_report([_mk_violation(0)]), markers)

@@ -3,18 +3,25 @@
 The bounds run on the perf ledger's seed-7 jpeg@2 stream with a spy on
 ``Violation.__init__``: a parallel check builds no ``Violation`` until
 ``.violations`` is read, and a served recheck plus three listings builds no
-more than the windowed recheck found fresh.
+more than the windowed recheck found fresh. A spy on the row-JSON memo's
+builder bounds the encoding the same way: a served turn encodes only the
+rows of the tables the recheck made new, a report-LRU check encodes none,
+a superseded version keeps no text for the tables it does not share, and
+the memo never reaches a pickle or a report-store entry.
 """
 
 import json
 import os
 import pickle
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.checks.base import Violation, ViolationKind, violation_sort_key
 from repro.core import Engine, EngineOptions
+from repro.core.packstore import PackStore
+from repro.core.reportcache import ReportCache
 from repro.gdsii import read_layout_bytes
 from repro.geometry import Rect
 from repro.server import ServerState
@@ -49,6 +56,20 @@ def built(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Violation, "__init__", spy)
+    return count
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Counts the rows whose JSON text is built."""
+    count = [0]
+    encode = ViolationTable._encode
+
+    def spy(self):
+        count[0] += len(self)
+        return encode(self)
+
+    monkeypatch.setattr(ViolationTable, "_encode", spy)
     return count
 
 
@@ -100,6 +121,56 @@ def test_served_turn_builds_only_the_fresh_violations(stream, built):
             assert fresh >= 1 and built[0] <= fresh
 
 
+def test_served_turn_encodes_only_the_windowed_tables(stream, encoded):
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=ledger_inputs.TOP)
+        previous, meta = state.check(session.sid)
+        server_state.encode_reply(previous, meta)
+        for k in range(2):
+            encoded[0] = 0
+            report, meta = state.recheck(session.sid, data=stream.edit_gds(k))
+            # The superseded version keeps the text of the tables carried over only.
+            carried = {id(r.table) for r in report.results}
+            for result in previous.results:
+                assert (result.table._json is not None) == (id(result.table) in carried)
+            previous = report
+            body = server_state.encode_reply(report, meta)
+            for query in stream.queries[:3]:
+                state.violations_body(
+                    session.sid,
+                    severity=query.severity,
+                    rules=list(query.rules) if query.rules else None,
+                    bbox=query.bbox,
+                )
+            disposition = meta["recheck"]["disposition"]
+            windowed = sum(
+                len(r.table) for r in report.results if disposition[r.rule.name] != "cached"
+            )
+            assert "cached" in disposition.values() and windowed < report.total_violations
+            assert 0 < encoded[0] <= windowed
+            assert body == json.dumps(
+                server_state.report_payload(report, meta), sort_keys=True
+            ).encode()
+        encoded[0] = 0
+        again, meta = state.check(session.sid)
+        assert meta["source"] == "report-lru"
+        server_state.encode_reply(again, meta)
+        assert encoded[0] == 0
+
+
+def test_the_row_memo_never_pickles_or_stores(layout, tmp_path):
+    report = _check(layout, mode="parallel")
+    pickles = [pickle.dumps(result.table) for result in report.results]
+    stores = [ReportCache(PackStore(str(tmp_path / name))) for name in ("cold", "warm")]
+    stores[0].save("k", report)
+    server_state.encode_reply(report, {})
+    assert all(result.table._json is not None for result in report.results)
+    assert [pickle.dumps(result.table) for result in report.results] == pickles
+    stores[1].save("k", report)
+    entries = [Path(store.root, "k.json").read_bytes() for store in stores]
+    assert entries[0] == entries[1]
+
+
 def test_report_payload_never_decodes_json(layout, monkeypatch):
     report = _check(layout, mode="parallel")
 
@@ -136,3 +207,20 @@ def test_duplicates_keep_the_first_waived_flag():
     assert ViolationTable.from_violations([v.waive(), v]).num_waived == 1
     assert ViolationTable.from_violations([v, v.waive()]).num_waived == 0
     assert len(ViolationTable.concat([[v], [v.waive()]])) == 1
+
+
+def test_overlapping_bisects_only_canonical_runs():
+    def entry(xlo, layer=1):
+        return {"kind": "spacing", "layer": layer, "other_layer": None,
+                "region": [xlo, 0, xlo + 2, 2], "measured": 1, "required": 3}
+
+    entries = [entry(0, layer=0), entry(100), entry(50), entry(-1)]
+    box = [0, 0, 6, 6]
+    as_written = ViolationTable.from_payload(entries, canonical=False)
+    assert not as_written.ordered
+    assert as_written.overlapping([box]) == [True, False, False, True]
+    canonical = ViolationTable.from_payload(entries)
+    assert canonical.ordered and canonical.select([True] * 4).ordered
+    assert canonical.overlapping([box]) == [True, True, False, False]
+    copy = pickle.loads(pickle.dumps(as_written))
+    assert not copy.ordered and copy.overlapping([box]) == as_written.overlapping([box])
