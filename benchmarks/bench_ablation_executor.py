@@ -2,12 +2,15 @@
 
 OpenDRC selects per task: brute force for small edge counts, the two-kernel
 sweepline for large ones. Forcing each executor across all tasks shows the
-crossover the adaptive threshold exploits.
+crossover the adaptive threshold exploits. The threshold is the parallel
+backend's ``BRUTE_FORCE_THRESHOLD`` constant; this ablation overrides it.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, parallel
 from repro.workloads import asap7
 
 from .common import design
@@ -16,33 +19,30 @@ FORCE_BRUTE = 10 ** 9
 FORCE_SWEEP = 0
 
 
+def check_with_threshold(layout, rule, threshold: int):
+    with mock.patch.object(parallel, "BRUTE_FORCE_THRESHOLD", threshold):
+        return Engine(mode="parallel").check(layout, rules=[rule])
+
+
 @pytest.mark.parametrize("design_name", ["ibex", "jpeg"])
 @pytest.mark.parametrize(
     "threshold",
-    [FORCE_BRUTE, FORCE_SWEEP, 256],
+    [FORCE_BRUTE, FORCE_SWEEP, parallel.BRUTE_FORCE_THRESHOLD],
     ids=["all-bruteforce", "all-sweepline", "adaptive"],
 )
 def test_executor_choice_m1_spacing(benchmark, design_name, threshold):
     layout = design(design_name)
     rule = asap7.spacing_rule(asap7.M1)
 
-    def run():
-        engine = Engine(
-            options=EngineOptions(mode="parallel", brute_force_threshold=threshold)
-        )
-        return engine.check(layout, rules=[rule])
-
-    report = benchmark(run)
+    report = benchmark(check_with_threshold, layout, rule, threshold)
     assert report.passed
 
 
 def test_executors_equivalent():
     layout = design("ibex")
     rule = asap7.spacing_rule(asap7.M1)
-    results = []
-    for threshold in (FORCE_BRUTE, FORCE_SWEEP):
-        engine = Engine(
-            options=EngineOptions(mode="parallel", brute_force_threshold=threshold)
-        )
-        results.append(engine.check(layout, rules=[rule]).results[0].violation_set())
+    results = [
+        check_with_threshold(layout, rule, threshold).results[0].violation_set()
+        for threshold in (FORCE_BRUTE, FORCE_SWEEP)
+    ]
     assert results[0] == results[1]

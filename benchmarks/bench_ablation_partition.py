@@ -3,11 +3,14 @@
 "The adaptive layout partition consumes only around 15% of overall runtime,
 but greatly enhances the efficiency of subsequent steps." Rows matter most
 on layers whose geometry forms separable bands (M3 routing tracks).
+
+The engine always partitions; "rows-off" sets ``use_rows`` off on the
+backend, which only this ablation does.
 """
 
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import EngineOptions, compile_plan, make_backend
 from repro.workloads import asap7
 
 from .common import design
@@ -15,28 +18,28 @@ from .common import design
 DESIGNS = ("aes", "jpeg")
 
 
+def check_m3_spacing(layout, mode: str, use_rows: bool):
+    """The M3 spacing violations, with the row partition on or off."""
+    rule = asap7.spacing_rule(asap7.M3)
+    backend = make_backend(compile_plan(layout, [rule], EngineOptions(mode=mode)))
+    backend.use_rows = use_rows
+    try:
+        return frozenset(backend.run(rule))
+    finally:
+        backend.close()
+
+
 @pytest.mark.parametrize("design_name", DESIGNS)
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
 @pytest.mark.parametrize("use_rows", [True, False], ids=["rows-on", "rows-off"])
 def test_m3_spacing_partition(benchmark, design_name, mode, use_rows):
     layout = design(design_name)
-    rule = asap7.spacing_rule(asap7.M3)
-
-    def run():
-        engine = Engine(options=EngineOptions(mode=mode, use_rows=use_rows))
-        return engine.check(layout, rules=[rule])
-
-    report = benchmark(run)
-    assert report.passed
+    violations = benchmark(check_m3_spacing, layout, mode, use_rows)
+    assert not violations
 
 
 def test_partition_same_results_both_ways():
     layout = design("jpeg")
-    rule = asap7.spacing_rule(asap7.M3)
-    on = Engine(options=EngineOptions(mode="parallel", use_rows=True)).check(
-        layout, rules=[rule]
+    assert check_m3_spacing(layout, "parallel", True) == check_m3_spacing(
+        layout, "parallel", False
     )
-    off = Engine(options=EngineOptions(mode="parallel", use_rows=False)).check(
-        layout, rules=[rule]
-    )
-    assert on.results[0].violation_set() == off.results[0].violation_set()

@@ -11,10 +11,10 @@ import pytest
 
 from repro.layout.flatten import flatten_layer
 from repro.spatial import iter_overlapping_pairs
-from repro.spatial.rtree import RTree
 from repro.workloads import asap7
 
 from .common import design
+from .rtree import RTree
 
 
 def m1_mbrs(design_name):

@@ -6,12 +6,15 @@ to future work". The simulated device records every host/copy/kernel
 operation with stream and duration; replaying the record under the CUDA
 execution model yields the asynchronous makespan, so the overlap the design
 achieves can be measured — closing that future-work item for the
-reproduction.
+reproduction. The engine issues on ``NUM_STREAMS`` (2) streams; this bench
+overrides that constant to compare 1, 2 and 4.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, parallel
 from repro.gpu import Device
 from repro.workloads import asap7
 
@@ -20,12 +23,10 @@ from .common import TABLE_DESIGNS, design
 
 def run_with_streams(design_name: str, num_streams: int):
     device = Device()
-    engine = Engine(
-        device=device,
-        options=EngineOptions(mode="parallel", num_streams=num_streams),
-    )
+    engine = Engine(mode="parallel", device=device)
     engine.add_rules(asap7.spacing_deck())
-    engine.check(design(design_name))
+    with mock.patch.object(parallel, "NUM_STREAMS", num_streams):
+        engine.check(design(design_name))
     return device.timeline().summarize()
 
 

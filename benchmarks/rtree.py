@@ -6,8 +6,8 @@ sorted by x-center into vertical slices, each slice sorted by y-center and
 cut into nodes of ``fanout`` entries. Queries descend the tree, pruning
 nodes whose MBR misses the window — the same BVH idea the engine's
 hierarchy tree applies to the *design* hierarchy, here applied to an
-arbitrary rectangle population. Used by the spatial-index ablation and
-available as a general query structure.
+arbitrary rectangle population. Only the spatial-index ablation
+(``bench_ablation_spatial_index.py``) uses it; the engine does not.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
-from ..geometry import EMPTY_RECT, Rect, union_all
+from repro.geometry import EMPTY_RECT, Rect, union_all
 
 T = TypeVar("T")
 

@@ -10,14 +10,54 @@ column, as we value all checks equally regardless of their sizes").
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import Engine
 from repro.core.rules import Rule
-from repro.util.report import format_table, geometric_mean
 from repro.workloads import asap7
 
 from .common import TABLE_COLUMNS, TABLE_DESIGNS, design
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    *,
+    title: Optional[str] = None,
+) -> str:
+    """Render an aligned monospace table; float cells are seconds, printed
+    as the paper does ('< 0.01' below the print resolution)."""
+    str_rows: List[List[str]] = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def fmt(row: Sequence[str]) -> str:
+        return "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
+
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(fmt(headers))
+    lines.append("  ".join("-" * w for w in widths))
+    lines.extend(fmt(row) for row in str_rows)
+    return "\n".join(lines)
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        return "< 0.01" if value < 0.005 else f"{value:.2f}"
+    return str(value)
+
+
+def geometric_mean(values: Sequence[float]) -> float:
+    """Geometric mean, the paper's aggregation ('we value all checks equally')."""
+    positives = [v for v in values if v > 0]
+    if not positives:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in positives) / len(positives))
 
 
 def _measure_table(

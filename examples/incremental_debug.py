@@ -1,8 +1,8 @@
-"""Debug-loop scenario: windowed recheck, ASCII rendering, marker diffing.
+"""Debug-loop scenario: windowed recheck and marker diffing.
 
-An engineer's edit-check loop: find violations, render the offending
-window as ASCII art, "fix" the layout, re-check only the touched window,
-and diff the marker databases to confirm the fix introduced nothing new.
+An engineer's edit-check loop: find violations, take the window around the
+offending marker, "fix" the layout, re-check only that window, and diff the
+marker databases to confirm the fix introduced nothing new.
 
     python examples/incremental_debug.py
 """
@@ -13,9 +13,8 @@ from pathlib import Path
 import repro as odrc
 from repro.core.incremental import check_window
 from repro.core.markers import diff_markers, load_markers, save_markers
-from repro.geometry import Polygon, Rect
+from repro.geometry import Polygon
 from repro.layout import Layout
-from repro.util.render import render_window
 
 
 def build(gap: int) -> Layout:
@@ -38,12 +37,10 @@ def main() -> None:
     report = engine.check(before, rules=[rule])
     print(report.summary())
 
-    # 2. Render the violation neighbourhood.
+    # 2. The window to re-check: the marker's neighbourhood.
     marker = report.results[0].violations[0]
     window = marker.region.inflated(30)
-    print()
-    print(render_window(before, window, width=60, height=12,
-                        violations=report.results[0].violations))
+    print(f"marker {marker.region!r}, re-check window {window!r}")
 
     # 3. Persist the marker database.
     with tempfile.TemporaryDirectory() as tmp:

@@ -6,8 +6,6 @@ Commands
     Run a rule deck on a GDSII file and print the report (optionally CSV
     markers). The default deck is the ASAP7-like benchmark deck; a custom
     deck is any Python file defining ``RULES = [...]`` with DSL rules.
-    ``--num-streams`` and ``--brute-force-threshold`` expose the parallel
-    backend's knobs.
 ``check-window <file.gds> <x1> <y1> <x2> <y2>``
     Incremental check: run the deck only on the given window (dbu
     coordinates), in-process. Repeatable ``--window X1 Y1 X2 Y2`` options
@@ -61,7 +59,6 @@ import argparse
 import contextlib
 import json
 import os
-import runpy
 import signal
 import sys
 import threading
@@ -71,13 +68,9 @@ from typing import List, Optional
 # imports its own machinery (the engine, the default deck, the design
 # generators, the daemon) when it runs, and the engine loads a backend's
 # modules only for the mode chosen.
-from .core.plan import (
-    DEFAULT_BRUTE_FORCE_THRESHOLD,
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_TASK_TIMEOUT,
-    EngineOptions,
-)
-from .core.rules import Rule
+from .core.plan import DEFAULT_MAX_RETRIES, DEFAULT_TASK_TIMEOUT, EngineOptions
+from .core.rules import Rule, load_deck_file
+from .errors import RuleError
 
 
 def _load_deck(path: Optional[str]) -> List[Rule]:
@@ -85,11 +78,10 @@ def _load_deck(path: Optional[str]) -> List[Rule]:
         from .workloads import asap7
 
         return asap7.full_deck()
-    namespace = runpy.run_path(path)
-    rules = namespace.get("RULES")
-    if not isinstance(rules, list) or not all(isinstance(r, Rule) for r in rules):
-        raise _input_error(f"{path} must define RULES = [<Rule>, ...]")
-    return rules
+    try:
+        return load_deck_file(path)
+    except RuleError as error:
+        raise _input_error(str(error)) from None
 
 
 def _input_error(message: str) -> SystemExit:
@@ -146,23 +138,16 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
     """The options every engine-running subcommand builds from its flags.
 
-    ``--mode`` and the parallel backend's knobs exist on some subcommands
-    only; where a flag is absent the ``EngineOptions`` default applies.
+    ``--mode`` exists on some subcommands only; where it is absent the
+    mode follows ``--jobs``.
     """
     jobs = _resolve_jobs(args)
     # No explicit --mode: multiple jobs select the multiprocess backend.
     mode = getattr(args, "mode", None) or ("multiproc" if jobs > 1 else "sequential")
-    knobs = {
-        name: getattr(args, name)
-        for name in ("num_streams", "brute_force_threshold")
-        if hasattr(args, name)
-    }
     try:
         return EngineOptions(
             mode=mode,
-            use_rows=not getattr(args, "no_rows", False),
             jobs=jobs,
-            **knobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             task_timeout=args.task_timeout,
@@ -258,6 +243,22 @@ def _served_check(args: argparse.Namespace) -> int:
         raise _input_error(
             "--output is not supported with --server; fetch the JSON report "
             "and post-process it locally"
+        )
+    engine_flags = [
+        flag
+        for flag, given in (
+            ("--mode", args.mode is not None),
+            ("--jobs", args.jobs is not None),
+            ("--breakdown", args.breakdown),
+            ("--cache-dir", args.cache_dir is not None),
+            ("--no-cache", args.no_cache),
+        )
+        if given
+    ]
+    if engine_flags:
+        raise _input_error(
+            f"{', '.join(engine_flags)} not supported with --server; the "
+            "daemon runs the check with its own engine options"
         )
     waivers = None
     if args.waivers:
@@ -749,23 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--waivers", help="apply a JSON waiver file before reporting")
     check.add_argument(
         "--breakdown", action="store_true", help="print per-rule phase breakdowns"
-    )
-    check.add_argument(
-        "--no-rows", action="store_true", help="disable the adaptive row partition"
-    )
-    check.add_argument(
-        "--num-streams",
-        type=int,
-        default=2,
-        metavar="N",
-        help="simulated CUDA streams for async overlap (parallel mode)",
-    )
-    check.add_argument(
-        "--brute-force-threshold",
-        type=int,
-        default=DEFAULT_BRUTE_FORCE_THRESHOLD,
-        metavar="EDGES",
-        help="edge count at or below which the brute-force executor runs",
     )
     _add_fault_args(check)
     _add_pool_args(check)

@@ -18,9 +18,10 @@ _EXPORTS = {
     ".parallel": "ParallelBackend",
     ".plan": (
         "Backend CheckPlan CompiledRule "
-        "DEFAULT_BRUTE_FORCE_THRESHOLD ENGINE_MODES EngineOptions KindSpec "
+        "ENGINE_MODES EngineOptions KindSpec "
         "MODE_MULTIPROC MODE_PARALLEL MODE_SEQUENTIAL MODE_WINDOWED PackCache "
-        "PlanCaches compile_plan interaction_distance kind_spec make_backend"
+        "PlanCaches compile_plan infer_rule_dependencies interaction_distance "
+        "kind_spec make_backend"
     ),
     ".reportcache": "ReportCache deck_digest report_key",
     ".results": (
@@ -31,10 +32,7 @@ _EXPORTS = {
         "LayerSelector MeasureSelector PolygonSelector Rule RuleKind layer "
         "polygons validate_rules"
     ),
-    ".scheduler": (
-        "ScheduleAnalysis Task TaskGraph build_plan_graph build_rule_graph "
-        "greedy_balanced_shards infer_rule_dependencies shard_count"
-    ),
+    ".scheduler": "greedy_balanced_shards shard_count",
     ".sequential": "SequentialBackend",
     ".workerpool": "WorkerPool",
 }

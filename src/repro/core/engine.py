@@ -16,8 +16,8 @@ Usage mirrors the paper::
 (§V-A): the deck is first **compiled** against the layout into a
 :class:`~repro.core.plan.CheckPlan` (validation, per-kind strategy
 resolution, dependency inference, shared caches), then **executed** by the
-:class:`~repro.core.plan.Backend` the plan's mode selects, driven through
-the task scheduler so rule dependencies are honoured.
+:class:`~repro.core.plan.Backend` the plan's mode selects, one rule at a
+time in the plan's run order (each layer's shape rule first).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .plan import (
 )
 from .results import CheckReport, CheckResult
 from .rules import Rule, validate_rules
-from .scheduler import build_plan_graph
 
 if TYPE_CHECKING:
     from ..gpu.device import Device
@@ -82,7 +81,6 @@ class CheckContext:
         default_factory=dict
     )
     report: Optional[CheckReport] = None
-    analysis: Optional[object] = None
 
 
 class Engine:
@@ -259,7 +257,7 @@ class Engine:
                     self.last_plan = plan
                     self.last_profiles = {}
                 return report
-        report, _ = self._run(plan)
+        report = self._run(plan)
         if key is not None:
             self.reports.save(key, report)
         return report
@@ -292,26 +290,8 @@ class Engine:
         self.last_recheck = outcome
         return outcome.report
 
-    def check_with_task_graph(
-        self,
-        layout: Layout,
-        *,
-        rules: Optional[Sequence[Rule]] = None,
-        workers: int = 4,
-    ):
-        """Run the deck and keep the schedule analysis.
-
-        Execution is identical to :meth:`check` (rules become tasks; shape
-        rules gate the geometric rules of their layer); the returned
-        :class:`~repro.core.scheduler.ScheduleAnalysis` replays the measured
-        durations over ``workers`` to quantify rule-level task parallelism
-        (paper §I). Returns ``(report, analysis)``. Always executes (the
-        schedule is what is wanted): the report store is not asked.
-        """
-        return self._run(self.compile(layout, rules=rules))
-
-    def _run(self, plan: CheckPlan):
-        """Drive the plan's backend through the scheduler.
+    def _run(self, plan: CheckPlan) -> CheckReport:
+        """Run the plan's rules on its backend, in the plan's run order.
 
         All per-check mutable state lives in a :class:`CheckContext` local
         to this call; the engine only records the backend in its live set
@@ -325,32 +305,27 @@ class Engine:
         backend = context.backend
         with self._lock:
             self._live_backends.add(backend)
-
-        def run_rule(rule: Rule) -> CheckResult:
-            profile = PhaseProfile()
-            start = time.perf_counter()
-            violations = backend.run(rule, profile)
-            seconds = time.perf_counter() - start
-            context.profiles[rule.name] = profile
-            result = CheckResult(
-                rule=rule,
-                violations=violations,
-                seconds=seconds,
-                profile=profile,
-                stats=backend.stats(),
-            )
-            context.results_by_name[rule.name] = result
-            return result
-
-        graph = build_plan_graph(plan, run_rule)
         try:
             # Backends driving their own worker pools (multiproc) submit
             # rule-level tasks eagerly here, so workers run ahead of the
-            # serial scheduler drive below.
+            # serial loop below.
             prefetch = getattr(backend, "prefetch", None)
             if prefetch is not None:
                 prefetch()
-            context.analysis = graph.execute()
+            for compiled in plan.run_order:
+                rule = compiled.rule
+                profile = PhaseProfile()
+                start = time.perf_counter()
+                violations = backend.run(rule, profile)
+                seconds = time.perf_counter() - start
+                context.profiles[rule.name] = profile
+                context.results_by_name[rule.name] = CheckResult(
+                    rule=rule,
+                    violations=violations,
+                    seconds=seconds,
+                    profile=profile,
+                    stats=backend.stats(),
+                )
         finally:
             close = getattr(backend, "close", None)
             if close is not None:
@@ -368,4 +343,4 @@ class Engine:
             self.last_plan = plan
             self.last_checker = backend
             self.last_profiles = context.profiles
-        return context.report, context.analysis
+        return context.report

@@ -940,7 +940,7 @@ class MultiprocessBackend:
         """One task per shard (a list of row ids) of a rule's fused buffers."""
         # Only the numbers ship; a stray unpicklable predicate must not.
         rule = dataclasses.replace(rule, predicate=None)
-        threshold = self.options.brute_force_threshold
+        threshold = self._local_backend().brute_force_threshold
         return [
             _RowShardTask(
                 rule, threshold, _map_arrays(select_rows(buffers, rows), arena.stage)

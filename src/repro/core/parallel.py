@@ -94,12 +94,12 @@ from ..util.profile import (
 )
 from ..violation_table import ViolationTable
 from .packstore import store_key
-from .plan import DEFAULT_BRUTE_FORCE_THRESHOLD, CheckPlan, PackCache, kind_spec
+from .plan import CheckPlan, PackCache, kind_spec
 from .results import Violations
 from .rules import Rule, RuleKind
 
 __all__ = [
-    "DEFAULT_BRUTE_FORCE_THRESHOLD",
+    "BRUTE_FORCE_THRESHOLD",
     "EnclosureBuffer",
     "PackCache",
     "ParallelBackend",
@@ -111,6 +111,15 @@ __all__ = [
     "run_row_task",
     "select_rows",
 ]
+
+#: Edge count at or below which a segment rides the brute-force lane (§IV-E).
+#: Read when a backend is built; the multiprocess backend ships its value to
+#: the workers with each task.
+BRUTE_FORCE_THRESHOLD = 256
+
+#: Simulated CUDA streams the backend issues its copies and launches on
+#: (§V-C).
+NUM_STREAMS = 2
 
 _INT = np.int64
 
@@ -473,20 +482,21 @@ def run_row_task(
 class ParallelBackend:
     """Executes a plan's rules with the row-based GPU algorithms."""
 
+    #: The adaptive row partition (§IV-B) is always on; the partition
+    #: ablation bench turns it off.
+    use_rows = True
+
     def __init__(self, plan: CheckPlan, *, device: Optional[Device] = None) -> None:
         self.plan = plan
         self.layout = plan.layout
         self.tree = plan.tree
         self.caches = plan.caches
-        options = plan.options
         self.subtree = self.caches.subtree
         self.device = device if device is not None else Device()
         self.executors = [
-            StreamExecutor(self.device.create_stream())
-            for _ in range(options.num_streams)
+            StreamExecutor(self.device.create_stream()) for _ in range(NUM_STREAMS)
         ]
-        self.brute_force_threshold = options.brute_force_threshold
-        self.use_rows = options.use_rows
+        self.brute_force_threshold = BRUTE_FORCE_THRESHOLD
         self.pack_cache = self.caches.pack
         self.table: InstanceTable = self.caches.instance_table()
         self.counters = dict.fromkeys(ROW_COUNTERS, 0)

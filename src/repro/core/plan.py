@@ -8,19 +8,19 @@ them to algorithms" (§V-A). This module makes that a two-stage pipeline:
    (the single per-kind dispatch table; together with
    :data:`repro.checks.base.FLAT_CHECKS` it replaces the three hand-written
    kind→function maps the sequential, parallel, and windowed paths used to
-   carry), infers the rule dependency graph, and allocates the
+   carry), fixes the order the rules run in, and allocates the
    :class:`PlanCaches` that own the hierarchy tree, row partitions, and
    packed device buffers for the whole deck.
 2. **Execute** — any :class:`Backend` (sequential CPU sweeps, fused
    simulated-GPU kernels, or the multiprocess pool over them) consumes the
-   same plan; ``Engine.check`` drives the chosen backend through the task
-   scheduler. Windowing is not a backend: a windowed check hands a plan and
-   a region set to :func:`repro.core.incremental.check_regions`, which
-   gathers the regions' geometry and runs each kind's ``flat`` procedure
-   in-process.
+   same plan; ``Engine.check`` runs the plan's rules on the chosen backend
+   in :attr:`CheckPlan.run_order`. Windowing is not a backend: a windowed
+   check hands a plan and a region set to
+   :func:`repro.core.incremental.check_regions`, which gathers the regions'
+   geometry and runs each kind's ``flat`` procedure in-process.
 
-This is the load-bearing seam for multi-device sharding and rule-level
-task parallelism: a plan is a self-contained, executable artifact.
+This is the load-bearing seam for multi-process sharding: a plan is a
+self-contained, executable artifact.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .packstore import (
     store_key,
 )
 from .rules import Rule, RuleKind, validate_rules
-from .scheduler import infer_rule_dependencies
 
 MODE_SEQUENTIAL = "sequential"
 MODE_PARALLEL = "parallel"
@@ -80,9 +79,6 @@ ENGINE_MODES = (MODE_SEQUENTIAL, MODE_PARALLEL, MODE_MULTIPROC)
 #: The mode label of a windowed check's report (not a mode: windowed checks
 #: run :func:`repro.core.incremental.check_regions` on any plan).
 MODE_WINDOWED = "windowed"
-
-#: Edge count at or below which the brute-force executor is selected (§IV-E).
-DEFAULT_BRUTE_FORCE_THRESHOLD = 256
 
 #: Start methods ``EngineOptions.mp_start_method`` accepts (None = platform
 #: default; ``spawn`` is the macOS/Windows-portable semantics the CI smoke
@@ -103,9 +99,6 @@ class EngineOptions:
     """Tuning knobs; defaults match the paper's described behaviour."""
 
     mode: str = MODE_SEQUENTIAL
-    use_rows: bool = True  # adaptive row partition (paper §IV-B)
-    num_streams: int = 2  # CUDA streams for async overlap (paper §V-C)
-    brute_force_threshold: int = DEFAULT_BRUTE_FORCE_THRESHOLD  # executor choice (§IV-E)
     jobs: int = 1  # worker processes for the multiprocess backend
     mp_start_method: Optional[str] = None  # None = platform default
     cache_dir: Optional[str] = None  # persistent pack store root (or $REPRO_CACHE_DIR)
@@ -120,15 +113,6 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.num_streams < 1:
-            raise ValueError(
-                f"num_streams must be at least 1, got {self.num_streams}"
-            )
-        if self.brute_force_threshold < 0:
-            raise ValueError(
-                "brute_force_threshold must be non-negative, got "
-                f"{self.brute_force_threshold}"
-            )
         if self.jobs < 1:
             raise ValueError(
                 f"jobs must be a positive integer, got {self.jobs}; "
@@ -347,7 +331,7 @@ class PackCache:
 
     Thread-safety: a plan — and therefore this cache — is owned by the one
     check that compiled it, but a multiprocess backend's shard paths may
-    consult it from the handler thread while the engine's scheduler drive
+    consult it from the handler thread while the engine's rule loop
     touches it too. ``get`` therefore locks its lookup-or-build. The lock
     is *not* held while ``build()`` runs (a build may pack large buffers);
     losing that race costs one redundant build, never a wrong value —
@@ -495,6 +479,32 @@ class PlanCaches:
 # ---------------------------------------------------------------------------
 
 
+def infer_rule_dependencies(rules: Sequence[Rule]) -> Dict[str, Tuple[str, ...]]:
+    """Rule name -> names of the rules it must run after.
+
+    Rule decks commonly gate distance/area measurements on shape sanity
+    (a non-rectilinear polygon makes edge checks meaningless): every
+    geometric rule on a layer depends on that layer's shape rule when one
+    is present, else on a deck-wide shape rule. No rule reads another's
+    result; the dependency only orders execution.
+    """
+    shape_rules: Dict[Optional[int], str] = {}
+    for rule in rules:
+        if rule.kind is RuleKind.RECTILINEAR:
+            shape_rules[rule.layer] = rule.name
+    dependencies: Dict[str, Tuple[str, ...]] = {}
+    for rule in rules:
+        deps: Tuple[str, ...] = ()
+        if rule.kind is not RuleKind.RECTILINEAR:
+            for candidate_layer in (rule.layer, None):
+                dep = shape_rules.get(candidate_layer)
+                if dep is not None:
+                    deps = (dep,)
+                    break
+        dependencies[rule.name] = deps
+    return dependencies
+
+
 @dataclasses.dataclass(frozen=True)
 class CompiledRule:
     """One deck rule bound to its execution spec and dependencies."""
@@ -518,7 +528,11 @@ class CheckPlan:
     options: EngineOptions
     tree: HierarchyTree
     caches: PlanCaches
+    #: The deck's rules in deck order (the order of the report).
     compiled: List[CompiledRule]
+    #: The same rules in the order they run: deck order, each rule's
+    #: dependency first.
+    run_order: List[CompiledRule]
 
     @property
     def rules(self) -> List[Rule]:
@@ -572,6 +586,13 @@ def compile_plan(
         )
         for index, rule in enumerate(deck)
     ]
+    pending = {c.name: c for c in compiled}
+    run_order: List[CompiledRule] = []
+    for c in compiled:
+        # A dependency is a shape rule, which depends on nothing itself.
+        for name in c.depends_on + (c.name,):
+            if name in pending:
+                run_order.append(pending.pop(name))
     return CheckPlan(
         layout=layout,
         mode=resolved_mode,
@@ -579,6 +600,7 @@ def compile_plan(
         tree=tree,
         caches=PlanCaches(tree, store=resolve_store(options)),
         compiled=compiled,
+        run_order=run_order,
     )
 
 

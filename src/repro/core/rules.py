@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import runpy
 from typing import Callable, List, Optional
 
 from ..errors import RuleError
@@ -38,6 +39,7 @@ __all__ = [
     "RuleKind",
     "SEVERITIES",
     "layer",
+    "load_deck_file",
     "polygons",
     "validate_rules",
 ]
@@ -260,3 +262,20 @@ def validate_rules(rules: List[Rule]) -> None:
         if rule.name in seen:
             raise RuleError(f"duplicate rule name {rule.name!r}")
         seen.add(rule.name)
+
+
+def load_deck_file(path: str) -> List[Rule]:
+    """The rules a Python deck file defines as ``RULES = [<Rule>, ...]``.
+
+    Raises :class:`RuleError` when the file cannot be run (missing, a
+    directory, a syntax error, an exception while it executes) or does not
+    define ``RULES`` as a list of rules.
+    """
+    try:
+        namespace = runpy.run_path(path)
+    except Exception as error:  # the deck is arbitrary user code
+        raise RuleError(f"cannot read deck {path}: {error}") from None
+    rules = namespace.get("RULES")
+    if not isinstance(rules, list) or not all(isinstance(r, Rule) for r in rules):
+        raise RuleError(f"{path} must define RULES = [<Rule>, ...]")
+    return rules

@@ -1,267 +1,16 @@
-"""Application-layer task scheduling (paper §V-A, §IV-C, §I).
+"""Work planning for the worker pool: row shards and fair-share merging.
 
-The paper's application layer "schedules computation tasks and dispatches
-them to algorithms"; intra-polygon checks are "scheduled to the task graph"
-(§IV-C), and §I notes that "different design rules can be checked
-concurrently, attaining task parallelism, which could be further combined
-with data parallelism".
-
-This module makes that concrete:
-
-* :class:`TaskGraph` — a DAG of named tasks with dependencies and
-  deterministic topological execution;
-* :func:`build_rule_graph` — one task per rule, with dependencies inferred
-  from the rules themselves (every rule on a layer depends on that layer's
-  shape-sanity rule when present, mirroring how decks gate geometric checks
-  on well-formedness);
-* :class:`ScheduleAnalysis` — after execution, replay the measured task
-  durations over an N-worker pool (list scheduling honouring dependencies)
-  to obtain the task-parallel makespan — the same critical-path modelling
-  used for the KLayout tiling baseline, now at rule granularity.
+:func:`greedy_balanced_shards` and :func:`shard_count` cut a rule's rows
+into size-balanced shards for the multiprocess backend (the paper's
+row-skew problem, now across cores); :func:`round_robin_interleave` merges
+several requesters' task lists so no one of them monopolizes a shared
+queue.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
-import time
-from typing import Callable, Dict, List, Optional, Sequence
-
-from ..errors import ReproError
-from .rules import Rule, RuleKind
-
-
-class SchedulerError(ReproError):
-    """Ill-formed task graph (cycle, unknown dependency, duplicate name)."""
-
-
-@dataclasses.dataclass
-class Task:
-    """One schedulable unit of work."""
-
-    name: str
-    action: Callable[[], object]
-    depends_on: List[str] = dataclasses.field(default_factory=list)
-    # filled by execution:
-    seconds: float = 0.0
-    result: object = None
-    done: bool = False
-
-
-class TaskGraph:
-    """A dependency DAG of tasks with deterministic topological execution."""
-
-    def __init__(self) -> None:
-        self._tasks: Dict[str, Task] = {}
-
-    def add(self, task: Task) -> Task:
-        if task.name in self._tasks:
-            raise SchedulerError(f"duplicate task name {task.name!r}")
-        self._tasks[task.name] = task
-        return task
-
-    def add_task(
-        self,
-        name: str,
-        action: Callable[[], object],
-        *,
-        depends_on: Sequence[str] = (),
-    ) -> Task:
-        return self.add(Task(name, action, list(depends_on)))
-
-    def task(self, name: str) -> Task:
-        try:
-            return self._tasks[name]
-        except KeyError:
-            raise SchedulerError(f"unknown task {name!r}") from None
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def topological_order(self) -> List[Task]:
-        """Dependency-respecting deterministic order (ties by insertion)."""
-        for task in self._tasks.values():
-            for dep in task.depends_on:
-                if dep not in self._tasks:
-                    raise SchedulerError(
-                        f"task {task.name!r} depends on unknown task {dep!r}"
-                    )
-        order: List[Task] = []
-        state: Dict[str, int] = {}
-
-        def visit(name: str, trail: List[str]) -> None:
-            mark = state.get(name)
-            if mark == 1:
-                return
-            if mark == 0:
-                raise SchedulerError(
-                    "task cycle: " + " -> ".join(trail + [name])
-                )
-            state[name] = 0
-            for dep in self._tasks[name].depends_on:
-                visit(dep, trail + [name])
-            state[name] = 1
-            order.append(self._tasks[name])
-
-        for name in self._tasks:
-            visit(name, [])
-        return order
-
-    def execute(self) -> "ScheduleAnalysis":
-        """Run every task once (dependencies first), timing each."""
-        for task in self.topological_order():
-            start = time.perf_counter()
-            task.result = task.action()
-            task.seconds = time.perf_counter() - start
-            task.done = True
-        return ScheduleAnalysis(list(self._tasks.values()))
-
-
-@dataclasses.dataclass
-class ScheduleAnalysis:
-    """Replay measured task durations over an N-worker pool."""
-
-    tasks: List[Task]
-
-    @property
-    def serial_seconds(self) -> float:
-        return sum(t.seconds for t in self.tasks)
-
-    def critical_path_seconds(self) -> float:
-        """Longest dependency chain — the floor for any worker count."""
-        finish: Dict[str, float] = {}
-
-        def finish_time(task: Task) -> float:
-            if task.name in finish:
-                return finish[task.name]
-            start = max(
-                (finish_time(self._by_name(dep)) for dep in task.depends_on),
-                default=0.0,
-            )
-            finish[task.name] = start + task.seconds
-            return finish[task.name]
-
-        return max((finish_time(t) for t in self.tasks), default=0.0)
-
-    def makespan(self, workers: int) -> float:
-        """Event-simulated list schedule on ``workers``, honouring deps.
-
-        Ready tasks are dispatched longest-first (LPT) to idle workers; the
-        clock advances to the next task completion, releasing dependents.
-        """
-        if workers < 1:
-            raise SchedulerError(f"need at least 1 worker, got {workers}")
-        if not self.tasks:
-            return 0.0
-        by_name = {t.name: t for t in self.tasks}
-        deps_left = {t.name: len(t.depends_on) for t in self.tasks}
-        dependents: Dict[str, List[str]] = {t.name: [] for t in self.tasks}
-        for t in self.tasks:
-            for dep in t.depends_on:
-                dependents[dep].append(t.name)
-
-        ready = [name for name, count in deps_left.items() if count == 0]
-        worker_free = [0.0] * workers
-        running: List = []  # heap of (finish_time, name)
-        clock = 0.0
-        finished = 0
-        while finished < len(self.tasks):
-            ready.sort(key=lambda n: (-by_name[n].seconds, n))
-            waiting: List[str] = []
-            for name in ready:
-                idle = [w for w in range(workers) if worker_free[w] <= clock]
-                if idle:
-                    finish = clock + by_name[name].seconds
-                    worker_free[idle[0]] = finish
-                    heapq.heappush(running, (finish, name))
-                else:
-                    waiting.append(name)
-            ready = waiting
-            if not running:
-                raise SchedulerError("deadlock: tasks remain but none ready")
-            clock, name = heapq.heappop(running)
-            finished += 1
-            for dependent in dependents[name]:
-                deps_left[dependent] -= 1
-                if deps_left[dependent] == 0:
-                    ready.append(dependent)
-        return max(max(worker_free), clock)
-
-    def _by_name(self, name: str) -> Task:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise SchedulerError(f"unknown task {name!r}")
-
-    def summary(self) -> str:
-        lines = [
-            f"{len(self.tasks)} tasks, serial {self.serial_seconds * 1e3:.2f} ms, "
-            f"critical path {self.critical_path_seconds() * 1e3:.2f} ms"
-        ]
-        for workers in (2, 4, 8):
-            lines.append(
-                f"  {workers} workers: makespan {self.makespan(workers) * 1e3:.2f} ms"
-            )
-        return "\n".join(lines)
-
-
-def infer_rule_dependencies(rules: Sequence[Rule]) -> Dict[str, tuple]:
-    """Rule name -> names of the rules it must run after.
-
-    Rule decks commonly gate distance/area measurements on shape sanity
-    (a non-rectilinear polygon makes edge checks meaningless): every
-    geometric rule on a layer depends on that layer's shape rule when one
-    is present. Plan compilation stores this on each compiled rule, and
-    :func:`build_rule_graph` turns it into task-graph edges.
-    """
-    shape_rules: Dict[Optional[int], str] = {}
-    for rule in rules:
-        if rule.kind is RuleKind.RECTILINEAR:
-            shape_rules[rule.layer] = rule.name
-    dependencies: Dict[str, tuple] = {}
-    for rule in rules:
-        deps: List[str] = []
-        if rule.kind is not RuleKind.RECTILINEAR:
-            for candidate_layer in (rule.layer, None):
-                dep = shape_rules.get(candidate_layer)
-                if dep is not None and dep != rule.name:
-                    deps.append(dep)
-                    break
-        dependencies[rule.name] = tuple(deps)
-    return dependencies
-
-
-def build_rule_graph(
-    rules: Sequence[Rule],
-    run_rule: Callable[[Rule], object],
-) -> TaskGraph:
-    """One task per rule, gated by :func:`infer_rule_dependencies`."""
-    graph = TaskGraph()
-    dependencies = infer_rule_dependencies(rules)
-    for rule in rules:
-        graph.add_task(
-            rule.name,
-            lambda r=rule: run_rule(r),
-            depends_on=list(dependencies[rule.name]),
-        )
-    return graph
-
-
-def build_plan_graph(plan, run_rule: Callable[[Rule], object]) -> TaskGraph:
-    """Task graph over a compiled :class:`~repro.core.plan.CheckPlan`.
-
-    Uses the dependencies plan compilation already inferred, so scheduling
-    and compilation cannot drift apart.
-    """
-    graph = TaskGraph()
-    for compiled in plan.compiled:
-        graph.add_task(
-            compiled.name,
-            lambda r=compiled.rule: run_rule(r),
-            depends_on=list(compiled.depends_on),
-        )
-    return graph
-
+from typing import List, Sequence
 
 # ---------------------------------------------------------------------------
 # Shard planning (multi-core row sharding)
@@ -289,7 +38,7 @@ def greedy_balanced_shards(
     members sorted ascending.
     """
     if num_shards < 1:
-        raise SchedulerError(f"need at least 1 shard, got {num_shards}")
+        raise ValueError(f"need at least 1 shard, got {num_shards}")
     items = sorted(
         (i for i, w in enumerate(weights) if w > 0),
         key=lambda i: (-weights[i], i),
@@ -318,7 +67,7 @@ def shard_count(num_items: int, jobs: int) -> int:
     """How many shards to cut ``num_items`` weighted items into for ``jobs``
     workers: oversubscribed for stealing, never more shards than items."""
     if jobs < 1:
-        raise SchedulerError(f"need at least 1 job, got {jobs}")
+        raise ValueError(f"need at least 1 job, got {jobs}")
     return max(1, min(num_items, jobs * SHARD_OVERSUBSCRIPTION))
 
 

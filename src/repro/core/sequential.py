@@ -79,13 +79,14 @@ class SequentialBackend:
             self.layout: Layout = self.plan.layout
             self.tree = self.plan.tree
             self.caches = self.plan.caches
-            self.use_rows = self.plan.options.use_rows
         else:
             self.plan = None
             self.layout = plan_or_layout
             self.tree = tree if tree is not None else HierarchyTree(plan_or_layout)
             self.caches = caches if caches is not None else PlanCaches(self.tree)
-            self.use_rows = use_rows
+        #: Row partition of the top cell's level pairs (§IV-B); the
+        #: KLayout-like deep baseline turns it off.
+        self.use_rows = use_rows
         self.subtree = self.caches.subtree
         self.pruning = PruningStats()
         self._pair_memo: Dict[tuple, List[VRow]] = {}

@@ -1,13 +1,12 @@
 """Simulated GPU substrate (paper §IV-E, §V-C).
 
-Device/stream/timeline model (:mod:`.device`), stream-ordered memory
-allocator (:mod:`.memory`), execution policies standing in for the paper's
-type-trait dispatch (:mod:`.executor`), and the NumPy SPMD check kernels
-(:mod:`.kernels`). See DESIGN.md §1 for why NumPy vectorisation preserves
-the paper's GPU-vs-CPU behavioural shape. The shared-memory arena
-(:mod:`.shmem`) and buffer compression (:mod:`.compression`) are imported by
-their users only: ``multiprocessing.shared_memory`` alone is a third of
-what importing the parallel mode costs.
+Device/stream/timeline model (:mod:`.device`), execution policies standing
+in for the paper's type-trait dispatch (:mod:`.executor`), and the NumPy
+SPMD check kernels (:mod:`.kernels`). See DESIGN.md §1 for why NumPy
+vectorisation preserves the paper's GPU-vs-CPU behavioural shape. The
+shared-memory arena (:mod:`.shmem`) is imported by its users only:
+``multiprocessing.shared_memory`` alone is a third of what importing the
+parallel mode costs.
 """
 
 from .device import AsyncTimeline, Device, OpKind, OpRecord, Stream, TimelineSummary
@@ -35,13 +34,10 @@ from .kernels import (
     pack_vertices,
     reduce_enclosure_best,
 )
-from .memory import AllocatorStats, DeviceBuffer, StreamOrderedAllocator
 
 __all__ = [
-    "AllocatorStats",
     "AsyncTimeline",
     "Device",
-    "DeviceBuffer",
     "EdgeBuffer",
     "ExecutionPolicy",
     "OpKind",
@@ -50,7 +46,6 @@ __all__ = [
     "SequencedPolicy",
     "Stream",
     "StreamExecutor",
-    "StreamOrderedAllocator",
     "TimelineSummary",
     "VertexBuffer",
     "is_device_policy",

@@ -8,9 +8,9 @@ one :class:`multiprocessing.shared_memory.SharedMemory` block (an
 (block name, dtype, shape, byte offset). Workers map the block once and
 materialise read-only views at the recorded offsets.
 
-Fallback: tiny arrays (below :data:`INLINE_THRESHOLD` bytes), environments
-with ``REPRO_MP_SHM=0``, or platforms where shared memory fails all degrade
-to carrying the raw bytes inside the descriptor — same API, just pickled.
+Fallback: tiny arrays (below :data:`INLINE_THRESHOLD` bytes) and platforms
+without ``multiprocessing.shared_memory``, or where it fails, degrade to
+carrying the raw bytes inside the descriptor — same API, just pickled.
 
 Lifecycle: the parent ``seal()``s an arena before submitting tasks that
 reference it and ``dispose()``s it once every task's result has been
@@ -22,7 +22,6 @@ re-serves a rule's shards without re-mapping.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,10 +52,8 @@ _ALIGN = 64
 
 
 def shm_enabled() -> bool:
-    """Shared-memory transport is available and not disabled by env."""
-    if _shared_memory is None:
-        return False
-    return os.environ.get("REPRO_MP_SHM", "1") != "0"
+    """This platform has the shared-memory transport."""
+    return _shared_memory is not None
 
 
 @dataclasses.dataclass

@@ -1,7 +1,4 @@
-"""Hierarchy tree, range queries, and task pruning (paper §IV-A/§IV-C).
-
-:class:`~repro.hierarchy.layerview.LayerView` is imported from its module.
-"""
+"""Hierarchy tree, range queries, and task pruning (paper §IV-A/§IV-C)."""
 
 from .pruning import (
     IntraCheckScheduler,

@@ -58,7 +58,6 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-import runpy
 import statistics
 import threading
 import time
@@ -68,7 +67,7 @@ from itertools import compress
 from operator import add
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..errors import ReproError, RuleError
 from ..gdsii import read_layout, read_layout_bytes
 from ..geometry import Rect
 from ..hierarchy.tree import HierarchyTree
@@ -84,6 +83,7 @@ from ..core.reportcache import (
     report_key,
 )
 from ..core.results import CheckReport, merge_stats
+from ..core import rules as rules_module
 from ..core.rules import SEVERITIES, Rule
 from ..reporting import FilterError, RuleRows, check_bbox, filter_entries, listing_dicts
 
@@ -132,11 +132,10 @@ class UnknownSessionError(ServeError):
 
 def load_deck_file(path: str) -> List[Rule]:
     """Load ``RULES = [...]`` from a Python deck file (server-side path)."""
-    namespace = runpy.run_path(path)
-    rules = namespace.get("RULES")
-    if not isinstance(rules, list) or not all(isinstance(r, Rule) for r in rules):
-        raise BadRequestError(f"{path} must define RULES = [<Rule>, ...]")
-    return rules
+    try:
+        return rules_module.load_deck_file(path)
+    except RuleError as error:
+        raise BadRequestError(str(error)) from None
 
 
 def _percentile(ordered: Sequence[float], fraction: float) -> float:
@@ -524,6 +523,13 @@ class ServerState:
             raise BadRequestError(f"cannot load layout: {error}") from error
         except OSError as error:
             raise BadRequestError(f"cannot read layout file: {error}") from error
+        if not top:
+            roots = sorted(cell.name for cell in layout.root_cells())
+            if len(roots) > 1:
+                raise BadRequestError(
+                    f"{path or 'the uploaded layout'} has {len(roots)} root cells "
+                    f"({', '.join(roots)}); pick the one to check with --top/top="
+                )
         tree = HierarchyTree(layout, previous=old_tree)
         digests = layer_digests(
             tree, layout.layers(), None if previous is None else (old_tree, old_digests)

@@ -2,8 +2,7 @@
 
 The interval tree and sweepline implement the paper's sequential candidate
 search (§IV-D, Fig. 3); interval merging implements Algorithm 1 behind the
-adaptive row partition (§IV-B). :class:`~repro.spatial.rtree.RTree` is
-imported from its module.
+adaptive row partition (§IV-B).
 """
 
 from .interval_merge import (

@@ -1,4 +1,4 @@
-"""Program utilities (the paper's infrastructure layer: timer, logger, etc.)."""
+"""Program utilities (the paper's infrastructure layer: phase profiler, logger, faults)."""
 
 from .logging import configure, get_logger
 from .profile import (
@@ -9,9 +9,6 @@ from .profile import (
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
-from .render import render_window
-from .report import format_seconds, format_table, geometric_mean, normalized_row
-from .timer import Timer, time_call
 
 __all__ = [
     "PHASE_EDGE_CHECKS",
@@ -20,13 +17,6 @@ __all__ = [
     "PHASE_PARTITION",
     "PHASE_SWEEPLINE",
     "PhaseProfile",
-    "Timer",
     "configure",
-    "format_seconds",
-    "format_table",
-    "geometric_mean",
     "get_logger",
-    "normalized_row",
-    "render_window",
-    "time_call",
 ]

@@ -1,5 +1,7 @@
 """Smoke tests for the benchmark harness itself (on the smallest design)."""
 
+import pytest
+
 from benchmarks import tables
 from benchmarks.common import TABLE_COLUMNS, design, verify_agreement
 from repro.workloads import asap7
@@ -34,6 +36,25 @@ class TestTableGenerators:
         text = tables.fig4_breakdown(designs=("uart",))
         assert "[uart]" in text
         assert "partition" in text and "sweepline" in text and "edge-checks" in text
+
+
+class TestTableHelpers:
+    def test_format_table_alignment(self):
+        text = tables.format_table(
+            ["design", "runtime"], [["uart", 0.12], ["jpeg", 3.5]], title="T"
+        )
+        lines = text.splitlines()
+        assert lines[0] == "T"
+        assert "design" in lines[1] and "uart" in lines[3]
+
+    def test_seconds_below_print_resolution(self):
+        text = tables.format_table(["t"], [[0.004], [0.12]])
+        assert text.splitlines()[2:] == ["< 0.01", "  0.12"]
+
+    def test_geometric_mean(self):
+        assert tables.geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
+        assert tables.geometric_mean([]) == 0.0
+        assert tables.geometric_mean([0.0, 4.0]) == pytest.approx(4.0)  # zeros skipped
 
 
 class TestHarnessInfra:

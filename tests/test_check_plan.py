@@ -21,7 +21,7 @@ from repro.core import (
     make_backend,
 )
 from repro.core.plan import ENGINE_MODES, KIND_SPECS
-from repro.core.rules import Rule, RuleKind, layer
+from repro.core.rules import Rule, RuleKind, layer, polygons
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 from repro.workloads import random_hierarchical_layout
@@ -158,18 +158,6 @@ class TestPlanCompilation:
 
 
 class TestEngineOptionsValidation:
-    def test_num_streams_must_be_positive(self):
-        with pytest.raises(ValueError, match="num_streams must be at least 1"):
-            EngineOptions(num_streams=0)
-
-    def test_negative_brute_force_threshold_rejected(self):
-        with pytest.raises(ValueError, match="brute_force_threshold"):
-            EngineOptions(brute_force_threshold=-1)
-
-    def test_zero_threshold_and_one_stream_accepted(self):
-        options = EngineOptions(num_streams=1, brute_force_threshold=0)
-        assert options.num_streams == 1 and options.brute_force_threshold == 0
-
     def test_engine_does_not_revalidate(self):
         # Mode validation lives in EngineOptions/compile_plan alone; a valid
         # options object passes straight through Engine.
@@ -292,30 +280,103 @@ class TestPlanCacheReuse:
         assert report.results[-1].stats["pack_cache_hits"] > 0
 
 
-class TestSchedulerDrivenExecution:
-    def test_shape_rule_runs_before_dependents(self):
+class TestRunOrder:
+    def test_shape_rule_runs_before_dependents(self, monkeypatch):
+        from repro.core.sequential import SequentialBackend
+
         layout = two_layer_layout(21)
-        # Deck lists the shape rule LAST; the scheduler must run it first.
+        # Deck lists the shape rule LAST; it still runs first.
         rules = [
             layer(1).width().greater_than(10).named("W"),
+            layer(2).width().greater_than(10).named("W2"),
             layer(1).polygons().is_rectilinear().named("SHAPE"),
         ]
-        engine = Engine(mode="sequential")
-        report, analysis = engine.check_with_task_graph(layout, rules=rules)
-        # Report preserves deck order...
-        assert [r.rule.name for r in report.results] == ["W", "SHAPE"]
-        # ...while the task graph carries the dependency edge.
-        assert analysis.tasks and {t.name for t in analysis.tasks} == {"W", "SHAPE"}
-        graph_deps = {t.name: tuple(t.depends_on) for t in analysis.tasks}
-        assert graph_deps["W"] == ("SHAPE",)
+        ran = []
+        run = SequentialBackend.run
 
-    def test_plain_check_matches_task_graph_check(self):
-        layout = two_layer_layout(22)
-        rules = all_kind_rules()
-        a = Engine(mode="sequential").check(layout, rules=rules)
-        b, _ = Engine(mode="sequential").check_with_task_graph(layout, rules=rules)
-        for ra, rb in zip(a.results, b.results):
-            assert ra.violations == rb.violations, ra.rule.name
+        def spy(self, rule, profile=None):
+            ran.append(rule.name)
+            return run(self, rule, profile)
+
+        monkeypatch.setattr(SequentialBackend, "run", spy)
+        engine = Engine(mode="sequential")
+        report = engine.check(layout, rules=rules)
+        assert ran == ["SHAPE", "W", "W2"]
+        assert [c.name for c in engine.last_plan.run_order] == ran
+        # The report keeps deck order.
+        assert [r.rule.name for r in report.results] == ["W", "W2", "SHAPE"]
+
+    #: Rule names: W<n> a width rule on layer n, SP<n> a spacing rule,
+    #: SHAPE<n> layer n's shape rule, SHAPE the deck-wide one.
+    @staticmethod
+    def deck(names):
+        def make(name):
+            if name == "SHAPE":
+                return polygons().is_rectilinear().named(name)
+            number = int(name[-1])
+            if name.startswith("SHAPE"):
+                return layer(number).polygons().is_rectilinear().named(name)
+            if name.startswith("SP"):
+                return layer(number).spacing().greater_than(10).named(name)
+            return layer(number).width().greater_than(10).named(name)
+
+        return [make(name) for name in names]
+
+    @pytest.mark.parametrize(
+        "names, expected",
+        [
+            (["W1", "SP1", "W2"], ["W1", "SP1", "W2"]),
+            (["SHAPE1", "W1", "W2"], ["SHAPE1", "W1", "W2"]),
+            (["W1", "W2", "SHAPE1"], ["SHAPE1", "W1", "W2"]),
+            (["W2", "W1", "SHAPE1"], ["W2", "SHAPE1", "W1"]),
+            (["W1", "W2", "SHAPE"], ["SHAPE", "W1", "W2"]),
+            (["W1", "W2", "SHAPE2", "SHAPE1"], ["SHAPE1", "W1", "SHAPE2", "W2"]),
+            (["W1", "W2", "SHAPE", "SHAPE1"], ["SHAPE1", "W1", "SHAPE", "W2"]),
+            (["SHAPE2", "SHAPE1"], ["SHAPE2", "SHAPE1"]),
+        ],
+        ids=lambda names: ",".join(names),
+    )
+    def test_run_order(self, names, expected):
+        plan = compile_plan(two_layer_layout(21), self.deck(names))
+        assert [c.name for c in plan.run_order] == expected
+        assert [c.name for c in plan.compiled] == names
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_deck_run_order(self, seed):
+        """Every rule runs once, after its dependency; rules that gate
+        nothing keep their deck order."""
+        rng = random.Random(seed)
+        kinds = ["W", "SP", "SHAPE"]
+        size = rng.randint(1, 7)  # of the 7 distinct names
+        names = []
+        while len(names) < size:
+            name = rng.choice(kinds) + str(rng.choice([1, 2]))
+            if name.startswith("SHAPE") and rng.random() < 0.3:
+                name = "SHAPE"
+            if name not in names:
+                names.append(name)
+        plan = compile_plan(two_layer_layout(21), self.deck(names))
+        order = [c.name for c in plan.run_order]
+        assert sorted(order) == sorted(names)
+        for compiled in plan.compiled:
+            for dependency in compiled.depends_on:
+                assert order.index(dependency) < order.index(compiled.name)
+        gated = [n for n in names if not n.startswith("SHAPE")]
+        assert [n for n in order if not n.startswith("SHAPE")] == gated
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_report_keeps_deck_order_in_every_mode(self, mode):
+        names = ["SP1", "W2", "SHAPE2", "W1", "SHAPE1"]
+        layout = two_layer_layout(21)
+        engine = Engine(mode=mode)
+        report = engine.check(layout, rules=self.deck(names))
+        assert [r.rule.name for r in report.results] == names
+        assert [c.name for c in engine.last_plan.run_order] == [
+            "SHAPE1", "SP1", "SHAPE2", "W2", "W1"
+        ]
+        reference = Engine(mode="sequential").check(layout, rules=self.deck(names))
+        for got, want in zip(report.results, reference.results):
+            assert got.violation_set() == want.violation_set(), got.rule.name
 
 
 class TestCanonicalOrder:

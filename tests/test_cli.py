@@ -7,6 +7,8 @@ from repro.gdsii import write
 from repro.layout import gdsii_from_layout
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
+from .test_rules_dsl import UNUSABLE_DECKS, write_unusable_deck
+
 
 @pytest.fixture()
 def uart_gds(tmp_path):
@@ -131,6 +133,13 @@ class TestInputErrors:
         assert path in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
+    @pytest.mark.parametrize("command", ["check", "check-window", "recheck"])
+    def test_unusable_deck_exits_two(self, command, case, tmp_path, uart_gds, capsys):
+        deck, fragment = write_unusable_deck(tmp_path, case)
+        argv = self.argv(command, uart_gds) + ["--top", "top", "--deck", deck]
+        assert_input_error(argv, capsys, fragment)
+
     def test_the_process_exits_two(self, tmp_path):
         import os
         import subprocess
@@ -171,9 +180,6 @@ class TestInputErrors:
             "cannot read waiver file",
         ),
         "-j 0": (["check", "{gds}", "--top", "top", "-j", "0"], {}, "positive integer"),
-        "--num-streams 0": (
-            ["check", "{gds}", "--top", "top", "--num-streams", "0"], {}, "num_streams"
-        ),
         "diff of a missing database": (
             ["diff", "{tmp}/nosuch.json", "{tmp}/new.json"],
             {},
@@ -208,6 +214,29 @@ class TestInputErrors:
         argv = [arg.format(gds=uart_gds, tmp=tmp_path) for arg in argv]
         assert_input_error(argv, capsys, message)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "parallel", "--jobs", "4", "--breakdown", "--no-cache"],
+            ["--mode", "sequential"],
+            ["-j", "1"],
+            ["--breakdown"],
+            ["--cache-dir", "cache"],
+            ["--no-cache"],
+        ],
+        ids=" ".join,
+    )
+    def test_served_check_rejects_engine_flags(self, uart_gds, capsys, flags):
+        """The daemon runs its own engine: a flag it would silently drop is
+        refused before any request is made (the server URL is never dialled)."""
+        named = [flag for flag in flags if flag.startswith("-")]
+        named = ["--jobs" if flag == "-j" else flag for flag in named]
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--server", "http://127.0.0.1:1", *flags],
+            capsys,
+            f"{', '.join(named)} not supported with --server",
+        )
+
     def test_failed_verification_exits_two(self, uart_gds, capsys, monkeypatch):
         def diverging(*args, **kwargs):
             raise AssertionError("spliced recheck report diverges")
@@ -221,13 +250,6 @@ class TestInputErrors:
 
 
 class TestBackendFlags:
-    def test_parallel_knobs_accepted(self, uart_gds):
-        code = main([
-            "check", uart_gds, "--top", "top", "--mode", "parallel",
-            "--num-streams", "3", "--brute-force-threshold", "0",
-        ])
-        assert code == 0
-
     @pytest.mark.parametrize("flag", ["--fuse-rows", "--no-fuse-rows"])
     def test_fuse_rows_flags_rejected(self, uart_gds, capsys, flag):
         """The per-row path and its knob are gone: argparse refuses both."""
@@ -236,19 +258,18 @@ class TestBackendFlags:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_invalid_num_streams_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--num-streams", "0"],
-            capsys,
-            "num_streams",
-        )
-
-    def test_invalid_threshold_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--brute-force-threshold", "-5"],
-            capsys,
-            "brute_force_threshold",
-        )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--no-rows"], ["--num-streams", "3"], ["--brute-force-threshold", "0"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_ablation_knobs_rejected(self, uart_gds, capsys, flag):
+        """Row partition, stream count and lane threshold are constants of
+        the parallel backend now: argparse refuses their old flags."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", uart_gds, "--top", "top", "--mode", "parallel", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCheckWindowCommand:

@@ -4,7 +4,7 @@ results)."""
 
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, parallel
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
 
@@ -29,35 +29,27 @@ def dirty():
     return layout, deck, reference
 
 
-CONFIGS = [
-    EngineOptions(mode="sequential", use_rows=True),
-    EngineOptions(mode="sequential", use_rows=False),
-    EngineOptions(mode="parallel", use_rows=True),
-    EngineOptions(mode="parallel", use_rows=False),
-    EngineOptions(mode="parallel", num_streams=1),
-    EngineOptions(mode="parallel", num_streams=4),
-    EngineOptions(mode="parallel", brute_force_threshold=0),
-    EngineOptions(mode="parallel", brute_force_threshold=10 ** 9),
-]
+#: (mode, overrides): the parallel backend's lane threshold, stream count
+#: and row partition are constants the ablation benches override the same
+#: way.
+CONFIGS = {
+    "seq-rows": ("sequential", []),
+    "par-rows": ("parallel", []),
+    "par-norows": ("parallel", [(parallel.ParallelBackend, "use_rows", False)]),
+    "par-1stream": ("parallel", [(parallel, "NUM_STREAMS", 1)]),
+    "par-4stream": ("parallel", [(parallel, "NUM_STREAMS", 4)]),
+    "par-sweep-only": ("parallel", [(parallel, "BRUTE_FORCE_THRESHOLD", 0)]),
+    "par-brute-only": ("parallel", [(parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9)]),
+}
 
 
-@pytest.mark.parametrize(
-    "options",
-    CONFIGS,
-    ids=[
-        "seq-rows",
-        "seq-norows",
-        "par-rows",
-        "par-norows",
-        "par-1stream",
-        "par-4stream",
-        "par-sweep-only",
-        "par-brute-only",
-    ],
-)
-def test_configuration_invariance(dirty, options):
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_configuration_invariance(dirty, config, monkeypatch):
     layout, deck, reference = dirty
-    report = Engine(options=options).check(layout, rules=deck)
+    mode, overrides = CONFIGS[config]
+    for target, name, value in overrides:
+        monkeypatch.setattr(target, name, value)
+    report = Engine(mode=mode).check(layout, rules=deck)
     for got, want in zip(report.results, reference.results):
         assert got.violation_set() == want.violation_set(), got.rule.name
 

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, EngineOptions, parallel
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.gpu import Device, OpKind
@@ -63,27 +63,40 @@ class TestParallelAgreesWithSequential:
 
 
 class TestExecutorSelection:
-    def test_small_tasks_use_bruteforce(self, uart_layout):
-        par = Engine(
-            options=EngineOptions(mode="parallel", brute_force_threshold=10 ** 9)
-        )
+    def test_small_tasks_use_bruteforce(self, uart_layout, monkeypatch):
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9)
+        par = Engine(mode="parallel")
         par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
         stats = par.last_checker.stats()
         assert stats["kernels_bruteforce"] > 0 and stats["kernels_sweepline"] == 0
 
-    def test_large_tasks_use_sweepline(self, uart_layout):
-        par = Engine(options=EngineOptions(mode="parallel", brute_force_threshold=0))
+    def test_large_tasks_use_sweepline(self, uart_layout, monkeypatch):
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 0)
+        par = Engine(mode="parallel")
         par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
         stats = par.last_checker.stats()
         assert stats["kernels_sweepline"] > 0 and stats["kernels_bruteforce"] == 0
 
-    def test_both_executors_same_violations(self, ibex_layout):
+    def test_both_executors_same_violations(self, ibex_layout, monkeypatch):
         rule = asap7.spacing_rule(asap7.M2)
-        brute = Engine(options=EngineOptions(mode="parallel", brute_force_threshold=10 ** 9))
-        sweep = Engine(options=EngineOptions(mode="parallel", brute_force_threshold=0))
-        a = brute.check(ibex_layout, rules=[rule])
-        b = sweep.check(ibex_layout, rules=[rule])
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9)
+        a = Engine(mode="parallel").check(ibex_layout, rules=[rule])
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 0)
+        b = Engine(mode="parallel").check(ibex_layout, rules=[rule])
         assert a.results[0].violation_set() == b.results[0].violation_set()
+
+    @pytest.mark.parametrize("threshold", [0, 1, 16, 256, 10 ** 9])
+    def test_any_threshold_same_violations(self, uart_layout, threshold, monkeypatch):
+        """The threshold only routes rows between the two lanes: every
+        setting reports what the sequential sweep reports."""
+        deck = [asap7.spacing_rule(asap7.M1), asap7.spacing_rule(asap7.M2)]
+        reference = Engine(mode="sequential").check(uart_layout, rules=deck)
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", threshold)
+        engine = Engine(mode="parallel")
+        report = engine.check(uart_layout, rules=deck)
+        assert engine.last_checker.brute_force_threshold == threshold
+        for got, want in zip(report.results, reference.results):
+            assert got.violation_set() == want.violation_set(), got.rule.name
 
 
 class TestDeviceIntegration:
@@ -96,11 +109,7 @@ class TestDeviceIntegration:
 
     def test_streams_round_robin(self, uart_layout):
         device = Device()
-        par = Engine(
-            mode="parallel",
-            device=device,
-            options=EngineOptions(mode="parallel", num_streams=2),
-        )
+        par = Engine(mode="parallel", device=device)
         par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M3)])
         streams = {op.stream for op in device.ops if op.stream is not None}
         assert streams == {0, 1}  # M3 rows spread over both streams
@@ -115,12 +124,11 @@ class TestDeviceIntegration:
 
 
 class TestRowsOff:
-    def test_use_rows_false_same_results(self, uart_layout):
+    def test_use_rows_false_same_results(self, uart_layout, monkeypatch):
         rule = asap7.spacing_rule(asap7.M3)
         on = Engine(mode="parallel").check(uart_layout, rules=[rule])
-        off = Engine(options=EngineOptions(mode="parallel", use_rows=False)).check(
-            uart_layout, rules=[rule]
-        )
+        monkeypatch.setattr(parallel.ParallelBackend, "use_rows", False)
+        off = Engine(mode="parallel").check(uart_layout, rules=[rule])
         assert on.results[0].violation_set() == off.results[0].violation_set()
 
 

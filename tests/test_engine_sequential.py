@@ -1,7 +1,8 @@
 import pytest
 
-from repro.core import Engine, EngineOptions
+from repro.core import Engine
 from repro.core.rules import layer, polygons
+from repro.core.sequential import SequentialBackend
 from repro.geometry import Polygon, Transform
 from repro.layout import CellReference, Layout
 from repro.util.profile import PHASE_EDGE_CHECKS
@@ -107,12 +108,8 @@ class TestSequentialResults:
     def test_rows_disabled_same_results(self):
         rule = layer(1).spacing().greater_than(8)
         with_rows = Engine(mode="sequential").check(simple_layout(), rules=[rule])
-        without = Engine(
-            options=EngineOptions(mode="sequential", use_rows=False)
-        ).check(simple_layout(), rules=[rule])
-        assert (
-            with_rows.results[0].violation_set() == without.results[0].violation_set()
-        )
+        without = SequentialBackend(simple_layout(), use_rows=False).run(rule)
+        assert with_rows.results[0].violation_set() == frozenset(without)
 
 
 class TestMagnifiedInstances:

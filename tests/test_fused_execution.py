@@ -117,11 +117,10 @@ class TestFusedEquivalence:
         for ra, rb in zip(a.results, b.results):
             assert Counter(ra.violations) == Counter(rb.violations), ra.rule.name
 
-    def test_rows_off_fused_still_agrees(self, uart_layout):
+    def test_rows_off_fused_still_agrees(self, uart_layout, monkeypatch):
         rule = asap7.spacing_rule(asap7.M3)
-        off = Engine(
-            options=EngineOptions(mode="parallel", use_rows=False)
-        ).check(uart_layout, rules=[rule])
+        monkeypatch.setattr(ParallelBackend, "use_rows", False)
+        off = Engine(mode="parallel").check(uart_layout, rules=[rule])
         seq = Engine(mode="sequential").check(uart_layout, rules=[rule])
         assert off.results[0].violation_set() == seq.results[0].violation_set()
 

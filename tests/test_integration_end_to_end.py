@@ -70,22 +70,3 @@ class TestMixedDeckModes:
         par = Engine(mode="parallel").check(ibex_layout, rules=deck)
         for a, b in zip(seq.results, par.results):
             assert a.violation_set() == b.violation_set(), a.rule.name
-
-
-class TestCompressionOnDesigns:
-    def test_design_buffers_compress_losslessly(self, ibex_layout):
-        import numpy as np
-
-        from repro.gpu.compression import compress_edge_buffer
-        from repro.hierarchy.edgepack import HierarchicalEdgePacker
-        from repro.hierarchy.tree import HierarchyTree
-
-        tree = HierarchyTree(ibex_layout)
-        pair = HierarchicalEdgePacker(tree, asap7.M1).buffer_of("top")
-        for buf in (pair.vertical, pair.horizontal):
-            compressed = compress_edge_buffer(buf)
-            assert compressed.nbytes < buf.nbytes
-            restored = compressed.decompress()
-            reference = buf.sorted_by_fixed()
-            assert np.array_equal(restored.fixed, reference.fixed)
-            assert np.array_equal(restored.poly, reference.poly)

@@ -2,7 +2,6 @@
 the synthesized benchmark designs (integration-grade invariants)."""
 
 from repro.hierarchy import HierarchyTree
-from repro.hierarchy.layerview import LayerView
 from repro.layout import compute_stats, count_flat_polygons, flatten, iter_flat_polygons
 from repro.workloads import asap7, build_design
 
@@ -39,17 +38,6 @@ class TestHierarchyOnDesigns:
             top_mbr = tree.top_mbr(layer)
             for polygon in polys:
                 assert top_mbr.contains_rect(polygon.mbr), layer
-
-    def test_layer_view_duplication_bounded(self, ibex_layout):
-        view = LayerView(ibex_layout)
-        assert view.duplication_factor() <= len(ibex_layout.layers())
-
-    def test_inverted_index_counts_definitions(self, ibex_layout):
-        view = LayerView(ibex_layout)
-        local_m1 = sum(
-            len(cell.polygons(asap7.M1)) for cell in ibex_layout.cells.values()
-        )
-        assert view.element_count(asap7.M1) == local_m1
 
     def test_top_level_items_cover_m2(self, ibex_layout):
         tree = HierarchyTree(ibex_layout)

@@ -60,8 +60,8 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
     out = run_python(
         "import sys, repro.cli\n"
         "print([m for m in ('numpy', 'repro.core.multiproc', 'repro.core.workerpool',"
-        " 'repro.core.parallel', 'repro.gpu', 'repro.workloads.designs',"
-        " 'repro.hierarchy.layerview', 'repro.spatial.rtree') if m in sys.modules])",
+        " 'repro.core.parallel', 'repro.gpu', 'repro.workloads.designs')"
+        " if m in sys.modules])",
         cwd=None,
     )
     assert out.strip() == "[]"
@@ -88,7 +88,7 @@ def test_reading_the_ledger_stream_never_imports_numpy(tmp_path):
 def test_public_names_still_resolve():
     run_python(
         "import repro as odrc\n"
-        "from repro.core import recheck, Engine, DEFAULT_BRUTE_FORCE_THRESHOLD\n"
+        "from repro.core import recheck, Engine, ENGINE_MODES\n"
         "from repro import rules, gdsii\n"
         "assert odrc.Engine is Engine and odrc.rules is rules\n"
         "assert callable(odrc.gdsii.read_layout) and callable(recheck)\n"
@@ -127,14 +127,13 @@ def test_a_parallel_check_never_imports_numpy_ma(workdir):
     process); the parallel mode counts its row segments without it. Nor
     does one process need what only the multiprocess backend uses: the
     shared-memory arena (``multiprocessing.shared_memory`` pulls in
-    ``socket`` and ``subprocess``) and buffer compression."""
+    ``socket`` and ``subprocess``)."""
     out = run_cli(
         ["check", "new.gds", "--top", "top", "--mode", "parallel", "--no-cache"],
         absent=[
             "numpy.ma",
             "multiprocessing.shared_memory",
             "repro.gpu.shmem",
-            "repro.gpu.compression",
         ],
         cwd=workdir,
         exit_code=1,

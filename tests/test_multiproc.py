@@ -14,16 +14,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DEFAULT_BRUTE_FORCE_THRESHOLD,
     Engine,
     EngineOptions,
     MultiprocessBackend,
     ParallelBackend,
     compile_plan,
     make_backend,
+    parallel,
 )
 from repro.core.rules import layer, polygons
 from repro.geometry import Polygon, Transform
+from repro.gpu import shmem
 from repro.gpu.shmem import INLINE_THRESHOLD, ShmArena
 from repro.layout import CellReference, Layout
 from repro.util.profile import PhaseProfile
@@ -248,15 +249,14 @@ class TestRowShardTask:
 
     # 24 sits between the row sizes of the spacing layout: both lanes launch.
     @pytest.mark.parametrize(
-        "threshold", [0, 24, DEFAULT_BRUTE_FORCE_THRESHOLD, 10 ** 9]
+        "threshold", [0, 24, parallel.BRUTE_FORCE_THRESHOLD, 10 ** 9]
     )
     @pytest.mark.parametrize("kind", sorted(ROW_TASK_CASES))
-    def test_two_way_row_splits_match_the_unsplit_run(self, kind, threshold):
+    def test_two_way_row_splits_match_the_unsplit_run(self, kind, threshold, monkeypatch):
+        monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", threshold)
         build, rule = ROW_TASK_CASES[kind]
         layout = build()
-        options = EngineOptions(
-            mode="parallel", brute_force_threshold=threshold, use_cache=False
-        )
+        options = EngineOptions(mode="parallel", use_cache=False)
         whole = ParallelBackend(compile_plan(layout, [rule], options))
         expected = Counter(whole.run(rule))
         expected_stats = whole.stats()
@@ -267,8 +267,7 @@ class TestRowShardTask:
 
         backend = MultiprocessBackend(
             compile_plan(layout, [rule], EngineOptions(
-                mode="multiproc", jobs=2, brute_force_threshold=threshold,
-                use_cache=False,
+                mode="multiproc", jobs=2, use_cache=False
             ))
         )
         local = backend._local_backend()
@@ -342,7 +341,7 @@ class TestStats:
         assert report.results[0].stats["mp_shm_bytes"] > 0
 
     def test_inline_transport_when_shm_disabled(self, uart_layout, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_SHM", "0")
+        monkeypatch.setattr(shmem, "shm_enabled", lambda: False)
         deck = [asap7.spacing_rule(asap7.M2)]
         report = run(uart_layout, deck, jobs=2)
         reference = Engine(mode="sequential").check(uart_layout, rules=deck)
@@ -400,8 +399,8 @@ class TestShmArena:
         arena.seal()
         arena.dispose()
 
-    def test_disabled_env_inlines_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_SHM", "0")
+    def test_no_shared_memory_inlines_everything(self, monkeypatch):
+        monkeypatch.setattr(shmem, "shm_enabled", lambda: False)
         arena = ShmArena()
         big = np.arange(4096, dtype=np.int64)
         assert big.nbytes >= INLINE_THRESHOLD

@@ -21,6 +21,7 @@ from repro.core.packstore import (
     resolve_store,
     store_key,
 )
+from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.hierarchy.edgepack import (
     RectBuffer,
@@ -80,11 +81,46 @@ class TestContentKeys:
             "partition", digest, margin_for_rule(24)
         )
 
-    def test_use_rows_flag_changes_the_key(self):
+    def test_keys_are_pinned(self, tmp_path):
+        """A cache directory an earlier build wrote still hits: the keys of a
+        fixed layout and deck are golden digests. A change to any of them
+        makes every existing store miss once; it must be deliberate (bump
+        ``FORMAT_VERSION`` and update these)."""
+        from repro.core.parallel import ParallelBackend
+        from repro.core.plan import compile_plan
+
         digest = layer_geometry_digest(HierarchyTree(small_layout()), 1)
-        assert store_key("fused-edges", digest, True, 9) != store_key(
-            "fused-edges", digest, False, 9
+        assert digest == (
+            "21c782081db90f540358ba952b26dce291340e302c8f8809f2316120ca091f40"
         )
+        partition = "797a3a8275870a9e977f655c88167e807d96173ca83e808c5934e78771380ce5"
+        fused = "a5917aea6f7d58fc7885d5c74e3ea79f311daab2ee61f4201d8417f299a265a1"
+        assert store_key("partition", digest, margin_for_rule(9)) == partition
+        rule = layer(1).spacing().greater_than(9)
+        backend = ParallelBackend(compile_plan(
+            small_layout(), [rule], EngineOptions(mode="parallel", use_cache=False)
+        ))
+        assert backend._store_key("fused-edges", 1, 9) == fused
+
+        deck = [
+            rule,
+            layer(1).corner_spacing().greater_than(9),
+            layer(2).enclosure(layer(1)).greater_than(3),
+            layer(1).width().greater_than(5),
+        ]
+        Engine(options=EngineOptions(mode="parallel", cache_dir=str(tmp_path))).check(
+            small_layout(), rules=deck
+        )
+        assert sorted(p.stem for p in tmp_path.rglob("*.pack")) == sorted([
+            "37555f3a6b72b2bf24bec019247b3d486fadbaefc18e99d2f0670cec86e307d2",
+            "4223544966cc812995377b6eadd5f2eccd04f4d8803b41eadf4d872f3599b0f8",
+            partition,
+            fused,
+            "bdf9722af51812068bcb742561a842e2b3e96bb731dc6a4a74a03acff86bdfee",
+        ])
+        assert [p.stem for p in (tmp_path / "reports").glob("*.json")] == [
+            "914e3f69de03472e9eada5678aae8d600f60530415f1cc741471f5846de7abf3"
+        ]
 
     def test_reordering_layers_changes_the_key(self):
         tree = HierarchyTree(small_layout())

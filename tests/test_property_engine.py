@@ -100,11 +100,12 @@ class TestModeEquivalence:
     @COMMON_SETTINGS
     @given(layouts())
     def test_rows_on_off_equivalent(self, layout):
-        from repro.core import EngineOptions
+        from unittest import mock
+
+        from repro.core.parallel import ParallelBackend
 
         rule = layer(LAYER).spacing().greater_than(9)
         on = Engine(mode="parallel").check(layout, rules=[rule])
-        off = Engine(options=EngineOptions(mode="parallel", use_rows=False)).check(
-            layout, rules=[rule]
-        )
+        with mock.patch.object(ParallelBackend, "use_rows", False):
+            off = Engine(mode="parallel").check(layout, rules=[rule])
         assert on.results[0].violation_set() == off.results[0].violation_set()

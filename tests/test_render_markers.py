@@ -12,7 +12,6 @@ from repro.core.markers import (
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect
 from repro.layout import Layout
-from repro.util.render import render_window
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
 
@@ -75,53 +74,6 @@ class TestMarkers:
         assert diff["M2.W.1"]["fixed"] == 2
         same = diff_markers(report, report)
         assert all(d["fixed"] == 0 and d["new"] == 0 for d in same.values())
-
-
-class TestRender:
-    def test_basic_render(self):
-        layout = Layout("r")
-        top = layout.new_cell("top")
-        top.add_polygon(1, Polygon.from_rect_coords(0, 0, 50, 20))
-        top.add_polygon(2, Polygon.from_rect_coords(40, 10, 90, 40))
-        layout.set_top("top")
-        text = render_window(layout, Rect(0, 0, 100, 50), width=20, height=10)
-        assert "a=L1" in text and "b=L2" in text
-        assert "a" in text and "b" in text
-        assert "#" in text  # the overlap region
-
-    def test_violations_drawn(self):
-        layout = Layout("rv")
-        top = layout.new_cell("top")
-        top.add_polygon(1, Polygon.from_rect_coords(0, 0, 40, 10))
-        top.add_polygon(1, Polygon.from_rect_coords(0, 14, 40, 24))
-        layout.set_top("top")
-        report = Engine(mode="sequential").check(
-            layout, rules=[layer(1).spacing().greater_than(8)]
-        )
-        text = render_window(
-            layout,
-            Rect(0, 0, 40, 24),
-            width=20,
-            height=12,
-            violations=report.results[0].violations,
-        )
-        assert "X" in text
-
-    def test_empty_window_rejected(self):
-        layout = Layout("e")
-        layout.new_cell("top")
-        layout.set_top("top")
-        with pytest.raises(ValueError):
-            render_window(layout, Rect(0, 0, 0, 10))
-
-    def test_rows_top_down(self):
-        layout = Layout("o")
-        top = layout.new_cell("top")
-        top.add_polygon(1, Polygon.from_rect_coords(0, 90, 100, 100))  # at the top
-        layout.set_top("top")
-        text = render_window(layout, Rect(0, 0, 100, 100), width=10, height=10)
-        lines = text.splitlines()[1:]
-        assert "a" in lines[0] and "a" not in lines[-1]
 
 
 class TestWaivers:

@@ -1,6 +1,13 @@
 import pytest
 
-from repro.core.rules import Rule, RuleKind, layer, polygons, validate_rules
+from repro.core.rules import (
+    Rule,
+    RuleKind,
+    layer,
+    load_deck_file,
+    polygons,
+    validate_rules,
+)
 from repro.errors import RuleError
 from repro.geometry import Polygon
 
@@ -86,6 +93,52 @@ class TestValidation:
         validate_rules(
             [layer(19).width().greater_than(18), layer(20).width().greater_than(18)]
         )
+
+
+#: name -> (deck file contents, or None for no file, or "/" for a
+#: directory; fragment of the error naming why it cannot be used).
+UNUSABLE_DECKS = {
+    "missing": (None, "cannot read deck"),
+    "directory": ("/", "cannot read deck"),
+    "syntax error": ("RULES = [\n", "cannot read deck"),
+    "raises": ("RULES = [undefined_name]\n", "cannot read deck"),
+    "no RULES": ("DECK = []\n", "must define RULES"),
+    "RULES not a list": ("RULES = 'not a list'\n", "must define RULES"),
+    "RULES not rules": ("RULES = [1, 2]\n", "must define RULES"),
+}
+
+
+def write_unusable_deck(tmp_path, case):
+    """Create the deck file ``case`` names under ``tmp_path``; return its
+    path and the error fragment a loader must report for it."""
+    contents, fragment = UNUSABLE_DECKS[case]
+    path = tmp_path / "deck.py"
+    if contents == "/":
+        path.mkdir()
+    elif contents is not None:
+        path.write_text(contents)
+    return str(path), fragment
+
+
+class TestDeckFile:
+    def test_rules_load_in_file_order(self, tmp_path):
+        path = tmp_path / "deck.py"
+        path.write_text(
+            "from repro.core.rules import layer, polygons\n"
+            "RULES = [polygons().is_rectilinear().named('SHAPE'),\n"
+            "         layer(19).width().greater_than(18).named('W')]\n"
+        )
+        rules = load_deck_file(str(path))
+        assert [rule.name for rule in rules] == ["SHAPE", "W"]
+        assert [rule.kind for rule in rules] == [RuleKind.RECTILINEAR, RuleKind.WIDTH]
+
+    @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
+    def test_unusable_deck_is_a_rule_error(self, tmp_path, case):
+        path, fragment = write_unusable_deck(tmp_path, case)
+        with pytest.raises(RuleError) as excinfo:
+            load_deck_file(path)
+        assert fragment in str(excinfo.value)
+        assert path in str(excinfo.value)
 
 
 class TestListing1OnDatabase:

@@ -1,178 +1,44 @@
+import itertools
+import random
+
 import pytest
 
-from repro.core import Engine
+from repro.core.plan import infer_rule_dependencies
 from repro.core.rules import layer, polygons
 from repro.core.scheduler import (
-    ScheduleAnalysis,
-    SchedulerError,
-    Task,
-    TaskGraph,
-    build_rule_graph,
+    SHARD_OVERSUBSCRIPTION,
+    greedy_balanced_shards,
+    round_robin_interleave,
+    shard_count,
 )
-from repro.geometry import Polygon
-from repro.layout import Layout
 
 
-def make_task(name, seconds=0.0, deps=()):
-    return Task(name, lambda: name, list(deps), seconds=seconds)
-
-
-class TestTaskGraph:
-    def test_topological_order(self):
-        graph = TaskGraph()
-        graph.add_task("c", lambda: None, depends_on=["b"])
-        graph.add_task("a", lambda: None)
-        graph.add_task("b", lambda: None, depends_on=["a"])
-        order = [t.name for t in graph.topological_order()]
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_duplicate_name_rejected(self):
-        graph = TaskGraph()
-        graph.add_task("a", lambda: None)
-        with pytest.raises(SchedulerError):
-            graph.add_task("a", lambda: None)
-
-    def test_unknown_dependency_rejected(self):
-        graph = TaskGraph()
-        graph.add_task("a", lambda: None, depends_on=["ghost"])
-        with pytest.raises(SchedulerError):
-            graph.topological_order()
-
-    def test_cycle_rejected(self):
-        graph = TaskGraph()
-        graph.add_task("a", lambda: None, depends_on=["b"])
-        graph.add_task("b", lambda: None, depends_on=["a"])
-        with pytest.raises(SchedulerError):
-            graph.topological_order()
-
-    def test_execute_runs_dependencies_first(self):
-        log = []
-        graph = TaskGraph()
-        graph.add_task("second", lambda: log.append("second"), depends_on=["first"])
-        graph.add_task("first", lambda: log.append("first"))
-        analysis = graph.execute()
-        assert log == ["first", "second"]
-        assert all(t.done for t in analysis.tasks)
-
-    def test_results_captured(self):
-        graph = TaskGraph()
-        graph.add_task("answer", lambda: 42)
-        graph.execute()
-        assert graph.task("answer").result == 42
-
-
-class TestScheduleAnalysis:
-    def test_serial_and_critical_path(self):
-        tasks = [
-            make_task("a", 1.0),
-            make_task("b", 2.0, deps=["a"]),
-            make_task("c", 3.0),
-        ]
-        analysis = ScheduleAnalysis(tasks)
-        assert analysis.serial_seconds == pytest.approx(6.0)
-        assert analysis.critical_path_seconds() == pytest.approx(3.0)
-
-    def test_makespan_one_worker_is_serial(self):
-        tasks = [make_task("a", 1.0), make_task("b", 2.0)]
-        assert ScheduleAnalysis(tasks).makespan(1) == pytest.approx(3.0)
-
-    def test_makespan_independent_tasks_parallelize(self):
-        tasks = [make_task(f"t{i}", 1.0) for i in range(4)]
-        analysis = ScheduleAnalysis(tasks)
-        assert analysis.makespan(4) == pytest.approx(1.0)
-        assert analysis.makespan(2) == pytest.approx(2.0)
-
-    def test_makespan_respects_dependencies(self):
-        tasks = [make_task("a", 1.0), make_task("b", 1.0, deps=["a"])]
-        # A chain cannot parallelize.
-        assert ScheduleAnalysis(tasks).makespan(8) == pytest.approx(2.0)
-
-    def test_makespan_never_below_critical_path(self):
-        tasks = [
-            make_task("a", 2.0),
-            make_task("b", 1.0, deps=["a"]),
-            make_task("c", 1.0),
-            make_task("d", 1.0),
-        ]
-        analysis = ScheduleAnalysis(tasks)
-        for workers in (1, 2, 4, 8):
-            assert analysis.makespan(workers) >= analysis.critical_path_seconds() - 1e-12
-
-    def test_empty(self):
-        analysis = ScheduleAnalysis([])
-        assert analysis.makespan(4) == 0.0
-        assert analysis.critical_path_seconds() == 0.0
-
-    def test_bad_worker_count(self):
-        with pytest.raises(SchedulerError):
-            ScheduleAnalysis([make_task("a")]).makespan(0)
-
-    def test_summary_renders(self):
-        text = ScheduleAnalysis([make_task("a", 0.01)]).summary()
-        assert "critical path" in text and "workers" in text
-
-
-class TestRuleGraph:
+class TestRuleDependencies:
     def test_shape_rule_gates_layer_rules(self):
         deck = [
             layer(1).polygons().is_rectilinear().named("SHAPE1"),
             layer(1).width().greater_than(5).named("W1"),
             layer(2).width().greater_than(5).named("W2"),
         ]
-        graph = build_rule_graph(deck, lambda r: None)
-        assert graph.task("W1").depends_on == ["SHAPE1"]
-        assert graph.task("W2").depends_on == []
+        deps = infer_rule_dependencies(deck)
+        assert deps == {"SHAPE1": (), "W1": ("SHAPE1",), "W2": ()}
 
     def test_global_shape_rule_gates_everything(self):
         deck = [
             polygons().is_rectilinear().named("SHAPE"),
             layer(1).width().greater_than(5).named("W1"),
         ]
-        graph = build_rule_graph(deck, lambda r: None)
-        assert graph.task("W1").depends_on == ["SHAPE"]
-
-    def test_engine_integration(self):
-        layout = Layout("tg")
-        top = layout.new_cell("top")
-        top.add_polygon(1, Polygon.from_rect_coords(0, 0, 4, 100))
-        layout.set_top("top")
-        deck = [
-            polygons().is_rectilinear(),
-            layer(1).width().greater_than(10),
-            layer(1).area().greater_than(10_000),
-        ]
-        report, analysis = Engine(mode="sequential").check_with_task_graph(
-            layout, rules=deck, workers=2
-        )
-        assert report.total_violations == 2  # width + area
-        assert len(analysis.tasks) == 3
-        assert analysis.makespan(2) <= analysis.serial_seconds + 1e-12
-        # Report keeps the deck order, not execution order.
-        assert [r.rule.name for r in report.results] == [r.name for r in deck]
-
-    def test_engine_task_graph_matches_plain_check(self, uart_layout):
-        from repro.workloads import asap7
-
-        deck = asap7.full_deck()
-        engine = Engine(mode="sequential")
-        plain = engine.check(uart_layout, rules=deck)
-        graph_report, _ = engine.check_with_task_graph(uart_layout, rules=deck)
-        for a, b in zip(plain.results, graph_report.results):
-            assert a.violation_set() == b.violation_set()
+        assert infer_rule_dependencies(deck)["W1"] == ("SHAPE",)
 
 
 class TestShards:
     def test_lpt_balance(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         shards = greedy_balanced_shards([10, 9, 8, 1, 1, 1], 2)
         totals = sorted(sum((10, 9, 8, 1, 1, 1)[i] for i in s) for s in shards)
         # LPT places each row into the lightest shard: 13/17, never 27/3.
         assert totals == [13, 17]
 
     def test_deterministic_and_sorted_members(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         weights = [3, 7, 2, 7, 5, 1, 4]
         first = greedy_balanced_shards(weights, 3)
         assert first == greedy_balanced_shards(weights, 3)
@@ -180,44 +46,83 @@ class TestShards:
             assert shard == sorted(shard)
 
     def test_every_weighted_item_assigned_once(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         weights = [4, 0, 2, 9, 0, 1]
         shards = greedy_balanced_shards(weights, 2)
         members = sorted(i for shard in shards for i in shard)
         assert members == [0, 2, 3, 5]  # zero-weight rows dropped
 
     def test_all_zero_weights_yield_no_shards(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         assert greedy_balanced_shards([0, 0, 0], 4) == []
 
     def test_bad_shard_request(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
-        with pytest.raises(SchedulerError):
+        with pytest.raises(ValueError):
             greedy_balanced_shards([1, 2], 0)
 
     def test_empty_weights_yield_no_shards(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         assert greedy_balanced_shards([], 4) == []
 
     def test_single_weighted_item_single_shard(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         # One weighted row must never fan out into empty sibling shards.
         assert greedy_balanced_shards([7], 4) == [[0]]
         assert greedy_balanced_shards([0, 7, 0], 4) == [[1]]
 
     def test_single_shard_takes_every_item(self):
-        from repro.core.scheduler import greedy_balanced_shards
-
         assert greedy_balanced_shards([3, 1, 2], 1) == [[0, 1, 2]]
 
     def test_shard_count_oversubscribes(self):
-        from repro.core.scheduler import SHARD_OVERSUBSCRIPTION, shard_count
-
         assert shard_count(100, 4) == 4 * SHARD_OVERSUBSCRIPTION
         assert shard_count(3, 4) == 3  # never more shards than rows
         assert shard_count(0, 4) == 1
+
+    def test_shard_count_rejects_no_jobs(self):
+        with pytest.raises(ValueError):
+            shard_count(10, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lpt_within_four_thirds_of_optimal(self, seed):
+        rng = random.Random(seed)
+        weights = [rng.randint(0, 20) for _ in range(rng.randint(2, 8))]
+        num_shards = rng.randint(2, 3)
+        shards = greedy_balanced_shards(weights, num_shards)
+        weighted = sorted(i for i, w in enumerate(weights) if w > 0)
+        assert sorted(i for shard in shards for i in shard) == weighted
+        loads = [sum(weights[i] for i in shard) for shard in shards]
+        assert loads == sorted(loads, reverse=True)  # heaviest shard first
+        optimal = min(
+            max(
+                sum(w for w, s in zip(weights, assignment) if s == shard)
+                for shard in range(num_shards)
+            )
+            for assignment in itertools.product(range(num_shards), repeat=len(weights))
+        )
+        assert 3 * max(loads, default=0) <= 4 * optimal
+
+
+class TestRoundRobinInterleave:
+    def test_takes_one_item_from_each_in_turn(self):
+        merged = round_robin_interleave([["a1", "a2", "a3"], ["b1", "b2"]])
+        assert merged == ["a1", "b1", "a2", "b2", "a3"]
+
+    def test_empty_sequences_are_skipped(self):
+        assert round_robin_interleave([[], [1, 2], []]) == [1, 2]
+        assert round_robin_interleave([]) == []
+        assert round_robin_interleave([[], []]) == []
+
+    def test_accepts_any_iterable_sequence(self):
+        assert round_robin_interleave([(1, 2), range(10, 12)]) == [1, 10, 2, 11]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keeps_each_sequence_in_order(self, seed):
+        rng = random.Random(seed)
+        sequences = [
+            [(owner, k) for k in range(rng.randint(0, 6))]
+            for owner in range(rng.randint(1, 5))
+        ]
+        merged = round_robin_interleave(sequences)
+        assert sorted(merged) == sorted(item for seq in sequences for item in seq)
+        for owner, seq in enumerate(sequences):
+            assert [item for item in merged if item[0] == owner] == seq
+        # No requester gets a second item in a round before every requester
+        # still holding items has had one.
+        rounds = [k for _, k in merged]
+        assert rounds == sorted(rounds)

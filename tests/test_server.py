@@ -41,6 +41,7 @@ from .test_recheck import (
     edit_remove_top_polygon,
     edit_stdcell_definition,
 )
+from .test_rules_dsl import UNUSABLE_DECKS, write_unusable_deck
 
 
 @pytest.fixture()
@@ -700,6 +701,39 @@ class TestHTTP:
             client._request("GET", "/no/such/route")
         assert excinfo.value.status == 404
 
+    def test_a_multi_root_upload_is_a_typed_400(self, served, dirty_gds, caplog):
+        client = ServeClient(served.url)
+        with open(dirty_gds, "rb") as fh:
+            data = fh.read()
+        with pytest.raises(ClientError) as excinfo:
+            client.create_session(data=data)  # no top=
+        assert excinfo.value.status == 400
+        assert (
+            "has 2 root cells (AOI21x1, top); pick the one to check with --top/top="
+            in str(excinfo.value)
+        )
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
+    def test_a_missing_deck_is_a_typed_400(self, served, dirty_gds, caplog):
+        client = ServeClient(served.url)
+        with pytest.raises(ClientError) as excinfo:
+            client.create_session(path=dirty_gds, top="top", deck="/missing.py")
+        assert excinfo.value.status == 400
+        assert "cannot read deck /missing.py" in str(excinfo.value)
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
+    def test_an_unusable_deck_is_a_typed_400(
+        self, served, dirty_gds, tmp_path, case, caplog
+    ):
+        deck, fragment = write_unusable_deck(tmp_path, case)
+        client = ServeClient(served.url)
+        with pytest.raises(ClientError) as excinfo:
+            client.create_session(path=dirty_gds, top="top", deck=deck)
+        assert excinfo.value.status == 400
+        assert fragment in str(excinfo.value) and deck in str(excinfo.value)
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
     def test_delete_and_sessions_listing(self, served, dirty_gds):
         client = ServeClient(served.url)
         info = client.create_session(path=dirty_gds, top="top")
@@ -825,6 +859,15 @@ class TestCLIServer:
     def test_unreachable_server_exits_cleanly(self, dirty_gds):
         with pytest.raises(SystemExit):
             main(["check", dirty_gds, "--server", "http://127.0.0.1:1"])
+
+    def test_a_missing_top_reads_as_the_local_error(self, dirty_gds, capsys):
+        with start_server(ServerState()) as handle:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["check", dirty_gds, "--server", handle.url])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "pick the one to check with --top/top=" in err
 
 
 class TestAdmissionScheduler:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repro.geometry import EMPTY_RECT, Rect
-from repro.spatial.rtree import RTree
+from benchmarks.rtree import RTree
 
 
 def random_entries(seed, n=200, extent=1000):

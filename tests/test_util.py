@@ -7,45 +7,8 @@ from repro.util import (
     PHASE_PARTITION,
     PHASE_SWEEPLINE,
     PhaseProfile,
-    Timer,
-    format_seconds,
-    format_table,
-    geometric_mean,
     get_logger,
-    normalized_row,
-    time_call,
 )
-
-
-class TestTimer:
-    def test_accumulates_across_cycles(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.002)
-        first = timer.elapsed
-        with timer:
-            time.sleep(0.002)
-        assert timer.elapsed > first
-
-    def test_double_start_rejected(self):
-        timer = Timer().start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0 and not timer.running
-
-    def test_time_call(self):
-        result, seconds = time_call(lambda a, b: a + b, 2, 3)
-        assert result == 5 and seconds >= 0
 
 
 class TestPhaseProfile:
@@ -92,27 +55,6 @@ class TestPhaseProfile:
         assert PhaseProfile().fractions() == []
 
 
-class TestReportHelpers:
-    def test_format_seconds_paper_style(self):
-        assert format_seconds(0.004) == "< 0.01"
-        assert format_seconds(0.12) == "0.12"
-
-    def test_format_table_alignment(self):
-        text = format_table(
-            ["design", "runtime"], [["uart", 0.12], ["jpeg", 3.5]], title="T"
-        )
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "design" in lines[1] and "uart" in lines[3]
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0.0, 4.0]) == pytest.approx(4.0)  # zeros skipped
-
-    def test_normalized_row(self):
-        row = normalized_row([2.0, 1.0, 4.0], baseline_index=1)
-        assert row == ["200.0%", "100.0%", "400.0%"]
-
+class TestLogger:
     def test_logger(self):
         assert get_logger("bench").name == "repro.bench"
