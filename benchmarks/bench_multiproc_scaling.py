@@ -15,7 +15,11 @@ measurements are recorded:
 * **Warm and routing rows**: for each design, the first (cold) vs. the
   second (warm) check on one ``Engine``, whose pool stays alive between
   them (the fix-loop regime), and the cost-model-routed vs.
-  everything-through-the-pool wall clocks.
+  every-row-shard-through-the-pool wall clocks. Only row-kind rules
+  (spacing, corner spacing, enclosure) ever reach the pool; every other
+  rule runs in the parent. The all-pool row blinds the cost model
+  (``CostModel.estimate_kind`` answers None), which is the status-quo
+  routing of an uncalibrated model.
 
 Run directly (``python -m benchmarks.bench_multiproc_scaling``) or through
 pytest.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from unittest import mock
 
 from benchmarks.common import SCALE, design, write_bench_json
 from repro.core import Engine, EngineOptions, costmodel, workerpool
@@ -82,7 +87,7 @@ def run_curve(design_name: str) -> dict:
     return {"design": design_name, "scale": SCALE, "points": points}
 
 
-def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
+def _warm_pair(layout, deck, jobs: int, *, routed: bool = True):
     """(cold_seconds, warm_seconds, warm_report): the first and the second
     check on one engine, which holds its worker pool between them.
 
@@ -90,18 +95,19 @@ def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
     cold number really is cold and calibration (the cost model persists in
     the cache) only helps the warm check. The report store is emptied
     between the two, or it would answer the second check without running it.
+    ``routed=False`` sends every row shard through the pool.
     """
     workerpool.shutdown_pools()
     costmodel.reset_models()
+    blind = mock.patch.object(
+        costmodel.CostModel, "estimate_kind", return_value=None
+    )
     with tempfile.TemporaryDirectory(prefix="bench-warm-") as cache:
         engine = Engine(
-            options=EngineOptions(
-                mode="multiproc",
-                jobs=jobs,
-                cost_model=cost_model,
-                cache_dir=cache,
-            )
+            options=EngineOptions(mode="multiproc", jobs=jobs, cache_dir=cache)
         )
+        if not routed:
+            blind.start()
         try:
             start = time.perf_counter()
             first = engine.check(layout, rules=deck)
@@ -112,6 +118,8 @@ def _warm_pair(layout, deck, jobs: int, *, cost_model: bool = True):
             warm = time.perf_counter() - start
         finally:
             engine.close()
+            if not routed:
+                blind.stop()
     if second.to_csv() != first.to_csv():
         raise AssertionError("warm re-check report differs from cold check")
     return cold, warm, second
@@ -141,10 +149,10 @@ def run_warm_rows(design_name: str) -> dict:
             }
         )
     routed_cold, routed, routed_report = _warm_pair(
-        layout, deck, SPEEDUP_AT_JOBS, cost_model=True
+        layout, deck, SPEEDUP_AT_JOBS, routed=True
     )
     pooled_cold, pooled, pooled_report = _warm_pair(
-        layout, deck, SPEEDUP_AT_JOBS, cost_model=False
+        layout, deck, SPEEDUP_AT_JOBS, routed=False
     )
     if routed_report.to_csv() != pooled_report.to_csv():
         raise AssertionError(f"{design_name}: routing changed the report")

@@ -86,9 +86,9 @@ def _run_level(workloads: dict, max_concurrent: int) -> dict:
             name: client.create_session(path=item["path"], top=TOP)["session"]
             for name, item in workloads.items()
         }
-        # Warm up: each session pays its plan compile + pool spool once,
-        # outside the timed region, exactly like a resident daemon's
-        # steady state.
+        # Warm up: each session pays its plan compile and the pool its
+        # worker spawn once, outside the timed region, exactly like a
+        # resident daemon's steady state.
         for name, sid in sessions.items():
             response = client.check(sid)
             assert (

@@ -152,7 +152,6 @@ def _engine_options(args: argparse.Namespace) -> EngineOptions:
             use_cache=not args.no_cache,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
-            cost_model=args.cost_model,
         )
     except ValueError as error:
         raise _input_error(str(error)) from None
@@ -317,6 +316,11 @@ def _served_check(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.server:
         return _served_check(args)
+    if args.jobs is not None and args.jobs > 1 and args.mode not in (None, "multiproc"):
+        raise _input_error(
+            f"--jobs {args.jobs} needs --mode multiproc; --mode {args.mode} "
+            "runs in one process"
+        )
     from .core.engine import Engine
 
     layout = _read(args.file, args.top)
@@ -659,25 +663,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pool_args(parser: argparse.ArgumentParser) -> None:
-    cost = parser.add_mutually_exclusive_group()
-    cost.add_argument(
-        "--cost-model",
-        dest="cost_model",
-        action="store_true",
-        default=True,
-        help="route sub-break-even rules inline and size shards from "
-        "calibrated dispatch costs (default)",
-    )
-    cost.add_argument(
-        "--no-cost-model",
-        dest="cost_model",
-        action="store_false",
-        help="disable cost-model routing: every eligible rule uses the pool "
-        "with the static shard count",
-    )
-
-
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -752,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--breakdown", action="store_true", help="print per-rule phase breakdowns"
     )
     _add_fault_args(check)
-    _add_pool_args(check)
     _add_cache_args(check)
     check.set_defaults(func=cmd_check)
 
@@ -808,7 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_JOBS or 1)",
     )
     _add_fault_args(re_check)
-    _add_pool_args(re_check)
     _add_cache_args(re_check)
     re_check.set_defaults(func=cmd_recheck)
 
@@ -934,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default: min(jobs, 2))",
     )
     _add_fault_args(serve)
-    _add_pool_args(serve)
     _add_cache_args(serve)
     serve.set_defaults(func=cmd_serve)
 

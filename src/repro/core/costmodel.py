@@ -1,17 +1,17 @@
 """A calibrated cost model for multiprocess work routing.
 
-The multiprocess backend (PR 3) pays a fixed dispatch price per pool task:
+The multiprocess backend pays a fixed dispatch price per pool task:
 pickling the payload, a queue round trip, and the result pickle on the way
 back. On large rules that price is noise; on small ones it exceeds the
 work itself, which is how jobs=4 managed to *lose* to jobs=1. This module
 learns both sides of that trade from measurements the engine already makes
-and answers two questions per rule:
+and answers two questions per row-sharded rule:
 
 * **route** — is the estimated compute worth fanning out at all, or should
   the parent run it inline? The break-even test compares the parallel
-  saving ``est * (1 - 1/jobs)`` against the dispatch bill for the tasks
-  the fan-out would issue (one for a rule-granular task, ~``jobs`` for a
-  sharded batch), with a safety factor so borderline rules stay inline.
+  saving ``est * (1 - 1/jobs)`` against the dispatch bill for the ~``jobs``
+  tasks a sharded batch issues, with a safety factor so borderline rules
+  stay inline.
 * **granularity** — when pooling does win, how many shards amortize the
   per-task dispatch cost without giving up LPT balance? Shards are sized
   so each carries at least :data:`TARGET_DISPATCH_MULTIPLE` times the
@@ -23,14 +23,11 @@ Calibration inputs:
 * ``observe_dispatch`` — a measured no-op pool round trip
   (:meth:`repro.core.workerpool.WorkerPool.dispatch_seconds`);
 * ``observe_kind`` — compute seconds per weight unit (edges, corners,
-  rects) for the row-sharded kinds, folded into an EWMA per kind;
-* ``observe_rule`` — whole-rule compute seconds for rule-granular tasks,
-  keyed by a geometry-digest-qualified rule key so estimates never leak
-  between different layouts that happen to share rule names.
+  rects) for the row-sharded kinds, folded into an EWMA per kind.
 
-An **uncalibrated model changes nothing**: with no estimate for a rule the
+An **uncalibrated model changes nothing**: with no estimate for a kind the
 backend keeps the status-quo behaviour (pool it, ``scheduler.shard_count``
-granularity), so the first occurrence of any rule always produces a fresh
+granularity), so the first occurrence of any kind always produces a fresh
 observation and fault-injection tests keep their exact counter semantics.
 
 With a persistent :class:`~repro.core.packstore.PackStore` configured, the
@@ -87,17 +84,14 @@ TARGET_DISPATCH_MULTIPLE = 25.0
 #: with the most recent deck, which is what a warm service wants).
 EWMA_ALPHA = 0.5
 
-#: Persisted per-rule entries are capped to bound the sidecar file.
-MAX_RULE_ENTRIES = 512
-
 
 class CostModel:
-    """Learned dispatch overhead + per-kind rates + per-rule costs.
+    """Learned dispatch overhead + per-kind rates.
 
     Thread-safety: with a persistent store the model is shared by every
     concurrent request of a serve daemon, so calibration writes (the
-    read-modify-write EWMA folds, the LRU eviction in ``observe_rule``, and
-    the ``save`` snapshot) take an instance lock. The estimate readers stay
+    read-modify-write EWMA folds and the ``save`` snapshot) take an
+    instance lock. The estimate readers stay
     lock-free on purpose — each is a single dict read (atomic under the
     GIL) and a stale-by-one-sample estimate only shades a routing decision,
     never correctness.
@@ -110,8 +104,6 @@ class CostModel:
         self.dispatch_seconds: Optional[float] = None
         #: Rule kind -> EWMA of compute seconds per weight unit.
         self.rates: Dict[str, float] = {}
-        #: Qualified rule key -> EWMA of whole-rule compute seconds.
-        self.rules: Dict[str, float] = {}
 
     # -- calibration --------------------------------------------------------
 
@@ -137,19 +129,6 @@ class CostModel:
                 else (1.0 - EWMA_ALPHA) * previous + EWMA_ALPHA * rate
             )
 
-    def observe_rule(self, key: str, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        with self._lock:
-            previous = self.rules.pop(key, None)
-            self.rules[key] = (
-                seconds
-                if previous is None
-                else (1.0 - EWMA_ALPHA) * previous + EWMA_ALPHA * seconds
-            )
-            while len(self.rules) > MAX_RULE_ENTRIES:
-                self.rules.pop(next(iter(self.rules)))
-
     # -- estimates ----------------------------------------------------------
 
     def overhead(self) -> float:
@@ -164,26 +143,19 @@ class CostModel:
             return None
         return rate * weight
 
-    def estimate_rule(self, key: str) -> Optional[float]:
-        return self.rules.get(key)
-
     # -- routing ------------------------------------------------------------
 
-    def worth_pooling(
-        self, est_seconds: float, jobs: int, tasks: int = 1
-    ) -> bool:
+    def worth_pooling(self, est_seconds: float, jobs: int) -> bool:
         """Does fanning ``est_seconds`` of compute out to ``jobs`` pay?
 
         The most the pool can save is ``est * (1 - 1/jobs)``; the bill is
-        one dispatch per task issued. ``tasks`` is how many dispatches the
-        fan-out would actually make: 1 for a rule-granular task (the
-        default), ~``jobs`` for a sharded batch. Require the saving to
-        beat the bill by :data:`BREAK_EVEN_SAFETY`.
+        one dispatch per worker (a sharded batch issues ~``jobs`` tasks).
+        Require the saving to beat the bill by :data:`BREAK_EVEN_SAFETY`.
         """
         if jobs <= 1:
             return False
         saving = est_seconds * (1.0 - 1.0 / jobs)
-        return saving > BREAK_EVEN_SAFETY * self.overhead() * max(1, tasks)
+        return saving > BREAK_EVEN_SAFETY * self.overhead() * jobs
 
     def plan_shards(self, est_seconds: float, num_items: int, jobs: int) -> int:
         """Shard count that amortizes dispatch without losing LPT balance."""
@@ -203,12 +175,11 @@ class CostModel:
             return
         with self._lock:
             # Snapshot under the lock so a concurrent observe_* fold cannot
-            # mutate the dicts mid-serialization.
+            # mutate the dict mid-serialization.
             payload = {
                 "version": FORMAT_VERSION,
                 "dispatch_seconds": self.dispatch_seconds,
                 "rates": dict(self.rates),
-                "rules": dict(list(self.rules.items())[-MAX_RULE_ENTRIES:]),
             }
         root = os.path.dirname(self.path) or "."
         try:
@@ -224,7 +195,11 @@ class CostModel:
 
     @classmethod
     def load(cls, path: str) -> "CostModel":
-        """Read a calibration sidecar; anything malformed yields a fresh model."""
+        """Read a calibration sidecar; anything malformed yields a fresh model.
+
+        Keys this version does not read (older files carry a per-rule
+        ``rules`` map) are ignored, so a warm calibration survives.
+        """
         model = cls(path=path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -236,12 +211,11 @@ class CostModel:
         dispatch = payload.get("dispatch_seconds")
         if isinstance(dispatch, (int, float)) and dispatch > 0:
             model.dispatch_seconds = float(dispatch)
-        for field, target in (("rates", model.rates), ("rules", model.rules)):
-            values = payload.get(field)
-            if isinstance(values, dict):
-                for key, value in values.items():
-                    if isinstance(value, (int, float)) and value > 0:
-                        target[str(key)] = float(value)
+        rates = payload.get("rates")
+        if isinstance(rates, dict):
+            for key, value in rates.items():
+                if isinstance(value, (int, float)) and value > 0:
+                    model.rates[str(key)] = float(value)
         return model
 
 

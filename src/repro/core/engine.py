@@ -306,12 +306,6 @@ class Engine:
         with self._lock:
             self._live_backends.add(backend)
         try:
-            # Backends driving their own worker pools (multiproc) submit
-            # rule-level tasks eagerly here, so workers run ahead of the
-            # serial loop below.
-            prefetch = getattr(backend, "prefetch", None)
-            if prefetch is not None:
-                prefetch()
             for compiled in plan.run_order:
                 rule = compiled.rule
                 profile = PhaseProfile()

@@ -106,9 +106,6 @@ class EngineOptions:
     task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT  # None = wait forever
     max_retries: int = DEFAULT_MAX_RETRIES  # per-task resubmissions
     faults: Optional[str] = None  # fault-injection spec (or $REPRO_FAULTS)
-    #: Consult the calibrated cost model when routing multiprocess work
-    #: (False = status quo: everything shardable goes to the pool).
-    cost_model: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:

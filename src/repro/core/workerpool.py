@@ -1,62 +1,48 @@
 """Shared, holder-counted worker pools for the multiprocess backend.
 
-Pool spawn, interpreter boot (under ``spawn``), module imports, payload
-pickling and plan compilation are paid once per pool, not once per check:
+Pool spawn, interpreter boot (under ``spawn``) and module imports are paid
+once per pool, not once per check:
 
 * :class:`WorkerPool` owns a pool of generic workers that pre-import the
-  heavy modules (:func:`_pool_warmup`) and carry **no** deck state in
-  their initializer. Deck payloads are instead **spooled to disk once**
-  per content digest (:meth:`WorkerPool.ensure_plan`); tasks carry a tiny
-  :class:`PlanRef` and each worker lazily loads + compiles the plan on
-  first touch, then keeps it cached (:data:`_PLAN_STATES`) across tasks,
-  checks, and even pool rebuilds — a respawned worker re-reads the spool
-  file instead of needing a reship.
+  heavy modules (:func:`_pool_warmup`) and carry **no** deck state: a row
+  shard task carries its own buffers (through shared memory), so a worker
+  never needs the layout or the deck. Its only state is one simulated
+  device (:func:`worker_device`).
 * :func:`acquire` is the process-wide registry keyed by (jobs, start
   method): it creates or reuses the pool and adds a holder, and
   :meth:`WorkerPool.release` drops one — the last release closes the
   pool. A pool therefore lives exactly as long as its longest holder (an
   ``Engine`` until ``close()``, a backend for one check), so the second
-  check of a deck on one engine ships only shard descriptors, and no
-  holder can close a pool under another. :func:`shutdown_pools` runs at
-  interpreter exit.
+  check on one engine spawns no processes, and no holder can close a pool
+  under another. :func:`shutdown_pools` runs at interpreter exit.
 * :meth:`WorkerPool.dispatch_seconds` measures the real no-op round-trip
   cost of this pool — the constant the
   :class:`~repro.core.costmodel.CostModel` prices every routing decision
   with.
 
 Fault-tolerance contract: :meth:`WorkerPool.rebuild` terminates the worker
-processes but keeps the spool directory, so the multiprocess backend's
-restart ladder (PR 5) recycles workers without invalidating in-flight
-:class:`PlanRef` descriptors; a backend that degrades never needs the pool
-again and ``close()`` reclaims everything.
+processes and keeps the pool object, so the multiprocess backend's
+restart ladder recycles workers in place; a backend that degrades never
+needs the pool again and ``close()`` reclaims everything.
 """
 
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import multiprocessing
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
-    "PLAN_CACHE_SIZE",
-    "PlanRef",
     "WorkerPool",
     "acquire",
-    "plan_backend",
     "shutdown_pools",
     "worker_device",
 ]
-
-#: Compiled plans each worker process keeps warm (LRU by digest).
-PLAN_CACHE_SIZE = 4
 
 #: No-op round trips sampled by :meth:`WorkerPool.dispatch_seconds`. The
 #: first sample is discarded — under ``spawn`` it absorbs interpreter boot.
@@ -88,56 +74,6 @@ def _pool_warmup() -> None:
 
     from ..gpu import kernels  # noqa: F401
     from . import parallel  # noqa: F401
-    from . import plan  # noqa: F401
-
-
-@dataclasses.dataclass(frozen=True)
-class PlanRef:
-    """A content-addressed handle to one spooled deck payload."""
-
-    digest: str
-    path: str
-
-
-#: digest -> {layout, rules, options, backend} in this worker.
-_PLAN_STATES: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-
-
-def _plan_state(ref: PlanRef) -> Dict[str, Any]:
-    state = _PLAN_STATES.get(ref.digest)
-    if state is None:
-        import pickle
-
-        with open(ref.path, "rb") as handle:
-            layout, rules, options = pickle.loads(handle.read())
-        state = {
-            "layout": layout,
-            "rules": rules,
-            "options": options,
-            "backend": None,
-        }
-        _PLAN_STATES[ref.digest] = state
-        while len(_PLAN_STATES) > PLAN_CACHE_SIZE:
-            # The current digest sits at the end; evict the coldest entry.
-            _PLAN_STATES.popitem(last=False)
-    else:
-        _PLAN_STATES.move_to_end(ref.digest)
-    return state
-
-
-def plan_backend(ref: PlanRef):
-    """This worker's compiled backend for the referenced deck (warm)."""
-    from .plan import MODE_PARALLEL, compile_plan, make_backend
-
-    state = _plan_state(ref)
-    backend = state["backend"]
-    if backend is None:
-        plan = compile_plan(
-            state["layout"], state["rules"], state["options"], mode=MODE_PARALLEL
-        )
-        backend = make_backend(plan)
-        state["backend"] = backend
-    return backend
 
 
 _DEVICE_STATE: Dict[str, Any] = {}
@@ -177,19 +113,23 @@ class _FairResult:
     The timeout meters the *dispatched* round trip only: time the task
     spends queued behind other requesters' turns does not count, because
     the backend's task timeout exists to detect hung workers, and a task
-    that has not reached a worker yet cannot be hung. The queue wait is
-    unbounded but cannot leak — every path out of the dispatcher
-    (dispatch, pool failure, :meth:`_FairDispatcher.abandon` re-pump)
-    either marks the proxy dispatched or resolves it.
+    that has not reached a worker yet cannot be hung. The queue wait cannot
+    leak — every path out of the dispatcher (dispatch, pool failure,
+    :meth:`_FairDispatcher.abandon` re-pump) either marks the proxy
+    dispatched or resolves it — and cannot stall behind hung workers: a
+    waiter that times out gives the task's in-flight slot back
+    (:meth:`_FairDispatcher.give_up`), so the tasks queued behind it still
+    reach the pool.
     """
 
-    __slots__ = ("_event", "_dispatch_event", "_value", "_error")
+    __slots__ = ("_event", "_dispatch_event", "_value", "_error", "_dispatcher")
 
-    def __init__(self) -> None:
+    def __init__(self, dispatcher: Optional["_FairDispatcher"] = None) -> None:
         self._event = threading.Event()
         self._dispatch_event = threading.Event()
         self._value: Any = None
         self._error: Optional[BaseException] = None
+        self._dispatcher = dispatcher
 
     def _mark_dispatched(self) -> None:
         self._dispatch_event.set()
@@ -211,6 +151,8 @@ class _FairResult:
         else:
             self._dispatch_event.wait()
             if not self._event.wait(timeout):
+                if self._dispatcher is not None:
+                    self._dispatcher.give_up(self)
                 raise multiprocessing.TimeoutError()
         if self._error is not None:
             raise self._error
@@ -230,6 +172,11 @@ class _FairDispatcher:
     a worker within about one task of joining. Order within one requester
     is preserved, which is why fair dispatch cannot reorder any single
     request's own results.
+
+    A retry (``urgent``) skips the queue and the cap: it re-runs a task
+    that already had its turn, and its waiter is already parked on it —
+    queued behind the same requester's later shards, whose slots only that
+    waiter frees, it would never be dispatched.
 
     Rebuild contract: :meth:`abandon` fails every dispatched-but-unresolved
     proxy with a ``RuntimeError`` (terminated workers will never fire their
@@ -251,14 +198,21 @@ class _FairDispatcher:
         #: Requester tokens in dispatch order — lets tests assert fairness.
         self.dispatch_log: deque = deque(maxlen=256)
 
-    def submit(self, requester: Any, func, args: Tuple[Any, ...]) -> _FairResult:
-        proxy = _FairResult()
+    def submit(
+        self, requester: Any, func, args: Tuple[Any, ...], *, urgent: bool = False
+    ) -> _FairResult:
+        proxy = _FairResult(self)
         with self._lock:
-            queue = self._queues.get(requester)
-            if queue is None:
-                queue = deque()
-                self._queues[requester] = queue
-            queue.append((proxy, func, args))
+            if urgent:
+                self._take_slot(requester, proxy)
+            else:
+                queue = self._queues.get(requester)
+                if queue is None:
+                    queue = deque()
+                    self._queues[requester] = queue
+                queue.append((proxy, func, args))
+        if urgent:
+            self._dispatch(proxy, func, args)
         self._pump()
         return proxy
 
@@ -276,21 +230,43 @@ class _FairDispatcher:
                     self._queues.move_to_end(requester)
                 else:
                     del self._queues[requester]
-                self._dispatched.add(proxy)
-                self._inflight += 1
-                self.dispatch_log.append(requester)
-                proxy._mark_dispatched()
-            try:
-                self._pool.ensure().apply_async(
-                    func,
-                    args,
-                    callback=lambda value, p=proxy: self._done(p, value=value),
-                    error_callback=lambda error, p=proxy: self._done(p, error=error),
-                )
-            except Exception as error:
-                # Pool closed or spawn failed: fail this task, then keep
-                # draining so every queued proxy resolves rather than hangs.
-                self._done(proxy, error=error)
+                self._take_slot(requester, proxy)
+            self._dispatch(proxy, func, args)
+
+    def _take_slot(self, requester: Any, proxy: _FairResult) -> None:
+        """Count ``proxy`` in flight (caller holds the lock)."""
+        self._dispatched.add(proxy)
+        self._inflight += 1
+        self.dispatch_log.append(requester)
+        proxy._mark_dispatched()
+
+    def _dispatch(self, proxy: _FairResult, func, args: Tuple[Any, ...]) -> None:
+        try:
+            self._pool.ensure().apply_async(
+                func,
+                args,
+                callback=lambda value, p=proxy: self._done(p, value=value),
+                error_callback=lambda error, p=proxy: self._done(p, error=error),
+            )
+        except Exception as error:
+            # Pool closed or spawn failed: fail this task (which keeps the
+            # pump draining) so every queued proxy resolves rather than hangs.
+            self._done(proxy, error=error)
+
+    def give_up(self, proxy: _FairResult) -> None:
+        """Free the in-flight slot of a task whose waiter timed out.
+
+        The waiter retries or runs the task itself, so a hung worker must
+        not keep holding the slot: with every worker hung, the tasks queued
+        behind it would otherwise never be dispatched and their waiters
+        would never time out. A late result is dropped (see :meth:`_done`).
+        """
+        with self._lock:
+            if proxy not in self._dispatched:
+                return
+            self._dispatched.discard(proxy)
+            self._inflight -= 1
+        self._pump()
 
     def _done(
         self, proxy: _FairResult, value: Any = None,
@@ -298,8 +274,8 @@ class _FairDispatcher:
     ) -> None:
         with self._lock:
             if proxy not in self._dispatched:
-                # Abandoned by a rebuild; a straggler callback from the old
-                # generation must not double-decrement the slot count.
+                # Abandoned by a rebuild or given up by its waiter; a
+                # straggler callback must not double-decrement the slot count.
                 return
             self._dispatched.discard(proxy)
             self._inflight -= 1
@@ -331,12 +307,12 @@ class _FairDispatcher:
 
 
 class WorkerPool:
-    """A rebuildable process pool plus its spooled deck payloads.
+    """A rebuildable process pool behind a fair dispatcher.
 
     Thread-safety: one pool is shared by every concurrent request of a
     serve daemon, so the lifecycle (:meth:`ensure`/:meth:`rebuild`/
-    :meth:`close`), the spool index, and the calibration cache are guarded
-    by an instance lock. The lock is never held across a fork or a worker
+    :meth:`close`) and the calibration cache are guarded by an instance
+    lock. The lock is never held across a fork or a worker
     round trip, only across bookkeeping.
     """
 
@@ -348,8 +324,6 @@ class WorkerPool:
         self._context = multiprocessing.get_context(self.start_method)
         self._lock = threading.RLock()
         self._pool = None
-        self._spool_dir: Optional[str] = None
-        self._spooled: Dict[str, str] = {}
         self._dispatch_seconds: Optional[float] = None
         self._closed = False
         #: Registry holders (see :func:`acquire`); guarded by _POOLS_LOCK.
@@ -379,14 +353,18 @@ class WorkerPool:
                 self.generation += 1
             return self._pool
 
-    def apply_async(self, func, args: Tuple[Any, ...] = (), *, requester: Any):
+    def apply_async(
+        self, func, args: Tuple[Any, ...] = (), *, requester: Any,
+        urgent: bool = False,
+    ):
         """Submit one task in ``requester``'s lane.
 
         It reaches the pool in round-robin merge order across all active
         requesters, so concurrent checks share the workers fairly instead
-        of first-submitter-takes-all.
+        of first-submitter-takes-all. An ``urgent`` task (a retry) is
+        dispatched at once.
         """
-        return self._dispatcher.submit(requester, func, args)
+        return self._dispatcher.submit(requester, func, args, urgent=urgent)
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty before first use)."""
@@ -394,42 +372,6 @@ class WorkerPool:
             if self._pool is None:
                 return []
             return sorted(proc.pid for proc in self._pool._pool)
-
-    # -- plan spooling -------------------------------------------------------
-
-    def ensure_plan(
-        self, digest: str, make_payload: Callable[[], bytes]
-    ) -> Tuple[str, bool]:
-        """Spool the payload for ``digest`` once; returns ``(path, shipped)``.
-
-        ``shipped`` is True only when the payload was actually built and
-        written — a repeat check of the same deck finds its digest spooled
-        and ships nothing. The file outlives pool rebuilds (respawned
-        workers just re-read it) and is deleted by :meth:`close`. The
-        instance lock covers the whole build-and-publish so two concurrent
-        requests spooling the same digest ship it exactly once.
-        """
-        with self._lock:
-            path = self._spooled.get(digest)
-            if path is not None and os.path.exists(path):
-                return path, False
-            if self._spool_dir is None:
-                self._spool_dir = tempfile.mkdtemp(prefix="repro-warmpool-")
-            path = os.path.join(self._spool_dir, f"{digest[:32]}.plan")
-            payload = make_payload()
-            fd, tmp = tempfile.mkstemp(prefix=".plan.", dir=self._spool_dir)
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self._spooled[digest] = path
-            return path, True
 
     # -- calibration ---------------------------------------------------------
 
@@ -448,7 +390,7 @@ class WorkerPool:
         if pool is None:
             return None
         # Measure outside the lock: three no-op round trips must not stall
-        # a concurrent request's ensure()/ensure_plan() bookkeeping.
+        # a concurrent request's ensure() bookkeeping.
         try:
             samples = []
             for _ in range(_DISPATCH_SAMPLES):
@@ -466,14 +408,12 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Terminate the workers, keep the spool: the restart-ladder hook.
+        """Terminate the workers, keep the pool: the restart-ladder hook.
 
-        The next :meth:`ensure` respawns a fresh generation; in-flight
-        :class:`PlanRef` descriptors stay valid because the spool files
-        survive, so a recycled pool re-warms itself without a reship.
-        Fair-dispatched tasks the dead generation was running are failed
-        immediately (see :meth:`_FairDispatcher.abandon`) so their waiters
-        hit the retry ladder instead of a full task timeout.
+        The next :meth:`ensure` respawns a fresh generation. Fair-dispatched
+        tasks the dead generation was running are failed immediately (see
+        :meth:`_FairDispatcher.abandon`) so their waiters hit the retry
+        ladder instead of a full task timeout.
         """
         with self._lock:
             pool, self._pool = self._pool, None
@@ -483,15 +423,10 @@ class WorkerPool:
         self._dispatcher.abandon()
 
     def close(self) -> None:
-        """Terminate workers and delete the spool (idempotent, terminal)."""
+        """Terminate the workers for good (idempotent, terminal)."""
         with self._lock:
             self._closed = True
         self.rebuild()
-        with self._lock:
-            self._spooled.clear()
-            spool_dir, self._spool_dir = self._spool_dir, None
-        if spool_dir is not None:
-            shutil.rmtree(spool_dir, ignore_errors=True)
 
     def release(self) -> None:
         """Drop one :func:`acquire` hold; the last one closes the pool."""

@@ -1035,7 +1035,6 @@ class ServerState:
                 "options": {
                     "mode": options.mode,
                     "jobs": options.jobs,
-                    "cost_model": options.cost_model,
                     "cache_dir": options.cache_dir,
                 },
                 "latency": latency,

@@ -18,6 +18,16 @@ def _no_pool_outlives_its_test():
         workerpool.shutdown_pools()
 
 
+@pytest.fixture()
+def status_quo_routing(monkeypatch):
+    """Blind the multiprocess cost model: no per-kind estimate, so every
+    row-kind rule with two or more device rows fans out to the pool with
+    the static shard count (what an uncalibrated model does)."""
+    from repro.core.costmodel import CostModel
+
+    monkeypatch.setattr(CostModel, "estimate_kind", lambda self, kind, weight: None)
+
+
 @pytest.fixture(scope="session")
 def uart_layout():
     return build_design("uart")

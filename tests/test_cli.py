@@ -360,8 +360,23 @@ class TestJobsFlag:
     def test_short_flag(self, uart_gds):
         assert main(["check", uart_gds, "--top", "top", "-j", "2"]) == 0
 
-    def test_explicit_mode_wins_over_jobs_default(self, uart_gds, capsys):
-        main(["check", uart_gds, "--top", "top", "--mode", "parallel", "-j", "2"])
+    def test_explicit_mode_wins_over_jobs_default(self, uart_gds, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        main(["check", uart_gds, "--top", "top", "--mode", "parallel"])
+        assert "parallel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_jobs_with_an_in_process_mode_is_refused(self, uart_gds, capsys, mode):
+        """An explicit ``--jobs N`` the mode would silently ignore is an error,
+        not a one-process run (the pool never starts)."""
+        assert_input_error(
+            ["check", uart_gds, "--top", "top", "--mode", mode, "--jobs", "2"],
+            capsys,
+            f"--jobs 2 needs --mode multiproc; --mode {mode} runs in one process",
+        )
+
+    def test_jobs_one_with_an_in_process_mode_is_accepted(self, uart_gds, capsys):
+        assert main(["check", uart_gds, "--top", "top", "--mode", "parallel", "-j", "1"]) == 0
         assert "parallel" in capsys.readouterr().out
 
     def test_env_fallback(self, uart_gds, capsys, monkeypatch):

@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-from repro.core import costmodel
 from repro.core.costmodel import (
     BREAK_EVEN_SAFETY,
     COSTMODEL_FILENAME,
     CostModel,
     DEFAULT_DISPATCH_SECONDS,
     EWMA_ALPHA,
-    MAX_RULE_ENTRIES,
+    FORMAT_VERSION,
     TARGET_DISPATCH_MULTIPLE,
     model_for,
     reset_models,
@@ -51,27 +50,9 @@ class TestCalibration:
             blended * 100.0
         )
 
-    def test_rule_cost_is_an_ewma(self):
-        model = CostModel()
-        model.observe_rule("k", 1.0)
-        assert model.estimate_rule("k") == pytest.approx(1.0)
-        model.observe_rule("k", 3.0)
-        assert model.estimate_rule("k") == pytest.approx(
-            (1 - EWMA_ALPHA) * 1.0 + EWMA_ALPHA * 3.0
-        )
-
     def test_unknown_estimates_are_none(self):
         model = CostModel()
         assert model.estimate_kind("spacing", 10.0) is None
-        assert model.estimate_rule("ghost") is None
-
-    def test_rule_entries_bounded_lru(self):
-        model = CostModel()
-        for index in range(MAX_RULE_ENTRIES + 10):
-            model.observe_rule(f"rule-{index}", 1.0)
-        assert len(model.rules) == MAX_RULE_ENTRIES
-        assert "rule-0" not in model.rules  # oldest evicted
-        assert f"rule-{MAX_RULE_ENTRIES + 9}" in model.rules
 
 
 class TestRouting:
@@ -79,26 +60,15 @@ class TestRouting:
         model = CostModel()
         assert not model.worth_pooling(100.0, jobs=1)
 
-    def test_break_even_threshold_rule_task(self):
-        model = CostModel()
-        model.observe_dispatch(1e-3)
-        jobs = 4
-        # A rule-granular task is a single dispatch: the saving
-        # est * (1 - 1/jobs) must beat SAFETY * overhead * 1.
-        threshold = BREAK_EVEN_SAFETY * 1e-3 / (1.0 - 1.0 / jobs)
-        assert not model.worth_pooling(threshold * 0.9, jobs)
-        assert model.worth_pooling(threshold * 1.1, jobs)
-
     def test_break_even_threshold_sharded_batch(self):
         model = CostModel()
         model.observe_dispatch(1e-3)
         jobs = 4
         # A sharded fan-out issues ~jobs dispatches and is billed for all
-        # of them — strictly harder to win than a rule-granular task.
+        # of them.
         threshold = BREAK_EVEN_SAFETY * 1e-3 * jobs / (1.0 - 1.0 / jobs)
-        assert not model.worth_pooling(threshold * 0.9, jobs, tasks=jobs)
-        assert model.worth_pooling(threshold * 1.1, jobs, tasks=jobs)
-        assert model.worth_pooling(threshold * 0.9, jobs)  # one dispatch
+        assert not model.worth_pooling(threshold * 0.9, jobs)
+        assert model.worth_pooling(threshold * 1.1, jobs)
 
     def test_plan_shards_amortizes_dispatch(self):
         model = CostModel()
@@ -125,12 +95,38 @@ class TestPersistence:
         model = CostModel(path=path)
         model.observe_dispatch(2e-3)
         model.observe_kind("spacing", 10.0, 0.5)
-        model.observe_rule("rk", 1.25)
         model.save()
         loaded = CostModel.load(path)
         assert loaded.dispatch_seconds == pytest.approx(2e-3)
         assert loaded.rates["spacing"] == pytest.approx(0.05)
-        assert loaded.rules["rk"] == pytest.approx(1.25)
+        with open(path, encoding="utf-8") as handle:
+            assert set(json.load(handle)) == {"dispatch_seconds", "rates", "version"}
+
+    #: A sidecar as the previous release wrote it, per-rule ``rules`` map
+    #: included: the same format version, so its rates and dispatch
+    #: constant must survive the upgrade.
+    OLDER_SIDECAR = (
+        '{"dispatch_seconds": 0.0012, "rates": {"enclosure": 4e-06, '
+        '"spacing": 5e-06}, "rules": {"5f1c0a9e3b7d2c4a": 0.0131, '
+        '"9d2e4b6a1c3f5e7d": 0.0042}, "version": 1}'
+    )
+
+    def test_older_sidecar_keeps_its_calibration(self, tmp_path):
+        assert FORMAT_VERSION == 1
+        path = tmp_path / COSTMODEL_FILENAME
+        path.write_text(self.OLDER_SIDECAR)
+        loaded = CostModel.load(str(path))
+        assert loaded.dispatch_seconds == pytest.approx(0.0012)
+        assert loaded.rates == {
+            "enclosure": pytest.approx(4e-06),
+            "spacing": pytest.approx(5e-06),
+        }
+        assert loaded.estimate_kind("spacing", 1000.0) == pytest.approx(5e-03)
+        loaded.save()
+        with open(path, encoding="utf-8") as handle:
+            rewritten = json.load(handle)
+        assert "rules" not in rewritten
+        assert rewritten["rates"] == json.loads(self.OLDER_SIDECAR)["rates"]
 
     def test_save_without_path_is_a_noop(self):
         CostModel().save()  # must not raise
@@ -156,15 +152,13 @@ class TestPersistence:
                 {
                     "version": 1,
                     "dispatch_seconds": -1.0,
-                    "rates": {"spacing": 0.0, "width": 0.5},
-                    "rules": {"a": "junk", "b": 2.0},
+                    "rates": {"spacing": 0.0, "width": 0.5, "area": "junk"},
                 }
             )
         )
         loaded = CostModel.load(str(path))
         assert loaded.dispatch_seconds is None
         assert loaded.rates == {"width": 0.5}
-        assert loaded.rules == {"b": 2.0}
 
 
 class _Store:

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.core import Engine, EngineOptions
-from repro.core import costmodel, multiproc, workerpool
+from repro.core import costmodel, workerpool
 from repro.core.engine import CheckContext
 from repro.core.rules import layer
 from repro.util import faults
@@ -24,16 +24,14 @@ from .test_workerpool import registered
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    """Fresh pool registry, probe cache, and cost models around every test."""
+    """Fresh pool registry and cost models around every test."""
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
     workerpool.shutdown_pools()
     costmodel.reset_models()
-    multiproc._PROBE_CACHE.clear()
     faults.clear()
     yield
     workerpool.shutdown_pools()
     costmodel.reset_models()
-    multiproc._PROBE_CACHE.clear()
     faults.clear()
 
 
@@ -157,22 +155,27 @@ class TestMultiprocReentrancy:
         assert got_metal.to_csv() == metal_ref.to_csv()
         assert got_via.to_csv() == via_ref.to_csv()
 
-    def test_stats_are_not_cross_contaminated(self, metal_layout, via_layout):
-        # cost_model=False keeps every shard on the pool (no inline
-        # routing), so each report's mp stats describe exactly its own
-        # check: plan compiles count each deck once, and nothing from the
-        # other check's shards leaks in.
-        options = mp_options(cost_model=False)
-        with Engine(options=options) as engine:
-            got_metal, got_via = _concurrent_checks(
-                engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
-            )
-        metal_stats = got_metal.results[-1].stats
-        via_stats = got_via.results[-1].stats
-        for stats in (metal_stats, via_stats):
-            assert stats["mp_plan_compiles"] == 1
+    def test_stats_are_not_cross_contaminated(
+        self, metal_layout, via_layout, status_quo_routing
+    ):
+        # Status-quo routing keeps every row-kind rule on the pool with a
+        # fixed shard count, so each report's mp stats describe exactly its
+        # own check: the metal deck's spacing shards and the via deck's
+        # enclosure shards count as many tasks as a solo run of each, and
+        # nothing from the other check's shards leaks in.
+        workloads = [(metal_layout, metal_deck()), (via_layout, via_deck())]
+        solo = []
+        for layout, rules in workloads:
+            with Engine(options=mp_options()) as engine:
+                solo.append(engine.check(layout, rules=rules).results[-1].stats)
+        with Engine(options=mp_options()) as engine:
+            reports = _concurrent_checks(engine, workloads)
+        for report, alone in zip(reports, solo):
+            stats = report.results[-1].stats
             assert stats["mp_degraded"] == 0
-            assert stats["mp_rule_tasks"] + stats["mp_shard_tasks"] > 0
+            assert stats["mp_shard_tasks"] > 0
+            assert stats["mp_shard_tasks"] == alone["mp_shard_tasks"]
+            assert stats["fused_segments"] == alone["fused_segments"]
 
     def test_recovery_ladder_with_a_shared_pool(
         self, monkeypatch, metal_layout, via_layout, metal_ref, via_ref

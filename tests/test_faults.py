@@ -26,7 +26,7 @@ from repro.core.rules import layer
 from repro.util import faults
 from repro.util.faults import FaultPlan, FaultSpecError, InjectedFault
 
-from .test_multiproc import every_kind_deck, random_via_layout
+from .test_multiproc import every_kind_deck, random_via_layout, two_row_spacing_case
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +39,7 @@ def _clean_faults(monkeypatch):
 
 
 def small_deck():
-    """One plain rule task plus both row-sharded shapes (pair + enclosure)."""
+    """One in-process rule plus both row-sharded shapes (pair + enclosure)."""
     return [
         layer(1).width().greater_than(8).named("W"),
         layer(1).spacing().greater_than(7).named("S"),
@@ -270,12 +270,12 @@ class TestFaultMatrix:
 
 
 class TestRecoveryLadder:
-    def test_hung_worker_times_out_retries_then_runs_inline(self):
+    def test_hung_worker_times_out_retries_then_runs_inline(self, status_quo_routing):
         # Every submission hangs: one timeout per attempt, retries exhaust,
-        # and the rule completes in-process — the full recovery ladder.
-        layout = random_via_layout(101)
-        deck = [layer(1).width().greater_than(8).named("W")]
+        # and each shard completes in-process — the full recovery ladder.
+        layout, deck = two_row_spacing_case()
         baseline = Engine(mode="sequential").check(layout, rules=deck)
+        assert baseline.total_violations
         faults.clear()
         report = run(
             layout, deck, jobs=2,
@@ -284,9 +284,34 @@ class TestRecoveryLadder:
         )
         assert report.to_csv() == baseline.to_csv()
         stats = report.results[-1].stats
-        assert stats["mp_timeouts"] == 2  # first attempt + one retry
-        assert stats["mp_retries"] == 1
-        assert stats["mp_inline_fallbacks"] == 1
+        assert stats["mp_shard_tasks"] == 2
+        assert stats["mp_timeouts"] == 4  # per shard: first attempt + one retry
+        assert stats["mp_retries"] == 2
+        assert stats["mp_inline_fallbacks"] == 2
+
+    def test_every_shard_climbs_the_ladder_when_shards_outnumber_slots(
+        self, status_quo_routing
+    ):
+        # Eight shards, two hung workers, four fair-dispatch slots: the
+        # hung tasks must give their slots back when their waiters time
+        # out, and each retry must reach the pool at once, or a retry (and
+        # every shard queued behind it) waits forever.
+        layout = random_via_layout(101, instances=60)
+        deck = [layer(1).spacing().greater_than(40).named("S")]
+        baseline = Engine(mode="sequential").check(layout, rules=deck)
+        assert baseline.total_violations
+        faults.clear()
+        report = run(
+            layout, deck, jobs=2,
+            faults="worker_hang:times=100",
+            task_timeout=0.25, max_retries=1,
+        )
+        assert report.to_csv() == baseline.to_csv()
+        stats = report.results[-1].stats
+        assert stats["mp_shard_tasks"] == 8
+        assert stats["mp_timeouts"] == 16  # per shard: first attempt + one retry
+        assert stats["mp_retries"] == 8
+        assert stats["mp_inline_fallbacks"] == 8
 
     def test_killed_worker_loses_the_task_but_not_the_check(self):
         # SIGKILL mid-task: the pool repopulates the worker, the in-flight
@@ -304,7 +329,7 @@ class TestRecoveryLadder:
         assert stats["mp_timeouts"] >= 1
         assert stats["mp_retries"] >= 1
 
-    def test_dead_pool_degrades_to_sequential_backend(self, monkeypatch):
+    def test_dead_pool_degrades_to_the_in_process_backend(self, monkeypatch):
         # When the pool cannot be (re)built at all, the backend must finish
         # the whole plan in-process and say so in mp_degraded.
         layout = random_via_layout(103, instances=60)
@@ -320,7 +345,6 @@ class TestRecoveryLadder:
 
         monkeypatch.setattr(backend, "_ensure_pool", no_pool)
         try:
-            backend.prefetch()
             for compiled, ref in zip(plan.compiled, reference.results):
                 got = CheckResult(
                     rule=compiled.rule,

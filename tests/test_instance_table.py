@@ -275,13 +275,13 @@ class TestReportsEqualTheOracle:
         seq = Engine(options=EngineOptions(mode="sequential", use_cache=False)).check(layout, rules=deck)
         assert par.to_csv(expand_instances=True) == seq.to_csv(expand_instances=True)
 
-    def test_two_jobs_equal_one(self):
+    def test_two_jobs_equal_one(self, status_quo_routing):
         layout = build_design("uart")
         inject_violations(layout, InjectionPlan(spacing=3, enclosure=3), seed=5)
         deck = asap7.full_deck()
         one = Engine(options=EngineOptions(mode="parallel", use_cache=False)).check(layout, rules=deck)
         with Engine(
-            options=EngineOptions(mode="multiproc", jobs=2, use_cache=False, cost_model=False)
+            options=EngineOptions(mode="multiproc", jobs=2, use_cache=False)
         ) as engine:
             two = engine.check(layout, rules=deck)
         assert one.total_violations

@@ -34,10 +34,9 @@ def dirty_layout():
     return layout
 
 
-def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1, cost_model=True):
+def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1):
     options = EngineOptions(
         mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs,
-        cost_model=cost_model,
     )
     with Engine(options=options) as engine:
         return engine.check(layout, rules=deck())
@@ -89,12 +88,14 @@ class TestWarmEqualsCold:
             assert warm.to_csv() == baseline, mode
             assert stored.to_csv() == baseline, mode  # answered by the report store
 
-    def test_multiproc_warm_ships_store_served_shards(self, dirty_layout, tmp_path):
+    def test_multiproc_warm_ships_store_served_shards(
+        self, dirty_layout, tmp_path, status_quo_routing
+    ):
         # This is about transport, so the cost model stays out of it: the
         # cold run would calibrate it in the same cache dir, and on a busy
         # host the warm run is then routed inline and ships nothing.
         cache = str(tmp_path)
-        options = dict(mode="multiproc", cache_dir=cache, jobs=2, cost_model=False)
+        options = dict(mode="multiproc", cache_dir=cache, jobs=2)
         cold = run(dirty_layout, **options)
         forget_reports(cache)
         warm = run(dirty_layout, **options)

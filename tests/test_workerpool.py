@@ -1,28 +1,29 @@
-"""Shared worker pools: holder counting, reuse across checks, plan spooling,
-fault recycling.
+"""Shared worker pools: holder counting, reuse across checks, fault
+recycling.
 
 The tentpole property: the second ``Engine.check()`` of the same deck on
-one engine must reuse the live worker processes (zero new PIDs), ship no
-plan payload (``mp_plan_compiles == 0``), skip the pickle probes
-(``mp_pickle_probes == 0``), and still produce a byte-identical report; a
-pool lives until its last holder lets go, so no engine closes the workers
-of another; and the recovery ladder must keep working on a recycled pool.
+one engine must reuse the live worker processes (zero new PIDs) and
+produce a byte-identical report; workers only ever receive row shards, so
+nothing about the deck or the layout is shipped or spooled; a pool lives
+until its last holder lets go, so no engine closes the workers of
+another; and the recovery ladder must keep working on a recycled pool.
 """
 
 import multiprocessing
 import random
+import tempfile
 
 import pytest
 
 from repro.core import Engine, EngineOptions
-from repro.core import costmodel, multiproc, workerpool
+from repro.core import costmodel, workerpool
 from repro.core.rules import layer
 from repro.core.workerpool import WorkerPool
 from repro.geometry import Polygon, Transform
 from repro.layout import CellReference, Layout
 from repro.util import faults
 
-from .test_multiproc import random_via_layout
+from .test_multiproc import random_via_layout, two_row_spacing_case
 
 
 def via_layout(seed: int, *, kinds: int = 3, instances: int = 40) -> Layout:
@@ -58,17 +59,15 @@ def via_layout(seed: int, *, kinds: int = 3, instances: int = 40) -> Layout:
 
 
 def _narrow(polygon):
-    """Module-level predicate: picklable, so the probe has work to do."""
+    """Module-level predicate (the rule runs in the parent either way)."""
     return polygon.mbr.width <= 400
 
 
 class _WidthUnder:
     """Callable-instance predicate: one qualname, per-instance state.
 
-    The standard picklable form for ``ensures`` rules — and exactly the
-    shape that must not collide in the plan digest: ``_WidthUnder(0)``
-    and ``_WidthUnder(10_000)`` share a qualname but ship different
-    pickles.
+    The standard picklable form for ``ensures`` rules: ``_WidthUnder(0)``
+    and ``_WidthUnder(10_000)`` share a qualname but not a verdict.
     """
 
     def __init__(self, limit: int) -> None:
@@ -89,15 +88,13 @@ def deck():
 
 @pytest.fixture(autouse=True)
 def _isolate():
-    """Fresh pool registry, probe cache, and cost models around every test."""
+    """Fresh pool registry and cost models around every test."""
     workerpool.shutdown_pools()
     costmodel.reset_models()
-    multiproc._PROBE_CACHE.clear()
     faults.clear()
     yield
     workerpool.shutdown_pools()
     costmodel.reset_models()
-    multiproc._PROBE_CACHE.clear()
     faults.clear()
 
 
@@ -120,7 +117,9 @@ def assert_no_children():
 
 
 class TestWarmReuse:
-    def test_second_check_reuses_workers_and_ships_nothing(self):
+    def test_second_check_reuses_workers_and_ships_nothing(self, status_quo_routing):
+        # "Ships nothing" beyond the shard descriptors: the spacing rule's
+        # rows fan out on both checks, onto the same worker processes.
         layout = via_layout(501)
         rules = deck()
         engine = Engine(options=mp_options())
@@ -130,49 +129,43 @@ class TestWarmReuse:
             pids = pool.worker_pids()
             generation = pool.generation
             assert pids, "the engine's hold must keep live workers"
-            assert first.results[-1].stats["mp_plan_compiles"] == 1
-            assert first.results[-1].stats["mp_pickle_probes"] >= 1
+            assert first.results[-1].stats["mp_shard_tasks"] > 0
 
             second = engine.check(layout, rules=rules)
             assert second.to_csv() == first.to_csv()
             assert registered(2) is pool
             assert pool.worker_pids() == pids, "no new worker processes"
             assert pool.generation == generation
-            stats = second.results[-1].stats
-            assert stats["mp_plan_compiles"] == 0, "plan must not reship"
-            assert stats["mp_pickle_probes"] == 0, "probe results memoized"
+            assert second.results[-1].stats["mp_shard_tasks"] > 0
         finally:
             engine.close()
         assert registered(2) is None
         assert pool.closed and pool.worker_pids() == []
 
-    def test_matches_sequential_reference(self):
-        layout = via_layout(502)
-        rules = deck()
-        reference = Engine(mode="sequential").check(layout, rules=rules)
+    def test_a_pooled_check_writes_no_temp_directory(self, tmp_path, monkeypatch):
+        # Workers get only row shards, so there is no deck payload to spool:
+        # while the engine holds its warm pool after a -j 2 check of a deck
+        # with in-process kinds, no spool directory exists.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with Engine(options=mp_options()) as engine:
-            warm = engine.check(layout, rules=rules)
-        for ref, got in zip(reference.results, warm.results):
-            assert got.violations == ref.violations, ref.rule.name
+            report = engine.check(via_layout(510), rules=deck())
+            assert report.results[-1].stats["mp_shard_tasks"] > 0
+            assert registered(2).worker_pids()
+            assert list(tmp_path.glob("repro-warmpool-*")) == []
 
-    def test_stateful_predicates_do_not_collide_on_a_reused_pool(self):
-        # Two consecutive checks whose decks differ only in a callable
-        # instance's *state* must not share a plan digest — a collision
-        # makes the warm pool silently run the previous check's pickled
-        # predicate. cost_model=False keeps both checks on the pool (a
-        # calibrated model would route the tiny rule inline and mask the
-        # digest path).
-        layout = via_layout(507)
+    def test_matches_sequential_reference(self):
+        # Consecutive checks on one engine, including two decks that differ
+        # only in a callable instance's *state*: each gets its own verdict,
+        # rule by rule equal to the sequential reference.
+        layout = via_layout(502)
         loose = [layer(1).polygons().ensures(_WidthUnder(10_000)).named("ENS")]
         strict = [layer(1).polygons().ensures(_WidthUnder(0)).named("ENS")]
-        ref_loose = Engine(mode="sequential").check(layout, rules=loose)
-        ref_strict = Engine(mode="sequential").check(layout, rules=strict)
-        assert ref_loose.to_csv() != ref_strict.to_csv()
-        with Engine(options=mp_options(cost_model=False)) as engine:
-            first = engine.check(layout, rules=loose)
-            second = engine.check(layout, rules=strict)
-        assert first.to_csv() == ref_loose.to_csv()
-        assert second.to_csv() == ref_strict.to_csv()
+        with Engine(options=mp_options()) as engine:
+            for rules in (deck(), loose, strict):
+                reference = Engine(mode="sequential").check(layout, rules=rules)
+                warm = engine.check(layout, rules=rules)
+                for ref, got in zip(reference.results, warm.results):
+                    assert got.violations == ref.violations, ref.rule.name
 
     def test_close_releases_every_pool_the_engine_used(self):
         # Checks under different option sets hold different registry
@@ -207,14 +200,14 @@ class TestWarmReuse:
 
 
 class TestSharedPoolHazard:
-    def test_other_engines_and_rechecks_leave_a_held_pool_alone(self):
+    def test_other_engines_and_rechecks_leave_a_held_pool_alone(self, status_quo_routing):
         # Engine A holds the pool between checks. Engine B (same options,
         # so the same pool) checks and closes, and a verified recheck runs
         # its throwaway cold-check engine: neither may close A's workers.
         # A's next check must land on the same processes, undegraded.
         layout = via_layout(511)
         rules = deck()
-        options = mp_options(cost_model=False)
+        options = mp_options()
         with Engine(options=options) as a:
             first = a.check(layout, rules=rules)
             pool = registered(2)
@@ -232,18 +225,18 @@ class TestSharedPoolHazard:
             assert pool.worker_pids() == pids
             stats = again.results[-1].stats
             assert stats["mp_degraded"] == 0
-            assert stats["mp_rule_tasks"] + stats["mp_shard_tasks"] > 0
+            assert stats["mp_shard_tasks"] > 0
             assert again.to_csv() == first.to_csv()
         assert registered(2) is None
 
 
 class TestRecycledPoolFaults:
-    def test_recovery_ladder_on_a_reused_pool(self):
+    def test_recovery_ladder_on_a_reused_pool(self, status_quo_routing):
         # Check 1 warms the pool; check 2 injects hangs into the recycled
-        # workers and must still climb the full PR 5 ladder: timeout →
-        # retry → inline fallback, with a byte-identical report.
-        layout = via_layout(505)
-        rules = [layer(1).width().greater_than(8).named("W")]
+        # workers and must still climb the full ladder on each of its two
+        # shards: timeout → retry → inline fallback, with a byte-identical
+        # report.
+        layout, rules = two_row_spacing_case()
         baseline = Engine(mode="sequential").check(layout, rules=rules)
         warm_engine = Engine(options=mp_options())
         faulted = Engine(
@@ -257,14 +250,17 @@ class TestRecycledPoolFaults:
         try:
             first = warm_engine.check(layout, rules=rules)
             assert first.to_csv() == baseline.to_csv()
+            assert first.results[-1].stats["mp_shard_tasks"] == 2
             pool = registered(2)
             assert pool.worker_pids(), "check 1 must leave the pool warm"
+            generation = pool.generation
             report = faulted.check(layout, rules=rules)
             assert report.to_csv() == baseline.to_csv()
             stats = report.results[-1].stats
-            assert stats["mp_timeouts"] == 2  # first attempt + one retry
-            assert stats["mp_retries"] == 1
-            assert stats["mp_inline_fallbacks"] == 1
+            assert stats["mp_shard_tasks"] == 2
+            assert stats["mp_timeouts"] == 4  # per shard: first attempt + one retry
+            assert stats["mp_retries"] == 2
+            assert stats["mp_inline_fallbacks"] == 2
             # The timed-out check recycled the shared pool's (wedged)
             # workers instead of handing them to the next check...
             assert registered(2) is pool
@@ -273,14 +269,15 @@ class TestRecycledPoolFaults:
             faults.clear()
             again = clean.check(layout, rules=rules)
             assert again.to_csv() == baseline.to_csv()
-            # ...and the respawned generation re-warmed from the spool.
-            assert again.results[-1].stats["mp_plan_compiles"] == 0
+            # ...and a respawned generation ran the next check's shards.
+            assert again.results[-1].stats["mp_shard_tasks"] == 2
+            assert pool.generation == generation + 1
         finally:
             clean.close()
             faulted.close()
             warm_engine.close()
 
-    def test_worker_site_budgets_rearm_each_check(self):
+    def test_worker_site_budgets_rearm_each_check(self, status_quo_routing):
         # shm_attach_fail budgets are consumed *inside* the workers. Warm
         # workers outlive the check, so without a per-check install epoch
         # the second check would inherit the first one's spent budget and
@@ -291,9 +288,7 @@ class TestRecycledPoolFaults:
         layout = random_via_layout(509, instances=60)
         rules = [layer(1).spacing().greater_than(7).named("S")]
         baseline = Engine(mode="sequential").check(layout, rules=rules)
-        options = mp_options(
-            cost_model=False, faults="shm_attach_fail:times=1"
-        )
+        options = mp_options(faults="shm_attach_fail:times=1")
         with Engine(options=options) as engine:
             first = engine.check(layout, rules=rules)
             second = engine.check(layout, rules=rules)
@@ -304,66 +299,37 @@ class TestRecycledPoolFaults:
             "warm workers must re-arm worker-side fault budgets per check"
         )
 
-    def test_worker_crash_on_recycled_pool_recovers(self):
+    def test_worker_crash_on_recycled_pool_recovers(self, status_quo_routing):
         layout = via_layout(506)
         rules = [layer(1).spacing().greater_than(7).named("S")]
         baseline = Engine(mode="sequential").check(layout, rules=rules)
-        with Engine(options=mp_options(cost_model=False)) as warm_engine:
+        with Engine(options=mp_options()) as warm_engine:
             warm_engine.check(layout, rules=rules)
             faults.clear()
-            faulted = Engine(
-                options=mp_options(
-                    cost_model=False, faults="worker_raise:times=1"
-                )
-            )
+            faulted = Engine(options=mp_options(faults="worker_raise:times=1"))
             report = faulted.check(layout, rules=rules)
             assert report.to_csv() == baseline.to_csv()
             assert report.results[-1].stats["mp_retries"] >= 1
 
 
 class TestWorkerPoolUnit:
-    def test_ensure_plan_ships_once(self):
-        pool = WorkerPool(1)
-        try:
-            calls = []
-
-            def payload():
-                calls.append(1)
-                return b"deck-bytes"
-
-            path, shipped = pool.ensure_plan("digest-a", payload)
-            assert shipped and calls == [1]
-            again, reshipped = pool.ensure_plan("digest-a", payload)
-            assert again == path and not reshipped and calls == [1]
-            with open(path, "rb") as handle:
-                assert handle.read() == b"deck-bytes"
-        finally:
-            pool.close()
-
-    def test_rebuild_keeps_spool_and_bumps_generation(self):
+    def test_rebuild_bumps_generation(self):
         pool = WorkerPool(1)
         try:
             pool.ensure()
             first_gen = pool.generation
-            path, _ = pool.ensure_plan("digest-b", lambda: b"payload")
             pool.rebuild()
-            import os
-
-            assert os.path.exists(path), "rebuild must keep the spool"
+            assert pool.worker_pids() == [] and not pool.closed
             pool.ensure()
             assert pool.generation == first_gen + 1
-            _, reshipped = pool.ensure_plan("digest-b", lambda: b"payload")
-            assert not reshipped
         finally:
             pool.close()
 
     def test_close_is_terminal(self):
         pool = WorkerPool(1)
-        path, _ = pool.ensure_plan("digest-c", lambda: b"payload")
+        pool.ensure()
         pool.close()
-        import os
-
-        assert not os.path.exists(path)
+        assert pool.worker_pids() == []
         with pytest.raises(RuntimeError, match="closed"):
             pool.ensure()
         pool.close()  # idempotent
@@ -494,6 +460,34 @@ class TestFairDispatch:
         proxy._mark_dispatched()
         thread.join(10)
         assert outcome == ["timeout"]
+
+    def test_a_timed_out_task_frees_its_slot_and_a_retry_skips_the_queue(self):
+        # No callbacks ever fire (every worker hung): the dispatcher must
+        # still move. One job caps the pool at two in-flight tasks.
+        class _Silent:
+            def apply_async(self, func, args, callback, error_callback):
+                pass
+
+        class _Pool:
+            jobs = 1
+
+            def ensure(self):
+                return _Silent()
+
+        dispatcher = workerpool._FairDispatcher(_Pool())
+        first, second, third = (
+            dispatcher.submit("A", _nap, (0,)) for _ in range(3)
+        )
+        assert not third._dispatch_event.is_set(), "the cap holds it back"
+        retry = dispatcher.submit("A", _nap, (0,), urgent=True)
+        assert retry._dispatch_event.is_set(), "a retry is dispatched at once"
+        with pytest.raises(multiprocessing.TimeoutError):
+            first.get(timeout=0.05)
+        assert not third._dispatch_event.is_set(), "still over the cap"
+        with pytest.raises(multiprocessing.TimeoutError):
+            retry.get(timeout=0.05)
+        assert third._dispatch_event.is_set(), "two slots given back"
+        assert list(dispatcher.dispatch_log) == ["A"] * 4
 
     def test_rebuild_fails_dispatched_fair_tasks_fast(self):
         # Terminated workers never fire their callbacks; abandon() must
