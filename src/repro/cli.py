@@ -273,15 +273,15 @@ def _served_check(args: argparse.Namespace) -> int:
             raise _input_error(
                 f"bad waiver file {args.waivers}: {error}"
             ) from None
-    client = ServeClient(args.server)
     try:
         with open(args.file, "rb") as fh:
             data = fh.read()
     except OSError as error:
         raise _input_error(f"cannot read {args.file}: {error}") from None
     try:
-        info = client.create_session(data=data, top=args.top, deck=args.deck)
-        response = client.check(info["session"])
+        with ServeClient(args.server) as client:
+            info = client.create_session(data=data, top=args.top, deck=args.deck)
+            response = client.check(info["session"])
     except ClientError as error:
         raise _input_error(str(error)) from None
     payload = response["report"]

@@ -1,4 +1,4 @@
-"""Thin HTTP client for a ``repro serve`` daemon (stdlib ``urllib`` only).
+"""Thin HTTP client for a ``repro serve`` daemon (stdlib ``http.client`` only).
 
 The CLI's ``repro check --server URL`` path, the benchmarks, and the tests
 all talk to the daemon through :class:`ServeClient`. Responses are plain
@@ -8,19 +8,26 @@ of :meth:`~repro.core.results.CheckReport.to_json`, so
 sort_keys=True)`` reproduce the local CLI's output byte for byte. The
 daemon writes each body from its tables' memoised row text
 (:func:`repro.server.state.encode_reply`), byte-identical to dumping the
-dicts, so nothing here depends on how it was encoded. ``urllib`` closes
-the connection after every request; a client that keeps one alive gets
-each response in a single send (the daemon sets ``TCP_NODELAY``).
+dicts, so nothing here depends on how it was encoded.
+
+Each calling thread keeps one HTTP/1.1 connection to the daemon and sends
+every request on it: no TCP connect and no new daemon handler thread per
+request, and each response arrives in a single send (the daemon sets
+``TCP_NODELAY``). The daemon closes a connection that stays idle past its
+handler timeout, or when it drains; a request on such a reused connection
+that got no response byte back is sent once more on a fresh one (the
+daemon never read it, so nothing is replayed). :meth:`ServeClient.close`,
+or leaving a ``with`` block, closes every thread's connection.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
 from .reporting import (
@@ -46,14 +53,83 @@ class ClientError(ReproError):
         self.status = status
 
 
+class _Response(http.client.HTTPResponse):
+    """A response whose ``begin`` raises ``ConnectionError`` only while no
+    byte of it has arrived: the request may then be sent again."""
+
+    def begin(self) -> None:
+        if not self.fp.peek(1):
+            raise http.client.RemoteDisconnected("connection closed before a response")
+        try:
+            super().begin()
+        except ConnectionError as error:
+            raise http.client.HTTPException(f"response cut short: {error}") from None
+
+
 class ServeClient:
-    """JSON-over-HTTP client of one daemon."""
+    """JSON-over-HTTP client of one daemon: one kept-alive connection per
+    calling thread (see the module docstring)."""
 
     def __init__(self, url: str, *, timeout: float = 300.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        split = urllib.parse.urlsplit(self.url)
+        self._connection_class = (
+            http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
+        )
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._open: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new one."""
+        with self._lock:
+            connections, self._open = self._open, []
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.close()
 
     # -- plumbing ------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        with self._lock:
+            local = self._local
+            connection = getattr(local, "connection", None)
+            if connection is None:
+                connection = self._connection_class(self._netloc, timeout=self.timeout)
+                connection.response_class = _Response
+                local.connection = connection
+                self._open.append(connection)
+        return connection
+
+    def _exchange(self, method: str, target: str, body, headers) -> Tuple[int, bytes]:
+        """``(status, body)`` of one request on this thread's connection."""
+        connection = self._connection()
+        reused = connection.sock is not None
+        try:
+            try:
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                # A send that failed or a response that never began: the
+                # daemon closed the idle connection before it read this request.
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, target, body, headers)
+                response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
 
     def _request(
         self,
@@ -64,7 +140,7 @@ class ServeClient:
         data: Optional[bytes] = None,
         query: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        url = self.url + path
+        target = self._prefix + path
         if query:
             pairs = []
             for key, value in query.items():
@@ -75,7 +151,7 @@ class ServeClient:
                 else:
                     pairs.append((key, str(value)))
             if pairs:
-                url += "?" + urllib.parse.urlencode(pairs)
+                target += "?" + urllib.parse.urlencode(pairs)
         headers = {"Accept": "application/json"}
         body = None
         if data is not None:
@@ -84,22 +160,20 @@ class ServeClient:
         elif json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=body, headers=headers, method=method)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
+            status, raw = self._exchange(method, target, body, headers)
+        except (http.client.HTTPException, OSError) as error:
+            raise ClientError(f"cannot reach {self.url}: {error}") from None
+        if not 200 <= status < 300:
             try:
-                detail = json.loads(error.read().decode("utf-8")).get("error", "")
+                detail = json.loads(raw.decode("utf-8")).get("error", "")
             except Exception:
                 detail = ""
             raise ClientError(
-                detail or f"{method} {path} failed: HTTP {error.code}",
-                status=error.code,
-            ) from None
-        except (urllib.error.URLError, OSError) as error:
-            raise ClientError(f"cannot reach {self.url}: {error}") from None
-        return payload
+                detail or f"{method} {path} failed: HTTP {status}",
+                status=status,
+            )
+        return json.loads(raw.decode("utf-8"))
 
     # -- endpoints -----------------------------------------------------------
 

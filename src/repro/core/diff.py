@@ -31,6 +31,8 @@ versions. See ``docs/algorithms.md`` §8e for the per-kind argument.
 from __future__ import annotations
 
 import dataclasses
+import operator
+from array import array
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -131,9 +133,11 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
 
     Ring buffers that hold the same coordinates cut the same way are the
     same polygons in the same order, so nothing is built for them. Where
-    they differ, rings with equal bytes are equal polygons and cancel one
-    for one (which leaves every polygon's count difference as it was); the
-    polygon multisets are formed of what is left.
+    they differ, the rings of the longest common prefix and suffix are
+    equal pairwise and cancel one for one (which leaves every polygon's
+    count difference as it was), so only the span between them is looked
+    at: rings with equal bytes there cancel the same way, and the polygon
+    multisets are formed of what is left.
     """
     old_rings = old_cell.rings(layer) if old_cell else None
     new_rings = new_cell.rings(layer) if new_cell else None
@@ -141,10 +145,15 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
         return []
     if old_rings is not None and new_rings is not None and old_rings.same_rings(new_rings):
         return []
-    old_keys = old_rings.ring_bytes() if old_rings else []
-    new_keys = new_rings.ring_bytes() if new_rings else []
-    old_polys = Counter(_unmatched(old_rings, old_keys, Counter(new_keys)))
-    new_polys = Counter(_unmatched(new_rings, new_keys, Counter(old_keys)))
+    old_count = len(old_rings) if old_rings else 0
+    new_count = len(new_rings) if new_rings else 0
+    head = tail = 0
+    if old_count and new_count:
+        head, tail = _common_ends(old_rings, new_rings)
+    old_keys = old_rings.ring_bytes(head, old_count - tail) if old_count else []
+    new_keys = new_rings.ring_bytes(head, new_count - tail) if new_count else []
+    old_polys = Counter(_unmatched(old_rings, head, old_keys, Counter(new_keys)))
+    new_polys = Counter(_unmatched(new_rings, head, new_keys, Counter(old_keys)))
     rects: List[Rect] = []
     for polygon, count in old_polys.items():
         if new_polys.get(polygon, 0) != count:
@@ -155,11 +164,49 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
     return rects
 
 
-def _unmatched(rings, keys: List[bytes], available: Counter) -> List:
-    """The polygons of ``rings`` left after each takes one equal-bytes ring
-    out of ``available`` (the other side's ring bytes, with counts)."""
+def _common_ends(a, b) -> Tuple[int, int]:
+    """How many rings lead both buffers equal, and how many then close both
+    equal (the two runs never overlap): equal means the same coordinates
+    cut the same way. Each count is a bisection over array slice
+    comparisons, which run in C."""
+    n, m = len(a), len(b)
+
+    def longest(same, limit: int) -> int:
+        lo, hi = 0, limit
+        while lo < hi:
+            k = (lo + hi + 1) // 2
+            if same(k):
+                lo = k
+            else:
+                hi = k - 1
+        return lo
+
+    head = longest(
+        lambda k: a.offsets[: k + 1] == b.offsets[: k + 1]
+        and a.coords[: a.offsets[k]] == b.coords[: b.offsets[k]],
+        min(n, m),
+    )
+    sizes_a, sizes_b = _ring_sizes(a), _ring_sizes(b)
+    tail = longest(
+        lambda k: sizes_a[n - k :] == sizes_b[m - k :]
+        and a.coords[a.offsets[n - k] :] == b.coords[b.offsets[m - k] :],
+        min(n, m) - head,
+    )
+    return head, tail
+
+
+def _ring_sizes(rings) -> array:
+    """Each ring's coordinate count, as an ``array('q')``."""
+    offsets = rings.offsets
+    return array("q", map(operator.sub, offsets[1:], offsets[:-1]))
+
+
+def _unmatched(rings, start: int, keys: List[bytes], available: Counter) -> List:
+    """The polygons of rings ``start``, ``start + 1``, ... (whose bytes are
+    ``keys``) left after each takes one equal-bytes ring out of
+    ``available`` (the other side's ring bytes, with counts)."""
     left = []
-    for index, key in enumerate(keys):
+    for index, key in enumerate(keys, start):
         if available[key] > 0:
             available[key] -= 1
         else:

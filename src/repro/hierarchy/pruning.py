@@ -273,15 +273,20 @@ class SubtreeWindow:
         # Prune on the placed-children table, in this cell's frame, *before*
         # composing: the pulled-back windows are supersets of the exact
         # pre-images, so no child the entry test above would keep is dropped.
+        # Each child gets only the windows its placed subtree MBR meets: a
+        # ring's MBR lies inside its subtree's, so the others meet none of it.
         for child_name, child_placement, (xlo, ylo, xhi, yhi) in self.tree.placed_children(
             cell_name, layer
         ):
-            for wxlo, wylo, wxhi, wyhi in local_windows:
-                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
-                    self._visit(
-                        child_name, placement.compose(child_placement), layer, windows, out
-                    )
-                    break
+            near = [
+                window
+                for window, (wxlo, wylo, wxhi, wyhi) in zip(windows, local_windows)
+                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi
+            ]
+            if near:
+                self._visit(
+                    child_name, placement.compose(child_placement), layer, near, out
+                )
 
 
 class LevelItem(NamedTuple):

@@ -128,10 +128,13 @@ class RingBuffer:
         """True if both hold the same rings in the same order (names aside)."""
         return self.coords == other.coords and self.offsets == other.offsets
 
-    def ring_bytes(self) -> List[bytes]:
-        """The coordinate bytes of each ring (native int64), in storage order."""
+    def ring_bytes(self, start: int = 0, stop: Optional[int] = None) -> List[bytes]:
+        """The coordinate bytes (native int64) of rings ``start`` up to
+        ``stop`` (by default every ring), in storage order."""
         raw = self.coords.tobytes()
         offsets = self.offsets
+        if start or stop is not None:
+            offsets = offsets[start : len(offsets) if stop is None else stop + 1]
         return [raw[8 * a : 8 * b] for a, b in zip(offsets, offsets[1:])]
 
     # -- one ring, read off the arrays ----------------------------------------

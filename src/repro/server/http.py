@@ -37,18 +37,22 @@ Graceful shutdown: ``serve()`` converts SIGTERM/SIGINT into an orderly
 drain — the accept loop stops, in-flight handler threads are joined
 (``server_close`` blocks on them), and ``Engine.close()`` releases warm
 pools and persists the cost model. ``POST /shutdown`` triggers the same
-path remotely. Idle keep-alive connections cannot stall the drain:
-handler sockets carry a read timeout (:attr:`DrcRequestHandler.timeout`),
-so a connection with no request in flight closes within that bound.
+path remotely. Idle keep-alive connections cannot stall the drain: a
+connection waiting for its next request line is closed as the drain
+begins, and a handler finishing a request closes its connection instead
+of waiting for another. Handler sockets also carry a read timeout
+(:attr:`DrcRequestHandler.timeout`), so an idle connection is closed
+after that long even while the daemon runs.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..util.logging import get_logger
@@ -74,6 +78,40 @@ class DrcHTTPServer(ThreadingHTTPServer):
         super().__init__(address, DrcRequestHandler)
         self.state = state
         self._shutdown_started = threading.Event()
+        self._idle_lock = threading.Lock()
+        #: Handlers of kept-alive connections waiting for a request line.
+        self._idle: Set["DrcRequestHandler"] = set()
+        self._draining = False
+
+    def park(self, handler: "DrcRequestHandler") -> bool:
+        """Register ``handler`` as waiting for its next request line; False
+        once the drain has begun (the connection then closes)."""
+        with self._idle_lock:
+            if not self._draining:
+                self._idle.add(handler)
+            return not self._draining
+
+    def unpark(self, handler: "DrcRequestHandler") -> bool:
+        """Take ``handler`` off the idle set; False if it was not on it (the
+        drain already closed its connection)."""
+        with self._idle_lock:
+            if handler in self._idle:
+                self._idle.remove(handler)
+                return True
+            return False
+
+    def server_close(self) -> None:
+        """Close the listening socket and every idle connection at once,
+        then join the handlers still serving a request (the drain)."""
+        with self._idle_lock:
+            self._draining = True
+            idle, self._idle = self._idle, set()
+        for handler in idle:
+            try:
+                handler.connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client closed it first
+        super().server_close()
 
     def trigger_shutdown(self) -> None:
         """Stop the accept loop from any thread (idempotent)."""
@@ -91,12 +129,35 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: Socket timeout (seconds) for request reads. HTTP/1.1 keeps
     #: connections alive between requests; without a timeout an idle
-    #: keep-alive client parks its handler thread forever and — with
-    #: ``daemon_threads=False`` — blocks the graceful-shutdown drain
-    #: (``server_close`` joins handler threads). On timeout,
-    #: ``handle_one_request`` closes the connection, so the drain is
-    #: bounded by this many seconds.
+    #: keep-alive client would park its handler thread for good. On
+    #: timeout, ``handle_one_request`` closes the connection. (The drain
+    #: does not wait for it: ``server_close`` closes idle connections.)
     timeout = 10.0
+
+    def handle(self) -> None:
+        """The base loop, with each wait for a kept-alive connection's next
+        request line registered with the server, so a drain can end it."""
+        self.close_connection = True
+        self._parked = False
+        self.handle_one_request()
+        while not self.close_connection:
+            self._parked = self.server.park(self)  # type: ignore[attr-defined]
+            if not self._parked:
+                break
+            try:
+                self.handle_one_request()
+            finally:
+                self.server.unpark(self)  # type: ignore[attr-defined]
+
+    def parse_request(self) -> bool:
+        # The request line is in: from here on the request is in flight,
+        # unless the drain closed the connection as it arrived.
+        if self._parked:
+            self._parked = False
+            if not self.server.unpark(self):  # type: ignore[attr-defined]
+                self.close_connection = True
+                return False
+        return super().parse_request()
 
     # -- plumbing ------------------------------------------------------------
 

@@ -6,6 +6,8 @@ import logging
 import os
 import random
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -658,13 +660,16 @@ class TestHTTP:
         with start_server(state) as handle:
             yield handle
 
-    def test_health_and_stats(self, served):
-        client = ServeClient(served.url)
+    @pytest.fixture()
+    def client(self, served):
+        with ServeClient(served.url) as client:
+            yield client
+
+    def test_health_and_stats(self, client):
         assert client.health()["status"] == "ok"
         assert "counters" in client.stats()
 
-    def test_full_check_round_trip(self, served, dirty_gds):
-        client = ServeClient(served.url)
+    def test_full_check_round_trip(self, served, client, dirty_gds):
         info = client.create_session(path=dirty_gds, top="top")
         assert info["created"] is True
         response = client.check(info["session"])
@@ -678,8 +683,7 @@ class TestHTTP:
         served_json = json.dumps(response["report"], indent=2, sort_keys=True)
         assert json.loads(served_json) == response["report"]
 
-    def test_upload_bytes_round_trip(self, served, dirty_gds):
-        client = ServeClient(served.url)
+    def test_upload_bytes_round_trip(self, client, dirty_gds):
         with open(dirty_gds, "rb") as fh:
             data = fh.read()
         info = client.create_session(data=data, top="top")
@@ -689,8 +693,7 @@ class TestHTTP:
         violations = client.violations(info["session"], severity="error")
         assert violations["total"] > 0
 
-    def test_errors_carry_status(self, served):
-        client = ServeClient(served.url)
+    def test_errors_carry_status(self, client):
         with pytest.raises(ClientError) as excinfo:
             client.check("deadbeef")
         assert excinfo.value.status == 404
@@ -701,8 +704,7 @@ class TestHTTP:
             client._request("GET", "/no/such/route")
         assert excinfo.value.status == 404
 
-    def test_a_multi_root_upload_is_a_typed_400(self, served, dirty_gds, caplog):
-        client = ServeClient(served.url)
+    def test_a_multi_root_upload_is_a_typed_400(self, client, dirty_gds, caplog):
         with open(dirty_gds, "rb") as fh:
             data = fh.read()
         with pytest.raises(ClientError) as excinfo:
@@ -714,8 +716,7 @@ class TestHTTP:
         )
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
-    def test_a_missing_deck_is_a_typed_400(self, served, dirty_gds, caplog):
-        client = ServeClient(served.url)
+    def test_a_missing_deck_is_a_typed_400(self, client, dirty_gds, caplog):
         with pytest.raises(ClientError) as excinfo:
             client.create_session(path=dirty_gds, top="top", deck="/missing.py")
         assert excinfo.value.status == 400
@@ -724,35 +725,31 @@ class TestHTTP:
 
     @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
     def test_an_unusable_deck_is_a_typed_400(
-        self, served, dirty_gds, tmp_path, case, caplog
+        self, client, dirty_gds, tmp_path, case, caplog
     ):
         deck, fragment = write_unusable_deck(tmp_path, case)
-        client = ServeClient(served.url)
         with pytest.raises(ClientError) as excinfo:
             client.create_session(path=dirty_gds, top="top", deck=deck)
         assert excinfo.value.status == 400
         assert fragment in str(excinfo.value) and deck in str(excinfo.value)
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
-    def test_delete_and_sessions_listing(self, served, dirty_gds):
-        client = ServeClient(served.url)
+    def test_delete_and_sessions_listing(self, client, dirty_gds):
         info = client.create_session(path=dirty_gds, top="top")
         assert any(s["session"] == info["session"] for s in client.sessions())
         client.delete_session(info["session"])
         assert client.sessions() == []
 
-    def test_bad_window_coordinates_are_400_not_500(self, served, dirty_gds):
-        client = ServeClient(served.url)
+    def test_bad_window_coordinates_are_400_not_500(self, client, dirty_gds):
         info = client.create_session(path=dirty_gds, top="top")
         with pytest.raises(ClientError) as excinfo:
             client.check_window(info["session"], [["abc", 0, 10, 10]])
         assert excinfo.value.status == 400
 
-    def test_kept_alive_requests_answer_without_delayed_ack_stalls(self, served, dirty_gds):
+    def test_kept_alive_requests_answer_without_delayed_ack_stalls(self, served, client, dirty_gds):
         # Headers and body in one send, TCP_NODELAY on: with either missing,
         # each response on a kept-alive connection waits ~40 ms on the
         # client's delayed ACK.
-        client = ServeClient(served.url)
         sid = client.create_session(path=dirty_gds, top="top")["session"]
         client.check(sid)
         listing = f"/sessions/{sid}/violations?severity=error"
@@ -772,8 +769,7 @@ class TestHTTP:
         finally:
             conn.close()
 
-    def test_an_inverted_bbox_is_a_400(self, served, dirty_gds):
-        client = ServeClient(served.url)
+    def test_an_inverted_bbox_is_a_400(self, client, dirty_gds):
         sid = client.create_session(path=dirty_gds, top="top")["session"]
         with pytest.raises(ClientError) as excinfo:
             client.violations(sid, bbox=[500, 500, 0, 0])
@@ -824,9 +820,54 @@ class TestHTTP:
         finally:
             conn.close()
 
-    def test_recheck_over_http(self, served, edited_gds_pair):
+    def test_shutdown_closes_idle_connections_at_once(self):
+        from repro.server.http import DrcRequestHandler
+
+        assert DrcRequestHandler.timeout >= 5  # the default: the drain must not wait it out
+        handle = start_server(ServerState())
+        host, port = handle.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        client = ServeClient(handle.url)
+        try:
+            conn.request("GET", "/health")
+            conn.getresponse().read()
+            client.health()
+            start = time.monotonic()
+            handle.close()
+            assert time.monotonic() - start < 1.0
+            conn.request("GET", "/health")
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.getresponse()
+        finally:
+            conn.close()
+            client.close()
+
+    def test_shutdown_still_drains_a_request_in_flight(self, monkeypatch):
+        handle = start_server(ServerState())
+        client = ServeClient(handle.url)
+        client.health()  # the connection the slow request reuses
+        entered = threading.Event()
+        stats = ServerState.stats
+
+        def slow_stats(state):
+            entered.set()
+            time.sleep(0.5)
+            return stats(state)
+
+        monkeypatch.setattr(ServerState, "stats", slow_stats)
+        replies = []
+        worker = threading.Thread(target=lambda: replies.append(client.stats()))
+        worker.start()
+        assert entered.wait(10)
+        start = time.monotonic()
+        handle.close()
+        assert time.monotonic() - start >= 0.3  # waited for the answer
+        worker.join(10)
+        assert replies and "counters" in replies[0]
+        client.close()
+
+    def test_recheck_over_http(self, client, edited_gds_pair):
         old_path, new_path = edited_gds_pair
-        client = ServeClient(served.url)
         info = client.create_session(path=old_path, top="top")
         client.check(info["session"])
         response = client.recheck(info["session"], path=new_path, verify=True)
@@ -849,6 +890,17 @@ class TestCLIServer:
         local_out = capsys.readouterr().out
         assert served_out == local_out
 
+    def test_check_via_server_closes_its_client(self, dirty_gds, monkeypatch, capsys):
+        closed = []
+        close = ServeClient.close
+        monkeypatch.setattr(ServeClient, "close", lambda client: (closed.append(1), close(client)))
+        with start_server(ServerState()) as handle:
+            main(["check", dirty_gds, "--top", "top", "--server", handle.url])
+            assert closed == [1]
+            with pytest.raises(SystemExit):
+                main(["check", dirty_gds, "--server", handle.url])  # several roots: a 400
+            assert closed == [1, 1]
+
     def test_server_rejects_output_and_waivers(self, dirty_gds):
         with pytest.raises(SystemExit):
             main(
@@ -868,6 +920,135 @@ class TestCLIServer:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert "pick the one to check with --top/top=" in err
+
+
+class TestKeptAliveClient:
+    @pytest.fixture()
+    def served(self):
+        with start_server(ServerState()) as handle:
+            yield handle
+
+    def test_threads_share_a_client_on_one_connection_each(self, dirty_gds, monkeypatch):
+        from repro.server.http import DrcRequestHandler
+
+        connections = []
+        setup = DrcRequestHandler.setup
+
+        def counting(handler):
+            connections.append(handler.client_address)
+            setup(handler)
+
+        monkeypatch.setattr(DrcRequestHandler, "setup", counting)
+        queries = [{}, {"severity": "error"}, {"rules": [asap7.rule_name("S", asap7.M2)]}, {"bbox": [0, 0, 5000, 5000]}]
+        with start_server(ServerState()) as handle, ServeClient(handle.url) as client:
+            sid = client.create_session(path=dirty_gds, top="top")["session"]
+            report = json.dumps(client.check(sid)["report"], sort_keys=True)
+            expected = [json.dumps(client.violations(sid, **q), sort_keys=True) for q in queries]
+            answers, errors = [], []
+
+            def turn():
+                try:
+                    for _ in range(3):
+                        answers.append(
+                            (
+                                json.dumps(client.check(sid)["report"], sort_keys=True),
+                                [json.dumps(client.violations(sid, **q), sort_keys=True) for q in queries],
+                            )
+                        )
+                except Exception as error:  # pragma: no cover - surfaced below
+                    errors.append(repr(error))
+
+            threads = [threading.Thread(target=turn) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads' use of the client
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert answers == [(report, expected)] * 12
+        assert len(connections) <= 1 + len(threads)
+
+    def test_a_connection_closed_while_idle_is_reopened_without_a_replay(
+        self, edited_gds_pair, monkeypatch
+    ):
+        from repro.server.http import DrcRequestHandler
+
+        monkeypatch.setattr(DrcRequestHandler, "timeout", 0.2)
+        connections = []
+        setup = DrcRequestHandler.setup
+        monkeypatch.setattr(
+            DrcRequestHandler, "setup", lambda handler: (connections.append(1), setup(handler))
+        )
+        old_path, new_path = edited_gds_pair
+        with start_server(ServerState()) as handle, ServeClient(handle.url) as client:
+            sid = client.create_session(path=old_path, top="top")["session"]
+            client.check(sid)
+            version = client.session(sid)["version"]
+            assert len(connections) == 1
+            time.sleep(0.6)  # the daemon times the idle connection out
+            response = client.recheck(sid, path=new_path)
+            assert response["meta"]["recheck"]["cache_hit"] is False
+            assert client.session(sid)["version"] == version + 1
+            assert len(connections) == 2
+        assert report_json_to_csv(response["report"]) == _local_report(new_path).to_csv()
+
+    def test_a_response_cut_short_is_not_sent_again(self):
+        """Once a byte of the response has arrived the request may have run:
+        a reset then is an error, never a second send."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        accepted, requests = [], []
+
+        def serve():
+            conn, _ = listener.accept()
+            accepted.append(conn)
+            body = b'{"status": "ok"}'
+            for answer in (
+                b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+                b"HTTP/1.1 200 OK\r\nContent-",
+            ):
+                requests.append(conn.recv(65536))
+                conn.sendall(answer)
+            time.sleep(0.1)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()  # a reset, mid-headers
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        host, port = listener.getsockname()
+        with ServeClient(f"http://{host}:{port}", timeout=10) as client:
+            assert client.health() == {"status": "ok"}
+            with pytest.raises(ClientError, match="response cut short"):
+                client.stats()
+        thread.join(10)
+        listener.close()
+        assert not thread.is_alive() and len(accepted) == 1 and len(requests) == 2
+
+    def test_errors_keep_their_status_and_message_on_a_kept_connection(self, served):
+        with ServeClient(served.url) as client:
+            for _ in range(2):
+                with pytest.raises(ClientError) as excinfo:
+                    client.session("nosuch")
+                assert excinfo.value.status == 404
+                assert "nosuch" in str(excinfo.value)
+            assert client.health()["status"] == "ok"
+
+    def test_close_ends_every_connection_and_the_client_stays_usable(self, served):
+        client = ServeClient(served.url)
+        client.health()
+        thread = threading.Thread(target=client.health)
+        thread.start()
+        thread.join(10)
+        connections = list(client._open)
+        assert len(connections) == 2 and all(c.sock is not None for c in connections)
+        client.close()
+        assert client._open == [] and all(c.sock is None for c in connections)
+        assert client.health()["status"] == "ok"
+        assert len(client._open) == 1 and client._open[0] not in connections
+        client.close()
 
 
 class TestAdmissionScheduler:
@@ -1102,7 +1283,8 @@ class TestWaitReady:
     def test_returns_health_payload_when_up(self):
         state = ServerState()
         with start_server(state) as handle:
-            payload = ServeClient(handle.url).wait_ready(timeout=10)
+            with ServeClient(handle.url) as client:
+                payload = client.wait_ready(timeout=10)
         assert payload["status"] == "ok"
 
     def test_times_out_against_dead_endpoint(self):

@@ -8,7 +8,9 @@ match. None of that may show. Over generated version chains of the
 ``repro.workloads`` designs a carried read equals a fresh one cell for cell
 (buffers, names, references, tokens) or fails with the same exception and
 message, and its tree MBRs, layer digests and diff equal those of the
-token-less reference ``layout_from_gdsii(read_bytes(...))``. A predecessor
+token-less reference ``layout_from_gdsii(read_bytes(...))``; and a recheck
+of each version against the chain's report of the one before, edited in
+the top, a row or a leaf definition, splices to the cold check's CSV. A predecessor
 edited through any public path lends nothing it changed, and the malformed
 corpus reads the same with a predecessor as without.
 """
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.diff import diff_layouts
+from repro.core.incremental import recheck
 from repro.core.packstore import layer_digests, layer_geometry_digest
 from repro.errors import ReproError
 from repro.gdsii import read_bytes, read_layout_bytes, reader, write_bytes
@@ -30,10 +33,11 @@ from repro.geometry import Polygon, Transform
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout import gdsii_from_layout, layout_from_gdsii
 from repro.layout.cell import CellReference
-from repro.workloads import build_design
+from repro.workloads import asap7, build_design
 
 from . import test_gdsii_malformed as corpus
 from .reference_reader import snapshot
+from .test_recheck import cold_report
 
 TOP = "top"
 DESIGNS = {"uart": ("uart",), "jpeg": ("jpeg", 1)}
@@ -249,13 +253,14 @@ STREAM_EDITS = ("rename", "reorder", "duplicate", "restamp", "truncate")
 def test_a_version_chain_reads_as_fresh(streams, design, steps):
     data = streams[design]
     layout = read_layout_bytes(data)
+    report = None  # the chain's report of ``layout``, spliced where it could be
     for edit, where, seed in steps:
         rng = random.Random(seed)
-        previous, previous_data = layout, data
+        previous, previous_data, baseline = layout, data, report
         if edit == "unrelated":
             previous_data = streams["jpeg" if design == "uart" else "uart"]
             previous = read_layout_bytes(previous_data)
-            new_data = data
+            new_data, baseline = data, None
         elif edit in STREAM_EDITS:
             new_data = edit_stream(data, edit, rng)
         else:
@@ -270,7 +275,21 @@ def test_a_version_chain_reads_as_fresh(streams, design, steps):
                 layout_from_gdsii(read_bytes(previous_data)),
                 layout_from_gdsii(read_bytes(new_data)),
             )
+            report = spliced_is_cold(previous, new, baseline)
+        else:
+            report = None
         layout, data = new, new_data
+
+
+def spliced_is_cold(old, new, baseline):
+    """Recheck ``new`` against ``old``'s report (cold if none is given):
+    the spliced CSV is the cold check's. Returns the spliced report."""
+    deck = asap7.full_deck()
+    if baseline is None:
+        baseline = cold_report(old, deck)
+    outcome = recheck(old, new, rules=deck, cached=baseline)
+    assert outcome.report.to_csv() == cold_report(new, deck).to_csv()
+    return outcome.report
 
 
 def test_a_restamped_resave_decodes_nothing(streams, walked):

@@ -2,9 +2,12 @@
 
 Read against the base version, a one-wire edit of ``top`` decodes that one
 structure of 20; its tree places only ``top``'s references; one layer digest
-(the edit's layer, M2) is computed; and the diff visits ``top`` alone. A
-served chain of ten edits answers, turn for turn, what a fresh session of
-each version answers, and its last report is the cold oracle's.
+(the edit's layer, M2) is computed; and the diff visits ``top`` alone and
+turns only the changed span of its M2 rings into bytes. A served chain of
+ten edits answers, turn for turn, what a fresh session of each version
+answers, and its last report is the cold oracle's. Fixing a placed
+definition (the sliver of ``NAND2x1``) splices to the cold report, and the
+region gather hands each subtree only the windows its placed MBR meets.
 """
 
 import os
@@ -16,9 +19,12 @@ from repro.core import diff as diff_module
 from repro.core import packstore
 from repro.core.diff import diff_layouts
 from repro.core.packstore import layer_digests, layer_geometry_digest
-from repro.gdsii import read_layout_bytes, reader
+from repro.gdsii import read_bytes, read_layout_bytes, reader, write_bytes
 from repro.hierarchy import tree as tree_module
+from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.tree import HierarchyTree
+from repro.layout import gdsii_from_layout, layout_from_gdsii
+from repro.layout.cell import RingBuffer
 from repro.server import ServerState
 from repro.workloads import asap7
 
@@ -106,6 +112,59 @@ def test_the_diff_visits_only_top(stream, base, monkeypatch):
     )
     assert diff.dirty_layers() == [asap7.M2]
     assert {args[1].name for args in local} == {args[1].name for args in refs} == {TOP}
+
+
+def test_a_one_wire_edit_turns_only_the_changed_span_into_bytes(stream, base, monkeypatch):
+    old, old_tree, old_digests = base
+    new = read_edit(stream, base)
+    new_tree = HierarchyTree(new, previous=old_tree)
+    new_digests = layer_digests(new_tree, new.layers(), (old_tree, old_digests))
+    spans = []
+    ring_bytes = RingBuffer.ring_bytes
+
+    def spy(rings, *args):
+        keys = ring_bytes(rings, *args)
+        spans.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(RingBuffer, "ring_bytes", spy)
+    diff_layouts(
+        old, new, old_tree=old_tree, new_tree=new_tree,
+        old_digests=old_digests, new_digests=new_digests,
+    )
+    assert len(new.cell(TOP).rings(asap7.M2)) > 1000
+    assert sorted(spans) == [0, 1]  # the old side's empty span, the new wire
+
+
+def sliver_fix(stream, cell="NAND2x1"):
+    """The base stream with the M1 sliver deleted from ``cell``'s definition."""
+    layout = layout_from_gdsii(read_bytes(stream.base_gds))
+    layout.cell(cell).remove_polygon(asap7.M1, -1)  # the sliver went in last
+    return write_bytes(gdsii_from_layout(layout))
+
+
+def test_a_definition_fix_splices_to_the_cold_report(stream, monkeypatch):
+    data = sliver_fix(stream)
+    handed = []
+    visit = SubtreeWindow._visit
+
+    def spy(self, cell_name, placement, layer, windows, out):
+        placed = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
+        handed.append((cell_name, [placed.overlaps(w) for w in windows]))
+        return visit(self, cell_name, placement, layer, windows, out)
+
+    monkeypatch.setattr(SubtreeWindow, "_visit", spy)
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=TOP)
+        state.check(session.sid)
+        handed.clear()
+        report, meta = state.recheck(session.sid, data=data)
+    assert "windowed" in meta["recheck"]["disposition"].values()
+    assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+    # Every window handed down to a subtree meets that subtree's placed MBR.
+    below = [meets for name, meets in handed if name != TOP]
+    assert below and all(all(meets) for meets in below)
+    assert sum(map(len, below)) < 10_000
 
 
 def test_a_served_chain_answers_what_fresh_sessions_answer(stream, monkeypatch):
