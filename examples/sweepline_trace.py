@@ -5,11 +5,20 @@ conceptual line moves top to bottom; at each top side the rect's x-interval
 is queried against the interval tree (reporting overlaps) and inserted, at
 each bottom side it is removed.
 
+The engine itself pairs MBRs with a sort-and-scan (docs/algorithms.md §3);
+the interval tree lives on next to the spatial-index ablation, in
+``benchmarks/interval_tree.py``.
+
     python examples/sweepline_trace.py
 """
 
+import sys
+from pathlib import Path
+
 from repro.geometry import Rect
-from repro.spatial import IntervalTree
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repo root, for benchmarks/
+from benchmarks.interval_tree import IntervalTree  # noqa: E402
 
 RECTS = {
     "A": Rect(0, 60, 40, 100),

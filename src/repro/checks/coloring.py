@@ -35,12 +35,14 @@ def conflict_edges(
     """All shape pairs closer than ``color_spacing``: (i, j, region, distance).
 
     The region/distance come from the closest exterior-facing edge pair, the
-    same measurement the spacing rule reports.
+    same measurement the spacing rule reports. Edges come in ``(i, j)``
+    order, not the sweep's: the BFS coloring, and so which conflicts are
+    reported on a layer that is not 2-colorable, depends on it.
     """
     margin = (color_spacing + 1) // 2
     inflated = [p.mbr.inflated(margin) for p in polygons]
     out: List[Tuple[int, int, Rect, int]] = []
-    for i, j in iter_overlapping_pairs(inflated):
+    for i, j in sorted(iter_overlapping_pairs(inflated)):
         hits = polygon_spacing_violations(polygons[i], polygons[j], color_spacing)
         if not hits:
             continue

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..geometry import Polygon
-from ..spatial.sweepline import near_pairs
+from ..spatial.sweepline import iter_bipartite_overlaps
 from .base import Shape, Violation, ViolationKind, as_polygon, is_box, shape_mbr
 
 
@@ -114,7 +114,7 @@ def check_enclosure(
     candidates: List[List[Polygon]] = [[] for _ in vias]
     via_rects = [v.mbr.inflated(min_enclosure) for v in vias]
     metal_rects = [m.mbr for m in metals]
-    for i, j in near_pairs(via_rects, metal_rects):
+    for i, j in iter_bipartite_overlaps(via_rects, metal_rects):
         candidates[i].append(metals[j])
 
     violations: List[Violation] = []

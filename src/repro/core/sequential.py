@@ -4,7 +4,7 @@ Pipeline per rule:
 
 1. **Adaptive row partition** of the top level (paper §IV-B) so that rows
    can be swept independently;
-2. **MBR sweepline** (interval-tree status, paper Fig. 3) to find candidate
+2. **MBR sweepline** (a sort-and-scan, paper Fig. 3) to find candidate
    pairs at every hierarchy level, with the §IV-C eliminations: id-ordered
    pairs (the sweep reports each unordered pair once), memoised per-cell
    internal results reused across instances, and rule-inflated-MBR
@@ -49,7 +49,7 @@ from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell, RingBuffer
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
-from ..spatial.sweepline import near_pairs, report_overlapping_pairs
+from ..spatial.sweepline import iter_bipartite_overlaps, report_overlapping_pairs
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
@@ -364,7 +364,7 @@ class SequentialBackend:
         ready_a: Dict[int, object] = {}
         ready_b: Dict[int, object] = {}
         inflated_a = [mbr.inflated(value) for _, mbr in side_a]
-        for i, j in near_pairs(inflated_a, [mbr for _, mbr in side_b]):
+        for i, j in iter_bipartite_overlaps(inflated_a, [mbr for _, mbr in side_b]):
             a = ready_a.get(i)
             if a is None:
                 a = ready_a[i] = prepare(side_a[i][0])
@@ -448,7 +448,7 @@ class SequentialBackend:
             items = self._level_items(top, metal_layer)
             windows = [shape_mbr(via).inflated(value) for via in survivors]
             metals: List[List[Shape]] = [[] for _ in survivors]
-            for e, j in near_pairs(windows, [it.mbr for it in items]):
+            for e, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
                 item = items[j]
                 if item.index is not None:
                     metals[e].append(ring_shape(rings.points(item.index), item.mbr))
@@ -534,7 +534,7 @@ class SequentialBackend:
             candidates: Dict[int, List[Shape]] = {}
             of_child: Dict[int, List[int]] = {}
             local: Dict[int, Shape] = {}
-            for e, j in near_pairs(windows, [it.mbr for it in items]):
+            for e, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
                 index = items[j].index
                 if index is not None:
                     metal = local.get(j)
@@ -552,7 +552,7 @@ class SequentialBackend:
                 metals = self.subtree.polygons_in_window(
                     items[j].cell_name, items[j].placement, metal_layer, union_all(near)
                 )
-                for k, m in near_pairs(near, [metal.mbr for metal in metals]):
+                for k, m in iter_bipartite_overlaps(near, [metal.mbr for metal in metals]):
                     candidates.setdefault(paired[k], []).append(metals[m])
         with profile.phase(PHASE_EDGE_CHECKS):
             for e, metals in candidates.items():

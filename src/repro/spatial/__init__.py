@@ -1,8 +1,9 @@
 """Spatial index structures (infrastructure layer).
 
-The interval tree and sweepline implement the paper's sequential candidate
-search (§IV-D, Fig. 3); interval merging implements Algorithm 1 behind the
-adaptive row partition (§IV-B).
+The sweepline implements the paper's sequential candidate search (§IV-D,
+Fig. 3) as one sort-and-scan over the MBRs, with the sorted run standing in
+for the paper's interval-tree status; interval merging implements Algorithm 1
+behind the adaptive row partition (§IV-B).
 """
 
 from .interval_merge import (
@@ -10,25 +11,19 @@ from .interval_merge import (
     merge_intervals_pigeonhole,
     merge_intervals_sorted,
 )
-from .interval_tree import IntervalTree
 from .regions import RegionSet
 from .sweepline import (
-    brute_force_pairs,
     iter_bipartite_overlaps,
     iter_overlapping_pairs,
     report_overlapping_pairs,
-    sweep,
 )
 
 __all__ = [
-    "IntervalTree",
     "RegionSet",
-    "brute_force_pairs",
     "coalesce_rects",
     "iter_bipartite_overlaps",
     "iter_overlapping_pairs",
     "merge_intervals_pigeonhole",
     "merge_intervals_sorted",
     "report_overlapping_pairs",
-    "sweep",
 ]

@@ -1,171 +1,121 @@
-"""Sweepline MBR-overlap reporting (paper §IV-D, Fig. 3).
+"""Sweepline MBR-overlap reporting (paper §IV-D, Fig. 3) as one sort-and-scan.
 
-A conceptual horizontal line moves top-to-bottom across the plane, visiting
-the top and bottom sides of all MBRs in descending y. At a top side, the
-rect's x-interval is queried against the interval-tree status (reporting all
-currently-open overlapping MBRs) and then inserted; at a bottom side it is
-removed. Overlap is *closed*: the engine inflates MBRs by the rule distance
-first, so boundary contact must be reported.
+The boxes are sorted on their low side along one axis; each box then scans
+forward through the sorted run while the next box starts at or before its
+high side, and tests the other axis. This is the one-way scan of Zomorodian
+and Edelsbrunner ("Fast software for box intersections", 2002): still a
+sweepline, with the sorted run standing in for the paper's interval-tree
+status. Overlap is *closed*: the engine inflates MBRs by the rule distance
+first, so boundary contact must be reported. Boxes are plain
+``(xlo, ylo, xhi, yhi)`` tuples (a ``Rect`` is one); an empty box
+(``lo > hi`` on either axis) never pairs.
+
+A box scans the boxes that start inside its span, about ``n · span / extent``
+of them, so each call sweeps along the axis with the smaller
+``Σ span / extent`` over everything it pairs (docs/algorithms.md §3).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Iterator, List, Sequence, Tuple
 
-from ..geometry import Rect
-from .interval_tree import IntervalTree
+Box = Tuple[int, int, int, int]
+#: A box keyed for the scan: ``(lo, hi, olo, ohi, index)``, where ``lo, hi``
+#: is its span on the sweep axis and ``olo, ohi`` its span on the other.
+_Keyed = Tuple[int, int, int, int, int]
 
-_ENTER = 0  # top side — processed first at equal y so touching rects pair up
-_EXIT = 1  # bottom side
+_LO = itemgetter(0)
 
 
-def iter_overlapping_pairs(rects: Sequence[Rect]) -> Iterator[Tuple[int, int]]:
+def iter_overlapping_pairs(rects: Sequence[Box]) -> Iterator[Tuple[int, int]]:
     """Yield index pairs ``(i, j)``, ``i < j``, of rects whose closed regions overlap.
 
     Empty rects never participate. Each pair is reported exactly once.
     """
-    events = _build_events(rects)
-    tree: IntervalTree[int] = IntervalTree([rects[index][0] for _, _, index in events] or [0])
-    query, insert, remove = tree.query, tree.insert, tree.remove
-    for _, kind, index in events:
-        xlo, _, xhi, _ = rects[index]
-        if kind == _ENTER:
-            for other in query(xlo, xhi):
-                yield (other, index) if other < index else (index, other)
-            insert(xlo, xhi, index)
-        else:
-            remove(xlo, xhi, index)
+    (boxes,) = _scan_order(rects)
+    los = [box[0] for box in boxes]
+    for k, (_, hi, olo, ohi, i) in enumerate(boxes, 1):
+        for _, _, bolo, bohi, j in boxes[k : bisect_right(los, hi, k)]:
+            if bolo <= ohi and olo <= bohi:
+                yield (i, j) if i < j else (j, i)
 
 
-def report_overlapping_pairs(rects: Sequence[Rect]) -> List[Tuple[int, int]]:
+def report_overlapping_pairs(rects: Sequence[Box]) -> List[Tuple[int, int]]:
     """Materialized :func:`iter_overlapping_pairs`."""
     return list(iter_overlapping_pairs(rects))
 
 
 def iter_bipartite_overlaps(
-    left: Sequence[Rect], right: Sequence[Rect]
+    left: Sequence[Box], right: Sequence[Box]
 ) -> Iterator[Tuple[int, int]]:
-    """Yield ``(i, j)`` with ``left[i]`` overlapping ``right[j]`` (closed).
+    """Yield ``(i, j)`` with ``left[i]`` overlapping ``right[j]`` (closed), in
+    no particular order; pairs within one side are never reported.
 
-    One sweep over both populations; used for inter-layer checks (e.g. via
-    enclosure candidates) where only cross pairs matter. Each side keeps its
-    own status tree, so an entering rect queries only the other side's, and
-    only the rects whose y-span meets the other side's ever enter one.
+    Both sides are sorted on the same axis and merged with one cursor each:
+    the box with the smaller ``lo`` (the left one on a tie) scans the other
+    side from that side's cursor, then its own cursor moves on. A pair is
+    reported by whichever of its two boxes comes first, so exactly once.
     """
-    live = (_in_band(left, right), _in_band(right, left))
-    events: List[Tuple[int, int, int, int]] = []  # (-y, kind, side, index)
-    for side, rects in enumerate((left, right)):
-        for index in live[side]:
-            _, ylo, _, yhi = rects[index]
-            events.append((-yhi, _ENTER, side, index))
-            events.append((-ylo, _EXIT, side, index))
-    events.sort()
-    trees = (
-        IntervalTree([left[index][0] for index in live[0]] or [0]),
-        IntervalTree([right[index][0] for index in live[1]] or [0]),
-    )
-    for _, kind, side, index in events:
-        if side == 0:
-            xlo, _, xhi, _ = left[index]
-            if kind == _ENTER:
-                for other in trees[1].query(xlo, xhi):
-                    yield index, other
-                trees[0].insert(xlo, xhi, index)
-            else:
-                trees[0].remove(xlo, xhi, index)
+    a, b = _scan_order(left, right)
+    a_los = [box[0] for box in a]
+    b_los = [box[0] for box in b]
+    i = j = 0
+    na, nb = len(a), len(b)
+    # Each turn takes the whole run of one side that comes before the other
+    # side's next box (left boxes up to and including its ``lo``, right ones
+    # strictly before); a box of the run ending before that ``lo`` scans
+    # nothing.
+    while i < na and j < nb:
+        if a_los[i] <= b_los[j]:
+            next_lo = b_los[j]
+            stop = bisect_right(a_los, next_lo, i)
+            for _, hi, olo, ohi, p in a[i:stop]:
+                if hi >= next_lo:
+                    for _, _, bolo, bohi, q in b[j : bisect_right(b_los, hi, j)]:
+                        if bolo <= ohi and olo <= bohi:
+                            yield p, q
+            i = stop
         else:
-            xlo, _, xhi, _ = right[index]
-            if kind == _ENTER:
-                for other in trees[0].query(xlo, xhi):
-                    yield other, index
-                trees[1].insert(xlo, xhi, index)
-            else:
-                trees[1].remove(xlo, xhi, index)
+            next_lo = a_los[i]
+            stop = bisect_left(b_los, next_lo, j)
+            for _, hi, olo, ohi, q in b[j:stop]:
+                if hi >= next_lo:
+                    for _, _, aolo, aohi, p in a[i : bisect_right(a_los, hi, i)]:
+                        if aolo <= ohi and olo <= aohi:
+                            yield p, q
+            j = stop
 
 
-#: Rect pairs up to which the direct double loop beats building sweep events
-#: and an interval tree.
-_BRUTE_PAIRS = 256
-
-
-def near_pairs(left: Sequence[Rect], right: Sequence[Rect]) -> Iterator[Tuple[int, int]]:
-    """The pairs of :func:`iter_bipartite_overlaps`, in no particular order.
-
-    The per-candidate callers (a via against one cell's metal, two gathered
-    polygon sets) mostly pass a handful of rects, for which the direct loop
-    wins; a level with thousands of items gets the sweep.
-    """
-    if len(left) * len(right) > _BRUTE_PAIRS:
-        yield from iter_bipartite_overlaps(left, right)
-        return
-    boxes = [(j, box) for j, box in enumerate(right) if box[0] <= box[2] and box[1] <= box[3]]
-    for i, (xlo, ylo, xhi, yhi) in enumerate(left):
-        if xlo <= xhi and ylo <= yhi:
-            for j, (bxlo, bylo, bxhi, byhi) in boxes:
-                if bxlo <= xhi and xlo <= bxhi and bylo <= yhi and ylo <= byhi:
-                    yield (i, j)
-
-
-def brute_force_pairs(rects: Sequence[Rect]) -> List[Tuple[int, int]]:
-    """Quadratic reference implementation used to validate the sweepline."""
-    out: List[Tuple[int, int]] = []
-    for i, a in enumerate(rects):
-        for j in range(i + 1, len(rects)):
-            if a.overlaps(rects[j]):
-                out.append((i, j))
-    return out
-
-
-def sweep(
-    rects: Sequence[Rect],
-    on_pair: Callable[[int, int], None],
-    *,
-    prune: Optional[Callable[[int, int], bool]] = None,
-) -> int:
-    """Run the sweep calling ``on_pair`` per overlap; returns the pair count.
-
-    ``prune(i, j) -> True`` suppresses a pair before the callback — this is
-    where the engine plugs in the paper's §IV-C elimination conditions.
-    """
-    pairs = 0
-    for i, j in iter_overlapping_pairs(rects):
-        if prune is not None and prune(i, j):
-            continue
-        on_pair(i, j)
-        pairs += 1
-    return pairs
-
-
-def _in_band(rects: Sequence[Rect], others: Sequence[Rect]) -> List[int]:
-    """Indices of the non-empty ``rects`` whose y-span meets a non-empty one
-    of ``others``: against the merged union of their y-spans, bisected."""
-    band_lo: List[int] = []
-    band_hi: List[int] = []
-    for lo, hi in sorted((ylo, yhi) for xlo, ylo, xhi, yhi in others if xlo <= xhi and ylo <= yhi):
-        if band_hi and lo <= band_hi[-1]:
-            if hi > band_hi[-1]:
-                band_hi[-1] = hi
-        else:
-            band_lo.append(lo)
-            band_hi.append(hi)
-    keep: List[int] = []
-    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
-        if xlo <= xhi and ylo <= yhi:
-            # The last band starting at or below yhi reaches highest of those.
-            k = bisect_right(band_lo, yhi) - 1
-            if k >= 0 and band_hi[k] >= ylo:
-                keep.append(index)
-    return keep
-
-
-def _build_events(rects: Sequence[Rect]) -> List[Tuple[int, int, int]]:
-    events: List[Tuple[int, int, int]] = []
-    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
-        if xlo <= xhi and ylo <= yhi:
-            # Sort key -y gives descending y; ENTER(0) < EXIT(1) keeps touching
-            # rects (one's bottom at another's top) paired.
-            events.append((-yhi, _ENTER, index))
-            events.append((-ylo, _EXIT, index))
-    events.sort()
-    return events
+def _scan_order(*populations: Sequence[Box]) -> List[List[_Keyed]]:
+    """Each population's non-empty boxes keyed for the scan and sorted on
+    ``lo``, all on one sweep axis: the one with the smaller ``Σ span /
+    extent`` over every population (ties sweep on x)."""
+    keyed = [
+        [
+            (xlo, xhi, ylo, yhi, index)
+            for index, (xlo, ylo, xhi, yhi) in enumerate(rects)
+            if xlo <= xhi and ylo <= yhi
+        ]
+        for rects in populations
+    ]
+    x_span = y_span = 0
+    x_ends: List[int] = []
+    y_ends: List[int] = []
+    for boxes in keyed:
+        if boxes:
+            xlo, xhi, ylo, yhi, _ = zip(*boxes)
+            x_span += sum(xhi) - sum(xlo)
+            y_span += sum(yhi) - sum(ylo)
+            x_ends += (min(xlo), max(xhi))
+            y_ends += (min(ylo), max(yhi))
+    # x_span / x_extent > y_span / y_extent, multiplied out; the +1 keeps a
+    # zero-extent axis from dividing by zero.
+    if x_ends and x_span * (max(y_ends) - min(y_ends) + 1) > y_span * (
+        max(x_ends) - min(x_ends) + 1
+    ):
+        keyed = [[(ylo, yhi, xlo, xhi, i) for xlo, xhi, ylo, yhi, i in boxes] for boxes in keyed]
+    for boxes in keyed:
+        boxes.sort(key=_LO)
+    return keyed

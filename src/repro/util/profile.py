@@ -1,8 +1,8 @@
 """Phase profiler behind the paper's Fig. 4 runtime breakdown.
 
 The sequential engine wraps its three stages — adaptive partition, MBR
-sweepline (with interval-tree operations), and edge-to-edge checks — in
-named phases; :class:`PhaseProfile` accumulates per-phase seconds and renders
+sweepline (the sort-and-scan and the ring gathers around it), and
+edge-to-edge checks — in named phases; :class:`PhaseProfile` accumulates per-phase seconds and renders
 the percentage breakdown and an ASCII bar chart like the paper's figure.
 """
 

@@ -20,7 +20,7 @@ from repro.geometry import Polygon, Rect, Transform
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.query import pull_back_window
 from repro.layout import CellReference, Layout, Repetition
-from repro.spatial.sweepline import near_pairs
+from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
 
 from .reference_sequential import ReferenceSequentialBackend
@@ -78,7 +78,7 @@ class ReferenceBackend(ReferenceSequentialBackend):
             items = self.caches.level_items(cell, metal_layer)
             windows = [via.mbr.inflated(value) for via in vias]
             vias_of_item: Dict[int, List[int]] = {}
-            for i, j in near_pairs(windows, [it.mbr for it in items]):
+            for i, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
                 vias_of_item.setdefault(j, []).append(i)
 
         satisfied = [False] * len(vias)
@@ -100,7 +100,7 @@ class ReferenceBackend(ReferenceSequentialBackend):
             with profile.phase(PHASE_SWEEPLINE):
                 candidates: Dict[int, List[Polygon]] = {}
                 pending_windows = [windows[i] for i in via_indices]
-                for vi, mi in near_pairs(pending_windows, [m.mbr for m in metals]):
+                for vi, mi in iter_bipartite_overlaps(pending_windows, [m.mbr for m in metals]):
                     candidates.setdefault(via_indices[vi], []).append(metals[mi])
             with profile.phase(PHASE_EDGE_CHECKS):
                 for via_index, cands in candidates.items():

@@ -25,7 +25,7 @@ from repro.hierarchy.pruning import PruningStats, distance_invariant, gather_pai
 from repro.hierarchy.query import invert
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout.cell import Cell
-from repro.spatial.sweepline import near_pairs
+from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
 from repro.violation_table import violation_row
 
@@ -123,7 +123,7 @@ class ReferenceSequentialBackend(SequentialBackend):
         side_a, side_b = gather_pair_polygons(rings, item_a, item_b, self.subtree, layer, value)
         found: List[Violation] = []
         inflated_a = [p.mbr.inflated(value) for p in side_a]
-        for i, j in near_pairs(inflated_a, [p.mbr for p in side_b]):
+        for i, j in iter_bipartite_overlaps(inflated_a, [p.mbr for p in side_b]):
             found.extend(
                 procedures.cross_violations(
                     procedures.prepare(side_a[i].vertices),
@@ -207,7 +207,7 @@ class ReferenceSequentialBackend(SequentialBackend):
             windows = [via.mbr.inflated(value) for _, via in entries]
             candidates: Dict[int, List[Polygon]] = {}
             of_child: Dict[int, List[int]] = {}
-            for e, j in near_pairs(windows, [it.mbr for it in items]):
+            for e, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
                 if items[j].index is not None:
                     candidates.setdefault(e, []).append(rings.polygon(items[j].index))
                 else:
@@ -219,7 +219,7 @@ class ReferenceSequentialBackend(SequentialBackend):
                 metals = self.subtree.polygons_in_window(
                     items[j].cell_name, items[j].placement, metal_layer, union_all(near)
                 )
-                for k, m in near_pairs(near, [metal.mbr for metal in metals]):
+                for k, m in iter_bipartite_overlaps(near, [metal.mbr for metal in metals]):
                     candidates.setdefault(paired[k], []).append(metals[m])
         with profile.phase(PHASE_EDGE_CHECKS):
             for e, metals in candidates.items():

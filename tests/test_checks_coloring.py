@@ -30,6 +30,14 @@ class TestConflictGraph:
         polys = chain(3, gap=50)
         assert conflict_edges(polys, 8) == []
 
+    def test_edges_come_in_index_order(self):
+        # The BFS coloring follows the edge order, so it must not depend on
+        # the order the MBR sweep happens to report pairs in.
+        polys = [rect(15 * (k % 7), 120 * (k // 7), 15 * (k % 7) + 10, 120 * (k // 7) + 100)
+                 for k in range(21)]
+        edges = [(i, j) for i, j, _, _ in conflict_edges(polys, 8)]
+        assert len(edges) == 18 and edges == sorted(edges)
+
     def test_edge_carries_min_distance(self):
         polys = [rect(0, 0, 10, 100), rect(15, 0, 25, 100)]
         edges = conflict_edges(polys, 8)

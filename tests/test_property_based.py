@@ -5,13 +5,11 @@ from hypothesis import given, settings
 
 from repro.geometry import Interval, Point, Polygon, Rect, Transform, coalesce
 from repro.geometry.booleans import union_rects
-from repro.spatial import (
-    IntervalTree,
-    brute_force_pairs,
-    iter_overlapping_pairs,
-    merge_intervals_pigeonhole,
-)
+from repro.spatial import iter_overlapping_pairs, merge_intervals_pigeonhole
 from repro.partition import partition_rects
+from benchmarks.interval_tree import IntervalTree
+
+from .test_spatial_sweepline import brute_force_pairs
 
 coords = st.integers(min_value=-1000, max_value=1000)
 sizes = st.integers(min_value=0, max_value=80)

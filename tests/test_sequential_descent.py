@@ -24,7 +24,7 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout
 from repro.layout.cell import RingBuffer
 from repro.layout.flatten import flatten_layer
-from repro.spatial.sweepline import near_pairs
+from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PhaseProfile
 
 from .reference_resolution import (
@@ -173,7 +173,7 @@ def test_rigid_layout_gathers_for_survivors_only_and_moves_no_metal(seed, monkey
     windows = [via.mbr.inflated(ENCLOSURE) for via in procedures.survivors]
     expected = Counter(
         (items[j].cell_name, items[j].placement, METAL, windows[e])
-        for e, j in near_pairs(windows, [item.mbr for item in items])
+        for e, j in iter_bipartite_overlaps(windows, [item.mbr for item in items])
         if items[j].index is None
     )
     assert Counter(gathers) == expected

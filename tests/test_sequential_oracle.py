@@ -19,7 +19,6 @@ from repro.core.engine import Engine, EngineOptions
 from repro.errors import GeometryError
 from repro.geometry import Point, Polygon, Rect, Transform
 from repro.hierarchy.query import pull_back_window
-from repro.spatial.sweepline import iter_bipartite_overlaps, near_pairs
 from repro.workloads import asap7, build_design
 
 ORIENTATIONS = [(rotation, mirror) for rotation in (0, 90, 180, 270) for mirror in (False, True)]
@@ -222,24 +221,6 @@ class TestContainsPoint:
                             )
                             is want
                         )
-
-
-# -- near pairs -----------------------------------------------------------------
-
-
-def test_near_pairs_is_the_bipartite_sweep_on_both_sides_of_its_cutoff():
-    rng = random.Random("near-pairs")
-
-    def rects(count):
-        out = [Rect(1, 1, 0, 0)]  # an empty rect never pairs
-        for _ in range(count):
-            x, y = rng.randint(0, 200), rng.randint(0, 200)
-            out.append(Rect(x, y, x + rng.randint(0, 90), y + rng.randint(0, 90)))
-        return out
-
-    for left, right in ((rects(5), rects(7)), (rects(40), rects(40))):
-        found = sorted(near_pairs(left, right))
-        assert found and found == sorted(iter_bipartite_overlaps(left, right))
 
 
 # -- (c) work bound ---------------------------------------------------------------

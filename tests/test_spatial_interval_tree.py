@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from repro.spatial import IntervalTree
+from benchmarks.interval_tree import IntervalTree, tree_sweep_pairs
+from repro.geometry import EMPTY_RECT, Rect
+from repro.spatial import iter_overlapping_pairs
 
 
 def brute(intervals, qlo, qhi):
@@ -95,3 +97,16 @@ class TestRandomizedAgainstBruteForce:
                 qhi = qlo + rng.randint(0, 60)
                 assert sorted(tree.query(qlo, qhi)) == brute(live, qlo, qhi)
         assert len(tree) == len(live)
+
+
+class TestTreeSweep:
+    """The Fig. 3 sweep the ablation measures finds what the engine's scan finds."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_match_the_scan(self, seed):
+        rng = random.Random(seed)
+        rects = [EMPTY_RECT]
+        for _ in range(150):
+            x, y = rng.randint(0, 300), rng.randint(0, 300)
+            rects.append(Rect(x, y, x + rng.randint(0, 40), y + rng.randint(0, 40)))
+        assert sorted(tree_sweep_pairs(rects)) == sorted(iter_overlapping_pairs(rects))
