@@ -22,10 +22,17 @@ def check_polygon_area(polygon: Polygon, layer: int, min_area: int) -> List[Viol
 
 def check_ring_area(rings, layer: int, min_area: int) -> List[Violation]:
     """Area violations of every ring of one :class:`~repro.layout.cell.RingBuffer`,
-    in its frame, read off the coordinates (no ``Polygon`` built)."""
+    in its frame, read off the coordinates (no ``Polygon`` built): a
+    rectangle's (by the buffer's :meth:`~repro.layout.cell.RingBuffer.rect_flags`)
+    is ``w * h`` off the MBR table, any other ring's the Shoelace sum."""
     violations: List[Violation] = []
-    for index in range(len(rings)):
-        area = abs(signed_area2(rings.points(index))) // 2
+    mbrs = rings.mbrs
+    for index, rectangle in enumerate(rings.rect_flags()):
+        if rectangle:
+            xlo, ylo, xhi, yhi = mbrs[4 * index : 4 * index + 4]
+            area = (xhi - xlo) * (yhi - ylo)
+        else:
+            area = abs(signed_area2(rings.points(index))) // 2
         if area < min_area:
             violations.append(_violation(rings.mbr(index), area, layer, min_area))
     return violations

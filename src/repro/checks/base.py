@@ -12,9 +12,8 @@ import dataclasses
 import enum
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from ..geometry import Point, Polygon, Rect, Transform
+from ..geometry import Point, Polygon, Rect
 from ..geometry.polygon import is_rectangle_ring
-from ..geometry.transform import Row, rigid_row, row_rect, row_transform
 
 #: What the cross-layer procedures judge: a ``Polygon``, or a ``Rect`` standing
 #: for the rectangle polygon it bounds (the sequential engine reads
@@ -38,31 +37,8 @@ def ring_shape(ring: Sequence[Tuple[int, int]], mbr: Rect) -> Shape:
     return Polygon._normalised(tuple(map(Point._make, ring)), "", mbr)
 
 
-def polygon_shape(polygon: Polygon) -> Shape:
-    """``polygon`` as a shape: its MBR when it is a rectangle."""
-    return polygon.mbr if polygon.is_rectangle else polygon
-
-
 def is_box(shape: Shape) -> bool:
     return isinstance(shape, Rect) or shape.is_rectangle
-
-
-def row_shape(shape: Shape, row: Row) -> Shape:
-    """``shape`` through an integer rigid placement row."""
-    if isinstance(shape, Rect):
-        return row_rect(row, shape)
-    return shape.transformed(row_transform(row))
-
-
-def placed_shapes(shapes: Sequence[Shape], placement: Transform) -> List[Shape]:
-    """``shapes`` through ``placement``; a rectangle stays a ``Rect``."""
-    if placement.preserves_distances:
-        row = rigid_row(placement)
-        return [row_shape(shape, row) for shape in shapes]
-    return [
-        placement.apply_rect(shape) if isinstance(shape, Rect) else shape.transformed(placement)
-        for shape in shapes
-    ]
 
 
 class ViolationKind(enum.Enum):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..geometry import Polygon
-from ..spatial.sweepline import iter_bipartite_overlaps
+from ..spatial.sweepline import Box, iter_bipartite_overlaps
 from .base import Shape, Violation, ViolationKind, as_polygon, is_box, shape_mbr
 
 
@@ -131,6 +131,27 @@ class EnclosureProcedures:
     The cross-layer procedure object the hierarchical pending-object
     resolution calls; registered per rule kind in :mod:`repro.core.plan`.
     """
+
+    @staticmethod
+    def box_satisfied(window: Box, metal: Box) -> bool:
+        """Whether the rectangular ``metal`` alone encloses the rectangular via
+        whose MBR grown by the rule value on every side is ``window`` (both
+        ``(xlo, ylo, xhi, yhi)``): four comparisons, the metal covers the window.
+
+        For two boxes this is ``enclosure_margin(via, metal) >= value``: the
+        margin is the least of the four side gaps once the metal contains the
+        via, each gap is at least ``value`` exactly when that side of the
+        metal reaches the window's, and a positive ``value`` makes covering
+        the window imply containing the via. :meth:`satisfied` holds when any
+        one metal passes, so a box pair this decides need not join the
+        candidates passed to it.
+        """
+        return (
+            metal[0] <= window[0]
+            and metal[1] <= window[1]
+            and metal[2] >= window[2]
+            and metal[3] >= window[3]
+        )
 
     def satisfied(self, via: Shape, metals: Sequence[Shape], value: int) -> bool:
         for metal in metals:

@@ -39,6 +39,10 @@ class OverlapProcedures:
     resolution calls; registered per rule kind in :mod:`repro.core.plan`.
     """
 
+    #: No single base decides a via: the area is taken against the union of
+    #: all of its candidates, so every one of them reaches :meth:`satisfied`.
+    box_satisfied = None
+
     def satisfied(self, polygon: Shape, bases: Sequence[Shape], value: int) -> bool:
         return overlap_area(polygon, bases) >= value
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from ..geometry import Polygon
-from ..geometry.polygon import edge_rows_of, is_rectangle_ring
+from ..geometry.polygon import edge_rows_of
 from .base import Violation, ViolationKind
 from .edges import width_regions, width_violation_regions
 
@@ -17,13 +17,13 @@ def check_polygon_width(polygon: Polygon, layer: int, min_width: int) -> List[Vi
 
 def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
     """Width violations of every ring of one :class:`~repro.layout.cell.RingBuffer`,
-    in its frame, read off the coordinates (no ``Polygon`` built). A rectangle's
-    only facing pairs are its two sides of each axis, so its markers are its
+    in its frame, read off the coordinates (no ``Polygon`` built). A rectangle
+    (by the buffer's :meth:`~repro.layout.cell.RingBuffer.rect_flags`) has as
+    its only facing pairs its two sides of each axis, so its markers are its
     MBR with the height, then the width, where narrower than ``min_width``."""
     violations: List[Violation] = []
-    for index in range(len(rings)):
-        ring = rings.points(index)
-        if is_rectangle_ring(ring):
+    for index, rectangle in enumerate(rings.rect_flags()):
+        if rectangle:
             mbr = rings.mbr(index)
             regions = [
                 (mbr, distance)
@@ -31,7 +31,7 @@ def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
                 if distance < min_width
             ]
         else:
-            regions = width_regions(edge_rows_of(ring), min_width)
+            regions = width_regions(edge_rows_of(rings.points(index)), min_width)
         violations.extend(_violations(regions, layer, min_width))
     return violations
 

@@ -158,16 +158,70 @@ def _orientation(rng: random.Random, dx: int, dy: int) -> Transform:
     return Transform(dx, dy, rotation, mirror)
 
 
-def random_hierarchy(seed, *, magnified: bool = True) -> Layout:
+def _boundary_cluster(cell, x: int, y: int) -> None:
+    """Vias at margin ``m`` for ``m`` in ``ENCLOSURE - 1, ENCLOSURE, ENCLOSURE + 1``
+    (one side at ``m``, the others well clear), at ``(x, y)`` in ``cell``'s frame:
+
+    * a square via against each side of a 40 x 40 rectangle;
+    * a square via against each inner side of an L (60 x 60 less its
+      30 x 30 top-right corner), and an L-shaped via against the left
+      side of a rectangle;
+    * a square via straddling a rectangle's right side with exactly
+      ``MIN_OVERLAP`` of its area on the metal, and one across the seam of
+      two abutting rectangles (50 + 50).
+
+    Run against rules at ``ENCLOSURE + d`` / ``MIN_OVERLAP + d``, ``d`` in
+    ``-1, 0, 1``, every margin lands at ``value - 1``, ``value`` and
+    ``value + 1``."""
+    for k, m in enumerate((ENCLOSURE - 1, ENCLOSURE, ENCLOSURE + 1)):
+        bx = x + 130 * k
+        cell.add_polygon(METAL, Polygon.from_rect_coords(bx, y, bx + 40, y + 40))
+        far = 40 - VIA_SIDE - m
+        for vx, vy in ((m, 15), (far, 15), (15, m), (15, far)):
+            cell.add_polygon(VIA, _via(bx + vx, y + vy))
+        lx, ly = x + 130 * k, y + 60
+        cell.add_polygon(
+            METAL,
+            Polygon([(lx, ly), (lx, ly + 60), (lx + 30, ly + 60), (lx + 30, ly + 30),
+                     (lx + 60, ly + 30), (lx + 60, ly)]),
+        )
+        # Right of the upper arm faces the notch; so does the top of the lower arm.
+        cell.add_polygon(VIA, _via(lx + 30 - m - VIA_SIDE, ly + 40))
+        cell.add_polygon(VIA, _via(lx + 40, ly + 30 - m - VIA_SIDE))
+        ex, ey = x + 130 * k, y + 140
+        cell.add_polygon(METAL, Polygon.from_rect_coords(ex, ey, ex + 40, ey + 40))
+        cell.add_polygon(
+            VIA,
+            Polygon([(ex + m, ey + 14), (ex + m, ey + 26), (ex + m + 6, ey + 26),
+                     (ex + m + 6, ey + 20), (ex + m + 12, ey + 20), (ex + m + 12, ey + 14)]),
+        )
+    ox, oy = x + 400, y
+    cell.add_polygon(METAL, Polygon.from_rect_coords(ox, oy, ox + 40, oy + 40))
+    cell.add_polygon(VIA, _via(ox + 40 - MIN_OVERLAP // VIA_SIDE, oy + 15))
+    cell.add_polygon(METAL, Polygon.from_rect_coords(ox, oy + 60, ox + 40, oy + 100))
+    cell.add_polygon(METAL, Polygon.from_rect_coords(ox + 40, oy + 60, ox + 80, oy + 100))
+    cell.add_polygon(VIA, _via(ox + 35, oy + 75))
+
+
+def random_hierarchy(seed, *, magnified: bool = True, edge_cases: bool = False) -> Layout:
     """top -> mids -> leaves: SREFs in all 8 orientations, an AREF at both
     levels, overlapping siblings, L-shaped metals, vias at every level, one
-    magnified instance (optional) and the planted cases of ``_plant``."""
+    magnified instance (optional) and the planted cases of ``_plant``; with
+    ``edge_cases``, a ``_boundary_cluster`` (exact margins, L-shaped vias)
+    in every leaf, every mid and the top, and an L-shaped via scattered in
+    every leaf."""
     rng = random.Random(f"descent-{seed}")
     layout = Layout(f"descent-{seed}")
     leaves = []
     for index in range(3):
         leaf = layout.new_cell(f"leaf{index}")
         _scatter(rng, leaf, 200, metals=rng.randint(3, 5), vias=rng.randint(4, 6))
+        if edge_cases:
+            _boundary_cluster(leaf, 0, 240)
+            x, y = rng.randint(0, 200), rng.randint(0, 200)
+            leaf.add_polygon(
+                VIA, Polygon([(x, y), (x, y + 12), (x + 6, y + 12), (x + 6, y + 6), (x + 12, y + 6), (x + 12, y)])
+            )
         leaves.append(leaf.name)
     mids = []
     for index in range(2):
@@ -185,6 +239,8 @@ def random_hierarchy(seed, *, magnified: bool = True) -> Layout:
             )
         )
         _scatter(rng, mid, 800, metals=3, vias=8)
+        if edge_cases:
+            _boundary_cluster(mid, 0, 900)
         mids.append(mid.name)
     top = layout.new_cell("top")
     for slot, (rotation, mirror) in enumerate(ORIENTATIONS):
@@ -209,6 +265,8 @@ def random_hierarchy(seed, *, magnified: bool = True) -> Layout:
     for _ in range(60):
         top.add_polygon(VIA, _via(rng.randint(-900, 4200), rng.randint(-900, 4800)))
     _plant(layout, top)
+    if edge_cases:
+        _boundary_cluster(top, PLANTED_X, 3000)
     layout.set_top("top")
     return layout
 

@@ -10,21 +10,28 @@ holds the engine to, marker for marker.
 * :class:`ReferenceSequentialBackend` — the sequential backend with that
   walk, the ``Polygon``-based pair gather
   (:func:`~repro.hierarchy.pruning.gather_pair_polygons`), and pending ``Polygon`` vias
-  resolved by a per-parent recursive descent.
+  resolved by a per-parent recursive descent;
+* :class:`ShapeDescentBackend` — the sequential backend with the via
+  descent as it ran before the rectangle column: every pending via a
+  :data:`~repro.checks.base.Shape` (its MBR ``Rect`` when it is a rectangle),
+  placed per placement through ``placed_shapes``, windows inflated as
+  ``Rect`` and every candidate set judged by ``procedures.satisfied``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import heapq
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.klayout_like import _intra_flat
-from repro.checks.base import Violation
+from repro.checks.base import Shape, Violation, ring_shape, shape_mbr
 from repro.core.sequential import SequentialBackend
-from repro.geometry import IDENTITY, Polygon, Transform, union_all
+from repro.geometry import IDENTITY, Polygon, Rect, Transform, union_all
+from repro.geometry.transform import Row, invert_row, rigid_row, row_rect, row_transform
 from repro.hierarchy.pruning import PruningStats, distance_invariant, gather_pair_polygons
 from repro.hierarchy.query import invert
 from repro.hierarchy.tree import HierarchyTree
-from repro.layout.cell import Cell
+from repro.layout.cell import Cell, RingBuffer
 from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
 from repro.violation_table import violation_row
@@ -236,3 +243,223 @@ class ReferenceSequentialBackend(SequentialBackend):
                         batch.append((index, via.transformed(inverse)))
         for child_name, batch in batches.items():
             self._descend(child_name, batch, satisfied, metal_layer, value, procedures, profile)
+
+
+class ShapeDescentBackend(SequentialBackend):
+    """The sequential backend with the ``Shape`` via descent, verbatim."""
+
+    def _cross_layer(
+        self,
+        via_layer: int,
+        metal_layer: int,
+        value: int,
+        procedures,
+        profile: PhaseProfile,
+    ) -> List[Violation]:
+        """Pending-object resolution up the hierarchy (enclosure, overlap).
+
+        Each cell definition resolves its subtree's target polygons against
+        its own subtree's partner layer once; objects not yet satisfied
+        propagate upward (more partner geometry may appear in an ancestor or
+        a sibling — both enclosure and overlap satisfaction are monotone in
+        the candidate set, which is what makes this sound). Survivors at the
+        top are violations. A via travels as a :data:`~repro.checks.base.Shape`:
+        its MBR when it is a rectangle.
+        """
+        memo: Dict[str, List[Shape]] = {}
+
+        def pending(cell_name: str) -> List[Shape]:
+            cached = memo.get(cell_name)
+            if cached is not None:
+                self.pruning.checks_reused += 1
+                return cached
+            self.pruning.checks_run += 1
+            cell = self.layout.cell(cell_name)
+            candidates_pending = _ring_shapes(cell.rings(via_layer))
+            for ref in cell.references:
+                if not self.tree.has_layer(ref.cell_name, via_layer):
+                    continue
+                placements = list(ref.placements())
+                if all(p.preserves_distances for p in placements):
+                    child_pending = pending(ref.cell_name)
+                else:
+                    # Margins scale under magnification: re-resolve the whole
+                    # subtree's vias at this level instead of reusing.
+                    self.pruning.checks_refreshed += 1
+                    child_pending = self._all_subtree_vias(ref.cell_name, via_layer)
+                for placement in placements:
+                    candidates_pending.extend(placed_shapes(child_pending, placement))
+            unresolved = self._resolve_vias(
+                cell_name, candidates_pending, metal_layer, value, procedures, profile
+            )
+            memo[cell_name] = unresolved
+            return unresolved
+
+        top = self.tree.top
+        survivors = pending(top.name)
+        vios: List[Violation] = []
+        with profile.phase(PHASE_EDGE_CHECKS):
+            # Every survivor against all metal in its window: one sweep over
+            # the top level's items, then a gather per child item hit.
+            rings = top.rings(metal_layer)
+            items = self._level_items(top, metal_layer)
+            windows = [shape_mbr(via).inflated(value) for via in survivors]
+            metals: List[List[Shape]] = [[] for _ in survivors]
+            for e, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
+                item = items[j]
+                if item.index is not None:
+                    metals[e].append(ring_shape(rings.points(item.index), item.mbr))
+                else:
+                    metals[e].extend(
+                        ring_shape(ring, mbr)
+                        for ring, mbr in self.subtree.rings_in_window(
+                            item.cell_name, item.placement, metal_layer, windows[e]
+                        )
+                    )
+            for via, found in zip(survivors, metals):
+                vios.extend(procedures.violations(via, found, via_layer, metal_layer, value))
+        return vios
+
+    def _resolve_vias(
+        self,
+        cell_name: str,
+        vias: List[Shape],
+        metal_layer: int,
+        value: int,
+        procedures,
+        profile: PhaseProfile,
+    ) -> List[Shape]:
+        """Drop every via (in ``cell_name``'s frame) its subtree's metal satisfies.
+
+        Vias are pushed down instead of metal pulled up (paper §IV-C reuse),
+        parents first: each definition gathers the pending ``(index, via in
+        its frame)`` entries of *all* of its parents before it sweeps, so
+        however many parents place it, it is entered once (:meth:`_descend`).
+        The queued definitions sit in a max-heap on their topological
+        position, so a resolution touches only the definitions it enters.
+        """
+        satisfied = [False] * len(vias)
+        frontier: Dict[str, List[Tuple[int, Shape]]] = {cell_name: list(enumerate(vias))}
+        queue = [-self.tree.position[cell_name]]
+        while queue:
+            name = self.tree.order[-heapq.heappop(queue)]
+            self._descend(
+                name,
+                frontier.pop(name),
+                satisfied,
+                (frontier, queue),
+                metal_layer,
+                value,
+                procedures,
+                profile,
+            )
+        return [via for via, ok in zip(vias, satisfied) if not ok]
+
+    def _descend(
+        self,
+        cell_name: str,
+        entries: List[Tuple[int, Shape]],
+        satisfied: List[bool],
+        frontier: Tuple[Dict[str, List[Tuple[int, Shape]]], List[int]],
+        metal_layer: int,
+        value: int,
+        procedures,
+        profile: PhaseProfile,
+    ) -> None:
+        """One definition's step of the via descent.
+
+        ``entries`` are ``(index into satisfied, via in this cell's frame)``;
+        ``frontier`` is the resolution's pending entries per definition and
+        its heap of their negated topological positions.
+        One bipartite MBR sweep pairs via windows with this level's metal
+        items; a via is judged once against all of its local candidates, and
+        the vias paired with rigid child instances are mapped into the
+        child's frame and queued on the child's ``frontier`` entry, so a
+        definition placed k times is swept once and no metal is transformed.
+        Sound because satisfaction is monotone in the candidate set and
+        invariant under rigid maps, and every survivor is re-judged at the
+        top against all metal in its window (docs/algorithms.md §5).
+        """
+        entries = [entry for entry in entries if not satisfied[entry[0]]]
+        if not entries:
+            return
+        with profile.phase(PHASE_SWEEPLINE):
+            cell = self.layout.cell(cell_name)
+            rings = cell.rings(metal_layer)
+            items = self._level_items(cell, metal_layer)
+            windows = [shape_mbr(via).inflated(value) for _, via in entries]
+            candidates: Dict[int, List[Shape]] = {}
+            of_child: Dict[int, List[int]] = {}
+            local: Dict[int, Shape] = {}
+            for e, j in iter_bipartite_overlaps(windows, [it.mbr for it in items]):
+                index = items[j].index
+                if index is not None:
+                    metal = local.get(j)
+                    if metal is None:
+                        metal = local[j] = ring_shape(rings.points(index), items[j].mbr)
+                    candidates.setdefault(e, []).append(metal)
+                else:
+                    of_child.setdefault(j, []).append(e)
+            # Margins scale under magnification: pull such a subtree's metal
+            # up over the union of its vias' windows, as candidates here.
+            for j, paired in of_child.items():
+                if items[j].placement.preserves_distances:
+                    continue
+                near = [windows[e] for e in paired]
+                metals = self.subtree.polygons_in_window(
+                    items[j].cell_name, items[j].placement, metal_layer, union_all(near)
+                )
+                for k, m in iter_bipartite_overlaps(near, [metal.mbr for metal in metals]):
+                    candidates.setdefault(paired[k], []).append(metals[m])
+        with profile.phase(PHASE_EDGE_CHECKS):
+            for e, metals in candidates.items():
+                index, via = entries[e]
+                if not satisfied[index] and procedures.satisfied(via, metals, value):
+                    satisfied[index] = True
+        pending, queue = frontier
+        for j, paired in of_child.items():
+            item = items[j]
+            if item.placement.preserves_distances:
+                inverse = invert_row(rigid_row(item.placement))
+                batch = pending.get(item.cell_name)
+                if batch is None:
+                    batch = pending[item.cell_name] = []
+                    heapq.heappush(queue, -self.tree.position[item.cell_name])
+                for index, via in (entries[e] for e in paired):
+                    if not satisfied[index]:
+                        batch.append((index, row_shape(via, inverse)))
+
+    def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Shape]:
+        window = self.tree.layer_mbr(cell_name, via_layer)
+        polygons = self.subtree.polygons_in_window(cell_name, IDENTITY, via_layer, window)
+        return list(map(polygon_shape, polygons))
+
+
+def _ring_shapes(rings: Optional[RingBuffer]) -> List[Shape]:
+    """Every ring of a buffer as a shape, in its frame."""
+    if not rings:
+        return []
+    return [ring_shape(rings.points(index), rings.mbr(index)) for index in range(len(rings))]
+
+
+def polygon_shape(polygon: Polygon) -> Shape:
+    """``polygon`` as a shape: its MBR when it is a rectangle."""
+    return polygon.mbr if polygon.is_rectangle else polygon
+
+
+def row_shape(shape: Shape, row: Row) -> Shape:
+    """``shape`` through an integer rigid placement row."""
+    if isinstance(shape, Rect):
+        return row_rect(row, shape)
+    return shape.transformed(row_transform(row))
+
+
+def placed_shapes(shapes: Sequence[Shape], placement: Transform) -> List[Shape]:
+    """``shapes`` through ``placement``; a rectangle stays a ``Rect``."""
+    if placement.preserves_distances:
+        row = rigid_row(placement)
+        return [row_shape(shape, row) for shape in shapes]
+    return [
+        placement.apply_rect(shape) if isinstance(shape, Rect) else shape.transformed(placement)
+        for shape in shapes
+    ]

@@ -1,8 +1,13 @@
+import itertools
+import random
+
+from repro.checks import coloring
 from repro.checks.base import ViolationKind
 from repro.checks.coloring import check_two_colorable, conflict_edges, two_color
+from repro.checks.edges import polygon_spacing_violations
 from repro.core import Engine
 from repro.core.rules import layer
-from repro.geometry import Polygon, Transform
+from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 
 
@@ -144,3 +149,91 @@ class TestEngineIntegration:
             asap7.SPACING_RULES[asap7.M3]
         )
         assert Engine(mode="sequential").check(uart_layout, rules=[rule]).passed
+
+
+def rendered_conflicts(count, edges):
+    """The markers docs/algorithms.md §6b specifies, rendered directly from
+    the polygon count and the conflict edge set: neighbours in ascending
+    index; the lowest uncolored polygon gets 0 and goes on a stack; a popped
+    polygon gives each uncolored neighbour, in ascending order, the other
+    color and pushes it; an edge whose ends match is a marker."""
+    neighbours = [sorted({j for i, j in edges if i == v} | {i for i, j in edges if j == v})
+                  for v in range(count)]
+    color = {}
+    for start in range(count):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for other in neighbours[node]:
+                if other not in color:
+                    color[other] = 1 - color[node]
+                    stack.append(other)
+    return sorted((i, j) for i, j in edges if color[i] == color[j])
+
+
+class TestMarkersBySpecification:
+    """Which conflicts a layer that is not 2-colorable reports depends on the
+    canonical polygon order and the edge set alone, never on the order the
+    MBR sweep pairs boxes in."""
+
+    def test_every_graph_up_to_five_nodes(self, monkeypatch):
+        """Every edge set on 1 to 5 polygons, each with the candidate pairs
+        in a different shuffled order; the spacing measurement is stubbed
+        so that exactly the chosen pairs conflict."""
+        chosen = set()
+        polys = [rect(0, 20 * k, 10, 20 * k + 10) for k in range(5)]
+        index = {id(p): k for k, p in enumerate(polys)}
+        rng = random.Random(0)
+
+        def every_pair_shuffled(rects):
+            pairs = list(itertools.combinations(range(len(rects)), 2))
+            rng.shuffle(pairs)
+            return iter(pairs)
+
+        def conflicts_if_chosen(a, b, spacing):
+            return [(Rect(0, 0, 1, 1), 1)] if (index[id(a)], index[id(b)]) in chosen else []
+
+        monkeypatch.setattr(coloring, "iter_overlapping_pairs", every_pair_shuffled)
+        monkeypatch.setattr(coloring, "polygon_spacing_violations", conflicts_if_chosen)
+        checked = 0
+        for count in range(1, 6):
+            every = list(itertools.combinations(range(count), 2))
+            for mask in range(1 << len(every)):
+                chosen = {pair for bit, pair in enumerate(every) if mask >> bit & 1}
+                _, conflicts = two_color(polys[:count], 8)
+                assert [(i, j) for i, j, _, _ in conflicts] == rendered_conflicts(count, chosen)
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
+
+    def test_random_layouts_with_a_shuffled_sweep(self, monkeypatch):
+        """Real geometry: rectangles on a small grid in canonical order, the
+        edge set measured pair by pair, the sweep's pairs shuffled."""
+        sweep = coloring.iter_overlapping_pairs
+        rng = random.Random(1)
+
+        def shuffled(rects):
+            pairs = list(sweep(rects))
+            rng.shuffle(pairs)
+            return iter(pairs)
+
+        monkeypatch.setattr(coloring, "iter_overlapping_pairs", shuffled)
+        nontrivial = 0
+        for _ in range(80):
+            polys = []
+            for _ in range(rng.randint(5, 12)):
+                x, y = rng.randint(0, 40), rng.randint(0, 40)
+                polys.append(rect(x, y, x + rng.randint(3, 8), y + rng.randint(3, 8)))
+            polys.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
+            edges = {
+                (i, j)
+                for i, j in itertools.combinations(range(len(polys)), 2)
+                if polygon_spacing_violations(polys[i], polys[j], 9)
+            }
+            _, conflicts = two_color(polys, 9)
+            expected = rendered_conflicts(len(polys), edges)
+            assert [(i, j) for i, j, _, _ in conflicts] == expected
+            nontrivial += bool(expected)
+        assert nontrivial >= 10

@@ -51,6 +51,7 @@ class Recording:
 
     def __init__(self, kind):
         self._inner = kind_spec(kind).procedures()
+        self.box_satisfied = self._inner.box_satisfied
         self.survivors, self.cleared = [], []
 
     def satisfied(self, via, metals, value):
