@@ -19,9 +19,9 @@ Gates:
   equal the local engine's CSV for that design (enforced everywhere).
 * **throughput** — >= ``SPEEDUP_TARGET``x aggregate throughput at
   ``max_concurrent=2``, enforced only on hosts with at least
-  :data:`ENFORCE_CPUS` cores (two admitted requests driving a shared
-  2-worker pool need the cores to overlap; a 1-core container records
-  ``speedup_enforced: false`` honestly, like BENCH_multiproc).
+  :data:`ENFORCE_CPUS` cores (two admitted in-process parallel checks
+  share one interpreter; a small container records
+  ``speedup_enforced: false`` honestly).
 
 Run directly (``python -m benchmarks.bench_serve_concurrent``) or through
 pytest; both regenerate ``BENCH_serve_concurrent.json``.
@@ -49,15 +49,14 @@ CHECKS_PER_CLIENT = 3
 CONCURRENCY_LEVELS = (1, 2)
 
 SPEEDUP_TARGET = 2.0
-#: Two admitted requests x a shared jobs=2 pool: enforcing the speedup
-#: needs at least this many cores to mean anything.
+#: Enforcing the speedup needs at least this many cores to mean anything.
 ENFORCE_CPUS = 4
 
 _payload = None
 
 
 def _engine_options() -> EngineOptions:
-    return EngineOptions(mode="multiproc", jobs=2)
+    return EngineOptions(mode="parallel")
 
 
 def _synth(tmpdir: str) -> dict:
@@ -86,9 +85,8 @@ def _run_level(workloads: dict, max_concurrent: int) -> dict:
             name: client.create_session(path=item["path"], top=TOP)["session"]
             for name, item in workloads.items()
         }
-        # Warm up: each session pays its plan compile and the pool its
-        # worker spawn once, outside the timed region, exactly like a
-        # resident daemon's steady state.
+        # Warm up: each session pays its plan compile once, outside the
+        # timed region, exactly like a resident daemon's steady state.
         for name, sid in sessions.items():
             response = client.check(sid)
             assert (
@@ -138,7 +136,6 @@ def _run_level(workloads: dict, max_concurrent: int) -> dict:
         "per_client_seconds": dict(sorted(per_client_seconds.items())),
         "engine_runs": stats["counters"]["engine_runs"],
         "max_active_seen": stats["max_active_seen"],
-        "inline_routed": stats["counters"]["inline_routed"],
         "csv_identical": True,  # the assert above raises otherwise
     }
 
@@ -160,7 +157,7 @@ def run_benchmark() -> dict:
         "scale": SCALE,
         "cpu_count": cpu_count,
         "checks_per_client": CHECKS_PER_CLIENT,
-        "engine_options": {"mode": "multiproc", "jobs": 2},
+        "engine_options": {"mode": "parallel"},
         "levels": levels,
         "speedup_target": SPEEDUP_TARGET,
         "speedup_measured": speedup,
@@ -219,8 +216,7 @@ def main() -> None:
             f"  max_concurrent={level['max_concurrent']}: "
             f"{level['checks']} checks in {level['wall_seconds']:.2f}s  "
             f"({level['throughput_checks_per_second']:.2f} checks/s, "
-            f"max_active_seen={level['max_active_seen']}, "
-            f"{level['inline_routed']} inline-routed)"
+            f"max_active_seen={level['max_active_seen']})"
         )
     status = "enforced" if payload["speedup_enforced"] else (
         f"not enforced ({payload['cpu_count']} cores < {ENFORCE_CPUS})"

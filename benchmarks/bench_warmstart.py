@@ -8,8 +8,8 @@ and emits ``BENCH_warmstart.json``. Three properties are checked:
   ``pack_seconds == 0.0`` and nonzero cache hits — packing was served
   entirely from memmapped store entries, never rebuilt.
 * **Determinism (hard)**: the CSV marker dump is byte-identical cold vs
-  warm, and across ``jobs`` ∈ {1, 2, 4} with the cache both enabled and
-  disabled — the store must be invisible in the report.
+  warm, and with the cache both enabled and disabled — the store must be
+  invisible in the report.
 * **End-to-end speedup (gated)**: ≥ 2x warm over cold on the
   pack-dominated workload (the smallest design, where packing dominates
   kernel time). Larger designs are recorded but not enforced: their
@@ -27,8 +27,6 @@ from benchmarks.common import SCALE, design, write_bench_json
 from repro.core import Engine, EngineOptions, PackStore, ReportCache
 from repro.core.rules import layer
 from repro.workloads import asap7
-
-JOB_COUNTS = (1, 2, 4)
 
 #: Generator workloads, smallest to largest flat polygon count.
 DESIGNS = ("uart", "jpeg")
@@ -51,11 +49,8 @@ def store_backed_deck():
     return rules
 
 
-def _run(layout, deck, *, cache_dir=None, use_cache=True, jobs=1):
-    mode = "multiproc" if jobs > 1 else "parallel"
-    options = EngineOptions(
-        mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs
-    )
+def _run(layout, deck, *, cache_dir=None, use_cache=True):
+    options = EngineOptions(mode="parallel", cache_dir=cache_dir, use_cache=use_cache)
     start = time.perf_counter()
     with Engine(options=options) as engine:
         report = engine.check(layout, rules=deck)
@@ -99,30 +94,24 @@ def run_pair(design_name: str) -> dict:
     }
 
 
-def run_jobs_matrix(design_name: str) -> dict:
-    """Byte-identical reports at every (jobs, cache on/off) combination."""
+def run_cache_matrix(design_name: str) -> dict:
+    """Byte-identical reports with the cache on and off."""
     layout = design(design_name)
     deck = store_backed_deck()
     baseline = None
     cells = []
     with tempfile.TemporaryDirectory() as cache:
         for use_cache in (True, False):
-            for jobs in JOB_COUNTS:
-                ReportCache(PackStore(cache)).clear()
-                report, seconds = _run(
-                    layout, deck, cache_dir=cache, use_cache=use_cache, jobs=jobs
+            ReportCache(PackStore(cache)).clear()
+            report, seconds = _run(layout, deck, cache_dir=cache, use_cache=use_cache)
+            csv = report.to_csv()
+            if baseline is None:
+                baseline = csv
+            elif csv != baseline:
+                raise AssertionError(
+                    f"{design_name}: report at cache={'on' if use_cache else 'off'} differs"
                 )
-                csv = report.to_csv()
-                if baseline is None:
-                    baseline = csv
-                elif csv != baseline:
-                    raise AssertionError(
-                        f"{design_name}: report at jobs={jobs} "
-                        f"cache={'on' if use_cache else 'off'} differs"
-                    )
-                cells.append(
-                    {"jobs": jobs, "cache": use_cache, "seconds": seconds}
-                )
+            cells.append({"cache": use_cache, "seconds": seconds})
     return {"design": design_name, "cells": cells, "reports_identical": True}
 
 
@@ -133,7 +122,7 @@ def run_benchmark() -> dict:
         "benchmark": "warmstart",
         "deck": "asap7_spacing+corner+enclosure",
         "pairs": pairs,
-        "jobs_matrix": run_jobs_matrix(PACK_DOMINATED),
+        "cache_matrix": run_cache_matrix(PACK_DOMINATED),
         "speedup_target": SPEEDUP_TARGET,
         "speedup_design": PACK_DOMINATED,
         "speedup_measured": dominated["speedup"],
@@ -151,11 +140,11 @@ def test_warm_run_skips_the_pack_phase():
     assert pair["cache_bytes_read"] > 0
 
 
-def test_reports_identical_across_jobs_and_cache():
-    """Six-way determinism: jobs 1/2/4 with the cache on and off."""
-    matrix = run_jobs_matrix("uart")
+def test_reports_identical_with_and_without_the_cache():
+    """The same report with the cache on and off."""
+    matrix = run_cache_matrix("uart")
     assert matrix["reports_identical"]
-    assert len(matrix["cells"]) == 2 * len(JOB_COUNTS)
+    assert len(matrix["cells"]) == 2
 
 
 def test_warmstart_speedup():
@@ -182,9 +171,9 @@ def main() -> None:
             f"{pair['cache_hits']} hits)  "
             f"speedup {pair['speedup']:.2f}x"
         )
-    matrix = payload["jobs_matrix"]
+    matrix = payload["cache_matrix"]
     combos = ", ".join(
-        f"j{c['jobs']}/{'on' if c['cache'] else 'off'}" for c in matrix["cells"]
+        f"cache {'on' if c['cache'] else 'off'}" for c in matrix["cells"]
     )
     print(f"  reports byte-identical across: {combos}")
     print(

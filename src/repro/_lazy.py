@@ -2,8 +2,8 @@
 
 ``python -m repro`` imports ``repro`` and every package on the way to the
 module it wants. A package that imported all its submodules to build its
-public namespace made every subcommand pay for NumPy, the simulated device
-and the worker pool; with :func:`lazy_exports` a public name is imported
+public namespace made every subcommand pay for NumPy and the simulated
+device; with :func:`lazy_exports` a public name is imported
 from its submodule the first time it is asked for.
 """
 

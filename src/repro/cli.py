@@ -43,8 +43,8 @@ Commands
     ``source: report-cache``) and warm-start from the pack store when they
     do compute; ``--no-cache`` disables both.
 ``serve``
-    Run the resident DRC daemon: one warm engine (pack store, worker
-    pools, cost model, report store all stay hot) serving JSON over HTTP.
+    Run the resident DRC daemon: one warm engine (pack store and report
+    store stay hot) serving JSON over HTTP.
     ``check <file.gds> --server URL`` routes a check through a running
     daemon instead of paying a cold start.
 
@@ -68,7 +68,7 @@ from typing import List, Optional
 # imports its own machinery (the engine, the default deck, the design
 # generators, the daemon) when it runs, and the engine loads a backend's
 # modules only for the mode chosen.
-from .core.plan import DEFAULT_MAX_RETRIES, DEFAULT_TASK_TIMEOUT, EngineOptions
+from .core.plan import EngineOptions
 from .core.rules import Rule, load_deck_file
 from .errors import RuleError
 
@@ -114,47 +114,29 @@ def _read(path: str, top: Optional[str], previous=None):
     return layout
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
-    """--jobs wins; otherwise the REPRO_JOBS env var; otherwise 1."""
-    if getattr(args, "jobs", None) is not None:
-        jobs, source = args.jobs, "--jobs"
-    else:
-        env = os.environ.get("REPRO_JOBS")
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise _input_error(f"REPRO_JOBS must be an integer, got {env!r}") from None
-        source = "REPRO_JOBS"
-    if jobs < 1:
-        raise _input_error(
-            f"{source} must be a positive integer, got {jobs}; "
-            "use 1 for in-process execution"
-        )
-    return jobs
-
-
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
-    """The options every engine-running subcommand builds from its flags.
+    """The options every engine-running subcommand builds from its flags
+    (``--mode`` exists on some subcommands only; elsewhere: sequential)."""
+    return EngineOptions(
+        mode=getattr(args, "mode", None) or "sequential",
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+    )
 
-    ``--mode`` exists on some subcommands only; where it is absent the
-    mode follows ``--jobs``.
-    """
-    jobs = _resolve_jobs(args)
-    # No explicit --mode: multiple jobs select the multiprocess backend.
-    mode = getattr(args, "mode", None) or ("multiproc" if jobs > 1 else "sequential")
-    try:
-        return EngineOptions(
-            mode=mode,
-            jobs=jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-        )
-    except ValueError as error:
-        raise _input_error(str(error)) from None
+
+def _int_at_least(minimum: int):
+    """An argparse ``type`` admitting integers >= ``minimum`` (exit 2 else)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _report_format(args: argparse.Namespace) -> str:
@@ -202,10 +184,10 @@ def _apply_waiver_file(report, path: str):
 def _graceful_sigterm():
     """Turn SIGTERM into a normal stack unwind for the scope's duration.
 
-    Long CLI runs (and the serve daemon) hold worker pools and a cost
-    model that persists on ``Engine.close()``; the default SIGTERM action
-    would kill the process before any ``with Engine(...)`` block releases
-    them. Only effective on the main thread (signal API restriction).
+    The default SIGTERM action would kill the process before any
+    ``with Engine(...)`` block closes its backends, and with no exit status
+    of ``128 + signum``. Only effective on the main thread (signal API
+    restriction).
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -247,7 +229,6 @@ def _served_check(args: argparse.Namespace) -> int:
         flag
         for flag, given in (
             ("--mode", args.mode is not None),
-            ("--jobs", args.jobs is not None),
             ("--breakdown", args.breakdown),
             ("--cache-dir", args.cache_dir is not None),
             ("--no-cache", args.no_cache),
@@ -316,11 +297,6 @@ def _served_check(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.server:
         return _served_check(args)
-    if args.jobs is not None and args.jobs > 1 and args.mode not in (None, "multiproc"):
-        raise _input_error(
-            f"--jobs {args.jobs} needs --mode multiproc; --mode {args.mode} "
-            "runs in one process"
-        )
     from .core.engine import Engine
 
     layout = _read(args.file, args.top)
@@ -644,25 +620,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=DEFAULT_TASK_TIMEOUT,
-        metavar="SECONDS",
-        help="per-task wait before a hung/lost worker task is retried "
-        f"(multiprocess backend; default {DEFAULT_TASK_TIMEOUT:g}s)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=DEFAULT_MAX_RETRIES,
-        metavar="N",
-        help="resubmissions per failed/timed-out task before it runs "
-        f"in-process instead (default {DEFAULT_MAX_RETRIES})",
-    )
-
-
 def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -709,19 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--deck", help="Python file defining RULES = [...]")
     check.add_argument(
         "--mode",
-        choices=["sequential", "parallel", "multiproc"],
+        choices=["sequential", "parallel"],
         default=None,
-        help="execution backend (default: sequential, or multiproc when "
-        "--jobs > 1)",
-    )
-    check.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the multiprocess backend "
-        "(default: $REPRO_JOBS or 1)",
+        help="execution backend (default: sequential)",
     )
     check.add_argument("--top", help="top cell name (default: inferred)")
     check.add_argument(
@@ -736,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--breakdown", action="store_true", help="print per-rule phase breakdowns"
     )
-    _add_fault_args(check)
     _add_cache_args(check)
     check.set_defaults(func=cmd_check)
 
@@ -782,16 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the cold full check and assert the spliced report "
         "matches byte-for-byte",
     )
-    re_check.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for full/cold portions "
-        "(default: $REPRO_JOBS or 1)",
-    )
-    _add_fault_args(re_check)
     _add_cache_args(re_check)
     re_check.set_defaults(func=cmd_recheck)
 
@@ -886,23 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--mode",
-        choices=["sequential", "parallel", "multiproc"],
+        choices=["sequential", "parallel"],
         default=None,
-        help="execution backend (default: sequential, or multiproc when "
-        "--jobs > 1)",
-    )
-    serve.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the multiprocess backend "
-        "(default: $REPRO_JOBS or 1)",
+        help="execution backend (default: sequential)",
     )
     serve.add_argument(
         "--report-lru",
-        type=int,
+        type=_int_at_least(0),
         default=64,
         metavar="N",
         help="reports the report store keeps in memory (default 64; 0 keeps "
@@ -910,13 +836,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-concurrent",
-        type=int,
-        default=None,
+        type=_int_at_least(1),
+        default=1,
         metavar="N",
         help="engine runs admitted concurrently (different sessions only; "
-        "default: min(jobs, 2))",
+        "default: 1)",
     )
-    _add_fault_args(serve)
     _add_cache_args(serve)
     serve.set_defaults(func=cmd_serve)
 

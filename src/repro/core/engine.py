@@ -31,7 +31,6 @@ from ..layout.library import Layout
 from ..util.profile import PhaseProfile
 from .packstore import resolve_store
 from .plan import (
-    MODE_MULTIPROC,
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
     CheckPlan,
@@ -66,8 +65,8 @@ class CheckContext:
     maps. Factoring it into a per-request context makes ``check()``
     re-entrant: every concurrent request gets its own plan, backend,
     profiles, and result map, while the engine's heavyweight shared state
-    (held worker pool, pack store, cost model) is shared deliberately and
-    guarded at its own mutation points. The engine's ``last_*`` attributes
+    (pack store, report store) is shared deliberately and guarded at its
+    own mutation points. The engine's ``last_*`` attributes
     survive as end-of-check snapshots (last writer wins) for the CLI and
     tests that introspect a serial engine.
     """
@@ -115,8 +114,8 @@ class Engine:
 
             self.reports = ReportCache(store)
         self.rules: List[Rule] = []
-        #: Guards the last_* snapshots, the live-backend set, and the
-        #: pool holds against concurrent check() callers.
+        #: Guards the last_* snapshots and the live-backend set against
+        #: concurrent check() callers.
         self._lock = threading.Lock()
         #: Profiles of the last check() call, keyed by rule name (Fig. 4 data).
         self.last_profiles: Dict[str, PhaseProfile] = {}
@@ -128,28 +127,18 @@ class Engine:
         #: Backends currently executing a check (close() must reach every
         #: one of them, not just the most recent caller's).
         self._live_backends: set = set()
-        #: (jobs, start method) -> the shared worker pool this engine holds
-        #: one hold on, taken at its first multiprocess check with those
-        #: options, so the workers stay warm between checks.
-        self._pools: Dict[tuple, object] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release resources held beyond individual checks (idempotent).
-
-        Closes any backend still open, then drops this engine's hold on
-        every worker pool its checks used; a pool closes once its last
-        holder lets go, so other engines sharing it keep their workers.
-        """
+        """Release resources held beyond individual checks (idempotent):
+        closes any backend still open."""
         with self._lock:
             checker, self.last_checker = self.last_checker, None
             checkers = set(self._live_backends)
             self._live_backends.clear()
             if checker is not None:
                 checkers.add(checker)
-            pools = list(self._pools.values())
-            self._pools.clear()
         for open_checker in checkers:
             close = getattr(open_checker, "close", None)
             if close is not None:
@@ -157,24 +146,6 @@ class Engine:
                     close()
                 except Exception:  # pragma: no cover - teardown best-effort
                     pass
-        for pool in pools:
-            pool.release()
-
-    def hold_pool(self, options: Optional[EngineOptions] = None) -> None:
-        """Hold the worker pool that checks with ``options`` (default: the
-        engine's) use until :meth:`close`; a no-op unless they are
-        multiprocess checks with ``jobs > 1``. Every such check calls it."""
-        options = options or self.options
-        if options.mode != MODE_MULTIPROC or options.jobs < 2:
-            return
-        # Only multiprocess checks touch the pool module at all.
-        from . import workerpool
-
-        key = (options.jobs, options.mp_start_method)
-        with self._lock:
-            pool = self._pools.get(key)
-            if pool is None or pool.closed:
-                self._pools[key] = workerpool.acquire(*key)
 
     def __enter__(self) -> "Engine":
         return self
@@ -206,19 +177,15 @@ class Engine:
         *,
         rules: Optional[Sequence[Rule]] = None,
         tree=None,
-        options: Optional[EngineOptions] = None,
     ) -> CheckPlan:
         """Compile the deck (or an explicit rule list) against ``layout``.
 
         ``tree`` short-circuits hierarchy analysis with an already-built
         :class:`HierarchyTree` for ``layout`` (long-lived callers such as
-        the serve daemon keep one per session). ``options`` overrides the
-        engine's own options for this one compilation — the serve daemon
-        routes small concurrent checks inline by rerunning them with
-        ``jobs=1`` without mutating the shared engine.
+        the serve daemon keep one per session).
         """
         deck = list(rules) if rules is not None else self.rules
-        return compile_plan(layout, deck, options or self.options, tree=tree)
+        return compile_plan(layout, deck, self.options, tree=tree)
 
     def check(
         self,
@@ -226,7 +193,6 @@ class Engine:
         *,
         rules: Optional[Sequence[Rule]] = None,
         tree=None,
-        options: Optional[EngineOptions] = None,
         deck_key: Optional[str] = None,
     ) -> CheckReport:
         """Run the deck (or an explicit rule list) on ``layout``.
@@ -242,7 +208,7 @@ class Engine:
         Re-entrant: concurrent callers each execute in a private
         :class:`CheckContext`; see its docstring for the sharing contract.
         """
-        plan = self.compile(layout, rules=rules, tree=tree, options=options)
+        plan = self.compile(layout, rules=rules, tree=tree)
         key = None
         if self.reports is not None:
             from .reportcache import deck_digest, report_key
@@ -298,7 +264,6 @@ class Engine:
         (so ``close()`` can reach a hung check) and publishes the last_*
         snapshots once the check completes.
         """
-        self.hold_pool(plan.options)
         context = CheckContext(
             plan=plan, backend=make_backend(plan, device=self.device)
         )

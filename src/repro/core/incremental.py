@@ -13,7 +13,7 @@ machinery here comes in three layers:
   filtered to the region set (asserted by the tests), at a cost
   proportional to the windows' content rather than the chip's. Windowing
   is a region argument, not an execution mode: the procedure runs
-  in-process on any plan and never touches the worker pool.
+  in-process on any plan.
 
 * :func:`check_window` runs a whole deck against a region set: a stored
   full-extent report filtered to the regions, else :func:`check_regions`
@@ -134,9 +134,9 @@ def check_window(
     If the report store (``reports``, else the one ``options`` configure)
     holds this deck and layout's full-extent report, the answer is
     :func:`filter_to_regions` of it. Otherwise :func:`check_regions` runs
-    each rule in-process, whatever ``options.mode`` and ``options.jobs``
-    say; its clipped report is never stored, so every entry of the store
-    is full-extent and a valid splice baseline.
+    each rule in-process, whatever ``options.mode`` says; its clipped
+    report is never stored, so every entry of the store is full-extent and
+    a valid splice baseline.
     """
     regions = RegionSet.of(window)
     if regions.is_empty:

@@ -338,9 +338,7 @@ class PackStore:
 
     def _read(self, key: str) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any], int]]:
         path = self._entry_path(key)
-        if os.path.exists(path) and faults.should_fire(
-            faults.PACKSTORE_CORRUPT, key
-        ):
+        if os.path.exists(path) and faults.should_fire(faults.PACKSTORE_CORRUPT):
             _corrupt_entry(path)
         import numpy as np
 

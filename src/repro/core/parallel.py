@@ -12,9 +12,7 @@ segmented sweepline lane.
 
 That launch has one definition per rule kind (:func:`launch_pair_rows`,
 :func:`launch_corner_rows`, :func:`launch_enclosure_rows`), reached through
-:func:`run_row_task`: a pure function of the segmented buffers, so the
-in-process backend calls it on all rows and the multiprocess backend's
-workers call it on a subset of rows (:func:`select_rows`).
+:func:`run_row_task`: a pure function of the segmented buffers.
 
 Device work is issued through :class:`~repro.gpu.executor.StreamExecutor`
 policies (Listing 2's stream executor): one executor wraps each stream, and
@@ -109,12 +107,10 @@ __all__ = [
     "enclosure_margins_to_violations",
     "pair_hits_to_violations",
     "run_row_task",
-    "select_rows",
 ]
 
 #: Edge count at or below which a segment rides the brute-force lane (§IV-E).
-#: Read when a backend is built; the multiprocess backend ships its value to
-#: the workers with each task.
+#: Read when a backend is built.
 BRUTE_FORCE_THRESHOLD = 256
 
 #: Simulated CUDA streams the backend issues its copies and launches on
@@ -211,28 +207,15 @@ class RowWork:
     """What the row partition leaves to execute for one rule.
 
     ``buffers`` are the fused segmented buffers of every row with device
-    work (``None`` when there is none); ``weights[row]`` counts that row's
-    items in them, so a zero marks a row the buffers do not hold.
-    ``host_rows`` are the leftovers: ``(via items, metal items)`` of each
-    enclosure row with rectilinear (non-rectangle) geometry, which keeps
-    the exact host fallback.
+    work (``None`` when there is none). ``host_rows`` are the leftovers:
+    ``(via items, metal items)`` of each enclosure row with rectilinear
+    (non-rectangle) geometry, which keeps the exact host fallback.
     """
 
     buffers: Any = None
-    weights: np.ndarray = dataclasses.field(
-        default_factory=lambda: np.zeros(0, dtype=_INT)
-    )
     host_rows: List[Tuple[List[LevelItem], List[LevelItem]]] = dataclasses.field(
         default_factory=list
     )
-
-
-def _row_weights(num_rows: int, *segments: Optional[np.ndarray]) -> np.ndarray:
-    weights = np.zeros(num_rows, dtype=_INT)
-    for segment in segments:
-        if segment is not None and len(segment):
-            weights += np.bincount(segment, minlength=num_rows)
-    return weights
 
 
 def _item_rows(member_rows: Sequence[Sequence[int]], num_items: int) -> np.ndarray:
@@ -241,34 +224,6 @@ def _item_rows(member_rows: Sequence[Sequence[int]], num_items: int) -> np.ndarr
     for index, members in enumerate(member_rows):
         rows[members] = index
     return rows
-
-
-def select_rows(buffers: Any, rows: Sequence[int]) -> Any:
-    """The part of a rule's fused buffers that holds only the given rows.
-
-    Rows are whole segments, so a launch over the selection makes the same
-    per-row lane choice, and finds the same hits in those rows, as the
-    launch over everything.
-    """
-    rowset = np.asarray(rows, dtype=_INT)
-
-    def cut(buf):
-        if buf.segment is None:  # empty: nothing was ever segmented
-            return buf
-        return buf.take(np.flatnonzero(np.isin(buf.segment, rowset)))
-
-    if isinstance(buffers, EdgeBufferPair):
-        return EdgeBufferPair(
-            cut(buffers.vertical), cut(buffers.horizontal), buffers.num_polygons
-        )
-    if isinstance(buffers, EnclosureBuffer):
-        via = np.isin(buffers.via_segment, rowset)
-        metal = np.isin(buffers.metal_segment, rowset)
-        return EnclosureBuffer(
-            buffers.via_rects[via], buffers.via_segment[via],
-            buffers.metal_rects[metal], buffers.metal_segment[metal],
-        )
-    return cut(buffers)
 
 
 #: Counter deltas every row launch reports. ``kernels_*`` count the row
@@ -433,8 +388,7 @@ def launch_enclosure_rows(
 #: Rule kind -> (launch, hits -> violations). The launches share one
 #: signature — ``(buffers, rule value, brute-force threshold, stream
 #: executors, profile) -> (hits, ROW_COUNTERS deltas)`` — and touch no
-#: backend state, so parent and workers cannot disagree on what a row
-#: task does.
+#: backend state.
 _ROW_LAUNCHES: Dict[RuleKind, Tuple[Callable, Callable]] = {
     RuleKind.SPACING: (
         launch_pair_rows,
@@ -456,7 +410,7 @@ _ROW_LAUNCHES: Dict[RuleKind, Tuple[Callable, Callable]] = {
     ),
 }
 
-#: Rule kinds executed as row tasks (and sharded by row across processes).
+#: Rule kinds executed as row tasks.
 ROW_KINDS = tuple(_ROW_LAUNCHES)
 
 
@@ -470,8 +424,7 @@ def run_row_task(
     """Check the rows held by ``buffers`` against one rule.
 
     The whole definition of a row task: :class:`ParallelBackend` calls it
-    with every row of the rule, a multiprocess shard with the rows
-    :func:`select_rows` cut for it. Returns the violation table plus the
+    with every row of the rule. Returns the violation table plus the
     :data:`ROW_COUNTERS` deltas.
     """
     launch, to_violations = _ROW_LAUNCHES[rule.kind]
@@ -701,9 +654,9 @@ class ParallelBackend:
 
     def _fused_layer(
         self, kind: str, rule: Rule, codec: Tuple, expand: Callable, profile: PhaseProfile
-    ) -> Tuple[Any, int]:
+    ) -> Any:
         """``expand(layer, row id per item)`` of the rule's layer through the
-        caches, and how many rows the layer was cut into."""
+        caches."""
         layer, value = rule.layer, rule.value
         mbrs = self._item_rects(layer, profile)
         member_rows, sig = self._cached_partition(layer, mbrs, value, profile)
@@ -713,24 +666,20 @@ class ParallelBackend:
             lambda: expand(layer, _item_rows(member_rows, len(mbrs))),
         )
         self.device.record_host(f"pack-{kind}", time.perf_counter() - host_start)
-        return buffers, len(member_rows)
+        return buffers
 
     def _spacing_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        fused, num_rows = self._fused_layer(
+        return RowWork(self._fused_layer(
             "fused-edges", rule, (edge_pair_to_arrays, edge_pair_from_arrays),
             self.table.edges, profile,
-        )
-        return RowWork(
-            fused, _row_weights(num_rows, fused.vertical.segment, fused.horizontal.segment)
-        )
+        ))
 
     def _corner_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
         """Diagonal corner checks (roadmap extension): every row's convex corners."""
-        buf, num_rows = self._fused_layer(
+        return RowWork(self._fused_layer(
             "fused-corners", rule, (corners_to_arrays, corners_from_arrays),
             self.table.corners, profile,
-        )
-        return RowWork(buf, _row_weights(num_rows, buf.segment))
+        ))
 
     # -- enclosure -----------------------------------------------------------------
 
@@ -791,9 +740,6 @@ class ParallelBackend:
                 np.repeat(row_ids, [len(buf) for buf in via_bufs]),
                 np.concatenate([buf.rects for buf in metal_bufs], axis=0),
                 np.repeat(row_ids, [len(buf) for buf in metal_bufs]),
-            )
-            work.weights = _row_weights(
-                len(member_rows), work.buffers.via_segment, work.buffers.metal_segment
             )
         return work
 

@@ -11,22 +11,17 @@ them to algorithms" (§V-A). This module makes that a two-stage pipeline:
    carry), fixes the order the rules run in, and allocates the
    :class:`PlanCaches` that own the hierarchy tree, row partitions, and
    packed device buffers for the whole deck.
-2. **Execute** — any :class:`Backend` (sequential CPU sweeps, fused
-   simulated-GPU kernels, or the multiprocess pool over them) consumes the
-   same plan; ``Engine.check`` runs the plan's rules on the chosen backend
-   in :attr:`CheckPlan.run_order`. Windowing is not a backend: a windowed
-   check hands a plan and a region set to
-   :func:`repro.core.incremental.check_regions`, which gathers the regions'
-   geometry and runs each kind's ``flat`` procedure in-process.
-
-This is the load-bearing seam for multi-process sharding: a plan is a
-self-contained, executable artifact.
+2. **Execute** — either :class:`Backend` (sequential CPU sweeps or fused
+   simulated-GPU kernels) consumes the same plan; ``Engine.check`` runs the
+   plan's rules on the chosen backend in :attr:`CheckPlan.run_order`.
+   Windowing is not a backend: a windowed check hands a plan and a region
+   set to :func:`repro.core.incremental.check_regions`, which gathers the
+   regions' geometry and runs each kind's ``flat`` procedure in-process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import (
     Any,
     Callable,
@@ -70,28 +65,14 @@ from .rules import Rule, RuleKind, validate_rules
 
 MODE_SEQUENTIAL = "sequential"
 MODE_PARALLEL = "parallel"
-MODE_MULTIPROC = "multiproc"
 
 #: The modes a plan can be compiled for and an :class:`EngineOptions` may
 #: select.
-ENGINE_MODES = (MODE_SEQUENTIAL, MODE_PARALLEL, MODE_MULTIPROC)
+ENGINE_MODES = (MODE_SEQUENTIAL, MODE_PARALLEL)
 
 #: The mode label of a windowed check's report (not a mode: windowed checks
 #: run :func:`repro.core.incremental.check_regions` on any plan).
 MODE_WINDOWED = "windowed"
-
-#: Start methods ``EngineOptions.mp_start_method`` accepts (None = platform
-#: default; ``spawn`` is the macOS/Windows-portable semantics the CI smoke
-#: job forces).
-MP_START_METHODS = (None, "fork", "spawn", "forkserver")
-
-#: Seconds the multiprocess backend waits on one task before treating the
-#: worker as hung/lost and retrying. Generous — a healthy task finishes in
-#: milliseconds; only a hung or killed worker ever reaches it.
-DEFAULT_TASK_TIMEOUT = 300.0
-
-#: Resubmissions per failed/timed-out task before the in-process fallback.
-DEFAULT_MAX_RETRIES = 2
 
 
 @dataclasses.dataclass
@@ -99,38 +80,15 @@ class EngineOptions:
     """Tuning knobs; defaults match the paper's described behaviour."""
 
     mode: str = MODE_SEQUENTIAL
-    jobs: int = 1  # worker processes for the multiprocess backend
-    mp_start_method: Optional[str] = None  # None = platform default
     cache_dir: Optional[str] = None  # persistent pack store root (or $REPRO_CACHE_DIR)
     use_cache: bool = True  # False restores the uncached code path exactly
-    task_timeout: Optional[float] = DEFAULT_TASK_TIMEOUT  # None = wait forever
-    max_retries: int = DEFAULT_MAX_RETRIES  # per-task resubmissions
     faults: Optional[str] = None  # fault-injection spec (or $REPRO_FAULTS)
 
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.jobs < 1:
-            raise ValueError(
-                f"jobs must be a positive integer, got {self.jobs}; "
-                "use 1 for in-process execution"
-            )
-        if self.mp_start_method not in MP_START_METHODS:
-            raise ValueError(
-                f"unknown mp_start_method {self.mp_start_method!r}; "
-                f"expected one of {MP_START_METHODS[1:]}"
-            )
-        if self.task_timeout is not None and not self.task_timeout > 0:
-            raise ValueError(
-                f"task_timeout must be positive seconds (or None to wait "
-                f"forever), got {self.task_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
         # Parse now so a malformed spec fails loudly at options creation,
-        # not deep inside a worker process.
+        # not deep inside the first pack-store read.
         fault_injection.FaultPlan.parse(self.faults)
 
 
@@ -326,34 +284,23 @@ class PackCache:
     changes the partition margin, or a backend with rows disabled, produces
     a different signature and is thereby correctly bypassed.
 
-    Thread-safety: a plan — and therefore this cache — is owned by the one
-    check that compiled it, but a multiprocess backend's shard paths may
-    consult it from the handler thread while the engine's rule loop
-    touches it too. ``get`` therefore locks its lookup-or-build. The lock
-    is *not* held while ``build()`` runs (a build may pack large buffers);
-    losing that race costs one redundant build, never a wrong value —
-    builds are pure functions of the key.
+    A plan — and therefore this cache — is owned by the one check that
+    compiled it and read from that check's thread only.
     """
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
         self._stores: Dict[str, Dict[Any, Any]] = {}
 
     def get(self, store: str, key: Any, build: Callable[[], Any]) -> Any:
-        with self._lock:
-            bucket = self._stores.setdefault(store, {})
-            if key in bucket:
-                self.hits += 1
-                return bucket[key]
-            self.misses += 1
-        value = build()
-        with self._lock:
-            # First publisher wins so every reader sees one object identity
-            # (partition signatures are compared, and buffers are reused,
-            # by the value actually stored).
-            return bucket.setdefault(key, value)
+        bucket = self._stores.setdefault(store, {})
+        if key in bucket:
+            self.hits += 1
+            return bucket[key]
+        self.misses += 1
+        value = bucket[key] = build()
+        return value
 
 
 class PlanCaches:
@@ -560,13 +507,13 @@ def compile_plan(
     if options is None:
         options = EngineOptions()
     # Arm (or clear) the process-global fault-injection plan for this run.
-    # Idempotent by spec, so worker processes re-compiling the shipped plan
-    # do not re-arm faults their process already fired. Concurrent checks
-    # share one daemon's engine options (and therefore one spec): the
-    # install itself is locked, and the plan's budgets meter process-wide
-    # opportunities by design — which requests they fire against is
-    # scheduling-dependent, but every request's report stays canonical
-    # because recovery is byte-transparent.
+    # Idempotent by spec, so a second check with the same options does not
+    # re-arm faults that already fired. Concurrent checks share one daemon's
+    # engine options (and therefore one spec): the install itself is
+    # locked, and the plan's budgets meter process-wide opportunities by
+    # design — which requests they fire against is scheduling-dependent,
+    # but every request's report stays canonical because recovery is
+    # byte-transparent.
     fault_injection.install(fault_injection.resolve_spec(options))
     resolved_mode = mode if mode is not None else options.mode
     if resolved_mode not in ENGINE_MODES:
@@ -631,10 +578,6 @@ def make_backend(plan: CheckPlan, *, device=None) -> Backend:
         from .sequential import SequentialBackend
 
         return SequentialBackend(plan)
-    if plan.mode == MODE_PARALLEL:
-        from .parallel import ParallelBackend
+    from .parallel import ParallelBackend
 
-        return ParallelBackend(plan, device=device)
-    from .multiproc import MultiprocessBackend
-
-    return MultiprocessBackend(plan, device=device)
+    return ParallelBackend(plan, device=device)

@@ -93,8 +93,10 @@ class ReportCache:
     def __init__(
         self, store: Optional[PackStore] = None, *, capacity: int = DEFAULT_CAPACITY
     ) -> None:
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
         self.root = None if store is None else os.path.join(store.root, "reports")
-        self.capacity = max(0, capacity)
+        self.capacity = capacity
         self.hits = 0
         self.misses = 0
         #: Guards the memory front and the counters; disk I/O runs outside it.

@@ -209,7 +209,7 @@ def splice_violations(cached: Violations, fresh: Violations, regions) -> Violati
 
 
 def merge_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
-    """Sum counter dictionaries across shards/workers, key-union.
+    """Sum counter dictionaries across results, key-union.
 
     Launch, copy, and pruning counters are additive by construction; wall
     times accumulate the same way (total work, not elapsed time).
@@ -219,54 +219,3 @@ def merge_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
         for key, value in part.items():
             totals[key] = totals.get(key, 0) + value
     return totals
-
-
-def combine_results(parts: Sequence[CheckResult]) -> CheckResult:
-    """Merge per-shard results of the *same* rule into one result.
-
-    Tables concatenate and re-canonicalise (dedup + total order, so the
-    merged table is identical however the shards were cut); seconds, phase
-    profiles, and stats counters sum.
-    """
-    if not parts:
-        raise ValueError("no results to combine")
-    first = parts[0]
-    if len(parts) == 1:
-        return first
-    if any(p.rule.name != first.rule.name for p in parts):
-        names = sorted({p.rule.name for p in parts})
-        raise ValueError(f"cannot combine results of different rules: {names}")
-    profile = PhaseProfile()
-    for part in parts:
-        if part.profile is not None:
-            profile.merge(part.profile)
-    return CheckResult(
-        rule=first.rule,
-        violations=ViolationTable.concat(p.table for p in parts),
-        seconds=sum(p.seconds for p in parts),
-        profile=profile,
-        stats=merge_stats([p.stats for p in parts]),
-    )
-
-
-def merge_reports(reports: Sequence[CheckReport]) -> CheckReport:
-    """Merge reports over the same layout (e.g. per-rule or per-shard runs).
-
-    Results for distinct rules concatenate in first-seen order; results for
-    the *same* rule (shards of one rule split across reports) combine via
-    :func:`combine_results`, so counters and phase times sum instead of
-    being duplicated or dropped.
-    """
-    if not reports:
-        raise ValueError("no reports to merge")
-    first = reports[0]
-    by_name: Dict[str, List[CheckResult]] = {}
-    order: List[str] = []
-    for report in reports:
-        for result in report.results:
-            if result.rule.name not in by_name:
-                by_name[result.rule.name] = []
-                order.append(result.rule.name)
-            by_name[result.rule.name].append(result)
-    results = [combine_results(by_name[name]) for name in order]
-    return CheckReport(first.layout_name, first.mode, results)

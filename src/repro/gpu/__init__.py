@@ -3,10 +3,7 @@
 Device/stream/timeline model (:mod:`.device`), execution policies standing
 in for the paper's type-trait dispatch (:mod:`.executor`), and the NumPy
 SPMD check kernels (:mod:`.kernels`). See DESIGN.md §1 for why NumPy
-vectorisation preserves the paper's GPU-vs-CPU behavioural shape. The
-shared-memory arena (:mod:`.shmem`) is imported by its users only:
-``multiprocessing.shared_memory`` alone is a third of what importing the
-parallel mode costs.
+vectorisation preserves the paper's GPU-vs-CPU behavioural shape.
 """
 
 from .device import AsyncTimeline, Device, OpKind, OpRecord, Stream, TimelineSummary

@@ -35,8 +35,8 @@ the new layout version.
 
 Graceful shutdown: ``serve()`` converts SIGTERM/SIGINT into an orderly
 drain — the accept loop stops, in-flight handler threads are joined
-(``server_close`` blocks on them), and ``Engine.close()`` releases warm
-pools and persists the cost model. ``POST /shutdown`` triggers the same
+(``server_close`` blocks on them), and ``Engine.close()`` closes any
+backend still open. ``POST /shutdown`` triggers the same
 path remotely. Idle keep-alive connections cannot stall the drain: a
 connection waiting for its next request line is closed as the drain
 begins, and a handler finishing a request closes its connection instead
@@ -438,8 +438,7 @@ def serve(
 
     Shutdown is graceful in all three cases: the accept loop stops first,
     in-flight requests drain (handler threads are joined), and only then is
-    the engine closed so warm pools are released and the calibrated cost
-    model persists — never the atexit backstop.
+    the engine closed.
     """
     server = DrcHTTPServer((host, port), state)
     bound_host, bound_port = server.server_address[:2]
@@ -467,6 +466,6 @@ def serve(
             signal.signal(signum, old)
         announce("repro serve: draining in-flight requests", flush=True)
         server.server_close()  # joins handler threads (daemon_threads=False)
-        state.close()  # release warm pools, persist the cost model
+        state.close()
         announce("repro serve: engine closed, bye", flush=True)
     return 0

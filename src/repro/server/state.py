@@ -1,10 +1,10 @@
 """DRC-as-a-service: the HTTP-free service core.
 
-The engine is expensive to warm and cheap to reuse: the pack store, warm
-worker pools, the calibrated cost model and the report store all pay off
-only on the *second* check of a process, and a one-shot ``repro check``
-throws them away. :class:`ServerState` is the resident counterpart: one
-warm :class:`~repro.core.engine.Engine` serving many requests.
+The engine is expensive to warm and cheap to reuse: the pack store and the
+report store pay off only on the *second* check of a process, and a
+one-shot ``repro check`` throws them away. :class:`ServerState` is the
+resident counterpart: one warm :class:`~repro.core.engine.Engine` serving
+many requests.
 
 Three mechanisms turn the warm engine into served throughput:
 
@@ -22,21 +22,17 @@ Three mechanisms turn the warm engine into served throughput:
   the same content are memory hits; concurrent identical requests it
   cannot answer collapse into one engine run (:class:`SingleFlight`).
 
-* **Three-tier admission** — engine runs pass through an
+* **Two-tier admission** — engine runs pass through an
   :class:`AdmissionScheduler` instead of a global engine lock. Tier 1:
   pure cache paths (report-store hits, coalesced followers, and splice-only
   rechecks whose new content is digest-identical to the session's current
   version) execute immediately and never enter the queue. Tier 2:
   compute-bound requests from *different* sessions run concurrently up to
-  ``max_concurrent`` (default ``min(jobs, 2)``), each inside a re-entrant
-  :class:`~repro.core.engine.CheckContext`, sharing one warm worker pool,
-  pack store, and cost model; requests for the *same* session serialize
-  (they would mutate the same baseline). Tier 3: the shared pool is
-  multiplexed fairly across the admitted requests (round-robin shard
-  dispatch), and a request whose previous run was cheaper than a few pool
-  round trips is routed inline — re-run with ``jobs=1`` in its own handler
-  thread so it never contends for workers. The number of threads parked in
-  admission is the ``queue_depth`` gauge; ``active_requests`` and the
+  ``max_concurrent`` (default 1), each inside a re-entrant
+  :class:`~repro.core.engine.CheckContext`, sharing one pack store;
+  requests for the *same* session serialize (they would mutate the same
+  baseline). The number of threads parked in admission is the
+  ``queue_depth`` gauge; ``active_requests`` and the
   ``max_active_seen`` high-water mark sit next to it in :meth:`stats`.
 
 * **Structured responses** — reports serialize to the same
@@ -55,7 +51,6 @@ tests drive :class:`ServerState` directly.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import statistics
@@ -72,7 +67,6 @@ from ..gdsii import read_layout, read_layout_bytes
 from ..geometry import Rect
 from ..hierarchy.tree import HierarchyTree
 from ..layout.library import Layout
-from ..core import costmodel
 from ..core.engine import Engine, EngineOptions
 from ..core.packstore import layer_digests, resolve_store, store_key
 from ..core.reportcache import (
@@ -103,13 +97,6 @@ __all__ = [
 
 #: Request latencies kept per endpoint for the /stats percentiles.
 _LATENCY_WINDOW = 512
-
-#: Inline-routing threshold: a session whose previous engine run finished
-#: within this many pool dispatch round trips is cheaper to re-run with
-#: ``jobs=1`` in its handler thread than to contend with other admitted
-#: requests for the shared workers. Priced by the cost model's measured
-#: dispatch overhead, so a fast pool raises the bar and a slow one lowers it.
-INLINE_OVERHEAD_MULTIPLE = 50.0
 
 
 class ServeError(ReproError):
@@ -248,9 +235,9 @@ class AdmissionScheduler:
 
     ``admit(sid)`` blocks until both hold:
 
-    * fewer than ``max_concurrent`` runs are active (the warm pool, pack
-      store, and cost model are shared — bounding concurrency bounds their
-      contention and the parent-side memory footprint), and
+    * fewer than ``max_concurrent`` runs are active (the pack store is
+      shared — bounding concurrency bounds its contention and the memory
+      footprint), and
     * no other run for the *same* session is active — same-session requests
       advance one version (a recheck swaps the session's layout and
       digests), so they serialize; cross-session requests are independent
@@ -348,9 +335,6 @@ class Session:
         self.checks = 0
         self.created = time.time()
         self.last_recheck: Optional[Dict[str, Any]] = None
-        #: Wall seconds of this session's previous admitted engine run;
-        #: the inline-routing tier prices the next one against it.
-        self.last_engine_seconds: Optional[float] = None
 
     def report(self, digests: Optional[Dict[int, str]] = None) -> Optional[CheckReport]:
         """The full-extent report of the current version (or of the one with
@@ -391,10 +375,9 @@ class ServerState:
     counters — every counter update happens under it, so concurrent
     handlers never lose an increment); the :class:`AdmissionScheduler`
     bounds how many engine runs execute at once and keeps same-session
-    runs serial. ``max_concurrent=None`` defaults to ``min(jobs, 2)`` —
-    past that the shared pool is the bottleneck, not admission.
-    ``report_lru`` bounds the report store's memory front (0: every
-    request computes, or reads the disk back).
+    runs serial; ``max_concurrent`` bounds engine runs of different
+    sessions (default 1). ``report_lru`` bounds the report store's memory
+    front (0: every request computes, or reads the disk back).
     """
 
     def __init__(
@@ -403,16 +386,10 @@ class ServerState:
         *,
         deck_path: Optional[str] = None,
         report_lru: int = DEFAULT_CAPACITY,
-        max_concurrent: Optional[int] = None,
+        max_concurrent: int = 1,
     ) -> None:
         self.reports = ReportCache(resolve_store(options), capacity=report_lru)
         self.engine = Engine(options=options, reports=self.reports)
-        # A recheck's cold full check runs on an engine of its own; this
-        # engine's hold keeps the workers it shares alive until close().
-        # Windowed checks run in-process and never touch the pool.
-        self.engine.hold_pool()
-        if max_concurrent is None:
-            max_concurrent = min(max(1, self.engine.options.jobs), 2)
         self.scheduler = AdmissionScheduler(max_concurrent)
         self.deck_path = deck_path
         self._decks: Dict[str, List[Rule]] = {}
@@ -429,7 +406,6 @@ class ServerState:
             "coalesced": 0,
             "report_lru_hits": 0,
             "admission_bypassed": 0,
-            "inline_routed": 0,
             "sessions_created": 0,
             "sessions_reused": 0,
         }
@@ -439,7 +415,7 @@ class ServerState:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the warm engine (pools, cost model persistence); idempotent."""
+        """Release the warm engine; idempotent."""
         if self.closed:
             return
         self.closed = True
@@ -680,11 +656,7 @@ class ServerState:
             with self.scheduler.admit(session.sid):
                 with self._lock:
                     self.counters["engine_runs"] += 1
-                start = time.perf_counter()
                 report = runner()
-                engine_seconds = time.perf_counter() - start
-                with self._lock:
-                    session.last_engine_seconds = engine_seconds
         with self._lock:
             self.engine_stats = merge_stats(
                 [self.engine_stats] + [r.stats for r in report.results]
@@ -741,52 +713,21 @@ class ServerState:
             )
         return report, meta
 
-    def _inline_route(self, session: Session) -> Optional[EngineOptions]:
-        """Tier-3 routing: should this run skip the shared pool entirely?
-
-        A multiprocess engine run whose previous execution for this session
-        finished within :data:`INLINE_OVERHEAD_MULTIPLE` pool dispatch round
-        trips is cheaper to re-run in-process (``jobs=1``, which degrades
-        the multiprocess backend to the fused in-process path — identical
-        output) than to queue its shards behind other admitted requests.
-        Only engages while another request is actually active; a lone
-        request always gets the full pool.
-        """
-        options = self.engine.options
-        if options.jobs <= 1 or self.scheduler.active <= 1:
-            return None
-        last = session.last_engine_seconds
-        if last is None:
-            return None
-        overhead = costmodel.model_for(resolve_store(options)).overhead()
-        if last > overhead * INLINE_OVERHEAD_MULTIPLE:
-            return None
-        return dataclasses.replace(options, jobs=1)
-
     # -- endpoints -----------------------------------------------------------
 
     def check(self, sid: str) -> Tuple[CheckReport, Dict[str, Any]]:
         """Run the session's full deck (store-answered, coalesced)."""
         session = self.session(sid)
-        routing: Dict[str, Any] = {}
 
         def runner() -> CheckReport:
-            options = self._inline_route(session)
-            if options is not None:
-                with self._lock:
-                    self.counters["inline_routed"] += 1
-                routing["routing"] = "inline"
             return self.engine.check(
                 session.layout,
                 rules=session.rules,
                 tree=session.tree,
-                options=options,
                 deck_key=session.deck_key,
             )
 
-        report, meta = self._serve("check", session, (), runner, stored=session.report)
-        meta.update(routing)
-        return report, meta
+        return self._serve("check", session, (), runner, stored=session.report)
 
     def check_window(
         self, sid: str, windows: Sequence[Sequence[int]]
@@ -795,7 +736,7 @@ class ServerState:
 
         A stored full-extent report of the current version is filtered to
         the windows; otherwise the windowed procedure runs in-process,
-        whatever the daemon's ``jobs``. A clipped report
+        whatever the daemon's mode. A clipped report
         is never stored, so the recheck splice baseline and ``/violations``
         only ever see full-extent reports.
         """
@@ -1034,7 +975,6 @@ class ServerState:
                 "engine": {k: self.engine_stats[k] for k in sorted(self.engine_stats)},
                 "options": {
                     "mode": options.mode,
-                    "jobs": options.jobs,
                     "cache_dir": options.cache_dir,
                 },
                 "latency": latency,

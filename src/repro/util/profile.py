@@ -52,15 +52,6 @@ class PhaseProfile:
         for name, seconds in other._seconds.items():
             self.add(name, seconds)
 
-    def to_dict(self) -> Dict[str, float]:
-        """Plain per-phase seconds (the cross-process wire format)."""
-        return dict(self._seconds)
-
-    def add_dict(self, seconds_by_phase: Dict[str, float]) -> None:
-        """Accumulate a :meth:`to_dict` payload (shard/worker merge)."""
-        for name, seconds in seconds_by_phase.items():
-            self.add(name, seconds)
-
     def seconds(self, name: str) -> float:
         return self._seconds.get(name, 0.0)
 

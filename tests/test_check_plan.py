@@ -20,7 +20,7 @@ from repro.core import (
     kind_spec,
     make_backend,
 )
-from repro.core.plan import ENGINE_MODES, KIND_SPECS
+from repro.core.plan import ENGINE_MODES, KIND_SPECS, infer_rule_dependencies
 from repro.core.rules import Rule, RuleKind, layer, polygons
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
@@ -278,6 +278,24 @@ class TestPlanCacheReuse:
             ],
         )
         assert report.results[-1].stats["pack_cache_hits"] > 0
+
+
+class TestRuleDependencies:
+    def test_shape_rule_gates_layer_rules(self):
+        deck = [
+            layer(1).polygons().is_rectilinear().named("SHAPE1"),
+            layer(1).width().greater_than(5).named("W1"),
+            layer(2).width().greater_than(5).named("W2"),
+        ]
+        deps = infer_rule_dependencies(deck)
+        assert deps == {"SHAPE1": (), "W1": ("SHAPE1",), "W2": ()}
+
+    def test_global_shape_rule_gates_everything(self):
+        deck = [
+            polygons().is_rectilinear().named("SHAPE"),
+            layer(1).width().greater_than(5).named("W1"),
+        ]
+        assert infer_rule_dependencies(deck)["W1"] == ("SHAPE",)
 
 
 class TestRunOrder:

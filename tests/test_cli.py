@@ -171,15 +171,11 @@ class TestInputErrors:
             {},
             "must define RULES",
         ),
-        "REPRO_JOBS=abc": (
-            ["check", "{gds}", "--top", "top"], {"REPRO_JOBS": "abc"}, "REPRO_JOBS"
-        ),
         "missing waivers": (
             ["check", "{gds}", "--top", "top", "--waivers", "{tmp}/nosuch.json"],
             {},
             "cannot read waiver file",
         ),
-        "-j 0": (["check", "{gds}", "--top", "top", "-j", "0"], {}, "positive integer"),
         "diff of a missing database": (
             ["diff", "{tmp}/nosuch.json", "{tmp}/new.json"],
             {},
@@ -217,9 +213,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--mode", "parallel", "--jobs", "4", "--breakdown", "--no-cache"],
+            ["--mode", "parallel", "--breakdown", "--no-cache"],
             ["--mode", "sequential"],
-            ["-j", "1"],
             ["--breakdown"],
             ["--cache-dir", "cache"],
             ["--no-cache"],
@@ -230,7 +225,6 @@ class TestInputErrors:
         """The daemon runs its own engine: a flag it would silently drop is
         refused before any request is made (the server URL is never dialled)."""
         named = [flag for flag in flags if flag.startswith("-")]
-        named = ["--jobs" if flag == "-j" else flag for flag in named]
         assert_input_error(
             ["check", uart_gds, "--top", "top", "--server", "http://127.0.0.1:1", *flags],
             capsys,
@@ -351,107 +345,73 @@ class TestWaiverFlag:
         assert code == 0  # everything waived -> clean exit
 
 
-class TestJobsFlag:
-    def test_jobs_flag_selects_multiproc(self, dirty_gds, capsys):
-        code = main(["check", dirty_gds, "--top", "top", "--jobs", "2"])
-        assert code == 1
-        assert "multiproc" in capsys.readouterr().out
+def assert_argparse_error(argv, capsys, message):
+    """``main(argv)`` exits 2 with argparse's usage line and ``message``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro") and message in err
+    assert "Traceback" not in err
 
-    def test_short_flag(self, uart_gds):
-        assert main(["check", uart_gds, "--top", "top", "-j", "2"]) == 0
 
-    def test_explicit_mode_wins_over_jobs_default(self, uart_gds, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        main(["check", uart_gds, "--top", "top", "--mode", "parallel"])
-        assert "parallel" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
-    def test_jobs_with_an_in_process_mode_is_refused(self, uart_gds, capsys, mode):
-        """An explicit ``--jobs N`` the mode would silently ignore is an error,
-        not a one-process run (the pool never starts)."""
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--mode", mode, "--jobs", "2"],
+class TestNoJobsFlag:
+    @pytest.mark.parametrize("command", ["check", "check-window", "recheck", "serve"])
+    def test_jobs_is_an_argparse_error(self, uart_gds, capsys, command):
+        """There is one in-process parallel engine: no worker count to give."""
+        files = {
+            "check": [uart_gds],
+            "check-window": [uart_gds, "0", "0", "10", "10"],
+            "recheck": [uart_gds, uart_gds],
+            "serve": [],
+        }
+        assert_argparse_error(
+            [command, *files[command], "--jobs", "2"],
             capsys,
-            f"--jobs 2 needs --mode multiproc; --mode {mode} runs in one process",
+            "unrecognized arguments: --jobs 2",
         )
 
-    def test_jobs_one_with_an_in_process_mode_is_accepted(self, uart_gds, capsys):
-        assert main(["check", uart_gds, "--top", "top", "--mode", "parallel", "-j", "1"]) == 0
-        assert "parallel" in capsys.readouterr().out
 
-    def test_env_fallback(self, uart_gds, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert main(["check", uart_gds, "--top", "top"]) == 0
-        assert "multiproc" in capsys.readouterr().out
-
-    def test_flag_wins_over_env(self, uart_gds, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        main(["check", uart_gds, "--top", "top", "--jobs", "1"])
-        assert "sequential" in capsys.readouterr().out
-
-    def test_bad_env_rejected(self, uart_gds, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        assert_input_error(["check", uart_gds, "--top", "top"], capsys, "REPRO_JOBS")
-
-    def test_zero_jobs_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--jobs", "0"],
+class TestServeFlags:
+    def test_zero_max_concurrent_is_an_argparse_error(self, capsys):
+        assert_argparse_error(
+            ["serve", "--max-concurrent", "0"],
             capsys,
-            "positive integer",
+            "argument --max-concurrent: must be at least 1, got 0",
         )
 
-    def test_negative_jobs_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--jobs", "-3"],
+    def test_negative_report_lru_is_an_argparse_error(self, capsys):
+        assert_argparse_error(
+            ["serve", "--report-lru", "-1"],
             capsys,
-            "positive integer",
+            "argument --report-lru: must be at least 0, got -1",
         )
 
-    def test_negative_env_jobs_rejected(self, uart_gds, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        assert_input_error(["check", uart_gds, "--top", "top"], capsys, "REPRO_JOBS")
 
+class TestFaultInjection:
+    def test_env_faults_do_not_change_the_report(self, dirty_gds, tmp_path, capsys, monkeypatch):
+        """Two pack-store entries corrupted on a warm run are dropped and
+        rebuilt cold; the CSV is the cold one, byte for byte."""
+        import shutil
 
-class TestFaultToleranceFlags:
-    def test_knobs_accepted(self, uart_gds):
-        code = main([
-            "check", uart_gds, "--top", "top",
-            "--task-timeout", "30", "--max-retries", "1",
-        ])
-        assert code == 0
-
-    def test_zero_task_timeout_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--task-timeout", "0"],
-            capsys,
-            "task_timeout",
-        )
-
-    def test_negative_max_retries_rejected(self, uart_gds, capsys):
-        assert_input_error(
-            ["check", uart_gds, "--top", "top", "--max-retries", "-1"],
-            capsys,
-            "max_retries",
-        )
-
-    def test_env_faults_do_not_change_the_report(self, dirty_gds, capsys, monkeypatch):
         from repro.util import faults
 
-        code = main(["check", dirty_gds, "--top", "top", "--jobs", "2", "--csv"])
-        clean = capsys.readouterr().out
+        assert main(["check", dirty_gds, "--top", "top", "--no-cache", "--csv"]) == 1
+        cold = capsys.readouterr().out
+        cache = tmp_path / "c"
+        argv = ["check", dirty_gds, "--top", "top", "--cache-dir", str(cache), "--csv"]
+        assert main(argv) == 1
+        capsys.readouterr()
+        shutil.rmtree(cache / "reports")
         faults.clear()
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "worker_raise:times=1;worker_hang:times=1"
-        )
+        monkeypatch.setenv("REPRO_FAULTS", "packstore_corrupt:times=2")
         try:
-            faulted_code = main([
-                "check", dirty_gds, "--top", "top", "--jobs", "2", "--csv",
-                "--task-timeout", "5",
-            ])
+            assert main(argv) == 1
         finally:
             faults.clear()
-        assert faulted_code == code
-        assert capsys.readouterr().out == clean
+        assert capsys.readouterr().out == cold
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+        assert "corrupt: 2\n" in capsys.readouterr().out
 
 
 @pytest.fixture()
@@ -540,7 +500,7 @@ class TestReportStore:
         assert source == "source: report-cache" and "edge-checks" not in hit
         assert out.startswith(summary)  # the stored report, seconds and all
 
-    @pytest.mark.parametrize("mode", ["sequential", "parallel", "multiproc"])
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
     def test_hit_is_byte_identical_whoever_produced_the_report(
         self, dirty_gds, tmp_path, capsys, mode
     ):
@@ -548,7 +508,7 @@ class TestReportStore:
         oracle = capsys.readouterr().out
         argv = [
             "check", dirty_gds, "--top", "top", "--cache-dir", str(tmp_path / "D"),
-            "--mode", mode, "--jobs", "2" if mode == "multiproc" else "1",
+            "--mode", mode,
         ]
         for fmt in (["--csv"], ["--csv"], ["--format", "csv", "--expand-instances"]):
             assert main(argv + fmt) == 1

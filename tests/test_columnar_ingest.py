@@ -454,18 +454,6 @@ class TestBufferAndView:
         )
         assert snapshot(clone) == snapshot(layout)
 
-    def test_two_jobs_report_what_one_does(self):
-        layout = read_layout_bytes(write_bytes(gdsii_from_layout(build_design("uart"))))
-        layout.set_top("top")
-        inject_violations(layout, InjectionPlan(spacing=3, width=3, enclosure=3), seed=5)
-        deck = asap7.full_deck()
-        csv = {}
-        for jobs in (1, 2):
-            options = EngineOptions(mode="multiproc", jobs=jobs, use_cache=False)
-            with Engine(options=options) as engine:
-                csv[jobs] = engine.check(layout, rules=deck).to_csv(expand_instances=True)
-        assert csv[1] == csv[2] and csv[1].count("\n") > 6
-
     def test_tree_reads_the_mbr_table(self, built_polygons):
         layout = build_design("uart")
         expected = {}

@@ -4,7 +4,7 @@ results)."""
 
 import pytest
 
-from repro.core import Engine, parallel
+from repro.core import Engine, EngineOptions, parallel
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
 
@@ -66,3 +66,15 @@ def test_reports_deterministic(dirty):
     a = Engine(mode="parallel").check(layout, rules=deck)
     b = Engine(mode="parallel").check(layout, rules=deck)
     assert a.to_csv() == b.to_csv()
+
+
+def test_options_have_four_fields():
+    """Mode, cache directory, cache switch, fault spec: nothing else."""
+    fields = [f.name for f in EngineOptions.__dataclass_fields__.values()]
+    assert fields == ["mode", "cache_dir", "use_cache", "faults"]
+
+
+@pytest.mark.parametrize("mode", ["multiproc", "windowed"])
+def test_unknown_mode_rejected(mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        EngineOptions(mode=mode)

@@ -7,6 +7,8 @@ from repro.gpu import Device, OpKind
 from repro.layout import CellReference, Layout
 from repro.workloads import asap7
 
+from .via_layouts import every_kind_deck, random_via_layout
+
 
 def make_engines():
     return Engine(mode="sequential"), Engine(mode="parallel")
@@ -60,6 +62,19 @@ class TestParallelAgreesWithSequential:
         rp = par.check(uart_layout)
         for a, b in zip(rs.results, rp.results):
             assert a.violation_set() == b.violation_set(), a.rule.name
+
+
+class TestEveryRuleKind:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_rule_kind(self, seed):
+        """Every kind, on random rotated and mirrored metal + via placements,
+        reports the sequential violation list, in the same order."""
+        layout = random_via_layout(200 + seed)
+        deck = every_kind_deck()
+        reference = Engine(mode="sequential").check(layout, rules=deck)
+        got = Engine(mode="parallel").check(layout, rules=deck)
+        for ref, result in zip(reference.results, got.results):
+            assert result.violations == ref.violations, ref.rule.name
 
 
 class TestExecutorSelection:

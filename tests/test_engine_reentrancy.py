@@ -1,37 +1,29 @@
 """Engine re-entrancy: concurrent checks through one engine are invisible.
 
-The tentpole property of the concurrent-serving PR: two threads driving
-*different* decks and layouts through ONE Engine (one shared warm worker
-pool, one pack store, one cost model) must each produce a report
-byte-identical to a solo run of the same check, with no cross-contaminated
-stats — and the multiprocess recovery ladder must keep working while the
-pool is shared.
+Two threads driving *different* decks and layouts through ONE Engine (one
+pack store) must each produce a report byte-identical to a solo run of the
+same check, with no cross-contaminated stats — and pack-store recovery must
+keep working while the store is shared.
 """
 
 import threading
 
 import pytest
 
-from repro.core import Engine, EngineOptions
-from repro.core import costmodel, workerpool
+from repro.core import Engine, EngineOptions, PackStore, ReportCache
 from repro.core.engine import CheckContext
 from repro.core.rules import layer
 from repro.util import faults
 
-from .test_multiproc import random_via_layout
-from .test_workerpool import registered
+from .via_layouts import random_via_layout
 
 
 @pytest.fixture(autouse=True)
 def _isolate(monkeypatch):
-    """Fresh pool registry and cost models around every test."""
+    """No fault plan leaks into or out of any test."""
     monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-    workerpool.shutdown_pools()
-    costmodel.reset_models()
     faults.clear()
     yield
-    workerpool.shutdown_pools()
-    costmodel.reset_models()
     faults.clear()
 
 
@@ -102,12 +94,6 @@ def _concurrent_checks(engine, workloads, timeout=180):
     return reports
 
 
-def mp_options(**kw):
-    kw.setdefault("mode", "multiproc")
-    kw.setdefault("jobs", 2)
-    return EngineOptions(**kw)
-
-
 class TestSequentialReentrancy:
     def test_two_threads_one_engine_match_solo_runs(
         self, metal_layout, via_layout, metal_ref, via_ref
@@ -139,60 +125,56 @@ class TestSequentialReentrancy:
         assert {"plan", "backend", "profiles", "results_by_name"} <= fields
 
 
-class TestMultiprocReentrancy:
-    def test_shared_pool_byte_identical_to_solo(
+class TestParallelReentrancy:
+    def test_shared_engine_byte_identical_to_solo(
         self, tmp_path, metal_layout, via_layout, metal_ref, via_ref
     ):
-        # One engine, one warm pool, one pack store, one cost model — two
-        # threads checking different layouts/decks concurrently must match
-        # their solo sequential references byte for byte.
-        options = mp_options(cache_dir=str(tmp_path))
+        # One engine, one pack store — two threads checking different
+        # layouts/decks concurrently must match their solo sequential
+        # references byte for byte.
+        options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
         with Engine(options=options) as engine:
             got_metal, got_via = _concurrent_checks(
                 engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
             )
-            assert registered(2).worker_pids(), "both checks share the pool"
         assert got_metal.to_csv() == metal_ref.to_csv()
         assert got_via.to_csv() == via_ref.to_csv()
 
-    def test_stats_are_not_cross_contaminated(
-        self, metal_layout, via_layout, status_quo_routing
-    ):
-        # Status-quo routing keeps every row-kind rule on the pool with a
-        # fixed shard count, so each report's mp stats describe exactly its
-        # own check: the metal deck's spacing shards and the via deck's
-        # enclosure shards count as many tasks as a solo run of each, and
-        # nothing from the other check's shards leaks in.
+    def test_stats_are_not_cross_contaminated(self, metal_layout, via_layout):
+        # Each report's device counters describe exactly its own check: the
+        # metal deck's spacing rows and the via deck's enclosure rows count
+        # as many segments and launches as a solo run of each.
         workloads = [(metal_layout, metal_deck()), (via_layout, via_deck())]
+        options = EngineOptions(mode="parallel", use_cache=False)
         solo = []
         for layout, rules in workloads:
-            with Engine(options=mp_options()) as engine:
+            with Engine(options=options) as engine:
                 solo.append(engine.check(layout, rules=rules).results[-1].stats)
-        with Engine(options=mp_options()) as engine:
+        with Engine(options=options) as engine:
             reports = _concurrent_checks(engine, workloads)
         for report, alone in zip(reports, solo):
             stats = report.results[-1].stats
-            assert stats["mp_degraded"] == 0
-            assert stats["mp_shard_tasks"] > 0
-            assert stats["mp_shard_tasks"] == alone["mp_shard_tasks"]
-            assert stats["fused_segments"] == alone["fused_segments"]
+            assert stats["fused_segments"] > 0
+            for name in ("fused_segments", "fused_launches", "kernel_launches"):
+                assert stats[name] == alone[name], name
 
-    def test_recovery_ladder_with_a_shared_pool(
-        self, monkeypatch, metal_layout, via_layout, metal_ref, via_ref
+    def test_pack_store_recovery_with_a_shared_store(
+        self, tmp_path, monkeypatch, metal_layout, via_layout, metal_ref, via_ref
     ):
-        # REPRO_FAULTS arms one worker_raise across the whole process;
-        # whichever concurrent check's submission draws it must recover via
-        # a retry on the shared pool, and BOTH checks must still match
-        # their references with no in-process degradation.
-        monkeypatch.setenv(faults.FAULTS_ENV, "worker_raise:times=1")
-        with Engine(options=mp_options()) as engine:
-            got_metal, got_via = _concurrent_checks(
-                engine, [(metal_layout, metal_deck()), (via_layout, via_deck())]
-            )
+        # REPRO_FAULTS arms one packstore_corrupt across the whole process;
+        # whichever concurrent check's store read draws it must drop and
+        # rebuild that entry, and BOTH checks must still match their
+        # references.
+        options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
+        workloads = [(metal_layout, metal_deck()), (via_layout, via_deck())]
+        with Engine(options=options) as engine:
+            for layout, rules in workloads:
+                engine.check(layout, rules=rules)
+        ReportCache(PackStore(str(tmp_path))).clear()
+        monkeypatch.setenv(faults.FAULTS_ENV, "packstore_corrupt:times=1")
+        with Engine(options=options) as engine:
+            got_metal, got_via = _concurrent_checks(engine, workloads)
         assert got_metal.to_csv() == metal_ref.to_csv()
         assert got_via.to_csv() == via_ref.to_csv()
-        metal_stats = got_metal.results[-1].stats
-        via_stats = got_via.results[-1].stats
-        assert metal_stats["mp_retries"] + via_stats["mp_retries"] >= 1
-        assert metal_stats["mp_degraded"] == 0
-        assert via_stats["mp_degraded"] == 0
+        corrupt = [r.results[-1].stats["cache_corrupt"] for r in (got_metal, got_via)]
+        assert sum(corrupt) == 1

@@ -133,16 +133,14 @@ class TestMultiWindowChecking:
         )
         assert report.passed
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_byte_identical_across_backends_and_jobs(self, dirty_design, jobs):
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_byte_identical_across_backends(self, dirty_design, mode):
         from repro.core import EngineOptions
 
         layout, _ = dirty_design
         windows = WINDOW_SETS["overlapping"]
         baseline = check_window(layout, windows, rules=RULES)
-        options = EngineOptions(
-            mode="multiproc" if jobs > 1 else "sequential", jobs=jobs
-        )
+        options = EngineOptions(mode=mode)
         report = check_window(layout, windows, rules=RULES, options=options)
         assert report.to_csv() == baseline.to_csv()
         assert report.to_json() != ""  # schema renders for windowed runs too
@@ -151,102 +149,3 @@ class TestMultiWindowChecking:
         layout, _ = dirty_design
         with pytest.raises(ValueError):
             check_window(layout, [EMPTY_RECT, EMPTY_RECT], rules=RULES)
-
-
-NO_POOL_CALLS = {
-    "check_window": (
-        "from repro.core import EngineOptions, check_window\n"
-        "from repro.gdsii import read_layout\n"
-        "from repro.geometry import Rect\n"
-        "layout = read_layout(GDS)\n"
-        "layout.set_top('top')\n"
-        "options = EngineOptions(mode='multiproc', jobs=2)\n"
-        "report = check_window(layout, [Rect(*w) for w in WINDOWS], "
-        "rules=asap7.full_deck(), options=options)\n"
-        "print(report.to_csv())\n"
-    ),
-    "served": (
-        "from repro.core import EngineOptions\n"
-        "from repro.server import ServerState\n"
-        "state = ServerState(EngineOptions(mode='multiproc', jobs=2))\n"
-        "try:\n"
-        "    session, _ = state.create_session(path=GDS, top='top')\n"
-        "    report, _ = state.check_window(session.sid, WINDOWS)\n"
-        "finally:\n"
-        "    state.close()\n"
-        "print(report.to_csv())\n"
-    ),
-    "cli": (
-        "import os\n"
-        "from repro.cli import main\n"
-        "os.environ['REPRO_JOBS'] = '2'\n"
-        "argv = ['check-window', GDS, *map(str, WINDOWS[0]), '--top', 'top', '--csv']\n"
-        "for window in WINDOWS[1:]:\n"
-        "    argv += ['--window', *map(str, window)]\n"
-        "assert main(argv) == 1\n"
-    ),
-}
-
-
-class TestWindowedCheckNeverTouchesThePool:
-    """A windowed check runs in-process under any mode and ``jobs``: the
-    worker-pool backend is never imported, no worker process starts, and
-    the CSV equals the jobs-1 run. Each case runs in a fresh interpreter,
-    because what matters is what ends up in its ``sys.modules``."""
-
-    WINDOWS = [[0, 1500, 2000, 2600], [0, 2400, 2000, 3500]]
-
-    @pytest.fixture(scope="class")
-    def gds(self, tmp_path_factory):
-        from repro.gdsii import write
-        from repro.layout import gdsii_from_layout
-
-        layout = build_design("uart")
-        inject_violations(layout, InjectionPlan(spacing=2), layer=asap7.M2, seed=1)
-        path = tmp_path_factory.mktemp("nopool") / "dirty.gds"
-        write(gdsii_from_layout(layout), path)
-        return str(path)
-
-    @pytest.fixture(scope="class")
-    def reference_csv(self, gds):
-        from repro.gdsii import read_layout
-
-        layout = read_layout(gds)
-        layout.set_top("top")
-        windows = [Rect(*w) for w in self.WINDOWS]
-        return check_window(layout, windows, rules=asap7.full_deck()).to_csv()
-
-    @pytest.mark.parametrize("call", sorted(NO_POOL_CALLS))
-    def test_jobs_two_stays_in_process(self, gds, reference_csv, call):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        code = (
-            "import multiprocessing, sys\n"
-            "from repro.workloads import asap7\n"
-            f"GDS, WINDOWS = {gds!r}, {self.WINDOWS!r}\n"
-            + NO_POOL_CALLS[call]
-            + "assert 'repro.core.multiproc' not in sys.modules, 'pool backend loaded'\n"
-            "assert not multiprocessing.active_children(), 'workers started'\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == reference_csv + "\n"
-
-    def test_check_window_jobs_flag_is_an_argparse_error(self, gds, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["check-window", gds, "0", "0", "10", "10", "--top", "top",
-                  "--jobs", "2"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
 from repro.partition.rows import partition_rects
-from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
+from repro.workloads import asap7, build_design
 
 from .test_columnar_ingest import ledger_dirty_jpeg
 
@@ -274,18 +274,6 @@ class TestReportsEqualTheOracle:
         par = Engine(options=EngineOptions(mode="parallel", use_cache=False)).check(layout, rules=deck)
         seq = Engine(options=EngineOptions(mode="sequential", use_cache=False)).check(layout, rules=deck)
         assert par.to_csv(expand_instances=True) == seq.to_csv(expand_instances=True)
-
-    def test_two_jobs_equal_one(self, status_quo_routing):
-        layout = build_design("uart")
-        inject_violations(layout, InjectionPlan(spacing=3, enclosure=3), seed=5)
-        deck = asap7.full_deck()
-        one = Engine(options=EngineOptions(mode="parallel", use_cache=False)).check(layout, rules=deck)
-        with Engine(
-            options=EngineOptions(mode="multiproc", jobs=2, use_cache=False)
-        ) as engine:
-            two = engine.check(layout, rules=deck)
-        assert one.total_violations
-        assert two.to_csv(expand_instances=True) == one.to_csv(expand_instances=True)
 
     def test_pack_store_warm_run_packs_nothing(self, tmp_path):
         layout = build_design("uart")

@@ -21,7 +21,6 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def run_python(code, cwd):
     env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("REPRO_JOBS", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -56,10 +55,10 @@ def workdir(tmp_path_factory):
     return path
 
 
-def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
+def test_importing_the_cli_loads_neither_numpy_nor_a_backend():
     out = run_python(
         "import sys, repro.cli\n"
-        "print([m for m in ('numpy', 'repro.core.multiproc', 'repro.core.workerpool',"
+        "print([m for m in ('numpy', 'repro.core.sequential',"
         " 'repro.core.parallel', 'repro.gpu', 'repro.workloads.designs')"
         " if m in sys.modules])",
         cwd=None,
@@ -125,15 +124,13 @@ def test_lifecycle_commands_never_import_numpy(workdir, argv):
 def test_a_parallel_check_never_imports_numpy_ma(workdir):
     """``np.unique`` loads ``numpy.ma`` on first use (15-25 ms of a cold
     process); the parallel mode counts its row segments without it. Nor
-    does one process need what only the multiprocess backend uses: the
-    shared-memory arena (``multiprocessing.shared_memory`` pulls in
-    ``socket`` and ``subprocess``)."""
+    does it need ``multiprocessing.shared_memory`` (which pulls in
+    ``socket`` and ``subprocess``): the check runs in one process."""
     out = run_cli(
         ["check", "new.gds", "--top", "top", "--mode", "parallel", "--no-cache"],
         absent=[
             "numpy.ma",
             "multiprocessing.shared_memory",
-            "repro.gpu.shmem",
         ],
         cwd=workdir,
         exit_code=1,
@@ -147,8 +144,6 @@ def test_sequential_recheck_skips_the_device_and_the_generators(workdir):
         absent=[
             "repro.gpu.kernels",
             "repro.workloads.designs",
-            "repro.core.multiproc",
-            "repro.core.workerpool",
             "repro.core.parallel",
         ],
         cwd=workdir,

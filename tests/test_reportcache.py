@@ -12,6 +12,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from repro.checks.base import Violation, ViolationKind
 from repro.core.packstore import PackStore
@@ -178,6 +179,10 @@ class TestMemoryFront:
         first = cache.load(_key(0), _deck())
         assert first is not None and first is not cache.load(_key(0), _deck())
         assert cache.memory_entries() == 0
+
+    def test_negative_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ReportCache(capacity=-1)
 
     def test_disk_hit_is_promoted_and_evicted_entries_reload(self, tmp_path):
         writer = ReportCache(PackStore(str(tmp_path)), capacity=1)

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.checks.base import Violation, ViolationKind
-from repro.core.results import CheckReport, CheckResult, merge_reports
+from repro.core.results import CheckReport, CheckResult
 from repro.core.rules import layer
 from repro.geometry import Rect
 
@@ -70,16 +70,6 @@ class TestCheckReport:
         assert report.total_seconds == pytest.approx(0.03)
         assert not report.passed
 
-    def test_merge_reports(self):
-        a = CheckReport("demo", "sequential", [result("A")])
-        b = CheckReport("demo", "sequential", [result("B")])
-        merged = merge_reports([a, b])
-        assert [r.rule.name for r in merged.results] == ["A", "B"]
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_reports([])
-
     def test_csv_header_only_when_clean(self):
         report = CheckReport("demo", "sequential", [result("A")])
         assert report.to_csv().count("\n") == 0
@@ -96,35 +86,3 @@ class TestMergeHelpers:
 
         merged = merge_stats([{"a": 1, "b": 2}, {"b": 3, "c": 4}, {}])
         assert merged == {"a": 1, "b": 5, "c": 4}
-
-    def test_combine_results_canonicalizes(self):
-        from repro.core.results import combine_results
-
-        a = result(violations=[violation(100)], seconds=0.01)
-        b = result(violations=[violation(0), violation(100)], seconds=0.02)
-        combined = combine_results([a, b])
-        assert combined.num_violations == 2  # dedup across shards
-        assert combined.violations[0].region.xlo == 0  # canonical order
-        assert combined.seconds == pytest.approx(0.03)
-
-    def test_combine_results_sums_stats(self):
-        from repro.core.results import combine_results
-
-        a = result()
-        b = result()
-        a.stats, b.stats = {"kernels": 2}, {"kernels": 3, "copies": 1}
-        combined = combine_results([a, b])
-        assert combined.stats == {"kernels": 5, "copies": 1}
-
-    def test_combine_different_rules_rejected(self):
-        from repro.core.results import combine_results
-
-        with pytest.raises(ValueError, match="different rules"):
-            combine_results([result("A"), result("B")])
-
-    def test_merge_reports_combines_shards_of_one_rule(self):
-        report_a = CheckReport("demo", "multiproc", [result("A", [violation(0)])])
-        report_b = CheckReport("demo", "multiproc", [result("A", [violation(100)])])
-        merged = merge_reports([report_a, report_b])
-        assert [r.rule.name for r in merged.results] == ["A"]
-        assert merged.total_violations == 2

@@ -1226,33 +1226,6 @@ class TestConcurrentServing:
         assert state.counters["admission_bypassed"] == 1
         assert state.counters["engine_runs"] == 2
 
-    def test_inline_route_prices_small_requests(self, dirty_gds):
-        from repro.core.engine import EngineOptions
-
-        options = EngineOptions(mode="multiproc", jobs=2)
-        with ServerState(options=options, max_concurrent=2) as state:
-            session, _ = state.create_session(path=dirty_gds, top="top")
-            # Never routed without a previous run to price against.
-            assert state._inline_route(session) is None
-            session.last_engine_seconds = 1e-6
-            # ...or while this is the only active request.
-            assert state._inline_route(session) is None
-            with state.scheduler.admit("other"):
-                with state.scheduler.admit(session.sid):
-                    routed = state._inline_route(session)
-                    assert routed is not None
-                    assert routed.jobs == 1
-                    assert routed.mode == "multiproc"
-                    # A previous run too big for inline keeps the pool.
-                    session.last_engine_seconds = 1e6
-                    assert state._inline_route(session) is None
-
-    def test_jobs1_options_never_route_inline(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
-        session.last_engine_seconds = 1e-6
-        with state.scheduler.admit("other"):
-            assert state._inline_route(session) is None
-
 
 class TestStatsExtended:
     def test_percentiles_requests_and_gauges(self, state, dirty_gds):
@@ -1267,7 +1240,7 @@ class TestStatsExtended:
         assert check["p99_ms"] <= check["max_ms"]
         assert stats["queue_depth"] == 0
         assert stats["active_requests"] == 0
-        assert stats["max_concurrent"] == 1  # sequential default: min(1, 2)
+        assert stats["max_concurrent"] == 1  # the default
         assert stats["max_active_seen"] == 1
         assert stats["counters"]["admission_bypassed"] == 0
 

@@ -34,10 +34,8 @@ def dirty_layout():
     return layout
 
 
-def run(layout, *, mode, cache_dir=None, use_cache=True, jobs=1):
-    options = EngineOptions(
-        mode=mode, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs,
-    )
+def run(layout, *, mode, cache_dir=None, use_cache=True):
+    options = EngineOptions(mode=mode, cache_dir=cache_dir, use_cache=use_cache)
     with Engine(options=options) as engine:
         return engine.check(layout, rules=deck())
 
@@ -78,31 +76,15 @@ class TestWarmEqualsCold:
     def test_all_backends_agree_warm_and_cold(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
         baseline = run(dirty_layout, mode="sequential").to_csv()
-        for mode in ("sequential", "parallel", "multiproc"):
+        for mode in ("sequential", "parallel"):
             forget_reports(cache)
-            cold = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
+            cold = run(dirty_layout, mode=mode, cache_dir=cache)
             forget_reports(cache)
-            warm = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
-            stored = run(dirty_layout, mode=mode, cache_dir=cache, jobs=2)
+            warm = run(dirty_layout, mode=mode, cache_dir=cache)
+            stored = run(dirty_layout, mode=mode, cache_dir=cache)
             assert cold.to_csv() == baseline, mode
             assert warm.to_csv() == baseline, mode
             assert stored.to_csv() == baseline, mode  # answered by the report store
-
-    def test_multiproc_warm_ships_store_served_shards(
-        self, dirty_layout, tmp_path, status_quo_routing
-    ):
-        # This is about transport, so the cost model stays out of it: the
-        # cold run would calibrate it in the same cache dir, and on a busy
-        # host the warm run is then routed inline and ships nothing.
-        cache = str(tmp_path)
-        options = dict(mode="multiproc", cache_dir=cache, jobs=2)
-        cold = run(dirty_layout, **options)
-        forget_reports(cache)
-        warm = run(dirty_layout, **options)
-        assert warm.to_csv() == cold.to_csv()
-        warm_stats = warm.results[-1].stats
-        assert warm_stats["mp_shard_tasks"] > 0
-        assert warm_stats["pack_seconds"] == 0.0
 
     def test_sequential_reuses_the_partition(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
