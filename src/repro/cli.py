@@ -116,12 +116,22 @@ def _read(path: str, top: Optional[str], previous=None):
 
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
     """The options every engine-running subcommand builds from its flags
-    (``--mode`` exists on some subcommands only; elsewhere: sequential)."""
-    return EngineOptions(
+    (``--mode`` exists on some subcommands only; elsewhere: sequential).
+
+    Called before the command reads anything: a malformed
+    ``$REPRO_FAULTS`` is a usage error (exit 2) before any work starts."""
+    from .util.faults import FAULTS_ENV, FaultPlan, FaultSpecError, resolve_spec
+
+    options = EngineOptions(
         mode=getattr(args, "mode", None) or "sequential",
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
+    try:
+        FaultPlan.parse(resolve_spec(options))
+    except FaultSpecError as error:
+        raise _input_error(f"${FAULTS_ENV}: {error}") from None
+    return options
 
 
 def _int_at_least(minimum: int):
@@ -299,8 +309,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _served_check(args)
     from .core.engine import Engine
 
+    options = _engine_options(args)
     layout = _read(args.file, args.top)
-    with _graceful_sigterm(), Engine(options=_engine_options(args)) as engine:
+    with _graceful_sigterm(), Engine(options=options) as engine:
         report = engine.check(layout, rules=_load_deck(args.deck))
     if args.waivers:
         report = _apply_waiver_file(report, args.waivers)
@@ -338,6 +349,7 @@ def cmd_check_window(args: argparse.Namespace) -> int:
     from .core.incremental import check_window
     from .geometry import Rect
 
+    options = _engine_options(args)
     layout = _read(args.file, args.top)
     windows = []
     for coords in [(args.x1, args.y1, args.x2, args.y2)] + (args.window or []):
@@ -348,7 +360,6 @@ def cmd_check_window(args: argparse.Namespace) -> int:
                 f"window {typed} must be non-empty (x1 <= x2 and y1 <= y2)"
             )
         windows.append(window)
-    options = EngineOptions(cache_dir=args.cache_dir, use_cache=not args.no_cache)
     report = check_window(
         layout, windows, rules=_load_deck(args.deck), options=options
     )
@@ -361,11 +372,12 @@ def cmd_check_window(args: argparse.Namespace) -> int:
 def cmd_recheck(args: argparse.Namespace) -> int:
     from .core.incremental import recheck
 
+    options = _engine_options(args)
     old = _read(args.old, args.top)
     new = _read(args.new, args.top, previous=old)
     try:
         outcome = recheck(
-            old, new, rules=_load_deck(args.deck), options=_engine_options(args),
+            old, new, rules=_load_deck(args.deck), options=options,
             verify=args.verify,
         )
     except AssertionError as error:

@@ -289,7 +289,11 @@ def launch_pair_rows(
             count = int(mask.sum())
             if count < 2:
                 continue
-            lane_buf = device_buf.take(np.flatnonzero(mask))
+            # A lane holding every edge runs on the device buffer itself: a
+            # gather would only copy all six columns in the same order.
+            lane_buf = (
+                device_buf if count == len(buf) else device_buf.take(np.flatnonzero(mask))
+            )
             segments = _distinct_segments(seg[mask])
             with profile.phase(PHASE_EDGE_CHECKS):
                 counters[counter] += segments

@@ -47,6 +47,12 @@ from ..geometry import Polygon
 
 _INT = np.int64
 
+#: Candidate pairs one fused launch materialises at a time: the thread-block
+#: tiling of the paper's §IV-E grid. Each block's index, coordinate and mask
+#: temporaries are a few dozen bytes per pair, so a launch's transient
+#: memory stays near ``PAIR_BLOCK`` pairs' worth whatever its candidate count.
+PAIR_BLOCK = 1 << 14
+
 
 @dataclasses.dataclass
 class EdgeBuffer:
@@ -247,25 +253,26 @@ def _range_blocks(counts: np.ndarray, chunk: int):
     """Yield ``(rows, offsets)`` blocks that unroll per-row check ranges.
 
     Row ``i`` appears ``counts[i]`` times with offsets ``0 .. counts[i]-1``,
-    so ``begin[rows] + offsets`` walks its range. Blocks bound the
-    materialized pair count by roughly ``chunk`` — the thread-block tiling
-    of the fused grid.
+    so ``begin[rows] + offsets`` walks its range. Each block holds whole
+    rows and at most ``chunk`` pairs — the thread-block tiling of the fused
+    grid — except a block of one row that alone exceeds ``chunk``. Blocks
+    run in row order, so the concatenated pairs do not depend on ``chunk``.
     """
     n = len(counts)
     cum = np.cumsum(counts)
     row0 = 0
     base = 0
     while row0 < n:
-        row1 = int(np.searchsorted(cum, base + chunk, side="left")) + 1
+        row1 = int(np.searchsorted(cum, base + chunk, side="right"))
         row1 = max(row1, row0 + 1)
-        rows = np.arange(row0, min(row1, n), dtype=_INT)
-        c = counts[rows]
+        rows = np.arange(row0, row1, dtype=_INT)
+        c = counts[row0:row1]
         total = int(c.sum())
         if total:
             cc = np.cumsum(c)
             yield np.repeat(rows, c), np.arange(total, dtype=_INT) - np.repeat(cc - c, c)
         base += total
-        row0 = min(row1, n)
+        row0 = row1
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +344,16 @@ def kernel_sweep_check(
     threshold: int,
     *,
     want_width: bool,
+    chunk: int = PAIR_BLOCK,
 ) -> PairHits:
-    """Kernel 2: one simulated thread per edge checks its whole range."""
+    """Kernel 2: one simulated thread per edge checks its whole range,
+    ``chunk`` pairs per block."""
     return PairHits.concatenate(
         [
             _evaluate_pairs(
                 sorted_buf, idx_a, begin[idx_a] + offsets, threshold, want_width=want_width
             )
-            for idx_a, offsets in _range_blocks((end - begin).clip(min=0), 1 << 20)
+            for idx_a, offsets in _range_blocks((end - begin).clip(min=0), chunk)
         ]
     )
 
@@ -382,7 +391,7 @@ def _segmented_ranges(
 
 
 def kernel_pairs_bruteforce_segmented(
-    buf: EdgeBuffer, threshold: int, *, want_width: bool, chunk: int = 1 << 20
+    buf: EdgeBuffer, threshold: int, *, want_width: bool, chunk: int = PAIR_BLOCK
 ) -> PairHits:
     """Batched brute force over every segment in one launch.
 
@@ -493,7 +502,7 @@ def enclosure_candidate_blocks(
     metal_rects: np.ndarray,
     window_segment: np.ndarray,
     metal_segment: np.ndarray,
-    chunk: int = 1 << 20,
+    chunk: int = PAIR_BLOCK,
 ):
     """Enumerate step of :func:`kernel_enclosure_candidates`.
 
@@ -508,10 +517,13 @@ def enclosure_candidate_blocks(
     to keep — the band holding the overlap's low corner, which is the first
     band of one of the two rects.
     """
-    both = np.concatenate([windows, metal_rects])
-    y0 = int(both[:, 1].min())
-    height = max(int((both[:, 3] - both[:, 1]).max()), 1)
-    bands = (int(both[:, 3].max()) - y0) // height + 1
+    y0 = min(int(windows[:, 1].min()), int(metal_rects[:, 1].min()))
+    height = max(
+        int((windows[:, 3] - windows[:, 1]).max()),
+        int((metal_rects[:, 3] - metal_rects[:, 1]).max()),
+        1,
+    )
+    bands = (max(int(windows[:, 3].max()), int(metal_rects[:, 3].max())) - y0) // height + 1
 
     def entries(rects, segment):
         lo = (rects[:, 1] - y0) // height
@@ -568,9 +580,10 @@ def kernel_enclosure_candidates(
         for vi, mi, first in enclosure_candidate_blocks(
             windows, metal_rects, via_segment, metal_segment
         ):
-            w, m = windows[vi], metal_rects[mi]
-            keep = first & (w[:, 0] <= m[:, 2]) & (m[:, 0] <= w[:, 2])
-            keep &= (w[:, 1] <= m[:, 3]) & (m[:, 1] <= w[:, 3])
+            keep = first
+            for k in range(2):  # closed overlap along x, then y
+                keep &= windows[vi, k] <= metal_rects[mi, k + 2]
+                keep &= metal_rects[mi, k] <= windows[vi, k + 2]
             pairs.append(np.stack([vi[keep], mi[keep]]))
     return tuple(np.concatenate(pairs, axis=1))
 
@@ -754,7 +767,7 @@ def kernel_corner_pairs(buf: CornerBuffer, threshold: int, chunk: int = 2048) ->
 
 
 def kernel_corner_pairs_segmented(
-    buf: CornerBuffer, threshold: int, chunk: int = 1 << 20
+    buf: CornerBuffer, threshold: int, chunk: int = PAIR_BLOCK
 ) -> CornerHits:
     """All segments' corner pairs in one launch (fused-row execution).
 

@@ -242,6 +242,34 @@ class TestInputErrors:
             "recheck verification failed",
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{gds}", "--top", "top"],
+            ["check-window", "{gds}", "0", "0", "10", "10", "--top", "top"],
+            ["recheck", "{gds}", "{gds}", "--top", "top"],
+            ["serve", "--port", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_fault_spec_exits_two_before_any_work(
+        self, argv, uart_gds, capsys, monkeypatch
+    ):
+        """A bad ``$REPRO_FAULTS`` is refused before a layout is read or a
+        daemon binds."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work on a bad spec")
+
+        monkeypatch.setenv("REPRO_FAULTS", "explode")
+        monkeypatch.setattr("repro.cli._read", no_work)
+        monkeypatch.setattr("repro.server.http.serve", no_work)
+        assert_input_error(
+            [arg.format(gds=uart_gds) for arg in argv],
+            capsys,
+            "$REPRO_FAULTS: unknown fault site 'explode'",
+        )
+
 
 class TestBackendFlags:
     @pytest.mark.parametrize("flag", ["--fuse-rows", "--no-fuse-rows"])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import hypothesis.strategies as st
@@ -502,22 +503,40 @@ class TestSegmentedCornerKernel:
         assert 0 < sum(seen) <= 4 * n < n * (n - 1) // 2
 
 
+SEGMENTED_CASES = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+#: seed, items, segment ids to draw from (sparse ids included), rule
+#: distance, block size
+SEGMENTED_SHAPES = (
+    st.integers(0, 10 ** 6),
+    st.integers(2, 120),
+    st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True),
+    st.integers(1, 300),
+    st.sampled_from([1, 5, 64, 1 << 20]),
+)
+
+
+def random_segmented_edges(seed, n, ids, polygons=None):
+    """``n`` random vertical edges over segments drawn from ``ids``; each
+    edge its own polygon unless ``polygons`` ids are drawn from."""
+    rng = np.random.default_rng(seed)
+    return K.EdgeBuffer(
+        True,
+        rng.integers(-200, 200, n),
+        rng.integers(-200, 0, n),
+        rng.integers(1, 200, n),
+        rng.choice([-1, 1], n),
+        np.arange(n) if polygons is None else rng.integers(0, polygons, n),
+        rng.choice(ids, n),
+    )
+
+
 class TestEnumeratorsStayInSegment:
     """The pair evaluators no longer mask cross-segment pairs, because no
     enumerator hands them one: over random segmented buffers, every pair
     that reaches an evaluator — and every candidate block of the enclosure
     scan — lies in one segment."""
-
-    CASES = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    #: seed, items, segment ids to draw from (sparse ids included), rule
-    #: distance, block size
-    SHAPES = (
-        st.integers(0, 10 ** 6),
-        st.integers(2, 120),
-        st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True),
-        st.integers(1, 300),
-        st.sampled_from([1, 5, 64, 1 << 20]),
-    )
 
     @staticmethod
     def spied(patch, name):
@@ -538,19 +557,10 @@ class TestEnumeratorsStayInSegment:
         for left, right in seen:
             assert np.array_equal(left, right)
 
-    @CASES
-    @given(*SHAPES)
+    @SEGMENTED_CASES
+    @given(*SEGMENTED_SHAPES)
     def test_edge_pair_kernels(self, seed, n, ids, threshold, chunk):
-        rng = np.random.default_rng(seed)
-        buf = K.EdgeBuffer(
-            True,
-            rng.integers(-200, 200, n),
-            rng.integers(-200, 0, n),
-            rng.integers(1, 200, n),
-            rng.choice([-1, 1], n),
-            np.arange(n),
-            rng.choice(ids, n),
-        )
+        buf = random_segmented_edges(seed, n, ids)
         with pytest.MonkeyPatch.context() as patch:
             seen = self.spied(patch, "_evaluate_pairs")
             K.kernel_pairs_bruteforce_segmented(buf, threshold, want_width=False, chunk=chunk)
@@ -561,8 +571,8 @@ class TestEnumeratorsStayInSegment:
             for left, right in seen:
                 assert np.array_equal(left, right)
 
-    @CASES
-    @given(*SHAPES)
+    @SEGMENTED_CASES
+    @given(*SEGMENTED_SHAPES)
     def test_segmented_ranges_and_range_blocks(self, seed, n, ids, threshold, chunk):
         rng = np.random.default_rng(seed)
         coord, segment = rng.integers(-500, 500, n), rng.choice(ids, n)
@@ -576,8 +586,8 @@ class TestEnumeratorsStayInSegment:
             pairs += len(rows)
         assert pairs == int((end - begin).clip(min=0).sum())
 
-    @CASES
-    @given(*SHAPES)
+    @SEGMENTED_CASES
+    @given(*SEGMENTED_SHAPES)
     def test_corner_kernel(self, seed, n, ids, threshold, chunk):
         rng = np.random.default_rng(seed)
         buf = K.CornerBuffer(
@@ -594,8 +604,8 @@ class TestEnumeratorsStayInSegment:
             for left, right in seen:
                 assert np.array_equal(left, right)
 
-    @CASES
-    @given(*SHAPES)
+    @SEGMENTED_CASES
+    @given(*SEGMENTED_SHAPES)
     def test_enclosure_candidate_blocks(self, seed, n, ids, threshold, chunk):
         rng = np.random.default_rng(seed)
         metals = n // 2 + 1
@@ -610,3 +620,126 @@ class TestEnumeratorsStayInSegment:
             windows, metal_rects, window_segment, metal_segment, chunk
         ):
             assert np.array_equal(window_segment[window], metal_segment[metal])
+
+
+class TestPairBlocks:
+    """``_range_blocks`` tiles a launch's candidate pairs into blocks of at
+    most ``chunk`` pairs (``PAIR_BLOCK`` by default), each pair once and in
+    row order, so the hits do not depend on the block size."""
+
+    COUNTS = st.lists(st.integers(0, 40), max_size=60)
+    CHUNKS = st.sampled_from([1, 5, 64, K.PAIR_BLOCK])
+
+    @staticmethod
+    def blocks(counts, chunk):
+        return list(K._range_blocks(np.asarray(counts, dtype=np.int64), chunk))
+
+    @SEGMENTED_CASES
+    @given(COUNTS, CHUNKS)
+    def test_every_row_offset_exactly_once(self, counts, chunk):
+        got = [
+            pair
+            for rows, offsets in self.blocks(counts, chunk)
+            for pair in zip(rows.tolist(), offsets.tolist())
+        ]
+        want = [(row, offset) for row, count in enumerate(counts) for offset in range(count)]
+        assert got == want
+
+    @SEGMENTED_CASES
+    @given(COUNTS, CHUNKS)
+    def test_no_block_exceeds_the_chunk_but_a_lone_long_row(self, counts, chunk):
+        for rows, _ in self.blocks(counts, chunk):
+            assert len(rows) <= chunk or (
+                rows[0] == rows[-1] and counts[rows[0]] > chunk
+            )
+
+    @SEGMENTED_CASES
+    @given(*SEGMENTED_SHAPES[:4], st.booleans())
+    def test_sweep_check_hits_do_not_depend_on_the_block(
+        self, seed, n, ids, threshold, want_width
+    ):
+        buf = random_segmented_edges(seed, n, ids, polygons=4)
+        order, begin, end = K._segmented_ranges(buf.fixed, buf.segment, threshold)
+        sorted_buf = buf.take(order)
+        want = K.kernel_sweep_check(
+            sorted_buf, begin, end, threshold, want_width=want_width, chunk=1 << 20
+        )
+        for chunk in (1, 7, K.PAIR_BLOCK):
+            got = K.kernel_sweep_check(
+                sorted_buf, begin, end, threshold, want_width=want_width, chunk=chunk
+            )
+            for field in dataclasses.fields(K.PairHits):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def comb(teeth):
+    """One segment of ``teeth`` vertical bars, 10 wide at pitch 20: two
+    edges per tooth, each with six edges within a 62 rule distance — the
+    shape of M1.S.1 on the ledger design (22 544 edges, 111 754 candidate
+    pairs in one segment). Teeth sit in seven y-bands, so a tooth faces a
+    neighbour only where every hundredth one runs full height."""
+    index = np.arange(teeth, dtype=np.int64)
+    lo = 3000 * (index % 7)
+    hi = lo + 1000
+    lo[::100], hi[::100] = 0, 21000
+    x = 20 * index
+    return K.EdgeBuffer(
+        True,
+        np.concatenate([x, x + 10]),
+        np.concatenate([lo, lo]),
+        np.concatenate([hi, hi]),
+        np.repeat(np.asarray([1, -1], dtype=np.int64), teeth),
+        np.concatenate([index, index]),
+        np.zeros(2 * teeth, dtype=np.int64),
+    )
+
+
+class TestPairBlockBudget:
+    """A fused launch's working set follows ``PAIR_BLOCK``, not its
+    candidate count."""
+
+    def test_sweep_peak_stays_under_a_fixed_bound(self):
+        import tracemalloc
+
+        buf = comb(10_000)
+        _, begin, end = K._segmented_ranges(buf.fixed, buf.segment, 62)
+        assert len(buf) == 20_000 and int((end - begin).clip(min=0).sum()) > 100_000
+        tracemalloc.start()
+        try:
+            hits = K.kernel_pairs_sweep_segmented(buf, 62, want_width=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(hits)
+        # All 120 k pairs in one block peak near 12 MB; 16 k-pair blocks
+        # plus the sorted copy of the buffer stay near 3 MB.
+        assert peak < 6_000_000
+
+    def test_one_lane_launch_gathers_only_for_the_sort(self, monkeypatch):
+        from repro.core.parallel import BRUTE_FORCE_THRESHOLD, launch_pair_rows
+        from repro.gpu import Device, StreamExecutor
+        from repro.hierarchy.edgepack import EdgeBufferPair
+        from repro.util.profile import PhaseProfile
+
+        buf = comb(1_000)
+        z = np.zeros(0, dtype=np.int64)
+        pair = EdgeBufferPair(buf, K.EdgeBuffer(False, z, z, z, z, z, z), 1_000)
+        want = K.kernel_pairs_sweep_segmented(buf, 62, want_width=False)
+        taken = []
+        original = K.EdgeBuffer.take
+
+        def take(self, order):
+            taken.append(len(order))
+            return original(self, order)
+
+        monkeypatch.setattr(K.EdgeBuffer, "take", take)
+        device = Device()
+        executors = [StreamExecutor(device.create_stream()) for _ in range(2)]
+        hits, counters = launch_pair_rows(
+            pair, 62, BRUTE_FORCE_THRESHOLD, executors, PhaseProfile()
+        )
+        assert counters["fused_launches"] == counters["kernels_sweepline"] == 1
+        assert taken == [len(buf)]  # the sweep kernel's sort, nothing else
+        (got,) = hits
+        for field in dataclasses.fields(K.PairHits):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
