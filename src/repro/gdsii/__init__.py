@@ -58,10 +58,14 @@ def read_layout(path, previous=None):
 def read_layout_bytes(data: bytes, previous=None):
     """Parse in-memory GDSII stream bytes directly into a layout database.
 
-    With ``previous`` (another version's layout), every structure whose bytes
-    are those a cell of ``previous`` was read from is copied from that cell
-    instead of decoded; the result, and any error, is that of a fresh read.
+    The layout keeps ``data`` (as ``bytes``): each cell read from it records
+    where its structure is. With ``previous`` (another version's layout), a
+    structure is decoded only between the first and the last element in
+    which its bytes differ from those a cell of ``previous`` was read from;
+    the elements before and after are copied from that cell. The result, and
+    any error, is that of a fresh read, and it holds on to no byte of
+    ``previous``.
     """
     from ..layout.builder import LayoutSink
 
-    return walk_stream(data, LayoutSink(previous))
+    return walk_stream(bytes(data), LayoutSink(previous))

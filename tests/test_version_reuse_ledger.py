@@ -1,17 +1,21 @@
 """Work bounds of version reuse on the perf ledger's seed-7 jpeg@2 stream.
 
-Read against the base version, a one-wire edit of ``top`` decodes that one
-structure of 20; its tree places only ``top``'s references; one layer digest
+Read against the base version, or against the edit before it, a one-wire
+edit of ``top`` decodes one element, the wire, of the 5 800-odd of its 20
+structures; its tree places only ``top``'s references; one layer digest
 (the edit's layer, M2) is computed; and the diff visits ``top`` alone and
 turns only the changed span of its M2 rings into bytes. A served chain of
-ten edits answers, turn for turn, what a fresh session of each version
-answers, and its last report is the cold oracle's. Fixing a placed
+ten edits decodes one element a turn, answers, turn for turn, what a fresh
+session of each version answers, and its last report is the cold oracle's;
+the daemon then holds the bytes of the last upload only. Fixing a placed
 definition (the sliver of ``NAND2x1``) splices to the cold report, and the
 region gather hands each subtree only the windows its placed MBR meets.
 """
 
+import gc
 import os
 import sys
+import types
 
 import pytest
 
@@ -19,7 +23,7 @@ from repro.core import diff as diff_module
 from repro.core import packstore
 from repro.core.diff import diff_layouts
 from repro.core.packstore import layer_digests, layer_geometry_digest
-from repro.gdsii import read_bytes, read_layout_bytes, reader, write_bytes
+from repro.gdsii import read_bytes, read_layout_bytes, write_bytes
 from repro.hierarchy import tree as tree_module
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.tree import HierarchyTree
@@ -27,6 +31,8 @@ from repro.layout import gdsii_from_layout, layout_from_gdsii
 from repro.layout.cell import RingBuffer
 from repro.server import ServerState
 from repro.workloads import asap7
+
+from .test_version_reuse import spy_decoded
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks", "ledger"))
 import inputs as ledger_inputs  # noqa: E402
@@ -66,13 +72,24 @@ def read_edit(stream, base, k=0):
     return layout
 
 
-def test_a_one_wire_edit_decodes_only_top(stream, base, monkeypatch):
-    walked = spy(monkeypatch, reader, "_walk_structure")
-    read_edit(stream, base)
-    assert [args[1] for args in walked] == [TOP]
-    walked.clear()
+def test_a_one_wire_edit_decodes_only_the_wire(stream, base, monkeypatch):
+    decoded = spy_decoded(monkeypatch)
+    previous = base[0]
+    for k in range(4):
+        data = stream.edit_gds(k)
+        against_base = read_layout_bytes(data, previous=base[0])
+        assert decoded == [TOP]
+        decoded.clear()
+        against_last = read_layout_bytes(data, previous=previous)
+        assert decoded == [TOP]
+        decoded.clear()
+        previous = against_last
+        assert [c.source_token for c in against_base.cells.values()] == [
+            c.source_token for c in against_last.cells.values()
+        ]
     read_layout_bytes(stream.edit_gds(0))
-    assert len(walked) == len(base[0].cells) == 20
+    assert len(set(decoded)) == len(base[0].cells) == 20
+    assert len(decoded) > 5800
 
 
 def test_the_tree_places_only_the_references_of_top(stream, base, monkeypatch):
@@ -176,15 +193,15 @@ def test_a_served_chain_answers_what_fresh_sessions_answer(stream, monkeypatch):
             del result["seconds"], result["stats"]
         return payload
 
-    walked = spy(monkeypatch, reader, "_walk_structure")
+    decoded = spy_decoded(monkeypatch)
     with ServerState() as chained, ServerState() as fresh:
         session, _ = chained.create_session(data=stream.base_gds, top=TOP)
         chained.check(session.sid)
         for k in range(10):
             data = stream.edit_gds(k)
-            walked.clear()
+            decoded.clear()
             report, _ = chained.recheck(session.sid, data=data)
-            assert [args[1] for args in walked] == [TOP]
+            assert decoded == [TOP]
             other, _ = fresh.create_session(data=data, top=TOP)
             expected, _ = fresh.check(other.sid)
             assert body(report) == body(expected)
@@ -198,3 +215,37 @@ def test_a_served_chain_answers_what_fresh_sessions_answer(stream, monkeypatch):
                 want = fresh.violations(other.sid, **kwargs)
                 assert (got["total"], got["violations"]) == (want["total"], want["violations"])
     assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+
+
+def large_bytes_reachable(root):
+    """Every ``bytes`` of over 64 KiB reachable from ``root`` through object
+    references, without entering modules, classes, functions or frames."""
+    found, seen, stack = [], set(), [root]
+    opaque = (types.ModuleType, type, types.FunctionType, types.FrameType)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, bytes):
+            if len(obj) > 1 << 16:
+                found.append(obj)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_served_chain_holds_only_the_last_upload(stream):
+    """Neither the session nor the daemon's engine (whose last full check
+    was of the first upload) keeps an earlier upload's bytes."""
+    uploads = [stream.base_gds]
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=TOP)
+        state.check(session.sid)
+        for k in range(10):
+            uploads.append(stream.edit_gds(k))
+            state.recheck(session.sid, data=uploads[-1])
+        gc.collect()
+        held = large_bytes_reachable(state)
+    assert [upload for upload in uploads if any(b is upload for b in held)] == [uploads[-1]]
+    assert {id(cell.source.data) for cell in session.layout.cells.values()} == {id(uploads[-1])}
