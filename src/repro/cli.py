@@ -40,8 +40,8 @@ Commands
     back under its ``reports/`` directory. With a cache directory,
     ``check``/``check-window``/``recheck`` ask the report store first (a
     second ``check`` of unchanged bytes is a digest and a load, and says
-    ``source: report-cache``) and warm-start from the pack store when they
-    do compute; ``--no-cache`` disables both.
+    ``source: report-cache``); a ``--mode parallel`` check that does
+    compute warm-starts from the pack store. ``--no-cache`` disables both.
 ``serve``
     Run the resident DRC daemon: one warm engine (pack store and report
     store stay hot) serving JSON over HTTP.
@@ -656,8 +656,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR; finished reports "
-        "and packing artifacts are reused across runs when set)",
+        help="cache directory (default: $REPRO_CACHE_DIR; finished reports, "
+        "and --mode parallel's packed buffers, are reused across runs when set)",
     )
     parser.add_argument(
         "--no-cache",

@@ -81,12 +81,7 @@ def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Vio
 
     gather.rect = gather_rect
     gather.window = regions.bounds
-    try:
-        violations = kind_spec(rule.kind).flat(rule, plan.layout, gather)
-    finally:
-        store = plan.caches.store
-        if store is not None:
-            store.persist_counters()
+    violations = kind_spec(rule.kind).flat(rule, plan.layout, gather)
     return [v for v in violations if regions.overlaps(v.region)]
 
 
@@ -278,59 +273,54 @@ def recheck(
     results: List[CheckResult] = []
     disposition: Dict[str, str] = {}
     full_backend = None
-    try:
-        for rule in deck:
-            regions = diff.regions_for(rule)
-            old_result = baseline_results[rule.name]
-            if regions is None:
-                # No involved layer changed: the cached result is exact,
-                # and its immutable table is shared, not copied.
-                disposition[rule.name] = "cached"
-                results.append(
-                    CheckResult(
-                        rule=rule,
-                        violations=old_result.table,
-                        seconds=0.0,
-                        stats={"recheck_cached": 1},
-                    )
+    for rule in deck:
+        regions = diff.regions_for(rule)
+        old_result = baseline_results[rule.name]
+        if regions is None:
+            # No involved layer changed: the cached result is exact,
+            # and its immutable table is shared, not copied.
+            disposition[rule.name] = "cached"
+            results.append(
+                CheckResult(
+                    rule=rule,
+                    violations=old_result.table,
+                    seconds=0.0,
+                    stats={"recheck_cached": 1},
                 )
-            elif regions is FULL_RECHECK:
-                if full_backend is None:
-                    from .sequential import SequentialBackend
+            )
+        elif regions is FULL_RECHECK:
+            if full_backend is None:
+                from .sequential import SequentialBackend
 
-                    full_backend = SequentialBackend(plan)
-                disposition[rule.name] = "full"
-                start = time.perf_counter()
-                violations = full_backend.run(rule)
-                results.append(
-                    CheckResult(
-                        rule=rule,
-                        violations=violations,
-                        seconds=time.perf_counter() - start,
-                        stats={"recheck_full": 1},
-                    )
+                full_backend = SequentialBackend(plan)
+            disposition[rule.name] = "full"
+            start = time.perf_counter()
+            violations = full_backend.run(rule)
+            results.append(
+                CheckResult(
+                    rule=rule,
+                    violations=violations,
+                    seconds=time.perf_counter() - start,
+                    stats={"recheck_full": 1},
                 )
-            else:
-                disposition[rule.name] = "windowed"
-                start = time.perf_counter()
-                fresh = check_regions(plan, rule, regions)
-                violations = splice_violations(old_result.table, fresh, regions)
-                results.append(
-                    CheckResult(
-                        rule=rule,
-                        violations=violations,
-                        seconds=time.perf_counter() - start,
-                        stats={
-                            "recheck_windowed": 1,
-                            "recheck_window_rects": len(regions),
-                            "recheck_fresh_violations": len(fresh),
-                        },
-                    )
+            )
+        else:
+            disposition[rule.name] = "windowed"
+            start = time.perf_counter()
+            fresh = check_regions(plan, rule, regions)
+            violations = splice_violations(old_result.table, fresh, regions)
+            results.append(
+                CheckResult(
+                    rule=rule,
+                    violations=violations,
+                    seconds=time.perf_counter() - start,
+                    stats={
+                        "recheck_windowed": 1,
+                        "recheck_window_rects": len(regions),
+                        "recheck_fresh_violations": len(fresh),
+                    },
                 )
-    finally:
-        store = plan.caches.store
-        if store is not None:
-            store.persist_counters()
+            )
 
     report = CheckReport(new.name, MODE_RECHECK, results)
     outcome = RecheckOutcome(report, diff, disposition, cache_hit=cache_hit)

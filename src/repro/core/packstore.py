@@ -1,10 +1,14 @@
 """Persistent content-addressed pack store with zero-copy memmap reads.
 
-The engine's expensive pre-kernel work — adaptive row partitioning and
-hierarchical edge/corner/rect packing — depends only on the layout geometry
-and the partition parameters, never on which backend runs or how many times
-a deck is re-checked. Iterative DRC flows re-run the checker dozens of times
-per layout; this module lets every run after the first skip that work.
+The parallel mode's pre-kernel work — hierarchical edge/corner/rect
+packing into fused row buffers — depends only on the layout geometry and
+the partition parameters, never on how many times a deck is re-checked.
+Iterative DRC flows re-run the checker dozens of times per layout; this
+module lets every ``--mode parallel`` run after the first skip that work.
+Only that mode reads or writes entries: the sequential mode and every
+windowed or incremental re-check never reach the store (nor load NumPy
+for it), and the adaptive row partition is recomputed in every process —
+it is Θ(k + N) over the top-level MBRs, cheaper than an entry round trip.
 
 Entries are content-addressed: the key is a SHA-256 over
 
@@ -13,9 +17,9 @@ Entries are content-addressed: the key is a SHA-256 over
   polygon's vertex array and every reference's placement parameters — it
   scales with the *hierarchical* size of the layout, not the flat polygon
   count, mirroring the paper's compressed representation;
-* the **pack kind** (``"partition"``, ``"fused-edges"``, ...);
-* every **parameter that shapes the packed bytes** (partition margin,
-  ``use_rows``, rule value) plus a format-version salt.
+* the **pack kind** (``"fused-edges"``, ``"fused-corners"``, ``"rect-rows"``);
+* every **parameter that shapes the packed bytes** (``use_rows`` and the
+  partition margin) plus a format-version salt.
 
 Any geometry edit, threshold change, or layer swap therefore produces a
 different key — strict invalidation by construction, no timestamps.
@@ -62,8 +66,6 @@ __all__ = [
     "PackStore",
     "layer_digests",
     "layer_geometry_digest",
-    "member_rows_from_arrays",
-    "member_rows_to_arrays",
     "resolve_store",
     "store_key",
 ]
@@ -226,38 +228,6 @@ def _reachable_cells(tree, layer: int) -> Iterator[str]:
         for ref in tree.layout.cell(name).references:
             if ref.cell_name not in seen:
                 stack.append(ref.cell_name)
-
-
-# ---------------------------------------------------------------------------
-# Row-table codec (edge/corner/rect codecs live next to their buffer types
-# in hierarchy/edgepack.py)
-
-
-def member_rows_to_arrays(
-    rows: Sequence[Sequence[int]],
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Flatten a partition's member rows into (members, offsets) arrays."""
-    import numpy as np
-
-    members = np.asarray(
-        [m for row in rows for m in row] or [], dtype=np.int64
-    )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=offsets[1:])
-    return {"members": members, "offsets": offsets}, {"num_rows": len(rows)}
-
-
-def member_rows_from_arrays(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-) -> List[List[int]]:
-    """Inverse of :func:`member_rows_to_arrays`; plain Python ints so the
-    decoded rows compare equal to a fresh ``RowPartition`` signature."""
-    members = arrays["members"]
-    offsets = arrays["offsets"]
-    return [
-        members[offsets[i] : offsets[i + 1]].tolist()
-        for i in range(int(meta["num_rows"]))
-    ]
 
 
 # ---------------------------------------------------------------------------

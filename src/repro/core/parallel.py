@@ -86,12 +86,11 @@ from ..gpu.kernels import (
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
-    PHASE_PARTITION,
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
 from ..violation_table import ViolationTable
-from .packstore import store_key
+from .packstore import resolve_store, store_key
 from .plan import CheckPlan, PackCache, kind_spec
 from .results import Violations
 from .rules import Rule, RuleKind
@@ -448,6 +447,7 @@ class ParallelBackend:
         self.layout = plan.layout
         self.tree = plan.tree
         self.caches = plan.caches
+        self.store = resolve_store(plan.options)
         self.subtree = self.caches.subtree
         self.device = device if device is not None else Device()
         self.executors = [
@@ -502,8 +502,7 @@ class ParallelBackend:
     def stats(self) -> Dict[str, float]:
         """Executor-choice, device-traffic, fusion, and cache counters."""
         counters = self.device.counters()
-        store = self.caches.store
-        cache = store.counters() if store is not None else {}
+        cache = self.store.counters() if self.store is not None else {}
         return dict(
             self.counters,
             kernel_launches=counters["kernel_launches"],
@@ -523,9 +522,8 @@ class ParallelBackend:
 
     def close(self) -> None:
         """Flush pack-store counter deltas (idempotent; engine calls this)."""
-        store = self.caches.store
-        if store is not None:
-            store.persist_counters()
+        if self.store is not None:
+            self.store.persist_counters()
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
@@ -586,20 +584,6 @@ class ParallelBackend:
                 "item-mbrs", layer, lambda: self.table.item_mbrs(layer).tolist()
             )
 
-    def _cached_partition(
-        self, key: Any, mbrs: List[List[int]], value: int, profile: PhaseProfile
-    ) -> Tuple[List[List[int]], Any]:
-        """The plan-level shared partition seam (memo + pack store)."""
-
-        @contextlib.contextmanager
-        def cold():
-            with self._pack_timer(), profile.phase(PHASE_PARTITION):
-                yield
-
-        return self.caches.partition_rows(
-            key, mbrs, value, use_rows=self.use_rows, cold_timer=cold
-        )
-
     # -- pack-store plumbing (persistent, content-addressed) ------------------
 
     def _store_key(self, kind: str, layers: Any, value: int) -> str:
@@ -621,7 +605,7 @@ class ParallelBackend:
         ``build()`` under the pack timer (and saved). ``codec`` is the
         buffer type's ``(to_arrays, from_arrays)`` pair."""
         to_arrays, from_arrays = codec
-        store = self.caches.store
+        store = self.store
 
         def cold() -> Any:
             skey = None
@@ -663,7 +647,9 @@ class ParallelBackend:
         caches."""
         layer, value = rule.layer, rule.value
         mbrs = self._item_rects(layer, profile)
-        member_rows, sig = self._cached_partition(layer, mbrs, value, profile)
+        member_rows, sig = self.caches.partition_rows(
+            layer, mbrs, value, use_rows=self.use_rows, profile=profile
+        )
         host_start = time.perf_counter()
         buffers = self._cached_buffers(
             kind, layer, sig, value, codec,
@@ -699,8 +685,8 @@ class ParallelBackend:
         # overlaps its via, so overlapping items land in the same row.
         combined = via_mbrs + self._item_rects(metal_layer, profile)
         num_vias = len(via_mbrs)
-        member_rows, sig = self._cached_partition(
-            (via_layer, metal_layer), combined, value, profile
+        member_rows, sig = self.caches.partition_rows(
+            (via_layer, metal_layer), combined, value, use_rows=self.use_rows, profile=profile
         )
 
         def build() -> List[RectBuffer]:

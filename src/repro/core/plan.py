@@ -52,15 +52,8 @@ from ..layout.cell import Cell
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule, partition_rects
 from ..util import faults as fault_injection
-from ..util.profile import PhaseProfile
-from .packstore import (
-    PackStore,
-    layer_geometry_digest,
-    member_rows_from_arrays,
-    member_rows_to_arrays,
-    resolve_store,
-    store_key,
-)
+from ..util.profile import PHASE_PARTITION, PhaseProfile
+from .packstore import layer_geometry_digest
 from .rules import Rule, RuleKind, validate_rules
 
 MODE_SEQUENTIAL = "sequential"
@@ -80,7 +73,7 @@ class EngineOptions:
     """Tuning knobs; defaults match the paper's described behaviour."""
 
     mode: str = MODE_SEQUENTIAL
-    cache_dir: Optional[str] = None  # persistent pack store root (or $REPRO_CACHE_DIR)
+    cache_dir: Optional[str] = None  # report + parallel pack store root (or $REPRO_CACHE_DIR)
     use_cache: bool = True  # False restores the uncached code path exactly
     faults: Optional[str] = None  # fault-injection spec (or $REPRO_FAULTS)
 
@@ -309,21 +302,14 @@ class PlanCaches:
     Owns the subtree range-query window, the :class:`PackCache` and the
     parallel mode's instance table; the level items of a (cell, layer) are
     identical for every rule in the deck, so they live here rather than in
-    any one backend.
-
-    When a persistent :class:`~repro.core.packstore.PackStore` is attached
-    (``store``), cross-*process* artifacts — the adaptive row partition here,
-    packed fused buffers in the parallel backend — are consulted on disk
-    before being rebuilt, keyed by per-layer geometry digests
-    (:func:`~repro.core.packstore.layer_geometry_digest`), so a warm-start
-    check skips partitioning and packing entirely.
+    any one backend. Nothing here reaches disk: the row partition is cheap
+    enough (Θ(k + N) over the top-level MBRs) to recompute in every process.
     """
 
-    def __init__(self, tree: HierarchyTree, *, store: Optional[PackStore] = None) -> None:
+    def __init__(self, tree: HierarchyTree) -> None:
         self.tree = tree
         self.subtree = SubtreeWindow(tree)
         self.pack = PackCache()
-        self.store = store
         self._layer_digests: Dict[int, str] = {}
         self._instances = None
 
@@ -376,46 +362,30 @@ class PlanCaches:
         value: int,
         *,
         use_rows: bool,
-        cold_timer: Optional[Callable[[], Any]] = None,
+        profile: PhaseProfile,
     ) -> Tuple[List[List[int]], Any]:
         """Row membership lists plus a stable signature for buffer reuse.
 
         The shared partition seam: both the sequential and parallel backends
         resolve the adaptive row partition (paper §IV-B) here, so they share
-        one in-memory memo per (key, margin) and — with a store attached —
-        one on-disk entry per (layer geometry, margin). The signature is the
+        one in-memory memo per (key, margin). The signature is the
         membership tuple alone (packed buffers depend only on which items
         land in which row); with rows disabled it is a distinct ``norows``
         marker so row-partitioned buffers are never reused by an
-        unpartitioned backend. ``cold_timer`` is a context-manager factory
-        wrapped around the actual partition computation only — a warm start
-        never enters it.
+        unpartitioned backend. Only the computation itself is timed, under
+        ``PHASE_PARTITION`` of ``profile``; a memo hit is not.
         """
         if not mbrs:
             return [], ("empty",)
         if not use_rows:
             return [list(range(len(mbrs)))], ("norows", len(mbrs))
-        margin = margin_for_rule(value)
 
         def build() -> Tuple[List[List[int]], Any]:
-            skey = None
-            if self.store is not None:
-                skey = store_key("partition", self.digest_of(key), margin)
-                rows = self.store.load(skey, member_rows_from_arrays)
-                if rows is not None:
-                    return rows, tuple(tuple(row) for row in rows)
-            if cold_timer is not None:
-                with cold_timer():
-                    partition = partition_rects(mbrs, value)
-            else:
+            with profile.phase(PHASE_PARTITION):
                 partition = partition_rects(mbrs, value)
-            rows = partition.members
-            if skey is not None:
-                arrays, meta = member_rows_to_arrays(rows)
-                self.store.save(skey, arrays, meta)
-            return rows, partition.signature()[1]
+            return partition.members, partition.signature()[1]
 
-        return self.pack.get("partition", (key, margin), build)
+        return self.pack.get("partition", (key, margin_for_rule(value)), build)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +512,7 @@ def compile_plan(
         mode=resolved_mode,
         options=options,
         tree=tree,
-        caches=PlanCaches(tree, store=resolve_store(options)),
+        caches=PlanCaches(tree),
         compiled=compiled,
         run_order=run_order,
     )

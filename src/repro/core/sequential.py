@@ -51,7 +51,6 @@ from ..spatial.sweepline import Box, iter_bipartite_overlaps, report_overlapping
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
-    PHASE_PARTITION,
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
@@ -110,8 +109,6 @@ class SequentialBackend:
 
     def stats(self) -> Dict[str, float]:
         """Cumulative pruning and cache counters (for CheckResult.stats)."""
-        store = self.caches.store
-        cache = store.counters() if store is not None else {}
         return dict(
             checks_run=self.pruning.checks_run,
             checks_reused=self.pruning.checks_reused,
@@ -120,18 +117,14 @@ class SequentialBackend:
             pairs_pruned_mbr=self.pruning.pairs_pruned_mbr,
             pack_cache_hits=self.caches.pack.hits,
             pack_cache_misses=self.caches.pack.misses,
-            cache_hits=cache.get("hits", 0),
-            cache_misses=cache.get("misses", 0),
-            cache_corrupt=cache.get("corrupt", 0),
-            cache_bytes_read=cache.get("bytes_read", 0),
-            cache_bytes_written=cache.get("bytes_written", 0),
+            # The parallel mode's pack-store counters: this mode never
+            # reaches the store, so they stay 0.
+            cache_hits=0,
+            cache_misses=0,
+            cache_corrupt=0,
+            cache_bytes_read=0,
+            cache_bytes_written=0,
         )
-
-    def close(self) -> None:
-        """Flush pack-store counter deltas (idempotent; engine calls this)."""
-        store = self.caches.store
-        if store is not None:
-            store.persist_counters()
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
@@ -247,7 +240,7 @@ class SequentialBackend:
             [it.mbr for it in items],
             value,
             use_rows=self.use_rows,
-            cold_timer=lambda: profile.phase(PHASE_PARTITION),
+            profile=profile,
         )
         for row in member_rows:
             group = [items[m] for m in row]

@@ -418,8 +418,9 @@ class TestServeFlags:
 
 class TestFaultInjection:
     def test_env_faults_do_not_change_the_report(self, dirty_gds, tmp_path, capsys, monkeypatch):
-        """Two pack-store entries corrupted on a warm run are dropped and
-        rebuilt cold; the CSV is the cold one, byte for byte."""
+        """Two pack-store entries corrupted on a warm parallel run (the only
+        mode that reads packs) are dropped and rebuilt cold; the CSV is the
+        cold sequential one, byte for byte."""
         import shutil
 
         from repro.util import faults
@@ -427,7 +428,10 @@ class TestFaultInjection:
         assert main(["check", dirty_gds, "--top", "top", "--no-cache", "--csv"]) == 1
         cold = capsys.readouterr().out
         cache = tmp_path / "c"
-        argv = ["check", dirty_gds, "--top", "top", "--cache-dir", str(cache), "--csv"]
+        argv = [
+            "check", dirty_gds, "--top", "top", "--mode", "parallel",
+            "--cache-dir", str(cache), "--csv",
+        ]
         assert main(argv) == 1
         capsys.readouterr()
         shutil.rmtree(cache / "reports")

@@ -138,10 +138,22 @@ def test_a_parallel_check_never_imports_numpy_ma(workdir):
     assert "violation" in out
 
 
+def test_a_sequential_check_with_a_cache_never_imports_numpy(workdir, tmp_path):
+    """Only the parallel mode reads the pack store, so the oracle's cache
+    path is the report store alone: cold, and again from the stored report."""
+    cache = str(tmp_path / "cache")
+    argv = ["check", "new.gds", "--top", "top", "--cache-dir", cache]
+    cold = run_cli(argv, absent=["numpy"], cwd=workdir, exit_code=1)
+    assert "source: report-cache" not in cold
+    stored = run_cli(argv, absent=["numpy"], cwd=workdir, exit_code=1)
+    assert "source: report-cache" in stored
+
+
 def test_sequential_recheck_skips_the_device_and_the_generators(workdir):
     out = run_cli(
         ["recheck", "old.gds", "new.gds", "--top", "top", "--cache-dir", "cache"],
         absent=[
+            "numpy",
             "repro.gpu.kernels",
             "repro.workloads.designs",
             "repro.core.parallel",

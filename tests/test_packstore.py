@@ -16,8 +16,6 @@ import pytest
 from repro.core import Engine, EngineOptions, PackStore, ReportCache
 from repro.core.packstore import (
     layer_geometry_digest,
-    member_rows_from_arrays,
-    member_rows_to_arrays,
     resolve_store,
     store_key,
 )
@@ -77,8 +75,8 @@ class TestContentKeys:
     def test_partition_threshold_changes_the_key(self):
         digest = layer_geometry_digest(HierarchyTree(small_layout()), 1)
         assert margin_for_rule(18) != margin_for_rule(24)
-        assert store_key("partition", digest, margin_for_rule(18)) != store_key(
-            "partition", digest, margin_for_rule(24)
+        assert store_key("fused-edges", digest, True, margin_for_rule(18)) != store_key(
+            "fused-edges", digest, True, margin_for_rule(24)
         )
 
     def test_keys_are_pinned(self, tmp_path):
@@ -93,9 +91,7 @@ class TestContentKeys:
         assert digest == (
             "21c782081db90f540358ba952b26dce291340e302c8f8809f2316120ca091f40"
         )
-        partition = "797a3a8275870a9e977f655c88167e807d96173ca83e808c5934e78771380ce5"
         fused = "a5917aea6f7d58fc7885d5c74e3ea79f311daab2ee61f4201d8417f299a265a1"
-        assert store_key("partition", digest, margin_for_rule(9)) == partition
         rule = layer(1).spacing().greater_than(9)
         backend = ParallelBackend(compile_plan(
             small_layout(), [rule], EngineOptions(mode="parallel", use_cache=False)
@@ -113,8 +109,6 @@ class TestContentKeys:
         )
         assert sorted(p.stem for p in tmp_path.rglob("*.pack")) == sorted([
             "37555f3a6b72b2bf24bec019247b3d486fadbaefc18e99d2f0670cec86e307d2",
-            "4223544966cc812995377b6eadd5f2eccd04f4d8803b41eadf4d872f3599b0f8",
-            partition,
             fused,
             "bdf9722af51812068bcb742561a842e2b3e96bb731dc6a4a74a03acff86bdfee",
         ])
@@ -165,11 +159,6 @@ class TestRoundTrip:
         store = PackStore(str(tmp_path))
         assert store.load("0" * 64, lambda a, m: a) is None
         assert store.misses == 1
-
-    def test_member_rows_codec(self):
-        rows = [[3, 1, 2], [], [7]]
-        arrays, meta = member_rows_to_arrays(rows)
-        assert member_rows_from_arrays(arrays, meta) == rows
 
     def test_edge_pair_codec(self, tmp_path):
         from repro.gpu.kernels import pack_edges

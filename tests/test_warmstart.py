@@ -86,13 +86,18 @@ class TestWarmEqualsCold:
             assert warm.to_csv() == baseline, mode
             assert stored.to_csv() == baseline, mode  # answered by the report store
 
-    def test_sequential_reuses_the_partition(self, dirty_layout, tmp_path):
+    def test_sequential_stores_only_the_report(self, dirty_layout, tmp_path):
+        """The row partition is recomputed, not stored: a sequential check
+        leaves a report and no pack, and computing again reads none."""
         cache = str(tmp_path)
-        run(dirty_layout, mode="sequential", cache_dir=cache)
+        cold = run(dirty_layout, mode="sequential", cache_dir=cache)
+        assert list(tmp_path.glob("reports/*.json"))
+        assert not list(tmp_path.rglob("*.pack"))
         forget_reports(cache)
-        warm = run(dirty_layout, mode="sequential", cache_dir=cache)
-        stats = warm.results[-1].stats
-        assert stats["cache_hits"] > 0 and stats["cache_misses"] == 0
+        again = run(dirty_layout, mode="sequential", cache_dir=cache)
+        assert again.to_csv() == cold.to_csv()
+        stats = again.results[-1].stats
+        assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
 
     def test_windowed_backend_with_cache(self, dirty_layout, tmp_path):
         cache = str(tmp_path)
