@@ -14,7 +14,7 @@ Commands
 ``recheck <old.gds> <new.gds>``
     True incremental re-check: diff the two versions by per-layer
     geometry digests, re-check each rule only in its dirty regions, and
-    splice into the previous report (cached beside the pack store —
+    splice into the previous report (from the report store —
     ``--cache-dir`` / ``$REPRO_CACHE_DIR`` — or recomputed cold).
     ``--verify`` additionally runs the cold full check and asserts the
     spliced report matches byte-for-byte.
@@ -35,16 +35,14 @@ Commands
 ``synth <design> <out.gds>``
     Synthesize one of the six benchmark designs to a GDSII file.
 ``cache stats|clear``
-    Inspect or empty the persistent caches (``--cache-dir`` or
-    ``$REPRO_CACHE_DIR``): the pack store plus the report store's disk
-    back under its ``reports/`` directory. With a cache directory,
+    Inspect or empty the report store's disk back (``reports/`` under
+    ``--cache-dir`` or ``$REPRO_CACHE_DIR``). With a cache directory,
     ``check``/``check-window``/``recheck`` ask the report store first (a
     second ``check`` of unchanged bytes is a digest and a load, and says
-    ``source: report-cache``); a ``--mode parallel`` check that does
-    compute warm-starts from the pack store. ``--no-cache`` disables both.
+    ``source: report-cache``); ``--no-cache`` disables it.
 ``serve``
-    Run the resident DRC daemon: one warm engine (pack store and report
-    store stay hot) serving JSON over HTTP.
+    Run the resident DRC daemon: one warm engine (the report store stays
+    hot) serving JSON over HTTP.
     ``check <file.gds> --server URL`` routes a check through a running
     daemon instead of paying a cold start.
 
@@ -116,22 +114,12 @@ def _read(path: str, top: Optional[str], previous=None):
 
 def _engine_options(args: argparse.Namespace) -> EngineOptions:
     """The options every engine-running subcommand builds from its flags
-    (``--mode`` exists on some subcommands only; elsewhere: sequential).
-
-    Called before the command reads anything: a malformed
-    ``$REPRO_FAULTS`` is a usage error (exit 2) before any work starts."""
-    from .util.faults import FAULTS_ENV, FaultPlan, FaultSpecError, resolve_spec
-
-    options = EngineOptions(
+    (``--mode`` exists on some subcommands only; elsewhere: sequential)."""
+    return EngineOptions(
         mode=getattr(args, "mode", None) or "sequential",
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
-    try:
-        FaultPlan.parse(resolve_spec(options))
-    except FaultSpecError as error:
-        raise _input_error(f"${FAULTS_ENV}: {error}") from None
-    return options
 
 
 def _int_at_least(minimum: int):
@@ -564,25 +552,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     store = PackStore(_resolve_cache_root(args))
     reports = ReportCache(store)
     if args.action == "clear":
-        removed = store.clear()
-        removed_reports = reports.clear()
-        print(
-            f"removed {removed} entries from {store.root} "
-            f"(pack artifacts + counters) and {removed_reports} cached "
-            f"report(s) from {reports.root}"
-        )
+        print(f"removed {reports.clear()} cached report(s) from {reports.root}")
         return 0
-    entries = store.entries()
-    totals = store.persisted_counters()
     report_entries = reports.entries()
     print(f"cache: {store.root}")
-    print(f"entries: {len(entries)}")
-    print(f"bytes: {sum(nbytes for _, nbytes in entries)}")
-    print(f"hits: {totals.get('hits', 0)}")
-    print(f"misses: {totals.get('misses', 0)}")
-    print(f"corrupt: {totals.get('corrupt', 0)}")
-    print(f"bytes_read: {totals.get('bytes_read', 0)}")
-    print(f"bytes_written: {totals.get('bytes_written', 0)}")
     print(f"report entries: {len(report_entries)}")
     print(f"report bytes: {sum(nbytes for _, nbytes in report_entries)}")
     return 0
@@ -656,14 +629,14 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR; finished reports, "
-        "and --mode parallel's packed buffers, are reused across runs when set)",
+        help="cache directory (default: $REPRO_CACHE_DIR; finished reports "
+        "are reused across runs when set)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore any configured cache directory: no report store, no "
-        "pack store (pure cold path)",
+        help="ignore any configured cache directory: no report store (pure "
+        "cold path)",
     )
 
 
@@ -811,12 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     violations.set_defaults(func=cmd_violations)
 
     cache = sub.add_parser(
-        "cache", help="inspect or clear the persistent pack store"
+        "cache", help="inspect or clear the stored reports of a cache directory"
     )
     cache.add_argument("action", choices=["stats", "clear"])
     cache.add_argument(
         "--cache-dir",
-        help="pack-store directory (default: $REPRO_CACHE_DIR)",
+        help="cache directory (default: $REPRO_CACHE_DIR)",
     )
     cache.set_defaults(func=cmd_cache)
 

@@ -1,6 +1,6 @@
 """Layout diffing: digest-driven dirty layers and minimal dirty regions.
 
-The content-addressed pack store already proves the point: per-layer
+The report store's content keys already prove the point: per-layer
 geometry digests are a free dirtiness oracle. This module turns that into
 the incremental engine's front end — compare two versions of a layout and
 answer, per rule, *where* a re-check must look:

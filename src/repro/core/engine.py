@@ -65,7 +65,7 @@ class CheckContext:
     maps. Factoring it into a per-request context makes ``check()``
     re-entrant: every concurrent request gets its own plan, backend,
     profiles, and result map, while the engine's heavyweight shared state
-    (pack store, report store) is shared deliberately and guarded at its
+    (the report store) is shared deliberately and guarded at its
     own mutation points. The engine's ``last_*`` attributes
     survive as end-of-check snapshots (last writer wins) for the CLI and
     tests that introspect a serial engine.
@@ -114,8 +114,7 @@ class Engine:
 
             self.reports = ReportCache(store)
         self.rules: List[Rule] = []
-        #: Guards the last_* snapshots and the live-backend set against
-        #: concurrent check() callers.
+        #: Guards the last_* snapshots against concurrent check() callers.
         self._lock = threading.Lock()
         #: Profiles of the last check() call, keyed by rule name (Fig. 4 data).
         self.last_profiles: Dict[str, PhaseProfile] = {}
@@ -124,28 +123,14 @@ class Engine:
         self.last_plan: Optional[CheckPlan] = None
         #: The RecheckOutcome of the last recheck() call (diff, dispositions).
         self.last_recheck = None
-        #: Backends currently executing a check (close() must reach every
-        #: one of them, not just the most recent caller's).
-        self._live_backends: set = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release resources held beyond individual checks (idempotent):
-        closes any backend still open."""
+        """Release what is held beyond individual checks (idempotent): the
+        last check's backend."""
         with self._lock:
-            checker, self.last_checker = self.last_checker, None
-            checkers = set(self._live_backends)
-            self._live_backends.clear()
-            if checker is not None:
-                checkers.add(checker)
-        for open_checker in checkers:
-            close = getattr(open_checker, "close", None)
-            if close is not None:
-                try:
-                    close()
-                except Exception:  # pragma: no cover - teardown best-effort
-                    pass
+            self.last_checker = None
 
     def __enter__(self) -> "Engine":
         return self
@@ -260,37 +245,27 @@ class Engine:
         """Run the plan's rules on its backend, in the plan's run order.
 
         All per-check mutable state lives in a :class:`CheckContext` local
-        to this call; the engine only records the backend in its live set
-        (so ``close()`` can reach a hung check) and publishes the last_*
-        snapshots once the check completes.
+        to this call; the engine only publishes the last_* snapshots once
+        the check completes.
         """
         context = CheckContext(
             plan=plan, backend=make_backend(plan, device=self.device)
         )
         backend = context.backend
-        with self._lock:
-            self._live_backends.add(backend)
-        try:
-            for compiled in plan.run_order:
-                rule = compiled.rule
-                profile = PhaseProfile()
-                start = time.perf_counter()
-                violations = backend.run(rule, profile)
-                seconds = time.perf_counter() - start
-                context.profiles[rule.name] = profile
-                context.results_by_name[rule.name] = CheckResult(
-                    rule=rule,
-                    violations=violations,
-                    seconds=seconds,
-                    profile=profile,
-                    stats=backend.stats(),
-                )
-        finally:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
-            with self._lock:
-                self._live_backends.discard(backend)
+        for compiled in plan.run_order:
+            rule = compiled.rule
+            profile = PhaseProfile()
+            start = time.perf_counter()
+            violations = backend.run(rule, profile)
+            seconds = time.perf_counter() - start
+            context.profiles[rule.name] = profile
+            context.results_by_name[rule.name] = CheckResult(
+                rule=rule,
+                violations=violations,
+                seconds=seconds,
+                profile=profile,
+                stats=backend.stats(),
+            )
         context.report = CheckReport(
             plan.layout.name,
             plan.mode,

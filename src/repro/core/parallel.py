@@ -53,16 +53,9 @@ from ..hierarchy.edgepack import (
     EdgeBufferPair,
     InstanceTable,
     RectBuffer,
-    corners_from_arrays,
-    corners_to_arrays,
-    edge_pair_from_arrays,
-    edge_pair_to_arrays,
     place_rects,
-    rect_rows_from_arrays,
-    rect_rows_to_arrays,
 )
 from ..hierarchy.pruning import LevelItem
-from ..partition.rows import margin_for_rule
 from ..spatial.sweepline import iter_bipartite_overlaps
 from ..gpu.device import Device
 from ..gpu.executor import StreamExecutor
@@ -90,7 +83,6 @@ from ..util.profile import (
     PhaseProfile,
 )
 from ..violation_table import ViolationTable
-from .packstore import resolve_store, store_key
 from .plan import CheckPlan, PackCache, kind_spec
 from .results import Violations
 from .rules import Rule, RuleKind
@@ -447,7 +439,6 @@ class ParallelBackend:
         self.layout = plan.layout
         self.tree = plan.tree
         self.caches = plan.caches
-        self.store = resolve_store(plan.options)
         self.subtree = self.caches.subtree
         self.device = device if device is not None else Device()
         self.executors = [
@@ -500,9 +491,8 @@ class ParallelBackend:
         return ViolationTable.concat([violations, found]) if violations else found
 
     def stats(self) -> Dict[str, float]:
-        """Executor-choice, device-traffic, fusion, and cache counters."""
+        """Executor-choice, device-traffic, fusion, and memo counters."""
         counters = self.device.counters()
-        cache = self.store.counters() if self.store is not None else {}
         return dict(
             self.counters,
             kernel_launches=counters["kernel_launches"],
@@ -511,19 +501,9 @@ class ParallelBackend:
             d2h_copies=counters["d2h_copies"],
             pack_cache_hits=self.pack_cache.hits,
             pack_cache_misses=self.pack_cache.misses,
-            cache_hits=cache.get("hits", 0),
-            cache_misses=cache.get("misses", 0),
-            cache_corrupt=cache.get("corrupt", 0),
-            cache_bytes_read=cache.get("bytes_read", 0),
-            cache_bytes_written=cache.get("bytes_written", 0),
             pack_seconds=self.phase_seconds["pack_seconds"],
             kernel_seconds=self.phase_seconds["kernel_seconds"],
         )
-
-    def close(self) -> None:
-        """Flush pack-store counter deltas (idempotent; engine calls this)."""
-        if self.store is not None:
-            self.store.persist_counters()
 
     # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
 
@@ -548,9 +528,9 @@ class ParallelBackend:
         """Attribute elapsed time to ``pack_seconds`` (outermost scope only).
 
         Entered strictly inside *cold* build bodies — never around cache
-        lookups — so a warm-start run (every artifact served from the memo
-        or the pack store) reports exactly zero pack seconds. The depth
-        guard keeps nested builds from double counting.
+        lookups — so a rule whose artifacts all come from the memo reports
+        exactly zero pack seconds. The depth guard keeps nested builds from
+        double counting.
         """
         self._pack_depth += 1
         start = time.perf_counter()
@@ -584,41 +564,13 @@ class ParallelBackend:
                 "item-mbrs", layer, lambda: self.table.item_mbrs(layer).tolist()
             )
 
-    # -- pack-store plumbing (persistent, content-addressed) ------------------
-
-    def _store_key(self, kind: str, layers: Any, value: int) -> str:
-        """Content key: geometry digest(s) + partition parameters.
-
-        ``use_rows`` and the margin fully determine the row membership given
-        the geometry, so they (not the raw signature) key the fused buffers;
-        the brute-force threshold is launch-time lane policy and deliberately
-        not part of the key.
-        """
-        return store_key(
-            kind, self.caches.digest_of(layers), self.use_rows, margin_for_rule(value)
-        )
-
-    def _cached_buffers(
-        self, kind: str, layers: Any, sig: Any, value: int, codec: Tuple, build: Callable
-    ) -> Any:
-        """One rule's row buffers: the plan memo, then the pack store, then
-        ``build()`` under the pack timer (and saved). ``codec`` is the
-        buffer type's ``(to_arrays, from_arrays)`` pair."""
-        to_arrays, from_arrays = codec
-        store = self.store
+    def _cached_buffers(self, kind: str, layers: Any, sig: Any, build: Callable) -> Any:
+        """One rule's row buffers: the plan memo, else ``build()`` under the
+        pack timer."""
 
         def cold() -> Any:
-            skey = None
-            if store is not None:
-                skey = self._store_key(kind, layers, value)
-                loaded = store.load(skey, from_arrays)
-                if loaded is not None:
-                    return loaded
             with self._pack_timer():
-                buffers = build()
-            if skey is not None:
-                store.save(skey, *to_arrays(buffers))
-            return buffers
+                return build()
 
         return self.pack_cache.get(kind, (layers, sig), cold)
 
@@ -641,7 +593,7 @@ class ParallelBackend:
     # -- spacing and corner spacing: one layer's rows, fused ------------------------
 
     def _fused_layer(
-        self, kind: str, rule: Rule, codec: Tuple, expand: Callable, profile: PhaseProfile
+        self, kind: str, rule: Rule, expand: Callable, profile: PhaseProfile
     ) -> Any:
         """``expand(layer, row id per item)`` of the rule's layer through the
         caches."""
@@ -652,24 +604,17 @@ class ParallelBackend:
         )
         host_start = time.perf_counter()
         buffers = self._cached_buffers(
-            kind, layer, sig, value, codec,
-            lambda: expand(layer, _item_rows(member_rows, len(mbrs))),
+            kind, layer, sig, lambda: expand(layer, _item_rows(member_rows, len(mbrs)))
         )
         self.device.record_host(f"pack-{kind}", time.perf_counter() - host_start)
         return buffers
 
     def _spacing_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        return RowWork(self._fused_layer(
-            "fused-edges", rule, (edge_pair_to_arrays, edge_pair_from_arrays),
-            self.table.edges, profile,
-        ))
+        return RowWork(self._fused_layer("fused-edges", rule, self.table.edges, profile))
 
     def _corner_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
         """Diagonal corner checks (roadmap extension): every row's convex corners."""
-        return RowWork(self._fused_layer(
-            "fused-corners", rule, (corners_to_arrays, corners_from_arrays),
-            self.table.corners, profile,
-        ))
+        return RowWork(self._fused_layer("fused-corners", rule, self.table.corners, profile))
 
     # -- enclosure -----------------------------------------------------------------
 
@@ -697,10 +642,7 @@ class ParallelBackend:
 
         host_start = time.perf_counter()
         # Per row: the via RectBuffer, then the metal one.
-        rect_rows = self._cached_buffers(
-            "rect-rows", (via_layer, metal_layer), sig, value,
-            (rect_rows_to_arrays, rect_rows_from_arrays), build,
-        )
+        rect_rows = self._cached_buffers("rect-rows", (via_layer, metal_layer), sig, build)
         self.device.record_host("pack-rect-rows", time.perf_counter() - host_start)
 
         work = RowWork()

@@ -51,7 +51,6 @@ from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule, partition_rects
-from ..util import faults as fault_injection
 from ..util.profile import PHASE_PARTITION, PhaseProfile
 from .packstore import layer_geometry_digest
 from .rules import Rule, RuleKind, validate_rules
@@ -73,16 +72,12 @@ class EngineOptions:
     """Tuning knobs; defaults match the paper's described behaviour."""
 
     mode: str = MODE_SEQUENTIAL
-    cache_dir: Optional[str] = None  # report + parallel pack store root (or $REPRO_CACHE_DIR)
+    cache_dir: Optional[str] = None  # report store root (or $REPRO_CACHE_DIR)
     use_cache: bool = True  # False restores the uncached code path exactly
-    faults: Optional[str] = None  # fault-injection spec (or $REPRO_FAULTS)
 
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        # Parse now so a malformed spec fails loudly at options creation,
-        # not deep inside the first pack-store read.
-        fault_injection.FaultPlan.parse(self.faults)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +344,6 @@ class PlanCaches:
         """Every layer's digest: the layout-version half of a report key."""
         return {L: self.layer_digest(L) for L in self.tree.layout.layers()}
 
-    def digest_of(self, key: Any) -> Any:
-        """Digest(s) for a partition key: one layer or a tuple of layers."""
-        if isinstance(key, tuple):
-            return tuple(self.layer_digest(layer) for layer in key)
-        return self.layer_digest(key)
-
     def partition_rows(
         self,
         key: Any,
@@ -476,15 +465,6 @@ def compile_plan(
     validate_rules(deck)
     if options is None:
         options = EngineOptions()
-    # Arm (or clear) the process-global fault-injection plan for this run.
-    # Idempotent by spec, so a second check with the same options does not
-    # re-arm faults that already fired. Concurrent checks share one daemon's
-    # engine options (and therefore one spec): the install itself is
-    # locked, and the plan's budgets meter process-wide opportunities by
-    # design — which requests they fire against is scheduling-dependent,
-    # but every request's report stays canonical because recovery is
-    # byte-transparent.
-    fault_injection.install(fault_injection.resolve_spec(options))
     resolved_mode = mode if mode is not None else options.mode
     if resolved_mode not in ENGINE_MODES:
         raise ValueError(f"unknown mode {resolved_mode!r}")

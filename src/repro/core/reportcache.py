@@ -84,7 +84,7 @@ def report_key(deck: Optional[str], layer_digests: Dict[int, str]) -> Optional[s
 class ReportCache:
     """A lock-guarded LRU of report objects in front of an optional disk back.
 
-    ``store`` places the disk back (``reports/`` beside the pack store);
+    ``store`` places the disk back (``reports/`` under its cache directory);
     without one the cache is memory-only. ``capacity`` bounds the memory
     front; 0 keeps nothing there, so every load reads the disk back or
     misses. ``hits``/``misses`` count every :meth:`load`.

@@ -117,8 +117,8 @@ class SequentialBackend:
             pairs_pruned_mbr=self.pruning.pairs_pruned_mbr,
             pack_cache_hits=self.caches.pack.hits,
             pack_cache_misses=self.caches.pack.misses,
-            # The parallel mode's pack-store counters: this mode never
-            # reaches the store, so they stay 0.
+            # Kept at 0 for readers of the retired on-disk pack store's
+            # counters (the benchmark ledger's core.packstore.* metrics).
             cache_hits=0,
             cache_misses=0,
             cache_corrupt=0,

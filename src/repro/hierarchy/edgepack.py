@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -529,89 +529,3 @@ class HierarchicalRectPacker:
             buffer = self._memo[cell_name] = RectBuffer(rects, bool(is_rect.all()))
         return buffer
 
-
-# ---------------------------------------------------------------------------
-# Pack-store codecs
-#
-# Stable array serialization of the buffer types this module builds, used by
-# the persistent pack store (repro.core.packstore). Decoding is zero-copy:
-# the returned buffers wrap whatever arrays (typically read-only memmap
-# views) the store hands in.
-# ---------------------------------------------------------------------------
-
-
-def edge_pair_to_arrays(pair: EdgeBufferPair) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    arrays: Dict[str, np.ndarray] = {}
-    meta: Dict[str, Any] = {"num_polygons": int(pair.num_polygons)}
-    for prefix, buf in (("v", pair.vertical), ("h", pair.horizontal)):
-        arrays[f"{prefix}_fixed"] = buf.fixed
-        arrays[f"{prefix}_lo"] = buf.lo
-        arrays[f"{prefix}_hi"] = buf.hi
-        arrays[f"{prefix}_interior"] = buf.interior
-        arrays[f"{prefix}_poly"] = buf.poly
-        meta[f"{prefix}_segment"] = buf.segment is not None
-        if buf.segment is not None:
-            arrays[f"{prefix}_segment"] = buf.segment
-    return arrays, meta
-
-
-def edge_pair_from_arrays(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> EdgeBufferPair:
-    def buf(prefix: str, vertical: bool) -> EdgeBuffer:
-        segment = arrays[f"{prefix}_segment"] if meta[f"{prefix}_segment"] else None
-        return EdgeBuffer(
-            vertical,
-            arrays[f"{prefix}_fixed"],
-            arrays[f"{prefix}_lo"],
-            arrays[f"{prefix}_hi"],
-            arrays[f"{prefix}_interior"],
-            arrays[f"{prefix}_poly"],
-            segment,
-        )
-
-    return EdgeBufferPair(buf("v", True), buf("h", False), int(meta["num_polygons"]))
-
-
-def corners_to_arrays(buf: CornerBuffer) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    arrays = {
-        "x": buf.x,
-        "y": buf.y,
-        "qx": buf.qx,
-        "qy": buf.qy,
-        "poly": buf.poly,
-    }
-    if buf.segment is not None:
-        arrays["segment"] = buf.segment
-    return arrays, {"segment": buf.segment is not None}
-
-
-def corners_from_arrays(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> CornerBuffer:
-    return CornerBuffer(
-        arrays["x"],
-        arrays["y"],
-        arrays["qx"],
-        arrays["qy"],
-        arrays["poly"],
-        arrays["segment"] if meta["segment"] else None,
-    )
-
-
-def rect_rows_to_arrays(rows: Sequence[RectBuffer]) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    rects = (
-        np.concatenate([row.rects for row in rows], axis=0)
-        if rows
-        else np.zeros((0, 4), dtype=_INT)
-    )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=offsets[1:])
-    return {"rects": rects, "offsets": offsets}, {
-        "all_rect": [bool(row.all_rect) for row in rows]
-    }
-
-
-def rect_rows_from_arrays(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> List[RectBuffer]:
-    rects = arrays["rects"]
-    offsets = arrays["offsets"]
-    return [
-        RectBuffer(rects[offsets[i] : offsets[i + 1]], bool(flag))
-        for i, flag in enumerate(meta["all_rect"])
-    ]

@@ -257,7 +257,7 @@ def row_digest(kind: str, layer: int, other: Optional[int], region: Sequence[int
     """Content digest of one violation marker (the waiver anchor).
 
     Hashes the fields that define the violation — kind, layers, marker
-    region, measured/required — exactly as the pack store's content keys
+    region, measured/required — exactly as the report store's content keys
     hash geometry: value-based, format-salted, independent of report order,
     severity, or the waived flag. Two runs that produce the same violation
     produce the same digest, however much unrelated geometry changed.

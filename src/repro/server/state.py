@@ -1,8 +1,8 @@
 """DRC-as-a-service: the HTTP-free service core.
 
-The engine is expensive to warm and cheap to reuse: the pack store and the
-report store pay off only on the *second* check of a process, and a
-one-shot ``repro check`` throws them away. :class:`ServerState` is the
+The engine is expensive to warm and cheap to reuse: the report store's
+memory front and the parsed sessions pay off only on the *second* check of
+a process, and a one-shot ``repro check`` throws them away. :class:`ServerState` is the
 resident counterpart: one warm :class:`~repro.core.engine.Engine` serving
 many requests.
 
@@ -29,7 +29,7 @@ Three mechanisms turn the warm engine into served throughput:
   version) execute immediately and never enter the queue. Tier 2:
   compute-bound requests from *different* sessions run concurrently up to
   ``max_concurrent`` (default 1), each inside a re-entrant
-  :class:`~repro.core.engine.CheckContext`, sharing one pack store;
+  :class:`~repro.core.engine.CheckContext`, sharing one report store;
   requests for the *same* session serialize (they would mutate the same
   baseline). The number of threads parked in admission is the
   ``queue_depth`` gauge; ``active_requests`` and the
@@ -235,9 +235,8 @@ class AdmissionScheduler:
 
     ``admit(sid)`` blocks until both hold:
 
-    * fewer than ``max_concurrent`` runs are active (the pack store is
-      shared — bounding concurrency bounds its contention and the memory
-      footprint), and
+    * fewer than ``max_concurrent`` runs are active (bounding concurrency
+      bounds the memory footprint), and
     * no other run for the *same* session is active — same-session requests
       advance one version (a recheck swaps the session's layout and
       digests), so they serialize; cross-session requests are independent

@@ -1,4 +1,4 @@
-"""Program utilities (the paper's infrastructure layer: phase profiler, logger, faults)."""
+"""Program utilities (the paper's infrastructure layer: phase profiler, logger)."""
 
 from .logging import configure, get_logger
 from .profile import (

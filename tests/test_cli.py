@@ -242,34 +242,6 @@ class TestInputErrors:
             "recheck verification failed",
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check", "{gds}", "--top", "top"],
-            ["check-window", "{gds}", "0", "0", "10", "10", "--top", "top"],
-            ["recheck", "{gds}", "{gds}", "--top", "top"],
-            ["serve", "--port", "0"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_malformed_fault_spec_exits_two_before_any_work(
-        self, argv, uart_gds, capsys, monkeypatch
-    ):
-        """A bad ``$REPRO_FAULTS`` is refused before a layout is read or a
-        daemon binds."""
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("the command started work on a bad spec")
-
-        monkeypatch.setenv("REPRO_FAULTS", "explode")
-        monkeypatch.setattr("repro.cli._read", no_work)
-        monkeypatch.setattr("repro.server.http.serve", no_work)
-        assert_input_error(
-            [arg.format(gds=uart_gds) for arg in argv],
-            capsys,
-            "$REPRO_FAULTS: unknown fault site 'explode'",
-        )
-
 
 class TestBackendFlags:
     @pytest.mark.parametrize("flag", ["--fuse-rows", "--no-fuse-rows"])
@@ -414,36 +386,6 @@ class TestServeFlags:
             capsys,
             "argument --report-lru: must be at least 0, got -1",
         )
-
-
-class TestFaultInjection:
-    def test_env_faults_do_not_change_the_report(self, dirty_gds, tmp_path, capsys, monkeypatch):
-        """Two pack-store entries corrupted on a warm parallel run (the only
-        mode that reads packs) are dropped and rebuilt cold; the CSV is the
-        cold sequential one, byte for byte."""
-        import shutil
-
-        from repro.util import faults
-
-        assert main(["check", dirty_gds, "--top", "top", "--no-cache", "--csv"]) == 1
-        cold = capsys.readouterr().out
-        cache = tmp_path / "c"
-        argv = [
-            "check", dirty_gds, "--top", "top", "--mode", "parallel",
-            "--cache-dir", str(cache), "--csv",
-        ]
-        assert main(argv) == 1
-        capsys.readouterr()
-        shutil.rmtree(cache / "reports")
-        faults.clear()
-        monkeypatch.setenv("REPRO_FAULTS", "packstore_corrupt:times=2")
-        try:
-            assert main(argv) == 1
-        finally:
-            faults.clear()
-        assert capsys.readouterr().out == cold
-        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
-        assert "corrupt: 2\n" in capsys.readouterr().out
 
 
 @pytest.fixture()

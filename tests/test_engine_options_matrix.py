@@ -68,10 +68,10 @@ def test_reports_deterministic(dirty):
     assert a.to_csv() == b.to_csv()
 
 
-def test_options_have_four_fields():
-    """Mode, cache directory, cache switch, fault spec: nothing else."""
+def test_options_have_three_fields():
+    """Mode, cache directory, cache switch: nothing else."""
     fields = [f.name for f in EngineOptions.__dataclass_fields__.values()]
-    assert fields == ["mode", "cache_dir", "use_cache", "faults"]
+    assert fields == ["mode", "cache_dir", "use_cache"]
 
 
 @pytest.mark.parametrize("mode", ["multiproc", "windowed"])

@@ -1,30 +1,19 @@
 """Engine re-entrancy: concurrent checks through one engine are invisible.
 
-Two threads driving *different* decks and layouts through ONE Engine (one
-pack store) must each produce a report byte-identical to a solo run of the
-same check, with no cross-contaminated stats — and pack-store recovery must
-keep working while the store is shared.
+Two threads driving *different* decks and layouts through ONE Engine must
+each produce a report byte-identical to a solo run of the same check, with
+no cross-contaminated stats.
 """
 
 import threading
 
 import pytest
 
-from repro.core import Engine, EngineOptions, PackStore, ReportCache
+from repro.core import Engine, EngineOptions
 from repro.core.engine import CheckContext
 from repro.core.rules import layer
-from repro.util import faults
 
 from .via_layouts import random_via_layout
-
-
-@pytest.fixture(autouse=True)
-def _isolate(monkeypatch):
-    """No fault plan leaks into or out of any test."""
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-    faults.clear()
-    yield
-    faults.clear()
 
 
 def metal_deck():
@@ -129,7 +118,7 @@ class TestParallelReentrancy:
     def test_shared_engine_byte_identical_to_solo(
         self, tmp_path, metal_layout, via_layout, metal_ref, via_ref
     ):
-        # One engine, one pack store — two threads checking different
+        # One engine, one cache directory — two threads checking different
         # layouts/decks concurrently must match their solo sequential
         # references byte for byte.
         options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
@@ -157,24 +146,3 @@ class TestParallelReentrancy:
             assert stats["fused_segments"] > 0
             for name in ("fused_segments", "fused_launches", "kernel_launches"):
                 assert stats[name] == alone[name], name
-
-    def test_pack_store_recovery_with_a_shared_store(
-        self, tmp_path, monkeypatch, metal_layout, via_layout, metal_ref, via_ref
-    ):
-        # REPRO_FAULTS arms one packstore_corrupt across the whole process;
-        # whichever concurrent check's store read draws it must drop and
-        # rebuild that entry, and BOTH checks must still match their
-        # references.
-        options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
-        workloads = [(metal_layout, metal_deck()), (via_layout, via_deck())]
-        with Engine(options=options) as engine:
-            for layout, rules in workloads:
-                engine.check(layout, rules=rules)
-        ReportCache(PackStore(str(tmp_path))).clear()
-        monkeypatch.setenv(faults.FAULTS_ENV, "packstore_corrupt:times=1")
-        with Engine(options=options) as engine:
-            got_metal, got_via = _concurrent_checks(engine, workloads)
-        assert got_metal.to_csv() == metal_ref.to_csv()
-        assert got_via.to_csv() == via_ref.to_csv()
-        corrupt = [r.results[-1].stats["cache_corrupt"] for r in (got_metal, got_via)]
-        assert sum(corrupt) == 1

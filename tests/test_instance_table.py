@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from . import reference_packers as ref
-from repro.core import Engine, EngineOptions, PackStore, ReportCache
+from repro.core import Engine, EngineOptions
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.gpu.kernels import edges_from_vertices, pack_corners, pack_edges
@@ -274,22 +274,6 @@ class TestReportsEqualTheOracle:
         par = Engine(options=EngineOptions(mode="parallel", use_cache=False)).check(layout, rules=deck)
         seq = Engine(options=EngineOptions(mode="sequential", use_cache=False)).check(layout, rules=deck)
         assert par.to_csv(expand_instances=True) == seq.to_csv(expand_instances=True)
-
-    def test_pack_store_warm_run_packs_nothing(self, tmp_path):
-        layout = build_design("uart")
-        deck = asap7.spacing_deck() + asap7.enclosure_deck()
-        deck.append(layer(asap7.M2).corner_spacing().greater_than(10).named("CS.M2"))
-        options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
-        cold = Engine(options=options).check(layout, rules=deck)
-        assert cold.results[-1].stats["pack_seconds"] > 0.0
-        ReportCache(PackStore(str(tmp_path))).clear()
-        engine = Engine(options=options)
-        warm = engine.check(layout, rules=deck)
-        stats = warm.results[-1].stats
-        assert stats["pack_seconds"] == 0.0 and stats["cache_hits"] > 0
-        assert warm.to_csv() == cold.to_csv()
-        # Nothing to expand, so nothing was walked either.
-        assert "placements" not in vars(engine.last_checker.caches.instance_table())
 
 
 class TestWorkBounds:

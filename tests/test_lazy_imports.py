@@ -139,8 +139,8 @@ def test_a_parallel_check_never_imports_numpy_ma(workdir):
 
 
 def test_a_sequential_check_with_a_cache_never_imports_numpy(workdir, tmp_path):
-    """Only the parallel mode reads the pack store, so the oracle's cache
-    path is the report store alone: cold, and again from the stored report."""
+    """A cache directory holds only reports, so the oracle's cache path
+    needs no NumPy: cold, and again from the stored report."""
     cache = str(tmp_path / "cache")
     argv = ["check", "new.gds", "--top", "top", "--cache-dir", cache]
     cold = run_cli(argv, absent=["numpy"], cwd=workdir, exit_code=1)

@@ -1,25 +1,37 @@
-"""ReportCache: the memory front, and contention on the disk back.
+"""ReportCache: the memory front, contention on the disk back, its keys and
+its cache directory.
 
 PR 7 claimed tmp+``os.replace`` makes report persistence safe under
 concurrency; these tests actually race writers against writers and readers
 against half-written files. The contract: ``load`` either returns a report
 byte-identical to one *complete* ``save`` or misses — never a corrupt hit.
+
+Keys are content digests, so a cache directory an earlier build wrote keeps
+answering: the keys of a fixed layout and deck are pinned, and
+``tests/data/legacy_cache`` is a directory written by the last build that
+also stored packed buffers (``<xx>/<key>.pack`` shards and a
+``counters.json``, both unused now).
 """
 
+import builtins
 import json
 import os
+import shutil
 import sys
 import threading
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.checks.base import Violation, ViolationKind
-from repro.core.packstore import PackStore
+from repro.core import Engine, EngineOptions, check_window
+from repro.core.packstore import PackStore, layer_digests, layer_geometry_digest, resolve_store
 from repro.core.reportcache import ReportCache, deck_digest, report_key
 from repro.core.results import CheckReport, CheckResult
 from repro.core.rules import layer
-from repro.geometry import Rect
+from repro.geometry import Polygon, Rect, Transform
+from repro.hierarchy.tree import HierarchyTree
+from repro.layout import CellReference, Layout
 
 
 def _deck():
@@ -70,21 +82,17 @@ class TestReportCacheBasics:
 
     def test_clear_removes_orphaned_temp_files(self, tmp_path):
         """A writer killed between mkstemp and os.replace leaves a *.tmp
-        behind, in reports/ and in a pack-store shard; clear() removes both
-        without counting them as entries."""
-        store = PackStore(str(tmp_path))
-        cache = ReportCache(store)
+        behind in reports/; clear() removes it without counting it as an
+        entry."""
+        cache = ReportCache(PackStore(str(tmp_path)))
         cache.save(_key(0), _report(0))
-        store.save("ab" + "0" * 62, {"x": np.arange(3)})
-        shard = os.path.join(store.root, "ab")
-        orphans = [os.path.join(cache.root, "x1.tmp"), os.path.join(shard, ".ab.123.y.tmp")]
-        for path in orphans:
-            with open(path, "w") as fh:
-                fh.write("partial")
-        assert len(cache.entries()) == 1 and len(store.entries()) == 1
-        assert cache.clear() == 1 and store.clear() == 1
-        assert not any(os.path.exists(path) for path in orphans)
-        assert os.listdir(cache.root) == [] and os.listdir(shard) == []
+        orphan = os.path.join(cache.root, "x1.tmp")
+        with open(orphan, "w") as fh:
+            fh.write("partial")
+        assert len(cache.entries()) == 1
+        assert cache.clear() == 1
+        assert not os.path.exists(orphan)
+        assert os.listdir(cache.root) == []
 
     def test_writer_whose_temp_file_vanishes_swallows_the_error(self, tmp_path, monkeypatch):
         """clear() racing a live writer: its os.replace fails, save() does not."""
@@ -328,3 +336,280 @@ class TestReportCacheContention:
             payload = json.load(fh)
         assert set(payload) >= {"layout", "mode", "results", "total_violations"}
         assert payload["results"][0]["rule"] == "W19"
+
+
+# ---------------------------------------------------------------------------
+# Content keys, the cache directory, and directories earlier builds wrote
+
+
+LEGACY_CACHE = Path(__file__).parent / "data" / "legacy_cache"
+
+
+def small_layout(shift: int = 0, *, via_layer: int = 2) -> Layout:
+    """Two leaf kinds, a handful of instances; ``shift`` nudges one vertex."""
+    layout = Layout(f"store-{shift}")
+    leaf = layout.new_cell("leaf")
+    leaf.add_polygon(1, Polygon.from_rect_coords(0, 0, 20 + shift, 10))
+    leaf.add_polygon(via_layer, Polygon.from_rect_coords(4, 2, 8, 6))
+    other = layout.new_cell("other")
+    other.add_polygon(1, Polygon.from_rect_coords(0, 0, 12, 12))
+    top = layout.new_cell("top")
+    for i in range(4):
+        top.add_reference(CellReference("leaf", Transform(dx=60 * i, dy=0)))
+    top.add_reference(CellReference("other", Transform(dx=0, dy=80)))
+    layout.set_top("top")
+    return layout
+
+
+def small_deck(spacing: int = 9, width: int = 5):
+    """Every pack kind the parallel mode builds (fused edges, fused corners,
+    rect rows) plus a per-definition kind."""
+    return [
+        layer(1).spacing().greater_than(spacing),
+        layer(1).corner_spacing().greater_than(9),
+        layer(2).enclosure(layer(1)).greater_than(3),
+        layer(1).width().greater_than(width),
+    ]
+
+
+def tight_deck():
+    """The deck ``tests/data/legacy_cache`` holds a report of: four rows."""
+    return small_deck(spacing=45, width=15)
+
+
+def digest(layout: Layout, layer_number: int = 1) -> str:
+    return layer_geometry_digest(HierarchyTree(layout), layer_number)
+
+
+def layout_key(layout: Layout, deck) -> str:
+    tree = HierarchyTree(layout)
+    return report_key(deck_digest(deck), layer_digests(tree, layout.layers()))
+
+
+class TestContentKeys:
+    def test_identical_layouts_share_digests(self):
+        assert digest(small_layout()) == digest(small_layout())
+
+    def test_mutating_one_polygon_changes_the_digest_and_the_key(self):
+        assert digest(small_layout(0)) != digest(small_layout(1))
+        deck = small_deck()
+        assert layout_key(small_layout(0), deck) != layout_key(small_layout(1), deck)
+
+    def test_mutation_on_another_layer_keeps_the_digest(self):
+        # Layer 1 geometry is identical; only the via layer moved.
+        assert digest(small_layout(via_layer=2)) == digest(small_layout(via_layer=3))
+
+    def test_placement_change_changes_the_digest(self):
+        moved = small_layout()
+        moved.cell("top").add_reference(CellReference("leaf", Transform(dx=500, dy=0)))
+        assert digest(small_layout()) != digest(moved)
+
+    def test_layers_have_their_own_digests(self):
+        tree = HierarchyTree(small_layout())
+        assert layer_geometry_digest(tree, 1) != layer_geometry_digest(tree, 2)
+
+    def test_a_deck_edit_changes_the_key(self):
+        layout = small_layout()
+        assert layout_key(layout, small_deck()) != layout_key(layout, tight_deck())
+
+    def test_keys_are_pinned(self, tmp_path):
+        """A cache directory an earlier build wrote still hits: the keys of a
+        fixed layout and deck are golden digests. A change to any of them
+        makes every existing directory miss once; it must be deliberate
+        (bump ``FORMAT_VERSION`` and update these)."""
+        assert digest(small_layout()) == (
+            "21c782081db90f540358ba952b26dce291340e302c8f8809f2316120ca091f40"
+        )
+        pinned = "914e3f69de03472e9eada5678aae8d600f60530415f1cc741471f5846de7abf3"
+        assert layout_key(small_layout(), small_deck()) == pinned
+        with Engine(options=EngineOptions(mode="parallel", cache_dir=str(tmp_path))) as engine:
+            engine.check(small_layout(), rules=small_deck())
+        assert [p.stem for p in (tmp_path / "reports").glob("*.json")] == [pinned]
+        assert [p.stem for p in (LEGACY_CACHE / "reports").glob("*.json")] == [
+            layout_key(small_layout(), tight_deck())
+        ]
+
+
+class TestResolveStore:
+    def test_disabled_or_unconfigured_is_none(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert resolve_store(EngineOptions()) is None
+        assert resolve_store(EngineOptions(cache_dir="/tmp/x", use_cache=False)) is None
+
+    def test_env_var_engages(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = resolve_store(EngineOptions())
+        assert store is not None and store.root == str(tmp_path)
+
+    def test_option_wins_over_env(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "/nonexistent")
+        store = resolve_store(EngineOptions(cache_dir=str(tmp_path)))
+        assert store.root == str(tmp_path)
+
+
+def _cold(layout: Layout, deck) -> str:
+    return Engine(options=EngineOptions(use_cache=False)).check(layout, rules=deck).to_csv()
+
+
+class TestCacheDirectory:
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_a_check_stores_its_report_and_nothing_else(self, tmp_path, mode):
+        options = EngineOptions(mode=mode, cache_dir=str(tmp_path))
+        with Engine(options=options) as engine:
+            first = engine.check(small_layout(), rules=tight_deck())
+        assert sorted(p.relative_to(tmp_path).parts[0] for p in tmp_path.rglob("*")
+                      if p.is_file()) == ["reports"]
+        with Engine(options=options) as engine:
+            again = engine.check(small_layout(), rules=tight_deck())
+            assert engine.reports.hits == 1 and engine.last_profiles == {}
+        assert first.to_csv() == again.to_csv() == _cold(small_layout(), tight_deck())
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_a_geometry_edit_misses_and_recomputes_exactly(self, tmp_path, mode):
+        options = EngineOptions(mode=mode, cache_dir=str(tmp_path))
+        Engine(options=options).check(small_layout(0), rules=tight_deck())
+        with Engine(options=options) as engine:
+            edited = engine.check(small_layout(5), rules=tight_deck())
+            assert (engine.reports.hits, engine.reports.misses) == (0, 1)
+        assert edited.to_csv() == _cold(small_layout(5), tight_deck())
+
+    def test_a_windowed_check_with_a_cache_dir(self, tmp_path):
+        window = Rect(0, 0, 100, 50)
+        options = EngineOptions(cache_dir=str(tmp_path))
+        first = check_window(small_layout(), window, rules=tight_deck(), options=options)
+        again = check_window(small_layout(), window, rules=tight_deck(), options=options)
+        assert first.to_csv() == again.to_csv()
+        assert "L1.S.45" in first.to_csv()
+
+
+class TestLegacyCacheDirectory:
+    """A directory an earlier build wrote: its report still answers, and its
+    ``.pack`` shards and ``counters.json`` are neither read nor changed."""
+
+    @pytest.fixture()
+    def legacy(self, tmp_path):
+        root = tmp_path / "cache"
+        shutil.copytree(LEGACY_CACHE, root)
+        leftovers = sorted(p for p in root.rglob("*") if p.is_file() and p.parent.name != "reports")
+        assert any(p.suffix == ".pack" for p in leftovers)
+        assert (root / "counters.json").exists()
+        return root, {p: p.read_bytes() for p in leftovers}
+
+    @staticmethod
+    def opened_paths(monkeypatch):
+        seen = []
+        real_open, real_os_open = builtins.open, os.open
+
+        def spy_open(file, *args, **kwargs):
+            seen.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def spy_os_open(path, *args, **kwargs):
+            seen.append(str(path))
+            return real_os_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(os, "open", spy_os_open)
+        return seen
+
+    def test_the_stored_report_answers_then_a_recompute_reads_no_pack(
+        self, legacy, monkeypatch
+    ):
+        root, leftovers = legacy
+        cold = _cold(small_layout(), tight_deck())
+        assert len(cold.splitlines()) == 5  # a header and four rows
+        options = EngineOptions(mode="parallel", cache_dir=str(root))
+        with Engine(options=options) as engine:
+            stored = engine.check(small_layout(), rules=tight_deck())
+            assert engine.reports.hits == 1 and engine.last_profiles == {}
+        assert stored.to_csv() == cold
+
+        shutil.rmtree(root / "reports")
+        opened = self.opened_paths(monkeypatch)
+        with Engine(options=options) as engine:
+            computed = engine.check(small_layout(), rules=tight_deck())
+            assert engine.reports.misses == 1 and engine.last_profiles
+        monkeypatch.undo()
+        assert computed.to_csv() == cold
+        assert not [path for path in opened if path.endswith((".pack", "counters.json"))]
+        assert {p: p.read_bytes() for p in leftovers} == leftovers
+        assert sorted(root.rglob("*.pack")) == [p for p in leftovers if p.suffix == ".pack"]
+        assert len(list((root / "reports").glob("*.json"))) == 1
+
+
+class TestCacheCli:
+    @pytest.fixture()
+    def uart_gds(self, tmp_path):
+        from repro.gdsii import write
+        from repro.layout import gdsii_from_layout
+        from repro.workloads import build_design
+
+        path = tmp_path / "uart.gds"
+        write(gdsii_from_layout(build_design("uart")), path)
+        return str(path)
+
+    def test_stats_counts_reports_and_clear_removes_them(self, uart_gds, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = str(tmp_path / "cache")
+        main(["check", uart_gds, "--top", "top", "--mode", "parallel", "--cache-dir", cache])
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"cache: {os.path.abspath(cache)}\n")
+        assert "report entries: 1\n" in out and "report bytes: 0" not in out
+        assert main(["cache", "clear", "--cache-dir", cache]) == 0
+        assert capsys.readouterr().out == (
+            f"removed 1 cached report(s) from {os.path.join(os.path.abspath(cache), 'reports')}\n"
+        )
+        assert main(["cache", "stats", "--cache-dir", cache]) == 0
+        assert "report entries: 0\nreport bytes: 0\n" in capsys.readouterr().out
+
+    def test_clear_leaves_an_earlier_builds_leftovers(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        shutil.copytree(LEGACY_CACHE, cache)
+        assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+        assert "report entries: 1\n" in capsys.readouterr().out
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        assert "removed 1 cached report(s)" in capsys.readouterr().out
+        assert list(cache.rglob("*.pack")) and (cache / "counters.json").exists()
+
+    def test_cache_dir_env_var(self, uart_gds, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        cache = str(tmp_path / "envcache")
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        main(["check", uart_gds, "--top", "top", "--mode", "parallel"])
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        assert "report entries: 1\n" in capsys.readouterr().out
+
+    def test_no_cache_flag_skips_the_store(self, uart_gds, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        cache = str(tmp_path / "nocache")
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        main(["check", uart_gds, "--top", "top", "--mode", "parallel", "--no-cache"])
+        assert not os.path.isdir(cache)
+
+    def test_cache_without_dir_errors(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "stats"])
+        assert exit_info.value.code == 2
+        assert "no cache directory" in capsys.readouterr().err
+
+    def test_check_window_accepts_cache_args(self, uart_gds, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = str(tmp_path / "wcache")
+        code = main(["check-window", uart_gds, "0", "0", "2000", "2000",
+                     "--top", "top", "--cache-dir", cache, "--csv"])
+        assert code in (0, 1)
+        # A clipped report is never stored: the flags are accepted and harmless.
+        assert "rule," in capsys.readouterr().out
+        assert not os.path.isdir(os.path.join(cache, "reports"))
