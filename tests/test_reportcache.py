@@ -14,6 +14,7 @@ also stored packed buffers (``<xx>/<key>.pack`` shards and a
 """
 
 import builtins
+import hashlib
 import json
 import os
 import shutil
@@ -25,13 +26,21 @@ import pytest
 
 from repro.checks.base import Violation, ViolationKind
 from repro.core import Engine, EngineOptions, check_window
-from repro.core.packstore import PackStore, layer_digests, layer_geometry_digest, resolve_store
+from repro.core.packstore import (
+    FORMAT_VERSION,
+    PackStore,
+    layer_digests,
+    layer_geometry_digest,
+    resolve_store,
+    store_key,
+)
 from repro.core.reportcache import ReportCache, deck_digest, report_key
 from repro.core.results import CheckReport, CheckResult
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect, Transform
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout
+from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
 
 def _deck():
@@ -613,3 +622,188 @@ class TestCacheCli:
         # A clipped report is never stored: the flags are accepted and harmless.
         assert "rule," in capsys.readouterr().out
         assert not os.path.isdir(os.path.join(cache, "reports"))
+
+
+# ---------------------------------------------------------------------------
+# The deck-iteration loop and byte-identity on a dirty design
+
+
+@pytest.fixture(scope="module")
+def dirty_uart():
+    """uart with violations planted on M1, M2 and M3: every rule of the full
+    ASAP7 deck fires on it, so a report that drops or misstates any rule
+    shows in its CSV."""
+    layout = build_design("uart")
+    for metal, via in ((asap7.M1, asap7.V1), (asap7.M2, asap7.V2), (asap7.M3, asap7.V2)):
+        inject_violations(
+            layout,
+            InjectionPlan(spacing=2, width=1, area=1, enclosure=1),
+            layer=metal,
+            via_layer=via,
+            metal_layer=metal,
+            seed=7,
+        )
+    cold = Engine(options=EngineOptions(use_cache=False)).check(layout, rules=asap7.full_deck())
+    assert all(result.violations for result in cold.results)
+    return layout, cold.to_csv()
+
+
+FULL_DECK_NAMES = [rule.name for rule in asap7.full_deck()]
+
+
+def one_rule_edit(name: str, edit: str):
+    """The full deck with rule ``name`` demoted to a warning or dropped."""
+    deck = asap7.full_deck()
+    if edit == "dropped":
+        return [rule for rule in deck if rule.name != name]
+    return [rule.as_warning() if rule.name == name else rule for rule in deck]
+
+
+class TestDeckIteration:
+    """Each one-rule edit of a fixed layout's deck misses the report stored
+    for the unedited deck and recomputes exactly what a cold check does."""
+
+    @pytest.mark.parametrize("edit", ["warning", "dropped"])
+    @pytest.mark.parametrize("name", FULL_DECK_NAMES)
+    def test_a_one_rule_edit_misses_and_recomputes_exactly(
+        self, tmp_path, dirty_uart, name, edit
+    ):
+        layout, base = dirty_uart
+        deck = one_rule_edit(name, edit)
+        assert layout_key(layout, deck) != layout_key(layout, asap7.full_deck())
+        options = EngineOptions(mode="parallel", cache_dir=str(tmp_path))
+        Engine(options=options).check(layout, rules=asap7.full_deck())
+        with Engine(options=options) as engine:
+            edited = engine.check(layout, rules=deck)
+            assert (engine.reports.hits, engine.reports.misses) == (0, 1)
+        assert edited.to_csv() == _cold(layout, deck) != base
+        assert len(list((tmp_path / "reports").glob("*.json"))) == 2
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_the_unedited_deck_still_answers_after_every_edit(self, tmp_path, dirty_uart, mode):
+        layout, base = dirty_uart
+        options = EngineOptions(mode=mode, cache_dir=str(tmp_path))
+        Engine(options=options).check(layout, rules=asap7.full_deck())
+        for name in FULL_DECK_NAMES[:3]:
+            Engine(options=options).check(layout, rules=one_rule_edit(name, "dropped"))
+        with Engine(options=options) as engine:
+            again = engine.check(layout, rules=asap7.full_deck())
+            assert engine.reports.hits == 1 and engine.last_profiles == {}
+        assert again.to_csv() == base
+
+
+class TestByteIdentity:
+    """Reports are byte-identical in both modes whatever the cache: none, a
+    fresh directory (cold, then the stored report), or a directory an
+    earlier build wrote."""
+
+    @pytest.mark.parametrize("arm", ["no-cache", "fresh-dir", "stored", "legacy-dir"])
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_every_cache_arm_reports_the_cold_bytes(self, tmp_path, dirty_uart, mode, arm):
+        layout, base = dirty_uart
+        deck = asap7.full_deck()
+        root = tmp_path / "cache"
+        if arm == "legacy-dir":
+            shutil.copytree(LEGACY_CACHE, root)
+        leftovers = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        if arm == "no-cache":
+            options = EngineOptions(mode=mode, use_cache=False)
+        else:
+            options = EngineOptions(mode=mode, cache_dir=str(root))
+        if arm == "stored":
+            Engine(options=options).check(layout, rules=deck)
+        with Engine(options=options) as engine:
+            report = engine.check(layout, rules=deck)
+            if arm != "no-cache":
+                hits = 1 if arm == "stored" else 0
+                assert (engine.reports.hits, engine.reports.misses) == (hits, 1 - hits)
+        assert report.to_csv() == base
+        assert {p: p.read_bytes() for p in leftovers} == leftovers
+        if arm == "no-cache":
+            assert not root.exists()
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_a_windowed_check_with_a_cache_dir_matches_one_without(
+        self, tmp_path, dirty_uart, mode
+    ):
+        layout, _ = dirty_uart
+        window = HierarchyTree(layout).top_mbr(asap7.M2)
+        deck = asap7.full_deck()
+        cached = check_window(layout, window, rules=deck,
+                              options=EngineOptions(mode=mode, cache_dir=str(tmp_path)))
+        cold = check_window(layout, window, rules=deck,
+                            options=EngineOptions(mode=mode, use_cache=False))
+        assert cached.to_csv() == cold.to_csv()
+        assert cached.total_violations > 0
+        # A clipped report is never stored.
+        assert not list(tmp_path.rglob("*.json"))
+
+
+class TestLayerDigestIsolation:
+    """An edit on one layer changes that layer's digest and the report key,
+    and no other layer's digest: a deck on the other layers keeps hitting."""
+
+    @pytest.mark.parametrize("edited", sorted(build_design("uart").layers()))
+    def test_an_edit_moves_only_its_own_layer(self, edited):
+        layout = build_design("uart")
+        layers = sorted(layout.layers())
+        before = layer_digests(HierarchyTree(layout), layers)
+        mbr = HierarchyTree(layout).top_mbr(edited)
+        layout.top_cell().add_polygon(
+            edited, Polygon.from_rect_coords(mbr.xlo, mbr.yhi + 100, mbr.xlo + 50, mbr.yhi + 150)
+        )
+        after = layer_digests(HierarchyTree(layout), layers)
+        assert [n for n in layers if before[n] != after[n]] == [edited]
+        deck = asap7.full_deck()
+        assert report_key(deck_digest(deck), after) != report_key(deck_digest(deck), before)
+
+
+class TestKeyFunctions:
+    @pytest.mark.parametrize(
+        "use_cache, option, env, expected",
+        [
+            (True, None, None, None),
+            (True, None, "env", "env"),
+            (True, "opt", None, "opt"),
+            (True, "opt", "env", "opt"),
+            (False, None, None, None),
+            (False, None, "env", None),
+            (False, "opt", None, None),
+            (False, "opt", "env", None),
+        ],
+    )
+    def test_resolve_store_precedence(self, monkeypatch, tmp_path, use_cache, option, env, expected):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        if env:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / env))
+        options = EngineOptions(
+            cache_dir=str(tmp_path / option) if option else None, use_cache=use_cache
+        )
+        store = resolve_store(options)
+        if expected is None:
+            assert store is None
+        else:
+            assert store.root == str(tmp_path / expected)
+
+    def test_store_key_parts_are_ordered_and_separated(self):
+        assert store_key("a", "b") != store_key("b", "a")
+        assert store_key("ab", "c") != store_key("a", "bc")
+        assert store_key(("a", 1)) != store_key("a", 1)
+
+    def test_store_key_mixes_in_the_format_version(self):
+        bare = hashlib.sha256(b"\x1f" + repr("report").encode("utf-8")).hexdigest()
+        salted = hashlib.sha256(
+            f"v{FORMAT_VERSION}".encode("ascii") + b"\x1f" + repr("report").encode("utf-8")
+        ).hexdigest()
+        assert FORMAT_VERSION == 1
+        assert store_key("report") == salted != bare
+
+    def test_report_key_ignores_the_order_layers_are_listed_in(self):
+        deck = deck_digest(small_deck())
+        assert report_key(deck, {1: "a", 2: "b"}) == report_key(deck, {2: "b", 1: "a"})
+        assert report_key(deck, {1: "a", 2: "b"}) != report_key(deck, {1: "b", 2: "a"})
+
+    def test_a_deck_that_cannot_be_fingerprinted_has_no_key(self):
+        deck = [layer(1).polygons().ensures(lambda polygon: True)]
+        assert deck_digest(deck) is None
+        assert report_key(deck_digest(deck), {1: "a"}) is None
