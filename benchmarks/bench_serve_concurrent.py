@@ -30,14 +30,13 @@ pytest; both regenerate ``BENCH_serve_concurrent.json``.
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 import time
 
 from benchmarks.common import SCALE, write_bench_json
 from repro.client import ServeClient, report_json_to_csv
 from repro.core import Engine, EngineOptions
-from repro.gdsii import write
+from repro.gdsii import write_bytes
 from repro.layout import gdsii_from_layout
 from repro.server import ServerState, start_server
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
@@ -59,17 +58,16 @@ def _engine_options() -> EngineOptions:
     return EngineOptions(mode="parallel")
 
 
-def _synth(tmpdir: str) -> dict:
-    """One dirty GDS per design, plus its local reference CSV."""
+def _synth() -> dict:
+    """One dirty GDS stream per design, plus its local reference CSV."""
     workloads = {}
     for name in DESIGNS:
         layout = build_design(name, SCALE)
         inject_violations(layout, InjectionPlan(spacing=3), layer=asap7.M2, seed=13)
-        path = os.path.join(tmpdir, f"{name}.gds")
-        write(gdsii_from_layout(layout), path)
+        data = write_bytes(gdsii_from_layout(layout))
         with Engine(options=_engine_options()) as engine:
             local = engine.check(layout, rules=asap7.full_deck())
-        workloads[name] = {"path": path, "csv": local.to_csv()}
+        workloads[name] = {"data": data, "csv": local.to_csv()}
     return workloads
 
 
@@ -82,7 +80,7 @@ def _run_level(workloads: dict, max_concurrent: int) -> dict:
         client = ServeClient(handle.url)
         client.wait_ready(timeout=30)
         sessions = {
-            name: client.create_session(path=item["path"], top=TOP)["session"]
+            name: client.create_session(data=item["data"], top=TOP)["session"]
             for name, item in workloads.items()
         }
         # Warm up: each session pays its plan compile once, outside the
@@ -142,8 +140,7 @@ def _run_level(workloads: dict, max_concurrent: int) -> dict:
 
 def run_benchmark() -> dict:
     cpu_count = os.cpu_count() or 1
-    tmpdir = tempfile.mkdtemp(prefix="bench_serve_conc_")
-    workloads = _synth(tmpdir)
+    workloads = _synth()
     levels = [_run_level(workloads, mc) for mc in CONCURRENCY_LEVELS]
     baseline = next(l for l in levels if l["max_concurrent"] == 1)
     concurrent = levels[-1]

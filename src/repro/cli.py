@@ -42,7 +42,7 @@ Commands
     ``source: report-cache``); ``--no-cache`` disables it.
 ``serve``
     Run the resident DRC daemon: one warm engine (the report store stays
-    hot) serving JSON over HTTP.
+    hot) and one deck (``--deck``, loaded at start) serving JSON over HTTP.
     ``check <file.gds> --server URL`` routes a check through a running
     daemon instead of paying a cold start.
 
@@ -226,6 +226,7 @@ def _served_check(args: argparse.Namespace) -> int:
     engine_flags = [
         flag
         for flag, given in (
+            ("--deck", args.deck is not None),
             ("--mode", args.mode is not None),
             ("--breakdown", args.breakdown),
             ("--cache-dir", args.cache_dir is not None),
@@ -236,7 +237,7 @@ def _served_check(args: argparse.Namespace) -> int:
     if engine_flags:
         raise _input_error(
             f"{', '.join(engine_flags)} not supported with --server; the "
-            "daemon runs the check with its own engine options"
+            "daemon runs the check with its own deck and engine options"
         )
     waivers = None
     if args.waivers:
@@ -259,7 +260,7 @@ def _served_check(args: argparse.Namespace) -> int:
         raise _input_error(f"cannot read {args.file}: {error}") from None
     try:
         with ServeClient(args.server) as client:
-            info = client.create_session(data=data, top=args.top, deck=args.deck)
+            info = client.create_session(data=data, top=args.top)
             response = client.check(info["session"])
     except ClientError as error:
         raise _input_error(str(error)) from None
@@ -565,12 +566,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .server import ServerState
     from .server.http import serve as run_serve
 
-    state = ServerState(
-        options=_engine_options(args),
-        deck_path=args.deck,
-        report_lru=args.report_lru,
-        max_concurrent=args.max_concurrent,
-    )
+    try:
+        state = ServerState(
+            options=_engine_options(args),
+            deck_path=args.deck,
+            report_lru=args.report_lru,
+            max_concurrent=args.max_concurrent,
+        )
+    except RuleError as error:
+        raise _input_error(str(error)) from None
     return run_serve(state, args.host, args.port)
 
 
@@ -660,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--server",
         metavar="URL",
         help="route the check through a running `repro serve` daemon "
-        "(uploads the GDS bytes; --deck then names a server-side file)",
+        "(uploads the GDS bytes; the daemon checks them against its own "
+        "deck, so --deck is refused)",
     )
     _add_format_args(check)
     check.add_argument("--output", help="write a JSON marker database")
@@ -802,8 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--deck",
-        help="default deck for new sessions: a server-side Python file "
-        "defining RULES = [...] (default: the ASAP7 benchmark deck)",
+        help="the one deck every session is checked against, loaded at "
+        "start: a Python file defining RULES = [...] (default: the ASAP7 "
+        "benchmark deck); requests cannot name another",
     )
     serve.add_argument(
         "--mode",

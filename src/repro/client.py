@@ -1,7 +1,9 @@
 """Thin HTTP client for a ``repro serve`` daemon (stdlib ``http.client`` only).
 
 The CLI's ``repro check --server URL`` path, the benchmarks, and the tests
-all talk to the daemon through :class:`ServeClient`. Responses are plain
+all talk to the daemon through :class:`ServeClient`. A layout travels as
+its GDSII bytes and is checked against the deck the daemon was started
+with; no request names a file on the server. Responses are plain
 JSON dicts; the ``report`` member of a check response is the exact payload
 of :meth:`~repro.core.results.CheckReport.to_json`, so
 :func:`report_json_to_csv` / re-dumping with ``json.dumps(obj, indent=2,
@@ -227,44 +229,28 @@ class ServeClient:
     def create_session(
         self,
         *,
-        path: Optional[str] = None,
-        data: Optional[bytes] = None,
+        data: bytes,
         top: Optional[str] = None,
-        deck: Optional[str] = None,
         severities: Optional[Dict[str, str]] = None,
         default_severity: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Load a layout into the daemon; returns the session info dict.
+        """Upload a layout's GDSII stream bytes; returns the session info dict.
 
-        ``data`` uploads raw GDSII stream bytes; ``path`` names a file the
-        *server* can read (handy when client and daemon share a machine).
-        Raw uploads carry their options in the query string, which has no
-        encoding for the per-rule ``severities`` mapping — combining it
-        with ``data`` raises rather than silently dropping it.
+        The daemon checks it against the deck it was started with.
+        ``severities`` (rule name to severity) and ``default_severity``
+        override that deck's severities for this session; they travel in
+        the query string, ``severities`` as one JSON object.
         """
-        if data is not None:
-            if severities:
-                raise ValueError(
-                    "severities cannot be combined with a raw GDS upload "
-                    "(query-string options only); use path= (JSON body) to "
-                    "set per-rule severities"
-                )
-            return self._request(
-                "POST",
-                "/sessions",
-                data=data,
-                query={"top": top, "deck": deck, "default_severity": default_severity},
-            )
-        body: Dict[str, Any] = {"path": path}
-        if top is not None:
-            body["top"] = top
-        if deck is not None:
-            body["deck"] = deck
-        if severities is not None:
-            body["severities"] = severities
-        if default_severity is not None:
-            body["default_severity"] = default_severity
-        return self._request("POST", "/sessions", json_body=body)
+        return self._request(
+            "POST",
+            "/sessions",
+            data=data,
+            query={
+                "top": top,
+                "severities": None if severities is None else json.dumps(severities),
+                "default_severity": default_severity,
+            },
+        )
 
     def session(self, sid: str) -> Dict[str, Any]:
         return self._request("GET", f"/sessions/{sid}")
@@ -289,20 +275,18 @@ class ServeClient:
         self,
         sid: str,
         *,
-        path: Optional[str] = None,
-        data: Optional[bytes] = None,
+        data: bytes,
         top: Optional[str] = None,
         verify: bool = False,
     ) -> Dict[str, Any]:
-        query = {"top": top, "verify": "1" if verify else None}
-        if data is not None:
-            return self._request(
-                "POST", f"/sessions/{sid}/recheck", data=data, query=query
-            )
-        body: Dict[str, Any] = {"path": path, "verify": verify}
-        if top is not None:
-            body["top"] = top
-        return self._request("POST", f"/sessions/{sid}/recheck", json_body=body)
+        """Upload the session's next layout version; the reply is the
+        spliced report, as :meth:`check` returns it."""
+        return self._request(
+            "POST",
+            f"/sessions/{sid}/recheck",
+            data=data,
+            query={"top": top, "verify": "1" if verify else None},
+        )
 
     def violations(
         self,

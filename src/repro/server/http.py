@@ -16,7 +16,7 @@ Endpoints
 GET    ``/health``                        liveness probe
 GET    ``/stats``                         engine + queue + coalescing counters
 GET    ``/sessions``                      list loaded sessions
-POST   ``/sessions``                      load a layout (GDS bytes or JSON path)
+POST   ``/sessions``                      load a layout (GDSII bytes)
 GET    ``/sessions/<id>``                 session info
 DELETE ``/sessions/<id>``                 unload a session
 POST   ``/sessions/<id>/check``           run the deck (coalesced)
@@ -26,12 +26,14 @@ GET    ``/sessions/<id>/violations``      filter by severity / rule / bbox
 POST   ``/shutdown``                      drain in-flight requests and exit
 ====== ================================== ======================================
 
-``POST /sessions`` accepts either a raw GDSII stream body
-(``Content-Type: application/octet-stream``, options in the query string:
-``?top=...&deck=...``) or a JSON body ``{"path": ..., "top": ...,
-"deck": ..., "severities": {...}, "default_severity": ...}`` naming a file
-the server can read. ``POST .../recheck`` accepts the same two shapes for
-the new layout version.
+``POST /sessions`` and ``POST .../recheck`` take one shape: the GDSII
+stream bytes as the body (``Content-Type: application/octet-stream``) and
+the options in the query string — ``top``, ``default_severity``,
+``severities`` (one JSON object of rule name to severity) and, for a
+recheck, ``verify``. The daemon checks every layout against the deck it
+was started with, so a request naming a ``deck`` is a 400 that names that
+deck, and a JSON body is a 400 that names the upload shape, whatever the
+JSON says. Nothing a request carries is opened or run.
 
 Graceful shutdown: ``serve()`` converts SIGTERM/SIGINT into an orderly
 drain — the accept loop stops, in-flight handler threads are joined
@@ -284,66 +286,59 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
         values = query.get(name)
         return values[0] if values else None
 
-    def _layout_source(self, query) -> Dict[str, Any]:
-        """The (path | data, top) triple from a raw-GDS or JSON request."""
+    def _upload(self, query) -> bytes:
+        """The GDSII bytes of a ``POST /sessions`` or ``.../recheck`` body.
+
+        A ``deck`` in the query and a JSON body are refused without being
+        looked at, so the reply says nothing about the server's files."""
+        raw = self._body()  # read even when refused: the connection stays usable
+        if "deck" in query:
+            raise BadRequestError(
+                f"this daemon checks against its own deck ({self.state.deck_name}); "
+                "a request cannot name one: drop deck="
+            )
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
-        raw = self._body()
-        if content_type in ("application/json", ""):
-            if raw:
-                try:
-                    body = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError) as error:
-                    raise BadRequestError(
-                        f"malformed JSON body: {error}"
-                    ) from error
-                if isinstance(body, dict) and body:
-                    return {
-                        "path": body.get("path"),
-                        "data": None,
-                        "top": body.get("top"),
-                        "body": body,
-                    }
-        elif raw:
-            return {
-                "path": None,
-                "data": raw,
-                "top": self._first(query, "top"),
-                "body": {},
-            }
-        raise BadRequestError(
-            "provide a GDSII stream body (application/octet-stream) or a "
-            'JSON body {"path": ...}'
-        )
+        if not raw or content_type == "application/json":
+            raise BadRequestError(
+                "send the GDSII stream bytes as the body "
+                "(Content-Type: application/octet-stream) and the options in "
+                "the query string (top, default_severity, severities, verify)"
+            )
+        return raw
+
+    def _severities(self, query) -> Optional[Dict[str, str]]:
+        raw = self._first(query, "severities")
+        if raw is None:
+            return None
+        try:
+            severities = json.loads(raw)
+        except ValueError:
+            severities = None
+        if not isinstance(severities, dict) or not all(
+            isinstance(value, str) for value in severities.values()
+        ):
+            raise BadRequestError(
+                f"severities must be a JSON object of rule name to severity, got {raw!r}"
+            )
+        return severities
 
     def _create_session(self, query) -> None:
-        source = self._layout_source(query)
-        body = source["body"]
         session, created = self.state.create_session(
-            path=source["path"],
-            data=source["data"],
-            top=source["top"],
-            deck=body.get("deck") or self._first(query, "deck"),
-            severities=body.get("severities"),
-            default_severity=body.get("default_severity")
-            or self._first(query, "default_severity"),
+            data=self._upload(query),
+            top=self._first(query, "top"),
+            severities=self._severities(query),
+            default_severity=self._first(query, "default_severity"),
         )
         info = session.info()
         info["created"] = created
         self._send_json(info, status=201 if created else 200)
 
     def _recheck(self, sid: str, query) -> None:
-        source = self._layout_source(query)
-        body = source["body"]
-        verify = bool(body.get("verify")) or self._first(query, "verify") in (
-            "1",
-            "true",
-        )
         report, meta = self.state.recheck(
             sid,
-            path=source["path"],
-            data=source["data"],
-            top=source["top"],
-            verify=verify,
+            data=self._upload(query),
+            top=self._first(query, "top"),
+            verify=self._first(query, "verify") in ("1", "true"),
         )
         self._send(encode_reply(report, meta))
 

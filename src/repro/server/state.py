@@ -8,12 +8,16 @@ many requests.
 
 Three mechanisms turn the warm engine into served throughput:
 
-* **Sessions** — clients load a layout (and optionally a deck) once via
+* **Sessions** — clients upload a layout's GDSII bytes once via
   :meth:`create_session`; the session keeps the parsed layout, its
   hierarchy tree, the rule deck, and the per-layer geometry digests, so a
   check request never re-parses or re-walks anything. Sessions are
   content-addressed by the deck digest plus the layer digests — loading the
-  same layout twice (from any client) lands on the same session.
+  same layout twice (from any client) lands on the same session. Every
+  session checks against the one deck the daemon loaded when it was
+  constructed (``repro serve --deck``, or the ASAP7 benchmark deck): a
+  request carries layout bytes and per-rule severities, never a file name,
+  so nothing a client sends is opened or run.
 
 * **One report store, single-flight coalescing** — every request first
   asks the :class:`~repro.core.reportcache.ReportCache` the daemon shares
@@ -62,8 +66,8 @@ from itertools import compress
 from operator import add
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ReproError, RuleError
-from ..gdsii import read_layout, read_layout_bytes
+from ..errors import ReproError
+from ..gdsii import read_layout_bytes
 from ..geometry import Rect
 from ..hierarchy.tree import HierarchyTree
 from ..layout.library import Layout
@@ -77,8 +81,7 @@ from ..core.reportcache import (
     report_key,
 )
 from ..core.results import CheckReport, merge_stats
-from ..core import rules as rules_module
-from ..core.rules import SEVERITIES, Rule
+from ..core.rules import SEVERITIES, Rule, load_deck_file
 from ..reporting import FilterError, RuleRows, check_bbox, filter_entries, listing_dicts
 
 __all__ = [
@@ -91,7 +94,6 @@ __all__ = [
     "UnknownSessionError",
     "encode_listing",
     "encode_reply",
-    "load_deck_file",
     "report_payload",
 ]
 
@@ -117,14 +119,6 @@ class UnknownSessionError(ServeError):
     status = 404
 
 
-def load_deck_file(path: str) -> List[Rule]:
-    """Load ``RULES = [...]`` from a Python deck file (server-side path)."""
-    try:
-        return rules_module.load_deck_file(path)
-    except RuleError as error:
-        raise BadRequestError(str(error)) from None
-
-
 def _percentile(ordered: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of an already-sorted sample."""
     if len(ordered) == 1:
@@ -133,12 +127,6 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
     return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
-def _default_deck() -> List[Rule]:
-    from ..workloads import asap7
-
-    return asap7.full_deck()
 
 
 def _int_coords(coords: Sequence[Any], what: str) -> List[int]:
@@ -312,7 +300,6 @@ class Session:
         reports: ReportCache,
         *,
         top: Optional[str] = None,
-        deck_path: Optional[str] = None,
     ) -> None:
         self.sid = sid
         self.layout = layout
@@ -329,7 +316,6 @@ class Session:
         self.deck_key = deck_dig or private_deck()
         self._reports = reports
         self.top = top
-        self.deck_path = deck_path
         self.version = 1
         self.checks = 0
         self.created = time.time()
@@ -377,6 +363,10 @@ class ServerState:
     runs serial; ``max_concurrent`` bounds engine runs of different
     sessions (default 1). ``report_lru`` bounds the report store's memory
     front (0: every request computes, or reads the disk back).
+
+    The deck is loaded here, once: ``deck_path`` (a :class:`RuleError` if
+    it cannot be used), or the ASAP7 benchmark deck. Every session checks
+    against it, with per-request severities applied on top.
     """
 
     def __init__(
@@ -387,11 +377,18 @@ class ServerState:
         report_lru: int = DEFAULT_CAPACITY,
         max_concurrent: int = 1,
     ) -> None:
+        if deck_path is None:
+            from ..workloads import asap7
+
+            self.rules = asap7.full_deck()
+            #: How a refused ``deck=`` names the deck the daemon checks with.
+            self.deck_name = "the ASAP7 benchmark deck"
+        else:
+            self.rules = load_deck_file(deck_path)
+            self.deck_name = deck_path
         self.reports = ReportCache(resolve_store(options), capacity=report_lru)
         self.engine = Engine(options=options, reports=self.reports)
         self.scheduler = AdmissionScheduler(max_concurrent)
-        self.deck_path = deck_path
-        self._decks: Dict[str, List[Rule]] = {}
         self._lock = threading.Lock()
         self._flight = SingleFlight()
         self._sessions: Dict[str, Session] = {}
@@ -426,7 +423,7 @@ class ServerState:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    # -- deck resolution -----------------------------------------------------
+    # -- severities ----------------------------------------------------------
 
     @staticmethod
     def _apply_severities(
@@ -440,7 +437,7 @@ class ServerState:
         otherwise be silently ignored — the override would appear accepted
         but never apply). Returns the input list unchanged when there is
         nothing to override, so the common no-override path shares the
-        cached deck objects (and their digest work).
+        daemon's deck objects.
         """
         overrides = dict(severities or {})
         unknown = sorted(set(overrides) - {rule.name for rule in rules})
@@ -458,22 +455,11 @@ class ServerState:
             for rule in rules
         ]
 
-    def _resolve_deck(self, deck_path: Optional[str]) -> List[Rule]:
-        path = deck_path or self.deck_path
-        if path is None:
-            if "" not in self._decks:
-                self._decks[""] = _default_deck()
-            return self._decks[""]
-        if path not in self._decks:
-            self._decks[path] = load_deck_file(path)
-        return self._decks[path]
-
     # -- sessions ------------------------------------------------------------
 
     @staticmethod
     def _load_version(
-        path: Optional[str],
-        data: Optional[bytes],
+        data: bytes,
         top: Optional[str],
         previous: Optional[Tuple[Layout, HierarchyTree, Dict[int, str]]] = None,
     ) -> Tuple[Layout, HierarchyTree, Dict[int, str]]:
@@ -483,26 +469,18 @@ class ServerState:
         over for every structure whose bytes it was read from; which version
         it is does not matter for the result, only for how much is reused.
         """
-        if (path is None) == (data is None):
-            raise BadRequestError("provide exactly one of a GDS path or GDS bytes")
         old_layout, old_tree, old_digests = previous or (None, None, None)
         try:
-            layout = (
-                read_layout(path, previous=old_layout)
-                if path is not None
-                else read_layout_bytes(data, previous=old_layout)
-            )
+            layout = read_layout_bytes(data, previous=old_layout)
             if top:
                 layout.set_top(top)
         except ReproError as error:
             raise BadRequestError(f"cannot load layout: {error}") from error
-        except OSError as error:
-            raise BadRequestError(f"cannot read layout file: {error}") from error
         if not top:
             roots = sorted(cell.name for cell in layout.root_cells())
             if len(roots) > 1:
                 raise BadRequestError(
-                    f"{path or 'the uploaded layout'} has {len(roots)} root cells "
+                    f"the uploaded layout has {len(roots)} root cells "
                     f"({', '.join(roots)}); pick the one to check with --top/top="
                 )
         tree = HierarchyTree(layout, previous=old_tree)
@@ -514,20 +492,18 @@ class ServerState:
     def create_session(
         self,
         *,
-        path: Optional[str] = None,
-        data: Optional[bytes] = None,
+        data: bytes,
         top: Optional[str] = None,
-        deck: Optional[str] = None,
         severities: Optional[Dict[str, str]] = None,
         default_severity: Optional[str] = None,
     ) -> Tuple[Session, bool]:
         """Load (or re-attach to) a session; returns ``(session, created)``.
 
         Sessions are content-addressed: the id hashes the deck digest and
-        the per-layer geometry digests, so posting the same layout + deck
-        again — from any client — returns the existing warm session. Raw
-        uploads are additionally memoised by their byte hash, so a repeat
-        upload skips even the GDSII parse. Decks whose predicates cannot be
+        the per-layer geometry digests, so posting the same layout again —
+        from any client — returns the existing warm session. Uploads are
+        additionally memoised by their byte hash, so a repeat upload skips
+        even the GDSII parse. Decks whose predicates cannot be
         fingerprinted get a random id and are excluded from coalescing
         (honest, never wrong).
 
@@ -552,24 +528,15 @@ class ServerState:
             default_severity or "",
             tuple(sorted((severities or {}).items())),
         )
-        bytes_key = None
-        if data is not None:
-            bytes_key = (
-                hashlib.sha256(data).hexdigest(),
-                top or "",
-                deck or "",
-                severity_fp,
-            )
-            with self._lock:
-                sid = self._by_bytes.get(bytes_key)
-                session = self._sessions.get(sid) if sid else None
-            if session is not None:
-                return self._reuse(session)
+        bytes_key = (hashlib.sha256(data).hexdigest(), top or "", severity_fp)
+        with self._lock:
+            sid = self._by_bytes.get(bytes_key)
+            session = self._sessions.get(sid) if sid else None
+        if session is not None:
+            return self._reuse(session)
 
-        rules = self._apply_severities(
-            self._resolve_deck(deck), severities, default_severity
-        )
-        layout, tree, digests = self._load_version(path, data, top)
+        rules = self._apply_severities(self.rules, severities, default_severity)
+        layout, tree, digests = self._load_version(data, top)
         deck_dig = deck_digest(rules)
         if deck_dig is None:
             sid = uuid.uuid4().hex[:16]
@@ -595,15 +562,12 @@ class ServerState:
                     deck_dig,
                     self.reports,
                     top=top,
-                    deck_path=deck or self.deck_path,
                 )
                 self._sessions[sid] = session
                 self.counters["sessions_created"] += 1
-                if bytes_key is not None:
-                    self._by_bytes[bytes_key] = sid
-                return session, True
-            if bytes_key is not None:
                 self._by_bytes[bytes_key] = sid
+                return session, True
+            self._by_bytes[bytes_key] = sid
         return self._reuse(existing)
 
     def _reuse(self, session: Session) -> Tuple[Session, bool]:
@@ -782,8 +746,7 @@ class ServerState:
         self,
         sid: str,
         *,
-        path: Optional[str] = None,
-        data: Optional[bytes] = None,
+        data: bytes,
         top: Optional[str] = None,
         verify: bool = False,
     ) -> Tuple[CheckReport, Dict[str, Any]]:
@@ -801,7 +764,7 @@ class ServerState:
         with self._lock:
             current = (session.layout, session.tree, session.digests)
         new_layout, new_tree, new_digests = self._load_version(
-            path, data, top or session.top, current
+            data, top or session.top, current
         )
 
         def runner() -> CheckReport:

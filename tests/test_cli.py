@@ -109,6 +109,7 @@ class TestInputErrors:
             "check-window": ["check-window", path, "0", "0", "10", "10"],
             "recheck": ["recheck", path, path],
             "stats": ["stats", path],
+            "serve": ["serve", "--port", "0"],
         }[command]
 
     @pytest.fixture()
@@ -134,10 +135,13 @@ class TestInputErrors:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
-    @pytest.mark.parametrize("command", ["check", "check-window", "recheck"])
+    @pytest.mark.parametrize("command", ["check", "check-window", "recheck", "serve"])
     def test_unusable_deck_exits_two(self, command, case, tmp_path, uart_gds, capsys):
+        """``serve`` loads its deck before it listens: a bad one exits 2
+        instead of failing every request."""
         deck, fragment = write_unusable_deck(tmp_path, case)
-        argv = self.argv(command, uart_gds) + ["--top", "top", "--deck", deck]
+        top = [] if command == "serve" else ["--top", "top"]
+        argv = self.argv(command, uart_gds) + top + ["--deck", deck]
         assert_input_error(argv, capsys, fragment)
 
     def test_the_process_exits_two(self, tmp_path):
@@ -218,6 +222,7 @@ class TestInputErrors:
             ["--breakdown"],
             ["--cache-dir", "cache"],
             ["--no-cache"],
+            ["--deck", "deck.py"],
         ],
         ids=" ".join,
     )

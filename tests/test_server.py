@@ -10,6 +10,7 @@ import struct
 import sys
 import threading
 import time
+import urllib.parse
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.client import (
 )
 from repro.core.engine import EngineOptions
 from repro.core.incremental import check_window
+from repro.core.rules import load_deck_file
 from repro.gdsii import read_layout, read_layout_bytes, write, write_bytes
 from repro.geometry import Rect
 from repro.layout import gdsii_from_layout
@@ -43,7 +45,6 @@ from .test_recheck import (
     edit_remove_top_polygon,
     edit_stdcell_definition,
 )
-from .test_rules_dsl import UNUSABLE_DECKS, write_unusable_deck
 
 
 @pytest.fixture()
@@ -53,6 +54,12 @@ def dirty_gds(tmp_path):
     path = tmp_path / "dirty.gds"
     write(gdsii_from_layout(layout), path)
     return str(path)
+
+
+@pytest.fixture()
+def dirty_bytes(dirty_gds):
+    """The dirty design's GDSII stream, as a client uploads it."""
+    return _read_bytes(dirty_gds)
 
 
 @pytest.fixture()
@@ -68,9 +75,50 @@ def edited_gds_pair(tmp_path):
 
 
 @pytest.fixture()
+def edited_bytes_pair(edited_gds_pair):
+    return tuple(_read_bytes(path) for path in edited_gds_pair)
+
+
+@pytest.fixture()
 def state():
     with ServerState() as st:
         yield st
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _renamed(data):
+    """The same layout under another library name: other bytes, same content."""
+    layout = read_layout_bytes(data)
+    layout.name = "renamed"
+    return write_bytes(gdsii_from_layout(layout))
+
+
+def _sentinel_deck(tmp_path):
+    """A deck file that, when run, creates a sentinel file: (deck, sentinel)."""
+    sentinel = tmp_path / "deck_ran"
+    deck = tmp_path / "deck.py"
+    deck.write_text(
+        f"open({str(sentinel)!r}, 'w').close()\n"
+        "from repro.workloads import asap7\n"
+        "RULES = asap7.full_deck()\n"
+    )
+    return str(deck), sentinel
+
+
+def _post(served, target, body, content_type):
+    """``(status, body bytes)`` of one POST to a served daemon."""
+    host, port = served.server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("POST", target, body, {"Content-Type": content_type})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
 
 
 def _cold_report(layout):
@@ -138,71 +186,71 @@ class TestSingleFlight:
 
 
 class TestSessions:
-    def test_content_addressed_reuse(self, state, dirty_gds):
-        first, created = state.create_session(path=dirty_gds, top="top")
-        again, created_again = state.create_session(path=dirty_gds, top="top")
+    def test_content_addressed_reuse(self, state, dirty_bytes):
+        first, created = state.create_session(data=dirty_bytes, top="top")
+        again, created_again = state.create_session(data=dirty_bytes, top="top")
         assert created and not created_again
         assert first.sid == again.sid
         assert state.counters["sessions_created"] == 1
         assert state.counters["sessions_reused"] == 1
 
-    def test_bytes_upload_lands_on_same_session(self, state, dirty_gds):
-        by_path, _ = state.create_session(path=dirty_gds, top="top")
-        with open(dirty_gds, "rb") as fh:
-            data = fh.read()
-        by_bytes, created = state.create_session(data=data, top="top")
+    def test_other_bytes_of_the_same_content_land_on_same_session(
+        self, state, dirty_bytes
+    ):
+        first, _ = state.create_session(data=dirty_bytes, top="top")
+        renamed = _renamed(dirty_bytes)
+        assert renamed != dirty_bytes
+        by_content, created = state.create_session(data=renamed, top="top")
         assert not created
-        assert by_bytes.sid == by_path.sid
+        assert by_content.sid == first.sid
         # Repeat upload short-circuits on the byte hash (no re-parse).
-        again, created = state.create_session(data=data, top="top")
-        assert not created and again.sid == by_path.sid
+        again, created = state.create_session(data=renamed, top="top")
+        assert not created and again.sid == first.sid
 
     def test_recheck_moves_a_session_off_its_creation_content(
         self, state, edited_gds_pair
     ):
         # A recheck moves the session to new content; loading the content
-        # it was created from again — by bytes or by path — must land on a
-        # session at that content, not on the moved one.
+        # it was created from again — the same bytes or other bytes of it —
+        # must land on a session at that content, not on the moved one.
         old_path, new_path = edited_gds_pair
-        with open(old_path, "rb") as fh:
-            old_bytes = fh.read()
+        old_bytes = _read_bytes(old_path)
         moved, _ = state.create_session(data=old_bytes, top="top")
-        state.recheck(moved.sid, path=new_path)
+        state.recheck(moved.sid, data=_read_bytes(new_path))
         local = _local_report(old_path).to_csv()
         assert local != _local_report(new_path).to_csv()
         by_bytes, created = state.create_session(data=old_bytes, top="top")
         assert created and by_bytes.sid != moved.sid
-        by_path, created = state.create_session(path=old_path, top="top")
-        assert not created and by_path.sid == by_bytes.sid
-        report, _ = state.check(by_path.sid)
+        by_content, created = state.create_session(data=_renamed(old_bytes), top="top")
+        assert not created and by_content.sid == by_bytes.sid
+        report, _ = state.check(by_content.sid)
         assert report.to_csv() == local
 
     def test_unknown_session_raises_404_error(self, state):
         with pytest.raises(UnknownSessionError):
             state.check("deadbeef")
 
-    def test_delete_session(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_delete_session(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         state.delete_session(session.sid)
         with pytest.raises(UnknownSessionError):
             state.session(session.sid)
 
-    def test_bad_severity_rejected(self, state, dirty_gds):
+    def test_bad_severity_rejected(self, state, dirty_bytes):
         with pytest.raises(BadRequestError):
             state.create_session(
-                path=dirty_gds, top="top", default_severity="fatal"
+                data=dirty_bytes, top="top", default_severity="fatal"
             )
 
-    def test_layout_source_validation(self, state):
-        with pytest.raises(BadRequestError):
-            state.create_session()
-        with pytest.raises(BadRequestError):
-            state.create_session(path="/nonexistent.gds")
+    def test_unreadable_upload_rejected(self, state, dirty_bytes):
+        for data in (b"", b"not a stream", dirty_bytes[:200]):
+            with pytest.raises(BadRequestError, match="cannot load layout"):
+                state.create_session(data=data, top="top")
 
 
 class TestServedChecks:
-    def test_served_report_matches_local_engine(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_served_report_matches_local_engine(self, state, dirty_gds, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         report, meta = state.check(session.sid)
         assert meta["source"] == "engine"
         local = _local_report(dirty_gds)
@@ -214,8 +262,8 @@ class TestServedChecks:
             r["violations"] for r in expected["results"]
         ]
 
-    def test_repeat_check_hits_report_lru(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_repeat_check_hits_report_lru(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         first, meta1 = state.check(session.sid)
         second, meta2 = state.check(session.sid)
         assert meta1["source"] == "engine"
@@ -224,8 +272,8 @@ class TestServedChecks:
         assert state.counters["engine_runs"] == 1
         assert state.counters["report_lru_hits"] == 1
 
-    def test_concurrent_identical_requests_one_engine_run(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_concurrent_identical_requests_one_engine_run(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         release = threading.Event()
         engine_calls = []
         real_check = state.engine.check
@@ -266,8 +314,8 @@ class TestServedChecks:
         reports = {id(report) for report, _ in outcomes}
         assert len(reports) == 1  # one report object fanned out to everyone
 
-    def test_check_window_clips_to_window(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_check_window_clips_to_window(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         full, _ = state.check(session.sid)
         region = full.results[0].violations or [
             v for r in full.results for v in r.violations
@@ -283,8 +331,8 @@ class TestServedChecks:
         with pytest.raises(BadRequestError):
             state.check_window(session.sid, [])
 
-    def test_check_window_rejects_bad_coordinates(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_check_window_rejects_bad_coordinates(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         with pytest.raises(BadRequestError):
             state.check_window(session.sid, [["abc", 0, 10, 10]])
         with pytest.raises(BadRequestError):
@@ -293,8 +341,8 @@ class TestServedChecks:
         with pytest.raises(BadRequestError):
             state.check_window(session.sid, [[0.5, 0, 10, 10]])
 
-    def test_check_window_never_becomes_session_baseline(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_check_window_never_becomes_session_baseline(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         # A windowed check on a never-checked session leaves no baseline...
         state.check_window(session.sid, [[0, 0, 10, 10]])
         assert session.report() is None
@@ -324,33 +372,37 @@ class TestServedChecks:
         new_path = tmp_path / "new.gds"
         write(gdsii_from_layout(new), new_path)
 
-        session, _ = state.create_session(path=str(old_path), top="top")
+        session, _ = state.create_session(data=_read_bytes(old_path), top="top")
         full, _ = state.check(session.sid)
         assert full.total_violations > 0
         state.check_window(session.sid, [[0, 0, 10, 10]])
-        report, _ = state.recheck(session.sid, path=str(new_path))
+        report, _ = state.recheck(session.sid, data=_read_bytes(new_path))
         local = _local_report(str(new_path))
         assert report.to_csv() == local.to_csv()
 
     def test_recheck_builds_only_the_new_versions_tree(
-        self, state, edited_gds_pair, built_trees
+        self, state, edited_gds_pair, edited_bytes_pair, built_trees
     ):
         old_path, new_path = edited_gds_pair
-        session, _ = state.create_session(path=old_path, top="top")
+        old_bytes, new_bytes = edited_bytes_pair
+        session, _ = state.create_session(data=old_bytes, top="top")
         state.check(session.sid)
         built_trees.clear()
-        report, meta = state.recheck(session.sid, path=new_path)
+        report, meta = state.recheck(session.sid, data=new_bytes)
         # The session already holds the old version's tree and digests.
         assert built_trees == [session.layout]
         assert "windowed" in meta["recheck"]["disposition"].values()
         assert report.to_csv() == _local_report(new_path).to_csv()
 
-    def test_recheck_advances_session_version(self, state, edited_gds_pair):
+    def test_recheck_advances_session_version(
+        self, state, edited_gds_pair, edited_bytes_pair
+    ):
         old_path, new_path = edited_gds_pair
-        session, _ = state.create_session(path=old_path, top="top")
+        old_bytes, new_bytes = edited_bytes_pair
+        session, _ = state.create_session(data=old_bytes, top="top")
         state.check(session.sid)
         assert session.version == 1
-        report, meta = state.recheck(session.sid, path=new_path, verify=True)
+        report, meta = state.recheck(session.sid, data=new_bytes, verify=True)
         assert session.version == 2
         assert "recheck" in meta
         local = _local_report(new_path)
@@ -605,9 +657,9 @@ class TestOneAnswerTier:
 
 
 class TestViolationsFiltering:
-    def test_severity_rule_and_bbox_filters(self, state, dirty_gds):
+    def test_severity_rule_and_bbox_filters(self, state, dirty_bytes):
         session, _ = state.create_session(
-            path=dirty_gds,
+            data=dirty_bytes,
             top="top",
             severities={"M2.S.1": "warning"},
             default_severity="error",
@@ -631,8 +683,8 @@ class TestViolationsFiltering:
         far = state.violations(session.sid, bbox=[10**8, 10**8, 10**8 + 1, 10**8 + 1])
         assert far["total"] == 0
 
-    def test_bad_filters_rejected(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_bad_filters_rejected(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         with pytest.raises(BadRequestError):
             state.violations(session.sid, severity="fatal")
         with pytest.raises(BadRequestError):
@@ -642,8 +694,8 @@ class TestViolationsFiltering:
         with pytest.raises(BadRequestError):
             state.violations(session.sid, bbox=[0, 0, "x", 1])
 
-    def test_stats_shape(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_stats_shape(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         state.check(session.sid)
         stats = state.stats()
         assert stats["sessions"] == 1
@@ -669,8 +721,8 @@ class TestHTTP:
         assert client.health()["status"] == "ok"
         assert "counters" in client.stats()
 
-    def test_full_check_round_trip(self, served, client, dirty_gds):
-        info = client.create_session(path=dirty_gds, top="top")
+    def test_full_check_round_trip(self, served, client, dirty_gds, dirty_bytes):
+        info = client.create_session(data=dirty_bytes, top="top")
         assert info["created"] is True
         response = client.check(info["session"])
         local = _local_report(dirty_gds)
@@ -683,11 +735,9 @@ class TestHTTP:
         served_json = json.dumps(response["report"], indent=2, sort_keys=True)
         assert json.loads(served_json) == response["report"]
 
-    def test_upload_bytes_round_trip(self, client, dirty_gds):
-        with open(dirty_gds, "rb") as fh:
-            data = fh.read()
-        info = client.create_session(data=data, top="top")
-        repeat = client.create_session(data=data, top="top")
+    def test_upload_bytes_round_trip(self, client, dirty_bytes):
+        info = client.create_session(data=dirty_bytes, top="top")
+        repeat = client.create_session(data=dirty_bytes, top="top")
         assert repeat["session"] == info["session"]
         assert repeat["created"] is False
         violations = client.violations(info["session"], severity="error")
@@ -698,17 +748,15 @@ class TestHTTP:
             client.check("deadbeef")
         assert excinfo.value.status == 404
         with pytest.raises(ClientError) as excinfo:
-            client.create_session(path="/nonexistent.gds")
+            client.create_session(data=b"not a stream")
         assert excinfo.value.status == 400
         with pytest.raises(ClientError) as excinfo:
             client._request("GET", "/no/such/route")
         assert excinfo.value.status == 404
 
-    def test_a_multi_root_upload_is_a_typed_400(self, client, dirty_gds, caplog):
-        with open(dirty_gds, "rb") as fh:
-            data = fh.read()
+    def test_a_multi_root_upload_is_a_typed_400(self, client, dirty_bytes, caplog):
         with pytest.raises(ClientError) as excinfo:
-            client.create_session(data=data)  # no top=
+            client.create_session(data=dirty_bytes)  # no top=
         assert excinfo.value.status == 400
         assert (
             "has 2 root cells (AOI21x1, top); pick the one to check with --top/top="
@@ -716,41 +764,109 @@ class TestHTTP:
         )
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
-    def test_a_missing_deck_is_a_typed_400(self, client, dirty_gds, caplog):
-        with pytest.raises(ClientError) as excinfo:
-            client.create_session(path=dirty_gds, top="top", deck="/missing.py")
-        assert excinfo.value.status == 400
-        assert "cannot read deck /missing.py" in str(excinfo.value)
-        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
-
-    @pytest.mark.parametrize("case", list(UNUSABLE_DECKS))
-    def test_an_unusable_deck_is_a_typed_400(
-        self, client, dirty_gds, tmp_path, case, caplog
+    def test_a_deck_in_the_query_is_a_typed_400_and_never_runs(
+        self, served, client, dirty_bytes, tmp_path, caplog
     ):
-        deck, fragment = write_unusable_deck(tmp_path, case)
-        with pytest.raises(ClientError) as excinfo:
-            client.create_session(path=dirty_gds, top="top", deck=deck)
-        assert excinfo.value.status == 400
-        assert fragment in str(excinfo.value) and deck in str(excinfo.value)
+        deck, sentinel = _sentinel_deck(tmp_path)
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
+        query = urllib.parse.urlencode({"top": "top", "deck": deck})
+        for target in (f"/sessions?{query}", f"/sessions/{sid}/recheck?{query}"):
+            status, body = _post(served, target, dirty_bytes, "application/octet-stream")
+            assert status == 400, target
+            error = json.loads(body)["error"]
+            assert "the ASAP7 benchmark deck" in error and "deck=" in error
+        assert [s["session"] for s in client.sessions()] == [sid]
+        assert client.session(sid)["version"] == 1
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+        assert not sentinel.exists()
+        load_deck_file(deck)  # the deck does write its sentinel when it runs
+        assert sentinel.exists()
+
+    def test_a_deck_refusal_names_the_daemons_own_deck(self, dirty_bytes, tmp_path):
+        deck = tmp_path / "tight.py"
+        deck.write_text(
+            "from repro.core.rules import layer\n"
+            "RULES = [layer(20).spacing().greater_than(60)]\n"
+        )
+        with start_server(ServerState(deck_path=str(deck))) as handle:
+            status, body = _post(
+                handle, "/sessions?top=top&deck=other.py", dirty_bytes,
+                "application/octet-stream",
+            )
+        assert status == 400 and f"({deck})" in json.loads(body)["error"]
+
+    def test_a_json_layout_body_is_a_typed_400_that_reads_nothing(
+        self, served, client, dirty_gds, dirty_bytes, tmp_path, caplog
+    ):
+        deck, sentinel = _sentinel_deck(tmp_path)
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
+        bodies = {
+            "deck": {"path": dirty_gds, "top": "top", "deck": deck},
+            "readable path": {"path": dirty_gds, "top": "top"},
+            "missing path": {"path": str(tmp_path / "nosuch.gds"), "top": "top"},
+        }
+        replies = set()
+        for name, body in bodies.items():
+            for target in ("/sessions", f"/sessions/{sid}/recheck"):
+                status, reply = _post(
+                    served, target, json.dumps(body).encode(), "application/json"
+                )
+                assert status == 400, (name, target)
+                replies.add(reply)
+        # One reply for all of them: it cannot tell a readable file from a
+        # missing one, and it names the shape a layout must take.
+        assert len(replies) == 1
+        assert "application/octet-stream" in json.loads(replies.pop())["error"]
+        assert [s["session"] for s in client.sessions()] == [sid]
+        assert client.session(sid)["version"] == 1
+        assert not sentinel.exists()
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
-    def test_delete_and_sessions_listing(self, client, dirty_gds):
-        info = client.create_session(path=dirty_gds, top="top")
+    def test_severities_ride_an_upload(self, client, dirty_bytes):
+        rule = asap7.rule_name("S", asap7.M2)
+        info = client.create_session(
+            data=dirty_bytes, top="top", severities={rule: "warning"}
+        )
+        assert info["created"] and info["severities"][rule] == "warning"
+        assert client.session(info["session"])["severities"][rule] == "warning"
+        plain = client.create_session(data=dirty_bytes, top="top")
+        assert plain["created"] and plain["session"] != info["session"]
+        assert plain["severities"][rule] == "error"
+        listing = client.violations(info["session"], severity="warning")
+        assert listing["total"] > 0
+        assert {row["rule"] for row in listing["violations"]} == {rule}
+
+    @pytest.mark.parametrize(
+        "raw", ["not json", "[1]", '"warning"', '{"M2.S.1": 1}', '{"M2.S.1": null}']
+    )
+    def test_malformed_severities_are_a_typed_400(self, served, dirty_bytes, raw, caplog):
+        query = urllib.parse.urlencode({"top": "top", "severities": raw})
+        status, body = _post(
+            served, f"/sessions?{query}", dirty_bytes, "application/octet-stream"
+        )
+        assert status == 400
+        assert json.loads(body) == {
+            "error": f"severities must be a JSON object of rule name to severity, got {raw!r}"
+        }
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
+    def test_delete_and_sessions_listing(self, client, dirty_bytes):
+        info = client.create_session(data=dirty_bytes, top="top")
         assert any(s["session"] == info["session"] for s in client.sessions())
         client.delete_session(info["session"])
         assert client.sessions() == []
 
-    def test_bad_window_coordinates_are_400_not_500(self, client, dirty_gds):
-        info = client.create_session(path=dirty_gds, top="top")
+    def test_bad_window_coordinates_are_400_not_500(self, client, dirty_bytes):
+        info = client.create_session(data=dirty_bytes, top="top")
         with pytest.raises(ClientError) as excinfo:
             client.check_window(info["session"], [["abc", 0, 10, 10]])
         assert excinfo.value.status == 400
 
-    def test_kept_alive_requests_answer_without_delayed_ack_stalls(self, served, client, dirty_gds):
+    def test_kept_alive_requests_answer_without_delayed_ack_stalls(self, served, client, dirty_bytes):
         # Headers and body in one send, TCP_NODELAY on: with either missing,
         # each response on a kept-alive connection waits ~40 ms on the
         # client's delayed ACK.
-        sid = client.create_session(path=dirty_gds, top="top")["session"]
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
         client.check(sid)
         listing = f"/sessions/{sid}/violations?severity=error"
         expected = json.dumps(served.state.violations(sid, severity="error"), sort_keys=True)
@@ -769,8 +885,8 @@ class TestHTTP:
         finally:
             conn.close()
 
-    def test_an_inverted_bbox_is_a_400(self, client, dirty_gds):
-        sid = client.create_session(path=dirty_gds, top="top")["session"]
+    def test_an_inverted_bbox_is_a_400(self, client, dirty_bytes):
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
         with pytest.raises(ClientError) as excinfo:
             client.violations(sid, bbox=[500, 500, 0, 0])
         assert excinfo.value.status == 400
@@ -791,11 +907,6 @@ class TestHTTP:
             "error": f"Content-Length {declared!r} rejected (0 to {MAX_BODY_BYTES} bytes)"
         }
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
-
-    def test_client_rejects_severities_with_raw_upload(self):
-        client = ServeClient("http://127.0.0.1:1")  # never contacted
-        with pytest.raises(ValueError):
-            client.create_session(data=b"\x00\x06", severities={"R": "warning"})
 
     def test_shutdown_drains_idle_keepalive_connection(self, monkeypatch):
         from repro.server.http import DrcRequestHandler
@@ -866,19 +977,33 @@ class TestHTTP:
         assert replies and "counters" in replies[0]
         client.close()
 
-    def test_recheck_over_http(self, client, edited_gds_pair):
+    def test_recheck_over_http(self, client, edited_gds_pair, edited_bytes_pair):
         old_path, new_path = edited_gds_pair
-        info = client.create_session(path=old_path, top="top")
+        old_bytes, new_bytes = edited_bytes_pair
+        info = client.create_session(data=old_bytes, top="top")
         client.check(info["session"])
-        response = client.recheck(info["session"], path=new_path, verify=True)
+        response = client.recheck(info["session"], data=new_bytes, verify=True)
         assert response["meta"]["recheck"]["cache_hit"] is False
         local = _local_report(new_path)
         assert report_json_to_csv(response["report"]) == local.to_csv()
 
 
 class TestCLIServer:
-    def test_check_via_server_matches_local(self, dirty_gds, capsys):
-        state = ServerState()
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    @pytest.mark.parametrize("tight", [False, True], ids=["asap7", "tight"])
+    def test_check_via_server_matches_local(self, dirty_gds, tmp_path, mode, tight, capsys):
+        """A daemon started with ``--deck`` serves what a local check of that
+        deck prints, in both modes."""
+        deck = []
+        if tight:
+            path = tmp_path / "tight.py"
+            path.write_text(
+                "from repro.core.rules import layer\n"
+                "RULES = [layer(20).spacing().greater_than(60),"
+                " layer(30).spacing().greater_than(55)]\n"
+            )
+            deck = ["--deck", str(path)]
+        state = ServerState(EngineOptions(mode=mode), deck_path=deck[-1] if deck else None)
         with start_server(state) as handle:
             code = main(
                 ["check", dirty_gds, "--top", "top", "--server", handle.url,
@@ -886,9 +1011,10 @@ class TestCLIServer:
             )
             served_out = capsys.readouterr().out
         assert code == 1  # dirty design: violations found
-        main(["check", dirty_gds, "--top", "top", "--format", "csv"])
+        main(["check", dirty_gds, "--top", "top", "--mode", mode, *deck, "--format", "csv"])
         local_out = capsys.readouterr().out
         assert served_out == local_out
+        assert len(served_out.splitlines()) > 1
 
     def test_check_via_server_closes_its_client(self, dirty_gds, monkeypatch, capsys):
         closed = []
@@ -928,7 +1054,7 @@ class TestKeptAliveClient:
         with start_server(ServerState()) as handle:
             yield handle
 
-    def test_threads_share_a_client_on_one_connection_each(self, dirty_gds, monkeypatch):
+    def test_threads_share_a_client_on_one_connection_each(self, dirty_bytes, monkeypatch):
         from repro.server.http import DrcRequestHandler
 
         connections = []
@@ -941,7 +1067,7 @@ class TestKeptAliveClient:
         monkeypatch.setattr(DrcRequestHandler, "setup", counting)
         queries = [{}, {"severity": "error"}, {"rules": [asap7.rule_name("S", asap7.M2)]}, {"bbox": [0, 0, 5000, 5000]}]
         with start_server(ServerState()) as handle, ServeClient(handle.url) as client:
-            sid = client.create_session(path=dirty_gds, top="top")["session"]
+            sid = client.create_session(data=dirty_bytes, top="top")["session"]
             report = json.dumps(client.check(sid)["report"], sort_keys=True)
             expected = [json.dumps(client.violations(sid, **q), sort_keys=True) for q in queries]
             answers, errors = [], []
@@ -973,7 +1099,7 @@ class TestKeptAliveClient:
         assert len(connections) <= 1 + len(threads)
 
     def test_a_connection_closed_while_idle_is_reopened_without_a_replay(
-        self, edited_gds_pair, monkeypatch
+        self, edited_gds_pair, edited_bytes_pair, monkeypatch
     ):
         from repro.server.http import DrcRequestHandler
 
@@ -984,13 +1110,14 @@ class TestKeptAliveClient:
             DrcRequestHandler, "setup", lambda handler: (connections.append(1), setup(handler))
         )
         old_path, new_path = edited_gds_pair
+        old_bytes, new_bytes = edited_bytes_pair
         with start_server(ServerState()) as handle, ServeClient(handle.url) as client:
-            sid = client.create_session(path=old_path, top="top")["session"]
+            sid = client.create_session(data=old_bytes, top="top")["session"]
             client.check(sid)
             version = client.session(sid)["version"]
             assert len(connections) == 1
             time.sleep(0.6)  # the daemon times the idle connection out
-            response = client.recheck(sid, path=new_path)
+            response = client.recheck(sid, data=new_bytes)
             assert response["meta"]["recheck"]["cache_hit"] is False
             assert client.session(sid)["version"] == version + 1
             assert len(connections) == 2
@@ -1135,13 +1262,13 @@ def dirty_gds_b(tmp_path):
 
 
 class TestConcurrentServing:
-    def test_distinct_sessions_run_concurrently(self, dirty_gds, dirty_gds_b):
+    def test_distinct_sessions_run_concurrently(self, dirty_bytes, dirty_gds_b):
         # Two sessions, max_concurrent=2: both engine runs must be inside
         # the engine at the same instant (the barrier would time out and
         # fail the test under the old global engine lock).
         with ServerState(max_concurrent=2) as state:
-            s1, _ = state.create_session(path=dirty_gds, top="top")
-            s2, _ = state.create_session(path=dirty_gds_b, top="top")
+            s1, _ = state.create_session(data=dirty_bytes, top="top")
+            s2, _ = state.create_session(data=_read_bytes(dirty_gds_b), top="top")
             assert s1.sid != s2.sid
             both_inside = threading.Barrier(2)
             real_check = state.engine.check
@@ -1173,15 +1300,15 @@ class TestConcurrentServing:
 
     @pytest.mark.parametrize("max_concurrent", [1, 2, 4])
     def test_byte_identical_reports_at_any_concurrency(
-        self, dirty_gds, dirty_gds_b, max_concurrent
+        self, dirty_gds, dirty_bytes, dirty_gds_b, max_concurrent
     ):
         # The acceptance gate: served reports are byte-identical to a local
         # engine run at every concurrency level, under concurrent clients.
         local_a = _local_report(dirty_gds)
         local_b = _local_report(dirty_gds_b)
         with ServerState(max_concurrent=max_concurrent) as state:
-            s1, _ = state.create_session(path=dirty_gds, top="top")
-            s2, _ = state.create_session(path=dirty_gds_b, top="top")
+            s1, _ = state.create_session(data=dirty_bytes, top="top")
+            s2, _ = state.create_session(data=_read_bytes(dirty_gds_b), top="top")
             results = []
             errors = []
 
@@ -1211,25 +1338,25 @@ class TestConcurrentServing:
             assert not errors
             assert results == [True] * 4
 
-    def test_identical_recheck_bypasses_admission(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_identical_recheck_bypasses_admission(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         first, _ = state.check(session.sid)
         assert state.counters["engine_runs"] == 1
         # Same bytes again: digest-identical content, splice-only recheck.
-        report, meta = state.recheck(session.sid, path=dirty_gds)
+        report, meta = state.recheck(session.sid, data=dirty_bytes)
         assert meta["recheck"]["clean"] is True
         assert report.to_csv() == first.to_csv()
         assert state.counters["admission_bypassed"] == 1
         assert state.counters["engine_runs"] == 1  # no new engine run
         # verify=True is a full cold check: it must NOT bypass.
-        state.recheck(session.sid, path=dirty_gds, verify=True)
+        state.recheck(session.sid, data=dirty_bytes, verify=True)
         assert state.counters["admission_bypassed"] == 1
         assert state.counters["engine_runs"] == 2
 
 
 class TestStatsExtended:
-    def test_percentiles_requests_and_gauges(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_percentiles_requests_and_gauges(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         state.check(session.sid)
         state.check(session.sid)  # LRU hit; still a request
         stats = state.stats()
@@ -1244,8 +1371,8 @@ class TestStatsExtended:
         assert stats["max_active_seen"] == 1
         assert stats["counters"]["admission_bypassed"] == 0
 
-    def test_single_sample_percentiles_degenerate(self, state, dirty_gds):
-        session, _ = state.create_session(path=dirty_gds, top="top")
+    def test_single_sample_percentiles_degenerate(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
         state.check(session.sid)
         check = state.stats()["latency"]["check"]
         assert check["count"] == 1

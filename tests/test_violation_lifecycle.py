@@ -72,6 +72,13 @@ def dirty_gds(tmp_path):
 
 
 @pytest.fixture()
+def dirty_bytes(dirty_gds):
+    """The dirty layout's GDSII stream, as a client uploads it."""
+    with open(dirty_gds, "rb") as fh:
+        return fh.read()
+
+
+@pytest.fixture()
 def deck_file(tmp_path):
     """A deck file whose spacing rule is demoted to warning severity."""
     path = tmp_path / "deck.py"
@@ -454,7 +461,7 @@ class TestWaiveCommand:
 
 
 class TestViolationsCommand:
-    def test_local_filtering_matches_served(self, dirty_gds, tmp_path, capsys):
+    def test_local_filtering_matches_served(self, dirty_gds, dirty_bytes, tmp_path, capsys):
         from repro.server import ServerState
 
         markers = tmp_path / "markers.json"
@@ -467,14 +474,14 @@ class TestViolationsCommand:
         local = json.loads(capsys.readouterr().out)
         assert code == 0
         with ServerState() as state:
-            session, _ = state.create_session(path=dirty_gds, top="top")
+            session, _ = state.create_session(data=dirty_bytes, top="top")
             served = state.violations(session.sid, rules=["M2.S.1"])
         assert json.dumps(local, sort_keys=True) == json.dumps(
             {"total": served["total"], "violations": served["violations"]},
             sort_keys=True,
         )
 
-    def test_inverted_bbox_is_rejected_as_the_daemon_rejects_it(self, dirty_gds, tmp_path, capsys):
+    def test_inverted_bbox_is_rejected_as_the_daemon_rejects_it(self, dirty_bytes, tmp_path, capsys):
         from repro.server import BadRequestError, ServerState
 
         markers = tmp_path / "m.json"
@@ -484,7 +491,7 @@ class TestViolationsCommand:
         assert excinfo.value.code == 2
         local = capsys.readouterr().err.strip()
         with ServerState() as state:
-            session, _ = state.create_session(path=dirty_gds, top="top")
+            session, _ = state.create_session(data=dirty_bytes, top="top")
             with pytest.raises(BadRequestError) as served:
                 state.violations(session.sid, bbox=[500, 500, 0, 0])
         assert local == f"repro: error: {served.value}"
@@ -514,37 +521,37 @@ class TestViolationsCommand:
 
 
 class TestServedLifecycle:
-    def test_session_severity_overrides_live_on_rules(self, dirty_gds):
+    def test_session_severity_overrides_live_on_rules(self, dirty_bytes):
         from repro.server import ServerState
 
         with ServerState() as state:
             session, _ = state.create_session(
-                path=dirty_gds, top="top",
+                data=dirty_bytes, top="top",
                 severities={"M2.S.1": "warning"},
             )
             by_name = {r.name: r.severity for r in session.rules}
             assert by_name["M2.S.1"] == "warning"
             assert session.info()["severities"]["M2.S.1"] == "warning"
             # Different severities → different content address.
-            plain, created = state.create_session(path=dirty_gds, top="top")
+            plain, created = state.create_session(data=dirty_bytes, top="top")
             assert created and plain.sid != session.sid
 
-    def test_unknown_severity_rule_rejected(self, dirty_gds):
+    def test_unknown_severity_rule_rejected(self, dirty_bytes):
         from repro.server import ServerState
         from repro.server.state import BadRequestError
 
         with ServerState() as state:
             with pytest.raises(BadRequestError):
                 state.create_session(
-                    path=dirty_gds, top="top", severities={"nope": "warning"}
+                    data=dirty_bytes, top="top", severities={"nope": "warning"}
                 )
 
-    def test_served_severity_filter_matches_local(self, dirty_gds):
+    def test_served_severity_filter_matches_local(self, dirty_bytes):
         from repro.server import ServerState
 
         with ServerState() as state:
             session, _ = state.create_session(
-                path=dirty_gds, top="top", default_severity="warning"
+                data=dirty_bytes, top="top", default_severity="warning"
             )
             state.check(session.sid)
             served = state.violations(session.sid, severity="warning")
