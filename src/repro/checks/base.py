@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Point, Polygon, Rect
 from ..geometry.polygon import is_rectangle_ring
@@ -132,186 +132,3 @@ def violation_sort_key(v: Violation):
 def sort_violations(violations: Sequence[Violation]) -> List[Violation]:
     """Canonical report order (see :func:`violation_sort_key`)."""
     return sorted(violations, key=violation_sort_key)
-
-
-# ---------------------------------------------------------------------------
-# Flat per-kind check registry
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class FlatCheck:
-    """Flat (pre-gathered geometry) check procedure of one rule kind.
-
-    ``run(rule, layout, gather)`` receives the rule, the layout (for
-    all-layer rules), and a *gather* callable with the signature
-    ``gather(layer, margin) -> List[Polygon]`` plus ``gather.rect(layer,
-    rect)`` and ``gather.window`` attributes, and returns the violations of
-    the gathered sub-population. This is the windowed procedure's executable
-    form of a rule kind; the hierarchical backends attach their own
-    strategies to the same kind in :mod:`repro.core.plan`.
-    """
-
-    kind: str
-    run: Callable
-
-
-class CheckRegistry:
-    """Kind-indexed registry of check procedures.
-
-    Keys are :class:`~repro.core.rules.RuleKind` values (their ``.value``
-    strings, so this module needs no import of the rule DSL). This registry
-    plus the strategy table in :mod:`repro.core.plan` replace the three
-    per-checker dispatch tables the sequential, parallel, and incremental
-    paths used to maintain independently.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, FlatCheck] = {}
-
-    @staticmethod
-    def _key(kind) -> str:
-        return getattr(kind, "value", kind)
-
-    def register(self, kind, run: Callable) -> None:
-        key = self._key(kind)
-        if key in self._entries:
-            raise ValueError(f"check for kind {key!r} already registered")
-        self._entries[key] = FlatCheck(key, run)
-
-    def get(self, kind) -> FlatCheck:
-        _ensure_default_checks()
-        try:
-            return self._entries[self._key(kind)]
-        except KeyError:
-            raise NotImplementedError(
-                f"no flat check registered for rule kind {self._key(kind)!r}"
-            ) from None
-
-    def __contains__(self, kind) -> bool:
-        _ensure_default_checks()
-        return self._key(kind) in self._entries
-
-    def kinds(self) -> List[str]:
-        _ensure_default_checks()
-        return sorted(self._entries)
-
-
-#: The flat checks every windowed/flat execution path dispatches through.
-FLAT_CHECKS = CheckRegistry()
-
-
-def _layers_of(rule, layout) -> List[int]:
-    return [rule.layer] if rule.layer is not None else layout.layers()
-
-
-def _flat_width(rule, layout, gather):
-    from .width import check_width
-
-    return check_width(gather(rule.layer, 0), rule.layer, rule.value)
-
-
-def _flat_area(rule, layout, gather):
-    from .area import check_area
-
-    return check_area(gather(rule.layer, 0), rule.layer, rule.value)
-
-
-def _flat_spacing(rule, layout, gather):
-    from .spacing import check_spacing
-
-    return check_spacing(gather(rule.layer, rule.value), rule.layer, rule.value)
-
-
-def _flat_corner_spacing(rule, layout, gather):
-    from .corner import check_corner_spacing
-
-    return check_corner_spacing(
-        gather(rule.layer, rule.value), rule.layer, rule.value
-    )
-
-
-def _flat_enclosure(rule, layout, gather):
-    from .enclosure import check_enclosure
-
-    return check_enclosure(
-        gather(rule.layer, rule.value),
-        gather(rule.other_layer, rule.value),
-        rule.layer,
-        rule.other_layer,
-        rule.value,
-    )
-
-
-def _flat_min_overlap(rule, layout, gather):
-    from ..geometry import union_all
-    from .overlap import check_min_overlap
-
-    tops = gather(rule.layer, 0)
-    # Base partners only matter where they intersect a gathered top polygon,
-    # which can extend beyond the window: gather the base layer over the
-    # union of the window and every gathered top MBR.
-    reach = union_all([gather.window] + [p.mbr for p in tops])
-    bases = gather.rect(rule.other_layer, reach)
-    return check_min_overlap(tops, bases, rule.layer, rule.other_layer, rule.value)
-
-
-def _flat_rectilinear(rule, layout, gather):
-    from .rectilinear import check_rectilinear
-
-    out: List[Violation] = []
-    for layer in _layers_of(rule, layout):
-        out.extend(check_rectilinear(gather(layer, 0), layer))
-    return out
-
-
-def _flat_ensures(rule, layout, gather):
-    from .ensure import check_ensures
-
-    out: List[Violation] = []
-    for layer in _layers_of(rule, layout):
-        out.extend(check_ensures(gather(layer, 0), layer, rule.predicate))
-    return out
-
-
-def _flat_coloring(rule, layout, gather):
-    """Windowed coloring via conflict-component closure.
-
-    Coloring is a global graph property, but conflict edges are shorter
-    than the rule distance, so growing the gather window by the rule value
-    until no new polygon appears captures *complete* conflict components —
-    on that closed sub-population the 2-coloring verdict (and every odd-
-    cycle marker overlapping the original window) matches the full check.
-    """
-    from .coloring import check_two_colorable
-
-    window = gather.window.inflated(rule.value)
-    while True:
-        polygons = gather.rect(rule.layer, window)
-        grown = window
-        for p in polygons:
-            grown = grown.union(p.mbr.inflated(rule.value))
-        if grown == window:
-            break
-        window = grown
-    polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
-    return check_two_colorable(polygons, rule.layer, rule.value)
-
-
-_DEFAULTS_REGISTERED = False
-
-
-def _ensure_default_checks() -> None:
-    global _DEFAULTS_REGISTERED
-    if _DEFAULTS_REGISTERED:
-        return
-    _DEFAULTS_REGISTERED = True
-    FLAT_CHECKS.register("width", _flat_width)
-    FLAT_CHECKS.register("area", _flat_area)
-    FLAT_CHECKS.register("spacing", _flat_spacing)
-    FLAT_CHECKS.register("corner_spacing", _flat_corner_spacing)
-    FLAT_CHECKS.register("enclosure", _flat_enclosure)
-    FLAT_CHECKS.register("min_overlap", _flat_min_overlap)
-    FLAT_CHECKS.register("rectilinear", _flat_rectilinear)
-    FLAT_CHECKS.register("ensures", _flat_ensures)
-    FLAT_CHECKS.register("coloring", _flat_coloring)

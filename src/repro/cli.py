@@ -137,23 +137,14 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _report_format(args: argparse.Namespace) -> str:
-    """The output format: --format wins; legacy --csv still works."""
-    fmt = getattr(args, "format", None)
-    if fmt:
-        return fmt
-    return "csv" if getattr(args, "csv", False) else "summary"
-
-
 def _print_report(report, args: argparse.Namespace) -> None:
-    fmt = _report_format(args)
-    if fmt == "csv":
+    if args.format == "csv":
         print(
             report.to_csv(
                 expand_instances=getattr(args, "expand_instances", False)
             )
         )
-    elif fmt == "json":
+    elif args.format == "json":
         print(report.to_json())
     else:
         print(report.summary())
@@ -274,14 +265,13 @@ def _served_check(args: argparse.Namespace) -> int:
             raise _input_error(
                 f"bad waiver file {args.waivers}: {error}"
             ) from None
-    fmt = _report_format(args)
-    if fmt == "csv":
+    if args.format == "csv":
         print(
             report_json_to_csv(
                 payload, expand_instances=args.expand_instances
             )
         )
-    elif fmt == "json":
+    elif args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report_json_summary(payload))
@@ -310,7 +300,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         save_markers(report, args.output)
         print(f"wrote marker database: {args.output}")
     _print_report(report, args)
-    if _report_format(args) == "summary":
+    if args.format == "summary":
         # This engine's store was asked once, by the check above.
         if engine.reports is not None and engine.reports.hits:
             print("source: report-cache")
@@ -379,7 +369,7 @@ def cmd_recheck(args: argparse.Namespace) -> int:
         # waived spliced report is byte-identical to a waived cold check.
         report = _apply_waiver_file(report, args.waivers)
     diff = outcome.diff
-    if _report_format(args) == "summary":
+    if args.format == "summary":
         if diff.is_clean:
             print("diff: clean (all per-layer geometry digests match)")
         elif diff.full:
@@ -438,7 +428,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         for key in totals:
             totals[key] += counts[key]
     regressions = totals["new"] - totals["new_waived"]
-    if _report_format(args) == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {"rules": diff, "totals": totals, "regressions": regressions},
@@ -613,13 +603,8 @@ def _add_format_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=["summary", "csv", "json"],
-        default=None,
+        default="summary",
         help="report output format (default: summary)",
-    )
-    parser.add_argument(
-        "--csv",
-        action="store_true",
-        help="print CSV markers (shorthand for --format csv)",
     )
     parser.add_argument(
         "--expand-instances",
@@ -731,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--format",
         choices=["summary", "json"],
-        default=None,
+        default="summary",
         help="diff output format (default: summary)",
     )
-    diff.set_defaults(func=cmd_diff, csv=False)
+    diff.set_defaults(func=cmd_diff)
 
     waive = sub.add_parser(
         "waive",

@@ -11,13 +11,11 @@ brute-force threshold ride the batched brute-force lane, larger ones the
 segmented sweepline lane.
 
 That launch has one definition per rule kind (:func:`launch_pair_rows`,
-:func:`launch_corner_rows`, :func:`launch_enclosure_rows`), reached through
-:func:`run_row_task`: a pure function of the segmented buffers.
-
-Device work is issued through :class:`~repro.gpu.executor.StreamExecutor`
-policies (Listing 2's stream executor): one executor wraps each stream, and
-every copy/launch in this module goes through it, so swapping the executor
-swaps where the work lands.
+:func:`launch_corner_rows`, :func:`launch_enclosure_rows`), each a pure
+function of the segmented buffers and the streams it issues on. The
+backend holds ``NUM_STREAMS`` streams (:class:`~repro.gpu.device.Stream`)
+of its device and issues every copy and launch on them; host packing is
+recorded on the device's timeline.
 
 Every device buffer is expanded from the plan's one
 :class:`~repro.hierarchy.edgepack.InstanceTable` — a definition's ring
@@ -31,9 +29,11 @@ Intra-polygon rules do not need rows: they run one batched kernel over the
 *unique cell definitions* (the hierarchy memoisation of §IV-C) and
 instantiate the per-definition hits through every placement.
 
-Per-rule-kind dispatch resolves through :func:`~repro.core.plan.kind_spec`;
-kinds with no data-parallel strategy (``spec.parallel is None``) delegate to
-a sequential backend sharing this plan's caches.
+Per-rule-kind dispatch resolves through :func:`~repro.core.plan.kind_spec`:
+a kind's ``spec.parallel`` names the ``_run_<name>`` method that packs,
+launches and tabulates it, and kinds with no data-parallel strategy
+(``spec.parallel is None``) delegate to a sequential backend sharing this
+plan's caches.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ from ..hierarchy.edgepack import (
 )
 from ..hierarchy.pruning import LevelItem
 from ..spatial.sweepline import iter_bipartite_overlaps
-from ..gpu.device import Device
-from ..gpu.executor import StreamExecutor
+from ..gpu.device import Device, Stream
 from ..gpu.kernels import (
     CornerBuffer,
     CornerHits,
@@ -85,19 +84,19 @@ from ..util.profile import (
 from ..violation_table import ViolationTable
 from .plan import CheckPlan, PackCache, kind_spec
 from .results import Violations
-from .rules import Rule, RuleKind
+from .rules import Rule
 
 __all__ = [
     "BRUTE_FORCE_THRESHOLD",
     "EnclosureBuffer",
     "PackCache",
     "ParallelBackend",
-    "ROW_KINDS",
-    "RowWork",
     "corner_hits_to_violations",
     "enclosure_margins_to_violations",
+    "launch_corner_rows",
+    "launch_enclosure_rows",
+    "launch_pair_rows",
     "pair_hits_to_violations",
-    "run_row_task",
 ]
 
 #: Edge count at or below which a segment rides the brute-force lane (§IV-E).
@@ -109,6 +108,9 @@ BRUTE_FORCE_THRESHOLD = 256
 NUM_STREAMS = 2
 
 _INT = np.int64
+
+#: An enclosure row left for the host: its via items and its metal items.
+HostRow = Tuple[List[LevelItem], List[LevelItem]]
 
 
 def _violations(
@@ -193,22 +195,6 @@ class EnclosureBuffer:
     metal_segment: np.ndarray
 
 
-@dataclasses.dataclass
-class RowWork:
-    """What the row partition leaves to execute for one rule.
-
-    ``buffers`` are the fused segmented buffers of every row with device
-    work (``None`` when there is none). ``host_rows`` are the leftovers:
-    ``(via items, metal items)`` of each enclosure row with rectilinear
-    (non-rectangle) geometry, which keeps the exact host fallback.
-    """
-
-    buffers: Any = None
-    host_rows: List[Tuple[List[LevelItem], List[LevelItem]]] = dataclasses.field(
-        default_factory=list
-    )
-
-
 def _item_rows(member_rows: Sequence[Sequence[int]], num_items: int) -> np.ndarray:
     """Row id per item, from the partition's member lists."""
     rows = np.zeros(num_items, dtype=_INT)
@@ -239,7 +225,7 @@ def launch_pair_rows(
     pair: EdgeBufferPair,
     value: int,
     threshold: int,
-    executors: Sequence[StreamExecutor],
+    streams: Sequence[Stream],
     profile: PhaseProfile,
 ) -> Tuple[List[PairHits], Dict[str, int]]:
     """One segmented launch per orientation per lane over fused edge rows.
@@ -253,8 +239,8 @@ def launch_pair_rows(
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     hits: List[PairHits] = []
     for buf, stream in (
-        (pair.vertical, executors[0]),
-        (pair.horizontal, executors[1 % len(executors)]),
+        (pair.vertical, streams[0]),
+        (pair.horizontal, streams[1 % len(streams)]),
     ):
         if len(buf) < 2:
             continue
@@ -302,16 +288,15 @@ def launch_pair_rows(
 def launch_corner_rows(
     buf: CornerBuffer,
     value: int,
-    threshold: int,
-    executors: Sequence[StreamExecutor],
+    streams: Sequence[Stream],
     profile: PhaseProfile,
 ) -> Tuple[CornerHits, Dict[str, int]]:
-    """One segmented corner-pair launch over fused corner rows (one range-scan
-    lane: ``threshold`` is taken for the shared launch signature only)."""
+    """One segmented corner-pair launch over fused corner rows (one
+    range-scan lane)."""
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     if len(buf) < 2:
         return CornerHits.empty(), counters
-    stream = executors[0]
+    stream = streams[0]
     with profile.phase(PHASE_OTHER):
         device_buf = CornerBuffer(
             stream.memcpy_h2d(buf.x, name="corners.x"),
@@ -337,17 +322,16 @@ def launch_corner_rows(
 def launch_enclosure_rows(
     buf: EnclosureBuffer,
     value: int,
-    threshold: int,
-    executors: Sequence[StreamExecutor],
+    streams: Sequence[Stream],
     profile: PhaseProfile,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """All-rectangle enclosure rows on the device: pair, measure, reduce.
 
     Returns the best (largest) enclosure margin found for each via. One
-    banded-scan lane: ``threshold`` is for the shared launch signature only.
+    banded-scan lane.
     """
     counters = dict.fromkeys(ROW_COUNTERS, 0)
-    stream = executors[0]
+    stream = streams[0]
     with profile.phase(PHASE_OTHER):
         via_dev = stream.memcpy_h2d(buf.via_rects, name="via.rects")
         via_seg = stream.memcpy_h2d(buf.via_segment, name="via.segment")
@@ -380,53 +364,6 @@ def launch_enclosure_rows(
     return best, counters
 
 
-#: Rule kind -> (launch, hits -> violations). The launches share one
-#: signature — ``(buffers, rule value, brute-force threshold, stream
-#: executors, profile) -> (hits, ROW_COUNTERS deltas)`` — and touch no
-#: backend state.
-_ROW_LAUNCHES: Dict[RuleKind, Tuple[Callable, Callable]] = {
-    RuleKind.SPACING: (
-        launch_pair_rows,
-        lambda hits, pair, rule: pair_hits_to_violations(
-            hits, ViolationKind.SPACING, rule.layer, rule.value
-        ),
-    ),
-    RuleKind.CORNER_SPACING: (
-        launch_corner_rows,
-        lambda hits, buf, rule: corner_hits_to_violations(
-            hits, rule.layer, rule.value
-        ),
-    ),
-    RuleKind.ENCLOSURE: (
-        launch_enclosure_rows,
-        lambda best, buf, rule: enclosure_margins_to_violations(
-            buf.via_rects, best, rule.layer, rule.other_layer, rule.value
-        ),
-    ),
-}
-
-#: Rule kinds executed as row tasks.
-ROW_KINDS = tuple(_ROW_LAUNCHES)
-
-
-def run_row_task(
-    rule: Rule,
-    buffers: Any,
-    threshold: int,
-    executors: Sequence[StreamExecutor],
-    profile: PhaseProfile,
-) -> Tuple[ViolationTable, Dict[str, int]]:
-    """Check the rows held by ``buffers`` against one rule.
-
-    The whole definition of a row task: :class:`ParallelBackend` calls it
-    with every row of the rule. Returns the violation table plus the
-    :data:`ROW_COUNTERS` deltas.
-    """
-    launch, to_violations = _ROW_LAUNCHES[rule.kind]
-    hits, counters = launch(buffers, rule.value, threshold, executors, profile)
-    return to_violations(hits, buffers, rule), counters
-
-
 class ParallelBackend:
     """Executes a plan's rules with the row-based GPU algorithms."""
 
@@ -441,9 +378,7 @@ class ParallelBackend:
         self.caches = plan.caches
         self.subtree = self.caches.subtree
         self.device = device if device is not None else Device()
-        self.executors = [
-            StreamExecutor(self.device.create_stream()) for _ in range(NUM_STREAMS)
-        ]
+        self.streams = [self.device.create_stream() for _ in range(NUM_STREAMS)]
         self.brute_force_threshold = BRUTE_FORCE_THRESHOLD
         self.pack_cache = self.caches.pack
         self.table: InstanceTable = self.caches.instance_table()
@@ -463,32 +398,7 @@ class ParallelBackend:
             # worth vectorising; reuse the sequential strategies over the
             # same plan caches.
             return self._fallback().run(rule, profile)
-        if rule.kind in ROW_KINDS:
-            return self.finish_rows(rule, self.row_work(rule, profile), profile)
-        strategy = getattr(self, f"_run_{spec.parallel}")
-        return strategy(rule, profile)
-
-    def row_work(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        """Partition and pack (through the caches) one row-kind rule."""
-        return getattr(self, f"_{kind_spec(rule.kind).parallel}_rows")(rule, profile)
-
-    def finish_rows(
-        self, rule: Rule, work: RowWork, profile: PhaseProfile
-    ) -> Violations:
-        """Execute prepared row work in this process: host rows, then the launch."""
-        violations = self.run_host_rows(rule, work, profile)
-        if work.buffers is None:
-            return violations
-        before = profile.seconds(PHASE_EDGE_CHECKS)
-        found, counters = run_row_task(
-            rule, work.buffers, self.brute_force_threshold, self.executors, profile
-        )
-        self.phase_seconds["kernel_seconds"] += (
-            profile.seconds(PHASE_EDGE_CHECKS) - before
-        )
-        for key, value in counters.items():
-            self.counters[key] += value
-        return ViolationTable.concat([violations, found]) if violations else found
+        return getattr(self, f"_run_{spec.parallel}")(rule, profile)
 
     def stats(self) -> Dict[str, float]:
         """Executor-choice, device-traffic, fusion, and memo counters."""
@@ -505,8 +415,6 @@ class ParallelBackend:
             kernel_seconds=self.phase_seconds["kernel_seconds"],
         )
 
-    # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
-
     # -- helpers --------------------------------------------------------------
 
     def _fallback(self):
@@ -517,9 +425,6 @@ class ParallelBackend:
                 self.layout, tree=self.tree, caches=self.caches
             )
         return self._sequential
-
-    def _stream(self, index: int) -> StreamExecutor:
-        return self.executors[index % len(self.executors)]
 
     # -- phase timing --------------------------------------------------------
 
@@ -548,6 +453,17 @@ class ParallelBackend:
         with profile.phase(PHASE_EDGE_CHECKS):
             yield
         self.phase_seconds["kernel_seconds"] += time.perf_counter() - start
+
+    def _launch_rows(self, launch: Callable, *args: Any, profile: PhaseProfile) -> Any:
+        """``launch(*args, streams, profile)``, one of the row launches: its
+        hits, with its :data:`ROW_COUNTERS` deltas added to this backend's
+        and its ``PHASE_EDGE_CHECKS`` time to ``kernel_seconds``."""
+        before = profile.seconds(PHASE_EDGE_CHECKS)
+        hits, counters = launch(*args, self.streams, profile)
+        self.phase_seconds["kernel_seconds"] += profile.seconds(PHASE_EDGE_CHECKS) - before
+        for key, value in counters.items():
+            self.counters[key] += value
+        return hits
 
     # -- pack-cache plumbing -------------------------------------------------
 
@@ -609,22 +525,42 @@ class ParallelBackend:
         self.device.record_host(f"pack-{kind}", time.perf_counter() - host_start)
         return buffers
 
-    def _spacing_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        return RowWork(self._fused_layer("fused-edges", rule, self.table.edges, profile))
+    def _run_spacing(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
+        pair = self._fused_layer("fused-edges", rule, self.table.edges, profile)
+        hits = self._launch_rows(
+            launch_pair_rows, pair, rule.value, self.brute_force_threshold, profile=profile
+        )
+        return pair_hits_to_violations(hits, ViolationKind.SPACING, rule.layer, rule.value)
 
-    def _corner_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
+    def _run_corner(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         """Diagonal corner checks (roadmap extension): every row's convex corners."""
-        return RowWork(self._fused_layer("fused-corners", rule, self.table.corners, profile))
+        buf = self._fused_layer("fused-corners", rule, self.table.corners, profile)
+        hits = self._launch_rows(launch_corner_rows, buf, rule.value, profile=profile)
+        return corner_hits_to_violations(hits, rule.layer, rule.value)
 
     # -- enclosure -----------------------------------------------------------------
 
-    def _enclosure_rows(self, rule: Rule, profile: PhaseProfile) -> RowWork:
-        """All-rectangle rows fuse into one segmented candidate/measure/reduce
-        round; rectilinear rows are left for the exact host path."""
+    def _run_enclosure(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
+        fused, host_rows = self._pack_enclosure(rule, profile)
+        violations = self._host_enclosure(rule, host_rows, profile)
+        if fused is None:
+            return ViolationTable.of(violations)
+        best = self._launch_rows(launch_enclosure_rows, fused, rule.value, profile=profile)
+        found = enclosure_margins_to_violations(
+            fused.via_rects, best, rule.layer, rule.other_layer, rule.value
+        )
+        return ViolationTable.concat([violations, found]) if violations else found
+
+    def _pack_enclosure(
+        self, rule: Rule, profile: PhaseProfile
+    ) -> Tuple[Optional[EnclosureBuffer], List[HostRow]]:
+        """The rule's all-rectangle rows fused into one buffer (``None`` when
+        there are none), and each row with rectilinear geometry, left for the
+        exact host path."""
         via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
         via_mbrs = self._item_rects(via_layer, profile)
         if not via_mbrs:
-            return RowWork()
+            return None, []
         # Partition rows over both populations together: an instance may
         # appear twice (one MBR per layer), but an enclosing metal always
         # overlaps its via, so overlapping items land in the same row.
@@ -645,43 +581,46 @@ class ParallelBackend:
         rect_rows = self._cached_buffers("rect-rows", (via_layer, metal_layer), sig, build)
         self.device.record_host("pack-rect-rows", time.perf_counter() - host_start)
 
-        work = RowWork()
         fused: List[int] = []  # ids of the all-rectangle rows
         host: List[int] = []  # ids of the rows with rectilinear geometry
         for index in range(len(member_rows)):
             via_buf, metal_buf = rect_rows[2 * index], rect_rows[2 * index + 1]
             if len(via_buf):
                 (fused if via_buf.all_rect and metal_buf.all_rect else host).append(index)
+        host_rows: List[HostRow] = []
         if host:
             items = self._cached_items(via_layer, profile) + self._cached_items(
                 metal_layer, profile
             )
-            work.host_rows = [
+            host_rows = [
                 (
                     [items[m] for m in member_rows[index] if m < num_vias],
                     [items[m] for m in member_rows[index] if m >= num_vias],
                 )
                 for index in host
             ]
-        if fused:
-            row_ids = np.asarray(fused, dtype=_INT)
-            via_bufs = [rect_rows[2 * index] for index in fused]
-            metal_bufs = [rect_rows[2 * index + 1] for index in fused]
-            work.buffers = EnclosureBuffer(
-                np.concatenate([buf.rects for buf in via_bufs], axis=0),
-                np.repeat(row_ids, [len(buf) for buf in via_bufs]),
-                np.concatenate([buf.rects for buf in metal_bufs], axis=0),
-                np.repeat(row_ids, [len(buf) for buf in metal_bufs]),
-            )
-        return work
+        if not fused:
+            return None, host_rows
+        row_ids = np.asarray(fused, dtype=_INT)
+        via_bufs = [rect_rows[2 * index] for index in fused]
+        metal_bufs = [rect_rows[2 * index + 1] for index in fused]
+        return EnclosureBuffer(
+            np.concatenate([buf.rects for buf in via_bufs], axis=0),
+            np.repeat(row_ids, [len(buf) for buf in via_bufs]),
+            np.concatenate([buf.rects for buf in metal_bufs], axis=0),
+            np.repeat(row_ids, [len(buf) for buf in metal_bufs]),
+        ), host_rows
 
-    def run_host_rows(
-        self, rule: Rule, work: RowWork, profile: PhaseProfile
+    def _host_enclosure(
+        self,
+        rule: Rule,
+        host_rows: Sequence[HostRow],
+        profile: PhaseProfile,
     ) -> List[Violation]:
         """The rows fused launches cannot take: exact edge-based enclosure
         margins for rectilinear shapes, computed on the host."""
         out: List[Violation] = []
-        for via_items, metal_items in work.host_rows:
+        for via_items, metal_items in host_rows:
             vias = self._flatten_items(via_items, rule.layer)
             metals = self._flatten_items(metal_items, rule.other_layer)
             with profile.phase(PHASE_SWEEPLINE):
@@ -711,13 +650,13 @@ class ParallelBackend:
 
     def _run_width(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
-        stream = self._stream(0)
+        stream = self.streams[0]
         host_start = time.perf_counter()
         defs = self._definitions(layer)
         with self._pack_timer():
             # Ring ids are unique per ring, so width stays intra-polygon.
             buffers = edges_from_vertices(defs.xs, defs.ys, defs.counts)
-        stream.record_host("pack-edges", time.perf_counter() - host_start)
+        self.device.record_host("pack-edges", time.perf_counter() - host_start)
 
         hits: List[PairHits] = []
         for buf in (buffers["v"], buffers["h"]):
@@ -753,14 +692,14 @@ class ParallelBackend:
             defs, batch.poly_a, regions, batch.measured, ViolationKind.WIDTH, layer, value
         )
 
-    def _run_area(self, rule: Rule, profile: PhaseProfile) -> Violations:
+    def _run_area(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
-        stream = self._stream(0)
+        stream = self.streams[0]
         host_start = time.perf_counter()
         defs = self._definitions(layer)
-        stream.record_host("pack-vertices", time.perf_counter() - host_start)
+        self.device.record_host("pack-vertices", time.perf_counter() - host_start)
         if not len(defs.counts):
-            return []
+            return ViolationTable.from_rows(())
         with profile.phase(PHASE_OTHER):
             buf = VertexBuffer(
                 stream.memcpy_h2d(defs.xs, name="verts.x"),

@@ -5,10 +5,8 @@ them to algorithms" (§V-A). This module makes that a two-stage pipeline:
 
 1. **Compile** — :func:`compile_plan` normalizes and validates a rule deck
    against a layout, resolves every rule kind to its :class:`KindSpec`
-   (the single per-kind dispatch table; together with
-   :data:`repro.checks.base.FLAT_CHECKS` it replaces the three hand-written
-   kind→function maps the sequential, parallel, and windowed paths used to
-   carry), fixes the order the rules run in, and allocates the
+   (the single per-kind dispatch table: every path calls what a kind's
+   spec names), fixes the order the rules run in, and allocates the
    :class:`PlanCaches` that own the hierarchy tree, row partitions, and
    packed device buffers for the whole deck.
 2. **Execute** — either :class:`Backend` (sequential CPU sweeps or fused
@@ -34,7 +32,7 @@ from typing import (
     runtime_checkable,
 )
 
-from ..checks.base import FLAT_CHECKS, Violation
+from ..checks.base import Violation
 from ..checks.corner import CornerProcedures
 from ..checks.enclosure import EnclosureProcedures
 from ..checks.overlap import OverlapProcedures
@@ -89,8 +87,8 @@ class EngineOptions:
 class KindSpec:
     """Everything any backend needs to know about one rule kind.
 
-    * ``flat`` — the gather-and-check procedure (windowed checks and flat
-      fallbacks), from :data:`repro.checks.base.FLAT_CHECKS`;
+    * ``flat`` — the gather-and-check procedure of windowed checks,
+      ``flat(rule, layout, gather)`` (the ``_flat_*`` functions below);
     * ``sequential`` — the hierarchical CPU strategy name the sequential
       backend binds (``intra`` / ``pairwise`` / ``cross_layer`` /
       ``coloring``);
@@ -171,14 +169,105 @@ def _ensures_intra(rule: Rule):
     ), always_invariant
 
 
-def _spec(kind: RuleKind, sequential: str, *, interaction, **kwargs: Any) -> KindSpec:
-    return KindSpec(
-        kind=kind,
-        flat=FLAT_CHECKS.get(kind).run,
-        sequential=sequential,
-        interaction=interaction,
-        **kwargs,
+def _layers_of(rule: Rule, layout: Layout) -> List[int]:
+    return [rule.layer] if rule.layer is not None else layout.layers()
+
+
+# The flat procedures: ``flat(rule, layout, gather)`` checks the geometry
+# ``gather(layer, margin) -> List[Polygon]`` returns (plus ``gather.rect(layer,
+# rect)`` and ``gather.window``) and reports its violations. ``layout`` serves
+# the all-layer kinds.
+
+
+def _flat_width(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.width import check_width
+
+    return check_width(gather(rule.layer, 0), rule.layer, rule.value)
+
+
+def _flat_area(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.area import check_area
+
+    return check_area(gather(rule.layer, 0), rule.layer, rule.value)
+
+
+def _flat_spacing(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.spacing import check_spacing
+
+    return check_spacing(gather(rule.layer, rule.value), rule.layer, rule.value)
+
+
+def _flat_corner_spacing(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.corner import check_corner_spacing
+
+    return check_corner_spacing(gather(rule.layer, rule.value), rule.layer, rule.value)
+
+
+def _flat_enclosure(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.enclosure import check_enclosure
+
+    return check_enclosure(
+        gather(rule.layer, rule.value),
+        gather(rule.other_layer, rule.value),
+        rule.layer,
+        rule.other_layer,
+        rule.value,
     )
+
+
+def _flat_min_overlap(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..geometry import union_all
+    from ..checks.overlap import check_min_overlap
+
+    tops = gather(rule.layer, 0)
+    # Base partners only matter where they intersect a gathered top polygon,
+    # which can extend beyond the window: gather the base layer over the
+    # union of the window and every gathered top MBR.
+    reach = union_all([gather.window] + [p.mbr for p in tops])
+    bases = gather.rect(rule.other_layer, reach)
+    return check_min_overlap(tops, bases, rule.layer, rule.other_layer, rule.value)
+
+
+def _flat_rectilinear(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.rectilinear import check_rectilinear
+
+    out: List[Violation] = []
+    for layer in _layers_of(rule, layout):
+        out.extend(check_rectilinear(gather(layer, 0), layer))
+    return out
+
+
+def _flat_ensures(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    from ..checks.ensure import check_ensures
+
+    out: List[Violation] = []
+    for layer in _layers_of(rule, layout):
+        out.extend(check_ensures(gather(layer, 0), layer, rule.predicate))
+    return out
+
+
+def _flat_coloring(rule: Rule, layout: Layout, gather) -> List[Violation]:
+    """Windowed coloring via conflict-component closure.
+
+    Coloring is a global graph property, but conflict edges are shorter
+    than the rule distance, so growing the gather window by the rule value
+    until no new polygon appears captures *complete* conflict components —
+    on that closed sub-population the 2-coloring verdict (and every odd-
+    cycle marker overlapping the original window) matches the full check.
+    """
+    from ..checks.coloring import check_two_colorable
+
+    window = gather.window.inflated(rule.value)
+    while True:
+        polygons = gather.rect(rule.layer, window)
+        grown = window
+        for p in polygons:
+            grown = grown.union(p.mbr.inflated(rule.value))
+        if grown == window:
+            break
+        window = grown
+    polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
+    return check_two_colorable(polygons, rule.layer, rule.value)
 
 
 def _halo_rule_value(rule: Rule) -> Optional[int]:
@@ -204,40 +293,40 @@ def _halo_global(rule: Rule) -> Optional[int]:
 #: sequential, parallel — and the windowed procedure resolve their per-rule
 #: behaviour here.
 KIND_SPECS: Dict[RuleKind, KindSpec] = {
-    RuleKind.WIDTH: _spec(
-        RuleKind.WIDTH, "intra", interaction=_halo_zero,
+    RuleKind.WIDTH: KindSpec(
+        RuleKind.WIDTH, _flat_width, "intra", _halo_zero,
         parallel="width", intra=_width_intra,
     ),
-    RuleKind.AREA: _spec(
-        RuleKind.AREA, "intra", interaction=_halo_zero,
+    RuleKind.AREA: KindSpec(
+        RuleKind.AREA, _flat_area, "intra", _halo_zero,
         parallel="area", intra=_area_intra,
     ),
-    RuleKind.RECTILINEAR: _spec(
-        RuleKind.RECTILINEAR, "intra", interaction=_halo_zero,
+    RuleKind.RECTILINEAR: KindSpec(
+        RuleKind.RECTILINEAR, _flat_rectilinear, "intra", _halo_zero,
         intra=_rectilinear_intra,
     ),
-    RuleKind.ENSURES: _spec(
-        RuleKind.ENSURES, "intra", interaction=_halo_zero,
+    RuleKind.ENSURES: KindSpec(
+        RuleKind.ENSURES, _flat_ensures, "intra", _halo_zero,
         intra=_ensures_intra,
     ),
-    RuleKind.SPACING: _spec(
-        RuleKind.SPACING, "pairwise", interaction=_halo_rule_value,
+    RuleKind.SPACING: KindSpec(
+        RuleKind.SPACING, _flat_spacing, "pairwise", _halo_rule_value,
         parallel="spacing", procedures=SpacingProcedures,
     ),
-    RuleKind.CORNER_SPACING: _spec(
-        RuleKind.CORNER_SPACING, "pairwise", interaction=_halo_rule_value,
+    RuleKind.CORNER_SPACING: KindSpec(
+        RuleKind.CORNER_SPACING, _flat_corner_spacing, "pairwise", _halo_rule_value,
         parallel="corner", procedures=CornerProcedures,
     ),
-    RuleKind.ENCLOSURE: _spec(
-        RuleKind.ENCLOSURE, "cross_layer", interaction=_halo_rule_value,
+    RuleKind.ENCLOSURE: KindSpec(
+        RuleKind.ENCLOSURE, _flat_enclosure, "cross_layer", _halo_rule_value,
         parallel="enclosure", procedures=EnclosureProcedures,
     ),
-    RuleKind.MIN_OVERLAP: _spec(
-        RuleKind.MIN_OVERLAP, "cross_layer", interaction=_halo_zero,
+    RuleKind.MIN_OVERLAP: KindSpec(
+        RuleKind.MIN_OVERLAP, _flat_min_overlap, "cross_layer", _halo_zero,
         procedures=OverlapProcedures,
     ),
-    RuleKind.COLORING: _spec(
-        RuleKind.COLORING, "coloring", interaction=_halo_global
+    RuleKind.COLORING: KindSpec(
+        RuleKind.COLORING, _flat_coloring, "coloring", _halo_global
     ),
 }
 

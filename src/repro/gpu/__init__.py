@@ -1,19 +1,11 @@
 """Simulated GPU substrate (paper §IV-E, §V-C).
 
-Device/stream/timeline model (:mod:`.device`), execution policies standing
-in for the paper's type-trait dispatch (:mod:`.executor`), and the NumPy
-SPMD check kernels (:mod:`.kernels`). See DESIGN.md §1 for why NumPy
+Device/stream/timeline model (:mod:`.device`) and the NumPy SPMD check
+kernels (:mod:`.kernels`). See DESIGN.md §1 for why NumPy
 vectorisation preserves the paper's GPU-vs-CPU behavioural shape.
 """
 
 from .device import AsyncTimeline, Device, OpKind, OpRecord, Stream, TimelineSummary
-from .executor import (
-    ExecutionPolicy,
-    SequencedPolicy,
-    StreamExecutor,
-    is_device_policy,
-    seq,
-)
 from .kernels import (
     EdgeBuffer,
     PairHits,
@@ -36,16 +28,12 @@ __all__ = [
     "AsyncTimeline",
     "Device",
     "EdgeBuffer",
-    "ExecutionPolicy",
     "OpKind",
     "OpRecord",
     "PairHits",
-    "SequencedPolicy",
     "Stream",
-    "StreamExecutor",
     "TimelineSummary",
     "VertexBuffer",
-    "is_device_policy",
     "kernel_area",
     "kernel_corner_pairs_segmented",
     "kernel_enclosure_margins",
@@ -58,5 +46,4 @@ __all__ = [
     "pack_edges",
     "pack_vertices",
     "reduce_enclosure_best",
-    "seq",
 ]

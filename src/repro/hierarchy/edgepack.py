@@ -496,36 +496,3 @@ class InstanceTable:
             placements,
         )
 
-
-class HierarchicalEdgePacker:
-    """``buffer_of(cell)``: the cell subtree's full flat edge buffer in local
-    coordinates — an :class:`InstanceTable` rooted at the cell, memoised."""
-
-    def __init__(self, tree: HierarchyTree, layer: int) -> None:
-        self.tree = tree
-        self.layer = layer
-        self._memo: Dict[str, EdgeBufferPair] = {}
-
-    def buffer_of(self, cell_name: str) -> EdgeBufferPair:
-        pair = self._memo.get(cell_name)
-        if pair is None:
-            pair = InstanceTable(self.tree, cell_name).edges(self.layer)
-            self._memo[cell_name] = pair
-        return pair
-
-
-class HierarchicalRectPacker:
-    """``buffer_of(cell)``: the cell subtree's flat polygon MBRs, as above."""
-
-    def __init__(self, tree: HierarchyTree, layer: int) -> None:
-        self.tree = tree
-        self.layer = layer
-        self._memo: Dict[str, RectBuffer] = {}
-
-    def buffer_of(self, cell_name: str) -> RectBuffer:
-        buffer = self._memo.get(cell_name)
-        if buffer is None:
-            rects, _, is_rect = InstanceTable(self.tree, cell_name).rects(self.layer)
-            buffer = self._memo[cell_name] = RectBuffer(rects, bool(is_rect.all()))
-        return buffer
-

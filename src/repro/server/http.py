@@ -30,10 +30,13 @@ POST   ``/shutdown``                      drain in-flight requests and exit
 stream bytes as the body (``Content-Type: application/octet-stream``) and
 the options in the query string — ``top``, ``default_severity``,
 ``severities`` (one JSON object of rule name to severity) and, for a
-recheck, ``verify``. The daemon checks every layout against the deck it
-was started with, so a request naming a ``deck`` is a 400 that names that
-deck, and a JSON body is a 400 that names the upload shape, whatever the
-JSON says. Nothing a request carries is opened or run.
+recheck, ``verify`` (``1``/``true`` or ``0``/``false``). The daemon checks
+every layout against the deck it was started with, so a request naming a
+``deck`` is a 400 that names that deck, and a JSON body is a 400 that names
+the upload shape, whatever the JSON says. Nothing a request carries is
+opened or run. These two endpoints and ``GET .../violations`` (``severity``,
+``rule``, ``bbox``) answer any other query name with a 400 that lists the
+names they read.
 
 Graceful shutdown: ``serve()`` converts SIGTERM/SIGINT into an orderly
 drain — the accept loop stops, in-flight handler threads are joined
@@ -66,6 +69,11 @@ _logger = get_logger("server")
 
 #: Largest request body accepted (a GDS upload), to bound memory.
 MAX_BODY_BYTES = 512 * 1024 * 1024
+
+#: The query names each endpoint that takes a query string reads.
+CREATE_QUERY = ("top", "default_severity", "severities")
+RECHECK_QUERY = ("top", "verify")
+VIOLATIONS_QUERY = ("severity", "rule", "bbox")
 
 
 class DrcHTTPServer(ThreadingHTTPServer):
@@ -286,8 +294,20 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
         values = query.get(name)
         return values[0] if values else None
 
-    def _upload(self, query) -> bytes:
-        """The GDSII bytes of a ``POST /sessions`` or ``.../recheck`` body.
+    @staticmethod
+    def _known(query, accepted: Tuple[str, ...]) -> None:
+        """Refuse a query name the endpoint does not read: a misspelt option
+        must not run the request without it."""
+        unknown = sorted(set(query) - set(accepted))
+        if unknown:
+            raise BadRequestError(
+                f"unknown query parameter {', '.join(map(repr, unknown))}; "
+                f"this endpoint accepts {', '.join(accepted)}"
+            )
+
+    def _upload(self, query, accepted: Tuple[str, ...]) -> bytes:
+        """The GDSII bytes of a ``POST /sessions`` or ``.../recheck`` body,
+        whose query may name only ``accepted``.
 
         A ``deck`` in the query and a JSON body are refused without being
         looked at, so the reply says nothing about the server's files."""
@@ -297,6 +317,7 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
                 f"this daemon checks against its own deck ({self.state.deck_name}); "
                 "a request cannot name one: drop deck="
             )
+        self._known(query, accepted)
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
         if not raw or content_type == "application/json":
             raise BadRequestError(
@@ -305,6 +326,14 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
                 "the query string (top, default_severity, severities, verify)"
             )
         return raw
+
+    def _verify(self, query) -> bool:
+        raw = self._first(query, "verify")
+        if raw is None or raw.lower() in ("0", "false"):
+            return False
+        if raw.lower() in ("1", "true"):
+            return True
+        raise BadRequestError(f"verify must be 1, true, 0 or false, got {raw!r}")
 
     def _severities(self, query) -> Optional[Dict[str, str]]:
         raw = self._first(query, "severities")
@@ -324,7 +353,7 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
 
     def _create_session(self, query) -> None:
         session, created = self.state.create_session(
-            data=self._upload(query),
+            data=self._upload(query, CREATE_QUERY),
             top=self._first(query, "top"),
             severities=self._severities(query),
             default_severity=self._first(query, "default_severity"),
@@ -336,13 +365,14 @@ class DrcRequestHandler(BaseHTTPRequestHandler):
     def _recheck(self, sid: str, query) -> None:
         report, meta = self.state.recheck(
             sid,
-            data=self._upload(query),
+            data=self._upload(query, RECHECK_QUERY),
             top=self._first(query, "top"),
-            verify=self._first(query, "verify") in ("1", "true"),
+            verify=self._verify(query),
         )
         self._send(encode_reply(report, meta))
 
     def _violations(self, sid: str, query) -> None:
+        self._known(query, VIOLATIONS_QUERY)
         bbox = None
         raw_bbox = self._first(query, "bbox")
         if raw_bbox:

@@ -62,7 +62,7 @@ class TestCheckCommand:
         assert "--top" in message and "top" in message.split("(")[1]
 
     def test_csv_output(self, dirty_gds, capsys):
-        main(["check", dirty_gds, "--top", "top", "--csv"])
+        main(["check", dirty_gds, "--top", "top", "--format", "csv"])
         out = capsys.readouterr().out
         assert out.startswith("rule,kind")
         assert "spacing" in out
@@ -302,7 +302,7 @@ class TestCheckWindowCommand:
     def test_csv_output(self, dirty_gds, capsys):
         main([
             "check-window", dirty_gds,
-            "-100000", "-100000", "100000", "100000", "--top", "top", "--csv",
+            "-100000", "-100000", "100000", "100000", "--top", "top", "--format", "csv",
         ])
         assert capsys.readouterr().out.startswith("rule,kind")
 
@@ -374,6 +374,20 @@ class TestNoJobsFlag:
             [command, *files[command], "--jobs", "2"],
             capsys,
             "unrecognized arguments: --jobs 2",
+        )
+
+
+class TestNoCsvAlias:
+    @pytest.mark.parametrize("command", ["check", "check-window", "recheck"])
+    def test_csv_is_an_argparse_error(self, uart_gds, capsys, command):
+        """CSV output has one spelling, ``--format csv``."""
+        files = {
+            "check": [uart_gds],
+            "check-window": [uart_gds, "0", "0", "10", "10"],
+            "recheck": [uart_gds, uart_gds],
+        }
+        assert_argparse_error(
+            [command, *files[command], "--csv"], capsys, "unrecognized arguments: --csv"
         )
 
 
@@ -483,13 +497,13 @@ class TestReportStore:
     def test_hit_is_byte_identical_whoever_produced_the_report(
         self, dirty_gds, tmp_path, capsys, mode
     ):
-        main(["check", dirty_gds, "--top", "top", "--no-cache", "--csv"])
+        main(["check", dirty_gds, "--top", "top", "--no-cache", "--format", "csv"])
         oracle = capsys.readouterr().out
         argv = [
             "check", dirty_gds, "--top", "top", "--cache-dir", str(tmp_path / "D"),
             "--mode", mode,
         ]
-        for fmt in (["--csv"], ["--csv"], ["--format", "csv", "--expand-instances"]):
+        for fmt in (["--format", "csv"], ["--format", "csv"], ["--format", "csv", "--expand-instances"]):
             assert main(argv + fmt) == 1
         miss, hit, expanded = capsys.readouterr().out.split("rule,kind")[1:]
         assert "rule,kind" + miss == "rule,kind" + hit == oracle
@@ -518,7 +532,7 @@ class TestReportStore:
     ):
         cache = str(tmp_path / "D")
         window = ["check-window", dirty_gds, "0", "0", "100000", "100000",
-                  "--top", "top", "--csv"]
+                  "--top", "top", "--format", "csv"]
         assert main(window + ["--no-cache"]) == 1
         computed = capsys.readouterr().out
         main(["check", dirty_gds, "--top", "top", "--cache-dir", cache])

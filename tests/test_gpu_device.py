@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError
-from repro.gpu import Device, OpKind, SequencedPolicy, StreamExecutor, is_device_policy, seq
+from repro.gpu import Device, OpKind
 
 
 class TestStreamsAndRecording:
@@ -86,16 +86,3 @@ class TestAsyncTimeline:
     def test_empty_timeline(self):
         summary = Device().timeline().summarize()
         assert summary.serial_seconds == 0.0 and summary.overlap_savings == 0.0
-
-
-class TestPolicies:
-    def test_traits(self):
-        assert not is_device_policy(seq)
-        assert not is_device_policy(SequencedPolicy())
-        device = Device()
-        assert is_device_policy(StreamExecutor(device.create_stream()))
-
-    def test_stream_executor_exposes_device(self):
-        device = Device()
-        executor = StreamExecutor(device.create_stream())
-        assert executor.device is device

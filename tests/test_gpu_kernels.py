@@ -418,7 +418,7 @@ class TestEnclosureCandidates:
             backend = ParallelBackend(compile_plan(layout, rules, options))
             rects = candidates = 0
             for rule in rules:
-                buf = backend.row_work(rule, PhaseProfile()).buffers
+                buf, _ = backend._pack_enclosure(rule, PhaseProfile())
                 windows = buf.via_rects + np.asarray(
                     [-rule.value, -rule.value, rule.value, rule.value]
                 )
@@ -717,7 +717,7 @@ class TestPairBlockBudget:
 
     def test_one_lane_launch_gathers_only_for_the_sort(self, monkeypatch):
         from repro.core.parallel import BRUTE_FORCE_THRESHOLD, launch_pair_rows
-        from repro.gpu import Device, StreamExecutor
+        from repro.gpu import Device
         from repro.hierarchy.edgepack import EdgeBufferPair
         from repro.util.profile import PhaseProfile
 
@@ -734,9 +734,9 @@ class TestPairBlockBudget:
 
         monkeypatch.setattr(K.EdgeBuffer, "take", take)
         device = Device()
-        executors = [StreamExecutor(device.create_stream()) for _ in range(2)]
+        streams = [device.create_stream() for _ in range(2)]
         hits, counters = launch_pair_rows(
-            pair, 62, BRUTE_FORCE_THRESHOLD, executors, PhaseProfile()
+            pair, 62, BRUTE_FORCE_THRESHOLD, streams, PhaseProfile()
         )
         assert counters["fused_launches"] == counters["kernels_sweepline"] == 1
         assert taken == [len(buf)]  # the sweep kernel's sort, nothing else

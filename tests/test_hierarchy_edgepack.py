@@ -7,12 +7,7 @@ from repro.errors import GeometryError
 from repro.geometry import Polygon, Rect, Transform
 from repro.gpu.kernels import pack_edges
 from repro.hierarchy import HierarchyTree
-from repro.hierarchy.edgepack import (
-    HierarchicalEdgePacker,
-    HierarchicalRectPacker,
-    InstanceTable,
-    place_rects,
-)
+from repro.hierarchy.edgepack import InstanceTable, place_rects
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
 
@@ -79,7 +74,7 @@ class TestEdgePackerParity:
     def test_matches_flatten_then_pack(self, seed):
         layout = random_layout(seed)
         tree = HierarchyTree(layout)
-        pair = HierarchicalEdgePacker(tree, 1).buffer_of("top")
+        pair = InstanceTable(tree, "top").edges(1)
         reference = pack_edges(flatten_layer(layout, 1))
         assert edge_set(pair.vertical) == edge_set(reference["v"])
         assert edge_set(pair.horizontal) == edge_set(reference["h"])
@@ -88,20 +83,13 @@ class TestEdgePackerParity:
     def test_polygon_grouping_preserved(self, seed):
         layout = random_layout(seed)
         tree = HierarchyTree(layout)
-        pair = HierarchicalEdgePacker(tree, 1).buffer_of("top")
+        pair = InstanceTable(tree, "top").edges(1)
         flat = flatten_layer(layout, 1)
         reference = pack_edges(flat)
         assert pair.num_polygons == len(flat)
         assert poly_groups(pair.vertical, pair.horizontal) == poly_groups(
             reference["v"], reference["h"]
         )
-
-    def test_memoised_per_definition(self):
-        layout = random_layout(0)
-        tree = HierarchyTree(layout)
-        packer = HierarchicalEdgePacker(tree, 1)
-        first = packer.buffer_of("leaf")
-        assert packer.buffer_of("leaf") is first
 
     def test_fractional_magnification_rejected(self):
         from fractions import Fraction
@@ -141,22 +129,22 @@ class TestRectPacker:
     def test_matches_flat_mbrs(self):
         layout = random_layout(1)
         tree = HierarchyTree(layout)
-        buf = HierarchicalRectPacker(tree, 1).buffer_of("top")
+        rects, _, _ = InstanceTable(tree, "top").rects(1)
         flat = sorted(tuple(p.mbr) for p in flatten_layer(layout, 1))
-        packed = sorted(map(tuple, buf.rects.tolist()))
+        packed = sorted(map(tuple, rects.tolist()))
         assert packed == flat
 
     def test_all_rect_flag(self):
         layout = random_layout(2)  # contains an L-shape
         tree = HierarchyTree(layout)
-        assert not HierarchicalRectPacker(tree, 1).buffer_of("top").all_rect
+        assert not InstanceTable(tree, "top").rects(1)[2].all()
 
         rect_only = Layout("rects")
         c = rect_only.new_cell("c")
         c.add_polygon(1, Polygon.from_rect_coords(0, 0, 5, 5))
         rect_only.set_top("c")
         tree2 = HierarchyTree(rect_only)
-        assert HierarchicalRectPacker(tree2, 1).buffer_of("c").all_rect
+        assert InstanceTable(tree2, "c").rects(1)[2].all()
 
     @pytest.mark.parametrize("rotation", [0, 90, 180, 270])
     def test_transform_rects(self, rotation):

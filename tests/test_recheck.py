@@ -9,7 +9,7 @@ from repro.core.incremental import MODE_RECHECK, recheck
 from repro.core.reportcache import ReportCache, deck_digest, report_key
 from repro.core.packstore import PackStore, layer_geometry_digest
 from repro.core.rules import layer, polygons
-from repro.geometry import Polygon, Rect, Transform
+from repro.geometry import Polygon, Transform
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout.cell import CellReference
 from repro.workloads import asap7, build_design

@@ -617,7 +617,7 @@ class TestCacheCli:
 
         cache = str(tmp_path / "wcache")
         code = main(["check-window", uart_gds, "0", "0", "2000", "2000",
-                     "--top", "top", "--cache-dir", cache, "--csv"])
+                     "--top", "top", "--cache-dir", cache, "--format", "csv"])
         assert code in (0, 1)
         # A clipped report is never stored: the flags are accepted and harmless.
         assert "rule," in capsys.readouterr().out

@@ -7,7 +7,7 @@ computations must agree:
 
 * the sequential engine (the oracle),
 * the in-process parallel engine — marker for marker, in the same order,
-* the kind's flat procedure (:data:`repro.checks.base.FLAT_CHECKS`) run
+* the kind's flat procedure (``kind_spec(kind).flat``) run
   over the fully flattened layout — as a set.
 
 The deck's thresholds are tight enough that every kind reports violations
@@ -20,8 +20,8 @@ import random
 
 import pytest
 
-from repro.checks.base import FLAT_CHECKS
 from repro.core import Engine, EngineOptions
+from repro.core.plan import KIND_SPECS, kind_spec
 from repro.core.rules import RuleKind, layer, polygons
 from repro.geometry import Polygon, Transform, union_all
 from repro.layout import CellReference, Layout, Repetition
@@ -109,7 +109,7 @@ def flat_violations(layout: Layout, rule):
 
     gather.rect = lambda number, rect: [p for p in flat.get(number, []) if p.mbr.overlaps(rect)]
     gather.window = union_all(p.mbr for shapes in flat.values() for p in shapes)
-    return FLAT_CHECKS.get(rule.kind).run(rule, layout, gather)
+    return kind_spec(rule.kind).flat(rule, layout, gather)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,4 +150,6 @@ class TestTheMatrixIsNotVacuous:
         assert sorted(rule.kind.value for rule in deck()) == sorted(kind.value for kind in RuleKind)
 
     def test_every_kind_has_a_flat_procedure(self):
-        assert FLAT_CHECKS.kinds() == sorted(kind.value for kind in RuleKind)
+        assert set(KIND_SPECS) == set(RuleKind)
+        for kind, spec in KIND_SPECS.items():
+            assert spec.kind is kind and callable(spec.flat), kind

@@ -850,6 +850,85 @@ class TestHTTP:
         }
         assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
 
+    @pytest.fixture()
+    def recheck_spy(self, monkeypatch):
+        """The ``verify`` of every engine recheck the daemon runs."""
+        import repro.core.incremental as incremental
+
+        seen = []
+        real = incremental.recheck
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["verify"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(incremental, "recheck", spy)
+        return seen
+
+    def test_verify_is_one_or_true_on_and_zero_or_false_off(
+        self, served, client, dirty_bytes, recheck_spy
+    ):
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
+        cases = [
+            ("1", True), ("true", True), ("True", True), ("TRUE", True),
+            ("0", False), ("false", False), ("False", False), (None, False),
+        ]
+        for raw, want in cases:
+            query = "" if raw is None else "&verify=" + raw
+            status, _ = _post(
+                served, f"/sessions/{sid}/recheck?top=top{query}", dirty_bytes,
+                "application/octet-stream",
+            )
+            assert status == 200, raw
+            assert recheck_spy.pop() is want, raw
+        for raw in ("yes", "on", "2", "truthy"):
+            status, body = _post(
+                served, f"/sessions/{sid}/recheck?verify={raw}", dirty_bytes,
+                "application/octet-stream",
+            )
+            assert status == 400, raw
+            assert json.loads(body) == {
+                "error": f"verify must be 1, true, 0 or false, got {raw!r}"
+            }
+        assert recheck_spy == []
+
+    def test_an_unknown_query_name_is_a_typed_400_listing_the_accepted_ones(
+        self, served, client, dirty_bytes, recheck_spy, caplog
+    ):
+        sid = client.create_session(data=dirty_bytes, top="top")["session"]
+        misspelt = urllib.parse.urlencode(
+            {"top": "top", "severity": json.dumps({"M2.S.1": "warning"})}
+        )
+        status, body = _post(
+            served, f"/sessions?{misspelt}", _renamed(dirty_bytes),
+            "application/octet-stream",
+        )
+        assert status == 400
+        assert json.loads(body) == {
+            "error": "unknown query parameter 'severity'; "
+            "this endpoint accepts top, default_severity, severities"
+        }
+        status, body = _post(
+            served, f"/sessions/{sid}/recheck?top=top&verfy=1&severities=%7B%7D",
+            dirty_bytes, "application/octet-stream",
+        )
+        assert status == 400
+        assert json.loads(body) == {
+            "error": "unknown query parameter 'severities', 'verfy'; "
+            "this endpoint accepts top, verify"
+        }
+        with pytest.raises(ClientError) as excinfo:
+            client._request(
+                "GET", f"/sessions/{sid}/violations", query={"severty": "error"}
+            )
+        assert excinfo.value.status == 400
+        assert "'severty'; this endpoint accepts severity, rule, bbox" in str(excinfo.value)
+        # Nothing ran: no session was added, no version recorded, no recheck.
+        assert [s["session"] for s in client.sessions()] == [sid]
+        assert client.session(sid)["version"] == 1
+        assert recheck_spy == []
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
     def test_delete_and_sessions_listing(self, client, dirty_bytes):
         info = client.create_session(data=dirty_bytes, top="top")
         assert any(s["session"] == info["session"] for s in client.sessions())

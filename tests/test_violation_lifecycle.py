@@ -19,7 +19,6 @@ from repro.cli import main
 from repro.core import Engine, EngineOptions
 from repro.core.incremental import recheck
 from repro.core.markers import (
-    MarkerError,
     apply_waivers,
     load_markers,
     load_waivers,
@@ -32,12 +31,11 @@ from repro.core.markers import (
 )
 from repro.core.reportcache import deck_digest
 from repro.core.results import CheckReport, CheckResult
-from repro.core.rules import Rule, RuleError, layer
+from repro.core.rules import RuleError, layer
 from repro.geometry import Polygon, Rect
 from repro.layout import Layout, gdsii_from_layout
 from repro.gdsii import write
 from repro.reporting import (
-    SEVERITIES,
     apply_waivers_payload,
     csv_quote,
     dedup_instances,
