@@ -23,7 +23,12 @@ buffers mapped through all of its placements in one array operation, no
 ``Polygon`` in between. What was built — item MBRs, row partitions, fused
 buffers, definition buffers — lives in the plan's
 :class:`~repro.core.plan.PackCache`, keyed by layer and the stable partition
-signature, so the second rule touching a layer pays zero host packing.
+signature, so the second rule touching a layer pays zero host packing. The
+backend announces every rule's reads (:func:`pack_reads`) before the first
+runs, so each entry leaves the cache with its last reader, and that reader
+drops the host columns of a row buffer as soon as their device copies
+exist. Coordinates are stored as ``int32`` offsets wherever the pack's
+:class:`~repro.gpu.kernels.Frame` proves they fit.
 
 Intra-polygon rules do not need rows: they run one batched kernel over the
 *unique cell definitions* (the hierarchy memoisation of §IV-C) and
@@ -41,13 +46,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..checks.base import Violation, ViolationKind
 from ..checks.enclosure import enclosure_pair_violations
-from ..geometry import Polygon
+from ..geometry import EMPTY_RECT, Polygon
 from ..hierarchy.edgepack import (
     DefinitionBuffers,
     EdgeBufferPair,
@@ -62,6 +68,7 @@ from ..gpu.kernels import (
     CornerBuffer,
     CornerHits,
     EdgeBuffer,
+    Frame,
     PairHits,
     VertexBuffer,
     edges_from_vertices,
@@ -73,8 +80,10 @@ from ..gpu.kernels import (
     kernel_pairs_bruteforce_segmented,
     kernel_pairs_sweep,
     kernel_pairs_sweep_segmented,
+    narrow_ids,
     reduce_enclosure_best,
 )
+from ..partition.rows import RowPartition
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
     PHASE_OTHER,
@@ -96,6 +105,7 @@ __all__ = [
     "launch_corner_rows",
     "launch_enclosure_rows",
     "launch_pair_rows",
+    "pack_reads",
     "pair_hits_to_violations",
 ]
 
@@ -135,25 +145,29 @@ def pair_hits_to_violations(
     kind: ViolationKind,
     layer: int,
     required: int,
+    frame: Frame,
     *,
     other_layer: Optional[int] = None,
 ) -> ViolationTable:
-    """Host-side conversion of pair-kernel hits to violation rows."""
+    """Host-side conversion of pair-kernel hits, found in ``frame``, to
+    violation rows."""
     batch = PairHits.concatenate(list(hits))
-    return ViolationTable.from_columns(
-        layer, kind.value, batch.xlo, batch.ylo, batch.xhi, batch.yhi,
-        batch.measured, required, other_layer,
+    return _violations(
+        kind, layer, frame.restore(batch.xlo, batch.ylo, batch.xhi, batch.yhi),
+        batch.measured, required, other_layer=other_layer,
     )
 
 
 def corner_hits_to_violations(
-    hits: CornerHits, layer: int, value: int
+    hits: CornerHits, layer: int, value: int, frame: Frame
 ) -> ViolationTable:
-    """Corner-kernel hits to violation rows."""
-    return ViolationTable.from_columns(
-        layer, ViolationKind.CORNER.value,
-        np.minimum(hits.ax, hits.bx), np.minimum(hits.ay, hits.by),
-        np.maximum(hits.ax, hits.bx), np.maximum(hits.ay, hits.by),
+    """Corner-kernel hits, found in ``frame``, to violation rows."""
+    return _violations(
+        ViolationKind.CORNER, layer,
+        frame.restore(
+            np.minimum(hits.ax, hits.bx), np.minimum(hits.ay, hits.by),
+            np.maximum(hits.ax, hits.bx), np.maximum(hits.ay, hits.by),
+        ),
         hits.measured, value,
     )
 
@@ -164,15 +178,17 @@ def enclosure_margins_to_violations(
     via_layer: int,
     metal_layer: int,
     value: int,
+    frame: Frame,
 ) -> ViolationTable:
     """Reduced per-via enclosure margins to violation rows: the failing
-    vias' MBRs inflated by the rule value, the margin clamped at zero."""
+    vias' MBRs (in ``frame``) inflated by the rule value, the margin clamped
+    at zero."""
     failing = np.flatnonzero(best < value)
-    rects = via_rects[failing]
-    return ViolationTable.from_columns(
-        via_layer, ViolationKind.ENCLOSURE.value,
-        rects[:, 0] - value, rects[:, 1] - value, rects[:, 2] + value, rects[:, 3] + value,
-        np.maximum(best[failing], 0), value, metal_layer,
+    rects = frame.restore(*via_rects[failing].T)
+    return _violations(
+        ViolationKind.ENCLOSURE, via_layer,
+        rects + np.asarray([-value, -value, value, value], dtype=_INT),
+        np.maximum(best[failing], 0), value, other_layer=metal_layer,
     )
 
 
@@ -185,22 +201,48 @@ def enclosure_margins_to_violations(
 class EnclosureBuffer:
     """The all-rectangle rows of an enclosure rule, fused.
 
-    Via and metal MBRs as ``(n, 4)`` arrays, each with the row id of every
-    rect (the same role ``segment`` plays on edge and corner buffers).
+    Via and metal MBRs as ``(n, 4)`` arrays in ``frame``, each with the row
+    id of every rect (the same role ``segment`` plays on edge and corner
+    buffers).
     """
 
     via_rects: np.ndarray
     via_segment: np.ndarray
     metal_rects: np.ndarray
     metal_segment: np.ndarray
+    frame: Frame
 
 
-def _item_rows(member_rows: Sequence[Sequence[int]], num_items: int) -> np.ndarray:
-    """Row id per item, from the partition's member lists."""
+def _item_rows(partition: RowPartition, num_items: int) -> np.ndarray:
+    """Row id per item (0 for an item in no row), off the partition's flat
+    tables."""
     rows = np.zeros(num_items, dtype=_INT)
-    for index, members in enumerate(member_rows):
-        rows[members] = index
-    return rows
+    ends = np.frombuffer(partition.ends, dtype=_INT)
+    rows[np.frombuffer(partition.order, dtype=_INT)] = np.repeat(
+        np.arange(len(ends)), np.diff(ends, prepend=0)
+    )
+    return narrow_ids(rows, len(ends))
+
+
+def _to_device(
+    stream: Stream, host: Any, columns: Sequence[str], prefix: str, release: bool
+) -> Dict[str, np.ndarray]:
+    """``host``'s ``columns`` copied to ``stream``'s device, by column name.
+
+    With ``release`` the caller holds ``host`` alone (it has left the pack
+    cache with its last reader): each host column is set to ``None`` as soon
+    as its copy exists, so no column is held twice and ``host`` is spent.
+    """
+    copies = {}
+    for column in columns:
+        copies[column] = stream.memcpy_h2d(getattr(host, column), name=f"{prefix}.{column}")
+        if release:
+            setattr(host, column, None)
+    return copies
+
+
+#: The columns of a row-fused edge buffer, in :class:`EdgeBuffer` order.
+_EDGE_COLUMNS = ("fixed", "lo", "hi", "interior", "poly", "segment")
 
 
 #: Counter deltas every row launch reports. ``kernels_*`` count the row
@@ -227,6 +269,8 @@ def launch_pair_rows(
     threshold: int,
     streams: Sequence[Stream],
     profile: PhaseProfile,
+    *,
+    release: bool = False,
 ) -> Tuple[List[PairHits], Dict[str, int]]:
     """One segmented launch per orientation per lane over fused edge rows.
 
@@ -234,7 +278,9 @@ def launch_pair_rows(
     both streams busy within the single fused round. The §IV-E executor
     choice is a per-segment policy: segments at or below the brute-force
     threshold take the batched brute-force lane, larger ones the segmented
-    sweepline lane.
+    sweepline lane. ``release`` hands ``pair`` over (see
+    :func:`_to_device`); each orientation's device copy lives only through
+    its own launches.
     """
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     hits: List[PairHits] = []
@@ -242,47 +288,58 @@ def launch_pair_rows(
         (pair.vertical, streams[0]),
         (pair.horizontal, streams[1 % len(streams)]),
     ):
-        if len(buf) < 2:
-            continue
-        seg = buf.segment
-        with profile.phase(PHASE_OTHER):
-            device_buf = EdgeBuffer(
-                buf.vertical,
-                stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                stream.memcpy_h2d(buf.poly, name="edges.poly"),
-                stream.memcpy_h2d(seg, name="edges.segment"),
+        if len(buf) >= 2:
+            hits.extend(
+                _launch_edge_lanes(buf, value, threshold, stream, profile, counters, release)
             )
-        small = np.bincount(seg)[seg] <= threshold
-        lanes = (
-            ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
-             "kernels_bruteforce", small),
-            ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
-             "kernels_sweepline", ~small),
-        )
-        for name, kernel, counter, mask in lanes:
-            count = int(mask.sum())
-            if count < 2:
-                continue
-            # A lane holding every edge runs on the device buffer itself: a
-            # gather would only copy all six columns in the same order.
-            lane_buf = (
-                device_buf if count == len(buf) else device_buf.take(np.flatnonzero(mask))
-            )
-            segments = _distinct_segments(seg[mask])
-            with profile.phase(PHASE_EDGE_CHECKS):
-                counters[counter] += segments
-                counters["fused_launches"] += 1
-                counters["fused_segments"] += segments
-                hits.append(
-                    stream.launch(
-                        name, kernel, lane_buf, value,
-                        want_width=False, items=count,
-                    )
-                )
     return hits, counters
+
+
+def _launch_edge_lanes(
+    buf: EdgeBuffer,
+    value: int,
+    threshold: int,
+    stream: Stream,
+    profile: PhaseProfile,
+    counters: Dict[str, int],
+    release: bool,
+) -> List[PairHits]:
+    """One orientation of :func:`launch_pair_rows`: copy, then one launch
+    per lane. The device copy is a local, gone when this returns."""
+    with profile.phase(PHASE_OTHER):
+        device_buf = EdgeBuffer(
+            buf.vertical, **_to_device(stream, buf, _EDGE_COLUMNS, "edges", release)
+        )
+    seg = device_buf.segment
+    small = np.bincount(seg)[seg] <= threshold
+    lanes = (
+        ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
+         "kernels_bruteforce", small),
+        ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
+         "kernels_sweepline", ~small),
+    )
+    hits: List[PairHits] = []
+    for name, kernel, counter, mask in lanes:
+        count = int(mask.sum())
+        if count < 2:
+            continue
+        # A lane holding every edge runs on the device buffer itself: a
+        # gather would only copy all six columns in the same order.
+        lane_buf = (
+            device_buf if count == len(device_buf) else device_buf.take(np.flatnonzero(mask))
+        )
+        segments = _distinct_segments(seg[mask])
+        with profile.phase(PHASE_EDGE_CHECKS):
+            counters[counter] += segments
+            counters["fused_launches"] += 1
+            counters["fused_segments"] += segments
+            hits.append(
+                stream.launch(
+                    name, kernel, lane_buf, value,
+                    want_width=False, items=count,
+                )
+            )
+    return hits
 
 
 def launch_corner_rows(
@@ -290,31 +347,30 @@ def launch_corner_rows(
     value: int,
     streams: Sequence[Stream],
     profile: PhaseProfile,
+    *,
+    release: bool = False,
 ) -> Tuple[CornerHits, Dict[str, int]]:
     """One segmented corner-pair launch over fused corner rows (one
-    range-scan lane)."""
+    range-scan lane). ``release`` hands ``buf`` over (see
+    :func:`_to_device`)."""
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     if len(buf) < 2:
         return CornerHits.empty(), counters
     stream = streams[0]
     with profile.phase(PHASE_OTHER):
+        copies = _to_device(stream, buf, ("x", "y", "segment"), "corners", release)
         device_buf = CornerBuffer(
-            stream.memcpy_h2d(buf.x, name="corners.x"),
-            stream.memcpy_h2d(buf.y, name="corners.y"),
-            buf.qx,
-            buf.qy,
-            buf.poly,
-            stream.memcpy_h2d(buf.segment, name="corners.segment"),
+            copies["x"], copies["y"], buf.qx, buf.qy, buf.poly, copies["segment"]
         )
     with profile.phase(PHASE_EDGE_CHECKS):
         counters["fused_launches"] += 1
-        counters["fused_segments"] += _distinct_segments(buf.segment)
+        counters["fused_segments"] += _distinct_segments(device_buf.segment)
         hits = stream.launch(
             "corner-pairs-fused",
             kernel_corner_pairs_segmented,
             device_buf,
             value,
-            items=len(buf),
+            items=len(device_buf),
         )
     return hits, counters
 
@@ -364,6 +420,35 @@ def launch_enclosure_rows(
     return best, counters
 
 
+#: The pack store each row-fused strategy keeps its device buffers in.
+_FUSED_STORES = {"spacing": "fused-edges", "corner": "fused-corners"}
+
+
+def pack_reads(rule: Rule) -> List[Tuple[str, Any]]:
+    """Every ``(store, layers)`` read of the plan's
+    :class:`~repro.core.plan.PackCache` a parallel run of ``rule`` makes."""
+    strategy = kind_spec(rule.kind).parallel
+    if strategy in _FUSED_STORES:
+        layer = rule.layer
+        return [("item-mbrs", layer), ("partition", layer), (_FUSED_STORES[strategy], layer)]
+    if strategy == "enclosure":
+        pair = (rule.layer, rule.other_layer)
+        return [
+            ("item-mbrs", rule.layer),
+            ("item-mbrs", rule.other_layer),
+            ("partition", pair),
+            ("rect-rows", pair),
+        ]
+    if strategy in ("width", "area"):
+        return [("definitions", rule.layer)]
+    return []
+
+
+#: The stores whose packs hold placed coordinates a kernel adds the rule
+#: value to: what :meth:`ParallelBackend._frame` must reach.
+_PLACED_STORES = (*_FUSED_STORES.values(), "rect-rows")
+
+
 class ParallelBackend:
     """Executes a plan's rules with the row-based GPU algorithms."""
 
@@ -386,6 +471,15 @@ class ParallelBackend:
         self.phase_seconds = {"pack_seconds": 0.0, "kernel_seconds": 0.0}
         self._pack_depth = 0
         self._sequential = None
+        #: Layers (one layer, or a via-metal pair) -> the largest rule value
+        #: a kernel over their placed packs adds to a coordinate.
+        self._reach: Dict[Any, int] = {}
+        for compiled in plan.run_order:
+            for store, layers in pack_reads(compiled.rule):
+                self.pack_cache.expect(store, layers)
+                if store in _PLACED_STORES:
+                    reach = max(self._reach.get(layers, 0), compiled.rule.value)
+                    self._reach[layers] = reach
 
     # -- rule dispatch ------------------------------------------------------
 
@@ -454,12 +548,15 @@ class ParallelBackend:
             yield
         self.phase_seconds["kernel_seconds"] += time.perf_counter() - start
 
-    def _launch_rows(self, launch: Callable, *args: Any, profile: PhaseProfile) -> Any:
-        """``launch(*args, streams, profile)``, one of the row launches: its
-        hits, with its :data:`ROW_COUNTERS` deltas added to this backend's
-        and its ``PHASE_EDGE_CHECKS`` time to ``kernel_seconds``."""
+    def _launch_rows(
+        self, launch: Callable, *args: Any, profile: PhaseProfile, **options: Any
+    ) -> Any:
+        """``launch(*args, streams, profile, **options)``, one of the row
+        launches: its hits, with its :data:`ROW_COUNTERS` deltas added to
+        this backend's and its ``PHASE_EDGE_CHECKS`` time to
+        ``kernel_seconds``."""
         before = profile.seconds(PHASE_EDGE_CHECKS)
-        hits, counters = launch(*args, self.streams, profile)
+        hits, counters = launch(*args, self.streams, profile, **options)
         self.phase_seconds["kernel_seconds"] += profile.seconds(PHASE_EDGE_CHECKS) - before
         for key, value in counters.items():
             self.counters[key] += value
@@ -471,24 +568,39 @@ class ParallelBackend:
         with profile.phase(PHASE_OTHER):
             return self.caches.level_items(self.tree.top, layer)
 
-    def _item_rects(self, layer: int, profile: PhaseProfile) -> List[List[int]]:
-        """MBRs of the top level's items on ``layer`` as ``[xlo, ylo, xhi,
-        yhi]`` rows of the MBR table, numbered as :meth:`_cached_items` lists
-        them: what the row partition is over."""
-        with profile.phase(PHASE_OTHER):
-            return self.pack_cache.get(
-                "item-mbrs", layer, lambda: self.table.item_mbrs(layer).tolist()
-            )
+    def _item_rects(self, layer: int, profile: PhaseProfile) -> array:
+        """The flat MBR table (:func:`~repro.partition.rows.mbr_table`) of the
+        top level's items on ``layer``, numbered as :meth:`_cached_items`
+        lists them: what the row partition is over."""
 
-    def _cached_buffers(self, kind: str, layers: Any, sig: Any, build: Callable) -> Any:
+        def build() -> array:
+            table = np.ascontiguousarray(self.table.item_mbrs(layer), dtype=_INT)
+            return array("q", table.tobytes())
+
+        with profile.phase(PHASE_OTHER):
+            return self.pack_cache.get("item-mbrs", layer, None, build)
+
+    def _frame(self, layers: Any, value: int) -> Frame:
+        """Where the packs over ``layers`` (one layer or a via-metal pair)
+        store their coordinates: around the layers' top-frame extent,
+        reaching the largest value of any rule that reads them."""
+        box = EMPTY_RECT
+        for layer in layers if isinstance(layers, tuple) else (layers,):
+            box = box.union(self.tree.top_mbr(layer))
+        reach = max(self._reach.get(layers, 0), value)
+        return Frame.around(box.xlo, box.ylo, box.xhi, box.yhi, reach)
+
+    def _cached_buffers(
+        self, store: str, layers: Any, key: Any, build: Callable
+    ) -> Tuple[Any, bool]:
         """One rule's row buffers: the plan memo, else ``build()`` under the
-        pack timer."""
+        pack timer; and whether this rule is their last reader."""
 
         def cold() -> Any:
             with self._pack_timer():
                 return build()
 
-        return self.pack_cache.get(kind, (layers, sig), cold)
+        return self.pack_cache.read(store, layers, key, cold)
 
     def _flatten_items(self, items: Sequence[LevelItem], layer: int) -> List[Polygon]:
         """Materialize all polygons of the given level items (top coords)."""
@@ -509,34 +621,42 @@ class ParallelBackend:
     # -- spacing and corner spacing: one layer's rows, fused ------------------------
 
     def _fused_layer(
-        self, kind: str, rule: Rule, expand: Callable, profile: PhaseProfile
-    ) -> Any:
-        """``expand(layer, row id per item)`` of the rule's layer through the
-        caches."""
+        self, rule: Rule, expand: Callable, profile: PhaseProfile
+    ) -> Tuple[Any, bool, Frame]:
+        """``expand(layer, row id per item, frame)`` of the rule's layer
+        through the caches; whether this rule is its last reader; the frame."""
         layer, value = rule.layer, rule.value
+        store = _FUSED_STORES[kind_spec(rule.kind).parallel]
         mbrs = self._item_rects(layer, profile)
-        member_rows, sig = self.caches.partition_rows(
+        partition, sig = self.caches.partition_rows(
             layer, mbrs, value, use_rows=self.use_rows, profile=profile
         )
+        frame = self._frame(layer, value)
         host_start = time.perf_counter()
-        buffers = self._cached_buffers(
-            kind, layer, sig, lambda: expand(layer, _item_rows(member_rows, len(mbrs)))
+        buffers, last = self._cached_buffers(
+            store, layer, (sig, frame),
+            lambda: expand(layer, _item_rows(partition, len(mbrs) // 4), frame),
         )
-        self.device.record_host(f"pack-{kind}", time.perf_counter() - host_start)
-        return buffers
+        self.device.record_host(f"pack-{store}", time.perf_counter() - host_start)
+        return buffers, last, frame
 
     def _run_spacing(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
-        pair = self._fused_layer("fused-edges", rule, self.table.edges, profile)
+        pair, last, frame = self._fused_layer(rule, self.table.edges, profile)
         hits = self._launch_rows(
-            launch_pair_rows, pair, rule.value, self.brute_force_threshold, profile=profile
+            launch_pair_rows, pair, rule.value, self.brute_force_threshold,
+            profile=profile, release=last,
         )
-        return pair_hits_to_violations(hits, ViolationKind.SPACING, rule.layer, rule.value)
+        return pair_hits_to_violations(
+            hits, ViolationKind.SPACING, rule.layer, rule.value, frame
+        )
 
     def _run_corner(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         """Diagonal corner checks (roadmap extension): every row's convex corners."""
-        buf = self._fused_layer("fused-corners", rule, self.table.corners, profile)
-        hits = self._launch_rows(launch_corner_rows, buf, rule.value, profile=profile)
-        return corner_hits_to_violations(hits, rule.layer, rule.value)
+        buf, last, frame = self._fused_layer(rule, self.table.corners, profile)
+        hits = self._launch_rows(
+            launch_corner_rows, buf, rule.value, profile=profile, release=last
+        )
+        return corner_hits_to_violations(hits, rule.layer, rule.value, frame)
 
     # -- enclosure -----------------------------------------------------------------
 
@@ -547,7 +667,7 @@ class ParallelBackend:
             return ViolationTable.of(violations)
         best = self._launch_rows(launch_enclosure_rows, fused, rule.value, profile=profile)
         found = enclosure_margins_to_violations(
-            fused.via_rects, best, rule.layer, rule.other_layer, rule.value
+            fused.via_rects, best, rule.layer, rule.other_layer, rule.value, fused.frame
         )
         return ViolationTable.concat([violations, found]) if violations else found
 
@@ -558,32 +678,38 @@ class ParallelBackend:
         there are none), and each row with rectilinear geometry, left for the
         exact host path."""
         via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
+        layers = (via_layer, metal_layer)
         via_mbrs = self._item_rects(via_layer, profile)
+        # Read before the early return, so that no announced read of the
+        # metal table goes unspent and keeps it alive.
+        metal_mbrs = self._item_rects(metal_layer, profile)
         if not via_mbrs:
             return None, []
         # Partition rows over both populations together: an instance may
         # appear twice (one MBR per layer), but an enclosing metal always
         # overlaps its via, so overlapping items land in the same row.
-        combined = via_mbrs + self._item_rects(metal_layer, profile)
-        num_vias = len(via_mbrs)
-        member_rows, sig = self.caches.partition_rows(
-            (via_layer, metal_layer), combined, value, use_rows=self.use_rows, profile=profile
+        combined = via_mbrs + metal_mbrs
+        num_vias = len(via_mbrs) // 4
+        partition, sig = self.caches.partition_rows(
+            layers, combined, value, use_rows=self.use_rows, profile=profile
         )
+        num_rows = partition.num_rows
+        frame = self._frame(layers, value)
 
         def build() -> List[RectBuffer]:
-            rows = _item_rows(member_rows, len(combined))
-            via = self.table.rect_rows(via_layer, rows[:num_vias], len(member_rows))
-            metal = self.table.rect_rows(metal_layer, rows[num_vias:], len(member_rows))
+            rows = _item_rows(partition, len(combined) // 4)
+            via = self.table.rect_rows(via_layer, rows[:num_vias], num_rows, frame)
+            metal = self.table.rect_rows(metal_layer, rows[num_vias:], num_rows, frame)
             return [buf for pair in zip(via, metal) for buf in pair]
 
         host_start = time.perf_counter()
         # Per row: the via RectBuffer, then the metal one.
-        rect_rows = self._cached_buffers("rect-rows", (via_layer, metal_layer), sig, build)
+        rect_rows, _ = self._cached_buffers("rect-rows", layers, (sig, frame), build)
         self.device.record_host("pack-rect-rows", time.perf_counter() - host_start)
 
         fused: List[int] = []  # ids of the all-rectangle rows
         host: List[int] = []  # ids of the rows with rectilinear geometry
-        for index in range(len(member_rows)):
+        for index in range(num_rows):
             via_buf, metal_buf = rect_rows[2 * index], rect_rows[2 * index + 1]
             if len(via_buf):
                 (fused if via_buf.all_rect and metal_buf.all_rect else host).append(index)
@@ -592,6 +718,7 @@ class ParallelBackend:
             items = self._cached_items(via_layer, profile) + self._cached_items(
                 metal_layer, profile
             )
+            member_rows = partition.members
             host_rows = [
                 (
                     [items[m] for m in member_rows[index] if m < num_vias],
@@ -601,7 +728,7 @@ class ParallelBackend:
             ]
         if not fused:
             return None, host_rows
-        row_ids = np.asarray(fused, dtype=_INT)
+        row_ids = narrow_ids(np.asarray(fused, dtype=_INT), num_rows)
         via_bufs = [rect_rows[2 * index] for index in fused]
         metal_bufs = [rect_rows[2 * index + 1] for index in fused]
         return EnclosureBuffer(
@@ -609,6 +736,7 @@ class ParallelBackend:
             np.repeat(row_ids, [len(buf) for buf in via_bufs]),
             np.concatenate([buf.rects for buf in metal_bufs], axis=0),
             np.repeat(row_ids, [len(buf) for buf in metal_bufs]),
+            frame,
         ), host_rows
 
     def _host_enclosure(
@@ -646,7 +774,7 @@ class ParallelBackend:
             with self._pack_timer():
                 return self.table.definitions(layer)
 
-        return self.pack_cache.get("definitions", layer, build)
+        return self.pack_cache.get("definitions", layer, None, build)
 
     def _run_width(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
@@ -655,7 +783,8 @@ class ParallelBackend:
         defs = self._definitions(layer)
         with self._pack_timer():
             # Ring ids are unique per ring, so width stays intra-polygon.
-            buffers = edges_from_vertices(defs.xs, defs.ys, defs.counts)
+            frame = Frame.of_rects(defs.mbrs, value)
+            buffers = edges_from_vertices(*frame.shift(defs.xs, defs.ys), defs.counts)
         self.device.record_host("pack-edges", time.perf_counter() - host_start)
 
         hits: List[PairHits] = []
@@ -687,7 +816,7 @@ class ParallelBackend:
                     )
                 )
         batch = PairHits.concatenate(hits)
-        regions = np.stack([batch.xlo, batch.ylo, batch.xhi, batch.yhi], axis=1)
+        regions = frame.restore(batch.xlo, batch.ylo, batch.xhi, batch.yhi)
         return self._instantiate(
             defs, batch.poly_a, regions, batch.measured, ViolationKind.WIDTH, layer, value
         )

@@ -20,6 +20,7 @@ them to algorithms" (§V-A). This module makes that a two-stage pipeline:
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import (
     Any,
     Callable,
@@ -48,7 +49,7 @@ from ..hierarchy.pruning import (
 from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell
 from ..layout.library import Layout
-from ..partition.rows import margin_for_rule, partition_rects
+from ..partition.rows import RowPartition, margin_for_rule, partition_rects
 from ..util.profile import PHASE_PARTITION, PhaseProfile
 from .packstore import layer_geometry_digest
 from .rules import Rule, RuleKind, validate_rules
@@ -355,11 +356,20 @@ class PackCache:
     Every rule on a layer re-walks the same hierarchy level and re-packs
     identical device buffers. This cache memoises the host-side artifacts —
     level items, item MBRs, row partitions, fused row buffers and definition
-    buffers — keyed by layer plus the stable partition signature
-    (:meth:`repro.partition.rows.RowPartition.signature`), so the second
-    rule touching a layer pays zero host packing. A rule whose distance
-    changes the partition margin, or a backend with rows disabled, produces
-    a different signature and is thereby correctly bypassed.
+    buffers — filed under a *store* name and the layers they were built from,
+    and keyed within that by the stable partition signature
+    (:meth:`repro.partition.rows.RowPartition.signature`) where the artifact
+    depends on the rows, so the second rule touching a layer pays zero host
+    packing. A rule whose distance changes the partition margin, or a
+    backend with rows disabled, produces a different signature and is
+    thereby correctly bypassed.
+
+    Entries live only while a rule still needs them. A backend that knows
+    its rules' reads before running any (:meth:`expect`, once per read)
+    has every ``(store, layers)`` slot dropped by its last read: that
+    :meth:`read` hands the entry out and forgets it, so the caller holds it
+    alone and can free it as it goes. A slot nobody announced lives as long
+    as the cache.
 
     A plan — and therefore this cache — is owned by the one check that
     compiled it and read from that check's thread only.
@@ -368,16 +378,39 @@ class PackCache:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._stores: Dict[str, Dict[Any, Any]] = {}
+        self._stores: Dict[Tuple[str, Any], Dict[Any, Any]] = {}
+        self._readers: Dict[Tuple[str, Any], int] = {}
 
-    def get(self, store: str, key: Any, build: Callable[[], Any]) -> Any:
-        bucket = self._stores.setdefault(store, {})
+    def expect(self, store: str, layers: Any) -> None:
+        """Announce one more read of ``(store, layers)`` to come."""
+        slot = (store, layers)
+        self._readers[slot] = self._readers.get(slot, 0) + 1
+
+    def read(
+        self, store: str, layers: Any, key: Any, build: Callable[[], Any]
+    ) -> Tuple[Any, bool]:
+        """The entry, built on a miss, and whether this was the slot's last
+        announced read — then the slot has left the cache."""
+        slot = (store, layers)
+        bucket = self._stores.setdefault(slot, {})
         if key in bucket:
             self.hits += 1
-            return bucket[key]
-        self.misses += 1
-        value = bucket[key] = build()
-        return value
+            value = bucket[key]
+        else:
+            self.misses += 1
+            value = bucket[key] = build()
+        left = self._readers.get(slot)
+        if left is None:
+            return value, False
+        if left > 1:
+            self._readers[slot] = left - 1
+            return value, False
+        del self._readers[slot], self._stores[slot]
+        return value, True
+
+    def get(self, store: str, layers: Any, key: Any, build: Callable[[], Any]) -> Any:
+        """:meth:`read` without the ownership flag."""
+        return self.read(store, layers, key, build)[0]
 
 
 class PlanCaches:
@@ -411,9 +444,7 @@ class PlanCaches:
 
     def level_items(self, cell: Cell, layer: int) -> List[LevelItem]:
         return self.pack.get(
-            "level-items",
-            (cell.name, layer),
-            lambda: level_items(self.tree, cell, layer),
+            "level-items", layer, cell.name, lambda: level_items(self.tree, cell, layer)
         )
 
     def layer_digest(self, layer: int) -> str:
@@ -435,35 +466,40 @@ class PlanCaches:
 
     def partition_rows(
         self,
-        key: Any,
-        mbrs: Sequence[Any],
+        layers: Any,
+        mbrs: array,
         value: int,
         *,
         use_rows: bool,
         profile: PhaseProfile,
-    ) -> Tuple[List[List[int]], Any]:
-        """Row membership lists plus a stable signature for buffer reuse.
+    ) -> Tuple[RowPartition, Any]:
+        """The row partition of the items whose flat MBR table is ``mbrs``
+        (:func:`~repro.partition.rows.mbr_table`), plus a stable signature
+        for buffer reuse.
 
         The shared partition seam: both the sequential and parallel backends
         resolve the adaptive row partition (paper §IV-B) here, so they share
-        one in-memory memo per (key, margin). The signature is the
-        membership tuple alone (packed buffers depend only on which items
-        land in which row); with rows disabled it is a distinct ``norows``
-        marker so row-partitioned buffers are never reused by an
-        unpartitioned backend. Only the computation itself is timed, under
-        ``PHASE_PARTITION`` of ``profile``; a memo hit is not.
+        one in-memory memo per (layers, margin). The signature is the
+        membership alone (packed buffers depend only on which items land in
+        which row); with rows disabled it is a distinct ``norows`` marker so
+        row-partitioned buffers are never reused by an unpartitioned backend.
+        Only the computation itself is timed, under ``PHASE_PARTITION`` of
+        ``profile``; a memo hit is not.
         """
-        if not mbrs:
-            return [], ("empty",)
+        count = len(mbrs) // 4
+        if not count:
+            return RowPartition([], array("q"), array("q"), 0), ("empty",)
         if not use_rows:
-            return [list(range(len(mbrs)))], ("norows", len(mbrs))
+            span = (min(mbrs[1::4]), max(mbrs[3::4]))
+            whole = RowPartition([span], array("q", range(count)), array("q", [count]), 0)
+            return whole, ("norows", count)
 
-        def build() -> Tuple[List[List[int]], Any]:
+        def build() -> Tuple[RowPartition, Any]:
             with profile.phase(PHASE_PARTITION):
                 partition = partition_rects(mbrs, value)
-            return partition.members, partition.signature()[1]
+            return partition, partition.signature()[1]
 
-        return self.pack.get("partition", (key, margin_for_rule(value)), build)
+        return self.pack.get("partition", layers, margin_for_rule(value), build)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from ..hierarchy.pruning import (
 from ..hierarchy.tree import HierarchyTree
 from ..layout.cell import Cell, RingBuffer
 from ..layout.library import Layout
-from ..partition.rows import margin_for_rule
+from ..partition.rows import margin_for_rule, mbr_table
 from ..spatial.sweepline import Box, iter_bipartite_overlaps, report_overlapping_pairs
 from ..util.profile import (
     PHASE_EDGE_CHECKS,
@@ -235,14 +235,14 @@ class SequentialBackend:
         """Level pairs of the top cell, row-partitioned when enabled."""
         rings = top.rings(layer)
         vios = self._self_pairs(rings, layer, value, procedures, profile)
-        member_rows, _sig = self.caches.partition_rows(
+        partition, _sig = self.caches.partition_rows(
             layer,
-            [it.mbr for it in items],
+            mbr_table(it.mbr for it in items),
             value,
             use_rows=self.use_rows,
             profile=profile,
         )
-        for row in member_rows:
+        for row in partition.members:
             group = [items[m] for m in row]
             vios.extend(self._group_pairs(rings, group, layer, value, procedures, profile))
         return vios

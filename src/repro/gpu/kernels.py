@@ -34,6 +34,14 @@ carries the sign of its interior normal along the perpendicular axis, and
 
 All kernels return a :class:`PairHits` batch of violation strips; the engine
 converts them to :class:`~repro.checks.base.Violation` objects on the host.
+
+Column widths: a buffer's coordinates are offsets from the origin of its
+:class:`Frame`, ``int32`` where the frame proves every offset, and every
+offset moved by the rule value, fits (else ``int64`` from origin 0).
+Differences of two offsets then fit as well, so kernels subtract and
+compare in the columns' own width and widen to ``int64`` before any
+product, square or composite sort key. Interior and quadrant signs are
+``int8``; polygon and segment ids ``int32`` while their count fits.
 """
 
 from __future__ import annotations
@@ -47,11 +55,78 @@ from ..geometry import Polygon
 
 _INT = np.int64
 
+#: The largest value an ``int32`` column holds.
+INT32_MAX = int(np.iinfo(np.int32).max)
+
 #: Candidate pairs one fused launch materialises at a time: the thread-block
 #: tiling of the paper's §IV-E grid. Each block's index, coordinate and mask
 #: temporaries are a few dozen bytes per pair, so a launch's transient
 #: memory stays near ``PAIR_BLOCK`` pairs' worth whatever its candidate count.
 PAIR_BLOCK = 1 << 14
+
+
+def narrow_ids(values: np.ndarray, bound: int) -> np.ndarray:
+    """Ids below ``bound`` as ``int32`` when ``bound`` fits in it, else as
+    they are: arrays concatenated from such parts come out ``int64`` as soon
+    as one part needs it."""
+    return values.astype(np.int32) if bound <= INT32_MAX else values
+
+
+@dataclasses.dataclass(frozen=True)
+class Frame:
+    """Where a buffer's coordinate columns are measured from, and how wide.
+
+    Columns hold ``coordinate - origin``. :meth:`around` picks ``int32`` and
+    the low corner of an extent when the extent's width and height plus
+    ``reach`` (the largest rule value a kernel adds to a coordinate) stay
+    within ``int32``: every offset lies in ``[0, extent]`` and every offset
+    moved by the rule value in ``[-reach, extent + reach]``. A placed
+    coordinate is a sum of ``int32`` GDSII offsets and can pass 2**31 itself,
+    so the top frame's own coordinates are not bounded; an extent that does
+    not fit keeps them, ``int64`` from origin 0.
+    """
+
+    x: int = 0
+    y: int = 0
+    dtype: type = _INT
+
+    @classmethod
+    def around(cls, xlo: int, ylo: int, xhi: int, yhi: int, reach: int) -> "Frame":
+        """The narrowest frame for geometry inside ``[xlo, xhi] x [ylo, yhi]``."""
+        if xlo <= xhi and ylo <= yhi and max(xhi - xlo, yhi - ylo) + reach <= INT32_MAX:
+            return cls(xlo, ylo, np.int32)
+        return cls()
+
+    @classmethod
+    def of_rects(cls, rects: np.ndarray, reach: int) -> "Frame":
+        """:meth:`around` the union of ``(n, 4)`` ``rects``."""
+        if not len(rects):
+            return cls()
+        low, high = rects.min(axis=0).tolist(), rects.max(axis=0).tolist()
+        return cls.around(low[0], low[1], high[2], high[3], reach)
+
+    def shift(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinates inside the frame's extent as offsets from its origin,
+        in its width."""
+        return (
+            (xs - self.x).astype(self.dtype, copy=False),
+            (ys - self.y).astype(self.dtype, copy=False),
+        )
+
+    def restore(self, xlo, ylo, xhi, yhi) -> np.ndarray:
+        """Offset columns back in the frame's own coordinates, as one
+        ``(n, 4)`` ``int64`` array."""
+        return np.stack(
+            [
+                np.add(column, origin, dtype=_INT)
+                for column, origin in zip((xlo, ylo, xhi, yhi), (self.x, self.y) * 2)
+            ],
+            axis=1,
+        )
+
+
+#: Columns in top-frame coordinates, ``int64``.
+TOP_FRAME = Frame()
 
 
 @dataclasses.dataclass
@@ -168,7 +243,7 @@ def edges_from_vertices(
     """
     total = len(xs)
     if total == 0:
-        z = np.zeros(0, dtype=_INT)
+        z = np.zeros(0, dtype=xs.dtype)
         return {
             "v": EdgeBuffer(True, z, z, z, z, z),
             "h": EdgeBuffer(False, z, z, z, z, z),
@@ -178,8 +253,9 @@ def edges_from_vertices(
     nxt[offsets + counts - 1] = offsets  # each ring's last edge wraps
     x2, y2 = xs[nxt], ys[nxt]
     if poly_ids is None:
-        poly_ids = np.arange(len(counts), dtype=_INT)
-    pid = np.repeat(np.asarray(poly_ids, dtype=_INT), counts)
+        pid = np.repeat(narrow_ids(np.arange(len(counts)), len(counts)), counts)
+    else:
+        pid = np.repeat(np.asarray(poly_ids, dtype=_INT), counts)
 
     vmask = xs == x2  # vertical; NORTH (+y travel) has interior east (+1)
     v = EdgeBuffer(
@@ -187,7 +263,7 @@ def edges_from_vertices(
         xs[vmask],
         np.minimum(ys, y2)[vmask],
         np.maximum(ys, y2)[vmask],
-        np.where(y2 > ys, 1, -1).astype(_INT)[vmask],
+        np.where(y2 > ys, 1, -1).astype(np.int8)[vmask],
         pid[vmask],
     )
     hmask = ~vmask  # horizontal; EAST (+x travel) has interior south (-1)
@@ -196,7 +272,7 @@ def edges_from_vertices(
         ys[hmask],
         np.minimum(xs, x2)[hmask],
         np.maximum(xs, x2)[hmask],
-        np.where(x2 > xs, -1, 1).astype(_INT)[hmask],
+        np.where(x2 > xs, -1, 1).astype(np.int8)[hmask],
         pid[hmask],
     )
     return {"v": v, "h": h}
@@ -382,7 +458,7 @@ def _segmented_ranges(
     """
     cmin = int(coord.min())
     span = int(coord.max()) - cmin + max(int(threshold), 0) + 1
-    key = (coord - cmin) + segment * span
+    key = segment.astype(_INT) * span + (coord - cmin)
     order = np.argsort(key, kind="stable")
     skey = key[order]
     begin = np.searchsorted(skey, skey, side="right").astype(_INT)
@@ -487,7 +563,8 @@ def kernel_area(buf: VertexBuffer) -> np.ndarray:
     ends = buf.offsets + buf.counts
     # The successor of each polygon's last vertex wraps to its first.
     nxt[ends - 1] = buf.offsets
-    cross = buf.xs * buf.ys[nxt] - buf.xs[nxt] * buf.ys
+    xs, ys = buf.xs.astype(_INT), buf.ys.astype(_INT)
+    cross = xs * ys[nxt] - xs[nxt] * ys
     sums = np.add.reduceat(cross, buf.offsets)
     return np.abs(sums) // 2
 
@@ -532,7 +609,7 @@ def enclosure_candidate_blocks(
         step = np.arange(len(owner), dtype=_INT) - np.repeat(
             np.cumsum(touched) - touched, touched
         )
-        return owner, step == 0, segment[owner] * bands + lo[owner] + step
+        return owner, step == 0, segment[owner].astype(_INT) * bands + lo[owner] + step
 
     metal, metal_first, metal_group = entries(metal_rects, metal_segment)
     window, window_first, window_group = entries(windows, window_segment)
@@ -713,22 +790,24 @@ class CornerHits:
 
 
 def _evaluate_corner_pairs(
-    buf: CornerBuffer, a: np.ndarray, b: np.ndarray, limit: int
+    buf: CornerBuffer, a: np.ndarray, b: np.ndarray, threshold: int
 ) -> CornerHits:
     """Classify candidate corner pairs oriented so ``x[b] >= x[a]``.
 
     Keeps strictly diagonal (dx > 0, dy != 0), mutually-facing pairs closer
-    than ``sqrt(limit)``. The segmented caller enumerates in-segment pairs
-    only, so ``segment`` is not looked at here.
+    than ``threshold``. Only pairs within ``threshold`` along both axes are
+    squared, so ``dx² + dy²`` stays far inside ``int64`` whatever the
+    coordinates. The segmented caller enumerates in-segment pairs only, so
+    ``segment`` is not looked at here.
     """
-    dx = buf.x[b] - buf.x[a]
-    dy = buf.y[b] - buf.y[a]
-    keep = (dx > 0) & (dy != 0)
+    dx = (buf.x[b] - buf.x[a]).astype(_INT)
+    dy = (buf.y[b] - buf.y[a]).astype(_INT)
+    keep = (dx > 0) & (dx < threshold) & (dy != 0) & (np.abs(dy) < threshold)
     a, b, dx, dy = a[keep], b[keep], dx[keep], dy[keep]
     d2 = dx * dx + dy * dy
     sy = np.sign(dy)
     mask = (
-        (d2 < limit)
+        (d2 < threshold * threshold)
         & (buf.qx[a] == 1)
         & (buf.qy[a] == sy)
         & (buf.qx[b] == -1)
@@ -755,14 +834,13 @@ def kernel_corner_pairs(buf: CornerBuffer, threshold: int, chunk: int = 2048) ->
     n = len(buf)
     if n < 2:
         return CornerHits.empty()
-    limit = threshold * threshold
     out = []
     all_idx = np.arange(n, dtype=_INT)
     for start in range(0, n, chunk):
         rows = all_idx[start : start + chunk]
         a = np.repeat(rows, n)
         b = np.tile(all_idx, len(rows))
-        out.append(_evaluate_corner_pairs(buf, a, b, limit))
+        out.append(_evaluate_corner_pairs(buf, a, b, threshold))
     return CornerHits.concatenate(out)
 
 
@@ -784,10 +862,9 @@ def kernel_corner_pairs_segmented(
         return kernel_corner_pairs(buf, threshold)
     order, begin, end = _segmented_ranges(buf.x, buf.segment, threshold)
     s = buf.take(order)
-    limit = threshold * threshold
     return CornerHits.concatenate(
         [
-            _evaluate_corner_pairs(s, a, begin[a] + offsets, limit)
+            _evaluate_corner_pairs(s, a, begin[a] + offsets, threshold)
             for a, offsets in _range_blocks((end - begin).clip(min=0), chunk)
         ]
     )

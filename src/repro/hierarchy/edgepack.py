@@ -24,6 +24,13 @@ Host-side preparation therefore scales with the number of cell
 *definitions*, not with the number of flat polygons. Polygon ids stay
 globally unique across instantiation (a running flat-polygon counter) so
 same-polygon classification (width pairs, notches) survives the flattening.
+
+Widths: a :class:`RingTable` holds a definition's coordinates as ``int32``,
+which GDSII guarantees in each structure's own frame (a table built in
+memory past that range stays ``int64``). Placed columns are computed in
+``int64`` from the ``int64`` placements and stored in the width of the
+:class:`~repro.gpu.kernels.Frame` the caller passes, as offsets from its
+origin.
 """
 
 from __future__ import annotations
@@ -37,11 +44,26 @@ import numpy as np
 
 from ..errors import GeometryError
 from ..geometry import Transform
-from ..gpu.kernels import CornerBuffer, EdgeBuffer, edges_from_vertices
+from ..gpu.kernels import (
+    INT32_MAX,
+    TOP_FRAME,
+    CornerBuffer,
+    EdgeBuffer,
+    Frame,
+    edges_from_vertices,
+    narrow_ids,
+)
 from ..layout.cell import Cell, RingBuffer
 from .tree import HierarchyTree
 
 _INT = np.int64
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """``int64`` ``values`` as ``int32`` when every one fits, else as they are."""
+    if len(values) and not -INT32_MAX - 1 <= int(values.min()) <= int(values.max()) <= INT32_MAX:
+        return values
+    return values.astype(np.int32)
 
 
 @dataclasses.dataclass
@@ -212,10 +234,10 @@ class RingTable:
     """
 
     def __init__(self, rings: RingBuffer) -> None:
-        coords = np.array(rings.coords, dtype=_INT)
+        coords = _stored(np.array(rings.coords, dtype=_INT))
         self.xs, self.ys = coords[0::2], coords[1::2]
         self.counts = np.diff(np.array(rings.offsets, dtype=_INT)) // 2
-        self.mbrs = np.array(rings.mbrs, dtype=_INT).reshape(-1, 4)
+        self.mbrs = _stored(np.array(rings.mbrs, dtype=_INT)).reshape(-1, 4)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -247,8 +269,9 @@ class RingTable:
         nxt, prev = index + 1, index - 1
         nxt[starts + self.counts - 1] = starts
         prev[starts] = starts + self.counts - 1
-        d1x, d1y = self.xs - self.xs[prev], self.ys - self.ys[prev]
-        d2x, d2y = self.xs[nxt] - self.xs, self.ys[nxt] - self.ys
+        xs, ys = self.xs.astype(_INT), self.ys.astype(_INT)
+        d1x, d1y = xs - xs[prev], ys - ys[prev]
+        d2x, d2y = xs[nxt] - xs, ys[nxt] - ys
         # Clockwise rings: a right turn (convex corner) has cross < 0. The
         # exterior quadrant is opposite the sum of the two edges' interior
         # normals (d.y, -d.x).
@@ -256,8 +279,8 @@ class RingTable:
         return CornerBuffer(
             self.xs[convex],
             self.ys[convex],
-            -np.sign(d1y + d2y)[convex],
-            np.sign(d1x + d2x)[convex],
+            -np.sign(d1y + d2y)[convex].astype(np.int8),
+            np.sign(d1x + d2x)[convex].astype(np.int8),
             np.repeat(np.arange(len(self), dtype=_INT), self.counts)[convex],
         )
 
@@ -266,9 +289,10 @@ class RingTable:
         clockwise: a mirroring placement reverses every ring (here by
         reversing the whole table), as ``Polygon.transformed`` re-orients."""
         a, b, c, d, dx, dy = placement.tolist()
-        xs = a * self.xs + b * self.ys + dx
-        ys = c * self.xs + d * self.ys + dy
-        counts, mbrs = self.counts, place_rects(self.mbrs, placement[None, :])
+        local_x, local_y = self.xs.astype(_INT), self.ys.astype(_INT)
+        xs = _stored(a * local_x + b * local_y + dx)
+        ys = _stored(c * local_x + d * local_y + dy)
+        counts, mbrs = self.counts, _stored(place_rects(self.mbrs, placement[None, :]))
         if a * d - b * c < 0:
             xs, ys, counts, mbrs = xs[::-1], ys[::-1], counts[::-1], mbrs[::-1]
         return xs, ys, counts, mbrs
@@ -371,12 +395,13 @@ class InstanceTable:
         return np.concatenate(parts) if parts else np.zeros((0, 4), dtype=_INT)
 
     def _layer_cells(
-        self, layer: int, item_rows: Optional[np.ndarray] = None
+        self, layer: int, item_rows: Optional[np.ndarray] = None, frame: Frame = TOP_FRAME
     ) -> Iterator[Tuple[RingTable, np.ndarray, np.ndarray, Callable]]:
-        """Per definition holding ``layer``: its ring table, its placements,
-        the flat-polygon id of its ring 0 under each placement (``(m, 1)``,
-        a running counter) and ``segment_of(ring indices)``, the
-        ``(m, rings)`` row ids of those rings under each placement."""
+        """Per definition holding ``layer``: its ring table, its placements
+        (their offsets measured from ``frame``'s origin), the flat-polygon id
+        of its ring 0 under each placement (``(m, 1)``, a running counter)
+        and ``segment_of(ring indices)``, the ``(m, rings)`` row ids of those
+        rings under each placement."""
         local = self.root.rings(layer)
         # Root placement ordinal -> item index (garbage where the layer is
         # not held: nothing of it sits under such a placement). Ordinal -1,
@@ -399,17 +424,20 @@ class InstanceTable:
 
             first = count + np.arange(len(placements), dtype=_INT)[:, None] * len(table)
             count += len(placements) * len(table)
+            if frame.x or frame.y:
+                placements = placements - np.asarray([0, 0, 0, 0, frame.x, frame.y, 0])
             yield table, placements, first, segment_of
 
     # -- buffers ----------------------------------------------------------------
 
     def rects(
-        self, layer: int, item_rows: Optional[np.ndarray] = None
+        self, layer: int, item_rows: Optional[np.ndarray] = None, frame: Frame = TOP_FRAME
     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """Every flat polygon's MBR, its row, and whether it is a rectangle."""
+        """Every flat polygon's MBR (in ``frame``), its row, and whether it is
+        a rectangle."""
         rects, segment, is_rect = [], [], []
-        for table, placements, _, segment_of in self._layer_cells(layer, item_rows):
-            rects.append(place_rects(table.mbrs, placements))
+        for table, placements, _, segment_of in self._layer_cells(layer, item_rows, frame):
+            rects.append(place_rects(table.mbrs, placements).astype(frame.dtype, copy=False))
             is_rect.append(np.tile(table.is_rect, len(placements)))
             if item_rows is not None:
                 segment.append(segment_of(np.arange(len(table), dtype=_INT)).ravel())
@@ -419,9 +447,11 @@ class InstanceTable:
             np.concatenate(is_rect) if is_rect else np.zeros(0, dtype=bool),
         )
 
-    def rect_rows(self, layer: int, item_rows: np.ndarray, num_rows: int) -> List[RectBuffer]:
+    def rect_rows(
+        self, layer: int, item_rows: np.ndarray, num_rows: int, frame: Frame = TOP_FRAME
+    ) -> List[RectBuffer]:
         """:meth:`rects` cut into one :class:`RectBuffer` per row."""
-        rects, segment, is_rect = self.rects(layer, item_rows)
+        rects, segment, is_rect = self.rects(layer, item_rows, frame)
         rects = rects[np.argsort(segment, kind="stable")]
         ends = np.cumsum(np.bincount(segment, minlength=num_rows))
         rectilinear = np.bincount(segment[~is_rect], minlength=num_rows)
@@ -432,20 +462,31 @@ class InstanceTable:
             )
         ]
 
-    def edges(self, layer: int, item_rows: Optional[np.ndarray] = None) -> EdgeBufferPair:
-        """Every flat polygon's edges; with ``item_rows``, segmented by row."""
+    def edges(
+        self, layer: int, item_rows: Optional[np.ndarray] = None, frame: Frame = TOP_FRAME
+    ) -> EdgeBufferPair:
+        """Every flat polygon's edges (in ``frame``); with ``item_rows``,
+        segmented by row."""
         parts: Dict[bool, List[List[np.ndarray]]] = {True: [], False: []}
         count = 0
-        for table, placements, first, segment_of in self._layer_cells(layer, item_rows):
+        for table, placements, first, segment_of in self._layer_cells(layer, item_rows, frame):
             count += len(placements) * len(table)
             for buf in table.edges.values():
                 if not len(buf):
                     continue
-                tags = [first + buf.poly]
+                tags = [narrow_ids(first + buf.poly, count)]
                 if item_rows is not None:
                     tags.append(segment_of(buf.poly))
-                for vertical, columns in _place_edges(buf, placements, tags):
-                    parts[vertical].append(columns)
+                for vertical, (fixed, lo, hi, interior, *rest) in _place_edges(
+                    buf, placements, tags
+                ):
+                    parts[vertical].append(
+                        [
+                            *(c.astype(frame.dtype, copy=False) for c in (fixed, lo, hi)),
+                            interior.astype(np.int8),
+                            *rest,
+                        ]
+                    )
         # fixed, lo, hi, interior, poly and, with rows, segment.
         empty = [()] * (5 if item_rows is None else 6)
         vertical, horizontal = (
@@ -454,20 +495,20 @@ class InstanceTable:
         )
         return EdgeBufferPair(vertical, horizontal, count)
 
-    def corners(self, layer: int, item_rows: np.ndarray) -> CornerBuffer:
-        """Every flat polygon's convex corners, segmented by row."""
+    def corners(self, layer: int, item_rows: np.ndarray, frame: Frame = TOP_FRAME) -> CornerBuffer:
+        """Every flat polygon's convex corners (in ``frame``), segmented by row."""
         parts: List[List[np.ndarray]] = []
-        for table, placements, first, segment_of in self._layer_cells(layer, item_rows):
+        for table, placements, first, segment_of in self._layer_cells(layer, item_rows, frame):
             local = table.corners
             if not len(local):
                 continue
             a, b, c, d, dx, dy = _columns(placements)
             columns = (
-                a * local.x + b * local.y + dx,
-                c * local.x + d * local.y + dy,
-                np.sign(a * local.qx + b * local.qy),
-                np.sign(c * local.qx + d * local.qy),
-                first + local.poly,
+                (a * local.x + b * local.y + dx).astype(frame.dtype, copy=False),
+                (c * local.x + d * local.y + dy).astype(frame.dtype, copy=False),
+                np.sign(a * local.qx + b * local.qy).astype(np.int8),
+                np.sign(c * local.qx + d * local.qy).astype(np.int8),
+                narrow_ids(first + local.poly, int(first[-1, 0]) + len(table)),
                 segment_of(local.poly),
             )
             parts.append([column.ravel() for column in columns])

@@ -4,6 +4,7 @@ from .rows import (
     Row,
     RowPartition,
     margin_for_rule,
+    mbr_table,
     partition_rects,
     partition_sorted_baseline,
 )
@@ -12,6 +13,7 @@ __all__ = [
     "Row",
     "RowPartition",
     "margin_for_rule",
+    "mbr_table",
     "partition_rects",
     "partition_sorted_baseline",
 ]

@@ -7,20 +7,31 @@ each resulting *row* can be checked independently — objects in different
 rows are provably farther apart than the rule distance, so cross-row checks
 are pruned entirely and rows can be processed in parallel.
 
-The partition runs on the MBR table as ``(lo, hi)`` int pairs: no object
-per item, and per band only its span and member list.
+The partition reads a flat MBR table (:func:`mbr_table`: ``xlo, ylo, xhi,
+yhi`` per item in one ``array('q')``) and keeps its rows flat too: the
+members of every row back to back in one ``array('q')`` and where each row
+ends in another. No object per item, no list per row until a reader asks
+for :attr:`RowPartition.members`.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Callable, Dict, List, Sequence, Tuple
+from array import array
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..geometry import Interval
 from ..spatial.interval_merge import merge_spans_pigeonhole, merge_intervals_sorted
 
 Span = Tuple[int, int]
+
+
+def mbr_table(rects: Iterable[Sequence[int]]) -> array:
+    """The flat ``xlo, ylo, xhi, yhi, ...`` table :func:`partition_rects`
+    reads, from ``(xlo, ylo, xhi, yhi)`` rects (``Rect`` or any 4-sequence)."""
+    return array("q", list(chain.from_iterable(rects)))  # a list fills it faster
 
 
 @dataclasses.dataclass
@@ -38,11 +49,24 @@ class Row:
 @dataclasses.dataclass
 class RowPartition:
     """Result of partitioning: each row's span and members, plus the margin
-    they were built with."""
+    they were built with.
+
+    ``order`` holds every row's member item indices back to back, each row's
+    in item order, and ``ends[i]`` is where row ``i``'s stop in ``order``.
+    """
 
     spans: List[Span]
-    members: List[List[int]]
+    order: array
+    ends: array
     margin: int
+
+    def _bounds(self) -> Iterable[Tuple[int, int]]:
+        return zip(chain((0,), self.ends), self.ends)
+
+    @property
+    def members(self) -> List[List[int]]:
+        """Each row's item indices (lists built on each read)."""
+        return [self.order[start:end].tolist() for start, end in self._bounds()]
 
     @property
     def rows(self) -> List[Row]:
@@ -58,7 +82,7 @@ class RowPartition:
 
     @property
     def largest_row(self) -> int:
-        return max(map(len, self.members), default=0)
+        return max((end - start for start, end in self._bounds()), default=0)
 
     def row_of(self) -> Dict[int, int]:
         """Map item index -> row index."""
@@ -70,10 +94,11 @@ class RowPartition:
         Two partitions over the same item sequence compare equal exactly
         when every item lands in the same row — the condition under which
         packed per-row device buffers may be reused across rules (the
-        deck-scoped pack cache keys on this). The margin is included so
-        partitions from different rule distances never collide.
+        deck-scoped pack cache keys on this). The rows are compared as the
+        bytes of the two flat tables, not as a tuple per row. The margin is
+        included so partitions from different rule distances never collide.
         """
-        return (self.margin, tuple(map(tuple, self.members)))
+        return (self.margin, (self.order.tobytes(), self.ends.tobytes()))
 
 
 def margin_for_rule(rule_distance: int) -> int:
@@ -90,13 +115,13 @@ def margin_for_rule(rule_distance: int) -> int:
 
 
 def partition_rects(
-    rects: Sequence[Sequence[int]],
+    mbrs: Sequence[int],
     rule_distance: int,
     *,
     merger: Callable[[Sequence[Span]], List[Span]] = merge_spans_pigeonhole,
 ) -> RowPartition:
-    """Partition items (given by their MBRs, ``(xlo, ylo, xhi, yhi)``) into
-    independent rows.
+    """Partition items, given by the flat MBR table ``mbrs`` (see
+    :func:`mbr_table`), into independent rows.
 
     Empty rects are assigned to no row (they have no geometry to check).
     ``merger`` selects the span-merging backend — the pigeonhole array of
@@ -105,7 +130,8 @@ def partition_rects(
     margin = margin_for_rule(rule_distance)
     spans: List[Span] = []
     owners: List[int] = []
-    for index, (xlo, ylo, xhi, yhi) in enumerate(rects):
+    columns = zip(mbrs[0::4], mbrs[1::4], mbrs[2::4], mbrs[3::4])
+    for index, (xlo, ylo, xhi, yhi) in enumerate(columns):
         if xlo > xhi or ylo > yhi:
             continue
         spans.append((ylo - margin, yhi + margin))
@@ -120,9 +146,15 @@ def partition_rects(
     for (lo, _), owner in zip(spans, owners):
         members[bisect.bisect_right(starts, lo) - 1].append(owner)
 
-    return RowPartition(spans=merged, members=members, margin=margin)
+    order = array("q", list(chain.from_iterable(members)))
+    ends = array("q")
+    end = 0
+    for row in members:
+        end += len(row)
+        ends.append(end)
+    return RowPartition(spans=merged, order=order, ends=ends, margin=margin)
 
 
-def partition_sorted_baseline(rects: Sequence[Sequence[int]], rule_distance: int) -> RowPartition:
+def partition_sorted_baseline(mbrs: Sequence[int], rule_distance: int) -> RowPartition:
     """Row partition using the sort-based merger (ablation baseline)."""
-    return partition_rects(rects, rule_distance, merger=merge_intervals_sorted)
+    return partition_rects(mbrs, rule_distance, merger=merge_intervals_sorted)

@@ -256,16 +256,18 @@ class TestPlanCacheReuse:
         layout = random_hierarchical_layout(instances=30, seed=12)
         rule = layer(1).spacing().greater_than(7)
         plan = compile_plan(layout, [rule], EngineOptions(mode="parallel"))
-        parallel = make_backend(plan)
-        parallel.run(rule)
-        misses = plan.caches.pack.misses
-        # A sequential backend over the same plan reuses the level items.
         from repro.core.sequential import SequentialBackend
 
         sequential = SequentialBackend(plan)
         sequential.run(rule)
+        misses = plan.caches.pack.misses
+        # A parallel backend over the same plan reuses the row partition;
+        # its read is the last one it announced, so the partition goes.
+        parallel = make_backend(plan)
+        parallel.run(rule)
         assert plan.caches.pack.hits > 0
         assert plan.caches.pack.misses >= misses
+        assert ("partition", 1) not in plan.caches.pack._stores
 
     def test_engine_reports_cache_stats(self):
         layout = random_hierarchical_layout(instances=30, seed=13)

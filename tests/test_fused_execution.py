@@ -114,26 +114,44 @@ class TestPackCache:
         engine.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
         assert engine.last_checker.pack_cache.hits == 0
 
-    def test_distance_change_reuses_level_items_only(self):
+    def test_distance_change_reuses_level_items_only(self, monkeypatch):
         # Two spacing rules whose margins differ partition the layer
         # differently: the second reuses the top level's item MBRs (and the
         # plan's one instance table) and nothing else — row buffers must
         # not leak between them.
+        from repro.core.plan import PackCache
+
+        built = []
+        read = PackCache.read
+
+        def spy(self, store, layers, key, build):
+            def counted():
+                built.append((store, key))
+                return build()
+
+            return read(self, store, layers, key, counted)
+
         layout = random_hierarchical_layout(instances=40, seed=7)
         near = layer(1).spacing().greater_than(5)
         far = layer(1).spacing().greater_than(600)
+        seq = Engine(mode="sequential").check(layout, rules=[near, far])
+        monkeypatch.setattr(PackCache, "read", spy)
         engine = Engine(mode="parallel")
         par = engine.check(layout, rules=[near, far])
-        seq = Engine(mode="sequential").check(layout, rules=[near, far])
         for a, b in zip(par.results, seq.results):
             assert Counter(a.violations) == Counter(b.violations), a.rule.name
         cache = engine.last_checker.pack_cache
-        assert {name: len(bucket) for name, bucket in cache._stores.items()} == {
+        assert Counter(store for store, _ in built) == {
             "item-mbrs": 1, "partition": 2, "fused-edges": 2,
         }
         assert (cache.hits, cache.misses) == (1, 5)
-        near_rows, far_rows = (key[1] for key in cache._stores["fused-edges"])
-        assert len(near_rows) > len(far_rows)
+        # Each fused buffer is keyed by its partition's signature: (order,
+        # ends) bytes, eight per row end.
+        near_rows, far_rows = (
+            len(key[0][1]) // 8 for store, key in built if store == "fused-edges"
+        )
+        assert near_rows > far_rows
+        assert not cache._stores  # every entry went with its last reader
 
     def test_stats_expose_cache_and_device_counters(self, uart_layout):
         engine = Engine(mode="parallel")

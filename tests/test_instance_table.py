@@ -2,6 +2,7 @@
 recursive per-instance packers it replaced (``tests/reference_packers.py``)
 as multisets, and the mode's reports held to the sequential oracle."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -11,13 +12,14 @@ from . import reference_packers as ref
 from repro.core import Engine, EngineOptions
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
-from repro.gpu.kernels import edges_from_vertices, pack_corners, pack_edges
+from repro.geometry import EMPTY_RECT
+from repro.gpu.kernels import TOP_FRAME, Frame, edges_from_vertices, pack_corners, pack_edges
 from repro.hierarchy.edgepack import InstanceTable
 from repro.hierarchy.pruning import level_items
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
-from repro.partition.rows import partition_rects
+from repro.partition.rows import mbr_table, partition_rects
 from repro.workloads import asap7, build_design
 
 from .test_columnar_ingest import ledger_dirty_jpeg
@@ -76,7 +78,7 @@ def rows_of(tree, layers, value):
     """Level items of ``layers`` back to back, their row lists, and the row
     id per item."""
     items = [item for L in layers for item in level_items(tree, tree.top, L)]
-    member_rows = [row.members for row in partition_rects([it.mbr for it in items], value).rows]
+    member_rows = [row.members for row in partition_rects(mbr_table(it.mbr for it in items), value).rows]
     item_rows = np.zeros(len(items), dtype=np.int64)
     for index, members in enumerate(member_rows):
         item_rows[members] = index
@@ -100,23 +102,50 @@ def polygon_multiset(groups):
     return Counter(tuple(sorted(edges)) for edges in groups.values())
 
 
+def frame_of(tree, layers, value, narrow):
+    """The top frame, or the int32 frame around ``layers``' extent."""
+    if not narrow:
+        return TOP_FRAME
+    box = EMPTY_RECT
+    for L in layers:
+        box = box.union(tree.top_mbr(L))
+    frame = Frame.around(box.xlo, box.ylo, box.xhi, box.yhi, value)
+    assert frame.dtype is np.int32 and (frame.x, frame.y) != (0, 0)
+    return frame
+
+
+def edges_in_top_frame(buf, frame):
+    """An edge buffer packed in ``frame``, back in top-frame coordinates."""
+    assert buf.fixed.dtype == buf.lo.dtype == buf.hi.dtype == frame.dtype
+    along, across = (frame.x, frame.y) if buf.vertical else (frame.y, frame.x)
+    return dataclasses.replace(
+        buf,
+        fixed=buf.fixed.astype(np.int64) + along,
+        lo=buf.lo.astype(np.int64) + across,
+        hi=buf.hi.astype(np.int64) + across,
+    )
+
+
 @pytest.fixture(scope="module")
 def tree():
     return HierarchyTree(nested_layout())
 
 
 class TestBuffersEqualTheReferencePackers:
+    @pytest.mark.parametrize("narrow", [False, True])
     @pytest.mark.parametrize("value", [10, 400])
-    def test_fused_edges(self, tree, value):
+    def test_fused_edges(self, tree, value, narrow):
         items, member_rows, item_rows = rows_of(tree, [METAL], value)
         assert len(member_rows) > 1
         packer = ref.RecursiveEdgePacker(tree, METAL)
         want = ref.concat_segmented(
             [ref.row_edge_buffers([items[m] for m in row], packer) for row in member_rows]
         )
-        got = InstanceTable(tree).edges(METAL, item_rows)
+        frame = frame_of(tree, [METAL], value, narrow)
+        got = InstanceTable(tree).edges(METAL, item_rows, frame)
         assert got.num_polygons == want.num_polygons
-        assert polygon_multiset(edge_rows(got.vertical, got.horizontal)) == polygon_multiset(
+        got_edges = [edges_in_top_frame(buf, frame) for buf in (got.vertical, got.horizontal)]
+        assert polygon_multiset(edge_rows(*got_edges)) == polygon_multiset(
             edge_rows(want.vertical, want.horizontal)
         )
 
@@ -149,27 +178,34 @@ class TestBuffersEqualTheReferencePackers:
             want = [tuple(item.mbr) for item in level_items(tree, tree.top, L)]
             assert list(map(tuple, InstanceTable(tree).item_mbrs(L).tolist())) == want
 
-    def test_rect_rows_and_per_row_all_rect(self, tree):
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_rect_rows_and_per_row_all_rect(self, tree, narrow):
         items, member_rows, item_rows = rows_of(tree, [VIA, METAL], 6)
         num_vias = len(level_items(tree, tree.top, VIA))
         table = InstanceTable(tree)
+        frame = frame_of(tree, [VIA, METAL], 6, narrow)
+        origin = np.asarray([frame.x, frame.y] * 2)
         flags = set()
         for L, lo, hi in ((VIA, 0, num_vias), (METAL, num_vias, len(items))):
             packer = ref.RecursiveRectPacker(tree, L)
-            got = table.rect_rows(L, item_rows[lo:hi], len(member_rows))
+            got = table.rect_rows(L, item_rows[lo:hi], len(member_rows), frame)
             assert len(got) == len(member_rows)
             for row, buf in zip(member_rows, got):
                 want = ref.row_rect_buffer([items[m] for m in row if lo <= m < hi], packer)
-                assert Counter(map(tuple, buf.rects.tolist())) == Counter(
+                assert buf.rects.dtype == frame.dtype
+                assert Counter(map(tuple, (buf.rects + origin).tolist())) == Counter(
                     map(tuple, want.rects.tolist())
                 )
                 assert buf.all_rect == want.all_rect
                 flags.add(buf.all_rect)
         assert flags == {True, False}
 
-    def test_corners(self, tree):
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_corners(self, tree, narrow):
         items, member_rows, item_rows = rows_of(tree, [METAL], 10)
-        got = InstanceTable(tree).corners(METAL, item_rows)
+        frame = frame_of(tree, [METAL], 10, narrow)
+        got = InstanceTable(tree).corners(METAL, item_rows, frame)
+        assert got.x.dtype == got.y.dtype == frame.dtype
         want = Counter()
         for index, row in enumerate(member_rows):
             polygons = []
@@ -185,9 +221,9 @@ class TestBuffersEqualTheReferencePackers:
             want.update(
                 zip(buf.x.tolist(), buf.y.tolist(), buf.qx.tolist(), buf.qy.tolist(), [index] * len(buf))
             )
-        assert want == Counter(
-            zip(got.x.tolist(), got.y.tolist(), got.qx.tolist(), got.qy.tolist(), got.segment.tolist())
-        )
+        xs = (got.x.astype(np.int64) + frame.x).tolist()
+        ys = (got.y.astype(np.int64) + frame.y).tolist()
+        assert want == Counter(zip(xs, ys, got.qx.tolist(), got.qy.tolist(), got.segment.tolist()))
         # Corners of one polygon share an id: four per rectangle, five per L.
         assert set(Counter(got.poly.tolist()).values()) == {4, 5}
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.geometry import Interval, Point, Polygon, Rect, Transform, coalesce
 from repro.geometry.booleans import union_rects
 from repro.spatial import iter_overlapping_pairs, merge_intervals_pigeonhole
-from repro.partition import partition_rects
+from repro.partition import mbr_table, partition_rects
 from benchmarks.interval_tree import IntervalTree
 
 from .test_spatial_sweepline import brute_force_pairs
@@ -129,7 +129,7 @@ class TestPartitionProperties:
     @given(st.lists(solid_rects(), min_size=1, max_size=50),
            st.integers(min_value=1, max_value=40))
     def test_rows_partition_and_separate(self, population, rule):
-        part = partition_rects(population, rule)
+        part = partition_rects(mbr_table(population), rule)
         members = sorted(m for row in part.rows for m in row.members)
         assert members == list(range(len(population)))
         owner = part.row_of()

@@ -153,3 +153,150 @@ class TestTheMatrixIsNotVacuous:
         assert set(KIND_SPECS) == set(RuleKind)
         for kind, spec in KIND_SPECS.items():
             assert spec.kind is kind and callable(spec.flat), kind
+
+
+# ---------------------------------------------------------------------------
+# The int32 edges: coordinates where a 32-bit column would overflow
+# ---------------------------------------------------------------------------
+
+#: The largest coordinate GDSII stores.
+EDGE = 2**31 - 1
+
+
+def edge_deck():
+    """The kinds whose parallel kernels read packed coordinate columns."""
+    return [
+        layer(METAL).width().greater_than(9).named("W"),
+        layer(METAL).area().greater_than(150).named("A"),
+        layer(METAL).spacing().greater_than(8).named("S"),
+        layer(METAL).corner_spacing().greater_than(12).named("CS"),
+        layer(VIA).enclosure(layer(METAL)).greater_than(2).named("ENC"),
+    ]
+
+
+def add_motif(cell, x0: int, y0: int) -> None:
+    """One violation of every kind of :func:`edge_deck` in ``[x0, x0 + 100]
+    x [y0, y0 + 100]``: a 7-wide sliver, a pair 5 apart, a 10x10 square 6
+    diagonal from its neighbour's corner, and a via 1 inside its metal."""
+    for xlo, ylo, xhi, yhi in [
+        (0, 0, 7, 40),
+        (20, 0, 40, 40),
+        (45, 0, 65, 40),
+        (0, 60, 10, 70),
+        (16, 76, 30, 90),
+        (70, 60, 100, 100),
+    ]:
+        cell.add_polygon(METAL, Polygon.from_rect_coords(x0 + xlo, y0 + ylo, x0 + xhi, y0 + yhi))
+    for xlo, ylo in [(71, 61), (85, 80)]:
+        x, y = x0 + xlo, y0 + ylo
+        cell.add_polygon(VIA, Polygon.from_rect_coords(x, y, x + 5, y + 5))
+
+
+def extremes_layout() -> Layout:
+    """Stored coordinates at +-(2**31 - 1): a leaf with one motif ending at
+    (EDGE, EDGE) and one starting at (-EDGE, -EDGE), placed as is and
+    mirrored, and a motif of the top's own ending at x = EDGE. The layer
+    spans about 2**32, so its packs stay int64."""
+    layout = Layout("int32-extremes")
+    leaf = layout.new_cell("edge")
+    add_motif(leaf, EDGE - 100, EDGE - 100)
+    add_motif(leaf, -EDGE, -EDGE)
+    top = layout.new_cell("top")
+    top.add_reference(CellReference("edge", Transform()))
+    top.add_reference(CellReference("edge", Transform(mirror_x=True)))
+    add_motif(top, EDGE - 100, -50)
+    layout.set_top("top")
+    return layout
+
+
+def beyond_layout() -> Layout:
+    """A motif stored ending at (EDGE, EDGE) that SREF offsets push past
+    2**31 in the top frame (through a mid cell, directly, and in an AREF).
+    The layer spans about 2 000, so its packs are int32 offsets from an
+    origin above 2**31."""
+    layout = Layout("int32-beyond")
+    leaf = layout.new_cell("far")
+    add_motif(leaf, EDGE - 100, EDGE - 100)
+    mid = layout.new_cell("mid")
+    mid.add_reference(CellReference("far", Transform(dx=1000, dy=1000)))
+    top = layout.new_cell("top")
+    top.add_reference(CellReference("mid", Transform()))
+    top.add_reference(CellReference("far", Transform(dx=1300, dy=1000)))
+    top.add_reference(
+        CellReference("far", Transform(dx=1600, dy=1000), Repetition(2, 2, (200, 0), (0, 200)))
+    )
+    layout.set_top("top")
+    return layout
+
+
+def aref_layout() -> Layout:
+    """A 4x3 AREF whose columns and rows step across 0, beside rotated and
+    mirrored SREFs of the same motif."""
+    layout = Layout("int32-aref")
+    leaf = layout.new_cell("cell")
+    add_motif(leaf, 0, 0)
+    top = layout.new_cell("top")
+    top.add_reference(
+        CellReference("cell", Transform(dx=-300, dy=-150), Repetition(4, 3, (150, 0), (0, 150)))
+    )
+    top.add_reference(CellReference("cell", Transform(dx=-600, dy=0, rotation=90)))
+    top.add_reference(
+        CellReference("cell", Transform(dx=-700, dy=400, rotation=180, mirror_x=True))
+    )
+    layout.set_top("top")
+    return layout
+
+
+EDGE_LAYOUTS = {
+    "extremes": extremes_layout,
+    "beyond": beyond_layout,
+    "aref": aref_layout,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def edge_reports(name: str):
+    """(layout, sequential report, parallel report, parallel backend)."""
+    layout = EDGE_LAYOUTS[name]()
+    out = [layout]
+    for mode in ("sequential", "parallel"):
+        with Engine(options=EngineOptions(mode=mode, use_cache=False)) as engine:
+            out.append(engine.check(layout, rules=edge_deck()))
+            backend = engine.last_checker
+    return (*out, backend)
+
+
+@pytest.mark.parametrize("rule", [rule.name for rule in edge_deck()])
+@pytest.mark.parametrize("name", sorted(EDGE_LAYOUTS))
+class TestInt32Edges:
+    """Parallel == sequential == flat procedure where 32-bit columns would
+    overflow, in both column widths."""
+
+    def test_parallel_reports_the_sequential_markers_in_order(self, name, rule):
+        _, sequential, parallel, _ = edge_reports(name)
+        want = sequential.result(rule)
+        assert want.num_violations  # every kind trips on every layout
+        assert parallel.result(rule).violations == want.violations
+
+    def test_flat_procedure_reports_the_sequential_set(self, name, rule):
+        layout, sequential, _, _ = edge_reports(name)
+        want = sequential.result(rule)
+        assert frozenset(flat_violations(layout, want.rule)) == want.violation_set()
+
+
+class TestInt32EdgeFrames:
+    """Each edge layout runs the column width it was built for."""
+
+    @pytest.mark.parametrize(
+        "name, dtype", [("extremes", "int64"), ("beyond", "int32"), ("aref", "int32")]
+    )
+    def test_packs_take_the_width_the_extent_allows(self, name, dtype):
+        backend = edge_reports(name)[3]
+        for layers, value in [(METAL, 8), (METAL, 12), ((VIA, METAL), 2)]:
+            frame = backend._frame(layers, value)
+            assert frame.dtype.__name__ == dtype, (layers, frame)
+
+    def test_narrow_frames_sit_past_the_int32_edge_and_across_zero(self):
+        assert edge_reports("beyond")[3]._frame(METAL, 8).x > EDGE
+        aref = edge_reports("aref")[3]._frame(METAL, 8)
+        assert aref.x < 0 and aref.y < 0  # and the AREF reaches x, y > 0
