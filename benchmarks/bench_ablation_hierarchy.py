@@ -11,7 +11,7 @@ import pytest
 from repro.checks.spacing import check_spacing
 from repro.checks.width import check_width
 from repro.core import Engine
-from repro.layout.flatten import flatten_layer
+from repro.layout.flatten import flatten_layer, polygon_rings
 from repro.workloads import asap7
 
 from .common import design
@@ -36,7 +36,7 @@ def test_width_with_hierarchy(benchmark, design_name):
 @pytest.mark.parametrize("design_name", DESIGNS)
 def test_width_flat_no_hierarchy(benchmark, design_name):
     layout = design(design_name)
-    flat = flatten_layer(layout, asap7.M1)  # flatten outside the timed region
+    flat = polygon_rings(flatten_layer(layout, asap7.M1))  # flatten outside the timed region
 
     def run():
         return check_width(flat, asap7.M1, asap7.WIDTH_RULES[asap7.M1])
@@ -59,7 +59,7 @@ def test_spacing_with_hierarchy(benchmark, design_name):
 @pytest.mark.parametrize("design_name", DESIGNS)
 def test_spacing_flat_no_hierarchy(benchmark, design_name):
     layout = design(design_name)
-    flat = flatten_layer(layout, asap7.M1)
+    flat = polygon_rings(flatten_layer(layout, asap7.M1))
 
     def run():
         return check_spacing(flat, asap7.M1, asap7.SPACING_RULES[asap7.M1])

@@ -30,19 +30,16 @@ from ..checks.base import Violation
 from ..checks.enclosure import check_enclosure
 from ..checks.ensure import check_ensures
 from ..checks.rectilinear import check_rectilinear
-from ..checks.spacing import (
-    check_spacing,
-    spacing_notch_violations,
-    spacing_pair_violations,
-)
+from ..checks.spacing import SpacingProcedures, check_spacing
 from ..checks.width import check_width
 from ..core.results import CheckReport, CheckResult
 from ..core.rules import Rule, RuleKind
 from ..geometry import Polygon
 from ..geometry.booleans import union_polygons
-from ..hierarchy.pruning import SubtreeWindow, gather_pair_polygons, level_items
+from ..hierarchy.pruning import SubtreeWindow, gather_pair_rings, level_items
 from ..hierarchy.tree import HierarchyTree
 from ..layout.flatten import flatten_layer
+from ..layout.flatten import polygon_rings as _rings
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
 
@@ -132,14 +129,14 @@ class KLayoutLikeChecker:
         if rule.kind is RuleKind.SPACING:
             polygons = self._flat(rule.layer)
             self._normalize(polygons, f"L{rule.layer}")
-            return check_spacing(polygons, rule.layer, rule.value)
+            return check_spacing(_rings(polygons), rule.layer, rule.value)
         if rule.kind is RuleKind.ENCLOSURE:
             vias = self._flat(rule.layer)
             metals = self._flat(rule.other_layer)
             self._normalize(vias, f"L{rule.layer}")
             self._normalize(metals, f"L{rule.other_layer}")
             return check_enclosure(
-                vias, metals, rule.layer, rule.other_layer, rule.value
+                _rings(vias), _rings(metals), rule.layer, rule.other_layer, rule.value
             )
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
         out: List[Violation] = []
@@ -179,17 +176,20 @@ class KLayoutLikeChecker:
 
     def _deep_spacing(self, layer: int, value: int, tree: HierarchyTree) -> List[Violation]:
         subtree = SubtreeWindow(tree)
+        procedures = SpacingProcedures()
         memo: Dict[str, List[Violation]] = {}
 
         def internal(cell_name: str) -> List[Violation]:
             if cell_name in memo:
                 return memo[cell_name]
             cell = self.layout.cell(cell_name)
-            vios: List[Violation] = []
-            for polygon in cell.polygons(layer):
-                vios.extend(spacing_notch_violations(polygon, layer, value))
-            items = level_items(tree, cell, layer)
             rings = cell.rings(layer)
+            vios: List[Violation] = []
+            if rings:
+                for index in range(len(rings)):
+                    rows = procedures.prepare(rings.points(index))
+                    vios.extend(procedures.self_violations(rows, layer, value))
+            items = level_items(tree, cell, layer)
             margin = margin_for_rule(value)
             # Quadratic candidate loop — deep mode's hierarchical analysis
             # cost, with per-pair full-window flattening.
@@ -198,15 +198,20 @@ class KLayoutLikeChecker:
                 for j in range(i + 1, len(items)):
                     if not mbr_i.overlaps(items[j].mbr.inflated(margin)):
                         continue
-                    side_a, side_b = gather_pair_polygons(
+                    side_a, side_b = gather_pair_rings(
                         rings, items[i], items[j], subtree, layer, value
                     )
-                    for pa in side_a:
-                        window = pa.mbr.inflated(value)
-                        for pb in side_b:
-                            if window.overlaps(pb.mbr):
+                    for ring_a, mbr_a in side_a:
+                        window = mbr_a.inflated(value)
+                        for ring_b, mbr_b in side_b:
+                            if window.overlaps(mbr_b):
                                 vios.extend(
-                                    spacing_pair_violations(pa, pb, layer, value)
+                                    procedures.cross_violations(
+                                        procedures.prepare(ring_a),
+                                        procedures.prepare(ring_b),
+                                        layer,
+                                        value,
+                                    )
                                 )
             for ref in cell.references:
                 if not tree.has_layer(ref.cell_name, layer):
@@ -217,9 +222,7 @@ class KLayoutLikeChecker:
                         vios.extend(v.transformed(placement) for v in child)
                     else:
                         window = placement.apply_rect(tree.layer_mbr(ref.cell_name, layer))
-                        flat = subtree.polygons_in_window(
-                            ref.cell_name, placement, layer, window
-                        )
+                        flat = subtree.rings_in_window(ref.cell_name, placement, layer, window)
                         vios.extend(check_spacing(flat, layer, value))
             memo[cell_name] = vios
             return vios
@@ -233,8 +236,8 @@ class KLayoutLikeChecker:
         # evaluate on the flattened layers (its deep engine falls back to
         # region operations for such interactions).
         return check_enclosure(
-            self._flat(via_layer),
-            self._flat(metal_layer),
+            _rings(self._flat(via_layer)),
+            _rings(self._flat(metal_layer)),
             via_layer,
             metal_layer,
             value,
@@ -276,7 +279,7 @@ class KLayoutLikeChecker:
             for polygons in tiles.values():
                 t0 = time.perf_counter()
                 union_polygons(polygons)  # per-tile normalization
-                out.extend(check_spacing(polygons, rule.layer, rule.value))
+                out.extend(check_spacing(_rings(polygons), rule.layer, rule.value))
                 tile_times.append(time.perf_counter() - t0)
             return sorted(set(out), key=_violation_key), setup + _critical_path(
                 tile_times, self.workers
@@ -295,8 +298,8 @@ class KLayoutLikeChecker:
             union_polygons(metal_tiles.get(key, []))
             out.extend(
                 check_enclosure(
-                    tile_vias,
-                    metal_tiles.get(key, []),
+                    _rings(tile_vias),
+                    _rings(metal_tiles.get(key, [])),
                     rule.layer,
                     rule.other_layer,
                     rule.value,
@@ -323,13 +326,13 @@ class KLayoutLikeChecker:
 
 def _intra_flat(rule: Rule, polygons: Sequence[Polygon], layer: int) -> List[Violation]:
     if rule.kind is RuleKind.WIDTH:
-        return check_width(polygons, layer, rule.value)
+        return check_width(_rings(polygons), layer, rule.value)
     if rule.kind is RuleKind.AREA:
-        return check_area(polygons, layer, rule.value)
+        return check_area(_rings(polygons), layer, rule.value)
     if rule.kind is RuleKind.RECTILINEAR:
-        return check_rectilinear(polygons, layer)
+        return check_rectilinear(_rings(polygons), layer)
     if rule.kind is RuleKind.ENSURES:
-        return check_ensures(polygons, layer, rule.predicate)
+        return check_ensures(_rings(polygons, named=True), layer, rule.predicate)
     raise NotImplementedError(rule.kind)
 
 

@@ -35,7 +35,7 @@ from ..gpu.kernels import (
     pack_edges,
     reduce_enclosure_best,
 )
-from ..layout.flatten import flatten_layer
+from ..layout.flatten import flatten_layer, polygon_rings
 from ..layout.library import Layout
 from ..spatial.sweepline import iter_bipartite_overlaps
 
@@ -145,7 +145,9 @@ class XCheckChecker:
         if not all_rect:
             from ..checks.enclosure import check_enclosure
 
-            return check_enclosure(vias, metals, via_layer, metal_layer, value)
+            return check_enclosure(
+                polygon_rings(vias), polygon_rings(metals), via_layer, metal_layer, value
+            )
         windows = [v.mbr.inflated(value) for v in vias]
         metal_rects = [m.mbr for m in metals]
         pairs = list(iter_bipartite_overlaps(windows, metal_rects))

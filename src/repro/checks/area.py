@@ -6,25 +6,17 @@ paper's Table I); OpenDRC adds it, and so do we.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
-from ..geometry import Polygon, signed_area2
-from .base import Violation, ViolationKind
-
-
-def check_polygon_area(polygon: Polygon, layer: int, min_area: int) -> List[Violation]:
-    """Flag ``polygon`` if its Shoelace area is below ``min_area``."""
-    area = polygon.area
-    if area >= min_area:
-        return []
-    return [_violation(polygon.mbr, area, layer, min_area)]
+from ..geometry import signed_area2
+from .base import PlacedRing, Violation, ViolationKind
 
 
 def check_ring_area(rings, layer: int, min_area: int) -> List[Violation]:
     """Area violations of every ring of one :class:`~repro.layout.cell.RingBuffer`,
-    in its frame, read off the coordinates (no ``Polygon`` built): a
-    rectangle's (by the buffer's :meth:`~repro.layout.cell.RingBuffer.rect_flags`)
-    is ``w * h`` off the MBR table, any other ring's the Shoelace sum."""
+    in its frame, read off the coordinates: a rectangle's (by the buffer's
+    :meth:`~repro.layout.cell.RingBuffer.rect_flags`) is ``w * h`` off the
+    MBR table, any other ring's the Shoelace sum."""
     violations: List[Violation] = []
     mbrs = rings.mbrs
     for index, rectangle in enumerate(rings.rect_flags()):
@@ -38,6 +30,17 @@ def check_ring_area(rings, layer: int, min_area: int) -> List[Violation]:
     return violations
 
 
+def check_area(rings: Iterable[PlacedRing], layer: int, min_area: int) -> List[Violation]:
+    """Area violations of placed rings: each ring whose
+    Shoelace area is below ``min_area``, marked by its MBR."""
+    violations: List[Violation] = []
+    for ring, mbr in rings:
+        area = abs(signed_area2(ring)) // 2
+        if area < min_area:
+            violations.append(_violation(mbr, area, layer, min_area))
+    return violations
+
+
 def _violation(region, area: int, layer: int, min_area: int) -> Violation:
     return Violation(
         kind=ViolationKind.AREA,
@@ -46,11 +49,3 @@ def _violation(region, area: int, layer: int, min_area: int) -> Violation:
         measured=area,
         required=min_area,
     )
-
-
-def check_area(polygons, layer: int, min_area: int) -> List[Violation]:
-    """Area violations over a polygon collection."""
-    violations: List[Violation] = []
-    for polygon in polygons:
-        violations.extend(check_polygon_area(polygon, layer, min_area))
-    return violations

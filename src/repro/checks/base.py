@@ -14,6 +14,12 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import Point, Polygon, Rect
 from ..geometry.polygon import is_rectangle_ring
+from ..spatial.sweepline import iter_overlapping_pairs
+
+#: A ring placed in some frame: its vertices as ``(x, y)`` pairs, clockwise,
+#: and its MBR there — the geometry every check procedure takes (a gather
+#: asked for names appends the ring's object name).
+PlacedRing = Tuple[Sequence[Tuple[int, int]], Rect]
 
 #: What the cross-layer procedures judge: a ``Polygon``, or a ``Rect`` standing
 #: for the rectangle polygon it bounds (the sequential engine reads
@@ -39,6 +45,28 @@ def ring_shape(ring: Sequence[Tuple[int, int]], mbr: Rect) -> Shape:
 
 def is_box(shape: Shape) -> bool:
     return isinstance(shape, Rect) or shape.is_rectangle
+
+
+def check_pairs(
+    procedures, rings: Sequence[PlacedRing], layer: int, value: int
+) -> List["Violation"]:
+    """An intra-layer pairwise rule over a flat collection of placed rings
+    ``(vertices, mbr)``: every ring against itself, then every pair whose
+    MBRs, each grown by half the rule value (rounded up), meet — a complete
+    candidate filter, and the reference semantics the hierarchical and GPU
+    paths reproduce. ``procedures`` is the kind's pairwise-procedure object
+    (:class:`~repro.checks.spacing.SpacingProcedures`,
+    :class:`~repro.checks.corner.CornerProcedures`); each ring is prepared
+    once."""
+    prepared = [procedures.prepare(ring) for ring, _ in rings]
+    violations: List[Violation] = []
+    for one in prepared:
+        violations.extend(procedures.self_violations(one, layer, value))
+    margin = (value + 1) // 2
+    inflated = [mbr.inflated(margin) for _, mbr in rings]
+    for i, j in iter_overlapping_pairs(inflated):
+        violations.extend(procedures.cross_violations(prepared[i], prepared[j], layer, value))
+    return violations
 
 
 class ViolationKind(enum.Enum):

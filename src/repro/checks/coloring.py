@@ -23,16 +23,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..geometry import Polygon, Rect
+from ..geometry import Rect
+from ..geometry.polygon import EdgeRows, canonical_ring, edge_rows_of
 from ..spatial.sweepline import iter_overlapping_pairs
-from .base import Violation, ViolationKind
-from .edges import polygon_spacing_violations
+from .base import PlacedRing, Violation, ViolationKind
+from .edges import spacing_regions
+
+
+def canonical_order(rings: List[PlacedRing]) -> None:
+    """Sort placed rings in place by MBR, then canonical vertices: the
+    order both execution modes and the windowed procedure build the
+    conflict graph in, so the odd-cycle markers they report agree."""
+    rings.sort(key=lambda ring: (ring[1], canonical_ring(ring[0])))
 
 
 def conflict_edges(
-    polygons: Sequence[Polygon], color_spacing: int
+    rings: Sequence[PlacedRing], color_spacing: int
 ) -> List[Tuple[int, int, Rect, int]]:
-    """All shape pairs closer than ``color_spacing``: (i, j, region, distance).
+    """All ring pairs closer than ``color_spacing``: (i, j, region, distance).
 
     The region/distance come from the closest exterior-facing edge pair, the
     same measurement the spacing rule reports. Edges come in ``(i, j)``
@@ -40,10 +48,18 @@ def conflict_edges(
     reported on a layer that is not 2-colorable, depends on it.
     """
     margin = (color_spacing + 1) // 2
-    inflated = [p.mbr.inflated(margin) for p in polygons]
+    inflated = [mbr.inflated(margin) for _, mbr in rings]
+    rows: Dict[int, EdgeRows] = {}
+
+    def rows_of(index: int) -> EdgeRows:
+        table = rows.get(index)
+        if table is None:
+            table = rows[index] = edge_rows_of(rings[index][0])
+        return table
+
     out: List[Tuple[int, int, Rect, int]] = []
     for i, j in sorted(iter_overlapping_pairs(inflated)):
-        hits = polygon_spacing_violations(polygons[i], polygons[j], color_spacing)
+        hits = spacing_regions(rows_of(i), rows_of(j), color_spacing)
         if not hits:
             continue
         region, distance = min(hits, key=lambda h: h[1])
@@ -52,23 +68,23 @@ def conflict_edges(
 
 
 def two_color(
-    polygons: Sequence[Polygon], color_spacing: int
+    rings: Sequence[PlacedRing], color_spacing: int
 ) -> Tuple[Optional[List[int]], List[Tuple[int, int, Rect, int]]]:
-    """BFS 2-coloring of the conflict graph.
+    """BFS 2-coloring of the conflict graph of placed rings.
 
-    Returns ``(colors, conflicts)``: a 0/1 color per polygon and the list of
+    Returns ``(colors, conflicts)``: a 0/1 color per ring and the list of
     conflict edges whose endpoints could not be separated (empty when the
     layer is decomposable; ``colors`` is then a valid assignment). When
     conflicts exist, ``colors`` still holds the best-effort BFS assignment.
     """
-    edges = conflict_edges(polygons, color_spacing)
+    edges = conflict_edges(rings, color_spacing)
     adjacency: Dict[int, List[int]] = {}
     for i, j, _, _ in edges:
         adjacency.setdefault(i, []).append(j)
         adjacency.setdefault(j, []).append(i)
 
-    colors: List[int] = [-1] * len(polygons)
-    for start in range(len(polygons)):
+    colors: List[int] = [-1] * len(rings)
+    for start in range(len(rings)):
         if colors[start] != -1:
             continue
         colors[start] = 0
@@ -89,14 +105,14 @@ def two_color(
 
 
 def check_two_colorable(
-    polygons: Sequence[Polygon], layer: int, color_spacing: int
+    rings: Sequence[PlacedRing], layer: int, color_spacing: int
 ) -> List[Violation]:
     """Flag every conflict edge that defeats the 2-coloring.
 
     A clean report means the layer decomposes into two masks with all
     same-mask distances >= ``color_spacing``.
     """
-    _, conflicts = two_color(polygons, color_spacing)
+    _, conflicts = two_color(rings, color_spacing)
     return [
         Violation(
             kind=ViolationKind.COLOR,

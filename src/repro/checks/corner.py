@@ -23,9 +23,8 @@ import dataclasses
 import math
 from typing import List, Sequence, Tuple
 
-from ..geometry import Polygon, Rect
-from ..spatial.sweepline import iter_overlapping_pairs
-from .base import Violation, ViolationKind
+from ..geometry import Rect
+from .base import PlacedRing, Violation, ViolationKind, check_pairs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,13 +37,9 @@ class Corner:
     qy: int
 
 
-def convex_corners(polygon: Polygon) -> List[Corner]:
-    """All convex corners of a rectilinear polygon with their quadrants."""
-    return ring_corners(polygon.vertices)
-
-
 def ring_corners(vertices: Sequence[Tuple[int, int]]) -> List[Corner]:
-    """:func:`convex_corners` of a clockwise ring given as ``(x, y)`` pairs."""
+    """All convex corners of a clockwise rectilinear ring, given as ``(x, y)``
+    pairs, with their exterior quadrants."""
     corners: List[Corner] = []
     n = len(vertices)
     for i in range(n):
@@ -112,27 +107,13 @@ def _make(ca: Corner, cb: Corner, layer: int, min_space: int) -> Violation:
 
 
 def check_corner_spacing(
-    polygons: Sequence[Polygon], layer: int, min_space: int
+    rings: Sequence[PlacedRing], layer: int, min_space: int
 ) -> List[Violation]:
-    """Flat corner-spacing check over a polygon collection.
-
-    Candidates come from the same rule-inflated MBR sweep the edge spacing
-    check uses; same-polygon corner pairs (concave shapes folding back on
-    themselves) are included.
-    """
-    corner_sets = [convex_corners(p) for p in polygons]
-    margin = (min_space + 1) // 2
-    violations: List[Violation] = []
-    for corners in corner_sets:
-        violations.extend(
-            corner_pair_violations(corners, corners, layer, min_space)
-        )
-    inflated = [p.mbr.inflated(margin) for p in polygons]
-    for i, j in iter_overlapping_pairs(inflated):
-        violations.extend(
-            corner_pair_violations(corner_sets[i], corner_sets[j], layer, min_space)
-        )
-    return violations
+    """Flat corner-spacing check over placed rings
+    (:func:`~repro.checks.base.check_pairs`): candidates come from the same
+    rule-inflated MBR sweep the edge spacing check uses, and same-ring
+    corner pairs (concave shapes folding back on themselves) are included."""
+    return check_pairs(CornerProcedures(), rings, layer, min_space)
 
 
 class CornerProcedures:
@@ -152,6 +133,3 @@ class CornerProcedures:
         self, corners_a: Sequence[Corner], corners_b: Sequence[Corner], layer: int, value: int
     ):
         return corner_pair_violations(corners_a, corners_b, layer, value)
-
-    def flat_check(self, polygons, layer: int, value: int):
-        return check_corner_spacing(polygons, layer, value)

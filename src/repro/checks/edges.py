@@ -19,20 +19,14 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..geometry import Polygon, Rect
+from ..geometry import Rect
 from ..geometry.polygon import EdgeRows
 
 
-def width_violation_regions(polygon: Polygon, min_width: int) -> List[Tuple[Rect, int]]:
-    """All interior strips of ``polygon`` narrower than ``min_width``.
-
-    Returns ``(region, measured_distance)`` per violating edge pair.
-    """
-    return width_regions(polygon.edge_rows(), min_width)
-
-
 def width_regions(rows: EdgeRows, min_width: int) -> List[Tuple[Rect, int]]:
-    """:func:`width_violation_regions` of one ring's edge-row table."""
+    """All interior strips of one ring (given by its edge-row table,
+    :func:`~repro.geometry.polygon.edge_rows_of`) narrower than
+    ``min_width``: ``(region, measured distance)`` per violating edge pair."""
     return _facing_pairs(rows, rows, min_width, want_width=True, skip=True)
 
 
@@ -44,10 +38,10 @@ def _facing_pairs(
     want_width: bool,
     skip: bool,
 ) -> List[Tuple[Rect, int]]:
-    """Parallel row pairs of two ``Polygon.edge_rows`` tables closer than ``threshold``.
+    """Parallel row pairs of two edge-row tables closer than ``threshold``.
 
-    With ``skip`` both tables are the same polygon's and only unordered
-    pairs are inspected.
+    With ``skip`` both tables are the same ring's and only unordered pairs
+    are inspected.
     """
     # Width pairs need the near edge's interior normal pointing at the far
     # edge (sign +1 toward greater coordinates); spacing pairs the opposite.
@@ -77,23 +71,12 @@ def _facing_pairs(
     return results
 
 
-def polygon_spacing_violations(
-    p: Polygon, q: Polygon, min_space: int
-) -> List[Tuple[Rect, int]]:
-    """Exterior strips between two distinct polygons narrower than ``min_space``."""
-    return spacing_regions(p.edge_rows(), q.edge_rows(), min_space)
-
-
-def polygon_notch_violations(p: Polygon, min_space: int) -> List[Tuple[Rect, int]]:
-    """Spacing violations of a polygon against itself (notches)."""
-    return notch_regions(p.edge_rows(), min_space)
-
-
 def spacing_regions(rows_a: EdgeRows, rows_b: EdgeRows, min_space: int) -> List[Tuple[Rect, int]]:
-    """:func:`polygon_spacing_violations` of two rings' edge-row tables."""
+    """Exterior strips between two distinct rings (by their edge-row tables)
+    narrower than ``min_space``."""
     return _facing_pairs(rows_a, rows_b, min_space, want_width=False, skip=False)
 
 
 def notch_regions(rows: EdgeRows, min_space: int) -> List[Tuple[Rect, int]]:
-    """:func:`polygon_notch_violations` of one ring's edge-row table."""
+    """Spacing violations of one ring against itself (notches)."""
     return _facing_pairs(rows, rows, min_space, want_width=False, skip=True)

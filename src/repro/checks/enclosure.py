@@ -15,11 +15,19 @@ margin equal to the best (possibly negative-clamped-to-zero) achievable one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..geometry import Polygon
 from ..spatial.sweepline import Box, iter_bipartite_overlaps
-from .base import Shape, Violation, ViolationKind, as_polygon, is_box, shape_mbr
+from .base import (
+    PlacedRing,
+    Shape,
+    Violation,
+    ViolationKind,
+    as_polygon,
+    is_box,
+    ring_shape,
+    shape_mbr,
+)
 
 
 def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
@@ -98,29 +106,35 @@ def enclosure_pair_violations(
 
 
 def check_enclosure(
-    vias: Sequence[Polygon],
-    metals: Sequence[Polygon],
+    vias: Sequence[PlacedRing],
+    metals: Sequence[PlacedRing],
     via_layer: int,
     metal_layer: int,
     min_enclosure: int,
 ) -> List[Violation]:
-    """Enclosure check over flat via/metal collections.
+    """Enclosure check over flat via/metal collections of placed rings, each
+    judged as its :func:`~repro.checks.base.ring_shape`.
 
     Candidates are paired with one bipartite MBR sweep: a metal polygon can
     only satisfy a via if its MBR contains the via's MBR inflated by the
     rule value, so sweeping via-MBRs (inflated) against metal-MBRs finds
     every possible satisfier.
     """
-    candidates: List[List[Polygon]] = [[] for _ in vias]
-    via_rects = [v.mbr.inflated(min_enclosure) for v in vias]
-    metal_rects = [m.mbr for m in metals]
-    for i, j in iter_bipartite_overlaps(via_rects, metal_rects):
-        candidates[i].append(metals[j])
+    candidates: List[List[Shape]] = [[] for _ in vias]
+    metal_shapes: Dict[int, Shape] = {}
+    via_rects = [mbr.inflated(min_enclosure) for _, mbr in vias]
+    for i, j in iter_bipartite_overlaps(via_rects, [mbr for _, mbr in metals]):
+        metal = metal_shapes.get(j)
+        if metal is None:
+            metal = metal_shapes[j] = ring_shape(*metals[j])
+        candidates[i].append(metal)
 
     violations: List[Violation] = []
     for via, cands in zip(vias, candidates):
         violations.extend(
-            enclosure_pair_violations(via, cands, via_layer, metal_layer, min_enclosure)
+            enclosure_pair_violations(
+                ring_shape(*via), cands, via_layer, metal_layer, min_enclosure
+            )
         )
     return violations
 
@@ -163,14 +177,3 @@ class EnclosureProcedures:
     def violations(self, via, metals, via_layer, metal_layer, value):
         return enclosure_pair_violations(via, metals, via_layer, metal_layer, value)
 
-
-def best_margin(via: Polygon, metals: Sequence[Polygon]) -> Tuple[int, bool]:
-    """(best margin, enclosed-at-all) across candidates; helper for reports."""
-    best = -1
-    enclosed = False
-    for metal in metals:
-        margin = enclosure_margin(via, metal)
-        if margin is not None:
-            enclosed = True
-            best = max(best, margin)
-    return best, enclosed

@@ -7,24 +7,28 @@ interface exposes to researchers.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Iterable, List, Sequence, Tuple
 
-from ..geometry import Polygon
+from ..geometry import Point, Polygon, Rect
 from .base import Violation, ViolationKind
 
 
 def check_ensures(
-    polygons, layer: int, predicate: Callable[[Polygon], bool]
+    rings: Iterable[Tuple[Sequence, Rect, str]],
+    layer: int,
+    predicate: Callable[[Polygon], bool],
 ) -> List[Violation]:
-    """Flag every polygon for which ``predicate`` returns falsy."""
+    """Flag every named placed ring ``(vertices, mbr, name)`` for which
+    ``predicate`` returns falsy. The predicate's argument is the one
+    ``Polygon`` a check builds to read a ring: the ring with its name."""
     violations: List[Violation] = []
-    for polygon in polygons:
-        if not predicate(polygon):
+    for ring, mbr, name in rings:
+        if not predicate(Polygon._normalised(tuple(map(Point._make, ring)), name, mbr)):
             violations.append(
                 Violation(
                     kind=ViolationKind.PREDICATE,
                     layer=layer,
-                    region=polygon.mbr,
+                    region=mbr,
                     measured=0,
                     required=1,
                 )

@@ -14,12 +14,11 @@ contribute.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from ..geometry import Polygon
 from ..geometry.booleans import intersect_regions, union_polygons
 from ..spatial.sweepline import iter_bipartite_overlaps
-from .base import Shape, Violation, ViolationKind, as_polygon, shape_mbr
+from .base import PlacedRing, Shape, Violation, ViolationKind, as_polygon, ring_shape, shape_mbr
 
 
 def overlap_area(polygon: Shape, others: Sequence[Shape]) -> int:
@@ -63,22 +62,26 @@ class OverlapProcedures:
 
 
 def check_min_overlap(
-    top_polys: Sequence[Polygon],
-    base_polys: Sequence[Polygon],
+    tops: Sequence[PlacedRing],
+    bases: Sequence[PlacedRing],
     top_layer: int,
     base_layer: int,
     min_area: int,
 ) -> List[Violation]:
-    """Flag every top-layer polygon overlapping base geometry by < min_area."""
-    candidates: List[List[Polygon]] = [[] for _ in top_polys]
-    top_rects = [p.mbr for p in top_polys]
-    base_rects = [p.mbr for p in base_polys]
-    for i, j in iter_bipartite_overlaps(top_rects, base_rects):
-        candidates[i].append(base_polys[j])
+    """Flag every top-layer placed ring overlapping the
+    base rings by < ``min_area``; each ring is judged as its
+    :func:`~repro.checks.base.ring_shape`."""
+    candidates: List[List[Shape]] = [[] for _ in tops]
+    base_shapes: Dict[int, Shape] = {}
+    for i, j in iter_bipartite_overlaps([mbr for _, mbr in tops], [mbr for _, mbr in bases]):
+        base = base_shapes.get(j)
+        if base is None:
+            base = base_shapes[j] = ring_shape(*bases[j])
+        candidates[i].append(base)
 
     violations: List[Violation] = []
-    for polygon, cands in zip(top_polys, candidates):
-        area = overlap_area(polygon, cands)
+    for (ring, mbr), cands in zip(tops, candidates):
+        area = overlap_area(ring_shape(ring, mbr), cands)
         if area >= min_area:
             continue
         violations.append(
@@ -86,7 +89,7 @@ def check_min_overlap(
                 kind=ViolationKind.OVERLAP,
                 layer=top_layer,
                 other_layer=base_layer,
-                region=polygon.mbr,
+                region=mbr,
                 measured=area,
                 required=min_area,
             )

@@ -2,30 +2,17 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
-from ..geometry import Polygon
-from .base import Violation, ViolationKind
+from ..geometry.polygon import is_rectilinear_ring
+from .base import PlacedRing, Violation, ViolationKind
 
 
-def check_polygon_rectilinear(polygon: Polygon, layer: int) -> List[Violation]:
-    """Flag a polygon with any non-axis-parallel edge."""
-    if polygon.is_rectilinear:
-        return []
+def check_rectilinear(rings: Iterable[PlacedRing], layer: int) -> List[Violation]:
+    """Flag every placed ring with a non-axis-parallel
+    edge, marked by its MBR."""
     return [
-        Violation(
-            kind=ViolationKind.SHAPE,
-            layer=layer,
-            region=polygon.mbr,
-            measured=0,
-            required=1,
-        )
+        Violation(kind=ViolationKind.SHAPE, layer=layer, region=mbr, measured=0, required=1)
+        for ring, mbr in rings
+        if not is_rectilinear_ring(ring)
     ]
-
-
-def check_rectilinear(polygons, layer: int) -> List[Violation]:
-    """Rectilinearity check over a polygon collection."""
-    violations: List[Violation] = []
-    for polygon in polygons:
-        violations.extend(check_polygon_rectilinear(polygon, layer))
-    return violations

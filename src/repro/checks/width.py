@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
-from ..geometry import Polygon
-from ..geometry.polygon import edge_rows_of
-from .base import Violation, ViolationKind
-from .edges import width_regions, width_violation_regions
-
-
-def check_polygon_width(polygon: Polygon, layer: int, min_width: int) -> List[Violation]:
-    """Width violations of one polygon: interior strips narrower than ``min_width``."""
-    return _violations(width_violation_regions(polygon, min_width), layer, min_width)
+from ..geometry.polygon import edge_rows_of, is_rectangle_ring
+from .base import PlacedRing, Violation, ViolationKind
+from .edges import width_regions
 
 
 def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
@@ -36,11 +30,21 @@ def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
     return violations
 
 
-def check_width(polygons, layer: int, min_width: int) -> List[Violation]:
-    """Width violations over a polygon collection."""
+def check_width(rings: Iterable[PlacedRing], layer: int, min_width: int) -> List[Violation]:
+    """Width violations of placed rings: interior strips narrower than
+    ``min_width``; a rectangle's off its MBR alone, as :func:`check_ring_width`
+    reads it."""
     violations: List[Violation] = []
-    for polygon in polygons:
-        violations.extend(check_polygon_width(polygon, layer, min_width))
+    for ring, mbr in rings:
+        if is_rectangle_ring(ring):
+            regions = [
+                (mbr, distance)
+                for distance in (mbr.yhi - mbr.ylo, mbr.xhi - mbr.xlo)
+                if distance < min_width
+            ]
+        else:
+            regions = width_regions(edge_rows_of(ring), min_width)
+        violations.extend(_violations(regions, layer, min_width))
     return violations
 
 

@@ -37,6 +37,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..geometry import EMPTY_RECT, Rect
+from ..geometry.polygon import canonical_ring
 from ..hierarchy.tree import HierarchyTree, reference_mbr
 from ..layout.library import Layout
 from ..spatial.regions import RegionSet
@@ -132,12 +133,13 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
     """MBRs of the symmetric difference of two cells' local polygons.
 
     Ring buffers that hold the same coordinates cut the same way are the
-    same polygons in the same order, so nothing is built for them. Where
+    same polygons in the same order, so nothing is read for them. Where
     they differ, the rings of the longest common prefix and suffix are
     equal pairwise and cancel one for one (which leaves every polygon's
     count difference as it was), so only the span between them is looked
     at: rings with equal bytes there cancel the same way, and the polygon
-    multisets are formed of what is left.
+    multisets are formed of what is left, each ring as its canonical
+    vertices (equal exactly when the polygons are) with its MBR.
     """
     old_rings = old_cell.rings(layer) if old_cell else None
     new_rings = new_cell.rings(layer) if new_cell else None
@@ -155,12 +157,12 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
     old_polys = Counter(_unmatched(old_rings, head, old_keys, Counter(new_keys)))
     new_polys = Counter(_unmatched(new_rings, head, new_keys, Counter(old_keys)))
     rects: List[Rect] = []
-    for polygon, count in old_polys.items():
-        if new_polys.get(polygon, 0) != count:
-            rects.append(polygon.mbr)
-    for polygon, count in new_polys.items():
-        if old_polys.get(polygon, 0) != count:
-            rects.append(polygon.mbr)
+    for (ring, mbr), count in old_polys.items():
+        if new_polys.get((ring, mbr), 0) != count:
+            rects.append(mbr)
+    for (ring, mbr), count in new_polys.items():
+        if old_polys.get((ring, mbr), 0) != count:
+            rects.append(mbr)
     return rects
 
 
@@ -202,15 +204,15 @@ def _ring_sizes(rings) -> array:
 
 
 def _unmatched(rings, start: int, keys: List[bytes], available: Counter) -> List:
-    """The polygons of rings ``start``, ``start + 1``, ... (whose bytes are
-    ``keys``) left after each takes one equal-bytes ring out of
-    ``available`` (the other side's ring bytes, with counts)."""
+    """``(canonical vertices, mbr)`` of each of rings ``start``, ``start + 1``,
+    ... (whose bytes are ``keys``) left after each takes one equal-bytes ring
+    out of ``available`` (the other side's ring bytes, with counts)."""
     left = []
     for index, key in enumerate(keys, start):
         if available[key] > 0:
             available[key] -= 1
         else:
-            left.append(rings.polygon(index))
+            left.append((canonical_ring(rings.points(index)), rings.mbr(index)))
     return left
 
 

@@ -59,16 +59,19 @@ class CheckContext:
     """All mutable state of one ``check()`` execution, owned by one caller.
 
     Before concurrent serving, this state lived directly on :class:`Engine`
-    (``last_profiles`` filled in while rules ran, ``last_checker`` doubling
-    as "the backend currently executing"), which made two simultaneous
-    checks through one engine corrupt each other's phase timers and result
-    maps. Factoring it into a per-request context makes ``check()``
-    re-entrant: every concurrent request gets its own plan, backend,
-    profiles, and result map, while the engine's heavyweight shared state
-    (the report store) is shared deliberately and guarded at its
-    own mutation points. The engine's ``last_*`` attributes
-    survive as end-of-check snapshots (last writer wins) for the CLI and
-    tests that introspect a serial engine.
+    (``last_profiles`` filled in while rules ran, the backend doubling as
+    "the check currently executing"), which made two simultaneous checks
+    through one engine corrupt each other's phase timers and result maps.
+    Factoring it into a per-request context makes ``check()`` re-entrant:
+    every concurrent request gets its own plan, backend, profiles, and
+    result map, while the engine's heavyweight shared state (the report
+    store) is shared deliberately and guarded at its own mutation points.
+    The context — and with it the plan, its caches and the backend — is
+    dropped when ``check()`` returns; only ``last_profiles`` survives, as
+    an end-of-check snapshot (last writer wins) for the CLI and the
+    benchmark ledger. A caller that needs the backend builds one:
+    :func:`~repro.core.plan.compile_plan` plus
+    :func:`~repro.core.plan.make_backend`.
     """
 
     plan: CheckPlan
@@ -118,19 +121,14 @@ class Engine:
         self._lock = threading.Lock()
         #: Profiles of the last check() call, keyed by rule name (Fig. 4 data).
         self.last_profiles: Dict[str, PhaseProfile] = {}
-        self.last_checker = None
-        #: The compiled plan of the last check() call.
-        self.last_plan: Optional[CheckPlan] = None
         #: The RecheckOutcome of the last recheck() call (diff, dispositions).
         self.last_recheck = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release what is held beyond individual checks (idempotent): the
-        last check's backend."""
-        with self._lock:
-            self.last_checker = None
+        """Release what is held beyond individual checks (idempotent):
+        nothing today — a check keeps no plan or backend once it returns."""
 
     def __enter__(self) -> "Engine":
         return self
@@ -187,8 +185,8 @@ class Engine:
         else computed) and the plan's layer digests: a hit is returned
         relabelled with this layout's name and nothing executes
         (``last_profiles`` is empty); a miss is computed and saved. The plan
-        is compiled either way, so deck validation and ``last_plan`` do not
-        depend on the store. A deck with no digest is always computed.
+        is compiled either way, so deck validation does not depend on the
+        store. A deck with no digest is always computed.
 
         Re-entrant: concurrent callers each execute in a private
         :class:`CheckContext`; see its docstring for the sharing contract.
@@ -205,7 +203,6 @@ class Engine:
             report = self.reports.load(key, plan.rules, layout_name=layout.name)
             if report is not None:
                 with self._lock:
-                    self.last_plan = plan
                     self.last_profiles = {}
                 return report
         report = self._run(plan)
@@ -245,8 +242,8 @@ class Engine:
         """Run the plan's rules on its backend, in the plan's run order.
 
         All per-check mutable state lives in a :class:`CheckContext` local
-        to this call; the engine only publishes the last_* snapshots once
-        the check completes.
+        to this call; the engine only publishes ``last_profiles`` once the
+        check completes.
         """
         context = CheckContext(
             plan=plan, backend=make_backend(plan, device=self.device)
@@ -272,9 +269,7 @@ class Engine:
             [context.results_by_name[compiled.name] for compiled in plan.compiled],
         )
         with self._lock:
-            # Last-writer-wins snapshots for serial introspection (CLI
-            # profile dumps, tests); concurrent callers use their context.
-            self.last_plan = plan
-            self.last_checker = backend
+            # A last-writer-wins snapshot for serial introspection (CLI
+            # profile dumps, the ledger); concurrent callers use their context.
             self.last_profiles = context.profiles
         return context.report

@@ -6,9 +6,10 @@ machinery here comes in three layers:
 * :func:`check_regions` checks one rule of a plan against a *region set* —
   one or many windows, coalesced into the exact disjoint cover of their
   union. It gathers just the geometry that can participate in a violation
-  whose marker overlaps any window (polygons overlapping the windows
-  inflated by the rule distance, via the MBR-pruned subtree query, one
-  traversal for the whole set), checks that sub-population flat, and keeps
+  whose marker overlaps any window (the rings overlapping the windows
+  inflated by the rule distance, read as placed rings off the MBR-pruned
+  subtree walk, one traversal for the whole set), checks that
+  sub-population flat, and keeps
   violations overlapping the set. The result equals the full check
   filtered to the region set (asserted by the tests), at a cost
   proportional to the windows' content rather than the chip's. Windowing
@@ -62,9 +63,11 @@ def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Vio
     """One rule of ``plan`` on a region set; violations clip to the set.
 
     The rule kind's ``flat`` procedure receives a gather over the regions
-    inflated by its margin; ``gather.rect`` and ``gather.window`` (the
-    set's MBR) anchor the kinds that need a single reach rect (coloring
-    closure, min-overlap base gathering).
+    inflated by its margin: the placed rings one subtree walk
+    (:meth:`~repro.hierarchy.pruning.SubtreeWindow.rings_in_regions`) meets
+    from the top. ``gather.rect`` and ``gather.window`` (the set's MBR)
+    anchor the kinds that need a single reach rect (coloring closure,
+    min-overlap base gathering).
     """
     regions = RegionSet.of(regions)
     if regions.is_empty:
@@ -72,12 +75,12 @@ def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Vio
     subtree = plan.caches.subtree
     top = plan.tree.top.name
 
-    def gather(layer: int, margin: int):
+    def gather(layer: int, margin: int, *, named: bool = False):
         windows = [r.inflated(margin) for r in regions.rects]
-        return subtree.polygons_in_regions(top, IDENTITY, layer, windows)
+        return subtree.rings_in_regions(top, IDENTITY, layer, windows, named=named)
 
     def gather_rect(layer: int, rect: Rect):
-        return subtree.polygons_in_window(top, IDENTITY, layer, rect)
+        return subtree.rings_in_window(top, IDENTITY, layer, rect)
 
     gather.rect = gather_rect
     gather.window = regions.bounds

@@ -52,8 +52,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..checks.base import Violation, ViolationKind
-from ..checks.enclosure import enclosure_pair_violations
-from ..geometry import EMPTY_RECT, Polygon
+from ..checks.enclosure import check_enclosure
+from ..geometry import EMPTY_RECT
 from ..hierarchy.edgepack import (
     DefinitionBuffers,
     EdgeBufferPair,
@@ -61,8 +61,7 @@ from ..hierarchy.edgepack import (
     RectBuffer,
     place_rects,
 )
-from ..hierarchy.pruning import LevelItem
-from ..spatial.sweepline import iter_bipartite_overlaps
+from ..hierarchy.pruning import LevelItem, PlacedRing
 from ..gpu.device import Device, Stream
 from ..gpu.kernels import (
     CornerBuffer,
@@ -602,21 +601,18 @@ class ParallelBackend:
 
         return self.pack_cache.read(store, layers, key, cold)
 
-    def _flatten_items(self, items: Sequence[LevelItem], layer: int) -> List[Polygon]:
-        """Materialize all polygons of the given level items (top coords)."""
-        polygons: List[Polygon] = []
+    def _flatten_items(self, items: Sequence[LevelItem], layer: int) -> List[PlacedRing]:
+        """Every ring of the given level items, placed in top coordinates."""
         rings = self.tree.top.rings(layer)
+        placed: List[PlacedRing] = []
         for item in items:
             if item.index is not None:
-                polygons.append(rings.polygon(item.index))
+                placed.append((rings.points(item.index), item.mbr))
             else:
-                assert item.cell_name is not None and item.placement is not None
-                polygons.extend(
-                    self.subtree.polygons_in_window(
-                        item.cell_name, item.placement, layer, item.mbr
-                    )
+                placed.extend(
+                    self.subtree.rings_in_window(item.cell_name, item.placement, layer, item.mbr)
                 )
-        return polygons
+        return placed
 
     # -- spacing and corner spacing: one layer's rows, fused ------------------------
 
@@ -629,7 +625,7 @@ class ParallelBackend:
         store = _FUSED_STORES[kind_spec(rule.kind).parallel]
         mbrs = self._item_rects(layer, profile)
         partition, sig = self.caches.partition_rows(
-            layer, mbrs, value, use_rows=self.use_rows, profile=profile
+            layer, len(mbrs) // 4, lambda: mbrs, value, use_rows=self.use_rows, profile=profile
         )
         frame = self._frame(layer, value)
         host_start = time.perf_counter()
@@ -691,7 +687,8 @@ class ParallelBackend:
         combined = via_mbrs + metal_mbrs
         num_vias = len(via_mbrs) // 4
         partition, sig = self.caches.partition_rows(
-            layers, combined, value, use_rows=self.use_rows, profile=profile
+            layers, len(combined) // 4, lambda: combined, value,
+            use_rows=self.use_rows, profile=profile,
         )
         num_rows = partition.num_rows
         frame = self._frame(layers, value)
@@ -751,18 +748,10 @@ class ParallelBackend:
         for via_items, metal_items in host_rows:
             vias = self._flatten_items(via_items, rule.layer)
             metals = self._flatten_items(metal_items, rule.other_layer)
-            with profile.phase(PHASE_SWEEPLINE):
-                windows = [v.mbr.inflated(rule.value) for v in vias]
-                candidates: List[List[Polygon]] = [[] for _ in vias]
-                for i, j in iter_bipartite_overlaps(windows, [m.mbr for m in metals]):
-                    candidates[i].append(metals[j])
             with self._kernel_phase(profile):
-                for via, cands in zip(vias, candidates):
-                    out.extend(
-                        enclosure_pair_violations(
-                            via, cands, rule.layer, rule.other_layer, rule.value
-                        )
-                    )
+                out.extend(
+                    check_enclosure(vias, metals, rule.layer, rule.other_layer, rule.value)
+                )
         return out
 
     # -- width and area: once per definition, instantiated per placement -----------

@@ -43,6 +43,7 @@ from ..hierarchy.pruning import (
     SubtreeWindow,
     always_invariant,
     area_invariant,
+    buffer_rings,
     distance_invariant,
     level_items,
 )
@@ -119,21 +120,22 @@ class KindSpec:
     procedures: Optional[Callable] = None
 
 
-def _intra_check(flat: Callable, local: Optional[Callable] = None) -> Callable:
+def _intra_check(
+    flat: Callable, local: Optional[Callable] = None, *, named: bool = False
+) -> Callable:
     """One definition's intra check, ``(rings, layer, placement)``.
 
     In the definition's own frame (``placement=None``) ``local`` reads the
-    ring buffer; a kind without one runs ``flat`` over the buffer's polygon
-    view. A placement that breaks the kind's invariance (a magnification)
-    gets ``flat`` over the placed polygons.
+    ring buffer; a kind without one, and a placement that breaks the kind's
+    invariance (a magnification), run ``flat`` over the buffer's rings as
+    :func:`~repro.hierarchy.pruning.buffer_rings` places them (``named``:
+    with their object names).
     """
 
     def check(rings, layer: int, placement) -> List[Violation]:
-        if placement is not None:
-            return flat([p.transformed(placement) for p in rings.polygons()], layer)
-        if local is not None:
+        if placement is None and local is not None:
             return local(rings, layer)
-        return flat(rings.polygons(), layer)
+        return flat(buffer_rings(rings, placement, named=named), layer)
 
     return check
 
@@ -142,7 +144,7 @@ def _width_intra(rule: Rule):
     from ..checks.width import check_ring_width, check_width
 
     return _intra_check(
-        lambda polygons, layer: check_width(polygons, layer, rule.value),
+        lambda rings, layer: check_width(rings, layer, rule.value),
         lambda rings, layer: check_ring_width(rings, layer, rule.value),
     ), distance_invariant
 
@@ -151,7 +153,7 @@ def _area_intra(rule: Rule):
     from ..checks.area import check_area, check_ring_area
 
     return _intra_check(
-        lambda polygons, layer: check_area(polygons, layer, rule.value),
+        lambda rings, layer: check_area(rings, layer, rule.value),
         lambda rings, layer: check_ring_area(rings, layer, rule.value),
     ), area_invariant
 
@@ -166,7 +168,7 @@ def _ensures_intra(rule: Rule):
     from ..checks.ensure import check_ensures
 
     return _intra_check(
-        lambda polygons, layer: check_ensures(polygons, layer, rule.predicate)
+        lambda rings, layer: check_ensures(rings, layer, rule.predicate), named=True
     ), always_invariant
 
 
@@ -174,10 +176,11 @@ def _layers_of(rule: Rule, layout: Layout) -> List[int]:
     return [rule.layer] if rule.layer is not None else layout.layers()
 
 
-# The flat procedures: ``flat(rule, layout, gather)`` checks the geometry
-# ``gather(layer, margin) -> List[Polygon]`` returns (plus ``gather.rect(layer,
-# rect)`` and ``gather.window``) and reports its violations. ``layout`` serves
-# the all-layer kinds.
+# The flat procedures: ``flat(rule, layout, gather)`` checks the placed rings
+# ``gather(layer, margin, named=False)`` returns — the geometry of the
+# regions grown by ``margin`` — plus ``gather.rect(layer, rect)`` and
+# ``gather.window``, and reports its violations. ``layout`` serves the
+# all-layer kinds.
 
 
 def _flat_width(rule: Rule, layout: Layout, gather) -> List[Violation]:
@@ -221,10 +224,10 @@ def _flat_min_overlap(rule: Rule, layout: Layout, gather) -> List[Violation]:
     from ..checks.overlap import check_min_overlap
 
     tops = gather(rule.layer, 0)
-    # Base partners only matter where they intersect a gathered top polygon,
+    # Base partners only matter where they intersect a gathered top ring,
     # which can extend beyond the window: gather the base layer over the
     # union of the window and every gathered top MBR.
-    reach = union_all([gather.window] + [p.mbr for p in tops])
+    reach = union_all([gather.window] + [mbr for _, mbr in tops])
     bases = gather.rect(rule.other_layer, reach)
     return check_min_overlap(tops, bases, rule.layer, rule.other_layer, rule.value)
 
@@ -243,7 +246,7 @@ def _flat_ensures(rule: Rule, layout: Layout, gather) -> List[Violation]:
 
     out: List[Violation] = []
     for layer in _layers_of(rule, layout):
-        out.extend(check_ensures(gather(layer, 0), layer, rule.predicate))
+        out.extend(check_ensures(gather(layer, 0, named=True), layer, rule.predicate))
     return out
 
 
@@ -252,23 +255,23 @@ def _flat_coloring(rule: Rule, layout: Layout, gather) -> List[Violation]:
 
     Coloring is a global graph property, but conflict edges are shorter
     than the rule distance, so growing the gather window by the rule value
-    until no new polygon appears captures *complete* conflict components —
+    until no new ring appears captures *complete* conflict components —
     on that closed sub-population the 2-coloring verdict (and every odd-
     cycle marker overlapping the original window) matches the full check.
     """
-    from ..checks.coloring import check_two_colorable
+    from ..checks.coloring import canonical_order, check_two_colorable
 
     window = gather.window.inflated(rule.value)
     while True:
-        polygons = gather.rect(rule.layer, window)
+        rings = gather.rect(rule.layer, window)
         grown = window
-        for p in polygons:
-            grown = grown.union(p.mbr.inflated(rule.value))
+        for _, mbr in rings:
+            grown = grown.union(mbr.inflated(rule.value))
         if grown == window:
             break
         window = grown
-    polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
-    return check_two_colorable(polygons, rule.layer, rule.value)
+    canonical_order(rings)
+    return check_two_colorable(rings, rule.layer, rule.value)
 
 
 def _halo_rule_value(rule: Rule) -> Optional[int]:
@@ -467,34 +470,37 @@ class PlanCaches:
     def partition_rows(
         self,
         layers: Any,
-        mbrs: array,
+        count: int,
+        table: Callable[[], array],
         value: int,
         *,
         use_rows: bool,
         profile: PhaseProfile,
     ) -> Tuple[RowPartition, Any]:
-        """The row partition of the items whose flat MBR table is ``mbrs``
-        (:func:`~repro.partition.rows.mbr_table`), plus a stable signature
-        for buffer reuse.
+        """The row partition of ``count`` items whose flat MBR table
+        (:func:`~repro.partition.rows.mbr_table`) ``table()`` builds, plus a
+        stable signature for buffer reuse.
 
         The shared partition seam: both the sequential and parallel backends
         resolve the adaptive row partition (paper §IV-B) here, so they share
-        one in-memory memo per (layers, margin). The signature is the
-        membership alone (packed buffers depend only on which items land in
-        which row); with rows disabled it is a distinct ``norows`` marker so
-        row-partitioned buffers are never reused by an unpartitioned backend.
-        Only the computation itself is timed, under ``PHASE_PARTITION`` of
+        one in-memory memo per (layers, margin), and the table is built only
+        when the memo misses. The signature is the membership alone (packed
+        buffers depend only on which items land in which row); with rows
+        disabled it is a distinct ``norows`` marker so row-partitioned
+        buffers are never reused by an unpartitioned backend. Only the
+        computation itself is timed, under ``PHASE_PARTITION`` of
         ``profile``; a memo hit is not.
         """
-        count = len(mbrs) // 4
         if not count:
             return RowPartition([], array("q"), array("q"), 0), ("empty",)
         if not use_rows:
+            mbrs = table()
             span = (min(mbrs[1::4]), max(mbrs[3::4]))
             whole = RowPartition([span], array("q", range(count)), array("q", [count]), 0)
             return whole, ("norows", count)
 
         def build() -> Tuple[RowPartition, Any]:
+            mbrs = table()
             with profile.phase(PHASE_PARTITION):
                 partition = partition_rects(mbrs, value)
             return partition, partition.signature()[1]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..checks.base import Shape, Violation, ring_shape, shape_mbr
+from ..checks.base import Shape, Violation, check_pairs, ring_shape, shape_mbr
 from ..geometry import IDENTITY, Rect, Transform, union_all
 from ..geometry.transform import (
     Row,
@@ -237,7 +237,8 @@ class SequentialBackend:
         vios = self._self_pairs(rings, layer, value, procedures, profile)
         partition, _sig = self.caches.partition_rows(
             layer,
-            mbr_table(it.mbr for it in items),
+            len(items),
+            lambda: mbr_table(it.mbr for it in items),
             value,
             use_rows=self.use_rows,
             profile=profile,
@@ -373,11 +374,12 @@ class SequentialBackend:
         procedures,
         profile: PhaseProfile,
     ) -> List[VRow]:
-        """Fallback for non-distance-preserving placements: flatten and check."""
+        """Fallback for non-distance-preserving placements: the placed
+        subtree's rings, checked flat."""
         window = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
-        polygons = self.subtree.polygons_in_window(cell_name, placement, layer, window)
+        rings = self.subtree.rings_in_window(cell_name, placement, layer, window)
         with profile.phase(PHASE_EDGE_CHECKS):
-            return list(map(violation_row, procedures.flat_check(polygons, layer, value)))
+            return list(map(violation_row, check_pairs(procedures, rings, layer, value)))
 
     # -- enclosure (inter-layer) -----------------------------------------------
 
@@ -566,13 +568,14 @@ class SequentialBackend:
                 if items[j].placement.preserves_distances:
                     continue
                 near = [windows[e] for e in paired]
-                metals = self.subtree.polygons_in_window(
+                found = self.subtree.rings_in_window(
                     items[j].cell_name,
                     items[j].placement,
                     metal_layer,
                     union_all(map(Rect._make, near)),
                 )
-                for k, m in iter_bipartite_overlaps(near, [metal.mbr for metal in metals]):
+                metals = [ring_shape(ring, mbr) for ring, mbr in found]
+                for k, m in iter_bipartite_overlaps(near, [mbr for _, mbr in found]):
                     candidates.setdefault(paired[k], []).append(metals[m])
         with profile.phase(PHASE_EDGE_CHECKS):
             for e, metals in candidates.items():
@@ -594,27 +597,29 @@ class SequentialBackend:
 
     def _all_subtree_vias(self, cell_name: str, via_layer: int) -> List[Shape]:
         window = self.tree.layer_mbr(cell_name, via_layer)
-        polygons = self.subtree.polygons_in_window(cell_name, IDENTITY, via_layer, window)
-        return [polygon.mbr if polygon.is_rectangle else polygon for polygon in polygons]
+        rings = self.subtree.rings_in_window(cell_name, IDENTITY, via_layer, window)
+        return [ring_shape(ring, mbr) for ring, mbr in rings]
 
     def _coloring(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
         """Double-patterning decomposition check (paper §II).
 
         Coloring is a global graph property: conflicts may chain across
         instances, so definition-level memoisation does not apply. The flat
-        conflict graph is built over canonically ordered polygons (both
-        execution modes share this path, keeping reported odd-cycle markers
-        identical), and — because conflict edges are shorter than the rule —
-        components never cross adaptive-partition rows.
+        conflict graph is built over every placed ring of the layer, read
+        off the subtree walk and sorted by
+        :func:`~repro.checks.coloring.canonical_order` (both execution
+        modes share this path, keeping reported odd-cycle markers
+        identical), and — because conflict edges are shorter than the rule
+        — components never cross adaptive-partition rows.
         """
-        from ..checks.coloring import check_two_colorable
-        from ..layout.flatten import flatten_layer
+        from ..checks.coloring import canonical_order, check_two_colorable
 
         with profile.phase(PHASE_OTHER):
-            polygons = flatten_layer(self.layout, layer, top=self.tree.top.name)
-            polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
+            top = self.tree.top.name
+            rings = self.subtree.rings_in_window(top, IDENTITY, layer, self.tree.top_mbr(layer))
+            canonical_order(rings)
         with profile.phase(PHASE_EDGE_CHECKS):
-            return check_two_colorable(polygons, layer, value)
+            return check_two_colorable(rings, layer, value)
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -49,6 +49,19 @@ def edge_rows_of(ring: Sequence[Tuple[int, int]]) -> EdgeRows:
     return horizontal, vertical
 
 
+def canonical_ring(ring: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """:meth:`Polygon.canonical_vertices` of a ring given as ``(x, y)`` pairs."""
+    if not ring:
+        return ()
+    start = min(range(len(ring)), key=ring.__getitem__)
+    return tuple(ring[start:]) + tuple(ring[:start])
+
+
+def is_rectilinear_ring(ring: Sequence[Tuple[int, int]]) -> bool:
+    """:attr:`Polygon.is_rectilinear` of a ring given as ``(x, y)`` pairs."""
+    return all(x1 == x2 or y1 == y2 for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]))
+
+
 def is_rectangle_ring(ring: Sequence[Tuple[int, int]]) -> bool:
     """:attr:`Polygon.is_rectangle` of a ring given as ``(x, y)`` pairs."""
     if len(ring) != 4:
@@ -176,13 +189,7 @@ class Polygon:
     @property
     def is_rectilinear(self) -> bool:
         """True if every edge is axis-parallel (the Listing-1 predicate)."""
-        n = len(self.vertices)
-        for i in range(n):
-            p = self.vertices[i]
-            q = self.vertices[(i + 1) % n]
-            if p.x != q.x and p.y != q.y:
-                return False
-        return True
+        return is_rectilinear_ring(self.vertices)
 
     @property
     def is_rectangle(self) -> bool:
@@ -235,10 +242,7 @@ class Polygon:
         Two polygons are geometrically identical iff their canonical vertex
         tuples match; used for memoisation keys and in tests.
         """
-        if not self.vertices:
-            return ()
-        start = min(range(len(self.vertices)), key=lambda i: self.vertices[i])
-        return self.vertices[start:] + self.vertices[:start]
+        return canonical_ring(self.vertices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):

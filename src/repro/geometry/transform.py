@@ -63,8 +63,9 @@ class Transform(NamedTuple):
     def apply(self, p: Point) -> Point:
         """Transform a point. Raises if a magnification makes it non-integral."""
         a, b, c, d = self._matrix
-        x = a * p.x + b * p.y + self.dx
-        y = c * p.x + d * p.y + self.dy
+        px, py = p
+        x = a * px + b * py + self.dx
+        y = c * px + d * py + self.dy
         if isinstance(x, int) and isinstance(y, int):
             return Point(x, y)
         if not (float(x).is_integer() and float(y).is_integer()):

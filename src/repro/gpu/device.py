@@ -152,14 +152,6 @@ class Device:
         return dict(self._counters)
 
     @property
-    def num_kernel_launches(self) -> int:
-        return self._counters["kernel_launches"]
-
-    @property
-    def num_h2d_copies(self) -> int:
-        return self._counters["h2d_copies"]
-
-    @property
     def h2d_bytes(self) -> int:
         return self._counters["h2d_bytes"]
 

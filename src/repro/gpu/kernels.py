@@ -738,7 +738,7 @@ def pack_corners(
     polygons: Sequence[Polygon], poly_ids: Optional[Sequence[int]] = None
 ) -> CornerBuffer:
     """Pack every polygon's convex corners into flat arrays."""
-    from ..checks.corner import convex_corners
+    from ..checks.corner import ring_corners
 
     xs: List[int] = []
     ys: List[int] = []
@@ -747,7 +747,7 @@ def pack_corners(
     ids: List[int] = []
     for index, polygon in enumerate(polygons):
         pid = poly_ids[index] if poly_ids is not None else index
-        for corner in convex_corners(polygon):
+        for corner in ring_corners(polygon.vertices):
             xs.append(corner.x)
             ys.append(corner.y)
             qxs.append(corner.qx)

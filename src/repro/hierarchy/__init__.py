@@ -8,11 +8,10 @@ from .pruning import (
     always_invariant,
     area_invariant,
     distance_invariant,
-    gather_pair_polygons,
     gather_pair_rings,
     level_items,
 )
-from .query import QueryStats, count_layer_range, invert, iter_layer_range, layer_range_query
+from .query import invert
 from .tree import HierarchyTree, reference_mbr
 
 __all__ = [
@@ -20,17 +19,12 @@ __all__ = [
     "IntraCheckScheduler",
     "LevelItem",
     "PruningStats",
-    "QueryStats",
     "SubtreeWindow",
     "always_invariant",
     "area_invariant",
-    "count_layer_range",
     "distance_invariant",
-    "gather_pair_polygons",
     "gather_pair_rings",
     "invert",
-    "iter_layer_range",
-    "layer_range_query",
     "level_items",
     "reference_mbr",
 ]

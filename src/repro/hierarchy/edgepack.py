@@ -262,7 +262,7 @@ class RingTable:
     @functools.cached_property
     def corners(self) -> CornerBuffer:
         """Convex corners with exterior-quadrant signs, as
-        :func:`repro.checks.corner.convex_corners` finds them; ``poly`` is
+        :func:`repro.checks.corner.ring_corners` finds them; ``poly`` is
         the ring index."""
         starts = np.cumsum(self.counts) - self.counts
         index = np.arange(len(self.xs), dtype=_INT)

@@ -11,8 +11,11 @@ Two redundancy sources let OpenDRC skip most checks:
    MBRs, inflated by the minimum rule distance, do not overlap.
 
 :class:`IntraCheckScheduler` implements the DFS + tag-marking protocol for
-intra-polygon checks. :class:`SubtreeWindow` implements the windowed subtree
-geometry gathering that inter-polygon checks use at each hierarchy level.
+intra-polygon checks. :class:`SubtreeWindow` is the one subtree walk every
+check procedure reads its geometry from — the pair gathers at each hierarchy
+level, the windowed procedure, the magnified fallbacks: it returns placed
+rings (:data:`PlacedRing`, vertices plus MBR read off the ring buffers), so
+no check builds a ``Polygon`` to read geometry.
 :class:`PruningStats` counts scheduled vs reused vs eliminated work — the
 numbers behind the paper's 37.6x sequential speedup over flat checking.
 """
@@ -20,10 +23,11 @@ numbers behind the paper's 37.6x sequential speedup over flat checking.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ..checks.base import Violation
-from ..geometry import Polygon, Rect, Transform
+from ..checks.base import PlacedRing, Violation
+from ..geometry import Rect, Transform
+from ..geometry.polygon import signed_area2
 from ..geometry.transform import (
     Row,
     compose_rows,
@@ -37,10 +41,6 @@ from ..violation_table import Row as VRow
 from ..violation_table import ViolationTable, violation_row
 from .query import pull_back_window
 from .tree import HierarchyTree
-
-#: A ring placed in some frame: its vertices as ``(x, y)`` pairs, clockwise,
-#: and its MBR there.
-PlacedRing = Tuple[Sequence[Tuple[int, int]], Rect]
 
 
 @dataclasses.dataclass
@@ -151,52 +151,18 @@ def place_rows(found: Sequence[VRow], rows: Sequence[int]) -> List[VRow]:
 
 
 class SubtreeWindow:
-    """Windowed geometry gathering for inter-polygon checks.
+    """Windowed geometry gathering: the one walk every check procedure reads.
 
     At every hierarchy level, cross-boundary candidate pairs only need the
-    geometry near the MBR overlap window; this helper descends one cell's
-    subtree, MBR-pruning against the window, and returns the geometry in the
-    *parent* frame of the given placement: as polygons
-    (:meth:`polygons_in_regions`, for flat checks), or as placed rings read
-    straight off the ring buffers (:meth:`rings_in_window`).
+    geometry near the MBR overlap window, and a windowed check only the
+    geometry near its regions; this helper descends one cell's subtree,
+    MBR-pruning against a window set, and returns the rings it meets as
+    placed rings (:data:`PlacedRing`) in the *parent* frame of the given
+    placement, read straight off the ring buffers: no ``Polygon`` is built.
     """
 
     def __init__(self, tree: HierarchyTree) -> None:
         self.tree = tree
-
-    def polygons_in_window(
-        self,
-        cell_name: str,
-        placement: Transform,
-        layer: int,
-        window: Rect,
-    ) -> List[Polygon]:
-        """Subtree polygons of ``layer`` whose placed MBR overlaps ``window``.
-
-        ``window`` and the results are in the coordinates ``placement`` maps
-        into (the parent cell frame).
-        """
-        return self.polygons_in_regions(cell_name, placement, layer, [window])
-
-    def polygons_in_regions(
-        self,
-        cell_name: str,
-        placement: Transform,
-        layer: int,
-        windows: List[Rect],
-    ) -> List[Polygon]:
-        """Subtree polygons whose placed MBR overlaps *any* of ``windows``.
-
-        One traversal serves the whole window set, so each placed polygon
-        appears at most once however many windows it straddles — the
-        multi-window incremental backend depends on that (a duplicated
-        polygon would spuriously violate spacing against itself).
-        """
-        out: List[Polygon] = []
-        live = [w for w in windows if not w.is_empty]
-        if live:
-            self._visit(cell_name, placement, layer, live, out)
-        return out
 
     def rings_in_window(
         self,
@@ -204,98 +170,148 @@ class SubtreeWindow:
         placement: Transform,
         layer: int,
         window: Rect,
+        *,
+        named: bool = False,
     ) -> List[PlacedRing]:
-        """What :meth:`polygons_in_window` finds, as placed rings.
+        """:meth:`rings_in_regions` of one window."""
+        return self.rings_in_regions(cell_name, placement, layer, [window], named=named)
 
-        Under a rigid placement the subtree is walked in integer rows and
-        every ring is read off its buffer: no ``Polygon`` is built. A
-        magnification anywhere on the way falls back to the polygon gather
-        below it.
-        """
-        out: List[PlacedRing] = []
-        if window.is_empty:
-            return out
-        if placement.preserves_distances:
-            self._visit_rings(cell_name, rigid_row(placement), layer, window, out)
-        else:
-            polygons = self.polygons_in_window(cell_name, placement, layer, window)
-            out.extend((polygon.vertices, polygon.mbr) for polygon in polygons)
-        return out
-
-    def _visit_rings(
-        self, cell_name: str, row: Row, layer: int, window: Rect, out: List[PlacedRing]
-    ) -> None:
-        # The exact pre-image of the window: the row is orthogonal.
-        wxlo, wylo, wxhi, wyhi = row_rect(invert_row(row), window)
-        rings = self.tree.layout.cell(cell_name).rings(layer)
-        if rings:
-            table = iter(rings.mbrs)
-            for index, mbr in enumerate(zip(table, table, table, table)):
-                xlo, ylo, xhi, yhi = mbr
-                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
-                    out.append((rings.points(index, row), row_rect(row, mbr)))
-        for child_name, child_placement, (xlo, ylo, xhi, yhi) in self.tree.placed_children(
-            cell_name, layer
-        ):
-            if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
-                if child_placement.preserves_distances:
-                    inner = compose_rows(row, rigid_row(child_placement))
-                    self._visit_rings(child_name, inner, layer, window, out)
-                else:
-                    placement = row_transform(row).compose(child_placement)
-                    polygons = self.polygons_in_window(child_name, placement, layer, window)
-                    out.extend((polygon.vertices, polygon.mbr) for polygon in polygons)
-
-    def _visit(
+    def rings_in_regions(
         self,
         cell_name: str,
         placement: Transform,
         layer: int,
+        windows: Sequence[Rect],
+        *,
+        named: bool = False,
+    ) -> List[PlacedRing]:
+        """Subtree rings of ``layer`` whose placed MBR overlaps *any* of ``windows``.
+
+        ``windows`` and the results are in the coordinates ``placement`` maps
+        into (the parent cell frame). One traversal serves the whole window
+        set, so each placed ring appears at most once however many windows
+        it straddles — the multi-window incremental procedure depends on
+        that (a duplicated ring would spuriously violate spacing against
+        itself). Rings come in walk order: a cell's own, then each child's
+        in reference order.
+
+        Under rigid placements the walk composes integer rows and maps every
+        ring through its row. Below a magnification it composes
+        placements as ``Transform`` objects, pulls the windows back with
+        :func:`~repro.hierarchy.query.pull_back_window` (rounded outward) and
+        maps points through the placement (:func:`placed_ring`). With
+        ``named`` every entry carries its ring's object name third.
+        """
+        out: List[PlacedRing] = []
+        live = [w for w in windows if not w.is_empty]
+        if live:
+            if placement.preserves_distances:
+                placement = rigid_row(placement)
+            self._walk(cell_name, placement, layer, live, named, out)
+        return out
+
+    def _walk(
+        self,
+        cell_name: str,
+        placement: Union[Row, Transform],
+        layer: int,
         windows: List[Rect],
-        out: List[Polygon],
+        named: bool,
+        out: List[PlacedRing],
     ) -> None:
-        subtree_mbr = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
-        if subtree_mbr.is_empty or not any(
-            subtree_mbr.overlaps(w) for w in windows
-        ):
-            return
-        cell = self.tree.layout.cell(cell_name)
-        local_windows = [pull_back_window(placement, w) for w in windows]
-        rings = cell.rings(layer)
+        """One cell of the walk, ``placement`` a :data:`Row` while every
+        placement on the way is rigid and a ``Transform`` below a
+        magnification."""
+        rigid = type(placement) is not Transform
+        if rigid:
+            # The exact pre-images of the windows: the row is orthogonal.
+            inverse = invert_row(placement)
+            local = [row_rect(inverse, w) for w in windows]
+        else:
+            # Supersets of the pre-images; the subtree's placed MBR keeps a
+            # neighbour they admit from entering.
+            subtree_mbr = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
+            if subtree_mbr.is_empty or not any(subtree_mbr.overlaps(w) for w in windows):
+                return
+            local = [pull_back_window(placement, w) for w in windows]
+        # Rings and children are tested against the windows' bounding box
+        # first (one window is its own bounding box).
+        (bxlo, bylo, bxhi, byhi), *others = local
+        for wxlo, wylo, wxhi, wyhi in others:
+            bxlo, bylo = min(bxlo, wxlo), min(bylo, wylo)
+            bxhi, byhi = max(bxhi, wxhi), max(byhi, wyhi)
+        rings = self.tree.layout.cell(cell_name).rings(layer)
         if rings:
-            # Filter on the MBR table, against the windows' bounding box
-            # first; only the rings that pass become objects.
-            bxlo, bylo, bxhi, byhi = (
-                min(w.xlo for w in local_windows),
-                min(w.ylo for w in local_windows),
-                max(w.xhi for w in local_windows),
-                max(w.yhi for w in local_windows),
-            )
-            table = iter(rings.mbrs)
-            for index, (xlo, ylo, xhi, yhi) in enumerate(zip(table, table, table, table)):
+            entries = iter(rings.mbrs)
+            for index, mbr in enumerate(zip(entries, entries, entries, entries)):
+                xlo, ylo, xhi, yhi = mbr
                 if xlo > bxhi or bxlo > xhi or ylo > byhi or bylo > yhi:
                     continue
-                for wxlo, wylo, wxhi, wyhi in local_windows:  # none empty: closed overlap
-                    if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
-                        out.append(rings.polygon(index).transformed(placement))
-                        break
+                if others:
+                    for wxlo, wylo, wxhi, wyhi in local:
+                        if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi:
+                            break
+                    else:
+                        continue
+                if not rigid:
+                    out.append(placed_ring(rings, index, placement, named=named))
+                elif named:
+                    name = rings.names.get(index, "")
+                    out.append((rings.points(index, placement), row_rect(placement, mbr), name))
+                else:
+                    out.append((rings.points(index, placement), row_rect(placement, mbr)))
         # Prune on the placed-children table, in this cell's frame, *before*
-        # composing: the pulled-back windows are supersets of the exact
-        # pre-images, so no child the entry test above would keep is dropped.
-        # Each child gets only the windows its placed subtree MBR meets: a
-        # ring's MBR lies inside its subtree's, so the others meet none of it.
+        # composing. Each child gets only the windows its placed subtree MBR
+        # meets: a ring's MBR lies inside its subtree's, so the others meet
+        # none of it.
         for child_name, child_placement, (xlo, ylo, xhi, yhi) in self.tree.placed_children(
             cell_name, layer
         ):
-            near = [
-                window
-                for window, (wxlo, wylo, wxhi, wyhi) in zip(windows, local_windows)
-                if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi
-            ]
-            if near:
-                self._visit(
-                    child_name, placement.compose(child_placement), layer, near, out
-                )
+            if xlo > bxhi or bxlo > xhi or ylo > byhi or bylo > yhi:
+                continue
+            near = windows
+            if others:
+                near = [
+                    window
+                    for window, (wxlo, wylo, wxhi, wyhi) in zip(windows, local)
+                    if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi
+                ]
+                if not near:
+                    continue
+            if not rigid:
+                inner = placement.compose(child_placement)
+            elif child_placement.preserves_distances:
+                inner = compose_rows(placement, rigid_row(child_placement))
+            else:
+                inner = row_transform(placement).compose(child_placement)
+            self._walk(child_name, inner, layer, near, named, out)
+
+
+def placed_ring(
+    rings: RingBuffer,
+    index: int,
+    placement: Optional[Transform] = None,
+    *,
+    named: bool = False,
+) -> PlacedRing:
+    """Ring ``index`` of a buffer as a placed ring: in the buffer's frame,
+    or mapped through ``placement`` and left clockwise, as
+    ``Polygon.transformed`` leaves its vertices (a magnification, or a
+    mirror, reverses them back). With ``named`` its object name comes third."""
+    points, mbr = rings.points(index), rings.mbr(index)
+    if placement is not None:
+        points = placement.apply_many(points)
+        if signed_area2(points) > 0:
+            points.reverse()
+        mbr = placement.apply_rect(mbr)
+    return (points, mbr, rings.names.get(index, "")) if named else (points, mbr)
+
+
+def buffer_rings(
+    rings: RingBuffer, placement: Optional[Transform] = None, *, named: bool = False
+) -> List[PlacedRing]:
+    """Every ring of one buffer as :func:`placed_ring` places it, in storage order."""
+    return [placed_ring(rings, index, placement, named=named) for index in range(len(rings))]
 
 
 class LevelItem(NamedTuple):
@@ -342,7 +358,9 @@ def gather_pair_rings(
     two rule-distance inflations is a complete capture region for both
     sides.
     """
-    window = _pair_window(item_a, item_b, rule_distance)
+    window = item_a.mbr.inflated(rule_distance).intersection(
+        item_b.mbr.inflated(rule_distance)
+    )
     if window.is_empty:
         return [], []
 
@@ -353,28 +371,3 @@ def gather_pair_rings(
 
     return rings_of(item_a), rings_of(item_b)
 
-
-def gather_pair_polygons(
-    rings: Optional[RingBuffer],
-    item_a: LevelItem,
-    item_b: LevelItem,
-    subtree: SubtreeWindow,
-    layer: int,
-    rule_distance: int,
-) -> Tuple[List[Polygon], List[Polygon]]:
-    """:func:`gather_pair_rings` as ``Polygon`` objects in the level's frame,
-    for consumers that check flat polygons."""
-    window = _pair_window(item_a, item_b, rule_distance)
-    if window.is_empty:
-        return [], []
-
-    def polygons_of(item: LevelItem) -> List[Polygon]:
-        if item.index is not None:
-            return [rings.polygon(item.index)] if item.mbr.overlaps(window) else []
-        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
-
-    return polygons_of(item_a), polygons_of(item_b)
-
-
-def _pair_window(item_a: LevelItem, item_b: LevelItem, rule_distance: int) -> Rect:
-    return item_a.mbr.inflated(rule_distance).intersection(item_b.mbr.inflated(rule_distance))

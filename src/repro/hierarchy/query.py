@@ -1,101 +1,18 @@
-"""Layer range queries over the MBR-augmented hierarchy tree (paper §IV-A).
+"""Placement algebra for windowed queries over the hierarchy tree (paper §IV-A).
 
-``layer_range_query`` descends from the top structure and prunes every
-subtree whose MBR for the queried layer is empty or disjoint from the query
-window, achieving the paper's O(min(n, kh)) bound — ``n`` leaves, ``k``
-outputs, ``h`` tree height. The returned :class:`QueryStats` exposes the
-visit counts the complexity tests assert on.
+A windowed query descends from a structure and prunes every subtree whose
+MBR for the queried layer is disjoint from the window
+(:class:`~repro.hierarchy.pruning.SubtreeWindow`); to test a child's own
+geometry it needs the window in the child's frame. :func:`pull_back_window`
+maps a window back through a placement, :func:`invert` inverts one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
 
-from ..geometry import Polygon, Rect, Transform
-from ..layout.cell import Cell
-from .tree import HierarchyTree
-
-
-@dataclasses.dataclass
-class QueryStats:
-    """Instrumentation of one range query."""
-
-    cells_visited: int = 0
-    cells_pruned: int = 0
-    polygons_tested: int = 0
-    polygons_reported: int = 0
-
-
-def layer_range_query(
-    tree: HierarchyTree,
-    layer: int,
-    window: Rect,
-    *,
-    stats: Optional[QueryStats] = None,
-) -> List[Polygon]:
-    """All polygons of ``layer`` whose MBRs overlap ``window`` (top coordinates).
-
-    Polygons are returned transformed into top-cell coordinates.
-    """
-    out: List[Polygon] = []
-    for polygon, transform in iter_layer_range(tree, layer, window, stats=stats):
-        out.append(polygon.transformed(transform))
-    return out
-
-
-def iter_layer_range(
-    tree: HierarchyTree,
-    layer: int,
-    window: Rect,
-    *,
-    stats: Optional[QueryStats] = None,
-):
-    """Lazy variant yielding ``(local_polygon, accumulated_transform)`` pairs.
-
-    Callers that only need counts or MBRs avoid materializing transformed
-    polygons.
-    """
-    if stats is None:
-        stats = QueryStats()
-    if window.is_empty:
-        return
-
-    def visit(cell: Cell, transform: Transform, local_window: Rect):
-        stats.cells_visited += 1
-        for polygon in cell.polygons(layer):
-            stats.polygons_tested += 1
-            if polygon.mbr.overlaps(local_window):
-                stats.polygons_reported += 1
-                yield polygon, transform
-        stats.cells_pruned += sum(
-            not tree.has_layer(ref.cell_name, layer) for ref in cell.references
-        )
-        for child_name, placement, placed_mbr in tree.placed_children(cell.name, layer):
-            if not placed_mbr.overlaps(local_window):
-                stats.cells_pruned += 1
-                continue
-            child_window = pull_back_window(placement, local_window)
-            yield from visit(
-                tree.layout.cell(child_name), transform.compose(placement), child_window
-            )
-
-    top_mbr = tree.layer_mbr(tree.top.name, layer)
-    if top_mbr.is_empty or not top_mbr.overlaps(window):
-        stats.cells_pruned += 1
-        return
-    yield from visit(tree.top, Transform(), window)
-
-
-def count_layer_range(
-    tree: HierarchyTree, layer: int, window: Rect
-) -> Tuple[int, QueryStats]:
-    """Number of layer polygons overlapping ``window`` plus instrumentation."""
-    stats = QueryStats()
-    count = sum(1 for _ in iter_layer_range(tree, layer, window, stats=stats))
-    return count, stats
+from ..geometry import Rect, Transform
 
 
 def pull_back_window(placement: Transform, window: Rect) -> Rect:

@@ -7,7 +7,7 @@ result validation, and for statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..geometry import Polygon, Transform
 from .cell import Cell
@@ -63,6 +63,14 @@ def flatten(
 def flatten_layer(layout: Layout, layer: int, *, top: Optional[str] = None) -> List[Polygon]:
     """Flatten a single layer."""
     return flatten(layout, top=top, layers=[layer]).get(layer, [])
+
+
+def polygon_rings(polygons: Iterable[Polygon], *, named: bool = False) -> List[Tuple]:
+    """Polygons as the placed rings the check procedures take,
+    ``(vertices, mbr)``; with ``named`` each polygon's name comes third."""
+    if named:
+        return [(polygon.vertices, polygon.mbr, polygon.name) for polygon in polygons]
+    return [(polygon.vertices, polygon.mbr) for polygon in polygons]
 
 
 def count_flat_polygons(layout: Layout, *, top: Optional[str] = None) -> Dict[int, int]:

@@ -6,7 +6,8 @@ hold the engine to.
 Resolution pulled metal *up*: every child item a via window touched had its
 subtree gathered over the union of those windows and transformed into the
 resolving cell's frame. The gather composed a placement for every child
-before testing its MBR.
+before testing its MBR, and built a ``Polygon`` for every ring it reported
+(:class:`ReferenceSubtreeWindow`, the walk the engine's ring walk is held to).
 
 ``random_hierarchy`` builds the seeded 3-level layouts both suites run on.
 """
@@ -27,7 +28,26 @@ from .reference_sequential import ReferenceSequentialBackend
 
 
 class ReferenceSubtreeWindow(SubtreeWindow):
-    """Compose every child placement, then test its MBR in the parent frame."""
+    """Compose every child placement, then test its MBR in the parent frame;
+    every ring found comes out as ``polygon.transformed(placement)``."""
+
+    def polygons_in_window(
+        self, cell_name: str, placement: Transform, layer: int, window: Rect
+    ) -> List[Polygon]:
+        """Subtree polygons of ``layer`` whose placed MBR overlaps ``window``,
+        in the frame ``placement`` maps into."""
+        return self.polygons_in_regions(cell_name, placement, layer, [window])
+
+    def polygons_in_regions(
+        self, cell_name: str, placement: Transform, layer: int, windows: List[Rect]
+    ) -> List[Polygon]:
+        """Subtree polygons whose placed MBR overlaps *any* of ``windows``,
+        each reported once."""
+        out: List[Polygon] = []
+        live = [w for w in windows if not w.is_empty]
+        if live:
+            self._visit(cell_name, placement, layer, live, out)
+        return out
 
     def _visit(
         self,
@@ -56,10 +76,6 @@ class ReferenceSubtreeWindow(SubtreeWindow):
 class ReferenceBackend(ReferenceSequentialBackend):
     """The ``Polygon``-based sequential backend with the union-window
     resolution and gather."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.subtree = ReferenceSubtreeWindow(self.tree)
 
     def _resolve_vias(
         self,

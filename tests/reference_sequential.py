@@ -8,14 +8,17 @@ holds the engine to, marker for marker.
   definition, every marker transformed per instance, and a ``Cell`` rebuilt
   from placed polygons for a placement that breaks the rule's invariance;
 * :class:`ReferenceSequentialBackend` — the sequential backend with that
-  walk, the ``Polygon``-based pair gather
-  (:func:`~repro.hierarchy.pruning.gather_pair_polygons`), and pending ``Polygon`` vias
-  resolved by a per-parent recursive descent;
+  walk, the ``Polygon``-based pair gather (:func:`gather_pair_polygons`,
+  over :class:`~tests.reference_resolution.ReferenceSubtreeWindow`), and
+  pending ``Polygon`` vias resolved by a per-parent recursive descent;
 * :class:`ShapeDescentBackend` — the sequential backend with the via
   descent as it ran before the rectangle column: every pending via a
   :data:`~repro.checks.base.Shape` (its MBR ``Rect`` when it is a rectangle),
   placed per placement through ``placed_shapes``, windows inflated as
   ``Rect`` and every candidate set judged by ``procedures.satisfied``.
+
+Both gather ``Polygon`` objects through
+:class:`~tests.reference_resolution.ReferenceSubtreeWindow`.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ import heapq
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.klayout_like import _intra_flat
-from repro.checks.base import Shape, Violation, ring_shape, shape_mbr
+from repro.checks.base import Shape, Violation, check_pairs, ring_shape, shape_mbr
+from repro.checks.coloring import check_two_colorable
 from repro.core.sequential import SequentialBackend
 from repro.geometry import IDENTITY, Polygon, Rect, Transform, union_all
 from repro.geometry.transform import Row, invert_row, rigid_row, row_rect, row_transform
-from repro.hierarchy.pruning import PruningStats, distance_invariant, gather_pair_polygons
+from repro.hierarchy.pruning import LevelItem, PruningStats, distance_invariant
 from repro.hierarchy.query import invert
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout.cell import Cell, RingBuffer
+from repro.layout.flatten import flatten_layer
 from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
 from repro.violation_table import violation_row
@@ -94,8 +99,44 @@ class ReferenceIntraScheduler:
         return out
 
 
+def reference_window(tree: HierarchyTree):
+    """The compose-then-test ``Polygon`` gather over ``tree``."""
+    from .reference_resolution import ReferenceSubtreeWindow  # which imports this module
+
+    return ReferenceSubtreeWindow(tree)
+
+
+def gather_pair_polygons(
+    rings: Optional[RingBuffer],
+    item_a: LevelItem,
+    item_b: LevelItem,
+    subtree,
+    layer: int,
+    rule_distance: int,
+) -> Tuple[List[Polygon], List[Polygon]]:
+    """The polygons of two level items near their interface, in the level's
+    frame: those meeting the intersection of the two items' MBRs, each grown
+    by ``rule_distance``."""
+    window = item_a.mbr.inflated(rule_distance).intersection(
+        item_b.mbr.inflated(rule_distance)
+    )
+    if window.is_empty:
+        return [], []
+
+    def polygons_of(item: LevelItem) -> List[Polygon]:
+        if item.index is not None:
+            return [rings.polygon(item.index)] if item.mbr.overlaps(window) else []
+        return subtree.polygons_in_window(item.cell_name, item.placement, layer, window)
+
+    return polygons_of(item_a), polygons_of(item_b)
+
+
 class ReferenceSequentialBackend(SequentialBackend):
     """The sequential backend on ``Polygon`` objects and per-instance walks."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.subtree = reference_window(self.tree)
 
     def _intra(self, rule, spec, profile: PhaseProfile) -> List[Violation]:
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
@@ -143,6 +184,17 @@ class ReferenceSequentialBackend(SequentialBackend):
             self._pair_memo[key] = [v.transformed(inverse_a) for v in found]
         # The backend it plugs into passes violation rows up the hierarchy.
         return list(map(violation_row, found))
+
+    def _flat_subtree_pairs(self, cell_name, placement, layer, value, procedures, profile):
+        window = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
+        polygons = self.subtree.polygons_in_window(cell_name, placement, layer, window)
+        rings = [(p.vertices, p.mbr) for p in polygons]
+        return list(map(violation_row, check_pairs(procedures, rings, layer, value)))
+
+    def _coloring(self, layer, value, profile):
+        polygons = flatten_layer(self.layout, layer, top=self.tree.top.name)
+        polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
+        return check_two_colorable([(p.vertices, p.mbr) for p in polygons], layer, value)
 
     def _cross_layer(self, via_layer, metal_layer, value, procedures, profile):
         memo: Dict[str, List[Polygon]] = {}
@@ -247,6 +299,10 @@ class ReferenceSequentialBackend(SequentialBackend):
 
 class ShapeDescentBackend(SequentialBackend):
     """The sequential backend with the ``Shape`` via descent, verbatim."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.subtree = reference_window(self.tree)
 
     def _cross_layer(
         self,

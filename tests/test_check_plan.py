@@ -281,6 +281,26 @@ class TestPlanCacheReuse:
         )
         assert report.results[-1].stats["pack_cache_hits"] > 0
 
+    def test_partition_table_is_built_only_on_a_memo_miss(self, monkeypatch):
+        """Spacing and corner spacing at one value on one layer share the top
+        level's row partition: the second rule finds it in the memo and
+        builds no MBR table to partition."""
+        from repro.core import sequential
+
+        built = []
+        table = sequential.mbr_table
+        monkeypatch.setattr(
+            sequential, "mbr_table", lambda boxes: (built.append(1), table(boxes))[1]
+        )
+        layout = random_hierarchical_layout(instances=40, seed=14)
+        rules = [
+            layer(1).spacing().greater_than(7).named("S"),
+            layer(1).corner_spacing().greater_than(7).named("CS"),
+        ]
+        report = Engine(mode="sequential").check(layout, rules=rules)
+        assert len(report.results) == 2
+        assert len(built) == 1
+
 
 class TestRuleDependencies:
     def test_shape_rule_gates_layer_rules(self):
@@ -322,7 +342,7 @@ class TestRunOrder:
         engine = Engine(mode="sequential")
         report = engine.check(layout, rules=rules)
         assert ran == ["SHAPE", "W", "W2"]
-        assert [c.name for c in engine.last_plan.run_order] == ran
+        assert [c.name for c in engine.compile(layout, rules=rules).run_order] == ran
         # The report keeps deck order.
         assert [r.rule.name for r in report.results] == ["W", "W2", "SHAPE"]
 
@@ -391,7 +411,7 @@ class TestRunOrder:
         engine = Engine(mode=mode)
         report = engine.check(layout, rules=self.deck(names))
         assert [r.rule.name for r in report.results] == names
-        assert [c.name for c in engine.last_plan.run_order] == [
+        assert [c.name for c in engine.compile(layout, rules=self.deck(names)).run_order] == [
             "SHAPE1", "SP1", "SHAPE2", "W2", "W1"
         ]
         reference = Engine(mode="sequential").check(layout, rules=self.deck(names))

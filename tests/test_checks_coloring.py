@@ -4,11 +4,12 @@ import random
 from repro.checks import coloring
 from repro.checks.base import ViolationKind
 from repro.checks.coloring import check_two_colorable, conflict_edges, two_color
-from repro.checks.edges import polygon_spacing_violations
+from repro.checks.edges import spacing_regions
 from repro.core import Engine
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
+from repro.layout.flatten import polygon_rings
 
 
 def rect(x1, y1, x2, y2):
@@ -28,31 +29,31 @@ def chain(n, gap=5, width=10):
 class TestConflictGraph:
     def test_chain_edges(self):
         polys = chain(4, gap=5)
-        edges = conflict_edges(polys, 8)
+        edges = conflict_edges(polygon_rings(polys), 8)
         assert sorted((i, j) for i, j, _, _ in edges) == [(0, 1), (1, 2), (2, 3)]
 
     def test_distant_shapes_no_edges(self):
         polys = chain(3, gap=50)
-        assert conflict_edges(polys, 8) == []
+        assert conflict_edges(polygon_rings(polys), 8) == []
 
     def test_edges_come_in_index_order(self):
         # The BFS coloring follows the edge order, so it must not depend on
         # the order the MBR sweep happens to report pairs in.
         polys = [rect(15 * (k % 7), 120 * (k // 7), 15 * (k % 7) + 10, 120 * (k // 7) + 100)
                  for k in range(21)]
-        edges = [(i, j) for i, j, _, _ in conflict_edges(polys, 8)]
+        edges = [(i, j) for i, j, _, _ in conflict_edges(polygon_rings(polys), 8)]
         assert len(edges) == 18 and edges == sorted(edges)
 
     def test_edge_carries_min_distance(self):
         polys = [rect(0, 0, 10, 100), rect(15, 0, 25, 100)]
-        edges = conflict_edges(polys, 8)
+        edges = conflict_edges(polygon_rings(polys), 8)
         assert edges[0][3] == 5
 
 
 class TestTwoColoring:
     def test_chain_is_bipartite(self):
         polys = chain(6, gap=5)
-        colors, conflicts = two_color(polys, 8)
+        colors, conflicts = two_color(polygon_rings(polys), 8)
         assert conflicts == []
         assert colors == [0, 1, 0, 1, 0, 1]
 
@@ -64,16 +65,16 @@ class TestTwoColoring:
             rect(15, 0, 25, 100),
             rect(0, 105, 25, 115),
         ]
-        _, conflicts = two_color(polys, 8)
+        _, conflicts = two_color(polygon_rings(polys), 8)
         assert len(conflicts) == 1  # one odd-cycle-closing edge
 
     def test_isolated_shapes_colored(self):
         polys = [rect(0, 0, 10, 10), rect(1000, 0, 1010, 10)]
-        colors, conflicts = two_color(polys, 8)
+        colors, conflicts = two_color(polygon_rings(polys), 8)
         assert conflicts == [] and colors == [0, 0]
 
     def test_empty(self):
-        colors, conflicts = two_color([], 8)
+        colors, conflicts = two_color(polygon_rings([]), 8)
         assert colors == [] and conflicts == []
 
 
@@ -84,14 +85,14 @@ class TestCheck:
             rect(15, 0, 25, 100),
             rect(0, 105, 25, 115),
         ]
-        violations = check_two_colorable(polys, 7, 8)
+        violations = check_two_colorable(polygon_rings(polys), 7, 8)
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.COLOR
         assert v.required == 8 and v.measured == 5
 
     def test_bipartite_layer_passes(self):
-        assert check_two_colorable(chain(10, gap=5), 7, 8) == []
+        assert check_two_colorable(polygon_rings(chain(10, gap=5)), 7, 8) == []
 
 
 class TestEngineIntegration:
@@ -185,7 +186,9 @@ class TestMarkersBySpecification:
         so that exactly the chosen pairs conflict."""
         chosen = set()
         polys = [rect(0, 20 * k, 10, 20 * k + 10) for k in range(5)]
-        index = {id(p): k for k, p in enumerate(polys)}
+        # Each ring stands for its own index: the stubbed edge-row table of
+        # ring k is k itself.
+        rings = [(k, p.mbr) for k, p in enumerate(polys)]
         rng = random.Random(0)
 
         def every_pair_shuffled(rects):
@@ -194,16 +197,17 @@ class TestMarkersBySpecification:
             return iter(pairs)
 
         def conflicts_if_chosen(a, b, spacing):
-            return [(Rect(0, 0, 1, 1), 1)] if (index[id(a)], index[id(b)]) in chosen else []
+            return [(Rect(0, 0, 1, 1), 1)] if (a, b) in chosen else []
 
         monkeypatch.setattr(coloring, "iter_overlapping_pairs", every_pair_shuffled)
-        monkeypatch.setattr(coloring, "polygon_spacing_violations", conflicts_if_chosen)
+        monkeypatch.setattr(coloring, "edge_rows_of", lambda ring: ring)
+        monkeypatch.setattr(coloring, "spacing_regions", conflicts_if_chosen)
         checked = 0
         for count in range(1, 6):
             every = list(itertools.combinations(range(count), 2))
             for mask in range(1 << len(every)):
                 chosen = {pair for bit, pair in enumerate(every) if mask >> bit & 1}
-                _, conflicts = two_color(polys[:count], 8)
+                _, conflicts = two_color(rings[:count], 8)
                 assert [(i, j) for i, j, _, _ in conflicts] == rendered_conflicts(count, chosen)
                 checked += 1
         assert checked == 1 + 2 + 8 + 64 + 1024
@@ -230,9 +234,9 @@ class TestMarkersBySpecification:
             edges = {
                 (i, j)
                 for i, j in itertools.combinations(range(len(polys)), 2)
-                if polygon_spacing_violations(polys[i], polys[j], 9)
+                if spacing_regions(polys[i].edge_rows(), polys[j].edge_rows(), 9)
             }
-            _, conflicts = two_color(polys, 9)
+            _, conflicts = two_color(polygon_rings(polys), 9)
             expected = rendered_conflicts(len(polys), edges)
             assert [(i, j) for i, j, _, _ in conflicts] == expected
             nontrivial += bool(expected)

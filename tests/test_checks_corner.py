@@ -6,13 +6,14 @@ import pytest
 from repro.checks.base import ViolationKind
 from repro.checks.corner import (
     check_corner_spacing,
-    convex_corners,
+    ring_corners,
     corner_pair_violations,
 )
 from repro.core import Engine
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
+from repro.layout.flatten import polygon_rings
 
 
 def rect(x1, y1, x2, y2):
@@ -21,7 +22,7 @@ def rect(x1, y1, x2, y2):
 
 class TestConvexCorners:
     def test_rectangle_has_four(self):
-        corners = convex_corners(rect(0, 0, 10, 10))
+        corners = ring_corners(rect(0, 0, 10, 10).vertices)
         assert len(corners) == 4
         quadrants = {(c.x, c.y): (c.qx, c.qy) for c in corners}
         assert quadrants[(0, 0)] == (-1, -1)
@@ -31,15 +32,15 @@ class TestConvexCorners:
 
     def test_l_shape_has_five_convex(self):
         l_shape = Polygon([(0, 0), (0, 30), (10, 30), (10, 10), (25, 10), (25, 0)])
-        corners = convex_corners(l_shape)
+        corners = ring_corners(l_shape.vertices)
         assert len(corners) == 5  # one reflex corner excluded
         assert (10, 10) not in {(c.x, c.y) for c in corners}
 
 
 class TestPairViolations:
     def test_diagonal_close_pair(self):
-        a = convex_corners(rect(0, 0, 10, 10))
-        b = convex_corners(rect(13, 13, 23, 23))
+        a = ring_corners(rect(0, 0, 10, 10).vertices)
+        b = ring_corners(rect(13, 13, 23, 23).vertices)
         violations = corner_pair_violations(a, b, 1, 10)
         assert len(violations) == 1
         v = violations[0]
@@ -48,40 +49,40 @@ class TestPairViolations:
         assert v.region == Rect(10, 10, 13, 13)
 
     def test_far_pair_passes(self):
-        a = convex_corners(rect(0, 0, 10, 10))
-        b = convex_corners(rect(30, 30, 40, 40))
+        a = ring_corners(rect(0, 0, 10, 10).vertices)
+        b = ring_corners(rect(30, 30, 40, 40).vertices)
         assert corner_pair_violations(a, b, 1, 10) == []
 
     def test_exact_distance_passes(self):
         # Corners (10,10) and (13,14): distance 5 exactly.
-        a = convex_corners(rect(0, 0, 10, 10))
-        b = convex_corners(rect(13, 14, 23, 24))
+        a = ring_corners(rect(0, 0, 10, 10).vertices)
+        b = ring_corners(rect(13, 14, 23, 24).vertices)
         assert corner_pair_violations(a, b, 1, 5) == []
         assert len(corner_pair_violations(a, b, 1, 6)) == 1
 
     def test_axis_aligned_not_corner_rule(self):
         # Side-by-side rects: edge spacing's job, not the corner rule's.
-        a = convex_corners(rect(0, 0, 10, 10))
-        b = convex_corners(rect(13, 0, 23, 10))
+        a = ring_corners(rect(0, 0, 10, 10).vertices)
+        b = ring_corners(rect(13, 0, 23, 10).vertices)
         assert corner_pair_violations(a, b, 1, 50) == []
 
     def test_non_facing_corners_ignored(self):
         # Diagonal overlap region: corners exist within threshold but their
         # exterior quadrants point away from each other.
-        a = convex_corners(rect(0, 0, 10, 10))
-        b = convex_corners(rect(8, 8, 18, 18))  # overlapping shapes
+        a = ring_corners(rect(0, 0, 10, 10).vertices)
+        b = ring_corners(rect(8, 8, 18, 18).vertices)  # overlapping shapes
         assert corner_pair_violations(a, b, 1, 6) == []
 
 
 class TestFlatCheck:
     def test_mixed_population(self):
         polys = [rect(0, 0, 10, 10), rect(14, 14, 24, 24), rect(100, 100, 110, 110)]
-        violations = check_corner_spacing(polys, 1, 10)
+        violations = check_corner_spacing(polygon_rings(polys), 1, 10)
         assert len(violations) == 1
 
     def test_dedup_not_needed_for_distinct_regions(self):
         polys = [rect(0, 0, 10, 10), rect(13, 13, 23, 23), rect(-13, -13, -3, -3)]
-        violations = check_corner_spacing(polys, 1, 10)
+        violations = check_corner_spacing(polygon_rings(polys), 1, 10)
         assert len(violations) == 2
 
 
@@ -139,7 +140,7 @@ class TestEngineIntegration:
         for _ in range(80):
             x, y = rng.randint(0, 800), rng.randint(0, 800)
             polys.append(rect(x, y, x + rng.randint(3, 50), y + rng.randint(3, 50)))
-        host = {(v.region, v.measured) for v in check_corner_spacing(polys, 1, 15)}
+        host = {(v.region, v.measured) for v in check_corner_spacing(polygon_rings(polys), 1, 15)}
         from repro.gpu.kernels import kernel_corner_pairs, pack_corners
 
         hits = kernel_corner_pairs(pack_corners(polys), 15)

@@ -5,6 +5,7 @@ from repro.checks import (
     enclosure_pair_violations,
 )
 from repro.geometry import Polygon, Rect
+from repro.layout.flatten import polygon_rings
 
 
 def rect(x1, y1, x2, y2):
@@ -86,7 +87,7 @@ class TestFlatCheck:
             rect(108, 8, 116, 16),  # margin 2: violation
             # third via has no metal at all
         ]
-        violations = check_enclosure(vias, metals, 2, 1, 5)
+        violations = check_enclosure(polygon_rings(vias), polygon_rings(metals), 2, 1, 5)
         assert len(violations) == 2
         assert sorted(v.measured for v in violations) == [0, 2]
 
@@ -95,7 +96,7 @@ class TestFlatCheck:
         # window, not just metals near other vias.
         via = rect(1000, 1000, 1004, 1004)
         metal = rect(990, 990, 1014, 1014)
-        assert check_enclosure([via], [metal], 2, 1, 10) == []
+        assert check_enclosure(polygon_rings([via]), polygon_rings([metal]), 2, 1, 10) == []
 
     def test_empty_vias(self):
-        assert check_enclosure([], [rect(0, 0, 10, 10)], 2, 1, 5) == []
+        assert check_enclosure(polygon_rings([]), polygon_rings([rect(0, 0, 10, 10)]), 2, 1, 5) == []

@@ -5,6 +5,7 @@ from repro.core.incremental import check_window
 from repro.core.rules import layer
 from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
+from repro.layout.flatten import polygon_rings
 
 
 def rect(x1, y1, x2, y2):
@@ -37,7 +38,7 @@ class TestCheckMinOverlap:
     def test_flags_insufficient_overlap(self):
         vias = [rect(0, 0, 10, 10), rect(100, 0, 110, 10)]
         bases = [rect(8, 0, 40, 10), rect(95, 0, 140, 10)]
-        violations = check_min_overlap(vias, bases, 2, 1, 50)
+        violations = check_min_overlap(polygon_rings(vias), polygon_rings(bases), 2, 1, 50)
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.OVERLAP
@@ -47,10 +48,10 @@ class TestCheckMinOverlap:
     def test_exact_overlap_passes(self):
         vias = [rect(0, 0, 10, 10)]
         bases = [rect(5, 0, 20, 10)]
-        assert check_min_overlap(vias, bases, 2, 1, 50) == []
+        assert check_min_overlap(polygon_rings(vias), polygon_rings(bases), 2, 1, 50) == []
 
     def test_no_base_measured_zero(self):
-        violations = check_min_overlap([rect(0, 0, 4, 4)], [], 2, 1, 10)
+        violations = check_min_overlap(polygon_rings([rect(0, 0, 4, 4)]), polygon_rings([]), 2, 1, 10)
         assert violations[0].measured == 0
 
 

@@ -1,21 +1,35 @@
-from repro.checks import (
-    ViolationKind,
-    check_spacing,
-    spacing_notch_violations,
-    spacing_pair_violations,
-)
+from repro.checks import ViolationKind
+from repro.checks.spacing import SpacingProcedures, check_spacing as check_rings
 from repro.geometry import Polygon, Rect
+from repro.layout.flatten import polygon_rings
+
+PROCEDURES = SpacingProcedures()
 
 
 def rect(x1, y1, x2, y2):
     return Polygon.from_rect_coords(x1, y1, x2, y2)
 
 
+def pair_violations(a, b, layer, value):
+    """The pairwise procedure on two distinct polygons' edge rows."""
+    return PROCEDURES.cross_violations(a.edge_rows(), b.edge_rows(), layer, value)
+
+
+def notch_violations(polygon, layer, value):
+    """The pairwise procedure on one polygon against itself."""
+    return PROCEDURES.self_violations(polygon.edge_rows(), layer, value)
+
+
+def check_spacing(polygons, layer, value):
+    """The flat procedure over polygons handed over as placed rings."""
+    return check_rings(polygon_rings(polygons), layer, value)
+
+
 class TestPairSpacing:
     def test_close_pair_flagged(self):
         a = rect(0, 0, 10, 100)
         b = rect(15, 0, 25, 100)
-        violations = spacing_pair_violations(a, b, 1, 8)
+        violations = pair_violations(a, b, 1, 8)
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.SPACING
@@ -25,12 +39,12 @@ class TestPairSpacing:
     def test_exact_spacing_passes(self):
         a = rect(0, 0, 10, 100)
         b = rect(15, 0, 25, 100)
-        assert spacing_pair_violations(a, b, 1, 5) == []
+        assert pair_violations(a, b, 1, 5) == []
 
     def test_vertical_gap(self):
         a = rect(0, 0, 100, 10)
         b = rect(0, 13, 100, 20)
-        violations = spacing_pair_violations(a, b, 1, 5)
+        violations = pair_violations(a, b, 1, 5)
         assert len(violations) == 1
         assert violations[0].region == Rect(0, 10, 100, 13)
 
@@ -38,17 +52,17 @@ class TestPairSpacing:
         # Diagonal neighbors: corner-to-corner proximity is out of scope.
         a = rect(0, 0, 10, 10)
         b = rect(12, 12, 20, 20)
-        assert spacing_pair_violations(a, b, 1, 50) == []
+        assert pair_violations(a, b, 1, 50) == []
 
     def test_abutting_treated_as_connected(self):
         a = rect(0, 0, 10, 10)
         b = rect(10, 0, 20, 10)
-        assert spacing_pair_violations(a, b, 1, 50) == []
+        assert pair_violations(a, b, 1, 50) == []
 
     def test_partial_projection_overlap_region_clipped(self):
         a = rect(0, 0, 10, 50)
         b = rect(14, 30, 24, 90)
-        violations = spacing_pair_violations(a, b, 1, 6)
+        violations = pair_violations(a, b, 1, 6)
         assert violations[0].region == Rect(10, 30, 14, 50)
 
 
@@ -57,7 +71,7 @@ class TestNotch:
         u = Polygon(
             [(0, 0), (0, 50), (10, 50), (10, 20), (20, 20), (20, 50), (30, 50), (30, 0)]
         )
-        violations = spacing_notch_violations(u, 1, 15)
+        violations = notch_violations(u, 1, 15)
         assert len(violations) == 1
         assert violations[0].measured == 10
         assert violations[0].region == Rect(10, 20, 20, 50)
@@ -66,10 +80,10 @@ class TestNotch:
         u = Polygon(
             [(0, 0), (0, 50), (10, 50), (10, 20), (40, 20), (40, 50), (50, 50), (50, 0)]
         )
-        assert spacing_notch_violations(u, 1, 15) == []
+        assert notch_violations(u, 1, 15) == []
 
     def test_rectangle_has_no_notch(self):
-        assert spacing_notch_violations(rect(0, 0, 10, 10), 1, 100) == []
+        assert notch_violations(rect(0, 0, 10, 10), 1, 100) == []
 
 
 class TestFlatCheck:

@@ -581,7 +581,7 @@ class TestDigestAndDiff:
         edited, _ = self.cells([self.A, L_SHAPE, self.C, self.B + self.C], None)
         del built_polygons[:]
         assert len(_cell_local_dirty(old, edited, 1)) == 1
-        assert len(built_polygons) == 1  # the added ring alone became an object
+        assert built_polygons == []  # the added ring is compared by its canonical vertices
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +623,18 @@ class TestWorkBounds:
         fresh_old.set_top("top")
 
         viewed, singles = [], []
-        polygons, polygon = RingBuffer.polygons, RingBuffer.polygon
+        polygons, polygon, points = RingBuffer.polygons, RingBuffer.polygon, RingBuffer.points
         monkeypatch.setattr(
             RingBuffer, "polygons", lambda self: viewed.append(self) or polygons(self)
         )
         monkeypatch.setattr(
+            RingBuffer, "polygon", lambda self, index: viewed.append(self) or polygon(self, index)
+        )
+        monkeypatch.setattr(
             RingBuffer,
-            "polygon",
-            lambda self, index: singles.append(Rect(*self.mbrs[4 * index : 4 * index + 4]))
-            or polygon(self, index),
+            "points",
+            lambda self, index, row=None: singles.append(Rect(*self.mbrs[4 * index : 4 * index + 4]))
+            or points(self, index, row),
         )
         outcome = recheck(
             fresh_old, new, rules=deck, options=EngineOptions(use_cache=False), cached=baseline
@@ -642,7 +645,8 @@ class TestWorkBounds:
             ("cached", 8), ("windowed", 4)
         ]  # fmt: skip
         assert outcome.report.total_violations == baseline.total_violations + 1
-        assert viewed == []  # no (cell, layer) was turned into objects wholesale
+        assert viewed == []  # no ring was turned into an object
+        # The rings read at all: the wire, by the diff and by each windowed rule.
         reach = wire.inflated(max(rule.value or 0 for rule in deck))
         assert singles and all(mbr.overlaps(reach) for mbr in singles)
         assert len(singles) <= 2 * len(deck)

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.core import Engine, EngineOptions, parallel
+from repro.core.plan import make_backend
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.gpu import Device, OpKind
@@ -80,16 +81,14 @@ class TestEveryRuleKind:
 class TestExecutorSelection:
     def test_small_tasks_use_bruteforce(self, uart_layout, monkeypatch):
         monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9)
-        par = Engine(mode="parallel")
-        par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        stats = par.last_checker.stats()
+        report = Engine(mode="parallel").check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
+        stats = report.results[-1].stats
         assert stats["kernels_bruteforce"] > 0 and stats["kernels_sweepline"] == 0
 
     def test_large_tasks_use_sweepline(self, uart_layout, monkeypatch):
         monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", 0)
-        par = Engine(mode="parallel")
-        par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        stats = par.last_checker.stats()
+        report = Engine(mode="parallel").check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
+        stats = report.results[-1].stats
         assert stats["kernels_sweepline"] > 0 and stats["kernels_bruteforce"] == 0
 
     def test_both_executors_same_violations(self, ibex_layout, monkeypatch):
@@ -109,7 +108,7 @@ class TestExecutorSelection:
         monkeypatch.setattr(parallel, "BRUTE_FORCE_THRESHOLD", threshold)
         engine = Engine(mode="parallel")
         report = engine.check(uart_layout, rules=deck)
-        assert engine.last_checker.brute_force_threshold == threshold
+        assert make_backend(engine.compile(uart_layout, rules=deck)).brute_force_threshold == threshold
         for got, want in zip(report.results, reference.results):
             assert got.violation_set() == want.violation_set(), got.rule.name
 

@@ -83,9 +83,8 @@ class TestFusedEquivalence:
 
 class TestLaunchReduction:
     def test_fusion_stats_counted(self, uart_layout):
-        engine = Engine(mode="parallel")
-        engine.check(uart_layout, rules=[asap7.spacing_rule(asap7.M3)])
-        stats = engine.last_checker.stats()
+        report = Engine(mode="parallel").check(uart_layout, rules=[asap7.spacing_rule(asap7.M3)])
+        stats = report.results[-1].stats
         # One launch per orientation per lane, however many rows there are.
         assert 0 < stats["fused_launches"] <= 4
         assert stats["fused_segments"] >= stats["fused_launches"]
@@ -104,15 +103,13 @@ class TestPackCache:
             asap7.area_rule(asap7.M2),
             asap7.enclosure_rule(asap7.V2, asap7.M2),
         ]
-        engine.check(uart_layout, rules=deck)
-        cache = engine.last_checker.pack_cache
-        assert cache.hits > 0
-        assert cache.misses > 0
+        stats = engine.check(uart_layout, rules=deck).results[-1].stats
+        assert stats["pack_cache_hits"] > 0
+        assert stats["pack_cache_misses"] > 0
 
     def test_single_rule_deck_has_no_hits(self, uart_layout):
-        engine = Engine(mode="parallel")
-        engine.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        assert engine.last_checker.pack_cache.hits == 0
+        report = Engine(mode="parallel").check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
+        assert report.results[-1].stats["pack_cache_hits"] == 0
 
     def test_distance_change_reuses_level_items_only(self, monkeypatch):
         # Two spacing rules whose margins differ partition the layer
@@ -122,6 +119,7 @@ class TestPackCache:
         from repro.core.plan import PackCache
 
         built = []
+        caches = set()
         read = PackCache.read
 
         def spy(self, store, layers, key, build):
@@ -129,6 +127,7 @@ class TestPackCache:
                 built.append((store, key))
                 return build()
 
+            caches.add(self)
             return read(self, store, layers, key, counted)
 
         layout = random_hierarchical_layout(instances=40, seed=7)
@@ -140,17 +139,18 @@ class TestPackCache:
         par = engine.check(layout, rules=[near, far])
         for a, b in zip(par.results, seq.results):
             assert Counter(a.violations) == Counter(b.violations), a.rule.name
-        cache = engine.last_checker.pack_cache
+        stats = par.results[-1].stats
         assert Counter(store for store, _ in built) == {
             "item-mbrs": 1, "partition": 2, "fused-edges": 2,
         }
-        assert (cache.hits, cache.misses) == (1, 5)
+        assert (stats["pack_cache_hits"], stats["pack_cache_misses"]) == (1, 5)
         # Each fused buffer is keyed by its partition's signature: (order,
         # ends) bytes, eight per row end.
         near_rows, far_rows = (
             len(key[0][1]) // 8 for store, key in built if store == "fused-edges"
         )
         assert near_rows > far_rows
+        (cache,) = caches  # the one plan's
         assert not cache._stores  # every entry went with its last reader
 
     def test_stats_expose_cache_and_device_counters(self, uart_layout):

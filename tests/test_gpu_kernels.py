@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.checks import check_spacing, check_width
+from repro.layout.flatten import polygon_rings
 from repro.geometry import Polygon, Rect
 from repro.gpu import kernels as K
 from repro.gpu import (
@@ -77,7 +78,7 @@ class TestPairKernelsAgainstHost:
     @pytest.mark.parametrize("threshold", [5, 12, 25])
     def test_spacing_bruteforce_matches_host(self, seed, threshold):
         polys = random_rects(seed)
-        host = {(v.region, v.measured) for v in check_spacing(polys, 1, threshold)}
+        host = {(v.region, v.measured) for v in check_spacing(polygon_rings(polys), 1, threshold)}
         bufs = pack_edges(polys)
         hits = [
             kernel_pairs_bruteforce(bufs["v"], threshold, want_width=False),
@@ -105,7 +106,7 @@ class TestPairKernelsAgainstHost:
                 Polygon.from_rect_coords(x, 0, x + rng.randint(2, 20), rng.randint(30, 90))
             )
         threshold = 12
-        host = {(v.region, v.measured) for v in check_width(polys, 1, threshold)}
+        host = {(v.region, v.measured) for v in check_width(polygon_rings(polys), 1, threshold)}
         bufs = pack_edges(polys)
         hits = [
             kernel_pairs_bruteforce(bufs["v"], threshold, want_width=True),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.checks.width import check_ring_width, check_width
 from repro.geometry import IDENTITY, Polygon, Rect, Transform
+from repro.geometry.polygon import canonical_ring
 from repro.hierarchy import (
     HierarchyTree,
     IntraCheckScheduler,
@@ -12,6 +13,8 @@ from repro.hierarchy import (
     distance_invariant,
     level_items,
 )
+from repro.hierarchy import pruning
+from repro.hierarchy.pruning import buffer_rings
 from repro.layout import CellReference, Layout, Repetition
 
 from .reference_resolution import METAL, ORIENTATIONS, ReferenceSubtreeWindow, random_hierarchy
@@ -64,9 +67,7 @@ class TestIntraScheduler:
         scheduler = IntraCheckScheduler(HierarchyTree(layout))
         violations = scheduler.run(
             1,
-            lambda rings, placement: check_width(
-                [p.transformed(placement) if placement else p for p in rings.polygons()], 1, 10
-            ),
+            lambda rings, placement: check_width(buffer_rings(rings, placement), 1, 10),
             invariance=distance_invariant,
         )
         # magnified copy is 15 wide: passes; only the unit instance violates
@@ -117,27 +118,44 @@ class TestSubtreeWindow:
         layout = many_instances_layout(5)
         tree = HierarchyTree(layout)
         subtree = SubtreeWindow(tree)
-        found = subtree.polygons_in_window(
-            "top", Transform(), 1, Rect(400, 0, 600, 100)
-        )
-        assert len(found) == 1
-        assert found[0].mbr == Rect(500, 0, 505, 100)
+        found = subtree.rings_in_window("top", Transform(), 1, Rect(400, 0, 600, 100))
+        assert found == [([(500, 0), (500, 100), (505, 100), (505, 0)], Rect(500, 0, 505, 100))]
 
     def test_gather_respects_placement_frame(self):
         layout = many_instances_layout(2)
         tree = HierarchyTree(layout)
         subtree = SubtreeWindow(tree)
         shifted = Transform(dx=10000)
-        found = subtree.polygons_in_window(
-            "top", shifted, 1, Rect(10400, 0, 10600, 100)
-        )
-        assert len(found) == 1
-        assert found[0].mbr == Rect(10500, 0, 10505, 100)
+        found = subtree.rings_in_window("top", shifted, 1, Rect(10400, 0, 10600, 100))
+        assert [mbr for _, mbr in found] == [Rect(10500, 0, 10505, 100)]
 
     def test_disjoint_window_empty(self):
         tree = HierarchyTree(many_instances_layout(3))
         subtree = SubtreeWindow(tree)
-        assert subtree.polygons_in_window("top", Transform(), 1, Rect(-999, -999, -900, -900)) == []
+        assert subtree.rings_in_window("top", Transform(), 1, Rect(-999, -999, -900, -900)) == []
+
+    def test_named_rings_carry_their_names(self):
+        layout = many_instances_layout(2)
+        layout.cell("leaf").add_polygon(1, Polygon.from_rect_coords(20, 0, 40, 40, name="pad"))
+        tree = HierarchyTree(layout)
+        found = SubtreeWindow(tree).rings_in_window("top", Transform(), 1, Rect(0, 0, 99, 99), named=True)
+        assert [name for _, _, name in found] == ["", "pad"]
+
+    def test_magnified_rings_are_placed_as_polygons_are(self):
+        layout = Layout("mag")
+        leaf = layout.new_cell("leaf")
+        leaf.add_polygon(1, Polygon([(0, 0), (0, 30), (10, 30), (10, 10), (25, 10), (25, 0)]))
+        top = layout.new_cell("top")
+        for rotation, mirror in ORIENTATIONS:
+            top.add_reference(CellReference("leaf", Transform(rotation * 10, 0, rotation, mirror, 3)))
+        layout.set_top("top")
+        tree = HierarchyTree(layout)
+        found = SubtreeWindow(tree).rings_in_window("top", IDENTITY, 1, tree.top_mbr(1))
+        polygon = leaf.polygons(1)[0]
+        want = [polygon.transformed(ref.transform) for ref in top.references]
+        assert [(list(ring), mbr) for ring, mbr in found] == [
+            (list(p.vertices), p.mbr) for p in want
+        ]
 
 
 def random_window(rng, extent):
@@ -161,36 +179,50 @@ def random_queries(rng, tree, count):
         yield cell_name, placement, windows
 
 
+def as_rings(polygons):
+    """Polygons as (canonical vertices, MBR), the way rings are compared."""
+    return [(p.canonical_vertices(), p.mbr) for p in polygons]
+
+
+def canonical(rings):
+    return [(canonical_ring(ring), mbr) for ring, mbr in rings]
+
+
 class TestGatherMatchesReference:
-    """The pre-compose prune returns the list the compose-then-test gather did."""
+    """The ring walk returns the rings the compose-then-test ``Polygon``
+    gather did, in the same order, rigid and magnified placements alike."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_same_polygons_in_the_same_order(self, seed):
+    def test_same_rings_in_the_same_order(self, seed):
         tree = HierarchyTree(random_hierarchy(seed))
-        pruned, reference = SubtreeWindow(tree), ReferenceSubtreeWindow(tree)
+        walk, reference = SubtreeWindow(tree), ReferenceSubtreeWindow(tree)
         rng = random.Random(f"gather-{seed}")
-        found = 0
+        found = magnified = 0
         for cell_name, placement, windows in random_queries(rng, tree, 120):
-            got = pruned.polygons_in_regions(cell_name, placement, METAL, windows)
-            assert got == reference.polygons_in_regions(cell_name, placement, METAL, windows)
+            got = walk.rings_in_regions(cell_name, placement, METAL, windows)
+            want = reference.polygons_in_regions(cell_name, placement, METAL, windows)
+            assert canonical(got) == as_rings(want)
+            named = walk.rings_in_regions(cell_name, placement, METAL, windows, named=True)
+            assert [name for _, _, name in named] == [p.name for p in want]
             found += len(got)
-            # One window asked three times over is one window: a polygon
+            magnified += len(got) * (not placement.preserves_distances)
+            # One window asked three times over is one window: a ring
             # straddling several windows is still reported once.
-            assert pruned.polygons_in_regions(
+            assert walk.rings_in_regions(
                 cell_name, placement, METAL, [windows[0]] * 3
-            ) == pruned.polygons_in_window(cell_name, placement, METAL, windows[0])
-        assert found > 100
+            ) == walk.rings_in_window(cell_name, placement, METAL, windows[0])
+        assert found > 100 and magnified > 10
 
-    def test_polygon_straddling_two_windows_reported_once(self):
+    def test_ring_straddling_two_windows_reported_once(self):
         tree = HierarchyTree(random_hierarchy(0))
         subtree = SubtreeWindow(tree)
-        plate = tree.top.polygons(METAL)[0].mbr  # a 400 x 300 top-level plate
+        plate = tree.top.rings(METAL).mbr(0)  # a 400 x 300 top-level plate
         halves = [
             Rect(plate.xlo, plate.ylo, plate.xlo + 10, plate.yhi),
             Rect(plate.xhi - 10, plate.ylo, plate.xhi, plate.yhi),
         ]
-        found = subtree.polygons_in_regions("top", IDENTITY, METAL, halves)
-        assert [p.mbr for p in found].count(plate) == 1
+        found = subtree.rings_in_regions("top", IDENTITY, METAL, halves)
+        assert [mbr for _, mbr in found].count(plate) == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_composes_only_children_that_meet_a_window(self, seed, monkeypatch):
@@ -198,6 +230,7 @@ class TestGatherMatchesReference:
         subtree = SubtreeWindow(tree)
         rng = random.Random(f"compose-{seed}")
         compose = Transform.compose
+        compose_rows = pruning.compose_rows
         for cell_name, placement, windows in random_queries(rng, tree, 40):
             if not placement.preserves_distances:
                 continue  # outward-rounded pull-backs may admit a neighbour more
@@ -215,10 +248,10 @@ class TestGatherMatchesReference:
             bound = meeting(cell_name, placement)
             calls = []
             monkeypatch.setattr(
-                Transform, "compose", lambda self, inner: (calls.append(1), compose(self, inner))[1]
+                pruning, "compose_rows", lambda *rows: (calls.append(1), compose_rows(*rows))[1]
             )
-            subtree.polygons_in_regions(cell_name, placement, METAL, windows)
-            monkeypatch.setattr(Transform, "compose", compose)
+            subtree.rings_in_regions(cell_name, placement, METAL, windows)
+            monkeypatch.setattr(pruning, "compose_rows", compose_rows)
             assert len(calls) <= bound
             whole = sum(1 for _ in iter_instances(tree, layer=METAL)) - 1
             assert bound < whole  # the windows are small: most subtrees stay uncomposed

@@ -3,6 +3,8 @@ recursive per-instance packers it replaced (``tests/reference_packers.py``)
 as multisets, and the mode's reports held to the sequential oracle."""
 
 import dataclasses
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from . import reference_packers as ref
 from repro.core import Engine, EngineOptions
+from repro.core.plan import compile_plan, make_backend
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.geometry import EMPTY_RECT
@@ -324,21 +327,41 @@ class TestWorkBounds:
         ]
         assert len(rings) > 10 and all(r._view is None for r in rings)
 
+    def test_no_instance_table_outlives_a_parallel_check(self, monkeypatch):
+        """The engine keeps no plan or backend once a check returns, so every
+        table the check built is garbage as soon as nothing else holds it."""
+        tables = []
+        init = InstanceTable.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tables.append(weakref.ref(self))
+
+        monkeypatch.setattr(InstanceTable, "__init__", spy)
+        engine = Engine(options=EngineOptions(mode="parallel", use_cache=False))
+        report = engine.check(build_design("uart"), rules=asap7.full_deck())
+        gc.collect()
+        assert report.results and tables
+        assert all(ref() is None for ref in tables)
+
     def test_edit_after_a_check_then_check_again(self):
         """No table keeps a ``RingBuffer`` array exported: a checked cell can
         grow, and the next check of the same object sees the new polygon."""
         layout = build_design("uart")
-        engine = Engine(options=EngineOptions(mode="parallel", use_cache=False))
+        options = EngineOptions(mode="parallel", use_cache=False)
+        engine = Engine(options=options)
         deck = asap7.full_deck()
         before = engine.check(layout, rules=deck)
-        kept_alive = engine.last_checker  # and with it the plan's table
+        # A backend that has run the deck, and with it the plan's table.
+        kept_alive = make_backend(compile_plan(layout, deck, options))
+        for compiled in kept_alive.plan.run_order:
+            kept_alive.run(compiled.rule)
         sliver = Polygon.from_rect_coords(100000, 100000, 100004, 100400)
         for name in ("top", "INVx1"):
             assert layout.cell(name).rings(asap7.M1) or layout.cell(name).rings(asap7.M2)
         layout.cell("top").add_polygon(asap7.M2, sliver)
         layout.cell("INVx1").add_polygon(asap7.M1, Polygon.from_rect_coords(0, 400, 4, 800))
         after = engine.check(layout, rules=deck)
-        assert kept_alive is not engine.last_checker
         placements = layout.instance_counts()["INVx1"]
         assert after.total_violations >= before.total_violations + 1 + placements
         assert after.to_csv() == Engine(mode="sequential").check(layout, rules=deck).to_csv()

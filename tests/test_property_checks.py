@@ -15,6 +15,7 @@ from repro.checks import (
     check_width,
 )
 from repro.checks.corner import check_corner_spacing
+from repro.layout.flatten import polygon_rings
 from repro.geometry import Polygon, Transform
 
 coords = st.integers(min_value=-400, max_value=400)
@@ -52,8 +53,8 @@ class TestTransformEquivariance:
     @SETTINGS
     @given(rect_polys(), rigid_transforms(), st.integers(min_value=1, max_value=25))
     def test_spacing_markers_transform_with_geometry(self, polys, t, value):
-        base = check_spacing(polys, 1, value)
-        moved = check_spacing([p.transformed(t) for p in polys], 1, value)
+        base = check_spacing(polygon_rings(polys), 1, value)
+        moved = check_spacing(polygon_rings(p.transformed(t) for p in polys), 1, value)
         expected = {(t.apply_rect(v.region), v.measured) for v in base}
         got = {(v.region, v.measured) for v in moved}
         assert got == expected
@@ -61,8 +62,8 @@ class TestTransformEquivariance:
     @SETTINGS
     @given(rect_polys(), rigid_transforms(), st.integers(min_value=1, max_value=25))
     def test_width_markers_transform_with_geometry(self, polys, t, value):
-        base = check_width(polys, 1, value)
-        moved = check_width([p.transformed(t) for p in polys], 1, value)
+        base = check_width(polygon_rings(polys), 1, value)
+        moved = check_width(polygon_rings(p.transformed(t) for p in polys), 1, value)
         expected = {(t.apply_rect(v.region), v.measured) for v in base}
         got = {(v.region, v.measured) for v in moved}
         assert got == expected
@@ -70,14 +71,14 @@ class TestTransformEquivariance:
     @SETTINGS
     @given(rect_polys(max_count=8), rigid_transforms(), st.integers(min_value=2, max_value=20))
     def test_corner_count_invariant_under_rigid_transforms(self, polys, t, value):
-        base = check_corner_spacing(polys, 1, value)
-        moved = check_corner_spacing([p.transformed(t) for p in polys], 1, value)
+        base = check_corner_spacing(polygon_rings(polys), 1, value)
+        moved = check_corner_spacing(polygon_rings(p.transformed(t) for p in polys), 1, value)
         assert sorted(v.measured for v in base) == sorted(v.measured for v in moved)
 
     @SETTINGS
     @given(rect_polys(), st.integers(min_value=1, max_value=1000))
     def test_area_measured_matches_shoelace(self, polys, value):
-        for violation in check_area(polys, 1, value):
+        for violation in check_area(polygon_rings(polys), 1, value):
             assert violation.measured < value
 
 
@@ -86,9 +87,9 @@ class TestScaling:
     @given(rect_polys(max_count=8), st.integers(min_value=1, max_value=20),
            st.sampled_from([2, 3]))
     def test_magnification_scales_spacing_measurements(self, polys, value, k):
-        base = check_spacing(polys, 1, value)
+        base = check_spacing(polygon_rings(polys), 1, value)
         scaled = check_spacing(
-            [p.transformed(Transform(magnification=k)) for p in polys], 1, k * value
+            polygon_rings(p.transformed(Transform(magnification=k)) for p in polys), 1, k * value
         )
         assert sorted(v.measured * k for v in base) == sorted(
             v.measured for v in scaled
@@ -99,12 +100,12 @@ class TestMonotonicity:
     @SETTINGS
     @given(rect_polys(), st.integers(min_value=1, max_value=20))
     def test_larger_rule_finds_superset(self, polys, value):
-        small = {(v.region, v.measured) for v in check_spacing(polys, 1, value)}
-        large = {(v.region, v.measured) for v in check_spacing(polys, 1, value + 5)}
+        small = {(v.region, v.measured) for v in check_spacing(polygon_rings(polys), 1, value)}
+        large = {(v.region, v.measured) for v in check_spacing(polygon_rings(polys), 1, value + 5)}
         assert small <= large
 
     @SETTINGS
     @given(rect_polys(), st.integers(min_value=1, max_value=20))
     def test_measured_always_below_rule(self, polys, value):
-        for v in check_spacing(polys, 1, value):
+        for v in check_spacing(polygon_rings(polys), 1, value):
             assert 0 < v.measured < value

@@ -14,7 +14,7 @@ from repro.core import Engine
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
 from repro.layout import CellReference, Layout
-from repro.layout.flatten import flatten_layer
+from repro.layout.flatten import flatten_layer, polygon_rings
 
 LAYER = 1
 
@@ -75,7 +75,7 @@ class TestModeEquivalence:
         rule = layer(LAYER).spacing().greater_than(value)
         seq = Engine(mode="sequential").check(layout, rules=[rule])
         par = Engine(mode="parallel").check(layout, rules=[rule])
-        flat = frozenset(check_spacing(flatten_layer(layout, LAYER), LAYER, value))
+        flat = frozenset(check_spacing(polygon_rings(flatten_layer(layout, LAYER)), LAYER, value))
         assert seq.results[0].violation_set() == par.results[0].violation_set()
         assert seq.results[0].violation_set() == flat
 
@@ -85,7 +85,7 @@ class TestModeEquivalence:
         rule = layer(LAYER).width().greater_than(value)
         seq = Engine(mode="sequential").check(layout, rules=[rule])
         par = Engine(mode="parallel").check(layout, rules=[rule])
-        flat = frozenset(check_width(flatten_layer(layout, LAYER), LAYER, value))
+        flat = frozenset(check_width(polygon_rings(flatten_layer(layout, LAYER)), LAYER, value))
         assert seq.results[0].violation_set() == par.results[0].violation_set()
         assert seq.results[0].violation_set() == flat
 

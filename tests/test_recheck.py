@@ -211,7 +211,7 @@ class TestReportCacheRoundTrip:
         store = PackStore(str(tmp_path))
         cache = ReportCache(store)
         digests = {
-            L: engine.last_plan.caches.layer_digest(L) for L in old.layers()
+            L: engine.compile(old, rules=DECK).caches.layer_digest(L) for L in old.layers()
         }
         key = report_key(deck_digest(DECK), digests)
         path = cache._path(key)
@@ -227,7 +227,7 @@ class TestReportCacheRoundTrip:
         engine = Engine(options=options)
         report = engine.check(old, rules=DECK)
         digests = {
-            L: engine.last_plan.caches.layer_digest(L) for L in old.layers()
+            L: engine.compile(old, rules=DECK).caches.layer_digest(L) for L in old.layers()
         }
         key = report_key(deck_digest(DECK), digests)
         loaded = ReportCache(PackStore(str(tmp_path))).load(key, DECK)

@@ -10,6 +10,11 @@ computations must agree:
 * the kind's flat procedure (``kind_spec(kind).flat``) run
   over the fully flattened layout — as a set.
 
+The same holds on a magnified variant of each layout (some SREFs and the
+AREF at magnification 2), which sends every kind down its magnified
+fallback. And the windowed procedure (``check_window``) over three windows
+reports the full sequential report filtered to them, on both variants.
+
 The deck's thresholds are tight enough that every kind reports violations
 on some seed (``TestTheMatrixIsNotVacuous``), so an agreement is never the
 trivial one of three empty lists.
@@ -21,9 +26,10 @@ import random
 import pytest
 
 from repro.core import Engine, EngineOptions
-from repro.core.plan import KIND_SPECS, kind_spec
+from repro.core.incremental import check_window, filter_to_regions
+from repro.core.plan import KIND_SPECS, compile_plan, kind_spec, make_backend
 from repro.core.rules import RuleKind, layer, polygons
-from repro.geometry import Polygon, Transform, union_all
+from repro.geometry import Polygon, Rect, Transform, union_all
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
 
@@ -54,12 +60,14 @@ def deck():
 RULE_NAMES = [rule.name for rule in deck()]
 
 
-def kind_layout(seed: int) -> Layout:
+def kind_layout(seed: int, magnified: bool = False) -> Layout:
     """Leaves of metal rectangles and L shapes, each with a 5x5 via at a
     margin of -1..4 (so some vias stick out of their metal), and on some
     leaves a right triangle on the marker layer; a mid cell holding one
-    leaf as a 3x2 AREF; a top of SREFs of leaves and mids."""
+    leaf as a 3x2 AREF; a top of SREFs of leaves and mids. ``magnified``
+    puts the AREF and every third SREF at magnification 2."""
     rng = random.Random(seed)
+    mag = 2 if magnified else 1
     layout = Layout(f"kinds-{seed}")
     leaves = []
     for index in range(3):
@@ -84,7 +92,11 @@ def kind_layout(seed: int) -> Layout:
     pitch = rng.randint(90, 130)
     mid = layout.new_cell("mid")
     mid.add_reference(
-        CellReference(rng.choice(leaves), Transform(), Repetition(3, 2, (pitch, 0), (0, pitch)))
+        CellReference(
+            rng.choice(leaves),
+            Transform(magnification=mag),
+            Repetition(3, 2, (mag * pitch, 0), (0, mag * pitch)),
+        )
     )
     top = layout.new_cell("top")
     for index in range(25):
@@ -93,7 +105,13 @@ def kind_layout(seed: int) -> Layout:
         top.add_reference(
             CellReference(
                 child,
-                Transform(dx=rng.randint(0, 1500), dy=rng.randint(0, 1500), rotation=rotation, mirror_x=mirror),
+                Transform(
+                    dx=rng.randint(0, 1500),
+                    dy=rng.randint(0, 1500),
+                    rotation=rotation,
+                    mirror_x=mirror,
+                    magnification=mag if index % 3 == 1 else 1,
+                ),
             )
         )
     layout.set_top("top")
@@ -101,21 +119,26 @@ def kind_layout(seed: int) -> Layout:
 
 
 def flat_violations(layout: Layout, rule):
-    """The rule kind's flat procedure over the whole flattened layout."""
+    """The rule kind's flat procedure over the whole flattened layout, its
+    polygons handed over as the placed rings a gather returns."""
     flat = {number: flatten_layer(layout, number) for number in layout.layers()}
 
-    def gather(number, margin):
-        return list(flat.get(number, []))
+    def gather(number, margin, *, named=False):
+        if named:
+            return [(p.vertices, p.mbr, p.name) for p in flat.get(number, [])]
+        return [(p.vertices, p.mbr) for p in flat.get(number, [])]
 
-    gather.rect = lambda number, rect: [p for p in flat.get(number, []) if p.mbr.overlaps(rect)]
+    gather.rect = lambda number, rect: [
+        (p.vertices, p.mbr) for p in flat.get(number, []) if p.mbr.overlaps(rect)
+    ]
     gather.window = union_all(p.mbr for shapes in flat.values() for p in shapes)
     return kind_spec(rule.kind).flat(rule, layout, gather)
 
 
 @functools.lru_cache(maxsize=None)
-def reports(seed: int):
+def reports(seed: int, magnified: bool = False):
     """(layout, sequential report, parallel report) of one seed."""
-    layout = kind_layout(seed)
+    layout = kind_layout(seed, magnified)
     out = [layout]
     for mode in ("sequential", "parallel"):
         with Engine(options=EngineOptions(mode=mode, use_cache=False)) as engine:
@@ -140,11 +163,73 @@ class TestEveryPathAgrees:
         )
 
 
+@pytest.mark.parametrize("name", RULE_NAMES)
+@pytest.mark.parametrize("seed", SEEDS)
+class TestMagnifiedPathsAgree:
+    """The magnified variant: every kind's magnified fallback (intra
+    re-checks, flat subtree pairs, the via pull-up, the walk's
+    ``Transform`` branch) against the flat procedure and the parallel mode."""
+
+    def test_parallel_reports_the_sequential_markers_in_order(self, seed, name):
+        _, sequential, parallel = reports(seed, True)
+        assert parallel.result(name).violations == sequential.result(name).violations
+
+    def test_flat_procedure_reports_the_sequential_set(self, seed, name):
+        layout, sequential, _ = reports(seed, True)
+        want = sequential.result(name)
+        assert frozenset(flat_violations(layout, want.rule)) == want.violation_set()
+
+
+def three_windows(layout: Layout, seed: int):
+    """Three windows over the layout's extent, one of them straddling
+    another, sized to cut through cells and leave most of the chip out."""
+    rng = random.Random(f"windows-{seed}")
+    extent = union_all(p.mbr for n in layout.layers() for p in flatten_layer(layout, n))
+    windows = []
+    for _ in range(2):
+        x, y = rng.randint(extent.xlo, extent.xhi - 300), rng.randint(extent.ylo, extent.yhi - 300)
+        windows.append(Rect(x, y, x + rng.randint(80, 300), y + rng.randint(80, 300)))
+    first = windows[0]
+    windows.append(Rect(first.xhi - 20, first.ylo + 10, first.xhi + 150, first.yhi + 40))
+    return windows
+
+
+@pytest.mark.parametrize("magnified", [False, True], ids=["plain", "magnified"])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestWindowedMatchesFiltered:
+    """``check_window`` over three windows, every kind: the full sequential
+    report filtered to the windows, marker for marker."""
+
+    def test_every_kind_equals_the_filtered_full_report(self, seed, magnified):
+        layout, sequential, _ = reports(seed, magnified)
+        windows = three_windows(layout, seed)
+        windowed = check_window(
+            layout, windows, rules=deck(), options=EngineOptions(use_cache=False)
+        )
+        filtered = filter_to_regions(sequential, windows)
+        for name in RULE_NAMES:
+            assert windowed.result(name).violations == filtered.result(name).violations, name
+
+
 class TestTheMatrixIsNotVacuous:
     @pytest.mark.parametrize("name", RULE_NAMES)
     def test_every_rule_trips_on_at_least_three_seeds(self, name):
         dirty = [seed for seed in SEEDS if reports(seed)[1].result(name).num_violations]
         assert len(dirty) >= 3, dirty
+
+    @pytest.mark.parametrize("name", RULE_NAMES)
+    def test_every_rule_trips_on_a_magnified_seed(self, name):
+        dirty = [seed for seed in SEEDS if reports(seed, True)[1].result(name).num_violations]
+        assert len(dirty) >= 3, dirty
+
+    def test_the_windows_see_markers_of_every_kind(self):
+        seen = set()
+        for seed in SEEDS:
+            for magnified in (False, True):
+                layout, sequential, _ = reports(seed, magnified)
+                filtered = filter_to_regions(sequential, three_windows(layout, seed))
+                seen.update(r.rule.name for r in filtered.results if r.num_violations)
+        assert seen == set(RULE_NAMES)
 
     def test_the_deck_names_every_kind_once(self):
         assert sorted(rule.kind.value for rule in deck()) == sorted(kind.value for kind in RuleKind)
@@ -262,7 +347,8 @@ def edge_reports(name: str):
     for mode in ("sequential", "parallel"):
         with Engine(options=EngineOptions(mode=mode, use_cache=False)) as engine:
             out.append(engine.check(layout, rules=edge_deck()))
-            backend = engine.last_checker
+    options = EngineOptions(mode="parallel", use_cache=False)
+    backend = make_backend(compile_plan(layout, edge_deck(), options))
     return (*out, backend)
 
 

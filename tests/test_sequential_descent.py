@@ -23,7 +23,7 @@ from repro.hierarchy.pruning import SubtreeWindow, level_items
 from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout
 from repro.layout.cell import RingBuffer
-from repro.layout.flatten import flatten_layer
+from repro.layout.flatten import flatten_layer, polygon_rings
 from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PhaseProfile
 
@@ -74,8 +74,8 @@ def resolve(backend_class, layout, rule):
 
 
 def flat_violations(layout, rule):
-    vias = flatten_layer(layout, VIA, top="top")
-    metals = flatten_layer(layout, METAL, top="top")
+    vias = polygon_rings(flatten_layer(layout, VIA, top="top"))
+    metals = polygon_rings(flatten_layer(layout, METAL, top="top"))
     return FLAT[rule.kind](vias, metals, VIA, METAL, rule.value)
 
 

@@ -24,6 +24,7 @@ from repro.core import packstore
 from repro.core.diff import diff_layouts
 from repro.core.packstore import layer_digests, layer_geometry_digest
 from repro.gdsii import read_bytes, read_layout_bytes, write_bytes
+from repro.geometry.transform import row_transform
 from repro.hierarchy import tree as tree_module
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.tree import HierarchyTree
@@ -163,14 +164,15 @@ def sliver_fix(stream, cell="NAND2x1"):
 def test_a_definition_fix_splices_to_the_cold_report(stream, monkeypatch):
     data = sliver_fix(stream)
     handed = []
-    visit = SubtreeWindow._visit
+    visit = SubtreeWindow._walk
 
-    def spy(self, cell_name, placement, layer, windows, out):
-        placed = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
+    def spy(self, cell_name, row, layer, windows, named, out):
+        # The stream places nothing magnified: the walk holds integer rows.
+        placed = row_transform(row).apply_rect(self.tree.layer_mbr(cell_name, layer))
         handed.append((cell_name, [placed.overlaps(w) for w in windows]))
-        return visit(self, cell_name, placement, layer, windows, out)
+        return visit(self, cell_name, row, layer, windows, named, out)
 
-    monkeypatch.setattr(SubtreeWindow, "_visit", spy)
+    monkeypatch.setattr(SubtreeWindow, "_walk", spy)
     with ServerState() as state:
         session, _ = state.create_session(data=stream.base_gds, top=TOP)
         state.check(session.sid)
