@@ -24,7 +24,6 @@ paper-versus-measured record of every table and figure.
 
 from ._lazy import lazy_exports
 from .errors import (
-    DeviceError,
     GdsiiError,
     GeometryError,
     LayoutError,
@@ -37,7 +36,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CheckReport",
     "CheckResult",
-    "DeviceError",
     "Engine",
     "EngineOptions",
     "GdsiiError",

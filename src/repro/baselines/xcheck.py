@@ -19,7 +19,7 @@ checks (its Table I column is empty in the paper), which
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,10 +47,9 @@ class UnsupportedRuleError(ReproError):
 class XCheckChecker:
     """Flat GPU checker following X-Check's vertical sweeping design."""
 
-    def __init__(self, layout: Layout, *, device: Optional[Device] = None) -> None:
+    def __init__(self, layout: Layout) -> None:
         self.layout = layout
-        self.device = device if device is not None else Device()
-        self.stream = self.device.create_stream()
+        self.device = Device()
         self._flat_cache: Dict[int, List[Polygon]] = {}
 
     def supports(self, rule: Rule) -> bool:
@@ -82,11 +81,7 @@ class XCheckChecker:
 
     def _flat(self, layer: int) -> List[Polygon]:
         if layer not in self._flat_cache:
-            host_start = time.perf_counter()
             self._flat_cache[layer] = flatten_layer(self.layout, layer)
-            self.device.record_host(
-                f"flatten-L{layer}", time.perf_counter() - host_start
-            )
         return self._flat_cache[layer]
 
     def clear_cache(self) -> None:
@@ -95,9 +90,7 @@ class XCheckChecker:
 
     def _pairs(self, layer: int, value: int, *, want_width: bool) -> List[Violation]:
         polygons = self._flat(layer)
-        host_start = time.perf_counter()
         buffers = pack_edges(polygons)
-        self.device.record_host("pack-edges", time.perf_counter() - host_start)
         out: List[Violation] = []
         kind = ViolationKind.WIDTH if want_width else ViolationKind.SPACING
         for buf in (buffers["v"], buffers["h"]):
@@ -105,19 +98,14 @@ class XCheckChecker:
                 continue
             device_buf = type(buf)(
                 buf.vertical,
-                self.stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                self.stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                self.stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                self.stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                self.stream.memcpy_h2d(buf.poly, name="edges.poly"),
+                self.device.memcpy_h2d(buf.fixed),
+                self.device.memcpy_h2d(buf.lo),
+                self.device.memcpy_h2d(buf.hi),
+                self.device.memcpy_h2d(buf.interior),
+                self.device.memcpy_h2d(buf.poly),
             )
-            hits = self.stream.launch(
-                "xcheck-sweep",
-                kernel_pairs_sweep,
-                device_buf,
-                value,
-                want_width=want_width,
-                items=len(buf),
+            hits = self.device.launch(
+                kernel_pairs_sweep, device_buf, value, want_width=want_width
             )
             for k in range(len(hits)):
                 out.append(
@@ -158,14 +146,12 @@ class XCheckChecker:
             metal_arr = np.zeros((0, 4), dtype=np.int64)
         pair_via = np.asarray([i for i, _ in pairs], dtype=np.int64)
         pair_metal = np.asarray([j for _, j in pairs], dtype=np.int64)
-        margins = self.stream.launch(
-            "xcheck-enclosure",
+        margins = self.device.launch(
             kernel_enclosure_margins,
-            self.stream.memcpy_h2d(via_arr, name="via.rects"),
-            self.stream.memcpy_h2d(metal_arr, name="metal.rects") if len(metal_arr) else metal_arr,
+            self.device.memcpy_h2d(via_arr),
+            self.device.memcpy_h2d(metal_arr) if len(metal_arr) else metal_arr,
             pair_via,
             pair_metal,
-            items=len(pair_via),
         )
         best = reduce_enclosure_best(len(vias), pair_via, margins)
         out: List[Violation] = []

@@ -561,7 +561,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             options=_engine_options(args),
             deck_path=args.deck,
             report_lru=args.report_lru,
-            max_concurrent=args.max_concurrent,
         )
     except RuleError as error:
         raise _input_error(str(error)) from None
@@ -809,14 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="reports the report store keeps in memory (default 64; 0 keeps "
         "none, so every request computes or reads the cache directory)",
-    )
-    serve.add_argument(
-        "--max-concurrent",
-        type=_int_at_least(1),
-        default=1,
-        metavar="N",
-        help="engine runs admitted concurrently (different sessions only; "
-        "default: 1)",
     )
     _add_cache_args(serve)
     serve.set_defaults(func=cmd_serve)

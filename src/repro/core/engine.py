@@ -42,7 +42,6 @@ from .results import CheckReport, CheckResult
 from .rules import Rule, validate_rules
 
 if TYPE_CHECKING:
-    from ..gpu.device import Device
     from .reportcache import ReportCache
 
 __all__ = [
@@ -93,7 +92,6 @@ class Engine:
         mode: Optional[str] = None,
         *,
         options: Optional[EngineOptions] = None,
-        device: Optional[Device] = None,
         reports: Optional[ReportCache] = None,
     ) -> None:
         if options is not None:
@@ -106,7 +104,6 @@ class Engine:
         else:
             # EngineOptions validates the mode (and the other knobs) once.
             self.options = EngineOptions(mode=mode if mode is not None else MODE_SEQUENTIAL)
-        self.device = device
         #: The report store check() asks before computing and saves into:
         #: the injected one, else one over the configured cache directory.
         #: None (no directory, or use_cache off): every check computes.
@@ -245,9 +242,7 @@ class Engine:
         to this call; the engine only publishes ``last_profiles`` once the
         check completes.
         """
-        context = CheckContext(
-            plan=plan, backend=make_backend(plan, device=self.device)
-        )
+        context = CheckContext(plan=plan, backend=make_backend(plan))
         backend = context.backend
         for compiled in plan.run_order:
             rule = compiled.rule

@@ -12,10 +12,10 @@ segmented sweepline lane.
 
 That launch has one definition per rule kind (:func:`launch_pair_rows`,
 :func:`launch_corner_rows`, :func:`launch_enclosure_rows`), each a pure
-function of the segmented buffers and the streams it issues on. The
-backend holds ``NUM_STREAMS`` streams (:class:`~repro.gpu.device.Stream`)
-of its device and issues every copy and launch on them; host packing is
-recorded on the device's timeline.
+function of the segmented buffers and the
+:class:`~repro.gpu.device.Device` it issues its copies and launches on.
+Each backend owns one device, whose counters its :meth:`ParallelBackend.stats`
+reports.
 
 Every device buffer is expanded from the plan's one
 :class:`~repro.hierarchy.edgepack.InstanceTable` — a definition's ring
@@ -62,7 +62,7 @@ from ..hierarchy.edgepack import (
     place_rects,
 )
 from ..hierarchy.pruning import LevelItem, PlacedRing
-from ..gpu.device import Device, Stream
+from ..gpu.device import Device
 from ..gpu.kernels import (
     CornerBuffer,
     CornerHits,
@@ -111,10 +111,6 @@ __all__ = [
 #: Edge count at or below which a segment rides the brute-force lane (§IV-E).
 #: Read when a backend is built.
 BRUTE_FORCE_THRESHOLD = 256
-
-#: Simulated CUDA streams the backend issues its copies and launches on
-#: (§V-C).
-NUM_STREAMS = 2
 
 _INT = np.int64
 
@@ -224,9 +220,9 @@ def _item_rows(partition: RowPartition, num_items: int) -> np.ndarray:
 
 
 def _to_device(
-    stream: Stream, host: Any, columns: Sequence[str], prefix: str, release: bool
+    device: Device, host: Any, columns: Sequence[str], release: bool
 ) -> Dict[str, np.ndarray]:
-    """``host``'s ``columns`` copied to ``stream``'s device, by column name.
+    """``host``'s ``columns`` copied to ``device``, by column name.
 
     With ``release`` the caller holds ``host`` alone (it has left the pack
     cache with its last reader): each host column is set to ``None`` as soon
@@ -234,13 +230,14 @@ def _to_device(
     """
     copies = {}
     for column in columns:
-        copies[column] = stream.memcpy_h2d(getattr(host, column), name=f"{prefix}.{column}")
+        copies[column] = device.memcpy_h2d(getattr(host, column))
         if release:
             setattr(host, column, None)
     return copies
 
 
-#: The columns of a row-fused edge buffer, in :class:`EdgeBuffer` order.
+#: The columns of a row-fused edge buffer, in :class:`EdgeBuffer` order
+#: (a definition's edges for width carry no ``segment``).
 _EDGE_COLUMNS = ("fixed", "lo", "hi", "interior", "poly", "segment")
 
 
@@ -266,30 +263,25 @@ def launch_pair_rows(
     pair: EdgeBufferPair,
     value: int,
     threshold: int,
-    streams: Sequence[Stream],
+    device: Device,
     profile: PhaseProfile,
     *,
     release: bool = False,
 ) -> Tuple[List[PairHits], Dict[str, int]]:
     """One segmented launch per orientation per lane over fused edge rows.
 
-    Vertical edges ride stream 0 and horizontal edges stream 1, keeping
-    both streams busy within the single fused round. The §IV-E executor
-    choice is a per-segment policy: segments at or below the brute-force
-    threshold take the batched brute-force lane, larger ones the segmented
-    sweepline lane. ``release`` hands ``pair`` over (see
+    The §IV-E executor choice is a per-segment policy: segments at or below
+    the brute-force threshold take the batched brute-force lane, larger ones
+    the segmented sweepline lane. ``release`` hands ``pair`` over (see
     :func:`_to_device`); each orientation's device copy lives only through
     its own launches.
     """
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     hits: List[PairHits] = []
-    for buf, stream in (
-        (pair.vertical, streams[0]),
-        (pair.horizontal, streams[1 % len(streams)]),
-    ):
+    for buf in (pair.vertical, pair.horizontal):
         if len(buf) >= 2:
             hits.extend(
-                _launch_edge_lanes(buf, value, threshold, stream, profile, counters, release)
+                _launch_edge_lanes(buf, value, threshold, device, profile, counters, release)
             )
     return hits, counters
 
@@ -298,7 +290,7 @@ def _launch_edge_lanes(
     buf: EdgeBuffer,
     value: int,
     threshold: int,
-    stream: Stream,
+    device: Device,
     profile: PhaseProfile,
     counters: Dict[str, int],
     release: bool,
@@ -307,18 +299,16 @@ def _launch_edge_lanes(
     per lane. The device copy is a local, gone when this returns."""
     with profile.phase(PHASE_OTHER):
         device_buf = EdgeBuffer(
-            buf.vertical, **_to_device(stream, buf, _EDGE_COLUMNS, "edges", release)
+            buf.vertical, **_to_device(device, buf, _EDGE_COLUMNS, release)
         )
     seg = device_buf.segment
     small = np.bincount(seg)[seg] <= threshold
     lanes = (
-        ("pairs-bruteforce-fused", kernel_pairs_bruteforce_segmented,
-         "kernels_bruteforce", small),
-        ("pairs-sweepline-fused", kernel_pairs_sweep_segmented,
-         "kernels_sweepline", ~small),
+        (kernel_pairs_bruteforce_segmented, "kernels_bruteforce", small),
+        (kernel_pairs_sweep_segmented, "kernels_sweepline", ~small),
     )
     hits: List[PairHits] = []
-    for name, kernel, counter, mask in lanes:
+    for kernel, counter, mask in lanes:
         count = int(mask.sum())
         if count < 2:
             continue
@@ -332,19 +322,14 @@ def _launch_edge_lanes(
             counters[counter] += segments
             counters["fused_launches"] += 1
             counters["fused_segments"] += segments
-            hits.append(
-                stream.launch(
-                    name, kernel, lane_buf, value,
-                    want_width=False, items=count,
-                )
-            )
+            hits.append(device.launch(kernel, lane_buf, value, want_width=False))
     return hits
 
 
 def launch_corner_rows(
     buf: CornerBuffer,
     value: int,
-    streams: Sequence[Stream],
+    device: Device,
     profile: PhaseProfile,
     *,
     release: bool = False,
@@ -355,29 +340,22 @@ def launch_corner_rows(
     counters = dict.fromkeys(ROW_COUNTERS, 0)
     if len(buf) < 2:
         return CornerHits.empty(), counters
-    stream = streams[0]
     with profile.phase(PHASE_OTHER):
-        copies = _to_device(stream, buf, ("x", "y", "segment"), "corners", release)
+        copies = _to_device(device, buf, ("x", "y", "segment"), release)
         device_buf = CornerBuffer(
             copies["x"], copies["y"], buf.qx, buf.qy, buf.poly, copies["segment"]
         )
     with profile.phase(PHASE_EDGE_CHECKS):
         counters["fused_launches"] += 1
         counters["fused_segments"] += _distinct_segments(device_buf.segment)
-        hits = stream.launch(
-            "corner-pairs-fused",
-            kernel_corner_pairs_segmented,
-            device_buf,
-            value,
-            items=len(device_buf),
-        )
+        hits = device.launch(kernel_corner_pairs_segmented, device_buf, value)
     return hits, counters
 
 
 def launch_enclosure_rows(
     buf: EnclosureBuffer,
     value: int,
-    streams: Sequence[Stream],
+    device: Device,
     profile: PhaseProfile,
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """All-rectangle enclosure rows on the device: pair, measure, reduce.
@@ -386,36 +364,24 @@ def launch_enclosure_rows(
     banded-scan lane.
     """
     counters = dict.fromkeys(ROW_COUNTERS, 0)
-    stream = streams[0]
     with profile.phase(PHASE_OTHER):
-        via_dev = stream.memcpy_h2d(buf.via_rects, name="via.rects")
-        via_seg = stream.memcpy_h2d(buf.via_segment, name="via.segment")
+        via_dev = device.memcpy_h2d(buf.via_rects)
+        via_seg = device.memcpy_h2d(buf.via_segment)
         metal_dev, metal_seg = buf.metal_rects, buf.metal_segment
         if len(metal_dev):
-            metal_dev = stream.memcpy_h2d(metal_dev, name="metal.rects")
-            metal_seg = stream.memcpy_h2d(metal_seg, name="metal.segment")
+            metal_dev = device.memcpy_h2d(metal_dev)
+            metal_seg = device.memcpy_h2d(metal_seg)
     counters["fused_launches"] += 1
     counters["fused_segments"] += _distinct_segments(buf.via_segment)
     with profile.phase(PHASE_SWEEPLINE):
-        pair_via, pair_metal = stream.launch(
-            "enclosure-candidates",
-            kernel_enclosure_candidates,
-            via_dev, metal_dev, value, via_seg, metal_seg,
-            items=len(via_dev),
+        pair_via, pair_metal = device.launch(
+            kernel_enclosure_candidates, via_dev, metal_dev, value, via_seg, metal_seg
         )
     with profile.phase(PHASE_EDGE_CHECKS):
-        margins = stream.launch(
-            "enclosure-margins",
-            kernel_enclosure_margins,
-            via_dev, metal_dev, pair_via, pair_metal,
-            items=len(pair_via),
+        margins = device.launch(
+            kernel_enclosure_margins, via_dev, metal_dev, pair_via, pair_metal
         )
-        best = stream.launch(
-            "enclosure-reduce",
-            reduce_enclosure_best,
-            len(via_dev), pair_via, margins,
-            items=len(via_dev),
-        )
+        best = device.launch(reduce_enclosure_best, len(via_dev), pair_via, margins)
     return best, counters
 
 
@@ -455,14 +421,13 @@ class ParallelBackend:
     #: ablation bench turns it off.
     use_rows = True
 
-    def __init__(self, plan: CheckPlan, *, device: Optional[Device] = None) -> None:
+    def __init__(self, plan: CheckPlan) -> None:
         self.plan = plan
         self.layout = plan.layout
         self.tree = plan.tree
         self.caches = plan.caches
         self.subtree = self.caches.subtree
-        self.device = device if device is not None else Device()
-        self.streams = [self.device.create_stream() for _ in range(NUM_STREAMS)]
+        self.device = Device()
         self.brute_force_threshold = BRUTE_FORCE_THRESHOLD
         self.pack_cache = self.caches.pack
         self.table: InstanceTable = self.caches.instance_table()
@@ -501,7 +466,6 @@ class ParallelBackend:
             kernel_launches=counters["kernel_launches"],
             h2d_copies=counters["h2d_copies"],
             h2d_bytes=counters["h2d_bytes"],
-            d2h_copies=counters["d2h_copies"],
             pack_cache_hits=self.pack_cache.hits,
             pack_cache_misses=self.pack_cache.misses,
             pack_seconds=self.phase_seconds["pack_seconds"],
@@ -550,12 +514,12 @@ class ParallelBackend:
     def _launch_rows(
         self, launch: Callable, *args: Any, profile: PhaseProfile, **options: Any
     ) -> Any:
-        """``launch(*args, streams, profile, **options)``, one of the row
+        """``launch(*args, device, profile, **options)``, one of the row
         launches: its hits, with its :data:`ROW_COUNTERS` deltas added to
         this backend's and its ``PHASE_EDGE_CHECKS`` time to
         ``kernel_seconds``."""
         before = profile.seconds(PHASE_EDGE_CHECKS)
-        hits, counters = launch(*args, self.streams, profile, **options)
+        hits, counters = launch(*args, self.device, profile, **options)
         self.phase_seconds["kernel_seconds"] += profile.seconds(PHASE_EDGE_CHECKS) - before
         for key, value in counters.items():
             self.counters[key] += value
@@ -628,12 +592,10 @@ class ParallelBackend:
             layer, len(mbrs) // 4, lambda: mbrs, value, use_rows=self.use_rows, profile=profile
         )
         frame = self._frame(layer, value)
-        host_start = time.perf_counter()
         buffers, last = self._cached_buffers(
             store, layer, (sig, frame),
             lambda: expand(layer, _item_rows(partition, len(mbrs) // 4), frame),
         )
-        self.device.record_host(f"pack-{store}", time.perf_counter() - host_start)
         return buffers, last, frame
 
     def _run_spacing(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
@@ -699,10 +661,8 @@ class ParallelBackend:
             metal = self.table.rect_rows(metal_layer, rows[num_vias:], num_rows, frame)
             return [buf for pair in zip(via, metal) for buf in pair]
 
-        host_start = time.perf_counter()
         # Per row: the via RectBuffer, then the metal one.
         rect_rows, _ = self._cached_buffers("rect-rows", layers, (sig, frame), build)
-        self.device.record_host("pack-rect-rows", time.perf_counter() - host_start)
 
         fused: List[int] = []  # ids of the all-rectangle rows
         host: List[int] = []  # ids of the rows with rectilinear geometry
@@ -767,14 +727,11 @@ class ParallelBackend:
 
     def _run_width(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
-        stream = self.streams[0]
-        host_start = time.perf_counter()
         defs = self._definitions(layer)
         with self._pack_timer():
             # Ring ids are unique per ring, so width stays intra-polygon.
             frame = Frame.of_rects(defs.mbrs, value)
             buffers = edges_from_vertices(*frame.shift(defs.xs, defs.ys), defs.counts)
-        self.device.record_host("pack-edges", time.perf_counter() - host_start)
 
         hits: List[PairHits] = []
         for buf in (buffers["v"], buffers["h"]):
@@ -782,28 +739,15 @@ class ParallelBackend:
                 continue
             with profile.phase(PHASE_OTHER):
                 device_buf = EdgeBuffer(
-                    buf.vertical,
-                    stream.memcpy_h2d(buf.fixed, name="edges.fixed"),
-                    stream.memcpy_h2d(buf.lo, name="edges.lo"),
-                    stream.memcpy_h2d(buf.hi, name="edges.hi"),
-                    stream.memcpy_h2d(buf.interior, name="edges.interior"),
-                    stream.memcpy_h2d(buf.poly, name="edges.poly"),
+                    buf.vertical, **_to_device(self.device, buf, _EDGE_COLUMNS[:-1], False)
                 )
             if len(buf) <= self.brute_force_threshold:
-                name, kernel, counter = (
-                    "pairs-bruteforce", kernel_pairs_bruteforce, "kernels_bruteforce"
-                )
+                kernel, counter = kernel_pairs_bruteforce, "kernels_bruteforce"
             else:
-                name, kernel, counter = (
-                    "pairs-sweepline", kernel_pairs_sweep, "kernels_sweepline"
-                )
+                kernel, counter = kernel_pairs_sweep, "kernels_sweepline"
             with self._kernel_phase(profile):
                 self.counters[counter] += 1
-                hits.append(
-                    stream.launch(
-                        name, kernel, device_buf, value, want_width=True, items=len(buf)
-                    )
-                )
+                hits.append(self.device.launch(kernel, device_buf, value, want_width=True))
         batch = PairHits.concatenate(hits)
         regions = frame.restore(batch.xlo, batch.ylo, batch.xhi, batch.yhi)
         return self._instantiate(
@@ -812,22 +756,19 @@ class ParallelBackend:
 
     def _run_area(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         layer, value = rule.layer, rule.value
-        stream = self.streams[0]
-        host_start = time.perf_counter()
         defs = self._definitions(layer)
-        self.device.record_host("pack-vertices", time.perf_counter() - host_start)
         if not len(defs.counts):
             return ViolationTable.from_rows(())
         with profile.phase(PHASE_OTHER):
             buf = VertexBuffer(
-                stream.memcpy_h2d(defs.xs, name="verts.x"),
-                stream.memcpy_h2d(defs.ys, name="verts.y"),
+                self.device.memcpy_h2d(defs.xs),
+                self.device.memcpy_h2d(defs.ys),
                 np.cumsum(defs.counts) - defs.counts,
                 defs.counts,
                 np.arange(len(defs.counts), dtype=_INT),
             )
         with self._kernel_phase(profile):
-            areas = stream.launch("area", kernel_area, buf, items=len(buf))
+            areas = self.device.launch(kernel_area, buf)
         failing = np.flatnonzero(areas < value)
         return self._instantiate(
             defs, failing, defs.mbrs[failing], areas[failing],

@@ -653,7 +653,7 @@ class Backend(Protocol):
     def stats(self) -> Dict[str, float]: ...
 
 
-def make_backend(plan: CheckPlan, *, device=None) -> Backend:
+def make_backend(plan: CheckPlan) -> Backend:
     """Instantiate the backend the plan's mode selects."""
     if plan.mode == MODE_SEQUENTIAL:
         from .sequential import SequentialBackend
@@ -661,4 +661,4 @@ def make_backend(plan: CheckPlan, *, device=None) -> Backend:
         return SequentialBackend(plan)
     from .parallel import ParallelBackend
 
-    return ParallelBackend(plan, device=device)
+    return ParallelBackend(plan)

@@ -19,7 +19,3 @@ class LayoutError(ReproError):
 
 class RuleError(ReproError):
     """Ill-formed design rule (missing predicate, bad layer, ...)."""
-
-
-class DeviceError(ReproError):
-    """Misuse of the simulated GPU device (bad stream, freed buffer, ...)."""

@@ -1,11 +1,11 @@
-"""Simulated GPU substrate (paper §IV-E, §V-C).
+"""Simulated GPU substrate (paper §IV-E).
 
-Device/stream/timeline model (:mod:`.device`) and the NumPy SPMD check
-kernels (:mod:`.kernels`). See DESIGN.md §1 for why NumPy
-vectorisation preserves the paper's GPU-vs-CPU behavioural shape.
+The device model (:mod:`.device`: copies, launches and their counters) and
+the NumPy SPMD check kernels (:mod:`.kernels`). See DESIGN.md §1 for why
+NumPy vectorisation preserves the paper's GPU-vs-CPU behavioural shape.
 """
 
-from .device import AsyncTimeline, Device, OpKind, OpRecord, Stream, TimelineSummary
+from .device import Device
 from .kernels import (
     EdgeBuffer,
     PairHits,
@@ -25,14 +25,9 @@ from .kernels import (
 )
 
 __all__ = [
-    "AsyncTimeline",
     "Device",
     "EdgeBuffer",
-    "OpKind",
-    "OpRecord",
     "PairHits",
-    "Stream",
-    "TimelineSummary",
     "VertexBuffer",
     "kernel_area",
     "kernel_corner_pairs_segmented",

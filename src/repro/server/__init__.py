@@ -9,7 +9,6 @@ are the two ends of the wire.
 
 from .http import DrcHTTPServer, ServeHandle, serve, start_server
 from .state import (
-    AdmissionScheduler,
     BadRequestError,
     ServeError,
     ServerState,
@@ -19,7 +18,6 @@ from .state import (
 )
 
 __all__ = [
-    "AdmissionScheduler",
     "BadRequestError",
     "DrcHTTPServer",
     "ServeError",

@@ -4,17 +4,16 @@ Plain stdlib: a :class:`http.server.ThreadingHTTPServer` whose handler
 routes JSON-over-HTTP requests into the service core. No framework, no new
 dependencies — the serving shape of the KiCad-MCP DRC tools with the
 transport stripped to what the standard library provides. Handler threads
-run truly concurrently: engine runs pass through the service core's
-:class:`~repro.server.state.AdmissionScheduler` (bounded cross-session
-concurrency) rather than a global engine lock, so one slow check no longer
-stalls every other session's requests.
+run concurrently: a request the report store or a concurrent twin answers
+never waits, while engine runs take the service core's one engine lock
+(:attr:`~repro.server.state.ServerState.engine_lock`).
 
 Endpoints
 ---------
 
 ====== ================================== ======================================
 GET    ``/health``                        liveness probe
-GET    ``/stats``                         engine + queue + coalescing counters
+GET    ``/stats``                         engine + coalescing counters
 GET    ``/sessions``                      list loaded sessions
 POST   ``/sessions``                      load a layout (GDSII bytes)
 GET    ``/sessions/<id>``                 session info
@@ -468,8 +467,7 @@ def serve(
     server = DrcHTTPServer((host, port), state)
     bound_host, bound_port = server.server_address[:2]
     announce(
-        f"repro serve: listening on http://{bound_host}:{bound_port} "
-        f"(max_concurrent={state.scheduler.max_concurrent})",
+        f"repro serve: listening on http://{bound_host}:{bound_port}",
         flush=True,
     )
 

@@ -26,18 +26,16 @@ Three mechanisms turn the warm engine into served throughput:
   the same content are memory hits; concurrent identical requests it
   cannot answer collapse into one engine run (:class:`SingleFlight`).
 
-* **Two-tier admission** — engine runs pass through an
-  :class:`AdmissionScheduler` instead of a global engine lock. Tier 1:
-  pure cache paths (report-store hits, coalesced followers, and splice-only
-  rechecks whose new content is digest-identical to the session's current
-  version) execute immediately and never enter the queue. Tier 2:
-  compute-bound requests from *different* sessions run concurrently up to
-  ``max_concurrent`` (default 1), each inside a re-entrant
-  :class:`~repro.core.engine.CheckContext`, sharing one report store;
-  requests for the *same* session serialize (they would mutate the same
-  baseline). The number of threads parked in admission is the
-  ``queue_depth`` gauge; ``active_requests`` and the
-  ``max_active_seen`` high-water mark sit next to it in :meth:`stats`.
+* **One engine lock** — engine runs take :attr:`ServerState.engine_lock`,
+  so one runs at a time and two requests of one session never mutate the
+  same baseline at once. Pure cache paths never take it: report-store
+  hits, coalesced followers, and splice-only rechecks whose new content is
+  digest-identical to the session's current version answer at once. The
+  daemon runs one interpreter that holds the GIL through the pure-Python
+  parts of a check, so overlapping engine runs bought no throughput. Each
+  run still executes inside its own
+  :class:`~repro.core.engine.CheckContext`, because a splice-only recheck
+  shares the engine with a locked run.
 
 * **Structured responses** — reports serialize to the same
   :meth:`~repro.core.results.CheckReport.to_json` schema the CLI prints,
@@ -54,7 +52,6 @@ tests drive :class:`ServerState` directly.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import statistics
@@ -64,7 +61,7 @@ import uuid
 from collections import deque
 from itertools import compress
 from operator import add
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..gdsii import read_layout_bytes
@@ -85,7 +82,6 @@ from ..core.rules import SEVERITIES, Rule, load_deck_file
 from ..reporting import FilterError, RuleRows, check_bbox, filter_entries, listing_dicts
 
 __all__ = [
-    "AdmissionScheduler",
     "BadRequestError",
     "ServeError",
     "ServerState",
@@ -207,79 +203,6 @@ class SingleFlight:
             raise call.error
         return call.result, leader
 
-    def waiting(self, key: str) -> bool:
-        """True while a flight for ``key`` is in progress (tests/metrics)."""
-        with self._lock:
-            return key in self._inflight
-
-
-# ---------------------------------------------------------------------------
-# Admission scheduling
-# ---------------------------------------------------------------------------
-
-
-class AdmissionScheduler:
-    """Bounded concurrent admission of engine runs, one run per session.
-
-    ``admit(sid)`` blocks until both hold:
-
-    * fewer than ``max_concurrent`` runs are active (bounding concurrency
-      bounds the memory footprint), and
-    * no other run for the *same* session is active — same-session requests
-      advance one version (a recheck swaps the session's layout and
-      digests), so they serialize; cross-session requests are independent
-      and overlap.
-
-    Waiters are counted (``waiting`` is the ``queue_depth`` gauge, honest
-    even when a wait is interrupted) and the ``max_active_seen`` high-water
-    mark records whether concurrency actually happened — the CI smoke job
-    asserts it exceeded 1 on multi-core runners.
-    """
-
-    def __init__(self, max_concurrent: int) -> None:
-        if max_concurrent < 1:
-            raise ValueError(
-                f"max_concurrent must be a positive integer, got {max_concurrent}"
-            )
-        self.max_concurrent = max_concurrent
-        self._cond = threading.Condition()
-        self._active_sids: set = set()
-        self._active = 0
-        self.waiting = 0
-        self.max_active_seen = 0
-
-    @property
-    def active(self) -> int:
-        """How many engine runs are executing right now."""
-        with self._cond:
-            return self._active
-
-    @contextlib.contextmanager
-    def admit(self, sid: str) -> Iterator[None]:
-        with self._cond:
-            self.waiting += 1
-            try:
-                while (
-                    self._active >= self.max_concurrent
-                    or sid in self._active_sids
-                ):
-                    self._cond.wait()
-            finally:
-                # Decrement on the way out even if the wait was interrupted
-                # (KeyboardInterrupt in a test): the gauge stays honest.
-                self.waiting -= 1
-            self._active += 1
-            self._active_sids.add(sid)
-            if self._active > self.max_active_seen:
-                self.max_active_seen = self._active
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._active -= 1
-                self._active_sids.discard(sid)
-                self._cond.notify_all()
-
 
 # ---------------------------------------------------------------------------
 # Sessions
@@ -358,10 +281,8 @@ class ServerState:
     Thread-safe: HTTP handler threads (or test threads) call the public
     methods concurrently. ``_lock`` guards the bookkeeping (sessions,
     counters — every counter update happens under it, so concurrent
-    handlers never lose an increment); the :class:`AdmissionScheduler`
-    bounds how many engine runs execute at once and keeps same-session
-    runs serial; ``max_concurrent`` bounds engine runs of different
-    sessions (default 1). ``report_lru`` bounds the report store's memory
+    handlers never lose an increment); ``engine_lock`` lets one engine run
+    execute at a time. ``report_lru`` bounds the report store's memory
     front (0: every request computes, or reads the disk back).
 
     The deck is loaded here, once: ``deck_path`` (a :class:`RuleError` if
@@ -375,7 +296,6 @@ class ServerState:
         *,
         deck_path: Optional[str] = None,
         report_lru: int = DEFAULT_CAPACITY,
-        max_concurrent: int = 1,
     ) -> None:
         if deck_path is None:
             from ..workloads import asap7
@@ -388,7 +308,8 @@ class ServerState:
             self.deck_name = deck_path
         self.reports = ReportCache(resolve_store(options), capacity=report_lru)
         self.engine = Engine(options=options, reports=self.reports)
-        self.scheduler = AdmissionScheduler(max_concurrent)
+        #: Held around every engine run; cache answers never take it.
+        self.engine_lock = threading.Lock()
         self._lock = threading.Lock()
         self._flight = SingleFlight()
         self._sessions: Dict[str, Session] = {}
@@ -597,26 +518,22 @@ class ServerState:
     # -- the request pipeline ------------------------------------------------
 
     def _run(
-        self,
-        runner: Callable[[], CheckReport],
-        session: Session,
-        *,
-        bypass: bool = False,
+        self, runner: Callable[[], CheckReport], *, bypass: bool = False
     ) -> CheckReport:
-        """One engine run through admission (or past it, for cache tiers).
+        """One engine run under the engine lock (or without it, for a cache answer).
 
-        ``bypass=True`` is the tier-1 path: the runner is known to touch no
+        ``bypass=True`` is a cache answer: the runner is known to touch no
         engine compute (a splice-only recheck of digest-identical content),
-        so it executes immediately without occupying an admission slot —
-        and without counting as an ``engine_runs``; the ``admission_bypassed``
-        counter records it instead.
+        so it executes at once, answered without the engine lock, and does
+        not count as an ``engine_runs``; the ``admission_bypassed`` counter
+        records it instead.
         """
         if bypass:
             with self._lock:
                 self.counters["admission_bypassed"] += 1
             report = runner()
         else:
-            with self.scheduler.admit(session.sid):
+            with self.engine_lock:
                 with self._lock:
                     self.counters["engine_runs"] += 1
                 report = runner()
@@ -656,12 +573,12 @@ class ServerState:
                 self.counters["report_lru_hits"] += 1
             meta["source"] = "report-lru"
         elif session.deck_dig is None:
-            report = self._run(runner, session, bypass=bypass)
+            report = self._run(runner, bypass=bypass)
         else:
             digests = tuple(sorted(session.digests.items()))
             key = store_key("serve", endpoint, session.deck_dig, digests, key_extra)
             report, leader = self._flight.do(
-                key, lambda: self._run(runner, session, bypass=bypass)
+                key, lambda: self._run(runner, bypass=bypass)
             )
             if not leader:
                 with self._lock:
@@ -763,7 +680,7 @@ class ServerState:
 
         def runner() -> CheckReport:
             # Read the session's version and its report here, not before
-            # admission: a queued recheck must diff against, and splice
+            # the engine lock: a queued recheck must diff against, and splice
             # onto the report of, the version the one ahead of it left.
             with self._lock:
                 old, old_tree, old_digests = (
@@ -803,10 +720,10 @@ class ServerState:
                 _forget_superseded(baseline, outcome.report)
             return outcome.report
 
-        # Tier-1 bypass: the new content is digest-identical to the session's
+        # The bypass: the new content is digest-identical to the session's
         # current version and a baseline exists, so the runner is a pure
         # splice (clean diff, zero re-checked windows) — no engine compute,
-        # no reason to occupy an admission slot. ``verify`` disables the
+        # no reason to wait for the engine lock. ``verify`` disables the
         # bypass because verification *is* a full cold check.
         bypass = (
             not verify
@@ -902,13 +819,8 @@ class ServerState:
         Per-endpoint latency comes from a sliding window of the most recent
         :data:`_LATENCY_WINDOW` requests (``count`` is the window's fill,
         ``requests`` the all-time total); p50/p95/p99 interpolate linearly
-        within that window. The concurrency gauges read the admission
-        scheduler: ``queue_depth`` is threads parked waiting for a slot,
-        ``active_requests`` is engine runs executing right now, and
-        ``max_active_seen`` is the high-water mark — the CI concurrency
-        smoke asserts it exceeded 1 on multi-core runners.
+        within that window.
         """
-        active = self.scheduler.active
         with self._lock:
             latency = {}
             for endpoint, window in self._latencies.items():
@@ -925,10 +837,6 @@ class ServerState:
             return {
                 "uptime_seconds": round(time.time() - self.started, 3),
                 "sessions": len(self._sessions),
-                "queue_depth": self.scheduler.waiting,
-                "active_requests": active,
-                "max_concurrent": self.scheduler.max_concurrent,
-                "max_active_seen": self.scheduler.max_active_seen,
                 "report_lru_size": self.reports.memory_entries(),
                 "report_lru_capacity": self.reports.capacity,
                 "report_hits": self.reports.hits,

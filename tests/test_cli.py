@@ -263,8 +263,9 @@ class TestBackendFlags:
         ids=lambda flag: flag[0],
     )
     def test_ablation_knobs_rejected(self, uart_gds, capsys, flag):
-        """Row partition, stream count and lane threshold are constants of
-        the parallel backend now: argparse refuses their old flags."""
+        """Row partition and lane threshold are constants of the parallel
+        backend, which issues on one implicit stream: argparse refuses the
+        old flags."""
         with pytest.raises(SystemExit) as exit_info:
             main(["check", uart_gds, "--top", "top", "--mode", "parallel", *flag])
         assert exit_info.value.code == 2
@@ -392,11 +393,12 @@ class TestNoCsvAlias:
 
 
 class TestServeFlags:
-    def test_zero_max_concurrent_is_an_argparse_error(self, capsys):
+    def test_max_concurrent_is_an_argparse_error(self, capsys):
+        """One engine lock serves every request: no admission cap to give."""
         assert_argparse_error(
-            ["serve", "--max-concurrent", "0"],
+            ["serve", "--max-concurrent", "2"],
             capsys,
-            "argument --max-concurrent: must be at least 1, got 0",
+            "unrecognized arguments: --max-concurrent 2",
         )
 
     def test_negative_report_lru_is_an_argparse_error(self, capsys):

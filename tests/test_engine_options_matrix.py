@@ -29,17 +29,28 @@ def dirty():
     return layout, deck, reference
 
 
-#: (mode, overrides): the parallel backend's lane threshold, stream count
-#: and row partition are constants the ablation benches override the same
-#: way.
+#: (mode, overrides): the parallel backend's lane threshold and row
+#: partition are constants the ablation benches override the same way.
 CONFIGS = {
     "seq-rows": ("sequential", []),
     "par-rows": ("parallel", []),
     "par-norows": ("parallel", [(parallel.ParallelBackend, "use_rows", False)]),
-    "par-1stream": ("parallel", [(parallel, "NUM_STREAMS", 1)]),
-    "par-4stream": ("parallel", [(parallel, "NUM_STREAMS", 4)]),
     "par-sweep-only": ("parallel", [(parallel, "BRUTE_FORCE_THRESHOLD", 0)]),
     "par-brute-only": ("parallel", [(parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9)]),
+    "par-norows-sweep-only": (
+        "parallel",
+        [
+            (parallel.ParallelBackend, "use_rows", False),
+            (parallel, "BRUTE_FORCE_THRESHOLD", 0),
+        ],
+    ),
+    "par-norows-brute-only": (
+        "parallel",
+        [
+            (parallel.ParallelBackend, "use_rows", False),
+            (parallel, "BRUTE_FORCE_THRESHOLD", 10 ** 9),
+        ],
+    ),
 }
 
 

@@ -4,7 +4,6 @@ from repro.core import Engine, EngineOptions, parallel
 from repro.core.plan import make_backend
 from repro.core.rules import layer
 from repro.geometry import Polygon, Transform
-from repro.gpu import Device, OpKind
 from repro.layout import CellReference, Layout
 from repro.workloads import asap7
 
@@ -114,27 +113,56 @@ class TestExecutorSelection:
 
 
 class TestDeviceIntegration:
-    def test_ops_recorded_on_device(self, uart_layout):
-        device = Device("test-gpu")
-        par = Engine(mode="parallel", device=device)
-        par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        kinds = {op.kind for op in device.ops}
-        assert OpKind.H2D in kinds and OpKind.KERNEL in kinds and OpKind.HOST in kinds
+    def test_copies_and_launches_counted(self, uart_layout):
+        par = Engine(mode="parallel")
+        deck = [asap7.spacing_rule(asap7.M1), asap7.width_rule(asap7.M1)]
+        report = par.check(uart_layout, rules=deck)
+        stats = report.results[-1].stats
+        assert stats["kernel_launches"] > 0
+        assert stats["h2d_copies"] > 0 and stats["h2d_bytes"] > 0
 
-    def test_streams_round_robin(self, uart_layout):
-        device = Device()
-        par = Engine(mode="parallel", device=device)
-        par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M3)])
-        streams = {op.stream for op in device.ops if op.stream is not None}
-        assert streams == {0, 1}  # M3 rows spread over both streams
+    def test_each_check_counts_on_its_own_device(self, uart_layout):
+        par = Engine(options=EngineOptions(mode="parallel", use_cache=False))
+        deck = [asap7.spacing_rule(asap7.M3)]
+        keys = ("kernel_launches", "h2d_copies", "h2d_bytes")
+        first, second = (par.check(uart_layout, rules=deck) for _ in range(2))
+        assert [first.results[0].stats[k] for k in keys] == [
+            second.results[0].stats[k] for k in keys
+        ]
 
-    def test_timeline_summary_nonzero(self, uart_layout):
-        device = Device()
-        par = Engine(mode="parallel", device=device)
-        par.check(uart_layout, rules=[asap7.spacing_rule(asap7.M1)])
-        summary = device.timeline().summarize()
-        assert summary.serial_seconds > 0
-        assert summary.async_seconds <= summary.serial_seconds
+
+    def test_stats_carry_the_device_counters(self, uart_layout):
+        """The launch, copy and fusion counters a parallel report prints;
+        no copy ever comes back to the host, so there is no D2H key."""
+        report = Engine(mode="parallel").check(
+            uart_layout, rules=[asap7.spacing_rule(asap7.M2)]
+        )
+        stats = report.results[0].stats
+        for key in (
+            "kernel_launches",
+            "h2d_copies",
+            "h2d_bytes",
+            "kernel_seconds",
+            "fused_launches",
+            "fused_segments",
+        ):
+            assert key in stats, key
+        assert not any(key.startswith("d2h") for key in stats)
+
+    def test_device_counters_accumulate_over_a_check(self, uart_layout):
+        """Each rule's stats snapshot the device's running totals."""
+        deck = [
+            asap7.spacing_rule(asap7.M1),
+            asap7.width_rule(asap7.M2),
+            asap7.spacing_rule(asap7.M3),
+        ]
+        report = Engine(options=EngineOptions(mode="parallel", use_cache=False)).check(
+            uart_layout, rules=deck
+        )
+        for key in ("kernel_launches", "h2d_copies", "h2d_bytes"):
+            totals = [result.stats[key] for result in report.results]
+            assert totals == sorted(totals), key
+            assert totals[-1] > totals[0], key
 
 
 class TestRowsOff:

@@ -1,88 +1,69 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeviceError
-from repro.gpu import Device, OpKind
+from repro.gpu import Device
 
 
-class TestStreamsAndRecording:
-    def test_memcpy_round_trip(self):
+class TestCopiesAndLaunches:
+    def test_memcpy_copies(self):
         device = Device()
-        stream = device.create_stream()
         data = np.arange(10)
-        on_device = stream.memcpy_h2d(data)
-        back = stream.memcpy_d2h(on_device)
-        assert np.array_equal(back, data)
+        on_device = device.memcpy_h2d(data)
+        assert np.array_equal(on_device, data)
         assert on_device is not data  # a real copy, as a PCIe transfer would be
 
-    def test_ops_recorded_in_order(self):
+    def test_copies_and_launches_counted(self):
         device = Device()
-        stream = device.create_stream()
-        stream.memcpy_h2d(np.arange(4))
-        stream.launch("k", lambda: 42)
-        device.record_host("prep", 0.001)
-        kinds = [op.kind for op in device.ops]
-        assert kinds == [OpKind.H2D, OpKind.KERNEL, OpKind.HOST]
-        assert [op.seq for op in device.ops] == [0, 1, 2]
+        device.memcpy_h2d(np.arange(4))
+        device.launch(lambda: 42)
+        counters = device.counters()
+        assert counters["h2d_copies"] == 1
+        assert counters["kernel_launches"] == 1
 
     def test_launch_returns_kernel_result(self):
         device = Device()
-        stream = device.create_stream()
-        assert stream.launch("add", lambda a, b: a + b, 2, 3) == 5
+        assert device.launch(lambda a, b: a + b, 2, 3) == 5
 
     def test_bytes_accounted(self):
         device = Device()
-        stream = device.create_stream()
-        stream.memcpy_h2d(np.zeros(100, dtype=np.int64))
-        assert device.ops[0].bytes == 800
+        device.memcpy_h2d(np.zeros(100, dtype=np.int64))
+        device.memcpy_h2d(np.zeros(3, dtype=np.int32)[::-1])  # non-contiguous view
+        assert device.counters()["h2d_bytes"] == 812
 
-    def test_unknown_stream_lookup(self):
-        with pytest.raises(DeviceError):
-            Device().stream(3)
-
-    def test_reset(self):
-        device = Device()
-        stream = device.create_stream()
-        stream.launch("k", lambda: None)
-        device.reset()
-        assert device.ops == []
-
-
-class TestAsyncTimeline:
-    def test_device_ops_overlap_host(self):
-        device = Device()
-        stream = device.create_stream()
-        # Hand-craft a record: host 10ms, then an async kernel of 8ms issued
-        # before more host work of 8ms -> async makespan ~18ms, serial 26ms.
-        device.record_host("a", 0.010)
-        device._record(OpKind.KERNEL, "k", stream.stream_id, 0.008)
-        device.record_host("b", 0.008)
-        summary = device.timeline().summarize()
-        assert summary.serial_seconds == pytest.approx(0.026)
-        assert summary.async_seconds == pytest.approx(0.018)
-        assert 0 < summary.overlap_savings < 1
-
-    def test_same_stream_serializes(self):
-        device = Device()
-        stream = device.create_stream()
-        device._record(OpKind.KERNEL, "k1", stream.stream_id, 0.010)
-        device._record(OpKind.KERNEL, "k2", stream.stream_id, 0.010)
-        summary = device.timeline().summarize()
-        assert summary.async_seconds == pytest.approx(0.020)
-
-    def test_two_streams_overlap(self):
-        device = Device()
-        s0 = device.create_stream()
-        s1 = device.create_stream()
-        device._record(OpKind.KERNEL, "k1", s0.stream_id, 0.010)
-        device._record(OpKind.KERNEL, "k2", s1.stream_id, 0.010)
-        summary = device.timeline().summarize()
-        assert summary.async_seconds == pytest.approx(0.010)
-        assert device.timeline().per_stream_seconds() == {
-            0: pytest.approx(0.010),
-            1: pytest.approx(0.010),
+    def test_counters_start_at_zero(self):
+        assert Device().counters() == {
+            "kernel_launches": 0,
+            "h2d_copies": 0,
+            "h2d_bytes": 0,
         }
 
-    def test_empty_timeline(self):
-        summary = Device().timeline().summarize()
-        assert summary.serial_seconds == 0.0 and summary.overlap_savings == 0.0
+    def test_counters_are_a_snapshot(self):
+        device = Device()
+        snapshot = device.counters()
+        device.launch(lambda: None)
+        snapshot["h2d_copies"] = 99
+        assert snapshot["kernel_launches"] == 0
+        assert device.counters()["kernel_launches"] == 1
+        assert device.counters()["h2d_copies"] == 0
+
+    def test_launch_passes_keyword_arguments(self):
+        device = Device()
+        assert device.launch(lambda a, *, scale: a * scale, 4, scale=3) == 12
+
+    def test_failed_launch_is_not_counted(self):
+        device = Device()
+
+        def faulting_kernel():
+            raise ValueError("bad lanes")
+
+        with pytest.raises(ValueError, match="bad lanes"):
+            device.launch(faulting_kernel)
+        assert device.counters()["kernel_launches"] == 0
+
+    def test_non_contiguous_copy_lands_contiguous(self):
+        device = Device()
+        data = np.arange(12).reshape(3, 4)[:, ::2]
+        on_device = device.memcpy_h2d(data)
+        assert on_device.flags["C_CONTIGUOUS"]
+        assert np.array_equal(on_device, data)
+        assert not np.shares_memory(on_device, data)

@@ -734,10 +734,8 @@ class TestPairBlockBudget:
             return original(self, order)
 
         monkeypatch.setattr(K.EdgeBuffer, "take", take)
-        device = Device()
-        streams = [device.create_stream() for _ in range(2)]
         hits, counters = launch_pair_rows(
-            pair, 62, BRUTE_FORCE_THRESHOLD, streams, PhaseProfile()
+            pair, 62, BRUTE_FORCE_THRESHOLD, Device(), PhaseProfile()
         )
         assert counters["fused_launches"] == counters["kernels_sweepline"] == 1
         assert taken == [len(buf)]  # the sweep kernel's sort, nothing else

@@ -28,11 +28,11 @@ from repro.gdsii import read_layout, read_layout_bytes, write, write_bytes
 from repro.geometry import Rect
 from repro.layout import gdsii_from_layout
 from repro.server import (
-    AdmissionScheduler,
     BadRequestError,
     ServerState,
     SingleFlight,
     UnknownSessionError,
+    serve,
     start_server,
 )
 from repro.server.http import MAX_BODY_BYTES
@@ -83,6 +83,26 @@ def edited_bytes_pair(edited_gds_pair):
 def state():
     with ServerState() as st:
         yield st
+
+
+class CountingLock:
+    """A lock that counts the threads waiting to acquire it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._guard = threading.Lock()
+        self.waiting = 0
+
+    def __enter__(self):
+        with self._guard:
+            self.waiting += 1
+        self._lock.acquire()
+        with self._guard:
+            self.waiting -= 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
 
 
 def _read_bytes(path):
@@ -144,9 +164,11 @@ class TestSingleFlight:
     def test_concurrent_calls_coalesce(self):
         flight = SingleFlight()
         release = threading.Event()
+        started = threading.Event()
         ran = []
 
         def slow():
+            started.set()
             release.wait(10)
             ran.append(1)
             return "report"
@@ -159,11 +181,8 @@ class TestSingleFlight:
         threads = [threading.Thread(target=worker) for _ in range(5)]
         for t in threads:
             t.start()
-        # Wait until the leader is registered, then let everyone pile on.
-        for _ in range(200):
-            if flight.waiting("k"):
-                break
-            time.sleep(0.005)
+        # Wait until the leader is running, then let everyone pile on.
+        assert started.wait(10)
         time.sleep(0.05)
         release.set()
         for t in threads:
@@ -552,7 +571,7 @@ class TestOneAnswerTier:
 
     def test_queued_rechecks_splice_onto_the_version_they_find(self, versions):
         # Two rechecks of one session, to v1 and to v2 (= v1 + one more
-        # edit), both parked behind the session's admission slot. Whichever
+        # edit), both parked behind the engine lock. Whichever
         # runs second diffs against the version the first left behind, so it
         # must splice onto that version's report — not the one of v0, which
         # was current when both requests arrived.
@@ -566,14 +585,15 @@ class TestOneAnswerTier:
                 served[target] = report.to_csv()
 
             threads = [threading.Thread(target=recheck, args=(t,)) for t in (1, 2)]
-            with state.scheduler.admit(session.sid):
+            state.engine_lock = lock = CountingLock()
+            with lock:
                 for thread in threads:
                     thread.start()
                 for _ in range(2000):
-                    if state.scheduler.waiting == 2:
+                    if lock.waiting == 2:
                         break
                     time.sleep(0.005)
-                assert state.scheduler.waiting == 2
+                assert lock.waiting == 2
             for thread in threads:
                 thread.join(60)
             assert served == {t: versions[t][1].to_csv() for t in (1, 2)}
@@ -699,7 +719,6 @@ class TestViolationsFiltering:
         state.check(session.sid)
         stats = state.stats()
         assert stats["sessions"] == 1
-        assert stats["queue_depth"] == 0
         assert stats["counters"]["engine_runs"] == 1
         assert stats["latency"]["check"]["count"] == 1
         assert stats["options"]["mode"] == "sequential"
@@ -1257,80 +1276,6 @@ class TestKeptAliveClient:
         client.close()
 
 
-class TestAdmissionScheduler:
-    def test_rejects_non_positive_max(self):
-        with pytest.raises(ValueError):
-            AdmissionScheduler(0)
-
-    def test_caps_active_runs(self):
-        sched = AdmissionScheduler(2)
-        release = threading.Event()
-        third_entered = threading.Event()
-
-        def hold(sid):
-            with sched.admit(sid):
-                release.wait(20)
-
-        holders = [
-            threading.Thread(target=hold, args=(sid,)) for sid in ("a", "b")
-        ]
-        for t in holders:
-            t.start()
-        for _ in range(400):
-            if sched.active == 2:
-                break
-            time.sleep(0.005)
-        assert sched.active == 2
-
-        def third():
-            with sched.admit("c"):
-                third_entered.set()
-
-        t3 = threading.Thread(target=third)
-        t3.start()
-        # The third distinct session must park: the cap is 2.
-        assert not third_entered.wait(0.2)
-        assert sched.waiting == 1
-        release.set()
-        t3.join(20)
-        for t in holders:
-            t.join(20)
-        assert third_entered.is_set()
-        assert sched.active == 0
-        assert sched.waiting == 0
-        assert sched.max_active_seen == 2
-
-    def test_same_session_serializes(self):
-        sched = AdmissionScheduler(4)
-        release = threading.Event()
-        second_entered = threading.Event()
-
-        def first():
-            with sched.admit("s"):
-                release.wait(20)
-
-        t1 = threading.Thread(target=first)
-        t1.start()
-        for _ in range(400):
-            if sched.active == 1:
-                break
-            time.sleep(0.005)
-
-        def second():
-            with sched.admit("s"):
-                second_entered.set()
-
-        t2 = threading.Thread(target=second)
-        t2.start()
-        # Same sid: must wait even though 3 slots are free.
-        assert not second_entered.wait(0.2)
-        release.set()
-        t1.join(20)
-        t2.join(20)
-        assert second_entered.is_set()
-        assert sched.max_active_seen == 1
-
-
 @pytest.fixture()
 def dirty_gds_b(tmp_path):
     layout = build_design("uart")
@@ -1341,53 +1286,66 @@ def dirty_gds_b(tmp_path):
 
 
 class TestConcurrentServing:
-    def test_distinct_sessions_run_concurrently(self, dirty_bytes, dirty_gds_b):
-        # Two sessions, max_concurrent=2: both engine runs must be inside
-        # the engine at the same instant (the barrier would time out and
-        # fail the test under the old global engine lock).
-        with ServerState(max_concurrent=2) as state:
+    def test_tier_one_answers_while_the_engine_lock_is_held(
+        self, dirty_bytes, dirty_gds_b
+    ):
+        # A report-store hit and a digest-identical recheck never wait for
+        # the engine lock; another session's check does not enter the
+        # engine until the lock is released.
+        with ServerState() as state:
             s1, _ = state.create_session(data=dirty_bytes, top="top")
+            first, _ = state.check(s1.sid)
             s2, _ = state.create_session(data=_read_bytes(dirty_gds_b), top="top")
-            assert s1.sid != s2.sid
-            both_inside = threading.Barrier(2)
+            entered = threading.Event()
             real_check = state.engine.check
 
-            def overlapping_check(*args, **kwargs):
-                both_inside.wait(30)
+            def spied_check(*args, **kwargs):
+                entered.set()
                 return real_check(*args, **kwargs)
 
-            state.engine.check = overlapping_check
-            errors = []
+            state.engine.check = spied_check
+            answers = {}
 
-            def client(sid):
-                try:
-                    state.check(sid)
-                except BaseException as error:  # noqa: BLE001
-                    errors.append(error)
+            def call(name, request):
+                answers[name] = request()
 
-            threads = [
-                threading.Thread(target=client, args=(sid,))
-                for sid in (s1.sid, s2.sid)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-            assert not errors
-            assert state.scheduler.max_active_seen == 2
+            requests = {
+                "hit": lambda: state.check(s1.sid),
+                "recheck": lambda: state.recheck(s1.sid, data=dirty_bytes),
+                "other": lambda: state.check(s2.sid),
+            }
+            threads = {
+                name: threading.Thread(target=call, args=(name, request))
+                for name, request in requests.items()
+            }
+            with state.engine_lock:
+                for name in ("hit", "recheck"):
+                    threads[name].start()
+                for name in ("hit", "recheck"):
+                    threads[name].join(10)
+                    assert not threads[name].is_alive(), name
+                threads["other"].start()
+                assert not entered.wait(0.3)
+            threads["other"].join(60)
+            assert entered.is_set()
+            assert answers["hit"][1]["source"] == "report-lru"
+            assert answers["recheck"][0].to_csv() == first.to_csv()
+            assert answers["other"][1]["source"] == "engine"
+            assert state.counters["admission_bypassed"] == 1
             assert state.counters["engine_runs"] == 2
 
-    @pytest.mark.parametrize("max_concurrent", [1, 2, 4])
+    @pytest.mark.parametrize("clients", [1, 2, 4])
     def test_byte_identical_reports_at_any_concurrency(
-        self, dirty_gds, dirty_bytes, dirty_gds_b, max_concurrent
+        self, dirty_gds, dirty_bytes, dirty_gds_b, clients
     ):
         # The acceptance gate: served reports are byte-identical to a local
-        # engine run at every concurrency level, under concurrent clients.
+        # engine run, under 1, 2 or 4 concurrent clients over 2 sessions.
         local_a = _local_report(dirty_gds)
         local_b = _local_report(dirty_gds_b)
-        with ServerState(max_concurrent=max_concurrent) as state:
+        with ServerState() as state:
             s1, _ = state.create_session(data=dirty_bytes, top="top")
             s2, _ = state.create_session(data=_read_bytes(dirty_gds_b), top="top")
+            expected = [(s1.sid, local_a.to_csv()), (s2.sid, local_b.to_csv())]
             results = []
             errors = []
 
@@ -1398,24 +1356,16 @@ class TestConcurrentServing:
                 except BaseException as error:  # noqa: BLE001
                     errors.append(error)
 
-            threads = []
-            for _ in range(2):
-                threads.append(
-                    threading.Thread(
-                        target=client, args=(s1.sid, local_a.to_csv())
-                    )
-                )
-                threads.append(
-                    threading.Thread(
-                        target=client, args=(s2.sid, local_b.to_csv())
-                    )
-                )
+            threads = [
+                threading.Thread(target=client, args=expected[index % 2])
+                for index in range(clients)
+            ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(120)
             assert not errors
-            assert results == [True] * 4
+            assert results == [True] * clients
 
     def test_identical_recheck_bypasses_admission(self, state, dirty_bytes):
         session, _ = state.create_session(data=dirty_bytes, top="top")
@@ -1433,8 +1383,95 @@ class TestConcurrentServing:
         assert state.counters["engine_runs"] == 2
 
 
+class TestEngineLock:
+    def test_caps_active_runs(self, dirty_bytes, dirty_gds_b):
+        # Two sessions checked at once: their engine runs take turns.
+        with ServerState() as state:
+            sids = [
+                state.create_session(data=data, top="top")[0].sid
+                for data in (dirty_bytes, _read_bytes(dirty_gds_b))
+            ]
+            guard = threading.Lock()
+            inside = [0]
+            peak = [0]
+            real_check = state.engine.check
+
+            def counted_check(*args, **kwargs):
+                with guard:
+                    inside[0] += 1
+                    peak[0] = max(peak[0], inside[0])
+                try:
+                    time.sleep(0.05)  # long enough for an overlap to show
+                    return real_check(*args, **kwargs)
+                finally:
+                    with guard:
+                        inside[0] -= 1
+
+            state.engine.check = counted_check
+            threads = [
+                threading.Thread(target=state.check, args=(sid,)) for sid in sids
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert peak[0] == 1
+            assert state.counters["engine_runs"] == 2
+
+    @pytest.mark.parametrize("endpoint", ["check", "check-window", "recheck"])
+    def test_engine_requests_wait_for_the_lock(
+        self, dirty_bytes, dirty_gds_b, endpoint
+    ):
+        # Every request that runs the engine parks behind the lock and runs
+        # once it is released.
+        with ServerState() as state:
+            session, _ = state.create_session(data=dirty_bytes, top="top")
+            requests = {
+                "check": lambda: state.check(session.sid),
+                "check-window": lambda: state.check_window(
+                    session.sid, [[0, 0, 2000, 2000]]
+                ),
+                "recheck": lambda: state.recheck(
+                    session.sid, data=_read_bytes(dirty_gds_b)
+                ),
+            }
+            answers = []
+            thread = threading.Thread(
+                target=lambda: answers.append(requests[endpoint]())
+            )
+            state.engine_lock = lock = CountingLock()
+            with lock:
+                thread.start()
+                for _ in range(2000):
+                    if lock.waiting == 1:
+                        break
+                    time.sleep(0.005)
+                assert lock.waiting == 1
+                assert answers == []
+            thread.join(60)
+            ((_, meta),) = answers
+            assert meta["source"] == "engine"
+            assert state.counters["engine_runs"] == 1
+
+    def test_lock_released_when_the_engine_raises(self, state, dirty_bytes):
+        session, _ = state.create_session(data=dirty_bytes, top="top")
+        real_check = state.engine.check
+
+        def failing_check(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        state.engine.check = failing_check
+        with pytest.raises(RuntimeError, match="engine fault"):
+            state.check(session.sid)
+        assert not state.engine_lock.locked()
+        state.engine.check = real_check
+        _, meta = state.check(session.sid)
+        assert meta["source"] == "engine"
+        assert state.counters["engine_runs"] == 2
+
+
 class TestStatsExtended:
-    def test_percentiles_requests_and_gauges(self, state, dirty_bytes):
+    def test_percentiles_and_requests(self, state, dirty_bytes):
         session, _ = state.create_session(data=dirty_bytes, top="top")
         state.check(session.sid)
         state.check(session.sid)  # LRU hit; still a request
@@ -1444,11 +1481,18 @@ class TestStatsExtended:
         assert check["requests"] == 2
         assert check["p50_ms"] <= check["p95_ms"] <= check["p99_ms"]
         assert check["p99_ms"] <= check["max_ms"]
-        assert stats["queue_depth"] == 0
-        assert stats["active_requests"] == 0
-        assert stats["max_concurrent"] == 1  # the default
-        assert stats["max_active_seen"] == 1
         assert stats["counters"]["admission_bypassed"] == 0
+
+    def test_no_admission_gauges(self, state, dirty_bytes):
+        # One engine lock, no scheduler: /stats reports no queue or slot
+        # gauges, only the counters.
+        session, _ = state.create_session(data=dirty_bytes, top="top")
+        state.check(session.sid)
+        stats = state.stats()
+        for key in ("queue_depth", "active_requests", "max_concurrent", "max_active_seen"):
+            assert key not in stats
+        assert set(stats["options"]) == {"mode", "cache_dir"}
+        assert stats["counters"]["engine_runs"] == 1
 
     def test_single_sample_percentiles_degenerate(self, state, dirty_bytes):
         session, _ = state.create_session(data=dirty_bytes, top="top")
@@ -1456,6 +1500,30 @@ class TestStatsExtended:
         check = state.stats()["latency"]["check"]
         assert check["count"] == 1
         assert check["p50_ms"] == check["p95_ms"] == check["p99_ms"]
+
+
+class TestServeAnnouncement:
+    def test_listen_line_names_only_the_url(self):
+        lines = []
+        listening = threading.Event()
+
+        def announce(message, flush=False):
+            lines.append(message)
+            listening.set()
+
+        thread = threading.Thread(
+            target=serve, args=(ServerState(),), kwargs={"announce": announce}
+        )
+        thread.start()
+        assert listening.wait(10)
+        url = lines[0].rsplit(" ", 1)[-1]
+        assert lines[0] == f"repro serve: listening on {url}"
+        assert url.startswith("http://127.0.0.1:")
+        with ServeClient(url) as client:
+            client.shutdown()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert lines[-1] == "repro serve: engine closed, bye"
 
 
 class TestWaitReady:
