@@ -26,7 +26,6 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from ..checks.area import check_area
-from ..checks.base import Violation
 from ..checks.enclosure import check_enclosure
 from ..checks.ensure import check_ensures
 from ..checks.rectilinear import check_rectilinear
@@ -36,12 +35,13 @@ from ..core.results import CheckReport, CheckResult
 from ..core.rules import Rule, RuleKind
 from ..geometry import Polygon
 from ..geometry.booleans import union_polygons
-from ..hierarchy.pruning import SubtreeWindow, gather_pair_rings, level_items
+from ..hierarchy.pruning import SubtreeWindow, gather_pair_rings, level_items, transform_rows
 from ..hierarchy.tree import HierarchyTree
 from ..layout.flatten import flatten_layer
 from ..layout.flatten import polygon_rings as _rings
 from ..layout.library import Layout
 from ..partition.rows import margin_for_rule
+from ..violation_table import Row, ViolationTable
 
 
 class KLayoutLikeChecker:
@@ -69,8 +69,8 @@ class KLayoutLikeChecker:
 
     # -- public API -------------------------------------------------------------
 
-    def run(self, rule: Rule) -> Tuple[List[Violation], float]:
-        """Execute one rule; returns (violations, seconds).
+    def run(self, rule: Rule) -> Tuple[ViolationTable, float]:
+        """Execute one rule; returns (violation table, seconds).
 
         For tile mode, ``seconds`` is the modelled multi-worker wall time;
         ``last_stats["serial_seconds"]`` holds the measured single-core time.
@@ -78,16 +78,19 @@ class KLayoutLikeChecker:
         self.last_stats = {}
         start = time.perf_counter()
         if self.mode == "flat":
-            violations = self._run_flat(rule)
+            rows = self._run_flat(rule)
         elif self.mode == "deep":
-            violations = self._run_deep(rule)
+            rows = self._run_deep(rule)
         else:
-            violations, wall = self._run_tiled(rule)
-            serial = time.perf_counter() - start
-            self.last_stats["serial_seconds"] = serial
+            # A polygon whose MBR spans tiles is checked once per tile; the
+            # table keeps each marker once.
+            rows, wall = self._run_tiled(rule)
+            table = ViolationTable.from_rows(rows)
+            self.last_stats["serial_seconds"] = time.perf_counter() - start
             self.last_stats["modelled_wall_seconds"] = wall
-            return violations, wall
-        return violations, time.perf_counter() - start
+            return table, wall
+        table = ViolationTable.from_rows(rows)
+        return table, time.perf_counter() - start
 
     def check(self, rules: Sequence[Rule]) -> CheckReport:
         results = []
@@ -125,7 +128,7 @@ class KLayoutLikeChecker:
         region = union_polygons(polygons)
         self.last_stats[f"regions[{label}]"] = region.region_count
 
-    def _run_flat(self, rule: Rule) -> List[Violation]:
+    def _run_flat(self, rule: Rule) -> List[Row]:
         if rule.kind is RuleKind.SPACING:
             polygons = self._flat(rule.layer)
             self._normalize(polygons, f"L{rule.layer}")
@@ -139,16 +142,16 @@ class KLayoutLikeChecker:
                 _rings(vias), _rings(metals), rule.layer, rule.other_layer, rule.value
             )
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
-        out: List[Violation] = []
+        out: List[Row] = []
         for layer in layers:
             polygons = self._flat(layer)
             self._normalize(polygons, f"L{layer}")
-            out.extend(_intra_flat(rule, polygons, layer))
+            out += _intra_flat(rule, polygons, layer)
         return out
 
     # -- deep mode ---------------------------------------------------------------------
 
-    def _run_deep(self, rule: Rule) -> List[Violation]:
+    def _run_deep(self, rule: Rule) -> List[Row]:
         tree = HierarchyTree(self.layout)
         if rule.layer is not None:
             self._deep_normalize(rule.layer)
@@ -167,28 +170,28 @@ class KLayoutLikeChecker:
                 regions += union_polygons(polygons).region_count
         self.last_stats[f"regions[L{layer}]"] = regions
 
-    def _deep_intra(self, rule: Rule, tree: HierarchyTree) -> List[Violation]:
+    def _deep_intra(self, rule: Rule, tree: HierarchyTree) -> List[Row]:
         from ..core.sequential import SequentialBackend
 
         # Deep mode's hierarchical intra checking is the same memoisation
         # OpenDRC uses — this is why KLayout-deep is fast in Table I.
-        return SequentialBackend(self.layout, tree=tree, use_rows=False).run(rule)
+        return SequentialBackend(self.layout, tree=tree, use_rows=False).run(rule).rows()
 
-    def _deep_spacing(self, layer: int, value: int, tree: HierarchyTree) -> List[Violation]:
+    def _deep_spacing(self, layer: int, value: int, tree: HierarchyTree) -> List[Row]:
         subtree = SubtreeWindow(tree)
         procedures = SpacingProcedures()
-        memo: Dict[str, List[Violation]] = {}
+        memo: Dict[str, List[Row]] = {}
 
-        def internal(cell_name: str) -> List[Violation]:
+        def internal(cell_name: str) -> List[Row]:
             if cell_name in memo:
                 return memo[cell_name]
             cell = self.layout.cell(cell_name)
             rings = cell.rings(layer)
-            vios: List[Violation] = []
+            vios: List[Row] = []
             if rings:
                 for index in range(len(rings)):
                     rows = procedures.prepare(rings.points(index))
-                    vios.extend(procedures.self_violations(rows, layer, value))
+                    vios += procedures.self_violations(rows, layer, value)
             items = level_items(tree, cell, layer)
             margin = margin_for_rule(value)
             # Quadratic candidate loop — deep mode's hierarchical analysis
@@ -205,13 +208,11 @@ class KLayoutLikeChecker:
                         window = mbr_a.inflated(value)
                         for ring_b, mbr_b in side_b:
                             if window.overlaps(mbr_b):
-                                vios.extend(
-                                    procedures.cross_violations(
-                                        procedures.prepare(ring_a),
-                                        procedures.prepare(ring_b),
-                                        layer,
-                                        value,
-                                    )
+                                vios += procedures.cross_violations(
+                                    procedures.prepare(ring_a),
+                                    procedures.prepare(ring_b),
+                                    layer,
+                                    value,
                                 )
             for ref in cell.references:
                 if not tree.has_layer(ref.cell_name, layer):
@@ -219,11 +220,11 @@ class KLayoutLikeChecker:
                 child = internal(ref.cell_name)
                 for placement in ref.placements():
                     if placement.preserves_distances:
-                        vios.extend(v.transformed(placement) for v in child)
+                        vios += transform_rows(child, [placement])
                     else:
                         window = placement.apply_rect(tree.layer_mbr(ref.cell_name, layer))
                         flat = subtree.rings_in_window(ref.cell_name, placement, layer, window)
-                        vios.extend(check_spacing(flat, layer, value))
+                        vios += check_spacing(flat, layer, value)
             memo[cell_name] = vios
             return vios
 
@@ -231,7 +232,7 @@ class KLayoutLikeChecker:
 
     def _deep_enclosure(
         self, via_layer: int, metal_layer: int, value: int, tree: HierarchyTree
-    ) -> List[Violation]:
+    ) -> List[Row]:
         # Hierarchy brings little for cross-layer rules in KLayout's model;
         # evaluate on the flattened layers (its deep engine falls back to
         # region operations for such interactions).
@@ -245,10 +246,11 @@ class KLayoutLikeChecker:
 
     # -- tiling mode -------------------------------------------------------------------
 
-    def _run_tiled(self, rule: Rule) -> Tuple[List[Violation], float]:
+    def _run_tiled(self, rule: Rule) -> Tuple[List[Row], float]:
         """Tiled execution: modelled wall = serial setup (flatten + tile
         assignment, single-threaded in KLayout too) + the LPT critical path
-        of the per-tile checks over the worker pool."""
+        of the per-tile checks over the worker pool. A marker found in
+        several tiles comes once per tile."""
         setup_start = time.perf_counter()
         if rule.is_intra:
             # Intra rules tile trivially (each polygon in one tile by MBR).
@@ -259,17 +261,14 @@ class KLayoutLikeChecker:
             ]
             setup = time.perf_counter() - setup_start
             tile_times: List[float] = []
-            out: List[Violation] = []
+            out: List[Row] = []
             for layer, tiles in per_layer_tiles:
                 for polygons in tiles.values():
                     t0 = time.perf_counter()
                     union_polygons(polygons)  # per-tile normalization
-                    out.extend(_intra_flat(rule, polygons, layer))
+                    out += _intra_flat(rule, polygons, layer)
                     tile_times.append(time.perf_counter() - t0)
-            # Dedup: a polygon whose MBR spans tiles is checked repeatedly.
-            return sorted(set(out), key=_violation_key), setup + _critical_path(
-                tile_times, self.workers
-            )
+            return out, setup + _critical_path(tile_times, self.workers)
         if rule.kind is RuleKind.SPACING:
             margin = margin_for_rule(rule.value)
             tiles = self._assign_tiles(self._flat(rule.layer), margin=margin)
@@ -279,11 +278,9 @@ class KLayoutLikeChecker:
             for polygons in tiles.values():
                 t0 = time.perf_counter()
                 union_polygons(polygons)  # per-tile normalization
-                out.extend(check_spacing(_rings(polygons), rule.layer, rule.value))
+                out += check_spacing(_rings(polygons), rule.layer, rule.value)
                 tile_times.append(time.perf_counter() - t0)
-            return sorted(set(out), key=_violation_key), setup + _critical_path(
-                tile_times, self.workers
-            )
+            return out, setup + _critical_path(tile_times, self.workers)
         # Enclosure: tile both layers with the rule margin.
         vias = self._flat(rule.layer)
         metals = self._flat(rule.other_layer)
@@ -296,19 +293,15 @@ class KLayoutLikeChecker:
             t0 = time.perf_counter()
             union_polygons(tile_vias)  # per-tile normalization
             union_polygons(metal_tiles.get(key, []))
-            out.extend(
-                check_enclosure(
-                    _rings(tile_vias),
-                    _rings(metal_tiles.get(key, [])),
-                    rule.layer,
-                    rule.other_layer,
-                    rule.value,
-                )
+            out += check_enclosure(
+                _rings(tile_vias),
+                _rings(metal_tiles.get(key, [])),
+                rule.layer,
+                rule.other_layer,
+                rule.value,
             )
             tile_times.append(time.perf_counter() - t0)
-        return sorted(set(out), key=_violation_key), setup + _critical_path(
-            tile_times, self.workers
-        )
+        return out, setup + _critical_path(tile_times, self.workers)
 
     def _assign_tiles(
         self, polygons: Sequence[Polygon], *, margin: int
@@ -324,7 +317,7 @@ class KLayoutLikeChecker:
         return tiles
 
 
-def _intra_flat(rule: Rule, polygons: Sequence[Polygon], layer: int) -> List[Violation]:
+def _intra_flat(rule: Rule, polygons: Sequence[Polygon], layer: int) -> List[Row]:
     if rule.kind is RuleKind.WIDTH:
         return check_width(_rings(polygons), layer, rule.value)
     if rule.kind is RuleKind.AREA:
@@ -348,7 +341,3 @@ def _critical_path(tile_times: List[float], workers: int) -> float:
     for t in sorted(tile_times, reverse=True):
         loads[loads.index(min(loads))] += t
     return max(loads)
-
-
-def _violation_key(v: Violation):
-    return (v.layer, v.kind.value, tuple(v.region), v.measured)

@@ -23,13 +23,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..checks.base import Violation, ViolationKind
 from ..core.results import CheckReport, CheckResult
 from ..core.rules import Rule, RuleKind
 from ..errors import ReproError
-from ..geometry import Polygon, Rect
+from ..geometry import Polygon
 from ..gpu.device import Device
 from ..gpu.kernels import (
+    PairHits,
     kernel_enclosure_margins,
     kernel_pairs_sweep,
     pack_edges,
@@ -38,6 +38,7 @@ from ..gpu.kernels import (
 from ..layout.flatten import flatten_layer, polygon_rings
 from ..layout.library import Layout
 from ..spatial.sweepline import iter_bipartite_overlaps
+from ..violation_table import ViolationTable
 
 
 class UnsupportedRuleError(ReproError):
@@ -55,8 +56,8 @@ class XCheckChecker:
     def supports(self, rule: Rule) -> bool:
         return rule.kind in (RuleKind.WIDTH, RuleKind.SPACING, RuleKind.ENCLOSURE)
 
-    def run(self, rule: Rule) -> Tuple[List[Violation], float]:
-        """Execute one rule; returns (violations, seconds)."""
+    def run(self, rule: Rule) -> Tuple[ViolationTable, float]:
+        """Execute one rule; returns (violation table, seconds)."""
         if not self.supports(rule):
             raise UnsupportedRuleError(
                 f"X-Check cannot execute {rule.kind.value} rules (paper Table I)"
@@ -88,11 +89,10 @@ class XCheckChecker:
         """Drop flattening caches (benchmarks charge flattening per run)."""
         self._flat_cache.clear()
 
-    def _pairs(self, layer: int, value: int, *, want_width: bool) -> List[Violation]:
+    def _pairs(self, layer: int, value: int, *, want_width: bool) -> ViolationTable:
         polygons = self._flat(layer)
         buffers = pack_edges(polygons)
-        out: List[Violation] = []
-        kind = ViolationKind.WIDTH if want_width else ViolationKind.SPACING
+        found: List[PairHits] = []
         for buf in (buffers["v"], buffers["h"]):
             if len(buf) < 2:
                 continue
@@ -104,37 +104,30 @@ class XCheckChecker:
                 self.device.memcpy_h2d(buf.interior),
                 self.device.memcpy_h2d(buf.poly),
             )
-            hits = self.device.launch(
-                kernel_pairs_sweep, device_buf, value, want_width=want_width
+            found.append(
+                self.device.launch(kernel_pairs_sweep, device_buf, value, want_width=want_width)
             )
-            for k in range(len(hits)):
-                out.append(
-                    Violation(
-                        kind=kind,
-                        layer=layer,
-                        region=Rect(
-                            int(hits.xlo[k]), int(hits.ylo[k]),
-                            int(hits.xhi[k]), int(hits.yhi[k]),
-                        ),
-                        measured=int(hits.measured[k]),
-                        required=value,
-                    )
-                )
-        return out
+        hits = PairHits.concatenate(found)
+        return ViolationTable.from_columns(
+            layer, "width" if want_width else "spacing",
+            hits.xlo, hits.ylo, hits.xhi, hits.yhi, hits.measured, value,
+        )
 
-    def _enclosure(self, via_layer: int, metal_layer: int, value: int) -> List[Violation]:
+    def _enclosure(self, via_layer: int, metal_layer: int, value: int) -> ViolationTable:
         vias = self._flat(via_layer)
         metals = self._flat(metal_layer)
         if not vias:
-            return []
+            return ViolationTable.from_rows(())
         all_rect = all(p.is_rectangle for p in vias) and all(
             p.is_rectangle for p in metals
         )
         if not all_rect:
             from ..checks.enclosure import check_enclosure
 
-            return check_enclosure(
-                polygon_rings(vias), polygon_rings(metals), via_layer, metal_layer, value
+            return ViolationTable.from_rows(
+                check_enclosure(
+                    polygon_rings(vias), polygon_rings(metals), via_layer, metal_layer, value
+                )
             )
         windows = [v.mbr.inflated(value) for v in vias]
         metal_rects = [m.mbr for m in metals]
@@ -154,18 +147,9 @@ class XCheckChecker:
             pair_metal,
         )
         best = reduce_enclosure_best(len(vias), pair_via, margins)
-        out: List[Violation] = []
-        for index, margin in enumerate(best):
-            if int(margin) >= value:
-                continue
-            out.append(
-                Violation(
-                    kind=ViolationKind.ENCLOSURE,
-                    layer=via_layer,
-                    other_layer=metal_layer,
-                    region=vias[index].mbr.inflated(value),
-                    measured=max(int(margin), 0),
-                    required=value,
-                )
-            )
-        return out
+        failing = np.flatnonzero(best < value)
+        regions = via_arr[failing] + np.asarray([-value, -value, value, value], dtype=np.int64)
+        return ViolationTable.from_columns(
+            via_layer, "enclosure", *regions.T, np.maximum(best[failing], 0), value,
+            other=metal_layer,
+        )

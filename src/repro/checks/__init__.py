@@ -9,7 +9,9 @@ take is placed rings — ``(vertices, mbr)``, the vertices clockwise
 hand them out; no procedure needs a ``Polygon`` to read a ring. The cross-
 layer procedures judge each ring as its :func:`~repro.checks.base.ring_shape`
 (a rectangle's MBR, else a ``Polygon``), and the ``ensures`` predicate gets
-the one ``Polygon`` it is defined over.
+the one ``Polygon`` it is defined over. What they return is violation rows,
+the 9-tuples of :data:`repro.violation_table.Row`: no procedure builds a
+:class:`~repro.checks.base.Violation`.
 """
 
 from .area import check_area

@@ -1,9 +1,12 @@
 """Violation model shared by every checker in the repository.
 
-All five checkers (OpenDRC sequential/parallel, the KLayout-like baselines,
-and the X-Check reimplementation) report violations in this one vocabulary so
-that results are directly set-comparable — the cross-validation tests rely
-on exact equality of violation sets.
+Every check procedure reports its findings as violation rows, the 9-tuples
+of :data:`repro.violation_table.Row`, and all five checkers (OpenDRC
+sequential/parallel, the KLayout-like baselines, and the X-Check
+reimplementation) tabulate them as :class:`~repro.violation_table.ViolationTable`
+results, so results are directly set-comparable — the cross-validation tests
+rely on exact equality of violation sets. :class:`Violation` is the object
+view of one row, built only when a table is read as objects.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 from ..geometry import Point, Polygon, Rect
 from ..geometry.polygon import is_rectangle_ring
 from ..spatial.sweepline import iter_overlapping_pairs
+from ..violation_table import Row
 
 #: A ring placed in some frame: its vertices as ``(x, y)`` pairs, clockwise,
 #: and its MBR there — the geometry every check procedure takes (a gather
@@ -49,24 +53,25 @@ def is_box(shape: Shape) -> bool:
 
 def check_pairs(
     procedures, rings: Sequence[PlacedRing], layer: int, value: int
-) -> List["Violation"]:
-    """An intra-layer pairwise rule over a flat collection of placed rings
-    ``(vertices, mbr)``: every ring against itself, then every pair whose
-    MBRs, each grown by half the rule value (rounded up), meet — a complete
-    candidate filter, and the reference semantics the hierarchical and GPU
-    paths reproduce. ``procedures`` is the kind's pairwise-procedure object
+) -> List[Row]:
+    """The violation rows of an intra-layer pairwise rule over a flat
+    collection of placed rings ``(vertices, mbr)``: every ring against
+    itself, then every pair whose MBRs, each grown by half the rule value
+    (rounded up), meet — a complete candidate filter, and the reference
+    semantics the hierarchical and GPU paths reproduce. ``procedures`` is
+    the kind's pairwise-procedure object
     (:class:`~repro.checks.spacing.SpacingProcedures`,
     :class:`~repro.checks.corner.CornerProcedures`); each ring is prepared
     once."""
     prepared = [procedures.prepare(ring) for ring, _ in rings]
-    violations: List[Violation] = []
+    found: List[Row] = []
     for one in prepared:
-        violations.extend(procedures.self_violations(one, layer, value))
+        found += procedures.self_violations(one, layer, value)
     margin = (value + 1) // 2
     inflated = [mbr.inflated(margin) for _, mbr in rings]
     for i, j in iter_overlapping_pairs(inflated):
-        violations.extend(procedures.cross_violations(prepared[i], prepared[j], layer, value))
-    return violations
+        found += procedures.cross_violations(prepared[i], prepared[j], layer, value)
+    return found
 
 
 class ViolationKind(enum.Enum):

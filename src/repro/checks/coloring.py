@@ -26,8 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..geometry import Rect
 from ..geometry.polygon import EdgeRows, canonical_ring, edge_rows_of
 from ..spatial.sweepline import iter_overlapping_pairs
-from .base import PlacedRing, Violation, ViolationKind
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing
 from .edges import spacing_regions
+
+COLOR = KIND_CODES["color"]
 
 
 def canonical_order(rings: List[PlacedRing]) -> None:
@@ -106,20 +109,14 @@ def two_color(
 
 def check_two_colorable(
     rings: Sequence[PlacedRing], layer: int, color_spacing: int
-) -> List[Violation]:
-    """Flag every conflict edge that defeats the 2-coloring.
+) -> List[Row]:
+    """A violation row for every conflict edge that defeats the 2-coloring.
 
     A clean report means the layer decomposes into two masks with all
     same-mask distances >= ``color_spacing``.
     """
     _, conflicts = two_color(rings, color_spacing)
     return [
-        Violation(
-            kind=ViolationKind.COLOR,
-            layer=layer,
-            region=region,
-            measured=distance,
-            required=color_spacing,
-        )
+        (layer, COLOR, *region, -1, distance, color_spacing)
         for _, _, region, distance in conflicts
     ]

@@ -23,8 +23,10 @@ import dataclasses
 import math
 from typing import List, Sequence, Tuple
 
-from ..geometry import Rect
-from .base import PlacedRing, Violation, ViolationKind, check_pairs
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing, check_pairs
+
+CORNER = KIND_CODES["corner"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,10 +73,11 @@ def corner_pair_violations(
     corners_b: Sequence[Corner],
     layer: int,
     min_space: int,
-) -> List[Violation]:
-    """Diagonal corner violations between two corner sets."""
+) -> List[Row]:
+    """Diagonal corner violation rows between two corner sets, each marked
+    by the box its two corners span."""
     limit = min_space * min_space
-    out: List[Violation] = []
+    out: List[Row] = []
     for ca in corners_a:
         for cb in corners_b:
             dx = cb.x - ca.x
@@ -88,28 +91,20 @@ def corner_pair_violations(
                 continue
             if _sign(-dx) != cb.qx or _sign(-dy) != cb.qy:
                 continue
-            out.append(_make(ca, cb, layer, min_space))
+            out.append(
+                (
+                    layer, CORNER,
+                    min(ca.x, cb.x), min(ca.y, cb.y), max(ca.x, cb.x), max(ca.y, cb.y),
+                    -1, math.isqrt(dx * dx + dy * dy), min_space,
+                )
+            )
     return out
-
-
-def _make(ca: Corner, cb: Corner, layer: int, min_space: int) -> Violation:
-    distance = math.isqrt((cb.x - ca.x) ** 2 + (cb.y - ca.y) ** 2)
-    region = Rect(
-        min(ca.x, cb.x), min(ca.y, cb.y), max(ca.x, cb.x), max(ca.y, cb.y)
-    )
-    return Violation(
-        kind=ViolationKind.CORNER,
-        layer=layer,
-        region=region,
-        measured=distance,
-        required=min_space,
-    )
 
 
 def check_corner_spacing(
     rings: Sequence[PlacedRing], layer: int, min_space: int
-) -> List[Violation]:
-    """Flat corner-spacing check over placed rings
+) -> List[Row]:
+    """Flat corner-spacing violation rows over placed rings
     (:func:`~repro.checks.base.check_pairs`): candidates come from the same
     rule-inflated MBR sweep the edge spacing check uses, and same-ring
     corner pairs (concave shapes folding back on themselves) are included."""

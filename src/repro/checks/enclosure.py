@@ -18,16 +18,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..spatial.sweepline import Box, iter_bipartite_overlaps
-from .base import (
-    PlacedRing,
-    Shape,
-    Violation,
-    ViolationKind,
-    as_polygon,
-    is_box,
-    ring_shape,
-    shape_mbr,
-)
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing, Shape, as_polygon, is_box, ring_shape, shape_mbr
+
+ENCLOSURE = KIND_CODES["enclosure"]
 
 
 def enclosure_margin(via: Shape, metal: Shape) -> Optional[int]:
@@ -79,10 +73,10 @@ def enclosure_pair_violations(
     via_layer: int,
     metal_layer: int,
     min_enclosure: int,
-) -> List[Violation]:
-    """Violations of one via against its candidate metal polygons.
+) -> List[Row]:
+    """The violation row of one via against its candidate metal polygons.
 
-    The via passes if *any* candidate encloses it with margin >=
+    The via passes (no row) if *any* candidate encloses it with margin >=
     ``min_enclosure``; otherwise the best achieved margin is reported.
     """
     best = -1
@@ -93,16 +87,8 @@ def enclosure_pair_violations(
         if margin >= min_enclosure:
             return []
         best = max(best, margin)
-    return [
-        Violation(
-            kind=ViolationKind.ENCLOSURE,
-            layer=via_layer,
-            other_layer=metal_layer,
-            region=shape_mbr(via).inflated(min_enclosure),
-            measured=max(best, 0),
-            required=min_enclosure,
-        )
-    ]
+    region = shape_mbr(via).inflated(min_enclosure)
+    return [(via_layer, ENCLOSURE, *region, metal_layer, max(best, 0), min_enclosure)]
 
 
 def check_enclosure(
@@ -111,9 +97,9 @@ def check_enclosure(
     via_layer: int,
     metal_layer: int,
     min_enclosure: int,
-) -> List[Violation]:
-    """Enclosure check over flat via/metal collections of placed rings, each
-    judged as its :func:`~repro.checks.base.ring_shape`.
+) -> List[Row]:
+    """Enclosure violation rows over flat via/metal collections of placed
+    rings, each judged as its :func:`~repro.checks.base.ring_shape`.
 
     Candidates are paired with one bipartite MBR sweep: a metal polygon can
     only satisfy a via if its MBR contains the via's MBR inflated by the
@@ -129,14 +115,12 @@ def check_enclosure(
             metal = metal_shapes[j] = ring_shape(*metals[j])
         candidates[i].append(metal)
 
-    violations: List[Violation] = []
+    found: List[Row] = []
     for via, cands in zip(vias, candidates):
-        violations.extend(
-            enclosure_pair_violations(
-                ring_shape(*via), cands, via_layer, metal_layer, min_enclosure
-            )
+        found += enclosure_pair_violations(
+            ring_shape(*via), cands, via_layer, metal_layer, min_enclosure
         )
-    return violations
+    return found
 
 
 class EnclosureProcedures:
@@ -174,6 +158,6 @@ class EnclosureProcedures:
                 return True
         return False
 
-    def violations(self, via, metals, via_layer, metal_layer, value):
+    def violations(self, via, metals, via_layer, metal_layer, value) -> List[Row]:
         return enclosure_pair_violations(via, metals, via_layer, metal_layer, value)
 

@@ -10,27 +10,21 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from ..geometry import Point, Polygon, Rect
-from .base import Violation, ViolationKind
+from ..violation_table import KIND_CODES, Row
+
+PREDICATE = KIND_CODES["predicate"]
 
 
 def check_ensures(
     rings: Iterable[Tuple[Sequence, Rect, str]],
     layer: int,
     predicate: Callable[[Polygon], bool],
-) -> List[Violation]:
-    """Flag every named placed ring ``(vertices, mbr, name)`` for which
-    ``predicate`` returns falsy. The predicate's argument is the one
+) -> List[Row]:
+    """A violation row for every named placed ring ``(vertices, mbr, name)``
+    for which ``predicate`` returns falsy. The predicate's argument is the one
     ``Polygon`` a check builds to read a ring: the ring with its name."""
-    violations: List[Violation] = []
-    for ring, mbr, name in rings:
-        if not predicate(Polygon._normalised(tuple(map(Point._make, ring)), name, mbr)):
-            violations.append(
-                Violation(
-                    kind=ViolationKind.PREDICATE,
-                    layer=layer,
-                    region=mbr,
-                    measured=0,
-                    required=1,
-                )
-            )
-    return violations
+    return [
+        (layer, PREDICATE, *mbr, -1, 0, 1)
+        for ring, mbr, name in rings
+        if not predicate(Polygon._normalised(tuple(map(Point._make, ring)), name, mbr))
+    ]

@@ -18,7 +18,10 @@ from typing import Dict, List, Sequence
 
 from ..geometry.booleans import intersect_regions, union_polygons
 from ..spatial.sweepline import iter_bipartite_overlaps
-from .base import PlacedRing, Shape, Violation, ViolationKind, as_polygon, ring_shape, shape_mbr
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing, Shape, as_polygon, ring_shape, shape_mbr
+
+OVERLAP = KIND_CODES["overlap"]
 
 
 def overlap_area(polygon: Shape, others: Sequence[Shape]) -> int:
@@ -45,20 +48,11 @@ class OverlapProcedures:
     def satisfied(self, polygon: Shape, bases: Sequence[Shape], value: int) -> bool:
         return overlap_area(polygon, bases) >= value
 
-    def violations(self, polygon, bases, top_layer, base_layer, value):
+    def violations(self, polygon, bases, top_layer, base_layer, value) -> List[Row]:
         area = overlap_area(polygon, bases)
         if area >= value:
             return []
-        return [
-            Violation(
-                kind=ViolationKind.OVERLAP,
-                layer=top_layer,
-                other_layer=base_layer,
-                region=shape_mbr(polygon),
-                measured=area,
-                required=value,
-            )
-        ]
+        return [(top_layer, OVERLAP, *shape_mbr(polygon), base_layer, area, value)]
 
 
 def check_min_overlap(
@@ -67,8 +61,8 @@ def check_min_overlap(
     top_layer: int,
     base_layer: int,
     min_area: int,
-) -> List[Violation]:
-    """Flag every top-layer placed ring overlapping the
+) -> List[Row]:
+    """A violation row for every top-layer placed ring overlapping the
     base rings by < ``min_area``; each ring is judged as its
     :func:`~repro.checks.base.ring_shape`."""
     candidates: List[List[Shape]] = [[] for _ in tops]
@@ -79,19 +73,9 @@ def check_min_overlap(
             base = base_shapes[j] = ring_shape(*bases[j])
         candidates[i].append(base)
 
-    violations: List[Violation] = []
+    found: List[Row] = []
     for (ring, mbr), cands in zip(tops, candidates):
         area = overlap_area(ring_shape(ring, mbr), cands)
-        if area >= min_area:
-            continue
-        violations.append(
-            Violation(
-                kind=ViolationKind.OVERLAP,
-                layer=top_layer,
-                other_layer=base_layer,
-                region=mbr,
-                measured=area,
-                required=min_area,
-            )
-        )
-    return violations
+        if area < min_area:
+            found.append((top_layer, OVERLAP, *mbr, base_layer, area, min_area))
+    return found

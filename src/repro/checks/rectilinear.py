@@ -5,14 +5,13 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from ..geometry.polygon import is_rectilinear_ring
-from .base import PlacedRing, Violation, ViolationKind
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing
+
+SHAPE = KIND_CODES["shape"]
 
 
-def check_rectilinear(rings: Iterable[PlacedRing], layer: int) -> List[Violation]:
-    """Flag every placed ring with a non-axis-parallel
+def check_rectilinear(rings: Iterable[PlacedRing], layer: int) -> List[Row]:
+    """A violation row for every placed ring with a non-axis-parallel
     edge, marked by its MBR."""
-    return [
-        Violation(kind=ViolationKind.SHAPE, layer=layer, region=mbr, measured=0, required=1)
-        for ring, mbr in rings
-        if not is_rectilinear_ring(ring)
-    ]
+    return [(layer, SHAPE, *mbr, -1, 0, 1) for ring, mbr in rings if not is_rectilinear_ring(ring)]

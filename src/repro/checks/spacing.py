@@ -12,25 +12,18 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..geometry.polygon import EdgeRows, edge_rows_of
-from .base import PlacedRing, Violation, ViolationKind, check_pairs
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing, check_pairs
 from .edges import notch_regions, spacing_regions
 
+SPACING = KIND_CODES["spacing"]
 
-def check_spacing(rings: Sequence[PlacedRing], layer: int, min_space: int) -> List[Violation]:
-    """Spacing check over a flat collection of placed rings
+
+def check_spacing(rings: Sequence[PlacedRing], layer: int, min_space: int) -> List[Row]:
+    """Spacing violation rows over a flat collection of placed rings
     (:func:`~repro.checks.base.check_pairs`): notches, then the pairs the
     rule-inflated MBR sweep finds."""
     return check_pairs(SpacingProcedures(), rings, layer, min_space)
-
-
-def _make(layer: int, region, distance: int, min_space: int) -> Violation:
-    return Violation(
-        kind=ViolationKind.SPACING,
-        layer=layer,
-        region=region,
-        measured=distance,
-        required=min_space,
-    )
 
 
 class SpacingProcedures:
@@ -44,11 +37,13 @@ class SpacingProcedures:
 
     prepare = staticmethod(edge_rows_of)
 
-    def self_violations(self, rows: EdgeRows, layer: int, value: int):
-        return [_make(layer, region, d, value) for region, d in notch_regions(rows, value)]
+    def self_violations(self, rows: EdgeRows, layer: int, value: int) -> List[Row]:
+        return [(layer, SPACING, *region, -1, d, value) for region, d in notch_regions(rows, value)]
 
-    def cross_violations(self, rows_a: EdgeRows, rows_b: EdgeRows, layer: int, value: int):
+    def cross_violations(
+        self, rows_a: EdgeRows, rows_b: EdgeRows, layer: int, value: int
+    ) -> List[Row]:
         return [
-            _make(layer, region, d, value)
+            (layer, SPACING, *region, -1, d, value)
             for region, d in spacing_regions(rows_a, rows_b, value)
         ]

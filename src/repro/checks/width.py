@@ -5,17 +5,20 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from ..geometry.polygon import edge_rows_of, is_rectangle_ring
-from .base import PlacedRing, Violation, ViolationKind
+from ..violation_table import KIND_CODES, Row
+from .base import PlacedRing
 from .edges import width_regions
 
+WIDTH = KIND_CODES["width"]
 
-def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
-    """Width violations of every ring of one :class:`~repro.layout.cell.RingBuffer`,
+
+def check_ring_width(rings, layer: int, min_width: int) -> List[Row]:
+    """Width violation rows of every ring of one :class:`~repro.layout.cell.RingBuffer`,
     in its frame, read off the coordinates (no ``Polygon`` built). A rectangle
     (by the buffer's :meth:`~repro.layout.cell.RingBuffer.rect_flags`) has as
     its only facing pairs its two sides of each axis, so its markers are its
     MBR with the height, then the width, where narrower than ``min_width``."""
-    violations: List[Violation] = []
+    found: List[Row] = []
     for index, rectangle in enumerate(rings.rect_flags()):
         if rectangle:
             mbr = rings.mbr(index)
@@ -26,15 +29,15 @@ def check_ring_width(rings, layer: int, min_width: int) -> List[Violation]:
             ]
         else:
             regions = width_regions(edge_rows_of(rings.points(index)), min_width)
-        violations.extend(_violations(regions, layer, min_width))
-    return violations
+        found += _rows(regions, layer, min_width)
+    return found
 
 
-def check_width(rings: Iterable[PlacedRing], layer: int, min_width: int) -> List[Violation]:
-    """Width violations of placed rings: interior strips narrower than
+def check_width(rings: Iterable[PlacedRing], layer: int, min_width: int) -> List[Row]:
+    """Width violation rows of placed rings: interior strips narrower than
     ``min_width``; a rectangle's off its MBR alone, as :func:`check_ring_width`
     reads it."""
-    violations: List[Violation] = []
+    found: List[Row] = []
     for ring, mbr in rings:
         if is_rectangle_ring(ring):
             regions = [
@@ -44,18 +47,9 @@ def check_width(rings: Iterable[PlacedRing], layer: int, min_width: int) -> List
             ]
         else:
             regions = width_regions(edge_rows_of(ring), min_width)
-        violations.extend(_violations(regions, layer, min_width))
-    return violations
+        found += _rows(regions, layer, min_width)
+    return found
 
 
-def _violations(regions, layer: int, min_width: int) -> List[Violation]:
-    return [
-        Violation(
-            kind=ViolationKind.WIDTH,
-            layer=layer,
-            region=region,
-            measured=distance,
-            required=min_width,
-        )
-        for region, distance in regions
-    ]
+def _rows(regions, layer: int, min_width: int) -> List[Row]:
+    return [(layer, WIDTH, *region, -1, distance, min_width) for region, distance in regions]

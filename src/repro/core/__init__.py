@@ -22,10 +22,7 @@ _EXPORTS = {
         "kind_spec make_backend"
     ),
     ".reportcache": "ReportCache deck_digest report_key",
-    ".results": (
-        "CheckReport CheckResult merge_stats "
-        "splice_violations"
-    ),
+    ".results": "CheckReport CheckResult splice_violations",
     ".rules": (
         "LayerSelector MeasureSelector PolygonSelector Rule RuleKind layer "
         "polygons validate_rules"

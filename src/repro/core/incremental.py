@@ -40,10 +40,10 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..checks.base import Violation
 from ..geometry import IDENTITY, Rect
 from ..layout.library import Layout
 from ..spatial.regions import RegionSet, WindowsLike
+from ..violation_table import ViolationTable
 from .diff import FULL_RECHECK, LayoutDiff, diff_layouts
 from .plan import (
     MODE_SEQUENTIAL,
@@ -59,15 +59,18 @@ from .results import CheckReport, CheckResult, splice_violations
 from .rules import Rule
 
 
-def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Violation]:
-    """One rule of ``plan`` on a region set; violations clip to the set.
+def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> ViolationTable:
+    """One rule of ``plan`` on a region set: the table of its violations
+    whose markers overlap the set.
 
     The rule kind's ``flat`` procedure receives a gather over the regions
     inflated by its margin: the placed rings one subtree walk
     (:meth:`~repro.hierarchy.pruning.SubtreeWindow.rings_in_regions`) meets
     from the top. ``gather.rect`` and ``gather.window`` (the set's MBR)
     anchor the kinds that need a single reach rect (coloring closure,
-    min-overlap base gathering).
+    min-overlap base gathering). The procedure's rows are clipped by the
+    keep-mask :func:`filter_to_regions` takes, so the two agree by
+    construction.
     """
     regions = RegionSet.of(regions)
     if regions.is_empty:
@@ -84,15 +87,15 @@ def check_regions(plan: CheckPlan, rule: Rule, regions: WindowsLike) -> List[Vio
 
     gather.rect = gather_rect
     gather.window = regions.bounds
-    violations = kind_spec(rule.kind).flat(rule, plan.layout, gather)
-    return [v for v in violations if regions.overlaps(v.region)]
+    table = ViolationTable.from_rows(kind_spec(rule.kind).flat(rule, plan.layout, gather))
+    return table.select(table.overlapping(regions.rects))
 
 
 def filter_to_regions(full: CheckReport, window: WindowsLike) -> CheckReport:
     """A full-extent report clipped to a region set: what
     :func:`check_regions` computes for the same deck and layout, by its own
-    contract. One keep-mask per table, over the same :class:`RegionSet`
-    predicate."""
+    contract. One keep-mask per table, the one :func:`check_regions` clips
+    with."""
     regions = RegionSet.of(window)
     results = [
         CheckResult(
@@ -151,13 +154,9 @@ def check_window(
     results: List[CheckResult] = []
     for rule in plan.rules:
         start = time.perf_counter()
-        violations = check_regions(plan, rule, regions)
+        table = check_regions(plan, rule, regions)
         results.append(
-            CheckResult(
-                rule=rule,
-                violations=violations,
-                seconds=time.perf_counter() - start,
-            )
+            CheckResult(rule=rule, violations=table, seconds=time.perf_counter() - start)
         )
     return CheckReport(layout.name, MODE_WINDOWED, results)
 

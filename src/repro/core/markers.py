@@ -3,8 +3,8 @@
 The interface layer's "result output" (paper §V-A): reports serialize to a
 versioned JSON marker database — violations with rule names, kinds, layers,
 regions, measurements, severities, waived flags, and per-rule stats — and
-reload into the same :class:`~repro.checks.base.Violation` objects, so
-stored markers compare equal to freshly computed ones (waiver flows,
+reload into the same :class:`~repro.violation_table.ViolationTable` rows,
+so stored markers compare equal to freshly computed ones (waiver flows,
 regression diffing via ``repro diff``).
 
 What round-trips and what cannot
@@ -141,24 +141,23 @@ def diff_markers(
     ``new_waived`` counts how many of the new violations are waived in
     ``after`` — regressions a waiver already covers (e.g. geometry-anchored
     waivers of known-bad markers), which ``repro diff`` does not fail on.
-    Waiver flags never affect set membership itself (violation equality
-    ignores them), so waiving an existing violation is "unchanged", not
-    "fixed".
+    Waiver flags never affect set membership itself (they sit beside the
+    rows, in each table's waived mask), so waiving an existing violation is
+    "unchanged", not "fixed". The sets compared are each table's rows.
     """
     out: Dict[str, Dict[str, int]] = {}
-    before_by_rule = {r.rule.name: r.violation_set() for r in before.results}
-    after_by_rule = {r.rule.name: r.violation_set() for r in after.results}
-    waived_after = {
-        v: v.waived for r in after.results for v in r.violations
-    }
+    before_by_rule = {r.rule.name: r.table for r in before.results}
+    after_by_rule = {r.rule.name: r.table for r in after.results}
     for name in sorted(set(before_by_rule) | set(after_by_rule)):
-        old = before_by_rule.get(name, frozenset())
-        new = after_by_rule.get(name, frozenset())
+        old = set(before_by_rule[name].rows()) if name in before_by_rule else set()
+        table = after_by_rule.get(name)
+        flags = dict(zip(table.rows(), table.waived)) if table is not None else {}
+        new = flags.keys()
         fresh = new - old
         out[name] = {
             "fixed": len(old - new),
             "new": len(fresh),
-            "new_waived": sum(1 for v in fresh if waived_after.get(v, False)),
+            "new_waived": sum(flags[row] for row in fresh),
             "unchanged": len(old & new),
         }
     return out

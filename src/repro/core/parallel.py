@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checks.base import Violation, ViolationKind
+from ..checks.base import ViolationKind
 from ..checks.enclosure import check_enclosure
 from ..geometry import EMPTY_RECT
 from ..hierarchy.edgepack import (
@@ -89,9 +89,9 @@ from ..util.profile import (
     PHASE_SWEEPLINE,
     PhaseProfile,
 )
+from ..violation_table import Row as VRow
 from ..violation_table import ViolationTable
 from .plan import CheckPlan, PackCache, kind_spec
-from .results import Violations
 from .rules import Rule
 
 __all__ = [
@@ -447,7 +447,7 @@ class ParallelBackend:
 
     # -- rule dispatch ------------------------------------------------------
 
-    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> Violations:
+    def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> ViolationTable:
         if profile is None:
             profile = PhaseProfile()
         spec = kind_spec(rule.kind)
@@ -620,14 +620,14 @@ class ParallelBackend:
 
     def _run_enclosure(self, rule: Rule, profile: PhaseProfile) -> ViolationTable:
         fused, host_rows = self._pack_enclosure(rule, profile)
-        violations = self._host_enclosure(rule, host_rows, profile)
+        host = self._host_enclosure(rule, host_rows, profile)
         if fused is None:
-            return ViolationTable.of(violations)
+            return ViolationTable.from_rows(host)
         best = self._launch_rows(launch_enclosure_rows, fused, rule.value, profile=profile)
         found = enclosure_margins_to_violations(
             fused.via_rects, best, rule.layer, rule.other_layer, rule.value, fused.frame
         )
-        return ViolationTable.concat([violations, found]) if violations else found
+        return ViolationTable.from_rows(host + found.rows()) if host else found
 
     def _pack_enclosure(
         self, rule: Rule, profile: PhaseProfile
@@ -701,17 +701,16 @@ class ParallelBackend:
         rule: Rule,
         host_rows: Sequence[HostRow],
         profile: PhaseProfile,
-    ) -> List[Violation]:
-        """The rows fused launches cannot take: exact edge-based enclosure
-        margins for rectilinear shapes, computed on the host."""
-        out: List[Violation] = []
+    ) -> List[VRow]:
+        """The violation rows of the partition rows fused launches cannot
+        take: exact edge-based enclosure margins for rectilinear shapes,
+        computed on the host."""
+        out: List[VRow] = []
         for via_items, metal_items in host_rows:
             vias = self._flatten_items(via_items, rule.layer)
             metals = self._flatten_items(metal_items, rule.other_layer)
             with self._kernel_phase(profile):
-                out.extend(
-                    check_enclosure(vias, metals, rule.layer, rule.other_layer, rule.value)
-                )
+                out += check_enclosure(vias, metals, rule.layer, rule.other_layer, rule.value)
         return out
 
     # -- width and area: once per definition, instantiated per placement -----------

@@ -33,7 +33,6 @@ from typing import (
     runtime_checkable,
 )
 
-from ..checks.base import Violation
 from ..checks.corner import CornerProcedures
 from ..checks.enclosure import EnclosureProcedures
 from ..checks.overlap import OverlapProcedures
@@ -52,6 +51,7 @@ from ..layout.cell import Cell
 from ..layout.library import Layout
 from ..partition.rows import RowPartition, margin_for_rule, partition_rects
 from ..util.profile import PHASE_PARTITION, PhaseProfile
+from ..violation_table import Row, ViolationTable
 from .packstore import layer_geometry_digest
 from .rules import Rule, RuleKind, validate_rules
 
@@ -132,7 +132,7 @@ def _intra_check(
     with their object names).
     """
 
-    def check(rings, layer: int, placement) -> List[Violation]:
+    def check(rings, layer: int, placement) -> List[Row]:
         if placement is None and local is not None:
             return local(rings, layer)
         return flat(buffer_rings(rings, placement, named=named), layer)
@@ -179,35 +179,35 @@ def _layers_of(rule: Rule, layout: Layout) -> List[int]:
 # The flat procedures: ``flat(rule, layout, gather)`` checks the placed rings
 # ``gather(layer, margin, named=False)`` returns — the geometry of the
 # regions grown by ``margin`` — plus ``gather.rect(layer, rect)`` and
-# ``gather.window``, and reports its violations. ``layout`` serves the
+# ``gather.window``, and returns its violation rows. ``layout`` serves the
 # all-layer kinds.
 
 
-def _flat_width(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_width(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.width import check_width
 
     return check_width(gather(rule.layer, 0), rule.layer, rule.value)
 
 
-def _flat_area(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_area(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.area import check_area
 
     return check_area(gather(rule.layer, 0), rule.layer, rule.value)
 
 
-def _flat_spacing(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_spacing(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.spacing import check_spacing
 
     return check_spacing(gather(rule.layer, rule.value), rule.layer, rule.value)
 
 
-def _flat_corner_spacing(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_corner_spacing(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.corner import check_corner_spacing
 
     return check_corner_spacing(gather(rule.layer, rule.value), rule.layer, rule.value)
 
 
-def _flat_enclosure(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_enclosure(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.enclosure import check_enclosure
 
     return check_enclosure(
@@ -219,7 +219,7 @@ def _flat_enclosure(rule: Rule, layout: Layout, gather) -> List[Violation]:
     )
 
 
-def _flat_min_overlap(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_min_overlap(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..geometry import union_all
     from ..checks.overlap import check_min_overlap
 
@@ -232,25 +232,25 @@ def _flat_min_overlap(rule: Rule, layout: Layout, gather) -> List[Violation]:
     return check_min_overlap(tops, bases, rule.layer, rule.other_layer, rule.value)
 
 
-def _flat_rectilinear(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_rectilinear(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.rectilinear import check_rectilinear
 
-    out: List[Violation] = []
+    out: List[Row] = []
     for layer in _layers_of(rule, layout):
         out.extend(check_rectilinear(gather(layer, 0), layer))
     return out
 
 
-def _flat_ensures(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_ensures(rule: Rule, layout: Layout, gather) -> List[Row]:
     from ..checks.ensure import check_ensures
 
-    out: List[Violation] = []
+    out: List[Row] = []
     for layer in _layers_of(rule, layout):
         out.extend(check_ensures(gather(layer, 0, named=True), layer, rule.predicate))
     return out
 
 
-def _flat_coloring(rule: Rule, layout: Layout, gather) -> List[Violation]:
+def _flat_coloring(rule: Rule, layout: Layout, gather) -> List[Row]:
     """Windowed coloring via conflict-component closure.
 
     Coloring is a global graph property, but conflict edges are shorter
@@ -638,8 +638,8 @@ def compile_plan(
 class Backend(Protocol):
     """What every plan executor implements.
 
-    ``run`` executes one rule of the plan and returns its violations in
-    top-cell coordinates; ``stats`` snapshots the backend's cumulative
+    ``run`` executes one rule of the plan and returns its violation table,
+    markers in top-cell coordinates; ``stats`` snapshots the backend's cumulative
     counters (pruning, executor choice, device traffic) for
     :class:`~repro.core.results.CheckResult`.
     """
@@ -648,7 +648,7 @@ class Backend(Protocol):
 
     def run(
         self, rule: Rule, profile: Optional[PhaseProfile] = None
-    ) -> List[Violation]: ...
+    ) -> ViolationTable: ...
 
     def stats(self) -> Dict[str, float]: ...
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional
 
 from ..checks.base import Violation
 from ..reporting import RuleRows, csv_from_entries, summary_from_entries, totals
@@ -12,30 +12,35 @@ from ..util.profile import PhaseProfile
 from ..violation_table import ViolationTable
 from .rules import Rule
 
-#: What a backend returns for one rule: a table, or violations to tabulate.
-Violations = Union[ViolationTable, Sequence[Violation]]
-
 
 class CheckResult:
     """Outcome of one rule on one layout.
 
-    The violations live in :attr:`table`, a :class:`ViolationTable` in
-    canonical form — deduplicated and deterministically ordered, so results
-    from different execution modes compare equal. A table passes through
-    as is; a violation sequence is tabulated once. :attr:`violations` is the
-    table's lazy list of ``Violation`` objects, built on first read.
+    The violations live in :attr:`table` (the ``violations`` argument), a
+    :class:`ViolationTable` in canonical form — deduplicated and
+    deterministically ordered, so results from different execution modes
+    compare equal. :attr:`violations` is the table's lazy list of
+    ``Violation`` objects, built on first read.
+
+    :attr:`stats` is a cumulative snapshot: the counters of the backend
+    that ran the rule, as they stood when this rule finished. The snapshots
+    grow in the plan's run order (which may differ from the report's deck
+    order), so the rule that ran last holds the whole check's totals, and
+    summing them across results counts earlier rules' work again. A result
+    answered without a backend (cached, windowed, filtered, reloaded)
+    carries its own small dict, or the stored one.
     """
 
     def __init__(
         self,
         rule: Rule,
-        violations: Violations,
+        violations: ViolationTable,
         seconds: float,
         profile: Optional[PhaseProfile] = None,
         stats: Optional[Dict[str, float]] = None,
     ) -> None:
         self.rule = rule
-        self.table = ViolationTable.of(violations)
+        self.table = violations
         self.seconds = seconds
         self.profile = profile
         self.stats: Dict[str, float] = {} if stats is None else stats
@@ -186,7 +191,9 @@ class CheckReport:
         return json.dumps(self.payload(), indent=indent, sort_keys=True)
 
 
-def splice_violations(cached: Violations, fresh: Violations, regions) -> ViolationTable:
+def splice_violations(
+    cached: ViolationTable, fresh: ViolationTable, regions
+) -> ViolationTable:
     """Splice a windowed re-check into a cached violation table.
 
     Keeps every cached row whose marker does *not* overlap the dirty
@@ -203,19 +210,5 @@ def splice_violations(cached: Violations, fresh: Violations, regions) -> Violati
     The drop mask and the windowed keep filter use the *same* region set,
     so the two slices partition the new layout's violations exactly.
     """
-    cached = ViolationTable.of(cached)
     kept = cached.select(not hit for hit in cached.overlapping(regions.rects))
     return ViolationTable.concat([kept, fresh])
-
-
-def merge_stats(parts: Sequence[Dict[str, float]]) -> Dict[str, float]:
-    """Sum counter dictionaries across results, key-union.
-
-    Launch, copy, and pruning counters are additive by construction; wall
-    times accumulate the same way (total work, not elapsed time).
-    """
-    totals: Dict[str, float] = {}
-    for part in parts:
-        for key, value in part.items():
-            totals[key] = totals.get(key, 0) + value
-    return totals

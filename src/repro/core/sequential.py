@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..checks.base import Shape, Violation, check_pairs, ring_shape, shape_mbr
+from ..checks.base import Shape, check_pairs, ring_shape, shape_mbr
 from ..geometry import IDENTITY, Rect, Transform, union_all
 from ..geometry.transform import (
     Row,
@@ -55,7 +55,7 @@ from ..util.profile import (
     PhaseProfile,
 )
 from ..violation_table import Row as VRow
-from ..violation_table import ViolationTable, violation_row
+from ..violation_table import ViolationTable
 from .plan import CheckPlan, PlanCaches, kind_spec
 from .rules import Rule
 
@@ -96,16 +96,20 @@ class SequentialBackend:
     def run(self, rule: Rule, profile: Optional[PhaseProfile] = None) -> ViolationTable:
         """Execute one rule; violations are in top-cell coordinates.
 
-        Intra and pairwise rules pass violation rows
-        (:mod:`repro.violation_table`) up the hierarchy, so a marker placed
-        under k instances is k rows, not k ``Violation`` objects; each
-        strategy entry point returns its table, built once.
+        Every strategy (``_intra`` / ``_pairwise`` / ``_cross_layer`` /
+        ``_coloring``, named by the kind's spec) is called as
+        ``(rule, procedures, profile)``, ``procedures`` the kind's procedure
+        object or None, and returns violation rows
+        (:mod:`repro.violation_table`), which pass up the hierarchy as they
+        are: a marker placed under k instances is k rows. The table is
+        built once, here.
         """
         if profile is None:
             profile = PhaseProfile()
         spec = kind_spec(rule.kind)
-        strategy = getattr(self, f"_run_{spec.sequential}")
-        return strategy(rule, spec, profile)
+        procedures = spec.procedures() if spec.procedures is not None else None
+        strategy = getattr(self, f"_{spec.sequential}")
+        return ViolationTable.from_rows(strategy(rule, procedures, profile))
 
     def stats(self) -> Dict[str, float]:
         """Cumulative pruning and cache counters (for CheckResult.stats)."""
@@ -126,56 +130,28 @@ class SequentialBackend:
             cache_bytes_written=0,
         )
 
-    # -- strategy entry points (bound by plan.KIND_SPECS) ----------------------
-
-    def _run_intra(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
-        return ViolationTable.of(self._intra(rule, spec, profile))
-
-    def _run_pairwise(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
-        return ViolationTable.from_rows(
-            self._pairwise(rule.layer, rule.value, spec.procedures(), profile)
-        )
-
-    def _run_cross_layer(
-        self, rule: Rule, spec, profile: PhaseProfile
-    ) -> ViolationTable:
-        return ViolationTable.from_violations(
-            self._cross_layer(
-                rule.layer, rule.other_layer, rule.value, spec.procedures(), profile
-            )
-        )
-
-    def _run_coloring(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
-        return ViolationTable.from_violations(self._coloring(rule.layer, rule.value, profile))
-
     # -- intra-polygon rules (paper §IV-C intra checks) ------------------------
 
-    def _intra(self, rule: Rule, spec, profile: PhaseProfile) -> ViolationTable:
+    def _intra(self, rule: Rule, procedures, profile: PhaseProfile) -> List[VRow]:
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
         scheduler = IntraCheckScheduler(self.tree)
-        check, invariance = spec.intra(rule)
+        check, invariance = kind_spec(rule.kind).intra(rule)
+        out: List[VRow] = []
         with profile.phase(PHASE_EDGE_CHECKS):
-            tables = [
-                scheduler.run(
+            for layer in layers:
+                out += scheduler.run(
                     layer,
                     lambda rings, placement, _layer=layer: check(rings, _layer, placement),
                     invariance=invariance,
                 )
-                for layer in layers
-            ]
-        self._merge_stats(scheduler.stats)
-        return tables[0] if len(tables) == 1 else ViolationTable.concat(tables)
+        self._add_pruning(scheduler.stats)
+        return out
 
     # -- spacing (intra-layer inter-polygon) --------------------------------------
 
-    def _pairwise(
-        self,
-        layer: int,
-        value: int,
-        procedures,
-        profile: PhaseProfile,
-    ) -> List[VRow]:
+    def _pairwise(self, rule: Rule, procedures, profile: PhaseProfile) -> List[VRow]:
         """Generic intra-layer pairwise rule (spacing, corner spacing)."""
+        layer, value = rule.layer, rule.value
         memo: Dict[str, List[VRow]] = {}
         # Pair memo (paper §IV-C): a cross-instance check depends only on the
         # two definitions and their *relative position* ("another
@@ -275,9 +251,7 @@ class SequentialBackend:
                 for index, rectangle in enumerate(rings.rect_flags()):
                     if not rectangle:
                         prepared = procedures.prepare(rings.points(index))
-                        vios.extend(
-                            map(violation_row, procedures.self_violations(prepared, layer, value))
-                        )
+                        vios += procedures.self_violations(prepared, layer, value)
         return vios
 
     def _group_pairs(
@@ -362,7 +336,7 @@ class SequentialBackend:
             b = ready_b.get(j)
             if b is None:
                 b = ready_b[j] = prepare(side_b[j][0])
-            vios.extend(map(violation_row, procedures.cross_violations(a, b, layer, value)))
+            vios += procedures.cross_violations(a, b, layer, value)
         return vios
 
     def _flat_subtree_pairs(
@@ -379,18 +353,11 @@ class SequentialBackend:
         window = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
         rings = self.subtree.rings_in_window(cell_name, placement, layer, window)
         with profile.phase(PHASE_EDGE_CHECKS):
-            return list(map(violation_row, check_pairs(procedures, rings, layer, value)))
+            return check_pairs(procedures, rings, layer, value)
 
     # -- enclosure (inter-layer) -----------------------------------------------
 
-    def _cross_layer(
-        self,
-        via_layer: int,
-        metal_layer: int,
-        value: int,
-        procedures,
-        profile: PhaseProfile,
-    ) -> List[Violation]:
+    def _cross_layer(self, rule: Rule, procedures, profile: PhaseProfile) -> List[VRow]:
         """Pending-object resolution up the hierarchy (enclosure, overlap).
 
         Each cell definition resolves its subtree's target polygons against
@@ -402,6 +369,7 @@ class SequentialBackend:
         its MBR (a ``Rect``) when the ring buffers' rectangle column flags it,
         a ``Polygon`` otherwise.
         """
+        via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
         memo: Dict[str, List[Shape]] = {}
 
         def pending(cell_name: str) -> List[Shape]:
@@ -442,7 +410,7 @@ class SequentialBackend:
 
         top = self.tree.top
         survivors = pending(top.name)
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         with profile.phase(PHASE_EDGE_CHECKS):
             # Every survivor against all metal in its window: one sweep over
             # the top level's items, then a gather per child item hit.
@@ -467,7 +435,7 @@ class SequentialBackend:
                         )
                     )
             for via, found in zip(survivors, metals):
-                vios.extend(procedures.violations(via, found, via_layer, metal_layer, value))
+                vios += procedures.violations(via, found, via_layer, metal_layer, value)
         return vios
 
     def _resolve_vias(
@@ -600,7 +568,7 @@ class SequentialBackend:
         rings = self.subtree.rings_in_window(cell_name, IDENTITY, via_layer, window)
         return [ring_shape(ring, mbr) for ring, mbr in rings]
 
-    def _coloring(self, layer: int, value: int, profile: PhaseProfile) -> List[Violation]:
+    def _coloring(self, rule: Rule, procedures, profile: PhaseProfile) -> List[VRow]:
         """Double-patterning decomposition check (paper §II).
 
         Coloring is a global graph property: conflicts may chain across
@@ -614,6 +582,7 @@ class SequentialBackend:
         """
         from ..checks.coloring import canonical_order, check_two_colorable
 
+        layer, value = rule.layer, rule.value
         with profile.phase(PHASE_OTHER):
             top = self.tree.top.name
             rings = self.subtree.rings_in_window(top, IDENTITY, layer, self.tree.top_mbr(layer))
@@ -623,7 +592,7 @@ class SequentialBackend:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _merge_stats(self, stats: PruningStats) -> None:
+    def _add_pruning(self, stats: PruningStats) -> None:
         self.pruning.checks_run += stats.checks_run
         self.pruning.checks_reused += stats.checks_reused
         self.pruning.checks_refreshed += stats.checks_refreshed

@@ -32,8 +32,10 @@ carries the sign of its interior normal along the perpendicular axis, and
   ``interior[b] = +1`` with ``fixed[b] > fixed[a]``, any polygons (the
   same-polygon case is a notch).
 
-All kernels return a :class:`PairHits` batch of violation strips; the engine
-converts them to :class:`~repro.checks.base.Violation` objects on the host.
+All kernels return a :class:`PairHits` batch of violation strips; the host
+writes their columns into a :class:`~repro.violation_table.ViolationTable`
+as they are (:func:`repro.core.parallel.pair_hits_to_violations`), with no
+object per hit.
 
 Column widths: a buffer's coordinates are offsets from the origin of its
 :class:`Frame`, ``int32`` where the frame proves every offset, and every

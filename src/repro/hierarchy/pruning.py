@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ..checks.base import PlacedRing, Violation
+from ..checks.base import PlacedRing
 from ..geometry import Rect, Transform
 from ..geometry.polygon import signed_area2
 from ..geometry.transform import (
@@ -38,7 +38,6 @@ from ..geometry.transform import (
 )
 from ..layout.cell import Cell, RingBuffer
 from ..violation_table import Row as VRow
-from ..violation_table import ViolationTable, violation_row
 from .query import pull_back_window
 from .tree import HierarchyTree
 
@@ -78,10 +77,10 @@ def always_invariant(transform: Transform) -> bool:
     return True
 
 
-#: A per-definition intra check: ``(rings, placement)`` -> the violations of
-#: the buffer's rings in its own frame (``placement=None``), or placed by a
+#: A per-definition intra check: ``(rings, placement)`` -> the violation rows
+#: of the buffer's rings in its own frame (``placement=None``), or placed by a
 #: placement that breaks the rule's invariance.
-IntraCheck = Callable[[RingBuffer, Optional[Transform]], List[Violation]]
+IntraCheck = Callable[[RingBuffer, Optional[Transform]], List[VRow]]
 
 
 class IntraCheckScheduler:
@@ -104,9 +103,9 @@ class IntraCheckScheduler:
         check: IntraCheck,
         *,
         invariance: TransformInvariance = distance_invariant,
-    ) -> ViolationTable:
-        """All violations under the top cell, in top-cell coordinates: one
-        table row per marker per placement, no ``Violation`` per instance."""
+    ) -> List[VRow]:
+        """The violation rows of every instance under the top cell, in
+        top-cell coordinates: one row per marker per placement."""
         out: List[VRow] = []
         for name, (rows, magnified) in self.tree.placements(layer).items():
             rings = self.tree.layout.cell(name).rings(layer)
@@ -120,15 +119,15 @@ class IntraCheckScheduler:
                 self.stats.checks_reused += count - 1
                 found = check(rings, None)
                 if found:
-                    out += place_rows(list(map(violation_row, found)), rows)
-                    out += (violation_row(v.transformed(t)) for t in kept for v in found)
+                    out += place_rows(found, rows)
+                    out += transform_rows(found, kept)
             for t in magnified:
                 if not invariance(t):
                     # e.g. a magnification under a distance rule: re-run on
                     # the placed geometry.
                     self.stats.checks_refreshed += 1
-                    out += map(violation_row, check(rings, t))
-        return ViolationTable.from_rows(out)
+                    out += check(rings, t)
+        return out
 
 
 def place_rows(found: Sequence[VRow], rows: Sequence[int]) -> List[VRow]:
@@ -148,6 +147,18 @@ def place_rows(found: Sequence[VRow], rows: Sequence[int]) -> List[VRow]:
                 y1, y2 = y2, y1
             out.append((layer, kind, x1 + dx, y1 + dy, x2 + dx, y2 + dy, other, measured, required))
     return out
+
+
+def transform_rows(found: Sequence[VRow], transforms: Sequence[Transform]) -> List[VRow]:
+    """Violation rows under each of ``transforms`` (magnified placements that
+    keep the rule's verdict, as every placement keeps a shape rule's),
+    placement-major, each marker mapped as ``Transform.apply_rect`` maps a
+    rect: the ``Transform`` twin of :func:`place_rows`."""
+    return [
+        (layer, kind, *t.apply_rect(Rect(xlo, ylo, xhi, yhi)), other, measured, required)
+        for t in transforms
+        for layer, kind, xlo, ylo, xhi, yhi, other, measured, required in found
+    ]
 
 
 class SubtreeWindow:

@@ -13,7 +13,7 @@ Endpoints
 
 ====== ================================== ======================================
 GET    ``/health``                        liveness probe
-GET    ``/stats``                         engine + coalescing counters
+GET    ``/stats``                         request, store and latency counters
 GET    ``/sessions``                      list loaded sessions
 POST   ``/sessions``                      load a layout (GDSII bytes)
 GET    ``/sessions/<id>``                 session info

@@ -77,7 +77,7 @@ from ..core.reportcache import (
     private_deck,
     report_key,
 )
-from ..core.results import CheckReport, merge_stats
+from ..core.results import CheckReport
 from ..core.rules import SEVERITIES, Rule, load_deck_file
 from ..reporting import FilterError, RuleRows, check_bbox, filter_entries, listing_dicts
 
@@ -316,7 +316,6 @@ class ServerState:
         self._by_bytes: Dict[Tuple, str] = {}
         self._latencies: Dict[str, deque] = {}
         self._endpoint_requests: Dict[str, int] = {}
-        self.engine_stats: Dict[str, float] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
             "engine_runs": 0,
@@ -531,17 +530,11 @@ class ServerState:
         if bypass:
             with self._lock:
                 self.counters["admission_bypassed"] += 1
-            report = runner()
-        else:
-            with self.engine_lock:
-                with self._lock:
-                    self.counters["engine_runs"] += 1
-                report = runner()
-        with self._lock:
-            self.engine_stats = merge_stats(
-                [self.engine_stats] + [r.stats for r in report.results]
-            )
-        return report
+            return runner()
+        with self.engine_lock:
+            with self._lock:
+                self.counters["engine_runs"] += 1
+            return runner()
 
     def _serve(
         self,
@@ -814,7 +807,7 @@ class ServerState:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Engine + service counters (the /stats payload).
+        """Service counters (the /stats payload).
 
         Per-endpoint latency comes from a sliding window of the most recent
         :data:`_LATENCY_WINDOW` requests (``count`` is the window's fill,
@@ -842,7 +835,6 @@ class ServerState:
                 "report_hits": self.reports.hits,
                 "report_misses": self.reports.misses,
                 "counters": dict(self.counters),
-                "engine": {k: self.engine_stats[k] for k in sorted(self.engine_stats)},
                 "options": {
                     "mode": options.mode,
                     "cache_dir": options.cache_dir,

@@ -1,12 +1,15 @@
 """Violations as a table: the columnar form of one rule's result.
 
 A :class:`ViolationTable` holds one rule's violations as nine ``array('q')``
-columns plus a waived mask, so a result goes from kernel hit to served byte
-without a :class:`~repro.checks.base.Violation` per marker. Producers write
-rows or NumPy columns straight in; the canonical sort, splice and filter
-masks, waiver digests, instance dedup and every renderer
-(:mod:`repro.reporting`) read the columns. ``Violation`` objects are built
-only when something asks for them (:meth:`ViolationTable.violations`).
+columns plus a waived mask, so a result goes from check procedure or kernel
+hit to served byte without a :class:`~repro.checks.base.Violation` per
+marker. The producers write rows (every procedure of :mod:`repro.checks`,
+through :meth:`ViolationTable.from_rows`) or NumPy columns (the parallel
+kernels, :meth:`ViolationTable.from_columns`) straight in; the canonical
+sort, splice and filter masks, waiver digests, instance dedup and every
+renderer (:mod:`repro.reporting`) read the columns. ``Violation`` objects
+are built only when something asks for them
+(:meth:`ViolationTable.violations`).
 
 Stdlib-only on purpose, like :mod:`repro.reporting`: the HTTP client loads
 a served payload into a table without importing NumPy or the geometry
@@ -56,7 +59,6 @@ __all__ = [
     "KIND_CODES",
     "ViolationTable",
     "ViolationTableError",
-    "violation_row",
 ]
 
 #: Every ``ViolationKind`` value, sorted: a kind's code is its index here.
@@ -73,21 +75,8 @@ Row = Tuple[int, int, int, int, int, int, int, int, int]
 
 
 class ViolationTableError(ReproError, ValueError):
-    """A violation that has no row: a value outside int64, a non-integer, or
-    an empty marker region."""
-
-
-def violation_row(violation) -> Row:
-    """The row of one :class:`~repro.checks.base.Violation`."""
-    other = violation.other_layer
-    return (
-        violation.layer,
-        KIND_CODES[violation.kind.value],
-        *violation.region,
-        -1 if other is None else other,
-        violation.measured,
-        violation.required,
-    )
+    """A row that cannot be a table's: a value outside int64, a non-integer,
+    or an empty marker region."""
 
 
 #: A row's JSON text up to its ``waived`` member; keys in sorted order.
@@ -149,21 +138,6 @@ class ViolationTable:
         return _pack_rows(ordered, [first[row] for row in ordered])
 
     @classmethod
-    def from_violations(cls, violations: Iterable) -> "ViolationTable":
-        violations = list(violations)
-        waived = None
-        if any(v.waived for v in violations):
-            waived = [v.waived for v in violations]
-        return cls.from_rows(map(violation_row, violations), waived)
-
-    @classmethod
-    def of(cls, violations) -> "ViolationTable":
-        """A table as is; a violation sequence through :meth:`from_violations`."""
-        if isinstance(violations, ViolationTable):
-            return violations
-        return cls.from_violations(violations)
-
-    @classmethod
     def from_columns(
         cls,
         layer: int,
@@ -215,12 +189,12 @@ class ViolationTable:
         return _pack(columns, flags, ordered=False)
 
     @classmethod
-    def concat(cls, parts: Iterable) -> "ViolationTable":
-        """The canonical union of tables and violation sequences, in order
-        (an earlier part's waived flag wins a duplicate)."""
+    def concat(cls, parts: Iterable["ViolationTable"]) -> "ViolationTable":
+        """The canonical union of tables, in order (an earlier part's waived
+        flag wins a duplicate)."""
         rows: List[Row] = []
         flags: List[int] = []
-        for part in map(cls.of, parts):
+        for part in parts:
             rows += part.rows()
             flags += part.waived
         return cls.from_rows(rows, flags)

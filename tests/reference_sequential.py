@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.baselines.klayout_like import _intra_flat
 from repro.checks.base import Shape, Violation, check_pairs, ring_shape, shape_mbr
 from repro.checks.coloring import check_two_colorable
+from repro.core.plan import kind_spec
 from repro.core.sequential import SequentialBackend
 from repro.geometry import IDENTITY, Polygon, Rect, Transform, union_all
 from repro.geometry.transform import Row, invert_row, rigid_row, row_rect, row_transform
@@ -39,7 +40,9 @@ from repro.layout.cell import Cell, RingBuffer
 from repro.layout.flatten import flatten_layer
 from repro.spatial.sweepline import iter_bipartite_overlaps
 from repro.util.profile import PHASE_EDGE_CHECKS, PHASE_SWEEPLINE, PhaseProfile
-from repro.violation_table import violation_row
+from repro.violation_table import Row as VRow
+
+from .violation_rows import as_violations, violation_row
 
 
 def iter_instances(
@@ -63,8 +66,9 @@ def iter_instances(
 
 
 class ReferenceIntraScheduler:
-    """The per-instance intra walk: ``check(cell)`` returns the cell's local
-    violations, memoised per definition and transformed per instance."""
+    """The per-instance intra walk: ``check(cell)`` returns the violation rows
+    of the cell's local rings, memoised per definition as ``Violation``
+    objects and transformed per instance."""
 
     def __init__(self, tree: HierarchyTree) -> None:
         self.tree = tree
@@ -73,7 +77,7 @@ class ReferenceIntraScheduler:
     def run(
         self,
         layer: int,
-        check: Callable[[Cell], List[Violation]],
+        check: Callable[[Cell], List[VRow]],
         *,
         invariance=distance_invariant,
     ) -> List[Violation]:
@@ -86,7 +90,7 @@ class ReferenceIntraScheduler:
                 cached = memo.get(cell.name)
                 if cached is None:
                     self.stats.checks_run += 1
-                    cached = memo[cell.name] = check(cell)
+                    cached = memo[cell.name] = as_violations(check(cell))
                 else:
                     self.stats.checks_reused += 1
                 out.extend(violation.transformed(transform) for violation in cached)
@@ -95,7 +99,7 @@ class ReferenceIntraScheduler:
                 placed = Cell(cell.name)
                 for polygon in cell.polygons(layer):
                     placed.add_polygon(layer, polygon.transformed(transform))
-                out.extend(check(placed))
+                out.extend(as_violations(check(placed)))
         return out
 
 
@@ -138,10 +142,10 @@ class ReferenceSequentialBackend(SequentialBackend):
         super().__init__(*args, **kwargs)
         self.subtree = reference_window(self.tree)
 
-    def _intra(self, rule, spec, profile: PhaseProfile) -> List[Violation]:
+    def _intra(self, rule, procedures, profile: PhaseProfile) -> List[VRow]:
         layers = [rule.layer] if rule.layer is not None else self.layout.layers()
         scheduler = ReferenceIntraScheduler(self.tree)
-        _, invariance = spec.intra(rule)
+        _, invariance = kind_spec(rule.kind).intra(rule)
         out: List[Violation] = []
         for layer in layers:
             out.extend(
@@ -151,8 +155,8 @@ class ReferenceSequentialBackend(SequentialBackend):
                     invariance=invariance,
                 )
             )
-        self._merge_stats(scheduler.stats)
-        return out
+        self._add_pruning(scheduler.stats)
+        return list(map(violation_row, out))
 
     def _pair_check(self, rings, item_a, item_b, layer, value, procedures, profile):
         key = None
@@ -172,7 +176,7 @@ class ReferenceSequentialBackend(SequentialBackend):
         found: List[Violation] = []
         inflated_a = [p.mbr.inflated(value) for p in side_a]
         for i, j in iter_bipartite_overlaps(inflated_a, [p.mbr for p in side_b]):
-            found.extend(
+            found += as_violations(
                 procedures.cross_violations(
                     procedures.prepare(side_a[i].vertices),
                     procedures.prepare(side_b[j].vertices),
@@ -189,14 +193,16 @@ class ReferenceSequentialBackend(SequentialBackend):
         window = placement.apply_rect(self.tree.layer_mbr(cell_name, layer))
         polygons = self.subtree.polygons_in_window(cell_name, placement, layer, window)
         rings = [(p.vertices, p.mbr) for p in polygons]
-        return list(map(violation_row, check_pairs(procedures, rings, layer, value)))
+        return check_pairs(procedures, rings, layer, value)
 
-    def _coloring(self, layer, value, profile):
+    def _coloring(self, rule, procedures, profile):
+        layer, value = rule.layer, rule.value
         polygons = flatten_layer(self.layout, layer, top=self.tree.top.name)
         polygons.sort(key=lambda p: (p.mbr, p.canonical_vertices()))
         return check_two_colorable([(p.vertices, p.mbr) for p in polygons], layer, value)
 
-    def _cross_layer(self, via_layer, metal_layer, value, procedures, profile):
+    def _cross_layer(self, rule, procedures, profile):
+        via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
         memo: Dict[str, List[Polygon]] = {}
 
         def pending(cell_name: str) -> List[Polygon]:
@@ -228,12 +234,12 @@ class ReferenceSequentialBackend(SequentialBackend):
             return unresolved
 
         top = self.tree.top.name
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         for via in pending(top):
             metals = self.subtree.polygons_in_window(
                 top, IDENTITY, metal_layer, via.mbr.inflated(value)
             )
-            vios.extend(procedures.violations(via, metals, via_layer, metal_layer, value))
+            vios += procedures.violations(via, metals, via_layer, metal_layer, value)
         return vios
 
     def _resolve_vias(self, cell_name, vias, metal_layer, value, procedures, profile):
@@ -304,14 +310,7 @@ class ShapeDescentBackend(SequentialBackend):
         super().__init__(*args, **kwargs)
         self.subtree = reference_window(self.tree)
 
-    def _cross_layer(
-        self,
-        via_layer: int,
-        metal_layer: int,
-        value: int,
-        procedures,
-        profile: PhaseProfile,
-    ) -> List[Violation]:
+    def _cross_layer(self, rule, procedures, profile: PhaseProfile) -> List[VRow]:
         """Pending-object resolution up the hierarchy (enclosure, overlap).
 
         Each cell definition resolves its subtree's target polygons against
@@ -322,6 +321,7 @@ class ShapeDescentBackend(SequentialBackend):
         top are violations. A via travels as a :data:`~repro.checks.base.Shape`:
         its MBR when it is a rectangle.
         """
+        via_layer, metal_layer, value = rule.layer, rule.other_layer, rule.value
         memo: Dict[str, List[Shape]] = {}
 
         def pending(cell_name: str) -> List[Shape]:
@@ -353,7 +353,7 @@ class ShapeDescentBackend(SequentialBackend):
 
         top = self.tree.top
         survivors = pending(top.name)
-        vios: List[Violation] = []
+        vios: List[VRow] = []
         with profile.phase(PHASE_EDGE_CHECKS):
             # Every survivor against all metal in its window: one sweep over
             # the top level's items, then a gather per child item hit.
@@ -373,7 +373,7 @@ class ShapeDescentBackend(SequentialBackend):
                         )
                     )
             for via, found in zip(survivors, metals):
-                vios.extend(procedures.violations(via, found, via_layer, metal_layer, value))
+                vios += procedures.violations(via, found, via_layer, metal_layer, value)
         return vios
 
     def _resolve_vias(

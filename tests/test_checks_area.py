@@ -2,11 +2,13 @@ from repro.checks import ViolationKind, check_area
 from repro.geometry import Polygon
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 class TestArea:
     def test_small_polygon_flagged(self):
         tiny = Polygon.from_rect_coords(0, 0, 10, 10)
-        violations = check_area(polygon_rings([tiny]), 1, 200)
+        violations = as_violations(check_area(polygon_rings([tiny]), 1, 200))
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.AREA
@@ -21,7 +23,7 @@ class TestArea:
         # MBR area is 750 but the polygon covers 450.
         l_shape = Polygon([(0, 0), (0, 30), (10, 30), (10, 10), (25, 10), (25, 0)])
         assert l_shape.mbr.area == 750
-        violations = check_area(polygon_rings([l_shape]), 1, 500)
+        violations = as_violations(check_area(polygon_rings([l_shape]), 1, 500))
         assert len(violations) == 1 and violations[0].measured == 450
 
     def test_collection(self):
@@ -29,5 +31,5 @@ class TestArea:
             Polygon.from_rect_coords(0, 0, 5, 5),
             Polygon.from_rect_coords(0, 0, 100, 100),
         ]
-        violations = check_area(polygon_rings(polys), 3, 1000)
+        violations = as_violations(check_area(polygon_rings(polys), 3, 1000))
         assert len(violations) == 1 and violations[0].measured == 25

@@ -11,6 +11,8 @@ from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 def rect(x1, y1, x2, y2):
     return Polygon.from_rect_coords(x1, y1, x2, y2)
@@ -85,7 +87,7 @@ class TestCheck:
             rect(15, 0, 25, 100),
             rect(0, 105, 25, 115),
         ]
-        violations = check_two_colorable(polygon_rings(polys), 7, 8)
+        violations = as_violations(check_two_colorable(polygon_rings(polys), 7, 8))
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.COLOR

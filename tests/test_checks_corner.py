@@ -15,6 +15,8 @@ from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 def rect(x1, y1, x2, y2):
     return Polygon.from_rect_coords(x1, y1, x2, y2)
@@ -41,7 +43,7 @@ class TestPairViolations:
     def test_diagonal_close_pair(self):
         a = ring_corners(rect(0, 0, 10, 10).vertices)
         b = ring_corners(rect(13, 13, 23, 23).vertices)
-        violations = corner_pair_violations(a, b, 1, 10)
+        violations = as_violations(corner_pair_violations(a, b, 1, 10))
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.CORNER
@@ -77,12 +79,12 @@ class TestPairViolations:
 class TestFlatCheck:
     def test_mixed_population(self):
         polys = [rect(0, 0, 10, 10), rect(14, 14, 24, 24), rect(100, 100, 110, 110)]
-        violations = check_corner_spacing(polygon_rings(polys), 1, 10)
+        violations = as_violations(check_corner_spacing(polygon_rings(polys), 1, 10))
         assert len(violations) == 1
 
     def test_dedup_not_needed_for_distinct_regions(self):
         polys = [rect(0, 0, 10, 10), rect(13, 13, 23, 23), rect(-13, -13, -3, -3)]
-        violations = check_corner_spacing(polygon_rings(polys), 1, 10)
+        violations = as_violations(check_corner_spacing(polygon_rings(polys), 1, 10))
         assert len(violations) == 2
 
 
@@ -140,7 +142,8 @@ class TestEngineIntegration:
         for _ in range(80):
             x, y = rng.randint(0, 800), rng.randint(0, 800)
             polys.append(rect(x, y, x + rng.randint(3, 50), y + rng.randint(3, 50)))
-        host = {(v.region, v.measured) for v in check_corner_spacing(polygon_rings(polys), 1, 15)}
+        found = as_violations(check_corner_spacing(polygon_rings(polys), 1, 15))
+        host = {(v.region, v.measured) for v in found}
         from repro.gpu.kernels import kernel_corner_pairs, pack_corners
 
         hits = kernel_corner_pairs(pack_corners(polys), 15)

@@ -7,6 +7,8 @@ from repro.checks import (
 from repro.geometry import Polygon, Rect
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 def rect(x1, y1, x2, y2):
     return Polygon.from_rect_coords(x1, y1, x2, y2)
@@ -61,7 +63,7 @@ class TestPairViolations:
         via = rect(10, 10, 14, 14)
         tight = rect(8, 8, 16, 16)  # margin 2
         tighter = rect(9, 9, 15, 15)  # margin 1
-        violations = enclosure_pair_violations(via, [tighter, tight], 2, 1, 5)
+        violations = as_violations(enclosure_pair_violations(via, [tighter, tight], 2, 1, 5))
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.ENCLOSURE
@@ -70,12 +72,12 @@ class TestPairViolations:
 
     def test_unenclosed_via_measured_zero(self):
         via = rect(10, 10, 14, 14)
-        violations = enclosure_pair_violations(via, [], 2, 1, 5)
+        violations = as_violations(enclosure_pair_violations(via, [], 2, 1, 5))
         assert violations[0].measured == 0
 
     def test_region_is_inflated_via(self):
         via = rect(10, 10, 14, 14)
-        violations = enclosure_pair_violations(via, [], 2, 1, 3)
+        violations = as_violations(enclosure_pair_violations(via, [], 2, 1, 3))
         assert violations[0].region == Rect(7, 7, 17, 17)
 
 
@@ -87,7 +89,9 @@ class TestFlatCheck:
             rect(108, 8, 116, 16),  # margin 2: violation
             # third via has no metal at all
         ]
-        violations = check_enclosure(polygon_rings(vias), polygon_rings(metals), 2, 1, 5)
+        violations = as_violations(
+            check_enclosure(polygon_rings(vias), polygon_rings(metals), 2, 1, 5)
+        )
         assert len(violations) == 2
         assert sorted(v.measured for v in violations) == [0, 2]
 

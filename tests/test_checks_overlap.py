@@ -7,6 +7,8 @@ from repro.geometry import Polygon, Rect, Transform
 from repro.layout import CellReference, Layout
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 def rect(x1, y1, x2, y2):
     return Polygon.from_rect_coords(x1, y1, x2, y2)
@@ -38,7 +40,9 @@ class TestCheckMinOverlap:
     def test_flags_insufficient_overlap(self):
         vias = [rect(0, 0, 10, 10), rect(100, 0, 110, 10)]
         bases = [rect(8, 0, 40, 10), rect(95, 0, 140, 10)]
-        violations = check_min_overlap(polygon_rings(vias), polygon_rings(bases), 2, 1, 50)
+        violations = as_violations(
+            check_min_overlap(polygon_rings(vias), polygon_rings(bases), 2, 1, 50)
+        )
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.OVERLAP
@@ -51,7 +55,9 @@ class TestCheckMinOverlap:
         assert check_min_overlap(polygon_rings(vias), polygon_rings(bases), 2, 1, 50) == []
 
     def test_no_base_measured_zero(self):
-        violations = check_min_overlap(polygon_rings([rect(0, 0, 4, 4)]), polygon_rings([]), 2, 1, 10)
+        violations = as_violations(
+            check_min_overlap(polygon_rings([rect(0, 0, 4, 4)]), polygon_rings([]), 2, 1, 10)
+        )
         assert violations[0].measured == 0
 
 

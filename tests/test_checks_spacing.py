@@ -3,6 +3,8 @@ from repro.checks.spacing import SpacingProcedures, check_spacing as check_rings
 from repro.geometry import Polygon, Rect
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 PROCEDURES = SpacingProcedures()
 
 
@@ -12,17 +14,17 @@ def rect(x1, y1, x2, y2):
 
 def pair_violations(a, b, layer, value):
     """The pairwise procedure on two distinct polygons' edge rows."""
-    return PROCEDURES.cross_violations(a.edge_rows(), b.edge_rows(), layer, value)
+    return as_violations(PROCEDURES.cross_violations(a.edge_rows(), b.edge_rows(), layer, value))
 
 
 def notch_violations(polygon, layer, value):
     """The pairwise procedure on one polygon against itself."""
-    return PROCEDURES.self_violations(polygon.edge_rows(), layer, value)
+    return as_violations(PROCEDURES.self_violations(polygon.edge_rows(), layer, value))
 
 
 def check_spacing(polygons, layer, value):
     """The flat procedure over polygons handed over as placed rings."""
-    return check_rings(polygon_rings(polygons), layer, value)
+    return as_violations(check_rings(polygon_rings(polygons), layer, value))
 
 
 class TestPairSpacing:

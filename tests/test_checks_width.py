@@ -2,11 +2,13 @@ from repro.checks import ViolationKind, check_width
 from repro.geometry import Polygon, Rect
 from repro.layout.flatten import polygon_rings
 
+from .violation_rows import as_violations
+
 
 class TestRectangles:
     def test_narrow_rect_flagged(self):
         wire = Polygon.from_rect_coords(0, 0, 10, 100)
-        violations = check_width(polygon_rings([wire]), 1, 12)
+        violations = as_violations(check_width(polygon_rings([wire]), 1, 12))
         assert len(violations) == 1
         v = violations[0]
         assert v.kind is ViolationKind.WIDTH
@@ -19,7 +21,7 @@ class TestRectangles:
 
     def test_short_rect_flagged_in_both_axes(self):
         tiny = Polygon.from_rect_coords(0, 0, 5, 7)
-        violations = check_width(polygon_rings([tiny]), 1, 10)
+        violations = as_violations(check_width(polygon_rings([tiny]), 1, 10))
         measured = sorted(v.measured for v in violations)
         assert measured == [5, 7]
 
@@ -31,7 +33,7 @@ class TestRectilinearShapes:
     def test_l_shape_thin_arm(self):
         # Vertical arm is 8 wide, horizontal foot is 40 tall.
         l_shape = Polygon([(0, 0), (0, 100), (8, 100), (8, 40), (60, 40), (60, 0)])
-        violations = check_width(polygon_rings([l_shape]), 1, 10)
+        violations = as_violations(check_width(polygon_rings([l_shape]), 1, 10))
         assert len(violations) == 1
         assert violations[0].measured == 8
         assert violations[0].region == Rect(0, 40, 8, 100)
@@ -41,7 +43,7 @@ class TestRectilinearShapes:
         u = Polygon(
             [(0, 0), (0, 100), (6, 100), (6, 20), (30, 20), (30, 100), (36, 100), (36, 0)]
         )
-        violations = check_width(polygon_rings([u]), 1, 10)
+        violations = as_violations(check_width(polygon_rings([u]), 1, 10))
         arm_violations = [v for v in violations if v.measured == 6]
         assert len(arm_violations) == 2
 
@@ -49,7 +51,7 @@ class TestRectilinearShapes:
         t = Polygon(
             [(20, 0), (20, 50), (0, 50), (0, 60), (50, 60), (50, 50), (28, 50), (28, 0)]
         )
-        violations = check_width(polygon_rings([t]), 1, 10)
+        violations = as_violations(check_width(polygon_rings([t]), 1, 10))
         assert any(v.measured == 8 for v in violations)  # stem
         assert any(v.measured == 10 for v in violations) is False  # bar exactly 10
 
@@ -76,6 +78,6 @@ class TestCollection:
             Polygon.from_rect_coords(100, 0, 150, 100),
             Polygon.from_rect_coords(200, 0, 203, 100),
         ]
-        violations = check_width(polygon_rings(polys), 7, 10)
+        violations = as_violations(check_width(polygon_rings(polys), 7, 10))
         assert sorted(v.measured for v in violations) == [3, 5]
         assert all(v.layer == 7 for v in violations)

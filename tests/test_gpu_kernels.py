@@ -21,6 +21,8 @@ from repro.gpu import (
     reduce_enclosure_best,
 )
 
+from .violation_rows import as_violations
+
 
 def random_rects(seed, n=60, extent=400):
     rng = random.Random(seed)
@@ -78,7 +80,8 @@ class TestPairKernelsAgainstHost:
     @pytest.mark.parametrize("threshold", [5, 12, 25])
     def test_spacing_bruteforce_matches_host(self, seed, threshold):
         polys = random_rects(seed)
-        host = {(v.region, v.measured) for v in check_spacing(polygon_rings(polys), 1, threshold)}
+        found = check_spacing(polygon_rings(polys), 1, threshold)
+        host = {(v.region, v.measured) for v in as_violations(found)}
         bufs = pack_edges(polys)
         hits = [
             kernel_pairs_bruteforce(bufs["v"], threshold, want_width=False),
@@ -106,7 +109,8 @@ class TestPairKernelsAgainstHost:
                 Polygon.from_rect_coords(x, 0, x + rng.randint(2, 20), rng.randint(30, 90))
             )
         threshold = 12
-        host = {(v.region, v.measured) for v in check_width(polygon_rings(polys), 1, threshold)}
+        found = check_width(polygon_rings(polys), 1, threshold)
+        host = {(v.region, v.measured) for v in as_violations(found)}
         bufs = pack_edges(polys)
         hits = [
             kernel_pairs_bruteforce(bufs["v"], threshold, want_width=True),
@@ -516,7 +520,6 @@ SEGMENTED_SHAPES = (
     st.integers(1, 300),
     st.sampled_from([1, 5, 64, 1 << 20]),
 )
-
 
 def random_segmented_edges(seed, n, ids, polygons=None):
     """``n`` random vertical edges over segments drawn from ``ids``; each

@@ -19,6 +19,7 @@ from repro.layout import CellReference, Layout, Repetition
 
 from .reference_resolution import METAL, ORIENTATIONS, ReferenceSubtreeWindow, random_hierarchy
 from .reference_sequential import iter_instances
+from .violation_rows import as_violations
 
 
 def many_instances_layout(n=20) -> Layout:
@@ -51,7 +52,9 @@ class TestIntraScheduler:
     def test_violations_transformed_per_instance(self):
         tree = HierarchyTree(many_instances_layout(3))
         scheduler = IntraCheckScheduler(tree)
-        violations = scheduler.run(1, lambda rings, placement: check_ring_width(rings, 1, 10))
+        violations = as_violations(
+            scheduler.run(1, lambda rings, placement: check_ring_width(rings, 1, 10))
+        )
         regions = sorted(v.region for v in violations)
         assert regions[0] == Rect(0, 0, 5, 100)
         assert regions[1] == Rect(500, 0, 505, 100)

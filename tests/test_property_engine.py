@@ -16,6 +16,8 @@ from repro.geometry import Polygon, Transform
 from repro.layout import CellReference, Layout
 from repro.layout.flatten import flatten_layer, polygon_rings
 
+from .violation_rows import as_violations
+
 LAYER = 1
 
 
@@ -67,7 +69,6 @@ COMMON_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-
 class TestModeEquivalence:
     @COMMON_SETTINGS
     @given(layouts(), st.integers(min_value=1, max_value=25))
@@ -75,7 +76,8 @@ class TestModeEquivalence:
         rule = layer(LAYER).spacing().greater_than(value)
         seq = Engine(mode="sequential").check(layout, rules=[rule])
         par = Engine(mode="parallel").check(layout, rules=[rule])
-        flat = frozenset(check_spacing(polygon_rings(flatten_layer(layout, LAYER)), LAYER, value))
+        rings = polygon_rings(flatten_layer(layout, LAYER))
+        flat = frozenset(as_violations(check_spacing(rings, LAYER, value)))
         assert seq.results[0].violation_set() == par.results[0].violation_set()
         assert seq.results[0].violation_set() == flat
 
@@ -85,7 +87,8 @@ class TestModeEquivalence:
         rule = layer(LAYER).width().greater_than(value)
         seq = Engine(mode="sequential").check(layout, rules=[rule])
         par = Engine(mode="parallel").check(layout, rules=[rule])
-        flat = frozenset(check_width(polygon_rings(flatten_layer(layout, LAYER)), LAYER, value))
+        rings = polygon_rings(flatten_layer(layout, LAYER))
+        flat = frozenset(as_violations(check_width(rings, LAYER, value)))
         assert seq.results[0].violation_set() == par.results[0].violation_set()
         assert seq.results[0].violation_set() == flat
 

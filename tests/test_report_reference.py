@@ -33,6 +33,7 @@ from repro.server.state import encode_listing, encode_reply, report_payload
 from repro.spatial.regions import RegionSet
 
 from . import reference_report as ref
+from .violation_rows import table_of
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 #: Small values (so markers and boxes meet), and int64 values out to the extremes.
@@ -77,7 +78,7 @@ def reports(draw):
         rule = Rule(kind=RuleKind.SPACING, layer=1, value=draw(st.integers(1, 9)))
         rule = rule.named(name).with_severity(draw(st.sampled_from(["error", "warning"])))
         stats = draw(st.dictionaries(st.sampled_from(["a", "b_s", "c"]), st.integers(0, 9) | st.floats(0, 1)))
-        result = CheckResult(rule, found, draw(st.floats(0, 1)), stats=stats)
+        result = CheckResult(rule, table_of(found), draw(st.floats(0, 1)), stats=stats)
         if draw(st.booleans()):
             # A waive()d table: same columns, new waived mask, no row memo.
             mask = draw(st.lists(st.booleans(), min_size=len(result.table), max_size=len(result.table)))
@@ -103,7 +104,8 @@ SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[Heal
 @given(st.lists(violations(), max_size=15))
 def test_canonical_form_matches_the_set_and_sort(found):
     rule = Rule(kind=RuleKind.SPACING, layer=1, value=3)
-    assert flagged(CheckResult(rule, found, 0.0).violations) == flagged(ref.canonical(found))
+    result = CheckResult(rule, table_of(found), 0.0)
+    assert flagged(result.violations) == flagged(ref.canonical(found))
 
 
 @SETTINGS
@@ -162,8 +164,8 @@ def test_filtered_listings_are_identical(report, severity, rules, bbox, include_
 def test_splice_and_region_filter_keep_the_same_violations(cached, fresh, windows):
     region_set = RegionSet.of(windows)
     rule = Rule(kind=RuleKind.SPACING, layer=1, value=3)
-    baseline = CheckResult(rule, cached, 0.0)
-    spliced = splice_violations(baseline.table, fresh, region_set)
+    baseline = CheckResult(rule, table_of(cached), 0.0)
+    spliced = splice_violations(baseline.table, table_of(fresh), region_set)
     expected = ref.splice_violations(baseline.violations, fresh, region_set)
     assert flagged(spliced.violations()) == flagged(expected)
     clipped = filter_to_regions(CheckReport("l", "sequential", [baseline]), region_set)
@@ -176,7 +178,7 @@ def test_zero_violation_and_empty_reports():
     rule = Rule(kind=RuleKind.WIDTH, layer=1, value=3).named("W,\"é")
     for report in (
         CheckReport("empty", "sequential", []),
-        CheckReport("clean", "parallel", [CheckResult(rule, [], 0.5)]),
+        CheckReport("clean", "parallel", [CheckResult(rule, table_of([]), 0.5)]),
     ):
         old = ref.payload(report)
         assert report.to_json() == ref.to_json(report)
@@ -229,7 +231,7 @@ def test_empty_and_zero_rule_reports_encode_as_the_reference():
     envelope = {"session": "s", "layout": "l", "version": 0}
     for report in (
         CheckReport("empty", "sequential", []),
-        CheckReport("clean", "parallel", [CheckResult(rule, [], 0.5)]),
+        CheckReport("clean", "parallel", [CheckResult(rule, table_of([]), 0.5)]),
     ):
         assert encode_reply(report, meta) == _served_bytes(report, meta)
         expected = {**envelope, **ref.filter_violations_payload(ref.payload(report))}

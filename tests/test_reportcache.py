@@ -42,6 +42,8 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.layout import CellReference, Layout
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
+from .violation_rows import table_of
+
 
 def _deck():
     return [layer(19).width().greater_than(18).named("W19")]
@@ -59,7 +61,7 @@ def _report(variant: int):
             required=18,
         )
     ]
-    result = CheckResult(rule=rule, violations=violations, seconds=0.001)
+    result = CheckResult(rule=rule, violations=table_of(violations), seconds=0.001)
     return CheckReport("uart", "sequential", [result])
 
 

@@ -5,6 +5,8 @@ from repro.core.results import CheckReport, CheckResult
 from repro.core.rules import layer
 from repro.geometry import Rect
 
+from .violation_rows import table_of
+
 
 def violation(x=0, measured=5):
     return Violation(
@@ -18,7 +20,7 @@ def violation(x=0, measured=5):
 
 def result(name="R", violations=(), seconds=0.01):
     rule = layer(1).spacing().greater_than(10).named(name)
-    return CheckResult(rule=rule, violations=list(violations), seconds=seconds)
+    return CheckResult(rule=rule, violations=table_of(violations), seconds=seconds)
 
 
 class TestCheckResult:
@@ -78,11 +80,3 @@ class TestCheckReport:
         report = CheckReport("demo", "sequential", [result("A", [violation()])])
         line = report.to_csv().splitlines()[1]
         assert ",spacing,1,," in line
-
-
-class TestMergeHelpers:
-    def test_merge_stats_sums_key_union(self):
-        from repro.core.results import merge_stats
-
-        merged = merge_stats([{"a": 1, "b": 2}, {"b": 3, "c": 4}, {}])
-        assert merged == {"a": 1, "b": 5, "c": 4}

@@ -33,6 +33,8 @@ from repro.geometry import Polygon, Rect, Transform, union_all
 from repro.layout import CellReference, Layout, Repetition
 from repro.layout.flatten import flatten_layer
 
+from .violation_rows import as_violations
+
 METAL, VIA, MARKER = 1, 2, 3
 SEEDS = range(10)
 ORIENTATIONS = [(rotation, mirror) for rotation in (0, 90, 180, 270) for mirror in (False, True)]
@@ -120,7 +122,8 @@ def kind_layout(seed: int, magnified: bool = False) -> Layout:
 
 def flat_violations(layout: Layout, rule):
     """The rule kind's flat procedure over the whole flattened layout, its
-    polygons handed over as the placed rings a gather returns."""
+    polygons handed over as the placed rings a gather returns; its rows as
+    violations."""
     flat = {number: flatten_layer(layout, number) for number in layout.layers()}
 
     def gather(number, margin, *, named=False):
@@ -132,7 +135,7 @@ def flat_violations(layout: Layout, rule):
         (p.vertices, p.mbr) for p in flat.get(number, []) if p.mbr.overlaps(rect)
     ]
     gather.window = union_all(p.mbr for shapes in flat.values() for p in shapes)
-    return kind_spec(rule.kind).flat(rule, layout, gather)
+    return as_violations(kind_spec(rule.kind).flat(rule, layout, gather))
 
 
 @functools.lru_cache(maxsize=None)

@@ -43,6 +43,7 @@ from .reference_resolution import (
 from .reference_sequential import ShapeDescentBackend
 from .test_columnar_ingest import ledger_dirty_jpeg
 from .test_sequential_descent import Recording
+from .violation_rows import as_violations
 
 COUNTERS = ("checks_run", "checks_reused", "checks_refreshed")
 
@@ -56,10 +57,8 @@ def rule_at(kind: str, offset: int):
 def resolve(backend, rule):
     """The markers, in canonical order, and the survivors the final check saw."""
     procedures = Recording(rule.kind)
-    found = backend._cross_layer(
-        rule.layer, rule.other_layer, rule.value, procedures, PhaseProfile()
-    )
-    return sort_violations(found), Counter(procedures.survivors)
+    found = backend._cross_layer(rule, procedures, PhaseProfile())
+    return sort_violations(as_violations(found)), Counter(procedures.survivors)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

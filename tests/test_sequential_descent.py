@@ -36,6 +36,7 @@ from .reference_resolution import (
     ReferenceBackend,
     random_hierarchy,
 )
+from .violation_rows import as_violations
 
 RULES = [
     layer(VIA).enclosure(layer(METAL)).greater_than(ENCLOSURE),
@@ -67,16 +68,14 @@ class Recording:
 
 def resolve(backend_class, layout, rule):
     procedures = Recording(rule.kind)
-    violations = backend_class(layout)._cross_layer(
-        rule.layer, rule.other_layer, rule.value, procedures, PhaseProfile()
-    )
-    return violations, procedures
+    rows = backend_class(layout)._cross_layer(rule, procedures, PhaseProfile())
+    return as_violations(rows), procedures
 
 
 def flat_violations(layout, rule):
     vias = polygon_rings(flatten_layer(layout, VIA, top="top"))
     metals = polygon_rings(flatten_layer(layout, METAL, top="top"))
-    return FLAT[rule.kind](vias, metals, VIA, METAL, rule.value)
+    return as_violations(FLAT[rule.kind](vias, metals, VIA, METAL, rule.value))
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.kind.name)

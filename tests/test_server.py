@@ -718,6 +718,10 @@ class TestViolationsFiltering:
         session, _ = state.create_session(data=dirty_bytes, top="top")
         state.check(session.sid)
         stats = state.stats()
+        assert sorted(stats) == [
+            "counters", "latency", "options", "report_hits", "report_lru_capacity",
+            "report_lru_size", "report_misses", "sessions", "uptime_seconds",
+        ]
         assert stats["sessions"] == 1
         assert stats["counters"]["engine_runs"] == 1
         assert stats["latency"]["check"]["count"] == 1

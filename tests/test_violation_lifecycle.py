@@ -45,6 +45,8 @@ from repro.reporting import (
 )
 from repro.workloads import InjectionPlan, asap7, build_design, inject_violations
 
+from .violation_rows import table_of
+
 
 def dirty_layout(seed=4):
     layout = build_design("uart")
@@ -371,7 +373,7 @@ class TestWaiverEdgeCases:
 def _single_rule_report(violations, name="R", severity="error"):
     rule = layer(1).spacing().greater_than(8).named(name).with_severity(severity)
     return CheckReport(
-        "synthetic", "sequential", [CheckResult(rule, violations, 0.0)]
+        "synthetic", "sequential", [CheckResult(rule, table_of(violations), 0.0)]
     )
 
 

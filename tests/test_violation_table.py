@@ -26,8 +26,10 @@ from repro.gdsii import read_layout_bytes
 from repro.geometry import Rect
 from repro.server import ServerState
 from repro.server import state as server_state
-from repro.violation_table import KINDS, ViolationTable, ViolationTableError, violation_row
+from repro.violation_table import KINDS, ViolationTable, ViolationTableError
 from repro.workloads import asap7
+
+from .violation_rows import table_of, violation_row
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks", "ledger"))
 import inputs as ledger_inputs  # noqa: E402
@@ -90,7 +92,7 @@ def test_rows_sort_like_violation_sort_key():
         for other in (None, 0, 3)
         for x in (4, -1)
     ]
-    table = ViolationTable.from_violations(reversed(found))
+    table = table_of(reversed(found))
     assert table.violations() == sorted(found, key=violation_sort_key)
     assert [violation_row(v) for v in table] == table.rows()
 
@@ -202,9 +204,9 @@ def test_values_outside_int64_raise_a_typed_error():
 
 def test_duplicates_keep_the_first_waived_flag():
     v = Violation(ViolationKind.SPACING, 1, Rect(0, 0, 2, 2), 1, 3)
-    assert ViolationTable.from_violations([v.waive(), v]).num_waived == 1
-    assert ViolationTable.from_violations([v, v.waive()]).num_waived == 0
-    assert len(ViolationTable.concat([[v], [v.waive()]])) == 1
+    assert table_of([v.waive(), v]).num_waived == 1
+    assert table_of([v, v.waive()]).num_waived == 0
+    assert len(ViolationTable.concat([table_of([v]), table_of([v.waive()])])) == 1
 
 
 def test_overlapping_bisects_only_canonical_runs():
