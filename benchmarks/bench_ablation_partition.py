@@ -23,10 +23,7 @@ def check_m3_spacing(layout, mode: str, use_rows: bool):
     rule = asap7.spacing_rule(asap7.M3)
     backend = make_backend(compile_plan(layout, [rule], EngineOptions(mode=mode)))
     backend.use_rows = use_rows
-    try:
-        return frozenset(backend.run(rule))
-    finally:
-        backend.close()
+    return frozenset(backend.run(rule))
 
 
 @pytest.mark.parametrize("design_name", DESIGNS)

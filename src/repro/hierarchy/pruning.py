@@ -170,6 +170,13 @@ class SubtreeWindow:
     MBR-pruning against a window set, and returns the rings it meets as
     placed rings (:data:`PlacedRing`) in the *parent* frame of the given
     placement, read straight off the ring buffers: no ``Polygon`` is built.
+
+    Inside a cell, the walk tests only the rings
+    :meth:`~repro.layout.cell.RingBuffer.mbrs_near` hands it: in a large
+    buffer that keeps (or is due to build) an ``xlo``-ordered index, one
+    bisected band of it per window, in ring order. So a served recheck's
+    walk from the top costs the windows' content, not the top's ring
+    count, and returns the rings a linear scan would, in the same order.
     """
 
     def __init__(self, tree: HierarchyTree) -> None:
@@ -253,8 +260,7 @@ class SubtreeWindow:
             bxhi, byhi = max(bxhi, wxhi), max(byhi, wyhi)
         rings = self.tree.layout.cell(cell_name).rings(layer)
         if rings:
-            entries = iter(rings.mbrs)
-            for index, mbr in enumerate(zip(entries, entries, entries, entries)):
+            for index, mbr in rings.mbrs_near(local):
                 xlo, ylo, xhi, yhi = mbr
                 if xlo > bxhi or bxlo > xhi or ylo > byhi or bylo > yhi:
                     continue

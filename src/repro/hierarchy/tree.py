@@ -59,6 +59,14 @@ class HierarchyTree:
         self.tokens: Dict[str, Optional[SourceToken]] = {
             cell.name: cell.source_token for cell in cells
         }
+        #: id(reference) -> (reference, its placed layer MBRs), for the
+        #: references of the cells this tree computed: what the next
+        #: version's tree reuses for a reference it carried. The entry holds
+        #: the reference, so its id is not reused meanwhile. None in a tree
+        #: built without ``previous``; filled only where ``previous``'s is
+        #: not None, so a one-shot recheck (whose ``previous`` is cold)
+        #: keeps none for a next version that will not come.
+        self._placed_refs: Optional[Dict[int, Tuple[CellReference, Dict[int, Rect]]]] = None
         self._compute_mbrs(cells, previous)
 
     # -- construction -------------------------------------------------------
@@ -66,8 +74,18 @@ class HierarchyTree:
     def _compute_mbrs(self, cells: List[Cell], previous: Optional["HierarchyTree"]) -> None:
         """One pass, children first. A cell whose token is the one ``previous``
         recorded, and whose children all took ``previous``'s MBRs, has the same
-        subtree: it takes them too, and only the rest is computed."""
+        subtree: it takes them too, and only the rest is computed.
+
+        The rest reads each buffer's :meth:`~repro.layout.cell.RingBuffer.bounds`
+        (one entry and under a block of rings where a splice carried its block
+        bounds) and, for a reference
+        ``previous`` kept (the same object, copied over by the splice) whose
+        child took ``previous``'s MBRs, that reference's placed MBRs."""
         shared: Set[str] = set()
+        carried = previous._placed_refs if previous is not None else None
+        if previous is not None:
+            self._placed_refs = {}
+        keep = self._placed_refs if carried is not None else None
         for cell in cells:
             token = self.tokens[cell.name]
             if (
@@ -79,18 +97,22 @@ class HierarchyTree:
                 self._layer_mbrs[cell.name] = previous._layer_mbrs[cell.name]
                 shared.add(cell.name)
                 continue
-            mbrs: Dict[int, Rect] = {}
-            for layer in cell.local_layers():
-                table = cell.rings(layer).mbrs  # xlo, ylo, xhi, yhi per ring
-                mbrs[layer] = (
-                    Rect(min(table[0::4]), min(table[1::4]), max(table[2::4]), max(table[3::4]))
-                    if table
-                    else EMPTY_RECT
-                )
+            mbrs = {layer: cell.rings(layer).bounds() for layer in cell.local_layers()}
             for ref in cell.references:
                 child_mbrs = self._layer_mbrs[ref.cell_name]
-                for layer, child_rect in child_mbrs.items():
-                    placed = reference_mbr(ref, child_rect)
+                if keep is None:
+                    for layer, child_rect in child_mbrs.items():
+                        placed = reference_mbr(ref, child_rect)
+                        mbrs[layer] = mbrs.get(layer, EMPTY_RECT).union(placed)
+                    continue
+                entry = carried.get(id(ref)) if ref.cell_name in shared else None
+                if entry is None:
+                    entry = ref, {
+                        layer: reference_mbr(ref, child_rect)
+                        for layer, child_rect in child_mbrs.items()
+                    }
+                keep[id(ref)] = entry
+                for layer, placed in entry[1].items():
                     mbrs[layer] = mbrs.get(layer, EMPTY_RECT).union(placed)
             self._layer_mbrs[cell.name] = mbrs
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from operator import sub
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..geometry import Point, Polygon, Rect, Transform
+from ..geometry import EMPTY_RECT, Point, Polygon, Rect, Transform
 from ..geometry.polygon import is_rectangle_ring
 from ..geometry.transform import Row
 
@@ -73,6 +75,43 @@ class CellReference:
             yield Transform(t.dx + dx, t.dy + dy, t.rotation, t.mirror_x, t.magnification)
 
 
+#: A buffer with fewer rings than this is scanned whole by a walk step,
+#: which neither builds it an x-ordered index nor marks it walked
+#: (:meth:`RingBuffer.mbrs_near`). At 64 rings a banded step already costs
+#: about half a scan, and its index pays for itself within a few walks.
+BANDED_MIN = 64
+
+#: Rings per entry of a buffer's block bounds (:meth:`RingBuffer.block_bounds`):
+#: two bytes a ring, and at most 15 rings read past the last entry.
+BOUNDS_BLOCK = 16
+
+#: An append or a head copy that moves more rings than this in or out of a
+#: kept x-ordered index drops it (the next walk sorts afresh) rather than
+#: inserting or deleting ring by ring, each a shift of the index arrays.
+SPLICE_MAX = 64
+
+
+#: :attr:`RingBuffer._walked`: a walk step scanned this large buffer
+#: without an index; or a buffer it was head-copied from was walked, so
+#: its tables are built on first ask ("due").
+_WALKED, _DUE = 1, 2
+
+
+class XOrder(NamedTuple):
+    """A buffer's ``xlo``-ordered index (:meth:`RingBuffer.xorder`).
+
+    ``keys`` / ``ids`` hold every ring, sorted on ``(xlo, ring)``;
+    ``band`` is at least the widest ring's width. A ring whose MBR meets
+    ``[wxlo, wxhi]`` in x then has its ``xlo`` in ``[wxlo - band, wxhi]``:
+    one bisect pair. A wider band than needed keeps that exact, only
+    looser, so a carried index keeps its band when its widest ring goes.
+    """
+
+    keys: array  # the xlo of each ring, ascending
+    ids: array  # the ring each key belongs to
+    band: int
+
+
 class RingBuffer:
     """The rings of one (cell, layer), packed.
 
@@ -94,9 +133,30 @@ class RingBuffer:
     pickled. Every mutation also clears ``_stamped``, which
     :meth:`Cell.stamp` sets: a cell's source token holds only while each of
     its buffers is still stamped.
+
+    Two derived tables follow the rings across version splices instead:
+    :meth:`block_bounds`, the running bounds every :data:`BOUNDS_BLOCK`
+    rings (so the bounds of any prefix, a head copy's among them, read one
+    entry and fewer than a block of rings: :meth:`bounds`), and
+    :meth:`xorder` (so a walk step bisects a band per window,
+    :meth:`mbrs_near`). A head copy (:meth:`extend` from ring 0 into an
+    empty buffer) carries the source's, cut to the copied prefix;
+    :meth:`append_ring` and :meth:`append_rectangles` extend kept tables;
+    any other mutation drops them. They are not compared nor pickled.
+
+    They are built only where they will be carried: in a buffer that is
+    *due*, a head copy of a large buffer that a walk step scanned (or of
+    one that was due itself). So a cold check and a one-shot recheck build
+    nothing, a served chain builds them on its second version of a walked
+    layer and carries them on, and a version whose splice ends in a tail
+    copy (an edit mid-structure: every later version's too) builds none
+    and scans, as it would without them.
     """
 
-    __slots__ = ("coords", "offsets", "mbrs", "names", "_view", "_rects", "_stamped")
+    __slots__ = (
+        "coords", "offsets", "mbrs", "names", "_view", "_rects", "_stamped", "_bounds", "_order",
+        "_walked",
+    )  # fmt: skip
 
     def __init__(self) -> None:
         self.coords = array("q")
@@ -106,6 +166,9 @@ class RingBuffer:
         self._view: Optional[Tuple[Polygon, ...]] = None
         self._rects: Optional[bytes] = None
         self._stamped = False
+        self._bounds: Optional[array] = None
+        self._order: Optional[XOrder] = None
+        self._walked = 0
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -115,11 +178,13 @@ class RingBuffer:
 
     def __setstate__(self, state) -> None:
         self.coords, self.offsets, self.mbrs, self.names = state
-        self._view = self._rects = None
+        self._view = self._rects = self._bounds = self._order = None
         self._stamped = False
+        self._walked = 0
 
     def copy(self) -> "RingBuffer":
-        """A buffer with copies of this one's arrays and names (no view)."""
+        """A buffer with copies of this one's arrays, names and derived
+        tables (no view)."""
         twin = RingBuffer()
         twin.extend(self)
         return twin
@@ -154,6 +219,123 @@ class RingBuffer:
                 for a, b in zip(offsets, offsets[1:])
             )
         return flags
+
+    # -- derived tables, carried across splices --------------------------------
+
+    def block_bounds(self) -> array:
+        """Entry ``j``, ``[4 * j:4 * j + 4]``: the MBR ``xlo, ylo, xhi, yhi``
+        of rings ``0`` up to ``BOUNDS_BLOCK * (j + 1)``, one entry per
+        complete block: the running minima and maxima of :attr:`mbrs`,
+        sampled every :data:`BOUNDS_BLOCK` rings.
+
+        Built when called and kept (lock-free, as :meth:`rect_flags`) while
+        the buffer only grows at its end; :meth:`bounds` calls it only in a
+        buffer that is due (see the class docstring).
+        """
+        blocks = self._bounds
+        if blocks is None:
+            blocks = array("q")
+            _extend_blocks(blocks, self.mbrs)
+            self._bounds = blocks
+        return blocks
+
+    def bounds(self) -> Rect:
+        """The MBR of every ring (``EMPTY_RECT`` for none): the last kept
+        block's entry joined with the rings after it (fewer than
+        :data:`BOUNDS_BLOCK`), or one pass over :attr:`mbrs` in a buffer
+        that keeps no block bounds and is not due (which builds nothing)."""
+        blocks = self._bounds
+        if blocks is None and self._walked == _DUE:
+            blocks = self.block_bounds()
+        blocks, table = blocks or (), self.mbrs
+        start = len(blocks) * BOUNDS_BLOCK
+        if start == len(table):
+            return Rect._make(blocks[-4:]) if blocks else EMPTY_RECT
+        return Rect(*_joined(table, start, len(table), blocks[-4:]))
+
+    def xorder(self) -> XOrder:
+        """The ``xlo``-ordered index of the rings (see :class:`XOrder`),
+        its band the widest ring's width.
+
+        Built when called and kept as :meth:`block_bounds` is;
+        :meth:`mbrs_near` calls it only in a buffer that is due.
+        """
+        order = self._order
+        if order is None:
+            xlos = self.mbrs[0::4]
+            order = self._order = XOrder(
+                array("q", sorted(xlos)),
+                array("q", sorted(range(len(xlos)), key=xlos.__getitem__)),  # stable
+                max(map(sub, self.mbrs[2::4], xlos), default=0),
+            )
+        return order
+
+    def mbrs_near(self, windows: Sequence[Sequence[int]]) -> Iterable[Tuple[int, Sequence[int]]]:
+        """``(index, mbr)`` of rings in storage order, a superset of those
+        whose MBR meets one of ``windows`` (closed ``xlo, ylo, xhi, yhi``):
+        the caller still tests each.
+
+        A buffer of :data:`BANDED_MIN` rings or more that keeps an index,
+        or is due and builds it here, yields each window's band of its
+        :meth:`xorder` index; any other buffer, or one where the bands pick
+        most rings, yields every ring. A large buffer walked without an
+        index is marked walked, so that its next version's head copy is due.
+        """
+        table = self.mbrs
+        count = len(table) >> 2
+        if count >= BANDED_MIN:
+            order = self._order
+            if order is None and self._walked == _DUE:
+                order = self.xorder()
+            if order is None:
+                self._walked = _WALKED
+            else:
+                keys, ids, band = order
+                picked: List[int] = []
+                for wxlo, _, wxhi, _ in windows:
+                    lo = bisect_left(keys, wxlo - band)
+                    picked += ids[lo : bisect_right(keys, wxhi, lo)]
+                if 2 * len(picked) <= count:
+                    if len(windows) > 1:
+                        picked = set(picked)  # a ring in two windows' bands
+                    return ((i, table[4 * i : 4 * i + 4]) for i in sorted(picked))
+        entries = iter(table)
+        return enumerate(zip(entries, entries, entries, entries))
+
+    def _prefix_order(self, stop: int) -> Optional[XOrder]:
+        """A copy of the kept index cut to rings ``0`` up to ``stop`` (its
+        band kept), or None (no index kept, or more than :data:`SPLICE_MAX`
+        rings to take out of it)."""
+        order = self._order
+        if order is None or len(self) - stop > SPLICE_MAX:
+            return None
+        keys, ids, band = order
+        keys, ids, table = keys[:], ids[:], self.mbrs
+        for index in range(stop, len(self)):
+            at = bisect_left(keys, table[4 * index])
+            while ids[at] != index:  # ties on xlo are in ring order
+                at += 1
+            del keys[at], ids[at]
+        return XOrder(keys, ids, band)
+
+    def _appended(self, first: int) -> None:
+        """Extend the kept tables by rings ``first`` on, just appended: the
+        band widens to a wider ring."""
+        if self._bounds is not None:
+            _extend_blocks(self._bounds, self.mbrs)
+        order = self._order
+        if order is not None and len(self) - first > SPLICE_MAX:
+            self._order = None
+        elif order is not None:
+            keys, ids, band = order
+            table = self.mbrs
+            for index in range(first, len(self)):
+                xlo = table[4 * index]
+                band = max(band, table[4 * index + 2] - xlo)
+                at = bisect_right(keys, xlo)
+                keys.insert(at, xlo)
+                ids.insert(at, index)
+            self._order = XOrder(keys, ids, band)
 
     # -- one ring, read off the arrays ----------------------------------------
 
@@ -190,6 +372,8 @@ class RingBuffer:
         self.offsets.append(len(self.coords))
         self._view = self._rects = None
         self._stamped = False
+        if self._bounds is not None or self._order is not None:  # not while a read fills it
+            self._appended(len(self) - 1)
 
     def append_rectangles(self, mbrs: array) -> None:
         """Append one rectangle per MBR in ``mbrs`` (an ``array('q')`` laid out
@@ -197,7 +381,7 @@ class RingBuffer:
         (xhi, yhi), (xhi, ylo)``: what the ``Polygon`` constructor stores for
         that ring. The caller vouches that ``xlo < xhi`` and ``ylo < yhi``.
         """
-        count = len(mbrs) >> 2
+        count, first = len(mbrs) >> 2, len(self)
         rings = array("q", bytes(64 * count))
         for k, column in enumerate((0, 1, 0, 3, 2, 3, 2, 1)):
             rings[k::8] = mbrs[column::4]
@@ -207,6 +391,7 @@ class RingBuffer:
         self.offsets.fromlist(list(range(start + 8, start + 8 * count + 1, 8)))
         self._view = self._rects = None
         self._stamped = False
+        self._appended(first)
 
     def extend(self, source: "RingBuffer", start: int = 0, stop: Optional[int] = None) -> None:
         """Append rings ``start`` up to ``stop`` (by default the last) of
@@ -215,8 +400,21 @@ class RingBuffer:
         Coordinates and MBRs are copied straight from ``source``'s memory,
         without a temporary slice: in a daemon that splices every upload, a
         transient copy of a large cell's arrays left the heap 0.5 MB larger.
+
+        A head copy (from ring 0 into an empty buffer) carries the derived
+        tables the source keeps, cut to the copied rings, and is due if the
+        source was walked or due; it builds nothing. Any other range drops
+        this buffer's tables, and it is no longer due.
         """
         stop = len(source) if stop is None else stop
+        if start == 0 and not len(self):
+            blocks = source._bounds
+            self._bounds = None if blocks is None else blocks[: 4 * (stop // BOUNDS_BLOCK)]
+            self._order = source._prefix_order(stop)
+            self._walked = _DUE if source._walked else 0
+        else:
+            self._bounds = self._order = None
+            self._walked = 0
         first, offsets = len(self), source.offsets
         lo, hi = offsets[start], offsets[stop]
         shift = len(self.coords) - lo
@@ -256,8 +454,9 @@ class RingBuffer:
             for i, name in self.names.items()
             if i != index
         }
-        self._view = self._rects = None
+        self._view = self._rects = self._bounds = self._order = None
         self._stamped = False
+        self._walked = 0
         return removed
 
     # -- the object view -----------------------------------------------------
@@ -290,6 +489,25 @@ class RingBuffer:
                 for i, (a, b) in enumerate(zip(offsets, offsets[1:]))
             )
         return view
+
+
+def _joined(mbrs: array, start: int, stop: int, last: Sequence[int]) -> Tuple[int, ...]:
+    """The MBR of the rings of ``mbrs[start:stop]`` (at least one), joined
+    with ``last`` (another MBR, or empty for none)."""
+    xlo, ylo = min(mbrs[start:stop:4]), min(mbrs[start + 1 : stop : 4])
+    xhi, yhi = max(mbrs[start + 2 : stop : 4]), max(mbrs[start + 3 : stop : 4])
+    if last:
+        bxlo, bylo, bxhi, byhi = last
+        return min(xlo, bxlo), min(ylo, bylo), max(xhi, bxhi), max(yhi, byhi)
+    return xlo, ylo, xhi, yhi
+
+
+def _extend_blocks(blocks: array, mbrs: array) -> None:
+    """Append to ``blocks`` (see :meth:`RingBuffer.block_bounds`) the entry
+    of every block of ``mbrs`` completed past those it holds."""
+    step = 4 * BOUNDS_BLOCK
+    for start in range(len(blocks) * BOUNDS_BLOCK, len(mbrs) - step + 1, step):
+        blocks.extend(_joined(mbrs, start, start + step, blocks[-4:]))
 
 
 #: Where a cell's content came from: the length and SHA-256 digest of the

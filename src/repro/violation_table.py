@@ -46,9 +46,9 @@ is unlikely to be served again.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
-from operator import gt
+from operator import gt, sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
@@ -109,7 +109,7 @@ def _pack_rows(rows: Sequence[Row], waived: Optional[Iterable[int]]) -> "Violati
 class ViolationTable:
     """One rule's violations as columns (see the module docstring)."""
 
-    __slots__ = ("columns", "waived", "ordered", "_view", "_json")
+    __slots__ = ("columns", "waived", "ordered", "_view", "_json", "_widest")
 
     def __init__(self, columns: Tuple[array, ...], waived: bytes, ordered: bool = True) -> None:
         #: The nine ``array('q')`` columns, named by :data:`COLUMNS`.
@@ -121,6 +121,7 @@ class ViolationTable:
         self.ordered = ordered
         self._view: Optional[list] = None
         self._json: Optional[Tuple[List[str], List[str]]] = None
+        self._widest: Optional[int] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -306,47 +307,47 @@ class ViolationTable:
             self.ordered,
         )
 
-    def _spans_left_of(self, x: int) -> Iterable[Tuple[int, int]]:
-        """``(start, stop)`` row ranges covering every row with ``xlo <= x``.
-
-        Canonical rows sort by ``xlo`` within each (layer, kind) run, so each
-        run is cut by one bisect; rows as written are one whole span."""
-        n = len(self)
-        if not self.ordered:
-            yield 0, n
-            return
-        layers, kinds, xlos = self.columns[:3]
-        start = 0
+    def _runs(self) -> Iterable[Tuple[int, int]]:
+        """``(start, stop)`` of each canonical (layer, kind) run, whose rows
+        sort by ``xlo``: one bisect per run boundary."""
+        layers, kinds = self.columns[:2]
+        start, n = 0, len(self)
         while start < n:
             layer_stop = bisect_right(layers, layers[start], start, n)
             while start < layer_stop:
                 stop = bisect_right(kinds, kinds[start], start, layer_stop)
-                yield start, bisect_right(xlos, x, start, stop)
+                yield start, stop
                 start = stop
 
     def overlapping(self, boxes: Sequence[Sequence[int]]) -> List[bool]:
         """Per row: does the marker share a point with any closed box
         ``(xlo, ylo, xhi, yhi)``? (``Rect.overlaps`` against each box.)
-        Rows to the right of every box are never visited."""
+
+        In a canonical table only the rows a bisect pair finds are visited:
+        in each (layer, kind) run, per box, those whose ``xlo`` lies in
+        ``[box.xlo - widest, box.xhi]``, ``widest`` the table's widest
+        marker (computed on first use and kept), since no marker further
+        left reaches the box. Rows as written are scanned whole."""
         out = [False] * len(self)
         boxes = [tuple(box) for box in boxes if box[0] <= box[2] and box[1] <= box[3]]
         if not boxes:
             return out
-        bxlo = min(b[0] for b in boxes)
-        bylo = min(b[1] for b in boxes)
-        bxhi = max(b[2] for b in boxes)
-        byhi = max(b[3] for b in boxes)
         _, _, xlos, ylos, xhis, yhis = self.columns[:6]
-        for start, stop in self._spans_left_of(bxhi):
-            for i in range(start, stop):
-                xlo, ylo, xhi, yhi = xlos[i], ylos[i], xhis[i], yhis[i]
-                out[i] = (
-                    xlo <= bxhi and bxlo <= xhi and ylo <= byhi and bylo <= yhi
-                    and any(
-                        xlo <= b[2] and b[0] <= xhi and ylo <= b[3] and b[1] <= yhi
-                        for b in boxes
-                    )
-                )
+        ordered = self.ordered
+        if ordered and self._widest is None:
+            self._widest = max(map(sub, xhis, xlos), default=0)
+        for start, stop in self._runs() if ordered else [(0, len(self))]:
+            for bxlo, bylo, bxhi, byhi in boxes:
+                lo, hi = start, stop
+                if ordered:
+                    lo = bisect_left(xlos, bxlo - self._widest, start, stop)
+                    hi = bisect_right(xlos, bxhi, lo, stop)
+                for i in range(lo, hi):
+                    if (
+                        xlos[i] <= bxhi and bxlo <= xhis[i]
+                        and ylos[i] <= byhi and bylo <= yhis[i]
+                    ):  # fmt: skip
+                        out[i] = True
         return out
 
     def waive(self, mask: Iterable[bool]) -> "ViolationTable":

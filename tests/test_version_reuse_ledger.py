@@ -7,7 +7,10 @@ structures; its tree places only ``top``'s references; one layer digest
 turns only the changed span of its M2 rings into bytes. A served chain of
 ten edits decodes one element a turn, answers, turn for turn, what a fresh
 session of each version answers, and its last report is the cold oracle's;
-the daemon then holds the bytes of the last upload only. Fixing a placed
+the daemon then holds the bytes of the last upload only. It builds the
+top's ring tables and keeps its placed references on the second recheck
+only, carrying both on through every later splice; a chain of edits
+mid-way through the top builds no table. Fixing a placed
 definition (the sliver of ``NAND2x1``) splices to the cold report, and the
 region gather hands each subtree only the windows its placed MBR meets.
 """
@@ -33,7 +36,7 @@ from repro.layout.cell import RingBuffer
 from repro.server import ServerState
 from repro.workloads import asap7
 
-from .test_version_reuse import spy_decoded
+from .test_version_reuse import elements_of, name_of, split, spy_decoded
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks", "ledger"))
 import inputs as ledger_inputs  # noqa: E402
@@ -217,6 +220,87 @@ def test_a_served_chain_answers_what_fresh_sessions_answer(stream, monkeypatch):
                 want = fresh.violations(other.sid, **kwargs)
                 assert (got["total"], got["violations"]) == (want["total"], want["violations"])
     assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+
+
+def spy_table_builds(monkeypatch):
+    """``(table, rings)`` of every derived table a ring buffer builds from
+    scratch from here on (not one a splice carried)."""
+    built = []
+    for name, slot in (("block_bounds", "_bounds"), ("xorder", "_order")):
+
+        def building(rings, real=getattr(RingBuffer, name), name=name, slot=slot):
+            if getattr(rings, slot) is None:
+                built.append((name, len(rings)))
+            return real(rings)
+
+        monkeypatch.setattr(RingBuffer, name, building)
+    return built
+
+
+def top_s(built):
+    """The tables of ``built`` that the top's layers built (the only
+    buffers of over a thousand rings)."""
+    return {name for name, count in built if count > 1000}
+
+
+def test_a_served_chain_builds_the_top_s_tables_once(stream, monkeypatch):
+    """Eight chained served rechecks, one top-strip wire swapped a turn.
+    A cold check builds no table anywhere, nor does the first recheck,
+    which only walks the top and places its references (a one-shot
+    recheck keeps nothing). The second recheck's version, a head copy of a
+    walked version, builds the top's block bounds and x-ordered index, and
+    its tree keeps the placed references; every later splice and tree
+    carries them, placing no reference. Each served CSV is the cold
+    check's. (A broken carry would stay correct and silently get slow.)"""
+    built = spy_table_builds(monkeypatch)
+    placed = spy(monkeypatch, tree_module, "reference_mbr")
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=TOP)
+        state.check(session.sid)
+        assert built == []  # a cold check builds neither, in any buffer
+        for k in range(8):
+            built.clear()
+            placed.clear()
+            data = stream.edit_gds(k)
+            report, _ = state.recheck(session.sid, data=data)
+            assert top_s(built) == ({"block_bounds", "xorder"} if k == 1 else set())
+            assert bool(placed) == (k < 2)
+            assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+
+
+def mid_structure_gds(stream, k):
+    """``edit_gds(k)`` with its M2 wire moved from the top's end to the
+    middle of the top's M2 elements."""
+    base = stream.base_gds
+    wire = stream.edit_gds(k)[stream._splice_at :][: len(stream.edit_gds(k)) - len(base)]
+    top = next(s for s in split(base)[1] if name_of(s) == TOP)
+    head, elements, _ = elements_of(top)
+    m2 = [i for i, e in enumerate(elements) if e[:10] == wire[:10]]  # BOUNDARY, LAYER M2
+    at = base.index(top) + len(head) + sum(map(len, elements[: m2[len(m2) // 2]]))
+    return base[:at] + wire + base[at:]
+
+
+def test_a_served_chain_edited_mid_structure_builds_no_tables(stream, monkeypatch):
+    """Five chained served rechecks whose M2 wire sits mid-way through the
+    top's M2 rings. Every version of a top layer with rings past the wire
+    (M2 among them) ends in a tail copy, which would drop whatever tables
+    it carried, so it builds none: a table sorted afresh every turn would
+    cost more than the scan. A top layer wholly before the wire is only
+    head-copied, builds its tables on the second recheck and carries them
+    on. Each served CSV is the cold check's."""
+    built = spy_table_builds(monkeypatch)
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=TOP)
+        state.check(session.sid)
+        for k in range(5):
+            built.clear()
+            data = mid_structure_gds(stream, k)
+            report, _ = state.recheck(session.sid, data=data)
+            assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+            if k != 1:
+                assert top_s(built) == set()
+        m2 = state.session(session.sid).layout.cell(TOP).rings(asap7.M2)
+        assert len(m2) > 1000 and m2._bounds is None and m2._order is None
 
 
 def large_bytes_reachable(root):

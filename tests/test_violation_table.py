@@ -13,10 +13,13 @@ the memo never reaches a pickle or a report-store entry.
 import json
 import os
 import pickle
+import random
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.checks.base import Violation, ViolationKind, violation_sort_key
 from repro.core import Engine, EngineOptions
@@ -224,3 +227,37 @@ def test_overlapping_bisects_only_canonical_runs():
     assert canonical.overlapping([box]) == [True, True, False, False]
     copy = pickle.loads(pickle.dumps(as_written))
     assert not copy.ordered and copy.overlapping([box]) == as_written.overlapping([box])
+
+
+def random_table_and_boxes(rng, canonical):
+    """Up to 30 markers on three layers and every kind, a third of them
+    wide, and up to four boxes (some empty) over the same small grid."""
+    entries = []
+    for _ in range(rng.randint(0, 30)):
+        x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+        w = rng.randint(50, 200) if rng.random() < 0.3 else rng.randint(0, 4)
+        entries.append(
+            {"kind": rng.choice(KINDS), "layer": rng.randint(0, 2), "other_layer": None,
+             "region": [x, y, x + w, y + rng.randint(0, 10)], "measured": 1, "required": 2}
+        )  # fmt: skip
+    boxes = []
+    for _ in range(rng.randint(0, 4)):
+        x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+        boxes.append([x, y, x + rng.randint(-2, 40), y + rng.randint(-2, 40)])
+    return ViolationTable.from_payload(entries, canonical=canonical), boxes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_overlapping_is_the_brute_force_test(seed, canonical):
+    """Every row against every non-empty box, ``Rect.overlaps`` style, on
+    canonical tables (bisected per run from ``box.xlo`` less the widest
+    marker) and on tables as written (scanned)."""
+    table, boxes = random_table_and_boxes(random.Random(seed), canonical)
+    live = [Rect(*box) for box in boxes if box[0] <= box[2] and box[1] <= box[3]]
+    expected = [
+        any(Rect(xlo, ylo, xhi, yhi).overlaps(box) for box in live)
+        for _, _, xlo, ylo, xhi, yhi, _, _, _ in table.rows()
+    ]
+    assert table.overlapping(boxes) == expected
+    assert table.overlapping(boxes) == expected  # the kept widest marker
