@@ -31,8 +31,6 @@ versions. See ``docs/algorithms.md`` §8e for the per-kind argument.
 from __future__ import annotations
 
 import dataclasses
-import operator
-from array import array
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -169,38 +167,10 @@ def _cell_local_dirty(old_cell, new_cell, layer: int) -> List[Rect]:
 def _common_ends(a, b) -> Tuple[int, int]:
     """How many rings lead both buffers equal, and how many then close both
     equal (the two runs never overlap): equal means the same coordinates
-    cut the same way. Each count is a bisection over array slice
-    comparisons, which run in C."""
-    n, m = len(a), len(b)
-
-    def longest(same, limit: int) -> int:
-        lo, hi = 0, limit
-        while lo < hi:
-            k = (lo + hi + 1) // 2
-            if same(k):
-                lo = k
-            else:
-                hi = k - 1
-        return lo
-
-    head = longest(
-        lambda k: a.offsets[: k + 1] == b.offsets[: k + 1]
-        and a.coords[: a.offsets[k]] == b.coords[: b.offsets[k]],
-        min(n, m),
-    )
-    sizes_a, sizes_b = _ring_sizes(a), _ring_sizes(b)
-    tail = longest(
-        lambda k: sizes_a[n - k :] == sizes_b[m - k :]
-        and a.coords[a.offsets[n - k] :] == b.coords[b.offsets[m - k] :],
-        min(n, m) - head,
-    )
-    return head, tail
-
-
-def _ring_sizes(rings) -> array:
-    """Each ring's coordinate count, as an ``array('q')``."""
-    offsets = rings.offsets
-    return array("q", map(operator.sub, offsets[1:], offsets[:-1]))
+    cut the same way. Only the rings after the common head are sized and
+    compared for the tail (:meth:`~repro.layout.cell.RingBuffer.shared_head`)."""
+    head = a.shared_head(b)
+    return head, a.shared_tail(b, head)
 
 
 def _unmatched(rings, start: int, keys: List[bytes], available: Counter) -> List:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from bisect import bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -86,25 +87,54 @@ def layer_geometry_digest(tree, layer: int) -> str:
     on the layer. References into layer-free subtrees are pruned — adding a
     cell that never touches the layer does not invalidate its entries.
     """
+    return _layer_hash(tree, layer, None)
+
+
+#: Rings between a layer digest's SHA-256 checkpoints inside one cell.
+DIGEST_STRIDE = 64
+
+#: One checkpoint of a layer digest: ``(cell name, ring, state)``, the
+#: state having hashed everything before that cell's ring ``ring``.
+Checkpoint = Tuple[str, int, Any]
+
+
+def _layer_hash(tree, layer: int, kept: Optional[List[Checkpoint]]) -> str:
+    """:func:`layer_geometry_digest`, resumed from the last of ``kept`` if
+    it holds any, and noting a checkpoint into ``kept`` (unless None) at
+    each cell and every :data:`DIGEST_STRIDE` rings of it."""
     layout = tree.layout
-    top = tree.top.name
     reachable = sorted(_reachable_cells(tree, layer))
-    hasher = hashlib.sha256()
-    hasher.update(f"layer:{layer};top:{top};".encode("utf-8"))
-    for name in reachable:
+    if kept:
+        name, ring, state = kept[-1]
+        hasher, at = state.copy(), reachable.index(name)
+    else:
+        hasher, at, ring = hashlib.sha256(), 0, None
+        hasher.update(f"layer:{layer};top:{tree.top.name};".encode("utf-8"))
+    stride = DIGEST_STRIDE if kept is not None else 0
+    for name in reachable[at:]:
         cell = layout.cell(name)
-        hasher.update(f"cell:{name};".encode("utf-8"))
+        if ring is None:
+            hasher.update(f"cell:{name};".encode("utf-8"))
+            ring = 0
+            if stride:
+                kept.append((name, 0, hasher.copy()))
         rings = cell.rings(layer)
-        if rings:
+        count = len(rings) if rings else 0
+        while ring < count:
             # Per ring ``poly:`` + its native-order int64 coordinates: the
             # bytes hashed since the first format, read from the ring buffer.
-            hasher.update(b"poly:" + b"poly:".join(rings.ring_bytes()))
+            stop = min(count, ring - ring % stride + stride) if stride else count
+            hasher.update(b"poly:" + b"poly:".join(rings.ring_bytes(ring, stop)))
+            ring = stop
+            if stride and stop % stride == 0:
+                kept.append((name, stop, hasher.copy()))
         for ref in cell.references:
             if tree.has_layer(ref.cell_name, layer):
                 hasher.update(b"ref:")
                 hasher.update(
                     repr((ref.cell_name, ref.transform, ref.repetition)).encode("utf-8")
                 )
+        ring = None
     return hasher.hexdigest()
 
 
@@ -118,17 +148,55 @@ def layer_digests(tree, layers: Sequence[int], previous=None) -> Dict[int, str]:
     same references) or the same references and the same rings on that
     layer. Then every subtree MBR of the layer, the reachable set and every
     hashed byte are equal. Every other layer is computed.
+
+    A tree whose :attr:`~repro.hierarchy.tree.HierarchyTree.digest_states`
+    is a dict keeps each digest's checkpoints there (carried with a digest
+    taken from ``previous``), and a computed digest resumes from the last of
+    ``previous``'s before the first byte that can differ
+    (:func:`_resume_point`).
     """
-    edited = _edited_cells(tree, previous[0]) if previous is not None else None
-    known = previous[1] if previous is not None else {}
-    return {
-        layer: known[layer]
-        if edited is not None
-        and layer in known
-        and all(_same_rings(cell.rings(layer), old.rings(layer)) for cell, old in edited)
-        else layer_geometry_digest(tree, layer)
-        for layer in layers
-    }
+    old_tree, known = previous if previous is not None else (None, {})
+    edited = _edited_cells(tree, old_tree) if previous is not None else None
+    kept = tree.digest_states
+    carried = old_tree.digest_states if previous is not None else None
+    digests = {}
+    for layer in layers:
+        if (
+            edited is not None
+            and layer in known
+            and all(_same_rings(cell.rings(layer), old.rings(layer)) for cell, old in edited)
+        ):
+            digests[layer] = known[layer]
+            if kept is not None and carried and layer in carried:
+                kept[layer] = carried[layer]
+        elif kept is None:
+            digests[layer] = layer_geometry_digest(tree, layer)
+        else:
+            resumed = kept[layer] = []
+            if carried and layer in carried and edited is not None:
+                resumed += _resume_point(carried[layer], edited, layer)
+            digests[layer] = _layer_hash(tree, layer, resumed)
+    return digests
+
+
+def _resume_point(kept: List[Checkpoint], edited, layer: int) -> List[Checkpoint]:
+    """The checkpoints of ``kept`` (an old version's, of ``layer``) up to the
+    last that a new version's digest shares: every one before the first
+    edited cell whose rings on the layer differ, and in that cell those
+    within the rings both versions begin with. None of them where an edited
+    cell gains or loses the layer, which can change what is reached."""
+    first = None
+    for cell, old in edited:
+        rings, old_rings = cell.rings(layer), old.rings(layer)
+        if bool(rings) != bool(old_rings):
+            return []
+        if rings and not rings.same_rings(old_rings) and (first is None or cell.name < first[0]):
+            first = cell.name, rings, old_rings
+    if first is None:  # the layer's rings are all alike: every checkpoint holds
+        return list(kept)
+    name, rings, old_rings = first
+    positions = [(point[0], point[1]) for point in kept]
+    return kept[: bisect_right(positions, (name, rings.shared_head(old_rings)))]
 
 
 def _edited_cells(tree, old_tree) -> Optional[List[Tuple[Any, Any]]]:

@@ -16,10 +16,10 @@ over a regular grid is the rect stretched across the grid's offset extent.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..geometry import EMPTY_RECT, Rect, Transform
-from ..geometry.transform import IDENTITY_ROW, compose_rows, rigid_row, row_transform
+from ..geometry.transform import IDENTITY_ROW, compose_rows, rigid_row, row_rect, row_transform
 from ..layout.cell import Cell, CellReference, SourceToken
 from ..layout.library import Layout
 
@@ -67,6 +67,15 @@ class HierarchyTree:
         #: not None, so a one-shot recheck (whose ``previous`` is cold)
         #: keeps none for a next version that will not come.
         self._placed_refs: Optional[Dict[int, Tuple[CellReference, Dict[int, Rect]]]] = None
+        chained = previous is not None and previous._placed_refs is not None
+        #: Layer -> the checkpoints of its digest
+        #: (:func:`repro.core.packstore.layer_digests` keeps them), for the
+        #: next version's digest to resume from; None (keep none) but in a
+        #: tree whose ``previous`` had a ``previous`` itself, as above.
+        self.digest_states: Optional[Dict[int, list]] = {} if chained else None
+        #: Cell name -> the names it references, for the cells whose token
+        #: this tree compared with ``previous``'s: carried for equal tokens.
+        self._children: Dict[str, FrozenSet[str]] = {}
         self._compute_mbrs(cells, previous)
 
     # -- construction -------------------------------------------------------
@@ -77,8 +86,7 @@ class HierarchyTree:
         subtree: it takes them too, and only the rest is computed.
 
         The rest reads each buffer's :meth:`~repro.layout.cell.RingBuffer.bounds`
-        (one entry and under a block of rings where a splice carried its block
-        bounds) and, for a reference
+        (one entry where a splice carried its prefix bounds) and, for a reference
         ``previous`` kept (the same object, copied over by the splice) whose
         child took ``previous``'s MBRs, that reference's placed MBRs."""
         shared: Set[str] = set()
@@ -87,16 +95,18 @@ class HierarchyTree:
             self._placed_refs = {}
         keep = self._placed_refs if carried is not None else None
         for cell in cells:
-            token = self.tokens[cell.name]
-            if (
-                previous is not None
-                and token is not None
-                and previous.tokens.get(cell.name) == token
-                and all(ref.cell_name in shared for ref in cell.references)
-            ):
-                self._layer_mbrs[cell.name] = previous._layer_mbrs[cell.name]
-                shared.add(cell.name)
-                continue
+            name = cell.name
+            token = self.tokens[name]
+            if previous is not None and token is not None and previous.tokens.get(name) == token:
+                # The same bytes: the same references, so the same children.
+                children = previous._children.get(name)
+                if children is None:
+                    children = frozenset(ref.cell_name for ref in cell.references)
+                self._children[name] = children
+                if children <= shared:
+                    self._layer_mbrs[name] = previous._layer_mbrs[name]
+                    shared.add(name)
+                    continue
             mbrs = {layer: cell.rings(layer).bounds() for layer in cell.local_layers()}
             for ref in cell.references:
                 child_mbrs = self._layer_mbrs[ref.cell_name]
@@ -114,7 +124,7 @@ class HierarchyTree:
                 keep[id(ref)] = entry
                 for layer, placed in entry[1].items():
                     mbrs[layer] = mbrs.get(layer, EMPTY_RECT).union(placed)
-            self._layer_mbrs[cell.name] = mbrs
+            self._layer_mbrs[name] = mbrs
 
     # -- queries ------------------------------------------------------------
 
@@ -153,7 +163,7 @@ class HierarchyTree:
                 if child_mbr.is_empty:
                     continue
                 for placement in ref.placements():
-                    table.append((ref.cell_name, placement, placement.apply_rect(child_mbr)))
+                    table.append((ref.cell_name, placement, placed_rect(placement, child_mbr)))
             self._placed_children[key] = table
         return table
 
@@ -217,7 +227,7 @@ def reference_mbr(ref: CellReference, child_rect: Rect) -> Rect:
     """
     if child_rect.is_empty:
         return EMPTY_RECT
-    base = ref.transform.apply_rect(child_rect)
+    base = placed_rect(ref.transform, child_rect)
     if ref.repetition is None:
         return base
     rep = ref.repetition
@@ -234,3 +244,12 @@ def reference_mbr(ref: CellReference, child_rect: Rect) -> Rect:
         base.xhi + max(dxs),
         base.yhi + max(dys),
     )
+
+
+def placed_rect(placement: Transform, rect: Rect) -> Rect:
+    """``placement.apply_rect(rect)`` for a non-empty ``rect``: through its
+    integer row (:func:`~repro.geometry.transform.row_rect`) where the
+    placement is rigid, with no ``Point`` built."""
+    if placement.preserves_distances:
+        return row_rect(rigid_row(placement), rect)
+    return placement.apply_rect(rect)

@@ -9,6 +9,7 @@ so that workload layouts can be persisted as genuine GDSII files and re-read.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from array import array
 from bisect import bisect_right
@@ -30,7 +31,7 @@ from ..gdsii.model import (
 )
 from ..gdsii.reader import REFERENCE_KEY, source_token
 from ..geometry import Point, Polygon, Transform
-from .cell import Cell, CellReference, Repetition
+from .cell import Cell, CellReference, Repetition, SourceToken
 from .library import Layout
 
 
@@ -68,12 +69,23 @@ class StructureSource:
     ``(i, k)``: triple ``i``'s mark plus ``k`` rectangles of the run that
     ends at triple ``i + 1``. ``index`` is never mutated, so a version
     whose structure did not move shares it.
+
+    ``states`` are the structure's SHA-256 checkpoints: ``states[j]`` has
+    hashed its first ``(j + 1) * TOKEN_STRIDE`` bytes, so the next version's
+    token hashes only from the last one inside the bytes both begin with
+    (:func:`structure_token`). A cold read keeps None; a structure spliced
+    from a cell that kept None keeps ``()`` and hashes whole, as a cold read
+    does; only one spliced from a cell that kept states (``()`` among them)
+    takes them, so a one-shot recheck builds none.
     """
 
-    __slots__ = ("data", "start", "stop", "index")
+    __slots__ = ("data", "start", "stop", "index", "states")
 
-    def __init__(self, data: bytes, start: int, stop: int, index: array) -> None:
+    def __init__(
+        self, data: bytes, start: int, stop: int, index: array, states: Optional[tuple] = None
+    ) -> None:
         self.data, self.start, self.stop, self.index = data, start, stop, index
+        self.states = states
 
     def floor(self, offset: int) -> Tuple[int, int]:
         """The last element boundary at or before ``offset`` (counted from
@@ -147,12 +159,16 @@ class LayoutSink:
     def __init__(self, previous: Optional[Layout] = None) -> None:
         self._previous = previous.cells if previous is not None else {}
         self._suffix = None, 0  # (a previous stream, the bytes it ends alike with this one)
+        # The previous version's order, while every reference list so far is
+        # the one of the previous cell of that name (see :meth:`finish`).
+        self._order = previous.kept_order() if previous is not None else None
 
     def begin_library(self, name, user_unit, meters_per_unit, timestamp) -> None:
         self.layout = Layout(name, meters_per_unit=meters_per_unit, user_unit=user_unit)
 
     def begin_structure(self, name: str, timestamp) -> None:
         self._cell = self.layout.new_cell(name)
+        self._decoded_refs = False
 
     def resume(self, data: bytes, start: int, body: int) -> Tuple[int, Optional[int]]:
         """Copy the head of the structure begun last from the previous
@@ -173,10 +189,12 @@ class LayoutSink:
         self.note: Callable = self._middle.extend
         old = self._previous.get(self._cell.name)
         source = old.source if old is not None else None
+        self._prior = None
         if source is not None:
             length = source.stop - source.start
             same = _common_prefix(data, start, source.data, source.start, length)
             head = source.floor(same)
+            self._prior = source, same
         if source is None or head[0] < 0:
             self._head = array("q", (body - start, 0, 0))
             return body, None
@@ -215,8 +233,15 @@ class LayoutSink:
             else:  # the cell's own bytes, element for element: all copied
                 index = source.index
             offset = source.stop + shift
-        source = StructureSource(data, start, offset, index)
-        cell.stamp(token or source_token(data, start, offset), source)
+        prior = self._prior
+        if token is not None:
+            states = () if prior[0].states is None else prior[0].states
+        else:
+            token, states = structure_token(data, start, offset, prior)
+        cell.stamp(token, StructureSource(data, start, offset, index, states))
+        old = self._previous.get(cell.name)
+        if self._decoded_refs or old is None or len(cell.references) != len(old.references):
+            self._order = None
         return offset
 
     def boundary(self, layer: int, datatype: int, flat, properties) -> None:
@@ -285,6 +310,8 @@ class LayoutSink:
 
     def element(self, element) -> None:
         cell = self._cell
+        if isinstance(element, (GdsSref, GdsAref)):
+            self._decoded_refs = True
         if isinstance(element, GdsSref):
             cell.add_reference(
                 CellReference(element.sname, _transform_from_strans(element))
@@ -299,15 +326,26 @@ class LayoutSink:
             raise GdsiiError(f"unsupported element {type(element).__name__}")
 
     def finish(self) -> Layout:
-        cells = self.layout.cells
-        for cell, ref in self.layout.iter_references():
+        """The layout, its references checked and its order kept.
+
+        Where every structure's references are the previous cell's of that
+        name (copied with its head and tail, none decoded: the same list)
+        and the cell names are the previous layout's, the previous order
+        holds, checks included: it is taken, cell for cell.
+        """
+        layout = self.layout
+        cells = layout.cells
+        if self._order is not None and cells.keys() == self._previous.keys():
+            layout.keep_order([cells[cell.name] for cell in self._order])
+            return layout
+        for cell, ref in layout.iter_references():
             if ref.cell_name not in cells:
                 raise GdsiiError(
                     f"structure {cell.name!r} references undefined structure "
                     f"{ref.cell_name!r}"
                 )
-        self.layout.validate()
-        return self.layout
+        layout.validate()
+        return layout
 
 
 #: Byte -> the byte that extends its sign: 0x00 below 0x80, 0xFF from it on.
@@ -342,6 +380,38 @@ def _copy(old: Cell, cell: Cell, source: StructureSource, since, until) -> None:
     lo = skip.get(REFERENCE_KEY, 0)
     hi = len(old.references) if end is None else end.get(REFERENCE_KEY, 0)
     cell.references += old.references[lo:hi]
+
+
+#: Bytes between a structure's SHA-256 checkpoints (:attr:`StructureSource.states`).
+TOKEN_STRIDE = 8 << 10
+
+
+def structure_token(
+    data: bytes, start: int, stop: int, prior: Optional[Tuple[StructureSource, int]]
+) -> Tuple[SourceToken, Optional[tuple]]:
+    """The source token of ``data[start:stop]`` and the checkpoints to keep
+    with it (see :attr:`StructureSource.states`).
+
+    ``prior`` is the previous version's source of the structure and how many
+    bytes the two begin with alike, or None. Where that source kept
+    checkpoints, the hash resumes from the last one inside those bytes, and
+    the rest is hashed stride by stride, a checkpoint after each.
+    """
+    if prior is None:
+        return source_token(data, start, stop), None
+    source, same = prior
+    if source.states is None:
+        return source_token(data, start, stop), ()
+    states = list(source.states[: same // TOKEN_STRIDE])
+    hasher = states[-1].copy() if states else hashlib.sha256()
+    view = memoryview(data)
+    at = start + len(states) * TOKEN_STRIDE
+    while at + TOKEN_STRIDE <= stop:
+        hasher.update(view[at : at + TOKEN_STRIDE])
+        states.append(hasher.copy())
+        at += TOKEN_STRIDE
+    hasher.update(view[at:stop])
+    return (stop - start, hasher.digest()), tuple(states)
 
 
 def _common_prefix(data: bytes, start: int, old: bytes, old_start: int, limit: int) -> int:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import dataclasses
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from operator import sub
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..geometry import EMPTY_RECT, Point, Polygon, Rect, Transform
 from ..geometry.polygon import is_rectangle_ring
@@ -75,15 +76,11 @@ class CellReference:
             yield Transform(t.dx + dx, t.dy + dy, t.rotation, t.mirror_x, t.magnification)
 
 
-#: A buffer with fewer rings than this is scanned whole by a walk step,
-#: which neither builds it an x-ordered index nor marks it walked
-#: (:meth:`RingBuffer.mbrs_near`). At 64 rings a banded step already costs
-#: about half a scan, and its index pays for itself within a few walks.
+#: A buffer with fewer rings than this is scanned whole by a walk step or a
+#: bounds pass, which neither builds it a table nor marks it scanned
+#: (:meth:`RingBuffer.mbrs_near`, :meth:`RingBuffer.bounds`). At 64 rings a
+#: banded step already costs about half a scan, and its index pays for itself within a few walks.
 BANDED_MIN = 64
-
-#: Rings per entry of a buffer's block bounds (:meth:`RingBuffer.block_bounds`):
-#: two bytes a ring, and at most 15 rings read past the last entry.
-BOUNDS_BLOCK = 16
 
 #: An append or a head copy that moves more rings than this in or out of a
 #: kept x-ordered index drops it (the next walk sorts afresh) rather than
@@ -91,9 +88,9 @@ BOUNDS_BLOCK = 16
 SPLICE_MAX = 64
 
 
-#: :attr:`RingBuffer._walked`: a walk step scanned this large buffer
-#: without an index; or a buffer it was head-copied from was walked, so
-#: its tables are built on first ask ("due").
+#: :attr:`RingBuffer._walked`: a walk step or a :meth:`RingBuffer.bounds`
+#: pass scanned this large buffer without a table; or a buffer it was
+#: head-copied from was, so its tables are built on first ask ("due").
 _WALKED, _DUE = 1, 2
 
 
@@ -135,27 +132,31 @@ class RingBuffer:
     its buffers is still stamped.
 
     Two derived tables follow the rings across version splices instead:
-    :meth:`block_bounds`, the running bounds every :data:`BOUNDS_BLOCK`
-    rings (so the bounds of any prefix, a head copy's among them, read one
-    entry and fewer than a block of rings: :meth:`bounds`), and
-    :meth:`xorder` (so a walk step bisects a band per window,
-    :meth:`mbrs_near`). A head copy (:meth:`extend` from ring 0 into an
-    empty buffer) carries the source's, cut to the copied prefix;
+    :meth:`prefix_bounds`, the running bounds after every ring (so the
+    bounds of any prefix, a head copy's among them, are one entry:
+    :meth:`bounds`), and :meth:`xorder` (so a walk step bisects a band per
+    window, :meth:`mbrs_near`). A head copy (:meth:`extend` from ring 0
+    into an empty buffer) carries the source's, cut to the copied prefix;
     :meth:`append_ring` and :meth:`append_rectangles` extend kept tables;
     any other mutation drops them. They are not compared nor pickled.
 
     They are built only where they will be carried: in a buffer that is
-    *due*, a head copy of a large buffer that a walk step scanned (or of
-    one that was due itself). So a cold check and a one-shot recheck build
-    nothing, a served chain builds them on its second version of a walked
-    layer and carries them on, and a version whose splice ends in a tail
-    copy (an edit mid-structure: every later version's too) builds none
-    and scans, as it would without them.
+    *due*, a head copy of a large buffer that a walk step or a
+    :meth:`bounds` pass scanned (or of one that was due itself). So a cold
+    check and a one-shot recheck build nothing, a served chain builds them
+    on its first spliced version of a scanned layer and carries them on,
+    and a version whose splice ends in a tail copy (an edit mid-structure:
+    every later version's too) builds none and scans, as it would without
+    them.
+
+    A head copy also notes where its rings came from (:meth:`shared_head`):
+    how many leading rings it holds alike with its source, while the
+    source loses none.
     """
 
     __slots__ = (
         "coords", "offsets", "mbrs", "names", "_view", "_rects", "_stamped", "_bounds", "_order",
-        "_walked",
+        "_walked", "_lineage", "_origin",
     )  # fmt: skip
 
     def __init__(self) -> None:
@@ -169,6 +170,13 @@ class RingBuffer:
         self._bounds: Optional[array] = None
         self._order: Optional[XOrder] = None
         self._walked = 0
+        #: An identity only this buffer holds, made for the first head copy
+        #: taken of it and dropped when one of its rings goes; a head copy's
+        #: :attr:`_origin` names it.
+        self._lineage: Optional[object] = None
+        #: ``(lineage, count)``: the first ``count`` rings were head-copied
+        #: from the buffer of that lineage.
+        self._origin: Optional[Tuple[object, int]] = None
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -179,6 +187,7 @@ class RingBuffer:
     def __setstate__(self, state) -> None:
         self.coords, self.offsets, self.mbrs, self.names = state
         self._view = self._rects = self._bounds = self._order = None
+        self._lineage = self._origin = None
         self._stamped = False
         self._walked = 0
 
@@ -192,6 +201,40 @@ class RingBuffer:
     def same_rings(self, other: "RingBuffer") -> bool:
         """True if both hold the same rings in the same order (names aside)."""
         return self.coords == other.coords and self.offsets == other.offsets
+
+    def shared_head(self, other: "RingBuffer") -> int:
+        """How many rings lead both buffers alike: the same coordinates cut
+        the same way.
+
+        The rings one took from the other by a head copy are known alike
+        without a look, while the source has lost no ring since; the rest
+        is a bisection over array slice compares (which run in C) of the
+        rings after them only.
+        """
+        start = 0
+        for source, copy in ((self, other), (other, self)):
+            origin = copy._origin
+            if origin is not None and source._lineage is not None and origin[0] is source._lineage:
+                start = origin[1]
+        a, b = self, other
+        a0, b0 = a.offsets[start], b.offsets[start]
+        return start + _longest(
+            lambda k: a.offsets[start + 1 : start + k + 1] == b.offsets[start + 1 : start + k + 1]
+            and a.coords[a0 : a.offsets[start + k]] == b.coords[b0 : b.offsets[start + k]],
+            min(len(a), len(b)) - start,
+        )
+
+    def shared_tail(self, other: "RingBuffer", head: int) -> int:
+        """How many rings then close both buffers alike, past the first
+        ``head`` of each (what :meth:`shared_head` gave): only the rings
+        after those are sized and compared."""
+        a, b, n, m = self, other, len(self), len(other)
+        sizes_a, sizes_b = _ring_sizes(a.offsets, head), _ring_sizes(b.offsets, head)
+        return _longest(
+            lambda k: sizes_a[n - head - k :] == sizes_b[m - head - k :]
+            and a.coords[a.offsets[n - k] :] == b.coords[b.offsets[m - k] :],
+            min(n, m) - head,
+        )
 
     def ring_bytes(self, start: int = 0, stop: Optional[int] = None) -> List[bytes]:
         """The coordinate bytes (native int64) of rings ``start`` up to
@@ -222,42 +265,45 @@ class RingBuffer:
 
     # -- derived tables, carried across splices --------------------------------
 
-    def block_bounds(self) -> array:
+    def prefix_bounds(self) -> array:
         """Entry ``j``, ``[4 * j:4 * j + 4]``: the MBR ``xlo, ylo, xhi, yhi``
-        of rings ``0`` up to ``BOUNDS_BLOCK * (j + 1)``, one entry per
-        complete block: the running minima and maxima of :attr:`mbrs`,
-        sampled every :data:`BOUNDS_BLOCK` rings.
+        of rings ``0`` through ``j``, the running minima and maxima of
+        :attr:`mbrs`.
 
         Built when called and kept (lock-free, as :meth:`rect_flags`) while
         the buffer only grows at its end; :meth:`bounds` calls it only in a
         buffer that is due (see the class docstring).
         """
-        blocks = self._bounds
-        if blocks is None:
-            blocks = array("q")
-            _extend_blocks(blocks, self.mbrs)
-            self._bounds = blocks
-        return blocks
+        table = self._bounds
+        if table is None:
+            table = array("q")
+            _extend_bounds(table, self.mbrs, 0)
+            self._bounds = table
+        return table
 
     def bounds(self) -> Rect:
-        """The MBR of every ring (``EMPTY_RECT`` for none): the last kept
-        block's entry joined with the rings after it (fewer than
-        :data:`BOUNDS_BLOCK`), or one pass over :attr:`mbrs` in a buffer
-        that keeps no block bounds and is not due (which builds nothing)."""
-        blocks = self._bounds
-        if blocks is None and self._walked == _DUE:
-            blocks = self.block_bounds()
-        blocks, table = blocks or (), self.mbrs
-        start = len(blocks) * BOUNDS_BLOCK
-        if start == len(table):
-            return Rect._make(blocks[-4:]) if blocks else EMPTY_RECT
-        return Rect(*_joined(table, start, len(table), blocks[-4:]))
+        """The MBR of every ring (``EMPTY_RECT`` for none): the last entry of
+        the prefix bounds, or one pass over :attr:`mbrs` in a buffer that
+        keeps none and is not due. That pass builds nothing, but in a buffer
+        of :data:`BANDED_MIN` rings or more it marks the buffer scanned, so
+        that its next version's head copy is due."""
+        table = self._bounds
+        if table is None and self._walked == _DUE:
+            table = self.prefix_bounds()
+        if table is not None:
+            return Rect._make(table[-4:]) if table else EMPTY_RECT
+        table = self.mbrs
+        if not table:
+            return EMPTY_RECT
+        if len(table) >= 4 * BANDED_MIN:
+            self._walked = _WALKED
+        return Rect(min(table[0::4]), min(table[1::4]), max(table[2::4]), max(table[3::4]))
 
     def xorder(self) -> XOrder:
         """The ``xlo``-ordered index of the rings (see :class:`XOrder`),
         its band the widest ring's width.
 
-        Built when called and kept as :meth:`block_bounds` is;
+        Built when called and kept as :meth:`prefix_bounds` is;
         :meth:`mbrs_near` calls it only in a buffer that is due.
         """
         order = self._order
@@ -322,7 +368,7 @@ class RingBuffer:
         """Extend the kept tables by rings ``first`` on, just appended: the
         band widens to a wider ring."""
         if self._bounds is not None:
-            _extend_blocks(self._bounds, self.mbrs)
+            _extend_bounds(self._bounds, self.mbrs, first)
         order = self._order
         if order is not None and len(self) - first > SPLICE_MAX:
             self._order = None
@@ -402,16 +448,19 @@ class RingBuffer:
         transient copy of a large cell's arrays left the heap 0.5 MB larger.
 
         A head copy (from ring 0 into an empty buffer) carries the derived
-        tables the source keeps, cut to the copied rings, and is due if the
-        source was walked or due; it builds nothing. Any other range drops
-        this buffer's tables, and it is no longer due.
+        tables the source keeps, cut to the copied rings, is due if the
+        source was scanned or due, and notes its origin; it builds nothing.
+        Any other range drops this buffer's tables, and it is no longer due.
         """
         stop = len(source) if stop is None else stop
         if start == 0 and not len(self):
-            blocks = source._bounds
-            self._bounds = None if blocks is None else blocks[: 4 * (stop // BOUNDS_BLOCK)]
+            bounds = source._bounds
+            self._bounds = None if bounds is None else bounds[: 4 * stop]
             self._order = source._prefix_order(stop)
             self._walked = _DUE if source._walked else 0
+            if source._lineage is None:
+                source._lineage = object()
+            self._origin = source._lineage, stop
         else:
             self._bounds = self._order = None
             self._walked = 0
@@ -455,6 +504,7 @@ class RingBuffer:
             if i != index
         }
         self._view = self._rects = self._bounds = self._order = None
+        self._lineage = self._origin = None
         self._stamped = False
         self._walked = 0
         return removed
@@ -491,23 +541,37 @@ class RingBuffer:
         return view
 
 
-def _joined(mbrs: array, start: int, stop: int, last: Sequence[int]) -> Tuple[int, ...]:
-    """The MBR of the rings of ``mbrs[start:stop]`` (at least one), joined
-    with ``last`` (another MBR, or empty for none)."""
-    xlo, ylo = min(mbrs[start:stop:4]), min(mbrs[start + 1 : stop : 4])
-    xhi, yhi = max(mbrs[start + 2 : stop : 4]), max(mbrs[start + 3 : stop : 4])
-    if last:
-        bxlo, bylo, bxhi, byhi = last
-        return min(xlo, bxlo), min(ylo, bylo), max(xhi, bxhi), max(yhi, byhi)
-    return xlo, ylo, xhi, yhi
+def _extend_bounds(bounds: array, mbrs: array, first: int) -> None:
+    """Append to ``bounds`` (the prefix bounds of rings ``0`` up to ``first``,
+    see :meth:`RingBuffer.prefix_bounds`) the entries of rings ``first`` on."""
+    count = (len(mbrs) >> 2) - first
+    if count <= 0:
+        return
+    seeds = bounds[-4:] if bounds else mbrs[4 * first : 4 * first + 4]
+    entries = array("q", bytes(32 * count))
+    for k, pick in enumerate((min, min, max, max)):
+        running = accumulate(mbrs[4 * first + k :: 4], pick, initial=seeds[k])
+        next(running)
+        entries[k::4] = array("q", running)
+    bounds += entries
 
 
-def _extend_blocks(blocks: array, mbrs: array) -> None:
-    """Append to ``blocks`` (see :meth:`RingBuffer.block_bounds`) the entry
-    of every block of ``mbrs`` completed past those it holds."""
-    step = 4 * BOUNDS_BLOCK
-    for start in range(len(blocks) * BOUNDS_BLOCK, len(mbrs) - step + 1, step):
-        blocks.extend(_joined(mbrs, start, start + step, blocks[-4:]))
+def _ring_sizes(offsets: array, start: int) -> array:
+    """The coordinate count of each ring from ``start`` on."""
+    return array("q", map(sub, offsets[start + 1 :], offsets[start:-1]))
+
+
+def _longest(same: Callable[[int], bool], limit: int) -> int:
+    """The largest ``k <= limit`` with ``same(k)``, by bisection (``same``
+    holds for ``0`` and is monotone)."""
+    lo, hi = 0, limit
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        if same(k):
+            lo = k
+        else:
+            hi = k - 1
+    return lo
 
 
 #: Where a cell's content came from: the length and SHA-256 digest of the

@@ -5,6 +5,12 @@ hierarchy is a DAG (a cell may be instantiated many times but cycles are
 illegal); :meth:`Layout.validate` enforces this, and
 :meth:`Layout.topological_order` yields cells children-first, which is the
 order bottom-up passes (MBR computation, memoised checking) need.
+
+A layout read from a stream keeps its order (:meth:`Layout.keep_order`)
+while every cell's source token holds, which it does only while the cell's
+references are those it was read with, and no cell is added: each version
+of a served layout computes it at most once, and a version whose cells and
+reference lists a splice carried takes its predecessor's.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ class Layout:
         self.user_unit = user_unit
         self.cells: Dict[str, Cell] = {}
         self._top_name: Optional[str] = None
+        self._order: Optional[List[Cell]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -38,6 +45,7 @@ class Layout:
         if cell.name in self.cells:
             raise LayoutError(f"duplicate cell name {cell.name!r}")
         self.cells[cell.name] = cell
+        self._order = None
         return cell
 
     def new_cell(self, name: str) -> Cell:
@@ -91,7 +99,11 @@ class Layout:
         """Check reference closure and acyclicity; raise LayoutError on failure.
 
         Returns :meth:`topological_order`, which the acyclicity check computes.
+        A kept order was validated when it was computed: nothing is checked.
         """
+        kept = self.kept_order()
+        if kept is not None:
+            return list(kept)
         for cell in self.cells.values():
             for ref in cell.references:
                 if ref.cell_name not in self.cells:
@@ -100,8 +112,37 @@ class Layout:
                     )
         return self.topological_order()  # raises on cycles
 
+    def kept_order(self) -> Optional[List[Cell]]:
+        """The order :meth:`keep_order` kept, while it holds: the same cells,
+        each with its source token (so its references as they were read)."""
+        order = self._order
+        if order is not None and not (
+            len(order) == len(self.cells)
+            and all(
+                self.cells.get(cell.name) is cell and cell.source_token is not None
+                for cell in order
+            )
+        ):
+            order = self._order = None
+        return order
+
+    def keep_order(self, order: List[Cell]) -> None:
+        """Keep ``order`` (this layout's topological order) for
+        :meth:`topological_order` to answer with while it holds; a layout
+        with a cell that holds no source token keeps nothing."""
+        if all(cell.source_token is not None for cell in order):
+            self._order = order
+
     def topological_order(self) -> List[Cell]:
         """Cells ordered children-before-parents; raises on reference cycles."""
+        kept = self.kept_order()
+        if kept is not None:
+            return list(kept)
+        order = self._topological_order()
+        self.keep_order(order)
+        return list(order)
+
+    def _topological_order(self) -> List[Cell]:
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
         order: List[Cell] = []
         path: List[str] = []  # the cells being visited, outermost first

@@ -1,6 +1,9 @@
 from collections import Counter
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.geometry import EMPTY_RECT, Polygon, Rect, Transform
 from repro.geometry.transform import row_transform
@@ -134,3 +137,67 @@ class TestInstances:
         cell_name, placement, mbr = items[0]
         assert cell_name == "mid"
         assert mbr == Rect(120, 50, 306, 56)
+
+
+# -- placed MBRs through integer rows ---------------------------------------------------
+
+
+def apply_rect_reference_mbr(ref, child_rect):
+    """A reference's placed MBR through ``Transform.apply_rect`` (``Point``
+    objects), the AREF grid folded as :func:`reference_mbr` folds it."""
+    base = ref.transform.apply_rect(child_rect)
+    if ref.repetition is None:
+        return base
+    rep = ref.repetition
+    corners = [
+        (c * rep.column_step[0] + r * rep.row_step[0], c * rep.column_step[1] + r * rep.row_step[1])
+        for c in (0, rep.columns - 1)
+        for r in (0, rep.rows - 1)
+    ]
+    return Rect(
+        base.xlo + min(x for x, _ in corners),
+        base.ylo + min(y for _, y in corners),
+        base.xhi + max(x for x, _ in corners),
+        base.yhi + max(y for _, y in corners),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rotation=st.sampled_from((0, 90, 180, 270)),
+    mirror=st.booleans(),
+    magnification=st.sampled_from((1, 1.0, 2, 3, Fraction(1, 2))),
+    origin=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    corner=st.tuples(st.integers(-500, 500), st.integers(-500, 500)),
+    size=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    grid=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(1, 4), st.integers(1, 4),
+            st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
+            st.tuples(st.integers(-90, 90), st.integers(-90, 90)),
+        ),
+    ),
+)  # fmt: skip
+def test_placed_mbrs_through_rows_equal_those_through_points(
+    rotation, mirror, magnification, origin, corner, size, grid
+):
+    """Over all 8 orientations, SREFs and AREFs, rigid and magnified:
+    :func:`reference_mbr` and :meth:`HierarchyTree.placed_children` (rows
+    for a rigid placement) give the rects ``Transform.apply_rect`` gives."""
+    (x, y), (w, h) = corner, size
+    child_rect = Rect(2 * x, 2 * y, 2 * (x + w), 2 * (y + h))  # on grid at magnification 1/2
+    transform = Transform(origin[0], origin[1], rotation, mirror, magnification)
+    repetition = Repetition(*grid) if grid else None
+    ref = CellReference("child", transform, repetition)
+    assert reference_mbr(ref, child_rect) == apply_rect_reference_mbr(ref, child_rect)
+
+    if not w or not h:  # a degenerate rect is no polygon
+        return
+    layout = Layout("rows")
+    layout.new_cell("child").add_polygon(1, Polygon.from_rect_coords(*child_rect))
+    layout.new_cell("top").add_reference(ref)
+    placed = HierarchyTree(layout, top="top").placed_children("top", 1)
+    assert placed == [
+        ("child", placement, placement.apply_rect(child_rect)) for placement in ref.placements()
+    ]

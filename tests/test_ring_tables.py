@@ -1,9 +1,9 @@
 """The ring buffer's derived tables, across mutations and version splices.
 
-``RingBuffer.block_bounds()`` (the running bounds every ``BOUNDS_BLOCK``
-rings) and ``RingBuffer.xorder()`` (the ``xlo``-ordered index a walk step
-bisects) are built only in a buffer that is due: a head copy of a large
-buffer a walk step scanned. A head copy (``extend`` from ring 0 into an
+``RingBuffer.prefix_bounds()`` (the running bounds after every ring) and
+``RingBuffer.xorder()`` (the ``xlo``-ordered index a walk step bisects) are
+built only in a buffer that is due: a head copy of a large buffer a walk
+step or a bounds pass scanned. A head copy (``extend`` from ring 0 into an
 empty buffer) carries them, an append extends them, any other mutation
 drops them. Whatever a buffer keeps must equal a fresh build (the index at
 its band, at least the widest ring's width), after any op sequence and
@@ -14,13 +14,13 @@ same order.
 """
 
 import random
-import struct
 from array import array
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core import diff as diff_module
 from repro.errors import ReproError
 from repro.gdsii import read_layout_bytes, write_bytes
 from repro.geometry import EMPTY_RECT, Polygon, Rect, Transform
@@ -29,23 +29,28 @@ from repro.hierarchy.tree import HierarchyTree
 from repro.layout import Layout, gdsii_from_layout
 from repro.layout import cell as cell_module
 from repro.layout.cell import CellReference, RingBuffer, XOrder
+from repro.server import ServerState
 from repro.workloads import build_design
 
-from .test_version_reuse import (
+from .test_version_reuse import (  # noqa: F401 (streams: a fixture)
+    CHAIN_STEPS,
+    DESIGNS,
+    TOP,
+    chain_edit,
     edit_elements,
-    elements_of,
-    is_rectangle_element,
+    moved_to_another_layer,
     name_of,
     references_in,
     split,
+    streams,
 )
 
 
-def fresh_blocks(rings):
-    """The block bounds of ``rings``, from the definition."""
-    block, table, out = cell_module.BOUNDS_BLOCK, rings.mbrs, array("q")
-    for j in range(len(rings) // block):
-        prefix = table[: 4 * block * (j + 1)]
+def fresh_bounds(rings):
+    """The prefix bounds of ``rings``, from the definition."""
+    table, out = rings.mbrs, array("q")
+    for j in range(len(rings)):
+        prefix = table[: 4 * (j + 1)]
         out.extend((min(prefix[0::4]), min(prefix[1::4]), max(prefix[2::4]), max(prefix[3::4])))
     return out
 
@@ -66,7 +71,7 @@ def widest(rings):
 def assert_fresh(rings):
     """What ``rings`` keeps is what a fresh build gives."""
     if rings._bounds is not None:
-        assert rings._bounds == fresh_blocks(rings)
+        assert rings._bounds == fresh_bounds(rings)
     if rings._order is not None:
         assert rings._order == fresh_order(rings, rings._order.band)
         assert rings._order.band >= widest(rings)
@@ -80,7 +85,7 @@ def assert_fresh(rings):
 
 
 def force_tables(rings):
-    rings.block_bounds()
+    rings.prefix_bounds()
     rings.xorder()
 
 
@@ -114,10 +119,9 @@ def near(rings, windows):
 
 @pytest.fixture()
 def small_blocks():
-    """Blocks, splice limits and the banded cut-off a few rings long, so
-    short buffers take every path."""
+    """Splice limits and the banded cut-off a few rings long, so short
+    buffers take every path."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cell_module, "BOUNDS_BLOCK", 3)
         patch.setattr(cell_module, "SPLICE_MAX", 4)
         patch.setattr(cell_module, "BANDED_MIN", 3)
         yield
@@ -134,6 +138,7 @@ ops = st.one_of(
     st.tuples(st.just("head"), st.floats(0, 1)),
     st.tuples(st.just("range"), st.floats(0, 1), st.floats(0, 1)),
     st.tuples(st.just("remove"), st.floats(0, 1)),
+    st.tuples(st.just("drop"), st.floats(0, 1)),
     st.tuples(st.just("copy")),
     st.tuples(st.just("walk"), st.lists(boxes, min_size=1, max_size=3)),
     st.tuples(st.just("ask")),
@@ -150,9 +155,13 @@ def append_box(rings, box):
 )
 @given(st.lists(boxes, max_size=12), st.lists(ops, max_size=12))
 def test_kept_tables_equal_fresh_ones_after_any_op_sequence(small_blocks, start, sequence):
+    """... and the rings a buffer shares at its head with each earlier one
+    are those a ring-by-ring comparison finds, however either changed since
+    ("drop" removes a ring from the version before the current one)."""
     rings = RingBuffer()
     for box in start:
         append_box(rings, box)
+    versions = [rings]
     for op, *args in sequence:
         if op == "ring":
             append_box(rings, args[0])
@@ -181,6 +190,8 @@ def test_kept_tables_equal_fresh_ones_after_any_op_sequence(small_blocks, start,
         elif op == "remove" and len(rings):
             rings.remove(int(args[0] * (len(rings) - 1)))
             assert rings._bounds is None and rings._order is None and not rings._walked
+        elif op == "drop" and len(versions) > 1 and len(versions[-2]):
+            versions[-2].remove(int(args[0] * (len(versions[-2]) - 1)))
         elif op == "copy":
             rings = rings.copy()
         elif op == "walk":
@@ -193,6 +204,10 @@ def test_kept_tables_equal_fresh_ones_after_any_op_sequence(small_blocks, start,
         else:
             force_tables(rings)
         assert_fresh(rings)
+        if rings is not versions[-1]:
+            versions.append(rings)
+        for other in versions:
+            assert rings.shared_head(other) == other.shared_head(rings) == fresh_ends(rings, other)[0]
 
 
 def test_the_band_is_the_widest_ring_and_widens_on_append():
@@ -215,11 +230,11 @@ def test_the_band_is_the_widest_ring_and_widens_on_append():
 
 
 def test_tables_are_built_only_where_they_will_be_carried():
-    """A walk step scans a large buffer and marks it walked, building
-    nothing; the buffer's next version (a head copy) is due and builds
-    both tables on first ask, and its own head copies carry them. A
-    version that ends in a tail copy, an unwalked buffer's head copy and a
-    small buffer build nothing."""
+    """A walk step or a bounds pass scans a large buffer and marks it
+    scanned, building nothing; the buffer's next version (a head copy) is
+    due and builds both tables on first ask, and its own head copies carry
+    them. A version that ends in a tail copy, an unscanned buffer's head
+    copy and a small buffer build nothing."""
     rings = RingBuffer()
     for k in range(200):
         append_box(rings, (37 * k % 5000, 11 * k % 700, 8, 8))
@@ -229,9 +244,19 @@ def test_tables_are_built_only_where_they_will_be_carried():
     assert near(rings, window) == near(rings, window) == linear_near(rings, window)
     assert rings._bounds is None and rings._order is None  # a one-shot walk
 
+    never = RingBuffer()
+    never.extend(unwalked)  # the head copy of a buffer nothing scanned
+    never.bounds()
+    assert never._bounds is None
     for buffer in (unwalked, rings):  # neither is due
         buffer.bounds()
-        assert buffer._bounds is None
+        assert buffer._bounds is None and buffer._walked == cell_module._WALKED
+    bounded = RingBuffer()
+    bounded.extend(unwalked)  # a bounds pass scanned it: due
+    assert bounded._walked == cell_module._DUE
+    bounded.bounds()
+    assert bounded._bounds is not None
+    assert_fresh(bounded)
 
     version = RingBuffer()
     version.extend(rings, 0, 199)  # a wire dropped at the end ...
@@ -335,18 +360,6 @@ def test_the_banded_walk_returns_the_linear_walk(seed, count):
 # -- version splices -----------------------------------------------------------------
 
 
-def moved_to_another_layer(structure, rng):
-    """One rectangle BOUNDARY of ``structure`` put on another layer."""
-    head, elements, end = elements_of(structure)
-    rectangles = [i for i, e in enumerate(elements) if is_rectangle_element(e)]
-    if rectangles:
-        at = rng.choice(rectangles)
-        layer = struct.unpack_from(">h", elements[at], 8)[0]
-        layer += rng.choice((1, 11))
-        elements[at] = elements[at][:8] + struct.pack(">h", layer) + elements[at][10:]
-    return head + b"".join(elements) + end
-
-
 def spliced(data, rng):
     """``data`` with one structure edited: elements (wires among them)
     appended, inserted, deleted, replaced or nudged anywhere in it, or a
@@ -378,7 +391,6 @@ def test_a_spliced_version_keeps_tables_equal_to_fresh_ones(uart_stream, seed, s
     rng = random.Random(seed)
     with pytest.MonkeyPatch.context() as patch:
         if small:
-            patch.setattr(cell_module, "BOUNDS_BLOCK", 5)
             patch.setattr(cell_module, "SPLICE_MAX", 3)
         data = uart_stream
         layout = read_layout_bytes(data)
@@ -396,3 +408,60 @@ def test_a_spliced_version_keeps_tables_equal_to_fresh_ones(uart_stream, seed, s
             for cell in layout.cells.values():
                 for layer in cell.local_layers():
                     assert_fresh(cell.rings(layer))
+
+
+# -- a served chain ---------------------------------------------------------------------
+
+
+def fresh_ends(a, b):
+    """How many rings lead and then close both buffers alike, ring by ring."""
+
+    def rings(buffer):
+        offsets = buffer.offsets
+        return [tuple(buffer.coords[x:y]) for x, y in zip(offsets, offsets[1:])]
+
+    old, new = rings(a), rings(b)
+    limit = min(len(old), len(new))
+    head = 0
+    while head < limit and old[head] == new[head]:
+        head += 1
+    tail = 0
+    while tail < limit - head and old[-1 - tail] == new[-1 - tail]:
+        tail += 1
+    return head, tail
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    steps=st.lists(
+        st.tuples(st.sampled_from(CHAIN_STEPS), st.integers(0, 2**32 - 1)), min_size=4, max_size=8
+    ),
+)
+def test_a_served_chain_carries_fresh_bounds_and_common_ends(streams, design, steps):
+    """Versions loaded as the daemon loads them, each against the last, and
+    walked: every buffer's carried prefix bounds, index and bounds are
+    fresh ones, and the diff's common ends of each (cell, layer) of two
+    versions are those a ring-by-ring comparison finds."""
+    data, top = streams[design], TOP
+    version = ServerState._load_version(data, top)
+    for edit, seed in steps:
+        rng = random.Random(seed)
+        new_data, new_top = chain_edit(data, top, edit, rng)
+        try:
+            new = ServerState._load_version(new_data, new_top, version)
+        except ReproError:  # a version the reader refuses: keep the last
+            continue
+        (old_layout, _, _), (layout, tree, _) = version, new
+        for layer in layout.cell(new_top).local_layers():
+            SubtreeWindow(tree).rings_in_regions(new_top, Transform(), layer, random_windows(rng))
+        for name, cell in layout.cells.items():
+            old = old_layout.cells.get(name)
+            for layer in cell.local_layers():
+                rings = cell.rings(layer)
+                assert_fresh(rings)
+                old_rings = old.rings(layer) if old is not None else None
+                if old_rings is not None:
+                    ends = diff_module._common_ends(old_rings, rings)
+                    assert ends == fresh_ends(old_rings, rings)
+        version, data, top = new, new_data, new_top

@@ -20,6 +20,7 @@ changed, and the malformed corpus reads the same with a predecessor as
 without.
 """
 
+import hashlib
 import inspect
 import random
 import struct
@@ -28,6 +29,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core import packstore as packstore_module
 from repro.core.diff import diff_layouts
 from repro.core.incremental import recheck
 from repro.core.packstore import layer_digests, layer_geometry_digest
@@ -38,9 +40,11 @@ from repro.gdsii.reader import REFERENCE_KEY
 from repro.gdsii.records import RecordType, make_record, pack_record, xy_record
 from repro.geometry import Polygon, Transform
 from repro.hierarchy.tree import HierarchyTree
+from repro.layout import builder as builder_module
 from repro.layout import gdsii_from_layout, layout_from_gdsii
 from repro.layout.builder import LayoutSink
 from repro.layout.cell import CellReference
+from repro.server import ServerState
 from repro.workloads import asap7, build_design
 
 from . import test_gdsii_malformed as corpus
@@ -301,6 +305,63 @@ def edit_elements(structure, edit, leaves, rng):
     else:
         elements[at:at] = fresh
     return head + b"".join(elements) + end, len(fresh)
+
+
+def moved_to_another_layer(structure, rng):
+    """One rectangle BOUNDARY of ``structure`` put on another layer."""
+    head, elements, end = elements_of(structure)
+    rectangles = [i for i, e in enumerate(elements) if is_rectangle_element(e)]
+    if rectangles:
+        at = rng.choice(rectangles)
+        layer = struct.unpack_from(">h", elements[at], 8)[0]
+        layer += rng.choice((1, 11))
+        elements[at] = elements[at][:8] + struct.pack(">h", layer) + elements[at][10:]
+    return head + b"".join(elements) + end
+
+
+
+#: What a served chain's next upload may do (:func:`chain_edit`).
+CHAIN_EDITS = (
+    "append", "insert", "delete", "replace", "move", "add_cell", "remove_cell", "change_top",
+)  # fmt: skip
+#: The edits a generated chain draws from: ring edits twice as often, so
+#: that a structure is often edited the three times a resume takes.
+CHAIN_STEPS = CHAIN_EDITS + CHAIN_EDITS[:5]
+
+
+def chain_edit(data, top, edit, rng):
+    """The next version of a served chain: ``(data, top)`` with elements
+    appended at the end of a structure, inserted, deleted or replaced
+    anywhere in it, a rectangle moved to another layer (the top most of
+    the time), an unreferenced cell added or one removed, or the top
+    pinned to another cell."""
+    head, structures, tail = split(data)
+    names = [name_of(s) for s in structures]
+    leaves = [name for name, s in zip(names, structures) if not references_in(s)]
+    index = max(range(len(structures)), key=lambda i: len(structures[i]))
+    if rng.random() < 0.3:
+        index = rng.randrange(len(structures))
+    if edit == "append":
+        start, elements, end = elements_of(structures[index])
+        fresh = [new_element(rng, leaves) for _ in range(rng.choice((1, 1, 2)))]
+        structures[index] = start + b"".join(elements + fresh) + end
+    elif edit in ("insert", "delete", "replace"):
+        structures[index] = edit_elements(structures[index], edit + "_elements", leaves, rng)[0]
+    elif edit == "move":
+        structures[index] = moved_to_another_layer(structures[index], rng)
+    elif edit == "add_cell":
+        chunk = structures[names.index(rng.choice(leaves))]
+        length = struct.unpack_from(">H", chunk, 28)[0]
+        name = pack_record(make_record(RecordType.STRNAME, f"ADDED{len(structures)}"))
+        structures.append(chunk[:28] + name + chunk[28 + length :])
+    elif edit == "remove_cell":
+        added = [i for i, name in enumerate(names) if name.startswith("ADDED")]
+        if added:
+            del structures[rng.choice(added)]
+    else:
+        rows = sorted(name for name in names if name.startswith("row_"))
+        top = rng.choice([name for name in [TOP] + rows if name != top] or [top])
+    return head + b"".join(structures) + tail, top
 
 
 def pick(layout, where, rng):
@@ -718,3 +779,70 @@ def test_the_malformed_corpus_reads_alike_with_a_predecessor(cls, attr, fuzz_str
     else:
         for value in ARGUMENTS[parameters[0]]:
             test(value)
+
+
+# -- what a served chain carries, against fresh computations ----------------------
+
+
+def assert_tokens_fresh(layout, data):
+    """Every cell's source token is ``(len, sha256)`` of its bytes, and each
+    of its checkpoints has hashed its first strides of them."""
+    stride = builder_module.TOKEN_STRIDE
+    for cell in layout.cells.values():
+        source = cell.source
+        assert cell.source_token == (
+            source.stop - source.start,
+            hashlib.sha256(data[source.start : source.stop]).digest(),
+        )
+        for j, state in enumerate(source.states or ()):
+            chunk = data[source.start : source.start + (j + 1) * stride]
+            assert state.digest() == hashlib.sha256(chunk).digest()
+
+
+def assert_digests_fresh(tree, digests):
+    """Every digest is a fresh one, and the checkpoints the tree keeps are
+    those a fresh digest notes."""
+    assert digests == {L: layer_geometry_digest(tree, L) for L in tree.layout.layers()}
+    for layer, kept in (tree.digest_states or {}).items():
+        fresh = []
+        packstore_module._layer_hash(tree, layer, fresh)
+        assert [(n, j, s.digest()) for n, j, s in kept] == [
+            (n, j, s.digest()) for n, j, s in fresh
+        ]
+
+
+def assert_order_fresh(layout):
+    assert layout.topological_order() == layout._topological_order()
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    design=st.sampled_from(sorted(DESIGNS)),
+    small=st.booleans(),
+    steps=st.lists(
+        st.tuples(st.sampled_from(CHAIN_STEPS), st.integers(0, 2**32 - 1)), min_size=4, max_size=8
+    ),
+)
+def test_a_served_chain_carries_fresh_tokens_digests_and_orders(streams, design, small, steps):
+    """Versions loaded as the daemon loads them, each against the last: the
+    source tokens, layer digests and topological orders a splice carries
+    or resumes are the fresh ones, checkpoints included (with strides a
+    few hundred bytes and a few rings long in half the chains, so that the
+    small designs take every path)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if small:
+            patch.setattr(builder_module, "TOKEN_STRIDE", 320)
+            patch.setattr(packstore_module, "DIGEST_STRIDE", 3)
+        data, top = streams[design], TOP
+        version = ServerState._load_version(data, top)
+        for edit, seed in steps:
+            new_data, new_top = chain_edit(data, top, edit, random.Random(seed))
+            try:
+                version = ServerState._load_version(new_data, new_top, version)
+            except ReproError:  # a version the reader refuses: keep the last
+                continue
+            data, top = new_data, new_top
+            layout, tree, digests = version
+            assert_tokens_fresh(layout, data)
+            assert_digests_fresh(tree, digests)
+            assert_order_fresh(layout)

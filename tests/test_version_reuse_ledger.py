@@ -8,20 +8,22 @@ turns only the changed span of its M2 rings into bytes. A served chain of
 ten edits decodes one element a turn, answers, turn for turn, what a fresh
 session of each version answers, and its last report is the cold oracle's;
 the daemon then holds the bytes of the last upload only. It builds the
-top's ring tables and keeps its placed references on the second recheck
-only, carrying both on through every later splice; a chain of edits
-mid-way through the top builds no table. Fixing a placed
+top's ring tables on the first recheck and keeps its placed references on
+the second only, carrying both on through every later splice; a chain of
+edits mid-way through the top builds no table. Fixing a placed
 definition (the sliver of ``NAND2x1``) splices to the cold report, and the
 region gather hands each subtree only the windows its placed MBR meets.
 """
 
 import gc
+import hashlib
 import os
 import sys
 import types
 
 import pytest
 
+from repro import cli
 from repro.core import diff as diff_module
 from repro.core import packstore
 from repro.core.diff import diff_layouts
@@ -31,7 +33,9 @@ from repro.geometry.transform import row_transform
 from repro.hierarchy import tree as tree_module
 from repro.hierarchy.pruning import SubtreeWindow
 from repro.hierarchy.tree import HierarchyTree
-from repro.layout import gdsii_from_layout, layout_from_gdsii
+from repro.layout import Layout, gdsii_from_layout, layout_from_gdsii
+from repro.layout import cell as cell_module
+from repro.layout.builder import StructureSource
 from repro.layout.cell import RingBuffer
 from repro.server import ServerState
 from repro.workloads import asap7
@@ -226,7 +230,7 @@ def spy_table_builds(monkeypatch):
     """``(table, rings)`` of every derived table a ring buffer builds from
     scratch from here on (not one a splice carried)."""
     built = []
-    for name, slot in (("block_bounds", "_bounds"), ("xorder", "_order")):
+    for name, slot in (("prefix_bounds", "_bounds"), ("xorder", "_order")):
 
         def building(rings, real=getattr(RingBuffer, name), name=name, slot=slot):
             if getattr(rings, slot) is None:
@@ -245,13 +249,14 @@ def top_s(built):
 
 def test_a_served_chain_builds_the_top_s_tables_once(stream, monkeypatch):
     """Eight chained served rechecks, one top-strip wire swapped a turn.
-    A cold check builds no table anywhere, nor does the first recheck,
-    which only walks the top and places its references (a one-shot
-    recheck keeps nothing). The second recheck's version, a head copy of a
-    walked version, builds the top's block bounds and x-ordered index, and
-    its tree keeps the placed references; every later splice and tree
-    carries them, placing no reference. Each served CSV is the cold
-    check's. (A broken carry would stay correct and silently get slow.)"""
+    A cold check builds no table anywhere; its tree's bounds pass marks
+    the top's layers scanned. The first recheck's version, a head copy of
+    them, builds the top's prefix bounds and x-ordered index, and places
+    the top's references (the tree of a version read against a cold one
+    keeps none: a one-shot recheck keeps nothing); the second recheck's
+    tree keeps the placed references; every later splice and tree carries
+    them, placing no reference. Each served CSV is the cold check's. (A
+    broken carry would stay correct and silently get slow.)"""
     built = spy_table_builds(monkeypatch)
     placed = spy(monkeypatch, tree_module, "reference_mbr")
     with ServerState() as state:
@@ -263,7 +268,7 @@ def test_a_served_chain_builds_the_top_s_tables_once(stream, monkeypatch):
             placed.clear()
             data = stream.edit_gds(k)
             report, _ = state.recheck(session.sid, data=data)
-            assert top_s(built) == ({"block_bounds", "xorder"} if k == 1 else set())
+            assert top_s(built) == ({"prefix_bounds", "xorder"} if k == 0 else set())
             assert bool(placed) == (k < 2)
             assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
 
@@ -286,7 +291,7 @@ def test_a_served_chain_edited_mid_structure_builds_no_tables(stream, monkeypatc
     (M2 among them) ends in a tail copy, which would drop whatever tables
     it carried, so it builds none: a table sorted afresh every turn would
     cost more than the scan. A top layer wholly before the wire is only
-    head-copied, builds its tables on the second recheck and carries them
+    head-copied, builds its tables on the first recheck and carries them
     on. Each served CSV is the cold check's."""
     built = spy_table_builds(monkeypatch)
     with ServerState() as state:
@@ -297,7 +302,7 @@ def test_a_served_chain_edited_mid_structure_builds_no_tables(stream, monkeypatc
             data = mid_structure_gds(stream, k)
             report, _ = state.recheck(session.sid, data=data)
             assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
-            if k != 1:
+            if k != 0:
                 assert top_s(built) == set()
         m2 = state.session(session.sid).layout.cell(TOP).rings(asap7.M2)
         assert len(m2) > 1000 and m2._bounds is None and m2._order is None
@@ -335,3 +340,103 @@ def test_a_served_chain_holds_only_the_last_upload(stream):
         held = large_bytes_reachable(state)
     assert [upload for upload in uploads if any(b is upload for b in held)] == [uploads[-1]]
     assert {id(cell.source.data) for cell in session.layout.cells.values()} == {id(uploads[-1])}
+
+
+def spy_sha256(monkeypatch):
+    """A one-item list: how many bytes every SHA-256 made from here on has
+    been fed (copies of one included)."""
+    fed = [0]
+    real = hashlib.sha256
+
+    class Counting:
+        def __init__(self, data=b"", *, inner=None):
+            self.inner = real() if inner is None else inner
+            self.update(data)
+
+        def update(self, data):
+            fed[0] += memoryview(data).nbytes
+            self.inner.update(data)
+
+        def copy(self):
+            return Counting(inner=self.inner.copy())
+
+        def digest(self):
+            return self.inner.digest()
+
+        def hexdigest(self):
+            return self.inner.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counting)
+    return fed
+
+
+def test_a_served_chain_works_on_the_edit_from_its_third_turn(stream, monkeypatch):
+    """Eight chained served rechecks, one top-strip wire swapped a turn.
+    From the third turn on, each version of the 370 KB top resumes its
+    source token and its M2 digest from the checkpoints the last version
+    kept: SHA-256 is fed under a tenth of the top's bytes. The diff sizes
+    no ring, and the tree bounds none, before the splice point (the rings
+    the head copy took from the last version); no large buffer is bounds-
+    scanned; and the version takes the last one's topological order,
+    which no version computes twice."""
+    fed = spy_sha256(monkeypatch)
+    sized = spy(monkeypatch, cell_module, "_ring_sizes")
+    appended = spy(monkeypatch, RingBuffer, "_appended")
+    orders = spy(monkeypatch, Layout, "_topological_order")
+    scans = []
+    bounds = RingBuffer.bounds
+
+    def scanning(rings):
+        if len(rings) > 1000 and rings._bounds is None and rings._walked != cell_module._DUE:
+            scans.append(len(rings))
+        return bounds(rings)
+
+    monkeypatch.setattr(RingBuffer, "bounds", scanning)
+    with ServerState() as state:
+        session, _ = state.create_session(data=stream.base_gds, top=TOP)
+        state.check(session.sid)
+        top = session.layout.cell(TOP).source
+        for k in range(8):
+            for calls in (sized, appended, orders, scans):
+                calls.clear()
+            fed[0] = 0
+            data = stream.edit_gds(k)
+            report, _ = state.recheck(session.sid, data=data)
+            for query in stream.queries[:3]:
+                state.violations_body(session.sid, severity=query.severity, bbox=query.bbox)
+            assert len(orders) <= 1
+            if k < 2:
+                continue
+            m2 = session.layout.cell(TOP).rings(asap7.M2)
+            splice = m2._origin[1]
+            assert fed[0] < (top.stop - top.start) / 10
+            assert sized and all(start >= splice for _, start in sized)
+            assert all(first >= rings._origin[1] for rings, first in appended if len(rings) > 1000)
+            assert scans == [] and orders == []
+        assert report.to_csv(expand_instances=True) + "\n" == ledger_inputs.oracle_csv(data)
+
+
+def test_a_cold_check_and_a_one_shot_recheck_keep_nothing_to_carry(stream, tmp_path, monkeypatch):
+    """``repro check`` and ``repro recheck`` (in process) build no ring
+    table, keep no SHA-256 checkpoint of a structure and none of a layer
+    digest: each carried table is built only in a chain that will read it."""
+    built = spy_table_builds(monkeypatch)
+    sources = spy(monkeypatch, StructureSource, "__init__")
+    trees = []
+    init = HierarchyTree.__init__
+
+    def building(tree, *args, **kwargs):
+        init(tree, *args, **kwargs)
+        trees.append(tree)
+
+    monkeypatch.setattr(HierarchyTree, "__init__", building)
+    base, edit = tmp_path / "base.gds", tmp_path / "edit.gds"
+    base.write_bytes(stream.base_gds)
+    edit.write_bytes(stream.edit_gds(0))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for argv in (["check", str(base)], ["recheck", str(base), str(edit)]):
+        sources.clear()
+        assert cli.main(argv + ["--top", TOP, "--format", "csv"]) == 1  # violations found
+        assert len(sources) >= 20 and all(not args[5:] or not args[5] for args in sources)
+    assert built == []
+    assert trees and all(tree.digest_states is None for tree in trees)
